@@ -7,7 +7,6 @@ use std::time::Instant;
 
 use batchzk_encoder::{Encoder, EncoderParams};
 use batchzk_field::lut::{naive_select_sum, SubsetSumLUT};
-use batchzk_field::soa::SoaVec;
 use batchzk_field::{Field, Fr, NttDomain, RngCore};
 use batchzk_gpu_sim::{ArrivalPlan, DevicePool, DeviceProfile, FaultPlan, Gpu};
 use batchzk_hash::Prg;
@@ -20,12 +19,12 @@ use batchzk_pipeline::{
     PriorityClass, ServiceConfig, ServiceOutcome, ShardPolicy,
 };
 use batchzk_zkp::batch::module_weights;
+use batchzk_zkp::batch::BatchTask;
 use batchzk_zkp::r1cs::{synthetic_r1cs, R1cs};
 use batchzk_zkp::{
-    pcs, prove_batch, prove_batch_naive_with, prove_batch_pool, prove_batch_with, prove_service,
-    prove_service_with, spartan, BackendProofRequest, GrothBackend, MixedBackend, MixedInstance,
-    MixedTask, OrionBackend, PcsParams, ProofRequest, ProverBackend, ServiceProofRun,
-    SpartanBackend, BACKEND_NAMES,
+    pcs, prove_batch_naive_with, prove_batch_pool_with, prove_batch_with, prove_service_with,
+    spartan, BackendProofRequest, GrothBackend, MixedBackend, MixedInstance, MixedTask,
+    OrionBackend, PcsParams, ProverBackend, SpartanBackend, BACKEND_NAMES,
 };
 
 use crate::baseline::{groth16_cpu, groth16_gpu, BELLPERSON_BYTES_PER_CONSTRAINT};
@@ -324,10 +323,9 @@ fn run_ours(
     let mut gpu = Gpu::new(profile.clone());
     let weights = module_weights(&gpu, &r1cs, &pcs_params());
     let threads = allocate_threads(MODULE_THREADS, &weights);
-    let run = prove_batch(
+    let run = prove_batch_with(
         &mut gpu,
-        r1cs,
-        pcs_params(),
+        &SpartanBackend::new(r1cs, pcs_params()),
         instances,
         MODULE_THREADS,
         multi_stream,
@@ -795,10 +793,9 @@ fn scaling_point(
         .map(|_| (inputs.to_vec(), witness.to_vec()))
         .collect();
     let mut pool = DevicePool::homogeneous(profile.clone(), devices);
-    let run = prove_batch_pool(
+    let run = prove_batch_pool_with(
         &mut pool,
-        Arc::clone(r1cs),
-        pcs_params(),
+        &SpartanBackend::new(Arc::clone(r1cs), pcs_params()),
         instances,
         MODULE_THREADS,
         true,
@@ -896,10 +893,9 @@ fn recovery_study(scale: &Scale, extra: Option<&FaultPlan>) -> RecoveryStudy {
         if let Some(p) = plan {
             pool.apply_fault_plan(p);
         }
-        prove_batch_pool(
+        prove_batch_pool_with(
             &mut pool,
-            Arc::clone(&r1cs),
-            pcs_params(),
+            &SpartanBackend::new(Arc::clone(&r1cs), pcs_params()),
             instances,
             MODULE_THREADS,
             true,
@@ -1033,7 +1029,7 @@ fn service_config(devices: usize, interval: u64) -> ServiceConfig {
 /// One pool size of the online-service replay.
 struct ServicePoint {
     devices: usize,
-    outcome: ServiceProofRun<Fr>,
+    outcome: ServiceOutcome<BatchTask<Fr>>,
 }
 
 /// The online-service replay behind `tables serve` and the BENCH.json
@@ -1053,7 +1049,7 @@ struct ServiceStudy {
 /// flight-recorder study ([`timeline`], 1 device under `TraceLevel::Full`)
 /// calibrate once and replay under different trace levels.
 struct ServiceSetup {
-    r1cs: Arc<R1cs<Fr>>,
+    backend: SpartanBackend<Fr>,
     inputs: Vec<Fr>,
     witness: Vec<Fr>,
     classes: Vec<PriorityClass>,
@@ -1073,7 +1069,7 @@ fn service_setup(scale: &Scale, plan: &ArrivalPlan) -> Result<ServiceSetup, Stri
         .map(|a| PriorityClass::parse(&a.class))
         .collect::<Result<_, _>>()?;
     let (r1cs, inputs, witness) = synthetic_r1cs::<Fr>(1usize << scale.service_log, 42);
-    let r1cs = Arc::new(r1cs);
+    let backend = SpartanBackend::new(Arc::new(r1cs), pcs_params());
     // Calibration probe: the steady-state per-proof interval on one device
     // defines the trace time unit, so the committed trace offers the same
     // *relative* load at any circuit size. Integer simulated cycles only —
@@ -1082,20 +1078,13 @@ fn service_setup(scale: &Scale, plan: &ArrivalPlan) -> Result<ServiceSetup, Stri
         .map(|_| (inputs.clone(), witness.clone()))
         .collect();
     let mut gpu = Gpu::new(DeviceProfile::a100());
-    let probe_stats = prove_batch(
-        &mut gpu,
-        Arc::clone(&r1cs),
-        pcs_params(),
-        probe,
-        MODULE_THREADS,
-        true,
-    )
-    .expect("fits")
-    .stats;
+    let probe_stats = prove_batch_with(&mut gpu, &backend, probe, MODULE_THREADS, true)
+        .expect("fits")
+        .stats;
     let interval = (probe_stats.total_cycles / probe_stats.tasks.max(1) as u64).max(1);
     let unit = (interval / UNITS_PER_INTERVAL).max(1);
     Ok(ServiceSetup {
-        r1cs,
+        backend,
         inputs,
         witness,
         classes,
@@ -1114,8 +1103,8 @@ fn service_replay(
     setup: &ServiceSetup,
     devices: usize,
     level: batchzk_gpu_sim::TraceLevel,
-) -> Result<(ServiceProofRun<Fr>, DevicePool), String> {
-    let requests: Vec<ProofRequest<Fr>> = setup
+) -> Result<(ServiceOutcome<BatchTask<Fr>>, DevicePool), String> {
+    let requests: Vec<BackendProofRequest<SpartanBackend<Fr>>> = setup
         .classes
         .iter()
         .zip(&setup.arrival_units)
@@ -1128,10 +1117,9 @@ fn service_replay(
         })
         .collect();
     let mut pool = DevicePool::homogeneous_with_trace_level(DeviceProfile::a100(), devices, level);
-    let outcome = prove_service(
+    let outcome = prove_service_with(
         &mut pool,
-        Arc::clone(&setup.r1cs),
-        pcs_params(),
+        &setup.backend,
         &service_config(devices, setup.proof_interval_cycles),
         requests,
         MODULE_THREADS,
@@ -1537,20 +1525,14 @@ fn mixed_service_study(
         .map(|_| (inputs.clone(), witness.clone()))
         .collect();
     let mut gpu = Gpu::new(DeviceProfile::a100());
-    let probe_stats = prove_batch(
-        &mut gpu,
-        Arc::clone(&r1cs),
-        pcs_params(),
-        probe,
-        MODULE_THREADS,
-        true,
-    )
-    .expect("fits")
-    .stats;
+    let sumcheck = SpartanBackend::new(Arc::clone(&r1cs), pcs_params());
+    let probe_stats = prove_batch_with(&mut gpu, &sumcheck, probe, MODULE_THREADS, true)
+        .expect("fits")
+        .stats;
     let interval = (probe_stats.total_cycles / probe_stats.tasks.max(1) as u64).max(1);
     let unit = (interval / UNITS_PER_INTERVAL).max(1);
     let backend = MixedBackend::new(
-        SpartanBackend::new(Arc::clone(&r1cs), pcs_params()),
+        sumcheck,
         GrothBackend::new(scale.backends_log),
         OrionBackend::new(scale.backends_log as usize, pcs_params()),
     );
@@ -2305,10 +2287,9 @@ pub fn bench_json(scale: &Scale) -> String {
         .map(|_| (inputs.clone(), witness.clone()))
         .collect();
     let mut gpu = Gpu::with_trace_level(profile.clone(), TraceLevel::Full);
-    let run = prove_batch(
+    let run = prove_batch_with(
         &mut gpu,
-        Arc::new(r1cs),
-        pcs_params(),
+        &SpartanBackend::new(Arc::new(r1cs), pcs_params()),
         instances,
         MODULE_THREADS,
         true,
@@ -2580,10 +2561,10 @@ fn timed_ns(f: impl FnOnce()) -> f64 {
 }
 
 /// Runs the `profile` measurements: self-timed microbenchmarks of every
-/// hot-path kernel (strict/lazy/4-way Montgomery multiply, LUT vs naive
-/// binary inner product, scalar vs 4-lane SHA-256 compression, NTT
-/// butterflies) and one instrumented single-thread prove whose wall time
-/// is attributed to named pipeline phases. Everything except the timings
+/// hot-path kernel (strict/lazy Montgomery multiply, LUT vs naive
+/// binary inner product, SHA-256 compression, NTT butterflies) and one
+/// instrumented single-thread prove whose wall time is attributed to
+/// named pipeline phases. Everything except the timings
 /// is deterministic at a given scale.
 pub fn profile_study(scale: &Scale) -> ProfileStudy {
     use std::hint::black_box;
@@ -2599,8 +2580,8 @@ pub fn profile_study(scale: &Scale) -> ProfileStudy {
 
     let mut kernels = Vec::new();
 
-    // The same n-element inner product three ways: strict per-op reduction,
-    // the lazy-reduction accumulate, and the 4-way interleaved SoA kernel.
+    // The same n-element inner product two ways: strict per-op reduction
+    // and the lazy-reduction accumulate.
     let ns = timed_ns(|| {
         let mut acc = Fr::ZERO;
         for _ in 0..reps {
@@ -2623,21 +2604,6 @@ pub fn profile_study(scale: &Scale) -> ProfileStudy {
     });
     kernels.push(KernelProfile {
         name: "mont-mul-lazy",
-        ops: (n * reps) as u64,
-        wall_ns: ns,
-    });
-
-    let sa = SoaVec::from_slice(&a);
-    let sb = SoaVec::from_slice(&b);
-    let ns = timed_ns(|| {
-        let mut acc = Fr::ZERO;
-        for _ in 0..reps {
-            acc += sa.dot(&sb);
-        }
-        black_box(acc);
-    });
-    kernels.push(KernelProfile {
-        name: "mont-mul-x4",
         ops: (n * reps) as u64,
         wall_ns: ns,
     });
@@ -2677,8 +2643,7 @@ pub fn profile_study(scale: &Scale) -> ProfileStudy {
         wall_ns: ns,
     });
 
-    // SHA-256 compression, one 64-byte block per op: scalar vs the 4-lane
-    // interleaved kernel the Merkle module uses.
+    // SHA-256 compression, one 64-byte block per op.
     let blocks: Vec<[u8; 64]> = (0..(n * reps / 16).max(64))
         .map(|i| {
             let mut blk = [0u8; 64];
@@ -2693,14 +2658,6 @@ pub fn profile_study(scale: &Scale) -> ProfileStudy {
     });
     kernels.push(KernelProfile {
         name: "sha256-block",
-        ops: blocks.len() as u64,
-        wall_ns: ns,
-    });
-    let ns = timed_ns(|| {
-        black_box(batchzk_hash::hash_blocks(&blocks));
-    });
-    kernels.push(KernelProfile {
-        name: "sha256-block-x4",
         ops: blocks.len() as u64,
         wall_ns: ns,
     });
@@ -3087,11 +3044,9 @@ mod tests {
         for k in [
             "mont-mul",
             "mont-mul-lazy",
-            "mont-mul-x4",
             "binary-dot-naive",
             "binary-dot-lut",
             "sha256-block",
-            "sha256-block-x4",
             "ntt-butterfly",
         ] {
             assert!(names.contains(&k), "missing kernel {k}");

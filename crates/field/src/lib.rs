@@ -38,7 +38,6 @@ mod fq;
 mod fr;
 pub mod lut;
 pub mod ntt;
-pub mod soa;
 
 pub use batch::batch_invert;
 pub use fq::Fq;

@@ -250,70 +250,6 @@ pub const fn double_wide(p: &Limbs) -> Limbs {
     add_wide(p, p).0
 }
 
-/// Four independent Montgomery multiplications with interleaved inner loops
-/// (4-way CIOS unrolling).
-///
-/// Processing four products in lockstep breaks the carry-chain serialization
-/// of a single CIOS pass: each of the four accumulators advances one `mac`
-/// per lane per step, giving the compiler independent instruction streams to
-/// schedule (and, with the SoA layout in `batchzk_field::soa`, contiguous
-/// per-limb loads). Inputs below `p`; results below `p` — byte-identical to
-/// four [`mont_mul`] calls.
-#[inline]
-pub fn mont_mul_x4(a: &[Limbs; 4], b: &[Limbs; 4], p: &Limbs, inv: u64) -> [Limbs; 4] {
-    let mut t = [[0u64; NLIMBS + 2]; 4];
-    // Transpose `a` so each outer step consumes one limb column across lanes.
-    let a_cols: [[u64; 4]; NLIMBS] =
-        core::array::from_fn(|i| core::array::from_fn(|lane| a[lane][i]));
-    for ai in a_cols {
-        // t += a[i] * b, four lanes in lockstep.
-        let mut carry = [0u64; 4];
-        for j in 0..NLIMBS {
-            for lane in 0..4 {
-                let (lo, c) = mac(t[lane][j], ai[lane], b[lane][j], carry[lane]);
-                t[lane][j] = lo;
-                carry[lane] = c;
-            }
-        }
-        for lane in 0..4 {
-            let (s, c) = adc(t[lane][NLIMBS], carry[lane], 0);
-            t[lane][NLIMBS] = s;
-            t[lane][NLIMBS + 1] = c;
-        }
-        // Reduction step, four lanes in lockstep.
-        let mut m = [0u64; 4];
-        let mut carry = [0u64; 4];
-        for lane in 0..4 {
-            m[lane] = t[lane][0].wrapping_mul(inv);
-            let (_, c) = mac(t[lane][0], m[lane], p[0], 0);
-            carry[lane] = c;
-        }
-        for j in 1..NLIMBS {
-            for lane in 0..4 {
-                let (lo, c) = mac(t[lane][j], m[lane], p[j], carry[lane]);
-                t[lane][j - 1] = lo;
-                carry[lane] = c;
-            }
-        }
-        for lane in 0..4 {
-            let (s, c) = adc(t[lane][NLIMBS], carry[lane], 0);
-            t[lane][NLIMBS - 1] = s;
-            t[lane][NLIMBS] = t[lane][NLIMBS + 1] + c;
-            t[lane][NLIMBS + 1] = 0;
-        }
-    }
-    let mut out = [[0u64; NLIMBS]; 4];
-    for lane in 0..4 {
-        let r: Limbs = [t[lane][0], t[lane][1], t[lane][2], t[lane][3]];
-        out[lane] = if t[lane][NLIMBS] != 0 || geq(&r, p) {
-            sub_wide(&r, p).0
-        } else {
-            r
-        };
-    }
-    out
-}
-
 /// Schoolbook 256×256 → 512-bit multiply followed by binary long division:
 /// an independent, obviously-correct oracle for Montgomery multiplication.
 ///
@@ -493,30 +429,6 @@ mod tests {
             // Same value mod p as the canonical modular addition.
             let expect = add_mod(&reduce_once(&a, &P), &reduce_once(&b, &P), &P);
             assert_eq!(reduce_once(&s, &P), expect);
-        }
-    }
-
-    #[test]
-    fn mont_mul_x4_matches_scalar_lanes() {
-        let inv = mont_inv64(P[0]);
-        let mut st = 13u64;
-        for _ in 0..50 {
-            let a = [
-                rand_below(&P, &mut st),
-                rand_below(&P, &mut st),
-                rand_below(&P, &mut st),
-                rand_below(&P, &mut st),
-            ];
-            let b = [
-                rand_below(&P, &mut st),
-                rand_below(&P, &mut st),
-                rand_below(&P, &mut st),
-                rand_below(&P, &mut st),
-            ];
-            let quad = mont_mul_x4(&a, &b, &P, inv);
-            for lane in 0..4 {
-                assert_eq!(quad[lane], mont_mul(&a[lane], &b[lane], &P, inv));
-            }
         }
     }
 

@@ -130,9 +130,8 @@ pub trait Field:
 }
 
 /// Low-level access to the four-limb Montgomery representation behind a
-/// [`Field`] implementation — the hook the flat SoA batch layout
-/// ([`crate::soa`]) and other limb-level kernels build on. Implemented
-/// automatically by `declare_field!`.
+/// [`Field`] implementation — the hook limb-level kernels and their
+/// property tests build on. Implemented automatically by `declare_field!`.
 pub trait MontLimbs: Field {
     /// The field modulus `p`.
     const P: Limbs;

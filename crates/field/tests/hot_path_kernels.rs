@@ -8,8 +8,7 @@
 //! redundant domain.
 
 use batchzk_field::limb::{
-    add_lazy, double_wide, geq, mont_mul, mont_mul_unreduced, mont_mul_x4, naive_mul_mod,
-    reduce_once, Limbs,
+    add_lazy, double_wide, geq, mont_mul, mont_mul_unreduced, naive_mul_mod, reduce_once, Limbs,
 };
 use batchzk_field::lut::{naive_select_sum, SubsetSumLUT};
 use batchzk_field::{Field, Fr, MontLimbs, RngCore, SplitMix64};
@@ -121,19 +120,6 @@ fn add_lazy_closed_and_congruent() {
             let fb = Fr::from_mont_limbs_unchecked(reduce_once(b, &P));
             let fs = Fr::from_mont_limbs_unchecked(reduce_once(&sum, &P));
             assert_eq!(fa + fb, fs);
-        }
-    }
-}
-
-#[test]
-fn mont_mul_x4_matches_scalar_on_random_lanes() {
-    let mut rng = SplitMix64::seed_from_u64(0xB03);
-    for _ in 0..100 {
-        let a: [Limbs; 4] = core::array::from_fn(|_| rand_below(&mut rng, &P));
-        let b: [Limbs; 4] = core::array::from_fn(|_| rand_below(&mut rng, &P));
-        let out = mont_mul_x4(&a, &b, &P, Fr::INV);
-        for k in 0..4 {
-            assert_eq!(out[k], mont_mul(&a[k], &b[k], &P, Fr::INV), "lane {k}");
         }
     }
 }

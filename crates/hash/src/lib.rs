@@ -12,10 +12,7 @@ mod sha256;
 mod transcript;
 
 pub use prg::Prg;
-pub use sha256::{
-    compress, compress4, hash_block, hash_blocks, hash_pair, hash_pairs, sha256, sha256_block64,
-    sha256_quad, Digest, Sha256, H0,
-};
+pub use sha256::{compress, hash_block, hash_blocks, hash_pair, sha256, Digest, Sha256, H0};
 pub use transcript::Transcript;
 
 #[cfg(test)]

@@ -204,36 +204,6 @@ pub fn sha256(data: &[u8]) -> Digest {
     h.finalize()
 }
 
-/// The padding block for a message of exactly 64 bytes: `0x80`, 55 zero
-/// bytes, then the 512-bit message length big-endian. Precomputed so the
-/// 64-byte fast path pays no padding arithmetic at all.
-const PAD64: [u8; 64] = {
-    let mut p = [0u8; 64];
-    p[0] = 0x80;
-    p[62] = 0x02; // 512 = 0x0200 big-endian in the trailing u64
-    p
-};
-
-/// Full (padded) SHA-256 of exactly one 64-byte input — two compression
-/// calls with a precomputed padding block, skipping the streaming hasher's
-/// buffering and padding bookkeeping entirely. Byte-identical to
-/// [`sha256`]`(&block)`; the hot path for 64-byte nodes (two concatenated
-/// digests) in transcripts and commitment openings.
-///
-/// Not to be confused with [`hash_block`], which is the *unpadded* raw
-/// compression step used inside Merkle trees.
-#[inline]
-pub fn sha256_block64(block: &[u8; 64]) -> Digest {
-    let mut state = H0;
-    compress(&mut state, block);
-    compress(&mut state, &PAD64);
-    let mut out = [0u8; 32];
-    for (i, word) in state.iter().enumerate() {
-        out[i * 4..(i + 1) * 4].copy_from_slice(&word.to_be_bytes());
-    }
-    out
-}
-
 /// Hashes exactly one 64-byte block with **no padding** — the raw
 /// Merkle-damgård step used for Merkle tree nodes (512-bit block in, 256-bit
 /// state out). This is the operation counted by the paper's Merkle module.
@@ -257,187 +227,10 @@ pub fn hash_pair(left: &Digest, right: &Digest) -> Digest {
     hash_block(&block)
 }
 
-#[inline]
-fn digest_from_state(state: &[u32; 8]) -> Digest {
-    let mut out = [0u8; 32];
-    for (i, word) in state.iter().enumerate() {
-        out[i * 4..(i + 1) * 4].copy_from_slice(&word.to_be_bytes());
-    }
-    out
-}
-
-/// Elementwise wrapping add over one 4-lane vector.
-#[inline(always)]
-fn add4(x: [u32; 4], y: [u32; 4]) -> [u32; 4] {
-    core::array::from_fn(|i| x[i].wrapping_add(y[i]))
-}
-
-/// Applies a scalar bit-function to every lane.
-#[inline(always)]
-fn map4(x: [u32; 4], f: impl Fn(u32) -> u32) -> [u32; 4] {
-    core::array::from_fn(|i| f(x[i]))
-}
-
-/// Lane-wise `ch` selector.
-#[inline(always)]
-fn ch4(e: [u32; 4], f: [u32; 4], g: [u32; 4]) -> [u32; 4] {
-    core::array::from_fn(|i| ch(e[i], f[i], g[i]))
-}
-
-/// Lane-wise `maj` vote.
-#[inline(always)]
-fn maj4(a: [u32; 4], b: [u32; 4], c: [u32; 4]) -> [u32; 4] {
-    core::array::from_fn(|i| maj(a[i], b[i], c[i]))
-}
-
-/// Four independent SHA-256 compressions advanced in lockstep.
-///
-/// The scalar [`compress`] loop is one long dependency chain: every round's
-/// `t1` needs the previous round's `a..h`. Interleaving four unrelated
-/// blocks gives the CPU four independent chains to overlap — the same
-/// batching trick the paper's GPU kernel uses across threads (§3.1), mapped
-/// onto SIMD lanes here. State and message schedule are kept in
-/// structure-of-arrays form (`[u32; 4]` per working variable, lane index
-/// innermost) so every round is a straight line of elementwise 4-lane
-/// adds/rotates/selects the compiler lowers to vector instructions. Each
-/// lane is bit-identical to running [`compress`] on it alone.
-#[inline]
-pub fn compress4(states: &mut [[u32; 8]; 4], blocks: &[[u8; 64]; 4]) {
-    // Message schedule in SoA form: w[i][lane].
-    let mut w = [[0u32; 4]; 16];
-    for (lane, block) in blocks.iter().enumerate() {
-        for (i, row) in w.iter_mut().enumerate() {
-            row[lane] = u32::from_be_bytes(block[i * 4..(i + 1) * 4].try_into().unwrap());
-        }
-    }
-
-    let col = |j: usize| [states[0][j], states[1][j], states[2][j], states[3][j]];
-    let mut a = col(0);
-    let mut b = col(1);
-    let mut c = col(2);
-    let mut d = col(3);
-    let mut e = col(4);
-    let mut f = col(5);
-    let mut g = col(6);
-    let mut h = col(7);
-
-    for t in 0..64 {
-        let wt = if t < 16 {
-            w[t]
-        } else {
-            let s0 = map4(w[(t + 1) % 16], small_sigma0);
-            let s1 = map4(w[(t + 14) % 16], small_sigma1);
-            let next = add4(add4(w[t % 16], s0), add4(w[(t + 9) % 16], s1));
-            w[t % 16] = next;
-            next
-        };
-        let t1 = add4(
-            add4(add4(h, map4(e, big_sigma1)), ch4(e, f, g)),
-            add4([K[t]; 4], wt),
-        );
-        let t2 = add4(map4(a, big_sigma0), maj4(a, b, c));
-        h = g;
-        g = f;
-        f = e;
-        e = add4(d, t1);
-        d = c;
-        c = b;
-        b = a;
-        a = add4(t1, t2);
-    }
-
-    for (lane, state) in states.iter_mut().enumerate() {
-        for (j, col) in [a, b, c, d, e, f, g, h].iter().enumerate() {
-            state[j] = state[j].wrapping_add(col[lane]);
-        }
-    }
-}
-
-/// Batch [`hash_block`]: hashes every 64-byte block, four at a time through
-/// [`compress4`], with a scalar tail for the remainder. Byte-identical to
-/// mapping [`hash_block`] over the input.
+/// Batch [`hash_block`]: the leaf layer of a Merkle tree over 64-byte
+/// blocks.
 pub fn hash_blocks(blocks: &[[u8; 64]]) -> Vec<Digest> {
-    let mut out = Vec::with_capacity(blocks.len());
-    let mut quads = blocks.chunks_exact(4);
-    for quad in &mut quads {
-        let mut states = [H0; 4];
-        compress4(&mut states, quad.try_into().unwrap());
-        out.extend(states.iter().map(digest_from_state));
-    }
-    out.extend(quads.remainder().iter().map(hash_block));
-    out
-}
-
-/// Batch [`hash_pair`]: hashes each `(left, right)` child pair into its
-/// parent digest, four pairs at a time. Byte-identical to mapping
-/// [`hash_pair`] over the input — the inner-node kernel of Merkle tree
-/// construction.
-pub fn hash_pairs(pairs: &[(Digest, Digest)]) -> Vec<Digest> {
-    let mut out = Vec::with_capacity(pairs.len());
-    let mut quads = pairs.chunks_exact(4);
-    for quad in &mut quads {
-        let mut blocks = [[0u8; 64]; 4];
-        for (block, (l, r)) in blocks.iter_mut().zip(quad) {
-            block[..32].copy_from_slice(l);
-            block[32..].copy_from_slice(r);
-        }
-        let mut states = [H0; 4];
-        compress4(&mut states, &blocks);
-        out.extend(states.iter().map(digest_from_state));
-    }
-    out.extend(quads.remainder().iter().map(|(l, r)| hash_pair(l, r)));
-    out
-}
-
-/// Four full (padded) SHA-256 hashes of equal-length messages, advanced in
-/// lockstep through [`compress4`]. Byte-identical to mapping [`sha256`]
-/// over the lanes.
-///
-/// Equal lengths keep the four Merkle–Damgård chains on the same block
-/// schedule, so the whole message — padding included — runs through the
-/// SoA kernel with no scalar fallback. This is the leaf kernel for
-/// interleaved-codeword commitments, where every column serializes to the
-/// same byte length.
-///
-/// # Panics
-///
-/// Panics if the four messages differ in length.
-pub fn sha256_quad(messages: [&[u8]; 4]) -> [Digest; 4] {
-    let len = messages[0].len();
-    assert!(
-        messages.iter().all(|m| m.len() == len),
-        "sha256_quad lanes must be equal length"
-    );
-    let mut states = [H0; 4];
-    let full_blocks = len / 64;
-    let mut blocks = [[0u8; 64]; 4];
-    for b in 0..full_blocks {
-        for (block, m) in blocks.iter_mut().zip(&messages) {
-            block.copy_from_slice(&m[b * 64..(b + 1) * 64]);
-        }
-        compress4(&mut states, &blocks);
-    }
-    // Padding (FIPS 180-4 §5.1.1): 0x80, zeros, 64-bit big-endian bit
-    // length. Same tail length in every lane, so the pad blocks stay in
-    // lockstep too.
-    let rem = len % 64;
-    let bit_len = (len as u64).wrapping_mul(8);
-    for (block, m) in blocks.iter_mut().zip(&messages) {
-        block.fill(0);
-        block[..rem].copy_from_slice(&m[len - rem..]);
-        block[rem] = 0x80;
-    }
-    if rem >= 56 {
-        // No room for the length words: compress the 0x80 block, then
-        // finish in a fresh all-zero block.
-        compress4(&mut states, &blocks);
-        blocks = [[0u8; 64]; 4];
-    }
-    for block in blocks.iter_mut() {
-        block[56..].copy_from_slice(&bit_len.to_be_bytes());
-    }
-    compress4(&mut states, &blocks);
-    core::array::from_fn(|i| digest_from_state(&states[i]))
+    blocks.iter().map(hash_block).collect()
 }
 
 #[cfg(test)]
@@ -446,27 +239,6 @@ mod tests {
 
     fn hex(d: &Digest) -> String {
         d.iter().map(|b| format!("{b:02x}")).collect()
-    }
-
-    #[test]
-    fn sha256_quad_matches_scalar() {
-        // Lengths spanning every padding branch: empty, short, exactly at
-        // the 56-byte boundary, one block, and multi-block with tails.
-        for len in [0usize, 1, 18, 55, 56, 63, 64, 65, 119, 120, 128, 338] {
-            let msgs: Vec<Vec<u8>> = (0..4u8)
-                .map(|lane| (0..len).map(|i| lane.wrapping_add(i as u8)).collect())
-                .collect();
-            let quad = sha256_quad([&msgs[0], &msgs[1], &msgs[2], &msgs[3]]);
-            for (lane, m) in msgs.iter().enumerate() {
-                assert_eq!(quad[lane], sha256(m), "len={len} lane={lane}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "equal length")]
-    fn sha256_quad_rejects_ragged_lanes() {
-        sha256_quad([b"aa", b"aa", b"aa", b"a"]);
     }
 
     #[test]
@@ -536,22 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn block64_fast_path_matches_streaming() {
-        // The precomputed-padding double compression must agree with the
-        // general streaming path on every byte pattern we throw at it.
-        for seed in 0u8..=7 {
-            let mut block = [0u8; 64];
-            for (i, b) in block.iter_mut().enumerate() {
-                *b = seed.wrapping_mul(31).wrapping_add(i as u8);
-            }
-            assert_eq!(sha256_block64(&block), sha256(&block), "seed={seed}");
-        }
-        // And it is the padded hash, not the raw compression step.
-        let block = [7u8; 64];
-        assert_ne!(sha256_block64(&block), hash_block(&block));
-    }
-
-    #[test]
     fn hash_pair_uses_both_children() {
         let a = [1u8; 32];
         let b = [2u8; 32];
@@ -570,59 +326,12 @@ mod tests {
     }
 
     #[test]
-    fn compress4_lanes_match_scalar() {
-        let blocks: [[u8; 64]; 4] = core::array::from_fn(|l| pattern_block(l as u8));
-        let mut states = [H0; 4];
-        compress4(&mut states, &blocks);
-        for (lane, block) in blocks.iter().enumerate() {
-            let mut expect = H0;
-            compress(&mut expect, block);
-            assert_eq!(states[lane], expect, "lane {lane}");
-        }
-    }
-
-    #[test]
-    fn compress4_from_distinct_states() {
-        // Lanes starting from different chaining values stay independent.
-        let blocks: [[u8; 64]; 4] = core::array::from_fn(|l| pattern_block(l as u8 + 9));
-        let mut states: [[u32; 8]; 4] = core::array::from_fn(|l| {
-            let mut s = H0;
-            compress(&mut s, &pattern_block(l as u8 + 50));
-            s
-        });
-        let seeds = states;
-        compress4(&mut states, &blocks);
-        for lane in 0..4 {
-            let mut expect = seeds[lane];
-            compress(&mut expect, &blocks[lane]);
-            assert_eq!(states[lane], expect, "lane {lane}");
-        }
-    }
-
-    #[test]
     fn hash_blocks_matches_scalar_for_all_tail_lengths() {
-        // Lengths exercising empty input, partial quads, and full quads.
+        // `benchmark/` and `MerkleTree` rely on this being the plain map.
         for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 11, 16] {
             let blocks: Vec<[u8; 64]> = (0..n).map(|i| pattern_block(i as u8)).collect();
             let expect: Vec<Digest> = blocks.iter().map(hash_block).collect();
             assert_eq!(hash_blocks(&blocks), expect, "n={n}");
-        }
-    }
-
-    #[test]
-    fn hash_pairs_matches_scalar_for_all_tail_lengths() {
-        for n in [0usize, 1, 3, 4, 6, 8, 13] {
-            let pairs: Vec<(Digest, Digest)> = (0..n)
-                .map(|i| {
-                    let mut l = [0u8; 32];
-                    let mut r = [0u8; 32];
-                    l[0] = i as u8;
-                    r[0] = (i as u8).wrapping_add(100);
-                    (l, r)
-                })
-                .collect();
-            let expect: Vec<Digest> = pairs.iter().map(|(l, r)| hash_pair(l, r)).collect();
-            assert_eq!(hash_pairs(&pairs), expect, "n={n}");
         }
     }
 }

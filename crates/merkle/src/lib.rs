@@ -24,7 +24,7 @@
 #![deny(missing_docs)]
 
 use batchzk_field::Field;
-use batchzk_hash::{hash_blocks, hash_pair, hash_pairs, Digest};
+use batchzk_hash::{hash_blocks, hash_pair, Digest};
 
 /// A fully materialized Merkle tree (all layers kept, leaf layer first).
 #[derive(Debug, Clone)]
@@ -43,9 +43,7 @@ impl MerkleTree {
     /// Panics if `blocks` is empty.
     pub fn from_blocks(blocks: &[[u8; 64]]) -> Self {
         assert!(!blocks.is_empty(), "cannot build a Merkle tree of nothing");
-        // Batched leaf hashing: four independent compressions in lockstep.
-        let leaves = hash_blocks(blocks);
-        Self::from_leaves(leaves)
+        Self::from_leaves(hash_blocks(blocks))
     }
 
     /// Builds a tree whose leaves are the hashes of 64-byte chunks of `data`
@@ -105,10 +103,11 @@ impl MerkleTree {
         let mut layers = vec![leaves];
         while layers.last().expect("non-empty").len() > 1 {
             let prev = layers.last().expect("non-empty");
-            // Batched node hashing through the interleaved 4-lane kernel.
-            let pairs: Vec<(Digest, Digest)> =
-                prev.chunks(2).map(|pair| (pair[0], pair[1])).collect();
-            layers.push(hash_pairs(&pairs));
+            let next = prev
+                .chunks(2)
+                .map(|pair| hash_pair(&pair[0], &pair[1]))
+                .collect();
+            layers.push(next);
         }
         Self { layers, leaf_count }
     }
@@ -253,6 +252,49 @@ mod tests {
                 b
             })
             .collect()
+    }
+
+    fn hex(d: &Digest) -> String {
+        d.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn known_answer_roots() {
+        // Roots recorded before the 4-way hash kernels were removed; the
+        // leaf counts are that kernel's quad/tail boundaries.
+        for (n, root) in [
+            (
+                1,
+                "da5698be17b9b46962335799779fbeca8ce5d491c0d26243bafef9ea1837a9d8",
+            ),
+            (
+                2,
+                "0cce867ba5b34a7e43674dd7a9afc12e2d9482984932fa29b2f5df5a1eaad9b4",
+            ),
+            (
+                3,
+                "152a7e3420c312b7d067aad102ccbe63f909ec74c1c1b383e5900ab18574ff62",
+            ),
+            (
+                4,
+                "5e1e6f3fbd181b0793cd1c5b29a904e4499035b1c69b64910be73605b1ee4cf8",
+            ),
+            (
+                5,
+                "2b6353a4e2b4a3c086ef03b3b6e34b01c45279cb22b6ac447ae071e9d76d5394",
+            ),
+            (
+                8,
+                "291b2c63e5a4470363645b8b9703e0e1e76bafcfdd22a3ebd089f51e592103d3",
+            ),
+            (
+                13,
+                "06b1578e527237edfa5664fe98365b4bc9f17e061918c0895f02776ab434da90",
+            ),
+        ] {
+            let tree = MerkleTree::from_blocks(&blocks(n));
+            assert_eq!(hex(&tree.root()), root, "n={n}");
+        }
     }
 
     #[test]

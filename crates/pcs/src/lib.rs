@@ -19,8 +19,7 @@
 //! 1. [`commit_encode`] — arrange the matrix, encode every row (encoder
 //!    module);
 //! 2. [`commit_merkle`] — hash the interleaved-codeword columns into
-//!    leaves through the SoA SHA-256 kernel
-//!    ([`batchzk_hash::sha256_quad`]) and build the tree (Merkle module);
+//!    leaves and build the tree (Merkle module);
 //! 3. [`open_combine`] — the proximity and evaluation combination rows,
 //!    random linear combinations computed with the field dot kernels
 //!    (sum-check-style fold arithmetic);
@@ -40,7 +39,7 @@
 
 use batchzk_encoder::{Encoder, EncoderParams};
 use batchzk_field::Field;
-use batchzk_hash::{sha256_quad, Digest, Sha256, Transcript};
+use batchzk_hash::{Digest, Sha256, Transcript};
 use batchzk_merkle::{MerklePath, MerkleTree};
 use batchzk_sumcheck::eq_table;
 /// Public parameters of the commitment scheme.
@@ -147,46 +146,13 @@ impl<F: Field> PcsOpening<F> {
 const COLUMN_PREFIX: &[u8] = b"batchzk-pcs-column";
 
 /// Hashes one codeword column into a Merkle leaf digest.
-fn hash_column<F: Field>(values: &[F]) -> Digest {
+fn hash_column<'a, F: Field>(values: impl IntoIterator<Item = &'a F>) -> Digest {
     let mut h = Sha256::new();
     h.update(COLUMN_PREFIX);
     for v in values {
         h.update(&v.to_bytes());
     }
     h.finalize()
-}
-
-/// Serializes column `j` of the interleaved codeword into `buf` in the
-/// exact byte layout [`hash_column`] absorbs.
-fn serialize_column<F: Field>(encoded: &[Vec<F>], j: usize, buf: &mut Vec<u8>) {
-    buf.clear();
-    buf.extend_from_slice(COLUMN_PREFIX);
-    for row in encoded {
-        buf.extend_from_slice(&row[j].to_bytes());
-    }
-}
-
-/// Hashes every interleaved-codeword column into its Merkle leaf, four
-/// columns at a time through the SoA SHA-256 kernel
-/// ([`sha256_quad`] — every column serializes to the same byte length, so
-/// the four Merkle–Damgård chains stay in lockstep), with a scalar tail.
-/// Byte-identical to mapping [`hash_column`] over the columns.
-fn hash_columns<F: Field>(encoded: &[Vec<F>], codeword_len: usize) -> Vec<Digest> {
-    let mut leaves = Vec::with_capacity(codeword_len);
-    let mut bufs: [Vec<u8>; 4] = Default::default();
-    let mut j = 0;
-    while j + 4 <= codeword_len {
-        for (lane, buf) in bufs.iter_mut().enumerate() {
-            serialize_column(encoded, j + lane, buf);
-        }
-        leaves.extend(sha256_quad([&bufs[0], &bufs[1], &bufs[2], &bufs[3]]));
-        j += 4;
-    }
-    for j in j..codeword_len {
-        let column: Vec<F> = encoded.iter().map(|row| row[j]).collect();
-        leaves.push(hash_column(&column));
-    }
-    leaves
 }
 
 /// Picks the matrix shape for a `k`-variable polynomial: columns get
@@ -260,7 +226,9 @@ pub fn commit_merkle<F: Field>(encoded: EncodedRows<F>) -> (PcsCommitment, PcsPr
     let n_rows = rows.len();
     let n_cols = rows[0].len();
     let codeword_len = encoder.codeword_len();
-    let leaves = hash_columns(&encoded, codeword_len);
+    let leaves = (0..codeword_len)
+        .map(|j| hash_column(encoded.iter().map(|row| &row[j])))
+        .collect();
     let tree = MerkleTree::from_leaves(leaves);
     let commitment = PcsCommitment {
         root: tree.root(),
@@ -620,22 +588,18 @@ mod tests {
     }
 
     #[test]
-    fn soa_column_leaves_match_scalar_hashing() {
-        // The quad-lane leaf kernel must be byte-identical to hashing each
-        // column alone, including the scalar tail when the codeword length
-        // is not a multiple of four.
-        let mut rng = Prg::seed_from_u64(105);
-        for n_rows in [1usize, 3, 4] {
-            let codeword_len = 11; // forces a 3-column scalar tail
-            let encoded: Vec<Vec<Fr>> = (0..n_rows)
-                .map(|_| (0..codeword_len).map(|_| Fr::random(&mut rng)).collect())
-                .collect();
-            let leaves = hash_columns(&encoded, codeword_len);
-            for (j, leaf) in leaves.iter().enumerate() {
-                let column: Vec<Fr> = encoded.iter().map(|row| row[j]).collect();
-                assert_eq!(*leaf, hash_column(&column), "n_rows={n_rows} col={j}");
-            }
-        }
+    fn known_answer_commit_root() {
+        // Root recorded before the 4-way column-hash kernel was removed;
+        // k = 11 gives a codeword length of 111, not a multiple of four.
+        let mut rng = Prg::seed_from_u64(108);
+        let evals: Vec<Fr> = (0..1usize << 11).map(|_| Fr::random(&mut rng)).collect();
+        let (commitment, data) = commit(&params(), &evals);
+        assert_eq!(data.codeword_len(), 111);
+        let root: String = commitment.root.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            root,
+            "c893ca1c978e5ae7ced8671eb599bb70c972b43619699b4f03e4ea904a655d56"
+        );
     }
 
     #[test]

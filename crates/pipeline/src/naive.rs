@@ -74,13 +74,14 @@ fn finish_stats(gpu: &Gpu, start_cycles: u64, tasks: usize, latencies: &[u64]) -
 /// where a task's kernel holds its full thread slice through every small
 /// late phase. Stages without phases are charged their aggregate
 /// [`StageWork`](crate::engine::StageWork). Per-stage `mem_after` reports
-/// are ignored: the naive model's residency is the pre-load.
+/// are ignored: the naive model's residency is the pre-load. An empty
+/// batch is a no-op returning an empty run that charges no device time.
 ///
 /// # Panics
 ///
-/// Panics if `tasks` is empty, the pre-load does not fit in device
-/// memory, or tasks in one group disagree on their phase count (the
-/// runner batches groups in lockstep, so it requires a uniform circuit).
+/// Panics if the pre-load does not fit in device memory, or tasks in one
+/// group disagree on their phase count (the runner batches groups in
+/// lockstep, so it requires a uniform circuit).
 pub fn run_stages_naive<T: Send>(
     gpu: &mut Gpu,
     stages: Vec<crate::engine::BoxedStage<T>>,
@@ -90,8 +91,7 @@ pub fn run_stages_naive<T: Send>(
     total_threads: u32,
     concurrent: usize,
 ) -> NaiveRun<T> {
-    assert!(!tasks.is_empty(), "need at least one task");
-    let concurrent = concurrent.max(1).min(tasks.len());
+    let concurrent = concurrent.min(tasks.len()).max(1);
     let threads_per_task = (total_threads as usize / concurrent).max(1) as u32;
     let start = gpu.elapsed_cycles();
     gpu.memory().reset_peak();

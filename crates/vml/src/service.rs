@@ -20,7 +20,10 @@ use batchzk_pipeline::{
     ServiceConfig, ServiceError, ShardPolicy,
 };
 use batchzk_zkp::r1cs::R1cs;
-use batchzk_zkp::{prove_batch, prove_batch_pool, prove_service, verify, PcsParams, Proof};
+use batchzk_zkp::{
+    prove_batch_pool_with, prove_batch_with, prove_service_with, PcsParams, Proof, ProverBackend,
+    SpartanBackend,
+};
 
 use crate::compile::compile_inference;
 use crate::network::Network;
@@ -29,8 +32,7 @@ use crate::tensor::Tensor;
 /// The service provider: holds the secret model and the compiled circuit.
 pub struct MlService {
     network: Network,
-    r1cs: Arc<R1cs<Fr>>,
-    params: PcsParams,
+    backend: SpartanBackend<Fr>,
     commitment: Digest,
     metrics: Registry,
 }
@@ -139,8 +141,7 @@ impl MlService {
         let compiled = compile_inference::<Fr>(&network, &probe, &trace);
         Self {
             network,
-            r1cs: Arc::new(compiled.r1cs),
-            params,
+            backend: SpartanBackend::new(Arc::new(compiled.r1cs), params),
             commitment,
             metrics: Registry::new(),
         }
@@ -162,7 +163,7 @@ impl MlService {
 
     /// The compiled circuit (shape statistics, verification).
     pub fn r1cs(&self) -> &Arc<R1cs<Fr>> {
-        &self.r1cs
+        self.backend.r1cs()
     }
 
     /// The network description.
@@ -194,15 +195,8 @@ impl MlService {
         total_threads: u32,
     ) -> Result<ServiceRun, PipelineError> {
         let (logits_list, instances) = self.prepare_requests(images);
-        let run = prove_batch(
-            gpu,
-            Arc::clone(&self.r1cs),
-            self.params,
-            instances,
-            total_threads,
-            true,
-        )
-        .inspect_err(|e| observe::record_error(&mut self.metrics, VML_MODULE, e))?;
+        let run = prove_batch_with(gpu, &self.backend, instances, total_threads, true)
+            .inspect_err(|e| observe::record_error(&mut self.metrics, VML_MODULE, e))?;
         observe::record_run(&mut self.metrics, VML_MODULE, &run.stats);
         let predictions = run
             .proofs
@@ -256,16 +250,9 @@ impl MlService {
         policy: ShardPolicy,
     ) -> Result<PoolServiceRun, PipelineError> {
         let (logits_list, instances) = self.prepare_requests(images);
-        let run = prove_batch_pool(
-            pool,
-            Arc::clone(&self.r1cs),
-            self.params,
-            instances,
-            total_threads,
-            true,
-            policy,
-        )
-        .inspect_err(|e| observe::record_error(&mut self.metrics, VML_MODULE, e))?;
+        let run =
+            prove_batch_pool_with(pool, &self.backend, instances, total_threads, true, policy)
+                .inspect_err(|e| observe::record_error(&mut self.metrics, VML_MODULE, e))?;
         observe::record_pool_run(
             &mut self.metrics,
             VML_MODULE,
@@ -348,10 +335,9 @@ impl MlService {
             .zip(instances)
             .map(|((class, at), instance)| (class, at, instance))
             .collect();
-        let run = prove_service(
+        let run = prove_service_with(
             pool,
-            Arc::clone(&self.r1cs),
-            self.params,
+            &self.backend,
             config,
             proof_requests,
             total_threads,
@@ -424,12 +410,9 @@ impl MlService {
             .zip(&prediction.logits)
             .all(|(f, &v)| *f == field_from_i64::<Fr>(v));
         logits_ok
-            && verify(
-                &self.params,
-                &self.r1cs,
-                &prediction.public_inputs,
-                &prediction.proof,
-            )
+            && self
+                .backend
+                .verify(&prediction.public_inputs, &prediction.proof)
     }
 }
 

@@ -1,15 +1,16 @@
 //! The [`ProverBackend`] trait: one pipelined proving protocol behind a
 //! common seam.
 //!
-//! The batch layer (`prove_batch`, `prove_batch_pool`, `prove_service`,
-//! [`StreamingProver`](crate::StreamingProver)) was originally welded to the
-//! Spartan/sumcheck protocol. This module splits it along a trait so the
-//! same pipeline engine, shard policies, admission control, and metrics
-//! serve *any* protocol that can express its prover as a fixed sequence of
-//! [`PipeStage`]s:
+//! The batch layer ([`prove_batch_with`](crate::prove_batch_with),
+//! [`prove_batch_pool_with`](crate::prove_batch_pool_with),
+//! [`prove_service_with`](crate::prove_service_with),
+//! [`StreamingProver`](crate::StreamingProver)) is generic over this trait,
+//! so the same pipeline engine, shard policies, admission control, and
+//! metrics serve *any* protocol that can express its prover as a fixed
+//! sequence of [`PipeStage`]s:
 //!
 //! * [`SpartanBackend`] — the paper's sumcheck system (encoder → Merkle →
-//!   sum-check → assemble), byte-identical to the pre-trait code path;
+//!   sum-check → assemble);
 //! * [`GrothBackend`] — the Groth16-style NTT+MSM stack built from the real
 //!   [`batchzk_field::NttDomain`] and `batchzk_curve::msm` kernels (see
 //!   [`batchzk_pipeline::groth`]);
@@ -92,9 +93,7 @@ pub trait ProverBackend: Clone + Send + Sync + 'static {
 }
 
 /// The paper's sumcheck system as a [`ProverBackend`]: encoder → Merkle →
-/// sum-check → assemble over one shared R1CS. This is the pre-trait code
-/// path verbatim — proofs, statistics, and metrics are byte-identical to
-/// the monolithic implementation it replaced.
+/// sum-check → assemble over one shared R1CS.
 pub struct SpartanBackend<F: Field> {
     r1cs: Arc<R1cs<F>>,
     params: PcsParams,

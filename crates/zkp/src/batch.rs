@@ -17,6 +17,11 @@
 //! Thread allocation across modules follows the paper's measured-ratio rule
 //! (§4): weights are the per-module work in cycles under the device cost
 //! model, normalized over the configured thread budget.
+//!
+//! These four stages are what
+//! [`SpartanBackend`](crate::backend::SpartanBackend) plugs into the batch
+//! entry points below, which are generic over [`ProverBackend`] and are the
+//! only way to run a batch, a sharded batch, or a service for any protocol.
 
 use std::sync::Arc;
 
@@ -30,7 +35,7 @@ use batchzk_pipeline::{
     ServiceOutcome, ServiceRequest, ShardPolicy, StageWork,
 };
 
-use crate::backend::{ProverBackend, SpartanBackend};
+use crate::backend::ProverBackend;
 use crate::pcs::{self, EncodedRows, PcsCommitment, PcsParams, PcsProverData};
 use crate::r1cs::R1cs;
 use crate::spartan::{self, Proof, SumcheckPart};
@@ -287,17 +292,6 @@ impl<F: Field> PipeStage<BatchTask<F>> for OpenStage {
     }
 }
 
-/// Finished proofs, each paired with the public inputs it attests to.
-pub type ProvedInstances<F> = Vec<(Vec<F>, Proof<F>)>;
-
-/// Result of a batch proving run.
-pub struct BatchRun<F: Field> {
-    /// Finished proofs paired with their public inputs, in input order.
-    pub proofs: ProvedInstances<F>,
-    /// Timing statistics.
-    pub stats: RunStats,
-}
-
 /// Finished backend proofs, each paired with the statement it attests to.
 pub type BackendProofs<B> = Vec<(<B as ProverBackend>::Statement, <B as ProverBackend>::Proof)>;
 
@@ -311,7 +305,8 @@ pub struct BackendBatchRun<B: ProverBackend> {
 }
 
 /// Proves a batch of backend instances through the fully pipelined system
-/// on one device — the backend-generic engine behind [`prove_batch`].
+/// on one device. An empty batch is a no-op returning an empty run with
+/// zeroed statistics.
 ///
 /// # Errors
 ///
@@ -343,11 +338,12 @@ pub fn prove_batch_with<B: ProverBackend>(
 /// so proofs are byte-identical to the pipelined path — but executed in
 /// groups of `concurrent` tasks with the thread budget split evenly and
 /// no cross-stage pipelining. The whole batch's working set is pre-loaded.
+/// An empty batch is a no-op, as in [`prove_batch_with`].
 ///
 /// # Panics
 ///
-/// Panics if `instances` is empty, a backend stage panics, or the
-/// pre-loaded working set does not fit in device memory.
+/// Panics if a backend stage panics or the pre-loaded working set does
+/// not fit in device memory.
 pub fn prove_batch_naive_with<B: ProverBackend>(
     gpu: &mut Gpu,
     backend: &B,
@@ -374,10 +370,11 @@ pub fn prove_batch_naive_with<B: ProverBackend>(
     }
 }
 
-/// Result of a backend-generic pool proving run — the generic engine's
-/// counterpart of [`PoolBatchRun`].
+/// Result of proving one batch across a device pool.
 pub struct BackendPoolRun<B: ProverBackend> {
-    /// Finished proofs paired with their statements, in *input order*.
+    /// Finished proofs paired with their statements, in *input order* —
+    /// sharding is invisible, and the proof bytes are identical to a
+    /// single-device [`prove_batch_with`] of the same instances.
     pub proofs: BackendProofs<B>,
     /// Per-device run statistics, in pool order.
     pub device_stats: Vec<RunStats>,
@@ -389,20 +386,58 @@ pub struct BackendPoolRun<B: ProverBackend> {
     pub makespan_ms: f64,
     /// Per-device elapsed milliseconds for this batch.
     pub device_ms: Vec<f64>,
-    /// Fault-recovery account (`None` for a fault-free run).
+    /// Fault-recovery account when a device fail-stopped or dropped a
+    /// kernel mid-batch (`None` for a fault-free run). Even under
+    /// recovery the proofs above are byte-identical to a fault-free run.
     pub recovery: Option<RecoveryReport>,
 }
 
-/// Proves a batch of backend instances across a [`DevicePool`] sharded
-/// under `policy` — the backend-generic engine behind
-/// [`prove_batch_pool`]. The memory-aware policy sizes per-device
-/// admission from [`ProverBackend::task_footprint_bytes`].
+impl<B: ProverBackend> BackendPoolRun<B> {
+    /// Batch throughput against the makespan, in proofs per millisecond.
+    pub fn throughput_per_ms(&self) -> f64 {
+        if self.makespan_ms > 0.0 {
+            self.proofs.len() as f64 / self.makespan_ms
+        } else {
+            0.0
+        }
+    }
+
+    /// Max-over-mean of elapsed time across devices that proved work
+    /// (1.0 = perfectly balanced; 0 when nothing ran).
+    pub fn imbalance(&self) -> f64 {
+        let active: Vec<f64> = self
+            .device_ms
+            .iter()
+            .copied()
+            .filter(|&ms| ms > 0.0)
+            .collect();
+        if active.is_empty() {
+            return 0.0;
+        }
+        self.makespan_ms / (active.iter().sum::<f64>() / active.len() as f64)
+    }
+}
+
+/// Proves a batch of backend instances across a [`DevicePool`], sharded
+/// under `policy`. Each device runs its own stage set with `total_threads`
+/// allocated by its cost model; proofs come back in input order and are
+/// byte-identical to a single-device [`prove_batch_with`]. The
+/// memory-aware policy sizes per-device admission from
+/// [`ProverBackend::task_footprint_bytes`].
+///
+/// Devices carrying scripted faults (a
+/// [`FaultPlan`](batchzk_gpu_sim::FaultPlan) applied to the pool) are
+/// tolerated: a fail-stop or dropped kernel salvages the affected tasks
+/// and reshards them over the surviving devices, and backend stages are
+/// replay-safe, so recovered proofs are still byte-identical to a
+/// fault-free run. The cost appears in [`BackendPoolRun::recovery`].
 ///
 /// # Errors
 ///
-/// As [`prove_batch_pool`]: [`PipelineError::OutOfDeviceMemory`] when a
-/// shard cannot fit its device even under the admission cap, and
-/// [`PipelineError::DeviceFailed`] when every pool device fail-stops.
+/// Returns [`PipelineError::OutOfDeviceMemory`] if a shard does not fit
+/// its device even under the memory-aware admission cap (only a single
+/// task larger than every device's memory is unrecoverable), and
+/// [`PipelineError::DeviceFailed`] when *every* pool device fail-stops.
 ///
 /// # Panics
 ///
@@ -444,16 +479,22 @@ pub fn prove_batch_pool_with<B: ProverBackend>(
 pub type BackendProofRequest<B> = (PriorityClass, u64, <B as ProverBackend>::Instance);
 
 /// Serves an open-loop stream of backend requests through the online
-/// service front — the backend-generic engine behind [`prove_service`].
-/// With a [`MixedBackend`](crate::backend::MixedBackend) the one service
-/// instance interleaves both protocols' tasks through the same pipelines
+/// service front ([`batchzk_pipeline::service`]): per-device pipelines fed
+/// continuously under admission control, with per-class latency SLOs
+/// judged in virtual device cycles. Arrival cycles come from a
+/// deterministic [`ArrivalPlan`](batchzk_gpu_sim::ArrivalPlan) expansion
+/// or any other virtual-time source. Unlike [`prove_batch_pool_with`],
+/// requests the admission controller rejects are *not* proved — the
+/// outcome reports them per class with a reject reason. With a
+/// [`MixedBackend`](crate::backend::MixedBackend) the one service
+/// instance interleaves every protocol's tasks through the same pipelines
 /// under the existing SLO classes.
 ///
 /// # Errors
 ///
-/// As [`prove_service`]: [`ServiceError::InvalidInput`] for zero-capacity
-/// configs, empty pools, or mixed-clock pools, and
-/// [`ServiceError::Pipeline`] for device-side failures.
+/// Returns [`ServiceError::InvalidInput`] for zero-capacity configs,
+/// empty pools, or mixed-clock pools, and [`ServiceError::Pipeline`] for
+/// device-side failures.
 ///
 /// # Panics
 ///
@@ -568,188 +609,10 @@ pub fn task_footprint_bytes<F: Field>(r1cs: &R1cs<F>, params: &PcsParams) -> u64
     encoded_bytes.max(merkle).max(sumcheck)
 }
 
-/// Proves a batch of `(inputs, witness)` instances of one circuit through
-/// the fully pipelined system. An empty batch is a no-op returning an
-/// empty [`BatchRun`] with zeroed statistics.
-///
-/// # Errors
-///
-/// Returns [`PipelineError::OutOfDeviceMemory`] if the per-proof working
-/// set does not fit in simulated device memory.
-///
-/// # Panics
-///
-/// Panics if any assignment is unsatisfying.
-pub fn prove_batch<F: Field>(
-    gpu: &mut Gpu,
-    r1cs: Arc<R1cs<F>>,
-    params: PcsParams,
-    instances: Vec<(Vec<F>, Vec<F>)>,
-    total_threads: u32,
-    multi_stream: bool,
-) -> Result<BatchRun<F>, PipelineError> {
-    let backend = SpartanBackend::new(r1cs, params);
-    let run = prove_batch_with(gpu, &backend, instances, total_threads, multi_stream)?;
-    Ok(BatchRun {
-        proofs: run.proofs,
-        stats: run.stats,
-    })
-}
-
-/// Result of proving one batch across a device pool.
-#[derive(Debug)]
-pub struct PoolBatchRun<F: Field> {
-    /// Finished proofs paired with their public inputs, in *input order* —
-    /// sharding is invisible, and the proof bytes are identical to a
-    /// single-device [`prove_batch`] of the same instances.
-    pub proofs: ProvedInstances<F>,
-    /// Per-device run statistics, in pool order.
-    pub device_stats: Vec<RunStats>,
-    /// Per device, the original instance indices it proved.
-    pub assignments: Vec<Vec<usize>>,
-    /// The shard policy that routed the batch.
-    pub policy: ShardPolicy,
-    /// Wall time of the batch: the slowest device's elapsed ms.
-    pub makespan_ms: f64,
-    /// Per-device elapsed milliseconds for this batch.
-    pub device_ms: Vec<f64>,
-    /// Fault-recovery account when a device fail-stopped or dropped a
-    /// kernel mid-batch (`None` for a fault-free run). Even under
-    /// recovery the proofs above are byte-identical to a fault-free run.
-    pub recovery: Option<RecoveryReport>,
-}
-
-impl<F: Field> PoolBatchRun<F> {
-    /// Batch throughput against the makespan, in proofs per millisecond.
-    pub fn throughput_per_ms(&self) -> f64 {
-        if self.makespan_ms > 0.0 {
-            self.proofs.len() as f64 / self.makespan_ms
-        } else {
-            0.0
-        }
-    }
-
-    /// Max-over-mean of elapsed time across devices that proved work
-    /// (1.0 = perfectly balanced; 0 when nothing ran).
-    pub fn imbalance(&self) -> f64 {
-        let active: Vec<f64> = self
-            .device_ms
-            .iter()
-            .copied()
-            .filter(|&ms| ms > 0.0)
-            .collect();
-        if active.is_empty() {
-            return 0.0;
-        }
-        self.makespan_ms / (active.iter().sum::<f64>() / active.len() as f64)
-    }
-}
-
-/// Proves a batch of instances across a [`DevicePool`], sharded under
-/// `policy`. Each device runs its own four-stage pipeline with
-/// `total_threads` allocated by its cost model; proofs come back in input
-/// order and are byte-identical to a single-device [`prove_batch`].
-///
-/// Devices carrying scripted faults (a
-/// [`FaultPlan`](batchzk_gpu_sim::FaultPlan) applied to the pool) are
-/// tolerated: a fail-stop or dropped kernel salvages the affected tasks
-/// and reshards them over the surviving devices, and the stage design is
-/// replay-safe (every stage overwrites its task fields), so recovered
-/// proofs are still byte-identical to a fault-free run. The cost appears
-/// in [`PoolBatchRun::recovery`].
-///
-/// # Errors
-///
-/// Returns [`PipelineError::OutOfDeviceMemory`] if a shard does not fit
-/// its device even under the memory-aware admission cap (only a single
-/// task larger than every device's memory is unrecoverable), and
-/// [`PipelineError::DeviceFailed`] when *every* pool device fail-stops.
-///
-/// # Panics
-///
-/// Panics if any assignment is unsatisfying.
-pub fn prove_batch_pool<F: Field>(
-    pool: &mut DevicePool,
-    r1cs: Arc<R1cs<F>>,
-    params: PcsParams,
-    instances: Vec<(Vec<F>, Vec<F>)>,
-    total_threads: u32,
-    multi_stream: bool,
-    policy: ShardPolicy,
-) -> Result<PoolBatchRun<F>, PipelineError> {
-    let backend = SpartanBackend::new(r1cs, params);
-    let run = prove_batch_pool_with(
-        pool,
-        &backend,
-        instances,
-        total_threads,
-        multi_stream,
-        policy,
-    )?;
-    Ok(PoolBatchRun {
-        proofs: run.proofs,
-        device_stats: run.device_stats,
-        assignments: run.assignments,
-        policy: run.policy,
-        makespan_ms: run.makespan_ms,
-        device_ms: run.device_ms,
-        recovery: run.recovery,
-    })
-}
-
-/// One request entering the online proving service: a priority class, an
-/// arrival cycle in virtual device time, and the instance to prove.
-pub type ProofRequest<F> = (PriorityClass, u64, (Vec<F>, Vec<F>));
-
-/// Result of one online service replay: completions carry finished
-/// [`BatchTask`]s (extract proofs with [`BatchTask::into_proof`]).
-pub type ServiceProofRun<F> = ServiceOutcome<BatchTask<F>>;
-
-/// Serves an open-loop stream of proof requests through the online
-/// service front ([`batchzk_pipeline::service`]): per-device Figure-7
-/// pipelines fed continuously under admission control, with per-class
-/// latency SLOs judged in virtual device cycles.
-///
-/// Requests are `(class, arrival_cycle, (inputs, witness))`; arrival
-/// cycles come from a deterministic
-/// [`ArrivalPlan`](batchzk_gpu_sim::ArrivalPlan) expansion or any other
-/// virtual-time source. Unlike [`prove_batch_pool`], requests the
-/// admission controller rejects are *not* proved — the outcome reports
-/// them per class with a reject reason.
-///
-/// # Errors
-///
-/// Propagates [`ServiceError::InvalidInput`] for zero-capacity configs,
-/// empty pools, or mixed-clock pools, and [`ServiceError::Pipeline`] for
-/// device-side failures.
-///
-/// # Panics
-///
-/// Panics if any admitted assignment is unsatisfying (proof construction
-/// asserts like the batch paths).
-pub fn prove_service<F: Field>(
-    pool: &mut DevicePool,
-    r1cs: Arc<R1cs<F>>,
-    params: PcsParams,
-    config: &ServiceConfig,
-    requests: Vec<ProofRequest<F>>,
-    total_threads: u32,
-    multi_stream: bool,
-) -> Result<ServiceProofRun<F>, ServiceError> {
-    let backend = SpartanBackend::new(r1cs, params);
-    prove_service_with(
-        pool,
-        &backend,
-        config,
-        requests,
-        total_threads,
-        multi_stream,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::SpartanBackend;
     use crate::r1cs::synthetic_r1cs;
     use crate::spartan::verify;
     use batchzk_field::Fr;
@@ -777,13 +640,16 @@ mod tests {
         (Arc::new(r1cs), batch)
     }
 
+    fn backend(r1cs: &Arc<R1cs<Fr>>) -> SpartanBackend<Fr> {
+        SpartanBackend::new(Arc::clone(r1cs), test_params())
+    }
+
     #[test]
     fn batch_proofs_all_verify() {
         let (r1cs, batch) = instances(24, 6);
         let params = test_params();
         let mut gpu = Gpu::new(DeviceProfile::gh200());
-        let run =
-            prove_batch(&mut gpu, Arc::clone(&r1cs), params, batch, 4096, true).expect("fits");
+        let run = prove_batch_with(&mut gpu, &backend(&r1cs), batch, 4096, true).expect("fits");
         assert_eq!(run.proofs.len(), 6);
         for (inputs, proof) in &run.proofs {
             assert!(verify(&params, &r1cs, inputs, proof));
@@ -798,23 +664,22 @@ mod tests {
         let params = test_params();
         let reference = spartan::prove(&params, &r1cs, &batch[0].0, &batch[0].1);
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let run =
-            prove_batch(&mut gpu, Arc::clone(&r1cs), params, batch, 2048, true).expect("fits");
+        let run = prove_batch_with(&mut gpu, &backend(&r1cs), batch, 2048, true).expect("fits");
         assert_eq!(run.proofs[0].1, reference);
         assert_eq!(run.proofs[1].1, reference);
     }
 
     #[test]
     fn throughput_improves_with_batch_size() {
-        let params = test_params();
         let (r1cs, one) = instances(16, 1);
+        let backend = backend(&r1cs);
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let single = prove_batch(&mut gpu, Arc::clone(&r1cs), params, one, 2048, true)
+        let single = prove_batch_with(&mut gpu, &backend, one, 2048, true)
             .expect("fits")
             .stats;
         let (_, many) = instances(16, 12);
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let batched = prove_batch(&mut gpu, r1cs, params, many, 2048, true)
+        let batched = prove_batch_with(&mut gpu, &backend, many, 2048, true)
             .expect("fits")
             .stats;
         assert!(batched.throughput_per_ms > 1.5 * single.throughput_per_ms);
@@ -822,21 +687,14 @@ mod tests {
 
     #[test]
     fn multi_stream_overlap_helps() {
-        let params = test_params();
         let (r1cs, batch) = instances(24, 8);
+        let backend = backend(&r1cs);
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let overlapped = prove_batch(
-            &mut gpu,
-            Arc::clone(&r1cs),
-            params,
-            batch.clone(),
-            2048,
-            true,
-        )
-        .expect("fits")
-        .stats;
+        let overlapped = prove_batch_with(&mut gpu, &backend, batch.clone(), 2048, true)
+            .expect("fits")
+            .stats;
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let serial = prove_batch(&mut gpu, r1cs, params, batch, 2048, false)
+        let serial = prove_batch_with(&mut gpu, &backend, batch, 2048, false)
             .expect("fits")
             .stats;
         assert!(overlapped.total_cycles <= serial.total_cycles);
@@ -844,10 +702,9 @@ mod tests {
 
     #[test]
     fn device_memory_released() {
-        let params = test_params();
         let (r1cs, batch) = instances(16, 4);
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let _ = prove_batch(&mut gpu, r1cs, params, batch, 1024, true).expect("fits");
+        let _ = prove_batch_with(&mut gpu, &backend(&r1cs), batch, 1024, true).expect("fits");
         assert_eq!(gpu.memory_ref().in_use(), 0);
     }
 
@@ -862,19 +719,18 @@ mod tests {
     #[test]
     fn empty_batch_is_a_noop() {
         let (r1cs, _) = instances(16, 1);
-        let params = test_params();
+        let backend = backend(&r1cs);
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let run = prove_batch(&mut gpu, Arc::clone(&r1cs), params, vec![], 2048, true)
-            .expect("nothing to prove");
+        let run =
+            prove_batch_with(&mut gpu, &backend, vec![], 2048, true).expect("nothing to prove");
         assert!(run.proofs.is_empty());
         assert_eq!(run.stats.tasks, 0);
         assert_eq!(run.stats.total_cycles, 0, "no device time charged");
         assert_eq!(gpu.memory_ref().in_use(), 0);
         let mut pool = DevicePool::homogeneous(DeviceProfile::v100(), 2);
-        let run = prove_batch_pool(
+        let run = prove_batch_pool_with(
             &mut pool,
-            r1cs,
-            params,
+            &backend,
             vec![],
             2048,
             true,
@@ -886,31 +742,34 @@ mod tests {
     }
 
     #[test]
+    fn empty_naive_batch_is_a_noop() {
+        let (r1cs, _) = instances(16, 1);
+        let mut gpu = Gpu::new(DeviceProfile::v100());
+        let run = prove_batch_naive_with(&mut gpu, &backend(&r1cs), vec![], 2048, 4);
+        assert!(run.proofs.is_empty());
+        assert_eq!(run.stats.tasks, 0);
+        assert_eq!(run.stats.total_cycles, 0, "no device time charged");
+        assert_eq!(gpu.memory_ref().in_use(), 0);
+    }
+
+    #[test]
     fn proofs_identical_across_host_thread_counts() {
         // Host parallelism may only change wall-clock: proofs, inputs, and
         // every simulated statistic must be byte-for-byte the threads=1
         // result at any thread count, single-device and pooled alike.
         let (r1cs, batch) = instances(16, 6);
-        let params = test_params();
+        let backend = backend(&r1cs);
         let runs: Vec<_> = [1usize, 2, 4]
             .iter()
             .map(|&t| {
                 batchzk_par::with_threads(t, || {
                     let mut gpu = Gpu::new(DeviceProfile::a100());
-                    let single = prove_batch(
-                        &mut gpu,
-                        Arc::clone(&r1cs),
-                        params,
-                        batch.clone(),
-                        4096,
-                        true,
-                    )
-                    .expect("fits");
+                    let single = prove_batch_with(&mut gpu, &backend, batch.clone(), 4096, true)
+                        .expect("fits");
                     let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 3);
-                    let pooled = prove_batch_pool(
+                    let pooled = prove_batch_pool_with(
                         &mut pool,
-                        Arc::clone(&r1cs),
-                        params,
+                        &backend,
                         batch.clone(),
                         4096,
                         true,
@@ -948,29 +807,14 @@ mod tests {
         // policy emits exactly the proofs a single device emits, in input
         // order — scheduling is invisible in the output bytes.
         let (r1cs, batch) = instances(16, 10);
-        let params = test_params();
+        let backend = backend(&r1cs);
         let mut gpu = Gpu::new(DeviceProfile::a100());
-        let single = prove_batch(
-            &mut gpu,
-            Arc::clone(&r1cs),
-            params,
-            batch.clone(),
-            4096,
-            true,
-        )
-        .expect("fits");
+        let single = prove_batch_with(&mut gpu, &backend, batch.clone(), 4096, true).expect("fits");
         for policy in ShardPolicy::ALL {
             let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 4);
-            let pooled = prove_batch_pool(
-                &mut pool,
-                Arc::clone(&r1cs),
-                params,
-                batch.clone(),
-                4096,
-                true,
-                policy,
-            )
-            .expect("fits");
+            let pooled =
+                prove_batch_pool_with(&mut pool, &backend, batch.clone(), 4096, true, policy)
+                    .expect("fits");
             assert_eq!(pooled.proofs.len(), single.proofs.len(), "{policy}");
             for (i, ((pi, pp), (si, sp))) in pooled.proofs.iter().zip(&single.proofs).enumerate() {
                 assert_eq!(pi, si, "{policy}: input order preserved at {i}");
@@ -991,28 +835,28 @@ mod tests {
         // by capping in-flight admission; round-robin must fail.
         let (r1cs, batch) = instances(16, 6);
         let params = test_params();
+        let backend = backend(&r1cs);
         let cap = task_footprint_bytes(&r1cs, &params) * 3 / 2;
         let small = DeviceProfile {
             device_mem_bytes: cap,
             ..DeviceProfile::a100()
         };
         let mut pool = DevicePool::homogeneous(small.clone(), 2);
-        let err = prove_batch_pool(
+        let err = prove_batch_pool_with(
             &mut pool,
-            Arc::clone(&r1cs),
-            params,
+            &backend,
             batch.clone(),
             4096,
             true,
             ShardPolicy::RoundRobin,
         )
-        .expect_err("full pipeline residency must exceed capacity");
+        .err()
+        .expect("full pipeline residency must exceed capacity");
         assert!(matches!(err, PipelineError::OutOfDeviceMemory { .. }));
         let mut pool = DevicePool::homogeneous(small, 2);
-        let run = prove_batch_pool(
+        let run = prove_batch_pool_with(
             &mut pool,
-            Arc::clone(&r1cs),
-            params,
+            &backend,
             batch.clone(),
             4096,
             true,
@@ -1034,10 +878,9 @@ mod tests {
         let params = test_params();
         let mut pool =
             DevicePool::from_profiles(vec![DeviceProfile::v100(), DeviceProfile::h100()]);
-        let run = prove_batch_pool(
+        let run = prove_batch_pool_with(
             &mut pool,
-            Arc::clone(&r1cs),
-            params,
+            &backend(&r1cs),
             batch,
             4096,
             true,
@@ -1065,11 +908,11 @@ mod tests {
         use batchzk_gpu_sim::FaultPlan;
         let (r1cs, batch) = instances(16, 8);
         let params = test_params();
+        let backend = backend(&r1cs);
         let mut clean_pool = DevicePool::homogeneous(DeviceProfile::a100(), 2);
-        let clean = prove_batch_pool(
+        let clean = prove_batch_pool_with(
             &mut clean_pool,
-            Arc::clone(&r1cs),
-            params,
+            &backend,
             batch.clone(),
             4096,
             true,
@@ -1086,10 +929,9 @@ mod tests {
             batchzk_par::with_threads(threads, || {
                 let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 2);
                 pool.apply_fault_plan(&FaultPlan::new().fail_stop(1, mid));
-                prove_batch_pool(
+                prove_batch_pool_with(
                     &mut pool,
-                    Arc::clone(&r1cs),
-                    params,
+                    &backend,
                     batch.clone(),
                     4096,
                     true,
@@ -1119,21 +961,14 @@ mod tests {
 
     #[test]
     fn faster_gpu_higher_throughput() {
-        let params = test_params();
         let (r1cs, batch) = instances(16, 6);
+        let backend = backend(&r1cs);
         let mut v100 = Gpu::new(DeviceProfile::v100());
-        let slow = prove_batch(
-            &mut v100,
-            Arc::clone(&r1cs),
-            params,
-            batch.clone(),
-            4096,
-            true,
-        )
-        .expect("fits")
-        .stats;
+        let slow = prove_batch_with(&mut v100, &backend, batch.clone(), 4096, true)
+            .expect("fits")
+            .stats;
         let mut h100 = Gpu::new(DeviceProfile::h100());
-        let fast = prove_batch(&mut h100, r1cs, params, batch, 4096, true)
+        let fast = prove_batch_with(&mut h100, &backend, batch, 4096, true)
             .expect("fits")
             .stats;
         assert!(fast.throughput_per_ms > slow.throughput_per_ms);
@@ -1152,47 +987,6 @@ pub struct StreamingProver<B: ProverBackend> {
     total_threads: u32,
     proofs_emitted: usize,
     metrics: Registry,
-    module: &'static str,
-}
-
-/// Module label the sumcheck-backend streaming prover records its metrics
-/// under (backend-generic provers label with the backend name instead).
-const SYSTEM_MODULE: &str = "system";
-
-impl<F: Field> StreamingProver<SpartanBackend<F>> {
-    /// Creates a resident sumcheck prover on one device — a single-member
-    /// pool under the round-robin policy (which degenerates to
-    /// "everything on device 0").
-    pub fn new(gpu: Gpu, r1cs: Arc<R1cs<F>>, params: PcsParams, total_threads: u32) -> Self {
-        Self::over_pool(
-            DevicePool::new(vec![gpu]),
-            ShardPolicy::RoundRobin,
-            r1cs,
-            params,
-            total_threads,
-        )
-    }
-
-    /// Creates a resident sumcheck prover over a multi-device pool; each
-    /// chunk is sharded across the pool under `policy` and
-    /// `total_threads` is the per-device thread budget.
-    pub fn over_pool(
-        pool: DevicePool,
-        policy: ShardPolicy,
-        r1cs: Arc<R1cs<F>>,
-        params: PcsParams,
-        total_threads: u32,
-    ) -> Self {
-        Self {
-            pool,
-            policy,
-            backend: SpartanBackend::new(r1cs, params),
-            total_threads,
-            proofs_emitted: 0,
-            metrics: Registry::new(),
-            module: SYSTEM_MODULE,
-        }
-    }
 }
 
 impl<B: ProverBackend> StreamingProver<B> {
@@ -1215,7 +1009,6 @@ impl<B: ProverBackend> StreamingProver<B> {
         backend: B,
         total_threads: u32,
     ) -> Self {
-        let module = backend.name();
         Self {
             pool,
             policy,
@@ -1223,7 +1016,6 @@ impl<B: ProverBackend> StreamingProver<B> {
             total_threads,
             proofs_emitted: 0,
             metrics: Registry::new(),
-            module,
         }
     }
 
@@ -1245,6 +1037,7 @@ impl<B: ProverBackend> StreamingProver<B> {
         &mut self,
         instances: Vec<B::Instance>,
     ) -> Result<BackendProofs<B>, PipelineError> {
+        let module = self.backend.name();
         let run = prove_batch_pool_with(
             &mut self.pool,
             &self.backend,
@@ -1253,24 +1046,19 @@ impl<B: ProverBackend> StreamingProver<B> {
             true,
             self.policy,
         )
-        .inspect_err(|e| observe::record_error(&mut self.metrics, self.module, e))?;
-        observe::record_pool_run(
-            &mut self.metrics,
-            self.module,
-            &run.device_stats,
-            &run.device_ms,
-        );
+        .inspect_err(|e| observe::record_error(&mut self.metrics, module, e))?;
+        observe::record_pool_run(&mut self.metrics, module, &run.device_stats, &run.device_ms);
         if let Some(recovery) = &run.recovery {
-            observe::record_recovery(&mut self.metrics, self.module, recovery);
+            observe::record_recovery(&mut self.metrics, module, recovery);
         }
-        observe::record_pool_health(&mut self.metrics, self.module, &self.pool);
+        observe::record_pool_health(&mut self.metrics, module, &self.pool);
         self.proofs_emitted += run.proofs.len();
         Ok(run.proofs)
     }
 
     /// Service metrics accumulated across all chunks (runs, proof counts,
     /// lifecycle latency histograms, OOM pressure, per-device series)
-    /// under the module label `system`.
+    /// under the module label [`ProverBackend::name`].
     pub fn metrics(&self) -> &Registry {
         &self.metrics
     }
@@ -1321,6 +1109,7 @@ impl<B: ProverBackend> StreamingProver<B> {
 #[cfg(test)]
 mod streaming_tests {
     use super::*;
+    use crate::backend::SpartanBackend;
     use crate::r1cs::synthetic_r1cs;
     use crate::spartan::verify;
     use batchzk_field::Fr;
@@ -1334,10 +1123,9 @@ mod streaming_tests {
             num_col_tests: 8,
             ..PcsParams::default()
         };
-        let mut prover = StreamingProver::new(
+        let mut prover = StreamingProver::with_backend(
             Gpu::new(DeviceProfile::gh200()),
-            Arc::clone(&r1cs),
-            params,
+            SpartanBackend::new(Arc::clone(&r1cs), params),
             2048,
         );
         for chunk in 0..3 {
@@ -1351,7 +1139,7 @@ mod streaming_tests {
         assert_eq!(prover.proofs_emitted(), 2 + 3 + 4);
         assert!(prover.lifetime_throughput_per_sec() > 0.0);
         // Service metrics accumulated across the three chunks.
-        let m = [("module", "system")];
+        let m = [("module", "sumcheck")];
         assert_eq!(prover.metrics().counter("batchzk_runs_total", &m), 3);
         assert_eq!(prover.metrics().counter("batchzk_tasks_total", &m), 9);
         let h = prover
@@ -1366,7 +1154,7 @@ mod streaming_tests {
                     .metrics()
                     .gauge(
                         "batchzk_stage_occupancy",
-                        &[("module", "system"), ("stage", stage)]
+                        &[("module", "sumcheck"), ("stage", stage)]
                     )
                     .is_some(),
                 "occupancy gauge for {stage}"
@@ -1392,11 +1180,10 @@ mod streaming_tests {
         };
         let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 2);
         pool.apply_fault_plan(&FaultPlan::new().fail_stop(1, 0));
-        let mut prover = StreamingProver::over_pool(
+        let mut prover = StreamingProver::over_pool_with_backend(
             pool,
             ShardPolicy::LeastOutstanding,
-            Arc::clone(&r1cs),
-            params,
+            SpartanBackend::new(Arc::clone(&r1cs), params),
             2048,
         );
         let proofs = prover
@@ -1406,7 +1193,7 @@ mod streaming_tests {
         for (io, proof) in &proofs {
             assert!(verify(&params, &r1cs, io, proof));
         }
-        let m = [("module", "system")];
+        let m = [("module", "sumcheck")];
         assert_eq!(
             prover
                 .metrics()
@@ -1426,7 +1213,7 @@ mod streaming_tests {
         assert_eq!(
             prover.metrics().counter(
                 "batchzk_tasks_total",
-                &[("module", "system"), ("device", "0")]
+                &[("module", "sumcheck"), ("device", "0")]
             ),
             4
         );
@@ -1440,11 +1227,10 @@ mod streaming_tests {
             num_col_tests: 8,
             ..PcsParams::default()
         };
-        let mut prover = StreamingProver::over_pool(
+        let mut prover = StreamingProver::over_pool_with_backend(
             DevicePool::homogeneous(DeviceProfile::a100(), 2),
             ShardPolicy::LeastOutstanding,
-            Arc::clone(&r1cs),
-            params,
+            SpartanBackend::new(Arc::clone(&r1cs), params),
             2048,
         );
         let proofs = prover
@@ -1455,15 +1241,15 @@ mod streaming_tests {
             assert!(verify(&params, &r1cs, io, proof));
         }
         // Aggregate series unchanged, per-device dimension added.
-        let m = [("module", "system")];
+        let m = [("module", "sumcheck")];
         assert_eq!(prover.metrics().counter("batchzk_tasks_total", &m), 6);
         let d0 = prover.metrics().counter(
             "batchzk_tasks_total",
-            &[("module", "system"), ("device", "0")],
+            &[("module", "sumcheck"), ("device", "0")],
         );
         let d1 = prover.metrics().counter(
             "batchzk_tasks_total",
-            &[("module", "system"), ("device", "1")],
+            &[("module", "sumcheck"), ("device", "1")],
         );
         assert_eq!(d0 + d1, 6, "device shards cover the chunk");
         assert!(d0 > 0 && d1 > 0, "both devices proved work");
@@ -1501,7 +1287,7 @@ mod streaming_tests {
             max_in_flight: 0,
             timeline_window_cycles: 0,
         };
-        let requests: Vec<ProofRequest<Fr>> = (0..6)
+        let requests: Vec<BackendProofRequest<SpartanBackend<Fr>>> = (0..6)
             .map(|i| {
                 (
                     PriorityClass::ALL[i % 3],
@@ -1511,10 +1297,9 @@ mod streaming_tests {
             })
             .collect();
         let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 2);
-        let outcome = prove_service(
+        let outcome = prove_service_with(
             &mut pool,
-            Arc::clone(&r1cs),
-            params,
+            &SpartanBackend::new(Arc::clone(&r1cs), params),
             &config,
             requests,
             2048,

@@ -36,9 +36,8 @@ pub use backend::{
     ProverBackend, SpartanBackend, BACKEND_NAMES,
 };
 pub use batch::{
-    prove_batch, prove_batch_naive_with, prove_batch_pool, prove_batch_pool_with, prove_batch_with,
-    prove_service, prove_service_with, task_footprint_bytes, BackendBatchRun, BackendPoolRun,
-    BackendProofRequest, BatchRun, PoolBatchRun, ProofRequest, ServiceProofRun, StreamingProver,
+    prove_batch_naive_with, prove_batch_pool_with, prove_batch_with, prove_service_with,
+    task_footprint_bytes, BackendBatchRun, BackendPoolRun, BackendProofRequest, StreamingProver,
 };
 pub use orion::{OrionBackend, OrionProof, OrionTask};
 pub use pcs::{PcsCommitment, PcsOpening, PcsParams};

@@ -323,6 +323,23 @@ mod tests {
     }
 
     #[test]
+    fn known_answer_commitment_root() {
+        // Root recorded before the 4-way hash kernels were removed.
+        let (r1cs, inputs, witness) = synthetic_r1cs::<Fr>(16, 42);
+        let proof = prove(&test_params(), &r1cs, &inputs, &witness);
+        let root: String = proof
+            .commitment
+            .root
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            root,
+            "13c911efa315b06a5ff9f679210888ce3bdcca370e16fff0fdbea06b1ebec4ad"
+        );
+    }
+
+    #[test]
     fn square_circuit_roundtrip() {
         let mut b = R1csBuilder::<Fr>::new();
         let x = b.new_input();

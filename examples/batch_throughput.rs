@@ -12,7 +12,7 @@ use std::sync::Arc;
 use batchzk::field::Fr;
 use batchzk::gpu_sim::{DeviceProfile, Gpu};
 use batchzk::zkp::r1cs::synthetic_r1cs;
-use batchzk::zkp::{prove_batch, verify, PcsParams};
+use batchzk::zkp::{prove_batch_with, verify, PcsParams, SpartanBackend};
 
 fn main() {
     let params = PcsParams {
@@ -23,28 +23,22 @@ fn main() {
     // witness stream in a real deployment).
     let (r1cs, inputs, witness) = synthetic_r1cs::<Fr>(1 << 12, 99);
     let r1cs = Arc::new(r1cs);
+    let backend = SpartanBackend::new(Arc::clone(&r1cs), params);
     let stream: Vec<_> = (0..24).map(|_| (inputs.clone(), witness.clone())).collect();
 
     // One-at-a-time (the latency-oriented prior-work model).
     let mut gpu = Gpu::new(DeviceProfile::gh200());
     let mut single_total_ms = 0.0;
     for tx in stream.iter().take(4) {
-        let run = prove_batch(
-            &mut gpu,
-            Arc::clone(&r1cs),
-            params,
-            vec![tx.clone()],
-            10_240,
-            true,
-        )
-        .expect("fits");
+        let run =
+            prove_batch_with(&mut gpu, &backend, vec![tx.clone()], 10_240, true).expect("fits");
         single_total_ms += run.stats.total_ms;
     }
     let single_amortized = single_total_ms / 4.0;
 
     // Fully pipelined batch.
     let mut gpu = Gpu::new(DeviceProfile::gh200());
-    let run = prove_batch(&mut gpu, Arc::clone(&r1cs), params, stream, 10_240, true).expect("fits");
+    let run = prove_batch_with(&mut gpu, &backend, stream, 10_240, true).expect("fits");
     for (io, proof) in &run.proofs {
         assert!(verify(&params, &r1cs, io, proof));
     }

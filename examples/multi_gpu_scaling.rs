@@ -14,7 +14,7 @@ use batchzk::gpu_sim::{DevicePool, DeviceProfile};
 use batchzk::metrics::{analyze_pool, DeviceObservation};
 use batchzk::pipeline::ShardPolicy;
 use batchzk::zkp::r1cs::synthetic_r1cs;
-use batchzk::zkp::{prove_batch_pool, verify, PcsParams};
+use batchzk::zkp::{prove_batch_pool_with, verify, PcsParams, SpartanBackend};
 
 fn main() {
     let params = PcsParams {
@@ -26,6 +26,7 @@ fn main() {
     let batch = 48;
     let (r1cs, inputs, witness) = synthetic_r1cs::<Fr>(1 << 10, 7);
     let r1cs = Arc::new(r1cs);
+    let backend = SpartanBackend::new(Arc::clone(&r1cs), params);
     let profile = DeviceProfile::a100();
 
     println!(
@@ -42,10 +43,9 @@ fn main() {
             .map(|_| (inputs.clone(), witness.clone()))
             .collect();
         let mut pool = DevicePool::homogeneous(profile.clone(), devices);
-        let run = prove_batch_pool(
+        let run = prove_batch_pool_with(
             &mut pool,
-            Arc::clone(&r1cs),
-            params,
+            &backend,
             instances,
             10_240,
             true,

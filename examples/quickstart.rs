@@ -10,7 +10,7 @@ use std::sync::Arc;
 use batchzk::field::Fr;
 use batchzk::gpu_sim::{DeviceProfile, Gpu};
 use batchzk::zkp::r1cs::{synthetic_r1cs, R1csBuilder, Var};
-use batchzk::zkp::{prove, prove_batch, verify, PcsParams};
+use batchzk::zkp::{prove, prove_batch_with, verify, PcsParams, SpartanBackend};
 use batchzk_field::Field;
 
 fn main() {
@@ -42,7 +42,8 @@ fn main() {
     let r1cs = Arc::new(r1cs);
     let batch: Vec<_> = (0..8).map(|_| (inputs.clone(), witness.clone())).collect();
     let mut gpu = Gpu::new(DeviceProfile::gh200());
-    let run = prove_batch(&mut gpu, Arc::clone(&r1cs), params, batch, 10_240, true).expect("fits");
+    let backend = SpartanBackend::new(Arc::clone(&r1cs), params);
+    let run = prove_batch_with(&mut gpu, &backend, batch, 10_240, true).expect("fits");
     for (io, proof) in &run.proofs {
         assert!(verify(&params, &r1cs, io, proof));
     }

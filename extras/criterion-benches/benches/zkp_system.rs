@@ -7,7 +7,7 @@ use std::sync::Arc;
 use batchzk_field::{Fr, RngCore};
 use batchzk_gpu_sim::{DeviceProfile, Gpu};
 use batchzk_zkp::r1cs::synthetic_r1cs;
-use batchzk_zkp::{PcsParams, pcs, prove, prove_batch, verify};
+use batchzk_zkp::{PcsParams, SpartanBackend, pcs, prove, prove_batch_with, verify};
 use criterion::{Criterion, black_box, criterion_group, criterion_main};
 use batchzk_hash::Prg;
 
@@ -53,15 +53,14 @@ fn bench_batch_prover(c: &mut Criterion) {
     let mut group = c.benchmark_group("batch");
     group.sample_size(10);
     let (r1cs, inputs, witness) = synthetic_r1cs::<Fr>(1 << 10, 42);
-    let r1cs = Arc::new(r1cs);
+    let backend = SpartanBackend::new(Arc::new(r1cs), params());
     let instances: Vec<_> = (0..6).map(|_| (inputs.clone(), witness.clone())).collect();
     group.bench_function("prove_batch/6x2^10/gh200-sim", |bench| {
         bench.iter(|| {
             let mut gpu = Gpu::new(DeviceProfile::gh200());
-            prove_batch(
+            prove_batch_with(
                 &mut gpu,
-                Arc::clone(&r1cs),
-                params(),
+                &backend,
                 black_box(instances.clone()),
                 10_240,
                 true,

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use batchzk::field::{Field, Fr};
 use batchzk::gpu_sim::{DeviceProfile, Gpu};
 use batchzk::zkp::r1cs::synthetic_r1cs;
-use batchzk::zkp::{prove, prove_batch, verify, PcsParams, Proof};
+use batchzk::zkp::{prove, prove_batch_with, verify, PcsParams, Proof, SpartanBackend};
 
 fn params() -> PcsParams {
     PcsParams {
@@ -48,10 +48,9 @@ fn batch_and_single_prover_agree_everywhere() {
     let r1cs = Arc::new(r1cs);
     let single = prove(&params(), &r1cs, &inputs, &witness);
     let mut gpu = Gpu::new(DeviceProfile::a100());
-    let run = prove_batch(
+    let run = prove_batch_with(
         &mut gpu,
-        Arc::clone(&r1cs),
-        params(),
+        &SpartanBackend::new(Arc::clone(&r1cs), params()),
         vec![(inputs.clone(), witness.clone()); 5],
         4096,
         true,
