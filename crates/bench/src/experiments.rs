@@ -18,6 +18,7 @@ use batchzk_pipeline::{
     allocate_threads, encoder as penc, merkle as pmerkle, naive, sumcheck as psum, ClassPolicy,
     PriorityClass, ServiceConfig, ServiceOutcome, ShardPolicy,
 };
+use batchzk_sumcheck::{prove_quadratic, MultilinearPoly};
 use batchzk_zkp::batch::module_weights;
 use batchzk_zkp::batch::BatchTask;
 use batchzk_zkp::r1cs::{synthetic_r1cs, R1cs};
@@ -2528,7 +2529,8 @@ impl KernelProfile {
 /// One named phase of the instrumented single-thread prover run.
 #[derive(Debug, Clone)]
 pub struct PhaseProfile {
-    /// Phase name (`transcript`, `encode`, `merkle`, `sumcheck`, `pcs-open`).
+    /// Phase name (`transcript`, `encode`, `merkle`, `spmv`, `sc1`,
+    /// `matrix-bind`, `sc2`, `pcs-open`).
     pub name: &'static str,
     /// Measured wall time in milliseconds.
     pub ms: f64,
@@ -2558,6 +2560,13 @@ fn timed_ns(f: impl FnOnce()) -> f64 {
     let t = Instant::now();
     f();
     t.elapsed().as_nanos() as f64
+}
+
+/// Runs `f` once, returning its result and the elapsed milliseconds.
+fn timed_ms<R>(f: impl FnOnce() -> R) -> (R, f64) {
+    let t = Instant::now();
+    let out = f();
+    (out, t.elapsed().as_secs_f64() * 1e3)
 }
 
 /// Runs the `profile` measurements: self-timed microbenchmarks of every
@@ -2683,56 +2692,37 @@ pub fn profile_study(scale: &Scale) -> ProfileStudy {
     let (r1cs, inputs, witness) = synthetic_r1cs::<Fr>(n, 42);
     let params = pcs_params();
     let (phases, total_ms) = batchzk_par::with_threads(1, || {
+        let mut phases = Vec::new();
+        let mut phase = |name, ms| phases.push(PhaseProfile { name, ms });
         let total = Instant::now();
         let z = r1cs.assemble_z(&inputs, &witness);
 
-        let t = Instant::now();
-        let mut transcript = spartan::statement_transcript(&r1cs, &inputs);
-        let transcript_ms = t.elapsed().as_secs_f64() * 1e3;
-
-        let t = Instant::now();
-        let encoded = pcs::commit_encode(&params, &z[r1cs.half_len()..]);
-        let encode_ms = t.elapsed().as_secs_f64() * 1e3;
-
-        let t = Instant::now();
-        let (commitment, data) = pcs::commit_merkle(encoded);
-        let merkle_ms = t.elapsed().as_secs_f64() * 1e3;
-
+        let (mut transcript, ms) = timed_ms(|| spartan::statement_transcript(&r1cs, &inputs));
+        phase("transcript", ms);
+        let (encoded, ms) = timed_ms(|| pcs::commit_encode(&params, &z[r1cs.half_len()..]));
+        phase("encode", ms);
+        let ((commitment, data), ms) = timed_ms(|| pcs::commit_merkle(encoded));
+        phase("merkle", ms);
         transcript.absorb_digest(b"w-commitment", &commitment.root);
-        let t = Instant::now();
-        let part = spartan::run_sumchecks(&r1cs, &z, &mut transcript);
-        let sumcheck_ms = t.elapsed().as_secs_f64() * 1e3;
 
-        let t = Instant::now();
-        let y_prime = &part.point_y[..part.point_y.len() - 1];
-        let _ = pcs::open(&params, &data, y_prime, &mut transcript);
-        let open_ms = t.elapsed().as_secs_f64() * 1e3;
+        // `spartan::run_sumchecks`, phase by phase.
+        let (products, ms) = timed_ms(|| r1cs.products(&z));
+        phase("spmv", ms);
+        let (sc1, ms) = timed_ms(|| spartan::prove_outer(&r1cs, products, &mut transcript));
+        phase("sc1", ms);
+        let (m_combo, ms) = timed_ms(|| spartan::bind_matrices(&r1cs, &sc1, &mut transcript));
+        phase("matrix-bind", ms);
+        let (sc2, ms) = timed_ms(|| {
+            let z_poly = MultilinearPoly::new(z.clone());
+            prove_quadratic(MultilinearPoly::new(m_combo), z_poly, &mut transcript)
+        });
+        phase("sc2", ms);
 
-        (
-            vec![
-                PhaseProfile {
-                    name: "transcript",
-                    ms: transcript_ms,
-                },
-                PhaseProfile {
-                    name: "encode",
-                    ms: encode_ms,
-                },
-                PhaseProfile {
-                    name: "merkle",
-                    ms: merkle_ms,
-                },
-                PhaseProfile {
-                    name: "sumcheck",
-                    ms: sumcheck_ms,
-                },
-                PhaseProfile {
-                    name: "pcs-open",
-                    ms: open_ms,
-                },
-            ],
-            total.elapsed().as_secs_f64() * 1e3,
-        )
+        let point_y = sc2.point();
+        let y_prime = &point_y[..point_y.len() - 1];
+        let (_, ms) = timed_ms(|| pcs::open(&params, &data, y_prime, &mut transcript));
+        phase("pcs-open", ms);
+        (phases, total.elapsed().as_secs_f64() * 1e3)
     });
     let attributed: f64 = phases.iter().map(|p| p.ms).sum();
     let coverage = if total_ms > 0.0 {
@@ -3052,6 +3042,20 @@ mod tests {
             assert!(names.contains(&k), "missing kernel {k}");
         }
         assert!(study.kernels.iter().all(|k| k.ops > 0 && k.wall_ns > 0.0));
+        let phases: Vec<&str> = study.phases.iter().map(|p| p.name).collect();
+        assert_eq!(
+            phases,
+            [
+                "transcript",
+                "encode",
+                "merkle",
+                "spmv",
+                "sc1",
+                "matrix-bind",
+                "sc2",
+                "pcs-open"
+            ]
+        );
         // The acceptance bar: >=80% of the single-thread prove is
         // attributed to named phases, and the phases never exceed the
         // envelope they were timed inside.
@@ -3075,6 +3079,7 @@ mod tests {
         let md = profile(&s);
         assert!(md.contains("| mont-mul |"), "{md}");
         assert!(md.contains("| encode |"), "{md}");
+        assert!(md.contains("| matrix-bind |"), "{md}");
         assert!(md.contains("LUT vs naive"), "{md}");
         let json = profile_json(&s);
         for field in [

@@ -1,0 +1,135 @@
+//! Test-only: `Fr` behind a wrapper that counts multiplications, so a test
+//! can hold a prover loop to its operation-count bound on a host where
+//! wall-clock cannot. `batchzk-zkp` includes this file by `#[path]` for its
+//! matrix-binding gate.
+//!
+//! A conversion `From<u64>` counts as a multiply: it is one (into Montgomery
+//! form), and a hot loop must hold none. Additions and inversions are free.
+
+use batchzk_field::{Field, Fr, RngCore};
+use core::iter::{Product, Sum};
+use core::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
+use std::cell::Cell;
+
+thread_local! {
+    // Per thread, and the test harness runs each test on its own thread.
+    static MULS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Runs `f`, returning its result and the multiplications it performed on
+/// [`Counted`] values.
+pub fn count_muls<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = MULS.get();
+    let out = f();
+    (out, MULS.get() - before)
+}
+
+/// `Fr` with every multiplication counted.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
+pub struct Counted(pub Fr);
+
+impl Counted {
+    fn counting(v: Fr) -> Self {
+        MULS.set(MULS.get() + 1);
+        Self(v)
+    }
+}
+
+impl core::fmt::Display for Counted {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+impl From<u64> for Counted {
+    fn from(v: u64) -> Self {
+        Self::counting(Fr::from(v))
+    }
+}
+
+impl Add for Counted {
+    type Output = Self;
+    fn add(self, rhs: Self) -> Self {
+        Self(self.0 + rhs.0)
+    }
+}
+
+impl Sub for Counted {
+    type Output = Self;
+    fn sub(self, rhs: Self) -> Self {
+        Self(self.0 - rhs.0)
+    }
+}
+
+impl Mul for Counted {
+    type Output = Self;
+    fn mul(self, rhs: Self) -> Self {
+        Self::counting(self.0 * rhs.0)
+    }
+}
+
+impl Neg for Counted {
+    type Output = Self;
+    fn neg(self) -> Self {
+        Self(-self.0)
+    }
+}
+
+impl AddAssign for Counted {
+    fn add_assign(&mut self, rhs: Self) {
+        *self = *self + rhs;
+    }
+}
+
+impl SubAssign for Counted {
+    fn sub_assign(&mut self, rhs: Self) {
+        *self = *self - rhs;
+    }
+}
+
+impl MulAssign for Counted {
+    fn mul_assign(&mut self, rhs: Self) {
+        *self = *self * rhs;
+    }
+}
+
+impl Sum for Counted {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::ZERO, Add::add)
+    }
+}
+
+impl Product for Counted {
+    fn product<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::ONE, Mul::mul)
+    }
+}
+
+impl Field for Counted {
+    const ZERO: Self = Self(Fr::ZERO);
+    const ONE: Self = Self(Fr::ONE);
+    const MODULUS_BITS: u32 = Fr::MODULUS_BITS;
+    const TWO_ADICITY: u32 = Fr::TWO_ADICITY;
+
+    fn inverse(&self) -> Option<Self> {
+        self.0.inverse().map(Self)
+    }
+    fn random<R: RngCore + ?Sized>(rng: &mut R) -> Self {
+        Self(Fr::random(rng))
+    }
+    fn to_bytes(&self) -> [u8; 32] {
+        self.0.to_bytes()
+    }
+    fn from_bytes(bytes: &[u8; 32]) -> Option<Self> {
+        Fr::from_bytes(bytes).map(Self)
+    }
+    fn from_uniform_bytes(bytes: &[u8; 64]) -> Self {
+        Self(Fr::from_uniform_bytes(bytes))
+    }
+    fn generator() -> Self {
+        Self(Fr::generator())
+    }
+    fn two_adic_root(k: u32) -> Self {
+        Self(Fr::two_adic_root(k))
+    }
+}

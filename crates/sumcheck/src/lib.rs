@@ -17,7 +17,7 @@
 //! let claim = p.hypercube_sum();
 //!
 //! let mut pt = Transcript::new(b"doc");
-//! let out = prove_linear(&p, &mut pt);
+//! let out = prove_linear(p.clone(), &mut pt);
 //!
 //! let mut vt = Transcript::new(b"doc");
 //! let (final_claim, _rs) = verify_rounds(claim, &out.proof, 1, &mut vt).unwrap();
@@ -28,6 +28,8 @@
 #![deny(missing_docs)]
 
 pub mod algorithm1;
+#[cfg(test)]
+mod counting;
 mod poly;
 mod prove;
 mod rounds;
@@ -86,7 +88,7 @@ mod randomized_tests {
         for _ in 0..24 {
             let p = MultilinearPoly::new(table(&mut rng, 5));
             let mut pt = Transcript::new(b"prop");
-            let out = prove_linear(&p, &mut pt);
+            let out = prove_linear(p.clone(), &mut pt);
             let mut vt = Transcript::new(b"prop");
             let (fc, _) = verify_rounds(p.hypercube_sum(), &out.proof, 1, &mut vt).unwrap();
             assert_eq!(p.evaluate(&out.point()), fc);
@@ -101,7 +103,7 @@ mod randomized_tests {
             let g = MultilinearPoly::new(table(&mut rng, 4));
             let h: Fr = f.evals().iter().zip(g.evals()).map(|(a, b)| *a * *b).sum();
             let mut pt = Transcript::new(b"prop2");
-            let out = prove_quadratic(&f, &g, &mut pt);
+            let out = prove_quadratic(f.clone(), g.clone(), &mut pt);
             let mut vt = Transcript::new(b"prop2");
             let (fc, _) = verify_rounds(h, &out.proof, 2, &mut vt).unwrap();
             assert_eq!(fc, out.final_evals[0] * out.final_evals[1]);

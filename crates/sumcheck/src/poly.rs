@@ -106,10 +106,9 @@ impl<F: Field> MultilinearPoly<F> {
     pub fn fix_top_variable(&mut self, r: F) {
         assert!(self.num_vars > 0, "no variable left to fix");
         let half = self.evals.len() / 2;
-        for b in 0..half {
-            let lo = self.evals[b];
-            let hi = self.evals[b + half];
-            self.evals[b] = lo + r * (hi - lo);
+        let (lo, hi) = self.evals.split_at_mut(half);
+        for (lo, hi) in lo.iter_mut().zip(hi.iter()) {
+            *lo += r * (*hi - *lo);
         }
         self.evals.truncate(half);
         self.num_vars -= 1;

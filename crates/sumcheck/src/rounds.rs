@@ -28,31 +28,28 @@ impl<F: Field> SumcheckProof<F> {
 /// sum-check instead of one per round.
 #[derive(Debug, Clone)]
 pub struct LagrangeDenoms<F> {
+    /// The nodes `0, 1, ..., d` as field elements.
+    nodes: Vec<F>,
     /// `inv_denoms[j] = 1 / (j!·(d−j)!·(−1)^{d−j})`.
     inv_denoms: Vec<F>,
 }
 
 impl<F: Field> LagrangeDenoms<F> {
-    /// Precomputes the inverted denominators for degree `degree`.
+    /// Precomputes the nodes and inverted denominators for degree `degree`.
     pub fn new(degree: usize) -> Self {
+        let nodes: Vec<F> = (0..=degree as u64).map(F::from).collect();
+        // Π_{k≠j} (j − k) = j!·(d−j)!·(−1)^{d−j}
         let mut denoms: Vec<F> = (0..=degree)
             .map(|j| {
-                let mut v = F::ONE;
-                for t in 1..=j {
-                    v *= F::from(t as u64);
-                }
-                for t in 1..=(degree - j) {
-                    v *= F::from(t as u64);
-                }
-                if (degree - j) % 2 == 1 {
-                    -v
-                } else {
-                    v
-                }
+                let others = nodes.iter().enumerate().filter(|&(k, _)| k != j);
+                others.map(|(_, &node)| nodes[j] - node).product()
             })
             .collect();
         batch_invert(&mut denoms);
-        Self { inv_denoms: denoms }
+        Self {
+            nodes,
+            inv_denoms: denoms,
+        }
     }
 
     /// The degree these denominators were built for.
@@ -61,7 +58,10 @@ impl<F: Field> LagrangeDenoms<F> {
     }
 
     /// Evaluates the degree-`d` polynomial through `(0, ys[0]), ...,
-    /// (d, ys[d])` at `r` without any inversion work.
+    /// (d, ys[d])` at `r` — `Σ_j ys[j]·Π_{k≠j}(r−k) / Π_{k≠j}(j−k)` — with no
+    /// inversion, integer conversion or allocation: the sum-check prover
+    /// calls this once per round. At a node `r = k` every term but `ys[k]`
+    /// holds a zero factor, so nodes need no special case.
     ///
     /// # Panics
     ///
@@ -72,28 +72,12 @@ impl<F: Field> LagrangeDenoms<F> {
             self.inv_denoms.len(),
             "value count must match the precomputed degree"
         );
-        let d = ys.len() - 1;
-        if d == 0 {
-            return ys[0];
+        let mut acc = F::ZERO;
+        for (j, (&y, &inv)) in ys.iter().zip(&self.inv_denoms).enumerate() {
+            let others = self.nodes.iter().enumerate().filter(|&(k, _)| k != j);
+            acc += others.fold(y * inv, |term, (_, &node)| term * (r - node));
         }
-        // terms (r - k) for k = 0..=d
-        let diffs: Vec<F> = (0..=d).map(|k| r - F::from(k as u64)).collect();
-        // If r is one of the nodes, return directly (denominator would vanish).
-        if let Some(k) = diffs.iter().position(|v| v.is_zero()) {
-            return ys[k];
-        }
-        // prefix[j] = Π_{k<j} diffs[k], suffix[j] = Π_{k>j} diffs[k]
-        let mut prefix = vec![F::ONE; d + 1];
-        for j in 1..=d {
-            prefix[j] = prefix[j - 1] * diffs[j - 1];
-        }
-        let mut suffix = vec![F::ONE; d + 1];
-        for j in (0..d).rev() {
-            suffix[j] = suffix[j + 1] * diffs[j + 1];
-        }
-        (0..=d)
-            .map(|j| ys[j] * prefix[j] * suffix[j] * self.inv_denoms[j])
-            .sum()
+        acc
     }
 }
 
@@ -132,7 +116,8 @@ pub fn verify_rounds<F: Field>(
     // for the whole proof rather than once per round.
     let denoms = LagrangeDenoms::new(degree);
     for round in &proof.rounds {
-        if round.len() != degree + 1 {
+        // A degree-0 "round" has no g(1) to check the claim against.
+        if round.len() != degree + 1 || round.len() < 2 {
             return None;
         }
         if round[0] + round[1] != claim {
@@ -226,6 +211,16 @@ mod tests {
     fn denoms_reject_wrong_arity() {
         let denoms = LagrangeDenoms::<Fr>::new(2);
         let _ = denoms.interpolate_at(&[Fr::ONE, Fr::ONE], Fr::ONE);
+    }
+
+    #[test]
+    fn verify_rounds_rejects_degree_zero() {
+        // Used to index round[1] on a length-1 round and panic.
+        let proof = SumcheckProof {
+            rounds: vec![vec![Fr::ONE]],
+        };
+        let mut t = Transcript::new(b"t");
+        assert!(verify_rounds(Fr::ONE, &proof, 0, &mut t).is_none());
     }
 
     #[test]

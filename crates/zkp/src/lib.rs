@@ -22,6 +22,9 @@
 
 pub mod backend;
 pub mod batch;
+#[cfg(test)]
+#[path = "../../sumcheck/src/counting.rs"]
+mod counting;
 pub mod orion;
 pub mod r1cs;
 pub mod spartan;

@@ -78,12 +78,23 @@ impl<F: Field> SparseTriplets<F> {
     ///
     /// Panics if `eq_x.len() < self.rows()`.
     pub fn bind_rows(&self, eq_x: &[F]) -> Vec<F> {
-        assert!(eq_x.len() >= self.rows, "eq table too small");
         let mut out = vec![F::ZERO; self.cols];
+        self.bind_rows_into(eq_x, &mut out);
+        out
+    }
+
+    /// Adds [`Self::bind_rows`] of `eq_x` onto `out`: one multiply per
+    /// non-zero and no allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `eq_x.len() < self.rows()` or `out.len() != self.cols()`.
+    pub fn bind_rows_into(&self, eq_x: &[F], out: &mut [F]) {
+        assert!(eq_x.len() >= self.rows, "eq table too small");
+        assert_eq!(out.len(), self.cols, "output length mismatch");
         for &(r, c, v) in &self.entries {
             out[c] += v * eq_x[r];
         }
-        out
     }
 
     /// Evaluates the matrix MLE `M̃(rx, ry)` in `O(nnz)` given precomputed
@@ -225,15 +236,50 @@ impl<F: Field> R1cs<F> {
         MultilinearPoly::new(io)
     }
 
+    /// The three products `[A·z, B·z, C·z]`, one entry per constraint.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `z.len() != self.z_len()`.
+    pub fn products(&self, z: &[F]) -> [Vec<F>; 3] {
+        [self.a.mul_vec(z), self.b.mul_vec(z), self.c.mul_vec(z)]
+    }
+
+    /// Whether [`Self::products`] of an assignment satisfy every
+    /// constraint: `(A·z) ∘ (B·z) = C·z`.
+    pub fn products_satisfy([az, bz, cz]: &[Vec<F>; 3]) -> bool {
+        az.iter().zip(bz).zip(cz).all(|((a, b), c)| *a * *b == *c)
+    }
+
     /// Checks satisfaction of every constraint.
     pub fn is_satisfied(&self, z: &[F]) -> bool {
-        if z.len() != self.z_len() {
-            return false;
+        z.len() == self.z_len() && Self::products_satisfy(&self.products(z))
+    }
+
+    /// The γ-combined row-bound matrix polynomial of Spartan's second
+    /// sum-check, `Σ_k γ_k · Σ_x eq_x[x] · M_k(x, ·)` for `M = (A, B, C)`,
+    /// as a dense vector over columns.
+    ///
+    /// All three matrices accumulate into one buffer against `γ_k · eq_x`,
+    /// which costs `3·rows + nnz` multiplies where binding each matrix and
+    /// then scaling its dense result costs `nnz + 3·z_len`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `eq_x` is shorter than the constraint count or `gamma`
+    /// does not hold three elements.
+    pub fn bind_rows_combined(&self, eq_x: &[F], gamma: &[F]) -> Vec<F> {
+        assert_eq!(gamma.len(), 3, "one γ per matrix");
+        let eq_x = &eq_x[..self.num_constraints];
+        let mut out = vec![F::ZERO; self.z_len()];
+        let mut scaled = vec![F::ZERO; eq_x.len()];
+        for (&g, m) in gamma.iter().zip([&self.a, &self.b, &self.c]) {
+            for (s, &e) in scaled.iter_mut().zip(eq_x) {
+                *s = g * e;
+            }
+            m.bind_rows_into(&scaled, &mut out);
         }
-        let az = self.a.mul_vec(z);
-        let bz = self.b.mul_vec(z);
-        let cz = self.c.mul_vec(z);
-        az.iter().zip(&bz).zip(&cz).all(|((a, b), c)| *a * *b == *c)
+        out
     }
 }
 
@@ -499,6 +545,38 @@ mod tests {
                 .map(|(a, b)| *a * *b)
                 .sum();
             assert_eq!(m.mle_eval(&eq_rx, &eq_ry), via_bind);
+        }
+    }
+
+    #[test]
+    fn combined_binding_matches_per_matrix_binding() {
+        // The formula this replaced: bind each matrix, scale by its γ, add.
+        let (r1cs, _, _) = synthetic_r1cs::<Fr>(37, 6);
+        let mut rng = Prg::seed_from_u64(7);
+        let eq_rx: Vec<Fr> = (0..r1cs.padded_constraints())
+            .map(|_| Fr::random(&mut rng))
+            .collect();
+        let gamma: Vec<Fr> = (0..3).map(|_| Fr::random(&mut rng)).collect();
+        let mut want = vec![Fr::ZERO; r1cs.z_len()];
+        for (g, m) in gamma.iter().zip([&r1cs.a, &r1cs.b, &r1cs.c]) {
+            for (slot, v) in want.iter_mut().zip(m.bind_rows(&eq_rx)) {
+                *slot += *g * v;
+            }
+        }
+        assert_eq!(r1cs.bind_rows_combined(&eq_rx, &gamma), want);
+    }
+
+    #[test]
+    fn combined_binding_multiplies_are_linear_in_nnz_and_rows() {
+        use crate::counting::{count_muls, Counted};
+        for s in [50usize, 400] {
+            let (r1cs, _, _) = synthetic_r1cs::<Counted>(s, 8);
+            let eq_rx = vec![Counted::ONE; r1cs.padded_constraints()];
+            let gamma = [Counted::ONE; 3];
+            let (_, muls) = count_muls(|| r1cs.bind_rows_combined(&eq_rx, &gamma));
+            let bound = (r1cs.total_nnz() + 3 * r1cs.num_constraints()) as u64;
+            // No z_len term: nothing passes over the dense column vector.
+            assert!(muls <= bound, "s={s}: {muls} > {bound}");
         }
     }
 

@@ -22,7 +22,7 @@ use batchzk_field::Field;
 use batchzk_hash::Transcript;
 use batchzk_sumcheck::{
     eq_eval, eq_table, prove_cubic_eq, prove_quadratic, verify_rounds, MultilinearPoly,
-    SumcheckProof,
+    ProverOutput, SumcheckProof,
 };
 
 /// Domain label binding every proof to this protocol version.
@@ -96,8 +96,10 @@ pub fn prove_with_artifacts<F: Field>(
     witness: &[F],
 ) -> (Proof<F>, ProverArtifacts<F>) {
     let z = r1cs.assemble_z(inputs, witness);
+    // The sum-check below reuses the products the satisfaction check needs.
+    let products = r1cs.products(&z);
     assert!(
-        r1cs.is_satisfied(&z),
+        R1cs::products_satisfy(&products),
         "assignment does not satisfy the R1CS"
     );
 
@@ -110,7 +112,7 @@ pub fn prove_with_artifacts<F: Field>(
     transcript.absorb_digest(b"w-commitment", &commitment.root);
 
     // Module 3 (sum-check).
-    let part = run_sumchecks(r1cs, &z, &mut transcript);
+    let part = sumchecks_over(r1cs, &z, products, &mut transcript);
 
     // Open w̃ at the bound point (all but the top variable of ry).
     let y_prime = &part.point_y[..part.point_y.len() - 1];
@@ -171,43 +173,62 @@ pub fn run_sumchecks<F: Field>(
     transcript: &mut Transcript,
 ) -> SumcheckPart<F> {
     assert_eq!(z.len(), r1cs.z_len(), "assignment length mismatch");
-    // The outer constraint sum-check.
-    let log_m = r1cs.padded_constraints().trailing_zeros() as usize;
-    let tau: Vec<F> = transcript.challenge_fields(b"tau", log_m);
-    let eq_tau = MultilinearPoly::new(eq_table(&tau));
-    let pad = |mut v: Vec<F>| {
-        v.resize(r1cs.padded_constraints(), F::ZERO);
-        MultilinearPoly::new(v)
-    };
-    let az = pad(r1cs.a.mul_vec(z));
-    let bz = pad(r1cs.b.mul_vec(z));
-    let cz = pad(r1cs.c.mul_vec(z));
-    let sc1 = prove_cubic_eq(&eq_tau, &az, &bz, &cz, transcript);
-    let (va, vb, vc) = (sc1.final_evals[1], sc1.final_evals[2], sc1.final_evals[3]);
-    transcript.absorb_fields(b"sc1-claims", &[va, vb, vc]);
+    sumchecks_over(r1cs, z, r1cs.products(z), transcript)
+}
 
-    // Batched matrix-opening sum-check.
-    let gamma: Vec<F> = transcript.challenge_fields(b"gamma", 3);
-    let eq_rx = eq_table(&sc1.point());
-    let mut m_combo = vec![F::ZERO; r1cs.z_len()];
-    for (g, m) in gamma.iter().zip([&r1cs.a, &r1cs.b, &r1cs.c]) {
-        for (slot, v) in m_combo.iter_mut().zip(m.bind_rows(&eq_rx)) {
-            *slot += *g * v;
-        }
-    }
-    let m_poly = MultilinearPoly::new(m_combo);
+/// [`run_sumchecks`] over already computed [`R1cs::products`] of `z`.
+fn sumchecks_over<F: Field>(
+    r1cs: &R1cs<F>,
+    z: &[F],
+    products: [Vec<F>; 3],
+    transcript: &mut Transcript,
+) -> SumcheckPart<F> {
+    let sc1 = prove_outer(r1cs, products, transcript);
+    let m_combo = bind_matrices(r1cs, &sc1, transcript);
+    // The one table copy of the phase: every other table is built here and
+    // moved into its prover.
     let z_poly = MultilinearPoly::new(z.to_vec());
-    let sc2 = prove_quadratic(&m_poly, &z_poly, transcript);
-    let point_y = sc2.point();
-
+    let sc2 = prove_quadratic(MultilinearPoly::new(m_combo), z_poly, transcript);
     SumcheckPart {
         sc1: sc1.proof,
-        va,
-        vb,
-        vc,
+        va: sc1.final_evals[1],
+        vb: sc1.final_evals[2],
+        vc: sc1.final_evals[3],
+        point_y: sc2.point(),
         sc2: sc2.proof,
-        point_y,
     }
+}
+
+/// The outer constraint sum-check (#1) over [`R1cs::products`] of the
+/// assignment: draws `τ` and absorbs the three claims the rounds end on
+/// (`final_evals[1..]`). Public, like [`bind_matrices`], so a profiler can
+/// time the phases of [`run_sumchecks`] one by one.
+pub fn prove_outer<F: Field>(
+    r1cs: &R1cs<F>,
+    products: [Vec<F>; 3],
+    transcript: &mut Transcript,
+) -> ProverOutput<F> {
+    let m = r1cs.padded_constraints();
+    let tau: Vec<F> = transcript.challenge_fields(b"tau", m.trailing_zeros() as usize);
+    let [az, bz, cz] = products.map(|mut v| {
+        v.resize(m, F::ZERO);
+        MultilinearPoly::new(v)
+    });
+    let eq_tau = MultilinearPoly::new(eq_table(&tau));
+    let sc1 = prove_cubic_eq(eq_tau, az, bz, cz, transcript);
+    transcript.absorb_fields(b"sc1-claims", &sc1.final_evals[1..]);
+    sc1
+}
+
+/// Draws `γ` and builds the matrix polynomial of the batched
+/// matrix-opening sum-check (#2) at the point sum-check #1 bound.
+pub fn bind_matrices<F: Field>(
+    r1cs: &R1cs<F>,
+    sc1: &ProverOutput<F>,
+    transcript: &mut Transcript,
+) -> Vec<F> {
+    let gamma: Vec<F> = transcript.challenge_fields(b"gamma", 3);
+    r1cs.bind_rows_combined(&eq_table(&sc1.point()), &gamma)
 }
 
 /// Verifies a proof against the instance and public inputs.
@@ -327,16 +348,60 @@ mod tests {
         // Root recorded before the 4-way hash kernels were removed.
         let (r1cs, inputs, witness) = synthetic_r1cs::<Fr>(16, 42);
         let proof = prove(&test_params(), &r1cs, &inputs, &witness);
-        let root: String = proof
-            .commitment
-            .root
-            .iter()
-            .map(|b| format!("{b:02x}"))
-            .collect();
         assert_eq!(
-            root,
+            hex(&proof.commitment.root),
             "13c911efa315b06a5ff9f679210888ce3bdcca370e16fff0fdbea06b1ebec4ad"
         );
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn debug_digest(value: &impl core::fmt::Debug) -> String {
+        hex(&batchzk_hash::sha256(format!("{value:?}").as_bytes()))
+    }
+
+    #[test]
+    fn known_answer_proofs_and_unsatisfied_sumchecks() {
+        // SHA-256 of the `Debug` rendering (canonical field elements, every
+        // field of the struct), recorded at the commit before the
+        // additions-only round loops: the whole proof for a satisfying
+        // witness, and the sum-check phase alone for the same witness with
+        // its middle element altered — there sum-check #1's claim is not
+        // zero, and `g(1) = claim − g(0)` must still reproduce the bytes.
+        for (s, seed, proof_digest, altered_digest) in [
+            (
+                16,
+                42,
+                "efec54d9ef59ca1de55acc7fcadc03a7a2d3342187267d09a4f9d147bf735c44",
+                "7ccfa57d2d7b0bd96c3c346deac3506614a67b4001e7830fdb0578f32cd8f7b3",
+            ),
+            (
+                200,
+                7,
+                "b30d25254932a1c8d3a46a16e9a440bbb1d89fdf625f3292f007ad9be5a6bd7c",
+                "4fff5f1ed2a146d65561853684adb0f543c2c2f782e6ca340cb6b67cd7487a4f",
+            ),
+            (
+                1000,
+                3,
+                "25d5f69b9844c80269d066ca70d221950d8424965263d40f0bd57aa7f54d767e",
+                "0de677770ce8ea906ca1e5a99d76f13a20df9b156e545fe3108cb2202dc88bb5",
+            ),
+        ] {
+            let (r1cs, inputs, mut witness) = synthetic_r1cs::<Fr>(s, seed);
+            let proof = prove(&test_params(), &r1cs, &inputs, &witness);
+            assert_eq!(debug_digest(&proof), proof_digest, "proof s={s}");
+
+            let middle = witness.len() / 2;
+            witness[middle] += Fr::ONE;
+            let z = r1cs.assemble_z(&inputs, &witness);
+            assert!(!r1cs.is_satisfied(&z));
+            let mut transcript = statement_transcript(&r1cs, &inputs);
+            let part = run_sumchecks(&r1cs, &z, &mut transcript);
+            assert_eq!(debug_digest(&part), altered_digest, "altered s={s}");
+        }
     }
 
     #[test]
