@@ -25,7 +25,8 @@
 //! a two-device pool, fault-free and under each scripted-fault scenario
 //! (mid-batch fail-stop, degraded clock, dropped kernel), asserting the
 //! recovered proofs stay byte-identical to the fault-free run.
-//! `--fault-plan <spec>` appends a custom scenario; the spec grammar is
+//! `--fault-plan <spec>` appends a custom scenario (a plan that leaves no
+//! device to finish on is an error, not a panic); the spec grammar is
 //! comma-separated `<device>@<cycle>:fail`, `<device>@<cycle>:slow:<pct>`,
 //! or `<device>@<cycle>:drop:<nth>` (see `OPERATIONS.md`).
 //!
@@ -67,11 +68,11 @@
 //! merged in as counter tracks, for `chrome://tracing` or Perfetto).
 //!
 //! `profile` is also explicit-only: it self-times every hot-path kernel
-//! (strict/lazy/4-way Montgomery multiply, LUT vs naive binary inner
-//! products, scalar vs 4-lane SHA-256 compression, NTT butterflies) at the
-//! scale's `wall_log` size, attributes one instrumented single-thread
-//! prove to named pipeline phases, prints the markdown report, and writes
-//! `PROFILE.json` to the current directory.
+//! (strict/lazy Montgomery multiply, LUT vs naive binary inner products,
+//! SHA-256 compression, NTT butterflies) at the scale's `wall_log` size,
+//! attributes one instrumented single-thread prove to named pipeline
+//! phases, prints the markdown report, and writes `PROFILE.json` to the
+//! current directory.
 //!
 //! `bench-json` is also explicit-only: it runs the standard module and
 //! system pipelines on the A100 profile and writes the machine-readable
@@ -221,7 +222,53 @@ fn device_ladder(n: usize) -> Vec<usize> {
     counts
 }
 
+/// Prints `tables: <msg>`, a blank line and the usage text to stderr.
+fn usage_error(msg: impl std::fmt::Display) -> ExitCode {
+    eprintln!("tables: {msg}\n");
+    eprint!("{}", usage());
+    ExitCode::FAILURE
+}
+
+/// Writes one artifact to the current directory and reports its size.
+fn write_artifact(path: &str, content: &str) -> Result<(), ExitCode> {
+    match std::fs::write(path, content) {
+        Ok(()) => {
+            println!("wrote {path} ({} bytes)", content.len());
+            Ok(())
+        }
+        Err(e) => {
+            eprintln!("tables: failed to write {path}: {e}");
+            Err(ExitCode::FAILURE)
+        }
+    }
+}
+
+type TableFn = fn(&Scale) -> String;
+
+/// The experiments that take only the scale and return one table.
+const SCALE_ONLY: &[(&str, TableFn)] = &[
+    ("table3", experiments::table3),
+    ("table4", experiments::table4),
+    ("table5", experiments::table5),
+    ("table6", experiments::table6),
+    ("table7", experiments::table7),
+    ("table8", experiments::table8),
+    ("table9", experiments::table9),
+    ("table10", experiments::table10),
+    ("table11", experiments::table11),
+    ("fig4", experiments::fig4),
+    ("fig9", experiments::fig9),
+    ("ablation", experiments::ablation),
+];
+
 fn main() -> ExitCode {
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(code) => code,
+    }
+}
+
+fn run() -> Result<(), ExitCode> {
     let raw: Vec<String> = std::env::args().skip(1).collect();
 
     // Peel off the value-taking flags first, then validate the rest.
@@ -236,16 +283,8 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--trace" => match it.next().map(|v| batchzk_gpu_sim::ArrivalPlan::parse(&v)) {
                 Some(Ok(plan)) => arrival_plan = plan,
-                Some(Err(e)) => {
-                    eprintln!("tables: bad --trace spec: {e}\n");
-                    eprint!("{}", usage());
-                    return ExitCode::FAILURE;
-                }
-                None => {
-                    eprintln!("tables: --trace needs a spec argument\n");
-                    eprint!("{}", usage());
-                    return ExitCode::FAILURE;
-                }
+                Some(Err(e)) => return Err(usage_error(format!("bad --trace spec: {e}"))),
+                None => return Err(usage_error("--trace needs a spec argument")),
             },
             "--trace-file" => match it.next() {
                 Some(path) => match std::fs::read_to_string(&path)
@@ -254,73 +293,43 @@ fn main() -> ExitCode {
                 {
                     Ok(plan) => arrival_plan = plan,
                     Err(e) => {
-                        eprintln!("tables: bad --trace-file `{path}`: {e}\n");
-                        eprint!("{}", usage());
-                        return ExitCode::FAILURE;
+                        return Err(usage_error(format!("bad --trace-file `{path}`: {e}")));
                     }
                 },
-                None => {
-                    eprintln!("tables: --trace-file needs a path argument\n");
-                    eprint!("{}", usage());
-                    return ExitCode::FAILURE;
-                }
+                None => return Err(usage_error("--trace-file needs a path argument")),
             },
             "--fault-plan" => match it.next().map(|v| batchzk_gpu_sim::FaultPlan::parse(&v)) {
                 Some(Ok(plan)) => fault_plan = Some(plan),
-                Some(Err(e)) => {
-                    eprintln!("tables: bad --fault-plan spec: {e}\n");
-                    eprint!("{}", usage());
-                    return ExitCode::FAILURE;
-                }
-                None => {
-                    eprintln!("tables: --fault-plan needs a spec argument\n");
-                    eprint!("{}", usage());
-                    return ExitCode::FAILURE;
-                }
+                Some(Err(e)) => return Err(usage_error(format!("bad --fault-plan spec: {e}"))),
+                None => return Err(usage_error("--fault-plan needs a spec argument")),
             },
             "--devices" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => max_devices = n,
-                _ => {
-                    eprintln!("tables: --devices needs a positive integer\n");
-                    eprint!("{}", usage());
-                    return ExitCode::FAILURE;
-                }
+                _ => return Err(usage_error("--devices needs a positive integer")),
             },
             "--profile" => match it.next().as_deref().and_then(experiments::profile_by_name) {
                 Some(p) => profile = p,
                 None => {
-                    eprintln!(
-                        "tables: --profile needs one of v100, a100, rtx3090ti, h100, gh200\n"
-                    );
-                    eprint!("{}", usage());
-                    return ExitCode::FAILURE;
+                    return Err(usage_error(
+                        "--profile needs one of v100, a100, rtx3090ti, h100, gh200",
+                    ));
                 }
             },
             "--threads" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => batchzk_par::set_threads(n),
-                _ => {
-                    eprintln!("tables: --threads needs a positive integer\n");
-                    eprint!("{}", usage());
-                    return ExitCode::FAILURE;
-                }
+                _ => return Err(usage_error("--threads needs a positive integer")),
             },
             "--backend" => match it.next() {
                 Some(name) if batchzk_zkp::BACKEND_NAMES.contains(&name.as_str()) => {
                     backend_filter = Some(name);
                 }
                 Some(name) => {
-                    eprintln!(
-                        "tables: unknown backend `{name}`: expected one of {}\n",
+                    return Err(usage_error(format!(
+                        "unknown backend `{name}`: expected one of {}",
                         batchzk_zkp::BACKEND_NAMES.join(", ")
-                    );
-                    eprint!("{}", usage());
-                    return ExitCode::FAILURE;
+                    )));
                 }
-                None => {
-                    eprintln!("tables: --backend needs a name argument\n");
-                    eprint!("{}", usage());
-                    return ExitCode::FAILURE;
-                }
+                None => return Err(usage_error("--backend needs a name argument")),
             },
             _ => args.push(arg),
         }
@@ -329,9 +338,7 @@ fn main() -> ExitCode {
     // Per-arrival backend suffixes in the replay trace must name known
     // prover backends — reject before spending any proving time.
     if let Err(e) = experiments::validate_trace_backends(&arrival_plan) {
-        eprintln!("tables: bad trace: {e}\n");
-        eprint!("{}", usage());
-        return ExitCode::FAILURE;
+        return Err(usage_error(format!("bad trace: {e}")));
     }
 
     // Reject unknown flags and experiments up front (exit non-zero).
@@ -342,15 +349,13 @@ fn main() -> ExitCode {
             arg == "all" || arg == "help" || EXPERIMENTS.iter().any(|(n, _, _)| n == arg)
         };
         if !known {
-            eprintln!("tables: unrecognized argument `{arg}`\n");
-            eprint!("{}", usage());
-            return ExitCode::FAILURE;
+            return Err(usage_error(format!("unrecognized argument `{arg}`")));
         }
     }
 
     if args.iter().any(|a| a == "help") {
         print!("{}", usage());
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
 
     let scale = if args.iter().any(|a| a == "--paper") {
@@ -375,42 +380,16 @@ fn main() -> ExitCode {
 
     let all = which.contains(&"all");
     let want = |name: &str| all || which.contains(&name);
+    // An experiment that fails on its inputs: the one-line error, exit 1.
+    let failed = |name: &str, e: String| {
+        eprintln!("tables: {name} failed: {e}");
+        ExitCode::FAILURE
+    };
 
-    if want("table3") {
-        println!("{}", experiments::table3(&scale));
-    }
-    if want("table4") {
-        println!("{}", experiments::table4(&scale));
-    }
-    if want("table5") {
-        println!("{}", experiments::table5(&scale));
-    }
-    if want("table6") {
-        println!("{}", experiments::table6(&scale));
-    }
-    if want("table7") {
-        println!("{}", experiments::table7(&scale));
-    }
-    if want("table8") {
-        println!("{}", experiments::table8(&scale));
-    }
-    if want("table9") {
-        println!("{}", experiments::table9(&scale));
-    }
-    if want("table10") {
-        println!("{}", experiments::table10(&scale));
-    }
-    if want("table11") {
-        println!("{}", experiments::table11(&scale));
-    }
-    if want("fig4") {
-        println!("{}", experiments::fig4(&scale));
-    }
-    if want("fig9") {
-        println!("{}", experiments::fig9(&scale));
-    }
-    if want("ablation") {
-        println!("{}", experiments::ablation(&scale));
+    for (name, experiment) in SCALE_ONLY {
+        if want(name) {
+            println!("{}", experiment(&scale));
+        }
     }
     if want("scaling") {
         println!(
@@ -419,16 +398,12 @@ fn main() -> ExitCode {
         );
     }
     if want("faults") {
-        println!("{}", experiments::faults(&scale, fault_plan.as_ref()));
+        let report = experiments::faults(&scale, fault_plan.as_ref());
+        println!("{}", report.map_err(|e| failed("faults", e))?);
     }
     if want("serve") {
-        match experiments::serve(&scale, &arrival_plan) {
-            Ok(report) => println!("{report}"),
-            Err(e) => {
-                eprintln!("tables: serve failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let report = experiments::serve(&scale, &arrival_plan);
+        println!("{}", report.map_err(|e| failed("serve", e))?);
     }
     if want("backends") {
         println!(
@@ -445,37 +420,16 @@ fn main() -> ExitCode {
     }
     // `timeline` is explicit-only: it writes artifacts, like `bench-json`.
     if which.contains(&"timeline") {
-        match experiments::timeline(&scale, &arrival_plan) {
-            Ok(artifacts) => {
-                println!("{}", artifacts.report);
-                for (path, content) in [
-                    ("TIMELINE.json", &artifacts.json),
-                    ("TIMELINE.trace.json", &artifacts.chrome_trace),
-                ] {
-                    if let Err(e) = std::fs::write(path, content) {
-                        eprintln!("tables: failed to write {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                    println!("wrote {path} ({} bytes)", content.len());
-                }
-            }
-            Err(e) => {
-                eprintln!("tables: timeline failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let artifacts =
+            experiments::timeline(&scale, &arrival_plan).map_err(|e| failed("timeline", e))?;
+        println!("{}", artifacts.report);
+        write_artifact("TIMELINE.json", &artifacts.json)?;
+        write_artifact("TIMELINE.trace.json", &artifacts.chrome_trace)?;
     }
     // `profile` is explicit-only: it writes an artifact, like `bench-json`.
     if which.contains(&"profile") {
         println!("{}", experiments::profile(&scale));
-        let json = experiments::profile_json(&scale);
-        match std::fs::write("PROFILE.json", &json) {
-            Ok(()) => println!("wrote PROFILE.json ({} bytes)", json.len()),
-            Err(e) => {
-                eprintln!("tables: failed to write PROFILE.json: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        write_artifact("PROFILE.json", &experiments::profile_json(&scale))?;
     }
     // `bench-json` is explicit-only: it writes an artifact, not a table.
     if which.contains(&"bench-json") {
@@ -484,13 +438,7 @@ fn main() -> ExitCode {
         } else {
             experiments::bench_json_with_wall_clock(&scale, &[1, 2, 4])
         };
-        match std::fs::write("BENCH.json", &json) {
-            Ok(()) => println!("wrote BENCH.json ({} bytes)", json.len()),
-            Err(e) => {
-                eprintln!("tables: failed to write BENCH.json: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        write_artifact("BENCH.json", &json)?;
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -286,12 +286,12 @@ impl ArrivalPlan {
                 ["one"] => ArrivalKind::One,
                 ["poisson", gap, count, seed] => ArrivalKind::Poisson {
                     mean_gap: positive(num(gap)?, err)?,
-                    count: num(count)? as u32,
+                    count: u32::try_from(num(count)?).map_err(|_| err())?,
                     seed: num(seed)?,
                 },
                 ["onoff", gap, count, seed, on, off] => ArrivalKind::OnOff {
                     mean_gap: positive(num(gap)?, err)?,
-                    count: num(count)? as u32,
+                    count: u32::try_from(num(count)?).map_err(|_| err())?,
                     seed: num(seed)?,
                     on: positive(num(on)?, err)?,
                     off: num(off)?,
@@ -557,6 +557,9 @@ mod tests {
             "/groth16@5:one",                   // empty class with backend
             "interactive/Groth@5:one",          // uppercase backend
             "interactive/a/b@5:one",            // nested slash
+            // Counts are u32: 2^32 + 1 used to truncate to one arrival.
+            "interactive@5:poisson:10:4294967297:1",
+            "interactive@5:onoff:10:4294967296:1:5:5",
         ] {
             let err = ArrivalPlan::parse(bad).unwrap_err();
             assert!(err.contains("malformed arrival segment"), "{bad}: {err}");

@@ -55,4 +55,4 @@ pub use analysis::{
 };
 pub use registry::{Histogram, MetricId, Registry, HISTOGRAM_BUCKETS};
 pub use span::{Span, StageSpan};
-pub use timeline::{ClassWindow, DeviceWindow, Timeline, TimelineConfig, Window};
+pub use timeline::{nearest_rank, ClassWindow, DeviceWindow, Timeline, TimelineConfig, Window};

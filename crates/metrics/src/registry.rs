@@ -224,6 +224,12 @@ pub fn format_f64(v: f64) -> String {
     }
 }
 
+/// Joins already-rendered JSON values (array elements, or `"key":value`
+/// object members) with commas. Callers wrap the result in `[]` or `{}`.
+pub fn join_json(items: impl IntoIterator<Item = String>) -> String {
+    items.into_iter().collect::<Vec<_>>().join(",")
+}
+
 /// A deterministic, dependency-free metrics registry.
 ///
 /// Counters are monotone `u64`s, gauges are last-write-wins `f64`s, and
@@ -577,6 +583,14 @@ mod tests {
         // Label order does not matter for identity.
         reg.counter_add("y", &[("a", "1"), ("b", "2")], 1);
         assert_eq!(reg.counter("y", &[("b", "2"), ("a", "1")]), 1);
+    }
+
+    #[test]
+    fn join_json_puts_commas_between_items_only() {
+        let join = |items: &[&str]| join_json(items.iter().map(|s| s.to_string()));
+        assert_eq!(join(&[]), "");
+        assert_eq!(join(&["1"]), "1");
+        assert_eq!(join(&["\"a\":1", "\"b\":[2,3]"]), "\"a\":1,\"b\":[2,3]");
     }
 
     #[test]

@@ -155,8 +155,9 @@ impl Window {
     }
 }
 
-/// Nearest-rank quantile of an ascending-sorted slice (0 when empty).
-fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
+/// Exact nearest-rank quantile of an ascending-sorted slice (0 when
+/// empty): the smallest sample with at least `q` of the set at or below it.
+pub fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
@@ -487,6 +488,17 @@ impl Timeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn exact_quantile_nearest_rank() {
+        let sorted = [10u64, 20, 30, 40];
+        assert_eq!(nearest_rank(&sorted, 0.5), 20);
+        assert_eq!(nearest_rank(&sorted, 0.95), 40);
+        assert_eq!(nearest_rank(&sorted, 0.0), 10);
+        assert_eq!(nearest_rank(&sorted, 1.0), 40);
+        assert_eq!(nearest_rank(&[], 0.5), 0);
+        assert_eq!(nearest_rank(&[7], 0.99), 7);
+    }
 
     fn config(window: u64, max_windows: usize) -> TimelineConfig {
         TimelineConfig {

@@ -54,7 +54,7 @@ pub use engine::{
 pub use observe::{
     default_service_rules, record_error, record_pool_health, record_pool_run, record_recovery,
     record_run, record_run_with_backend, record_service, record_service_backends,
-    stage_observations, timeline_counter_tracks, timeline_counter_tracks_labeled,
+    stage_observations, timeline_counter_tracks,
 };
 pub use sched::{
     device_weight, plan_shards, run_sharded, RecoveryReport, ShardPlan, ShardPolicy, ShardedRun,
@@ -62,6 +62,7 @@ pub use sched::{
 pub use service::{
     run_service, ClassPolicy, ClassReport, PriorityClass, RejectReason, RejectedRequest,
     ServiceCompletion, ServiceConfig, ServiceError, ServiceOutcome, ServiceRequest,
+    MAX_ARRIVAL_CYCLE,
 };
 
 #[cfg(test)]

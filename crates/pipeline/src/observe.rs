@@ -66,9 +66,8 @@
 //!
 //! Since the `ProverBackend` split, runs and service outcomes can also be
 //! qualified by which prover backend produced them. The backend-aware
-//! entry points ([`record_run_with_backend`],
-//! [`record_service_backends`], [`timeline_counter_tracks_labeled`]) are
-//! strictly additive: they record the same unlabelled families
+//! entry points ([`record_run_with_backend`], [`record_service_backends`])
+//! are strictly additive: they record the same unlabelled families
 //! byte-for-byte (or leave them untouched) and *add* series under a
 //! `backend` label dimension, so pre-existing dashboards keep reading the
 //! same values:
@@ -544,19 +543,6 @@ pub fn timeline_counter_tracks(timeline: &Timeline) -> Vec<CounterTrack> {
             &starts,
         ),
     ]
-}
-
-/// [`timeline_counter_tracks`] with every track name suffixed
-/// `" [<backend>]"` — the timeline's `backend` label. A mixed-protocol
-/// service merges one labelled track set per serving backend (or a single
-/// set labelled with the composite backend name) into the same device
-/// trace without the counter names colliding.
-pub fn timeline_counter_tracks_labeled(timeline: &Timeline, backend: &str) -> Vec<CounterTrack> {
-    let mut tracks = timeline_counter_tracks(timeline);
-    for track in &mut tracks {
-        track.name = format!("{} [{backend}]", track.name);
-    }
-    tracks
 }
 
 /// Converts per-stage run statistics into the analyzer's input form.
@@ -1084,25 +1070,6 @@ mod tests {
             ),
             0
         );
-    }
-
-    #[test]
-    fn labeled_counter_tracks_suffix_the_backend() {
-        use batchzk_metrics::TimelineConfig;
-        let mut t = Timeline::new(TimelineConfig {
-            window_cycles: 100,
-            max_windows: 4,
-            class_names: vec!["interactive".into()],
-            devices: 1,
-        });
-        t.record_accept(0, 0);
-        t.finalize(100);
-        let tracks = timeline_counter_tracks_labeled(&t, "mixed");
-        assert!(!tracks.is_empty());
-        for (labelled, plain) in tracks.iter().zip(timeline_counter_tracks(&t)) {
-            assert_eq!(labelled.name, format!("{} [mixed]", plain.name));
-            assert_eq!(labelled.points, plain.points);
-        }
     }
 
     #[test]

@@ -34,7 +34,7 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use batchzk_gpu_sim::{DevicePool, Gpu};
-use batchzk_metrics::{Timeline, TimelineConfig};
+use batchzk_metrics::{nearest_rank, Timeline, TimelineConfig};
 
 use crate::engine::{BoxedStage, PipelineError, PipelineExecutor, RunStats};
 
@@ -43,6 +43,13 @@ use crate::engine::{BoxedStage, PipelineError, PipelineExecutor, RunStats};
 /// doubles). 64 windows keep the BENCH.json `timeline` section readable
 /// while covering the committed reference replay without a merge pass.
 pub const TIMELINE_MAX_WINDOWS: usize = 64;
+
+/// Largest `arrival_cycle` [`run_service`] accepts. Device clocks and the
+/// flight recorder's window bounds are `u64` sums of an arrival cycle and
+/// the run's own cycles (at most a few recorded spans past the last
+/// arrival), so capping arrivals at 2^62 leaves three quarters of the
+/// range as headroom and no addition in the event loop can overflow.
+pub const MAX_ARRIVAL_CYCLE: u64 = 1 << 62;
 
 /// Priority class of a service request. Classes are a strict dispatch
 /// order: every queued `Interactive` request is dispatched before any
@@ -421,15 +428,6 @@ fn sample_timeline<T: Send>(
     }
 }
 
-/// Nearest-rank quantile of an ascending-sorted slice (0 when empty).
-fn quantile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
 /// Replays an open-loop request stream against a pool of per-device
 /// pipeline executors, interleaving `submit` with `step` under admission
 /// control, and reports per-class SLO accounting.
@@ -448,8 +446,9 @@ fn quantile(sorted: &[u64], q: f64) -> u64 {
 /// # Errors
 ///
 /// [`ServiceError::InvalidInput`] when the config fails
-/// [`ServiceConfig::validate`], the pool is empty, or the pool mixes
-/// device clock rates (the virtual time base would be incoherent).
+/// [`ServiceConfig::validate`], the pool is empty, the pool mixes device
+/// clock rates (the virtual time base would be incoherent), or a request
+/// arrives after [`MAX_ARRIVAL_CYCLE`].
 /// [`ServiceError::Pipeline`] propagates the first device-side failure;
 /// scripted fault plans are not absorbed here (see OPERATIONS.md — run
 /// degraded experiments through `run_sharded` instead).
@@ -473,6 +472,16 @@ pub fn run_service<T: Send>(
         return Err(ServiceError::InvalidInput(
             "service time base requires a homogeneous pool (mixed clock rates)".into(),
         ));
+    }
+
+    if let Some(r) = requests
+        .iter()
+        .find(|r| r.arrival_cycle > MAX_ARRIVAL_CYCLE)
+    {
+        return Err(ServiceError::InvalidInput(format!(
+            "arrival cycle {} exceeds the supported maximum {MAX_ARRIVAL_CYCLE}",
+            r.arrival_cycle
+        )));
     }
 
     // Stable sort: ties keep submission order, which defines request ids.
@@ -654,9 +663,9 @@ pub fn run_service<T: Send>(
             .iter()
             .filter(|&&l| l <= report.slo_cycles)
             .count() as u64;
-        report.latency_p50_cycles = quantile(&latencies, 0.50);
-        report.latency_p95_cycles = quantile(&latencies, 0.95);
-        report.latency_p99_cycles = quantile(&latencies, 0.99);
+        report.latency_p50_cycles = nearest_rank(&latencies, 0.50);
+        report.latency_p95_cycles = nearest_rank(&latencies, 0.95);
+        report.latency_p99_cycles = nearest_rank(&latencies, 0.99);
         report.latency_max_cycles = latencies.last().copied().unwrap_or(0);
     }
     debug_assert_eq!(
@@ -918,6 +927,31 @@ mod tests {
             DevicePool::from_profiles(vec![DeviceProfile::v100(), DeviceProfile::gh200()]);
         let err = run_service(&mut hetero, &config(), burst_requests(3), stages, true).unwrap_err();
         assert!(err.to_string().contains("homogeneous"), "{err}");
+    }
+
+    #[test]
+    fn far_future_arrivals_are_rejected_at_the_boundary() {
+        // A request at u64::MAX used to wrap the device clock (release) or
+        // panic on `clock += step` (debug).
+        let request = |arrival_cycle| {
+            vec![ServiceRequest {
+                class: PriorityClass::Interactive,
+                arrival_cycle,
+                task: 1u64,
+            }]
+        };
+        let mut pool = DevicePool::homogeneous(DeviceProfile::v100(), 1);
+        for cycle in [u64::MAX, MAX_ARRIVAL_CYCLE + 1] {
+            let err = run_service(&mut pool, &config(), request(cycle), stages, true).unwrap_err();
+            assert!(matches!(err, ServiceError::InvalidInput(_)), "{err}");
+        }
+        // The documented maximum itself is served, after a request at 0
+        // has fixed the flight recorder's origin as far away as it can be.
+        let mut requests = request(0);
+        requests.extend(request(MAX_ARRIVAL_CYCLE));
+        let outcome = run_service(&mut pool, &config(), requests, stages, true).unwrap();
+        assert_eq!(outcome.completions.len(), 2);
+        assert!(outcome.last_completion_cycle > MAX_ARRIVAL_CYCLE);
     }
 
     #[test]

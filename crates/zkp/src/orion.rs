@@ -8,10 +8,9 @@
 //!
 //! 1. **orion-encode** — arrange the coefficient matrix and encode every
 //!    row with the linear-time encoder ([`pcs::commit_encode`]);
-//! 2. **orion-merkle** — hash the interleaved-codeword columns through the
-//!    SoA SHA-256 kernel into Merkle leaves and build the commitment tree
-//!    ([`pcs::commit_merkle`]), seeding the Fiat–Shamir transcript from
-//!    the statement and root;
+//! 2. **orion-merkle** — hash the interleaved-codeword columns into Merkle
+//!    leaves and build the commitment tree ([`pcs::commit_merkle`]),
+//!    seeding the Fiat–Shamir transcript from the statement and root;
 //! 3. **orion-combine** — the proximity and evaluation combination rows,
 //!    `γᵀ·M` and `eq_row(r_hi)ᵀ·M`, via the field dot kernels
 //!    ([`pcs::open_combine`]);
