@@ -6,6 +6,9 @@
 //! own protocol never touches a curve; this crate exists so the "old
 //! protocol" columns are backed by real arithmetic rather than guesses.
 
+#![forbid(unsafe_code)]
+#![deny(missing_docs)]
+
 mod g1;
 mod msm;
 

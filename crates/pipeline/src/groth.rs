@@ -15,12 +15,22 @@
 //! 2. **quotient** — pointwise-multiply on the double domain, inverse-NTT
 //!    back, and fold-divide by the vanishing polynomial `x^n − 1`
 //!    (asserting a zero remainder — the witness must satisfy the gates);
-//! 3. **msm-bucket** — Pippenger bucket accumulation for the commitments
-//!    to `A, B, C, h`: four real G1 MSMs, charged as [`MSM_COUNT`]
-//!    G1-equivalents (the uncomputed fifth stands in for the G2 half);
-//! 4. **msm-reduce** — the per-window running-sum chains plus Fiat–Shamir
-//!    assembly: derive `r` from the commitments and emit the evaluation
-//!    proof.
+//! 3. **msm-bucket** — the commitments to `A, B, C, h`: four real G1
+//!    MSMs, run whole on the host by [`batchzk_curve::msm`] and charged as
+//!    [`MSM_COUNT`] G1-equivalents of bucket accumulation (the uncomputed
+//!    fifth stands in for the G2 half);
+//! 4. **msm-reduce** — on the host only normalises the four commitments,
+//!    derives `r` from them (Fiat–Shamir) and emits the evaluation proof;
+//!    it is charged the per-window running-sum reduction on top.
+//!
+//! The bucket / reduce split of stages 3 and 4 is the *modelled* device
+//! split, not where the host spends its time. The modelled operation count
+//! ([`msm_group_op_count`] over [`window_size`]: textbook unsigned-window
+//! Pippenger) and the host algorithm (signed windows, batch-affine
+//! buckets, its own window ladder) differ on purpose until the cost model
+//! is re-derived from counted operations (ROADMAP, "Make the simulated
+//! clock honest"): re-tuning the modelled ladder for the host would
+//! silently move every `sim_*` number.
 //!
 //! Stages overlap their H2D/D2H transfers with compute when the pipeline
 //! runs multi-stream (double-buffering), exactly like the sumcheck system.
@@ -368,7 +378,8 @@ impl PipeStage<GrothTask> for QuotientStage {
     }
 }
 
-/// Stage 3: Pippenger bucket accumulation — the four real commitment MSMs.
+/// Stage 3: the four real commitment MSMs, charged as Pippenger bucket
+/// accumulation on the modelled device kernel.
 struct MsmBucketStage {
     circuit: Arc<GrothCircuit>,
     threads: u32,
@@ -427,7 +438,8 @@ impl PipeStage<GrothTask> for MsmBucketStage {
     }
 }
 
-/// Stage 4: per-window running-sum reduction and Fiat–Shamir assembly.
+/// Stage 4: Fiat–Shamir assembly on the host (the MSMs finished in stage
+/// 3), charged the modelled per-window running-sum reduction as well.
 /// The pipelined backend charges the modern *parallelized* running-sum
 /// (the cuZK/GZKP-generation reduction the paper's contemporaries use);
 /// [`PipeStage::naive_phases`] carries the classic serial chains the

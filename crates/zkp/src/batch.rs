@@ -645,6 +645,34 @@ mod tests {
     }
 
     #[test]
+    fn groth_backend_known_answer_proofs() {
+        // SHA-256 of the proof's `Debug` rendering (canonical coordinates
+        // and evaluations), recorded at the commit before `curve::msm`
+        // became signed-digit and batch-affine: the commitments are the
+        // same group elements, so the proofs are the same bytes.
+        use crate::backend::GrothBackend;
+        let backend = GrothBackend::new(8);
+        let witnesses: Vec<Vec<Fr>> = [7, 7_061_979]
+            .map(|seed| backend.circuit().witness(seed))
+            .to_vec();
+        let mut gpu = Gpu::new(DeviceProfile::a100());
+        let run = prove_batch_with(&mut gpu, &backend, witnesses, 2048, true).expect("fits");
+        let digests = [
+            "4f08ba95ecc2d2208da894de5b6bd419a49ded9de935e2e780b0826de6071056",
+            "55a43bcf5ced64fae418330eb8f2e3e53d08e6c9f5d91e890f50734fc08a3434",
+        ];
+        for ((statement, proof), digest) in run.proofs.iter().zip(digests) {
+            assert!(backend.verify(statement, proof));
+            let rendered = format!("{proof:?}");
+            let found: String = batchzk_hash::sha256(rendered.as_bytes())
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect();
+            assert_eq!(found, digest);
+        }
+    }
+
+    #[test]
     fn batch_proofs_all_verify() {
         let (r1cs, batch) = instances(24, 6);
         let params = test_params();
