@@ -68,8 +68,9 @@
 //! merged in as counter tracks, for `chrome://tracing` or Perfetto).
 //!
 //! `profile` is also explicit-only: it self-times every hot-path kernel
-//! (strict/lazy Montgomery multiply, LUT vs naive binary inner products,
-//! SHA-256 compression, NTT butterflies) at the scale's `wall_log` size,
+//! (strict/deferred-reduction Montgomery multiply, LUT vs naive binary
+//! inner products, SHA-256 compression, NTT butterflies) at the scale's
+//! `wall_log` size,
 //! attributes one instrumented single-thread prove to named pipeline
 //! phases, prints the markdown report, and writes `PROFILE.json` to the
 //! current directory.

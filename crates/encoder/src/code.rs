@@ -218,15 +218,62 @@ impl<F: Field> Encoder<F> {
         self.levels.iter().map(|l| l.a.nnz() + l.b.nnz()).sum()
     }
 
-    /// Encodes a message (reference single-shot path).
+    /// Encodes a message: the width-1 case of [`Self::encode_batch`].
     ///
     /// # Panics
     ///
     /// Panics if `message.len() != self.message_len()`.
     pub fn encode(&self, message: &[F]) -> Vec<F> {
         assert_eq!(message.len(), self.message_len, "message length mismatch");
-        let ys = self.forward_pass(message);
-        self.backward_pass(message, &ys)
+        let mut code = Vec::with_capacity(self.codeword_len);
+        code.extend_from_slice(message);
+        code.resize(self.codeword_len, F::ZERO);
+        self.encode_batch(1, &mut code);
+        code
+    }
+
+    /// Encodes `width` messages at once, in place, in the interleaved
+    /// layout: `codewords` is `codeword_len × width` with the `width`
+    /// symbols of one codeword position contiguous (`codewords[j * width +
+    /// w]` is symbol `j` of message `w`). On entry its first `message_len ×
+    /// width` entries hold the messages; on return the rest holds the
+    /// redundancy, so message `w`'s codeword — equal to [`Self::encode`] of
+    /// it — is column `w`.
+    ///
+    /// A flattened codeword is `x ‖ y_1 ‖ … ‖ y_L ‖ v_{L-1} ‖ … ‖ v_0`
+    /// (`y_{l+1} = A_l · y_l`, `y_0 = x`, `v_l = B_l · z_l`): every `A_l`
+    /// reads the block just before the one it writes, and every `B_l` reads
+    /// the contiguous range `z_l = y_{l+1} ‖ … ‖ v_{l+1}` just before `v_l`.
+    /// So both sweeps run on disjoint halves of the one buffer, through
+    /// [`SparseMatrix::mul_batch`], with no intermediate vectors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width == 0` or `codewords.len() != codeword_len × width`.
+    pub fn encode_batch(&self, width: usize, codewords: &mut [F]) {
+        assert!(width > 0, "batch width must be positive");
+        assert_eq!(
+            codewords.len(),
+            self.codeword_len * width,
+            "codeword buffer shape mismatch"
+        );
+        // Forward sweep: y_{l+1} = A_l · y_l, each block right after its
+        // input. `start` is where y_l begins.
+        let mut start = 0;
+        for level in &self.levels {
+            let (input, output) = codewords[start * width..].split_at_mut(level.n * width);
+            level
+                .a
+                .mul_batch(width, input, &mut output[..level.a.rows() * width]);
+            start += level.n;
+        }
+        // Backward sweep, innermost level first: v_l = B_l · z_l, written
+        // right after z_l, which begins where y_{l+1} does.
+        for level in self.levels.iter().rev() {
+            let (z, v) = codewords[start * width..].split_at_mut(level.z_len * width);
+            level.b.mul_batch(width, z, &mut v[..level.v_len * width]);
+            start -= level.n;
+        }
     }
 
     /// Encodes a *binary* message (e.g. a bit-decomposed witness row).
@@ -418,6 +465,44 @@ mod tests {
         for w in ys.windows(2) {
             assert!(w[1].len() < w[0].len());
         }
+    }
+
+    #[test]
+    fn batch_encode_matches_per_message_paths_at_every_width() {
+        // Message lengths: identity code (no levels), one just past the
+        // base case, and the PCS row lengths. The stage-split path
+        // (`forward_pass` → `backward_pass`, one `mul_vec` per matrix) is
+        // the independent reference; `encode` is the batch's width-1 case.
+        for n in [16usize, 33, 200, 256] {
+            let enc = Encoder::<Fr>::new(n, EncoderParams::default(), 29);
+            let len = enc.codeword_len();
+            for width in [1usize, 3, 64] {
+                let msgs: Vec<Vec<Fr>> = (0..width)
+                    .map(|w| rand_msg(n, (n * 100 + w) as u64))
+                    .collect();
+                let mut buf = vec![Fr::ZERO; len * width];
+                for (w, msg) in msgs.iter().enumerate() {
+                    for (j, &m) in msg.iter().enumerate() {
+                        buf[j * width + w] = m;
+                    }
+                }
+                enc.encode_batch(width, &mut buf);
+                for (w, msg) in msgs.iter().enumerate() {
+                    let staged = enc.backward_pass(msg, &enc.forward_pass(msg));
+                    assert_eq!(enc.encode(msg), staged, "n={n} w={w}");
+                    let column: Vec<Fr> = (0..len).map(|j| buf[j * width + w]).collect();
+                    assert_eq!(column, staged, "n={n} width={width} w={w}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "shape mismatch")]
+    fn batch_encode_wrong_buffer_shape_panics() {
+        let enc = Encoder::<Fr>::new(100, EncoderParams::default(), 1);
+        let mut buf = vec![Fr::ZERO; enc.codeword_len() * 2 - 1];
+        enc.encode_batch(2, &mut buf);
     }
 
     #[test]

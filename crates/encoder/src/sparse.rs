@@ -160,7 +160,7 @@ impl<F: Field> SparseMatrix<F> {
     /// Computes `M · x` (`out[i] = Σ_j M[i][j] · x[j]`).
     ///
     /// Each row goes through [`Field::dot_pairs`], so Montgomery-backed
-    /// fields run the lazy-reduction fused multiply-accumulate kernel.
+    /// fields run the deferred-reduction kernel.
     ///
     /// # Panics
     ///
@@ -170,6 +170,38 @@ impl<F: Field> SparseMatrix<F> {
         (0..self.rows)
             .map(|i| F::dot_pairs(self.row(i).map(|(c, v)| (v, x[c]))))
             .collect()
+    }
+
+    /// Computes `M · X` for `width` input vectors at once, interleaved:
+    /// `x` is `cols × width` and `out` is `rows × width`, both with the
+    /// `width` entries of one index contiguous (`x[c * width + w]` is entry
+    /// `c` of vector `w`). Column `w` of `out` equals
+    /// [`Self::mul_vec`] of column `w` of `x`.
+    ///
+    /// Each matrix row keeps `width` deferred-reduction accumulators
+    /// ([`Field::DotAcc`]) and streams the contiguous input block of every
+    /// non-zero through them with the coefficient held in registers, so the
+    /// matrix is read once for all `width` vectors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width == 0` or a slice length does not match.
+    pub fn mul_batch(&self, width: usize, x: &[F], out: &mut [F]) {
+        assert!(width > 0, "batch width must be positive");
+        assert_eq!(x.len(), self.cols * width, "input dimension mismatch");
+        assert_eq!(out.len(), self.rows * width, "output dimension mismatch");
+        let mut accs = vec![F::DotAcc::default(); width];
+        for (i, out_row) in out.chunks_exact_mut(width).enumerate() {
+            accs.fill(F::DotAcc::default());
+            for (c, v) in self.row(i) {
+                for (acc, &xv) in accs.iter_mut().zip(&x[c * width..(c + 1) * width]) {
+                    F::dot_acc_add(acc, v, xv);
+                }
+            }
+            for (o, acc) in out_row.iter_mut().zip(&accs) {
+                *o = F::dot_acc_reduce(acc);
+            }
+        }
     }
 
     /// Computes `M · x` for a *binary* input vector: each row is a plain

@@ -171,70 +171,140 @@ pub const fn mont_mul(a: &Limbs, b: &Limbs, p: &Limbs, inv: u64) -> Limbs {
     }
 }
 
-/// Montgomery multiplication without the final conditional subtraction —
-/// the *lazy reduction* kernel.
+/// Width of a [`WideAcc`]: a full 512-bit product plus one overflow limb.
+pub const ACC_LIMBS: usize = 2 * NLIMBS + 1;
+
+/// Accumulator of the *deferred-reduction* inner-product kernel: the plain
+/// integer sum of unreduced 512-bit products `a·b`, nine little-endian
+/// limbs.
 ///
-/// # Contract
-///
-/// Requires `p < 2^254` (true of both BN254 fields) and `a, b < 2p`. The
-/// result is then `a * b * 2^{-256} mod p`, represented by some value
-/// `< 2p` — i.e. it stays inside the redundant `[0, 2p)` domain, so chains
-/// of multiply-accumulate steps can defer the canonicalizing subtraction to
-/// a single [`reduce_once`] at the very end. The bound follows from CIOS:
-/// the output is `(a·b + m·p)/2^256 < (4p² + 2^256·p)/2^256 < 2p` whenever
-/// `4p < 2^256`.
-#[inline]
-pub const fn mont_mul_unreduced(a: &Limbs, b: &Limbs, p: &Limbs, inv: u64) -> Limbs {
-    let mut t = [0u64; NLIMBS + 2];
+/// With `a, b < p < 2^254` every product is below `2^508`, so the nine
+/// limbs (576 bits) hold `2^68` of them — more terms than any slice can
+/// have — without overflow. Nothing is reduced while accumulating
+/// ([`acc_mul_add`]: 16 word multiplies per term, against the 36 of a CIOS
+/// [`mont_mul`]); [`acc_reduce`] pays for one Montgomery reduction per
+/// *output*.
+pub type WideAcc = [u64; ACC_LIMBS];
+
+/// Schoolbook 256×256 → 512-bit product, no reduction.
+#[inline(always)]
+pub const fn mul_wide(a: &Limbs, b: &Limbs) -> [u64; 2 * NLIMBS] {
+    let mut t = [0u64; 2 * NLIMBS];
     let mut i = 0;
     while i < NLIMBS {
         let mut carry = 0u64;
         let mut j = 0;
         while j < NLIMBS {
-            let (lo, c) = mac(t[j], a[i], b[j], carry);
+            let (lo, c) = mac(t[i + j], a[i], b[j], carry);
+            t[i + j] = lo;
+            carry = c;
+            j += 1;
+        }
+        t[i + NLIMBS] = carry;
+        i += 1;
+    }
+    t
+}
+
+/// `acc += a · b` as integers — the accumulate step of the
+/// deferred-reduction kernel (see [`WideAcc`] for the overflow bound).
+#[inline(always)]
+pub const fn acc_mul_add(acc: &mut WideAcc, a: &Limbs, b: &Limbs) {
+    let t = mul_wide(a, b);
+    let mut carry = 0u64;
+    let mut i = 0;
+    while i < 2 * NLIMBS {
+        let (s, c) = adc(acc[i], t[i], carry);
+        acc[i] = s;
+        carry = c;
+        i += 1;
+    }
+    acc[2 * NLIMBS] += carry;
+}
+
+/// Montgomery reduction of a 512-bit value: returns `t · 2^{-256} mod p`,
+/// canonical (`< p`).
+///
+/// Requires `t < p · 2^256` — i.e. the high half below `p` — and
+/// `p < 2^255`: the four reduction steps then leave `(t + m·p) / 2^256 <
+/// 2p`, which one conditional subtraction canonicalizes. 16 word multiplies
+/// (plus 4 for the `m`s); [`mont_mul`] is this fused with the 16 of
+/// [`mul_wide`].
+#[inline]
+pub const fn mont_reduce(t: &[u64; 2 * NLIMBS], p: &Limbs, inv: u64) -> Limbs {
+    let mut t = *t;
+    // Carry out of limb `i + NLIMBS` from the previous step.
+    let mut top = 0u64;
+    let mut i = 0;
+    while i < NLIMBS {
+        let m = t[i].wrapping_mul(inv);
+        let (_, mut carry) = mac(t[i], m, p[0], 0);
+        let mut j = 1;
+        while j < NLIMBS {
+            let (lo, c) = mac(t[i + j], m, p[j], carry);
+            t[i + j] = lo;
+            carry = c;
+            j += 1;
+        }
+        let (s, c) = adc(t[i + NLIMBS], top, carry);
+        t[i + NLIMBS] = s;
+        top = c;
+        i += 1;
+    }
+    // `top` is zero here: the result is below 2p < 2^256.
+    reduce_once(&[t[4], t[5], t[6], t[7]], p)
+}
+
+/// The reduce step of the deferred-reduction kernel: maps an accumulated
+/// integer `S = Σ aᵢ·bᵢ` to the canonical Montgomery product sum
+/// `S · 2^{-256} mod p` — bit-identical to summing [`mont_mul`] results
+/// with [`add_mod`], for any number of terms a [`WideAcc`] can hold.
+///
+/// `r2` is `2^512 mod p`. Three steps, each preserving the value mod `p`:
+/// the overflow limb is folded back (`limb₈ · 2^512 ≡ limb₈ · r2`), the
+/// high half is brought below `p` by subtracting `4p`, `2p`, `p` where they
+/// fit (it starts below `2^256 <= 8p` for a 254-bit modulus), and
+/// [`mont_reduce`] finishes with its single conditional subtraction.
+#[inline]
+pub const fn acc_reduce(acc: &WideAcc, p: &Limbs, inv: u64, r2: &Limbs) -> Limbs {
+    let mut t = [
+        acc[0], acc[1], acc[2], acc[3], acc[4], acc[5], acc[6], acc[7],
+    ];
+    // Fold limb 8. The sum is below 2^512 + 2^318, so it wraps at most
+    // once, and a wrapped sum is below 2^318: folding the wrap (another
+    // `r2 < 2^254`) cannot wrap again.
+    let mut fold = acc[2 * NLIMBS];
+    while fold != 0 {
+        let mut carry = 0u64;
+        let mut j = 0;
+        while j < NLIMBS {
+            let (lo, c) = mac(t[j], fold, r2[j], carry);
             t[j] = lo;
             carry = c;
             j += 1;
         }
-        let (s, c) = adc(t[NLIMBS], carry, 0);
-        t[NLIMBS] = s;
-        t[NLIMBS + 1] = c;
-
-        let m = t[0].wrapping_mul(inv);
-        let (_, mut carry) = mac(t[0], m, p[0], 0);
-        let mut j = 1;
-        while j < NLIMBS {
-            let (lo, c) = mac(t[j], m, p[j], carry);
-            t[j - 1] = lo;
+        while j < 2 * NLIMBS {
+            let (s, c) = adc(t[j], carry, 0);
+            t[j] = s;
             carry = c;
             j += 1;
         }
-        let (s, c) = adc(t[NLIMBS], carry, 0);
-        t[NLIMBS - 1] = s;
-        t[NLIMBS] = t[NLIMBS + 1] + c;
-        t[NLIMBS + 1] = 0;
-        i += 1;
+        fold = carry;
     }
-    // For p < 2^254 and inputs < 2p the result is < 2p < 2^255, so the
-    // carry limb is always zero here — no subtraction needed.
-    [t[0], t[1], t[2], t[3]]
+    let p2 = double_wide(p);
+    let p4 = double_wide(&p2);
+    let mut hi = [t[4], t[5], t[6], t[7]];
+    hi = reduce_once(&hi, &p4);
+    hi = reduce_once(&hi, &p2);
+    hi = reduce_once(&hi, p);
+    mont_reduce(
+        &[t[0], t[1], t[2], t[3], hi[0], hi[1], hi[2], hi[3]],
+        p,
+        inv,
+    )
 }
 
-/// Addition in the redundant `[0, 2p)` domain: both inputs `< 2p`, result
-/// `< 2p`. `two_p` must be `2p` (no overflow for `p < 2^254`).
-#[inline]
-pub const fn add_lazy(a: &Limbs, b: &Limbs, two_p: &Limbs) -> Limbs {
-    // a + b < 4p < 2^256 for p < 2^254, so the carry-out is always zero.
-    let (sum, _carry) = add_wide(a, b);
-    if geq(&sum, two_p) {
-        sub_wide(&sum, two_p).0
-    } else {
-        sum
-    }
-}
-
-/// Canonicalizes a redundant-domain value: maps `[0, 2p)` onto `[0, p)` with
-/// one conditional subtraction. The exit gate of every lazy-reduction chain.
+/// Maps `[0, 2p)` onto `[0, p)` with one conditional subtraction.
 #[inline]
 pub const fn reduce_once(a: &Limbs, p: &Limbs) -> Limbs {
     if geq(a, p) {
@@ -244,7 +314,7 @@ pub const fn reduce_once(a: &Limbs, p: &Limbs) -> Limbs {
     }
 }
 
-/// Doubles `2p` out of the modulus: `two_p = 2p`, valid for `p < 2^255`.
+/// Returns `2a`, valid while it fits 256 bits (`a < 2^255`).
 #[inline]
 pub const fn double_wide(p: &Limbs) -> Limbs {
     add_wide(p, p).0
@@ -399,37 +469,36 @@ mod tests {
     }
 
     #[test]
-    fn unreduced_mul_stays_below_two_p_and_matches_oracle() {
+    fn mul_wide_then_mont_reduce_is_mont_mul() {
         let inv = mont_inv64(P[0]);
-        let two_p = double_wide(&P);
         let mut st = 7u64;
         for _ in 0..200 {
-            // Inputs anywhere in the redundant [0, 2p) domain.
-            let a = rand_below(&two_p, &mut st);
-            let b = rand_below(&two_p, &mut st);
-            let u = mont_mul_unreduced(&a, &b, &P, inv);
-            assert!(!geq(&u, &two_p), "unreduced result escaped [0, 2p)");
-            // Canonicalized, it must equal the fully reduced CIOS on the
-            // canonicalized inputs.
-            let ar = reduce_once(&a, &P);
-            let br = reduce_once(&b, &P);
-            assert_eq!(reduce_once(&u, &P), mont_mul(&ar, &br, &P, inv));
+            let a = rand_below(&P, &mut st);
+            let b = rand_below(&P, &mut st);
+            assert_eq!(
+                mont_reduce(&mul_wide(&a, &b), &P, inv),
+                mont_mul(&a, &b, &P, inv)
+            );
         }
     }
 
     #[test]
-    fn add_lazy_closed_over_redundant_domain() {
-        let two_p = double_wide(&P);
+    fn accumulated_products_reduce_to_the_sum_of_mont_muls() {
+        let inv = mont_inv64(P[0]);
+        let r2 = pow2_mod(512, &P);
         let mut st = 11u64;
+        let mut acc: WideAcc = [0; ACC_LIMBS];
+        let mut expect = [0u64; NLIMBS];
+        assert_eq!(acc_reduce(&acc, &P, inv, &r2), expect);
+        // Enough terms that the overflow limb is in use (from ~16 on).
         for _ in 0..200 {
-            let a = rand_below(&two_p, &mut st);
-            let b = rand_below(&two_p, &mut st);
-            let s = add_lazy(&a, &b, &two_p);
-            assert!(!geq(&s, &two_p));
-            // Same value mod p as the canonical modular addition.
-            let expect = add_mod(&reduce_once(&a, &P), &reduce_once(&b, &P), &P);
-            assert_eq!(reduce_once(&s, &P), expect);
+            let a = rand_below(&P, &mut st);
+            let b = rand_below(&P, &mut st);
+            acc_mul_add(&mut acc, &a, &b);
+            expect = add_mod(&expect, &mont_mul(&a, &b, &P, inv), &P);
+            assert_eq!(acc_reduce(&acc, &P, inv, &r2), expect);
         }
+        assert!(acc[2 * NLIMBS] > 0);
     }
 
     #[test]

@@ -44,10 +44,6 @@ macro_rules! declare_field {
                 $crate::limb::pow2_mod(512, &Self::MODULUS);
             /// `-p^{-1} mod 2^64`.
             pub const INV: u64 = $crate::limb::mont_inv64(Self::MODULUS[0]);
-            /// `2p` — the ceiling of the redundant lazy-reduction domain
-            /// used by the fused multiply-accumulate kernels.
-            pub const TWO_P: $crate::limb::Limbs =
-                $crate::limb::double_wide(&Self::MODULUS);
 
             /// Builds an element from its Montgomery representation.
             /// Internal: callers must guarantee `limbs < p`.
@@ -81,11 +77,23 @@ macro_rules! declare_field {
                 ))
             }
 
-            /// Returns the canonical (non-Montgomery) limbs of this element.
+            /// Returns the canonical (non-Montgomery) limbs of this element:
+            /// one Montgomery reduction of the stored limbs, no multiply.
+            #[inline]
             pub fn to_canonical_limbs(self) -> $crate::limb::Limbs {
-                $crate::limb::mont_mul(&self.0, &[1, 0, 0, 0], &Self::MODULUS, Self::INV)
+                let [l0, l1, l2, l3] = self.0;
+                $crate::limb::mont_reduce(
+                    &[l0, l1, l2, l3, 0, 0, 0, 0],
+                    &Self::MODULUS,
+                    Self::INV,
+                )
             }
         }
+
+        // `limb::acc_reduce` (high half below 8p, 4p fits 256 bits) and the
+        // single conditional subtraction of `limb::mont_reduce` need a
+        // 254-bit modulus: 2^253 <= p < 2^254.
+        const _: () = assert!($name::MODULUS[3] >> 61 == 1);
 
         impl core::fmt::Debug for $name {
             fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
@@ -279,28 +287,26 @@ macro_rules! declare_field {
                 Self::generator().pow(&exp)
             }
 
-            fn dot_pairs(pairs: impl Iterator<Item = (Self, Self)>) -> Self {
-                // Lazy-reduction fused multiply-accumulate: unreduced CIOS
-                // products accumulated in the redundant [0, 2p) domain, one
-                // canonicalizing subtraction at the very end. Bit-identical
-                // to the trait's multiply-then-add default.
-                let mut acc = [0u64; $crate::limb::NLIMBS];
-                for (a, b) in pairs {
-                    let prod = $crate::limb::mont_mul_unreduced(
-                        &a.0,
-                        &b.0,
-                        &Self::MODULUS,
-                        Self::INV,
-                    );
-                    acc = $crate::limb::add_lazy(&acc, &prod, &Self::TWO_P);
-                }
-                Self($crate::limb::reduce_once(&acc, &Self::MODULUS))
+            type DotAcc = $crate::limb::WideAcc;
+
+            #[inline(always)]
+            fn dot_acc_add(acc: &mut Self::DotAcc, a: Self, b: Self) {
+                $crate::limb::acc_mul_add(acc, &a.0, &b.0);
+            }
+
+            #[inline]
+            fn dot_acc_reduce(acc: &Self::DotAcc) -> Self {
+                Self($crate::limb::acc_reduce(
+                    acc,
+                    &Self::MODULUS,
+                    Self::INV,
+                    &Self::R2,
+                ))
             }
         }
 
         impl $crate::MontLimbs for $name {
             const P: $crate::limb::Limbs = Self::MODULUS;
-            const P2: $crate::limb::Limbs = Self::TWO_P;
             const NEG_INV: u64 = Self::INV;
 
             #[inline]

@@ -111,16 +111,38 @@ pub trait Field:
     /// Panics if `k > Self::TWO_ADICITY`.
     fn two_adic_root(k: u32) -> Self;
 
-    /// Inner product `Σ aᵢ·bᵢ` over an iterator of pairs — the hot loop of
-    /// sparse-matrix rows, row combinations, and sum-check folds.
+    /// Accumulator of an inner product whose reduction is deferred to the
+    /// end: [`Self::dot_acc_add`] adds one product, [`Self::dot_acc_reduce`]
+    /// reads the sum out. `Default` is the empty sum.
     ///
-    /// The default implementation is the textbook multiply-then-add loop.
-    /// Montgomery-backed fields override it with a lazy-reduction fused
-    /// multiply-accumulate (unreduced CIOS products accumulated in the
-    /// redundant `[0, 2p)` domain, one canonicalizing subtraction at the
-    /// end). Overrides must return bit-identical results to this default.
+    /// Montgomery-backed fields use [`crate::limb::WideAcc`] — the integer
+    /// sum of unreduced 512-bit products, 16 word multiplies per term and
+    /// one Montgomery reduction per output; a field without such a kernel
+    /// uses `Self` (multiply, then add). Either way the reduced value must
+    /// be bit-identical to the multiply-then-add fold `acc ← acc + aᵢ·bᵢ`
+    /// from [`Self::ZERO`].
+    ///
+    /// Exposed so a caller computing many inner products that share one
+    /// operand (a sparse matrix row against `w` interleaved messages) can
+    /// keep a vector of accumulators and stream the other operand through
+    /// them contiguously.
+    type DotAcc: Copy + Default + Send + Sync;
+
+    /// `acc += a · b`.
+    fn dot_acc_add(acc: &mut Self::DotAcc, a: Self, b: Self);
+
+    /// The accumulated sum as a canonical field element.
+    fn dot_acc_reduce(acc: &Self::DotAcc) -> Self;
+
+    /// Inner product `Σ aᵢ·bᵢ` over an iterator of pairs — the hot loop of
+    /// sparse-matrix rows, row combinations, and sum-check folds — through
+    /// one [`Self::DotAcc`].
     fn dot_pairs(pairs: impl Iterator<Item = (Self, Self)>) -> Self {
-        pairs.fold(Self::ZERO, |acc, (a, b)| acc + a * b)
+        let mut acc = Self::DotAcc::default();
+        for (a, b) in pairs {
+            Self::dot_acc_add(&mut acc, a, b);
+        }
+        Self::dot_acc_reduce(&acc)
     }
 
     /// Slice inner product `Σ aᵢ·bᵢ` over the common prefix of `a` and `b`.
@@ -135,8 +157,6 @@ pub trait Field:
 pub trait MontLimbs: Field {
     /// The field modulus `p`.
     const P: Limbs;
-    /// `2p` — the ceiling of the redundant lazy-reduction domain.
-    const P2: Limbs;
     /// `-p^{-1} mod 2^64`, the Montgomery reduction constant.
     const NEG_INV: u64;
 
@@ -147,8 +167,8 @@ pub trait MontLimbs: Field {
     ///
     /// The caller must guarantee `limbs < p`. Passing an unreduced value is
     /// memory-safe but yields an element that breaks `Eq`/serialization
-    /// canonicity, so every kernel must canonicalize (e.g. via
-    /// [`crate::limb::reduce_once`]) before calling this.
+    /// canonicity, so every kernel must canonicalize (as
+    /// [`crate::limb::acc_reduce`] does) before calling this.
     fn from_mont_limbs_unchecked(limbs: Limbs) -> Self;
 }
 

@@ -1,155 +1,117 @@
-//! Property tests for the hot-path kernels: lazy-reduction bounds, oracle
-//! agreement on edge-case limbs, byte-identity of the `dot_pairs` override
-//! against the trait default, and LUT-vs-naive equivalence.
+//! Property tests for the hot-path kernels: the deferred-reduction dot
+//! kernel against the multiply-then-add fold and the schoolbook-division
+//! oracle, at the carry and term-count edges, and LUT-vs-naive equivalence.
 //!
 //! These are the guarantees that let the rest of the workspace adopt the
 //! fast paths without re-auditing: every kernel is bit-identical to the
-//! schoolbook definition, and every intermediate stays inside its documented
-//! redundant domain.
+//! schoolbook definition.
 
-use batchzk_field::limb::{
-    add_lazy, double_wide, geq, mont_mul, mont_mul_unreduced, naive_mul_mod, reduce_once, Limbs,
-};
+use batchzk_field::limb::{acc_mul_add, acc_reduce, mont_reduce, naive_mul_mod, WideAcc};
 use batchzk_field::lut::{naive_select_sum, SubsetSumLUT};
-use batchzk_field::{Field, Fr, MontLimbs, RngCore, SplitMix64};
+use batchzk_field::{Field, Fq, Fr, MontLimbs, RngCore, SplitMix64};
 
-const P: Limbs = Fr::MODULUS;
-
-fn two_p() -> Limbs {
-    double_wide(&P)
+/// The documented reference for `dot_pairs`: multiply, then add, from zero.
+fn fold<F: Field>(a: &[F], b: &[F]) -> F {
+    a.iter().zip(b).fold(F::ZERO, |acc, (x, y)| acc + *x * *y)
 }
 
-/// Strictly-less-than over little-endian limbs.
-fn lt(a: &Limbs, b: &Limbs) -> bool {
-    !geq(a, b)
-}
+/// Term counts around the accumulator's landmarks: empty, the first terms,
+/// either side of 16 (where limb 8 first becomes non-zero at maximal
+/// operands), and long enough that limb 8 holds thousands.
+const LENGTHS: [usize; 9] = [0, 1, 2, 5, 6, 16, 17, 1_000, 70_000];
 
-/// Uniform sample below `bound` by rejection.
-fn rand_below(rng: &mut SplitMix64, bound: &Limbs) -> Limbs {
-    loop {
-        let cand: Limbs = core::array::from_fn(|_| rng.next_u64());
-        if lt(&cand, bound) {
-            return cand;
-        }
-    }
-}
-
-/// The edge-case inputs the lazy kernels must handle: identities, boundary
-/// values of both the canonical and redundant domains, and the Montgomery
-/// constants themselves.
-fn edge_cases() -> Vec<Limbs> {
-    let p_minus_1 = {
-        let mut l = P;
-        l[0] -= 1; // p[0] is odd, no borrow
-        l
-    };
-    let two_p_minus_1 = {
-        let mut l = two_p();
-        l[0] -= 1;
-        l
-    };
-    vec![
-        [0, 0, 0, 0],
-        [1, 0, 0, 0],
-        p_minus_1,
-        P,
-        two_p_minus_1,
-        Fr::R,
-        Fr::R2,
-    ]
-}
-
-#[test]
-fn unreduced_mul_bounded_and_oracle_exact_on_edges_and_random() {
-    let mut rng = SplitMix64::seed_from_u64(0xB00);
-    let tp = two_p();
-    let mut inputs = edge_cases();
-    for _ in 0..200 {
-        inputs.push(rand_below(&mut rng, &tp));
-    }
-    for a in &inputs {
-        for b in &inputs {
-            let unreduced = mont_mul_unreduced(a, b, &P, Fr::INV);
-            // Closure of the redundant domain: inputs < 2p ⇒ output < 2p.
-            assert!(
-                lt(&unreduced, &tp),
-                "unreduced out of domain: {a:?} * {b:?}"
-            );
-            // Canonicalizing matches the strict CIOS kernel modulo p. The
-            // strict kernel wants canonical inputs, so reduce first.
-            let ar = reduce_once(a, &P);
-            let br = reduce_once(b, &P);
-            let strict = mont_mul(&ar, &br, &P, Fr::INV);
-            // a ≡ ar and b ≡ br (mod p), so the unreduced product reduces to
-            // the same residue.
-            assert_eq!(reduce_once(&unreduced, &P), strict, "{a:?} * {b:?}");
-        }
+fn dot_matches_fold<F: Field>(seed: u64) {
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    for n in LENGTHS {
+        // All operands p − 1: every product is the largest possible, so
+        // the carry into limb 8 is maximal for the term count.
+        let top = vec![-F::ONE; n];
+        assert_eq!(
+            F::dot(&top, &top).to_bytes(),
+            fold(&top, &top).to_bytes(),
+            "p-1, n={n}"
+        );
+        let zero = vec![F::ZERO; n];
+        assert_eq!(F::dot(&zero, &top), F::ZERO, "zero, n={n}");
+        let a: Vec<F> = (0..n).map(|_| F::random(&mut rng)).collect();
+        let b: Vec<F> = (0..n).map(|_| F::random(&mut rng)).collect();
+        // Compared through the canonical byte encoding, so a
+        // non-canonical representative would surface.
+        assert_eq!(
+            F::dot(&a, &b).to_bytes(),
+            fold(&a, &b).to_bytes(),
+            "random, n={n}"
+        );
     }
 }
 
 #[test]
-fn unreduced_mul_matches_division_oracle() {
-    // mont_mul computes a·b·2^{-256} mod p; multiplying back by R recovers
-    // a·b mod p, which the schoolbook + long-division oracle checks.
+fn fr_dot_is_bit_identical_to_multiply_then_add() {
+    dot_matches_fold::<Fr>(0xB04);
+}
+
+#[test]
+fn fq_dot_is_bit_identical_to_multiply_then_add() {
+    dot_matches_fold::<Fq>(0xB05);
+}
+
+#[test]
+fn acc_reduce_is_canonical_at_the_accumulator_ceiling() {
+    // An accumulator no dot product of representable length reaches —
+    // every limb, the overflow limb included, at its maximum — still
+    // reduces to a canonical element, congruent to the limb-wise value:
+    // acc = Σ limbᵢ·2^(64i), reduced = acc · 2^-256.
+    let acc: WideAcc = [u64::MAX; 9];
+    let got = Fr::from_mont_limbs_unchecked(acc_reduce(&acc, &Fr::P, Fr::NEG_INV, &Fr::R2));
+    assert_eq!(Fr::from_bytes(&got.to_bytes()), Some(got), "canonical");
+    // As field elements: a Montgomery-form x stands for x·2^-256, so
+    // from_mont_limbs(acc·2^-256) = Σ limbᵢ·2^(64i)·2^-512 in value.
+    let two64 = Fr::from(u64::MAX) + Fr::ONE;
+    let mut value = Fr::ZERO;
+    for limb in acc.iter().rev() {
+        value = value * two64 + Fr::from(*limb);
+    }
+    let r_inv = Fr::from_canonical_limbs(Fr::R)
+        .inverse()
+        .expect("R is a unit");
+    assert_eq!(got, value * r_inv * r_inv);
+}
+
+#[test]
+fn accumulate_then_reduce_matches_division_oracle() {
+    // One term: acc_reduce(a·b) = a·b·2^-256 mod p; multiplying back by R
+    // recovers a·b mod p, which the schoolbook + long-division oracle —
+    // sharing no code with the kernel — checks.
     let mut rng = SplitMix64::seed_from_u64(0xB01);
     for _ in 0..100 {
-        let a = rand_below(&mut rng, &P);
-        let b = rand_below(&mut rng, &P);
-        let mont = reduce_once(&mont_mul_unreduced(&a, &b, &P, Fr::INV), &P);
-        let undone = naive_mul_mod(&mont, &Fr::R, &P);
-        assert_eq!(undone, naive_mul_mod(&a, &b, &P));
+        let a = Fr::random(&mut rng).mont_limbs();
+        let b = Fr::random(&mut rng).mont_limbs();
+        let mut acc = WideAcc::default();
+        acc_mul_add(&mut acc, &a, &b);
+        let mont = acc_reduce(&acc, &Fr::P, Fr::NEG_INV, &Fr::R2);
+        assert_eq!(
+            naive_mul_mod(&mont, &Fr::R, &Fr::P),
+            naive_mul_mod(&a, &b, &Fr::P)
+        );
     }
 }
 
 #[test]
-fn add_lazy_closed_and_congruent() {
+fn to_bytes_is_the_reduction_of_the_stored_limbs() {
+    // `to_canonical_limbs` is `mont_reduce` of the stored limbs; it must
+    // agree with multiplying by the canonical 1 and with the oracle.
     let mut rng = SplitMix64::seed_from_u64(0xB02);
-    let tp = two_p();
-    let mut inputs = edge_cases();
-    inputs.retain(|l| lt(l, &tp));
-    for _ in 0..200 {
-        inputs.push(rand_below(&mut rng, &tp));
-    }
-    for a in &inputs {
-        for b in &inputs {
-            let sum = add_lazy(a, b, &tp);
-            assert!(lt(&sum, &tp), "add_lazy left the redundant domain");
-            // Congruence: reduce everything canonically and compare against
-            // field addition.
-            let fa = Fr::from_mont_limbs_unchecked(reduce_once(a, &P));
-            let fb = Fr::from_mont_limbs_unchecked(reduce_once(b, &P));
-            let fs = Fr::from_mont_limbs_unchecked(reduce_once(&sum, &P));
-            assert_eq!(fa + fb, fs);
-        }
-    }
-}
-
-#[test]
-fn dot_pairs_override_is_byte_identical_to_default() {
-    // The macro override (lazy accumulate) against the trait's documented
-    // default (multiply-then-add fold), compared through the canonical byte
-    // encoding so any canonicity break would surface.
-    let mut rng = SplitMix64::seed_from_u64(0xB04);
-    for n in [0usize, 1, 2, 3, 7, 64, 257] {
-        let a: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
-        let b: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
-        let fast = Fr::dot(&a, &b);
-        let naive = a.iter().zip(&b).fold(Fr::ZERO, |acc, (x, y)| acc + *x * *y);
-        assert_eq!(fast.to_bytes(), naive.to_bytes(), "n={n}");
-    }
-    // Edge values: ±1 and values that exercise the top of the domain.
-    let specials = [
-        Fr::ZERO,
-        Fr::ONE,
-        -Fr::ONE,
-        Fr::from_mont_limbs_unchecked(reduce_once(&Fr::R2, &P)),
-    ];
-    for &x in &specials {
-        for &y in &specials {
-            let fast = Fr::dot_pairs([(x, y); 5].into_iter());
-            let naive = (x * y) * Fr::from(5u64);
-            assert_eq!(fast.to_bytes(), naive.to_bytes());
-        }
+    let mut samples = vec![Fr::ZERO, Fr::ONE, -Fr::ONE];
+    samples.extend((0..100).map(|_| Fr::random(&mut rng)));
+    for x in samples {
+        let m = x.mont_limbs();
+        let canonical = x.to_canonical_limbs();
+        assert_eq!(
+            canonical,
+            mont_reduce(&[m[0], m[1], m[2], m[3], 0, 0, 0, 0], &Fr::P, Fr::NEG_INV)
+        );
+        assert_eq!(naive_mul_mod(&canonical, &Fr::R, &Fr::P), m);
+        assert_eq!(Fr::from_canonical_limbs(canonical), x);
     }
 }
 

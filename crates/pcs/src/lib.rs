@@ -13,22 +13,32 @@
 //! `z̃(r) = eq_row(r_hi)ᵀ · M · eq_col(r_lo)`, which is what makes the
 //! row-combination protocol complete.
 //!
+//! Memory layout = hashed layout. The encoded matrix lives in one flat
+//! *interleaved* buffer, `codeword_len × n_rows`, codeword column `j` (the
+//! `n_rows` symbols `row_0[j] … row_{n_rows-1}[j]` one Merkle leaf hashes)
+//! contiguous. The encode stage produces it — its first `n_cols` columns
+//! are `Mᵀ`, the rest the redundancy — and every later stage reads
+//! contiguous columns of it; no second copy of the matrix exists.
+//!
 //! The prover API is phase-split along the pipeline seams of the Figure 7
 //! schedule, one function per module stage:
 //!
-//! 1. [`commit_encode`] — arrange the matrix, encode every row (encoder
-//!    module);
+//! 1. [`PcsKey::commit_encode`] — transpose the matrix into the buffer and
+//!    encode all rows at once (encoder module);
 //! 2. [`commit_merkle`] — hash the interleaved-codeword columns into
 //!    leaves and build the tree (Merkle module);
 //! 3. [`open_combine`] — the proximity and evaluation combination rows,
-//!    random linear combinations computed with the field dot kernels
-//!    (sum-check-style fold arithmetic);
+//!    one field dot product per matrix column (sum-check-style fold
+//!    arithmetic);
 //! 4. [`open_queries`] — the transcript-seeded column openings with their
 //!    Merkle paths, emitting the finished [`PcsOpening`].
 //!
-//! [`commit`] and [`open`] are the un-pipelined compositions; both paths
-//! are byte-identical. The pipelined four-stage prover built on these
-//! phases lives in `batchzk-zkp`'s `orion` module.
+//! A [`PcsKey`] holds what depends only on the parameters and the
+//! polynomial size — the matrix shape and the expander-code [`Encoder`] —
+//! and is built once per prover or verifier. The free functions taking
+//! `&PcsParams` ([`commit_encode`], [`commit`], [`verify`]) are one-shot
+//! compositions that build a key for the call. The pipelined four-stage
+//! prover built on these phases lives in `batchzk-zkp`'s `orion` module.
 //!
 //! Like Brakedown itself, this PCS is *not* zero-knowledge on its own (see
 //! `DESIGN.md` for the documented simplifications); the paper's evaluation
@@ -39,9 +49,10 @@
 
 use batchzk_encoder::{Encoder, EncoderParams};
 use batchzk_field::Field;
-use batchzk_hash::{Digest, Sha256, Transcript};
+use batchzk_hash::{sha256, Digest, Transcript};
 use batchzk_merkle::{MerklePath, MerkleTree};
 use batchzk_sumcheck::eq_table;
+
 /// Public parameters of the commitment scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PcsParams {
@@ -75,36 +86,6 @@ pub struct PcsCommitment {
     pub n_rows: usize,
     /// Number of matrix columns (power of two, the encoder message length).
     pub n_cols: usize,
-}
-
-/// Prover-side state kept between commit and open.
-#[derive(Debug)]
-pub struct PcsProverData<F> {
-    /// The coefficient matrix, row-major (`n_rows` rows of `n_cols`).
-    rows: Vec<Vec<F>>,
-    /// The encoded rows (`n_rows` rows of codeword length).
-    encoded: Vec<Vec<F>>,
-    /// Merkle tree over column hashes.
-    tree: MerkleTree,
-    /// The encoder (shared with the verifier through the seed).
-    encoder: Encoder<F>,
-}
-
-impl<F: Field> PcsProverData<F> {
-    /// The codeword length.
-    pub fn codeword_len(&self) -> usize {
-        self.encoder.codeword_len()
-    }
-
-    /// Number of rows.
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Total encoding work in sparse-matrix terms (for the GPU cost model).
-    pub fn encode_nnz(&self) -> usize {
-        self.encoder.total_nnz() * self.rows.len()
-    }
 }
 
 /// One opened column with its authentication path.
@@ -145,14 +126,30 @@ impl<F: Field> PcsOpening<F> {
 /// Domain-separation prefix of every column leaf hash.
 const COLUMN_PREFIX: &[u8] = b"batchzk-pcs-column";
 
-/// Hashes one codeword column into a Merkle leaf digest.
-fn hash_column<'a, F: Field>(values: impl IntoIterator<Item = &'a F>) -> Digest {
-    let mut h = Sha256::new();
-    h.update(COLUMN_PREFIX);
-    for v in values {
-        h.update(&v.to_bytes());
+/// Hashes codeword columns into Merkle leaf digests: the leaf is
+/// `SHA-256(COLUMN_PREFIX ‖ canonical bytes of the column)`, assembled in
+/// one buffer reused across columns so each leaf is a single contiguous
+/// hash.
+struct ColumnHasher {
+    message: Vec<u8>,
+}
+
+impl ColumnHasher {
+    fn new(n_rows: usize) -> Self {
+        let mut message = COLUMN_PREFIX.to_vec();
+        message.resize(COLUMN_PREFIX.len() + n_rows * 32, 0);
+        Self { message }
     }
-    h.finalize()
+
+    /// The leaf digest of one column of the length given to [`Self::new`].
+    fn leaf<F: Field>(&mut self, column: &[F]) -> Digest {
+        let body = &mut self.message[COLUMN_PREFIX.len()..];
+        assert_eq!(body.len(), column.len() * 32, "column length mismatch");
+        for (bytes, v) in body.chunks_exact_mut(32).zip(column) {
+            bytes.copy_from_slice(&v.to_bytes());
+        }
+        sha256(&self.message)
+    }
 }
 
 /// Picks the matrix shape for a `k`-variable polynomial: columns get
@@ -163,35 +160,239 @@ pub fn matrix_shape(k: usize) -> (usize, usize) {
     (1 << row_vars, 1 << col_vars)
 }
 
-/// Output of the encoding phase of a commitment — the hand-off point
-/// between the encoder module and the Merkle module in the Figure 7
-/// pipeline.
-#[derive(Debug)]
-pub struct EncodedRows<F> {
-    rows: Vec<Vec<F>>,
-    encoded: Vec<Vec<F>>,
+/// Everything about the scheme that depends only on the parameters and
+/// the polynomial size: the matrix shape and the expander-code encoder.
+/// Built once per prover or verifier and shared across proofs: building it
+/// samples every expander matrix, about a fifth of the time the whole
+/// matrix then takes to encode.
+#[derive(Debug, Clone)]
+pub struct PcsKey<F> {
+    params: PcsParams,
+    num_vars: usize,
+    n_rows: usize,
     encoder: Encoder<F>,
 }
 
-impl<F: Field> EncodedRows<F> {
+impl<F: Field> PcsKey<F> {
+    /// Builds the key for `2^num_vars`-evaluation polynomials.
+    pub fn new(params: PcsParams, num_vars: usize) -> Self {
+        let (n_rows, n_cols) = matrix_shape(num_vars);
+        Self {
+            params,
+            num_vars,
+            n_rows,
+            encoder: Encoder::new(n_cols, params.encoder, params.seed),
+        }
+    }
+
+    /// The PCS parameter set.
+    pub fn pcs(&self) -> &PcsParams {
+        &self.params
+    }
+
+    /// Number of variables of each committed polynomial.
+    pub fn num_vars(&self) -> usize {
+        self.num_vars
+    }
+
+    /// Number of matrix rows.
+    pub fn n_rows(&self) -> usize {
+        self.n_rows
+    }
+
+    /// Number of matrix columns (the encoder message length).
+    pub fn n_cols(&self) -> usize {
+        self.encoder.message_len()
+    }
+
     /// The codeword length.
     pub fn codeword_len(&self) -> usize {
         self.encoder.codeword_len()
     }
 
+    /// Sparse-matrix non-zeros of encoding *one* row (GPU cost model).
+    pub fn row_nnz(&self) -> usize {
+        self.encoder.total_nnz()
+    }
+
+    /// Column queries each opening answers.
+    pub fn column_tests(&self) -> usize {
+        column_tests(&self.params, self.codeword_len())
+    }
+
+    /// Phase 1 of a commitment: transpose the evaluations, viewed as the
+    /// row-major `n_rows × n_cols` matrix, into the systematic prefix of
+    /// the interleaved buffer, then encode all rows at once
+    /// ([`Encoder::encode_batch`] at width `n_rows`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `evals.len() != 2^num_vars`.
+    pub fn commit_encode(&self, evals: &[F]) -> EncodedRows<F> {
+        assert_eq!(
+            evals.len(),
+            1usize << self.num_vars,
+            "evaluation table must match the key's shape"
+        );
+        let (n_rows, n_cols) = (self.n_rows, self.n_cols());
+        let mut codewords = vec![F::ZERO; self.codeword_len() * n_rows];
+        // Tiled, so both the row-major reads and the column-major writes
+        // stay within a few cache lines per tile.
+        const TILE: usize = 8;
+        for j0 in (0..n_cols).step_by(TILE) {
+            for i0 in (0..n_rows).step_by(TILE) {
+                for j in j0..(j0 + TILE).min(n_cols) {
+                    for i in i0..(i0 + TILE).min(n_rows) {
+                        codewords[j * n_rows + i] = evals[i * n_cols + j];
+                    }
+                }
+            }
+        }
+        self.encoder.encode_batch(n_rows, &mut codewords);
+        EncodedRows {
+            codewords,
+            n_rows,
+            n_cols,
+            codeword_len: self.codeword_len(),
+            row_nnz: self.row_nnz(),
+        }
+    }
+
+    /// Commits to a multilinear polynomial given by its `2^num_vars`
+    /// evaluations (both phases in one call).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `evals.len() != 2^num_vars`.
+    pub fn commit(&self, evals: &[F]) -> (PcsCommitment, PcsProverData<F>) {
+        commit_merkle(self.commit_encode(evals))
+    }
+
+    /// Verifies an opening against a commitment. A commitment whose shape
+    /// is not this key's is rejected.
+    ///
+    /// The transcript must be in the same state the prover's was when
+    /// `open` ran (commitment already absorbed).
+    pub fn verify(
+        &self,
+        commitment: &PcsCommitment,
+        point: &[F],
+        value: F,
+        opening: &PcsOpening<F>,
+        transcript: &mut Transcript,
+    ) -> bool {
+        let (n_rows, n_cols) = (self.n_rows, self.n_cols());
+        if (commitment.n_rows, commitment.n_cols) != (n_rows, n_cols)
+            || opening.proximity_row.len() != n_cols
+            || opening.combined_row.len() != n_cols
+            || point.len() != self.num_vars
+        {
+            return false;
+        }
+        let (eq_col, eq_row) = point_tensors(point, n_rows, n_cols);
+
+        // Mirror the prover's transcript interaction.
+        let gamma: Vec<F> = transcript.challenge_fields(b"pcs-gamma", n_rows);
+        transcript.absorb_fields(b"pcs-proximity-row", &opening.proximity_row);
+        transcript.absorb_fields(b"pcs-combined-row", &opening.combined_row);
+
+        let expected_tests = self.column_tests();
+        let indices =
+            transcript.challenge_indices(b"pcs-columns", expected_tests, self.codeword_len());
+        if opening.columns.len() != expected_tests {
+            return false;
+        }
+        // Re-encode the claimed rows (the verifier's only super-logarithmic
+        // work, as in Brakedown).
+        let enc_proximity = self.encoder.encode(&opening.proximity_row);
+        let enc_combined = self.encoder.encode(&opening.combined_row);
+
+        let mut hasher = ColumnHasher::new(n_rows);
+        for (expected_index, col) in indices.iter().zip(&opening.columns) {
+            if col.index != *expected_index || col.values.len() != n_rows {
+                return false;
+            }
+            // Merkle membership of the exact column bytes.
+            if col.path.index() != col.index
+                || col.path.leaf() != hasher.leaf(&col.values)
+                || !col.path.verify(&commitment.root)
+            {
+                return false;
+            }
+            // Proximity: γᵀ · U[:, j] == enc(γᵀ · M)[j].
+            if F::dot(&gamma, &col.values) != enc_proximity[col.index] {
+                return false;
+            }
+            // Consistency: eq_rowᵀ · U[:, j] == enc(eq_rowᵀ · M)[j].
+            if F::dot(&eq_row, &col.values) != enc_combined[col.index] {
+                return false;
+            }
+        }
+
+        // Final evaluation: ⟨combined_row, eq_col⟩ must equal the claim.
+        F::dot(&opening.combined_row, &eq_col) == value
+    }
+}
+
+/// Output of the encoding phase of a commitment — the hand-off point
+/// between the encoder module and the Merkle module in the Figure 7
+/// pipeline: the interleaved codeword buffer and its shape.
+#[derive(Debug)]
+pub struct EncodedRows<F> {
+    /// `codeword_len × n_rows`, codeword column `j` at
+    /// `[j · n_rows, (j + 1) · n_rows)`; the first `n_cols` columns are the
+    /// coefficient matrix, transposed.
+    codewords: Vec<F>,
+    n_rows: usize,
+    n_cols: usize,
+    codeword_len: usize,
+    row_nnz: usize,
+}
+
+impl<F: Field> EncodedRows<F> {
+    /// The codeword length.
+    pub fn codeword_len(&self) -> usize {
+        self.codeword_len
+    }
+
     /// Number of matrix rows.
     pub fn n_rows(&self) -> usize {
-        self.rows.len()
+        self.n_rows
     }
 
     /// Encoding work in sparse-matrix non-zero terms (GPU cost model).
     pub fn encode_nnz(&self) -> usize {
-        self.encoder.total_nnz() * self.rows.len()
+        self.row_nnz * self.n_rows
+    }
+
+    /// Codeword column `j`: symbol `j` of every encoded row.
+    fn column(&self, j: usize) -> &[F] {
+        &self.codewords[j * self.n_rows..(j + 1) * self.n_rows]
     }
 }
 
-/// Phase 1 of a commitment: arrange the evaluations as a matrix and encode
-/// every row with the linear-time encoder.
+/// Prover-side state kept between commit and open.
+#[derive(Debug)]
+pub struct PcsProverData<F> {
+    encoded: EncodedRows<F>,
+    /// Merkle tree over column hashes.
+    tree: MerkleTree,
+}
+
+impl<F: Field> PcsProverData<F> {
+    /// The codeword length.
+    pub fn codeword_len(&self) -> usize {
+        self.encoded.codeword_len
+    }
+
+    /// Number of rows.
+    pub fn n_rows(&self) -> usize {
+        self.encoded.n_rows
+    }
+}
+
+/// Phase 1 of a commitment, one-shot: builds a [`PcsKey`] for the table's
+/// size and runs [`PcsKey::commit_encode`].
 ///
 /// # Panics
 ///
@@ -201,53 +402,27 @@ pub fn commit_encode<F: Field>(params: &PcsParams, evals: &[F]) -> EncodedRows<F
         !evals.is_empty() && evals.len().is_power_of_two(),
         "evaluation table must be a non-empty power of two"
     );
-    let k = evals.len().trailing_zeros() as usize;
-    let (n_rows, n_cols) = matrix_shape(k);
-    let rows: Vec<Vec<F>> = (0..n_rows)
-        .map(|i| evals[i * n_cols..(i + 1) * n_cols].to_vec())
-        .collect();
-    let encoder = Encoder::new(n_cols, params.encoder, params.seed);
-    let encoded: Vec<Vec<F>> = rows.iter().map(|r| encoder.encode(r)).collect();
-    EncodedRows {
-        rows,
-        encoded,
-        encoder,
-    }
+    PcsKey::new(*params, evals.len().trailing_zeros() as usize).commit_encode(evals)
 }
 
 /// Phase 2 of a commitment: hash codeword columns and build the Merkle
 /// tree over them.
 pub fn commit_merkle<F: Field>(encoded: EncodedRows<F>) -> (PcsCommitment, PcsProverData<F>) {
-    let EncodedRows {
-        rows,
-        encoded,
-        encoder,
-    } = encoded;
-    let n_rows = rows.len();
-    let n_cols = rows[0].len();
-    let codeword_len = encoder.codeword_len();
-    let leaves = (0..codeword_len)
-        .map(|j| hash_column(encoded.iter().map(|row| &row[j])))
+    let mut hasher = ColumnHasher::new(encoded.n_rows);
+    let leaves = (0..encoded.codeword_len)
+        .map(|j| hasher.leaf(encoded.column(j)))
         .collect();
     let tree = MerkleTree::from_leaves(leaves);
     let commitment = PcsCommitment {
         root: tree.root(),
-        n_rows,
-        n_cols,
+        n_rows: encoded.n_rows,
+        n_cols: encoded.n_cols,
     };
-    (
-        commitment,
-        PcsProverData {
-            rows,
-            encoded,
-            tree,
-            encoder,
-        },
-    )
+    (commitment, PcsProverData { encoded, tree })
 }
 
-/// Commits to a multilinear polynomial given by its `2^k` evaluations
-/// (both phases in one call).
+/// Commits to a multilinear polynomial given by its `2^k` evaluations,
+/// one-shot (see [`PcsKey::commit`]).
 ///
 /// # Panics
 ///
@@ -290,7 +465,8 @@ impl<F: Field> CombinedRows<F> {
 
 /// Phase 1 of an opening: derive the proximity challenge γ from the
 /// transcript and compute the two combination rows `γᵀ · M` and
-/// `eq_row(r_hi)ᵀ · M` (the field dot kernels of the sum-check module),
+/// `eq_row(r_hi)ᵀ · M` — entry `j` of each is one field dot product with
+/// matrix column `j`, contiguous in the systematic prefix of the buffer —
 /// absorbing both into the transcript. The caller must have absorbed the
 /// commitment into the transcript (prover and verifier symmetrically).
 ///
@@ -302,20 +478,18 @@ pub fn open_combine<F: Field>(
     point: &[F],
     transcript: &mut Transcript,
 ) -> CombinedRows<F> {
-    let n_rows = data.rows.len();
-    let n_cols = data.rows[0].len();
-    let (eq_col, eq_row) = point_tensors(point, n_rows, n_cols);
+    let encoded = &data.encoded;
+    let (eq_col, eq_row) = point_tensors(point, encoded.n_rows, encoded.n_cols);
 
     // Proximity test: a transcript-random row combination.
-    let gamma: Vec<F> = transcript.challenge_fields(b"pcs-gamma", n_rows);
-    let mut proximity_row = vec![F::ZERO; n_cols];
-    let mut combined_row = vec![F::ZERO; n_cols];
-    for (i, row) in data.rows.iter().enumerate() {
-        for (j, &m) in row.iter().enumerate() {
-            proximity_row[j] += gamma[i] * m;
-            combined_row[j] += eq_row[i] * m;
-        }
-    }
+    let gamma: Vec<F> = transcript.challenge_fields(b"pcs-gamma", encoded.n_rows);
+    let combine = |weights: &[F]| -> Vec<F> {
+        (0..encoded.n_cols)
+            .map(|j| F::dot(weights, encoded.column(j)))
+            .collect()
+    };
+    let proximity_row = combine(&gamma);
+    let combined_row = combine(&eq_row);
     transcript.absorb_fields(b"pcs-proximity-row", &proximity_row);
     transcript.absorb_fields(b"pcs-combined-row", &combined_row);
     CombinedRows {
@@ -326,26 +500,25 @@ pub fn open_combine<F: Field>(
 }
 
 /// Phase 2 of an opening: draw the seeded column-query indices from the
-/// transcript, gather the opened columns with their Merkle paths, and emit
-/// the evaluation with the finished proof.
+/// transcript, copy out the opened columns with their Merkle paths, and
+/// emit the evaluation with the finished proof.
 pub fn open_queries<F: Field>(
     params: &PcsParams,
     data: &PcsProverData<F>,
     rows: CombinedRows<F>,
     transcript: &mut Transcript,
 ) -> (F, PcsOpening<F>) {
-    let n_rows = data.rows.len();
     let codeword_len = data.codeword_len();
     let indices = transcript.challenge_indices(
         b"pcs-columns",
-        column_tests_for(n_rows, params, codeword_len),
+        column_tests(params, codeword_len),
         codeword_len,
     );
     let columns: Vec<ColumnOpening<F>> = indices
         .into_iter()
         .map(|index| ColumnOpening {
             index,
-            values: data.encoded.iter().map(|row| row[index]).collect(),
+            values: data.encoded.column(index).to_vec(),
             path: data.tree.open(index),
         })
         .collect();
@@ -386,11 +559,12 @@ pub fn column_tests(params: &PcsParams, codeword_len: usize) -> usize {
     params.num_col_tests.min(codeword_len)
 }
 
-fn column_tests_for(_n_rows: usize, params: &PcsParams, codeword_len: usize) -> usize {
-    column_tests(params, codeword_len)
-}
-
-/// Verifies an opening against a commitment.
+/// Verifies an opening against a commitment, one-shot: builds a
+/// [`PcsKey`] for the commitment's claimed shape and runs
+/// [`PcsKey::verify`]. A shape that [`matrix_shape`] never produces, or
+/// that the opening's rows do not match, is rejected before anything is
+/// sized from it. A verifier that knows the polynomial size should hold a
+/// key instead, which pins the shape.
 ///
 /// The transcript must be in the same state the prover's was when `open`
 /// ran (commitment already absorbed).
@@ -402,58 +576,15 @@ pub fn verify<F: Field>(
     opening: &PcsOpening<F>,
     transcript: &mut Transcript,
 ) -> bool {
-    let n_rows = commitment.n_rows;
-    let n_cols = commitment.n_cols;
-    if opening.proximity_row.len() != n_cols || opening.combined_row.len() != n_cols {
+    let (n_rows, n_cols) = (commitment.n_rows, commitment.n_cols);
+    if !n_rows.is_power_of_two() || !n_cols.is_power_of_two() {
         return false;
     }
-    let col_vars = n_cols.trailing_zeros() as usize;
-    let row_vars = n_rows.trailing_zeros() as usize;
-    if point.len() != col_vars + row_vars {
+    let num_vars = (n_rows.trailing_zeros() + n_cols.trailing_zeros()) as usize;
+    if matrix_shape(num_vars) != (n_rows, n_cols) || opening.combined_row.len() != n_cols {
         return false;
     }
-    let (eq_col, eq_row) = point_tensors(point, n_rows, n_cols);
-
-    // Mirror the prover's transcript interaction.
-    let gamma: Vec<F> = transcript.challenge_fields(b"pcs-gamma", n_rows);
-    transcript.absorb_fields(b"pcs-proximity-row", &opening.proximity_row);
-    transcript.absorb_fields(b"pcs-combined-row", &opening.combined_row);
-
-    // Re-encode the claimed rows (the verifier's only super-logarithmic
-    // work, as in Brakedown).
-    let encoder = Encoder::<F>::new(n_cols, params.encoder, params.seed);
-    let codeword_len = encoder.codeword_len();
-    let expected_tests = column_tests_for(n_rows, params, codeword_len);
-    let indices = transcript.challenge_indices(b"pcs-columns", expected_tests, codeword_len);
-    if opening.columns.len() != expected_tests {
-        return false;
-    }
-    let enc_proximity = encoder.encode(&opening.proximity_row);
-    let enc_combined = encoder.encode(&opening.combined_row);
-
-    for (expected_index, col) in indices.iter().zip(&opening.columns) {
-        if col.index != *expected_index || col.values.len() != n_rows {
-            return false;
-        }
-        // Merkle membership of the exact column bytes.
-        if col.path.index() != col.index
-            || col.path.leaf() != hash_column(&col.values)
-            || !col.path.verify(&commitment.root)
-        {
-            return false;
-        }
-        // Proximity: γᵀ · U[:, j] == enc(γᵀ · M)[j].
-        if F::dot(&gamma, &col.values) != enc_proximity[col.index] {
-            return false;
-        }
-        // Consistency: eq_rowᵀ · U[:, j] == enc(eq_rowᵀ · M)[j].
-        if F::dot(&eq_row, &col.values) != enc_combined[col.index] {
-            return false;
-        }
-    }
-
-    // Final evaluation: ⟨combined_row, eq_col⟩ must equal the claim.
-    F::dot(&opening.combined_row, &eq_col) == value
+    PcsKey::new(*params, num_vars).verify(commitment, point, value, opening, transcript)
 }
 
 #[cfg(test)]
@@ -470,121 +601,105 @@ mod tests {
         }
     }
 
-    fn roundtrip(k: usize, seed: u64) -> bool {
+    /// Sizes with one matrix row (k = 0, 1, 2), identity-code rows
+    /// (`n_cols <= 32`: no encoder levels), and rows the expander code
+    /// really encodes (k = 11, 12).
+    const SIZES: [usize; 9] = [0, 1, 2, 3, 4, 6, 9, 11, 12];
+
+    struct Opened {
+        evals: Vec<Fr>,
+        point: Vec<Fr>,
+        commitment: PcsCommitment,
+        value: Fr,
+        opening: PcsOpening<Fr>,
+    }
+
+    /// A seeded polynomial committed and opened at a seeded point, with
+    /// the transcript convention every test here shares.
+    fn opened(k: usize, seed: u64) -> Opened {
         let mut rng = Prg::seed_from_u64(seed);
         let evals: Vec<Fr> = (0..1usize << k).map(|_| Fr::random(&mut rng)).collect();
         let point: Vec<Fr> = (0..k).map(|_| Fr::random(&mut rng)).collect();
-        let poly = MultilinearPoly::new(evals.clone());
-        let expected = poly.evaluate(&point);
+        let (commitment, data) = commit(&params(), &evals);
+        let (value, opening) = open(&params(), &data, &point, &mut transcript(&commitment));
+        Opened {
+            evals,
+            point,
+            commitment,
+            value,
+            opening,
+        }
+    }
 
-        let p = params();
-        let (commitment, data) = commit(&p, &evals);
-        let mut pt = Transcript::new(b"pcs-test");
-        pt.absorb_digest(b"root", &commitment.root);
-        let (value, opening) = open(&p, &data, &point, &mut pt);
-        assert_eq!(value, expected, "opened value must be the evaluation");
+    fn transcript(commitment: &PcsCommitment) -> Transcript {
+        let mut t = Transcript::new(b"pcs-test");
+        t.absorb_digest(b"root", &commitment.root);
+        t
+    }
 
-        let mut vt = Transcript::new(b"pcs-test");
-        vt.absorb_digest(b"root", &commitment.root);
-        verify(&p, &commitment, &point, value, &opening, &mut vt)
+    fn accepts(o: &Opened, value: Fr) -> bool {
+        verify(
+            &params(),
+            &o.commitment,
+            &o.point,
+            value,
+            &o.opening,
+            &mut transcript(&o.commitment),
+        )
     }
 
     #[test]
     fn commit_open_verify_roundtrip() {
-        for k in [2usize, 4, 6, 9, 12] {
-            assert!(roundtrip(k, k as u64), "k={k}");
+        for k in SIZES {
+            let o = opened(k, k as u64);
+            let expected = MultilinearPoly::new(o.evals.clone()).evaluate(&o.point);
+            assert_eq!(o.value, expected, "k={k}: opened value is the evaluation");
+            assert!(accepts(&o, o.value), "k={k}");
         }
     }
 
     #[test]
     fn wrong_value_rejected() {
-        let mut rng = Prg::seed_from_u64(99);
-        let k = 8;
-        let evals: Vec<Fr> = (0..1usize << k).map(|_| Fr::random(&mut rng)).collect();
-        let point: Vec<Fr> = (0..k).map(|_| Fr::random(&mut rng)).collect();
-        let p = params();
-        let (commitment, data) = commit(&p, &evals);
-        let mut pt = Transcript::new(b"t");
-        pt.absorb_digest(b"root", &commitment.root);
-        let (value, opening) = open(&p, &data, &point, &mut pt);
-        let mut vt = Transcript::new(b"t");
-        vt.absorb_digest(b"root", &commitment.root);
-        assert!(!verify(
-            &p,
-            &commitment,
-            &point,
-            value + Fr::ONE,
-            &opening,
-            &mut vt
-        ));
+        for k in SIZES {
+            let o = opened(k, 99);
+            assert!(!accepts(&o, o.value + Fr::ONE), "k={k}");
+        }
     }
 
     #[test]
     fn tampered_combined_row_rejected() {
-        let mut rng = Prg::seed_from_u64(100);
-        let k = 8;
-        let evals: Vec<Fr> = (0..1usize << k).map(|_| Fr::random(&mut rng)).collect();
-        let point: Vec<Fr> = (0..k).map(|_| Fr::random(&mut rng)).collect();
-        let p = params();
-        let (commitment, data) = commit(&p, &evals);
-        let mut pt = Transcript::new(b"t");
-        pt.absorb_digest(b"root", &commitment.root);
-        let (_value, mut opening) = open(&p, &data, &point, &mut pt);
+        let mut o = opened(8, 100);
         // Forge a combined row claiming a different value; consistency
         // checks at random columns must catch it.
-        opening.combined_row[0] += Fr::ONE;
-        let forged_value: Fr = {
-            let (eq_col, _) = point_tensors::<Fr>(&point, commitment.n_rows, commitment.n_cols);
-            opening
-                .combined_row
-                .iter()
-                .zip(&eq_col)
-                .map(|(a, b)| *a * *b)
-                .sum()
-        };
-        let mut vt = Transcript::new(b"t");
-        vt.absorb_digest(b"root", &commitment.root);
-        assert!(!verify(
-            &p,
-            &commitment,
-            &point,
-            forged_value,
-            &opening,
-            &mut vt
-        ));
+        o.opening.combined_row[0] += Fr::ONE;
+        let (eq_col, _) = point_tensors::<Fr>(&o.point, o.commitment.n_rows, o.commitment.n_cols);
+        let forged_value = Fr::dot(&o.opening.combined_row, &eq_col);
+        assert!(!accepts(&o, forged_value));
     }
 
     #[test]
     fn tampered_column_rejected() {
-        let mut rng = Prg::seed_from_u64(101);
-        let k = 8;
-        let evals: Vec<Fr> = (0..1usize << k).map(|_| Fr::random(&mut rng)).collect();
-        let point: Vec<Fr> = (0..k).map(|_| Fr::random(&mut rng)).collect();
-        let p = params();
-        let (commitment, data) = commit(&p, &evals);
-        let mut pt = Transcript::new(b"t");
-        pt.absorb_digest(b"root", &commitment.root);
-        let (value, mut opening) = open(&p, &data, &point, &mut pt);
-        opening.columns[3].values[0] += Fr::ONE;
-        let mut vt = Transcript::new(b"t");
-        vt.absorb_digest(b"root", &commitment.root);
-        assert!(!verify(&p, &commitment, &point, value, &opening, &mut vt));
+        for k in SIZES {
+            let mut o = opened(k, 101);
+            let last = o.opening.columns.len() - 1;
+            o.opening.columns[last].values[0] += Fr::ONE;
+            assert!(!accepts(&o, o.value), "k={k}");
+        }
     }
 
     #[test]
     fn wrong_transcript_state_rejected() {
-        let mut rng = Prg::seed_from_u64(102);
-        let k = 6;
-        let evals: Vec<Fr> = (0..1usize << k).map(|_| Fr::random(&mut rng)).collect();
-        let point: Vec<Fr> = (0..k).map(|_| Fr::random(&mut rng)).collect();
-        let p = params();
-        let (commitment, data) = commit(&p, &evals);
-        let mut pt = Transcript::new(b"t");
-        pt.absorb_digest(b"root", &commitment.root);
-        let (value, opening) = open(&p, &data, &point, &mut pt);
+        let o = opened(6, 102);
         // Verifier forgets to absorb the root -> different challenges.
-        let mut vt = Transcript::new(b"t");
-        assert!(!verify(&p, &commitment, &point, value, &opening, &mut vt));
+        let mut vt = Transcript::new(b"pcs-test");
+        assert!(!verify(
+            &params(),
+            &o.commitment,
+            &o.point,
+            o.value,
+            &o.opening,
+            &mut vt
+        ));
     }
 
     #[test]
@@ -603,47 +718,122 @@ mod tests {
     }
 
     #[test]
+    fn interleaved_buffer_holds_the_per_row_codewords() {
+        // Column j of the buffer is symbol j of every row's codeword, and
+        // each leaf is the hash of the prefix followed by that column.
+        let mut rng = Prg::seed_from_u64(109);
+        let k = 11;
+        let evals: Vec<Fr> = (0..1usize << k).map(|_| Fr::random(&mut rng)).collect();
+        let key = PcsKey::<Fr>::new(params(), k);
+        let encoded = key.commit_encode(&evals);
+        assert_eq!(encoded.encode_nnz(), key.row_nnz() * key.n_rows());
+        let rows: Vec<Vec<Fr>> = evals
+            .chunks(key.n_cols())
+            .map(|row| key.encoder.encode(row))
+            .collect();
+        for j in 0..key.codeword_len() {
+            let column: Vec<Fr> = rows.iter().map(|row| row[j]).collect();
+            assert_eq!(encoded.column(j), column, "column {j}");
+        }
+        let (_, data) = commit_merkle(encoded);
+        for j in [0, key.n_cols() - 1, key.n_cols(), key.codeword_len() - 1] {
+            let mut message = COLUMN_PREFIX.to_vec();
+            for row in &rows {
+                message.extend_from_slice(&row[j].to_bytes());
+            }
+            assert_eq!(data.tree.open(j).leaf(), sha256(&message), "leaf {j}");
+        }
+    }
+
+    #[test]
+    fn one_key_serves_many_polynomials_like_the_one_shot_calls() {
+        let k = 9;
+        let key = PcsKey::<Fr>::new(params(), k);
+        for seed in 0..3 {
+            let o = opened(k, 200 + seed);
+            let (commitment, data) = key.commit(&o.evals);
+            assert_eq!(commitment, o.commitment);
+            let (value, opening) = open(key.pcs(), &data, &o.point, &mut transcript(&commitment));
+            assert_eq!((value, &opening), (o.value, &o.opening));
+            assert!(key.verify(
+                &commitment,
+                &o.point,
+                value,
+                &opening,
+                &mut transcript(&commitment)
+            ));
+        }
+    }
+
+    #[test]
+    fn foreign_and_malformed_shapes_rejected_without_panic() {
+        let o = opened(8, 110);
+        let (n_rows, n_cols) = (o.commitment.n_rows, o.commitment.n_cols);
+        let reshaped = |n_rows, n_cols| {
+            let mut forged = opened(8, 110);
+            forged.commitment.n_rows = n_rows;
+            forged.commitment.n_cols = n_cols;
+            forged
+        };
+        for (r, c) in [
+            (1, n_rows * n_cols), // same size, not the Brakedown split
+            (n_rows, n_cols * 2), // the valid split of another size
+            (n_rows, n_cols - 1), // not a power of two
+            (0, n_cols),
+            (n_rows, 0),
+            (usize::MAX, usize::MAX),
+        ] {
+            let forged = reshaped(r, c);
+            assert!(!accepts(&forged, forged.value), "one-shot {r}x{c}");
+            // A key of the honest size rejects every other shape; a key of
+            // the claimed size (where one exists) rejects the opening.
+            let key = PcsKey::<Fr>::new(params(), 8);
+            assert!(
+                !key.verify(
+                    &forged.commitment,
+                    &forged.point,
+                    forged.value,
+                    &forged.opening,
+                    &mut transcript(&forged.commitment)
+                ),
+                "keyed {r}x{c}"
+            );
+        }
+        let other = PcsKey::<Fr>::new(params(), 9);
+        assert!(!other.verify(
+            &o.commitment,
+            &o.point,
+            o.value,
+            &o.opening,
+            &mut transcript(&o.commitment)
+        ));
+    }
+
+    #[test]
     fn wrong_leaf_path_rejected() {
         // A correct column under a corrupted authentication path (one
         // flipped sibling byte) must fail the Merkle membership check.
-        let mut rng = Prg::seed_from_u64(106);
-        let k = 8;
-        let evals: Vec<Fr> = (0..1usize << k).map(|_| Fr::random(&mut rng)).collect();
-        let point: Vec<Fr> = (0..k).map(|_| Fr::random(&mut rng)).collect();
-        let p = params();
-        let (commitment, data) = commit(&p, &evals);
-        let mut pt = Transcript::new(b"t");
-        pt.absorb_digest(b"root", &commitment.root);
-        let (value, mut opening) = open(&p, &data, &point, &mut pt);
-        let mut bytes = opening.columns[2].path.to_bytes();
+        let mut o = opened(8, 106);
+        let mut bytes = o.opening.columns[2].path.to_bytes();
         let last = bytes.len() - 1;
         bytes[last] ^= 1;
-        opening.columns[2].path = MerklePath::from_bytes(&bytes).expect("shape preserved");
-        let mut vt = Transcript::new(b"t");
-        vt.absorb_digest(b"root", &commitment.root);
-        assert!(!verify(&p, &commitment, &point, value, &opening, &mut vt));
+        o.opening.columns[2].path = MerklePath::from_bytes(&bytes).expect("shape preserved");
+        assert!(!accepts(&o, o.value));
     }
 
     #[test]
     fn phase_split_matches_composed_open() {
         // open_combine → open_queries must reproduce open() byte-for-byte:
         // same transcript interaction, same value, same proof.
-        let mut rng = Prg::seed_from_u64(107);
-        let k = 7;
-        let evals: Vec<Fr> = (0..1usize << k).map(|_| Fr::random(&mut rng)).collect();
-        let point: Vec<Fr> = (0..k).map(|_| Fr::random(&mut rng)).collect();
-        let p = params();
-        let (commitment, data) = commit(&p, &evals);
-        let mut t1 = Transcript::new(b"t");
-        t1.absorb_digest(b"root", &commitment.root);
-        let (v1, o1) = open(&p, &data, &point, &mut t1);
-        let mut t2 = Transcript::new(b"t");
-        t2.absorb_digest(b"root", &commitment.root);
-        let rows = open_combine(&data, &point, &mut t2);
+        let o = opened(7, 107);
+        let (commitment, data) = commit_merkle(commit_encode(&params(), &o.evals));
+        assert_eq!(commitment, o.commitment);
+        let mut t = transcript(&commitment);
+        let rows = open_combine(&data, &o.point, &mut t);
         assert_eq!(rows.n_cols(), commitment.n_cols);
-        let (v2, o2) = open_queries(&p, &data, rows, &mut t2);
-        assert_eq!(v1, v2);
-        assert_eq!(o1, o2);
+        let (value, opening) = open_queries(&params(), &data, rows, &mut t);
+        assert_eq!(value, o.value);
+        assert_eq!(opening, o.opening);
     }
 
     #[test]
@@ -669,16 +859,9 @@ mod tests {
 
     #[test]
     fn opening_size_is_sublinear() {
-        let mut rng = Prg::seed_from_u64(104);
         let k = 12;
-        let evals: Vec<Fr> = (0..1usize << k).map(|_| Fr::random(&mut rng)).collect();
-        let point: Vec<Fr> = (0..k).map(|_| Fr::random(&mut rng)).collect();
-        let p = params();
-        let (commitment, data) = commit(&p, &evals);
-        let mut pt = Transcript::new(b"t");
-        pt.absorb_digest(b"root", &commitment.root);
-        let (_, opening) = open(&p, &data, &point, &mut pt);
+        let o = opened(k, 104);
         // sqrt-ish: far below the 2^12 * 32 = 128 KiB of the full table.
-        assert!(opening.size_bytes() < (1 << k) * 32 / 2);
+        assert!(o.opening.size_bytes() < (1 << k) * 32 / 2);
     }
 }

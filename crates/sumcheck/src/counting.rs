@@ -111,6 +111,15 @@ impl Field for Counted {
     const MODULUS_BITS: u32 = Fr::MODULUS_BITS;
     const TWO_ADICITY: u32 = Fr::TWO_ADICITY;
 
+    // Multiply-then-add, so every term of a dot product is counted.
+    type DotAcc = Self;
+    fn dot_acc_add(acc: &mut Self, a: Self, b: Self) {
+        *acc += a * b;
+    }
+    fn dot_acc_reduce(acc: &Self) -> Self {
+        *acc
+    }
+
     fn inverse(&self) -> Option<Self> {
         self.0.inverse().map(Self)
     }

@@ -36,7 +36,7 @@ use batchzk_pipeline::{BoxedStage, PipeStage, StageWork};
 
 use crate::batch::{build_stages, module_weights, task_footprint_bytes, BatchTask};
 use crate::orion::{OrionBackend, OrionProof, OrionTask};
-use crate::pcs::PcsParams;
+use crate::pcs::{PcsKey, PcsParams};
 use crate::r1cs::R1cs;
 use crate::spartan::{self, Proof};
 
@@ -96,22 +96,25 @@ pub trait ProverBackend: Clone + Send + Sync + 'static {
 /// sum-check → assemble over one shared R1CS.
 pub struct SpartanBackend<F: Field> {
     r1cs: Arc<R1cs<F>>,
-    params: PcsParams,
+    key: Arc<PcsKey<F>>,
 }
 
 impl<F: Field> Clone for SpartanBackend<F> {
     fn clone(&self) -> Self {
         Self {
             r1cs: Arc::clone(&self.r1cs),
-            params: self.params,
+            key: Arc::clone(&self.key),
         }
     }
 }
 
 impl<F: Field> SpartanBackend<F> {
-    /// Creates the backend over one shared circuit and PCS parameter set.
+    /// Creates the backend over one shared circuit and PCS parameter set,
+    /// building the witness commitment key every proof and every
+    /// verification shares.
     pub fn new(r1cs: Arc<R1cs<F>>, params: PcsParams) -> Self {
-        Self { r1cs, params }
+        let key = Arc::new(spartan::witness_key(params, &r1cs));
+        Self { r1cs, key }
     }
 
     /// The shared circuit.
@@ -121,7 +124,7 @@ impl<F: Field> SpartanBackend<F> {
 
     /// The PCS parameters.
     pub fn params(&self) -> &PcsParams {
-        &self.params
+        self.key.pcs()
     }
 }
 
@@ -140,15 +143,15 @@ impl<F: Field> ProverBackend for SpartanBackend<F> {
     }
 
     fn module_weights(&self, gpu: &Gpu) -> Vec<u64> {
-        module_weights(gpu, &self.r1cs, &self.params).to_vec()
+        module_weights(gpu, &self.r1cs, &self.key).to_vec()
     }
 
     fn stages(&self, gpu: &Gpu, total_threads: u32) -> Vec<BoxedStage<Self::Task>> {
-        build_stages(gpu, &self.r1cs, self.params, total_threads)
+        build_stages(gpu, &self.r1cs, &self.key, total_threads)
     }
 
     fn task_footprint_bytes(&self) -> u64 {
-        task_footprint_bytes(&self.r1cs, &self.params)
+        task_footprint_bytes(&self.r1cs, &self.key)
     }
 
     fn finish(&self, task: Self::Task) -> (Self::Statement, Self::Proof) {
@@ -157,7 +160,7 @@ impl<F: Field> ProverBackend for SpartanBackend<F> {
     }
 
     fn verify(&self, statement: &Self::Statement, proof: &Self::Proof) -> bool {
-        spartan::verify(&self.params, &self.r1cs, statement, proof)
+        spartan::verify_with(&self.key, &self.r1cs, statement, proof)
     }
 }
 
@@ -237,14 +240,16 @@ pub enum MixedInstance {
     Orion((Vec<Fr>, Vec<Fr>)),
 }
 
-/// A proof-in-progress in the mixed pipeline.
+/// A proof-in-progress in the mixed pipeline. Each protocol's task state
+/// is boxed: the three differ in size by hundreds of bytes, and the
+/// pipeline moves tasks between slots by value.
 pub enum MixedTask {
     /// A sumcheck-system task.
-    Sumcheck(BatchTask<Fr>),
+    Sumcheck(Box<BatchTask<Fr>>),
     /// A Groth16-style task.
-    Groth(GrothTask),
+    Groth(Box<GrothTask>),
     /// An Orion PCS-opening task.
-    Orion(OrionTask<Fr>),
+    Orion(Box<OrionTask<Fr>>),
 }
 
 impl MixedTask {
@@ -367,9 +372,9 @@ impl ProverBackend for MixedBackend {
 
     fn begin(&self, instance: Self::Instance) -> Self::Task {
         match instance {
-            MixedInstance::Sumcheck(i) => MixedTask::Sumcheck(self.sumcheck.begin(i)),
-            MixedInstance::Groth(i) => MixedTask::Groth(self.groth.begin(i)),
-            MixedInstance::Orion(i) => MixedTask::Orion(self.orion.begin(i)),
+            MixedInstance::Sumcheck(i) => MixedTask::Sumcheck(Box::new(self.sumcheck.begin(i))),
+            MixedInstance::Groth(i) => MixedTask::Groth(Box::new(self.groth.begin(i))),
+            MixedInstance::Orion(i) => MixedTask::Orion(Box::new(self.orion.begin(i))),
         }
     }
 
@@ -423,15 +428,15 @@ impl ProverBackend for MixedBackend {
     fn finish(&self, task: Self::Task) -> (Self::Statement, Self::Proof) {
         match task {
             MixedTask::Sumcheck(t) => {
-                let (s, p) = self.sumcheck.finish(t);
+                let (s, p) = self.sumcheck.finish(*t);
                 (MixedStatement::Sumcheck(s), MixedProof::Sumcheck(p))
             }
             MixedTask::Groth(t) => {
-                let (s, p) = self.groth.finish(t);
+                let (s, p) = self.groth.finish(*t);
                 (MixedStatement::Groth(s), MixedProof::Groth(p))
             }
             MixedTask::Orion(t) => {
-                let (s, p) = self.orion.finish(t);
+                let (s, p) = self.orion.finish(*t);
                 (MixedStatement::Orion(s), MixedProof::Orion(p))
             }
         }

@@ -36,7 +36,7 @@ use batchzk_pipeline::{
 };
 
 use crate::backend::ProverBackend;
-use crate::pcs::{self, EncodedRows, PcsCommitment, PcsParams, PcsProverData};
+use crate::pcs::{self, EncodedRows, PcsCommitment, PcsKey, PcsProverData};
 use crate::r1cs::R1cs;
 use crate::spartan::{self, Proof, SumcheckPart};
 
@@ -85,7 +85,7 @@ impl<F: Field> BatchTask<F> {
 
 struct EncodeStage<F: Field> {
     r1cs: Arc<R1cs<F>>,
-    params: PcsParams,
+    key: Arc<PcsKey<F>>,
     threads: u32,
     spmv_cost: u64,
 }
@@ -100,7 +100,7 @@ impl<F: Field> PipeStage<BatchTask<F>> for EncodeStage<F> {
     fn process(&self, task: &mut BatchTask<F>) -> StageWork {
         task.z = self.r1cs.assemble_z(&task.inputs, &task.witness);
         let w_half = &task.z[self.r1cs.half_len()..];
-        let encoded = pcs::commit_encode(&self.params, w_half);
+        let encoded = self.key.commit_encode(w_half);
         let nnz = encoded.encode_nnz() as u64;
         let encoded_bytes = (encoded.n_rows() * encoded.codeword_len() * 32) as u64;
         task.encoded = Some(encoded);
@@ -188,7 +188,11 @@ impl<F: Field> PipeStage<BatchTask<F>> for SumcheckStage<F> {
         spartan::absorb_statement(&mut transcript, &self.r1cs, &task.inputs);
         let commitment = task.commitment.as_ref().expect("merkle stage ran");
         transcript.absorb_digest(b"w-commitment", &commitment.root);
-        let part = spartan::run_sumchecks(&self.r1cs, &task.z, &mut transcript);
+        // The last stage to read `z`; a replay restarts at the encoder
+        // stage, which assembles it again.
+        let z = std::mem::take(&mut task.z);
+        let products = self.r1cs.products(&z);
+        let part = spartan::sumchecks_over(&self.r1cs, z.into(), products, &mut transcript);
         task.sumcheck_part = Some(part);
         task.transcript = Some(transcript);
 
@@ -246,13 +250,13 @@ impl<F: Field> PipeStage<BatchTask<F>> for SumcheckStage<F> {
     }
 }
 
-struct OpenStage {
-    params: PcsParams,
+struct OpenStage<F: Field> {
+    key: Arc<PcsKey<F>>,
     threads: u32,
     term_cost: u64,
 }
 
-impl<F: Field> PipeStage<BatchTask<F>> for OpenStage {
+impl<F: Field> PipeStage<BatchTask<F>> for OpenStage<F> {
     fn name(&self) -> String {
         "system-assemble".into()
     }
@@ -264,7 +268,7 @@ impl<F: Field> PipeStage<BatchTask<F>> for OpenStage {
         let mut transcript = task.transcript.take().expect("sum-check stage ran");
         let part = task.sumcheck_part.take().expect("sum-check stage ran");
         let y_prime = &part.point_y[..part.point_y.len() - 1];
-        let (w_eval, opening) = pcs::open(&self.params, &data, y_prime, &mut transcript);
+        let (w_eval, opening) = pcs::open(self.key.pcs(), &data, y_prime, &mut transcript);
         let commitment = task.commitment.take().expect("merkle stage ran");
         let proof = Proof {
             commitment,
@@ -528,14 +532,11 @@ pub fn prove_service_with<B: ProverBackend>(
 /// Computes the module work weights for thread allocation — the analogue of
 /// the paper's measured 35 : 12 : 113 amortized-time ratio, derived here
 /// from the cost model so the allocation tracks the simulated device.
-pub fn module_weights<F: Field>(gpu: &Gpu, r1cs: &R1cs<F>, params: &PcsParams) -> [u64; 4] {
+pub fn module_weights<F: Field>(gpu: &Gpu, r1cs: &R1cs<F>, key: &PcsKey<F>) -> [u64; 4] {
     let cost = gpu.cost();
-    let half = r1cs.half_len();
-    let k = half.trailing_zeros() as usize;
-    let (n_rows, n_cols) = pcs::matrix_shape(k);
-    let encoder = batchzk_encoder::Encoder::<F>::new(n_cols, params.encoder, params.seed);
-    let codeword_len = encoder.codeword_len() as u64;
-    let w_encode = (encoder.total_nnz() as u64 * n_rows as u64) * cost.spmv_term();
+    let (n_rows, n_cols) = (key.n_rows(), key.n_cols());
+    let codeword_len = key.codeword_len() as u64;
+    let w_encode = (key.row_nnz() as u64 * n_rows as u64) * cost.spmv_term();
     let w_merkle =
         codeword_len * ((n_rows as u64).div_ceil(2) * cost.sha256_compress + cost.merkle_node());
     let m = r1cs.padded_constraints() as u64;
@@ -556,24 +557,23 @@ pub fn module_weights<F: Field>(gpu: &Gpu, r1cs: &R1cs<F>, params: &PcsParams) -
 pub(crate) fn build_stages<F: Field>(
     gpu: &Gpu,
     r1cs: &Arc<R1cs<F>>,
-    params: PcsParams,
+    key: &Arc<PcsKey<F>>,
     total_threads: u32,
 ) -> Vec<BoxedStage<BatchTask<F>>> {
-    let weights = module_weights(gpu, r1cs, &params);
+    let weights = module_weights(gpu, r1cs, key);
     let threads = allocate_threads(total_threads, &weights);
     let cost = *gpu.cost();
-    let half = r1cs.half_len();
-    let (n_rows, _) = pcs::matrix_shape(half.trailing_zeros() as usize);
+    let n_rows = key.n_rows() as u64;
     vec![
         Box::new(EncodeStage {
             r1cs: Arc::clone(r1cs),
-            params,
+            key: Arc::clone(key),
             threads: threads[0],
             spmv_cost: cost.spmv_term(),
         }),
         Box::new(MerkleStage {
             threads: threads[1],
-            column_cost: (n_rows as u64).div_ceil(2) * cost.sha256_compress + cost.merkle_node(),
+            column_cost: n_rows.div_ceil(2) * cost.sha256_compress + cost.merkle_node(),
         }),
         Box::new(SumcheckStage {
             r1cs: Arc::clone(r1cs),
@@ -581,7 +581,7 @@ pub(crate) fn build_stages<F: Field>(
             pair_cost: cost.sumcheck_pair() + cost.shared_access,
         }),
         Box::new(OpenStage {
-            params,
+            key: Arc::clone(key),
             threads: threads[3],
             term_cost: cost.field_mul + cost.global_access,
         }),
@@ -593,12 +593,9 @@ pub(crate) fn build_stages<F: Field>(
 /// stages will report. The memory-aware shard policy sizes per-device
 /// admission from this, so a batch that would OOM at full pipeline
 /// residency is split in time instead of erroring.
-pub fn task_footprint_bytes<F: Field>(r1cs: &R1cs<F>, params: &PcsParams) -> u64 {
-    let half = r1cs.half_len();
-    let k = half.trailing_zeros() as usize;
-    let (n_rows, n_cols) = pcs::matrix_shape(k);
-    let encoder = batchzk_encoder::Encoder::<F>::new(n_cols, params.encoder, params.seed);
-    let codeword_len = encoder.codeword_len() as u64;
+pub fn task_footprint_bytes<F: Field>(r1cs: &R1cs<F>, key: &PcsKey<F>) -> u64 {
+    let n_rows = key.n_rows();
+    let codeword_len = key.codeword_len() as u64;
     let encoded_bytes = n_rows as u64 * codeword_len * 32;
     let m = r1cs.padded_constraints() as u64;
     let n = r1cs.z_len() as u64;
@@ -613,6 +610,7 @@ pub fn task_footprint_bytes<F: Field>(r1cs: &R1cs<F>, params: &PcsParams) -> u64
 mod tests {
     use super::*;
     use crate::backend::SpartanBackend;
+    use crate::pcs::PcsParams;
     use crate::r1cs::synthetic_r1cs;
     use crate::spartan::verify;
     use batchzk_field::Fr;
@@ -740,7 +738,7 @@ mod tests {
     fn module_weights_are_positive_and_sumcheck_heavy() {
         let (r1cs, _) = instances(64, 1);
         let gpu = Gpu::new(DeviceProfile::v100());
-        let w = module_weights(&gpu, &r1cs, &test_params());
+        let w = module_weights(&gpu, &r1cs, &spartan::witness_key(test_params(), &r1cs));
         assert!(w.iter().all(|&x| x > 0));
     }
 
@@ -864,7 +862,7 @@ mod tests {
         let (r1cs, batch) = instances(16, 6);
         let params = test_params();
         let backend = backend(&r1cs);
-        let cap = task_footprint_bytes(&r1cs, &params) * 3 / 2;
+        let cap = ProverBackend::task_footprint_bytes(&backend) * 3 / 2;
         let small = DeviceProfile {
             device_mem_bytes: cap,
             ..DeviceProfile::a100()
@@ -1138,6 +1136,7 @@ impl<B: ProverBackend> StreamingProver<B> {
 mod streaming_tests {
     use super::*;
     use crate::backend::SpartanBackend;
+    use crate::pcs::PcsParams;
     use crate::r1cs::synthetic_r1cs;
     use crate::spartan::verify;
     use batchzk_field::Fr;

@@ -6,8 +6,9 @@
 //! it at a per-task point, moving through a matched 4-deep pipeline whose
 //! stages are exactly the phase functions of [`crate::pcs`]:
 //!
-//! 1. **orion-encode** — arrange the coefficient matrix and encode every
-//!    row with the linear-time encoder ([`pcs::commit_encode`]);
+//! 1. **orion-encode** — transpose the coefficient matrix into the
+//!    interleaved buffer and encode every row with the linear-time encoder
+//!    ([`PcsKey::commit_encode`]);
 //! 2. **orion-merkle** — hash the interleaved-codeword columns into Merkle
 //!    leaves and build the commitment tree ([`pcs::commit_merkle`]),
 //!    seeding the Fiat–Shamir transcript from the statement and root;
@@ -29,10 +30,8 @@
 //! non-pipelined schedule. Both schedules produce byte-identical proofs,
 //! as does the pure-CPU [`OrionBackend::prove_cpu`] reference.
 
-use std::marker::PhantomData;
 use std::sync::Arc;
 
-use batchzk_encoder::Encoder;
 use batchzk_field::{Field, SplitMix64};
 use batchzk_gpu_sim::{Gpu, Work};
 use batchzk_hash::Transcript;
@@ -40,60 +39,16 @@ use batchzk_pipeline::{allocate_threads, BoxedStage, PipeStage, StageWork};
 
 use crate::backend::ProverBackend;
 use crate::pcs::{
-    self, CombinedRows, EncodedRows, PcsCommitment, PcsOpening, PcsParams, PcsProverData,
+    self, CombinedRows, EncodedRows, PcsCommitment, PcsKey, PcsOpening, PcsParams, PcsProverData,
 };
 
 /// Fiat–Shamir domain separator for the standalone PCS-opening transcript.
 pub const DOMAIN: &[u8] = b"batchzk-orion-v1";
 
-/// The shared public parameters of one Orion workload: the PCS parameter
-/// set plus the precomputed matrix/codeword shape every task shares, so
-/// work models and thread allocation need no per-task encoding.
-#[derive(Debug, Clone)]
-pub struct OrionParams {
-    params: PcsParams,
-    num_vars: usize,
-    n_rows: usize,
-    n_cols: usize,
-    codeword_len: usize,
-    /// Sparse-matrix non-zeros of encoding *one* row.
-    row_nnz: usize,
-}
-
-impl OrionParams {
-    /// Precomputes the shape for `2^num_vars`-evaluation polynomials.
-    pub fn new<F: Field>(num_vars: usize, params: PcsParams) -> Self {
-        let (n_rows, n_cols) = pcs::matrix_shape(num_vars);
-        let encoder = Encoder::<F>::new(n_cols, params.encoder, params.seed);
-        Self {
-            params,
-            num_vars,
-            n_rows,
-            n_cols,
-            codeword_len: encoder.codeword_len(),
-            row_nnz: encoder.total_nnz(),
-        }
-    }
-
-    /// The PCS parameter set.
-    pub fn pcs(&self) -> &PcsParams {
-        &self.params
-    }
-
-    /// Number of variables of each committed polynomial.
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
-    }
-
-    /// Bytes of the coefficient matrix plus its encoded rows.
-    fn resident_bytes(&self) -> u64 {
-        (self.n_rows * (self.n_cols + self.codeword_len) * 32) as u64
-    }
-
-    /// Column queries each opening answers.
-    fn tests(&self) -> usize {
-        pcs::column_tests(&self.params, self.codeword_len)
-    }
+/// Bytes of the coefficient matrix plus its encoded rows, as the device
+/// memory model charges them.
+fn resident_bytes<F: Field>(key: &PcsKey<F>) -> u64 {
+    (key.n_rows() * (key.n_cols() + key.codeword_len()) * 32) as u64
 }
 
 /// A PCS-opening proof-in-progress moving through the four stages.
@@ -158,14 +113,14 @@ impl<F: Field> OrionProof<F> {
     }
 }
 
-/// Stage 1: arrange the coefficient matrix and encode every row.
-struct OrionEncodeStage {
-    shared: Arc<OrionParams>,
+/// Stage 1: transpose the coefficient matrix and encode every row.
+struct OrionEncodeStage<F: Field> {
+    key: Arc<PcsKey<F>>,
     threads: u32,
     spmv_cost: u64,
 }
 
-impl<F: Field> PipeStage<OrionTask<F>> for OrionEncodeStage {
+impl<F: Field> PipeStage<OrionTask<F>> for OrionEncodeStage<F> {
     fn name(&self) -> String {
         "orion-encode".into()
     }
@@ -173,15 +128,10 @@ impl<F: Field> PipeStage<OrionTask<F>> for OrionEncodeStage {
         self.threads
     }
     fn process(&self, task: &mut OrionTask<F>) -> StageWork {
-        let p = &self.shared;
+        let p = &self.key;
         // Borrow (not take): fault recovery replays salvaged tasks from
         // stage 0, so the stage-0 input must survive processing.
-        assert_eq!(
-            task.evals.len(),
-            1usize << p.num_vars,
-            "evaluation table must match the shared shape"
-        );
-        let encoded = pcs::commit_encode(&p.params, &task.evals);
+        let encoded = p.commit_encode(&task.evals);
         let nnz = encoded.encode_nnz() as u64;
         task.encoded = Some(encoded);
         StageWork {
@@ -190,34 +140,34 @@ impl<F: Field> PipeStage<OrionTask<F>> for OrionEncodeStage {
                 cycles_per_unit: self.spmv_cost,
             },
             // Dynamic loading: this proof's evaluation table arrives now.
-            h2d_bytes: ((1usize << p.num_vars) * 32) as u64,
+            h2d_bytes: ((1usize << p.num_vars()) * 32) as u64,
             d2h_bytes: 0,
-            mem_after: p.resident_bytes(),
+            mem_after: resident_bytes(p),
         }
     }
     fn naive_phases(&self, _task: &OrionTask<F>) -> Option<Vec<Work>> {
         // Kernel-per-row: the baseline launches one encoding kernel per
         // matrix row, each touching only `row_nnz` non-zeros of its slice.
-        let p = &self.shared;
+        let p = &self.key;
         Some(vec![
             Work::Uniform {
-                units: (p.row_nnz as u64).max(1),
+                units: (p.row_nnz() as u64).max(1),
                 cycles_per_unit: self.spmv_cost,
             };
-            p.n_rows
+            p.n_rows()
         ])
     }
 }
 
 /// Stage 2: hash the interleaved-codeword columns into Merkle leaves and
 /// build the commitment tree, then seed the Fiat–Shamir transcript.
-struct OrionMerkleStage {
-    shared: Arc<OrionParams>,
+struct OrionMerkleStage<F: Field> {
+    key: Arc<PcsKey<F>>,
     threads: u32,
     column_cost: u64,
 }
 
-impl<F: Field> PipeStage<OrionTask<F>> for OrionMerkleStage {
+impl<F: Field> PipeStage<OrionTask<F>> for OrionMerkleStage<F> {
     fn name(&self) -> String {
         "orion-merkle".into()
     }
@@ -225,7 +175,7 @@ impl<F: Field> PipeStage<OrionTask<F>> for OrionMerkleStage {
         self.threads
     }
     fn process(&self, task: &mut OrionTask<F>) -> StageWork {
-        let p = &self.shared;
+        let p = &self.key;
         let encoded = task.encoded.take().expect("encode stage ran");
         let columns = encoded.codeword_len() as u64;
         let (commitment, data) = pcs::commit_merkle(encoded);
@@ -244,13 +194,13 @@ impl<F: Field> PipeStage<OrionTask<F>> for OrionMerkleStage {
             // Intermediate tree layers stream back to host; the encoded
             // matrix stays resident for the combine and query stages.
             d2h_bytes: columns * 32,
-            mem_after: p.resident_bytes() + columns * 64,
+            mem_after: resident_bytes(p) + columns * 64,
         }
     }
     fn naive_phases(&self, _task: &OrionTask<F>) -> Option<Vec<Work>> {
         // Kernel-per-layer: upper tree layers have too few nodes to fill
         // the baseline's thread slice.
-        let mut nodes = (self.shared.codeword_len as u64 / 2).max(1);
+        let mut nodes = (self.key.codeword_len() as u64 / 2).max(1);
         let mut phases = Vec::new();
         loop {
             phases.push(Work::Uniform {
@@ -268,13 +218,13 @@ impl<F: Field> PipeStage<OrionTask<F>> for OrionMerkleStage {
 
 /// Stage 3: the proximity and evaluation combination rows via the field
 /// dot kernels.
-struct OrionCombineStage {
-    shared: Arc<OrionParams>,
+struct OrionCombineStage<F: Field> {
+    key: Arc<PcsKey<F>>,
     threads: u32,
     term_cost: u64,
 }
 
-impl<F: Field> PipeStage<OrionTask<F>> for OrionCombineStage {
+impl<F: Field> PipeStage<OrionTask<F>> for OrionCombineStage<F> {
     fn name(&self) -> String {
         "orion-combine".into()
     }
@@ -282,43 +232,43 @@ impl<F: Field> PipeStage<OrionTask<F>> for OrionCombineStage {
         self.threads
     }
     fn process(&self, task: &mut OrionTask<F>) -> StageWork {
-        let p = &self.shared;
+        let p = &self.key;
         let data = task.data.as_ref().expect("merkle stage ran");
         let transcript = task.transcript.as_mut().expect("merkle stage ran");
         let rows = pcs::open_combine(data, &task.point, transcript);
         task.rows = Some(rows);
         StageWork {
             work: Work::Uniform {
-                units: (2 * p.n_rows * p.n_cols) as u64,
+                units: (2 * p.n_rows() * p.n_cols()) as u64,
                 cycles_per_unit: self.term_cost,
             },
             h2d_bytes: 0,
             d2h_bytes: 0,
-            mem_after: p.resident_bytes() + (3 * p.n_cols * 32) as u64,
+            mem_after: resident_bytes(p) + (3 * p.n_cols() * 32) as u64,
         }
     }
     fn naive_phases(&self, _task: &OrionTask<F>) -> Option<Vec<Work>> {
         // Kernel-per-row: one fold kernel per matrix row, each a 2·n_cols
         // multiply-accumulate slice.
-        let p = &self.shared;
+        let p = &self.key;
         Some(vec![
             Work::Uniform {
-                units: (2 * p.n_cols) as u64,
+                units: (2 * p.n_cols()) as u64,
                 cycles_per_unit: self.term_cost,
             };
-            p.n_rows
+            p.n_rows()
         ])
     }
 }
 
 /// Stage 4: answer the seeded column queries and emit the finished proof.
-struct OrionOpenStage {
-    shared: Arc<OrionParams>,
+struct OrionOpenStage<F: Field> {
+    key: Arc<PcsKey<F>>,
     threads: u32,
     term_cost: u64,
 }
 
-impl<F: Field> PipeStage<OrionTask<F>> for OrionOpenStage {
+impl<F: Field> PipeStage<OrionTask<F>> for OrionOpenStage<F> {
     fn name(&self) -> String {
         "orion-open".into()
     }
@@ -326,11 +276,11 @@ impl<F: Field> PipeStage<OrionTask<F>> for OrionOpenStage {
         self.threads
     }
     fn process(&self, task: &mut OrionTask<F>) -> StageWork {
-        let p = &self.shared;
+        let p = &self.key;
         let data = task.data.take().expect("merkle stage ran");
         let mut transcript = task.transcript.take().expect("merkle stage ran");
         let rows = task.rows.take().expect("combine stage ran");
-        let (value, opening) = pcs::open_queries(&p.params, &data, rows, &mut transcript);
+        let (value, opening) = pcs::open_queries(p.pcs(), &data, rows, &mut transcript);
         let commitment = task.commitment.take().expect("merkle stage ran");
         let proof = OrionProof {
             commitment,
@@ -341,7 +291,7 @@ impl<F: Field> PipeStage<OrionTask<F>> for OrionOpenStage {
         task.proof = Some(proof);
         StageWork {
             work: Work::Uniform {
-                units: ((p.tests() * p.n_rows + 2 * p.n_cols) as u64).max(1),
+                units: ((p.column_tests() * p.n_rows() + 2 * p.n_cols()) as u64).max(1),
                 cycles_per_unit: self.term_cost,
             },
             h2d_bytes: 0,
@@ -353,16 +303,16 @@ impl<F: Field> PipeStage<OrionTask<F>> for OrionOpenStage {
     fn naive_phases(&self, _task: &OrionTask<F>) -> Option<Vec<Work>> {
         // Kernel-per-query: one column-gather kernel per opened column,
         // then the final evaluation dot product.
-        let p = &self.shared;
+        let p = &self.key;
         let mut phases = vec![
             Work::Uniform {
-                units: (p.n_rows as u64).max(1),
+                units: (p.n_rows() as u64).max(1),
                 cycles_per_unit: self.term_cost,
             };
-            p.tests()
+            p.column_tests()
         ];
         phases.push(Work::Uniform {
-            units: (2 * p.n_cols) as u64,
+            units: (2 * p.n_cols()) as u64,
             cycles_per_unit: self.term_cost,
         });
         Some(phases)
@@ -374,15 +324,15 @@ impl<F: Field> PipeStage<OrionTask<F>> for OrionOpenStage {
 /// allocation. The ratios are heavily front-loaded — encoding and column
 /// hashing dominate, the query phase is nearly free — unlike either the
 /// sumcheck system or the Groth16-style stack.
-pub fn module_weights(gpu: &Gpu, shared: &OrionParams) -> [u64; 4] {
+pub fn module_weights<F: Field>(gpu: &Gpu, key: &PcsKey<F>) -> [u64; 4] {
     let cost = gpu.cost();
-    let w_encode = (shared.row_nnz * shared.n_rows) as u64 * cost.spmv_term();
-    let column_cost =
-        (shared.n_rows as u64).div_ceil(2) * cost.sha256_compress + cost.merkle_node();
-    let w_merkle = shared.codeword_len as u64 * column_cost;
+    let (n_rows, n_cols) = (key.n_rows(), key.n_cols());
+    let w_encode = (key.row_nnz() * n_rows) as u64 * cost.spmv_term();
+    let column_cost = (n_rows as u64).div_ceil(2) * cost.sha256_compress + cost.merkle_node();
+    let w_merkle = key.codeword_len() as u64 * column_cost;
     let term = cost.field_mul + cost.global_access;
-    let w_combine = (2 * shared.n_rows * shared.n_cols) as u64 * term;
-    let w_open = (shared.tests() * shared.n_rows + 2 * shared.n_cols) as u64 * term;
+    let w_combine = (2 * n_rows * n_cols) as u64 * term;
+    let w_open = (key.column_tests() * n_rows + 2 * n_cols) as u64 * term;
     [
         w_encode.max(1),
         w_merkle.max(1),
@@ -395,32 +345,31 @@ pub fn module_weights(gpu: &Gpu, shared: &OrionParams) -> [u64; 4] {
 /// the measured-ratio rule under that device's cost model.
 pub fn build_stages<F: Field>(
     gpu: &Gpu,
-    shared: &Arc<OrionParams>,
+    key: &Arc<PcsKey<F>>,
     total_threads: u32,
 ) -> Vec<BoxedStage<OrionTask<F>>> {
-    let weights = module_weights(gpu, shared);
+    let weights = module_weights(gpu, key);
     let threads = allocate_threads(total_threads, &weights);
     let cost = *gpu.cost();
-    let column_cost =
-        (shared.n_rows as u64).div_ceil(2) * cost.sha256_compress + cost.merkle_node();
+    let column_cost = (key.n_rows() as u64).div_ceil(2) * cost.sha256_compress + cost.merkle_node();
     vec![
         Box::new(OrionEncodeStage {
-            shared: Arc::clone(shared),
+            key: Arc::clone(key),
             threads: threads[0],
             spmv_cost: cost.spmv_term(),
         }),
         Box::new(OrionMerkleStage {
-            shared: Arc::clone(shared),
+            key: Arc::clone(key),
             threads: threads[1],
             column_cost,
         }),
         Box::new(OrionCombineStage {
-            shared: Arc::clone(shared),
+            key: Arc::clone(key),
             threads: threads[2],
             term_cost: cost.field_mul + cost.global_access,
         }),
         Box::new(OrionOpenStage {
-            shared: Arc::clone(shared),
+            key: Arc::clone(key),
             threads: threads[3],
             term_cost: cost.field_mul + cost.global_access,
         }),
@@ -430,22 +379,18 @@ pub fn build_stages<F: Field>(
 /// Analytic per-task peak device-memory footprint in bytes — the maximum
 /// of the per-stage `mem_after` values (the Merkle stage's tree residency
 /// on top of the encoded matrix).
-pub fn task_footprint_bytes(shared: &OrionParams) -> u64 {
-    shared.resident_bytes() + shared.codeword_len as u64 * 64
+pub fn task_footprint_bytes<F: Field>(key: &PcsKey<F>) -> u64 {
+    resident_bytes(key) + key.codeword_len() as u64 * 64
 }
 
 /// Verifies a finished PCS-opening proof against its statement point:
 /// commitment shape, transcript replay, re-encoded combination rows, and
-/// the Merkle column queries (see [`pcs::verify`]).
-pub fn verify<F: Field>(shared: &OrionParams, point: &[F], proof: &OrionProof<F>) -> bool {
-    if proof.commitment.n_rows != shared.n_rows || proof.commitment.n_cols != shared.n_cols {
-        return false;
-    }
+/// the Merkle column queries (see [`PcsKey::verify`]).
+pub fn verify<F: Field>(key: &PcsKey<F>, point: &[F], proof: &OrionProof<F>) -> bool {
     let mut transcript = Transcript::new(DOMAIN);
     transcript.absorb_fields(b"point", point);
     transcript.absorb_digest(b"root", &proof.commitment.root);
-    pcs::verify(
-        &shared.params,
+    key.verify(
         &proof.commitment,
         point,
         proof.value,
@@ -459,42 +404,40 @@ pub fn verify<F: Field>(shared: &OrionParams, point: &[F], proof: &OrionProof<F>
 /// under the same pipeline engine, shard policies, fault recovery, and
 /// online service as the sumcheck and Groth16-style backends.
 pub struct OrionBackend<F: Field> {
-    shared: Arc<OrionParams>,
-    _field: PhantomData<fn() -> F>,
+    key: Arc<PcsKey<F>>,
 }
 
 impl<F: Field> Clone for OrionBackend<F> {
     fn clone(&self) -> Self {
         Self {
-            shared: Arc::clone(&self.shared),
-            _field: PhantomData,
+            key: Arc::clone(&self.key),
         }
     }
 }
 
 impl<F: Field> OrionBackend<F> {
     /// Creates the backend for `2^num_vars`-evaluation polynomials under
-    /// one PCS parameter set.
+    /// one PCS parameter set, building the [`PcsKey`] every proof and
+    /// every verification shares.
     pub fn new(num_vars: usize, params: PcsParams) -> Self {
         Self {
-            shared: Arc::new(OrionParams::new::<F>(num_vars, params)),
-            _field: PhantomData,
+            key: Arc::new(PcsKey::new(params, num_vars)),
         }
     }
 
-    /// The shared parameter set.
-    pub fn shared(&self) -> &Arc<OrionParams> {
-        &self.shared
+    /// The shared commitment key.
+    pub fn shared(&self) -> &Arc<PcsKey<F>> {
+        &self.key
     }
 
     /// Deterministically generates one `(evaluations, point)` instance
     /// from `seed`.
     pub fn instance(&self, seed: u64) -> (Vec<F>, Vec<F>) {
         let mut rng = SplitMix64::seed_from_u64(seed);
-        let evals = (0..1usize << self.shared.num_vars)
+        let evals = (0..1usize << self.key.num_vars())
             .map(|_| F::random(&mut rng))
             .collect();
-        let point = (0..self.shared.num_vars)
+        let point = (0..self.key.num_vars())
             .map(|_| F::random(&mut rng))
             .collect();
         (evals, point)
@@ -504,11 +447,11 @@ impl<F: Field> OrionBackend<F> {
     /// line, no pipeline, no simulated device. Byte-identical to the
     /// pipelined and kernel-per-task schedules.
     pub fn prove_cpu(&self, (evals, point): (Vec<F>, Vec<F>)) -> (Vec<F>, OrionProof<F>) {
-        let (commitment, data) = pcs::commit(&self.shared.params, &evals);
+        let (commitment, data) = self.key.commit(&evals);
         let mut transcript = Transcript::new(DOMAIN);
         transcript.absorb_fields(b"point", &point);
         transcript.absorb_digest(b"root", &commitment.root);
-        let (value, opening) = pcs::open(&self.shared.params, &data, &point, &mut transcript);
+        let (value, opening) = pcs::open(self.key.pcs(), &data, &point, &mut transcript);
         (
             point,
             OrionProof {
@@ -533,22 +476,22 @@ impl<F: Field> ProverBackend for OrionBackend<F> {
     fn begin(&self, (evals, point): Self::Instance) -> Self::Task {
         assert_eq!(
             point.len(),
-            self.shared.num_vars,
+            self.key.num_vars(),
             "point dimension must match the shared shape"
         );
         OrionTask::new(evals, point)
     }
 
     fn module_weights(&self, gpu: &Gpu) -> Vec<u64> {
-        module_weights(gpu, &self.shared).to_vec()
+        module_weights(gpu, &self.key).to_vec()
     }
 
     fn stages(&self, gpu: &Gpu, total_threads: u32) -> Vec<BoxedStage<Self::Task>> {
-        build_stages(gpu, &self.shared, total_threads)
+        build_stages(gpu, &self.key, total_threads)
     }
 
     fn task_footprint_bytes(&self) -> u64 {
-        task_footprint_bytes(&self.shared)
+        task_footprint_bytes(&self.key)
     }
 
     fn finish(&self, task: Self::Task) -> (Self::Statement, Self::Proof) {
@@ -557,7 +500,7 @@ impl<F: Field> ProverBackend for OrionBackend<F> {
     }
 
     fn verify(&self, statement: &Self::Statement, proof: &Self::Proof) -> bool {
-        verify(&self.shared, statement, proof)
+        verify(&self.key, statement, proof)
     }
 }
 
@@ -597,6 +540,32 @@ mod tests {
             assert_eq!(*proof, cpu_proof, "pipeline must match the CPU reference");
         }
         assert_eq!(gpu.memory_ref().in_use(), 0);
+    }
+
+    #[test]
+    fn known_answer_proofs() {
+        // SHA-256 of the `Debug` rendering of the whole proof (commitment,
+        // value, both rows, every opened column and path) under the default
+        // parameters, recorded at the commit before the interleaved
+        // codeword buffer and the deferred-reduction dot kernel.
+        let b = OrionBackend::<Fr>::new(10, PcsParams::default());
+        for (seed, digest) in [
+            (
+                1u64,
+                "7786ed03bba6f05ebe998f2f9539bf54cbfa0a0ea0548bce3a362f1f5bf5ae1b",
+            ),
+            (
+                7061979,
+                "7e825a87b6e7ce9e9aaf8071e61d45dd99ece9f78803439a29951d8362abaa3b",
+            ),
+        ] {
+            let (_, proof) = b.prove_cpu(b.instance(seed));
+            let got: String = batchzk_hash::sha256(format!("{proof:?}").as_bytes())
+                .iter()
+                .map(|byte| format!("{byte:02x}"))
+                .collect();
+            assert_eq!(got, digest, "seed {seed}");
+        }
     }
 
     #[test]
@@ -737,7 +706,7 @@ mod tests {
         let shared = b.shared();
         assert_eq!(
             task_footprint_bytes(shared),
-            shared.resident_bytes() + shared.codeword_len as u64 * 64
+            resident_bytes(shared) + shared.codeword_len() as u64 * 64
         );
         assert!(task_footprint_bytes(shared) > 0);
     }

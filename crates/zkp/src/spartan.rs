@@ -16,8 +16,10 @@
 //! (Spartan's SPARK preprocessing is out of scope — documented in
 //! `DESIGN.md`; prover cost, the paper's measured quantity, is unaffected).
 
-use crate::pcs::{self, PcsCommitment, PcsOpening, PcsParams, PcsProverData};
+use crate::pcs::{self, PcsCommitment, PcsKey, PcsOpening, PcsParams, PcsProverData};
 use crate::r1cs::R1cs;
+use std::borrow::Cow;
+
 use batchzk_field::Field;
 use batchzk_hash::Transcript;
 use batchzk_sumcheck::{
@@ -112,7 +114,7 @@ pub fn prove_with_artifacts<F: Field>(
     transcript.absorb_digest(b"w-commitment", &commitment.root);
 
     // Module 3 (sum-check).
-    let part = sumchecks_over(r1cs, &z, products, &mut transcript);
+    let part = sumchecks_over(r1cs, Cow::Borrowed(&z), products, &mut transcript);
 
     // Open w̃ at the bound point (all but the top variable of ry).
     let y_prime = &part.point_y[..part.point_y.len() - 1];
@@ -173,21 +175,23 @@ pub fn run_sumchecks<F: Field>(
     transcript: &mut Transcript,
 ) -> SumcheckPart<F> {
     assert_eq!(z.len(), r1cs.z_len(), "assignment length mismatch");
-    sumchecks_over(r1cs, z, r1cs.products(z), transcript)
+    sumchecks_over(r1cs, Cow::Borrowed(z), r1cs.products(z), transcript)
 }
 
-/// [`run_sumchecks`] over already computed [`R1cs::products`] of `z`.
-fn sumchecks_over<F: Field>(
+/// [`run_sumchecks`] over already computed [`R1cs::products`] of `z`. A
+/// caller that is done with `z` passes it owned, and sum-check #2 folds it
+/// in place instead of a copy.
+pub(crate) fn sumchecks_over<F: Field>(
     r1cs: &R1cs<F>,
-    z: &[F],
+    z: Cow<'_, [F]>,
     products: [Vec<F>; 3],
     transcript: &mut Transcript,
 ) -> SumcheckPart<F> {
     let sc1 = prove_outer(r1cs, products, transcript);
     let m_combo = bind_matrices(r1cs, &sc1, transcript);
-    // The one table copy of the phase: every other table is built here and
-    // moved into its prover.
-    let z_poly = MultilinearPoly::new(z.to_vec());
+    // For a borrowed `z`, the one table copy of the phase: every other
+    // table is built here and moved into its prover.
+    let z_poly = MultilinearPoly::new(z.into_owned());
     let sc2 = prove_quadratic(MultilinearPoly::new(m_combo), z_poly, transcript);
     SumcheckPart {
         sc1: sc1.proof,
@@ -231,9 +235,29 @@ pub fn bind_matrices<F: Field>(
     r1cs.bind_rows_combined(&eq_table(&sc1.point()), &gamma)
 }
 
-/// Verifies a proof against the instance and public inputs.
+/// The commitment key for the witness half of `r1cs`'s assignment — what a
+/// prover or verifier of many proofs over one circuit builds once.
+pub fn witness_key<F: Field>(params: PcsParams, r1cs: &R1cs<F>) -> PcsKey<F> {
+    PcsKey::new(params, r1cs.half_len().trailing_zeros() as usize)
+}
+
+/// Verifies a proof against the instance and public inputs, one-shot:
+/// builds the [`witness_key`] and runs [`verify_with`].
 pub fn verify<F: Field>(
     params: &PcsParams,
+    r1cs: &R1cs<F>,
+    inputs: &[F],
+    proof: &Proof<F>,
+) -> bool {
+    verify_with(&witness_key(*params, r1cs), r1cs, inputs, proof)
+}
+
+/// Verifies a proof against the instance and public inputs under
+/// `r1cs`'s [`witness_key`]. The key pins the commitment's matrix shape: a
+/// proof claiming any other is rejected, so nothing is sized from
+/// prover-supplied numbers.
+pub fn verify_with<F: Field>(
+    key: &PcsKey<F>,
     r1cs: &R1cs<F>,
     inputs: &[F],
     proof: &Proof<F>,
@@ -292,8 +316,7 @@ pub fn verify<F: Field>(
     }
 
     // PCS opening of w̃.
-    pcs::verify(
-        params,
+    key.verify(
         &proof.commitment,
         y_prime,
         proof.w_eval,
@@ -470,6 +493,41 @@ mod tests {
         let mut p = proof.clone();
         p.sc1.rounds.pop();
         assert!(!verify(&params, &r1cs, &inputs, &p), "truncated sc1");
+    }
+
+    #[test]
+    fn reshaped_commitments_rejected_without_panic() {
+        // The commitment's shape is prover-supplied. Whatever it claims —
+        // the same table as one row, a non-power-of-two width, a zero or
+        // absurd size — and whether or not the opening's rows are resized
+        // to agree with it, verification says no and sizes nothing from it.
+        let (r1cs, inputs, witness) = synthetic_r1cs::<Fr>(32, 7);
+        let params = test_params();
+        let proof = prove(&params, &r1cs, &inputs, &witness);
+        let key = witness_key(params, &r1cs);
+        assert!(verify_with(&key, &r1cs, &inputs, &proof));
+        let (n_rows, n_cols) = (proof.commitment.n_rows, proof.commitment.n_cols);
+        assert_eq!((n_rows, n_cols), pcs::matrix_shape(key.num_vars()));
+        for (rows, cols) in [
+            (1, n_rows * n_cols),
+            (n_rows, n_cols - 1),
+            (n_rows, n_cols * 2),
+            (n_cols, n_rows * 2),
+            (0, n_cols),
+            (usize::MAX, 2),
+        ] {
+            for resize_rows in [false, true] {
+                let mut p = proof.clone();
+                p.commitment.n_rows = rows;
+                p.commitment.n_cols = cols;
+                if resize_rows {
+                    p.opening.proximity_row.resize(cols, Fr::ONE);
+                    p.opening.combined_row.resize(cols, Fr::ONE);
+                }
+                assert!(!verify_with(&key, &r1cs, &inputs, &p), "{rows}x{cols}");
+                assert!(!verify(&params, &r1cs, &inputs, &p), "{rows}x{cols}");
+            }
+        }
     }
 
     #[test]
