@@ -122,10 +122,10 @@ pub trait Field:
     /// be bit-identical to the multiply-then-add fold `acc ← acc + aᵢ·bᵢ`
     /// from [`Self::ZERO`].
     ///
-    /// Exposed so a caller computing many inner products that share one
-    /// operand (a sparse matrix row against `w` interleaved messages) can
-    /// keep a vector of accumulators and stream the other operand through
-    /// them contiguously.
+    /// Exposed so a caller computing many inner products over one pass of
+    /// its operands can keep an accumulator per sum: a sparse matrix row
+    /// against `w` interleaved messages, or the `s(0)`, `s(1)`, `s(∞)` of a
+    /// sum-check round over the same table pairs.
     type DotAcc: Copy + Default + Send + Sync;
 
     /// `acc += a · b`.
@@ -135,8 +135,10 @@ pub trait Field:
     fn dot_acc_reduce(acc: &Self::DotAcc) -> Self;
 
     /// Inner product `Σ aᵢ·bᵢ` over an iterator of pairs — the hot loop of
-    /// sparse-matrix rows, row combinations, and sum-check folds — through
-    /// one [`Self::DotAcc`].
+    /// sparse-matrix rows, row combinations and matrix-MLE evaluation —
+    /// through one [`Self::DotAcc`]. A loop that keeps several sums at once
+    /// (the batch encoder, the sum-check round sums) calls the two steps
+    /// itself.
     fn dot_pairs(pairs: impl Iterator<Item = (Self, Self)>) -> Self {
         let mut acc = Self::DotAcc::default();
         for (a, b) in pairs {

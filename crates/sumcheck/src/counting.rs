@@ -1,10 +1,13 @@
 //! Test-only: `Fr` behind a wrapper that counts multiplications, so a test
 //! can hold a prover loop to its operation-count bound on a host where
 //! wall-clock cannot. `batchzk-zkp` includes this file by `#[path]` for its
-//! matrix-binding gate.
+//! sparse-matrix gates.
 //!
-//! A conversion `From<u64>` counts as a multiply: it is one (into Montgomery
-//! form), and a hot loop must hold none. Additions and inversions are free.
+//! Two counters: *full* multiplies (`Mul`, one Montgomery reduction each)
+//! and *deferred* products (`dot_acc_add`, reduced once per sum — about half
+//! the cost). A conversion `From<u64>` counts as a full multiply: it is one
+//! (into Montgomery form), and a hot loop must hold none. Additions and
+//! inversions are free.
 
 use batchzk_field::{Field, Fr, RngCore};
 use core::iter::{Product, Sum};
@@ -13,15 +16,29 @@ use std::cell::Cell;
 
 thread_local! {
     // Per thread, and the test harness runs each test on its own thread.
-    static MULS: Cell<u64> = const { Cell::new(0) };
+    static FULL: Cell<u64> = const { Cell::new(0) };
+    static DEFERRED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Multiplications performed on [`Counted`] values.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Muls {
+    /// Reduced multiplies: `Mul` and `From<u64>`.
+    pub full: u64,
+    /// Products added into a [`Field::DotAcc`].
+    pub deferred: u64,
 }
 
 /// Runs `f`, returning its result and the multiplications it performed on
 /// [`Counted`] values.
-pub fn count_muls<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = MULS.get();
+pub fn count_muls<R>(f: impl FnOnce() -> R) -> (R, Muls) {
+    let (full, deferred) = (FULL.get(), DEFERRED.get());
     let out = f();
-    (out, MULS.get() - before)
+    let muls = Muls {
+        full: FULL.get() - full,
+        deferred: DEFERRED.get() - deferred,
+    };
+    (out, muls)
 }
 
 /// `Fr` with every multiplication counted.
@@ -30,7 +47,7 @@ pub struct Counted(pub Fr);
 
 impl Counted {
     fn counting(v: Fr) -> Self {
-        MULS.set(MULS.get() + 1);
+        FULL.set(FULL.get() + 1);
         Self(v)
     }
 }
@@ -111,10 +128,11 @@ impl Field for Counted {
     const MODULUS_BITS: u32 = Fr::MODULUS_BITS;
     const TWO_ADICITY: u32 = Fr::TWO_ADICITY;
 
-    // Multiply-then-add, so every term of a dot product is counted.
+    // Multiply-then-add, every term counted as a deferred product.
     type DotAcc = Self;
     fn dot_acc_add(acc: &mut Self, a: Self, b: Self) {
-        *acc += a * b;
+        DEFERRED.set(DEFERRED.get() + 1);
+        acc.0 += a.0 * b.0;
     }
     fn dot_acc_reduce(acc: &Self) -> Self {
         *acc

@@ -35,7 +35,7 @@ mod prove;
 mod rounds;
 
 pub use poly::{eq_eval, eq_table, MultilinearPoly};
-pub use prove::{prove_cubic_eq, prove_linear, prove_quadratic, ProverOutput};
+pub use prove::{prove_cubic, prove_linear, prove_quadratic, ProverOutput};
 pub use rounds::{
     interpolate_at, prover_round_challenge, verify_rounds, LagrangeDenoms, SumcheckProof,
 };

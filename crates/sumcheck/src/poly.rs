@@ -115,23 +115,45 @@ impl<F: Field> MultilinearPoly<F> {
     }
 }
 
+/// Doubles the `eq` level stored at `table[start..]` by one more variable
+/// with coordinate `t`: each `v` becomes `v·(1 − t)` in place and `v·t` is
+/// appended — one multiply per entry, no second buffer.
+fn eq_double<F: Field>(table: &mut Vec<F>, start: usize, t: F) {
+    for i in start..table.len() {
+        let high = table[i] * t;
+        table[i] -= high;
+        table.push(high);
+    }
+}
+
 /// Builds the `eq(tau, ·)` table: `out[b] = Π_i (tau_i b_i + (1-tau_i)(1-b_i))`.
 ///
 /// This is the multilinear extension of the Kronecker delta at `tau`,
-/// central to the Spartan-style sum-checks.
+/// central to the Spartan-style sum-checks. One allocation, filled level by
+/// level in place.
 pub fn eq_table<F: Field>(tau: &[F]) -> Vec<F> {
-    let mut table = vec![F::ONE];
+    let mut table = Vec::with_capacity(1 << tau.len());
+    table.push(F::ONE);
     for &t in tau {
-        let mut next = vec![F::ZERO; table.len() * 2];
-        let (lo, hi) = next.split_at_mut(table.len());
-        for (i, &v) in table.iter().enumerate() {
-            let high = v * t;
-            hi[i] = high;
-            lo[i] = v - high;
-        }
-        table = next;
+        eq_double(&mut table, 0, t);
     }
     table
+}
+
+/// The `eq` tables of every proper prefix of `tau` in one allocation of
+/// `2^n` entries: `out[2^k..2^(k+1)]` is `eq_table(&tau[..k])` for
+/// `k < n` (slot 0 is unused). Round `j` of a sum-check with an `eq(tau, ·)`
+/// factor weighs its `2^(n-j)` pairs by level `n − j`, so the levels are
+/// built once — `2^(n-1)` multiplies in all — and never folded.
+pub(crate) fn eq_prefix_tables<F: Field>(tau: &[F]) -> Vec<F> {
+    let mut levels = Vec::with_capacity(1 << tau.len());
+    levels.extend([F::ZERO, F::ONE]);
+    for &t in &tau[..tau.len().saturating_sub(1)] {
+        let start = levels.len();
+        levels.extend_from_within(start / 2..);
+        eq_double(&mut levels, start, t);
+    }
+    levels
 }
 
 /// Evaluates `eq(x, y)` for two arbitrary points of equal dimension.
@@ -222,6 +244,19 @@ mod tests {
         for (b, entry) in table.iter().enumerate().take(16) {
             let point: Vec<Fr> = (0..4).map(|i| Fr::from(((b >> i) & 1) as u64)).collect();
             assert_eq!(*entry, eq_eval(&tau, &point), "b={b}");
+        }
+    }
+
+    #[test]
+    fn eq_prefix_tables_hold_every_proper_prefix() {
+        let mut rng = Prg::seed_from_u64(9);
+        for n in 0..=6usize {
+            let tau: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
+            let levels = eq_prefix_tables(&tau);
+            assert_eq!(levels.len(), (1usize << n).max(2), "n={n}");
+            for k in 0..n.max(1) {
+                assert_eq!(levels[1 << k..2 << k], eq_table(&tau[..k]), "n={n} k={k}");
+            }
         }
     }
 

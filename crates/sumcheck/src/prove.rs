@@ -1,12 +1,13 @@
 //! Fiat–Shamir sum-check provers for the polynomial shapes the SNARK needs:
 //! plain multilinear (degree 1), products of two multilinears (degree 2),
-//! and the Spartan core `eq·(a·b - c)` (degree 3).
+//! and the Spartan core `eq·(a·b - c)` (degree 3) — each a [`Gate`]
+//! description handed to the one round loop, [`prove_rounds`].
 
-use batchzk_field::Field;
+use batchzk_field::{batch_invert, Field};
 use batchzk_hash::Transcript;
 
-use crate::poly::MultilinearPoly;
-use crate::rounds::{prover_round_challenge, LagrangeDenoms, SumcheckProof};
+use crate::poly::{eq_prefix_tables, MultilinearPoly};
+use crate::rounds::{prover_round_challenge, SumcheckProof};
 
 /// Output of a prover run: the proof, the challenge vector in round order,
 /// and the final evaluations of each input polynomial at the bound point.
@@ -29,46 +30,96 @@ impl<F: Field> ProverOutput<F> {
     }
 }
 
-/// The two halves of a table: entries with the top variable at 0 and at 1.
-fn halves<F: Field>(p: &MultilinearPoly<F>) -> (&[F], &[F]) {
-    p.evals().split_at(p.evals().len() / 2)
-}
-
-/// `t(2), t(3)` of the line through `t(0) = t0`, `t(1) = t1`, by adding the
-/// slope twice — no multiply.
-fn extend<F: Field>(t0: F, t1: F) -> (F, F) {
-    let t2 = t1 + (t1 - t0);
-    (t2, t2 + (t1 - t0))
-}
-
-/// The round loop shared by the provers below. `evals(tables, direct)`
-/// returns the round polynomial at `X = 0..=degree`; its slot 1 is used
-/// only when `direct`, which is round 1. From round 2 on the claim
-/// `g_prev(r)` is known and `g(1) = claim − g(0)`: that is an identity of
-/// the polynomials (both sides sum the same partially bound table), so the
-/// rounds equal a direct evaluation's whatever the tables sum to.
-fn prove_rounds<F: Field, const T: usize>(
-    mut tables: [MultilinearPoly<F>; T],
+/// What a sum-check sums, as the round loop sees it: `Σ_b w(b)·p(t_1(b), …,
+/// t_T(b))` over `T` tables, with `p` of degree `degree` (1 or 2) in the
+/// table values and the weight `w = eq(τ, ·)` when `eq` holds `τ`, else 1.
+///
+/// A pair's term `w·p(t)` enters its sum as one *deferred* product
+/// ([`Field::dot_acc_add`]): `term(w, t, leading)` returns its two factors.
+/// With `leading` set, `t` holds the tables' slopes and the term is the
+/// coefficient of `X^degree` in the round variable — the top-degree part of
+/// `p` alone (asked only for degree 2).
+struct Gate<'a, F, P> {
     degree: usize,
+    eq: Option<&'a [F]>,
+    term: P,
+}
+
+/// The round loop behind every prover below.
+///
+/// A round's polynomial is `g(X) = L(X)·s(X)`: `s(X) = Σ_b w(b)·p(X, b)`
+/// sums the pairs under the `eq` weights of the variables still free, and
+/// the linear `L` is the `eq` factor `l` of the variable being bound times
+/// that of the variables already bound (`L ≡ 1` without an `eq`). The loop
+/// sums only `s(0)` and the leading coefficient `s(∞)`. `s(1)` follows from
+/// the previous round: `s_prev(r) = l(0)·s(0) + l(1)·s(1)` as polynomials,
+/// both sides summing the same partially bound tables — except in round 1
+/// and where `l(1) = τ_j` is zero, which sum `s(1)` directly. `s(2), s(3)`
+/// extend by differences (the second difference is `2·s(∞)`) and
+/// `g(k) = L(k)·s(k)`. Every step is exact arithmetic on canonical
+/// elements, so the rounds are the bytes a per-`X` evaluation of the full
+/// product gives, whatever the tables sum to.
+fn prove_rounds<F: Field, const T: usize>(
+    gate: Gate<'_, F, impl Fn(F, [F; T], bool) -> (F, F)>,
+    mut tables: [MultilinearPoly<F>; T],
     transcript: &mut Transcript,
-    evals: impl Fn(&[MultilinearPoly<F>; T], bool) -> Vec<F>,
 ) -> ProverOutput<F> {
     let n = tables[0].num_vars();
-    assert!(
-        tables.iter().all(|t| t.num_vars() == n),
-        "variable count mismatch"
-    );
-    let denoms = LagrangeDenoms::new(degree);
+    let same_vars = tables.iter().all(|t| t.num_vars() == n);
+    assert!(same_vars, "variable count mismatch");
+    // With an `eq` factor: 1/τ_j (zero where τ_j is) and the weight tables.
+    let eq = gate.eq.map(|tau| {
+        assert_eq!(tau.len(), n, "variable count mismatch");
+        let mut inverses = tau.to_vec();
+        batch_invert(&mut inverses);
+        (tau, inverses, eq_prefix_tables(tau))
+    });
+    let degree = gate.degree + usize::from(eq.is_some());
     let mut rounds = Vec::with_capacity(n);
     let mut rs = Vec::with_capacity(n);
-    let mut claim = None;
-    for _ in 0..n {
-        let mut round = evals(&tables, claim.is_none());
-        if let Some(claim) = claim {
-            round[1] = claim - round[0];
+    // `s_prev(r)`, and the `eq` factor of the variables bound so far.
+    let (mut claim, mut bound) = (None, F::ONE);
+    for var in (0..n).rev() {
+        let half = 1usize << var;
+        let (l0, l1, l1_inv, weights) = match &eq {
+            Some((tau, inv, levels)) => (F::ONE - tau[var], tau[var], inv[var], &levels[half..]),
+            None => (F::ONE, F::ONE, F::ONE, &[][..]),
+        };
+        let known = claim.filter(|_| !l1_inv.is_zero());
+        let mut sums = [F::DotAcc::default(); 3];
+        for b in 0..half {
+            let w = weights.get(b).copied().unwrap_or(F::ONE);
+            let t0: [F; T] = core::array::from_fn(|i| tables[i].evals()[b]);
+            let t1: [F; T] = core::array::from_fn(|i| tables[i].evals()[b + half]);
+            let (x, y) = (gate.term)(w, t0, false);
+            F::dot_acc_add(&mut sums[0], x, y);
+            if known.is_none() {
+                let (x, y) = (gate.term)(w, t1, false);
+                F::dot_acc_add(&mut sums[1], x, y);
+            }
+            if gate.degree == 2 {
+                let slopes = core::array::from_fn(|i| t1[i] - t0[i]);
+                let (x, y) = (gate.term)(w, slopes, true);
+                F::dot_acc_add(&mut sums[2], x, y);
+            }
+        }
+        let [s0, direct, top] = sums.map(|acc| F::dot_acc_reduce(&acc));
+        let s1 = known.map_or(direct, |claim| (claim - l0 * s0) * l1_inv);
+
+        let mut round = vec![s0, s1];
+        let (mut diff, second) = (s1 - s0, top.double());
+        for k in 2..=degree {
+            diff += second;
+            round.push(round[k - 1] + diff);
+        }
+        let (mut l, step) = (bound * l0, bound * (l1 - l0));
+        for g in &mut round {
+            *g *= l;
+            l += step;
         }
         let r = prover_round_challenge(&round, transcript);
-        claim = Some(denoms.interpolate_at(&round, r));
+        claim = Some(s0 + r * (s1 - s0 + top * (r - F::ONE)));
+        bound *= l0 + r * (l1 - l0);
         for t in &mut tables {
             t.fix_top_variable(r);
         }
@@ -88,15 +139,12 @@ pub fn prove_linear<F: Field>(
     poly: MultilinearPoly<F>,
     transcript: &mut Transcript,
 ) -> ProverOutput<F> {
-    prove_rounds([poly], 1, transcript, |[p], direct| {
-        let (lo, hi) = halves(p);
-        let g1 = if direct {
-            hi.iter().copied().sum()
-        } else {
-            F::ZERO
-        };
-        vec![lo.iter().copied().sum(), g1]
-    })
+    let gate = Gate {
+        degree: 1,
+        eq: None,
+        term: |w, [p]: [F; 1], _| (w, p),
+    };
+    prove_rounds(gate, [poly], transcript)
 }
 
 /// Proves `H = Σ_b f(b)·g(b)` (degree-2 rounds, evaluations at X ∈ {0,1,2}).
@@ -109,58 +157,43 @@ pub fn prove_quadratic<F: Field>(
     g: MultilinearPoly<F>,
     transcript: &mut Transcript,
 ) -> ProverOutput<F> {
-    prove_rounds([f, g], 2, transcript, |[f, g], direct| {
-        let ((f0, f1), (g0, g1)) = (halves(f), halves(g));
-        let mut e = [F::ZERO; 3];
-        for b in 0..f0.len() {
-            e[0] += f0[b] * g0[b];
-            if direct {
-                e[1] += f1[b] * g1[b];
-            }
-            e[2] += extend(f0[b], f1[b]).0 * extend(g0[b], g1[b]).0;
-        }
-        e.into()
-    })
+    let gate = Gate {
+        degree: 2,
+        eq: None,
+        term: |_, [f, g]: [F; 2], _| (f, g),
+    };
+    prove_rounds(gate, [f, g], transcript)
 }
 
-/// Proves `H = Σ_b eq(b)·(a(b)·c(b) - d(b))` — the Spartan outer sum-check
-/// (degree-3 rounds, evaluations at X ∈ {0,1,2,3}).
+/// Proves `H = Σ_b eq(τ, b)·(a(b)·c(b) - d(b))` — the Spartan outer
+/// sum-check (degree-3 rounds, evaluations at X ∈ {0,1,2,3}) — from `τ`
+/// itself: no `eq` table is passed, folded or ever built in full.
 ///
-/// The `final_evals` are `[eq, a, c, d]` at the bound point.
+/// The `final_evals` are `[a, c, d]` at the bound point.
 ///
 /// # Panics
 ///
-/// Panics if the polynomials have different variable counts.
-pub fn prove_cubic_eq<F: Field>(
-    eq: MultilinearPoly<F>,
+/// Panics if the polynomials' variable counts differ from `tau.len()`.
+pub fn prove_cubic<F: Field>(
+    tau: &[F],
     a: MultilinearPoly<F>,
     c: MultilinearPoly<F>,
     d: MultilinearPoly<F>,
     transcript: &mut Transcript,
 ) -> ProverOutput<F> {
-    prove_rounds([eq, a, c, d], 3, transcript, |[eq, a, c, d], direct| {
-        let ((eq0, eq1), (a0, a1)) = (halves(eq), halves(a));
-        let ((c0, c1), (d0, d1)) = (halves(c), halves(d));
-        let mut e = [F::ZERO; 4];
-        for b in 0..eq0.len() {
-            e[0] += eq0[b] * (a0[b] * c0[b] - d0[b]);
-            if direct {
-                e[1] += eq1[b] * (a1[b] * c1[b] - d1[b]);
-            }
-            let ((eq2, eq3), (a2, a3)) = (extend(eq0[b], eq1[b]), extend(a0[b], a1[b]));
-            let ((c2, c3), (d2, d3)) = (extend(c0[b], c1[b]), extend(d0[b], d1[b]));
-            e[2] += eq2 * (a2 * c2 - d2);
-            e[3] += eq3 * (a3 * c3 - d3);
-        }
-        e.into()
-    })
+    let gate = Gate {
+        degree: 2,
+        eq: Some(tau),
+        term: |w, [a, c, d]: [F; 3], leading| (w, if leading { a * c } else { a * c - d }),
+    };
+    prove_rounds(gate, [a, c, d], transcript)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::counting::{count_muls, Counted};
-    use crate::poly::eq_table;
+    use crate::poly::{eq_eval, eq_table};
     use crate::rounds::verify_rounds;
     use batchzk_field::Fr;
     use batchzk_hash::Prg;
@@ -232,6 +265,21 @@ mod tests {
         );
     }
 
+    /// The oracle run of the cubic shape over an explicit `eq` table, whose
+    /// final evaluation [`prove_cubic`] has no table to report.
+    fn cubic_oracle(
+        tau: &[Fr],
+        [a, c, d]: [&MultilinearPoly<Fr>; 3],
+        transcript: &mut Transcript,
+    ) -> ProverOutput<Fr> {
+        let eq = MultilinearPoly::new(eq_table(tau));
+        let tables = [eq, a.clone(), c.clone(), d.clone()];
+        let term = |[eq, a, c, d]: [Fr; 4]| eq * (a * c - d);
+        let mut out = oracle(tables, 3, transcript, term);
+        assert_eq!(out.final_evals.remove(0), eq_eval(tau, &out.point()));
+        out
+    }
+
     #[test]
     fn provers_match_the_per_x_oracle() {
         let mut rng = Prg::seed_from_u64(0x1D);
@@ -239,7 +287,7 @@ mod tests {
             for rep in 0..3 {
                 let case = format!("n={n} rep={rep}");
                 // Random tables: the round-1 claim is a random non-zero sum.
-                let [eq, a, c, d] = rand_tables::<Fr, 4>(n, &mut rng);
+                let [a, c, d] = rand_tables::<Fr, 3>(n, &mut rng);
                 assert_same(
                     |t| prove_linear(a.clone(), t),
                     |t| oracle([a.clone()], 1, t, |[p]| p),
@@ -250,56 +298,73 @@ mod tests {
                     |t| oracle([a.clone(), c.clone()], 2, t, |[f, g]| f * g),
                     &format!("quadratic {case}"),
                 );
-                let cubic = |[eq, a, c, d]: [Fr; 4]| eq * (a * c - d);
-                assert_same(
-                    |t| prove_cubic_eq(eq.clone(), a.clone(), c.clone(), d.clone(), t),
-                    |t| oracle([eq.clone(), a.clone(), c.clone(), d.clone()], 3, t, cubic),
-                    &format!("cubic {case}"),
-                );
                 // The satisfied shape Spartan proves: d = a∘c, claim zero.
                 let ac = a.evals().iter().zip(c.evals()).map(|(x, y)| *x * *y);
                 let ac = MultilinearPoly::new(ac.collect());
-                assert_same(
-                    |t| prove_cubic_eq(eq.clone(), a.clone(), c.clone(), ac.clone(), t),
-                    |t| oracle([eq.clone(), a.clone(), c.clone(), ac.clone()], 3, t, cubic),
-                    &format!("cubic zero-claim {case}"),
-                );
+                // τ random, then with coordinates 0 and 1 mixed in: a zero
+                // coordinate leaves no inverse to derive s(1) with (that
+                // round sums it directly), a one makes l(0) zero.
+                let random: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
+                let mixed = random
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &t)| match (i + rep) % 3 {
+                        0 => Fr::ZERO,
+                        1 => Fr::ONE,
+                        _ => t,
+                    });
+                let bits = (0..n).map(|i| Fr::from(((i + rep) % 2) as u64));
+                for (shape, tau) in [
+                    ("random", random.clone()),
+                    ("mixed", mixed.collect()),
+                    ("bits", bits.collect()),
+                ] {
+                    for (claim, d) in [("non-zero", &d), ("zero", &ac)] {
+                        assert_same(
+                            |t| prove_cubic(&tau, a.clone(), c.clone(), d.clone(), t),
+                            |t| cubic_oracle(&tau, [&a, &c, d], t),
+                            &format!("cubic τ {shape}, {claim} claim, {case}"),
+                        );
+                    }
+                }
             }
         }
     }
 
-    /// Multiplies a prover spends outside its pair loops: building the
-    /// Lagrange denominators once, interpolating the claim once per round.
-    fn round_overhead(degree: usize, rounds: u64) -> u64 {
-        let (denoms, setup) = count_muls(|| LagrangeDenoms::<Counted>::new(degree));
-        let ys = vec![Counted::ONE; degree + 1];
-        let (_, per_round) = count_muls(|| denoms.interpolate_at(&ys, Counted::ONE));
-        setup + rounds * per_round
-    }
-
     #[test]
     fn multiplies_per_pair_per_round_are_bounded() {
-        // The regression gate for hosts where wall-clock cannot fire: per
-        // pair and round, sum-check #1 spends 6 multiplies on g(0), g(2),
-        // g(3) and 4 on the fold; sum-check #2 spends 2 and 2. Round 1
-        // evaluates g(1) directly: 2 (resp. 1) more per pair. The linear
-        // prover only folds.
+        // The regression gate for hosts where wall-clock cannot fire. Per
+        // pair and round, full multiplies / deferred products: sum-check #1
+        // spends 2 / 2 on s(0), s(∞) and 3 / 0 on the fold; sum-check #2
+        // 0 / 2 and 2 / 0; the linear prover 0 / 1 and 1 / 0. Round 1 sums
+        // s(1) directly: 1 / 1 (resp. 0 / 1) more per pair. Outside the pair
+        // loops a round costs `ROUND` multiplies plus one per evaluation it
+        // sends, and the `eq` factor one `batch_invert` of τ plus its prefix
+        // tables (under m/2).
+        const ROUND: u64 = 8;
         let mut rng = Prg::seed_from_u64(0x0C);
-        let n = 9;
+        let n = 9u64;
         let (pairs, first) = ((1u64 << n) - 1, 1u64 << (n - 1));
-        let [eq, a, c, d] = rand_tables::<Counted, 4>(n, &mut rng);
+        let [a, c, d] = rand_tables::<Counted, 3>(n as usize, &mut rng);
+        let tau: Vec<Counted> = (0..n).map(|_| Counted::random(&mut rng)).collect();
         let mut t = Transcript::new(b"count");
 
         let (_, muls) = count_muls(|| prove_linear(a.clone(), &mut t));
-        assert!(muls - round_overhead(1, n as u64) <= pairs, "linear {muls}");
+        assert!(muls.full - n * (ROUND + 2) <= pairs, "linear {muls:?}");
+        assert!(muls.deferred <= pairs + first, "linear {muls:?}");
 
         let (_, muls) = count_muls(|| prove_quadratic(a.clone(), c.clone(), &mut t));
-        let in_loops = muls - round_overhead(2, n as u64);
-        assert!(in_loops <= 4 * pairs + first, "quadratic {in_loops}");
+        assert!(
+            muls.full - n * (ROUND + 3) <= 2 * pairs,
+            "quadratic {muls:?}"
+        );
+        assert!(muls.deferred <= 2 * pairs + first, "quadratic {muls:?}");
 
-        let (_, muls) = count_muls(|| prove_cubic_eq(eq, a, c, d, &mut t));
-        let in_loops = muls - round_overhead(3, n as u64);
-        assert!(in_loops <= 10 * pairs + 2 * first, "cubic {in_loops}");
+        let (_, invert) = count_muls(|| batch_invert(&mut tau.clone()));
+        let (_, muls) = count_muls(|| prove_cubic(&tau, a, c, d, &mut t));
+        let in_loops = muls.full - n * (ROUND + 4) - invert.full;
+        assert!(in_loops <= 5 * pairs + first + first, "cubic {muls:?}");
+        assert!(muls.deferred <= 2 * pairs + first, "cubic {muls:?}");
     }
 
     #[test]
@@ -349,13 +414,12 @@ mod tests {
             .map(|b| eq.evals()[b] * (a.evals()[b] * c.evals()[b] - d.evals()[b]))
             .sum();
         let mut pt = Transcript::new(b"cubic");
-        let out = prove_cubic_eq(eq.clone(), a.clone(), c.clone(), d.clone(), &mut pt);
+        let out = prove_cubic(&tau, a.clone(), c.clone(), d.clone(), &mut pt);
         let mut vt = Transcript::new(b"cubic");
         let (fc, _) = verify_rounds(h, &out.proof, 3, &mut vt).expect("verifies");
-        let [eqv, av, cv, dv]: [Fr; 4] = out.final_evals.clone().try_into().unwrap();
-        assert_eq!(fc, eqv * (av * cv - dv));
+        let [av, cv, dv]: [Fr; 3] = out.final_evals.clone().try_into().unwrap();
         let point = out.point();
-        assert_eq!(eq.evaluate(&point), eqv);
+        assert_eq!(fc, eq.evaluate(&point) * (av * cv - dv));
         assert_eq!(a.evaluate(&point), av);
     }
 
@@ -365,7 +429,6 @@ mod tests {
         let mut rng = Prg::seed_from_u64(4);
         let n = 4;
         let tau: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
-        let eq = MultilinearPoly::new(eq_table(&tau));
         let a = rand_poly(n, &mut rng);
         let c = rand_poly(n, &mut rng);
         let d = MultilinearPoly::new(
@@ -376,7 +439,7 @@ mod tests {
                 .collect(),
         );
         let mut pt = Transcript::new(b"sat");
-        let out = prove_cubic_eq(eq.clone(), a.clone(), c.clone(), d.clone(), &mut pt);
+        let out = prove_cubic(&tau, a.clone(), c.clone(), d.clone(), &mut pt);
         let mut vt = Transcript::new(b"sat");
         assert!(verify_rounds(Fr::ZERO, &out.proof, 3, &mut vt).is_some());
     }

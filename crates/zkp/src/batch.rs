@@ -192,14 +192,15 @@ impl<F: Field> PipeStage<BatchTask<F>> for SumcheckStage<F> {
         // stage, which assembles it again.
         let z = std::mem::take(&mut task.z);
         let products = self.r1cs.products(&z);
-        let part = spartan::sumchecks_over(&self.r1cs, z.into(), products, &mut transcript);
+        let part = spartan::sumchecks_over(&self.r1cs, z, products, &mut transcript);
         task.sumcheck_part = Some(part);
         task.transcript = Some(transcript);
 
         let m = self.r1cs.padded_constraints() as u64;
         let n = self.r1cs.z_len() as u64;
-        // Sum-check #1 folds four tables of 2m pairs total; #2 two tables
-        // of 2n pairs.
+        // The cost model's unit count, from the textbook provers: sum-check
+        // #1 as four tables of 2m pairs in all, #2 as two of 2n. The host
+        // prover folds three in #1 (`eq` is factored out, never a table).
         let units = 4 * 2 * m + 2 * 2 * n;
         let table_bytes = (3 * m + n) * 32;
         let encoded = task.pcs_data.as_ref().expect("merkle stage ran");

@@ -45,7 +45,7 @@ pub use batch::{
 pub use orion::{OrionBackend, OrionProof, OrionTask};
 pub use pcs::{PcsCommitment, PcsOpening, PcsParams};
 pub use r1cs::{R1cs, R1csBuilder, Var};
-pub use spartan::{prove, prove_with_artifacts, verify, Proof};
+pub use spartan::{prove, verify, Proof};
 
 #[cfg(test)]
 mod randomized_tests {

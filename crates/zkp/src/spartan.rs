@@ -16,15 +16,14 @@
 //! (Spartan's SPARK preprocessing is out of scope — documented in
 //! `DESIGN.md`; prover cost, the paper's measured quantity, is unaffected).
 
-use crate::pcs::{self, PcsCommitment, PcsKey, PcsOpening, PcsParams, PcsProverData};
+use crate::pcs::{self, PcsCommitment, PcsKey, PcsOpening, PcsParams};
 use crate::r1cs::R1cs;
-use std::borrow::Cow;
 
 use batchzk_field::Field;
 use batchzk_hash::Transcript;
 use batchzk_sumcheck::{
-    eq_eval, eq_table, prove_cubic_eq, prove_quadratic, verify_rounds, MultilinearPoly,
-    ProverOutput, SumcheckProof,
+    eq_eval, eq_table, prove_cubic, prove_quadratic, verify_rounds, MultilinearPoly, ProverOutput,
+    SumcheckProof,
 };
 
 /// Domain label binding every proof to this protocol version.
@@ -61,15 +60,6 @@ impl<F: Field> Proof<F> {
     }
 }
 
-/// Intermediate per-instance artifacts, exposed so the batch pipeline can
-/// charge each module's work to the right kernel (Figure 7).
-pub struct ProverArtifacts<F> {
-    /// PCS data for the committed witness.
-    pub pcs_data: PcsProverData<F>,
-    /// The full assignment.
-    pub z: Vec<F>,
-}
-
 /// Proves that `(inputs, witness)` satisfies `r1cs`.
 ///
 /// # Panics
@@ -83,20 +73,6 @@ pub fn prove<F: Field>(
     inputs: &[F],
     witness: &[F],
 ) -> Proof<F> {
-    prove_with_artifacts(params, r1cs, inputs, witness).0
-}
-
-/// [`prove`], additionally returning intermediate artifacts.
-///
-/// # Panics
-///
-/// Panics if the assignment does not satisfy the instance.
-pub fn prove_with_artifacts<F: Field>(
-    params: &PcsParams,
-    r1cs: &R1cs<F>,
-    inputs: &[F],
-    witness: &[F],
-) -> (Proof<F>, ProverArtifacts<F>) {
     let z = r1cs.assemble_z(inputs, witness);
     // The sum-check below reuses the products the satisfaction check needs.
     let products = r1cs.products(&z);
@@ -109,30 +85,26 @@ pub fn prove_with_artifacts<F: Field>(
     absorb_statement(&mut transcript, r1cs, inputs);
 
     // Module 1+2 (encoder + Merkle): commit the witness half of z.
-    let w_half = &z[r1cs.half_len()..];
-    let (commitment, pcs_data) = pcs::commit(params, w_half);
+    let (commitment, pcs_data) = pcs::commit(params, &z[r1cs.half_len()..]);
     transcript.absorb_digest(b"w-commitment", &commitment.root);
 
-    // Module 3 (sum-check).
-    let part = sumchecks_over(r1cs, Cow::Borrowed(&z), products, &mut transcript);
+    // Module 3 (sum-check), the last reader of z.
+    let part = sumchecks_over(r1cs, z, products, &mut transcript);
 
     // Open w̃ at the bound point (all but the top variable of ry).
     let y_prime = &part.point_y[..part.point_y.len() - 1];
     let (w_eval, opening) = pcs::open(params, &pcs_data, y_prime, &mut transcript);
 
-    (
-        Proof {
-            commitment,
-            sc1: part.sc1,
-            va: part.va,
-            vb: part.vb,
-            vc: part.vc,
-            sc2: part.sc2,
-            w_eval,
-            opening,
-        },
-        ProverArtifacts { pcs_data, z },
-    )
+    Proof {
+        commitment,
+        sc1: part.sc1,
+        va: part.va,
+        vb: part.vb,
+        vc: part.vc,
+        sc2: part.sc2,
+        w_eval,
+        opening,
+    }
 }
 
 /// Builds the prover/verifier transcript with the statement absorbed —
@@ -175,29 +147,27 @@ pub fn run_sumchecks<F: Field>(
     transcript: &mut Transcript,
 ) -> SumcheckPart<F> {
     assert_eq!(z.len(), r1cs.z_len(), "assignment length mismatch");
-    sumchecks_over(r1cs, Cow::Borrowed(z), r1cs.products(z), transcript)
+    sumchecks_over(r1cs, z.to_vec(), r1cs.products(z), transcript)
 }
 
-/// [`run_sumchecks`] over already computed [`R1cs::products`] of `z`. A
-/// caller that is done with `z` passes it owned, and sum-check #2 folds it
-/// in place instead of a copy.
+/// [`run_sumchecks`] over already computed [`R1cs::products`] of `z`, which
+/// sum-check #2 folds in place: every table of the phase is moved into its
+/// prover, none copied.
 pub(crate) fn sumchecks_over<F: Field>(
     r1cs: &R1cs<F>,
-    z: Cow<'_, [F]>,
+    z: Vec<F>,
     products: [Vec<F>; 3],
     transcript: &mut Transcript,
 ) -> SumcheckPart<F> {
     let sc1 = prove_outer(r1cs, products, transcript);
     let m_combo = bind_matrices(r1cs, &sc1, transcript);
-    // For a borrowed `z`, the one table copy of the phase: every other
-    // table is built here and moved into its prover.
-    let z_poly = MultilinearPoly::new(z.into_owned());
-    let sc2 = prove_quadratic(MultilinearPoly::new(m_combo), z_poly, transcript);
+    let [m_combo, z] = [m_combo, z].map(MultilinearPoly::new);
+    let sc2 = prove_quadratic(m_combo, z, transcript);
     SumcheckPart {
         sc1: sc1.proof,
-        va: sc1.final_evals[1],
-        vb: sc1.final_evals[2],
-        vc: sc1.final_evals[3],
+        va: sc1.final_evals[0],
+        vb: sc1.final_evals[1],
+        vc: sc1.final_evals[2],
         point_y: sc2.point(),
         sc2: sc2.proof,
     }
@@ -205,8 +175,8 @@ pub(crate) fn sumchecks_over<F: Field>(
 
 /// The outer constraint sum-check (#1) over [`R1cs::products`] of the
 /// assignment: draws `τ` and absorbs the three claims the rounds end on
-/// (`final_evals[1..]`). Public, like [`bind_matrices`], so a profiler can
-/// time the phases of [`run_sumchecks`] one by one.
+/// (`final_evals`). Public, like [`bind_matrices`], so a profiler can time
+/// the phases of [`run_sumchecks`] one by one.
 pub fn prove_outer<F: Field>(
     r1cs: &R1cs<F>,
     products: [Vec<F>; 3],
@@ -218,9 +188,8 @@ pub fn prove_outer<F: Field>(
         v.resize(m, F::ZERO);
         MultilinearPoly::new(v)
     });
-    let eq_tau = MultilinearPoly::new(eq_table(&tau));
-    let sc1 = prove_cubic_eq(eq_tau, az, bz, cz, transcript);
-    transcript.absorb_fields(b"sc1-claims", &sc1.final_evals[1..]);
+    let sc1 = prove_cubic(&tau, az, bz, cz, transcript);
+    transcript.absorb_fields(b"sc1-claims", &sc1.final_evals);
     sc1
 }
 
@@ -307,10 +276,8 @@ pub fn verify_with<F: Field>(
         .sum();
 
     // z̃(ry) from the public io half and the committed w half.
-    let y_top = point_y[point_y.len() - 1];
-    let y_prime = &point_y[..point_y.len() - 1];
-    let io_eval = r1cs.io_poly(inputs).evaluate(y_prime);
-    let z_eval = (F::ONE - y_top) * io_eval + y_top * proof.w_eval;
+    let (y_top, y_prime) = point_y.split_last().expect("z has a top variable");
+    let z_eval = r1cs.io_eval(inputs, &eq_ry) + *y_top * proof.w_eval;
     if final2 != m_eval * z_eval {
         return false;
     }
