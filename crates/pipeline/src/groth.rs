@@ -32,10 +32,16 @@
 //! clock honest"): re-tuning the modelled ladder for the host would
 //! silently move every `sim_*` number.
 //!
+//! Between stages a task owns one `TaskState` variant — exactly what the
+//! later stages read — and stage 1 reads the instance only, so a
+//! fault-recovery replay restarts a salvaged task there (DESIGN.md §15,
+//! "Task state").
+//!
 //! Stages overlap their H2D/D2H transfers with compute when the pipeline
 //! runs multi-stream (double-buffering), exactly like the sumcheck system.
-//! The [`prove_naive`] runner is the kernel-per-task contrast: the same
-//! four stages walked serially per task group, no cross-stage overlap.
+//! [`run_stages_naive`](crate::naive::run_stages_naive) is the
+//! kernel-per-task contrast: the same four stages walked serially per task
+//! group, no cross-stage overlap.
 //!
 //! The proof is *structural*: commitments and quotient are real
 //! computation, but without pairings the verifier checks the divisibility
@@ -49,11 +55,10 @@ use std::sync::Arc;
 
 use batchzk_curve::{msm, msm_group_op_count, window_size, G1Affine, G1Projective};
 use batchzk_field::{Field, Fr, NttDomain, SplitMix64};
-use batchzk_gpu_sim::{Gpu, Work};
+use batchzk_gpu_sim::{CostModel, Gpu, Work};
 use batchzk_hash::Transcript;
 
 use crate::engine::{allocate_threads, BoxedStage, PipeStage, StageWork};
-use crate::naive::{run_stages_naive, NaiveRun};
 
 /// G1-equivalent MSMs in one Groth16 proof (three in G1, one in G2 ≈ two
 /// G1-equivalents).
@@ -138,49 +143,75 @@ impl GrothCircuit {
     }
 }
 
-/// A Groth16-style proof-in-progress moving through the four stages.
+/// A Groth16-style proof-in-progress moving through the four stages: the
+/// instance, which the witness-ntt stage reads (again, when a
+/// fault-recovery replay restarts the task there), and the state the last
+/// stage left. [`begin`] and [`finish`] are the way in and out.
 pub struct GrothTask {
     witness: Vec<Fr>,
     statement: Vec<Fr>,
-    /// Coefficients of `A, B, C` after stage 1.
-    coeffs: Option<[Vec<Fr>; 3]>,
-    /// `A, B` evaluations on the double domain after stage 1.
-    ext_evals: Option<[Vec<Fr>; 2]>,
-    /// Quotient coefficients after stage 2.
-    h: Option<Vec<Fr>>,
-    /// Projective commitments to `A, B, C, h` after stage 3.
-    commitments: Option<[G1Projective; 4]>,
-    proof: Option<GrothProof>,
+    state: TaskState,
 }
 
-impl GrothTask {
-    /// Wraps one witness vector as a fresh task; the first
-    /// `min(4, n)` witness values become the public statement.
-    pub fn new(witness: Vec<Fr>) -> Self {
-        let statement = witness[..PUBLIC_LEN.min(witness.len())].to_vec();
-        Self {
-            witness,
-            statement,
-            coeffs: None,
-            ext_evals: None,
-            h: None,
-            commitments: None,
-            proof: None,
-        }
-    }
+/// What a task owns between two stages: each variant holds exactly what
+/// the later stages read, so a buffer is freed by the transition after its
+/// last reader.
+enum TaskState {
+    /// Submitted, or salvaged for a replay.
+    Fresh,
+    /// After witness-ntt: the coefficients of `A, B, C` and the
+    /// evaluations of `A, B` on the double domain.
+    Transformed {
+        coeffs: [Vec<Fr>; 3],
+        ext_evals: [Vec<Fr>; 2],
+    },
+    /// After the quotient, the last reader of the double-domain
+    /// evaluations: the coefficients of `A, B, C` and of `h`.
+    Divided {
+        coeffs: [Vec<Fr>; 3],
+        h: Vec<Fr>,
+    },
+    /// After msm-bucket: the projective commitments to `A, B, C, h` too.
+    Committed {
+        coeffs: [Vec<Fr>; 3],
+        h: Vec<Fr>,
+        commitments: [G1Projective; 4],
+    },
+    Done(GrothProof),
+}
 
-    /// The public statement this task proves against.
-    pub fn statement(&self) -> &[Fr] {
-        &self.statement
+/// Wraps one witness vector as a fresh task; the first `min(4, n)`
+/// witness values become the public statement.
+///
+/// # Panics
+///
+/// Panics, on the submitting thread, if the witness is not one scalar per
+/// gate of `circuit`.
+pub fn begin(circuit: &GrothCircuit, witness: Vec<Fr>) -> GrothTask {
+    assert_eq!(
+        witness.len(),
+        circuit.size(),
+        "groth16 instance: witness has length {}, the backend's shape takes {}",
+        witness.len(),
+        circuit.size()
+    );
+    let statement = witness[..PUBLIC_LEN.min(witness.len())].to_vec();
+    GrothTask {
+        witness,
+        statement,
+        state: TaskState::Fresh,
     }
+}
 
-    /// The finished proof.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the task has not completed the pipeline.
-    pub fn into_proof(self) -> GrothProof {
-        self.proof.expect("task has not completed the pipeline")
+/// Splits a completed task into its public statement and proof.
+///
+/// # Panics
+///
+/// Panics if the task has not completed the pipeline.
+pub fn finish(task: GrothTask) -> (Vec<Fr>, GrothProof) {
+    match task.state {
+        TaskState::Done(proof) => (task.statement, proof),
+        _ => panic!("task has not completed the pipeline"),
     }
 }
 
@@ -236,52 +267,96 @@ fn horner(coeffs: &[Fr], x: Fr) -> Fr {
     coeffs.iter().rev().fold(Fr::ZERO, |acc, c| acc * x + *c)
 }
 
-/// Stage 1: interpolate `A, B, C` and lift `A, B` to the double domain.
-struct WitnessNttStage {
-    circuit: Arc<GrothCircuit>,
+/// The four stages' kernel names, in pipeline order.
+const STAGE_NAMES: [&str; 4] = [
+    "groth-witness-ntt",
+    "groth-quotient",
+    "groth-msm-bucket",
+    "groth-msm-reduce",
+];
+
+/// Stage `k` of the four on one device.
+struct GrothStage {
+    k: usize,
     threads: u32,
-    butterfly_cost: u64,
+    circuit: Arc<GrothCircuit>,
+    cost: CostModel,
 }
 
-impl PipeStage<GrothTask> for WitnessNttStage {
+impl PipeStage<GrothTask> for GrothStage {
     fn name(&self) -> String {
-        "groth-witness-ntt".into()
+        STAGE_NAMES[self.k].into()
     }
     fn threads(&self) -> u32 {
         self.threads
     }
+    /// The task's state machine (DESIGN.md §15, "Task state"): arm `(0, _)`
+    /// is the replay entry, the last arm the one out-of-order panic.
     fn process(&self, task: &mut GrothTask) -> StageWork {
+        use TaskState::*;
+        let (next, work) = match (self.k, std::mem::replace(&mut task.state, Fresh)) {
+            (0, _) => self.witness_ntt(&task.witness),
+            (1, Transformed { coeffs, ext_evals }) => self.quotient(coeffs, ext_evals),
+            (2, Divided { coeffs, h }) => self.msm_bucket(coeffs, h),
+            (
+                3,
+                Committed {
+                    coeffs,
+                    h,
+                    commitments,
+                },
+            ) => self.msm_reduce(&task.statement, coeffs, h, commitments),
+            _ => panic!(
+                "{} ran on a task the stage before it had not processed",
+                self.name()
+            ),
+        };
+        task.state = next;
+        work
+    }
+    fn naive_phases(&self, _task: &GrothTask) -> Option<Vec<Work>> {
+        Some(match self.k {
+            0 => self.witness_ntt_naive(),
+            1 => self.quotient_naive(),
+            2 => self.msm_bucket_naive(),
+            _ => self.msm_reduce_naive(),
+        })
+    }
+}
+
+impl GrothStage {
+    /// Stage 1: interpolate `A, B, C` and lift `A, B` to the double domain.
+    fn witness_ntt(&self, witness: &[Fr]) -> (TaskState, StageWork) {
         let c = &self.circuit;
         let n = c.size();
-        assert_eq!(task.witness.len(), n, "witness length must match circuit");
-        let a_evals = task.witness.clone();
+        let a_evals = witness.to_vec();
         // Right inputs: the witness rotated left by one (cyclic gates).
-        let mut b_evals = task.witness.clone();
+        let mut b_evals = witness.to_vec();
         b_evals.rotate_left(1);
         let c_evals: Vec<Fr> = a_evals.iter().zip(&b_evals).map(|(x, y)| *x * *y).collect();
         let mut coeffs = [a_evals, b_evals, c_evals];
         for v in coeffs.iter_mut() {
             c.domain.inverse(v);
         }
-        let mut ext = [coeffs[0].clone(), coeffs[1].clone()];
-        for v in ext.iter_mut() {
+        let mut ext_evals = [coeffs[0].clone(), coeffs[1].clone()];
+        for v in ext_evals.iter_mut() {
             v.resize(2 * n, Fr::ZERO);
             c.ext_domain.forward(v);
         }
-        task.coeffs = Some(coeffs);
-        task.ext_evals = Some(ext);
-        StageWork {
+        let work = StageWork {
             work: Work::Uniform {
                 units: c.stage1_butterflies().max(1),
-                cycles_per_unit: self.butterfly_cost,
+                cycles_per_unit: self.cost.ntt_butterfly(),
             },
             // Dynamic loading: this proof's witness arrives now.
             h2d_bytes: (n * 32) as u64,
             d2h_bytes: 0,
             mem_after: (9 * n * 32) as u64,
-        }
+        };
+        (TaskState::Transformed { coeffs, ext_evals }, work)
     }
-    fn naive_phases(&self, _task: &GrothTask) -> Option<Vec<Work>> {
+
+    fn witness_ntt_naive(&self) -> Vec<Work> {
         // One kernel step per NTT level: three size-n inverse transforms
         // then two size-2n forward transforms. Late levels at small n
         // leave most of a kernel-per-task thread slice idle.
@@ -293,7 +368,7 @@ impl PipeStage<GrothTask> for WitnessNttStage {
             for _ in 0..log_n {
                 phases.push(Work::Uniform {
                     units: (n / 2).max(1),
-                    cycles_per_unit: self.butterfly_cost,
+                    cycles_per_unit: self.cost.ntt_butterfly(),
                 });
             }
         }
@@ -301,38 +376,24 @@ impl PipeStage<GrothTask> for WitnessNttStage {
             for _ in 0..=log_n {
                 phases.push(Work::Uniform {
                     units: n.max(1),
-                    cycles_per_unit: self.butterfly_cost,
+                    cycles_per_unit: self.cost.ntt_butterfly(),
                 });
             }
         }
-        Some(phases)
+        phases
     }
-}
 
-/// Stage 2: pointwise product on the double domain, inverse NTT, and the
-/// exact fold-division by `x^n − 1`.
-struct QuotientStage {
-    circuit: Arc<GrothCircuit>,
-    threads: u32,
-    butterfly_cost: u64,
-    mul_cost: u64,
-    units: u64,
-}
-
-impl PipeStage<GrothTask> for QuotientStage {
-    fn name(&self) -> String {
-        "groth-quotient".into()
-    }
-    fn threads(&self) -> u32 {
-        self.threads
-    }
-    fn process(&self, task: &mut GrothTask) -> StageWork {
+    /// Stage 2: pointwise product on the double domain, inverse NTT, and
+    /// the exact fold-division by `x^n − 1`.
+    fn quotient(
+        &self,
+        coeffs: [Vec<Fr>; 3],
+        [a_ext, b_ext]: [Vec<Fr>; 2],
+    ) -> (TaskState, StageWork) {
         let c = &self.circuit;
         let n = c.size();
-        let [a_ext, b_ext] = task.ext_evals.take().expect("witness-ntt stage ran");
         let mut p: Vec<Fr> = a_ext.iter().zip(&b_ext).map(|(x, y)| *x * *y).collect();
         c.ext_domain.inverse(&mut p);
-        let coeffs = task.coeffs.as_ref().expect("witness-ntt stage ran");
         for (pi, ci) in p.iter_mut().zip(&coeffs[2]) {
             *pi -= *ci;
         }
@@ -347,131 +408,107 @@ impl PipeStage<GrothTask> for QuotientStage {
             p[..n].iter().all(|r| *r == Fr::ZERO),
             "witness does not satisfy the gate relation"
         );
-        task.h = Some(h);
-        StageWork {
+        let work = StageWork {
             work: Work::Uniform {
-                units: self.units.max(1),
-                cycles_per_unit: self.butterfly_cost,
+                units: quotient_units(&self.cost, c).max(1),
+                cycles_per_unit: self.cost.ntt_butterfly(),
             },
             h2d_bytes: 0,
             d2h_bytes: 0,
             mem_after: (5 * n * 32) as u64,
-        }
+        };
+        (TaskState::Divided { coeffs, h }, work)
     }
-    fn naive_phases(&self, _task: &GrothTask) -> Option<Vec<Work>> {
+
+    fn quotient_naive(&self) -> Vec<Work> {
         // Pointwise products, then the remaining transform budget walked
         // level by level (size-2n levels).
         let c = &self.circuit;
         let n = c.size() as u64;
         let mut phases = vec![Work::Uniform {
             units: 2 * n,
-            cycles_per_unit: self.mul_cost,
+            cycles_per_unit: self.cost.field_mul,
         }];
         let rest = c.ntt_budget().saturating_sub(c.stage1_butterflies());
         for _ in 0..rest.div_ceil(n.max(1)) {
             phases.push(Work::Uniform {
                 units: n.max(1),
-                cycles_per_unit: self.butterfly_cost,
+                cycles_per_unit: self.cost.ntt_butterfly(),
             });
         }
-        Some(phases)
+        phases
     }
-}
 
-/// Stage 3: the four real commitment MSMs, charged as Pippenger bucket
-/// accumulation on the modelled device kernel.
-struct MsmBucketStage {
-    circuit: Arc<GrothCircuit>,
-    threads: u32,
-    group_cost: u64,
-}
-
-impl PipeStage<GrothTask> for MsmBucketStage {
-    fn name(&self) -> String {
-        "groth-msm-bucket".into()
-    }
-    fn threads(&self) -> u32 {
-        self.threads
-    }
-    fn process(&self, task: &mut GrothTask) -> StageWork {
+    /// Stage 3: the four real commitment MSMs, charged as Pippenger bucket
+    /// accumulation on the modelled device kernel.
+    fn msm_bucket(&self, coeffs: [Vec<Fr>; 3], h: Vec<Fr>) -> (TaskState, StageWork) {
         let c = &self.circuit;
         let n = c.size();
-        let coeffs = task.coeffs.as_ref().expect("witness-ntt stage ran");
-        let h = task.h.as_ref().expect("quotient stage ran");
-        let vectors: [&[Fr]; 4] = [&coeffs[0], &coeffs[1], &coeffs[2], h];
+        let vectors: [&[Fr]; 4] = [&coeffs[0], &coeffs[1], &coeffs[2], &h];
         let mut commitments = [G1Projective::identity(); 4];
         for (com, v) in commitments.iter_mut().zip(vectors) {
             *com = msm(&c.bases, v);
         }
-        task.commitments = Some(commitments);
-        StageWork {
+        let work = StageWork {
             work: Work::Uniform {
                 units: msm_group_op_count(n) * MSM_COUNT,
-                cycles_per_unit: self.group_cost,
+                cycles_per_unit: self.cost.group_add,
             },
             h2d_bytes: 0,
             d2h_bytes: 0,
             // Bases + buckets + FFT buffers resident — the peak.
             mem_after: n as u64 * BYTES_PER_CONSTRAINT,
-        }
+        };
+        let next = TaskState::Committed {
+            coeffs,
+            h,
+            commitments,
+        };
+        (next, work)
     }
-    fn naive_phases(&self, _task: &GrothTask) -> Option<Vec<Work>> {
+
+    fn msm_bucket_naive(&self) -> Vec<Work> {
         // Pre-cuZK GPU MSMs walk Pippenger's windows serially (the
         // MSB-down accumulation is a dependency chain between windows):
         // one kernel step per window per MSM, plus the 254 inter-window
         // doublings.
         let n = self.circuit.size();
         let c = window_size(n);
-        let windows = 254_usize.div_ceil(c);
         let mut phases = vec![
             Work::Uniform {
                 units: n as u64 + (1u64 << (c + 1)),
-                cycles_per_unit: self.group_cost,
+                cycles_per_unit: self.cost.group_add,
             };
-            windows * MSM_COUNT as usize
+            self.window_chains()
         ];
         phases.push(Work::Uniform {
             units: 254,
-            cycles_per_unit: self.group_cost,
+            cycles_per_unit: self.cost.group_add,
         });
-        Some(phases)
+        phases
     }
-}
 
-/// Stage 4: Fiat–Shamir assembly on the host (the MSMs finished in stage
-/// 3), charged the modelled per-window running-sum reduction as well.
-/// The pipelined backend charges the modern *parallelized* running-sum
-/// (the cuZK/GZKP-generation reduction the paper's contemporaries use);
-/// [`PipeStage::naive_phases`] carries the classic serial chains the
-/// Bellperson-generation baseline executes one thread per window.
-struct MsmReduceStage {
-    threads: u32,
-    group_cost: u64,
-    /// Parallel-reduction units for the pipelined charge.
-    reduce_units: u64,
-    /// Serial running-sum chain length in cycles (naive model).
-    chain_cycles: u64,
-    /// Number of serial chains (windows × MSMs, naive model).
-    chains: usize,
-    eval_cycles: u64,
-}
+    /// Windows × MSMs: the serial running-sum chains of one proof.
+    fn window_chains(&self) -> usize {
+        254_usize.div_ceil(window_size(self.circuit.size())) * MSM_COUNT as usize
+    }
 
-impl PipeStage<GrothTask> for MsmReduceStage {
-    fn name(&self) -> String {
-        "groth-msm-reduce".into()
-    }
-    fn threads(&self) -> u32 {
-        self.threads
-    }
-    fn process(&self, task: &mut GrothTask) -> StageWork {
-        let commitments = task.commitments.take().expect("msm-bucket stage ran");
+    /// Stage 4: Fiat–Shamir assembly on the host (the MSMs finished in
+    /// stage 3), charged the modelled per-window running-sum reduction as
+    /// well. The pipelined backend charges the modern *parallelized*
+    /// running-sum (the cuZK/GZKP-generation reduction the paper's
+    /// contemporaries use); [`Self::msm_reduce_naive`] carries the classic
+    /// serial chains the Bellperson-generation baseline executes one
+    /// thread per window.
+    fn msm_reduce(
+        &self,
+        statement: &[Fr],
+        coeffs: [Vec<Fr>; 3],
+        h: Vec<Fr>,
+        commitments: [G1Projective; 4],
+    ) -> (TaskState, StageWork) {
         let affine = G1Projective::batch_to_affine(&commitments);
-        let r = challenge_point(
-            &task.statement,
-            [&affine[0], &affine[1], &affine[2], &affine[3]],
-        );
-        let coeffs = task.coeffs.take().expect("witness-ntt stage ran");
-        let h = task.h.take().expect("quotient stage ran");
+        let r = challenge_point(statement, [&affine[0], &affine[1], &affine[2], &affine[3]]);
         let eval_a = horner(&coeffs[0], r);
         let eval_b = horner(&coeffs[1], r);
         let eval_c = horner(&coeffs[2], r);
@@ -486,25 +523,31 @@ impl PipeStage<GrothTask> for MsmReduceStage {
             eval_c,
             eval_h,
         };
-        let proof_bytes = proof.size_bytes() as u64;
-        task.proof = Some(proof);
-        StageWork {
+        let n = self.circuit.size() as u64;
+        let cost = &self.cost;
+        let reduce_units = self.window_chains() as u64 * (2u64 << window_size(n as usize))
+            + (4 * n * cost.field_mul).div_ceil(cost.group_add);
+        let work = StageWork {
             work: Work::Uniform {
-                units: self.reduce_units.max(1),
-                cycles_per_unit: self.group_cost,
+                units: reduce_units.max(1),
+                cycles_per_unit: cost.group_add,
             },
             h2d_bytes: 0,
             // The finished proof leaves the device.
-            d2h_bytes: proof_bytes,
+            d2h_bytes: proof.size_bytes() as u64,
             mem_after: 0,
-        }
+        };
+        (TaskState::Done(proof), work)
     }
-    fn naive_phases(&self, _task: &GrothTask) -> Option<Vec<Work>> {
+
+    fn msm_reduce_naive(&self) -> Vec<Work> {
         // Serial running-sum chains, one thread per window, then the
         // four Horner evaluations.
-        let mut items = vec![self.chain_cycles; self.chains];
-        items.push(self.eval_cycles);
-        Some(vec![Work::Items(items)])
+        let n = self.circuit.size();
+        let chain_cycles = (2u64 << window_size(n)) * self.cost.group_add;
+        let mut items = vec![chain_cycles; self.window_chains()];
+        items.push(4 * n as u64 * self.cost.field_mul);
+        vec![Work::Items(items)]
     }
 }
 
@@ -516,7 +559,7 @@ pub fn module_weights(gpu: &Gpu, circuit: &GrothCircuit) -> [u64; 4] {
     let n = circuit.size();
     let butterfly = cost.ntt_butterfly();
     let w1 = circuit.stage1_butterflies() * butterfly;
-    let w2 = quotient_units(gpu, circuit) * butterfly;
+    let w2 = quotient_units(cost, circuit) * butterfly;
     let w3 = msm_group_op_count(n) * MSM_COUNT * cost.group_add;
     let c = window_size(n);
     let windows = 254_usize.div_ceil(c) as u64;
@@ -527,8 +570,7 @@ pub fn module_weights(gpu: &Gpu, circuit: &GrothCircuit) -> [u64; 4] {
 /// Stage-2 work in butterfly-equivalent units: the remainder of the
 /// baseline's [`NTT_COUNT`]-transform budget after stage 1's real
 /// butterflies, plus the `2n` pointwise products.
-fn quotient_units(gpu: &Gpu, circuit: &GrothCircuit) -> u64 {
-    let cost = gpu.cost();
+fn quotient_units(cost: &CostModel, circuit: &GrothCircuit) -> u64 {
     let n = circuit.size() as u64;
     let ntt_rest = circuit
         .ntt_budget()
@@ -544,40 +586,16 @@ pub fn build_stages(
     circuit: &Arc<GrothCircuit>,
     total_threads: u32,
 ) -> Vec<BoxedStage<GrothTask>> {
-    let weights = module_weights(gpu, circuit);
-    let threads = allocate_threads(total_threads, &weights);
-    let cost = *gpu.cost();
-    let n = circuit.size();
-    let c = window_size(n);
-    let windows = 254_usize.div_ceil(c);
-    vec![
-        Box::new(WitnessNttStage {
-            circuit: Arc::clone(circuit),
-            threads: threads[0],
-            butterfly_cost: cost.ntt_butterfly(),
-        }),
-        Box::new(QuotientStage {
-            circuit: Arc::clone(circuit),
-            threads: threads[1],
-            butterfly_cost: cost.ntt_butterfly(),
-            mul_cost: cost.field_mul,
-            units: quotient_units(gpu, circuit),
-        }),
-        Box::new(MsmBucketStage {
-            circuit: Arc::clone(circuit),
-            threads: threads[2],
-            group_cost: cost.group_add,
-        }),
-        Box::new(MsmReduceStage {
-            threads: threads[3],
-            group_cost: cost.group_add,
-            reduce_units: (windows * MSM_COUNT as usize) as u64 * (2u64 << c)
-                + (4 * n as u64 * cost.field_mul).div_ceil(cost.group_add),
-            chain_cycles: (2u64 << c) * cost.group_add,
-            chains: windows * MSM_COUNT as usize,
-            eval_cycles: 4 * n as u64 * cost.field_mul,
-        }),
-    ]
+    let threads = allocate_threads(total_threads, &module_weights(gpu, circuit));
+    let stage = |k| GrothStage {
+        k,
+        threads: threads[k],
+        circuit: Arc::clone(circuit),
+        cost: *gpu.cost(),
+    };
+    (0..STAGE_NAMES.len())
+        .map(|k| Box::new(stage(k)) as BoxedStage<GrothTask>)
+        .collect()
 }
 
 /// Analytic per-task peak device-memory footprint in bytes — the maximum
@@ -600,54 +618,39 @@ pub fn verify(circuit: &GrothCircuit, statement: &[Fr], proof: &GrothProof) -> b
     proof.eval_a * proof.eval_b - proof.eval_c == proof.eval_h * z_r
 }
 
-/// Proves a batch through the kernel-per-task naive baseline: the same
-/// four stages (same math, byte-identical proofs) but walked serially per
-/// group of `concurrent` tasks with the thread budget split evenly — no
-/// cross-stage pipelining, no transfer overlap.
-///
-/// # Panics
-///
-/// Panics if `witnesses` is empty, a witness length mismatches the
-/// circuit, or the pre-loaded working set does not fit in device memory.
-pub fn prove_naive(
-    gpu: &mut Gpu,
-    circuit: &Arc<GrothCircuit>,
-    witnesses: Vec<Vec<Fr>>,
-    total_threads: u32,
-    concurrent: usize,
-) -> NaiveRun<GrothTask> {
-    let stages = build_stages(gpu, circuit, total_threads);
-    let tasks: Vec<GrothTask> = witnesses.into_iter().map(GrothTask::new).collect();
-    let preload = task_footprint_bytes(circuit) * tasks.len() as u64;
-    run_stages_naive(
-        gpu,
-        stages,
-        tasks,
-        "groth",
-        preload,
-        total_threads,
-        concurrent,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::Pipeline;
+    use crate::naive::{run_stages_naive, NaiveRun};
     use batchzk_gpu_sim::DeviceProfile;
+
+    fn tasks(circuit: &GrothCircuit, witnesses: Vec<Vec<Fr>>) -> Vec<GrothTask> {
+        witnesses.into_iter().map(|w| begin(circuit, w)).collect()
+    }
 
     fn prove_pipelined(
         gpu: &mut Gpu,
         circuit: &Arc<GrothCircuit>,
         witnesses: Vec<Vec<Fr>>,
         threads: u32,
-    ) -> Vec<GrothTask> {
+    ) -> Vec<(Vec<Fr>, GrothProof)> {
         let stages = build_stages(gpu, circuit, threads);
-        let tasks: Vec<GrothTask> = witnesses.into_iter().map(GrothTask::new).collect();
-        Pipeline::new(gpu, stages, true)
-            .run(tasks)
-            .expect("fits")
-            .outputs
+        let run = Pipeline::new(gpu, stages, true).run(tasks(circuit, witnesses));
+        run.expect("fits").outputs.into_iter().map(finish).collect()
+    }
+
+    fn prove_naive(
+        gpu: &mut Gpu,
+        circuit: &Arc<GrothCircuit>,
+        witnesses: Vec<Vec<Fr>>,
+        threads: u32,
+        concurrent: usize,
+    ) -> NaiveRun<GrothTask> {
+        let stages = build_stages(gpu, circuit, threads);
+        let preload = task_footprint_bytes(circuit) * witnesses.len() as u64;
+        let tasks = tasks(circuit, witnesses);
+        run_stages_naive(gpu, stages, tasks, "groth", preload, threads, concurrent)
     }
 
     #[test]
@@ -657,9 +660,7 @@ mod tests {
         let mut gpu = Gpu::new(DeviceProfile::a100());
         let done = prove_pipelined(&mut gpu, &circuit, witnesses, 2048);
         assert_eq!(done.len(), 4);
-        for task in done {
-            let statement = task.statement().to_vec();
-            let proof = task.into_proof();
+        for (statement, proof) in done {
             assert!(verify(&circuit, &statement, &proof));
             assert_eq!(proof.size_bytes(), 384);
         }
@@ -671,8 +672,7 @@ mod tests {
         let circuit = Arc::new(GrothCircuit::new(5));
         let mut gpu = Gpu::new(DeviceProfile::v100());
         let done = prove_pipelined(&mut gpu, &circuit, vec![circuit.witness(9)], 1024);
-        let statement = done[0].statement().to_vec();
-        let mut proof = done.into_iter().next().unwrap().into_proof();
+        let (statement, mut proof) = done.into_iter().next().unwrap();
         assert!(verify(&circuit, &statement, &proof));
         proof.eval_c += Fr::ONE;
         assert!(!verify(&circuit, &statement, &proof));
@@ -697,7 +697,7 @@ mod tests {
         let naive = prove_naive(&mut gpu, &circuit, witnesses, 2048, 2);
         assert_eq!(naive.outputs.len(), piped.len());
         for (n, p) in naive.outputs.into_iter().zip(piped) {
-            assert_eq!(n.into_proof(), p.into_proof());
+            assert_eq!(finish(n), p);
         }
         assert_eq!(gpu.memory_ref().in_use(), 0);
     }
@@ -708,9 +708,8 @@ mod tests {
         let witnesses: Vec<Vec<Fr>> = (0..12).map(|s| circuit.witness(s)).collect();
         let mut gpu = Gpu::new(DeviceProfile::a100());
         let stages = build_stages(&gpu, &circuit, 4096);
-        let tasks: Vec<GrothTask> = witnesses.iter().cloned().map(GrothTask::new).collect();
         let piped = Pipeline::new(&mut gpu, stages, true)
-            .run(tasks)
+            .run(tasks(&circuit, witnesses.clone()))
             .expect("fits")
             .stats;
         let mut gpu = Gpu::new(DeviceProfile::a100());

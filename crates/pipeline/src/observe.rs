@@ -83,7 +83,7 @@
 //! | `batchzk_service_latency_cycles` | histogram | `module`, `backend` |
 
 use crate::engine::{PipelineError, RunStats, StageStats};
-use crate::sched::RecoveryReport;
+use crate::sched::{self, RecoveryReport};
 use crate::service::{PriorityClass, RejectReason, ServiceConfig, ServiceOutcome};
 use batchzk_gpu_sim::CounterTrack;
 use batchzk_metrics::{AlertKind, AlertRule, Registry, StageObservation, Timeline};
@@ -145,28 +145,30 @@ pub fn record_run_with_backend(
     registry.gauge_set("batchzk_mean_utilization", &b, stats.mean_utilization);
 }
 
-/// Folds one pool-wide run (per-device [`RunStats`] plus per-device
-/// elapsed milliseconds, as produced by
+/// Folds one pool-wide run (per-device [`RunStats`], per-device elapsed
+/// milliseconds and the makespan, as produced by
 /// [`run_sharded`](crate::sched::run_sharded)) into `registry` under
-/// `module`.
+/// `module`. The makespan is the run's own: under fault recovery it is the
+/// sum of the rounds' maxima, which no single device's elapsed time need
+/// reach.
 ///
 /// Module-level series aggregate across devices exactly as a
 /// single-device [`record_run`] would (a one-device pool records the
 /// same values), device-level series carry an additional `device` label
 /// (`"0"`, `"1"`, …), and three pool gauges summarize balance:
 /// `batchzk_pool_devices`, `batchzk_pool_makespan_ms`, and
-/// `batchzk_pool_imbalance` (max-over-mean of active device time).
+/// `batchzk_pool_imbalance` (makespan over the mean active device time).
 pub fn record_pool_run(
     registry: &mut Registry,
     module: &str,
     device_stats: &[RunStats],
     device_ms: &[f64],
+    makespan_ms: f64,
 ) {
     let m = [("module", module)];
     let tasks: u64 = device_stats.iter().map(|s| s.tasks as u64).sum();
     let h2d: u64 = device_stats.iter().map(|s| s.h2d_bytes).sum();
     let d2h: u64 = device_stats.iter().map(|s| s.d2h_bytes).sum();
-    let makespan_ms = device_ms.iter().copied().fold(0.0, f64::max);
     registry.counter_add("batchzk_runs_total", &m, 1);
     registry.counter_add("batchzk_tasks_total", &m, tasks);
     registry.counter_add("batchzk_h2d_bytes_total", &m, h2d);
@@ -174,11 +176,7 @@ pub fn record_pool_run(
     registry.gauge_set(
         "batchzk_throughput_tasks_per_ms",
         &m,
-        if makespan_ms > 0.0 {
-            tasks as f64 / makespan_ms
-        } else {
-            0.0
-        },
+        sched::throughput_per_ms(tasks as usize, makespan_ms),
     );
     let active: Vec<&RunStats> = device_stats.iter().filter(|s| s.tasks > 0).collect();
     let mean_util = if active.is_empty() {
@@ -245,13 +243,11 @@ pub fn record_pool_run(
     // Pool-level balance gauges.
     registry.gauge_set("batchzk_pool_devices", &m, device_stats.len() as f64);
     registry.gauge_set("batchzk_pool_makespan_ms", &m, makespan_ms);
-    let active_ms: Vec<f64> = device_ms.iter().copied().filter(|&ms| ms > 0.0).collect();
-    let imbalance = if active_ms.is_empty() {
-        0.0
-    } else {
-        makespan_ms / (active_ms.iter().sum::<f64>() / active_ms.len() as f64)
-    };
-    registry.gauge_set("batchzk_pool_imbalance", &m, imbalance);
+    registry.gauge_set(
+        "batchzk_pool_imbalance",
+        &m,
+        sched::imbalance(makespan_ms, device_ms),
+    );
 }
 
 /// Folds a failed run into `registry` under `module`: an OOM counter per
@@ -661,7 +657,7 @@ mod tests {
         let stats = [r0.stats, r1.stats];
         let ms = [g0.elapsed_ms(), g1.elapsed_ms()];
         let mut reg = Registry::new();
-        record_pool_run(&mut reg, "merkle", &stats, &ms);
+        record_pool_run(&mut reg, "merkle", &stats, &ms, ms[0].max(ms[1]));
         let m = [("module", "merkle")];
         // Module-level aggregates.
         assert_eq!(reg.counter("batchzk_runs_total", &m), 1);

@@ -325,32 +325,34 @@ impl<T> ShardedRun<T> {
 
     /// Throughput against the makespan, in tasks per millisecond.
     pub fn throughput_per_ms(&self) -> f64 {
-        if self.makespan_ms > 0.0 {
-            self.outputs.len() as f64 / self.makespan_ms
-        } else {
-            0.0
-        }
+        throughput_per_ms(self.outputs.len(), self.makespan_ms)
     }
 
     /// Max-over-mean of per-device elapsed time across devices that ran
     /// work (1.0 = perfectly balanced; 0 when nothing ran).
     pub fn imbalance(&self) -> f64 {
-        let active: Vec<f64> = self
-            .device_ms
-            .iter()
-            .copied()
-            .filter(|&ms| ms > 0.0)
-            .collect();
-        if active.is_empty() {
-            return 0.0;
-        }
-        let mean = active.iter().sum::<f64>() / active.len() as f64;
-        if mean > 0.0 {
-            self.makespan_ms / mean
-        } else {
-            0.0
-        }
+        imbalance(self.makespan_ms, &self.device_ms)
     }
+}
+
+/// Throughput of `tasks` finished tasks against a run's makespan, in tasks
+/// per millisecond (0 for an empty run).
+pub fn throughput_per_ms(tasks: usize, makespan_ms: f64) -> f64 {
+    if makespan_ms > 0.0 {
+        tasks as f64 / makespan_ms
+    } else {
+        0.0
+    }
+}
+
+/// A pool run's makespan over the mean elapsed time of the devices that
+/// ran work (1.0 = perfectly balanced; 0 when nothing ran).
+pub fn imbalance(makespan_ms: f64, device_ms: &[f64]) -> f64 {
+    let active: Vec<f64> = device_ms.iter().copied().filter(|&ms| ms > 0.0).collect();
+    if active.is_empty() {
+        return 0.0;
+    }
+    makespan_ms / (active.iter().sum::<f64>() / active.len() as f64)
 }
 
 /// Folds one replay round's [`RunStats`] into a device's accumulated

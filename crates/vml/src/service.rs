@@ -21,8 +21,8 @@ use batchzk_pipeline::{
 };
 use batchzk_zkp::r1cs::R1cs;
 use batchzk_zkp::{
-    prove_batch_pool_with, prove_batch_with, prove_service_with, PcsParams, Proof, ProverBackend,
-    SpartanBackend,
+    prove_batch_pool_with, prove_batch_with, prove_service_with, record_pool_outcome, PcsParams,
+    Proof, ProverBackend, SpartanBackend,
 };
 
 use crate::compile::compile_inference;
@@ -250,19 +250,10 @@ impl MlService {
         policy: ShardPolicy,
     ) -> Result<PoolServiceRun, PipelineError> {
         let (logits_list, instances) = self.prepare_requests(images);
-        let run =
-            prove_batch_pool_with(pool, &self.backend, instances, total_threads, true, policy)
-                .inspect_err(|e| observe::record_error(&mut self.metrics, VML_MODULE, e))?;
-        observe::record_pool_run(
-            &mut self.metrics,
-            VML_MODULE,
-            &run.device_stats,
-            &run.device_ms,
-        );
-        if let Some(recovery) = &run.recovery {
-            observe::record_recovery(&mut self.metrics, VML_MODULE, recovery);
-        }
-        observe::record_pool_health(&mut self.metrics, VML_MODULE, pool);
+        let outcome =
+            prove_batch_pool_with(pool, &self.backend, instances, total_threads, true, policy);
+        record_pool_outcome(&mut self.metrics, VML_MODULE, pool, &outcome);
+        let run = outcome?;
         let predictions = run
             .proofs
             .into_iter()
@@ -354,8 +345,7 @@ impl MlService {
             .completions
             .into_iter()
             .map(|c| {
-                let public_inputs = c.task.inputs().to_vec();
-                let proof = c.task.into_proof();
+                let (public_inputs, proof) = self.backend.finish(c.task);
                 OnlinePrediction {
                     request: c.request,
                     class: c.class,

@@ -20,12 +20,17 @@
 //!   [`run_service`](batchzk_pipeline::run_service) instance serves a mixed
 //!   trace under the existing SLO classes.
 //!
-//! A further protocol plugs in by implementing the trait: define a task type
-//! carrying the proof state, stages that advance it while reporting
-//! simulated [`StageWork`], an analytic
-//! footprint for the memory-aware scheduler, and a verification hook.
-//! Every layer above — sharding, fault recovery, the online service,
-//! BENCH.json — comes for free (DESIGN.md §15).
+//! [`ProverBackend::begin`] and [`ProverBackend::finish`] are the only way
+//! into and out of a task. In between, a task is its instance plus one
+//! state enum with a variant per stage boundary; stage 0 reads the
+//! instance only, which is what lets fault recovery restart a salvaged
+//! task there (DESIGN.md §15, "Task state").
+//!
+//! A further protocol plugs in by implementing the trait: a task type of
+//! that shape, stages that advance it while reporting simulated
+//! [`StageWork`], an analytic footprint for the memory-aware scheduler,
+//! and a verification hook. Every layer above — sharding, fault recovery,
+//! the online service, BENCH.json — comes for free.
 
 use std::sync::Arc;
 
@@ -92,6 +97,16 @@ pub trait ProverBackend: Clone + Send + Sync + 'static {
     fn verify(&self, statement: &Self::Statement, proof: &Self::Proof) -> bool;
 }
 
+/// The shape check every built-in [`ProverBackend::begin`] makes: a
+/// mis-sized instance panics here, on the submitting thread and naming the
+/// backend, before a pipeline worker ever sees it.
+pub(crate) fn check_len(backend: &str, what: &str, found: usize, expected: usize) {
+    assert_eq!(
+        found, expected,
+        "{backend} instance: {what} has length {found}, the backend's shape takes {expected}"
+    );
+}
+
 /// The paper's sumcheck system as a [`ProverBackend`]: encoder → Merkle →
 /// sum-check → assemble over one shared R1CS.
 pub struct SpartanBackend<F: Field> {
@@ -139,6 +154,9 @@ impl<F: Field> ProverBackend for SpartanBackend<F> {
     }
 
     fn begin(&self, (inputs, witness): Self::Instance) -> Self::Task {
+        let r1cs = &self.r1cs;
+        check_len(self.name(), "inputs", inputs.len(), r1cs.num_inputs());
+        check_len(self.name(), "witness", witness.len(), r1cs.num_witness());
         BatchTask::new(inputs, witness)
     }
 
@@ -155,8 +173,7 @@ impl<F: Field> ProverBackend for SpartanBackend<F> {
     }
 
     fn finish(&self, task: Self::Task) -> (Self::Statement, Self::Proof) {
-        let statement = task.inputs().to_vec();
-        (statement, task.into_proof())
+        task.finish()
     }
 
     fn verify(&self, statement: &Self::Statement, proof: &Self::Proof) -> bool {
@@ -204,7 +221,7 @@ impl ProverBackend for GrothBackend {
     }
 
     fn begin(&self, witness: Self::Instance) -> Self::Task {
-        GrothTask::new(witness)
+        groth::begin(&self.circuit, witness)
     }
 
     fn module_weights(&self, gpu: &Gpu) -> Vec<u64> {
@@ -220,8 +237,7 @@ impl ProverBackend for GrothBackend {
     }
 
     fn finish(&self, task: Self::Task) -> (Self::Statement, Self::Proof) {
-        let statement = task.statement().to_vec();
-        (statement, task.into_proof())
+        groth::finish(task)
     }
 
     fn verify(&self, statement: &Self::Statement, proof: &Self::Proof) -> bool {
@@ -229,61 +245,46 @@ impl ProverBackend for GrothBackend {
     }
 }
 
-/// An instance entering the mixed service: one variant per backend.
-#[derive(Debug, Clone)]
-pub enum MixedInstance {
-    /// A sumcheck-system instance: `(public inputs, witness)`.
-    Sumcheck((Vec<Fr>, Vec<Fr>)),
-    /// A Groth16-style instance: the gate witness vector.
-    Groth(Vec<Fr>),
-    /// An Orion PCS-opening instance: `(evaluations, point)`.
-    Orion((Vec<Fr>, Vec<Fr>)),
+/// One value per protocol of the mixed service: an instance, a task, a
+/// statement or a proof, by what the three parameters are (the four
+/// aliases below). A further protocol is one more variant here and one
+/// more arm in each `match` of [`MixedBackend`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Mixed<S, G, O> {
+    /// The sumcheck system's.
+    Sumcheck(S),
+    /// The Groth16-style stack's.
+    Groth(G),
+    /// The Orion PCS-opening backend's.
+    Orion(O),
 }
 
-/// A proof-in-progress in the mixed pipeline. Each protocol's task state
-/// is boxed: the three differ in size by hundreds of bytes, and the
-/// pipeline moves tasks between slots by value.
-pub enum MixedTask {
-    /// A sumcheck-system task.
-    Sumcheck(Box<BatchTask<Fr>>),
-    /// A Groth16-style task.
-    Groth(Box<GrothTask>),
-    /// An Orion PCS-opening task.
-    Orion(Box<OrionTask<Fr>>),
-}
-
-impl MixedTask {
-    /// The backend name this task belongs to.
+impl<S, G, O> Mixed<S, G, O> {
+    /// The name of the backend this value belongs to.
     pub fn backend_name(&self) -> &'static str {
         match self {
-            MixedTask::Sumcheck(_) => BACKEND_NAMES[0],
-            MixedTask::Groth(_) => BACKEND_NAMES[1],
-            MixedTask::Orion(_) => BACKEND_NAMES[2],
+            Mixed::Sumcheck(_) => BACKEND_NAMES[0],
+            Mixed::Groth(_) => BACKEND_NAMES[1],
+            Mixed::Orion(_) => BACKEND_NAMES[2],
         }
     }
 }
 
-/// A statement attested by a mixed-service proof.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MixedStatement {
-    /// Sumcheck-system public inputs.
-    Sumcheck(Vec<Fr>),
-    /// Groth16-style public inputs.
-    Groth(Vec<Fr>),
-    /// An Orion evaluation point.
-    Orion(Vec<Fr>),
-}
+/// An instance entering the mixed service: `(public inputs, witness)`,
+/// the gate witness vector, or `(evaluations, point)`.
+pub type MixedInstance = Mixed<(Vec<Fr>, Vec<Fr>), Vec<Fr>, (Vec<Fr>, Vec<Fr>)>;
+
+/// A proof-in-progress in the mixed pipeline. Each protocol's task is
+/// boxed: the three differ in size by hundreds of bytes, and the pipeline
+/// moves tasks between slots by value.
+pub type MixedTask = Mixed<Box<BatchTask<Fr>>, Box<GrothTask>, Box<OrionTask<Fr>>>;
+
+/// A statement attested by a mixed-service proof: public inputs, or an
+/// Orion evaluation point.
+pub type MixedStatement = Mixed<Vec<Fr>, Vec<Fr>, Vec<Fr>>;
 
 /// A finished mixed-service proof.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MixedProof {
-    /// A sumcheck-system proof.
-    Sumcheck(Proof<Fr>),
-    /// A Groth16-style proof.
-    Groth(GrothProof),
-    /// An Orion PCS-opening proof.
-    Orion(OrionProof<Fr>),
-}
+pub type MixedProof = Mixed<Proof<Fr>, GrothProof, OrionProof<Fr>>;
 
 /// Serves all three protocols from one pipeline: every stage is a
 /// dispatching triple of the backends' stages at the same depth, so
@@ -353,9 +354,9 @@ impl PipeStage<MixedTask> for MixedStage {
 
     fn process(&self, task: &mut MixedTask) -> StageWork {
         match task {
-            MixedTask::Sumcheck(t) => self.sumcheck.process(t),
-            MixedTask::Groth(t) => self.groth.process(t),
-            MixedTask::Orion(t) => self.orion.process(t),
+            Mixed::Sumcheck(t) => self.sumcheck.process(t),
+            Mixed::Groth(t) => self.groth.process(t),
+            Mixed::Orion(t) => self.orion.process(t),
         }
     }
 }
@@ -372,9 +373,9 @@ impl ProverBackend for MixedBackend {
 
     fn begin(&self, instance: Self::Instance) -> Self::Task {
         match instance {
-            MixedInstance::Sumcheck(i) => MixedTask::Sumcheck(Box::new(self.sumcheck.begin(i))),
-            MixedInstance::Groth(i) => MixedTask::Groth(Box::new(self.groth.begin(i))),
-            MixedInstance::Orion(i) => MixedTask::Orion(Box::new(self.orion.begin(i))),
+            Mixed::Sumcheck(i) => Mixed::Sumcheck(Box::new(self.sumcheck.begin(i))),
+            Mixed::Groth(i) => Mixed::Groth(Box::new(self.groth.begin(i))),
+            Mixed::Orion(i) => Mixed::Orion(Box::new(self.orion.begin(i))),
         }
     }
 
@@ -427,27 +428,322 @@ impl ProverBackend for MixedBackend {
 
     fn finish(&self, task: Self::Task) -> (Self::Statement, Self::Proof) {
         match task {
-            MixedTask::Sumcheck(t) => {
+            Mixed::Sumcheck(t) => {
                 let (s, p) = self.sumcheck.finish(*t);
-                (MixedStatement::Sumcheck(s), MixedProof::Sumcheck(p))
+                (Mixed::Sumcheck(s), Mixed::Sumcheck(p))
             }
-            MixedTask::Groth(t) => {
+            Mixed::Groth(t) => {
                 let (s, p) = self.groth.finish(*t);
-                (MixedStatement::Groth(s), MixedProof::Groth(p))
+                (Mixed::Groth(s), Mixed::Groth(p))
             }
-            MixedTask::Orion(t) => {
+            Mixed::Orion(t) => {
                 let (s, p) = self.orion.finish(*t);
-                (MixedStatement::Orion(s), MixedProof::Orion(p))
+                (Mixed::Orion(s), Mixed::Orion(p))
             }
         }
     }
 
     fn verify(&self, statement: &Self::Statement, proof: &Self::Proof) -> bool {
         match (statement, proof) {
-            (MixedStatement::Sumcheck(s), MixedProof::Sumcheck(p)) => self.sumcheck.verify(s, p),
-            (MixedStatement::Groth(s), MixedProof::Groth(p)) => self.groth.verify(s, p),
-            (MixedStatement::Orion(s), MixedProof::Orion(p)) => self.orion.verify(s, p),
+            (Mixed::Sumcheck(s), Mixed::Sumcheck(p)) => self.sumcheck.verify(s, p),
+            (Mixed::Groth(s), Mixed::Groth(p)) => self.groth.verify(s, p),
+            (Mixed::Orion(s), Mixed::Orion(p)) => self.orion.verify(s, p),
             _ => false,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::fmt::Debug;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use batchzk_gpu_sim::{DevicePool, DeviceProfile, FaultPlan};
+    use batchzk_pipeline::{ClassPolicy, PriorityClass, ServiceConfig, ShardPolicy};
+
+    use super::*;
+    use crate::batch::{
+        prove_batch_naive_with, prove_batch_pool_with, prove_batch_with, prove_service_with,
+        BackendProofs,
+    };
+    use crate::r1cs::synthetic_r1cs;
+
+    fn params() -> PcsParams {
+        PcsParams {
+            num_col_tests: 8,
+            ..PcsParams::default()
+        }
+    }
+
+    fn spartan() -> (SpartanBackend<Fr>, (Vec<Fr>, Vec<Fr>)) {
+        let (r1cs, inputs, witness) = synthetic_r1cs::<Fr>(16, 42);
+        let backend = SpartanBackend::new(Arc::new(r1cs), params());
+        (backend, (inputs, witness))
+    }
+
+    fn mixed() -> (MixedBackend, Vec<MixedInstance>) {
+        let (sumcheck, instance) = spartan();
+        let backend = MixedBackend::new(
+            sumcheck,
+            GrothBackend::new(5),
+            OrionBackend::new(8, params()),
+        );
+        let instances = (0..6u64)
+            .map(|i| match i % 3 {
+                0 => Mixed::Sumcheck(instance.clone()),
+                1 => Mixed::Groth(backend.groth().circuit().witness(i)),
+                _ => Mixed::Orion(backend.orion().instance(i)),
+            })
+            .collect();
+        (backend, instances)
+    }
+
+    /// One batch through every schedule the batch layer offers — pipelined,
+    /// kernel-per-task, pooled under each shard policy, recovered from a
+    /// mid-batch fail-stop, recovered from a dropped kernel, and served
+    /// online — each returning its proofs in input order.
+    fn all_schedules<B>(backend: &B, batch: &[B::Instance]) -> Vec<(String, BackendProofs<B>)>
+    where
+        B: ProverBackend,
+        B::Instance: Clone,
+    {
+        let pooled = |pool: &mut DevicePool, policy| {
+            prove_batch_pool_with(pool, backend, batch.to_vec(), 4096, true, policy)
+                .expect("the pool completes the batch")
+        };
+        let mut gpu = Gpu::new(DeviceProfile::a100());
+        let piped = prove_batch_with(&mut gpu, backend, batch.to_vec(), 4096, true).expect("fits");
+        let mut runs = vec![("pipelined".to_string(), piped.proofs)];
+        let mut gpu = Gpu::new(DeviceProfile::a100());
+        let naive = prove_batch_naive_with(&mut gpu, backend, batch.to_vec(), 4096, 2);
+        runs.push(("naive".into(), naive.proofs));
+        for policy in ShardPolicy::ALL {
+            let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 3);
+            runs.push((format!("pooled {policy}"), pooled(&mut pool, policy).proofs));
+        }
+
+        // Fail device 1 halfway through its fault-free shard: proofs
+        // completed, proofs in flight, and a survivor to replay them.
+        let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 2);
+        let clean = pooled(&mut pool, ShardPolicy::LeastOutstanding);
+        assert!(clean.recovery.is_none());
+        let mid = clean.device_stats[1].total_cycles / 2;
+        let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 2);
+        pool.apply_fault_plan(&FaultPlan::new().fail_stop(1, mid));
+        let run = pooled(&mut pool, ShardPolicy::LeastOutstanding);
+        let recovery = run.recovery.expect("the fail-stop fired");
+        assert_eq!(recovery.failed_devices, vec![1]);
+        assert!(recovery.replayed_tasks > 0);
+        runs.push(("fail-stop".into(), run.proofs));
+
+        let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 1);
+        pool.apply_fault_plan(&FaultPlan::new().drop_kernel(0, 0, 2));
+        let run = pooled(&mut pool, ShardPolicy::RoundRobin);
+        let recovery = run.recovery.expect("the kernel drop fired");
+        assert_eq!(recovery.dropped_kernels, 1);
+        assert!(recovery.replayed_tasks > 0);
+        runs.push(("kernel drop".into(), run.proofs));
+
+        let config = ServiceConfig {
+            classes: [ClassPolicy {
+                queue_cap: batch.len(),
+                slo_cycles: u64::MAX,
+            }; 3],
+            max_outstanding: 2 * batch.len(),
+            device_queue_cap: batch.len(),
+            max_in_flight: 0,
+            timeline_window_cycles: 0,
+        };
+        let arrival = |(i, instance): (usize, &B::Instance)| {
+            (
+                PriorityClass::ALL[i % 3],
+                10_000 * i as u64,
+                instance.clone(),
+            )
+        };
+        let requests = batch.iter().enumerate().map(arrival).collect();
+        let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 2);
+        let outcome = prove_service_with(&mut pool, backend, &config, requests, 4096, true)
+            .expect("service run");
+        assert!(outcome.rejected.is_empty(), "no load shed at this pace");
+        let mut served = outcome.completions;
+        served.sort_by_key(|c| c.request);
+        let served = served.into_iter().map(|c| backend.finish(c.task)).collect();
+        runs.push(("service".into(), served));
+        runs
+    }
+
+    /// The seeded differential harness: every schedule, at 1, 2 and 4 host
+    /// threads, emits the proofs the pipelined single-device run at one
+    /// thread emits, and those verify.
+    fn schedules_agree<B>(backend: &B, batch: Vec<B::Instance>)
+    where
+        B: ProverBackend,
+        B::Instance: Clone,
+        B::Statement: PartialEq + Debug,
+        B::Proof: PartialEq + Debug,
+    {
+        let at = |threads| batchzk_par::with_threads(threads, || all_schedules(backend, &batch));
+        let serial = at(1);
+        let reference = &serial[0].1;
+        assert_eq!(reference.len(), batch.len());
+        for (statement, proof) in reference {
+            assert!(backend.verify(statement, proof));
+        }
+        for (threads, runs) in [(1, &serial), (2, &at(2)), (4, &at(4))] {
+            for (schedule, proofs) in runs {
+                assert_eq!(proofs, reference, "{schedule} at {threads} host threads");
+            }
+        }
+    }
+
+    #[test]
+    fn spartan_schedules_agree() {
+        let (backend, instance) = spartan();
+        schedules_agree(&backend, vec![instance; 6]);
+    }
+
+    #[test]
+    fn groth_schedules_agree() {
+        let backend = GrothBackend::new(5);
+        let batch = (0..6).map(|seed| backend.circuit().witness(seed)).collect();
+        schedules_agree(&backend, batch);
+    }
+
+    #[test]
+    fn orion_schedules_agree() {
+        let backend = OrionBackend::<Fr>::new(8, params());
+        let batch = (0..6).map(|seed| backend.instance(seed)).collect();
+        schedules_agree(&backend, batch);
+    }
+
+    #[test]
+    fn mixed_schedules_agree() {
+        let (backend, batch) = mixed();
+        schedules_agree(&backend, batch);
+    }
+
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = catch_unwind(AssertUnwindSafe(f)).expect_err("must panic");
+        match payload.downcast::<String>() {
+            Ok(message) => *message,
+            Err(payload) => payload.downcast::<&str>().expect("a message").to_string(),
+        }
+    }
+
+    /// A task driven through its first `k` stages and then restarted at
+    /// stage 0 — what fault recovery does to a salvaged task — finishes
+    /// with the proof of an undisturbed task, for every `k`; short of the
+    /// last stage `finish` refuses it, and a stage run out of order
+    /// refuses the task.
+    fn task_states_hold<B>(backend: &B, instance: B::Instance)
+    where
+        B: ProverBackend,
+        B::Instance: Clone,
+        B::Statement: PartialEq + Debug,
+        B::Proof: PartialEq + Debug,
+    {
+        let gpu = Gpu::new(DeviceProfile::a100());
+        let stages = backend.stages(&gpu, 2048);
+        let driven = |k: usize| {
+            let mut task = backend.begin(instance.clone());
+            for stage in &stages[..k] {
+                stage.process(&mut task);
+            }
+            task
+        };
+        let reference = backend.finish(driven(stages.len()));
+        assert!(backend.verify(&reference.0, &reference.1));
+        for k in 0..=stages.len() {
+            let mut task = driven(k);
+            for stage in &stages {
+                stage.process(&mut task);
+            }
+            assert_eq!(
+                backend.finish(task),
+                reference,
+                "restarted after {k} stages"
+            );
+        }
+        for k in 0..stages.len() {
+            let message = panic_message(|| drop(backend.finish(driven(k))));
+            assert_eq!(
+                message, "task has not completed the pipeline",
+                "after {k} stages"
+            );
+        }
+        for k in 0..stages.len() - 1 {
+            let message = panic_message(|| drop(stages[k + 1].process(&mut driven(k))));
+            let expected = "ran on a task the stage before it had not processed";
+            assert!(
+                message.contains(expected),
+                "stage {} after {k}: {message}",
+                k + 1
+            );
+        }
+    }
+
+    #[test]
+    fn spartan_task_states_hold() {
+        let (backend, instance) = spartan();
+        task_states_hold(&backend, instance);
+    }
+
+    #[test]
+    fn groth_task_states_hold() {
+        let backend = GrothBackend::new(5);
+        task_states_hold(&backend, backend.circuit().witness(7));
+    }
+
+    #[test]
+    fn orion_task_states_hold() {
+        let backend = OrionBackend::<Fr>::new(8, params());
+        task_states_hold(&backend, backend.instance(7));
+    }
+
+    #[test]
+    fn mixed_task_states_hold() {
+        let (backend, batch) = mixed();
+        for instance in batch.into_iter().take(3) {
+            task_states_hold(&backend, instance);
+        }
+    }
+
+    // A mis-sized instance is refused by `begin`, on the submitting
+    // thread, not by a stage on a pipeline worker.
+
+    #[test]
+    #[should_panic(expected = "sumcheck instance: witness has length 1, the backend's shape takes")]
+    fn spartan_begin_refuses_a_short_witness() {
+        let (backend, (inputs, _)) = spartan();
+        backend.begin((inputs, vec![Fr::ONE]));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "groth16 instance: witness has length 31, the backend's shape takes 32"
+    )]
+    fn groth_begin_refuses_a_short_witness() {
+        GrothBackend::new(5).begin(vec![Fr::ONE; 31]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "orion instance: evaluation table has length 255, the backend's shape takes 256"
+    )]
+    fn orion_begin_refuses_a_short_table() {
+        let backend = OrionBackend::<Fr>::new(8, params());
+        let (mut evals, point) = backend.instance(1);
+        evals.pop();
+        backend.begin((evals, point));
+    }
+
+    #[test]
+    #[should_panic(expected = "orion instance: point has length 7, the backend's shape takes 8")]
+    fn mixed_begin_refuses_a_short_point() {
+        let (backend, _) = mixed();
+        let (evals, mut point) = backend.orion().instance(1);
+        point.pop();
+        backend.begin(Mixed::Orion((evals, point)));
     }
 }

@@ -18,6 +18,12 @@
 //! (§4): weights are the per-module work in cycles under the device cost
 //! model, normalized over the configured thread budget.
 //!
+//! Between stages a task owns one `TaskState` variant — exactly what the
+//! later stages read — and the encoder reads the instance only, so a
+//! fault-recovery replay restarts a salvaged task there (DESIGN.md §15,
+//! "Task state"). The encoder and Merkle stages are the PCS commit prefix
+//! shared with the Orion backend (`commit.rs`).
+//!
 //! These four stages are what
 //! [`SpartanBackend`](crate::backend::SpartanBackend) plugs into the batch
 //! entry points below, which are generic over [`ProverBackend`] and are the
@@ -26,31 +32,53 @@
 use std::sync::Arc;
 
 use batchzk_field::Field;
-use batchzk_gpu_sim::{DevicePool, Gpu, Work};
+use batchzk_gpu_sim::{CostModel, DevicePool, Gpu, Work};
 use batchzk_hash::Transcript;
 use batchzk_metrics::Registry;
 use batchzk_pipeline::{
-    allocate_threads, observe, run_service, run_sharded, BoxedStage, PipeStage, Pipeline,
+    allocate_threads, observe, run_service, run_sharded, sched, BoxedStage, PipeStage, Pipeline,
     PipelineError, PriorityClass, RecoveryReport, RunStats, ServiceConfig, ServiceError,
     ServiceOutcome, ServiceRequest, ShardPolicy, StageWork,
 };
 
 use crate::backend::ProverBackend;
-use crate::pcs::{self, EncodedRows, PcsCommitment, PcsKey, PcsProverData};
+use crate::commit::{self, Commit};
+use crate::pcs::{self, EncodedRows, PcsKey};
 use crate::r1cs::R1cs;
 use crate::spartan::{self, Proof, SumcheckPart};
 
-/// A proof-generation task moving through the Figure 7 pipeline.
+/// A proof-generation task moving through the Figure 7 pipeline: the
+/// instance, which the encoder stage reads (again, when a fault-recovery
+/// replay restarts the task there), and the state the last stage left.
 pub struct BatchTask<F: Field> {
     inputs: Vec<F>,
     witness: Vec<F>,
-    z: Vec<F>,
-    encoded: Option<EncodedRows<F>>,
-    pcs_data: Option<PcsProverData<F>>,
-    commitment: Option<PcsCommitment>,
-    transcript: Option<Transcript>,
-    sumcheck_part: Option<SumcheckPart<F>>,
-    proof: Option<Proof<F>>,
+    state: TaskState<F>,
+}
+
+/// What a task owns between two stages: each variant holds exactly what
+/// the later stages read, so a buffer is freed by the transition after its
+/// last reader (DESIGN.md §15, "Task state").
+enum TaskState<F: Field> {
+    /// Submitted, or salvaged for a replay.
+    Fresh,
+    /// After the encoder: the assignment and the witness half's codewords.
+    Encoded {
+        z: Vec<F>,
+        encoded: EncodedRows<F>,
+    },
+    /// After the Merkle stage: the codewords moved under the tree.
+    Committed {
+        z: Vec<F>,
+        commit: Commit<F>,
+    },
+    /// After the sum-checks, which consumed `z`.
+    Sumchecked {
+        commit: Commit<F>,
+        transcript: Transcript,
+        part: SumcheckPart<F>,
+    },
+    Done(Proof<F>),
 }
 
 impl<F: Field> BatchTask<F> {
@@ -58,143 +86,116 @@ impl<F: Field> BatchTask<F> {
         Self {
             inputs,
             witness,
-            z: Vec::new(),
-            encoded: None,
-            pcs_data: None,
-            commitment: None,
-            transcript: None,
-            sumcheck_part: None,
-            proof: None,
+            state: TaskState::Fresh,
         }
     }
 
-    /// The finished proof.
+    /// The public inputs and the finished proof.
     ///
     /// # Panics
     ///
     /// Panics if the task has not completed the pipeline.
-    pub fn into_proof(self) -> Proof<F> {
-        self.proof.expect("task has not completed the pipeline")
-    }
-
-    /// The public inputs this task proves against.
-    pub fn inputs(&self) -> &[F] {
-        &self.inputs
+    pub(crate) fn finish(self) -> (Vec<F>, Proof<F>) {
+        match self.state {
+            TaskState::Done(proof) => (self.inputs, proof),
+            _ => panic!("task has not completed the pipeline"),
+        }
     }
 }
 
-struct EncodeStage<F: Field> {
+/// Device bytes a task keeps resident from the encoder stage on: its
+/// encoded witness rows only (the witness is read once, by the encoder).
+fn encoded_bytes<F: Field>(key: &PcsKey<F>) -> u64 {
+    (key.n_rows() * key.codeword_len() * 32) as u64
+}
+
+/// The four stages' kernel names, in pipeline order.
+const STAGE_NAMES: [&str; 4] = [
+    "system-encoder",
+    "system-merkle",
+    "system-sumcheck",
+    "system-assemble",
+];
+
+/// Stage `k` of the Figure 7 four on one device.
+struct Stage<F: Field> {
+    k: usize,
+    threads: u32,
     r1cs: Arc<R1cs<F>>,
     key: Arc<PcsKey<F>>,
-    threads: u32,
-    spmv_cost: u64,
+    cost: CostModel,
 }
 
-impl<F: Field> PipeStage<BatchTask<F>> for EncodeStage<F> {
+impl<F: Field> PipeStage<BatchTask<F>> for Stage<F> {
     fn name(&self) -> String {
-        "system-encoder".into()
+        STAGE_NAMES[self.k].into()
     }
     fn threads(&self) -> u32 {
         self.threads
     }
+    /// The task's state machine. Stage 0 is the replay entry: it reads the
+    /// instance only and overwrites whatever state a fault left the task
+    /// in; every later stage takes exactly the state its predecessor
+    /// left. The engine runs stages in order, so the last arm is the one
+    /// place a stage can find out it did not.
     fn process(&self, task: &mut BatchTask<F>) -> StageWork {
-        task.z = self.r1cs.assemble_z(&task.inputs, &task.witness);
-        let w_half = &task.z[self.r1cs.half_len()..];
-        let encoded = self.key.commit_encode(w_half);
-        let nnz = encoded.encode_nnz() as u64;
-        let encoded_bytes = (encoded.n_rows() * encoded.codeword_len() * 32) as u64;
-        task.encoded = Some(encoded);
-        StageWork {
-            work: Work::Uniform {
-                units: nnz.max(1),
-                cycles_per_unit: self.spmv_cost,
-            },
-            // Dynamic loading: this proof's prover input arrives now.
-            h2d_bytes: (task.witness.len() * 32) as u64,
-            d2h_bytes: 0,
-            mem_after: encoded_bytes,
-        }
-    }
-}
-
-struct MerkleStage {
-    threads: u32,
-    column_cost: u64,
-}
-
-impl<F: Field> PipeStage<BatchTask<F>> for MerkleStage {
-    fn name(&self) -> String {
-        "system-merkle".into()
-    }
-    fn threads(&self) -> u32 {
-        self.threads
-    }
-    fn process(&self, task: &mut BatchTask<F>) -> StageWork {
-        let encoded = task.encoded.take().expect("encoder stage ran");
-        let columns = encoded.codeword_len() as u64;
-        let encoded_bytes = (encoded.n_rows() * encoded.codeword_len() * 32) as u64;
-        let (commitment, data) = pcs::commit_merkle(encoded);
-        task.commitment = Some(commitment);
-        task.pcs_data = Some(data);
-        StageWork {
-            work: Work::Uniform {
-                units: columns.max(1),
-                cycles_per_unit: self.column_cost,
-            },
-            h2d_bytes: 0,
-            // Intermediate tree layers stream back to host (§3.1); the
-            // encoded matrix stays resident for the opening stage.
-            d2h_bytes: columns * 32,
-            mem_after: encoded_bytes + columns * 64,
-        }
-    }
-    fn naive_phases(&self, task: &BatchTask<F>) -> Option<Vec<Work>> {
-        // Kernel-per-layer: the non-pipelined baseline launches one kernel
-        // per tree layer, and the upper layers have too few nodes to fill
-        // its thread slice (Figure 4a's utilization collapse).
-        let data = task.pcs_data.as_ref().expect("merkle stage ran");
-        let mut nodes = (data.codeword_len() as u64 / 2).max(1);
-        let mut phases = Vec::new();
-        loop {
-            phases.push(Work::Uniform {
-                units: nodes,
-                cycles_per_unit: self.column_cost,
-            });
-            if nodes == 1 {
-                break;
+        use TaskState::*;
+        let (next, work) = match (self.k, std::mem::replace(&mut task.state, Fresh)) {
+            (0, _) => self.encode(&task.inputs, &task.witness),
+            (1, Encoded { z, encoded }) => {
+                let (commit, work) = commit::merkle(&self.cost, encoded, encoded_bytes(&self.key));
+                (Committed { z, commit }, work)
             }
-            nodes /= 2;
+            (2, Committed { z, commit }) => self.sumcheck(&task.inputs, z, commit),
+            (
+                3,
+                Sumchecked {
+                    commit,
+                    transcript,
+                    part,
+                },
+            ) => self.open(commit, transcript, part),
+            _ => panic!(
+                "{} ran on a task the stage before it had not processed",
+                self.name()
+            ),
+        };
+        task.state = next;
+        work
+    }
+    fn naive_phases(&self, _task: &BatchTask<F>) -> Option<Vec<Work>> {
+        match self.k {
+            1 => Some(commit::merkle_naive_phases(&self.key, &self.cost)),
+            2 => Some(self.sumcheck_naive()),
+            _ => None,
         }
-        Some(phases)
     }
 }
 
-struct SumcheckStage<F: Field> {
-    r1cs: Arc<R1cs<F>>,
-    threads: u32,
-    pair_cost: u64,
-}
+impl<F: Field> Stage<F> {
+    fn encode(&self, inputs: &[F], witness: &[F]) -> (TaskState<F>, StageWork) {
+        let z = self.r1cs.assemble_z(inputs, witness);
+        let (encoded, work) = commit::encode(
+            &self.key,
+            &self.cost,
+            &z[self.r1cs.half_len()..],
+            (witness.len() * 32) as u64,
+            encoded_bytes(&self.key),
+        );
+        (TaskState::Encoded { z, encoded }, work)
+    }
 
-impl<F: Field> PipeStage<BatchTask<F>> for SumcheckStage<F> {
-    fn name(&self) -> String {
-        "system-sumcheck".into()
+    fn pair_cost(&self) -> u64 {
+        self.cost.sumcheck_pair() + self.cost.shared_access
     }
-    fn threads(&self) -> u32 {
-        self.threads
-    }
-    fn process(&self, task: &mut BatchTask<F>) -> StageWork {
+
+    fn sumcheck(&self, inputs: &[F], z: Vec<F>, commit: Commit<F>) -> (TaskState<F>, StageWork) {
         // Randomness seeded by the final Merkle root via the transcript.
-        let mut transcript = Transcript::new(spartan::DOMAIN);
-        spartan::absorb_statement(&mut transcript, &self.r1cs, &task.inputs);
-        let commitment = task.commitment.as_ref().expect("merkle stage ran");
-        transcript.absorb_digest(b"w-commitment", &commitment.root);
-        // The last stage to read `z`; a replay restarts at the encoder
-        // stage, which assembles it again.
-        let z = std::mem::take(&mut task.z);
+        let mut transcript = spartan::statement_transcript(&self.r1cs, inputs);
+        transcript.absorb_digest(b"w-commitment", &commit.commitment.root);
         let products = self.r1cs.products(&z);
+        // `z` moves into sum-check #2, its last reader.
         let part = spartan::sumchecks_over(&self.r1cs, z, products, &mut transcript);
-        task.sumcheck_part = Some(part);
-        task.transcript = Some(transcript);
 
         let m = self.r1cs.padded_constraints() as u64;
         let n = self.r1cs.z_len() as u64;
@@ -202,75 +203,44 @@ impl<F: Field> PipeStage<BatchTask<F>> for SumcheckStage<F> {
         // #1 as four tables of 2m pairs in all, #2 as two of 2n. The host
         // prover folds three in #1 (`eq` is factored out, never a table).
         let units = 4 * 2 * m + 2 * 2 * n;
-        let table_bytes = (3 * m + n) * 32;
-        let encoded = task.pcs_data.as_ref().expect("merkle stage ran");
-        let resident = (encoded.n_rows() * encoded.codeword_len() * 32) as u64;
-        StageWork {
+        let work = StageWork {
             work: Work::Uniform {
                 units,
-                cycles_per_unit: self.pair_cost,
+                cycles_per_unit: self.pair_cost(),
             },
             // "The sum-check modules are required to load data from host
             // memory in each cycle" — the Az/Bz/Cz and z tables.
-            h2d_bytes: table_bytes,
+            h2d_bytes: (3 * m + n) * 32,
             d2h_bytes: 0,
-            mem_after: resident + 2 * (3 * m + n) * 32 / 3,
-        }
+            mem_after: encoded_bytes(&self.key) + 2 * (3 * m + n) * 32 / 3,
+        };
+        let next = TaskState::Sumchecked {
+            commit,
+            transcript,
+            part,
+        };
+        (next, work)
     }
-    fn naive_phases(&self, _task: &BatchTask<F>) -> Option<Vec<Work>> {
+
+    fn sumcheck_naive(&self) -> Vec<Work> {
         // Kernel-per-round: each sum-check round halves the tables, so the
         // later rounds leave most of the baseline's thread slice idle.
+        // Sum-check #1 folds four tables together per round, #2 two.
         let m = self.r1cs.padded_constraints() as u64;
         let n = self.r1cs.z_len() as u64;
-        let mut phases = Vec::new();
-        let mut pairs = m;
-        while pairs >= 1 {
-            // Sum-check #1: four tables folded together per round.
-            phases.push(Work::Uniform {
-                units: 4 * pairs,
-                cycles_per_unit: self.pair_cost,
-            });
-            if pairs == 1 {
-                break;
-            }
-            pairs /= 2;
-        }
-        let mut pairs = n;
-        while pairs >= 1 {
-            // Sum-check #2: two tables folded together per round.
-            phases.push(Work::Uniform {
-                units: 2 * pairs,
-                cycles_per_unit: self.pair_cost,
-            });
-            if pairs == 1 {
-                break;
-            }
-            pairs /= 2;
-        }
-        Some(phases)
+        let mut phases = commit::halving_phases(m, 4, self.pair_cost());
+        phases.extend(commit::halving_phases(n, 2, self.pair_cost()));
+        phases
     }
-}
 
-struct OpenStage<F: Field> {
-    key: Arc<PcsKey<F>>,
-    threads: u32,
-    term_cost: u64,
-}
-
-impl<F: Field> PipeStage<BatchTask<F>> for OpenStage<F> {
-    fn name(&self) -> String {
-        "system-assemble".into()
-    }
-    fn threads(&self) -> u32 {
-        self.threads
-    }
-    fn process(&self, task: &mut BatchTask<F>) -> StageWork {
-        let data = task.pcs_data.take().expect("merkle stage ran");
-        let mut transcript = task.transcript.take().expect("sum-check stage ran");
-        let part = task.sumcheck_part.take().expect("sum-check stage ran");
+    fn open(
+        &self,
+        Commit { commitment, data }: Commit<F>,
+        mut transcript: Transcript,
+        part: SumcheckPart<F>,
+    ) -> (TaskState<F>, StageWork) {
         let y_prime = &part.point_y[..part.point_y.len() - 1];
         let (w_eval, opening) = pcs::open(self.key.pcs(), &data, y_prime, &mut transcript);
-        let commitment = task.commitment.take().expect("merkle stage ran");
         let proof = Proof {
             commitment,
             sc1: part.sc1,
@@ -281,19 +251,18 @@ impl<F: Field> PipeStage<BatchTask<F>> for OpenStage<F> {
             w_eval,
             opening,
         };
-        let proof_bytes = proof.size_bytes() as u64;
         let units = (2 * data.n_rows() as u64) * (proof.opening.combined_row.len() as u64);
-        task.proof = Some(proof);
-        StageWork {
+        let work = StageWork {
             work: Work::Uniform {
                 units: units.max(1),
-                cycles_per_unit: self.term_cost,
+                cycles_per_unit: self.cost.field_mul + self.cost.global_access,
             },
             h2d_bytes: 0,
             // The finished proof leaves the device.
-            d2h_bytes: proof_bytes,
+            d2h_bytes: proof.size_bytes() as u64,
             mem_after: 0,
-        }
+        };
+        (TaskState::Done(proof), work)
     }
 }
 
@@ -387,7 +356,8 @@ pub struct BackendPoolRun<B: ProverBackend> {
     pub assignments: Vec<Vec<usize>>,
     /// The shard policy that routed the batch.
     pub policy: ShardPolicy,
-    /// Wall time of the batch: the slowest device's elapsed ms.
+    /// Wall time of the batch: the slowest device's elapsed ms, summed
+    /// over the recovery rounds when a fault fired.
     pub makespan_ms: f64,
     /// Per-device elapsed milliseconds for this batch.
     pub device_ms: Vec<f64>,
@@ -400,26 +370,41 @@ pub struct BackendPoolRun<B: ProverBackend> {
 impl<B: ProverBackend> BackendPoolRun<B> {
     /// Batch throughput against the makespan, in proofs per millisecond.
     pub fn throughput_per_ms(&self) -> f64 {
-        if self.makespan_ms > 0.0 {
-            self.proofs.len() as f64 / self.makespan_ms
-        } else {
-            0.0
-        }
+        sched::throughput_per_ms(self.proofs.len(), self.makespan_ms)
     }
 
     /// Max-over-mean of elapsed time across devices that proved work
     /// (1.0 = perfectly balanced; 0 when nothing ran).
     pub fn imbalance(&self) -> f64 {
-        let active: Vec<f64> = self
-            .device_ms
-            .iter()
-            .copied()
-            .filter(|&ms| ms > 0.0)
-            .collect();
-        if active.is_empty() {
-            return 0.0;
+        sched::imbalance(self.makespan_ms, &self.device_ms)
+    }
+}
+
+/// Folds the outcome of one [`prove_batch_pool_with`] call into `registry`
+/// under `module`: the error families for a failed batch; the run, its
+/// recovery account if a fault fired, and the pool's health afterwards
+/// for a finished one.
+pub fn record_pool_outcome<B: ProverBackend>(
+    registry: &mut Registry,
+    module: &str,
+    pool: &DevicePool,
+    outcome: &Result<BackendPoolRun<B>, PipelineError>,
+) {
+    match outcome {
+        Err(e) => observe::record_error(registry, module, e),
+        Ok(run) => {
+            observe::record_pool_run(
+                registry,
+                module,
+                &run.device_stats,
+                &run.device_ms,
+                run.makespan_ms,
+            );
+            if let Some(recovery) = &run.recovery {
+                observe::record_recovery(registry, module, recovery);
+            }
+            observe::record_pool_health(registry, module, pool);
         }
-        self.makespan_ms / (active.iter().sum::<f64>() / active.len() as f64)
     }
 }
 
@@ -535,21 +520,13 @@ pub fn prove_service_with<B: ProverBackend>(
 /// from the cost model so the allocation tracks the simulated device.
 pub fn module_weights<F: Field>(gpu: &Gpu, r1cs: &R1cs<F>, key: &PcsKey<F>) -> [u64; 4] {
     let cost = gpu.cost();
-    let (n_rows, n_cols) = (key.n_rows(), key.n_cols());
-    let codeword_len = key.codeword_len() as u64;
-    let w_encode = (key.row_nnz() as u64 * n_rows as u64) * cost.spmv_term();
-    let w_merkle =
-        codeword_len * ((n_rows as u64).div_ceil(2) * cost.sha256_compress + cost.merkle_node());
+    let [w_encode, w_merkle] = commit::module_weights(gpu, key);
     let m = r1cs.padded_constraints() as u64;
     let n = r1cs.z_len() as u64;
     let w_sumcheck = (8 * m + 4 * n) * (cost.sumcheck_pair() + cost.shared_access);
-    let w_open = 2 * n_rows as u64 * n_cols as u64 * (cost.field_mul + cost.global_access);
-    [
-        w_encode.max(1),
-        w_merkle.max(1),
-        w_sumcheck.max(1),
-        w_open.max(1),
-    ]
+    let w_open =
+        2 * key.n_rows() as u64 * key.n_cols() as u64 * (cost.field_mul + cost.global_access);
+    [w_encode, w_merkle, w_sumcheck.max(1), w_open.max(1)]
 }
 
 /// Builds the four Figure-7 stages for one device: thread allocation
@@ -561,32 +538,17 @@ pub(crate) fn build_stages<F: Field>(
     key: &Arc<PcsKey<F>>,
     total_threads: u32,
 ) -> Vec<BoxedStage<BatchTask<F>>> {
-    let weights = module_weights(gpu, r1cs, key);
-    let threads = allocate_threads(total_threads, &weights);
-    let cost = *gpu.cost();
-    let n_rows = key.n_rows() as u64;
-    vec![
-        Box::new(EncodeStage {
-            r1cs: Arc::clone(r1cs),
-            key: Arc::clone(key),
-            threads: threads[0],
-            spmv_cost: cost.spmv_term(),
-        }),
-        Box::new(MerkleStage {
-            threads: threads[1],
-            column_cost: n_rows.div_ceil(2) * cost.sha256_compress + cost.merkle_node(),
-        }),
-        Box::new(SumcheckStage {
-            r1cs: Arc::clone(r1cs),
-            threads: threads[2],
-            pair_cost: cost.sumcheck_pair() + cost.shared_access,
-        }),
-        Box::new(OpenStage {
-            key: Arc::clone(key),
-            threads: threads[3],
-            term_cost: cost.field_mul + cost.global_access,
-        }),
-    ]
+    let threads = allocate_threads(total_threads, &module_weights(gpu, r1cs, key));
+    let stage = |k| Stage {
+        k,
+        threads: threads[k],
+        r1cs: Arc::clone(r1cs),
+        key: Arc::clone(key),
+        cost: *gpu.cost(),
+    };
+    (0..STAGE_NAMES.len())
+        .map(|k| Box::new(stage(k)) as BoxedStage<BatchTask<F>>)
+        .collect()
 }
 
 /// Analytic estimate of one proof task's peak device-memory footprint in
@@ -595,14 +557,12 @@ pub(crate) fn build_stages<F: Field>(
 /// admission from this, so a batch that would OOM at full pipeline
 /// residency is split in time instead of erroring.
 pub fn task_footprint_bytes<F: Field>(r1cs: &R1cs<F>, key: &PcsKey<F>) -> u64 {
-    let n_rows = key.n_rows();
-    let codeword_len = key.codeword_len() as u64;
-    let encoded_bytes = n_rows as u64 * codeword_len * 32;
+    let encoded_bytes = encoded_bytes(key);
     let m = r1cs.padded_constraints() as u64;
     let n = r1cs.z_len() as u64;
     // Stage footprints: encoder holds the codeword matrix; merkle adds the
     // tree layers; sum-check swaps the tree for its folding tables.
-    let merkle = encoded_bytes + codeword_len * 64;
+    let merkle = encoded_bytes + key.codeword_len() as u64 * 64;
     let sumcheck = encoded_bytes + 2 * (3 * m + n) * 32 / 3;
     encoded_bytes.max(merkle).max(sumcheck)
 }
@@ -1064,21 +1024,16 @@ impl<B: ProverBackend> StreamingProver<B> {
         &mut self,
         instances: Vec<B::Instance>,
     ) -> Result<BackendProofs<B>, PipelineError> {
-        let module = self.backend.name();
-        let run = prove_batch_pool_with(
+        let outcome = prove_batch_pool_with(
             &mut self.pool,
             &self.backend,
             instances,
             self.total_threads,
             true,
             self.policy,
-        )
-        .inspect_err(|e| observe::record_error(&mut self.metrics, module, e))?;
-        observe::record_pool_run(&mut self.metrics, module, &run.device_stats, &run.device_ms);
-        if let Some(recovery) = &run.recovery {
-            observe::record_recovery(&mut self.metrics, module, recovery);
-        }
-        observe::record_pool_health(&mut self.metrics, module, &self.pool);
+        );
+        record_pool_outcome(&mut self.metrics, self.backend.name(), &self.pool, &outcome);
+        let run = outcome?;
         self.proofs_emitted += run.proofs.len();
         Ok(run.proofs)
     }
@@ -1247,6 +1202,61 @@ mod streaming_tests {
         );
     }
 
+    /// Under fault recovery the batch's makespan is the sum of the rounds'
+    /// maxima, which no single device's elapsed time need reach: here the
+    /// device that dies is round 0's laggard and the other one replays.
+    /// The pool gauges must report the run's makespan, not the slowest
+    /// device's time.
+    #[test]
+    fn pool_gauges_use_the_runs_makespan_under_recovery() {
+        use batchzk_gpu_sim::FaultPlan;
+        let (r1cs, inputs, witness) = synthetic_r1cs::<Fr>(16, 42);
+        let params = PcsParams {
+            num_col_tests: 8,
+            ..PcsParams::default()
+        };
+        let backend = SpartanBackend::new(Arc::new(r1cs), params);
+        let batch = vec![(inputs, witness); 5];
+        let pool_failing_at = |cycle: Option<u64>| {
+            let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 2);
+            if let Some(cycle) = cycle {
+                pool.apply_fault_plan(&FaultPlan::new().fail_stop(0, cycle));
+            }
+            pool
+        };
+        let prove = |mut pool: DevicePool| {
+            let policy = ShardPolicy::RoundRobin;
+            prove_batch_pool_with(&mut pool, &backend, batch.clone(), 2048, true, policy)
+                .expect("a device survives")
+        };
+        let clean = prove(pool_failing_at(None));
+        let busy = clean.device_stats[0].total_cycles;
+        let idle = clean.device_stats[1].total_cycles;
+        assert!(busy > idle, "round-robin gives device 0 the odd task");
+        // Device 0 dies after device 1 has drained its own shard.
+        let late = Some((busy + idle) / 2);
+        let run = prove(pool_failing_at(late));
+        let slowest = run.device_ms.iter().copied().fold(0.0, f64::max);
+        assert!(run.makespan_ms > slowest, "the replay round comes on top");
+
+        let mut prover = StreamingProver::over_pool_with_backend(
+            pool_failing_at(late),
+            ShardPolicy::RoundRobin,
+            backend.clone(),
+            2048,
+        );
+        prover
+            .prove_chunk(batch.clone())
+            .expect("a device survives");
+        let gauge = |name| prover.metrics().gauge(name, &[("module", "sumcheck")]);
+        assert_eq!(gauge("batchzk_pool_makespan_ms"), Some(run.makespan_ms));
+        assert_eq!(
+            gauge("batchzk_throughput_tasks_per_ms"),
+            Some(run.throughput_per_ms())
+        );
+        assert_eq!(gauge("batchzk_pool_imbalance"), Some(run.imbalance()));
+    }
+
     #[test]
     fn pooled_streaming_prover_shards_and_labels_devices() {
         let (r1cs, inputs, witness) = synthetic_r1cs::<Fr>(16, 42);
@@ -1325,22 +1335,16 @@ mod streaming_tests {
             })
             .collect();
         let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 2);
-        let outcome = prove_service_with(
-            &mut pool,
-            &SpartanBackend::new(Arc::clone(&r1cs), params),
-            &config,
-            requests,
-            2048,
-            true,
-        )
-        .expect("service run");
+        let backend = SpartanBackend::new(Arc::clone(&r1cs), params);
+        let outcome = prove_service_with(&mut pool, &backend, &config, requests, 2048, true)
+            .expect("service run");
         assert_eq!(outcome.completions.len(), 6, "no load shed at this pace");
         for completion in outcome.completions {
             assert!(completion.completed_cycle >= completion.arrival_cycle);
-            let proof = completion.task.into_proof();
+            let (inputs, proof) = backend.finish(completion.task);
             // Online serving must not change the proof system's output.
             assert_eq!(proof, reference);
-            assert!(verify(&params, &r1cs, &instance.0, &proof));
+            assert!(verify(&params, &r1cs, &inputs, &proof));
         }
         for report in &outcome.reports {
             assert_eq!(report.submitted, 2);

@@ -22,6 +22,7 @@
 
 pub mod backend;
 pub mod batch;
+mod commit;
 #[cfg(test)]
 #[path = "../../sumcheck/src/counting.rs"]
 mod counting;
@@ -35,12 +36,13 @@ pub mod spartan;
 pub use batchzk_pcs as pcs;
 
 pub use backend::{
-    GrothBackend, MixedBackend, MixedInstance, MixedProof, MixedStatement, MixedTask,
+    GrothBackend, Mixed, MixedBackend, MixedInstance, MixedProof, MixedStatement, MixedTask,
     ProverBackend, SpartanBackend, BACKEND_NAMES,
 };
 pub use batch::{
     prove_batch_naive_with, prove_batch_pool_with, prove_batch_with, prove_service_with,
-    task_footprint_bytes, BackendBatchRun, BackendPoolRun, BackendProofRequest, StreamingProver,
+    record_pool_outcome, task_footprint_bytes, BackendBatchRun, BackendPoolRun,
+    BackendProofRequest, StreamingProver,
 };
 pub use orion::{OrionBackend, OrionProof, OrionTask};
 pub use pcs::{PcsCommitment, PcsOpening, PcsParams};

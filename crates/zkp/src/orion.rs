@@ -19,6 +19,11 @@
 //!    their Merkle paths and emit the finished proof
 //!    ([`pcs::open_queries`]).
 //!
+//! Stages 1–2 are the PCS commit prefix the sumcheck system opens with too
+//! (`commit.rs`); between stages a task owns one `TaskState` variant, and
+//! stage 1 reads the instance only, so a fault-recovery replay restarts a
+//! salvaged task there (DESIGN.md §15, "Task state").
+//!
 //! The stage work ratios differ sharply from both the sumcheck system and
 //! the Groth16-style stack — encoding and column hashing dominate while
 //! the query phase is nearly free — which is precisely the stress case a
@@ -33,64 +38,49 @@
 use std::sync::Arc;
 
 use batchzk_field::{Field, SplitMix64};
-use batchzk_gpu_sim::{Gpu, Work};
+use batchzk_gpu_sim::{CostModel, Gpu, Work};
 use batchzk_hash::Transcript;
 use batchzk_pipeline::{allocate_threads, BoxedStage, PipeStage, StageWork};
 
-use crate::backend::ProverBackend;
-use crate::pcs::{
-    self, CombinedRows, EncodedRows, PcsCommitment, PcsKey, PcsOpening, PcsParams, PcsProverData,
-};
+use crate::backend::{check_len, ProverBackend};
+use crate::commit::{self, Commit};
+use crate::pcs::{self, CombinedRows, EncodedRows, PcsCommitment, PcsKey, PcsOpening, PcsParams};
 
 /// Fiat–Shamir domain separator for the standalone PCS-opening transcript.
 pub const DOMAIN: &[u8] = b"batchzk-orion-v1";
 
-/// Bytes of the coefficient matrix plus its encoded rows, as the device
-/// memory model charges them.
+/// Device bytes a task keeps resident from the encode stage on: the
+/// coefficient matrix (the combine stage reads it) plus its encoded rows.
 fn resident_bytes<F: Field>(key: &PcsKey<F>) -> u64 {
     (key.n_rows() * (key.n_cols() + key.codeword_len()) * 32) as u64
 }
 
-/// A PCS-opening proof-in-progress moving through the four stages.
+/// A PCS-opening proof-in-progress moving through the four stages: the
+/// instance, which the encode stage reads (again, when a fault-recovery
+/// replay restarts the task there), and the state the last stage left.
 pub struct OrionTask<F: Field> {
     evals: Vec<F>,
     point: Vec<F>,
-    encoded: Option<EncodedRows<F>>,
-    data: Option<PcsProverData<F>>,
-    commitment: Option<PcsCommitment>,
-    transcript: Option<Transcript>,
-    rows: Option<CombinedRows<F>>,
-    proof: Option<OrionProof<F>>,
+    state: TaskState<F>,
 }
 
-impl<F: Field> OrionTask<F> {
-    /// Wraps one `(evaluations, point)` instance as a fresh task.
-    pub fn new(evals: Vec<F>, point: Vec<F>) -> Self {
-        Self {
-            evals,
-            point,
-            encoded: None,
-            data: None,
-            commitment: None,
-            transcript: None,
-            rows: None,
-            proof: None,
-        }
-    }
-
-    /// The evaluation point this task opens at (the public statement).
-    pub fn point(&self) -> &[F] {
-        &self.point
-    }
-
-    /// The finished proof.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the task has not completed the pipeline.
-    pub fn into_proof(self) -> OrionProof<F> {
-        self.proof.expect("task has not completed the pipeline")
-    }
+/// What a task owns between two stages (DESIGN.md §15, "Task state").
+enum TaskState<F: Field> {
+    /// Submitted, or salvaged for a replay.
+    Fresh,
+    Encoded(EncodedRows<F>),
+    /// After the Merkle stage: the transcript holds the point and the root.
+    Committed {
+        commit: Commit<F>,
+        transcript: Transcript,
+    },
+    /// After the combine stage: the transcript has drawn `γ` as well.
+    Combined {
+        commit: Commit<F>,
+        transcript: Transcript,
+        rows: CombinedRows<F>,
+    },
+    Done(OrionProof<F>),
 }
 
 /// A finished PCS-opening proof: the column-Merkle commitment, the claimed
@@ -113,209 +103,170 @@ impl<F: Field> OrionProof<F> {
     }
 }
 
-/// Stage 1: transpose the coefficient matrix and encode every row.
-struct OrionEncodeStage<F: Field> {
-    key: Arc<PcsKey<F>>,
+/// The four stages' kernel names, in pipeline order.
+const STAGE_NAMES: [&str; 4] = [
+    "orion-encode",
+    "orion-merkle",
+    "orion-combine",
+    "orion-open",
+];
+
+/// Stage `k` of the four on one device.
+struct Stage<F: Field> {
+    k: usize,
     threads: u32,
-    spmv_cost: u64,
+    key: Arc<PcsKey<F>>,
+    cost: CostModel,
 }
 
-impl<F: Field> PipeStage<OrionTask<F>> for OrionEncodeStage<F> {
+impl<F: Field> PipeStage<OrionTask<F>> for Stage<F> {
     fn name(&self) -> String {
-        "orion-encode".into()
+        STAGE_NAMES[self.k].into()
     }
     fn threads(&self) -> u32 {
         self.threads
     }
+    /// The task's state machine (DESIGN.md §15, "Task state"): arm `(0, _)`
+    /// is the replay entry, the last arm the one out-of-order panic.
     fn process(&self, task: &mut OrionTask<F>) -> StageWork {
+        use TaskState::*;
         let p = &self.key;
-        // Borrow (not take): fault recovery replays salvaged tasks from
-        // stage 0, so the stage-0 input must survive processing.
-        let encoded = p.commit_encode(&task.evals);
-        let nnz = encoded.encode_nnz() as u64;
-        task.encoded = Some(encoded);
-        StageWork {
-            work: Work::Uniform {
-                units: nnz.max(1),
-                cycles_per_unit: self.spmv_cost,
-            },
-            // Dynamic loading: this proof's evaluation table arrives now.
-            h2d_bytes: ((1usize << p.num_vars()) * 32) as u64,
-            d2h_bytes: 0,
-            mem_after: resident_bytes(p),
-        }
-    }
-    fn naive_phases(&self, _task: &OrionTask<F>) -> Option<Vec<Work>> {
-        // Kernel-per-row: the baseline launches one encoding kernel per
-        // matrix row, each touching only `row_nnz` non-zeros of its slice.
-        let p = &self.key;
-        Some(vec![
-            Work::Uniform {
-                units: (p.row_nnz() as u64).max(1),
-                cycles_per_unit: self.spmv_cost,
-            };
-            p.n_rows()
-        ])
-    }
-}
-
-/// Stage 2: hash the interleaved-codeword columns into Merkle leaves and
-/// build the commitment tree, then seed the Fiat–Shamir transcript.
-struct OrionMerkleStage<F: Field> {
-    key: Arc<PcsKey<F>>,
-    threads: u32,
-    column_cost: u64,
-}
-
-impl<F: Field> PipeStage<OrionTask<F>> for OrionMerkleStage<F> {
-    fn name(&self) -> String {
-        "orion-merkle".into()
-    }
-    fn threads(&self) -> u32 {
-        self.threads
-    }
-    fn process(&self, task: &mut OrionTask<F>) -> StageWork {
-        let p = &self.key;
-        let encoded = task.encoded.take().expect("encode stage ran");
-        let columns = encoded.codeword_len() as u64;
-        let (commitment, data) = pcs::commit_merkle(encoded);
-        let mut transcript = Transcript::new(DOMAIN);
-        transcript.absorb_fields(b"point", &task.point);
-        transcript.absorb_digest(b"root", &commitment.root);
-        task.commitment = Some(commitment);
-        task.data = Some(data);
-        task.transcript = Some(transcript);
-        StageWork {
-            work: Work::Uniform {
-                units: columns.max(1),
-                cycles_per_unit: self.column_cost,
-            },
-            h2d_bytes: 0,
-            // Intermediate tree layers stream back to host; the encoded
-            // matrix stays resident for the combine and query stages.
-            d2h_bytes: columns * 32,
-            mem_after: resident_bytes(p) + columns * 64,
-        }
-    }
-    fn naive_phases(&self, _task: &OrionTask<F>) -> Option<Vec<Work>> {
-        // Kernel-per-layer: upper tree layers have too few nodes to fill
-        // the baseline's thread slice.
-        let mut nodes = (self.key.codeword_len() as u64 / 2).max(1);
-        let mut phases = Vec::new();
-        loop {
-            phases.push(Work::Uniform {
-                units: nodes,
-                cycles_per_unit: self.column_cost,
-            });
-            if nodes == 1 {
-                break;
+        let (next, work) = match (self.k, std::mem::replace(&mut task.state, Fresh)) {
+            (0, _) => {
+                // Stage 1: transpose the coefficient matrix and encode
+                // every row.
+                let h2d_bytes = (task.evals.len() * 32) as u64;
+                let (encoded, work) =
+                    commit::encode(p, &self.cost, &task.evals, h2d_bytes, resident_bytes(p));
+                (Encoded(encoded), work)
             }
-            nodes /= 2;
-        }
-        Some(phases)
+            (1, Encoded(encoded)) => {
+                // Stage 2: hash the interleaved-codeword columns into
+                // Merkle leaves and build the commitment tree, then seed
+                // the Fiat–Shamir transcript.
+                let (commit, work) = commit::merkle(&self.cost, encoded, resident_bytes(p));
+                let transcript = statement_transcript(&task.point, &commit.commitment);
+                (Committed { commit, transcript }, work)
+            }
+            (2, Committed { commit, transcript }) => self.combine(&task.point, commit, transcript),
+            (
+                3,
+                Combined {
+                    commit,
+                    transcript,
+                    rows,
+                },
+            ) => self.open(commit, transcript, rows),
+            _ => panic!(
+                "{} ran on a task the stage before it had not processed",
+                self.name()
+            ),
+        };
+        task.state = next;
+        work
     }
-}
-
-/// Stage 3: the proximity and evaluation combination rows via the field
-/// dot kernels.
-struct OrionCombineStage<F: Field> {
-    key: Arc<PcsKey<F>>,
-    threads: u32,
-    term_cost: u64,
-}
-
-impl<F: Field> PipeStage<OrionTask<F>> for OrionCombineStage<F> {
-    fn name(&self) -> String {
-        "orion-combine".into()
-    }
-    fn threads(&self) -> u32 {
-        self.threads
-    }
-    fn process(&self, task: &mut OrionTask<F>) -> StageWork {
+    fn naive_phases(&self, _task: &OrionTask<F>) -> Option<Vec<Work>> {
         let p = &self.key;
-        let data = task.data.as_ref().expect("merkle stage ran");
-        let transcript = task.transcript.as_mut().expect("merkle stage ran");
-        let rows = pcs::open_combine(data, &task.point, transcript);
-        task.rows = Some(rows);
-        StageWork {
+        let term_cost = self.term_cost();
+        Some(match self.k {
+            // Kernel-per-row: the baseline launches one encoding kernel
+            // per matrix row, each touching only `row_nnz` non-zeros of
+            // its slice.
+            0 => vec![
+                Work::Uniform {
+                    units: (p.row_nnz() as u64).max(1),
+                    cycles_per_unit: self.cost.spmv_term(),
+                };
+                p.n_rows()
+            ],
+            1 => commit::merkle_naive_phases(p, &self.cost),
+            // Kernel-per-row: one fold kernel per matrix row, each a
+            // 2·n_cols multiply-accumulate slice.
+            2 => vec![
+                Work::Uniform {
+                    units: (2 * p.n_cols()) as u64,
+                    cycles_per_unit: term_cost,
+                };
+                p.n_rows()
+            ],
+            // Kernel-per-query: one column-gather kernel per opened
+            // column, then the final evaluation dot product.
+            _ => {
+                let mut phases = vec![
+                    Work::Uniform {
+                        units: (p.n_rows() as u64).max(1),
+                        cycles_per_unit: term_cost,
+                    };
+                    p.column_tests()
+                ];
+                phases.push(Work::Uniform {
+                    units: (2 * p.n_cols()) as u64,
+                    cycles_per_unit: term_cost,
+                });
+                phases
+            }
+        })
+    }
+}
+
+impl<F: Field> Stage<F> {
+    fn term_cost(&self) -> u64 {
+        self.cost.field_mul + self.cost.global_access
+    }
+
+    /// Stage 3: the proximity and evaluation combination rows via the
+    /// field dot kernels.
+    fn combine(
+        &self,
+        point: &[F],
+        commit: Commit<F>,
+        mut transcript: Transcript,
+    ) -> (TaskState<F>, StageWork) {
+        let p = &self.key;
+        let rows = pcs::open_combine(&commit.data, point, &mut transcript);
+        let work = StageWork {
             work: Work::Uniform {
                 units: (2 * p.n_rows() * p.n_cols()) as u64,
-                cycles_per_unit: self.term_cost,
+                cycles_per_unit: self.term_cost(),
             },
             h2d_bytes: 0,
             d2h_bytes: 0,
             mem_after: resident_bytes(p) + (3 * p.n_cols() * 32) as u64,
-        }
+        };
+        let next = TaskState::Combined {
+            commit,
+            transcript,
+            rows,
+        };
+        (next, work)
     }
-    fn naive_phases(&self, _task: &OrionTask<F>) -> Option<Vec<Work>> {
-        // Kernel-per-row: one fold kernel per matrix row, each a 2·n_cols
-        // multiply-accumulate slice.
-        let p = &self.key;
-        Some(vec![
-            Work::Uniform {
-                units: (2 * p.n_cols()) as u64,
-                cycles_per_unit: self.term_cost,
-            };
-            p.n_rows()
-        ])
-    }
-}
 
-/// Stage 4: answer the seeded column queries and emit the finished proof.
-struct OrionOpenStage<F: Field> {
-    key: Arc<PcsKey<F>>,
-    threads: u32,
-    term_cost: u64,
-}
-
-impl<F: Field> PipeStage<OrionTask<F>> for OrionOpenStage<F> {
-    fn name(&self) -> String {
-        "orion-open".into()
-    }
-    fn threads(&self) -> u32 {
-        self.threads
-    }
-    fn process(&self, task: &mut OrionTask<F>) -> StageWork {
+    /// Stage 4: answer the seeded column queries and emit the finished
+    /// proof.
+    fn open(
+        &self,
+        Commit { commitment, data }: Commit<F>,
+        mut transcript: Transcript,
+        rows: CombinedRows<F>,
+    ) -> (TaskState<F>, StageWork) {
         let p = &self.key;
-        let data = task.data.take().expect("merkle stage ran");
-        let mut transcript = task.transcript.take().expect("merkle stage ran");
-        let rows = task.rows.take().expect("combine stage ran");
         let (value, opening) = pcs::open_queries(p.pcs(), &data, rows, &mut transcript);
-        let commitment = task.commitment.take().expect("merkle stage ran");
         let proof = OrionProof {
             commitment,
             value,
             opening,
         };
-        let proof_bytes = proof.size_bytes() as u64;
-        task.proof = Some(proof);
-        StageWork {
+        let work = StageWork {
             work: Work::Uniform {
                 units: ((p.column_tests() * p.n_rows() + 2 * p.n_cols()) as u64).max(1),
-                cycles_per_unit: self.term_cost,
+                cycles_per_unit: self.term_cost(),
             },
             h2d_bytes: 0,
             // The finished proof leaves the device.
-            d2h_bytes: proof_bytes,
+            d2h_bytes: proof.size_bytes() as u64,
             mem_after: 0,
-        }
-    }
-    fn naive_phases(&self, _task: &OrionTask<F>) -> Option<Vec<Work>> {
-        // Kernel-per-query: one column-gather kernel per opened column,
-        // then the final evaluation dot product.
-        let p = &self.key;
-        let mut phases = vec![
-            Work::Uniform {
-                units: (p.n_rows() as u64).max(1),
-                cycles_per_unit: self.term_cost,
-            };
-            p.column_tests()
-        ];
-        phases.push(Work::Uniform {
-            units: (2 * p.n_cols()) as u64,
-            cycles_per_unit: self.term_cost,
-        });
-        Some(phases)
+        };
+        (TaskState::Done(proof), work)
     }
 }
 
@@ -327,18 +278,11 @@ impl<F: Field> PipeStage<OrionTask<F>> for OrionOpenStage<F> {
 pub fn module_weights<F: Field>(gpu: &Gpu, key: &PcsKey<F>) -> [u64; 4] {
     let cost = gpu.cost();
     let (n_rows, n_cols) = (key.n_rows(), key.n_cols());
-    let w_encode = (key.row_nnz() * n_rows) as u64 * cost.spmv_term();
-    let column_cost = (n_rows as u64).div_ceil(2) * cost.sha256_compress + cost.merkle_node();
-    let w_merkle = key.codeword_len() as u64 * column_cost;
+    let [w_encode, w_merkle] = commit::module_weights(gpu, key);
     let term = cost.field_mul + cost.global_access;
     let w_combine = (2 * n_rows * n_cols) as u64 * term;
     let w_open = (key.column_tests() * n_rows + 2 * n_cols) as u64 * term;
-    [
-        w_encode.max(1),
-        w_merkle.max(1),
-        w_combine.max(1),
-        w_open.max(1),
-    ]
+    [w_encode, w_merkle, w_combine.max(1), w_open.max(1)]
 }
 
 /// Builds the four Orion stages for one device: thread allocation follows
@@ -348,32 +292,16 @@ pub fn build_stages<F: Field>(
     key: &Arc<PcsKey<F>>,
     total_threads: u32,
 ) -> Vec<BoxedStage<OrionTask<F>>> {
-    let weights = module_weights(gpu, key);
-    let threads = allocate_threads(total_threads, &weights);
-    let cost = *gpu.cost();
-    let column_cost = (key.n_rows() as u64).div_ceil(2) * cost.sha256_compress + cost.merkle_node();
-    vec![
-        Box::new(OrionEncodeStage {
-            key: Arc::clone(key),
-            threads: threads[0],
-            spmv_cost: cost.spmv_term(),
-        }),
-        Box::new(OrionMerkleStage {
-            key: Arc::clone(key),
-            threads: threads[1],
-            column_cost,
-        }),
-        Box::new(OrionCombineStage {
-            key: Arc::clone(key),
-            threads: threads[2],
-            term_cost: cost.field_mul + cost.global_access,
-        }),
-        Box::new(OrionOpenStage {
-            key: Arc::clone(key),
-            threads: threads[3],
-            term_cost: cost.field_mul + cost.global_access,
-        }),
-    ]
+    let threads = allocate_threads(total_threads, &module_weights(gpu, key));
+    let stage = |k| Stage {
+        k,
+        threads: threads[k],
+        key: Arc::clone(key),
+        cost: *gpu.cost(),
+    };
+    (0..STAGE_NAMES.len())
+        .map(|k| Box::new(stage(k)) as BoxedStage<OrionTask<F>>)
+        .collect()
 }
 
 /// Analytic per-task peak device-memory footprint in bytes — the maximum
@@ -383,13 +311,20 @@ pub fn task_footprint_bytes<F: Field>(key: &PcsKey<F>) -> u64 {
     resident_bytes(key) + key.codeword_len() as u64 * 64
 }
 
+/// The transcript every opening starts from: the statement point, then
+/// the commitment root.
+fn statement_transcript<F: Field>(point: &[F], commitment: &PcsCommitment) -> Transcript {
+    let mut transcript = Transcript::new(DOMAIN);
+    transcript.absorb_fields(b"point", point);
+    transcript.absorb_digest(b"root", &commitment.root);
+    transcript
+}
+
 /// Verifies a finished PCS-opening proof against its statement point:
 /// commitment shape, transcript replay, re-encoded combination rows, and
 /// the Merkle column queries (see [`PcsKey::verify`]).
 pub fn verify<F: Field>(key: &PcsKey<F>, point: &[F], proof: &OrionProof<F>) -> bool {
-    let mut transcript = Transcript::new(DOMAIN);
-    transcript.absorb_fields(b"point", point);
-    transcript.absorb_digest(b"root", &proof.commitment.root);
+    let mut transcript = statement_transcript(point, &proof.commitment);
     key.verify(
         &proof.commitment,
         point,
@@ -448,9 +383,7 @@ impl<F: Field> OrionBackend<F> {
     /// pipelined and kernel-per-task schedules.
     pub fn prove_cpu(&self, (evals, point): (Vec<F>, Vec<F>)) -> (Vec<F>, OrionProof<F>) {
         let (commitment, data) = self.key.commit(&evals);
-        let mut transcript = Transcript::new(DOMAIN);
-        transcript.absorb_fields(b"point", &point);
-        transcript.absorb_digest(b"root", &commitment.root);
+        let mut transcript = statement_transcript(&point, &commitment);
         let (value, opening) = pcs::open(self.key.pcs(), &data, &point, &mut transcript);
         (
             point,
@@ -474,12 +407,14 @@ impl<F: Field> ProverBackend for OrionBackend<F> {
     }
 
     fn begin(&self, (evals, point): Self::Instance) -> Self::Task {
-        assert_eq!(
-            point.len(),
-            self.key.num_vars(),
-            "point dimension must match the shared shape"
-        );
-        OrionTask::new(evals, point)
+        let num_vars = self.key.num_vars();
+        check_len(self.name(), "evaluation table", evals.len(), 1 << num_vars);
+        check_len(self.name(), "point", point.len(), num_vars);
+        OrionTask {
+            evals,
+            point,
+            state: TaskState::Fresh,
+        }
     }
 
     fn module_weights(&self, gpu: &Gpu) -> Vec<u64> {
@@ -495,8 +430,10 @@ impl<F: Field> ProverBackend for OrionBackend<F> {
     }
 
     fn finish(&self, task: Self::Task) -> (Self::Statement, Self::Proof) {
-        let proof = task.proof.expect("task has not completed the pipeline");
-        (task.point, proof)
+        match task.state {
+            TaskState::Done(proof) => (task.point, proof),
+            _ => panic!("task has not completed the pipeline"),
+        }
     }
 
     fn verify(&self, statement: &Self::Statement, proof: &Self::Proof) -> bool {
