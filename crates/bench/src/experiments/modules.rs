@@ -10,7 +10,7 @@ use batchzk_field::{Field, Fr};
 use batchzk_gpu_sim::{DeviceProfile, Gpu, KernelEvent, TraceLevel, UtilSample};
 use batchzk_hash::{Digest, Prg};
 use batchzk_pipeline::{
-    encoder as penc, merkle as pmerkle, naive, sumcheck as psum, RunStats, StageStats,
+    encoder as penc, merkle as pmerkle, sumcheck as psum, PipelineRun, RunStats, StageStats,
 };
 
 use super::{decile_glyph, render_sparklines, timed_ms, MODULE_THREADS, NAIVE_CONCURRENCY};
@@ -47,14 +47,12 @@ pub(super) struct ModuleRun {
 }
 
 impl ModuleRun {
-    fn new<T>(
-        outputs: impl IntoIterator<Item = T>,
-        wrap: impl Fn(T) -> ModuleOutput,
-        stats: RunStats,
-    ) -> Self {
+    /// Both schedules of a module finish the same task type; `output` reads
+    /// what one finished task produced.
+    fn new<T>(run: PipelineRun<T>, output: impl Fn(&T) -> ModuleOutput) -> Self {
         Self {
-            outputs: outputs.into_iter().map(wrap).collect(),
-            stats,
+            outputs: run.outputs.iter().map(output).collect(),
+            stats: run.stats,
         }
     }
 }
@@ -133,12 +131,12 @@ pub(super) static MODULES: [Module; 3] = [
             (ModuleOutput::Root(tree.root()), ms)
         },
         naive: |gpu, w, concurrent| {
-            let run = naive::merkle_naive(gpu, tree_batch(w), MODULE_THREADS, concurrent);
-            ModuleRun::new(run.outputs, ModuleOutput::Root, run.stats)
+            let run = pmerkle::run_naive(gpu, tree_batch(w), MODULE_THREADS, concurrent);
+            ModuleRun::new(run, root)
         },
         pipelined: |gpu, w, threads| {
             let run = pmerkle::run_pipelined(gpu, tree_batch(w), threads, true).expect("fits");
-            ModuleRun::new(&run.outputs, |t| ModuleOutput::Root(t.root()), run.stats)
+            ModuleRun::new(run, root)
         },
     },
     Module {
@@ -154,12 +152,12 @@ pub(super) static MODULES: [Module; 3] = [
             (ModuleOutput::Rounds(proof), ms)
         },
         naive: |gpu, w, concurrent| {
-            let run = naive::sumcheck_naive(gpu, sumcheck_batch(w), MODULE_THREADS, concurrent);
-            ModuleRun::new(&run.outputs, rounds, run.stats)
+            let run = psum::run_naive(gpu, sumcheck_batch(w), MODULE_THREADS, concurrent);
+            ModuleRun::new(run, rounds)
         },
         pipelined: |gpu, w, threads| {
             let run = psum::run_pipelined(gpu, sumcheck_batch(w), threads, true).expect("fits");
-            ModuleRun::new(&run.outputs, rounds, run.stats)
+            ModuleRun::new(run, rounds)
         },
     },
     Module {
@@ -175,21 +173,28 @@ pub(super) static MODULES: [Module; 3] = [
         },
         naive: |gpu, w, concurrent| {
             let (encoder, messages) = (encoder_for(w.log), message_batch(w));
-            let run = naive::encode_naive(gpu, encoder, messages, MODULE_THREADS, concurrent);
-            ModuleRun::new(run.outputs, ModuleOutput::Codeword, run.stats)
+            let run = penc::run_naive(gpu, encoder, messages, MODULE_THREADS, concurrent);
+            ModuleRun::new(run, codeword)
         },
         pipelined: |gpu, w, threads| {
             let (encoder, messages) = (encoder_for(w.log), message_batch(w));
             let run =
                 penc::run_pipelined(gpu, encoder, messages, threads, true, true).expect("fits");
-            let codeword = |t: &penc::EncodeTask<Fr>| ModuleOutput::Codeword(t.codeword().to_vec());
-            ModuleRun::new(&run.outputs, codeword, run.stats)
+            ModuleRun::new(run, codeword)
         },
     },
 ];
 
+fn root(task: &pmerkle::MerkleTask) -> ModuleOutput {
+    ModuleOutput::Root(task.root())
+}
+
 fn rounds(task: &psum::SumcheckTask<Fr>) -> ModuleOutput {
     ModuleOutput::Rounds(task.proof().to_vec())
+}
+
+fn codeword(task: &penc::EncodeTask<Fr>) -> ModuleOutput {
+    ModuleOutput::Codeword(task.codeword().to_vec())
 }
 
 /// One module's throughput table (Tables 3–5): CPU reference vs the naive
@@ -283,24 +288,31 @@ pub fn table6(scale: &Scale) -> String {
     out
 }
 
-/// The device's compute-utilization trace as a `buckets`-wide sparkline.
+/// The device's compute-utilization trace as a sparkline exactly `buckets`
+/// wide, each glyph the time-weighted mean over one `total / buckets` slice
+/// of the run: a sample spanning `k` buckets fills `k` glyphs.
 fn render_trace(trace: &[UtilSample], buckets: usize) -> String {
-    if trace.is_empty() {
+    let total: u64 = trace.iter().map(|s| s.len).sum();
+    if total == 0 {
         return "(empty)".into();
     }
-    let total: u64 = trace.iter().map(|s| s.len).sum();
-    let mut out = String::new();
-    let bucket_len = (total / buckets as u64).max(1);
+    // Time is counted in 1/buckets-cycle ticks: a sample is `len * buckets`
+    // ticks long and every bucket exactly `total`, with no remainder.
+    let mut out = String::with_capacity(buckets);
     let mut acc_busy = 0.0f64;
     let mut acc_len = 0u64;
     for s in trace {
-        acc_busy += s.compute_utilization * s.len as f64;
-        acc_len += s.len;
-        while acc_len >= bucket_len && out.len() < buckets {
-            out.push(decile_glyph(acc_busy / acc_len as f64));
+        let mut left = s.len * buckets as u64;
+        while acc_len + left >= total {
+            let fill = total - acc_len;
+            acc_busy += s.compute_utilization * fill as f64;
+            out.push(decile_glyph(acc_busy / total as f64));
+            left -= fill;
             acc_busy = 0.0;
             acc_len = 0;
         }
+        acc_busy += s.compute_utilization * left as f64;
+        acc_len += left;
     }
     out
 }
@@ -459,6 +471,47 @@ mod tests {
         let s = tiny_scale();
         assert!(fig4(&s).contains("pipelined"));
         assert!(fig9(&s).contains("encoder"));
+    }
+
+    #[test]
+    fn a_sample_spanning_k_buckets_fills_k_glyphs() {
+        let sample = |len, utilization| UtilSample {
+            start_cycle: 0,
+            len,
+            utilization,
+            compute: len,
+            alloc_threads: 1,
+            compute_utilization: utilization,
+        };
+        // 100 cycles in 10 buckets: three short idle samples fill the first
+        // bucket, one long busy sample spans the other nine.
+        let trace = [
+            sample(3, 0.0),
+            sample(3, 0.0),
+            sample(4, 0.0),
+            sample(90, 1.0),
+        ];
+        assert_eq!(render_trace(&trace, 10), " 999999999");
+        // Bucket edges inside a sample split it by time: 15 cycles at 1.0
+        // then 15 at 0.0 over 4 buckets of 7.5 cycles.
+        let trace = [sample(15, 1.0), sample(15, 0.0)];
+        assert_eq!(render_trace(&trace, 4), "99  ");
+        // More buckets than cycles still renders exactly `buckets` glyphs.
+        assert_eq!(render_trace(&[sample(2, 1.0)], 5), "99999");
+        assert_eq!(render_trace(&[], 5), "(empty)");
+    }
+
+    #[test]
+    fn figure_rows_are_exactly_as_wide_as_requested() {
+        let s = tiny_scale();
+        for (figure, width) in [(fig4(&s), 60), (fig9(&s), 56)] {
+            let rows: Vec<&str> = figure.lines().filter(|l| l.contains(": [")).collect();
+            assert!(rows.len() >= 2, "{figure}");
+            for row in rows {
+                let glyphs = &row[row.find('[').unwrap() + 1..row.find(']').unwrap()];
+                assert_eq!(glyphs.len(), width, "{row}");
+            }
+        }
     }
 
     #[test]

@@ -61,7 +61,9 @@ impl Work {
         }
     }
 
-    fn is_empty(&self) -> bool {
+    /// True when there is nothing to execute; a kernel with empty work is
+    /// not launched (no launch overhead, no threads pinned, no trace event).
+    pub fn is_empty(&self) -> bool {
         match self {
             Work::Uniform { units, .. } => *units == 0,
             Work::Items(items) => items.is_empty(),
@@ -369,6 +371,24 @@ impl Gpu {
         &self.fault_events
     }
 
+    /// The span `kernel` occupies in a step whose launched (non-empty)
+    /// kernels pin `step_threads` threads: its duration plus the launch
+    /// overhead, dilated proportionally when the step oversubscribes the
+    /// physical cores (two-way SMT-style interleaving) and again by a
+    /// degraded clock (thermal throttling hits the SM clock, not the PCIe
+    /// engines). A step's compute span is the maximum over its kernels.
+    pub fn kernel_span_cycles(&self, kernel: &KernelStep, step_threads: u64) -> u64 {
+        let cores = self.profile.cuda_cores as u64;
+        let mut span = kernel.duration_cycles() + self.cost.kernel_launch;
+        if step_threads > cores {
+            span = span * step_threads / cores;
+        }
+        if self.degraded_percent > 100 {
+            span = span * self.degraded_percent as u64 / 100;
+        }
+        span
+    }
+
     /// Executes one step: all `kernels` run concurrently on their dedicated
     /// thread allocations while `transfers` move data. With `multi_stream`
     /// the copy engines overlap compute; otherwise everything serializes.
@@ -435,28 +455,21 @@ impl Gpu {
         }
         let is_suppressed = |i: usize| suppressed.get(i).copied().unwrap_or(false);
 
-        let mut compute = 0u64;
+        let launched = |i: usize, k: &KernelStep| !k.work.is_empty() && !is_suppressed(i);
         let mut busy = 0u64;
         let mut total_threads = 0u64;
         for (i, k) in kernels.iter().enumerate() {
-            if k.work.is_empty() || is_suppressed(i) {
-                continue;
+            if launched(i, k) {
+                busy += k.work.useful_cycles();
+                total_threads += k.threads as u64;
             }
-            compute = compute.max(k.duration_cycles() + self.cost.kernel_launch);
-            busy += k.work.useful_cycles();
-            total_threads += k.threads as u64;
         }
-        // Oversubscription: if more threads are pinned than physical cores,
-        // time dilates proportionally (two-way SMT-style interleaving).
-        let cores = self.profile.cuda_cores as u64;
-        let oversubscribed = total_threads > cores;
-        if oversubscribed {
-            compute = compute * total_threads / cores;
-        }
-        // Degraded clock: the compute span stretches; the PCIe engines are
-        // unaffected (thermal throttling hits the SM clock, not the bus).
-        if self.degraded_percent > 100 {
-            compute = compute * self.degraded_percent as u64 / 100;
+        // The step's compute span is its slowest kernel's scaled span.
+        let mut compute = 0u64;
+        for (i, k) in kernels.iter().enumerate() {
+            if launched(i, k) {
+                compute = compute.max(self.kernel_span_cycles(k, total_threads));
+            }
         }
 
         let h2d_bytes: u64 = transfers
@@ -509,23 +522,15 @@ impl Gpu {
         }
         if self.trace_level == TraceLevel::Full {
             for (i, k) in kernels.iter().enumerate() {
-                if k.work.is_empty() || is_suppressed(i) {
+                if !launched(i, k) {
                     continue;
                 }
-                let raw = k.duration_cycles();
-                let mut dur = raw + self.cost.kernel_launch;
-                if oversubscribed {
-                    dur = dur * total_threads / cores;
-                }
-                if self.degraded_percent > 100 {
-                    dur = dur * self.degraded_percent as u64 / 100;
-                }
                 let useful = k.work.useful_cycles();
-                let lane_capacity = k.threads as u64 * raw;
+                let lane_capacity = k.threads as u64 * k.duration_cycles();
                 self.kernel_events.push(KernelEvent {
                     step: self.steps,
                     start_cycle: self.clock,
-                    duration_cycles: dur.min(compute),
+                    duration_cycles: self.kernel_span_cycles(k, total_threads),
                     name: k.name.clone(),
                     threads: k.threads,
                     busy_cycles: useful,

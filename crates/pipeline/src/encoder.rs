@@ -17,6 +17,7 @@ use batchzk_gpu_sim::{CostModel, Gpu, Work};
 use crate::engine::{
     allocate_threads, BoxedStage, PipeStage, Pipeline, PipelineError, PipelineRun, StageWork,
 };
+use crate::naive::run_stages_naive;
 
 /// An encoding task flowing through both pipelines.
 #[derive(Debug)]
@@ -159,30 +160,27 @@ impl<F: Field> PipeStage<EncodeTask<F>> for BackwardStage<F> {
     }
 }
 
-/// Result of a pipelined encoding batch run.
+/// Result of an encoding batch run, under either schedule.
 pub type EncodeRun<F> = PipelineRun<EncodeTask<F>>;
 
-/// Runs the two interconnected encoding pipelines over a batch of messages.
-///
-/// `warp_sorted` selects the bucket-sorted row schedule (§3.3); disabling it
-/// is the ablation baseline that pays warp divergence.
-///
-/// # Errors
-///
-/// Returns [`PipelineError::OutOfDeviceMemory`] if the working set does not
-/// fit in simulated device memory.
+/// The module as a stage set: the forward `A`-chain then the backward
+/// `B`-chain of `encoder`, every sparse row charged `row_degree ·
+/// spmv_term` cycles under `gpu`'s cost model, with `module_threads` split
+/// proportionally to each kernel's SIMD cost. `warp_sorted` selects the
+/// bucket-sorted row schedule (§3.3); disabling it is the ablation baseline
+/// that pays warp divergence. An identity code (no levels) is a single
+/// pass-through stage.
 ///
 /// # Panics
 ///
 /// Panics if `messages` is empty or lengths differ from the encoder's.
-pub fn run_pipelined<F: Field>(
-    gpu: &mut Gpu,
-    encoder: Arc<Encoder<F>>,
-    messages: Vec<Vec<F>>,
+pub fn build_stages<F: Field>(
+    gpu: &Gpu,
+    encoder: &Arc<Encoder<F>>,
+    messages: &[Vec<F>],
     module_threads: u32,
-    multi_stream: bool,
     warp_sorted: bool,
-) -> Result<EncodeRun<F>, PipelineError> {
+) -> Vec<BoxedStage<EncodeTask<F>>> {
     assert!(!messages.is_empty(), "need at least one message");
     assert!(
         messages.iter().all(|m| m.len() == encoder.message_len()),
@@ -214,8 +212,7 @@ pub fn run_pipelined<F: Field>(
                 }
             }
         }
-        let tasks = messages.into_iter().map(EncodeTask::new).collect();
-        return Pipeline::new(gpu, vec![Box::new(Identity)], multi_stream).run(tasks);
+        return vec![Box::new(Identity)];
     }
 
     // Stage weights proportional to each kernel's SIMD cost.
@@ -231,7 +228,7 @@ pub fn run_pipelined<F: Field>(
     let mut stages: Vec<BoxedStage<EncodeTask<F>>> = Vec::with_capacity(2 * levels);
     for (i, level) in encoder.levels().iter().enumerate() {
         stages.push(Box::new(ForwardStage {
-            encoder: Arc::clone(&encoder),
+            encoder: Arc::clone(encoder),
             level: i,
             threads: threads[i],
             items: row_items(&level.a, &cost, warp_sorted),
@@ -240,16 +237,68 @@ pub fn run_pipelined<F: Field>(
     for (j, i) in (0..levels).rev().enumerate() {
         let level = &encoder.levels()[i];
         stages.push(Box::new(BackwardStage {
-            encoder: Arc::clone(&encoder),
+            encoder: Arc::clone(encoder),
             level: i,
             threads: threads[levels + j],
             items: row_items(&level.b, &cost, warp_sorted),
             is_last: i == 0,
         }));
     }
+    stages
+}
 
+/// Runs the two interconnected encoding pipelines over a batch of messages.
+///
+/// # Errors
+///
+/// Returns [`PipelineError::OutOfDeviceMemory`] if the working set does not
+/// fit in simulated device memory.
+///
+/// # Panics
+///
+/// Panics as [`build_stages`] does on an empty or misshapen batch.
+pub fn run_pipelined<F: Field>(
+    gpu: &mut Gpu,
+    encoder: Arc<Encoder<F>>,
+    messages: Vec<Vec<F>>,
+    module_threads: u32,
+    multi_stream: bool,
+    warp_sorted: bool,
+) -> Result<EncodeRun<F>, PipelineError> {
+    let stages = build_stages(gpu, &encoder, &messages, module_threads, warp_sorted);
     let tasks: Vec<EncodeTask<F>> = messages.into_iter().map(EncodeTask::new).collect();
     Pipeline::new(gpu, stages, multi_stream).run(tasks)
+}
+
+/// Runs the same stages kernel-per-task ("Ours-np", Figure 4a):
+/// `concurrent` kernels at a time, each walking every level of one message
+/// with `total_threads / concurrent` threads under [`run_stages_naive`]'s
+/// rule, all `m` codeword buffers resident at once.
+///
+/// # Panics
+///
+/// Panics as [`build_stages`] does, or if the pre-load does not fit.
+pub fn run_naive<F: Field>(
+    gpu: &mut Gpu,
+    encoder: Arc<Encoder<F>>,
+    messages: Vec<Vec<F>>,
+    total_threads: u32,
+    concurrent: usize,
+) -> EncodeRun<F> {
+    // Rows are *not* bucket-sorted here: the non-pipelined baseline also
+    // predates the warp-balancing trick.
+    let stages = build_stages(gpu, &encoder, &messages, total_threads, false);
+    let preload = (messages.len() * encoder.codeword_len() * 32) as u64;
+    let tasks: Vec<EncodeTask<F>> = messages.into_iter().map(EncodeTask::new).collect();
+    run_stages_naive(
+        gpu,
+        stages,
+        tasks,
+        "encode",
+        preload,
+        total_threads,
+        concurrent,
+    )
 }
 
 #[cfg(test)]
@@ -299,11 +348,17 @@ mod tests {
     #[test]
     fn identity_code_passthrough() {
         let enc = Arc::new(Encoder::<Fr>::new(16, EncoderParams::default(), 7));
+        assert!(enc.levels().is_empty(), "fixture must be the identity code");
         let msgs = messages(3, 16, 3);
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let run = run_pipelined(&mut gpu, enc, msgs.clone(), 64, true, true).expect("fits");
-        for (task, msg) in run.outputs.iter().zip(&msgs) {
-            assert_eq!(task.codeword(), &msg[..]);
+        let piped = run_pipelined(&mut gpu, Arc::clone(&enc), msgs.clone(), 64, true, true);
+        let mut gpu = Gpu::new(DeviceProfile::v100());
+        let naive = run_naive(&mut gpu, enc, msgs.clone(), 64, 2);
+        for run in [piped.expect("fits"), naive] {
+            assert_eq!(run.stats.tasks, 3);
+            for (task, msg) in run.outputs.iter().zip(&msgs) {
+                assert_eq!(task.codeword(), &msg[..]);
+            }
         }
     }
 

@@ -227,6 +227,62 @@ pub struct PipelineRun<T> {
     pub stats: RunStats,
 }
 
+/// The device counters a run's statistics are measured from. Both
+/// schedules — the pipelined executor and the kernel-per-task runner in
+/// [`crate::naive`] — open one before their first step and close it into
+/// the run's [`RunStats`], so the two report through one constructor.
+pub(crate) struct Epoch {
+    start_cycles: u64,
+    start_h2d: u64,
+    start_d2h: u64,
+}
+
+impl Epoch {
+    /// Starts measuring at the device's current clock and transfer totals,
+    /// with the memory peak reset to what is resident now.
+    pub(crate) fn open(gpu: &mut Gpu) -> Self {
+        gpu.memory().reset_peak();
+        Self {
+            start_cycles: gpu.elapsed_cycles(),
+            start_h2d: gpu.total_h2d_bytes(),
+            start_d2h: gpu.total_d2h_bytes(),
+        }
+    }
+
+    /// Assembles the statistics of the tasks completed since the epoch
+    /// opened, one entry-to-exit latency (in cycles) per task. The mean
+    /// latency is the integer mean of the cycle counts, converted to ms.
+    pub(crate) fn close(
+        &self,
+        gpu: &Gpu,
+        latencies: &[u64],
+        stage_stats: Vec<StageStats>,
+        lifecycles: Vec<Span>,
+    ) -> RunStats {
+        let tasks = latencies.len();
+        let total_cycles = gpu.elapsed_cycles() - self.start_cycles;
+        let total_ms = gpu.profile().cycles_to_seconds(total_cycles) * 1e3;
+        let mean_latency_cycles = latencies.iter().sum::<u64>() / tasks.max(1) as u64;
+        RunStats {
+            total_cycles,
+            total_ms,
+            tasks,
+            throughput_per_ms: if total_ms > 0.0 {
+                tasks as f64 / total_ms
+            } else {
+                0.0
+            },
+            mean_latency_ms: gpu.profile().cycles_to_seconds(mean_latency_cycles) * 1e3,
+            peak_mem_bytes: gpu.memory_ref().peak(),
+            mean_utilization: gpu.mean_utilization(),
+            h2d_bytes: gpu.total_h2d_bytes() - self.start_h2d,
+            d2h_bytes: gpu.total_d2h_bytes() - self.start_d2h,
+            stage_stats,
+            lifecycles,
+        }
+    }
+}
+
 struct Slot<T> {
     task: T,
     entry_cycle: u64,
@@ -252,13 +308,6 @@ struct StageAcc {
     seen: bool,
     h2d: u64,
     d2h: u64,
-}
-
-fn work_is_empty(work: &Work) -> bool {
-    match work {
-        Work::Uniform { units, .. } => *units == 0,
-        Work::Items(items) => items.is_empty(),
-    }
 }
 
 /// A persistent pipeline executor bound to a simulated GPU.
@@ -299,9 +348,7 @@ pub struct PipelineExecutor<'g, T> {
     accs: Vec<StageAcc>,
     in_flight: usize,
     admitted: usize,
-    epoch_start_cycles: u64,
-    epoch_start_h2d: u64,
-    epoch_start_d2h: u64,
+    epoch: Epoch,
 }
 
 impl<'g, T: Send> PipelineExecutor<'g, T> {
@@ -315,10 +362,7 @@ impl<'g, T: Send> PipelineExecutor<'g, T> {
     pub fn new(gpu: &'g mut Gpu, stages: Vec<BoxedStage<T>>, multi_stream: bool) -> Self {
         assert!(!stages.is_empty(), "a pipeline needs at least one stage");
         let num_stages = stages.len();
-        gpu.memory().reset_peak();
-        let epoch_start_cycles = gpu.elapsed_cycles();
-        let epoch_start_h2d = gpu.total_h2d_bytes();
-        let epoch_start_d2h = gpu.total_d2h_bytes();
+        let epoch = Epoch::open(gpu);
         Self {
             gpu,
             stages,
@@ -334,9 +378,7 @@ impl<'g, T: Send> PipelineExecutor<'g, T> {
             accs: (0..num_stages).map(|_| StageAcc::default()).collect(),
             in_flight: 0,
             admitted: 0,
-            epoch_start_cycles,
-            epoch_start_h2d,
-            epoch_start_d2h,
+            epoch,
         }
     }
 
@@ -593,17 +635,13 @@ impl<'g, T: Send> PipelineExecutor<'g, T> {
         }
 
         // Attribute this step's cycles to each stage's buckets. A
-        // stage's own kernel span is recomputed exactly as the simulator
-        // scales it (launch overhead + oversubscription dilation, capped
-        // at the step's compute span); the remainder of the step is
-        // either sibling imbalance (compute - own) or transfer
-        // backpressure (step - compute).
-        let launch = self.gpu.cost().kernel_launch;
-        let cores = self.gpu.profile().cuda_cores as u64;
-        let dilation = self.gpu.clock_dilation_percent() as u64;
+        // stage's own kernel span is the simulator's own figure for it
+        // (`Gpu::kernel_span_cycles`, never above the step's compute
+        // span); the remainder of the step is either sibling imbalance
+        // (compute - own) or transfer backpressure (step - compute).
         let total_threads: u64 = kernels
             .iter()
-            .filter(|k| !work_is_empty(&k.work))
+            .filter(|k| !k.work.is_empty())
             .map(|k| k.threads as u64)
             .sum();
         let occupied_this_step: Vec<bool> = {
@@ -624,20 +662,10 @@ impl<'g, T: Send> PipelineExecutor<'g, T> {
                 acc.tasks += 1;
                 acc.occupied += step_len;
                 let k = &kernels[kernel_stage.iter().position(|&s| s == i).expect("occupied")];
-                let own = if work_is_empty(&k.work) {
+                let own = if k.work.is_empty() {
                     0
                 } else {
-                    let mut d = k.duration_cycles() + launch;
-                    if total_threads > cores {
-                        d = d * total_threads / cores;
-                    }
-                    // Mirror the simulator's degraded-clock dilation so
-                    // busy/imbalance attribution stays faithful on a
-                    // throttled device.
-                    if dilation > 100 {
-                        d = d * dilation / 100;
-                    }
-                    d.min(compute)
+                    self.gpu.kernel_span_cycles(k, total_threads)
                 };
                 acc.busy += own;
                 acc.imbalance += compute - own;
@@ -730,19 +758,8 @@ impl<'g, T: Send> PipelineExecutor<'g, T> {
     /// the accumulators; tasks still pending or in flight are carried into
     /// the next epoch (drain first for a clean cut).
     pub fn harvest(&mut self) -> PipelineRun<T> {
-        let total_tasks = self.outputs.len();
-        let total_cycles = self.gpu.elapsed_cycles() - self.epoch_start_cycles;
-        let total_ms = self.gpu.profile().cycles_to_seconds(total_cycles) * 1e3;
+        let total_cycles = self.gpu.elapsed_cycles() - self.epoch.start_cycles;
         let latencies = std::mem::take(&mut self.latencies);
-        let mean_latency_ms = if latencies.is_empty() {
-            0.0
-        } else {
-            let sum: u64 = latencies.iter().sum();
-            self.gpu
-                .profile()
-                .cycles_to_seconds(sum / latencies.len() as u64)
-                * 1e3
-        };
         let accs = std::mem::replace(
             &mut self.accs,
             (0..self.stages.len())
@@ -774,29 +791,13 @@ impl<'g, T: Send> PipelineExecutor<'g, T> {
                 },
             })
             .collect();
-        let stats = RunStats {
-            total_cycles,
-            total_ms,
-            tasks: total_tasks,
-            throughput_per_ms: if total_ms > 0.0 {
-                total_tasks as f64 / total_ms
-            } else {
-                0.0
-            },
-            mean_latency_ms,
-            peak_mem_bytes: self.gpu.memory_ref().peak(),
-            mean_utilization: self.gpu.mean_utilization(),
-            h2d_bytes: self.gpu.total_h2d_bytes() - self.epoch_start_h2d,
-            d2h_bytes: self.gpu.total_d2h_bytes() - self.epoch_start_d2h,
-            stage_stats,
-            lifecycles: std::mem::take(&mut self.lifecycles),
-        };
+        let lifecycles = std::mem::take(&mut self.lifecycles);
+        let stats = self
+            .epoch
+            .close(self.gpu, &latencies, stage_stats, lifecycles);
         let outputs = std::mem::take(&mut self.outputs);
         self.admitted = 0;
-        self.epoch_start_cycles = self.gpu.elapsed_cycles();
-        self.epoch_start_h2d = self.gpu.total_h2d_bytes();
-        self.epoch_start_d2h = self.gpu.total_d2h_bytes();
-        self.gpu.memory().reset_peak();
+        self.epoch = Epoch::open(self.gpu);
         PipelineRun { outputs, stats }
     }
 }
@@ -1069,6 +1070,47 @@ mod tests {
         assert!(b.imbalance_stall_cycles < a.imbalance_stall_cycles);
         assert!(b.imbalance_stall_cycles < c.imbalance_stall_cycles);
         assert!(b.busy_cycles > a.busy_cycles);
+    }
+
+    #[test]
+    fn stage_busy_cycles_equal_the_simulators_kernel_spans() {
+        // The engine attributes to a stage exactly the span the simulator
+        // records for its kernel, including when both scalings apply: a
+        // 64-core device oversubscribed by 3 × 32 threads, throttled 3×.
+        let profile = DeviceProfile {
+            cuda_cores: 64,
+            ..DeviceProfile::v100()
+        };
+        let mut gpu = Gpu::with_trace_level(profile, batchzk_gpu_sim::TraceLevel::Full);
+        gpu.push_fault(
+            0,
+            batchzk_gpu_sim::FaultKind::DegradedClock {
+                factor_percent: 300,
+            },
+        );
+        let stages: Vec<BoxedStage<u64>> = [(1, 100), (10, 170), (100, 30)]
+            .into_iter()
+            .map(|(amount, cycles)| {
+                Box::new(AddStage {
+                    amount,
+                    threads: 32,
+                    cycles,
+                }) as BoxedStage<u64>
+            })
+            .collect();
+        let run = Pipeline::new(&mut gpu, stages, true)
+            .run((0..7).collect())
+            .expect("fits");
+        for s in &run.stats.stage_stats {
+            let spans: u64 = gpu
+                .kernel_events()
+                .iter()
+                .filter(|e| e.name == s.name)
+                .map(|e| e.duration_cycles)
+                .sum();
+            assert!(s.busy_cycles > 0, "{s:?}");
+            assert_eq!(s.busy_cycles, spans, "stage {}", s.name);
+        }
     }
 
     #[test]

@@ -621,8 +621,8 @@ pub fn verify(circuit: &GrothCircuit, statement: &[Fr], proof: &GrothProof) -> b
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Pipeline;
-    use crate::naive::{run_stages_naive, NaiveRun};
+    use crate::engine::{Pipeline, PipelineRun};
+    use crate::naive::run_stages_naive;
     use batchzk_gpu_sim::DeviceProfile;
 
     fn tasks(circuit: &GrothCircuit, witnesses: Vec<Vec<Fr>>) -> Vec<GrothTask> {
@@ -646,7 +646,7 @@ mod tests {
         witnesses: Vec<Vec<Fr>>,
         threads: u32,
         concurrent: usize,
-    ) -> NaiveRun<GrothTask> {
+    ) -> PipelineRun<GrothTask> {
         let stages = build_stages(gpu, circuit, threads);
         let preload = task_footprint_bytes(circuit) * witnesses.len() as u64;
         let tasks = tasks(circuit, witnesses);

@@ -15,6 +15,7 @@ use batchzk_hash::{hash_block, hash_pair, Digest};
 use crate::engine::{
     allocate_threads, BoxedStage, PipeStage, Pipeline, PipelineError, PipelineRun, StageWork,
 };
+use crate::naive::run_stages_naive;
 
 /// A Merkle generation task flowing through the pipeline.
 #[derive(Debug)]
@@ -119,29 +120,23 @@ impl PipeStage<MerkleTask> for LayerStage {
     }
 }
 
-/// Result of a pipelined Merkle batch run.
+/// Result of a Merkle batch run, under either schedule.
 pub type MerkleRun = PipelineRun<MerkleTask>;
 
-/// Runs the pipelined module over a batch of equally-sized trees.
-///
-/// `module_threads` is the total thread budget for the module (the paper's
-/// `M`); stages receive `M/2, M/4, ...` matching their layer sizes.
-///
-/// # Errors
-///
-/// Returns [`PipelineError::OutOfDeviceMemory`] if the working set does not
-/// fit in simulated device memory.
+/// The module as a stage set: one leaf stage and `log N` pair-hash stages
+/// for a batch of `N`-block trees, each charged `merkle_node` cycles per
+/// hash under `gpu`'s cost model. `module_threads` (the paper's `M`) is
+/// split `M/2, M/4, ...` to match the layer sizes.
 ///
 /// # Panics
 ///
 /// Panics if `trees` is empty, sizes differ, or the size is not a power of
 /// two.
-pub fn run_pipelined(
-    gpu: &mut Gpu,
-    trees: Vec<Vec<[u8; 64]>>,
+pub fn build_stages(
+    gpu: &Gpu,
+    trees: &[Vec<[u8; 64]>],
     module_threads: u32,
-    multi_stream: bool,
-) -> Result<MerkleRun, PipelineError> {
+) -> Vec<BoxedStage<MerkleTask>> {
     assert!(!trees.is_empty(), "need at least one tree");
     let n = trees[0].len();
     assert!(
@@ -152,8 +147,9 @@ pub fn run_pipelined(
         trees.iter().all(|t| t.len() == n),
         "all trees in a batch must have equal size"
     );
-    let levels = n.trailing_zeros(); // pair-hash layers
-                                     // Work weights: leaf stage does N hashes, layer l does N/2^l.
+    // log N pair-hash layers above the leaves.
+    let levels = n.trailing_zeros();
+    // Work weights: leaf stage does N hashes, layer l does N/2^l.
     let mut weights: Vec<u64> = vec![n as u64];
     for l in 1..=levels {
         weights.push((n >> l) as u64);
@@ -173,9 +169,58 @@ pub fn run_pipelined(
             node_cost,
         }));
     }
+    stages
+}
 
+/// Runs the pipelined module over a batch of equally-sized trees, one
+/// kernel per layer with `module_threads` split across them.
+///
+/// # Errors
+///
+/// Returns [`PipelineError::OutOfDeviceMemory`] if the working set does not
+/// fit in simulated device memory.
+///
+/// # Panics
+///
+/// Panics as [`build_stages`] does on an empty or misshapen batch.
+pub fn run_pipelined(
+    gpu: &mut Gpu,
+    trees: Vec<Vec<[u8; 64]>>,
+    module_threads: u32,
+    multi_stream: bool,
+) -> Result<MerkleRun, PipelineError> {
+    let stages = build_stages(gpu, &trees, module_threads);
     let tasks: Vec<MerkleTask> = trees.into_iter().map(MerkleTask::new).collect();
     Pipeline::new(gpu, stages, multi_stream).run(tasks)
+}
+
+/// Runs the same stages kernel-per-task (the Simon model, Figure 4a):
+/// `concurrent` kernels at a time, each building one whole tree with
+/// `total_threads / concurrent` threads under
+/// [`run_stages_naive`]'s rule, all `m·N` input blocks pre-loaded to device
+/// memory (the footprint §3.1 calls a "huge burden").
+///
+/// # Panics
+///
+/// Panics as [`build_stages`] does, or if the pre-load does not fit.
+pub fn run_naive(
+    gpu: &mut Gpu,
+    trees: Vec<Vec<[u8; 64]>>,
+    total_threads: u32,
+    concurrent: usize,
+) -> MerkleRun {
+    let stages = build_stages(gpu, &trees, total_threads);
+    let preload = (trees.len() * trees[0].len() * 64) as u64;
+    let tasks: Vec<MerkleTask> = trees.into_iter().map(MerkleTask::new).collect();
+    run_stages_naive(
+        gpu,
+        stages,
+        tasks,
+        "merkle",
+        preload,
+        total_threads,
+        concurrent,
+    )
 }
 
 #[cfg(test)]
@@ -305,6 +350,26 @@ mod tests {
         assert_eq!(span_h2d, run.stats.h2d_bytes);
         let span_d2h: u64 = run.stats.lifecycles.iter().map(|s| s.d2h_bytes()).sum();
         assert_eq!(span_d2h, run.stats.d2h_bytes);
+    }
+
+    #[test]
+    fn naive_cycles_equal_the_hand_written_runner() {
+        // `total_cycles` of `naive::merkle_naive` as measured at the last
+        // commit that had it (PR 19): the stage-set runner charges a Merkle
+        // batch exactly what the hand-written one did — the leaf step's load
+        // and every layer's store hide under that step's kernels — so
+        // Table 3's naive column did not move when the runner replaced it.
+        for (count, n, threads, concurrent, profile, cycles) in [
+            (6, 16, 512, 4, DeviceProfile::v100(), 34_440),
+            (48, 256, 1024, 8, DeviceProfile::v100(), 243_390),
+            (10, 4096, 8192, 4, DeviceProfile::gh200(), 138_648),
+        ] {
+            let mut gpu = Gpu::new(profile);
+            let stats = run_naive(&mut gpu, trees(count, n), threads, concurrent).stats;
+            assert_eq!(stats.total_cycles, cycles, "{count} trees of {n}");
+            assert_eq!(stats.h2d_bytes, (count * n * 64) as u64);
+            assert_eq!(stats.peak_mem_bytes, (count * n * 64) as u64);
+        }
     }
 
     #[test]

@@ -1,81 +1,53 @@
-//! The "intuitive" non-pipelined GPU baselines (Figure 4a).
+//! The "intuitive" non-pipelined GPU schedule (Figure 4a), modelled once.
 //!
 //! One kernel per task: every task receives an equal slice of the thread
 //! budget and walks its serial phases (tree layers / sum-check rounds /
 //! encoder levels) inside that single kernel. As the per-phase workload
 //! shrinks, allocated threads idle — the utilization collapse of Figures 4a
-//! and 9. These runners stand in for the systems the paper compares against:
-//! Simon (GPU Merkle), Icicle (GPU sum-check) and "Ours-np" (the authors'
-//! own encoder without pipelining).
+//! and 9. [`run_stages_naive`] applies that schedule to *any* stage set, so
+//! a baseline differs from the pipelined run it is compared against in
+//! nothing but the schedule: the modules' own
+//! [`merkle::run_naive`](crate::merkle::run_naive),
+//! [`sumcheck::run_naive`](crate::sumcheck::run_naive) and
+//! [`encoder::run_naive`](crate::encoder::run_naive) stand in for Simon
+//! (GPU Merkle), Icicle (GPU sum-check) and "Ours-np" (the authors' own
+//! encoder without pipelining), and every `ProverBackend` baseline goes
+//! through the same function.
 
-use std::sync::Arc;
-
-use batchzk_encoder::Encoder;
-use batchzk_field::Field;
 use batchzk_gpu_sim::{Dir, Gpu, KernelStep, Transfer, Work};
-use batchzk_hash::{hash_block, hash_pair, Digest};
 
-use crate::engine::RunStats;
-use crate::sumcheck::SumcheckTask;
+use crate::engine::{BoxedStage, Epoch, PipelineRun};
 
-/// Output of a naive batch run.
-#[derive(Debug)]
-pub struct NaiveRun<T> {
-    /// Completed task outputs, in input order.
-    pub outputs: Vec<T>,
-    /// Timing statistics.
-    pub stats: RunStats,
-}
-
-fn finish_stats(gpu: &Gpu, start_cycles: u64, tasks: usize, latencies: &[u64]) -> RunStats {
-    let total_cycles = gpu.elapsed_cycles() - start_cycles;
-    let total_ms = gpu.profile().cycles_to_seconds(total_cycles) * 1e3;
-    let mean_latency_ms = if latencies.is_empty() {
-        0.0
-    } else {
-        let sum: u64 = latencies.iter().sum();
-        gpu.profile()
-            .cycles_to_seconds(sum / latencies.len() as u64)
-            * 1e3
-    };
-    RunStats {
-        total_cycles,
-        total_ms,
-        tasks,
-        throughput_per_ms: if total_ms > 0.0 {
-            tasks as f64 / total_ms
-        } else {
-            0.0
-        },
-        mean_latency_ms,
-        peak_mem_bytes: gpu.memory_ref().peak(),
-        mean_utilization: gpu.mean_utilization(),
-        h2d_bytes: gpu.total_h2d_bytes(),
-        d2h_bytes: gpu.total_d2h_bytes(),
-        // The naive runners have no stage structure to attribute cycles to,
-        // and therefore no per-task lifecycle spans either.
-        stage_stats: Vec::new(),
-        lifecycles: Vec::new(),
-    }
-}
-
-/// Runs an arbitrary stage set in the kernel-per-task naive model: each
-/// group of `concurrent` tasks walks all stages serially (no cross-stage
-/// pipelining, no transfer/compute overlap), every task holding an equal
-/// `total_threads / concurrent` slice of the thread budget, with the full
-/// working set of `preload_bytes` pre-loaded to device memory. The stage
-/// math is exactly the pipelined math — outputs are byte-identical to a
-/// [`Pipeline`](crate::engine::Pipeline) run of the same stages — only
-/// the schedule (and therefore the clock) differs.
+/// Runs an arbitrary stage set in the kernel-per-task naive model — the
+/// single rule behind every naive number in the repository:
 ///
-/// Stages that expose a
-/// [`naive_phases`](crate::engine::PipeStage::naive_phases) decomposition
-/// are charged one device step per serial phase — the Figure-4a model,
-/// where a task's kernel holds its full thread slice through every small
-/// late phase. Stages without phases are charged their aggregate
-/// [`StageWork`](crate::engine::StageWork). Per-stage `mem_after` reports
-/// are ignored: the naive model's residency is the pre-load. An empty
-/// batch is a no-op returning an empty run that charges no device time.
+/// * **one group at a time** — the batch is cut into groups of `concurrent`
+///   tasks (clamped to `1..=tasks.len()`), every task of a group holding an
+///   equal `total_threads / concurrent` slice of the thread budget, and a
+///   group starts only when the previous one has left the device;
+/// * **stages and phases serial** — a group walks the stages in order with
+///   no cross-stage pipelining. A stage that exposes a
+///   [`naive_phases`](crate::engine::PipeStage::naive_phases) decomposition
+///   is charged one device step per serial phase, the group's tasks in
+///   lockstep — the Figure-4a model, where a task's kernel holds its full
+///   thread slice through every small late phase; a stage without phases is
+///   charged one step of its aggregate
+///   [`StageWork`](crate::engine::StageWork);
+/// * **a stage's transfers overlap its first kernel step** — the group's
+///   summed H2D and D2H bytes for a stage are issued with that stage's
+///   first step on the copy engines (`multi_stream`), so they cost device
+///   time only where they outlast that step's kernels; later phases of the
+///   stage carry no transfer;
+/// * **residency is the pre-load** — `preload_bytes`, the whole batch's
+///   working set, is allocated before the first group and freed after the
+///   last; per-stage `mem_after` reports are ignored.
+///
+/// The stage math is exactly the pipelined math — outputs are byte-identical
+/// to a [`Pipeline`](crate::engine::Pipeline) run of the same stages — only
+/// the schedule (and therefore the clock) differs. The run has no stage
+/// structure to attribute cycles to, so `stage_stats` and `lifecycles` are
+/// empty; every task of a group reports the group's latency. An empty batch
+/// is a no-op returning an empty run that charges no device time.
 ///
 /// # Panics
 ///
@@ -84,17 +56,16 @@ fn finish_stats(gpu: &Gpu, start_cycles: u64, tasks: usize, latencies: &[u64]) -
 /// lockstep, so it requires a uniform circuit).
 pub fn run_stages_naive<T: Send>(
     gpu: &mut Gpu,
-    stages: Vec<crate::engine::BoxedStage<T>>,
+    stages: Vec<BoxedStage<T>>,
     tasks: Vec<T>,
     kernel_prefix: &str,
     preload_bytes: u64,
     total_threads: u32,
     concurrent: usize,
-) -> NaiveRun<T> {
+) -> PipelineRun<T> {
     let concurrent = concurrent.min(tasks.len()).max(1);
     let threads_per_task = (total_threads as usize / concurrent).max(1) as u32;
-    let start = gpu.elapsed_cycles();
-    gpu.memory().reset_peak();
+    let epoch = Epoch::open(gpu);
     let input_mem = gpu
         .memory()
         .alloc(preload_bytes, &format!("naive-{kernel_prefix}-inputs"))
@@ -172,274 +143,22 @@ pub fn run_stages_naive<T: Send>(
         }
     }
     gpu.memory().free(input_mem);
-    let stats = finish_stats(gpu, start, outputs.len(), &latencies);
-    NaiveRun { outputs, stats }
-}
-
-/// Naive batched Merkle generation (the Simon model): `concurrent` kernels
-/// at a time, each building one whole tree with `total_threads/concurrent`
-/// threads, all input data pre-loaded to device memory.
-///
-/// # Panics
-///
-/// Panics if inputs are empty, ragged, or not power-of-two sized.
-pub fn merkle_naive(
-    gpu: &mut Gpu,
-    trees: Vec<Vec<[u8; 64]>>,
-    total_threads: u32,
-    concurrent: usize,
-) -> NaiveRun<Digest> {
-    assert!(!trees.is_empty(), "need at least one tree");
-    let n = trees[0].len();
-    assert!(
-        n.is_power_of_two() && n >= 2,
-        "tree size must be a power of two >= 2"
-    );
-    assert!(trees.iter().all(|t| t.len() == n), "ragged batch");
-    let concurrent = concurrent.max(1).min(trees.len());
-    let threads_per_task = (total_threads as usize / concurrent).max(1) as u32;
-    let node_cost = gpu.cost().merkle_node();
-    let start = gpu.elapsed_cycles();
-    gpu.memory().reset_peak();
-
-    // Pre-loading: all m trees' blocks resident at once (the mN footprint
-    // the paper's §3.1 calls a "huge burden").
-    let all_blocks_bytes = (trees.len() * n * 64) as u64;
-    let input_mem = gpu
-        .memory()
-        .alloc(all_blocks_bytes, "naive-merkle-inputs")
-        .expect("naive pre-load must fit for this experiment");
-
-    let mut outputs = Vec::with_capacity(trees.len());
-    let mut latencies = Vec::with_capacity(trees.len());
-    for group in trees.chunks(concurrent) {
-        let group_start = gpu.elapsed_cycles();
-        // Leaf layer then log N pair layers, all groups in lockstep.
-        let mut layers: Vec<Vec<Digest>> = Vec::new();
-        let mut units = n as u64;
-        // Leaf hashing step.
-        let kernels: Vec<KernelStep> = group
-            .iter()
-            .enumerate()
-            .map(|(i, _)| {
-                KernelStep::new(
-                    format!("naive-merkle-task{i}"),
-                    threads_per_task,
-                    Work::Uniform {
-                        units,
-                        cycles_per_unit: node_cost,
-                    },
-                )
-            })
-            .collect();
-        gpu.execute_step(
-            &kernels,
-            &[Transfer {
-                bytes: (group.len() * n * 64) as u64,
-                dir: Dir::HostToDevice,
-            }],
-            true,
-        );
-        layers.extend(batchzk_par::par_map(group, |tree| {
-            tree.iter().map(hash_block).collect::<Vec<Digest>>()
-        }));
-        // Reduction layers.
-        while units > 1 {
-            units /= 2;
-            let kernels: Vec<KernelStep> = group
-                .iter()
-                .enumerate()
-                .map(|(i, _)| {
-                    KernelStep::new(
-                        format!("naive-merkle-task{i}"),
-                        threads_per_task,
-                        Work::Uniform {
-                            units,
-                            cycles_per_unit: node_cost,
-                        },
-                    )
-                })
-                .collect();
-            gpu.execute_step(&kernels, &[], true);
-            batchzk_par::par_map_mut(&mut layers, |_, layer| {
-                *layer = layer.chunks(2).map(|p| hash_pair(&p[0], &p[1])).collect();
-            });
-        }
-        let group_latency = gpu.elapsed_cycles() - group_start;
-        for layer in layers {
-            outputs.push(layer[0]);
-            latencies.push(group_latency);
-        }
-    }
-    gpu.memory().free(input_mem);
-    let stats = finish_stats(gpu, start, outputs.len(), &latencies);
-    NaiveRun { outputs, stats }
-}
-
-/// Naive batched sum-check generation (the Icicle model).
-///
-/// # Panics
-///
-/// Panics if inputs are empty or ragged.
-pub fn sumcheck_naive<F: Field>(
-    gpu: &mut Gpu,
-    tasks: Vec<SumcheckTask<F>>,
-    total_threads: u32,
-    concurrent: usize,
-) -> NaiveRun<SumcheckTask<F>> {
-    assert!(!tasks.is_empty(), "need at least one task");
-    let n = tasks[0].randomness().len();
-    assert!(
-        tasks.iter().all(|t| t.randomness().len() == n),
-        "ragged batch"
-    );
-    let concurrent = concurrent.max(1).min(tasks.len());
-    let threads_per_task = (total_threads as usize / concurrent).max(1) as u32;
-    let pair_cost = gpu.cost().sumcheck_pair() + gpu.cost().shared_access;
-    let start = gpu.elapsed_cycles();
-    gpu.memory().reset_peak();
-
-    // All m tables resident at once.
-    let table_bytes = ((1usize << n) * 32) as u64;
-    let input_mem = gpu
-        .memory()
-        .alloc(table_bytes * tasks.len() as u64, "naive-sumcheck-inputs")
-        .expect("naive pre-load must fit for this experiment");
-
-    let mut outputs = Vec::with_capacity(tasks.len());
-    let mut latencies = Vec::with_capacity(tasks.len());
-    let mut queue = tasks;
-    while !queue.is_empty() {
-        let take = concurrent.min(queue.len());
-        let mut group: Vec<SumcheckTask<F>> = queue.drain(..take).collect();
-        let group_start = gpu.elapsed_cycles();
-        gpu.execute_step(
-            &[],
-            &[Transfer {
-                bytes: table_bytes * group.len() as u64,
-                dir: Dir::HostToDevice,
-            }],
-            true,
-        );
-        for round in 0..n {
-            let pairs = 1u64 << (n - 1 - round);
-            let kernels: Vec<KernelStep> = (0..group.len())
-                .map(|i| {
-                    KernelStep::new(
-                        format!("naive-sumcheck-task{i}"),
-                        threads_per_task,
-                        Work::Uniform {
-                            units: pairs,
-                            cycles_per_unit: pair_cost,
-                        },
-                    )
-                })
-                .collect();
-            gpu.execute_step(&kernels, &[], true);
-            batchzk_par::par_map_mut(&mut group, |_, task| task.run_round(round));
-        }
-        let group_latency = gpu.elapsed_cycles() - group_start;
-        for task in group {
-            outputs.push(task);
-            latencies.push(group_latency);
-        }
-    }
-    gpu.memory().free(input_mem);
-    let stats = finish_stats(gpu, start, outputs.len(), &latencies);
-    NaiveRun { outputs, stats }
-}
-
-/// Naive batched encoding ("Ours-np"): one kernel per message walks all
-/// levels serially.
-///
-/// # Panics
-///
-/// Panics if inputs are empty or mismatch the encoder.
-pub fn encode_naive<F: Field>(
-    gpu: &mut Gpu,
-    encoder: Arc<Encoder<F>>,
-    messages: Vec<Vec<F>>,
-    total_threads: u32,
-    concurrent: usize,
-) -> NaiveRun<Vec<F>> {
-    assert!(!messages.is_empty(), "need at least one message");
-    assert!(
-        messages.iter().all(|m| m.len() == encoder.message_len()),
-        "message length must match the encoder"
-    );
-    let concurrent = concurrent.max(1).min(messages.len());
-    let threads_per_task = (total_threads as usize / concurrent).max(1) as u32;
-    let cost = *gpu.cost();
-    let start = gpu.elapsed_cycles();
-    gpu.memory().reset_peak();
-
-    let msg_bytes = (encoder.message_len() * 32) as u64;
-    let code_bytes = (encoder.codeword_len() * 32) as u64;
-    let input_mem = gpu
-        .memory()
-        .alloc(code_bytes * messages.len() as u64, "naive-encode-buffers")
-        .expect("naive pre-load must fit for this experiment");
-
-    let mut outputs = Vec::with_capacity(messages.len());
-    let mut latencies = Vec::with_capacity(messages.len());
-    for group in messages.chunks(concurrent) {
-        let group_start = gpu.elapsed_cycles();
-        gpu.execute_step(
-            &[],
-            &[Transfer {
-                bytes: msg_bytes * group.len() as u64,
-                dir: Dir::HostToDevice,
-            }],
-            true,
-        );
-        // Forward then backward phases, serial within each kernel. Rows are
-        // *not* bucket-sorted here: the non-pipelined baseline also predates
-        // the warp-balancing trick.
-        let phases: Vec<Vec<u64>> = encoder
-            .levels()
-            .iter()
-            .map(|l| {
-                (0..l.a.rows())
-                    .map(|i| l.a.row_degree(i) as u64 * cost.spmv_term())
-                    .collect()
-            })
-            .chain(encoder.levels().iter().rev().map(|l| {
-                (0..l.b.rows())
-                    .map(|i| l.b.row_degree(i) as u64 * cost.spmv_term())
-                    .collect()
-            }))
-            .collect();
-        for items in &phases {
-            let kernels: Vec<KernelStep> = (0..group.len())
-                .map(|i| {
-                    KernelStep::new(
-                        format!("naive-encode-task{i}"),
-                        threads_per_task,
-                        Work::Items(items.clone()),
-                    )
-                })
-                .collect();
-            gpu.execute_step(&kernels, &[], true);
-        }
-        outputs.extend(batchzk_par::par_map(group, |msg| encoder.encode(msg)));
-        let group_latency = gpu.elapsed_cycles() - group_start;
-        for _ in group {
-            latencies.push(group_latency);
-        }
-    }
-    gpu.memory().free(input_mem);
-    let stats = finish_stats(gpu, start, outputs.len(), &latencies);
-    NaiveRun { outputs, stats }
+    let stats = epoch.close(gpu, &latencies, Vec::new(), Vec::new());
+    PipelineRun { outputs, stats }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use batchzk_encoder::EncoderParams;
-    use batchzk_field::Fr;
-    use batchzk_gpu_sim::DeviceProfile;
+    use std::sync::Arc;
+
+    use batchzk_encoder::{Encoder, EncoderParams};
+    use batchzk_field::{Field, Fr};
+    use batchzk_gpu_sim::{DeviceProfile, Gpu};
     use batchzk_hash::Prg;
     use batchzk_merkle::MerkleTree;
+
+    use crate::sumcheck::SumcheckTask;
+    use crate::{encoder, merkle, sumcheck};
 
     fn trees(count: usize, n: usize) -> Vec<Vec<[u8; 64]>> {
         (0..count)
@@ -459,9 +178,9 @@ mod tests {
     fn naive_merkle_roots_correct() {
         let batch = trees(6, 16);
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let run = merkle_naive(&mut gpu, batch.clone(), 512, 4);
-        for (root, blocks) in run.outputs.iter().zip(&batch) {
-            assert_eq!(*root, MerkleTree::from_blocks(blocks).root());
+        let run = merkle::run_naive(&mut gpu, batch.clone(), 512, 4);
+        for (task, blocks) in run.outputs.iter().zip(&batch) {
+            assert_eq!(task.root(), MerkleTree::from_blocks(blocks).root());
         }
     }
 
@@ -471,9 +190,9 @@ mod tests {
         // thread budget, same batch.
         let batch = trees(48, 256);
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let naive = merkle_naive(&mut gpu, batch.clone(), 1024, 8).stats;
+        let naive = merkle::run_naive(&mut gpu, batch.clone(), 1024, 8).stats;
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let piped = crate::merkle::run_pipelined(&mut gpu, batch, 1024, true)
+        let piped = merkle::run_pipelined(&mut gpu, batch, 1024, true)
             .expect("fits")
             .stats;
         assert!(
@@ -495,9 +214,9 @@ mod tests {
         // balanced per-stage workload.
         let batch = trees(8, 1024);
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let naive = merkle_naive(&mut gpu, batch.clone(), 256, 1).stats;
+        let naive = merkle::run_naive(&mut gpu, batch.clone(), 256, 1).stats;
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let piped = crate::merkle::run_pipelined(&mut gpu, batch, 256, true)
+        let piped = merkle::run_pipelined(&mut gpu, batch, 256, true)
             .expect("fits")
             .stats;
         assert!(
@@ -524,7 +243,7 @@ mod tests {
             .map(|t| batchzk_sumcheck::algorithm1::prove(&mut t.table_snapshot(), t.randomness()))
             .collect();
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let run = sumcheck_naive(&mut gpu, tasks, 256, 2);
+        let run = sumcheck::run_naive(&mut gpu, tasks, 256, 2);
         for (task, expect) in run.outputs.iter().zip(&reference) {
             assert_eq!(task.proof(), &expect[..]);
         }
@@ -538,9 +257,9 @@ mod tests {
             .map(|_| (0..150).map(|_| Fr::random(&mut rng)).collect())
             .collect();
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let run = encode_naive(&mut gpu, Arc::clone(&enc), msgs.clone(), 256, 2);
-        for (code, msg) in run.outputs.iter().zip(&msgs) {
-            assert_eq!(code, &enc.encode(msg));
+        let run = encoder::run_naive(&mut gpu, Arc::clone(&enc), msgs.clone(), 256, 2);
+        for (task, msg) in run.outputs.iter().zip(&msgs) {
+            assert_eq!(task.codeword(), &enc.encode(msg)[..]);
         }
     }
 
@@ -549,9 +268,9 @@ mod tests {
         // Figure 9's story: deep trees leave most naive threads idle.
         let batch = trees(32, 512);
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let naive = merkle_naive(&mut gpu, batch.clone(), 2048, 4).stats;
+        let naive = merkle::run_naive(&mut gpu, batch.clone(), 2048, 4).stats;
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let piped = crate::merkle::run_pipelined(&mut gpu, batch, 2048, true)
+        let piped = merkle::run_pipelined(&mut gpu, batch, 2048, true)
             .expect("fits")
             .stats;
         assert!(

@@ -13,6 +13,7 @@ use batchzk_gpu_sim::{Gpu, Work};
 use crate::engine::{
     allocate_threads, BoxedStage, PipeStage, Pipeline, PipelineError, PipelineRun, StageWork,
 };
+use crate::naive::run_stages_naive;
 
 /// A sum-check proof-generation task.
 #[derive(Debug)]
@@ -128,10 +129,63 @@ impl<F: Field> PipeStage<SumcheckTask<F>> for RoundStage {
     }
 }
 
-/// Result of a pipelined sum-check batch run.
+/// Result of a sum-check batch run, under either schedule.
 pub type SumcheckRun<F> = PipelineRun<SumcheckTask<F>>;
 
-/// Runs the pipelined module over a batch of equally-sized tables.
+/// Bytes of one table element on the device.
+const ELEM_BYTES: u64 = 32;
+
+/// The module as a stage set: one round stage per variable for a batch
+/// of `2^n`-entry tables, round `i` charged `sumcheck_pair + shared_access`
+/// cycles for each of its `2^{n-1-i}` pairs under `gpu`'s cost model. The
+/// table is loaded by round 0 and the `n` proof pairs stored by the last
+/// round; `module_threads` is split proportionally to the pair counts.
+///
+/// # Panics
+///
+/// Panics if `tasks` is empty, has no variable, or table sizes differ.
+pub fn build_stages<F: Field>(
+    gpu: &Gpu,
+    tasks: &[SumcheckTask<F>],
+    module_threads: u32,
+) -> Vec<BoxedStage<SumcheckTask<F>>> {
+    assert!(!tasks.is_empty(), "need at least one task");
+    let n = tasks[0].rs.len();
+    assert!(n >= 1, "need at least one variable");
+    assert!(
+        tasks.iter().all(|t| t.rs.len() == n),
+        "all tables in a batch must have equal size"
+    );
+    let table_len = 1u64 << n;
+
+    // Stage weights: round i touches 2^{n-1-i} pairs.
+    let weights: Vec<u64> = (0..n).map(|i| table_len >> (i + 1)).collect();
+    let threads = allocate_threads(module_threads, &weights);
+    let pair_cost = gpu.cost().sumcheck_pair() + gpu.cost().shared_access;
+
+    (0..n)
+        .map(|round| {
+            Box::new(RoundStage {
+                threads: threads[round],
+                round,
+                pair_cost,
+                load_bytes: if round == 0 {
+                    table_len * ELEM_BYTES
+                } else {
+                    0
+                },
+                store_bytes: if round == n - 1 {
+                    2 * n as u64 * ELEM_BYTES
+                } else {
+                    0
+                },
+            }) as BoxedStage<SumcheckTask<F>>
+        })
+        .collect()
+}
+
+/// Runs the pipelined module over a batch of equally-sized tables, the
+/// tables living in the two recyclable Figure-5b buffers for the run.
 ///
 /// # Errors
 ///
@@ -140,21 +194,15 @@ pub type SumcheckRun<F> = PipelineRun<SumcheckTask<F>>;
 ///
 /// # Panics
 ///
-/// Panics if `tasks` is empty or table sizes differ.
+/// Panics as [`build_stages`] does on an empty or misshapen batch.
 pub fn run_pipelined<F: Field>(
     gpu: &mut Gpu,
     tasks: Vec<SumcheckTask<F>>,
     module_threads: u32,
     multi_stream: bool,
 ) -> Result<SumcheckRun<F>, PipelineError> {
-    assert!(!tasks.is_empty(), "need at least one task");
-    let n = tasks[0].rs.len();
-    assert!(n >= 1, "need at least one variable");
-    assert!(
-        tasks.iter().all(|t| t.rs.len() == n),
-        "all tables in a batch must have equal size"
-    );
-    let elem_bytes = 32u64;
+    let stages = build_stages(gpu, &tasks, module_threads);
+    let n = stages.len();
     let table_len = 1u64 << n;
 
     // Figure 5b: two recyclable buffers. Odd time-period stages read from
@@ -172,14 +220,14 @@ pub fn run_pipelined<F: Field>(
         };
     let buf_lo = match gpu
         .memory()
-        .alloc(lower_elems * elem_bytes, "sumcheck-buffer-lower")
+        .alloc(lower_elems * ELEM_BYTES, "sumcheck-buffer-lower")
     {
         Ok(handle) => handle,
         Err(oom) => return Err(oom_err("sumcheck-buffer-lower", oom)),
     };
     let buf_hi = match gpu
         .memory()
-        .alloc(upper_elems.max(1) * elem_bytes, "sumcheck-buffer-upper")
+        .alloc(upper_elems.max(1) * ELEM_BYTES, "sumcheck-buffer-upper")
     {
         Ok(handle) => handle,
         Err(oom) => {
@@ -188,37 +236,40 @@ pub fn run_pipelined<F: Field>(
         }
     };
 
-    // Stage weights: round i touches 2^{n-1-i} pairs.
-    let weights: Vec<u64> = (0..n).map(|i| table_len >> (i + 1)).collect();
-    let threads = allocate_threads(module_threads, &weights);
-    let pair_cost = gpu.cost().sumcheck_pair() + gpu.cost().shared_access;
-
-    let stages: Vec<BoxedStage<SumcheckTask<F>>> = (0..n)
-        .map(|round| {
-            Box::new(RoundStage {
-                threads: threads[round],
-                round,
-                pair_cost,
-                load_bytes: if round == 0 {
-                    table_len * elem_bytes
-                } else {
-                    0
-                },
-                store_bytes: if round == n - 1 {
-                    2 * n as u64 * elem_bytes
-                } else {
-                    0
-                },
-            }) as BoxedStage<SumcheckTask<F>>
-        })
-        .collect();
-
     // Free the shared buffers on both the success and the error path: the
     // engine has already released its own allocations if it failed.
     let run = Pipeline::new(gpu, stages, multi_stream).run(tasks);
     gpu.memory().free(buf_lo);
     gpu.memory().free(buf_hi);
     run
+}
+
+/// Runs the same stages kernel-per-task (the Icicle model, Figure 4a):
+/// `concurrent` kernels at a time, each walking all `n` rounds of one proof
+/// with `total_threads / concurrent` threads under [`run_stages_naive`]'s
+/// rule, all `m` tables resident at once instead of the two buffers.
+///
+/// # Panics
+///
+/// Panics as [`build_stages`] does, or if the pre-load does not fit.
+pub fn run_naive<F: Field>(
+    gpu: &mut Gpu,
+    tasks: Vec<SumcheckTask<F>>,
+    total_threads: u32,
+    concurrent: usize,
+) -> SumcheckRun<F> {
+    let stages = build_stages(gpu, &tasks, total_threads);
+    let table_len = 1u64 << stages.len();
+    let preload = tasks.len() as u64 * table_len * ELEM_BYTES;
+    run_stages_naive(
+        gpu,
+        stages,
+        tasks,
+        "sumcheck",
+        preload,
+        total_threads,
+        concurrent,
+    )
 }
 
 #[cfg(test)]

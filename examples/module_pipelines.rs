@@ -16,7 +16,7 @@ use batchzk::field::{Field, Fr};
 use batchzk::gpu_sim::{DeviceProfile, Gpu, TraceLevel};
 use batchzk::hash::Prg;
 use batchzk::metrics::{analyze, Registry};
-use batchzk::pipeline::{encoder as penc, merkle as pmerkle, naive, observe, sumcheck as psum};
+use batchzk::pipeline::{encoder as penc, merkle as pmerkle, observe, sumcheck as psum};
 
 fn main() {
     let threads = 10_240;
@@ -37,7 +37,7 @@ fn main() {
         })
         .collect();
     let mut gpu = Gpu::new(profile.clone());
-    let nv = naive::merkle_naive(&mut gpu, trees.clone(), threads, 4).stats;
+    let nv = pmerkle::run_naive(&mut gpu, trees.clone(), threads, 4).stats;
     let nv_util = gpu.mean_compute_utilization();
     let mut gpu = Gpu::with_trace_level(profile.clone(), TraceLevel::Full);
     let run = pmerkle::run_pipelined(&mut gpu, trees, threads, true).expect("fits");
@@ -100,7 +100,7 @@ fn main() {
             .collect()
     };
     let mut gpu = Gpu::new(profile.clone());
-    let nv = naive::sumcheck_naive(&mut gpu, tasks(&mut rng), threads, 4).stats;
+    let nv = psum::run_naive(&mut gpu, tasks(&mut rng), threads, 4).stats;
     let nv_util = gpu.mean_compute_utilization();
     let mut gpu = Gpu::new(profile.clone());
     let pp = psum::run_pipelined(&mut gpu, tasks(&mut rng), threads, true)
@@ -123,7 +123,7 @@ fn main() {
             .collect()
     };
     let mut gpu = Gpu::new(profile.clone());
-    let nv = naive::encode_naive(&mut gpu, Arc::clone(&enc), msgs(&mut rng), threads, 4).stats;
+    let nv = penc::run_naive(&mut gpu, Arc::clone(&enc), msgs(&mut rng), threads, 4).stats;
     let nv_util = gpu.mean_compute_utilization();
     let mut gpu = Gpu::new(profile);
     let pp = penc::run_pipelined(&mut gpu, enc, msgs(&mut rng), threads, true, true)

@@ -9,7 +9,7 @@ use batchzk::field::{Field, Fr};
 use batchzk::gpu_sim::{DeviceProfile, Gpu};
 use batchzk::hash::Prg;
 use batchzk::merkle::MerkleTree;
-use batchzk::pipeline::{encoder as penc, merkle as pmerkle, naive, sumcheck as psum};
+use batchzk::pipeline::{encoder as penc, merkle as pmerkle, sumcheck as psum};
 use batchzk::sumcheck::algorithm1;
 
 fn tree_batch(count: usize, n: usize) -> Vec<Vec<[u8; 64]>> {
@@ -78,7 +78,7 @@ fn headline_claims_hold_at_steady_state() {
     // kernel-launch overhead) dominates — the paper's operating regime.
     let trees = tree_batch(48, 4096);
     let mut gpu = Gpu::new(DeviceProfile::gh200());
-    let naive_stats = naive::merkle_naive(&mut gpu, trees.clone(), 1024, 4).stats;
+    let naive_stats = pmerkle::run_naive(&mut gpu, trees.clone(), 1024, 4).stats;
     let mut gpu = Gpu::new(DeviceProfile::gh200());
     let piped_stats = pmerkle::run_pipelined(&mut gpu, trees, 1024, true)
         .expect("fits")
