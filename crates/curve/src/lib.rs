@@ -13,4 +13,4 @@ mod g1;
 mod msm;
 
 pub use g1::{G1Affine, G1Projective};
-pub use msm::{msm, msm_group_op_count, msm_naive, window_size};
+pub use msm::{msm, msm_group_op_count, msm_naive, window_size, MsmBases};

@@ -74,11 +74,11 @@ fn host_window(n: usize) -> usize {
     }
 }
 
-/// Bucket entries scattered per window group. Every batch-affine round
-/// pays one `Fq` inversion (a ~380-multiply Fermat power) for the whole
-/// group, so small MSMs put several windows in a group to share it, while
-/// scratch stays below `n + GROUP_ENTRIES` points whatever the window
-/// count.
+/// Bucket entries scattered at a time. Every batch-affine round pays one
+/// `Fq` inversion (a ~380-multiply Fermat power) for everything scattered,
+/// so small MSMs put several passes in a scatter to share it, while scratch
+/// stays near `max(n, GROUP_ENTRIES)` points whatever the window count and
+/// however many shifts a table stores.
 const GROUP_ENTRIES: usize = 4096;
 
 /// Fewest additions worth a batch-affine round: a round costs the
@@ -86,53 +86,194 @@ const GROUP_ENTRIES: usize = 4096;
 /// sum would otherwise spend on the same entry costs 11.
 const MIN_ROUND_PAIRS: usize = 96;
 
+/// Windows of a scalar at window size `c`: one past the scalar's bits
+/// takes the last carry.
+fn window_count(c: usize) -> usize {
+    (Fr::MODULUS_BITS as usize + 1).div_ceil(c)
+}
+
 /// Multi-scalar multiplication `Σ scalar_i · point_i`: Pippenger's bucket
 /// method over signed windows, with the buckets accumulated in affine
-/// coordinates under shared inversions.
-///
-/// Each scalar is recoded once into signed base-`2^c` digits, so a window
-/// has `2^(c−1)` buckets and a negative digit contributes `−P`. Windows
-/// are handled in groups, most significant first: the group's non-zero
-/// terms are counting-sorted by `(window, bucket)`, every bucket is halved
-/// by pairwise affine additions in rounds that share one inversion across
-/// the whole group, and each window's `Σ k·bucket_k` running sum then
-/// folds whatever entries a bucket has left.
+/// coordinates under shared inversions — [`MsmBases::msm`] with nothing
+/// precomputed, one bucket pass per window.
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
 pub fn msm(points: &[G1Affine], scalars: &[Fr]) -> G1Projective {
-    assert_eq!(
-        points.len(),
-        scalars.len(),
-        "points/scalars length mismatch"
-    );
     msm_windowed(points, scalars, host_window(points.len()))
 }
 
-/// [`msm`] at window size `c` (`1 ≤ c ≤ 16`).
+/// [`msm`] at window size `c` (`1 ≤ c ≤ 16`): the points are a table of one
+/// shift.
 fn msm_windowed(points: &[G1Affine], scalars: &[Fr], c: usize) -> G1Projective {
-    let n = points.len();
+    pippenger(points, points.len(), scalars, c, &mut Scratch::default())
+}
+
+/// Most bytes a [`MsmBases`] table may take. Past `2^20` bases the bases
+/// alone outgrow it and the table is the bases, as in [`msm`].
+const TABLE_BYTES: usize = 128 << 20;
+
+/// Window size of a [`MsmBases`] table over `n` bases. With `t` shifts
+/// stored a pass scatters `t·n` entries and there are `windows / t` running
+/// sums instead of `windows`, so the optimum sits above [`host_window`]'s:
+/// fewer, wider windows. Set, like that ladder, from
+/// `examples/msm_sizes.rs`.
+fn table_window(n: usize) -> usize {
+    match n {
+        0..=47 => 7,
+        48..=191 => 8,
+        192..=767 => 10,
+        768..=3071 => 11,
+        3072..=6143 => 12,
+        6144..=24575 => 13,
+        _ => 15,
+    }
+}
+
+/// Shifts a table over `n` bases stores at window size `c`: as many as
+/// [`TABLE_BYTES`] holds, no more than leave every pass a window.
+fn table_shifts(n: usize, c: usize) -> usize {
+    let windows = window_count(c);
+    let affordable = TABLE_BYTES / (n.max(1) * size_of::<G1Affine>());
+    let passes = windows.div_ceil(affordable.clamp(1, windows));
+    windows.div_ceil(passes)
+}
+
+/// Bases fixed across many MSMs — a circuit's commitment key — with their
+/// window shifts precomputed, so one MSM is a few bucket passes (one, when
+/// the table holds a shift per window) instead of one per window.
+///
+/// Row `j` of the table's `t` is `2^(c·s·j)·P_i` in affine coordinates, `c`
+/// the window size and `s = ⌈windows / t⌉` the number of passes. Window
+/// `w = j·s + r` of scalar `i` then contributes `digit · row_j[i]` to pass
+/// `r`: the passes are `s` bucket sets of `t·n` entries each, `c` doublings
+/// apart, where plain [`msm`] has one of `n` entries per window.
+pub struct MsmBases {
+    table: Vec<G1Affine>,
+    bases: usize,
+    window: usize,
+}
+
+impl MsmBases {
+    /// Precomputes the table for `points`: about 254 doublings a point,
+    /// five to ten [`msm`]s' worth, for a saving near half an [`msm`] on
+    /// every MSM after.
+    pub fn new(points: &[G1Affine]) -> Self {
+        let c = table_window(points.len());
+        Self::with_shape(points, c, table_shifts(points.len(), c))
+    }
+
+    /// The table at window size `c` with `shifts` rows.
+    fn with_shape(points: &[G1Affine], c: usize, shifts: usize) -> Self {
+        let passes = window_count(c).div_ceil(shifts);
+        let mut table = points.to_vec();
+        let mut row: Vec<G1Projective> = points.iter().map(|p| (*p).into()).collect();
+        for _ in 1..shifts {
+            for point in &mut row {
+                for _ in 0..c * passes {
+                    *point = point.double();
+                }
+            }
+            table.extend(G1Projective::batch_to_affine(&row));
+        }
+        Self {
+            table,
+            bases: points.len(),
+            window: c,
+        }
+    }
+
+    /// Bytes the table holds.
+    pub fn table_bytes(&self) -> usize {
+        self.table.len() * size_of::<G1Affine>()
+    }
+
+    /// [`Self::table_bytes`] of a table over `n` bases, without building it.
+    pub fn table_bytes_for(n: usize) -> usize {
+        table_shifts(n, table_window(n)) * n * size_of::<G1Affine>()
+    }
+
+    /// `Σ scalar_i · base_i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one scalar per base.
+    pub fn msm(&self, scalars: &[Fr]) -> G1Projective {
+        let [sum] = self.msm_each([scalars]);
+        sum
+    }
+
+    /// [`Self::msm`] of each scalar vector, over one scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every vector has one scalar per base.
+    pub fn msm_each<const K: usize>(&self, scalars: [&[Fr]; K]) -> [G1Projective; K] {
+        let mut scratch = Scratch::default();
+        scalars.map(|s| pippenger(&self.table, self.bases, s, self.window, &mut scratch))
+    }
+}
+
+/// What one MSM allocates, reusable by the next.
+#[derive(Default)]
+struct Scratch {
+    digits: Vec<i32>,
+    buckets: Buckets,
+}
+
+/// Pippenger's bucket method over a table of `table.len() / n` shifts of
+/// `n` bases (see [`MsmBases`]; [`msm`]'s table is the points themselves).
+///
+/// Each scalar is recoded once into signed base-`2^c` digits, so a pass
+/// has `2^(c−1)` buckets and a negative digit contributes `−P`. Passes are
+/// handled most significant first: the non-zero terms of a pass — of
+/// several, while they fit [`GROUP_ENTRIES`] — are counting-sorted by
+/// bucket, every bucket is halved by pairwise affine additions in rounds
+/// that share one inversion across everything scattered, and each pass's
+/// `Σ k·bucket_k` running sum then folds whatever entries a bucket has
+/// left. A pass too large for one scatter goes in a few rows at a time
+/// into the same buckets.
+fn pippenger(
+    table: &[G1Affine],
+    n: usize,
+    scalars: &[Fr],
+    c: usize,
+    scratch: &mut Scratch,
+) -> G1Projective {
+    assert_eq!(n, scalars.len(), "points/scalars length mismatch");
     let mut total = G1Projective::identity();
     if n == 0 {
         return total;
     }
+    let Scratch { digits, buckets } = scratch;
     let half = 1usize << (c - 1);
-    // One window past the scalar's bits takes the last carry.
-    let windows = (Fr::MODULUS_BITS as usize + 1).div_ceil(c);
-    let digits = signed_digits(scalars, c, windows);
-    let group = (GROUP_ENTRIES / n).clamp(1, windows);
-    let mut buckets = Buckets::default();
-    let mut hi = windows;
+    let windows = window_count(c);
+    let shifts = table.len() / n;
+    let passes = windows.div_ceil(shifts);
+    signed_digits(scalars, c, windows, digits);
+    // Table rows one scatter takes, and the passes that makes.
+    let rows = (GROUP_ENTRIES / n).max(1);
+    let group = (rows / shifts).clamp(1, passes);
+    let mut hi = passes;
     while hi > 0 {
         let lo = hi.saturating_sub(group);
-        buckets.scatter(points, &digits[lo * n..hi * n], half);
-        buckets.reduce();
-        for w in (lo..hi).rev() {
+        buckets.reset((hi - lo) * half);
+        for first in (0..shifts).step_by(rows) {
+            // Window `j·passes + pass` goes to set `pass − lo` over row `j`.
+            let scattered = (lo..hi)
+                .flat_map(|pass| (first..shifts.min(first + rows)).map(move |j| (pass, j)))
+                .map(|(pass, j)| (pass - lo, j * passes + pass, j))
+                .filter(|&(_, w, _)| w < windows)
+                .map(|(set, w, j)| (set, &digits[w * n..][..n], &table[j * n..][..n]));
+            buckets.scatter(scattered, half);
+            buckets.reduce();
+        }
+        for set in (0..hi - lo).rev() {
             for _ in 0..c {
                 total = total.double();
             }
-            total = total.add(&buckets.window_sum((w - lo) * half..(w - lo + 1) * half));
+            total = total.add(&buckets.window_sum(set * half..(set + 1) * half));
         }
         hi = lo;
     }
@@ -143,11 +284,12 @@ fn msm_windowed(points: &[G1Affine], scalars: &[Fr], c: usize) -> G1Projective {
 /// `[−2^(c−1), 2^(c−1)]`, window-major (`digits[w · n + i]` is digit `w` of
 /// scalar `i`): a raw window value above `2^(c−1)` becomes `value − 2^c`
 /// and carries one into the next window.
-fn signed_digits(scalars: &[Fr], c: usize, windows: usize) -> Vec<i32> {
+fn signed_digits(scalars: &[Fr], c: usize, windows: usize, digits: &mut Vec<i32>) {
     let n = scalars.len();
     let mask = (1u64 << c) - 1;
     let half = 1i32 << (c - 1);
-    let mut digits = vec![0i32; n * windows];
+    digits.clear();
+    digits.resize(n * windows, 0);
     for (i, scalar) in scalars.iter().enumerate() {
         let limbs = scalar.to_canonical_limbs();
         let mut carry = 0;
@@ -164,54 +306,79 @@ fn signed_digits(scalars: &[Fr], c: usize, windows: usize) -> Vec<i32> {
         }
         debug_assert_eq!(carry, 0, "the extra window absorbs the last carry");
     }
-    digits
 }
 
-/// The buckets of one window group: the group's non-zero terms sorted by
-/// `(window, bucket)`, each bucket a segment of `entries` that
-/// [`Buckets::reduce`] shrinks in place.
+/// The bucket sets of the passes in hand: every bucket a segment of
+/// `entries` that [`Buckets::scatter`] extends and [`Buckets::reduce`]
+/// shrinks in place.
 #[derive(Default)]
 struct Buckets {
     entries: Vec<G1Affine>,
+    /// What the buckets held before a scatter, while it moves them.
+    kept: Vec<G1Affine>,
     segments: Vec<Range<usize>>,
     denominators: Vec<Fq>,
 }
 
 impl Buckets {
-    /// Counting sort: refills the buckets from `digits`, the window-major
-    /// digits of the group's windows, with `half` buckets per window.
-    fn scatter(&mut self, points: &[G1Affine], digits: &[i32], half: usize) {
-        let bucket_of =
-            |window: usize, digit: i32| window * half + digit.unsigned_abs() as usize - 1;
+    /// Empties the buckets and makes them `buckets` many.
+    fn reset(&mut self, buckets: usize) {
+        self.entries.clear();
+        self.segments.clear();
+        self.segments.resize(buckets, 0..0);
+    }
+
+    /// Counting sort: adds the non-zero terms of `rows` to the buckets.
+    /// A row is one window's digits over the table row they multiply, bound
+    /// for bucket set `set` of `half` buckets.
+    fn scatter<'a>(
+        &mut self,
+        rows: impl Iterator<Item = (usize, &'a [i32], &'a [G1Affine])> + Clone,
+        half: usize,
+    ) {
+        let bucket_of = |set: usize, digit: i32| set * half + digit.unsigned_abs() as usize - 1;
         let terms = || {
-            digits
-                .chunks(points.len())
-                .enumerate()
-                .flat_map(|(window, ds)| ds.iter().zip(points).map(move |(d, p)| (window, *d, p)))
+            rows.clone()
+                .flat_map(|(set, ds, ps)| ds.iter().zip(ps).map(move |(d, p)| (set, *d, p)))
                 .filter(|(_, digit, point)| *digit != 0 && !point.infinity)
         };
-        let mut ends = vec![0usize; digits.len() / points.len() * half];
-        for (window, digit, _) in terms() {
-            ends[bucket_of(window, digit)] += 1;
+        // Sizes, then each bucket's next free slot: what it holds goes
+        // first, its new terms after.
+        let mut next: Vec<usize> = self.segments.iter().map(Range::len).collect();
+        for (set, digit, _) in terms() {
+            next[bucket_of(set, digit)] += 1;
         }
         let mut filled = 0;
-        for end in &mut ends {
-            filled += *end;
-            *end = filled;
+        for slot in &mut next {
+            let size = std::mem::replace(slot, filled);
+            filled += size;
+        }
+        // What the buckets hold steps aside — a few entries each — so every
+        // scatter fills the same, cache-warm array.
+        self.kept.clear();
+        for segment in &self.segments {
+            self.kept.extend_from_slice(&self.entries[segment.clone()]);
         }
         self.entries.clear();
         self.entries.resize(filled, G1Affine::identity());
+        let mut kept = self.kept.as_slice();
+        for (segment, slot) in self.segments.iter().zip(&mut next) {
+            let (bucket, rest) = kept.split_at(segment.len());
+            self.entries[*slot..][..bucket.len()].copy_from_slice(bucket);
+            *slot += bucket.len();
+            kept = rest;
+        }
+        for (set, digit, point) in terms() {
+            let slot = &mut next[bucket_of(set, digit)];
+            self.entries[*slot] = if digit < 0 { point.neg() } else { *point };
+            *slot += 1;
+        }
+        // Every slot has reached its bucket's end.
         self.segments.clear();
         self.segments.extend(
-            ends.iter()
+            next.iter()
                 .scan(0, |start, &end| Some(std::mem::replace(start, end)..end)),
         );
-        // Each bucket fills from its end down.
-        for (window, digit, point) in terms() {
-            let slot = &mut ends[bucket_of(window, digit)];
-            *slot -= 1;
-            self.entries[*slot] = if digit < 0 { point.neg() } else { *point };
-        }
     }
 
     /// Halves every bucket by pairwise affine additions, one shared
@@ -248,8 +415,8 @@ impl Buckets {
         }
     }
 
-    /// `Σ k·bucket_k` over one window's `buckets` (bucket `k` is the
-    /// `k`-th of the range, counting from one) by the running-sum trick.
+    /// `Σ k·bucket_k` over one set's `buckets` (bucket `k` is the `k`-th of
+    /// the range, counting from one) by the running-sum trick.
     fn window_sum(&self, buckets: Range<usize>) -> G1Projective {
         let mut running = G1Projective::identity();
         let mut sum = G1Projective::identity();
@@ -524,6 +691,162 @@ mod tests {
         assert_eq!(msm(&points, &scalars), msm_of_generator_multiples(&kept));
     }
 
+    /// Shift counts at window size `c`: one (plain `msm`), two, one that
+    /// does not divide the window count (the last row is short of
+    /// windows), and one per window (a single pass).
+    fn shift_counts(c: usize) -> [usize; 4] {
+        let windows = window_count(c);
+        let uneven = (2..windows)
+            .find(|t| !windows.is_multiple_of(*t))
+            .unwrap_or(windows);
+        [1, 2.min(windows), uneven, windows]
+    }
+
+    #[test]
+    fn every_window_and_shift_count_matches_naive() {
+        // Identities and zero scalars drop out of the scatter at every row
+        // of the table. (A debug build spends 254 doublings a base on each
+        // of the 64 tables, hence the size.)
+        let (mut points, mut scalars) = fixture(40, 0x7ab1e);
+        for i in (0..39).step_by(7) {
+            points[i] = G1Affine::identity();
+            scalars[i + 1] = Fr::ZERO;
+        }
+        let expect = msm_naive(&points, &scalars);
+        for c in 1..=16 {
+            for t in shift_counts(c) {
+                let bases = MsmBases::with_shape(&points, c, t);
+                assert_eq!(bases.msm(&scalars), expect, "c={c} t={t}");
+            }
+        }
+    }
+
+    #[test]
+    fn tables_match_naive_on_extreme_scalars_and_repeated_points() {
+        let n = 128;
+        let (distinct, random) = fixture(n, 0xf1bed);
+        let (p, s) = (distinct[0], random[0]);
+        // All points equal (every bucket add a doubling, and so is every
+        // shifted row's), `P / −P` pairs with equal digits (every bucket
+        // cancels), and the two scattered among distinct points.
+        let equal = vec![p; n];
+        let opposite: Vec<G1Affine> = [p, p.neg()].into_iter().cycle().take(n).collect();
+        let mut mixed = distinct.clone();
+        for i in (0..n).step_by(4) {
+            mixed[i] = if i % 8 == 0 { p } else { p.neg() };
+        }
+        for c in [table_window(n), 2] {
+            let half = 1u64 << (c - 1);
+            let specials = [
+                -Fr::ONE,
+                repeated_window(half, c),
+                repeated_window(half, c) + Fr::ONE,
+                repeated_window(2 * half - 1, c),
+                repeated_window(2 * half - 1, c) + Fr::ONE,
+                Fr::from(2u64).pow(&[253]),
+                Fr::from(2u64).pow(&[253]) - Fr::ONE,
+            ];
+            let mut extreme = random.clone();
+            for (i, special) in (0..n).step_by(3).zip(specials.iter().cycle()) {
+                extreme[i] = *special;
+            }
+            let mut repeated = random.clone();
+            for i in (0..n).step_by(4) {
+                repeated[i] = s;
+            }
+            let extreme_sum = msm_naive(&distinct, &extreme);
+            let mixed_sum = msm_naive(&mixed, &repeated);
+            let equal_sum = G1Projective::from(p).mul_scalar(&(s * Fr::from(n as u64)));
+            for t in shift_counts(c) {
+                let at = |points| MsmBases::with_shape(points, c, t);
+                assert_eq!(at(&distinct).msm(&extreme), extreme_sum, "c={c} t={t}");
+                assert_eq!(at(&mixed).msm(&repeated), mixed_sum, "c={c} t={t}");
+                assert_eq!(at(&equal).msm(&vec![s; n]), equal_sum, "c={c} t={t}");
+                assert!(at(&opposite).msm(&vec![s; n]).is_identity(), "c={c} t={t}");
+            }
+        }
+    }
+
+    #[test]
+    fn table_agrees_with_msm_on_each_side_of_every_rung_of_both_ladders() {
+        let host = [16usize, 48, 112, 224, 448, 896, 2560];
+        let table = [48usize, 192, 768, 3072, 6144, 24576];
+        for rung in table {
+            assert!(table_window(rung - 1) < table_window(rung), "n={rung}");
+        }
+        // Rungs too large for a debug build's table differ from the checked
+        // ones only in `c` and the shift count, which
+        // `every_window_and_shift_count_matches_naive` sweeps.
+        let mut rng = SplitMix64::seed_from_u64(0x7ab1e5);
+        let points = generator_multiples(768);
+        for rung in host.into_iter().chain(table).filter(|rung| *rung <= 768) {
+            for n in [rung - 1, rung] {
+                let scalars: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
+                let expect = msm_of_generator_multiples(&scalars);
+                let bases = MsmBases::new(&points[..n]);
+                assert_eq!(bases.table_bytes(), MsmBases::table_bytes_for(n), "n={n}");
+                assert_eq!(bases.msm(&scalars), expect, "n={n}");
+                assert_eq!(msm(&points[..n], &scalars), expect, "n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_pass_larger_than_one_scatter_matches_the_oracle() {
+        // 1 500 bases: two table rows a scatter, so every pass of 26 rows
+        // goes into its buckets in thirteen; at two shifts a pass, in one.
+        let n = 1500;
+        assert_eq!(GROUP_ENTRIES / n, 2);
+        let mut rng = SplitMix64::seed_from_u64(0x5ca77e4);
+        let points = generator_multiples(n);
+        let scalars: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
+        let expect = msm_of_generator_multiples(&scalars);
+        for (c, t) in [(10, 26), (10, 2), (7, 5)] {
+            let bases = MsmBases::with_shape(&points, c, t);
+            assert_eq!(bases.msm(&scalars), expect, "c={c} t={t}");
+        }
+    }
+
+    #[test]
+    fn msm_each_reuses_one_scratch_across_vectors_of_different_weight() {
+        let (points, dense) = fixture(200, 0xeac4);
+        let sparse: Vec<Fr> = (0..200u64).map(|i| Fr::from(i % 3)).collect();
+        let zero = vec![Fr::ZERO; 200];
+        let bases = MsmBases::new(&points);
+        let [a, b, c, d] = bases.msm_each([&dense, &zero, &sparse, &dense]);
+        assert_eq!(a, msm_naive(&points, &dense));
+        assert!(b.is_identity());
+        assert_eq!(c, msm_naive(&points, &sparse));
+        assert_eq!(d, a);
+        assert!(MsmBases::new(&[]).msm(&[]).is_identity());
+    }
+
+    #[test]
+    fn table_stays_inside_its_byte_budget() {
+        for log_n in [8, 12, 16, 20] {
+            let n = 1usize << log_n;
+            let windows = window_count(table_window(n));
+            let shifts = table_shifts(n, table_window(n));
+            let passes = windows.div_ceil(shifts);
+            assert!((1..=windows).contains(&shifts), "2^{log_n}");
+            assert!((passes - 1) * shifts < windows, "2^{log_n}: an idle pass");
+            assert!(MsmBases::table_bytes_for(n) <= TABLE_BYTES, "2^{log_n}");
+        }
+        // Small circuits store a shift per window, the largest the bases
+        // only, and in between the rows are what the passes use.
+        assert_eq!(table_shifts(1 << 8, 10), 26);
+        assert_eq!(table_shifts(1 << 18, 15), 6);
+        assert_eq!(table_shifts(1 << 20, 15), 1);
+        assert_eq!(table_shifts(0, 7), window_count(7));
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn table_rejects_a_scalar_vector_of_the_wrong_length() {
+        let (points, _) = fixture(4, 5);
+        let _ = MsmBases::new(&points).msm(&[Fr::ONE]);
+    }
+
     /// `slope_denominator` → inversion → `add_with_inverse`, as one round
     /// of `Buckets::reduce` does for a single pair.
     fn affine_pair_add(p: &G1Affine, q: &G1Affine) -> G1Affine {
@@ -554,7 +877,8 @@ mod tests {
         let n = scalars.len();
         for c in 1..=16 {
             let windows = 255usize.div_ceil(c);
-            let digits = signed_digits(&scalars, c, windows);
+            let mut digits = Vec::new();
+            signed_digits(&scalars, c, windows, &mut digits);
             let radix = Fr::from(1u64 << c);
             for (i, scalar) in scalars.iter().enumerate() {
                 let recomposed = (0..windows).rev().fold(Fr::ZERO, |acc, w| {

@@ -3,7 +3,7 @@
 //! The Groth16-style "old protocol" existed in this codebase only as an
 //! analytic timing baseline (`bench::baseline`); here it becomes a
 //! first-class pipelined prover whose stages run the *real*
-//! [`batchzk_field::NttDomain`] and [`batchzk_curve::msm`] (Pippenger)
+//! [`batchzk_field::NttDomain`] and [`batchzk_curve::MsmBases`] (Pippenger)
 //! computation while charging the gpu-sim cost model with the same
 //! per-proof operation counts the baseline uses ([`MSM_COUNT`] MSMs,
 //! [`NTT_COUNT`] size-`2S` NTTs, [`BYTES_PER_CONSTRAINT`] resident bytes
@@ -16,9 +16,12 @@
 //!    back, and fold-divide by the vanishing polynomial `x^n − 1`
 //!    (asserting a zero remainder — the witness must satisfy the gates);
 //! 3. **msm-bucket** — the commitments to `A, B, C, h`: four real G1
-//!    MSMs, run whole on the host by [`batchzk_curve::msm`] and charged as
-//!    [`MSM_COUNT`] G1-equivalents of bucket accumulation (the uncomputed
-//!    fifth stands in for the G2 half);
+//!    MSMs, run whole on the host over the circuit's fixed-base table
+//!    ([`batchzk_curve::MsmBases`]: the bases are the same for every proof
+//!    of the batch, so their window shifts are computed once per circuit
+//!    and a commitment is one bucket pass) and charged as [`MSM_COUNT`]
+//!    G1-equivalents of bucket accumulation (the uncomputed fifth stands
+//!    in for the G2 half);
 //! 4. **msm-reduce** — on the host only normalises the four commitments,
 //!    derives `r` from them (Fiat–Shamir) and emits the evaluation proof;
 //!    it is charged the per-window running-sum reduction on top.
@@ -27,10 +30,12 @@
 //! split, not where the host spends its time. The modelled operation count
 //! ([`msm_group_op_count`] over [`window_size`]: textbook unsigned-window
 //! Pippenger) and the host algorithm (signed windows, batch-affine
-//! buckets, its own window ladder) differ on purpose until the cost model
-//! is re-derived from counted operations (ROADMAP, "Make the simulated
-//! clock honest"): re-tuning the modelled ladder for the host would
-//! silently move every `sim_*` number.
+//! buckets, stored shifts, its own window ladders) differ on purpose until
+//! the cost model is re-derived from counted operations (ROADMAP item 2,
+//! "One operation count, two clocks"): re-tuning the modelled ladder for
+//! the host would silently move every `sim_*` number. The table's
+//! residency ([`GrothCircuit::fixed_base_table_bytes`]) is likewise not
+//! yet part of `mem_after`.
 //!
 //! Between stages a task owns one `TaskState` variant — exactly what the
 //! later stages read — and stage 1 reads the instance only, so a
@@ -51,9 +56,9 @@
 //! arithmetic workload and byte-deterministic outputs — and is documented
 //! here so nobody mistakes it for a sound SNARK.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use batchzk_curve::{msm, msm_group_op_count, window_size, G1Affine, G1Projective};
+use batchzk_curve::{msm_group_op_count, window_size, G1Affine, G1Projective, MsmBases};
 use batchzk_field::{Field, Fr, NttDomain, SplitMix64};
 use batchzk_gpu_sim::{CostModel, Gpu, Work};
 use batchzk_hash::Transcript;
@@ -67,7 +72,10 @@ pub const MSM_COUNT: u64 = 5;
 pub const NTT_COUNT: u64 = 7;
 /// Modeled device bytes per constraint for a resident Groth16 proving run
 /// (witness + bases + FFT buffers + proving key), calibrated against the
-/// paper's Table 10 (1.38 GB at `S = 2^20` ⇒ ~1.4 KB per constraint).
+/// paper's Table 10 (1.38 GB at `S = 2^20` ⇒ ~1.4 KB per constraint). The
+/// host's fixed-base table ([`GrothCircuit::fixed_base_table_bytes`]:
+/// 1 872 bytes per constraint at `2^8`, 1 584 at `2^12`, shared by the
+/// whole batch) is not in it.
 pub const BYTES_PER_CONSTRAINT: u64 = 1400;
 
 /// Fiat–Shamir domain separator for the Groth16-style transcript.
@@ -87,7 +95,10 @@ pub struct GrothCircuit {
     log_size: u32,
     domain: NttDomain<Fr>,
     ext_domain: NttDomain<Fr>,
-    bases: Vec<G1Affine>,
+    /// The commitment key as a fixed-base table, built by the first proof:
+    /// callers after the shape alone ([`module_weights`],
+    /// [`task_footprint_bytes`]) never pay for it.
+    key: OnceLock<MsmBases>,
 }
 
 impl GrothCircuit {
@@ -99,15 +110,31 @@ impl GrothCircuit {
     /// Panics if `log_size + 1` exceeds the scalar field's two-adicity
     /// (the quotient works on a domain of size `2^(log_size + 1)`).
     pub fn new(log_size: u32) -> Self {
-        let n = 1usize << log_size;
         Self {
             log_size,
             domain: NttDomain::new(log_size),
             ext_domain: NttDomain::new(log_size + 1),
-            bases: (0..n)
-                .map(|i| G1Affine::from_counter(1 + i as u64))
-                .collect(),
+            key: OnceLock::new(),
         }
+    }
+
+    /// The deterministic commitment bases with their window shifts, built
+    /// once per circuit and shared by every proof of every batch.
+    fn key(&self) -> &MsmBases {
+        self.key.get_or_init(|| {
+            let bases: Vec<G1Affine> = (1..=self.size() as u64)
+                .map(G1Affine::from_counter)
+                .collect();
+            MsmBases::new(&bases)
+        })
+    }
+
+    /// Bytes of the fixed-base table the commitments run over. On a device
+    /// it would be resident next to [`BYTES_PER_CONSTRAINT`] per
+    /// constraint for as long as the circuit is served; the simulator does
+    /// **not** charge it yet (ROADMAP item 2).
+    pub fn fixed_base_table_bytes(&self) -> usize {
+        MsmBases::table_bytes_for(self.size())
     }
 
     /// Number of gates.
@@ -439,16 +466,14 @@ impl GrothStage {
         phases
     }
 
-    /// Stage 3: the four real commitment MSMs, charged as Pippenger bucket
-    /// accumulation on the modelled device kernel.
+    /// Stage 3: the four real commitment MSMs over the circuit's table,
+    /// charged as Pippenger bucket accumulation on the modelled device
+    /// kernel.
     fn msm_bucket(&self, coeffs: [Vec<Fr>; 3], h: Vec<Fr>) -> (TaskState, StageWork) {
         let c = &self.circuit;
         let n = c.size();
         let vectors: [&[Fr]; 4] = [&coeffs[0], &coeffs[1], &coeffs[2], &h];
-        let mut commitments = [G1Projective::identity(); 4];
-        for (com, v) in commitments.iter_mut().zip(vectors) {
-            *com = msm(&c.bases, v);
-        }
+        let commitments = c.key().msm_each(vectors);
         let work = StageWork {
             work: Work::Uniform {
                 units: msm_group_op_count(n) * MSM_COUNT,
@@ -736,5 +761,19 @@ mod tests {
     fn footprint_matches_baseline_model() {
         let circuit = GrothCircuit::new(8);
         assert_eq!(task_footprint_bytes(&circuit), 256 * BYTES_PER_CONSTRAINT);
+    }
+
+    #[test]
+    fn fixed_base_table_is_sized_without_being_built() {
+        // The figures DESIGN.md §16 records for the re-baseline: not yet
+        // part of `task_footprint_bytes`.
+        let circuit = GrothCircuit::new(8);
+        assert_eq!(circuit.fixed_base_table_bytes(), 256 * 1872);
+        assert_eq!(GrothCircuit::new(12).fixed_base_table_bytes(), 4096 * 1584);
+        assert!(circuit.key.get().is_none(), "shape queries build no table");
+        assert_eq!(
+            circuit.key().table_bytes(),
+            circuit.fixed_base_table_bytes()
+        );
     }
 }
