@@ -3,16 +3,30 @@
 //! From-scratch SHA-256 (FIPS 180-4) with a block-level API matching the
 //! paper's register-resident Merkle kernel, plus the Fiat–Shamir
 //! [`Transcript`] and the Merkle-root-seeded [`Prg`] from Figure 7.
+//!
+//! The block function runs on the CPU's SHA extensions where they are
+//! detected at run time and on a portable body elsewhere
+//! ([`compress_blocks`] chooses; nothing configures it). Calling the
+//! `#[target_feature]` kernel from the detected branch is this crate's —
+//! and the kernel crates' — one `unsafe` block, which is why the crate
+//! root denies `unsafe_code` where its siblings forbid it.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![deny(missing_docs)]
 
 mod prg;
 mod sha256;
+#[cfg(target_arch = "x86_64")]
+mod sha_ni;
 mod transcript;
 
 pub use prg::Prg;
-pub use sha256::{compress, hash_block, hash_blocks, hash_pair, sha256, Digest, Sha256, H0};
+#[doc(hidden)]
+pub use sha256::compress_portable;
+pub use sha256::{
+    compress, compress_blocks, compress_kernel, hash_block, hash_blocks, hash_pair, sha256, Digest,
+    Sha256, H0,
+};
 pub use transcript::Transcript;
 
 #[cfg(test)]
@@ -33,6 +47,50 @@ mod randomized_tests {
             h.update(&data[split..]);
             assert_eq!(h.finalize(), sha256(&data));
         }
+    }
+
+    fn random_state(rng: &mut SplitMix64) -> [u32; 8] {
+        core::array::from_fn(|_| rng.next_u64() as u32)
+    }
+
+    #[test]
+    fn dispatched_compress_matches_portable() {
+        // On a host with the SHA extensions this is hardware ≡ portable.
+        if compress_kernel() == "portable" {
+            println!("sha extension absent: portable only");
+        }
+        let mut rng = SplitMix64::seed_from_u64(0xB3);
+        for _ in 0..4096 {
+            let state = random_state(&mut rng);
+            let mut block = [0u8; 64];
+            rng.fill_bytes(&mut block);
+            let (mut got, mut expect) = (state, state);
+            compress(&mut got, &block);
+            compress_portable(&mut expect, &block);
+            assert_eq!(got, expect, "state {state:08x?} block {block:02x?}");
+        }
+    }
+
+    #[test]
+    fn compress_blocks_is_block_at_a_time() {
+        let mut rng = SplitMix64::seed_from_u64(0xB4);
+        for n in 0..=9 {
+            let state = random_state(&mut rng);
+            let mut blocks = vec![0u8; 64 * n];
+            rng.fill_bytes(&mut blocks);
+            let (mut got, mut expect) = (state, state);
+            compress_blocks(&mut got, &blocks);
+            for block in blocks.chunks_exact(64) {
+                compress_portable(&mut expect, block.try_into().unwrap());
+            }
+            assert_eq!(got, expect, "{n} blocks");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "whole blocks")]
+    fn compress_blocks_rejects_a_partial_block() {
+        compress_blocks(&mut { H0 }, &[0u8; 65]);
     }
 
     #[test]

@@ -3,9 +3,16 @@
 //! The block compression function is exposed directly because the Merkle
 //! modules hash fixed 64-byte inputs (two 32-byte children): the paper's
 //! kernel keeps the sixteen 32-bit message chunks in registers and runs the
-//! 64 round operations without touching memory (§3.1). [`compress`] mirrors
-//! that structure — a `[u32; 8]` state and a `[u32; 16]` schedule window —
-//! and is what the GPU cost model charges per hash.
+//! 64 round operations without touching memory (§3.1). The portable body
+//! mirrors that structure — a `[u32; 8]` state and a `[u32; 16]` schedule
+//! window — and is what the GPU cost model charges per hash.
+//!
+//! [`compress_blocks`] is the one entry to the block function and the one
+//! place that chooses its body: the CPU's SHA extensions where they are
+//! detected at run time (`x86_64` with `sha`, `sse4.1` and `ssse3`), the
+//! portable body everywhere else. There is no option that selects; the
+//! portable body stays as the fallback and as the oracle the tests hold the
+//! hardware one to.
 
 /// The SHA-256 initial hash value (FIPS 180-4 §5.3.3).
 pub const H0: [u32; 8] = [
@@ -13,7 +20,7 @@ pub const H0: [u32; 8] = [
 ];
 
 /// The 64 round constants (FIPS 180-4 §4.2.2).
-const K: [u32; 64] = [
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
     0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
@@ -28,11 +35,57 @@ const K: [u32; 64] = [
 pub type Digest = [u8; 32];
 
 /// Applies the SHA-256 compression function to one 64-byte block.
+#[inline]
+pub fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    compress_blocks(state, block);
+}
+
+/// Applies the compression function to each 64-byte block of `blocks` in
+/// order — a whole message pays the kernel dispatch, and the hardware
+/// kernel its state pack / unpack, once.
+///
+/// # Panics
+/// Panics if `blocks.len()` is not a multiple of 64.
+#[inline]
+pub fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    assert!(
+        blocks.len().is_multiple_of(64),
+        "compress_blocks takes whole blocks"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if crate::sha_ni::available() {
+        #[allow(unsafe_code)]
+        // SAFETY: `available` has just seen, on this CPU, every target
+        // feature `sha_ni::compress_blocks` is compiled with.
+        unsafe {
+            crate::sha_ni::compress_blocks(state, blocks)
+        }
+        return;
+    }
+    for block in blocks.chunks_exact(64) {
+        compress_portable(state, block.try_into().unwrap());
+    }
+}
+
+/// The body [`compress`] and [`compress_blocks`] run on this host:
+/// `"sha-ni"` or `"portable"`.
+pub fn compress_kernel() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if crate::sha_ni::available() {
+        return "sha-ni";
+    }
+    "portable"
+}
+
+/// The portable compression function: the fallback where the SHA extensions
+/// are absent, and the oracle the hardware kernel is tested against (public
+/// only so `examples/sha_blocks.rs` can time it beside the dispatched one).
 ///
 /// The sixteen schedule words live in a fixed-size array — the software
 /// analogue of the register-resident chunks in the paper's GPU kernel.
+#[doc(hidden)]
 #[inline]
-pub fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+pub fn compress_portable(state: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 16];
     for (i, word) in w.iter_mut().enumerate() {
         *word = u32::from_be_bytes(block[i * 4..(i + 1) * 4].try_into().unwrap());
@@ -154,20 +207,20 @@ impl Sha256 {
             self.buffer[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
             self.buffered += take;
             data = &data[take..];
-            if self.buffered == 64 {
-                let block = self.buffer;
-                compress(&mut self.state, &block);
-                self.buffered = 0;
+            if self.buffered < 64 {
+                return;
             }
+            let block = self.buffer;
+            compress(&mut self.state, &block);
         }
-        while data.len() >= 64 {
-            compress(&mut self.state, data[..64].try_into().unwrap());
-            data = &data[64..];
+        // Every whole block of the rest in one call, the tail into the
+        // (now empty) buffer.
+        let (blocks, tail) = data.split_at(data.len() - data.len() % 64);
+        if !blocks.is_empty() {
+            compress_blocks(&mut self.state, blocks);
         }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffered = data.len();
-        }
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.buffered = tail.len();
     }
 
     /// Completes the hash and returns the 32-byte digest.
@@ -189,12 +242,17 @@ impl Sha256 {
         self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buffer;
         compress(&mut self.state, &block);
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..(i + 1) * 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        digest_of(&self.state)
     }
+}
+
+/// The digest a final state stands for: its eight words, big-endian.
+fn digest_of(state: &[u32; 8]) -> Digest {
+    let mut out = [0u8; 32];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    out
 }
 
 /// One-shot convenience hash.
@@ -211,11 +269,7 @@ pub fn sha256(data: &[u8]) -> Digest {
 pub fn hash_block(block: &[u8; 64]) -> Digest {
     let mut state = H0;
     compress(&mut state, block);
-    let mut out = [0u8; 32];
-    for (i, word) in state.iter().enumerate() {
-        out[i * 4..(i + 1) * 4].copy_from_slice(&word.to_be_bytes());
-    }
-    out
+    digest_of(&state)
 }
 
 /// Hashes the concatenation of two 32-byte children into a parent digest.
@@ -241,36 +295,78 @@ mod tests {
         d.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    type Compress = fn(&mut [u32; 8], &[u8; 64]);
+
+    /// Both bodies of the block function: the portable one always, the
+    /// hardware one — reached through the public dispatch — where this
+    /// host has it.
+    fn bodies() -> Vec<(&'static str, Compress)> {
+        let mut bodies = vec![("portable", compress_portable as Compress)];
+        if compress_kernel() == "portable" {
+            println!("sha extension absent: portable only");
+        } else {
+            bodies.push((compress_kernel(), compress as Compress));
+        }
+        bodies
+    }
+
+    /// SHA-256 of `chunks` concatenated, padded here and compressed one
+    /// block at a time by `body` — so a vector tests that body alone.
+    fn digest_with(body: Compress, chunks: &[&[u8]]) -> Digest {
+        let mut message = chunks.concat();
+        let bit_len = message.len() as u64 * 8;
+        message.push(0x80);
+        // Zeros up to eight bytes short of a block boundary.
+        message.resize(message.len() + (120 - message.len() % 64) % 64, 0);
+        message.extend_from_slice(&bit_len.to_be_bytes());
+        let mut state = H0;
+        for block in message.chunks_exact(64) {
+            body(&mut state, block.try_into().unwrap());
+        }
+        digest_of(&state)
+    }
+
     #[test]
     fn fips_vectors() {
         // FIPS 180-4 / NIST CAVP known-answer tests.
-        assert_eq!(
-            hex(&sha256(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-        assert_eq!(
-            hex(&sha256(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        assert_eq!(
-            hex(&sha256(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
+        let vectors: [(&[u8], &str); 3] = [
+            (
+                b"",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+        ];
+        for (message, expect) in vectors {
+            assert_eq!(hex(&sha256(message)), expect);
+            for (name, body) in bodies() {
+                assert_eq!(hex(&digest_with(body, &[message])), expect, "{name}");
+            }
+        }
     }
 
     #[test]
     fn million_a() {
+        let expect = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
         let mut h = Sha256::new();
         let chunk = [b'a'; 1000];
         for _ in 0..1000 {
             h.update(&chunk);
         }
-        assert_eq!(
-            hex(&h.finalize()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+        assert_eq!(hex(&h.finalize()), expect);
+        for (name, body) in bodies() {
+            assert_eq!(
+                hex(&digest_with(body, &[&chunk[..]; 1000])),
+                expect,
+                "{name}"
+            );
+        }
     }
 
     #[test]
@@ -285,6 +381,27 @@ mod tests {
     }
 
     #[test]
+    fn update_streams_whole_blocks_through_compress_blocks() {
+        // Three blocks and a tail in one call: the blocks go through the
+        // multi-block entry in one piece, the tail waits in the buffer.
+        let data: Vec<u8> = (0..3 * 64 + 17).map(|i| (i * 7) as u8).collect();
+        let mut h = Sha256::new();
+        h.update(&data);
+        let mut state = H0;
+        compress_blocks(&mut state, &data[..3 * 64]);
+        assert_eq!((h.state, h.buffered), (state, 17));
+        assert_eq!(h.buffer[..17], data[3 * 64..]);
+        // And with a partly filled buffer in front of them.
+        let mut h = Sha256::new();
+        h.update(&data[..5]);
+        h.update(&data[5..]);
+        assert_eq!((h.state, h.buffered), (state, 17));
+        for (name, body) in bodies() {
+            assert_eq!(h.clone().finalize(), digest_with(body, &[&data]), "{name}");
+        }
+    }
+
+    #[test]
     fn boundary_lengths() {
         // Lengths straddling the padding boundary (55/56/57, 63/64/65).
         for len in [55usize, 56, 57, 63, 64, 65, 119, 120, 128] {
@@ -293,7 +410,11 @@ mod tests {
             for b in &data {
                 h.update(core::slice::from_ref(b));
             }
-            assert_eq!(h.finalize(), sha256(&data), "len={len}");
+            let expect = sha256(&data);
+            assert_eq!(h.finalize(), expect, "len={len}");
+            for (name, body) in bodies() {
+                assert_eq!(digest_with(body, &[&data]), expect, "len={len} {name}");
+            }
         }
     }
 

@@ -260,8 +260,10 @@ mod tests {
 
     #[test]
     fn known_answer_roots() {
-        // Roots recorded before the 4-way hash kernels were removed; the
-        // leaf counts are that kernel's quad/tail boundaries.
+        // Roots recorded before the 4-way hash kernels were removed (the
+        // leaf counts up to 13 are that kernel's quad/tail boundaries) and,
+        // at 64 leaves, before the block function moved onto the CPU's SHA
+        // extensions: every kernel change since has had to reproduce them.
         for (n, root) in [
             (
                 1,
@@ -290,6 +292,10 @@ mod tests {
             (
                 13,
                 "06b1578e527237edfa5664fe98365b4bc9f17e061918c0895f02776ab434da90",
+            ),
+            (
+                64,
+                "f455a8e46a7fe8b82f7f9626f30e7b5c86eaa9aed1b7ab9dcde15d35e19a4c75",
             ),
         ] {
             let tree = MerkleTree::from_blocks(&blocks(n));

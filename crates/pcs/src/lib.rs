@@ -704,17 +704,30 @@ mod tests {
 
     #[test]
     fn known_answer_commit_root() {
-        // Root recorded before the 4-way column-hash kernel was removed;
-        // k = 11 gives a codeword length of 111, not a multiple of four.
-        let mut rng = Prg::seed_from_u64(108);
-        let evals: Vec<Fr> = (0..1usize << 11).map(|_| Fr::random(&mut rng)).collect();
-        let (commitment, data) = commit(&params(), &evals);
-        assert_eq!(data.codeword_len(), 111);
-        let root: String = commitment.root.iter().map(|b| format!("{b:02x}")).collect();
-        assert_eq!(
-            root,
-            "c893ca1c978e5ae7ced8671eb599bb70c972b43619699b4f03e4ea904a655d56"
-        );
+        // Roots recorded at the parent of a kernel change: k = 11 (codeword
+        // length 111, not a multiple of four) before the 4-way column-hash
+        // kernel was removed, k = 10 before the block function moved onto
+        // the CPU's SHA extensions and column messages went through
+        // `compress_blocks` whole.
+        for (k, codeword_len, expect) in [
+            (
+                10,
+                32,
+                "4ac9b9a6d0cfd7bf2505bd15f5bcbbcd8a9a376afae5885d2645f07bc5c403c5",
+            ),
+            (
+                11,
+                111,
+                "c893ca1c978e5ae7ced8671eb599bb70c972b43619699b4f03e4ea904a655d56",
+            ),
+        ] {
+            let mut rng = Prg::seed_from_u64(108);
+            let evals: Vec<Fr> = (0..1usize << k).map(|_| Fr::random(&mut rng)).collect();
+            let (commitment, data) = commit(&params(), &evals);
+            assert_eq!(data.codeword_len(), codeword_len, "k={k}");
+            let root: String = commitment.root.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(root, expect, "k={k}");
+        }
     }
 
     #[test]
