@@ -18,7 +18,7 @@
 use batchzk_field::Field;
 use batchzk_hash::Prg;
 
-use crate::sparse::{RowLuts, SparseMatrix};
+use crate::sparse::SparseMatrix;
 
 /// Parameters of the expander code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -276,57 +276,6 @@ impl<F: Field> Encoder<F> {
         }
     }
 
-    /// Encodes a *binary* message (e.g. a bit-decomposed witness row).
-    /// Identical output to [`Self::encode`] on the 0/1 lift of `bits`, but
-    /// the outermost `A`-multiplication — by far the largest, `O(deg·n)`
-    /// work on the full message — runs multiplication-free via
-    /// [`SparseMatrix::mul_bits`]. Deeper levels operate on general field
-    /// vectors and use the standard path.
-    ///
-    /// Callers encoding many binary messages against the same encoder
-    /// should precompute [`Self::level0_luts`] once and use
-    /// [`Self::encode_bits_with`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits.len() != self.message_len()`.
-    pub fn encode_bits(&self, bits: &[bool]) -> Vec<F> {
-        self.encode_bits_with(bits, None)
-    }
-
-    /// Per-row subset-sum tables for the outermost `A` matrix, shared
-    /// across repeated [`Self::encode_bits_with`] calls. `None` when the
-    /// message is short enough for the identity code (no levels).
-    pub fn level0_luts(&self) -> Option<RowLuts<F>> {
-        self.levels.first().map(|l| l.a.row_luts())
-    }
-
-    /// [`Self::encode_bits`] with an optional precomputed level-0 LUT
-    /// (from [`Self::level0_luts`]): the outermost multiplication becomes
-    /// `⌈deg/8⌉` table lookups per row, and the build cost amortizes over
-    /// the whole batch of messages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits.len() != self.message_len()`.
-    pub fn encode_bits_with(&self, bits: &[bool], luts: Option<&RowLuts<F>>) -> Vec<F> {
-        assert_eq!(bits.len(), self.message_len, "message length mismatch");
-        let lifted: Vec<F> = bits.iter().map(|&b| F::from(b as u64)).collect();
-        if self.levels.is_empty() {
-            return lifted; // identity code
-        }
-        let y1 = match luts {
-            Some(l) => l.mul_bits(bits),
-            None => self.levels[0].a.mul_bits(bits),
-        };
-        let mut ys = vec![y1];
-        for level in &self.levels[1..] {
-            let next = level.a.mul_vec(ys.last().expect("non-empty"));
-            ys.push(next);
-        }
-        self.backward_pass(&lifted, &ys)
-    }
-
     /// Phase 1 (Figure 6, first pipeline): the chain of `A`-multiplications.
     /// Returns the intermediate vectors `y_1, ..., y_L` (`y_{i+1} = A_i·y_i`,
     /// with `y_0` the message itself, not included).
@@ -476,7 +425,7 @@ mod tests {
         for n in [16usize, 33, 200, 256] {
             let enc = Encoder::<Fr>::new(n, EncoderParams::default(), 29);
             let len = enc.codeword_len();
-            for width in [1usize, 3, 64] {
+            for width in [1usize, 3, 8, 32, 64, 256] {
                 let msgs: Vec<Vec<Fr>> = (0..width)
                     .map(|w| rand_msg(n, (n * 100 + w) as u64))
                     .collect();
@@ -529,51 +478,6 @@ mod tests {
         assert_eq!(expect_n, enc.base_len());
         // Outermost level's out_len equals the codeword length.
         assert_eq!(enc.levels()[0].out_len(), enc.codeword_len());
-    }
-
-    #[test]
-    fn encode_bits_matches_lifted_encode() {
-        for n in [16usize, 100, 300] {
-            let enc = Encoder::<Fr>::new(n, EncoderParams::default(), 21);
-            let bits: Vec<bool> = (0..n).map(|i| (i * 13) % 5 < 2).collect();
-            let lifted: Vec<Fr> = bits.iter().map(|&b| Fr::from(b as u64)).collect();
-            let expect = enc.encode(&lifted);
-            assert_eq!(enc.encode_bits(&bits), expect, "n={n}");
-            let luts = enc.level0_luts();
-            assert_eq!(
-                enc.encode_bits_with(&bits, luts.as_ref()),
-                expect,
-                "n={n} (lut)"
-            );
-            if n <= enc.params().base_len {
-                assert!(luts.is_none());
-            }
-        }
-    }
-
-    #[test]
-    fn level0_luts_amortize_across_messages() {
-        let enc = Encoder::<Fr>::new(256, EncoderParams::default(), 23);
-        let luts = enc.level0_luts();
-        assert!(luts.is_some());
-        for seed in 0..4u64 {
-            let bits: Vec<bool> = (0..256)
-                .map(|i| (i as u64).wrapping_mul(seed + 3) % 7 < 3)
-                .collect();
-            let lifted: Vec<Fr> = bits.iter().map(|&b| Fr::from(b as u64)).collect();
-            assert_eq!(
-                enc.encode_bits_with(&bits, luts.as_ref()),
-                enc.encode(&lifted),
-                "seed={seed}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn encode_bits_wrong_length_panics() {
-        let enc = Encoder::<Fr>::new(100, EncoderParams::default(), 1);
-        let _ = enc.encode_bits(&[true; 99]);
     }
 
     #[test]

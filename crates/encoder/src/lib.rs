@@ -25,7 +25,7 @@ mod code;
 mod sparse;
 
 pub use code::{Encoder, EncoderParams, Level};
-pub use sparse::{RowLuts, SparseMatrix, WARP_SIZE};
+pub use sparse::{SparseMatrix, WARP_SIZE};
 
 #[cfg(test)]
 mod randomized_tests {

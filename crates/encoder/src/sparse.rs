@@ -7,7 +7,6 @@
 //! 256, so each degree fits one byte — which is what makes the paper's
 //! bucket-sort warp balancing economical.
 
-use batchzk_field::lut::SubsetSumLUT;
 use batchzk_field::Field;
 use batchzk_field::RngCore;
 
@@ -178,10 +177,10 @@ impl<F: Field> SparseMatrix<F> {
     /// `c` of vector `w`). Column `w` of `out` equals
     /// [`Self::mul_vec`] of column `w` of `x`.
     ///
-    /// Each matrix row keeps `width` deferred-reduction accumulators
-    /// ([`Field::DotAcc`]) and streams the contiguous input block of every
-    /// non-zero through them with the coefficient held in registers, so the
-    /// matrix is read once for all `width` vectors.
+    /// The matrix is read once for all `width` vectors, through
+    /// [`Field::sparse_mul_lanes`]: `width` deferred-reduction accumulators
+    /// per row, or eight lanes per instruction where the CPU has AVX-512
+    /// IFMA and `width` is a multiple of eight.
     ///
     /// # Panics
     ///
@@ -190,62 +189,7 @@ impl<F: Field> SparseMatrix<F> {
         assert!(width > 0, "batch width must be positive");
         assert_eq!(x.len(), self.cols * width, "input dimension mismatch");
         assert_eq!(out.len(), self.rows * width, "output dimension mismatch");
-        let mut accs = vec![F::DotAcc::default(); width];
-        for (i, out_row) in out.chunks_exact_mut(width).enumerate() {
-            accs.fill(F::DotAcc::default());
-            for (c, v) in self.row(i) {
-                for (acc, &xv) in accs.iter_mut().zip(&x[c * width..(c + 1) * width]) {
-                    F::dot_acc_add(acc, v, xv);
-                }
-            }
-            for (o, acc) in out_row.iter_mut().zip(&accs) {
-                *o = F::dot_acc_reduce(acc);
-            }
-        }
-    }
-
-    /// Computes `M · x` for a *binary* input vector: each row is a plain
-    /// conditional-add sweep — no field multiplications at all. Equal to
-    /// [`Self::mul_vec`] on the 0/1 lift of `bits`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits.len() != self.cols()`.
-    pub fn mul_bits(&self, bits: &[bool]) -> Vec<F> {
-        assert_eq!(bits.len(), self.cols, "input vector dimension mismatch");
-        (0..self.rows)
-            .map(|i| {
-                let mut acc = F::ZERO;
-                for (c, v) in self.row(i) {
-                    if bits[c] {
-                        acc += v;
-                    }
-                }
-                acc
-            })
-            .collect()
-    }
-
-    /// Precomputes per-row [`SubsetSumLUT`]s over this matrix's fixed
-    /// coefficients, for repeated binary multiplications
-    /// ([`RowLuts::mul_bits`]). The build cost amortizes across messages —
-    /// the PCS encodes every row of a coefficient matrix (≥ the batch size)
-    /// against the same expander matrices.
-    pub fn row_luts(&self) -> RowLuts<F> {
-        let luts = (0..self.rows)
-            .map(|i| {
-                let (cols, vals): (Vec<usize>, Vec<F>) = self.row(i).unzip();
-                // Chunk width capped at 8: tables stay ≤ 256 entries, and
-                // expander row degrees are ~7–13 so one or two chunks cover
-                // a row.
-                let chunk = cols.len().clamp(1, 8);
-                (cols, SubsetSumLUT::new(&vals, chunk))
-            })
-            .collect();
-        RowLuts {
-            cols: self.cols,
-            luts,
-        }
+        F::sparse_mul_lanes(width, &self.row_ptr, &self.col_idx, &self.values, x, out);
     }
 
     /// Groups row indices into warps of [`WARP_SIZE`] rows of similar degree
@@ -290,47 +234,6 @@ impl<F: Field> SparseMatrix<F> {
                     .unwrap_or(0)
             })
             .sum()
-    }
-}
-
-/// Per-row subset-sum tables for a fixed [`SparseMatrix`], making repeated
-/// binary matrix-vector products a handful of lookups per row.
-///
-/// Built once via [`SparseMatrix::row_luts`]; each [`Self::mul_bits`] call
-/// then costs `⌈degree/8⌉` lookups + adds per row instead of `degree`
-/// conditional adds (and instead of `degree` multiplications for the general
-/// path).
-#[derive(Debug, Clone)]
-pub struct RowLuts<F> {
-    cols: usize,
-    /// Per row: the column indices and the subset-sum table of the row's
-    /// coefficient values.
-    luts: Vec<(Vec<usize>, SubsetSumLUT<F>)>,
-}
-
-impl<F: Field> RowLuts<F> {
-    /// Number of rows covered.
-    pub fn rows(&self) -> usize {
-        self.luts.len()
-    }
-
-    /// Computes `M · bits` through the precomputed tables. Equal to
-    /// [`SparseMatrix::mul_vec`] on the 0/1 lift of `bits`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits.len()` does not match the matrix's column count.
-    pub fn mul_bits(&self, bits: &[bool]) -> Vec<F> {
-        assert_eq!(bits.len(), self.cols, "input vector dimension mismatch");
-        let mut selected = Vec::new();
-        self.luts
-            .iter()
-            .map(|(cols, lut)| {
-                selected.clear();
-                selected.extend(cols.iter().map(|&c| bits[c]));
-                lut.select_sum_bits(&selected)
-            })
-            .collect()
     }
 }
 
@@ -420,43 +323,6 @@ mod tests {
         assert!(m.warp_cost(true) <= m.warp_cost(false));
         // With this interleaved degree pattern sorting must strictly win.
         assert!(m.warp_cost(true) < m.warp_cost(false));
-    }
-
-    #[test]
-    fn binary_paths_match_general_mul() {
-        let mut rng = Prg::seed_from_u64(6);
-        for (rows, cols, degree) in [(1usize, 8usize, 3usize), (40, 100, 7), (33, 64, 13)] {
-            let m = SparseMatrix::<Fr>::random_jittered(rows, cols, degree, 2, &mut rng);
-            let bits: Vec<bool> = (0..cols)
-                .map(|_| Fr::random(&mut rng).to_bytes()[0] & 1 == 1)
-                .collect();
-            let lifted: Vec<Fr> = bits.iter().map(|&b| Fr::from(b as u64)).collect();
-            let expect = m.mul_vec(&lifted);
-            assert_eq!(m.mul_bits(&bits), expect, "{rows}x{cols}");
-            let luts = m.row_luts();
-            assert_eq!(luts.rows(), rows);
-            assert_eq!(luts.mul_bits(&bits), expect, "{rows}x{cols} (lut)");
-        }
-    }
-
-    #[test]
-    fn row_luts_amortize_across_messages() {
-        let mut rng = Prg::seed_from_u64(7);
-        let m = SparseMatrix::<Fr>::random_regular(16, 48, 9, &mut rng);
-        let luts = m.row_luts();
-        for msg in 0..5u64 {
-            let bits: Vec<bool> = (0..48)
-                .map(|c| (c as u64 * 7 + msg).is_multiple_of(3))
-                .collect();
-            assert_eq!(luts.mul_bits(&bits), m.mul_bits(&bits), "msg={msg}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "dimension mismatch")]
-    fn mul_bits_wrong_length_panics() {
-        let m = SparseMatrix::<Fr>::from_rows(1, 2, vec![vec![(0, Fr::ONE)]]);
-        let _ = m.mul_bits(&[true]);
     }
 
     #[test]

@@ -9,6 +9,13 @@
 //! per-field constants are derived from the modulus at compile time — see
 //! [`mod@limb`] — and cross-checked against schoolbook arithmetic in tests.
 //!
+//! The batch encoder's sparse product ([`Field::sparse_mul_lanes`]) runs on
+//! the CPU's 52-bit vector multiplier (AVX-512 IFMA) where that is detected
+//! at run time and on the portable [`sparse_mul_lanes_scalar`] elsewhere;
+//! nothing configures it. That kernel's module holds the crate's only
+//! `unsafe` — the call into it and its vector loads and stores — which is
+//! why the crate root denies `unsafe_code` rather than forbidding it.
+//!
 //! # Examples
 //!
 //! ```
@@ -25,7 +32,7 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod limb;
@@ -36,6 +43,9 @@ mod traits;
 mod batch;
 mod fq;
 mod fr;
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod ifma;
 pub mod lut;
 pub mod ntt;
 
@@ -44,7 +54,18 @@ pub use fq::Fq;
 pub use fr::Fr;
 pub use ntt::NttDomain;
 pub use rng::{RngCore, SplitMix64};
-pub use traits::{field_from_i64, Field, MontLimbs};
+pub use traits::{field_from_i64, sparse_mul_lanes_scalar, Field, MontLimbs};
+
+/// The body [`Field::sparse_mul_lanes`] runs on this host for `Fr` and
+/// `Fq` at widths that are a multiple of eight: `"avx512ifma"` or
+/// `"scalar"`. Every other width runs the scalar body.
+pub fn sparse_mul_lanes_kernel() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if ifma::available() {
+        return "avx512ifma";
+    }
+    "scalar"
+}
 
 #[cfg(test)]
 mod randomized_tests {

@@ -19,11 +19,10 @@
 //! `k = 4`, i.e. the table pays for itself almost immediately. See
 //! `DESIGN.md` §16 for the break-even analysis against measured numbers.
 //!
-//! Consumers in this workspace: binary-table sum-check
+//! Consumer in this workspace: binary-table sum-check
 //! (`batchzk_sumcheck::algorithm1::prove_binary`, where the round tables are
-//! exactly subset sums of an `eq` weight tensor) and binary-message encoding
-//! (`batchzk_encoder`, where each expander row's fixed coefficients are the
-//! weights and the message bits are the selector).
+//! exactly subset sums of an `eq` weight tensor), plus the `tables profile`
+//! kernel rows.
 
 use crate::Field;
 

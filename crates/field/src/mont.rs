@@ -30,7 +30,10 @@ macro_rules! declare_field {
         two_adicity = $two_adicity:expr,
     ) => {
         $(#[$attr])*
+        // Transparent, so the IFMA kernel can load and store a slice of
+        // elements as 64-bit words (`ifma.rs`).
         #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
+        #[repr(transparent)]
         pub struct $name($crate::limb::Limbs);
 
         impl $name {
@@ -302,6 +305,21 @@ macro_rules! declare_field {
                     Self::INV,
                     &Self::R2,
                 ))
+            }
+
+            fn sparse_mul_lanes(
+                width: usize,
+                row_ptr: &[usize],
+                col_idx: &[usize],
+                values: &[Self],
+                x: &[Self],
+                out: &mut [Self],
+            ) {
+                #[cfg(target_arch = "x86_64")]
+                if $crate::ifma::sparse_mul_lanes(width, row_ptr, col_idx, values, x, out) {
+                    return;
+                }
+                $crate::sparse_mul_lanes_scalar(width, row_ptr, col_idx, values, x, out);
             }
         }
 

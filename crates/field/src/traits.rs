@@ -151,6 +151,69 @@ pub trait Field:
     fn dot(a: &[Self], b: &[Self]) -> Self {
         Self::dot_pairs(a.iter().copied().zip(b.iter().copied()))
     }
+
+    /// `out = M · X` for a CSR matrix `M` — row `i`'s non-zeros are
+    /// `col_idx[k]`, `values[k]` for `k` in `row_ptr[i]..row_ptr[i + 1]` —
+    /// and `width` interleaved vectors: `x[c * width + w]` is entry `c` of
+    /// vector `w`, `out[i * width + w]` entry `i` of product `w`. The batch
+    /// encoder's one loop (`SparseMatrix::mul_batch`).
+    ///
+    /// The default is [`sparse_mul_lanes_scalar`]. `declare_field!` fields
+    /// run eight lanes per instruction on CPUs with AVX-512 IFMA when
+    /// `width` is a multiple of eight; the output is bit-identical either
+    /// way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != (row_ptr.len() - 1) · width` or an index
+    /// leaves its slice.
+    fn sparse_mul_lanes(
+        width: usize,
+        row_ptr: &[usize],
+        col_idx: &[usize],
+        values: &[Self],
+        x: &[Self],
+        out: &mut [Self],
+    ) {
+        sparse_mul_lanes_scalar(width, row_ptr, col_idx, values, x, out);
+    }
+}
+
+/// The portable body of [`Field::sparse_mul_lanes`], and the oracle every
+/// override is tested against: each row keeps `width` deferred-reduction
+/// accumulators ([`Field::DotAcc`]) and streams the contiguous input block
+/// of every non-zero through them with the coefficient held in registers,
+/// so the matrix is read once for all `width` vectors.
+///
+/// # Panics
+///
+/// As [`Field::sparse_mul_lanes`].
+pub fn sparse_mul_lanes_scalar<F: Field>(
+    width: usize,
+    row_ptr: &[usize],
+    col_idx: &[usize],
+    values: &[F],
+    x: &[F],
+    out: &mut [F],
+) {
+    assert_eq!(
+        out.len(),
+        row_ptr.len().saturating_sub(1) * width,
+        "output dimension mismatch"
+    );
+    let mut accs = vec![F::DotAcc::default(); width];
+    for (span, out_row) in row_ptr.windows(2).zip(out.chunks_exact_mut(width)) {
+        accs.fill(F::DotAcc::default());
+        let (cols, coeffs) = (&col_idx[span[0]..span[1]], &values[span[0]..span[1]]);
+        for (&c, &v) in cols.iter().zip(coeffs) {
+            for (acc, &xv) in accs.iter_mut().zip(&x[c * width..(c + 1) * width]) {
+                F::dot_acc_add(acc, v, xv);
+            }
+        }
+        for (o, acc) in out_row.iter_mut().zip(&accs) {
+            *o = F::dot_acc_reduce(acc);
+        }
+    }
 }
 
 /// Low-level access to the four-limb Montgomery representation behind a

@@ -1,14 +1,17 @@
 //! Property tests for the hot-path kernels: the deferred-reduction dot
 //! kernel against the multiply-then-add fold and the schoolbook-division
-//! oracle, at the carry and term-count edges, and LUT-vs-naive equivalence.
+//! oracle, at the carry and term-count edges, the dispatched sparse product
+//! against its scalar body, and LUT-vs-naive equivalence.
 //!
 //! These are the guarantees that let the rest of the workspace adopt the
 //! fast paths without re-auditing: every kernel is bit-identical to the
 //! schoolbook definition.
 
-use batchzk_field::limb::{acc_mul_add, acc_reduce, mont_reduce, naive_mul_mod, WideAcc};
+use batchzk_field::limb::{acc_mul_add, acc_reduce, mont_reduce, naive_mul_mod, sub_wide, WideAcc};
 use batchzk_field::lut::{naive_select_sum, SubsetSumLUT};
-use batchzk_field::{Field, Fq, Fr, MontLimbs, RngCore, SplitMix64};
+use batchzk_field::{
+    sparse_mul_lanes_kernel, sparse_mul_lanes_scalar, Field, Fq, Fr, MontLimbs, RngCore, SplitMix64,
+};
 
 /// The documented reference for `dot_pairs`: multiply, then add, from zero.
 fn fold<F: Field>(a: &[F], b: &[F]) -> F {
@@ -113,6 +116,60 @@ fn to_bytes_is_the_reduction_of_the_stored_limbs() {
         assert_eq!(naive_mul_mod(&canonical, &Fr::R, &Fr::P), m);
         assert_eq!(Fr::from_canonical_limbs(canonical), x);
     }
+}
+
+/// `Field::sparse_mul_lanes` ≡ its scalar body on random CSR matrices:
+/// rows of every degree the kernel takes (1 – 63, both ends included) and
+/// one above its bound, which the kernel hands to the scalar body. Widths
+/// that are multiples of eight run the kernel on an IFMA host; 1, 3 and 9
+/// fall back. Operands are random, all Montgomery limbs `p − 1` (the
+/// largest column sums and the largest pre-subtraction result), and zero.
+fn sparse_lanes_match_scalar<F: MontLimbs>(seed: u64) {
+    if sparse_mul_lanes_kernel() == "scalar" {
+        println!("avx512ifma absent: scalar only");
+    }
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let top = F::from_mont_limbs_unchecked(sub_wide(&F::P, &[1, 0, 0, 0]).0);
+    for width in [1usize, 3, 8, 9, 16, 24, 64, 256] {
+        let rows = if width == 256 { 8 } else { 40 };
+        let cols = rng.gen_range(1..100);
+        let mut degrees: Vec<usize> = (0..rows - 3).map(|_| rng.gen_range(1..64)).collect();
+        degrees.extend([1, 63, rng.gen_range(64..200)]);
+        let mut row_ptr = vec![0];
+        let mut col_idx = Vec::new();
+        for d in degrees {
+            col_idx.extend((0..d).map(|_| rng.gen_range(0..cols)));
+            row_ptr.push(col_idx.len());
+        }
+        let nnz = col_idx.len();
+        let random = |rng: &mut SplitMix64, n| (0..n).map(|_| F::random(rng)).collect::<Vec<F>>();
+        let operands = [
+            (
+                "random",
+                random(&mut rng, nnz),
+                random(&mut rng, cols * width),
+            ),
+            ("p-1", vec![top; nnz], vec![top; cols * width]),
+            ("zero", random(&mut rng, nnz), vec![F::ZERO; cols * width]),
+        ];
+        for (name, values, x) in operands {
+            let mut got = vec![F::ONE; rows * width];
+            F::sparse_mul_lanes(width, &row_ptr, &col_idx, &values, &x, &mut got);
+            let mut expect = vec![F::ZERO; rows * width];
+            sparse_mul_lanes_scalar(width, &row_ptr, &col_idx, &values, &x, &mut expect);
+            assert_eq!(got, expect, "{name}, width {width}");
+        }
+    }
+}
+
+#[test]
+fn fr_sparse_lanes_are_bit_identical_to_the_scalar_body() {
+    sparse_lanes_match_scalar::<Fr>(0xB06);
+}
+
+#[test]
+fn fq_sparse_lanes_are_bit_identical_to_the_scalar_body() {
+    sparse_lanes_match_scalar::<Fq>(0xB07);
 }
 
 #[test]

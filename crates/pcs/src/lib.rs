@@ -708,8 +708,15 @@ mod tests {
         // length 111, not a multiple of four) before the 4-way column-hash
         // kernel was removed, k = 10 before the block function moved onto
         // the CPU's SHA extensions and column messages went through
-        // `compress_blocks` whole.
+        // `compress_blocks` whole, k = 5 (4 rows: identity code and a width
+        // the IFMA encoder kernel does not take) and k = 12 (64 rows, which
+        // it does) before the batch encoder moved onto that kernel.
         for (k, codeword_len, expect) in [
+            (
+                5,
+                8,
+                "3fb5e03ae443be49e2e0e5a513de4fca3264d5fd284a73f8b2c75183e55cdb55",
+            ),
             (
                 10,
                 32,
@@ -719,6 +726,11 @@ mod tests {
                 11,
                 111,
                 "c893ca1c978e5ae7ced8671eb599bb70c972b43619699b4f03e4ea904a655d56",
+            ),
+            (
+                12,
+                111,
+                "9b3bf67c10d7ff63c5b8ee7cdee1e856ef0b6eff3dffb6e7e714194ef5891deb",
             ),
         ] {
             let mut rng = Prg::seed_from_u64(108);
