@@ -17,7 +17,7 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use batchzk_encoder::{Encoder, EncoderParams, SparseMatrix};
-use batchzk_field::{sparse_mul_lanes_kernel, sparse_mul_lanes_scalar, Field, Fr, SplitMix64};
+use batchzk_field::{lane_kernel, sparse_mul_lanes_scalar, Field, Fr, SplitMix64};
 
 /// Message length: `orion-batch`'s 2^16-entry table is 256 × 256.
 const COLUMNS: usize = 256;
@@ -81,7 +81,7 @@ fn main() {
 
     println!(
         "`sparse_mul_lanes` dispatches to: {} at widths that are a multiple of 8, scalar otherwise",
-        sparse_mul_lanes_kernel()
+        lane_kernel()
     );
     println!();
     println!("| width | lane-terms per pass | scalar body ns | mul_batch ns |");

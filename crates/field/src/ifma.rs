@@ -1,29 +1,36 @@
-//! [`crate::Field::sparse_mul_lanes`] on AVX-512 IFMA: eight interleaved
-//! lanes per instruction.
+//! The lane hooks on AVX-512 IFMA: eight field elements per instruction.
 //!
 //! `vpmadd52luq` / `vpmadd52huq` add the low / high 52 bits of eight
-//! 52 × 52-bit products into eight 64-bit words. So the kernel works in
-//! radix 2^52. An operand is five 52-bit limbs, and a product is
-//! accumulated as ten *unreduced* 64-bit columns. One term adds at most
-//! nine 52-bit halves to a column, so the 12 bits of headroom hold a whole
-//! row without a carry. Each row and 8-lane block then pays one 5-round
-//! Montgomery reduction, which divides by 2^260, and one conditional
-//! subtraction.
+//! 52 × 52-bit products into eight 64-bit words. So the kernels work in
+//! radix 2^52, on a few shared primitives: [`load`] turns eight elements
+//! into five 52-bit limb planes, [`mul_add`] adds one coefficient times
+//! them into ten *unreduced* 64-bit columns, [`reduce`] pays one 5-round
+//! Montgomery reduction (a division by 2^260) and one conditional
+//! subtraction, and [`store`] writes eight elements back. One term adds at
+//! most nine 52-bit halves to a column, so the 12 bits of headroom hold a
+//! whole sum of terms without a carry.
 //!
-//! **Same bytes as the scalar body.** The scalar body returns
+//! They have three clients. [`sparse_mul_lanes`] sums one CSR row's terms
+//! per block of eight interleaved lanes. [`fold_halves`] and [`scale`]
+//! share one kernel that computes `a·x + b·y` or `c·x` per block of eight
+//! consecutive elements, in place: each block is loaded before it is
+//! stored.
+//!
+//! **Same bytes as the scalar bodies.** A scalar body returns
 //! `Σ aᵢ·xᵢ·2^-256 mod p`, canonical. The kernel enters each coefficient
 //! as `aᵢ·2^4 mod p`, so its `Σ (aᵢ·2^4)·xᵢ·2^-260` is the same residue.
 //! With `k` terms the sum is below `k·p²`, so the reduced value is below
 //! `p + k·p²/2^260 < p·(1 + k/64)` (`p < 2^254`). For `k ≤ MAX_DEGREE = 63`
 //! that is below `2p`, and the one subtraction makes it canonical. A
 //! residue has one canonical representative, so the limbs are equal. Rows
-//! with more non-zeros take the scalar body.
+//! with more non-zeros take the scalar body; the fold has `k = 2` and the
+//! scale `k = 1`.
 //!
 //! The only thing the compiler cannot check is that the CPU has the
-//! instructions. [`available`] is that check, and [`sparse_mul_lanes`]
-//! makes it before the call. The other `unsafe` is the vector loads and
-//! stores. They read and write whole `[F; 8]` blocks, which
-//! [`LimbLayout`] makes 256 bytes of `u64` limbs.
+//! instructions. [`available`] is that check, made before each call into a
+//! kernel. The other `unsafe` is the vector loads and stores. They read and
+//! write whole `[F; 8]` blocks, which [`LimbLayout`] makes 256 bytes of
+//! `u64` limbs.
 
 use core::arch::x86_64::{
     __m512i, _mm512_add_epi64, _mm512_and_si512, _mm512_loadu_si512, _mm512_madd52hi_epu64,
@@ -56,7 +63,7 @@ impl LimbLayout for Fq {}
 const _: () =
     assert!(size_of::<Fr>() == size_of::<Limbs>() && size_of::<Fq>() == size_of::<Limbs>());
 
-/// Whether this CPU has every instruction [`kernel`] is compiled with
+/// Whether this CPU has every instruction both kernels are compiled with
 /// (`std` caches the `cpuid` answer; this is a load and a mask).
 #[inline]
 pub(crate) fn available() -> bool {
@@ -84,9 +91,58 @@ pub(crate) fn sparse_mul_lanes<F: LimbLayout>(
         return false;
     }
     // SAFETY: `available` has just seen, on this CPU, both target features
-    // `kernel` is compiled with.
-    unsafe { kernel(width, row_ptr, col_idx, values, x, out) };
+    // `sparse_kernel` is compiled with.
+    unsafe { sparse_kernel(width, row_ptr, col_idx, values, x, out) };
     true
+}
+
+/// Runs [`crate::Field::fold_halves`] on the kernel over every whole block
+/// of eight, as `(1 − r)·lo + r·hi` — the same residue as `lo + r·(hi −
+/// lo)` — and returns how many leading elements it wrote. Returns 0 when
+/// this CPU lacks IFMA or the halves differ in length; the caller runs the
+/// default body on the rest, which panics on the latter.
+pub(crate) fn fold_halves<F: LimbLayout>(lo: &mut [F], hi: &[F], r: F) -> usize {
+    if lo.len() != hi.len() {
+        return 0;
+    }
+    combine(lo, F::ONE - r, Some((hi, r)))
+}
+
+/// Runs [`crate::Field::scale`] on the kernel over every whole block of
+/// eight and returns how many leading elements it wrote (0 without IFMA).
+pub(crate) fn scale<F: LimbLayout>(xs: &mut [F], c: F) -> usize {
+    combine(xs, c, None)
+}
+
+/// `x ← a·x + b·y` (`x ← a·x` without `y`) over the whole blocks of `xs`,
+/// `ys` as long as `xs`; returns the elements written.
+fn combine<F: LimbLayout>(xs: &mut [F], a: F, y: Option<(&[F], F)>) -> usize {
+    if xs.len() < LANES || !available() {
+        return 0;
+    }
+    let (xs, _) = xs.as_chunks_mut::<LANES>();
+    let y = y.map(|(ys, b)| (ys.as_chunks::<LANES>().0, b));
+    // SAFETY: `available` has just seen, on this CPU, both target features
+    // `combine_kernel` is compiled with.
+    unsafe { combine_kernel(xs, a, y) };
+    xs.len() * LANES
+}
+
+/// One row of one or two pre-scaled coefficients per block: two `mul_add`s
+/// (one for a scale), one `reduce`, one `store` over the loaded `x`.
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn combine_kernel<F: LimbLayout>(xs: &mut [[F; LANES]], a: F, y: Option<(&[[F; LANES]], F)>) {
+    let modulus = Modulus::new::<F>();
+    let a = prescaled(a);
+    let y = y.map(|(ys, b)| (ys, prescaled(b)));
+    for (i, x) in xs.iter_mut().enumerate() {
+        let mut acc = [_mm512_setzero_si512(); 10];
+        mul_add(&mut acc, &a, &load(x));
+        if let Some((ys, b)) = &y {
+            mul_add(&mut acc, b, &load(&ys[i]));
+        }
+        store(x, reduce(acc, &modulus));
+    }
 }
 
 /// The shape checks, O(rows + nnz): spans in order and inside `col_idx`,
@@ -119,6 +175,18 @@ struct Modulus {
     mask: __m512i,
 }
 
+impl Modulus {
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn new<F: MontLimbs>() -> Self {
+        Self {
+            p: split52(&F::P).map(|l| _mm512_set1_epi64(l as i64)),
+            neg_inv: _mm512_set1_epi64((F::NEG_INV & MASK52) as i64),
+            mask: _mm512_set1_epi64(MASK52 as i64),
+        }
+    }
+}
+
 /// `a` as five 52-bit limbs.
 fn split52(a: &Limbs) -> [u64; 5] {
     [
@@ -131,7 +199,9 @@ fn split52(a: &Limbs) -> [u64; 5] {
 }
 
 /// A row coefficient as the kernel takes it: `a·2^4 mod p`, so the
-/// reduction's `2^-260` leaves the scalar body's `2^-256`.
+/// reduction's `2^-260` leaves the scalar body's `2^-256`. Inlined so the
+/// sparse kernel's per-row coefficient loop stays free of calls.
+#[inline(always)]
 fn prescaled<F: MontLimbs>(a: F) -> [u64; 5] {
     let mut v = a.mont_limbs();
     for _ in 0..4 {
@@ -141,7 +211,7 @@ fn prescaled<F: MontLimbs>(a: F) -> [u64; 5] {
 }
 
 #[target_feature(enable = "avx512f,avx512ifma")]
-fn kernel<F: LimbLayout>(
+fn sparse_kernel<F: LimbLayout>(
     width: usize,
     row_ptr: &[usize],
     col_idx: &[usize],
@@ -149,11 +219,7 @@ fn kernel<F: LimbLayout>(
     x: &[F],
     out: &mut [F],
 ) {
-    let modulus = Modulus {
-        p: split52(&F::P).map(|l| _mm512_set1_epi64(l as i64)),
-        neg_inv: _mm512_set1_epi64((F::NEG_INV & MASK52) as i64),
-        mask: _mm512_set1_epi64(MASK52 as i64),
-    };
+    let modulus = Modulus::new::<F>();
     let blocks = width / LANES;
     let (x_blocks, _) = x.as_chunks::<LANES>();
     let mut coeffs = [[0u64; 5]; MAX_DEGREE];

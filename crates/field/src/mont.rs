@@ -321,6 +321,25 @@ macro_rules! declare_field {
                 }
                 $crate::sparse_mul_lanes_scalar(width, row_ptr, col_idx, values, x, out);
             }
+
+            // The kernel takes the whole 8-element blocks it can and
+            // reports how many leading elements it wrote; the default body
+            // runs the rest (everything, off x86_64 or without IFMA).
+            fn fold_halves(lo: &mut [Self], hi: &[Self], r: Self) {
+                #[cfg(target_arch = "x86_64")]
+                let done = $crate::ifma::fold_halves(lo, hi, r);
+                #[cfg(not(target_arch = "x86_64"))]
+                let done = 0;
+                $crate::fold_halves_scalar(&mut lo[done..], &hi[done..], r);
+            }
+
+            fn scale(xs: &mut [Self], c: Self) {
+                #[cfg(target_arch = "x86_64")]
+                let done = $crate::ifma::scale(xs, c);
+                #[cfg(not(target_arch = "x86_64"))]
+                let done = 0;
+                $crate::scale_scalar(&mut xs[done..], c);
+            }
         }
 
         impl $crate::MontLimbs for $name {

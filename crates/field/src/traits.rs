@@ -177,6 +177,51 @@ pub trait Field:
     ) {
         sparse_mul_lanes_scalar(width, row_ptr, col_idx, values, x, out);
     }
+
+    /// `lo[i] ← lo[i] + r·(hi[i] − lo[i])`: one round of the sum-check
+    /// fold, `A[b] = (1 − r)·A[b] + r·A[b + half]`, with the table's halves
+    /// as `lo` and `hi`.
+    ///
+    /// The default is [`fold_halves_scalar`]. `declare_field!` fields run
+    /// whole blocks of eight on CPUs with AVX-512 IFMA and the tail on the
+    /// default body; the output is bit-identical either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo.len() != hi.len()`.
+    fn fold_halves(lo: &mut [Self], hi: &[Self], r: Self) {
+        fold_halves_scalar(lo, hi, r);
+    }
+
+    /// `xs[i] ← c·xs[i]`: an `eq` table level or a matrix row weight
+    /// scaled in place.
+    ///
+    /// The default is [`scale_scalar`]; `declare_field!` fields override it
+    /// as they do [`Self::fold_halves`].
+    fn scale(xs: &mut [Self], c: Self) {
+        scale_scalar(xs, c);
+    }
+}
+
+/// The portable body of [`Field::fold_halves`], and the oracle every
+/// override is tested against: one multiply per entry.
+///
+/// # Panics
+///
+/// As [`Field::fold_halves`].
+pub fn fold_halves_scalar<F: Field>(lo: &mut [F], hi: &[F], r: F) {
+    assert_eq!(lo.len(), hi.len(), "fold halves differ in length");
+    for (lo, &hi) in lo.iter_mut().zip(hi) {
+        *lo += r * (hi - *lo);
+    }
+}
+
+/// The portable body of [`Field::scale`], and its oracle: one multiply per
+/// entry.
+pub fn scale_scalar<F: Field>(xs: &mut [F], c: F) {
+    for x in xs {
+        *x *= c;
+    }
 }
 
 /// The portable body of [`Field::sparse_mul_lanes`], and the oracle every

@@ -1,7 +1,8 @@
 //! Property tests for the hot-path kernels: the deferred-reduction dot
 //! kernel against the multiply-then-add fold and the schoolbook-division
-//! oracle, at the carry and term-count edges, the dispatched sparse product
-//! against its scalar body, and LUT-vs-naive equivalence.
+//! oracle, at the carry and term-count edges, the dispatched lane hooks
+//! (sparse product, fold, scale) against their scalar bodies, and
+//! LUT-vs-naive equivalence.
 //!
 //! These are the guarantees that let the rest of the workspace adopt the
 //! fast paths without re-auditing: every kernel is bit-identical to the
@@ -10,7 +11,8 @@
 use batchzk_field::limb::{acc_mul_add, acc_reduce, mont_reduce, naive_mul_mod, sub_wide, WideAcc};
 use batchzk_field::lut::{naive_select_sum, SubsetSumLUT};
 use batchzk_field::{
-    sparse_mul_lanes_kernel, sparse_mul_lanes_scalar, Field, Fq, Fr, MontLimbs, RngCore, SplitMix64,
+    fold_halves_scalar, lane_kernel, scale_scalar, sparse_mul_lanes_scalar, Field, Fq, Fr,
+    MontLimbs, RngCore, SplitMix64,
 };
 
 /// The documented reference for `dot_pairs`: multiply, then add, from zero.
@@ -125,7 +127,7 @@ fn to_bytes_is_the_reduction_of_the_stored_limbs() {
 /// fall back. Operands are random, all Montgomery limbs `p − 1` (the
 /// largest column sums and the largest pre-subtraction result), and zero.
 fn sparse_lanes_match_scalar<F: MontLimbs>(seed: u64) {
-    if sparse_mul_lanes_kernel() == "scalar" {
+    if lane_kernel() == "scalar" {
         println!("avx512ifma absent: scalar only");
     }
     let mut rng = SplitMix64::seed_from_u64(seed);
@@ -170,6 +172,59 @@ fn fr_sparse_lanes_are_bit_identical_to_the_scalar_body() {
 #[test]
 fn fq_sparse_lanes_are_bit_identical_to_the_scalar_body() {
     sparse_lanes_match_scalar::<Fq>(0xB07);
+}
+
+/// `Field::fold_halves` and `Field::scale` ≡ their scalar bodies at lengths
+/// around the 8-element block (the kernel takes whole blocks, the scalar
+/// body the tail), with operands random, all Montgomery limbs `p − 1` and
+/// zero, and coefficients 0, 1, −1, limbs `p − 1` and random.
+fn fold_and_scale_match_scalar<F: MontLimbs>(seed: u64) {
+    if lane_kernel() == "scalar" {
+        println!("avx512ifma absent: scalar only");
+    }
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let top = F::from_mont_limbs_unchecked(sub_wide(&F::P, &[1, 0, 0, 0]).0);
+    for len in [0usize, 1, 7, 8, 9, 15, 16, 24, 1_027] {
+        let random = |rng: &mut SplitMix64| (0..len).map(|_| F::random(rng)).collect::<Vec<F>>();
+        let operands = [
+            ("random", random(&mut rng)),
+            ("p-1", vec![top; len]),
+            ("zero", vec![F::ZERO; len]),
+        ];
+        let coeffs = [F::ZERO, F::ONE, -F::ONE, top, F::random(&mut rng)];
+        for ((lo_name, lo), (hi_name, hi)) in operands
+            .iter()
+            .flat_map(|a| operands.iter().map(move |b| (a, b)))
+        {
+            for (k, &r) in coeffs.iter().enumerate() {
+                let case = format!("len {len}, lo {lo_name}, hi {hi_name}, coefficient {k}");
+                let (mut got, mut expect) = (lo.clone(), lo.clone());
+                F::fold_halves(&mut got, hi, r);
+                fold_halves_scalar(&mut expect, hi, r);
+                assert_eq!(got, expect, "fold: {case}");
+                let (mut got, mut expect) = (hi.clone(), hi.clone());
+                F::scale(&mut got, r);
+                scale_scalar(&mut expect, r);
+                assert_eq!(got, expect, "scale: {case}");
+            }
+        }
+    }
+}
+
+#[test]
+fn fr_fold_and_scale_are_bit_identical_to_the_scalar_bodies() {
+    fold_and_scale_match_scalar::<Fr>(0xB08);
+}
+
+#[test]
+fn fq_fold_and_scale_are_bit_identical_to_the_scalar_bodies() {
+    fold_and_scale_match_scalar::<Fq>(0xB09);
+}
+
+#[test]
+#[should_panic(expected = "differ in length")]
+fn fold_rejects_halves_of_different_lengths() {
+    Fr::fold_halves(&mut [Fr::ONE; 16], &[Fr::ONE; 17], Fr::ONE);
 }
 
 #[test]

@@ -82,16 +82,11 @@ impl<F: Field> SumcheckTask<F> {
     pub fn run_round(&mut self, round: usize) -> usize {
         assert_eq!(self.proof.len(), round, "rounds must run in order");
         let half = self.table.len() / 2;
-        let r = self.rs[round];
-        let mut pi1 = F::ZERO;
-        let mut pi2 = F::ZERO;
-        for b in 0..half {
-            pi1 += self.table[b];
-            pi2 += self.table[b + half];
-            self.table[b] = (F::ONE - r) * self.table[b] + r * self.table[b + half];
-        }
+        let (lo, hi) = self.table.split_at_mut(half);
+        self.proof
+            .push((lo.iter().copied().sum(), hi.iter().copied().sum()));
+        F::fold_halves(lo, hi, self.rs[round]);
         self.table.truncate(half);
-        self.proof.push((pi1, pi2));
         half
     }
 }

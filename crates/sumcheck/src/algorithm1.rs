@@ -46,17 +46,11 @@ pub fn prove<F: Field>(a: &mut Vec<F>, rs: &[F]) -> PairProof<F> {
     let mut proof = Vec::with_capacity(n);
     for (i, &r) in rs.iter().enumerate() {
         let half = 1usize << (n - i - 1);
-        let mut pi1 = F::ZERO;
-        let mut pi2 = F::ZERO;
-        for b in 0..half {
-            pi1 += a[b];
-            pi2 += a[b + half];
-            // One-mul fold: (1-r)·lo + r·hi == lo + r·(hi - lo), exactly.
-            let lo = a[b];
-            a[b] = lo + r * (a[b + half] - lo);
-        }
+        let (lo, hi) = a.split_at_mut(half);
+        proof.push((lo.iter().copied().sum(), hi.iter().copied().sum()));
+        // (1-r)·lo + r·hi == lo + r·(hi - lo), exactly.
+        F::fold_halves(lo, hi, r);
         a.truncate(half);
-        proof.push((pi1, pi2));
     }
     proof
 }

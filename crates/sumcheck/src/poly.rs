@@ -88,9 +88,8 @@ impl<F: Field> MultilinearPoly<F> {
         // Fold variables from the top (x_n) down, matching fix_top_variable.
         for &r in point.iter().rev() {
             let half = table.len() / 2;
-            for b in 0..half {
-                table[b] = table[b] + r * (table[b + half] - table[b]);
-            }
+            let (lo, hi) = table.split_at_mut(half);
+            F::fold_halves(lo, hi, r);
             table.truncate(half);
         }
         table[0]
@@ -98,7 +97,8 @@ impl<F: Field> MultilinearPoly<F> {
 
     /// Fixes the most-significant variable `x_n` to `r`, halving the table —
     /// one round of Algorithm 1's update
-    /// `A[b] = (1 - r)·A[b] + r·A[b + 2^{n-1}]`.
+    /// `A[b] = (1 - r)·A[b] + r·A[b + 2^{n-1}]`, through
+    /// [`Field::fold_halves`].
     ///
     /// # Panics
     ///
@@ -107,22 +107,23 @@ impl<F: Field> MultilinearPoly<F> {
         assert!(self.num_vars > 0, "no variable left to fix");
         let half = self.evals.len() / 2;
         let (lo, hi) = self.evals.split_at_mut(half);
-        for (lo, hi) in lo.iter_mut().zip(hi.iter()) {
-            *lo += r * (*hi - *lo);
-        }
+        F::fold_halves(lo, hi, r);
         self.evals.truncate(half);
         self.num_vars -= 1;
     }
 }
 
 /// Doubles the `eq` level stored at `table[start..]` by one more variable
-/// with coordinate `t`: each `v` becomes `v·(1 − t)` in place and `v·t` is
-/// appended — one multiply per entry, no second buffer.
+/// with coordinate `t`: a copy `v·t` is appended ([`Field::scale`]) and
+/// each `v` becomes `v − v·t` in place — one multiply per entry, no second
+/// buffer.
 fn eq_double<F: Field>(table: &mut Vec<F>, start: usize, t: F) {
-    for i in start..table.len() {
-        let high = table[i] * t;
-        table[i] -= high;
-        table.push(high);
+    let level = table.len() - start;
+    table.extend_from_within(start..);
+    let (lo, hi) = table[start..].split_at_mut(level);
+    F::scale(hi, t);
+    for (lo, &hi) in lo.iter_mut().zip(&*hi) {
+        *lo -= hi;
     }
 }
 

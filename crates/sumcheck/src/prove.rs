@@ -331,6 +331,91 @@ mod tests {
         }
     }
 
+    /// The portable bodies end to end. `Counted` is not a `declare_field!`
+    /// type, so its `fold_halves` and `scale` are always the default
+    /// bodies, while `Fr` runs whatever this host dispatches to: the same
+    /// tables proved as both must give the same rounds, challenges, final
+    /// evaluations and transcript state, and the same `eq` tables and
+    /// evaluations.
+    #[test]
+    fn portable_bodies_prove_the_dispatched_bytes() {
+        fn wrap(v: &[Fr]) -> Vec<Counted> {
+            v.iter().map(|&x| Counted(x)).collect()
+        }
+        fn unwrap(v: &[Counted]) -> Vec<Fr> {
+            v.iter().map(|x| x.0).collect()
+        }
+        fn same<const T: usize>(
+            tables: [MultilinearPoly<Fr>; T],
+            prove: impl Fn(&mut Transcript, [MultilinearPoly<Fr>; T]) -> ProverOutput<Fr>,
+            prove_counted: impl Fn(
+                &mut Transcript,
+                [MultilinearPoly<Counted>; T],
+            ) -> ProverOutput<Counted>,
+            case: &str,
+        ) {
+            let (mut ft, mut ct) = (Transcript::new(b"portable"), Transcript::new(b"portable"));
+            let counted = tables
+                .each_ref()
+                .map(|t| MultilinearPoly::new(wrap(t.evals())));
+            let portable = prove_counted(&mut ct, counted);
+            let dispatched = prove(&mut ft, tables);
+            let rounds: Vec<Vec<Fr>> = portable.proof.rounds.iter().map(|r| unwrap(r)).collect();
+            assert_eq!(rounds, dispatched.proof.rounds, "{case}: rounds");
+            assert_eq!(unwrap(&portable.rs), dispatched.rs, "{case}: challenges");
+            assert_eq!(
+                unwrap(&portable.final_evals),
+                dispatched.final_evals,
+                "{case}: final evals"
+            );
+            assert_eq!(
+                ct.challenge_field::<Fr>(b"after"),
+                ft.challenge_field::<Fr>(b"after"),
+                "{case}: transcript state"
+            );
+        }
+        let mut rng = Prg::seed_from_u64(0x27);
+        for n in 1..=12 {
+            let [a, c, d] = rand_tables::<Fr, 3>(n, &mut rng);
+            same(
+                [a.clone()],
+                |t, [p]| prove_linear(p, t),
+                |t, [p]| prove_linear(p, t),
+                &format!("linear n={n}"),
+            );
+            same(
+                [a.clone(), c.clone()],
+                |t, [f, g]| prove_quadratic(f, g, t),
+                |t, [f, g]| prove_quadratic(f, g, t),
+                &format!("quadratic n={n}"),
+            );
+            let random: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
+            let mixed = random
+                .iter()
+                .enumerate()
+                .map(|(i, &t)| [Fr::ZERO, Fr::ONE, t][i % 3]);
+            let bits = (0..n).map(|i| Fr::from((i % 2) as u64));
+            for (shape, tau) in [
+                ("random", random.clone()),
+                ("mixed", mixed.collect()),
+                ("bits", bits.collect()),
+            ] {
+                let tau_counted = wrap(&tau);
+                same(
+                    [a.clone(), c.clone(), d.clone()],
+                    |t, [a, c, d]| prove_cubic(&tau, a, c, d, t),
+                    |t, [a, c, d]| prove_cubic(&tau_counted, a, c, d, t),
+                    &format!("cubic τ {shape} n={n}"),
+                );
+                let case = format!("τ {shape} n={n}");
+                assert_eq!(unwrap(&eq_table(&tau_counted)), eq_table(&tau), "eq {case}");
+                let a_counted = MultilinearPoly::new(wrap(a.evals()));
+                let value = a_counted.evaluate(&tau_counted).0;
+                assert_eq!(value, a.evaluate(&tau), "evaluate {case}");
+            }
+        }
+    }
+
     #[test]
     fn multiplies_per_pair_per_round_are_bounded() {
         // The regression gate for hosts where wall-clock cannot fire. Per

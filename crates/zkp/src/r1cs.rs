@@ -301,9 +301,8 @@ impl<F: Field> R1cs<F> {
         let mut out = vec![F::ZERO; self.z_len()];
         let mut scaled = vec![F::ZERO; eq_x.len()];
         for (&g, m) in gamma.iter().zip([&self.a, &self.b, &self.c]) {
-            for (s, &e) in scaled.iter_mut().zip(eq_x) {
-                *s = g * e;
-            }
+            scaled.copy_from_slice(eq_x);
+            F::scale(&mut scaled, g);
             m.bind_rows_into(&scaled, &mut out);
         }
         out

@@ -1,0 +1,149 @@
+#!/usr/bin/env python3
+"""Alternating parent/change runs of the repo benchmark, one JSON line per run.
+
+`record` runs two builds of the benchmark (`BENCHMARK.json`'s command, built
+in each commit's own checkout with `cargo build --release --offline
+--manifest-path benchmark/Cargo.toml`) in pairs, alternating which side goes
+first, each for `BENCHMARK.json`'s `run_seconds`. It appends each run's last
+stdout line (the benchmark's `{correct, attempted, failed, metrics}` object)
+to `--out` with the run's commit, role, workload, seed, trace flag and pair
+index, and two host facts: `host_lane_kernel` and `host_compress_kernel`,
+the bodies this checkout's `field::lane_kernel()` and
+`hash::compress_kernel()` pick on this host (read once from its `fold_lanes`
+and `sha_blocks` examples). They record the CPU's capability, not what
+either binary ran: a build that predates a hook runs its own portable loop
+whatever they read (a parent without the `fold_halves` / `scale` hooks,
+such as 38b81f83, folds and scales on the scalar loops).
+
+`summary` prints, per workload, seed and trace flag, each role's median
+[quartiles] of one metric, the pairs the change won (in the metric's
+`better` direction from `BENCHMARK.json`), and whether the exact metrics
+(`sim_*`, `proof_bytes_mean`, `verified_share`) were equal in every run.
+
+    python3 scripts/bench_ab.py record --out BENCH_<n>.json \\
+        --parent /path/to/parent-benchmark@<commit> --change /path/to/change-benchmark@<commit> \\
+        --workload spartan-batch --seeds 1,2727 --pairs 10 [--trace 0]
+    python3 scripts/bench_ab.py summary BENCH_<n>.json [--metric host_proofs_per_s]
+"""
+
+import argparse
+import json
+import re
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def example_line(package, example, pattern):
+    """The first match of `pattern` in a release example's stdout."""
+    out = subprocess.run(
+        ["cargo", "run", "--release", "--offline", "-q", "-p", package, "--example", example],
+        cwd=ROOT, check=True, capture_output=True, text=True,
+    ).stdout
+    match = re.search(pattern, out)
+    if not match:
+        sys.exit(f"{example}: no `{pattern}` in its output")
+    return match.group(1)
+
+
+def run_once(binary, workload, seed, seconds, trace):
+    out = subprocess.run(
+        [binary, "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        check=True, capture_output=True, text=True,
+    ).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def record(args):
+    sides = {}
+    for role in ("parent", "change"):
+        binary, _, commit = getattr(args, role).rpartition("@")
+        if not binary or not commit:
+            sys.exit(f"--{role} takes <benchmark binary>@<commit>")
+        sides[role] = (binary, commit)
+    host = {
+        "host_lane_kernel": example_line("batchzk-sumcheck", "fold_lanes", r"dispatch to: (\S+)"),
+        "host_compress_kernel": example_line("batchzk-hash", "sha_blocks", r"dispatches to: (\S+)"),
+    }
+    with open(args.out, "a", encoding="utf-8") as out:
+        for seed in args.seeds:
+            for pair in range(args.pairs):
+                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                for role in order:
+                    binary, commit = sides[role]
+                    result = run_once(binary, args.workload, seed, SPEC["run_seconds"], args.trace)
+                    line = {"commit": commit, "role": role, "workload": args.workload,
+                            "seed": seed, "trace": args.trace, "pair": pair, **host, **result}
+                    out.write(json.dumps(line, sort_keys=True) + "\n")
+                    out.flush()
+                    value = result["metrics"].get("host_proofs_per_s", {}).get("value")
+                    print(f"{args.workload} seed {seed} pair {pair} {role}: "
+                          f"host_proofs_per_s {value}", flush=True)
+
+
+def exact(name):
+    return name.startswith("sim_") or name in ("proof_bytes_mean", "verified_share")
+
+
+def summary(args):
+    better = {m["name"]: m["better"] for m in SPEC["end_to_end"] + SPEC["per_layer"]}
+    groups = {}
+    for line in Path(args.file).read_text(encoding="utf-8").splitlines():
+        run = json.loads(line)
+        key = (run["workload"], run["seed"], run["trace"])
+        groups.setdefault(key, []).append(run)
+    for (workload, seed, trace), runs in sorted(groups.items()):
+        values = {"parent": {}, "change": {}}
+        for run in runs:
+            metric = run["metrics"].get(args.metric)
+            if metric is not None:
+                values[run["role"]][run["pair"]] = metric["value"]
+        if not any(values.values()):
+            continue
+        pairs = sorted(set(values["parent"]) & set(values["change"]))
+        sign = 1 if better.get(args.metric, "higher") == "higher" else -1
+        won = sum(sign * (values["change"][p] - values["parent"][p]) > 0 for p in pairs)
+        cells = []
+        for role in ("parent", "change"):
+            v = sorted(values[role].values())
+            if len(v) >= 2:
+                q1, med, q3 = statistics.quantiles(v, n=4, method="inclusive")
+                cells.append(f"{role} {med:.4g} [{q1:.4g}, {q3:.4g}]")
+            elif v:
+                cells.append(f"{role} {v[0]:.4g}")
+        exact_sets = {json.dumps({k: m["value"] for k, m in run["metrics"].items() if exact(k)},
+                                 sort_keys=True) for run in runs}
+        failed = sum(run["failed"] for run in runs)
+        print(f"{workload} seed {seed} trace {trace}: {args.metric}: {'; '.join(cells)}; "
+              f"change won {won} / {len(pairs)} pairs; exact metrics equal: "
+              f"{'yes' if len(exact_sets) == 1 else 'NO'}; failed ops {failed}")
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    rec = sub.add_parser("record")
+    rec.add_argument("--out", required=True)
+    rec.add_argument("--parent", required=True)
+    rec.add_argument("--change", required=True)
+    rec.add_argument("--workload", required=True)
+    rec.add_argument("--seeds", type=lambda s: [int(x) for x in s.split(",")], default=[1])
+    rec.add_argument("--pairs", type=int, default=10)
+    rec.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    summ = sub.add_parser("summary")
+    summ.add_argument("file")
+    summ.add_argument("--metric", default="host_proofs_per_s")
+    args = parser.parse_args()
+    if args.command == "record":
+        record(args)
+    else:
+        summary(args)
+
+
+if __name__ == "__main__":
+    main()
