@@ -1,0 +1,155 @@
+//! Prints which body the lane hooks dispatch to on this host and the host
+//! cost of four of them, through the scalar bodies and through the
+//! dispatched hooks:
+//!
+//! - [`Field::fold_halves`] (one sum-check fold of a table's halves) and
+//!   [`Field::scale`] (an `eq` level or a matrix row weight scaled in
+//!   place), in ns per entry written, on tables of 2^10, 2^14 and 2^20
+//!   entries: the `service-mixed`, `spartan-batch` and `vml-vgg16` shapes;
+//! - [`Field::write_canonical`] (a Merkle leaf's column or a transcript
+//!   message), in ns per element, on the same tables;
+//! - [`Field::dot`] (a PCS row combination or column test), in ns per
+//!   term, at 256 terms (`orion-batch`'s columns), 2^14 and 2^20.
+//!
+//! It is the table to hold against the parent commit's before touching any
+//! of these bodies (build it on both commits, copy the parent's binary out
+//! of `target/release/examples` and alternate the two; a shared host has
+//! slow phases lasting minutes).
+//!
+//! With `--check` it first runs both bodies of all four hooks on the same
+//! random tables and exits non-zero if any output differs.
+//!
+//! ```text
+//! cargo run --release --offline -p batchzk-field --example lanes [-- --check]
+//! ```
+
+use std::hint::black_box;
+use std::process::ExitCode;
+use std::time::{Duration, Instant};
+
+use batchzk_field::{
+    fold_halves_scalar, lane_kernel, scale_scalar, write_canonical_scalar, Field, Fr, SplitMix64,
+};
+
+const LOG_SIZES: [u32; 3] = [10, 14, 20];
+const DOT_LOG_SIZES: [u32; 3] = [8, 14, 20];
+
+/// Fastest of `runs` passes of `f` — what the code costs on a quiet core.
+fn fastest(runs: usize, mut f: impl FnMut()) -> Duration {
+    (0..runs)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed()
+        })
+        .min()
+        .expect("runs > 0")
+}
+
+/// Enough passes for ~2^22 entries per cell, and at least five.
+fn runs(log_size: u32) -> usize {
+    (1usize << 22 >> log_size).max(5)
+}
+
+fn per(d: Duration, n: usize) -> f64 {
+    d.as_secs_f64() * 1e9 / n as f64
+}
+
+/// The default body of [`Field::dot`].
+fn dot_scalar(a: &[Fr], b: &[Fr]) -> Fr {
+    Fr::dot_pairs(a.iter().copied().zip(b.iter().copied()))
+}
+
+/// Whether the hooks and the scalar bodies agree on one random table.
+fn agree(table: &[Fr], r: Fr) -> bool {
+    let (lo, hi) = table.split_at(table.len() / 2);
+    let (mut hook, mut scalar) = (lo.to_vec(), lo.to_vec());
+    Fr::fold_halves(&mut hook, hi, r);
+    fold_halves_scalar(&mut scalar, hi, r);
+    let fold = hook == scalar;
+    let (mut hook, mut scalar) = (table.to_vec(), table.to_vec());
+    Fr::scale(&mut hook, r);
+    scale_scalar(&mut scalar, r);
+    let scale = hook == scalar;
+    let (mut hook, mut scalar) = (vec![0; table.len() * 32], vec![1; table.len() * 32]);
+    Fr::write_canonical(table, &mut hook);
+    write_canonical_scalar(table, &mut scalar);
+    fold && scale && hook == scalar && Fr::dot(lo, hi) == dot_scalar(lo, hi)
+}
+
+fn main() -> ExitCode {
+    let check = std::env::args().skip(1).any(|a| a == "--check");
+    let mut rng = SplitMix64::seed_from_u64(27);
+    let r = Fr::random(&mut rng);
+    let tables: Vec<Vec<Fr>> = LOG_SIZES
+        .iter()
+        .map(|&k| (0..1usize << k).map(|_| Fr::random(&mut rng)).collect())
+        .collect();
+
+    println!(
+        "`fold_halves` / `scale` / `write_canonical` / `dot` dispatch to: {} \
+         (whole blocks of 8; the tail runs the scalar body)",
+        lane_kernel()
+    );
+    if check {
+        for (k, table) in LOG_SIZES.iter().zip(&tables) {
+            if !agree(table, r) {
+                eprintln!("2^{k}: the dispatched hooks and the scalar bodies disagree");
+                return ExitCode::FAILURE;
+            }
+        }
+        println!("check: hooks ≡ scalar bodies at 2^10, 2^14 and 2^20");
+    }
+    println!();
+    println!(
+        "| table | fold scalar ns | fold hook ns | scale scalar ns | scale hook ns \
+         | write_canonical scalar ns | write_canonical hook ns |"
+    );
+    println!("|---|---|---|---|---|---|---|");
+    for (&k, table) in LOG_SIZES.iter().zip(&tables) {
+        let runs = runs(k);
+        let half = table.len() / 2;
+        let (mut lo, hi) = (table[..half].to_vec(), &table[half..]);
+        let mut xs = table.clone();
+        let mut bytes = vec![0; table.len() * 32];
+        let fold_scalar = fastest(runs, || fold_halves_scalar(black_box(&mut lo), hi, r));
+        let fold_hook = fastest(runs, || Fr::fold_halves(black_box(&mut lo), hi, r));
+        let scale_scalar_ns = fastest(runs, || scale_scalar(black_box(&mut xs), r));
+        let scale_hook = fastest(runs, || Fr::scale(black_box(&mut xs), r));
+        let bytes_scalar = fastest(runs, || {
+            write_canonical_scalar(table, black_box(&mut bytes))
+        });
+        let bytes_hook = fastest(runs, || Fr::write_canonical(table, black_box(&mut bytes)));
+        println!(
+            "| 2^{k} | {:.2} | {:.2} | {:.2} | {:.2} | {:.2} | {:.2} |",
+            per(fold_scalar, half),
+            per(fold_hook, half),
+            per(scale_scalar_ns, xs.len()),
+            per(scale_hook, xs.len()),
+            per(bytes_scalar, table.len()),
+            per(bytes_hook, table.len()),
+        );
+    }
+    println!();
+    println!("| dot terms | dot scalar ns | dot hook ns |");
+    println!("|---|---|---|");
+    let table = tables.last().expect("three tables");
+    let mut rotated = table.clone();
+    rotated.rotate_left(1);
+    for k in DOT_LOG_SIZES {
+        let runs = runs(k);
+        let (a, b) = (&table[..1 << k], &rotated[..1 << k]);
+        let scalar = fastest(runs, || {
+            black_box(dot_scalar(black_box(a), b));
+        });
+        let hook = fastest(runs, || {
+            black_box(Fr::dot(black_box(a), b));
+        });
+        println!(
+            "| 2^{k} | {:.2} | {:.2} |",
+            per(scalar, a.len()),
+            per(hook, a.len())
+        );
+    }
+    ExitCode::SUCCESS
+}

@@ -3,18 +3,20 @@
 //! `vpmadd52luq` / `vpmadd52huq` add the low / high 52 bits of eight
 //! 52 × 52-bit products into eight 64-bit words. So the kernels work in
 //! radix 2^52, on a few shared primitives: [`load`] turns eight elements
-//! into five 52-bit limb planes, [`mul_add`] adds one coefficient times
-//! them into ten *unreduced* 64-bit columns, [`reduce`] pays one 5-round
-//! Montgomery reduction (a division by 2^260) and one conditional
-//! subtraction, and [`store`] writes eight elements back. One term adds at
-//! most nine 52-bit halves to a column, so the 12 bits of headroom hold a
-//! whole sum of terms without a carry.
+//! into five 52-bit limb planes, [`mul_add_lanes`] adds eight products
+//! lane by lane into ten *unreduced* 64-bit columns ([`mul_add`] is its
+//! one-coefficient case), [`reduce`] pays one 5-round Montgomery reduction
+//! (a division by 2^260) and one conditional subtraction, and [`store`]
+//! writes eight elements, or their 256 canonical bytes, back. One term adds
+//! at most nine 52-bit halves to a column, so the 12 bits of headroom hold
+//! a whole sum of terms without a carry.
 //!
-//! They have three clients. [`sparse_mul_lanes`] sums one CSR row's terms
+//! They have five clients. [`sparse_mul_lanes`] sums one CSR row's terms
 //! per block of eight interleaved lanes. [`fold_halves`] and [`scale`]
 //! share one kernel that computes `a·x + b·y` or `c·x` per block of eight
 //! consecutive elements, in place: each block is loaded before it is
-//! stored.
+//! stored. [`dot`] sums `aᵢ·bᵢ` per lane and adds the eight lanes up.
+//! [`write_canonical`] is [`reduce`] alone: it leaves Montgomery form.
 //!
 //! **Same bytes as the scalar bodies.** A scalar body returns
 //! `Σ aᵢ·xᵢ·2^-256 mod p`, canonical. The kernel enters each coefficient
@@ -24,13 +26,16 @@
 //! that is below `2p`, and the one subtraction makes it canonical. A
 //! residue has one canonical representative, so the limbs are equal. Rows
 //! with more non-zeros take the scalar body; the fold has `k = 2` and the
-//! scale `k = 1`.
+//! scale `k = 1`. The dot cannot pre-scale a vector operand, so it reduces
+//! every 63 blocks and multiplies the field sum of its lanes by 2^4 once,
+//! with four doublings; field addition is exact, so that sum is the scalar
+//! body's too.
 //!
 //! The only thing the compiler cannot check is that the CPU has the
 //! instructions. [`available`] is that check, made before each call into a
 //! kernel. The other `unsafe` is the vector loads and stores. They read and
 //! write whole `[F; 8]` blocks, which [`LimbLayout`] makes 256 bytes of
-//! `u64` limbs.
+//! `u64` limbs, or whole 256-byte output blocks.
 
 use core::arch::x86_64::{
     __m512i, _mm512_add_epi64, _mm512_and_si512, _mm512_loadu_si512, _mm512_madd52hi_epu64,
@@ -45,9 +50,13 @@ use crate::{sparse_mul_lanes_scalar, Fq, Fr, MontLimbs};
 /// Field elements per vector: eight 64-bit lanes.
 const LANES: usize = 8;
 
-/// The most non-zeros a row may have to run on the kernel: the reduced sum
-/// is below `p·(1 + deg/64)`, which one conditional subtraction
-/// canonicalises only while it is below `2p`.
+/// Bytes in a block of eight elements, as limbs or as canonical bytes.
+const BLOCK_BYTES: usize = 32 * LANES;
+
+/// The most non-zeros a row may have to run on the kernel, and the most
+/// blocks a dot sums per reduction: the reduced sum of `k` terms is below
+/// `p·(1 + k/64)`, which one conditional subtraction canonicalises only
+/// while it is below `2p`.
 const MAX_DEGREE: usize = 63;
 
 const MASK52: u64 = (1 << 52) - 1;
@@ -63,7 +72,7 @@ impl LimbLayout for Fq {}
 const _: () =
     assert!(size_of::<Fr>() == size_of::<Limbs>() && size_of::<Fq>() == size_of::<Limbs>());
 
-/// Whether this CPU has every instruction both kernels are compiled with
+/// Whether this CPU has every instruction the kernels are compiled with
 /// (`std` caches the `cpuid` answer; this is a load and a mask).
 #[inline]
 pub(crate) fn available() -> bool {
@@ -112,6 +121,74 @@ pub(crate) fn fold_halves<F: LimbLayout>(lo: &mut [F], hi: &[F], r: F) -> usize 
 /// eight and returns how many leading elements it wrote (0 without IFMA).
 pub(crate) fn scale<F: LimbLayout>(xs: &mut [F], c: F) -> usize {
     combine(xs, c, None)
+}
+
+/// Runs [`crate::Field::dot`] on the kernel over every whole block of
+/// eight of the common prefix of `a` and `b`, and returns their sum with
+/// how many leading terms it took (zero terms without IFMA); the caller
+/// adds the default body's sum of the rest.
+pub(crate) fn dot<F: LimbLayout>(a: &[F], b: &[F]) -> (F, usize) {
+    let n = a.len().min(b.len());
+    if n < LANES || !available() {
+        return (F::ZERO, 0);
+    }
+    let (a, _) = a[..n].as_chunks::<LANES>();
+    let (b, _) = b[..n].as_chunks::<LANES>();
+    // SAFETY: `available` has just seen, on this CPU, both target features
+    // `dot_kernel` is compiled with.
+    let sum = unsafe { dot_kernel(a, b) };
+    (sum, a.len() * LANES)
+}
+
+/// Runs [`crate::Field::write_canonical`] on the kernel over every whole
+/// block of eight and returns how many leading elements it wrote. Returns 0
+/// when this CPU lacks IFMA or `out` is not 32 bytes per element; the
+/// caller runs the default body on the rest, which panics on the latter.
+pub(crate) fn write_canonical<F: LimbLayout>(xs: &[F], out: &mut [u8]) -> usize {
+    if xs.len() < LANES || out.len() != xs.len() * 32 || !available() {
+        return 0;
+    }
+    let (xs, _) = xs.as_chunks::<LANES>();
+    let (out, _) = out.as_chunks_mut::<BLOCK_BYTES>();
+    // SAFETY: `available` has just seen, on this CPU, both target features
+    // `canonical_kernel` is compiled with.
+    unsafe { canonical_kernel(xs, out) };
+    xs.len() * LANES
+}
+
+/// Lane-by-lane products, one reduction per `MAX_DEGREE` blocks (so each
+/// lane's sum stays below `2p` after it), the eight canonical lanes summed
+/// in the field.
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn dot_kernel<F: LimbLayout>(a: &[[F; LANES]], b: &[[F; LANES]]) -> F {
+    let modulus = Modulus::new::<F>();
+    let mut sum = F::ZERO;
+    for (a, b) in a.chunks(MAX_DEGREE).zip(b.chunks(MAX_DEGREE)) {
+        let mut acc = [_mm512_setzero_si512(); 10];
+        for (a, b) in a.iter().zip(b) {
+            mul_add_lanes(&mut acc, &load(a), &load(b));
+        }
+        let mut lanes = [F::ZERO; LANES];
+        store(&mut lanes, reduce(acc, &modulus));
+        sum = lanes.into_iter().fold(sum, |s, x| s + x);
+    }
+    // Each product entered as `aᵢ·bᵢ·2^-260`; 2^4 restores the scalar
+    // body's `2^-256`.
+    (0..4).fold(sum, |s, _| s.double())
+}
+
+/// Per block: the stored limbs times 2^4 as the columns, then [`reduce`]:
+/// `16·x·2^256 / 2^260 = x`, canonical, stored as little-endian bytes.
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn canonical_kernel<F: LimbLayout>(xs: &[[F; LANES]], out: &mut [[u8; BLOCK_BYTES]]) {
+    let modulus = Modulus::new::<F>();
+    for (x, out) in xs.iter().zip(out) {
+        let mut c = [_mm512_setzero_si512(); 10];
+        for (c, l) in c.iter_mut().zip(load(x)) {
+            *c = _mm512_slli_epi64::<4>(_mm512_and_si512(l, modulus.mask));
+        }
+        store(out, reduce(c, &modulus));
+    }
 }
 
 /// `x ← a·x + b·y` (`x ← a·x` without `y`) over the whole blocks of `xs`,
@@ -249,8 +326,15 @@ fn sparse_kernel<F: LimbLayout>(
 #[inline]
 #[target_feature(enable = "avx512f,avx512ifma")]
 fn mul_add(acc: &mut [__m512i; 10], a: &[u64; 5], b: &[__m512i; 5]) {
+    mul_add_lanes(acc, &a.map(|a| _mm512_set1_epi64(a as i64)), b);
+}
+
+/// `acc += a · b` lane by lane as ten unreduced radix-2^52 columns: 25
+/// `madd52lo` and 25 `madd52hi`.
+#[inline]
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn mul_add_lanes(acc: &mut [__m512i; 10], a: &[__m512i; 5], b: &[__m512i; 5]) {
     for (i, &a) in a.iter().enumerate() {
-        let a = _mm512_set1_epi64(a as i64);
         for (j, &b) in b.iter().enumerate() {
             acc[i + j] = _mm512_madd52lo_epu64(acc[i + j], a, b);
             acc[i + j + 1] = _mm512_madd52hi_epu64(acc[i + j + 1], a, b);
@@ -328,15 +412,26 @@ fn load<F: LimbLayout>(xs: &[F; LANES]) -> [__m512i; 5] {
     ]
 }
 
-/// Writes four 64-bit limb planes back as eight elements.
+/// A destination [`store`] overwrites whole: [`BLOCK_BYTES`] bytes for
+/// which any bit pattern is a valid value — eight elements (any four words
+/// are a valid `F: LimbLayout`, and `reduce` makes them canonical) or eight
+/// elements' canonical bytes.
+trait Block {}
+
+impl<F: LimbLayout> Block for [F; LANES] {}
+impl Block for [u8; BLOCK_BYTES] {}
+
+/// Writes four 64-bit limb planes back as eight elements' limbs, element
+/// `e`'s at words `4e..4e + 4`.
 #[inline]
 #[target_feature(enable = "avx512f,avx512ifma")]
-fn store<F: LimbLayout>(out: &mut [F; LANES], planes: [__m512i; 4]) {
+fn store<B: Block>(out: &mut B, planes: [__m512i; 4]) {
+    const { assert!(size_of::<B>() == BLOCK_BYTES) };
     let z = transpose(planes, halves(), interleave());
-    let p = out.as_mut_ptr().cast::<__m512i>();
-    // SAFETY: `F: LimbLayout` is four `u64`s, so `out` is 256 writable
-    // bytes — the four unaligned 64-byte writes below — and any four words
-    // are a valid `F` (these are canonical: `reduce` makes them so).
+    let p = (out as *mut B).cast::<__m512i>();
+    // SAFETY: `out` is `BLOCK_BYTES` = 256 writable bytes (asserted above)
+    // — the four unaligned 64-byte writes below — and `B: Block` accepts
+    // any bytes.
     unsafe {
         _mm512_storeu_si512(p, z[0]);
         _mm512_storeu_si512(p.add(1), z[1]);

@@ -340,6 +340,23 @@ macro_rules! declare_field {
                 let done = 0;
                 $crate::scale_scalar(&mut xs[done..], c);
             }
+
+            fn dot(a: &[Self], b: &[Self]) -> Self {
+                let n = a.len().min(b.len());
+                #[cfg(target_arch = "x86_64")]
+                let (head, done) = $crate::ifma::dot(&a[..n], &b[..n]);
+                #[cfg(not(target_arch = "x86_64"))]
+                let (head, done) = (Self::ZERO, 0);
+                head + Self::dot_pairs(a[done..n].iter().copied().zip(b[done..n].iter().copied()))
+            }
+
+            fn write_canonical(xs: &[Self], out: &mut [u8]) {
+                #[cfg(target_arch = "x86_64")]
+                let done = $crate::ifma::write_canonical(xs, out);
+                #[cfg(not(target_arch = "x86_64"))]
+                let done = 0;
+                $crate::write_canonical_scalar(&xs[done..], &mut out[32 * done..]);
+            }
         }
 
         impl $crate::MontLimbs for $name {

@@ -1,8 +1,8 @@
 //! Property tests for the hot-path kernels: the deferred-reduction dot
 //! kernel against the multiply-then-add fold and the schoolbook-division
 //! oracle, at the carry and term-count edges, the dispatched lane hooks
-//! (sparse product, fold, scale) against their scalar bodies, and
-//! LUT-vs-naive equivalence.
+//! (sparse product, fold, scale, dot, canonical bytes) against their scalar
+//! bodies, and LUT-vs-naive equivalence.
 //!
 //! These are the guarantees that let the rest of the workspace adopt the
 //! fast paths without re-auditing: every kernel is bit-identical to the
@@ -11,8 +11,8 @@
 use batchzk_field::limb::{acc_mul_add, acc_reduce, mont_reduce, naive_mul_mod, sub_wide, WideAcc};
 use batchzk_field::lut::{naive_select_sum, SubsetSumLUT};
 use batchzk_field::{
-    fold_halves_scalar, lane_kernel, scale_scalar, sparse_mul_lanes_scalar, Field, Fq, Fr,
-    MontLimbs, RngCore, SplitMix64,
+    fold_halves_scalar, lane_kernel, scale_scalar, sparse_mul_lanes_scalar, write_canonical_scalar,
+    Field, Fq, Fr, MontLimbs, RngCore, SplitMix64,
 };
 
 /// The documented reference for `dot_pairs`: multiply, then add, from zero.
@@ -225,6 +225,70 @@ fn fq_fold_and_scale_are_bit_identical_to_the_scalar_bodies() {
 #[should_panic(expected = "differ in length")]
 fn fold_rejects_halves_of_different_lengths() {
     Fr::fold_halves(&mut [Fr::ONE; 16], &[Fr::ONE; 17], Fr::ONE);
+}
+
+/// `Field::dot` and `Field::write_canonical` ≡ their default bodies
+/// (`dot_pairs` over the common prefix, `write_canonical_scalar`) at
+/// lengths around the 8-element block and the 63-block reduction cadence
+/// (504 = 63 · 8), with operands random, all Montgomery limbs `p − 1` (the
+/// largest lane sums) and zero in all pairings, and on unequal lengths.
+fn dot_and_canonical_bytes_match_scalar<F: MontLimbs>(seed: u64) {
+    if lane_kernel() == "scalar" {
+        println!("avx512ifma absent: scalar only");
+    }
+    let default_dot = |a: &[F], b: &[F]| F::dot_pairs(a.iter().copied().zip(b.iter().copied()));
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let top = F::from_mont_limbs_unchecked(sub_wide(&F::P, &[1, 0, 0, 0]).0);
+    for len in [0usize, 1, 7, 8, 9, 15, 16, 24, 503, 504, 505, 1_027, 5_000] {
+        let random = |rng: &mut SplitMix64| (0..len).map(|_| F::random(rng)).collect::<Vec<F>>();
+        let operands = [
+            ("random", random(&mut rng)),
+            ("p-1", vec![top; len]),
+            ("zero", vec![F::ZERO; len]),
+        ];
+        for (a_name, a) in &operands {
+            for (b_name, b) in &operands {
+                assert_eq!(
+                    F::dot(a, b),
+                    default_dot(a, b),
+                    "dot: len {len}, {a_name} · {b_name}"
+                );
+            }
+            let short = &a[..len / 3];
+            assert_eq!(
+                F::dot(short, &operands[0].1),
+                default_dot(short, &operands[0].1),
+                "dot: lengths {} and {len}, {a_name}",
+                len / 3
+            );
+            assert_eq!(
+                F::dot(&operands[0].1, short),
+                default_dot(&operands[0].1, short),
+                "dot: lengths {len} and {}, {a_name}",
+                len / 3
+            );
+            let (mut got, mut expect) = (vec![0xAA; len * 32], vec![0x55; len * 32]);
+            F::write_canonical(a, &mut got);
+            write_canonical_scalar(a, &mut expect);
+            assert_eq!(got, expect, "write_canonical: len {len}, {a_name}");
+        }
+    }
+}
+
+#[test]
+fn fr_dot_and_canonical_bytes_are_bit_identical_to_the_default_bodies() {
+    dot_and_canonical_bytes_match_scalar::<Fr>(0xB0A);
+}
+
+#[test]
+fn fq_dot_and_canonical_bytes_are_bit_identical_to_the_default_bodies() {
+    dot_and_canonical_bytes_match_scalar::<Fq>(0xB0B);
+}
+
+#[test]
+#[should_panic(expected = "canonical bytes are 32 per element")]
+fn write_canonical_rejects_a_mismatched_buffer() {
+    Fr::write_canonical(&[Fr::ONE; 16], &mut [0; 16 * 32 - 1]);
 }
 
 #[test]

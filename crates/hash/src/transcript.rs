@@ -70,10 +70,8 @@ impl Transcript {
 
     /// Absorbs a slice of field elements.
     pub fn absorb_fields<F: Field>(&mut self, label: &[u8], values: &[F]) {
-        let mut buf = Vec::with_capacity(values.len() * 32);
-        for v in values {
-            buf.extend_from_slice(&v.to_bytes());
-        }
+        let mut buf = vec![0; values.len() * 32];
+        F::write_canonical(values, &mut buf);
         self.absorb_bytes(label, &buf);
     }
 

@@ -67,25 +67,15 @@ impl MerkleTree {
     }
 
     /// Builds a tree over field elements, two 32-byte encodings per 64-byte
-    /// block (the layout used by the polynomial-commitment columns).
+    /// block (an odd last element leaves its block's second half zero).
     ///
     /// # Panics
     ///
     /// Panics if `elems` is empty.
     pub fn from_field_elems<F: Field>(elems: &[F]) -> Self {
-        assert!(!elems.is_empty(), "cannot build a Merkle tree of nothing");
-        let blocks: Vec<[u8; 64]> = elems
-            .chunks(2)
-            .map(|pair| {
-                let mut b = [0u8; 64];
-                b[..32].copy_from_slice(&pair[0].to_bytes());
-                if let Some(second) = pair.get(1) {
-                    b[32..].copy_from_slice(&second.to_bytes());
-                }
-                b
-            })
-            .collect();
-        Self::from_blocks(&blocks)
+        let mut bytes = vec![0; elems.len().next_multiple_of(2) * 32];
+        F::write_canonical(elems, &mut bytes[..elems.len() * 32]);
+        Self::from_blocks(bytes.as_chunks().0)
     }
 
     /// Builds a tree from precomputed leaf digests.
@@ -383,6 +373,23 @@ mod tests {
         let odd: Vec<Fr> = (0..7u64).map(Fr::from).collect();
         let t2 = MerkleTree::from_field_elems(&odd);
         assert_eq!(t2.leaf_count(), 4);
+        // Blocks of two `to_bytes` encodings, at a length with whole
+        // 8-element blocks and an odd tail.
+        let elems: Vec<Fr> = (0..17u64).map(|i| -Fr::from(i * i + 1)).collect();
+        let blocks: Vec<[u8; 64]> = elems
+            .chunks(2)
+            .map(|pair| {
+                let mut b = [0u8; 64];
+                for (half, x) in b.chunks_exact_mut(32).zip(pair) {
+                    half.copy_from_slice(&x.to_bytes());
+                }
+                b
+            })
+            .collect();
+        assert_eq!(
+            MerkleTree::from_field_elems(&elems).root(),
+            MerkleTree::from_blocks(&blocks).root()
+        );
     }
 
     #[test]

@@ -143,11 +143,7 @@ impl ColumnHasher {
 
     /// The leaf digest of one column of the length given to [`Self::new`].
     fn leaf<F: Field>(&mut self, column: &[F]) -> Digest {
-        let body = &mut self.message[COLUMN_PREFIX.len()..];
-        assert_eq!(body.len(), column.len() * 32, "column length mismatch");
-        for (bytes, v) in body.chunks_exact_mut(32).zip(column) {
-            bytes.copy_from_slice(&v.to_bytes());
-        }
+        F::write_canonical(column, &mut self.message[COLUMN_PREFIX.len()..]);
         sha256(&self.message)
     }
 }
@@ -588,8 +584,13 @@ pub fn verify<F: Field>(
 }
 
 #[cfg(test)]
+#[path = "../../sumcheck/src/counting.rs"]
+mod counting;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counting::{count_muls, Counted};
     use batchzk_field::Fr;
     use batchzk_hash::Prg;
     use batchzk_sumcheck::MultilinearPoly;
@@ -859,6 +860,84 @@ mod tests {
         let (value, opening) = open_queries(&params(), &data, rows, &mut t);
         assert_eq!(value, o.value);
         assert_eq!(opening, o.opening);
+    }
+
+    /// The portable bodies end to end. `Counted` is not a `declare_field!`
+    /// type, so its encoder product, `eq` scale, `dot` and
+    /// `write_canonical` are always the default bodies, while `Fr` runs
+    /// whatever this host dispatches to: the same table committed, opened
+    /// and verified as both must give the same root, opening, value and
+    /// transcript state. k = 5 has 4-row columns (the tail only), k = 11
+    /// and 12 have 32 and 64 (whole blocks). The portable opening's dots
+    /// are also counted: two per matrix column (`n_rows` terms each) and
+    /// the claimed value (`n_cols` terms), the combine stage's charge.
+    #[test]
+    fn portable_bodies_commit_and_open_the_dispatched_bytes() {
+        fn wrap(v: &[Fr]) -> Vec<Counted> {
+            v.iter().map(|&x| Counted(x)).collect()
+        }
+        fn unwrap(v: &[Counted]) -> Vec<Fr> {
+            v.iter().map(|x| x.0).collect()
+        }
+        for k in [5, 11, 12] {
+            let mut rng = Prg::seed_from_u64(0x28);
+            let evals: Vec<Fr> = (0..1usize << k).map(|_| Fr::random(&mut rng)).collect();
+            let point: Vec<Fr> = (0..k).map(|_| Fr::random(&mut rng)).collect();
+            let (commitment, data) = commit(&params(), &evals);
+            let (portable_commitment, portable_data) = commit(&params(), &wrap(&evals));
+            assert_eq!(portable_commitment, commitment, "k={k}: commitment");
+
+            let (mut t, mut portable_t) = (transcript(&commitment), transcript(&commitment));
+            let (value, opening) = open(&params(), &data, &point, &mut t);
+            let ((portable_value, portable_opening), muls) =
+                count_muls(|| open(&params(), &portable_data, &wrap(&point), &mut portable_t));
+            let (n_rows, n_cols) = (commitment.n_rows as u64, commitment.n_cols as u64);
+            assert_eq!(muls.deferred, n_cols * (2 * n_rows + 1), "k={k}: dot terms");
+            assert_eq!(portable_value.0, value, "k={k}: value");
+            assert_eq!(
+                unwrap(&portable_opening.proximity_row),
+                opening.proximity_row,
+                "k={k}: proximity row"
+            );
+            assert_eq!(
+                unwrap(&portable_opening.combined_row),
+                opening.combined_row,
+                "k={k}: combined row"
+            );
+            assert_eq!(portable_opening.columns.len(), opening.columns.len());
+            for (p, d) in portable_opening.columns.iter().zip(&opening.columns) {
+                assert_eq!(
+                    (p.index, unwrap(&p.values), &p.path),
+                    (d.index, d.values.clone(), &d.path),
+                    "k={k}: column"
+                );
+            }
+
+            let (mut v, mut portable_v) = (transcript(&commitment), transcript(&commitment));
+            assert!(verify(
+                &params(),
+                &commitment,
+                &point,
+                value,
+                &opening,
+                &mut v
+            ));
+            assert!(verify(
+                &params(),
+                &commitment,
+                &wrap(&point),
+                portable_value,
+                &portable_opening,
+                &mut portable_v
+            ));
+            for (mut portable, mut dispatched) in [(portable_t, t), (portable_v, v)] {
+                assert_eq!(
+                    portable.challenge_bytes(b"after"),
+                    dispatched.challenge_bytes(b"after"),
+                    "k={k}: transcript state"
+                );
+            }
+        }
     }
 
     #[test]

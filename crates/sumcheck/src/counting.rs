@@ -1,7 +1,8 @@
 //! Test-only: `Fr` behind a wrapper that counts multiplications, so a test
 //! can hold a prover loop to its operation-count bound on a host where
 //! wall-clock cannot. `batchzk-zkp` includes this file by `#[path]` for its
-//! sparse-matrix gates.
+//! sparse-matrix gates, and `batchzk-pcs` for its portable-body test (not a
+//! `declare_field!` type, `Counted` runs every `Field` hook's default body).
 //!
 //! Two counters: *full* multiplies (`Mul`, one Montgomery reduction each)
 //! and *deferred* products (`dot_acc_add`, reduced once per sum — about half

@@ -9,16 +9,19 @@ stdout line (the benchmark's `{correct, attempted, failed, metrics}` object)
 to `--out` with the run's commit, role, workload, seed, trace flag and pair
 index, and two host facts: `host_lane_kernel` and `host_compress_kernel`,
 the bodies this checkout's `field::lane_kernel()` and
-`hash::compress_kernel()` pick on this host (read once from its `fold_lanes`
-and `sha_blocks` examples). They record the CPU's capability, not what
-either binary ran: a build that predates a hook runs its own portable loop
+`hash::compress_kernel()` pick on this host (read once from its `lanes` and
+`sha_blocks` examples). They record the CPU's capability, not what either
+binary ran: a build that predates a hook runs its own portable loop
 whatever they read (a parent without the `fold_halves` / `scale` hooks,
 such as 38b81f83, folds and scales on the scalar loops).
 
 `summary` prints, per workload, seed and trace flag, each role's median
 [quartiles] of one metric, the pairs the change won (in the metric's
-`better` direction from `BENCHMARK.json`), and whether the exact metrics
-(`sim_*`, `proof_bytes_mean`, `verified_share`) were equal in every run.
+`better` direction from `BENCHMARK.json`), whether the exact metrics
+(`sim_*`, `proof_bytes_mean`, `verified_share`) were equal in every run,
+and every `end_to_end` metric whose change median is worse than its parent
+median by more than the metric's `bound` (a fraction of the parent median),
+or that all are within bound.
 
     python3 scripts/bench_ab.py record --out BENCH_<n>.json \\
         --parent /path/to/parent-benchmark@<commit> --change /path/to/change-benchmark@<commit> \\
@@ -67,7 +70,7 @@ def record(args):
             sys.exit(f"--{role} takes <benchmark binary>@<commit>")
         sides[role] = (binary, commit)
     host = {
-        "host_lane_kernel": example_line("batchzk-sumcheck", "fold_lanes", r"dispatch to: (\S+)"),
+        "host_lane_kernel": example_line("batchzk-field", "lanes", r"dispatch to: (\S+)"),
         "host_compress_kernel": example_line("batchzk-hash", "sha_blocks", r"dispatches to: (\S+)"),
     }
     with open(args.out, "a", encoding="utf-8") as out:
@@ -122,6 +125,30 @@ def summary(args):
         print(f"{workload} seed {seed} trace {trace}: {args.metric}: {'; '.join(cells)}; "
               f"change won {won} / {len(pairs)} pairs; exact metrics equal: "
               f"{'yes' if len(exact_sets) == 1 else 'NO'}; failed ops {failed}")
+        worse = worse_end_to_end(runs)
+        print(f"  {'; '.join(worse) if worse else 'all end-to-end metrics within bound'}")
+
+
+def worse_end_to_end(runs):
+    """Each `end_to_end` metric whose change median is worse than its parent
+    median by more than `bound` times the parent median."""
+    worse = []
+    for spec in SPEC["end_to_end"]:
+        name, bound = spec["name"], spec["bound"]
+        medians = {}
+        for role in ("parent", "change"):
+            v = [run["metrics"][name]["value"] for run in runs
+                 if run["role"] == role and name in run["metrics"]]
+            if v:
+                medians[role] = statistics.median(v)
+        if len(medians) < 2:
+            continue
+        parent, change = medians["parent"], medians["change"]
+        loss = change - parent if spec["better"] == "lower" else parent - change
+        if loss > bound * abs(parent):
+            worse.append(f"{name} worse beyond its bound {bound}: "
+                         f"parent {parent:.4g}, change {change:.4g}")
+    return worse
 
 
 def main():
