@@ -1,5 +1,5 @@
 //! Prints which body the lane hooks dispatch to on this host and the host
-//! cost of four of them, through the scalar bodies and through the
+//! cost of five of them, through the scalar bodies and through the
 //! dispatched hooks:
 //!
 //! - [`Field::fold_halves`] (one sum-check fold of a table's halves) and
@@ -9,14 +9,18 @@
 //! - [`Field::write_canonical`] (a Merkle leaf's column or a transcript
 //!   message), in ns per element, on the same tables;
 //! - [`Field::dot`] (a PCS row combination or column test), in ns per
-//!   term, at 256 terms (`orion-batch`'s columns), 2^14 and 2^20.
+//!   term, at 256 terms (`orion-batch`'s columns), 2^14 and 2^20;
+//! - [`Field::product_round_sums`] (one round's sums of a sum-check after
+//!   its first), in ns per pair, on the same tables: weighted with a third
+//!   table (sum-check #1's `eq·(a·c − d)`) and unweighted (sum-check #2's
+//!   `f·g`).
 //!
 //! It is the table to hold against the parent commit's before touching any
 //! of these bodies (build it on both commits, copy the parent's binary out
 //! of `target/release/examples` and alternate the two; a shared host has
 //! slow phases lasting minutes).
 //!
-//! With `--check` it first runs both bodies of all four hooks on the same
+//! With `--check` it first runs both bodies of all five hooks on the same
 //! random tables and exits non-zero if any output differs.
 //!
 //! ```text
@@ -28,7 +32,8 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use batchzk_field::{
-    fold_halves_scalar, lane_kernel, scale_scalar, write_canonical_scalar, Field, Fr, SplitMix64,
+    fold_halves_scalar, lane_kernel, product_round_sums_scalar, scale_scalar,
+    write_canonical_scalar, Field, Fr, SplitMix64,
 };
 
 const LOG_SIZES: [u32; 3] = [10, 14, 20];
@@ -60,8 +65,52 @@ fn dot_scalar(a: &[Fr], b: &[Fr]) -> Fr {
     Fr::dot_pairs(a.iter().copied().zip(b.iter().copied()))
 }
 
+/// The arguments of [`Field::product_round_sums`] over one table's halves
+/// as `x`, the same halves rotated by one entry as `y` and rotated by two as
+/// `z`, and the first half of the rotation by three as the weights. With
+/// `weighted` unset, `z` and the weights are left out.
+type RoundSumArgs<'a> = (
+    [&'a [Fr]; 2],
+    [&'a [Fr]; 2],
+    Option<[&'a [Fr]; 2]>,
+    Option<&'a [Fr]>,
+);
+
+fn round_sum_args<'a>(
+    table: &'a [Fr],
+    rotated: &'a [Vec<Fr>; 3],
+    weighted: bool,
+) -> RoundSumArgs<'a> {
+    let half = table.len() / 2;
+    let halves = |t: &'a [Fr]| [&t[..half], &t[half..]];
+    let weights = &rotated[2][..half];
+    (
+        halves(table),
+        halves(&rotated[0]),
+        weighted.then(|| halves(&rotated[1])),
+        weighted.then_some(weights),
+    )
+}
+
+/// `table` rotated left by one, two and three entries.
+fn rotations(table: &[Fr]) -> [Vec<Fr>; 3] {
+    core::array::from_fn(|i| {
+        let mut t = table.to_vec();
+        t.rotate_left(i + 1);
+        t
+    })
+}
+
 /// Whether the hooks and the scalar bodies agree on one random table.
 fn agree(table: &[Fr], r: Fr) -> bool {
+    let rotated = rotations(table);
+    let round_sums = [false, true].iter().all(|&weighted| {
+        let (x, y, z, w) = round_sum_args(table, &rotated, weighted);
+        [false, true].iter().all(|&direct| {
+            Fr::product_round_sums(x, y, z, w, direct)
+                == product_round_sums_scalar(x, y, z, w, direct)
+        })
+    });
     let (lo, hi) = table.split_at(table.len() / 2);
     let (mut hook, mut scalar) = (lo.to_vec(), lo.to_vec());
     Fr::fold_halves(&mut hook, hi, r);
@@ -74,7 +123,7 @@ fn agree(table: &[Fr], r: Fr) -> bool {
     let (mut hook, mut scalar) = (vec![0; table.len() * 32], vec![1; table.len() * 32]);
     Fr::write_canonical(table, &mut hook);
     write_canonical_scalar(table, &mut scalar);
-    fold && scale && hook == scalar && Fr::dot(lo, hi) == dot_scalar(lo, hi)
+    fold && scale && round_sums && hook == scalar && Fr::dot(lo, hi) == dot_scalar(lo, hi)
 }
 
 fn main() -> ExitCode {
@@ -87,7 +136,7 @@ fn main() -> ExitCode {
         .collect();
 
     println!(
-        "`fold_halves` / `scale` / `write_canonical` / `dot` dispatch to: {} \
+        "`fold_halves` / `scale` / `write_canonical` / `dot` / `product_round_sums` dispatch to: {} \
          (whole blocks of 8; the tail runs the scalar body)",
         lane_kernel()
     );
@@ -149,6 +198,30 @@ fn main() -> ExitCode {
             "| 2^{k} | {:.2} | {:.2} |",
             per(scalar, a.len()),
             per(hook, a.len())
+        );
+    }
+    println!();
+    println!(
+        "| table | weighted round sums scalar ns | weighted hook ns \
+         | unweighted scalar ns | unweighted hook ns |"
+    );
+    println!("|---|---|---|---|---|");
+    for (&k, table) in LOG_SIZES.iter().zip(&tables) {
+        let runs = runs(k);
+        let rotated = rotations(table);
+        let cells = [true, false].map(|weighted| {
+            let (x, y, z, w) = round_sum_args(table, &rotated, weighted);
+            let scalar = fastest(runs, || {
+                black_box(product_round_sums_scalar(black_box(x), y, z, w, false));
+            });
+            let hook = fastest(runs, || {
+                black_box(Fr::product_round_sums(black_box(x), y, z, w, false));
+            });
+            [scalar, hook].map(|d| per(d, table.len() / 2))
+        });
+        println!(
+            "| 2^{k} | {:.2} | {:.2} | {:.2} | {:.2} |",
+            cells[0][0], cells[0][1], cells[1][0], cells[1][1]
         );
     }
     ExitCode::SUCCESS

@@ -6,17 +6,25 @@
 //! into five 52-bit limb planes, [`mul_add_lanes`] adds eight products
 //! lane by lane into ten *unreduced* 64-bit columns ([`mul_add`] is its
 //! one-coefficient case), [`reduce`] pays one 5-round Montgomery reduction
-//! (a division by 2^260) and one conditional subtraction, and [`store`]
-//! writes eight elements, or their 256 canonical bytes, back. One term adds
-//! at most nine 52-bit halves to a column, so the 12 bits of headroom hold
-//! a whole sum of terms without a carry.
+//! (a division by 2^260) and one conditional subtraction back to five limb
+//! planes, and [`store`] writes eight elements, or their 256 canonical
+//! bytes, back. One term adds at most nine 52-bit halves to a column, so the
+//! 12 bits of headroom hold a whole sum of terms without a carry.
 //!
-//! They have five clients. [`sparse_mul_lanes`] sums one CSR row's terms
+//! They have six clients. [`sparse_mul_lanes`] sums one CSR row's terms
 //! per block of eight interleaved lanes. [`fold_halves`] and [`scale`]
 //! share one kernel that computes `a·x + b·y` or `c·x` per block of eight
 //! consecutive elements, in place: each block is loaded before it is
 //! stored. [`dot`] sums `aᵢ·bᵢ` per lane and adds the eight lanes up.
 //! [`write_canonical`] is [`reduce`] alone: it leaves Montgomery form.
+//! [`product_round_sums`] sums a sum-check round's `w·(x·y − z)` at both
+//! halves and `w·Δx·Δy` per block of eight pairs, in one pass over the
+//! tables.
+//!
+//! The columns cannot hold a negative value, so the round sums subtract
+//! `z` as a product: `[−1]·[z]`, the Montgomery limbs of `−1` (`−2^256 mod
+//! p`) times `z`'s, added through [`mul_add_lanes`]. A slope `x_hi − x_lo`
+//! is [`difference`]: `x_hi − x_lo + p` in 52-bit limbs, in `(0, 2p)`.
 //!
 //! **Same bytes as the scalar bodies.** A scalar body returns
 //! `Σ aᵢ·xᵢ·2^-256 mod p`, canonical. The kernel enters each coefficient
@@ -29,7 +37,14 @@
 //! scale `k = 1`. The dot cannot pre-scale a vector operand, so it reduces
 //! every 63 blocks and multiplies the field sum of its lanes by 2^4 once,
 //! with four doublings; field addition is exact, so that sum is the scalar
-//! body's too.
+//! body's too. The round sums count in units of `p²` the same way: a block
+//! adds below `4p²` to an unweighted sum (two products of canonical
+//! operands, or one of two differences below `2p`), so those reduce every
+//! 15 blocks and correct by 2^4. A weighted block first reduces its term to
+//! a canonical element (below `4p²` before, so below `2p` after), then
+//! multiplies it by `w`: one product below `p²` per block, a reduction
+//! every 63 blocks, and two reductions in all to correct, 2^8 or eight
+//! doublings.
 //!
 //! The only thing the compiler cannot check is that the CPU has the
 //! instructions. [`available`] is that check, made before each call into a
@@ -41,10 +56,12 @@ use core::arch::x86_64::{
     __m512i, _mm512_add_epi64, _mm512_and_si512, _mm512_loadu_si512, _mm512_madd52hi_epu64,
     _mm512_madd52lo_epu64, _mm512_mask_blend_epi64, _mm512_or_si512, _mm512_permutex2var_epi64,
     _mm512_set1_epi64, _mm512_set_epi64, _mm512_setzero_si512, _mm512_slli_epi64,
-    _mm512_srli_epi64, _mm512_storeu_si512, _mm512_sub_epi64, _mm512_test_epi64_mask,
+    _mm512_srai_epi64, _mm512_srli_epi64, _mm512_storeu_si512, _mm512_sub_epi64,
+    _mm512_test_epi64_mask,
 };
 
 use crate::limb::{add_mod, Limbs};
+use crate::traits::round_sum_lengths_match;
 use crate::{sparse_mul_lanes_scalar, Fq, Fr, MontLimbs};
 
 /// Field elements per vector: eight 64-bit lanes.
@@ -154,6 +171,148 @@ pub(crate) fn write_canonical<F: LimbLayout>(xs: &[F], out: &mut [u8]) -> usize 
     // `canonical_kernel` is compiled with.
     unsafe { canonical_kernel(xs, out) };
     xs.len() * LANES
+}
+
+/// Runs [`crate::Field::product_round_sums`] on the kernel over every whole
+/// block of eight pairs, and returns the three sums with how many leading
+/// pairs they cover (none without IFMA or when the lengths differ; the
+/// caller runs the default body on the rest, which panics on the latter).
+pub(crate) fn product_round_sums<F: LimbLayout>(
+    x: [&[F]; 2],
+    y: [&[F]; 2],
+    z: Option<[&[F]; 2]>,
+    w: Option<&[F]>,
+    direct: bool,
+) -> ([F; 3], usize) {
+    let half = x[0].len();
+    if half < LANES || !round_sum_lengths_match(x, y, z, w) || !available() {
+        return ([F::ZERO; 3], 0);
+    }
+    let (x, y) = (x.map(blocks), y.map(blocks));
+    let (z, w) = (z.map(|z| z.map(blocks)), w.map(blocks));
+    // SAFETY: `available` has just seen, on this CPU, both target features
+    // `round_sums_kernel` is compiled with.
+    let sums = unsafe { round_sums_kernel(x, y, z, w, direct) };
+    (sums, half / LANES * LANES)
+}
+
+/// The whole blocks of eight at the front of `xs`.
+fn blocks<F>(xs: &[F]) -> &[[F; LANES]] {
+    xs.as_chunks().0
+}
+
+/// Per block of eight pairs, three pair terms: `x·y − z` on the low halves,
+/// on the high halves (only when `direct`), and `Δx·Δy` on the
+/// [`difference`]s, each added by [`add_term`] into its own columns. One
+/// reduction per `cadence` blocks keeps each lane's sum below `2p` after it;
+/// the eight canonical lanes are summed in the field.
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn round_sums_kernel<F: LimbLayout>(
+    x: [&[[F; LANES]]; 2],
+    y: [&[[F; LANES]]; 2],
+    z: Option<[&[[F; LANES]]; 2]>,
+    w: Option<&[[F; LANES]]>,
+    direct: bool,
+) -> [F; 3] {
+    let modulus = Modulus::new::<F>();
+    let minus_one = split52(&(-F::ONE).mont_limbs()).map(|l| _mm512_set1_epi64(l as i64));
+    // Weighted, a block adds one product of canonical operands (below p²)
+    // to each sum; unweighted, up to two such products, or one product of
+    // differences, below 4p².
+    let cadence = if w.is_some() {
+        MAX_DEGREE
+    } else {
+        MAX_DEGREE / 4
+    };
+    let (zl, zh) = match z {
+        Some([zl, zh]) => (Some(zl), Some(zh)),
+        None => (None, None),
+    };
+    let mut sums = [F::ZERO; 3];
+    for start in (0..x[0].len()).step_by(cadence) {
+        let mut acc = [[_mm512_setzero_si512(); 10]; 3];
+        for b in start..(start + cadence).min(x[0].len()) {
+            let w = load_at(w, b);
+            let term = |acc: &mut _, x: &_, y: &_, z: Option<_>| {
+                add_term(acc, x, y, z.as_ref(), w.as_ref(), &minus_one, &modulus);
+            };
+            let (xl, yl) = (load(&x[0][b]), load(&y[0][b]));
+            let (xh, yh) = (load(&x[1][b]), load(&y[1][b]));
+            term(&mut acc[0], &xl, &yl, load_at(zl, b));
+            if direct {
+                term(&mut acc[1], &xh, &yh, load_at(zh, b));
+            }
+            let dx = difference(&xh, &xl, &modulus);
+            term(&mut acc[2], &dx, &difference(&yh, &yl, &modulus), None);
+        }
+        for (sum, acc) in sums.iter_mut().zip(acc) {
+            let mut lanes = [F::ZERO; LANES];
+            store(&mut lanes, reduce(acc, &modulus));
+            *sum = lanes.into_iter().fold(*sum, |s, x| s + x);
+        }
+    }
+    // Each term entered as its value times 2^-4 per reduction it went
+    // through: one unweighted, two weighted.
+    let doublings = if w.is_some() { 8 } else { 4 };
+    sums.map(|s| (0..doublings).fold(s, |s, _| s.double()))
+}
+
+/// [`load`] of block `b` of an optional operand. (`Option::map` would take
+/// a closure that inherits the target features, which a function without
+/// them cannot inline.)
+#[inline]
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn load_at<F: LimbLayout>(xs: Option<&[[F; LANES]]>, b: usize) -> Option<[__m512i; 5]> {
+    let xs = xs?;
+    Some(load(&xs[b]))
+}
+
+/// `acc += x·y − z` as unreduced columns, `−z` entered as `[−1]·[z]` with
+/// `minus_one = [−1]`; with a weight, `acc += w · reduce(x·y − z)`, the
+/// reduced term canonical.
+#[inline]
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn add_term(
+    acc: &mut [__m512i; 10],
+    x: &[__m512i; 5],
+    y: &[__m512i; 5],
+    z: Option<&[__m512i; 5]>,
+    w: Option<&[__m512i; 5]>,
+    minus_one: &[__m512i; 5],
+    modulus: &Modulus,
+) {
+    let mut term = [_mm512_setzero_si512(); 10];
+    let columns = if w.is_some() { &mut term } else { &mut *acc };
+    mul_add_lanes(columns, x, y);
+    if let Some(z) = z {
+        mul_add_lanes(columns, minus_one, z);
+    }
+    if let Some(w) = w {
+        mul_add_lanes(acc, w, &reduce(term, modulus));
+    }
+}
+
+/// `hi − lo + p` as five 52-bit limb planes, from two loaded blocks of
+/// canonical elements: a representative of `hi − lo` in `(0, 2p)`. Each
+/// limb's borrow or carry moves up by an arithmetic shift.
+#[inline]
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn difference(hi: &[__m512i; 5], lo: &[__m512i; 5], modulus: &Modulus) -> [__m512i; 5] {
+    let mut d = [_mm512_setzero_si512(); 5];
+    let mut carry = _mm512_setzero_si512();
+    for (i, d) in d.iter_mut().enumerate() {
+        let (hi, lo) = (
+            _mm512_and_si512(hi[i], modulus.mask),
+            _mm512_and_si512(lo[i], modulus.mask),
+        );
+        let s = _mm512_add_epi64(
+            _mm512_sub_epi64(hi, lo),
+            _mm512_add_epi64(modulus.p[i], carry),
+        );
+        *d = _mm512_and_si512(s, modulus.mask);
+        carry = _mm512_srai_epi64::<52>(s);
+    }
+    d
 }
 
 /// Lane-by-lane products, one reduction per `MAX_DEGREE` blocks (so each
@@ -344,10 +503,11 @@ fn mul_add_lanes(acc: &mut [__m512i; 10], a: &[__m512i; 5], b: &[__m512i; 5]) {
 
 /// Montgomery reduction of the columns by `2^260`, canonical: five rounds,
 /// each cancelling the lowest column with `m·p` and carrying it up, then
-/// one conditional subtraction. Returns the four 64-bit limb planes.
+/// one conditional subtraction. Returns five 52-bit limb planes, as [`load`]
+/// does.
 #[inline]
 #[target_feature(enable = "avx512f,avx512ifma")]
-fn reduce(mut c: [__m512i; 10], modulus: &Modulus) -> [__m512i; 4] {
+fn reduce(mut c: [__m512i; 10], modulus: &Modulus) -> [__m512i; 5] {
     let zero = _mm512_setzero_si512();
     for r in 0..5 {
         // `madd52lo` reads the low 52 bits of `c[r]`: all `m` depends on.
@@ -376,13 +536,7 @@ fn reduce(mut c: [__m512i; 10], modulus: &Modulus) -> [__m512i; 4] {
         borrow = _mm512_srli_epi64::<63>(s);
     }
     let below_p = _mm512_test_epi64_mask(borrow, borrow);
-    let t = [0, 1, 2, 3, 4].map(|i| _mm512_mask_blend_epi64(below_p, d[i], t[i]));
-    [
-        _mm512_or_si512(t[0], _mm512_slli_epi64::<52>(t[1])),
-        _mm512_or_si512(_mm512_srli_epi64::<12>(t[1]), _mm512_slli_epi64::<40>(t[2])),
-        _mm512_or_si512(_mm512_srli_epi64::<24>(t[2]), _mm512_slli_epi64::<28>(t[3])),
-        _mm512_or_si512(_mm512_srli_epi64::<36>(t[3]), _mm512_slli_epi64::<16>(t[4])),
-    ]
+    [0, 1, 2, 3, 4].map(|i| _mm512_mask_blend_epi64(below_p, d[i], t[i]))
 }
 
 /// Eight elements as five 52-bit limb planes (lane `e` of plane `l` is
@@ -421,12 +575,18 @@ trait Block {}
 impl<F: LimbLayout> Block for [F; LANES] {}
 impl Block for [u8; BLOCK_BYTES] {}
 
-/// Writes four 64-bit limb planes back as eight elements' limbs, element
-/// `e`'s at words `4e..4e + 4`.
+/// Writes five 52-bit limb planes (each below 2^52) back as eight
+/// elements' 64-bit limbs, element `e`'s at words `4e..4e + 4`.
 #[inline]
 #[target_feature(enable = "avx512f,avx512ifma")]
-fn store<B: Block>(out: &mut B, planes: [__m512i; 4]) {
+fn store<B: Block>(out: &mut B, t: [__m512i; 5]) {
     const { assert!(size_of::<B>() == BLOCK_BYTES) };
+    let planes = [
+        _mm512_or_si512(t[0], _mm512_slli_epi64::<52>(t[1])),
+        _mm512_or_si512(_mm512_srli_epi64::<12>(t[1]), _mm512_slli_epi64::<40>(t[2])),
+        _mm512_or_si512(_mm512_srli_epi64::<24>(t[2]), _mm512_slli_epi64::<28>(t[3])),
+        _mm512_or_si512(_mm512_srli_epi64::<36>(t[3]), _mm512_slli_epi64::<16>(t[4])),
+    ];
     let z = transpose(planes, halves(), interleave());
     let p = (out as *mut B).cast::<__m512i>();
     // SAFETY: `out` is `BLOCK_BYTES` = 256 writable bytes (asserted above)

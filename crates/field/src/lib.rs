@@ -9,16 +9,17 @@
 //! per-field constants are derived from the modulus at compile time — see
 //! [`mod@limb`] — and cross-checked against schoolbook arithmetic in tests.
 //!
-//! Five lane-shaped hooks — the batch encoder's sparse product
+//! Six lane-shaped hooks — the batch encoder's sparse product
 //! ([`Field::sparse_mul_lanes`]), the sum-check fold
 //! ([`Field::fold_halves`]), the in-place scale ([`Field::scale`]), the
-//! slice inner product ([`Field::dot`]) and the bulk canonical serializer
-//! ([`Field::write_canonical`]) — run on the CPU's 52-bit vector
+//! slice inner product ([`Field::dot`]), the bulk canonical serializer
+//! ([`Field::write_canonical`]) and a sum-check round's sums
+//! ([`Field::product_round_sums`]) — run on the CPU's 52-bit vector
 //! multiplier (AVX-512 IFMA) where that is detected at run time and on
 //! their portable bodies ([`sparse_mul_lanes_scalar`],
 //! [`fold_halves_scalar`], [`scale_scalar`], [`Field::dot_pairs`],
-//! [`write_canonical_scalar`]) elsewhere; nothing configures them, and
-//! [`lane_kernel`] reports which.
+//! [`write_canonical_scalar`], [`product_round_sums_scalar`]) elsewhere;
+//! nothing configures them, and [`lane_kernel`] reports which.
 //! The kernels' module holds the crate's only `unsafe` — the calls into it
 //! and its vector loads and stores — which is why the crate root denies
 //! `unsafe_code` rather than forbidding it.
@@ -62,15 +63,16 @@ pub use fr::Fr;
 pub use ntt::NttDomain;
 pub use rng::{RngCore, SplitMix64};
 pub use traits::{
-    field_from_i64, fold_halves_scalar, scale_scalar, sparse_mul_lanes_scalar,
-    write_canonical_scalar, Field, MontLimbs,
+    field_from_i64, fold_halves_scalar, product_round_sums_scalar, scale_scalar,
+    sparse_mul_lanes_scalar, write_canonical_scalar, Field, MontLimbs,
 };
 
 /// The body the lane hooks run on this host for `Fr` and `Fq`:
 /// `"avx512ifma"` or `"scalar"`. Under `"avx512ifma"`,
-/// [`Field::fold_halves`], [`Field::scale`], [`Field::dot`] and
-/// [`Field::write_canonical`] run every whole block of eight on the kernel
-/// and the `len % 8` tail on the scalar body, and
+/// [`Field::fold_halves`], [`Field::scale`], [`Field::dot`],
+/// [`Field::write_canonical`] and [`Field::product_round_sums`] (per block
+/// of eight pairs) run every whole block of eight on the kernel and the
+/// `len % 8` tail on the scalar body, and
 /// [`Field::sparse_mul_lanes`] runs the kernel at widths that are a
 /// multiple of eight and the scalar body at every other width.
 pub fn lane_kernel() -> &'static str {

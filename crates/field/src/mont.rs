@@ -357,6 +357,27 @@ macro_rules! declare_field {
                 let done = 0;
                 $crate::write_canonical_scalar(&xs[done..], &mut out[32 * done..]);
             }
+
+            fn product_round_sums(
+                x: [&[Self]; 2],
+                y: [&[Self]; 2],
+                z: Option<[&[Self]; 2]>,
+                w: Option<&[Self]>,
+                direct: bool,
+            ) -> [Self; 3] {
+                #[cfg(target_arch = "x86_64")]
+                let (head, done) = $crate::ifma::product_round_sums(x, y, z, w, direct);
+                #[cfg(not(target_arch = "x86_64"))]
+                let (head, done) = ([<Self as $crate::Field>::ZERO; 3], 0);
+                let tail = $crate::product_round_sums_scalar(
+                    x.map(|h| &h[done..]),
+                    y.map(|h| &h[done..]),
+                    z.map(|z| z.map(|h| &h[done..])),
+                    w.map(|h| &h[done..]),
+                    direct,
+                );
+                [head[0] + tail[0], head[1] + tail[1], head[2] + tail[2]]
+            }
         }
 
         impl $crate::MontLimbs for $name {

@@ -1,8 +1,8 @@
 //! Property tests for the hot-path kernels: the deferred-reduction dot
 //! kernel against the multiply-then-add fold and the schoolbook-division
 //! oracle, at the carry and term-count edges, the dispatched lane hooks
-//! (sparse product, fold, scale, dot, canonical bytes) against their scalar
-//! bodies, and LUT-vs-naive equivalence.
+//! (sparse product, fold, scale, dot, canonical bytes, round sums) against
+//! their scalar bodies, and LUT-vs-naive equivalence.
 //!
 //! These are the guarantees that let the rest of the workspace adopt the
 //! fast paths without re-auditing: every kernel is bit-identical to the
@@ -11,8 +11,8 @@
 use batchzk_field::limb::{acc_mul_add, acc_reduce, mont_reduce, naive_mul_mod, sub_wide, WideAcc};
 use batchzk_field::lut::{naive_select_sum, SubsetSumLUT};
 use batchzk_field::{
-    fold_halves_scalar, lane_kernel, scale_scalar, sparse_mul_lanes_scalar, write_canonical_scalar,
-    Field, Fq, Fr, MontLimbs, RngCore, SplitMix64,
+    fold_halves_scalar, lane_kernel, product_round_sums_scalar, scale_scalar,
+    sparse_mul_lanes_scalar, write_canonical_scalar, Field, Fq, Fr, MontLimbs, RngCore, SplitMix64,
 };
 
 /// The documented reference for `dot_pairs`: multiply, then add, from zero.
@@ -289,6 +289,84 @@ fn fq_dot_and_canonical_bytes_are_bit_identical_to_the_default_bodies() {
 #[should_panic(expected = "canonical bytes are 32 per element")]
 fn write_canonical_rejects_a_mismatched_buffer() {
     Fr::write_canonical(&[Fr::ONE; 16], &mut [0; 16 * 32 - 1]);
+}
+
+/// `Field::product_round_sums` ≡ `product_round_sums_scalar` at pair counts
+/// around the 8-pair block, the unweighted 15-block reduction cadence
+/// (119 / 120 / 121), 31 blocks (247 / 248 / 249) and the weighted 63-block
+/// cadence (503 / 504 / 505), with the `x` and `y` halves random, all
+/// Montgomery limbs `p − 1` and zero in every pairing, weights absent,
+/// random, `p − 1` and zero, `z` absent and present, and `direct` on and
+/// off. Zero below `p − 1` gives the largest differences; with limbs just
+/// under `p − 1` each lane's sum differs, so its reduction is a fresh draw
+/// at every block count.
+fn round_sums_match_scalar<F: MontLimbs>(seed: u64) {
+    if lane_kernel() == "scalar" {
+        println!("avx512ifma absent: scalar only");
+    }
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let top = F::from_mont_limbs_unchecked(sub_wide(&F::P, &[1, 0, 0, 0]).0);
+    for len in [
+        0usize, 1, 7, 8, 9, 15, 16, 24, 119, 120, 121, 247, 248, 249, 503, 504, 505, 1_027,
+    ] {
+        let random = |rng: &mut SplitMix64| (0..len).map(|_| F::random(rng)).collect::<Vec<F>>();
+        let near_top = (0..len)
+            .map(|_| {
+                let below = sub_wide(&F::P, &[1 + (rng.next_u64() >> 4), 0, 0, 0]).0;
+                F::from_mont_limbs_unchecked(below)
+            })
+            .collect::<Vec<F>>();
+        let halves = [
+            ("random", random(&mut rng), random(&mut rng)),
+            ("p-1", vec![top; len], vec![top; len]),
+            ("zero", vec![F::ZERO; len], vec![F::ZERO; len]),
+            ("p-1 | zero", vec![top; len], vec![F::ZERO; len]),
+            ("zero | p-1", vec![F::ZERO; len], vec![top; len]),
+            ("zero | near p-1", vec![F::ZERO; len], near_top),
+        ];
+        let z = [random(&mut rng), vec![top; len]];
+        let weights = [
+            None,
+            Some(random(&mut rng)),
+            Some(vec![top; len]),
+            Some(vec![F::ZERO; len]),
+        ];
+        for (x_name, x_lo, x_hi) in &halves {
+            for (y_name, y_lo, y_hi) in &halves {
+                let (x, y) = ([&x_lo[..], &x_hi[..]], [&y_lo[..], &y_hi[..]]);
+                for (k, w) in weights.iter().enumerate() {
+                    for z in [None, Some([&z[0][..], &z[1][..]])] {
+                        for direct in [false, true] {
+                            assert_eq!(
+                                F::product_round_sums(x, y, z, w.as_deref(), direct),
+                                product_round_sums_scalar(x, y, z, w.as_deref(), direct),
+                                "len {len}, x {x_name}, y {y_name}, weights {k}, z {}, \
+                                 direct {direct}",
+                                z.is_some()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn fr_round_sums_are_bit_identical_to_the_scalar_body() {
+    round_sums_match_scalar::<Fr>(0xB0C);
+}
+
+#[test]
+fn fq_round_sums_are_bit_identical_to_the_scalar_body() {
+    round_sums_match_scalar::<Fq>(0xB0D);
+}
+
+#[test]
+#[should_panic(expected = "round-sum halves differ in length")]
+fn round_sums_reject_halves_of_different_lengths() {
+    let (lo, hi) = ([Fr::ONE; 16], [Fr::ONE; 17]);
+    Fr::product_round_sums([&lo, &hi], [&lo, &lo], None, None, true);
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Fiat–Shamir sum-check provers for the polynomial shapes the SNARK needs:
 //! plain multilinear (degree 1), products of two multilinears (degree 2),
-//! and the Spartan core `eq·(a·b - c)` (degree 3) — each a [`Gate`]
-//! description handed to the one round loop, [`prove_rounds`].
+//! and the Spartan core `eq·(a·b - c)` (degree 3) — each its tables and an
+//! optional `eq` point handed to the one round loop, [`prove_rounds`].
 
 use batchzk_field::{batch_invert, Field};
 use batchzk_hash::Transcript;
@@ -30,22 +30,12 @@ impl<F: Field> ProverOutput<F> {
     }
 }
 
-/// What a sum-check sums, as the round loop sees it: `Σ_b w(b)·p(t_1(b), …,
-/// t_T(b))` over `T` tables, with `p` of degree `degree` (1 or 2) in the
-/// table values and the weight `w = eq(τ, ·)` when `eq` holds `τ`, else 1.
-///
-/// A pair's term `w·p(t)` enters its sum as one *deferred* product
-/// ([`Field::dot_acc_add`]): `term(w, t, leading)` returns its two factors.
-/// With `leading` set, `t` holds the tables' slopes and the term is the
-/// coefficient of `X^degree` in the round variable — the top-degree part of
-/// `p` alone (asked only for degree 2).
-struct Gate<'a, F, P> {
-    degree: usize,
-    eq: Option<&'a [F]>,
-    term: P,
-}
-
 /// The round loop behind every prover below.
+///
+/// It sums `Σ_b w(b)·p(t_1(b), …, t_T(b))` over `T` tables: `p = t_1` for
+/// one table (degree 1), else `p = x·y` or `x·y − z` (degree 2), the shape
+/// [`Field::product_round_sums`] sums; the weight `w = eq(τ, ·)` when `eq`
+/// holds `τ`, else 1.
 ///
 /// A round's polynomial is `g(X) = L(X)·s(X)`: `s(X) = Σ_b w(b)·p(X, b)`
 /// sums the pairs under the `eq` weights of the variables still free, and
@@ -60,7 +50,7 @@ struct Gate<'a, F, P> {
 /// elements, so the rounds are the bytes a per-`X` evaluation of the full
 /// product gives, whatever the tables sum to.
 fn prove_rounds<F: Field, const T: usize>(
-    gate: Gate<'_, F, impl Fn(F, [F; T], bool) -> (F, F)>,
+    eq: Option<&[F]>,
     mut tables: [MultilinearPoly<F>; T],
     transcript: &mut Transcript,
 ) -> ProverOutput<F> {
@@ -68,13 +58,14 @@ fn prove_rounds<F: Field, const T: usize>(
     let same_vars = tables.iter().all(|t| t.num_vars() == n);
     assert!(same_vars, "variable count mismatch");
     // With an `eq` factor: 1/τ_j (zero where τ_j is) and the weight tables.
-    let eq = gate.eq.map(|tau| {
+    let eq = eq.map(|tau| {
         assert_eq!(tau.len(), n, "variable count mismatch");
         let mut inverses = tau.to_vec();
         batch_invert(&mut inverses);
         (tau, inverses, eq_prefix_tables(tau))
     });
-    let degree = gate.degree + usize::from(eq.is_some());
+    // `p` is of degree 1 in one table's values, 2 in a product's.
+    let degree = T.min(2) + usize::from(eq.is_some());
     let mut rounds = Vec::with_capacity(n);
     let mut rs = Vec::with_capacity(n);
     // `s_prev(r)`, and the `eq` factor of the variables bound so far.
@@ -82,29 +73,28 @@ fn prove_rounds<F: Field, const T: usize>(
     for var in (0..n).rev() {
         let half = 1usize << var;
         let (l0, l1, l1_inv, weights) = match &eq {
-            Some((tau, inv, levels)) => (F::ONE - tau[var], tau[var], inv[var], &levels[half..]),
-            None => (F::ONE, F::ONE, F::ONE, &[][..]),
+            Some((tau, inv, levels)) => {
+                let weights = &levels[half..2 * half];
+                (F::ONE - tau[var], tau[var], inv[var], Some(weights))
+            }
+            None => (F::ONE, F::ONE, F::ONE, None),
         };
         let known = claim.filter(|_| !l1_inv.is_zero());
-        let mut sums = [F::DotAcc::default(); 3];
-        for b in 0..half {
-            let w = weights.get(b).copied().unwrap_or(F::ONE);
-            let t0: [F; T] = core::array::from_fn(|i| tables[i].evals()[b]);
-            let t1: [F; T] = core::array::from_fn(|i| tables[i].evals()[b + half]);
-            let (x, y) = (gate.term)(w, t0, false);
-            F::dot_acc_add(&mut sums[0], x, y);
-            if known.is_none() {
-                let (x, y) = (gate.term)(w, t1, false);
-                F::dot_acc_add(&mut sums[1], x, y);
+        let direct = known.is_none();
+        let halves = tables.each_ref().map(|t| {
+            let (lo, hi) = t.evals().split_at(half);
+            [lo, hi]
+        });
+        let [s0, summed, top] = match halves.as_slice() {
+            [[lo, hi]] => {
+                let sum = |h: &[F]| h.iter().copied().sum();
+                [sum(lo), if direct { sum(hi) } else { F::ZERO }, F::ZERO]
             }
-            if gate.degree == 2 {
-                let slopes = core::array::from_fn(|i| t1[i] - t0[i]);
-                let (x, y) = (gate.term)(w, slopes, true);
-                F::dot_acc_add(&mut sums[2], x, y);
-            }
-        }
-        let [s0, direct, top] = sums.map(|acc| F::dot_acc_reduce(&acc));
-        let s1 = known.map_or(direct, |claim| (claim - l0 * s0) * l1_inv);
+            [x, y] => F::product_round_sums(*x, *y, None, weights, direct),
+            [x, y, z] => F::product_round_sums(*x, *y, Some(*z), weights, direct),
+            _ => unreachable!("the provers pass one, two or three tables"),
+        };
+        let s1 = known.map_or(summed, |claim| (claim - l0 * s0) * l1_inv);
 
         let mut round = vec![s0, s1];
         let (mut diff, second) = (s1 - s0, top.double());
@@ -139,12 +129,7 @@ pub fn prove_linear<F: Field>(
     poly: MultilinearPoly<F>,
     transcript: &mut Transcript,
 ) -> ProverOutput<F> {
-    let gate = Gate {
-        degree: 1,
-        eq: None,
-        term: |w, [p]: [F; 1], _| (w, p),
-    };
-    prove_rounds(gate, [poly], transcript)
+    prove_rounds(None, [poly], transcript)
 }
 
 /// Proves `H = Σ_b f(b)·g(b)` (degree-2 rounds, evaluations at X ∈ {0,1,2}).
@@ -157,12 +142,7 @@ pub fn prove_quadratic<F: Field>(
     g: MultilinearPoly<F>,
     transcript: &mut Transcript,
 ) -> ProverOutput<F> {
-    let gate = Gate {
-        degree: 2,
-        eq: None,
-        term: |_, [f, g]: [F; 2], _| (f, g),
-    };
-    prove_rounds(gate, [f, g], transcript)
+    prove_rounds(None, [f, g], transcript)
 }
 
 /// Proves `H = Σ_b eq(τ, b)·(a(b)·c(b) - d(b))` — the Spartan outer
@@ -181,12 +161,7 @@ pub fn prove_cubic<F: Field>(
     d: MultilinearPoly<F>,
     transcript: &mut Transcript,
 ) -> ProverOutput<F> {
-    let gate = Gate {
-        degree: 2,
-        eq: Some(tau),
-        term: |w, [a, c, d]: [F; 3], leading| (w, if leading { a * c } else { a * c - d }),
-    };
-    prove_rounds(gate, [a, c, d], transcript)
+    prove_rounds(Some(tau), [a, c, d], transcript)
 }
 
 #[cfg(test)]
@@ -195,7 +170,8 @@ mod tests {
     use crate::counting::{count_muls, Counted};
     use crate::poly::{eq_eval, eq_table};
     use crate::rounds::verify_rounds;
-    use batchzk_field::Fr;
+    use batchzk_field::limb::sub_wide;
+    use batchzk_field::{Fr, MontLimbs};
     use batchzk_hash::Prg;
 
     fn rand_poly(n: usize, rng: &mut Prg) -> MultilinearPoly<Fr> {
@@ -332,11 +308,11 @@ mod tests {
     }
 
     /// The portable bodies end to end. `Counted` is not a `declare_field!`
-    /// type, so its `fold_halves` and `scale` are always the default
-    /// bodies, while `Fr` runs whatever this host dispatches to: the same
-    /// tables proved as both must give the same rounds, challenges, final
-    /// evaluations and transcript state, and the same `eq` tables and
-    /// evaluations.
+    /// type, so its `fold_halves`, `scale` and `product_round_sums` are
+    /// always the default bodies, while `Fr` runs whatever this host
+    /// dispatches to: the same tables proved as both must give the same
+    /// rounds, challenges, final evaluations and transcript state, and the
+    /// same `eq` tables and evaluations.
     #[test]
     fn portable_bodies_prove_the_dispatched_bytes() {
         fn wrap(v: &[Fr]) -> Vec<Counted> {
@@ -413,6 +389,38 @@ mod tests {
                 let value = a_counted.evaluate(&tau_counted).0;
                 assert_eq!(value, a.evaluate(&tau), "evaluate {case}");
             }
+            // Random tables stay far from the kernel's reduction bounds.
+            // All Montgomery limbs p − 1 come near them in every round (such
+            // a table folds to itself); p − 1 over zero gives round 1 the
+            // largest slopes.
+            // τ is zero at a middle coordinate, so a round after the first
+            // sums s(1) directly.
+            let top = Fr::from_mont_limbs_unchecked(sub_wide(&Fr::P, &[1, 0, 0, 0]).0);
+            let half = 1 << (n - 1);
+            let mut tau = random;
+            tau[n / 2] = Fr::ZERO;
+            let tau_counted = wrap(&tau);
+            for (shape, table) in [
+                ("p-1", vec![top; 2 * half]),
+                (
+                    "p-1 | zero",
+                    [vec![top; half], vec![Fr::ZERO; half]].concat(),
+                ),
+            ] {
+                let t = MultilinearPoly::new(table);
+                same(
+                    [t.clone(), t.clone()],
+                    |tr, [f, g]| prove_quadratic(f, g, tr),
+                    |tr, [f, g]| prove_quadratic(f, g, tr),
+                    &format!("quadratic {shape} n={n}"),
+                );
+                same(
+                    [t.clone(), t.clone(), t],
+                    |tr, [a, c, d]| prove_cubic(&tau, a, c, d, tr),
+                    |tr, [a, c, d]| prove_cubic(&tau_counted, a, c, d, tr),
+                    &format!("cubic {shape}, τ zero at {} n={n}", n / 2),
+                );
+            }
         }
     }
 
@@ -421,8 +429,9 @@ mod tests {
         // The regression gate for hosts where wall-clock cannot fire. Per
         // pair and round, full multiplies / deferred products: sum-check #1
         // spends 2 / 2 on s(0), s(∞) and 3 / 0 on the fold; sum-check #2
-        // 0 / 2 and 2 / 0; the linear prover 0 / 1 and 1 / 0. Round 1 sums
-        // s(1) directly: 1 / 1 (resp. 0 / 1) more per pair. Outside the pair
+        // 0 / 2 and 2 / 0; the linear prover (which adds) 0 / 0 and 1 / 0.
+        // Round 1 sums s(1) directly: 1 / 1 (resp. 0 / 1) more per pair
+        // (`product_round_sums_scalar`, which `Counted` runs). Outside the pair
         // loops a round costs `ROUND` multiplies plus one per evaluation it
         // sends, and the `eq` factor one `batch_invert` of τ plus its prefix
         // tables (under m/2).

@@ -23,10 +23,19 @@ and every `end_to_end` metric whose change median is worse than its parent
 median by more than the metric's `bound` (a fraction of the parent median),
 or that all are within bound.
 
+`trajectory` reads every committed `BENCH_<n>.json` at the repo root in
+order of `<n>` and prints, per file, workload, seed and trace flag, the
+parent and change medians of one metric, their ratio (change / parent), and
+the chained ratio: the product of that workload, seed and trace flag's
+ratios over every file so far that has it. Each file is one A/B step, so
+the chain is the metric's history across steps even where absolute levels
+drifted between sessions. A line that does not parse exits non-zero.
+
     python3 scripts/bench_ab.py record --out BENCH_<n>.json \\
         --parent /path/to/parent-benchmark@<commit> --change /path/to/change-benchmark@<commit> \\
         --workload spartan-batch --seeds 1,2727 --pairs 10 [--trace 0]
     python3 scripts/bench_ab.py summary BENCH_<n>.json [--metric host_proofs_per_s]
+    python3 scripts/bench_ab.py trajectory [--metric host_proofs_per_s]
 """
 
 import argparse
@@ -105,7 +114,12 @@ def summary(args):
         for run in runs:
             metric = run["metrics"].get(args.metric)
             if metric is not None:
-                values[run["role"]][run["pair"]] = metric["value"]
+                # A second `record` into the same file numbers its pairs
+                # from 0 again: the k-th run of a pair index pairs with the
+                # other role's k-th.
+                slot = values[run["role"]]
+                pair = (run["pair"], sum(p == run["pair"] for p, _ in slot))
+                slot[pair] = metric["value"]
         if not any(values.values()):
             continue
         pairs = sorted(set(values["parent"]) & set(values["change"]))
@@ -151,6 +165,49 @@ def worse_end_to_end(runs):
     return worse
 
 
+def runs_of(path):
+    """The runs of one BENCH file, each line checked to be a run object."""
+    runs = []
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        try:
+            run = json.loads(line)
+            run["role"], run["workload"], run["seed"], run["trace"], run["metrics"]
+        except (ValueError, KeyError, TypeError) as err:
+            sys.exit(f"{path.name}:{number}: not a benchmark run line ({err!r})")
+        runs.append(run)
+    return runs
+
+
+def trajectory(args):
+    files = sorted((int(m.group(1)), path) for path in ROOT.glob("BENCH_*.json")
+                   if (m := re.fullmatch(r"BENCH_(\d+)\.json", path.name)))
+    if not files:
+        sys.exit("no BENCH_<n>.json at the repo root")
+    chained = {}
+    for _, path in files:
+        groups = {}
+        for run in runs_of(path):
+            metric = run["metrics"].get(args.metric)
+            if metric is not None:
+                key = (run["workload"], run["seed"], run["trace"])
+                groups.setdefault(key, {}).setdefault(run["role"], []).append(metric["value"])
+        for key, values in sorted(groups.items()):
+            if not {"parent", "change"} <= set(values):
+                continue
+            parent, change = (statistics.median(values[role]) for role in ("parent", "change"))
+            workload, seed, trace = key
+            line = f"{path.name} {workload} seed {seed} trace {trace}: {args.metric} " \
+                   f"{parent:.4g} -> {change:.4g}"
+            if parent == 0:
+                print(f"{line} (no ratio from a zero parent)")
+                continue
+            chain, steps = chained.get(key, (1.0, 0))
+            chain, steps = chain * change / parent, steps + 1
+            chained[key] = (chain, steps)
+            print(f"{line} (x{change / parent:.3f}); chained x{chain:.3f} "
+                  f"over {steps} file{'s' if steps > 1 else ''}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -165,11 +222,10 @@ def main():
     summ = sub.add_parser("summary")
     summ.add_argument("file")
     summ.add_argument("--metric", default="host_proofs_per_s")
+    traj = sub.add_parser("trajectory")
+    traj.add_argument("--metric", default="host_proofs_per_s")
     args = parser.parse_args()
-    if args.command == "record":
-        record(args)
-    else:
-        summary(args)
+    {"record": record, "summary": summary, "trajectory": trajectory}[args.command](args)
 
 
 if __name__ == "__main__":
