@@ -4,7 +4,7 @@
 //! generator `(1, 2)`. Formulas follow the standard a=0 Jacobian
 //! addition/doubling from the Explicit-Formulas Database.
 
-use batchzk_field::{batch_invert, Field, Fq, Fr};
+use batchzk_field::{Field, Fq, Fr};
 
 /// A point in affine coordinates (or the point at infinity).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -256,7 +256,7 @@ impl G1Projective {
     /// Batch conversion to affine with a single shared inversion.
     pub fn batch_to_affine(points: &[Self]) -> Vec<G1Affine> {
         let mut zs: Vec<Fq> = points.iter().map(|p| p.z).collect();
-        batch_invert(&mut zs);
+        Fq::batch_invert(&mut zs);
         points
             .iter()
             .zip(zs)

@@ -7,7 +7,7 @@
 
 use std::ops::Range;
 
-use batchzk_field::{batch_invert, Field, Fq, Fr};
+use batchzk_field::{Field, Fq, Fr};
 
 use crate::g1::{G1Affine, G1Projective};
 
@@ -49,41 +49,36 @@ pub fn window_size(n: usize) -> usize {
     }
 }
 
-/// Window size [`msm`] uses on the host for `n` terms. A signed window
-/// costs about `6·n + 27·2^(c−1)` field multiplies (batch-affine bucket
-/// adds against a mixed plus a full add per bucket of the running sums),
-/// which puts the optimum well below [`window_size`]'s. The rungs sit
-/// where counted field operations of adjacent windows cross; check a moved
-/// rung against the parent commit with `examples/msm_sizes.rs`.
+/// Window size [`msm`] uses on the host for `n` terms: the `c` with the
+/// fewest field-multiply equivalents by `⌈255 / c⌉·(4·n + 27·2^(c−1))`,
+/// which puts it well below [`window_size`]'s. Per window, an entry's
+/// batch-affine addition costs about 4 (one gathered pair, its share of
+/// [`Field::batch_invert`] and of [`Field::affine_chords`], on the 8-lane
+/// multiplier: ~80 ns against ~20 for a scalar multiply) and a bucket of
+/// the running sums a mixed plus a full add, 11 + 16. The rule picks the
+/// fastest window measured at `2^6`, `2^8`, …, `2^16`; check a change to
+/// it against the parent commit with `examples/msm_sizes.rs`.
 fn host_window(n: usize) -> usize {
-    match n {
-        0..=15 => 2,
-        16..=47 => 3,
-        48..=111 => 4,
-        112..=223 => 5,
-        224..=447 => 6,
-        448..=895 => 7,
-        896..=2559 => 8,
-        2560..=5119 => 9,
-        5120..=14335 => 10,
-        14336..=40959 => 11,
-        40960..=57343 => 12,
-        57344..=393215 => 13,
-        393216..=2097151 => 15,
-        _ => 16,
-    }
+    (2..=16)
+        .min_by_key(|&c| window_count(c) * (4 * n + (27 << (c - 1))))
+        .expect("a window size")
 }
 
 /// Bucket entries scattered at a time. Every batch-affine round pays one
 /// `Fq` inversion (a ~380-multiply Fermat power) for everything scattered,
 /// so small MSMs put several passes in a scatter to share it, while scratch
 /// stays near `max(n, GROUP_ENTRIES)` points whatever the window count and
-/// however many shifts a table stores.
-const GROUP_ENTRIES: usize = 4096;
+/// however many shifts a table stores. With the rounds' pairs on the 8-lane
+/// multiplier the inversion is a larger share of a round: 8192 puts a whole
+/// `2^8` commitment (32 rows) in one scatter, 15 % faster there than 4096,
+/// and 5 – 7 % faster from `2^10` to `2^12`.
+const GROUP_ENTRIES: usize = 8192;
 
 /// Fewest additions worth a batch-affine round: a round costs the
-/// inversion plus ~6 multiplies an addition, the mixed add the running
-/// sum would otherwise spend on the same entry costs 11.
+/// inversion (~380 multiplies) plus ~4 multiplies' worth an addition, and
+/// the mixed add the running sum would otherwise spend on the same entry
+/// costs 11, so a round pays from ~55 additions. A round's pairs halve, so
+/// the threshold moves a round or two: 32 to 128 measure the same.
 const MIN_ROUND_PAIRS: usize = 96;
 
 /// Windows of a scalar at window size `c`: one past the scalar's bits
@@ -117,16 +112,22 @@ const TABLE_BYTES: usize = 128 << 20;
 /// Window size of a [`MsmBases`] table over `n` bases. With `t` shifts
 /// stored a pass scatters `t·n` entries and there are `windows / t` running
 /// sums instead of `windows`, so the optimum sits above [`host_window`]'s:
-/// fewer, wider windows. Set, like that ladder, from
+/// fewer, wider windows. The rungs from 288 to 6 912 are where
+/// [`host_window`]'s cost with one running sum in all,
+/// `⌈255 / c⌉·4·n + 27·2^(c−1)`, crosses between adjacent windows; 48 and
+/// 24 576 (where it crosses at 87 and 27 649) are kept from the ladder set
+/// for scalar rounds. Adjacent windows were timed at `2^6` to `2^13` and
+/// the sizes between; check a change against the parent commit with
 /// `examples/msm_sizes.rs`.
 fn table_window(n: usize) -> usize {
     match n {
         0..=47 => 7,
-        48..=191 => 8,
-        192..=767 => 10,
-        768..=3071 => 11,
-        3072..=6143 => 12,
-        6144..=24575 => 13,
+        48..=287 => 8,
+        288..=575 => 9,
+        576..=1727 => 10,
+        1728..=3455 => 11,
+        3456..=6911 => 12,
+        6912..=24575 => 13,
         _ => 15,
     }
 }
@@ -317,7 +318,55 @@ struct Buckets {
     /// What the buckets held before a scatter, while it moves them.
     kept: Vec<G1Affine>,
     segments: Vec<Range<usize>>,
-    denominators: Vec<Fq>,
+    /// The pairs of the round in hand.
+    chords: Chords,
+}
+
+/// One round's pairs `(p, q)` coordinate by coordinate, as
+/// [`Field::batch_invert`] and [`Field::affine_chords`] take them: the
+/// slopes' numerators and denominators (inverted in place), `q_x`, and `p`,
+/// which the chords overwrite with `p + q`. Kept across rounds and MSMs.
+#[derive(Default)]
+struct Chords {
+    num: Vec<Fq>,
+    den: Vec<Fq>,
+    qx: Vec<Fq>,
+    px: Vec<Fq>,
+    py: Vec<Fq>,
+}
+
+impl Chords {
+    fn clear(&mut self) {
+        for coordinate in [
+            &mut self.num,
+            &mut self.den,
+            &mut self.qx,
+            &mut self.px,
+            &mut self.py,
+        ] {
+            coordinate.clear();
+        }
+    }
+
+    /// Adds the pair `(p, q)`, neither the identity. Its slope is
+    /// `(q_y − p_y) / (q_x − p_x)`, the tangent's `3·p_x² / 2·p_y` when
+    /// `q = p`, and `0 / 0` when `q = −p`: the zero denominator stays zero
+    /// through the inversion and marks a pair whose sum is the identity.
+    fn push(&mut self, p: &G1Affine, q: &G1Affine) {
+        let (num, den) = if p.x != q.x {
+            (q.y - p.y, q.x - p.x)
+        } else if p.y == q.y {
+            let xx = p.x.square();
+            (xx.double() + xx, p.y.double())
+        } else {
+            (Fq::ZERO, Fq::ZERO)
+        };
+        self.num.push(num);
+        self.den.push(den);
+        self.qx.push(q.x);
+        self.px.push(p.x);
+        self.py.push(p.y);
+    }
 }
 
 impl Buckets {
@@ -386,32 +435,49 @@ impl Buckets {
     /// for its inversion. Buckets may keep more than one entry.
     fn reduce(&mut self) {
         while self.segments.iter().map(|s| s.len() / 2).sum::<usize>() >= MIN_ROUND_PAIRS {
-            self.denominators.clear();
-            for segment in &self.segments {
-                let pairs = self.entries[segment.clone()].chunks_exact(2);
-                self.denominators
-                    .extend(pairs.map(|pair| slope_denominator(&pair[0], &pair[1])));
+            self.round(Fq::batch_invert, Fq::affine_chords);
+        }
+    }
+
+    /// One round: every bucket's entries added two by two, its sums (a
+    /// cancelled pair drops out) and any odd entry compacted to the front
+    /// of its segment. `invert` and `chords` are the round's two
+    /// lane-shaped steps, [`Field::batch_invert`] and
+    /// [`Field::affine_chords`] or their scalar bodies.
+    fn round(
+        &mut self,
+        invert: impl Fn(&mut [Fq]),
+        chords: impl Fn(&[Fq], &[Fq], &[Fq], [&mut [Fq]; 2]),
+    ) {
+        let c = &mut self.chords;
+        c.clear();
+        for segment in &self.segments {
+            for pair in self.entries[segment.clone()].chunks_exact(2) {
+                c.push(&pair[0], &pair[1]);
             }
-            batch_invert(&mut self.denominators);
-            let mut inverses = self.denominators.iter();
-            for segment in &mut self.segments {
-                let (mut next, mut out) = (segment.start, segment.start);
-                while next + 1 < segment.end {
-                    let inverse = inverses.next().expect("one denominator per pair");
-                    let sum =
-                        add_with_inverse(&self.entries[next], &self.entries[next + 1], inverse);
-                    if let Some(sum) = sum {
-                        self.entries[out] = sum;
-                        out += 1;
-                    }
-                    next += 2;
-                }
-                if next < segment.end {
-                    self.entries[out] = self.entries[next];
+        }
+        invert(&mut c.den);
+        chords(&c.num, &c.den, &c.qx, [&mut c.px, &mut c.py]);
+        let mut sums = c.den.iter().zip(c.px.iter().zip(&c.py));
+        for segment in &mut self.segments {
+            let (mut next, mut out) = (segment.start, segment.start);
+            while next + 1 < segment.end {
+                let (inverse, (&x, &y)) = sums.next().expect("one chord per pair");
+                if !inverse.is_zero() {
+                    self.entries[out] = G1Affine {
+                        x,
+                        y,
+                        infinity: false,
+                    };
                     out += 1;
                 }
-                segment.end = out;
+                next += 2;
             }
+            if next < segment.end {
+                self.entries[out] = self.entries[next];
+                out += 1;
+            }
+            segment.end = out;
         }
     }
 
@@ -430,40 +496,6 @@ impl Buckets {
     }
 }
 
-/// Denominator of the slope of the line through `p` and `q`, neither the
-/// identity: `x_q − x_p`, `2·y_p` (tangent) when `q = p`, and zero when
-/// `q = −p` and the sum is the identity.
-fn slope_denominator(p: &G1Affine, q: &G1Affine) -> Fq {
-    if p.x != q.x {
-        q.x - p.x
-    } else if p.y == q.y {
-        p.y.double()
-    } else {
-        Fq::ZERO
-    }
-}
-
-/// `p + q` given `inverse`, the inverse of [`slope_denominator`]`(p, q)`
-/// or zero where that is zero; `None` is the identity.
-fn add_with_inverse(p: &G1Affine, q: &G1Affine, inverse: &Fq) -> Option<G1Affine> {
-    if inverse.is_zero() {
-        return None;
-    }
-    let numerator = if p.x == q.x {
-        let xx = p.x.square();
-        xx.double() + xx
-    } else {
-        q.y - p.y
-    };
-    let slope = numerator * *inverse;
-    let x = slope.square() - p.x - q.x;
-    Some(G1Affine {
-        x,
-        y: slope * (p.x - x) - p.y,
-        infinity: false,
-    })
-}
-
 /// Group operations of one MSM on the *modelled device kernel* (see
 /// [`window_size`]): unsigned-window Pippenger performs roughly
 /// `num_windows · (n + 2^(c+1))` group additions plus 254 doublings. The
@@ -478,7 +510,7 @@ pub fn msm_group_op_count(n: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use batchzk_field::Field;
+    use batchzk_field::{affine_chords_scalar, batch_invert_scalar, Field};
     use batchzk_field::{RngCore, SplitMix64};
 
     fn fixture(n: usize, seed: u64) -> (Vec<G1Affine>, Vec<Fr>) {
@@ -643,7 +675,7 @@ mod tests {
     #[test]
     fn matches_oracle_on_each_side_of_every_host_rung() {
         let rungs = [
-            16usize, 48, 112, 224, 448, 896, 2560, 5120, 14336, 40960, 57344, 393216, 2097152,
+            14usize, 56, 158, 473, 1117, 2333, 7489, 13249, 38017, 69121, 124417, 442369, 1658881,
         ];
         for rung in rungs {
             assert!(host_window(rung - 1) < host_window(rung), "n={rung}");
@@ -672,8 +704,8 @@ mod tests {
 
     #[test]
     fn several_window_groups_match_the_oracle() {
-        // 2^11 + 1 terms: one window a group, 32 groups.
-        let n = (1 << 11) + 1;
+        // 2^12 + 1 terms: one window a group, 32 groups.
+        let n = GROUP_ENTRIES / 2 + 1;
         assert!(GROUP_ENTRIES / n < 2);
         let mut rng = SplitMix64::seed_from_u64(0x6709);
         let mut points = generator_multiples(n);
@@ -769,8 +801,8 @@ mod tests {
 
     #[test]
     fn table_agrees_with_msm_on_each_side_of_every_rung_of_both_ladders() {
-        let host = [16usize, 48, 112, 224, 448, 896, 2560];
-        let table = [48usize, 192, 768, 3072, 6144, 24576];
+        let host = [14usize, 56, 158, 473, 1117, 2333];
+        let table = [48usize, 288, 576, 1728, 3456, 6912, 24576];
         for rung in table {
             assert!(table_window(rung - 1) < table_window(rung), "n={rung}");
         }
@@ -793,10 +825,10 @@ mod tests {
 
     #[test]
     fn a_pass_larger_than_one_scatter_matches_the_oracle() {
-        // 1 500 bases: two table rows a scatter, so every pass of 26 rows
-        // goes into its buckets in thirteen; at two shifts a pass, in one.
+        // 1 500 bases: five table rows a scatter, so every pass of 26 rows
+        // goes into its buckets in six; at two shifts a pass, in one.
         let n = 1500;
-        assert_eq!(GROUP_ENTRIES / n, 2);
+        assert_eq!(GROUP_ENTRIES / n, 5);
         let mut rng = SplitMix64::seed_from_u64(0x5ca77e4);
         let points = generator_multiples(n);
         let scalars: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
@@ -847,12 +879,74 @@ mod tests {
         let _ = MsmBases::new(&points).msm(&[Fr::ONE]);
     }
 
-    /// `slope_denominator` → inversion → `add_with_inverse`, as one round
-    /// of `Buckets::reduce` does for a single pair.
+    /// Buckets holding `entries`, bucket `k` the next `sizes[k]` of them.
+    fn buckets_of(entries: &[G1Affine], sizes: impl IntoIterator<Item = usize>) -> Buckets {
+        let segments: Vec<Range<usize>> = sizes
+            .into_iter()
+            .scan(0, |start, size| {
+                *start += size;
+                Some(*start - size..*start)
+            })
+            .collect();
+        assert_eq!(segments.last().map_or(0, |s| s.end), entries.len());
+        Buckets {
+            entries: entries.to_vec(),
+            segments,
+            ..Buckets::default()
+        }
+    }
+
+    /// `p + q` as one round of `Buckets::reduce` adds a bucket's pair.
     fn affine_pair_add(p: &G1Affine, q: &G1Affine) -> G1Affine {
-        let mut denominator = [slope_denominator(p, q)];
-        batch_invert(&mut denominator);
-        add_with_inverse(p, q, &denominator[0]).unwrap_or(G1Affine::identity())
+        let mut buckets = buckets_of(&[*p, *q], [2]);
+        buckets.round(Fq::batch_invert, Fq::affine_chords);
+        let sum = &buckets.entries[buckets.segments[0].clone()];
+        sum.first().copied().unwrap_or(G1Affine::identity())
+    }
+
+    #[test]
+    fn a_round_through_the_hooks_matches_the_scalar_bodies() {
+        // Buckets of 0 to 6 entries: 153 pairs, not a multiple of the
+        // batch inversion's 32-element row nor of the chords' 8-pair block,
+        // and odd entries left over. Every 5th pair is a doubling, every
+        // 7th a cancellation.
+        let (points, _) = fixture(720, 0x40d5);
+        let sizes: Vec<usize> = (0..120).map(|k| k % 7).collect();
+        let mut entries = Vec::new();
+        let mut pairs = 0;
+        for &size in &sizes {
+            let bucket = &points[entries.len()..][..size];
+            for (i, pair) in bucket.chunks(2).enumerate() {
+                entries.push(pair[0]);
+                if let [p, _] = pair {
+                    entries.push(match (pairs + i) % 35 {
+                        k if k % 5 == 0 => *p,
+                        k if k % 7 == 0 => p.neg(),
+                        _ => pair[1],
+                    });
+                }
+            }
+            pairs += size / 2;
+        }
+        assert!(pairs % 32 != 0 && pairs % 8 != 0, "pairs={pairs}");
+        let mut hooks = buckets_of(&entries, sizes.iter().copied());
+        hooks.round(Fq::batch_invert, Fq::affine_chords);
+        let mut scalar = buckets_of(&entries, sizes.iter().copied());
+        scalar.round(batch_invert_scalar, affine_chords_scalar);
+        assert_eq!(hooks.entries, scalar.entries);
+        assert_eq!(hooks.segments, scalar.segments);
+        // And both are the group's sums: a cancelled pair dropped out.
+        let mut start = 0;
+        for (size, segment) in sizes.iter().zip(&hooks.segments) {
+            let bucket = &entries[start..start + size];
+            start += size;
+            let expect = bucket.iter().map(|&p| G1Projective::from(p));
+            let got = hooks.entries[segment.clone()].iter();
+            assert_eq!(
+                got.fold(G1Projective::identity(), |acc, p| acc.add_affine(p)),
+                expect.fold(G1Projective::identity(), |acc, p| acc.add(&p))
+            );
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Prints which body the lane hooks dispatch to on this host and the host
-//! cost of five of them, through the scalar bodies and through the
+//! cost of seven of them, through the scalar bodies and through the
 //! dispatched hooks:
 //!
 //! - [`Field::fold_halves`] (one sum-check fold of a table's halves) and
@@ -13,14 +13,17 @@
 //! - [`Field::product_round_sums`] (one round's sums of a sum-check after
 //!   its first), in ns per pair, on the same tables: weighted with a third
 //!   table (sum-check #1's `eq·(a·c − d)`) and unweighted (sum-check #2's
-//!   `f·g`).
+//!   `f·g`);
+//! - [`Field::batch_invert`] in ns per element and [`Field::affine_chords`]
+//!   in ns per pair, over `Fq` at 2^7, 2^10 and 2^13: the sizes of an MSM's
+//!   batch-affine rounds (`curve::msm`).
 //!
 //! It is the table to hold against the parent commit's before touching any
 //! of these bodies (build it on both commits, copy the parent's binary out
 //! of `target/release/examples` and alternate the two; a shared host has
 //! slow phases lasting minutes).
 //!
-//! With `--check` it first runs both bodies of all five hooks on the same
+//! With `--check` it first runs both bodies of all seven hooks on the same
 //! random tables and exits non-zero if any output differs.
 //!
 //! ```text
@@ -32,12 +35,13 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use batchzk_field::{
-    fold_halves_scalar, lane_kernel, product_round_sums_scalar, scale_scalar,
-    write_canonical_scalar, Field, Fr, SplitMix64,
+    affine_chords_scalar, batch_invert_scalar, fold_halves_scalar, lane_kernel,
+    product_round_sums_scalar, scale_scalar, write_canonical_scalar, Field, Fq, Fr, SplitMix64,
 };
 
 const LOG_SIZES: [u32; 3] = [10, 14, 20];
 const DOT_LOG_SIZES: [u32; 3] = [8, 14, 20];
+const ROUND_LOG_SIZES: [u32; 3] = [7, 10, 13];
 
 /// Fastest of `runs` passes of `f` — what the code costs on a quiet core.
 fn fastest(runs: usize, mut f: impl FnMut()) -> Duration {
@@ -93,12 +97,36 @@ fn round_sum_args<'a>(
 }
 
 /// `table` rotated left by one, two and three entries.
-fn rotations(table: &[Fr]) -> [Vec<Fr>; 3] {
+fn rotations<F: Field>(table: &[F]) -> [Vec<F>; 3] {
     core::array::from_fn(|i| {
         let mut t = table.to_vec();
         t.rotate_left(i + 1);
         t
     })
+}
+
+/// A body of [`Field::affine_chords`].
+type ChordBody<F> = fn(&[F], &[F], &[F], [&mut [F]; 2]);
+
+/// The chord body `f` over one table: `table` as the numerators and `p_y`,
+/// its rotations by one, two and three as the inverses, `q_x` and `p_x`.
+/// Returns the sums `p + q`.
+fn chords<F: Field>(f: ChordBody<F>, table: &[F], rotated: &[Vec<F>; 3]) -> (Vec<F>, Vec<F>) {
+    let (mut x, mut y) = (rotated[2].clone(), table.to_vec());
+    f(table, &rotated[0], &rotated[1], [&mut x, &mut y]);
+    (x, y)
+}
+
+/// Whether both bodies of [`Field::batch_invert`] and
+/// [`Field::affine_chords`] agree on one random table.
+fn rounds_agree<F: Field>(table: &[F]) -> bool {
+    let rotated = rotations(table);
+    let (mut hook, mut scalar) = (table.to_vec(), table.to_vec());
+    F::batch_invert(&mut hook);
+    batch_invert_scalar(&mut scalar);
+    hook == scalar
+        && chords(F::affine_chords, table, &rotated)
+            == chords(affine_chords_scalar, table, &rotated)
 }
 
 /// Whether the hooks and the scalar bodies agree on one random table.
@@ -123,7 +151,11 @@ fn agree(table: &[Fr], r: Fr) -> bool {
     let (mut hook, mut scalar) = (vec![0; table.len() * 32], vec![1; table.len() * 32]);
     Fr::write_canonical(table, &mut hook);
     write_canonical_scalar(table, &mut scalar);
-    fold && scale && round_sums && hook == scalar && Fr::dot(lo, hi) == dot_scalar(lo, hi)
+    fold && scale
+        && round_sums
+        && hook == scalar
+        && Fr::dot(lo, hi) == dot_scalar(lo, hi)
+        && rounds_agree(table)
 }
 
 fn main() -> ExitCode {
@@ -134,10 +166,15 @@ fn main() -> ExitCode {
         .iter()
         .map(|&k| (0..1usize << k).map(|_| Fr::random(&mut rng)).collect())
         .collect();
+    let round_tables: Vec<Vec<Fq>> = ROUND_LOG_SIZES
+        .iter()
+        .map(|&k| (0..1usize << k).map(|_| Fq::random(&mut rng)).collect())
+        .collect();
 
     println!(
-        "`fold_halves` / `scale` / `write_canonical` / `dot` / `product_round_sums` dispatch to: {} \
-         (whole blocks of 8; the tail runs the scalar body)",
+        "`fold_halves` / `scale` / `write_canonical` / `dot` / `product_round_sums` / \
+         `batch_invert` / `affine_chords` dispatch to: {} (whole blocks of 8, rows of 32 for \
+         `batch_invert`; the tail runs the scalar body)",
         lane_kernel()
     );
     if check {
@@ -147,7 +184,16 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-        println!("check: hooks ≡ scalar bodies at 2^10, 2^14 and 2^20");
+        for (k, table) in ROUND_LOG_SIZES.iter().zip(&round_tables) {
+            if !rounds_agree(table) {
+                eprintln!("Fq 2^{k}: the dispatched hooks and the scalar bodies disagree");
+                return ExitCode::FAILURE;
+            }
+        }
+        println!(
+            "check: hooks ≡ scalar bodies at 2^10, 2^14 and 2^20 (Fr), and \
+             `batch_invert` / `affine_chords` at 2^7, 2^10 and 2^13 (Fq)"
+        );
     }
     println!();
     println!(
@@ -222,6 +268,34 @@ fn main() -> ExitCode {
         println!(
             "| 2^{k} | {:.2} | {:.2} | {:.2} | {:.2} |",
             cells[0][0], cells[0][1], cells[1][0], cells[1][1]
+        );
+    }
+    println!();
+    println!(
+        "| Fq round | batch_invert scalar ns | batch_invert hook ns \
+         | chords scalar ns | chords hook ns |"
+    );
+    println!("|---|---|---|---|---|");
+    for (&k, table) in ROUND_LOG_SIZES.iter().zip(&round_tables) {
+        let runs = runs(k);
+        let rotated = rotations(table);
+        let mut xs = table.clone();
+        let invert_scalar = fastest(runs, || batch_invert_scalar(black_box(&mut xs)));
+        let invert_hook = fastest(runs, || Fq::batch_invert(black_box(&mut xs)));
+        let (mut px, mut py) = (rotated[2].clone(), table.clone());
+        let (num, inv, qx) = (&table[..], &rotated[0][..], &rotated[1][..]);
+        let chords_scalar = fastest(runs, || {
+            affine_chords_scalar(num, inv, qx, [black_box(&mut px), &mut py]);
+        });
+        let chords_hook = fastest(runs, || {
+            Fq::affine_chords(num, inv, qx, [black_box(&mut px), &mut py]);
+        });
+        println!(
+            "| 2^{k} | {:.2} | {:.2} | {:.2} | {:.2} |",
+            per(invert_scalar, table.len()),
+            per(invert_hook, table.len()),
+            per(chords_scalar, table.len()),
+            per(chords_hook, table.len()),
         );
     }
     ExitCode::SUCCESS

@@ -3,21 +3,24 @@
 
 use crate::Field;
 
-/// Inverts every non-zero element of `values` in place; zeros are left
-/// untouched (matching the convention that `0^{-1}` is unused downstream).
+/// The portable body of [`Field::batch_invert`], and the oracle every
+/// override is tested against: one chain of prefix products, one
+/// inversion, one backward pass. Inverts every non-zero element of
+/// `values` in place; zeros are left untouched (matching the convention
+/// that `0^{-1}` is unused downstream).
 ///
 /// # Examples
 ///
 /// ```
-/// use batchzk_field::{batch_invert, Field, Fr};
+/// use batchzk_field::{batch_invert_scalar, Field, Fr};
 ///
 /// let mut v = vec![Fr::from(2u64), Fr::ZERO, Fr::from(4u64)];
-/// batch_invert(&mut v);
+/// batch_invert_scalar(&mut v);
 /// assert_eq!(v[0] * Fr::from(2u64), Fr::ONE);
 /// assert_eq!(v[1], Fr::ZERO);
 /// assert_eq!(v[2] * Fr::from(4u64), Fr::ONE);
 /// ```
-pub fn batch_invert<F: Field>(values: &mut [F]) {
+pub fn batch_invert_scalar<F: Field>(values: &mut [F]) {
     // Forward pass: prefix products of the non-zero entries.
     let mut prefix = Vec::with_capacity(values.len());
     let mut acc = F::ONE;
@@ -54,7 +57,7 @@ mod tests {
         let mut rng = SplitMix64::seed_from_u64(11);
         let originals: Vec<Fr> = (0..64).map(|_| Fr::random(&mut rng)).collect();
         let mut batch = originals.clone();
-        batch_invert(&mut batch);
+        Fr::batch_invert(&mut batch);
         for (o, b) in originals.iter().zip(&batch) {
             assert_eq!(o.inverse().unwrap(), *b);
         }
@@ -63,7 +66,7 @@ mod tests {
     #[test]
     fn zeros_are_skipped() {
         let mut v = vec![Fr::ZERO, Fr::from(3u64), Fr::ZERO, Fr::from(5u64), Fr::ZERO];
-        batch_invert(&mut v);
+        Fr::batch_invert(&mut v);
         assert_eq!(v[0], Fr::ZERO);
         assert_eq!(v[2], Fr::ZERO);
         assert_eq!(v[4], Fr::ZERO);
@@ -74,9 +77,9 @@ mod tests {
     #[test]
     fn empty_and_all_zero_are_noops() {
         let mut empty: Vec<Fr> = vec![];
-        batch_invert(&mut empty);
+        Fr::batch_invert(&mut empty);
         let mut zeros = vec![Fr::ZERO; 8];
-        batch_invert(&mut zeros);
+        Fr::batch_invert(&mut zeros);
         assert!(zeros.iter().all(|z| z.is_zero()));
     }
 }

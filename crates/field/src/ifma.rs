@@ -11,7 +11,7 @@
 //! bytes, back. One term adds at most nine 52-bit halves to a column, so the
 //! 12 bits of headroom hold a whole sum of terms without a carry.
 //!
-//! They have six clients. [`sparse_mul_lanes`] sums one CSR row's terms
+//! They have eight clients. [`sparse_mul_lanes`] sums one CSR row's terms
 //! per block of eight interleaved lanes. [`fold_halves`] and [`scale`]
 //! share one kernel that computes `a·x + b·y` or `c·x` per block of eight
 //! consecutive elements, in place: each block is loaded before it is
@@ -19,12 +19,16 @@
 //! [`write_canonical`] is [`reduce`] alone: it leaves Montgomery form.
 //! [`product_round_sums`] sums a sum-check round's `w·(x·y − z)` at both
 //! halves and `w·Δx·Δy` per block of eight pairs, in one pass over the
-//! tables.
+//! tables. [`batch_invert`] runs [`CHAINS`] vectors of prefix-product
+//! chains, 32 chains in all, side by side, so that many independent
+//! products hide each reduction's latency. [`affine_chords`] computes an
+//! MSM round's `λ = num·inv`, `x₃` and `y₃` per block of eight pairs.
 //!
 //! The columns cannot hold a negative value, so the round sums subtract
 //! `z` as a product: `[−1]·[z]`, the Montgomery limbs of `−1` (`−2^256 mod
-//! p`) times `z`'s, added through [`mul_add_lanes`]. A slope `x_hi − x_lo`
-//! is [`difference`]: `x_hi − x_lo + p` in 52-bit limbs, in `(0, 2p)`.
+//! p`) times `z`'s, added through [`mul_add_lanes`]. The chords do the same
+//! with `[−1]` pre-scaled. A slope `x_hi − x_lo` is [`difference`]:
+//! `x_hi − x_lo + p` in 52-bit limbs, in `(0, 2p)`.
 //!
 //! **Same bytes as the scalar bodies.** A scalar body returns
 //! `Σ aᵢ·xᵢ·2^-256 mod p`, canonical. The kernel enters each coefficient
@@ -46,6 +50,19 @@
 //! every 63 blocks, and two reductions in all to correct, 2^8 or eight
 //! doublings.
 //!
+//! **Vector × vector products** ([`product`]) cannot pre-scale either
+//! operand modulo `p`, so one enters shifted left by four bits instead
+//! ([`times16`]): `16·b < 16p < 2^258` still fits five limbs, and `[a]·16[b]`
+//! reduces to `[a·b]`. The product is below `16p²`, so the reduced value is
+//! below `p·(1 + 16/64) = 1.25p`, and the one subtraction makes it
+//! canonical. The batch inversion's chains are nothing but such products,
+//! and an inverse is unique, so its output is the scalar body's bytes.
+//! The chords keep every sum of products below `48p²`, so each of their
+//! three reductions ends below `p·(1 + 48/64) < 2p`, canonical: `λ` is one
+//! product below `16p²`; `x₃` adds `λ·16λ < 16p²` and two products with the
+//! pre-scaled `[−1]` below `p²` each, `18p²` in all; `y₃` adds
+//! `16λ·(p_x − x₃ + p) < 16p·2p` and one `[−1]` product, `33p²` in all.
+//!
 //! The only thing the compiler cannot check is that the CPU has the
 //! instructions. [`available`] is that check, made before each call into a
 //! kernel. The other `unsafe` is the vector loads and stores. They read and
@@ -53,19 +70,27 @@
 //! `u64` limbs, or whole 256-byte output blocks.
 
 use core::arch::x86_64::{
-    __m512i, _mm512_add_epi64, _mm512_and_si512, _mm512_loadu_si512, _mm512_madd52hi_epu64,
-    _mm512_madd52lo_epu64, _mm512_mask_blend_epi64, _mm512_or_si512, _mm512_permutex2var_epi64,
-    _mm512_set1_epi64, _mm512_set_epi64, _mm512_setzero_si512, _mm512_slli_epi64,
-    _mm512_srai_epi64, _mm512_srli_epi64, _mm512_storeu_si512, _mm512_sub_epi64,
-    _mm512_test_epi64_mask,
+    __m512i, __mmask8, _mm512_add_epi64, _mm512_and_si512, _mm512_loadu_si512,
+    _mm512_madd52hi_epu64, _mm512_madd52lo_epu64, _mm512_mask_blend_epi64, _mm512_maskz_mov_epi64,
+    _mm512_or_si512, _mm512_permutex2var_epi64, _mm512_set1_epi64, _mm512_set_epi64,
+    _mm512_setzero_si512, _mm512_slli_epi64, _mm512_srai_epi64, _mm512_srli_epi64,
+    _mm512_storeu_si512, _mm512_sub_epi64, _mm512_test_epi64_mask,
 };
 
 use crate::limb::{add_mod, Limbs};
-use crate::traits::round_sum_lengths_match;
-use crate::{sparse_mul_lanes_scalar, Fq, Fr, MontLimbs};
+use crate::traits::{chord_lengths_match, round_sum_lengths_match};
+use crate::{batch_invert_scalar, sparse_mul_lanes_scalar, Fq, Fr, MontLimbs};
 
 /// Field elements per vector: eight 64-bit lanes.
 const LANES: usize = 8;
+
+/// Vectors of interleaved prefix-product chains the batch inversion runs
+/// side by side, so that many independent products are in flight while
+/// each reduction's latency runs.
+const CHAINS: usize = 4;
+
+/// Elements per row of the batch inversion: one per chain.
+const ROW: usize = CHAINS * LANES;
 
 /// Bytes in a block of eight elements, as limbs or as canonical bytes.
 const BLOCK_BYTES: usize = 32 * LANES;
@@ -196,6 +221,53 @@ pub(crate) fn product_round_sums<F: LimbLayout>(
     (sums, half / LANES * LANES)
 }
 
+/// Runs [`crate::Field::batch_invert`] on the kernel and returns `true`.
+/// Every whole row of [`ROW`] elements feeds [`ROW`] interleaved chains of
+/// prefix products; the chains' totals and the `len % ROW` tail go through
+/// the default body together, one inversion in all; then the chains unwind.
+/// Returns `false`, having written nothing, below one row or without IFMA.
+pub(crate) fn batch_invert<F: LimbLayout>(values: &mut [F]) -> bool {
+    if values.len() < ROW || !available() {
+        return false;
+    }
+    let (body, tail) = values.split_at_mut(values.len() / ROW * ROW);
+    let (body, _) = body.as_chunks_mut::<LANES>();
+    let mut prefix = vec![[F::ZERO; LANES]; body.len()];
+    let mut shared = [F::ZERO; 2 * ROW];
+    let shared = &mut shared[..ROW + tail.len()];
+    let (totals, _) = shared[..ROW].as_chunks_mut::<LANES>();
+    // SAFETY: `available` has just seen, on this CPU, both target features
+    // `chain_kernel` is compiled with.
+    unsafe { chain_kernel(body, &mut prefix, totals) };
+    shared[ROW..].copy_from_slice(tail);
+    batch_invert_scalar(shared);
+    tail.copy_from_slice(&shared[ROW..]);
+    // SAFETY: as above, for `unwind_kernel`.
+    unsafe { unwind_kernel(body, &prefix, shared[..ROW].as_chunks().0) };
+    true
+}
+
+/// Runs [`crate::Field::affine_chords`] on the kernel over every whole block
+/// of eight pairs and returns how many leading pairs it wrote. Returns 0
+/// when this CPU lacks IFMA or the slices differ in length; the caller runs
+/// the default body on the rest, which panics on the latter.
+pub(crate) fn affine_chords<F: LimbLayout>(
+    num: &[F],
+    inv: &[F],
+    qx: &[F],
+    p: [&mut [F]; 2],
+) -> usize {
+    let [px, py] = p;
+    if num.len() < LANES || !chord_lengths_match(num, inv, qx, [&*px, &*py]) || !available() {
+        return 0;
+    }
+    let (px, py) = (px.as_chunks_mut().0, py.as_chunks_mut().0);
+    // SAFETY: `available` has just seen, on this CPU, both target features
+    // `chords_kernel` is compiled with.
+    unsafe { chords_kernel(blocks(num), blocks(inv), blocks(qx), px, py) };
+    num.len() / LANES * LANES
+}
+
 /// The whole blocks of eight at the front of `xs`.
 fn blocks<F>(xs: &[F]) -> &[[F; LANES]] {
     xs.as_chunks().0
@@ -215,7 +287,7 @@ fn round_sums_kernel<F: LimbLayout>(
     direct: bool,
 ) -> [F; 3] {
     let modulus = Modulus::new::<F>();
-    let minus_one = split52(&(-F::ONE).mont_limbs()).map(|l| _mm512_set1_epi64(l as i64));
+    let minus_one = splat(&split52(&(-F::ONE).mont_limbs()));
     // Weighted, a block adds one product of canonical operands (below p²)
     // to each sum; unweighted, up to two such products, or one product of
     // differences, below 4p².
@@ -313,6 +385,105 @@ fn difference(hi: &[__m512i; 5], lo: &[__m512i; 5], modulus: &Modulus) -> [__m51
         carry = _mm512_srai_epi64::<52>(s);
     }
     d
+}
+
+/// The forward pass of the batch inversion. Per row, chain `c` (the lanes
+/// of the row's block `c`) stores its running product as that block's
+/// prefix, then multiplies the block in, `ONE` in a zero's lane. The chains'
+/// products end in `totals`.
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn chain_kernel<F: LimbLayout>(
+    body: &[[F; LANES]],
+    prefix: &mut [[F; LANES]],
+    totals: &mut [[F; LANES]],
+) {
+    let modulus = Modulus::new::<F>();
+    let one = splat(&split52(&F::ONE.mont_limbs()));
+    let mut acc = [one; CHAINS];
+    for (row, prefix) in body
+        .chunks_exact(CHAINS)
+        .zip(prefix.chunks_exact_mut(CHAINS))
+    {
+        for ((acc, x), prefix) in acc.iter_mut().zip(row).zip(prefix) {
+            store(prefix, *acc);
+            let (x, _) = nonzero_or(load(x), &one);
+            *acc = product(acc, &times16(&x), &modulus);
+        }
+    }
+    for (total, acc) in totals.iter_mut().zip(acc) {
+        store(total, acc);
+    }
+}
+
+/// The backward pass of the batch inversion, from the inverses of the
+/// chains' totals. Per row, last row first, a non-zero lane's inverse is
+/// the chain's running inverse times the lane's prefix; the running inverse
+/// then takes the lane's element (`ONE` for a zero, whose lane is written
+/// zero).
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn unwind_kernel<F: LimbLayout>(
+    body: &mut [[F; LANES]],
+    prefix: &[[F; LANES]],
+    inverses: &[[F; LANES]],
+) {
+    let modulus = Modulus::new::<F>();
+    let one = splat(&split52(&F::ONE.mont_limbs()));
+    let mut acc: [_; CHAINS] = core::array::from_fn(|c| load(&inverses[c]));
+    let rows = body
+        .chunks_exact_mut(CHAINS)
+        .zip(prefix.chunks_exact(CHAINS));
+    for (row, prefix) in rows.rev() {
+        for ((acc, x), prefix) in acc.iter_mut().zip(row).zip(prefix) {
+            let (factor, nonzero) = nonzero_or(load(x), &one);
+            let inverse = product(acc, &times16(&load(prefix)), &modulus);
+            *acc = product(acc, &times16(&factor), &modulus);
+            store(x, inverse.map(|l| _mm512_maskz_mov_epi64(nonzero, l)));
+        }
+    }
+}
+
+/// `x` with `ONE`'s limbs in its zero lanes, and the mask of its non-zero
+/// lanes. A lane is zero only if all five planes are: every bit of the
+/// element is in one of them.
+#[inline]
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn nonzero_or(x: [__m512i; 5], one: &[__m512i; 5]) -> ([__m512i; 5], __mmask8) {
+    let any = x
+        .iter()
+        .fold(_mm512_setzero_si512(), |a, &l| _mm512_or_si512(a, l));
+    let nonzero = _mm512_test_epi64_mask(any, any);
+    let x = [0, 1, 2, 3, 4].map(|i| _mm512_mask_blend_epi64(nonzero, one[i], x[i]));
+    (x, nonzero)
+}
+
+/// Per block of eight pairs, three reductions: `λ = num·inv`, then
+/// `x₃ = λ² − p_x − q_x` and `y₃ = λ·(p_x − x₃) − p_y`, each subtraction a
+/// product with `[−1]` pre-scaled and `p_x − x₃` a [`difference`].
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn chords_kernel<F: LimbLayout>(
+    num: &[[F; LANES]],
+    inv: &[[F; LANES]],
+    qx: &[[F; LANES]],
+    px: &mut [[F; LANES]],
+    py: &mut [[F; LANES]],
+) {
+    let modulus = Modulus::new::<F>();
+    let minus_one = splat(&prescaled(-F::ONE));
+    for (b, (px, py)) in px.iter_mut().zip(py).enumerate() {
+        let (x, y) = (load(px), load(py));
+        let lambda = product(&load(&num[b]), &times16(&load(&inv[b])), &modulus);
+        let lambda16 = times16(&lambda);
+        let mut c = [_mm512_setzero_si512(); 10];
+        mul_add_lanes(&mut c, &lambda, &lambda16);
+        mul_add_lanes(&mut c, &minus_one, &x);
+        mul_add_lanes(&mut c, &minus_one, &load(&qx[b]));
+        let x3 = reduce(c, &modulus);
+        let mut c = [_mm512_setzero_si512(); 10];
+        mul_add_lanes(&mut c, &lambda16, &difference(&x, &x3, &modulus));
+        mul_add_lanes(&mut c, &minus_one, &y);
+        store(py, reduce(c, &modulus));
+        store(px, x3);
+    }
 }
 
 /// Lane-by-lane products, one reduction per `MAX_DEGREE` blocks (so each
@@ -416,7 +587,7 @@ impl Modulus {
     #[target_feature(enable = "avx512f,avx512ifma")]
     fn new<F: MontLimbs>() -> Self {
         Self {
-            p: split52(&F::P).map(|l| _mm512_set1_epi64(l as i64)),
+            p: splat(&split52(&F::P)),
             neg_inv: _mm512_set1_epi64((F::NEG_INV & MASK52) as i64),
             mask: _mm512_set1_epi64(MASK52 as i64),
         }
@@ -485,7 +656,41 @@ fn sparse_kernel<F: LimbLayout>(
 #[inline]
 #[target_feature(enable = "avx512f,avx512ifma")]
 fn mul_add(acc: &mut [__m512i; 10], a: &[u64; 5], b: &[__m512i; 5]) {
-    mul_add_lanes(acc, &a.map(|a| _mm512_set1_epi64(a as i64)), b);
+    mul_add_lanes(acc, &splat(a), b);
+}
+
+/// Five limbs broadcast to every lane.
+#[inline]
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn splat(a: &[u64; 5]) -> [__m512i; 5] {
+    a.map(|a| _mm512_set1_epi64(a as i64))
+}
+
+/// `[a·b]`, canonical, from `[a]` and `16·[b]` ([`times16`]): the product
+/// is below `16p²`, which [`reduce`] takes below `1.25p`.
+#[inline]
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn product(a: &[__m512i; 5], b16: &[__m512i; 5], modulus: &Modulus) -> [__m512i; 5] {
+    let mut c = [_mm512_setzero_si512(); 10];
+    mul_add_lanes(&mut c, a, b16);
+    reduce(c, modulus)
+}
+
+/// `16·x` as five 52-bit limbs, from limb planes of `x < p` (bits above 52
+/// ignored, as [`load`] leaves them). The value stays below `2^258`: no
+/// carry out of the top limb. Bits shifted above a limb's 52 are left in,
+/// and carried up too; `madd52` reads only the low 52.
+#[inline]
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn times16(x: &[__m512i; 5]) -> [__m512i; 5] {
+    let mask = _mm512_set1_epi64(MASK52 as i64);
+    let mut carry = _mm512_setzero_si512();
+    x.map(|l| {
+        let l = _mm512_and_si512(l, mask);
+        let shifted = _mm512_or_si512(_mm512_slli_epi64::<4>(l), carry);
+        carry = _mm512_srli_epi64::<48>(l);
+        shifted
+    })
 }
 
 /// `acc += a · b` lane by lane as ten unreduced radix-2^52 columns: 25

@@ -9,16 +9,19 @@
 //! per-field constants are derived from the modulus at compile time — see
 //! [`mod@limb`] — and cross-checked against schoolbook arithmetic in tests.
 //!
-//! Six lane-shaped hooks — the batch encoder's sparse product
+//! Eight lane-shaped hooks — the batch encoder's sparse product
 //! ([`Field::sparse_mul_lanes`]), the sum-check fold
 //! ([`Field::fold_halves`]), the in-place scale ([`Field::scale`]), the
 //! slice inner product ([`Field::dot`]), the bulk canonical serializer
-//! ([`Field::write_canonical`]) and a sum-check round's sums
-//! ([`Field::product_round_sums`]) — run on the CPU's 52-bit vector
+//! ([`Field::write_canonical`]), a sum-check round's sums
+//! ([`Field::product_round_sums`]), batch inversion
+//! ([`Field::batch_invert`]) and the MSM's affine chord additions
+//! ([`Field::affine_chords`]) — run on the CPU's 52-bit vector
 //! multiplier (AVX-512 IFMA) where that is detected at run time and on
 //! their portable bodies ([`sparse_mul_lanes_scalar`],
 //! [`fold_halves_scalar`], [`scale_scalar`], [`Field::dot_pairs`],
-//! [`write_canonical_scalar`], [`product_round_sums_scalar`]) elsewhere;
+//! [`write_canonical_scalar`], [`product_round_sums_scalar`],
+//! [`batch_invert_scalar`], [`affine_chords_scalar`]) elsewhere;
 //! nothing configures them, and [`lane_kernel`] reports which.
 //! The kernels' module holds the crate's only `unsafe` — the calls into it
 //! and its vector loads and stores — which is why the crate root denies
@@ -27,7 +30,7 @@
 //! # Examples
 //!
 //! ```
-//! use batchzk_field::{Field, Fr, batch_invert};
+//! use batchzk_field::{Field, Fr};
 //!
 //! # fn main() {
 //! let a = Fr::from(3u64);
@@ -35,7 +38,7 @@
 //! assert_eq!((a + b) * (a - b), a.square() - b.square());
 //!
 //! let mut xs = vec![a, b];
-//! batch_invert(&mut xs);
+//! Fr::batch_invert(&mut xs);
 //! assert_eq!(xs[0] * a, Fr::ONE);
 //! # }
 //! ```
@@ -57,22 +60,24 @@ mod ifma;
 pub mod lut;
 pub mod ntt;
 
-pub use batch::batch_invert;
+pub use batch::batch_invert_scalar;
 pub use fq::Fq;
 pub use fr::Fr;
 pub use ntt::NttDomain;
 pub use rng::{RngCore, SplitMix64};
 pub use traits::{
-    field_from_i64, fold_halves_scalar, product_round_sums_scalar, scale_scalar,
-    sparse_mul_lanes_scalar, write_canonical_scalar, Field, MontLimbs,
+    affine_chords_scalar, field_from_i64, fold_halves_scalar, product_round_sums_scalar,
+    scale_scalar, sparse_mul_lanes_scalar, write_canonical_scalar, Field, MontLimbs,
 };
 
 /// The body the lane hooks run on this host for `Fr` and `Fq`:
 /// `"avx512ifma"` or `"scalar"`. Under `"avx512ifma"`,
 /// [`Field::fold_halves`], [`Field::scale`], [`Field::dot`],
-/// [`Field::write_canonical`] and [`Field::product_round_sums`] (per block
-/// of eight pairs) run every whole block of eight on the kernel and the
-/// `len % 8` tail on the scalar body, and
+/// [`Field::write_canonical`], [`Field::product_round_sums`] and
+/// [`Field::affine_chords`] (per block of eight pairs) run every whole block
+/// of eight on the kernel and the `len % 8` tail on the scalar body,
+/// [`Field::batch_invert`] runs every whole row of 32 elements on the
+/// kernel and the tail on the scalar body under the same inversion, and
 /// [`Field::sparse_mul_lanes`] runs the kernel at widths that are a
 /// multiple of eight and the scalar body at every other width.
 pub fn lane_kernel() -> &'static str {
@@ -162,7 +167,7 @@ mod randomized_tests {
                 v[len / 2] = Fr::ZERO;
             }
             let mut batched = v.clone();
-            batch_invert(&mut batched);
+            Fr::batch_invert(&mut batched);
             for (orig, inv) in v.iter().zip(&batched) {
                 if orig.is_zero() {
                     assert_eq!(*inv, Fr::ZERO);

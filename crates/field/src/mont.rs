@@ -378,6 +378,33 @@ macro_rules! declare_field {
                 );
                 [head[0] + tail[0], head[1] + tail[1], head[2] + tail[2]]
             }
+
+            fn batch_invert(values: &mut [Self]) {
+                #[cfg(target_arch = "x86_64")]
+                if $crate::ifma::batch_invert(values) {
+                    return;
+                }
+                $crate::batch_invert_scalar(values);
+            }
+
+            fn affine_chords(
+                num: &[Self],
+                inv: &[Self],
+                qx: &[Self],
+                p: [&mut [Self]; 2],
+            ) {
+                let [px, py] = p;
+                #[cfg(target_arch = "x86_64")]
+                let done = $crate::ifma::affine_chords(num, inv, qx, [&mut *px, &mut *py]);
+                #[cfg(not(target_arch = "x86_64"))]
+                let done = 0;
+                $crate::affine_chords_scalar(
+                    &num[done..],
+                    &inv[done..],
+                    &qx[done..],
+                    [&mut px[done..], &mut py[done..]],
+                );
+            }
         }
 
         impl $crate::MontLimbs for $name {

@@ -5,7 +5,7 @@
 //! whose provers are dominated by NTTs and MSMs, so we implement a real NTT
 //! here and charge it to those baseline columns.
 
-use crate::{batch_invert, Field};
+use crate::Field;
 
 /// A multiplicative evaluation domain of power-of-two size with precomputed
 /// twiddle factors.
@@ -40,7 +40,7 @@ impl<F: Field> NttDomain<F> {
             acc *= root;
         }
         let mut inv_twiddles = twiddles.clone();
-        batch_invert(&mut inv_twiddles);
+        F::batch_invert(&mut inv_twiddles);
         let size_inv = F::from(n as u64).inverse().expect("n != 0 mod p");
         Self {
             log_size,

@@ -5,6 +5,7 @@ use core::hash::Hash;
 use core::iter::{Product, Sum};
 use core::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
+use crate::batch_invert_scalar;
 use crate::limb::Limbs;
 use crate::rng::RngCore;
 
@@ -243,6 +244,62 @@ pub trait Field:
     ) -> [Self; 3] {
         product_round_sums_scalar(x, y, z, w, direct)
     }
+
+    /// Inverts every non-zero element of `values` in place and leaves the
+    /// zeros: the shared inversion of a batch-affine round, of a batch of
+    /// projective points leaving their `Z`, of the NTT's inverse twiddles.
+    ///
+    /// The default is [`batch_invert_scalar`]. `declare_field!` fields run
+    /// 32 interleaved chains of prefix products on CPUs with AVX-512 IFMA,
+    /// with the lane totals and the tail under one inversion; inverses are
+    /// unique, so the output is bit-identical either way.
+    fn batch_invert(values: &mut [Self]) {
+        batch_invert_scalar(values);
+    }
+
+    /// Chord additions `p + q` of short-Weierstrass affine points given their
+    /// slopes as `num / den`: per pair `i`, with `λ = num[i]·inv[i]` (`inv`
+    /// the inverted denominators), `x₃ = λ² − p_x − q_x` and
+    /// `y₃ = λ·(p_x − x₃) − p_y` overwrite `p[0][i]` and `p[1][i]`. The
+    /// formula is the tangent's too when `q = p` and `num / den` is its
+    /// slope. The batch-affine rounds of `curve::msm`.
+    ///
+    /// The default is [`affine_chords_scalar`]. `declare_field!` fields run
+    /// whole blocks of eight pairs on CPUs with AVX-512 IFMA and the tail on
+    /// the default body; the output is bit-identical either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the five slices differ in length.
+    fn affine_chords(num: &[Self], inv: &[Self], qx: &[Self], p: [&mut [Self]; 2]) {
+        affine_chords_scalar(num, inv, qx, p);
+    }
+}
+
+/// The portable body of [`Field::affine_chords`], and its oracle: three
+/// multiplies per pair.
+///
+/// # Panics
+///
+/// As [`Field::affine_chords`].
+pub fn affine_chords_scalar<F: Field>(num: &[F], inv: &[F], qx: &[F], p: [&mut [F]; 2]) {
+    let [px, py] = p;
+    assert!(
+        chord_lengths_match(num, inv, qx, [&*px, &*py]),
+        "chord slices differ in length"
+    );
+    for i in 0..num.len() {
+        let slope = num[i] * inv[i];
+        let x = slope.square() - px[i] - qx[i];
+        py[i] = slope * (px[i] - x) - py[i];
+        px[i] = x;
+    }
+}
+
+/// Whether `inv`, `qx` and both coordinate slices of `p` are as long as
+/// `num`.
+pub(crate) fn chord_lengths_match<F>(num: &[F], inv: &[F], qx: &[F], p: [&[F]; 2]) -> bool {
+    [inv, qx, p[0], p[1]].iter().all(|s| s.len() == num.len())
 }
 
 /// The portable body of [`Field::product_round_sums`], and its oracle: one

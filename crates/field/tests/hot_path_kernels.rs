@@ -1,8 +1,9 @@
 //! Property tests for the hot-path kernels: the deferred-reduction dot
 //! kernel against the multiply-then-add fold and the schoolbook-division
 //! oracle, at the carry and term-count edges, the dispatched lane hooks
-//! (sparse product, fold, scale, dot, canonical bytes, round sums) against
-//! their scalar bodies, and LUT-vs-naive equivalence.
+//! (sparse product, fold, scale, dot, canonical bytes, round sums, batch
+//! inversion, affine chords) against their scalar bodies, and LUT-vs-naive
+//! equivalence.
 //!
 //! These are the guarantees that let the rest of the workspace adopt the
 //! fast paths without re-auditing: every kernel is bit-identical to the
@@ -11,8 +12,9 @@
 use batchzk_field::limb::{acc_mul_add, acc_reduce, mont_reduce, naive_mul_mod, sub_wide, WideAcc};
 use batchzk_field::lut::{naive_select_sum, SubsetSumLUT};
 use batchzk_field::{
-    fold_halves_scalar, lane_kernel, product_round_sums_scalar, scale_scalar,
-    sparse_mul_lanes_scalar, write_canonical_scalar, Field, Fq, Fr, MontLimbs, RngCore, SplitMix64,
+    affine_chords_scalar, batch_invert_scalar, fold_halves_scalar, lane_kernel,
+    product_round_sums_scalar, scale_scalar, sparse_mul_lanes_scalar, write_canonical_scalar,
+    Field, Fq, Fr, MontLimbs, RngCore, SplitMix64,
 };
 
 /// The documented reference for `dot_pairs`: multiply, then add, from zero.
@@ -367,6 +369,124 @@ fn fq_round_sums_are_bit_identical_to_the_scalar_body() {
 fn round_sums_reject_halves_of_different_lengths() {
     let (lo, hi) = ([Fr::ONE; 16], [Fr::ONE; 17]);
     Fr::product_round_sums([&lo, &hi], [&lo, &lo], None, None, true);
+}
+
+/// `Field::batch_invert` ≡ `batch_invert_scalar` at lengths around the
+/// 8-lane block and the kernel's 32-element row of interleaved chains (the
+/// kernel takes whole rows, the tail shares its one inversion), with inputs
+/// random; zeros at the head, the tail, in one lane of every row (a chain of
+/// zeros, whose total is `ONE`) and once inside another chain; all zero;
+/// all `ONE`; and all Montgomery limbs `p − 1`.
+fn batch_invert_matches_scalar<F: MontLimbs>(seed: u64) {
+    if lane_kernel() == "scalar" {
+        println!("avx512ifma absent: scalar only");
+    }
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let top = F::from_mont_limbs_unchecked(sub_wide(&F::P, &[1, 0, 0, 0]).0);
+    for len in [
+        0usize, 1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 95, 96, 97, 255, 1_027,
+    ] {
+        let random: Vec<F> = (0..len).map(|_| F::random(&mut rng)).collect();
+        let mut zeros = random.clone();
+        for i in [0, len.saturating_sub(1), len / 2]
+            .into_iter()
+            .chain((11..len).step_by(32))
+        {
+            if let Some(x) = zeros.get_mut(i) {
+                *x = F::ZERO;
+            }
+        }
+        let inputs = [
+            ("random", random),
+            ("zeros", zeros),
+            ("all zero", vec![F::ZERO; len]),
+            ("one", vec![F::ONE; len]),
+            ("p-1", vec![top; len]),
+        ];
+        for (name, xs) in inputs {
+            let (mut got, mut expect) = (xs.clone(), xs);
+            F::batch_invert(&mut got);
+            batch_invert_scalar(&mut expect);
+            assert_eq!(got, expect, "{name}, len {len}");
+        }
+    }
+}
+
+#[test]
+fn fr_batch_invert_is_bit_identical_to_the_scalar_body() {
+    batch_invert_matches_scalar::<Fr>(0xB0E);
+}
+
+#[test]
+fn fq_batch_invert_is_bit_identical_to_the_scalar_body() {
+    batch_invert_matches_scalar::<Fq>(0xB0F);
+}
+
+/// `Field::affine_chords` ≡ `affine_chords_scalar` at pair counts around the
+/// 8-pair block (the kernel takes whole blocks, the scalar body the tail),
+/// with every pairing of numerators random, zero and limbs `p − 1`, inverses
+/// random, zero (so `λ = 0`) and limbs `p − 1`, `p` random and limbs
+/// `p − 1`, and `q_x` random, `p_x` itself (a tangent) and limbs `p − 1`.
+fn chords_match_scalar<F: MontLimbs>(seed: u64) {
+    if lane_kernel() == "scalar" {
+        println!("avx512ifma absent: scalar only");
+    }
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let top = F::from_mont_limbs_unchecked(sub_wide(&F::P, &[1, 0, 0, 0]).0);
+    for len in [0usize, 1, 7, 8, 9, 15, 16, 17, 255, 1_027] {
+        let mut random = || (0..len).map(|_| F::random(&mut rng)).collect::<Vec<F>>();
+        let (zero, ones) = (vec![F::ZERO; len], vec![top; len]);
+        let nums = [
+            ("random", random()),
+            ("zero", zero.clone()),
+            ("p-1", ones.clone()),
+        ];
+        let invs = [("random", random()), ("zero", zero), ("p-1", ones.clone())];
+        let points = [
+            ("random", random(), random()),
+            ("p-1", ones.clone(), ones.clone()),
+        ];
+        let qxs = [
+            ("random", Some(random())),
+            ("p_x", None),
+            ("p-1", Some(ones)),
+        ];
+        for (num_name, num) in &nums {
+            for (inv_name, inv) in &invs {
+                for (p_name, px, py) in &points {
+                    for (qx_name, qx) in &qxs {
+                        let qx = qx.as_ref().unwrap_or(px);
+                        let (mut got_x, mut got_y) = (px.clone(), py.clone());
+                        F::affine_chords(num, inv, qx, [&mut got_x, &mut got_y]);
+                        let (mut expect_x, mut expect_y) = (px.clone(), py.clone());
+                        affine_chords_scalar(num, inv, qx, [&mut expect_x, &mut expect_y]);
+                        assert_eq!(
+                            (got_x, got_y),
+                            (expect_x, expect_y),
+                            "len {len}, num {num_name}, inv {inv_name}, p {p_name}, q_x {qx_name}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn fr_chords_are_bit_identical_to_the_scalar_body() {
+    chords_match_scalar::<Fr>(0xB10);
+}
+
+#[test]
+fn fq_chords_are_bit_identical_to_the_scalar_body() {
+    chords_match_scalar::<Fq>(0xB11);
+}
+
+#[test]
+#[should_panic(expected = "chord slices differ in length")]
+fn chords_reject_slices_of_different_lengths() {
+    let (a, mut x, mut y) = ([Fr::ONE; 16], [Fr::ONE; 16], [Fr::ONE; 17]);
+    Fr::affine_chords(&a, &a, &a, [&mut x, &mut y]);
 }
 
 #[test]

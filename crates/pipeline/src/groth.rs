@@ -31,7 +31,7 @@
 //! ([`msm_group_op_count`] over [`window_size`]: textbook unsigned-window
 //! Pippenger) and the host algorithm (signed windows, batch-affine
 //! buckets, stored shifts, its own window ladders) differ on purpose until
-//! the cost model is re-derived from counted operations (ROADMAP item 2,
+//! the cost model is re-derived from counted operations (ROADMAP item 5,
 //! "One operation count, two clocks"): re-tuning the modelled ladder for
 //! the host would silently move every `sim_*` number. The table's
 //! residency ([`GrothCircuit::fixed_base_table_bytes`]) is likewise not
@@ -74,7 +74,7 @@ pub const NTT_COUNT: u64 = 7;
 /// (witness + bases + FFT buffers + proving key), calibrated against the
 /// paper's Table 10 (1.38 GB at `S = 2^20` ⇒ ~1.4 KB per constraint). The
 /// host's fixed-base table ([`GrothCircuit::fixed_base_table_bytes`]:
-/// 1 872 bytes per constraint at `2^8`, 1 584 at `2^12`, shared by the
+/// 2 304 bytes per constraint at `2^8`, 1 584 at `2^12`, shared by the
 /// whole batch) is not in it.
 pub const BYTES_PER_CONSTRAINT: u64 = 1400;
 
@@ -132,7 +132,7 @@ impl GrothCircuit {
     /// Bytes of the fixed-base table the commitments run over. On a device
     /// it would be resident next to [`BYTES_PER_CONSTRAINT`] per
     /// constraint for as long as the circuit is served; the simulator does
-    /// **not** charge it yet (ROADMAP item 2).
+    /// **not** charge it yet (ROADMAP item 5).
     pub fn fixed_base_table_bytes(&self) -> usize {
         MsmBases::table_bytes_for(self.size())
     }
@@ -768,7 +768,7 @@ mod tests {
         // The figures DESIGN.md §16 records for the re-baseline: not yet
         // part of `task_footprint_bytes`.
         let circuit = GrothCircuit::new(8);
-        assert_eq!(circuit.fixed_base_table_bytes(), 256 * 1872);
+        assert_eq!(circuit.fixed_base_table_bytes(), 256 * 2304);
         assert_eq!(GrothCircuit::new(12).fixed_base_table_bytes(), 4096 * 1584);
         assert!(circuit.key.get().is_none(), "shape queries build no table");
         assert_eq!(

@@ -3,7 +3,7 @@
 //! and the Spartan core `eq·(a·b - c)` (degree 3) — each its tables and an
 //! optional `eq` point handed to the one round loop, [`prove_rounds`].
 
-use batchzk_field::{batch_invert, Field};
+use batchzk_field::Field;
 use batchzk_hash::Transcript;
 
 use crate::poly::{eq_prefix_tables, MultilinearPoly};
@@ -61,7 +61,7 @@ fn prove_rounds<F: Field, const T: usize>(
     let eq = eq.map(|tau| {
         assert_eq!(tau.len(), n, "variable count mismatch");
         let mut inverses = tau.to_vec();
-        batch_invert(&mut inverses);
+        F::batch_invert(&mut inverses);
         (tau, inverses, eq_prefix_tables(tau))
     });
     // `p` is of degree 1 in one table's values, 2 in a product's.
@@ -454,7 +454,7 @@ mod tests {
         );
         assert!(muls.deferred <= 2 * pairs + first, "quadratic {muls:?}");
 
-        let (_, invert) = count_muls(|| batch_invert(&mut tau.clone()));
+        let (_, invert) = count_muls(|| Counted::batch_invert(&mut tau.clone()));
         let (_, muls) = count_muls(|| prove_cubic(&tau, a, c, d, &mut t));
         let in_loops = muls.full - n * (ROUND + 4) - invert.full;
         assert!(in_loops <= 5 * pairs + first + first, "cubic {muls:?}");

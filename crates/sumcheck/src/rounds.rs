@@ -1,7 +1,7 @@
 //! Shared round machinery for Fiat–Shamir sum-checks of arbitrary small
 //! degree: round-polynomial interpolation and the verifier's round loop.
 
-use batchzk_field::{batch_invert, Field};
+use batchzk_field::Field;
 use batchzk_hash::Transcript;
 
 /// A Fiat–Shamir sum-check proof: per round, the evaluations of the round
@@ -45,7 +45,7 @@ impl<F: Field> LagrangeDenoms<F> {
                 others.map(|(_, &node)| nodes[j] - node).product()
             })
             .collect();
-        batch_invert(&mut denoms);
+        F::batch_invert(&mut denoms);
         Self {
             nodes,
             inv_denoms: denoms,

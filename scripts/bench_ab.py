@@ -31,11 +31,19 @@ ratios over every file so far that has it. Each file is one A/B step, so
 the chain is the metric's history across steps even where absolute levels
 drifted between sessions. A line that does not parse exits non-zero.
 
+`stages` is the same A/B step layer by layer: for one file's `--trace 1`
+runs it prints, per workload and seed, every pipeline stage's
+`zkp.stage.<stage>.host_ms_per_proof` as the parent and change medians and
+their ratio (change / parent), with the run count of each side. Stages the
+workload does not run (zero on both sides) are left out. A line that does
+not parse exits non-zero.
+
     python3 scripts/bench_ab.py record --out BENCH_<n>.json \\
         --parent /path/to/parent-benchmark@<commit> --change /path/to/change-benchmark@<commit> \\
         --workload spartan-batch --seeds 1,2727 --pairs 10 [--trace 0]
     python3 scripts/bench_ab.py summary BENCH_<n>.json [--metric host_proofs_per_s]
     python3 scripts/bench_ab.py trajectory [--metric host_proofs_per_s]
+    python3 scripts/bench_ab.py stages BENCH_<n>.json [--workload service-mixed]
 """
 
 import argparse
@@ -208,6 +216,35 @@ def trajectory(args):
                   f"over {steps} file{'s' if steps > 1 else ''}")
 
 
+STAGE = re.compile(r"zkp\.stage\.(.+)\.host_ms_per_proof")
+
+
+def stages(args):
+    groups = {}
+    for run in runs_of(Path(args.file)):
+        if run["trace"] != 1 or args.workload not in (None, run["workload"]):
+            continue
+        per_stage = groups.setdefault((run["workload"], run["seed"]), {})
+        for name, metric in run["metrics"].items():
+            if m := STAGE.fullmatch(name):
+                sides = per_stage.setdefault(m.group(1), {})
+                sides.setdefault(run["role"], []).append(metric["value"])
+    if not groups:
+        print(f"{args.file}: no --trace 1 runs"
+              + (f" of {args.workload}" if args.workload else ""))
+    for (workload, seed), per_stage in sorted(groups.items()):
+        for stage, values in sorted(per_stage.items()):
+            if not {"parent", "change"} <= set(values):
+                continue
+            parent, change = (statistics.median(values[role]) for role in ("parent", "change"))
+            if parent == 0 and change == 0:
+                continue
+            ratio = f"x{change / parent:.3f}" if parent else "no ratio from a zero parent"
+            print(f"{Path(args.file).name} {workload} seed {seed}: {stage} host_ms_per_proof "
+                  f"{parent:.4g} -> {change:.4g} ({ratio}; "
+                  f"{len(values['parent'])} / {len(values['change'])} runs)")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -224,8 +261,12 @@ def main():
     summ.add_argument("--metric", default="host_proofs_per_s")
     traj = sub.add_parser("trajectory")
     traj.add_argument("--metric", default="host_proofs_per_s")
+    stage = sub.add_parser("stages")
+    stage.add_argument("file")
+    stage.add_argument("--workload")
     args = parser.parse_args()
-    {"record": record, "summary": summary, "trajectory": trajectory}[args.command](args)
+    commands = {"record": record, "summary": summary, "trajectory": trajectory, "stages": stages}
+    commands[args.command](args)
 
 
 if __name__ == "__main__":
