@@ -1,9 +1,8 @@
 //! # batchzk-bench
 //!
 //! The benchmark harness: runners that regenerate every table and figure of
-//! the paper's evaluation (the `tables` binary), the Groth16-style baseline
-//! models (Libsnark/Bellperson columns), and the Criterion micro-benchmarks
-//! under `benches/`.
+//! the paper's evaluation (the `tables` binary) and the Groth16-style
+//! baseline models (Libsnark/Bellperson columns).
 //!
 //! ```text
 //! cargo run -p batchzk-bench --release --bin tables -- all

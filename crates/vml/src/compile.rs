@@ -18,6 +18,11 @@
 //!
 //! The image pixels and output logits are public inputs; weights, biases,
 //! activations and hints are the witness.
+//!
+//! One gadget path serves two uses: [`compile_inference`] records the
+//! constraints as well as the assignment (once per network), and
+//! [`compile_witness`] produces only the assignment (once per request),
+//! building no linear combination at all.
 
 use batchzk_field::{field_from_i64, Field};
 
@@ -53,20 +58,58 @@ pub struct CompiledInference<F> {
 }
 
 struct Compiler<F: Field> {
-    builder: R1csBuilder<F>,
+    /// `None` when only the assignment is produced.
+    builder: Option<R1csBuilder<F>>,
     inputs: Vec<F>,
     witness: Vec<F>,
     options: CompileOptions,
 }
 
 impl<F: Field> Compiler<F> {
-    fn new(options: CompileOptions) -> Self {
+    fn new(options: CompileOptions, record: bool) -> Self {
         Self {
-            builder: R1csBuilder::new(),
+            builder: record.then(R1csBuilder::new),
             inputs: Vec::new(),
             witness: Vec::new(),
             options,
         }
+    }
+
+    /// Adds the constraint `make()` returns; `make` runs only when
+    /// constraints are recorded.
+    fn enforce(&mut self, make: impl FnOnce() -> [Lc<F>; 3]) {
+        if let Some(builder) = &mut self.builder {
+            let [a, b, c] = make();
+            builder.enforce(a, b, c);
+        }
+    }
+
+    /// A linear combination of `terms`; empty (never allocated) when
+    /// constraints are not recorded.
+    fn lc<const N: usize>(&self, terms: [(Var, F); N]) -> Lc<F> {
+        if self.builder.is_some() {
+            terms.to_vec()
+        } else {
+            Lc::new()
+        }
+    }
+
+    /// Appends `coeff · var` to `lc` when constraints are recorded.
+    fn term(&self, lc: &mut Lc<F>, var: Var, coeff: F) {
+        if self.builder.is_some() {
+            lc.push((var, coeff));
+        }
+    }
+
+    /// `b · (b − 1) = 0`.
+    fn enforce_boolean(&mut self, bit: Wire) {
+        self.enforce(|| {
+            [
+                vec![(bit.var, F::ONE)],
+                vec![(bit.var, F::ONE), (Var::One, -F::ONE)],
+                vec![(Var::One, F::ZERO)],
+            ]
+        });
     }
 
     /// Range proof: constrains `wire` to `[0, 2^bits)` by bit
@@ -81,54 +124,55 @@ impl<F: Field> Compiler<F> {
             "range-check witness out of range: {} for {bits} bits",
             wire.value
         );
-        let mut lc: Lc<F> = Vec::with_capacity(bits as usize + 1);
+        let mut lc = Lc::new();
         for i in 0..bits {
             let bit = self.secret((wire.value >> i) & 1);
-            self.builder.enforce(
-                vec![(bit.var, F::ONE)],
-                vec![(bit.var, F::ONE), (Var::One, -F::ONE)],
-                vec![(Var::One, F::ZERO)],
-            );
-            lc.push((bit.var, F::from(1u64 << i)));
+            self.enforce_boolean(bit);
+            self.term(&mut lc, bit.var, F::from(1u64 << i));
         }
         self.enforce_lc_equals(lc, wire);
     }
 
     fn public(&mut self, value: i64) -> Wire {
-        let idx = self.builder.new_input();
-        self.inputs.push(field_from_i64(value));
-        Wire {
-            var: Var::Input(idx),
-            value,
+        if let Some(builder) = &mut self.builder {
+            builder.new_input();
         }
+        let var = Var::Input(self.inputs.len());
+        self.inputs.push(field_from_i64(value));
+        Wire { var, value }
     }
 
     fn secret(&mut self, value: i64) -> Wire {
-        let idx = self.builder.new_witness();
-        self.witness.push(field_from_i64(value));
-        Wire {
-            var: Var::Witness(idx),
-            value,
+        if let Some(builder) = &mut self.builder {
+            builder.new_witness();
         }
+        let var = Var::Witness(self.witness.len());
+        self.witness.push(field_from_i64(value));
+        Wire { var, value }
     }
 
     /// Multiplication gate: allocates and constrains `a * b`.
     fn mul(&mut self, a: Wire, b: Wire) -> Wire {
         let out = self.secret(a.value * b.value);
-        self.builder.enforce(
-            vec![(a.var, F::ONE)],
-            vec![(b.var, F::ONE)],
-            vec![(out.var, F::ONE)],
-        );
+        self.enforce(|| {
+            [
+                vec![(a.var, F::ONE)],
+                vec![(b.var, F::ONE)],
+                vec![(out.var, F::ONE)],
+            ]
+        });
         out
     }
 
+    /// Constrains `lc == 0`.
+    fn enforce_zero(&mut self, lc: Lc<F>) {
+        self.enforce(|| [lc, vec![(Var::One, F::ONE)], vec![(Var::One, F::ZERO)]]);
+    }
+
     /// Constrains `lc == wire` (linear consistency).
-    fn enforce_lc_equals(&mut self, lc: Lc<F>, wire: Wire) {
-        let mut c = lc;
-        c.push((wire.var, -F::ONE));
-        self.builder
-            .enforce(c, vec![(Var::One, F::ONE)], vec![(Var::One, F::ZERO)]);
+    fn enforce_lc_equals(&mut self, mut lc: Lc<F>, wire: Wire) {
+        self.term(&mut lc, wire.var, -F::ONE);
+        self.enforce_zero(lc);
     }
 
     /// Requantization gadget: given an accumulator LC with known value,
@@ -139,19 +183,13 @@ impl<F: Field> Compiler<F> {
         debug_assert!((0..(1i64 << k)).contains(&r));
         // acc - q*2^k - Σ b_i 2^i == 0, with boolean bits.
         let mut lc = acc_lc;
-        lc.push((q.var, -F::from(1u64 << k)));
+        self.term(&mut lc, q.var, -F::from(1u64 << k));
         for i in 0..k {
             let bit = self.secret((r >> i) & 1);
-            // b * (b - 1) = 0
-            self.builder.enforce(
-                vec![(bit.var, F::ONE)],
-                vec![(bit.var, F::ONE), (Var::One, -F::ONE)],
-                vec![(Var::One, F::ZERO)],
-            );
-            lc.push((bit.var, -F::from(1u64 << i)));
+            self.enforce_boolean(bit);
+            self.term(&mut lc, bit.var, -F::from(1u64 << i));
         }
-        self.builder
-            .enforce(lc, vec![(Var::One, F::ONE)], vec![(Var::One, F::ZERO)]);
+        self.enforce_zero(lc);
         q
     }
 
@@ -160,12 +198,15 @@ impl<F: Field> Compiler<F> {
     fn relu(&mut self, x: Wire) -> Wire {
         let pos = self.secret(x.value.max(0));
         let neg = self.secret((-x.value).max(0));
-        self.builder.enforce(
-            vec![(pos.var, F::ONE)],
-            vec![(neg.var, F::ONE)],
-            vec![(Var::One, F::ZERO)],
-        );
-        self.enforce_lc_equals(vec![(pos.var, F::ONE), (neg.var, -F::ONE)], x);
+        self.enforce(|| {
+            [
+                vec![(pos.var, F::ONE)],
+                vec![(neg.var, F::ONE)],
+                vec![(Var::One, F::ZERO)],
+            ]
+        });
+        let lc = self.lc([(pos.var, F::ONE), (neg.var, -F::ONE)]);
+        self.enforce_lc_equals(lc, x);
         if let Some(bits) = self.options.range_check_bits {
             self.range_check(pos, bits);
             self.range_check(neg, bits);
@@ -204,12 +245,45 @@ pub fn compile_inference_with_options<F: Field>(
     trace: &Trace,
     options: CompileOptions,
 ) -> CompiledInference<F> {
+    let c = synthesize::<F>(network, input, trace, options, true);
+    CompiledInference {
+        r1cs: c.builder.expect("constraints recorded").build(),
+        inputs: c.inputs,
+        witness: c.witness,
+    }
+}
+
+/// The `(inputs, witness)` of [`compile_inference`], byte for byte, without
+/// recording the constraints: the per-request half of compilation, for a
+/// network whose circuit was compiled once up front.
+///
+/// # Panics
+///
+/// Panics if `trace` was not produced by `network.forward(input)`.
+pub fn compile_witness<F: Field>(
+    network: &Network,
+    input: &crate::tensor::Tensor,
+    trace: &Trace,
+) -> (Vec<F>, Vec<F>) {
+    let c = synthesize::<F>(network, input, trace, CompileOptions::default(), false);
+    (c.inputs, c.witness)
+}
+
+/// Runs every gadget over the inference, recording the constraints only
+/// when `record` is set; the assignment is the same either way.
+fn synthesize<F: Field>(
+    network: &Network,
+    input: &crate::tensor::Tensor,
+    trace: &Trace,
+    options: CompileOptions,
+    record: bool,
+) -> Compiler<F> {
     assert_eq!(
         trace.activations.len(),
         network.layers.len(),
         "trace does not match the network"
     );
-    let mut c = Compiler::<F>::new(options);
+    let mut c = Compiler::<F>::new(options, record);
 
     // Public image pixels.
     let mut current: Vec<Wire> = input.data().iter().map(|&v| c.public(v)).collect();
@@ -230,7 +304,7 @@ pub fn compile_inference_with_options<F: Field>(
                 for oc in 0..*out_ch {
                     for y in 0..h {
                         for x in 0..w {
-                            let mut lc: Lc<F> = vec![(bias_wires[oc].var, F::ONE)];
+                            let mut lc = c.lc([(bias_wires[oc].var, F::ONE)]);
                             let mut acc = bias_wires[oc].value;
                             for ic in 0..*in_ch {
                                 for ky in 0..3usize {
@@ -244,7 +318,7 @@ pub fn compile_inference_with_options<F: Field>(
                                         let wv =
                                             weight_wires[((oc * in_ch + ic) * 3 + ky) * 3 + kx];
                                         let p = c.mul(wv, a);
-                                        lc.push((p.var, F::ONE));
+                                        c.term(&mut lc, p.var, F::ONE);
                                         acc += p.value;
                                     }
                                 }
@@ -272,7 +346,7 @@ pub fn compile_inference_with_options<F: Field>(
                             ];
                             let sum_val: i64 = quad.iter().map(|w| w.value).sum();
                             let sum = c.secret(sum_val);
-                            let lc: Lc<F> = quad.iter().map(|w| (w.var, F::ONE)).collect();
+                            let lc = c.lc(quad.map(|w| (w.var, F::ONE)));
                             c.enforce_lc_equals(lc, sum);
                             out.push(sum);
                         }
@@ -290,11 +364,11 @@ pub fn compile_inference_with_options<F: Field>(
                 let bias_wires: Vec<Wire> = bias.iter().map(|&v| c.secret(v)).collect();
                 let mut out = Vec::with_capacity(*out_dim);
                 for o in 0..*out_dim {
-                    let mut lc: Lc<F> = vec![(bias_wires[o].var, F::ONE)];
+                    let mut lc = c.lc([(bias_wires[o].var, F::ONE)]);
                     let mut acc = bias_wires[o].value;
                     for i in 0..*in_dim {
                         let p = c.mul(weight_wires[o * in_dim + i], current[i]);
-                        lc.push((p.var, F::ONE));
+                        c.term(&mut lc, p.var, F::ONE);
                         acc += p.value;
                     }
                     out.push(c.requant(lc, acc, REQUANT_SHIFT));
@@ -316,26 +390,17 @@ pub fn compile_inference_with_options<F: Field>(
     // Bind the logits to public outputs.
     for wire in &current {
         let logit = c.public(wire.value);
-        c.enforce_lc_equals(vec![(logit.var, F::ONE)], *wire);
+        let lc = c.lc([(logit.var, F::ONE)]);
+        c.enforce_lc_equals(lc, *wire);
     }
-
-    let Compiler {
-        builder,
-        inputs,
-        witness,
-        options: _,
-    } = c;
-    CompiledInference {
-        r1cs: builder.build(),
-        inputs,
-        witness,
-    }
+    c
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::{synthetic_image, tiny_cnn};
+    use crate::network::{synthetic_image, tiny_cnn, vgg16};
+    use crate::service::MlService;
     use batchzk_field::Fr;
 
     #[test]
@@ -409,6 +474,83 @@ mod tests {
         // when paired with b's inputs (same structure).
         let z = a.r1cs.assemble_z(&b.inputs, &b.witness);
         assert!(a.r1cs.is_satisfied(&z));
+    }
+
+    /// The assignment-only path yields `compile_inference_with_options`'s
+    /// `(inputs, witness)` exactly, and it satisfies `shared`, a circuit
+    /// compiled from another input.
+    fn assert_assignment_matches(
+        net: &Network,
+        seed: u64,
+        options: CompileOptions,
+        shared: &R1cs<Fr>,
+    ) {
+        let input = synthetic_image(seed, &net.input_shape);
+        let trace = net.forward(&input);
+        let full = compile_inference_with_options::<Fr>(net, &input, &trace, options);
+        let lean = synthesize::<Fr>(net, &input, &trace, options, false);
+        assert!(lean.builder.is_none());
+        assert_eq!(lean.inputs, full.inputs, "inputs of image {seed}");
+        assert_eq!(lean.witness, full.witness, "witness of image {seed}");
+        if options == CompileOptions::default() {
+            let public = compile_witness::<Fr>(net, &input, &trace);
+            assert_eq!(public, (lean.inputs.clone(), lean.witness.clone()));
+        }
+        assert!(shared.is_satisfied(&shared.assemble_z(&lean.inputs, &lean.witness)));
+    }
+
+    fn service(net: Network) -> MlService {
+        MlService::new(net, batchzk_zkp::PcsParams::default())
+    }
+
+    #[test]
+    fn witness_only_matches_full_compile_on_tiny_cnn() {
+        let svc = service(tiny_cnn());
+        for seed in 40..44 {
+            assert_assignment_matches(svc.network(), seed, CompileOptions::default(), svc.r1cs());
+        }
+    }
+
+    #[test]
+    fn witness_only_matches_full_compile_in_strict_mode() {
+        let net = tiny_cnn();
+        let strict = CompileOptions {
+            range_check_bits: Some(24),
+        };
+        let probe = synthetic_image(0, &net.input_shape);
+        let shared =
+            compile_inference_with_options::<Fr>(&net, &probe, &net.forward(&probe), strict).r1cs;
+        for seed in 45..47 {
+            assert_assignment_matches(&net, seed, strict, &shared);
+        }
+    }
+
+    #[test]
+    fn witness_only_matches_full_compile_on_vgg16() {
+        let svc = service(vgg16(64));
+        assert_assignment_matches(svc.network(), 48, CompileOptions::default(), svc.r1cs());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn witness_only_keeps_the_strict_range_check() {
+        let net = tiny_cnn();
+        let input = synthetic_image(34, &net.input_shape);
+        let trace = net.forward(&input);
+        let options = CompileOptions {
+            range_check_bits: Some(2),
+        };
+        let _ = synthesize::<Fr>(&net, &input, &trace, options, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "trace does not match the network")]
+    fn witness_only_rejects_a_foreign_trace() {
+        let net = tiny_cnn();
+        let input = synthetic_image(35, &net.input_shape);
+        let mut trace = net.forward(&input);
+        trace.activations.pop();
+        let _ = compile_witness::<Fr>(&net, &input, &trace);
     }
 }
 

@@ -29,7 +29,8 @@ pub mod service;
 pub mod tensor;
 
 pub use compile::{
-    compile_inference, compile_inference_with_options, CompileOptions, CompiledInference,
+    compile_inference, compile_inference_with_options, compile_witness, CompileOptions,
+    CompiledInference,
 };
 pub use network::{tiny_cnn, vgg16, Layer, Network, Trace};
 pub use service::{

@@ -25,7 +25,7 @@ use batchzk_zkp::{
     Proof, ProverBackend, SpartanBackend,
 };
 
-use crate::compile::compile_inference;
+use crate::compile::{compile_inference, compile_witness};
 use crate::network::Network;
 use crate::tensor::Tensor;
 
@@ -277,10 +277,10 @@ impl MlService {
     /// a [`batchzk_gpu_sim::ArrivalPlan`] expansion), pass per-class
     /// admission control, and are proved on per-device pipelines fed
     /// continuously. Unlike [`serve_batch_pool`], requests the admission
-    /// controller sheds are *not* proved (inference runs up front to
-    /// compile instances, but shed work is discarded) — they come back in
-    /// [`OnlineServiceRun::rejected`] with a reason, and the per-class
-    /// [`ClassReport`]s judge latency against each class's SLO.
+    /// controller sheds are *not* proved (inference and witness generation
+    /// run up front for every request, but shed work is discarded) — they
+    /// come back in [`OnlineServiceRun::rejected`] with a reason, and the
+    /// per-class [`ClassReport`]s judge latency against each class's SLO.
     ///
     /// The round's service metric families (`batchzk_service_*`) land in
     /// [`metrics`](MlService::metrics) under the `vml` module.
@@ -370,20 +370,39 @@ impl MlService {
         })
     }
 
-    /// Runs inference on every request and compiles the proof instances.
+    /// Runs inference on every request and generates its assignment for
+    /// the circuit compiled in [`MlService::new`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if an assignment does not fit that circuit.
     #[allow(clippy::type_complexity)]
     fn prepare_requests(&self, images: &[Tensor]) -> (Vec<Vec<i64>>, Vec<(Vec<Fr>, Vec<Fr>)>) {
-        // Each request's forward pass + witness compilation is independent,
+        // Each request's forward pass + witness generation is independent,
         // so fan out across the host pool; `par_map` returns results in
         // input order, keeping predictions aligned with arrival order.
-        batchzk_par::par_map(images, |image| {
+        let (logits, instances): (Vec<_>, Vec<_>) = batchzk_par::par_map(images, |image| {
             let trace = self.network.forward(image);
             let logits = trace.output().data().to_vec();
-            let compiled = compile_inference::<Fr>(&self.network, image, &trace);
-            (logits, (compiled.inputs, compiled.witness))
+            (logits, compile_witness::<Fr>(&self.network, image, &trace))
         })
         .into_iter()
-        .unzip()
+        .unzip();
+        let r1cs = self.r1cs();
+        for (inputs, witness) in &instances {
+            assert!(
+                inputs.len() == r1cs.num_inputs() && witness.len() == r1cs.num_witness(),
+                "circuit mismatch: the network ({} layers, input {:?}) assigns {} inputs and \
+                 {} witnesses, its circuit takes {} and {}",
+                self.network.layers.len(),
+                self.network.input_shape,
+                inputs.len(),
+                witness.len(),
+                r1cs.num_inputs(),
+                r1cs.num_witness()
+            );
+        }
+        (logits, instances)
     }
 
     /// Customer-side verification of one answered request.
@@ -635,6 +654,18 @@ mod tests {
         for p in &run.predictions {
             assert!(svc.verify_prediction(&p.prediction));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "circuit mismatch")]
+    fn mismatched_network_fails_before_proving() {
+        let mut svc = service();
+        // A trailing ReLU assigns two more witnesses per logit than the
+        // circuit compiled in `new` takes.
+        svc.network.layers.push(crate::network::Layer::Relu);
+        let images = vec![synthetic_image(22, &svc.network().input_shape)];
+        let mut gpu = Gpu::new(DeviceProfile::v100());
+        let _ = svc.serve_batch(&mut gpu, &images, 2048);
     }
 
     #[test]

@@ -44,6 +44,27 @@ fn mlaas_loop_scaled_vgg_block() {
 }
 
 #[test]
+fn served_proofs_equal_single_shot_proofs_of_the_full_compile() {
+    // The service generates only the assignment per request; its proofs
+    // must be the plain prover's over `compile_inference`'s assignment.
+    let mut svc = MlService::new(network::tiny_cnn(), params());
+    let images: Vec<_> = (0..2)
+        .map(|i| network::synthetic_image(40 + i, &svc.network().input_shape))
+        .collect();
+    let mut gpu = Gpu::new(DeviceProfile::gh200());
+    let run = svc.serve_batch(&mut gpu, &images, 4096).expect("fits");
+    assert_eq!(run.predictions.len(), 2);
+    for (pred, image) in run.predictions.iter().zip(&images) {
+        let trace = svc.network().forward(image);
+        let compiled = compile_inference::<Fr>(svc.network(), image, &trace);
+        let reference =
+            batchzk::zkp::prove(&params(), svc.r1cs(), &compiled.inputs, &compiled.witness);
+        assert_eq!(pred.public_inputs, compiled.inputs);
+        assert_eq!(pred.proof, reference);
+    }
+}
+
+#[test]
 fn lying_provider_is_caught_on_wrong_logits() {
     // A provider that returns logits its own model did not produce cannot
     // prove them: the assignment with forged public outputs is
