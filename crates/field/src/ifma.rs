@@ -1,88 +1,60 @@
-//! The lane hooks on AVX-512 IFMA: eight field elements per instruction.
+//! The lane kernels on AVX-512 IFMA: eight field elements per instruction.
 //!
 //! `vpmadd52luq` / `vpmadd52huq` add the low / high 52 bits of eight
-//! 52 × 52-bit products into eight 64-bit words. So the kernels work in
-//! radix 2^52, on a few shared primitives: [`load`] turns eight elements
-//! into five 52-bit limb planes, [`mul_add_lanes`] adds eight products
-//! lane by lane into ten *unreduced* 64-bit columns ([`mul_add`] is its
-//! one-coefficient case), [`reduce`] pays one 5-round Montgomery reduction
-//! (a division by 2^260) and one conditional subtraction back to five limb
-//! planes, and [`store`] writes eight elements, or their 256 canonical
-//! bytes, back. One term adds at most nine 52-bit halves to a column, so the
-//! 12 bits of headroom hold a whole sum of terms without a carry.
+//! 52 × 52-bit products into eight 64-bit words, so the kernels work in
+//! radix 2^52 on two types. A [`Packed`] is eight elements as five 52-bit
+//! limb planes: loaded from and stored to a block of elements (or of
+//! canonical bytes), broadcast from one element, shifted left by four bits
+//! ([`Packed::times16`]), subtracted ([`Packed::difference`]) and masked
+//! ([`Packed::nonzero_or`]). An [`Acc`] is ten *unreduced* 64-bit columns:
+//! [`Acc::mul_add`] adds eight products lane by lane, and [`Acc::reduce`]
+//! pays one 5-round Montgomery reduction (a division by 2^260) and one
+//! conditional subtraction back to a `Packed`.
 //!
-//! They have eight clients. [`sparse_mul_lanes`] sums one CSR row's terms
-//! per block of eight interleaved lanes. [`fold_halves`] and [`scale`]
-//! share one kernel that computes `a·x + b·y` or `c·x` per block of eight
-//! consecutive elements, in place: each block is loaded before it is
-//! stored. [`dot`] sums `aᵢ·bᵢ` per lane and adds the eight lanes up.
-//! [`write_canonical`] is [`reduce`] alone: it leaves Montgomery form.
-//! [`product_round_sums`] sums a sum-check round's `w·(x·y − z)` at both
-//! halves and `w·Δx·Δy` per block of eight pairs, in one pass over the
-//! tables. [`batch_invert`] runs [`CHAINS`] vectors of prefix-product
-//! chains, 32 chains in all, side by side, so that many independent
-//! products hide each reduction's latency. [`affine_chords`] computes an
-//! MSM round's `λ = num·inv`, `x₃` and `y₃` per block of eight pairs.
+//! **The `p²` budget.** A `Packed` carries a bound `b` (every lane below
+//! `b·p`) and an [`Acc`] the sum of its products' bounds in units of `p²`,
+//! `k`. Its reduced value is below `p + k·p²/2^260 < p·(1 + k/64)`
+//! (`p < 2^254`), which the one subtraction makes canonical while `k < 64`
+//! ([`BUDGET`]); under `debug_assertions` [`Acc::reduce`] asserts it. A
+//! product adds at most nine 52-bit halves to a column and a budget of 63
+//! allows at most 63 products, so the columns never carry out of their
+//! 64 bits. The table of what each kernel spends is DESIGN.md §16, "The
+//! packed lane type and its `p²` budget"; a test pins it.
 //!
-//! The columns cannot hold a negative value, so the round sums subtract
-//! `z` as a product: `[−1]·[z]`, the Montgomery limbs of `−1` (`−2^256 mod
-//! p`) times `z`'s, added through [`mul_add_lanes`]. The chords do the same
-//! with `[−1]` pre-scaled. A slope `x_hi − x_lo` is [`difference`]:
-//! `x_hi − x_lo + p` in 52-bit limbs, in `(0, 2p)`.
+//! **Same bytes as the scalar bodies.** A reduction multiplies by 2^-260
+//! where a scalar Montgomery product multiplies by 2^-256. A `Packed`
+//! counts those extra 2^-4 factors in its `scale`, and a product of
+//! operands at scales `s` and `t` reduces to scale `s + t + 1`. An operand
+//! entered times 2^4 is at scale −1: a coefficient pre-scaled modulo `p`
+//! ([`Packed::prescaled`]) or a vector shifted by four bits
+//! ([`Packed::times16`], below `16p < 2^258`, still five limbs). So a
+//! product with one such operand reduces to scale 0, the scalar body's
+//! residue; a residue has one canonical representative, so the limbs are
+//! equal. What [`lane_sums`] adds up in the field stays at its scale and is
+//! corrected by 2^4 once per reduction a term went through. Under
+//! `debug_assertions` a store asserts scale 0 and a canonical value.
 //!
-//! **Same bytes as the scalar bodies.** A scalar body returns
-//! `Σ aᵢ·xᵢ·2^-256 mod p`, canonical. The kernel enters each coefficient
-//! as `aᵢ·2^4 mod p`, so its `Σ (aᵢ·2^4)·xᵢ·2^-260` is the same residue.
-//! With `k` terms the sum is below `k·p²`, so the reduced value is below
-//! `p + k·p²/2^260 < p·(1 + k/64)` (`p < 2^254`). For `k ≤ MAX_DEGREE = 63`
-//! that is below `2p`, and the one subtraction makes it canonical. A
-//! residue has one canonical representative, so the limbs are equal. Rows
-//! with more non-zeros take the scalar body; the fold has `k = 2` and the
-//! scale `k = 1`. The dot cannot pre-scale a vector operand, so it reduces
-//! every 63 blocks and multiplies the field sum of its lanes by 2^4 once,
-//! with four doublings; field addition is exact, so that sum is the scalar
-//! body's too. The round sums count in units of `p²` the same way: a block
-//! adds below `4p²` to an unweighted sum (two products of canonical
-//! operands, or one of two differences below `2p`), so those reduce every
-//! 15 blocks and correct by 2^4. A weighted block first reduces its term to
-//! a canonical element (below `4p²` before, so below `2p` after), then
-//! multiplies it by `w`: one product below `p²` per block, a reduction
-//! every 63 blocks, and two reductions in all to correct, 2^8 or eight
-//! doublings.
-//!
-//! **Vector × vector products** ([`product`]) cannot pre-scale either
-//! operand modulo `p`, so one enters shifted left by four bits instead
-//! ([`times16`]): `16·b < 16p < 2^258` still fits five limbs, and `[a]·16[b]`
-//! reduces to `[a·b]`. The product is below `16p²`, so the reduced value is
-//! below `p·(1 + 16/64) = 1.25p`, and the one subtraction makes it
-//! canonical. The batch inversion's chains are nothing but such products,
-//! and an inverse is unique, so its output is the scalar body's bytes.
-//! The chords keep every sum of products below `48p²`, so each of their
-//! three reductions ends below `p·(1 + 48/64) < 2p`, canonical: `λ` is one
-//! product below `16p²`; `x₃` adds `λ·16λ < 16p²` and two products with the
-//! pre-scaled `[−1]` below `p²` each, `18p²` in all; `y₃` adds
-//! `16λ·(p_x − x₃ + p) < 16p·2p` and one `[−1]` product, `33p²` in all.
-//!
-//! The only thing the compiler cannot check is that the CPU has the
-//! instructions. [`available`] is that check, made before each call into a
-//! kernel. The other `unsafe` is the vector loads and stores. They read and
-//! write whole `[F; 8]` blocks, which [`LimbLayout`] makes 256 bytes of
-//! `u64` limbs, or whole 256-byte output blocks.
+//! **The seam.** [`run`] is the one entry from code without the target
+//! features: it checks [`detected`] and calls [`kernel`], which matches a
+//! [`Call`] to its loop. The only other `unsafe` is [`cast`], which
+//! reinterprets a whole 256-byte block.
 
 use core::arch::x86_64::{
-    __m512i, __mmask8, _mm512_add_epi64, _mm512_and_si512, _mm512_loadu_si512,
-    _mm512_madd52hi_epu64, _mm512_madd52lo_epu64, _mm512_mask_blend_epi64, _mm512_maskz_mov_epi64,
-    _mm512_or_si512, _mm512_permutex2var_epi64, _mm512_set1_epi64, _mm512_set_epi64,
-    _mm512_setzero_si512, _mm512_slli_epi64, _mm512_srai_epi64, _mm512_srli_epi64,
-    _mm512_storeu_si512, _mm512_sub_epi64, _mm512_test_epi64_mask,
+    __m512i, __mmask8, _mm512_add_epi64, _mm512_and_si512, _mm512_madd52hi_epu64,
+    _mm512_madd52lo_epu64, _mm512_mask_blend_epi64, _mm512_maskz_mov_epi64, _mm512_or_si512,
+    _mm512_permutex2var_epi64, _mm512_set1_epi64, _mm512_set_epi64, _mm512_setzero_si512,
+    _mm512_slli_epi64, _mm512_srai_epi64, _mm512_srli_epi64, _mm512_sub_epi64,
+    _mm512_test_epi64_mask,
 };
+use core::marker::PhantomData;
 
+use crate::lanes::{Block, Call, Halves, LimbLayout, LANES};
 use crate::limb::{add_mod, Limbs};
-use crate::traits::{chord_lengths_match, round_sum_lengths_match};
-use crate::{batch_invert_scalar, sparse_mul_lanes_scalar, Fq, Fr, MontLimbs};
+use crate::{batch_invert_scalar, sparse_mul_lanes_scalar};
 
-/// Field elements per vector: eight 64-bit lanes.
-const LANES: usize = 8;
+/// Reductions stay canonical while an accumulator's budget, in units of
+/// `p²`, is below this.
+const BUDGET: u32 = 64;
 
 /// Vectors of interleaved prefix-product chains the batch inversion runs
 /// side by side, so that many independent products are in flight while
@@ -95,503 +67,515 @@ const ROW: usize = CHAINS * LANES;
 /// Bytes in a block of eight elements, as limbs or as canonical bytes.
 const BLOCK_BYTES: usize = 32 * LANES;
 
-/// The most non-zeros a row may have to run on the kernel, and the most
-/// blocks a dot sums per reduction: the reduced sum of `k` terms is below
-/// `p·(1 + k/64)`, which one conditional subtraction canonicalises only
-/// while it is below `2p`.
-const MAX_DEGREE: usize = 63;
-
 const MASK52: u64 = (1 << 52) - 1;
-
-/// A field whose elements are `#[repr(transparent)]` over [`Limbs`], as
-/// `declare_field!` declares them: a block of eight is 32 `u64`s that the
-/// kernel may load and store whole, and every `[u64; 4]` is a valid value.
-pub(crate) trait LimbLayout: MontLimbs {}
-
-impl LimbLayout for Fr {}
-impl LimbLayout for Fq {}
-
-const _: () =
-    assert!(size_of::<Fr>() == size_of::<Limbs>() && size_of::<Fq>() == size_of::<Limbs>());
 
 /// Whether this CPU has every instruction the kernels are compiled with
 /// (`std` caches the `cpuid` answer; this is a load and a mask).
 #[inline]
-pub(crate) fn available() -> bool {
+pub(crate) fn detected() -> bool {
     is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512ifma")
 }
 
-/// Runs [`crate::Field::sparse_mul_lanes`] on the kernel and returns
-/// `true`. Returns `false`, having written nothing, when this CPU lacks
-/// IFMA, `width` is not a positive multiple of eight, or the shape does
-/// not check out; the caller then runs the scalar body, which panics where
-/// it always has.
-pub(crate) fn sparse_mul_lanes<F: LimbLayout>(
-    width: usize,
-    row_ptr: &[usize],
-    col_idx: &[usize],
-    values: &[F],
-    x: &[F],
-    out: &mut [F],
-) -> bool {
-    if width == 0
-        || !width.is_multiple_of(LANES)
-        || !available()
-        || !shape_holds(width, row_ptr, col_idx, values, x, out)
-    {
+/// Runs `call` on its kernel and returns `true`; `false`, having written
+/// nothing, when this CPU lacks IFMA.
+pub(crate) fn run<F: LimbLayout>(call: Call<'_, F>) -> bool {
+    if !detected() {
         return false;
     }
-    // SAFETY: `available` has just seen, on this CPU, both target features
-    // `sparse_kernel` is compiled with.
-    unsafe { sparse_kernel(width, row_ptr, col_idx, values, x, out) };
+    // SAFETY: `detected` has just seen, on this CPU, both target features
+    // `kernel` is compiled with.
+    unsafe { kernel(call) };
     true
 }
 
-/// Runs [`crate::Field::fold_halves`] on the kernel over every whole block
-/// of eight, as `(1 − r)·lo + r·hi` — the same residue as `lo + r·(hi −
-/// lo)` — and returns how many leading elements it wrote. Returns 0 when
-/// this CPU lacks IFMA or the halves differ in length; the caller runs the
-/// default body on the rest, which panics on the latter.
-pub(crate) fn fold_halves<F: LimbLayout>(lo: &mut [F], hi: &[F], r: F) -> usize {
-    if lo.len() != hi.len() {
-        return 0;
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn kernel<F: LimbLayout>(call: Call<'_, F>) {
+    match call {
+        // Per row, `Σ coefficient·x` per block of eight lanes, the
+        // coefficients pre-scaled. A row with more non-zeros than the
+        // budget allows takes the scalar body.
+        Call::Sparse(width, [row_ptr, col_idx], values, x, out) => {
+            let blocks = width / LANES;
+            let mut coeffs = [[0u64; 5]; BUDGET as usize - 1];
+            for (span, out_row) in row_ptr.windows(2).zip(out.chunks_exact_mut(blocks)) {
+                let (cols, values) = (&col_idx[span[0]..span[1]], &values[span[0]..span[1]]);
+                if cols.len() >= BUDGET as usize {
+                    let out = out_row.as_flattened_mut();
+                    sparse_mul_lanes_scalar(
+                        width,
+                        &[0, cols.len()],
+                        cols,
+                        values,
+                        x.as_flattened(),
+                        out,
+                    );
+                    continue;
+                }
+                for (a, &v) in coeffs.iter_mut().zip(values) {
+                    *a = prescaled(v);
+                }
+                for (block, out) in out_row.iter_mut().enumerate() {
+                    let mut acc = Acc::new();
+                    for (&a, &c) in coeffs.iter().zip(cols) {
+                        acc.mul_add(Packed::splat52(a, -1), Packed::load(&x[c * blocks + block]));
+                    }
+                    acc.reduce().store(out);
+                }
+            }
+        }
+        Call::Combine(xs, a, y) => {
+            let a = Packed::prescaled(a);
+            let y = y.map(|(ys, b)| (ys, Packed::prescaled(b)));
+            for (i, x) in xs.iter_mut().enumerate() {
+                let mut acc = Acc::new();
+                acc.mul_add(a, Packed::load(x));
+                if let Some((ys, b)) = y {
+                    acc.mul_add(b, Packed::load(&ys[i]));
+                }
+                acc.reduce().store(x);
+            }
+        }
+        Call::Dot(a, b, sum) => {
+            [*sum] = lane_sums(a.len(), |[acc], i| {
+                acc.mul_add(Packed::load(&a[i]), Packed::load(&b[i]));
+            });
+        }
+        // The stored limbs times 2^4, reduced: `16·x·2^256 / 2^260 = x`.
+        Call::Canonical(xs, out) => {
+            for (x, out) in xs.iter().zip(out) {
+                Acc::widen(Packed::load(x).times16()).reduce().store(out);
+            }
+        }
+        Call::RoundSums([x, y], z, w, direct, sums) => *sums = round_sums(x, y, z, w, direct),
+        Call::Invert(values) => invert(values),
+        Call::Chords([num, inv, qx], [px, py]) => {
+            let minus_one = Packed::prescaled(-F::ONE);
+            for (b, (px, py)) in px.iter_mut().zip(py).enumerate() {
+                let (x, y) = (Packed::load(px), Packed::load(py));
+                let lambda = Packed::load(&num[b]).times(Packed::load(&inv[b]));
+                let lambda16 = lambda.times16();
+                // x₃ = λ² − p_x − q_x
+                let mut c = Acc::new();
+                c.mul_add(lambda, lambda16);
+                c.mul_add(minus_one, x);
+                c.mul_add(minus_one, Packed::load(&qx[b]));
+                let x3 = c.reduce();
+                // y₃ = λ·(p_x − x₃) − p_y
+                let mut c = Acc::new();
+                c.mul_add(lambda16, x.difference(x3));
+                c.mul_add(minus_one, y);
+                c.reduce().store(py);
+                x3.store(px);
+            }
+        }
     }
-    combine(lo, F::ONE - r, Some((hi, r)))
-}
-
-/// Runs [`crate::Field::scale`] on the kernel over every whole block of
-/// eight and returns how many leading elements it wrote (0 without IFMA).
-pub(crate) fn scale<F: LimbLayout>(xs: &mut [F], c: F) -> usize {
-    combine(xs, c, None)
-}
-
-/// Runs [`crate::Field::dot`] on the kernel over every whole block of
-/// eight of the common prefix of `a` and `b`, and returns their sum with
-/// how many leading terms it took (zero terms without IFMA); the caller
-/// adds the default body's sum of the rest.
-pub(crate) fn dot<F: LimbLayout>(a: &[F], b: &[F]) -> (F, usize) {
-    let n = a.len().min(b.len());
-    if n < LANES || !available() {
-        return (F::ZERO, 0);
-    }
-    let (a, _) = a[..n].as_chunks::<LANES>();
-    let (b, _) = b[..n].as_chunks::<LANES>();
-    // SAFETY: `available` has just seen, on this CPU, both target features
-    // `dot_kernel` is compiled with.
-    let sum = unsafe { dot_kernel(a, b) };
-    (sum, a.len() * LANES)
-}
-
-/// Runs [`crate::Field::write_canonical`] on the kernel over every whole
-/// block of eight and returns how many leading elements it wrote. Returns 0
-/// when this CPU lacks IFMA or `out` is not 32 bytes per element; the
-/// caller runs the default body on the rest, which panics on the latter.
-pub(crate) fn write_canonical<F: LimbLayout>(xs: &[F], out: &mut [u8]) -> usize {
-    if xs.len() < LANES || out.len() != xs.len() * 32 || !available() {
-        return 0;
-    }
-    let (xs, _) = xs.as_chunks::<LANES>();
-    let (out, _) = out.as_chunks_mut::<BLOCK_BYTES>();
-    // SAFETY: `available` has just seen, on this CPU, both target features
-    // `canonical_kernel` is compiled with.
-    unsafe { canonical_kernel(xs, out) };
-    xs.len() * LANES
-}
-
-/// Runs [`crate::Field::product_round_sums`] on the kernel over every whole
-/// block of eight pairs, and returns the three sums with how many leading
-/// pairs they cover (none without IFMA or when the lengths differ; the
-/// caller runs the default body on the rest, which panics on the latter).
-pub(crate) fn product_round_sums<F: LimbLayout>(
-    x: [&[F]; 2],
-    y: [&[F]; 2],
-    z: Option<[&[F]; 2]>,
-    w: Option<&[F]>,
-    direct: bool,
-) -> ([F; 3], usize) {
-    let half = x[0].len();
-    if half < LANES || !round_sum_lengths_match(x, y, z, w) || !available() {
-        return ([F::ZERO; 3], 0);
-    }
-    let (x, y) = (x.map(blocks), y.map(blocks));
-    let (z, w) = (z.map(|z| z.map(blocks)), w.map(blocks));
-    // SAFETY: `available` has just seen, on this CPU, both target features
-    // `round_sums_kernel` is compiled with.
-    let sums = unsafe { round_sums_kernel(x, y, z, w, direct) };
-    (sums, half / LANES * LANES)
-}
-
-/// Runs [`crate::Field::batch_invert`] on the kernel and returns `true`.
-/// Every whole row of [`ROW`] elements feeds [`ROW`] interleaved chains of
-/// prefix products; the chains' totals and the `len % ROW` tail go through
-/// the default body together, one inversion in all; then the chains unwind.
-/// Returns `false`, having written nothing, below one row or without IFMA.
-pub(crate) fn batch_invert<F: LimbLayout>(values: &mut [F]) -> bool {
-    if values.len() < ROW || !available() {
-        return false;
-    }
-    let (body, tail) = values.split_at_mut(values.len() / ROW * ROW);
-    let (body, _) = body.as_chunks_mut::<LANES>();
-    let mut prefix = vec![[F::ZERO; LANES]; body.len()];
-    let mut shared = [F::ZERO; 2 * ROW];
-    let shared = &mut shared[..ROW + tail.len()];
-    let (totals, _) = shared[..ROW].as_chunks_mut::<LANES>();
-    // SAFETY: `available` has just seen, on this CPU, both target features
-    // `chain_kernel` is compiled with.
-    unsafe { chain_kernel(body, &mut prefix, totals) };
-    shared[ROW..].copy_from_slice(tail);
-    batch_invert_scalar(shared);
-    tail.copy_from_slice(&shared[ROW..]);
-    // SAFETY: as above, for `unwind_kernel`.
-    unsafe { unwind_kernel(body, &prefix, shared[..ROW].as_chunks().0) };
-    true
-}
-
-/// Runs [`crate::Field::affine_chords`] on the kernel over every whole block
-/// of eight pairs and returns how many leading pairs it wrote. Returns 0
-/// when this CPU lacks IFMA or the slices differ in length; the caller runs
-/// the default body on the rest, which panics on the latter.
-pub(crate) fn affine_chords<F: LimbLayout>(
-    num: &[F],
-    inv: &[F],
-    qx: &[F],
-    p: [&mut [F]; 2],
-) -> usize {
-    let [px, py] = p;
-    if num.len() < LANES || !chord_lengths_match(num, inv, qx, [&*px, &*py]) || !available() {
-        return 0;
-    }
-    let (px, py) = (px.as_chunks_mut().0, py.as_chunks_mut().0);
-    // SAFETY: `available` has just seen, on this CPU, both target features
-    // `chords_kernel` is compiled with.
-    unsafe { chords_kernel(blocks(num), blocks(inv), blocks(qx), px, py) };
-    num.len() / LANES * LANES
-}
-
-/// The whole blocks of eight at the front of `xs`.
-fn blocks<F>(xs: &[F]) -> &[[F; LANES]] {
-    xs.as_chunks().0
 }
 
 /// Per block of eight pairs, three pair terms: `x·y − z` on the low halves,
 /// on the high halves (only when `direct`), and `Δx·Δy` on the
-/// [`difference`]s, each added by [`add_term`] into its own columns. One
-/// reduction per `cadence` blocks keeps each lane's sum below `2p` after it;
-/// the eight canonical lanes are summed in the field.
+/// [`Packed::difference`]s. `−z` is `[−1]·[z]`: the columns hold no
+/// negative value. Kept out of [`kernel`], so that its terms
+/// inline into its loop.
+#[inline(never)]
 #[target_feature(enable = "avx512f,avx512ifma")]
-fn round_sums_kernel<F: LimbLayout>(
-    x: [&[[F; LANES]]; 2],
-    y: [&[[F; LANES]]; 2],
-    z: Option<[&[[F; LANES]]; 2]>,
-    w: Option<&[[F; LANES]]>,
+fn round_sums<F: LimbLayout>(
+    x: Halves<'_, F>,
+    y: Halves<'_, F>,
+    z: Option<Halves<'_, F>>,
+    w: Option<&[Block<F>]>,
     direct: bool,
 ) -> [F; 3] {
-    let modulus = Modulus::new::<F>();
-    let minus_one = splat(&split52(&(-F::ONE).mont_limbs()));
-    // Weighted, a block adds one product of canonical operands (below p²)
-    // to each sum; unweighted, up to two such products, or one product of
-    // differences, below 4p².
-    let cadence = if w.is_some() {
-        MAX_DEGREE
-    } else {
-        MAX_DEGREE / 4
-    };
-    let (zl, zh) = match z {
-        Some([zl, zh]) => (Some(zl), Some(zh)),
-        None => (None, None),
-    };
-    let mut sums = [F::ZERO; 3];
-    for start in (0..x[0].len()).step_by(cadence) {
-        let mut acc = [[_mm512_setzero_si512(); 10]; 3];
-        for b in start..(start + cadence).min(x[0].len()) {
-            let w = load_at(w, b);
-            let term = |acc: &mut _, x: &_, y: &_, z: Option<_>| {
-                add_term(acc, x, y, z.as_ref(), w.as_ref(), &minus_one, &modulus);
-            };
-            let (xl, yl) = (load(&x[0][b]), load(&y[0][b]));
-            let (xh, yh) = (load(&x[1][b]), load(&y[1][b]));
-            term(&mut acc[0], &xl, &yl, load_at(zl, b));
-            if direct {
-                term(&mut acc[1], &xh, &yh, load_at(zh, b));
+    let (zl, zh) = (z.map(|z| z[0]), z.map(|z| z[1]));
+    let minus_one = Packed::splat(-F::ONE);
+    lane_sums(x[0].len(), |acc, b| {
+        let w = load_at(w, b);
+        let [xl, xh] = [Packed::load(&x[0][b]), Packed::load(&x[1][b])];
+        let [yl, yh] = [Packed::load(&y[0][b]), Packed::load(&y[1][b])];
+        // Unweighted, the terms go straight into the sums; weighted, each
+        // is reduced alone first and enters as `w·term`.
+        let mut terms = [Acc::new(); 3];
+        let t = if w.is_some() { &mut terms } else { &mut *acc };
+        t[0].mul_add(xl, yl);
+        if let Some(z) = load_at(zl, b) {
+            t[0].mul_add(minus_one, z);
+        }
+        if direct {
+            t[1].mul_add(xh, yh);
+            if let Some(z) = load_at(zh, b) {
+                t[1].mul_add(minus_one, z);
             }
-            let dx = difference(&xh, &xl, &modulus);
-            term(&mut acc[2], &dx, &difference(&yh, &yl, &modulus), None);
         }
-        for (sum, acc) in sums.iter_mut().zip(acc) {
-            let mut lanes = [F::ZERO; LANES];
-            store(&mut lanes, reduce(acc, &modulus));
-            *sum = lanes.into_iter().fold(*sum, |s, x| s + x);
+        t[2].mul_add(xh.difference(xl), yh.difference(yl));
+        if let Some(w) = w {
+            let [t0, t1, t2] = terms;
+            acc[0].mul_add(w, t0.reduce());
+            if direct {
+                acc[1].mul_add(w, t1.reduce());
+            }
+            acc[2].mul_add(w, t2.reduce());
         }
-    }
-    // Each term entered as its value times 2^-4 per reduction it went
-    // through: one unweighted, two weighted.
-    let doublings = if w.is_some() { 8 } else { 4 };
-    sums.map(|s| (0..doublings).fold(s, |s, _| s.double()))
+    })
 }
 
-/// [`load`] of block `b` of an optional operand. (`Option::map` would take
-/// a closure that inherits the target features, which a function without
-/// them cannot inline.)
+/// Block `b` of an optional operand. (`Option::map` would take a closure
+/// that inherits the target features, which a function without them
+/// cannot inline.)
 #[inline]
 #[target_feature(enable = "avx512f,avx512ifma")]
-fn load_at<F: LimbLayout>(xs: Option<&[[F; LANES]]>, b: usize) -> Option<[__m512i; 5]> {
-    let xs = xs?;
-    Some(load(&xs[b]))
+fn load_at<F: LimbLayout>(xs: Option<&[Block<F>]>, b: usize) -> Option<Packed<F>> {
+    Some(Packed::load(&xs?[b]))
 }
 
-/// `acc += x·y − z` as unreduced columns, `−z` entered as `[−1]·[z]` with
-/// `minus_one = [−1]`; with a weight, `acc += w · reduce(x·y − z)`, the
-/// reduced term canonical.
-#[inline]
+/// The batch inversion: every whole row of [`ROW`] elements feeds [`ROW`]
+/// interleaved chains of prefix products; the chains' totals and the
+/// `len % ROW` tail go through the scalar body together, one inversion in
+/// all; then the chains unwind. Below one row, the scalar body alone.
+#[inline(never)]
 #[target_feature(enable = "avx512f,avx512ifma")]
-fn add_term(
-    acc: &mut [__m512i; 10],
-    x: &[__m512i; 5],
-    y: &[__m512i; 5],
-    z: Option<&[__m512i; 5]>,
-    w: Option<&[__m512i; 5]>,
-    minus_one: &[__m512i; 5],
-    modulus: &Modulus,
-) {
-    let mut term = [_mm512_setzero_si512(); 10];
-    let columns = if w.is_some() { &mut term } else { &mut *acc };
-    mul_add_lanes(columns, x, y);
-    if let Some(z) = z {
-        mul_add_lanes(columns, minus_one, z);
+fn invert<F: LimbLayout>(values: &mut [F]) {
+    if values.len() < ROW {
+        return batch_invert_scalar(values);
     }
-    if let Some(w) = w {
-        mul_add_lanes(acc, w, &reduce(term, modulus));
-    }
-}
-
-/// `hi − lo + p` as five 52-bit limb planes, from two loaded blocks of
-/// canonical elements: a representative of `hi − lo` in `(0, 2p)`. Each
-/// limb's borrow or carry moves up by an arithmetic shift.
-#[inline]
-#[target_feature(enable = "avx512f,avx512ifma")]
-fn difference(hi: &[__m512i; 5], lo: &[__m512i; 5], modulus: &Modulus) -> [__m512i; 5] {
-    let mut d = [_mm512_setzero_si512(); 5];
-    let mut carry = _mm512_setzero_si512();
-    for (i, d) in d.iter_mut().enumerate() {
-        let (hi, lo) = (
-            _mm512_and_si512(hi[i], modulus.mask),
-            _mm512_and_si512(lo[i], modulus.mask),
-        );
-        let s = _mm512_add_epi64(
-            _mm512_sub_epi64(hi, lo),
-            _mm512_add_epi64(modulus.p[i], carry),
-        );
-        *d = _mm512_and_si512(s, modulus.mask);
-        carry = _mm512_srai_epi64::<52>(s);
-    }
-    d
-}
-
-/// The forward pass of the batch inversion. Per row, chain `c` (the lanes
-/// of the row's block `c`) stores its running product as that block's
-/// prefix, then multiplies the block in, `ONE` in a zero's lane. The chains'
-/// products end in `totals`.
-#[target_feature(enable = "avx512f,avx512ifma")]
-fn chain_kernel<F: LimbLayout>(
-    body: &[[F; LANES]],
-    prefix: &mut [[F; LANES]],
-    totals: &mut [[F; LANES]],
-) {
-    let modulus = Modulus::new::<F>();
-    let one = splat(&split52(&F::ONE.mont_limbs()));
-    let mut acc = [one; CHAINS];
-    for (row, prefix) in body
-        .chunks_exact(CHAINS)
-        .zip(prefix.chunks_exact_mut(CHAINS))
-    {
-        for ((acc, x), prefix) in acc.iter_mut().zip(row).zip(prefix) {
-            store(prefix, *acc);
-            let (x, _) = nonzero_or(load(x), &one);
-            *acc = product(acc, &times16(&x), &modulus);
-        }
-    }
-    for (total, acc) in totals.iter_mut().zip(acc) {
-        store(total, acc);
-    }
-}
-
-/// The backward pass of the batch inversion, from the inverses of the
-/// chains' totals. Per row, last row first, a non-zero lane's inverse is
-/// the chain's running inverse times the lane's prefix; the running inverse
-/// then takes the lane's element (`ONE` for a zero, whose lane is written
-/// zero).
-#[target_feature(enable = "avx512f,avx512ifma")]
-fn unwind_kernel<F: LimbLayout>(
-    body: &mut [[F; LANES]],
-    prefix: &[[F; LANES]],
-    inverses: &[[F; LANES]],
-) {
-    let modulus = Modulus::new::<F>();
-    let one = splat(&split52(&F::ONE.mont_limbs()));
-    let mut acc: [_; CHAINS] = core::array::from_fn(|c| load(&inverses[c]));
-    let rows = body
-        .chunks_exact_mut(CHAINS)
-        .zip(prefix.chunks_exact(CHAINS));
-    for (row, prefix) in rows.rev() {
-        for ((acc, x), prefix) in acc.iter_mut().zip(row).zip(prefix) {
-            let (factor, nonzero) = nonzero_or(load(x), &one);
-            let inverse = product(acc, &times16(&load(prefix)), &modulus);
-            *acc = product(acc, &times16(&factor), &modulus);
-            store(x, inverse.map(|l| _mm512_maskz_mov_epi64(nonzero, l)));
-        }
-    }
-}
-
-/// `x` with `ONE`'s limbs in its zero lanes, and the mask of its non-zero
-/// lanes. A lane is zero only if all five planes are: every bit of the
-/// element is in one of them.
-#[inline]
-#[target_feature(enable = "avx512f,avx512ifma")]
-fn nonzero_or(x: [__m512i; 5], one: &[__m512i; 5]) -> ([__m512i; 5], __mmask8) {
-    let any = x
+    let (body, tail) = values.split_at_mut(values.len() / ROW * ROW);
+    let (body, _) = body.as_chunks_mut::<LANES>();
+    let mut prefix = vec![[F::ZERO; LANES]; body.len()];
+    let totals = chains(body, &mut prefix, [Packed::splat(F::ONE); CHAINS], false);
+    let mut shared = [F::ZERO; 2 * ROW];
+    let shared = &mut shared[..ROW + tail.len()];
+    totals
         .iter()
-        .fold(_mm512_setzero_si512(), |a, &l| _mm512_or_si512(a, l));
-    let nonzero = _mm512_test_epi64_mask(any, any);
-    let x = [0, 1, 2, 3, 4].map(|i| _mm512_mask_blend_epi64(nonzero, one[i], x[i]));
-    (x, nonzero)
+        .zip(shared.as_chunks_mut().0)
+        .for_each(|(t, out)| t.store(out));
+    shared[ROW..].copy_from_slice(tail);
+    batch_invert_scalar(shared);
+    tail.copy_from_slice(&shared[ROW..]);
+    let inverses = core::array::from_fn(|c| Packed::load(&shared.as_chunks().0[c]));
+    chains(body, &mut prefix, inverses, true);
 }
 
-/// Per block of eight pairs, three reductions: `λ = num·inv`, then
-/// `x₃ = λ² − p_x − q_x` and `y₃ = λ·(p_x − x₃) − p_y`, each subtraction a
-/// product with `[−1]` pre-scaled and `p_x − x₃` a [`difference`].
+/// One pass of the inversion's chains; chain `c` is the lanes of each row's
+/// block `c`, and `acc` its running value. Forward, each block's prefix is
+/// the running product before the block is multiplied in, `ONE` in a
+/// zero's lane; the totals are returned. Backward, last row first, from the
+/// totals' inverses: a non-zero lane's inverse is the running inverse times
+/// its prefix, and a zero lane stays zero; then the running inverse takes
+/// the lane's element.
 #[target_feature(enable = "avx512f,avx512ifma")]
-fn chords_kernel<F: LimbLayout>(
-    num: &[[F; LANES]],
-    inv: &[[F; LANES]],
-    qx: &[[F; LANES]],
-    px: &mut [[F; LANES]],
-    py: &mut [[F; LANES]],
-) {
-    let modulus = Modulus::new::<F>();
-    let minus_one = splat(&prescaled(-F::ONE));
-    for (b, (px, py)) in px.iter_mut().zip(py).enumerate() {
-        let (x, y) = (load(px), load(py));
-        let lambda = product(&load(&num[b]), &times16(&load(&inv[b])), &modulus);
-        let lambda16 = times16(&lambda);
-        let mut c = [_mm512_setzero_si512(); 10];
-        mul_add_lanes(&mut c, &lambda, &lambda16);
-        mul_add_lanes(&mut c, &minus_one, &x);
-        mul_add_lanes(&mut c, &minus_one, &load(&qx[b]));
-        let x3 = reduce(c, &modulus);
-        let mut c = [_mm512_setzero_si512(); 10];
-        mul_add_lanes(&mut c, &lambda16, &difference(&x, &x3, &modulus));
-        mul_add_lanes(&mut c, &minus_one, &y);
-        store(py, reduce(c, &modulus));
-        store(px, x3);
-    }
-}
-
-/// Lane-by-lane products, one reduction per `MAX_DEGREE` blocks (so each
-/// lane's sum stays below `2p` after it), the eight canonical lanes summed
-/// in the field.
-#[target_feature(enable = "avx512f,avx512ifma")]
-fn dot_kernel<F: LimbLayout>(a: &[[F; LANES]], b: &[[F; LANES]]) -> F {
-    let modulus = Modulus::new::<F>();
-    let mut sum = F::ZERO;
-    for (a, b) in a.chunks(MAX_DEGREE).zip(b.chunks(MAX_DEGREE)) {
-        let mut acc = [_mm512_setzero_si512(); 10];
-        for (a, b) in a.iter().zip(b) {
-            mul_add_lanes(&mut acc, &load(a), &load(b));
+fn chains<F: LimbLayout>(
+    body: &mut [Block<F>],
+    prefix: &mut [Block<F>],
+    mut acc: [Packed<F>; CHAINS],
+    backward: bool,
+) -> [Packed<F>; CHAINS] {
+    let rows = body.len() / CHAINS;
+    for r in 0..rows {
+        let r = if backward { rows - 1 - r } else { r };
+        for (c, acc) in acc.iter_mut().enumerate() {
+            let i = r * CHAINS + c;
+            let (factor, nonzero) = Packed::load(&body[i]).nonzero_or(F::ONE);
+            if backward {
+                let inverse = acc.times(Packed::load(&prefix[i])).planes;
+                let planes = inverse.map(|l| _mm512_maskz_mov_epi64(nonzero, l));
+                Packed::<F>::new(planes, 1, 0).store(&mut body[i]);
+            } else {
+                acc.store(&mut prefix[i]);
+            }
+            *acc = acc.times(factor);
         }
-        let mut lanes = [F::ZERO; LANES];
-        store(&mut lanes, reduce(acc, &modulus));
-        sum = lanes.into_iter().fold(sum, |s, x| s + x);
     }
-    // Each product entered as `aᵢ·bᵢ·2^-260`; 2^4 restores the scalar
-    // body's `2^-256`.
-    (0..4).fold(sum, |s, _| s.double())
+    acc
 }
 
-/// Per block: the stored limbs times 2^4 as the columns, then [`reduce`]:
-/// `16·x·2^256 / 2^260 = x`, canonical, stored as little-endian bytes.
+/// `N` sums over `blocks` blocks, each of what `add` puts into its
+/// accumulator per block, summed across the eight lanes in the field. A
+/// run of blocks starts with one block, whose spend sets how many more
+/// fit in the budget (every block spends what the first did; `reduce`
+/// asserts it), and ends in one reduction per accumulator. Each sum is
+/// then corrected by 2^4 per reduction its terms went through.
+#[inline]
 #[target_feature(enable = "avx512f,avx512ifma")]
-fn canonical_kernel<F: LimbLayout>(xs: &[[F; LANES]], out: &mut [[u8; BLOCK_BYTES]]) {
-    let modulus = Modulus::new::<F>();
-    for (x, out) in xs.iter().zip(out) {
-        let mut c = [_mm512_setzero_si512(); 10];
-        for (c, l) in c.iter_mut().zip(load(x)) {
-            *c = _mm512_slli_epi64::<4>(_mm512_and_si512(l, modulus.mask));
+fn lane_sums<F: LimbLayout, const N: usize>(
+    blocks: usize,
+    mut add: impl FnMut(&mut [Acc<F>; N], usize),
+) -> [F; N] {
+    let mut sums = [(F::ZERO, 0); N];
+    let mut start = 0;
+    while start < blocks {
+        let (mut acc, mut end) = ([Acc::new(); N], blocks);
+        for b in start..blocks {
+            add(&mut acc, b);
+            if b == start {
+                let step = acc.iter().fold(0, |s, a| s.max(a.budget));
+                end = blocks.min(start + ((BUDGET - 1) / step) as usize);
+            }
+            if b + 1 == end {
+                break;
+            }
         }
-        store(out, reduce(c, &modulus));
+        fold_lanes(acc, &mut sums);
+        start = end;
     }
+    sums.map(|(s, scale)| (0..4 * scale).fold(s, |s, _| s.double()))
 }
 
-/// `x ← a·x + b·y` (`x ← a·x` without `y`) over the whole blocks of `xs`,
-/// `ys` as long as `xs`; returns the elements written.
-fn combine<F: LimbLayout>(xs: &mut [F], a: F, y: Option<(&[F], F)>) -> usize {
-    if xs.len() < LANES || !available() {
-        return 0;
-    }
-    let (xs, _) = xs.as_chunks_mut::<LANES>();
-    let y = y.map(|(ys, b)| (ys.as_chunks::<LANES>().0, b));
-    // SAFETY: `available` has just seen, on this CPU, both target features
-    // `combine_kernel` is compiled with.
-    unsafe { combine_kernel(xs, a, y) };
-    xs.len() * LANES
-}
-
-/// One row of one or two pre-scaled coefficients per block: two `mul_add`s
-/// (one for a scale), one `reduce`, one `store` over the loaded `x`.
+/// Reduces each non-empty accumulator into its sum, which keeps the scale
+/// its reductions leave it at. The accumulators come by value, so the loop
+/// calling this keeps their columns in registers.
 #[target_feature(enable = "avx512f,avx512ifma")]
-fn combine_kernel<F: LimbLayout>(xs: &mut [[F; LANES]], a: F, y: Option<(&[[F; LANES]], F)>) {
-    let modulus = Modulus::new::<F>();
-    let a = prescaled(a);
-    let y = y.map(|(ys, b)| (ys, prescaled(b)));
-    for (i, x) in xs.iter_mut().enumerate() {
-        let mut acc = [_mm512_setzero_si512(); 10];
-        mul_add(&mut acc, &a, &load(x));
-        if let Some((ys, b)) = &y {
-            mul_add(&mut acc, b, &load(&ys[i]));
+fn fold_lanes<F: LimbLayout, const N: usize>(acc: [Acc<F>; N], sums: &mut [(F, i32); N]) {
+    for (acc, (sum, scale)) in acc.into_iter().zip(sums) {
+        if acc.budget > 0 {
+            let mut lanes = acc.reduce();
+            debug_assert!(*scale == 0 || *scale == lanes.scale);
+            (*scale, lanes.scale) = (lanes.scale, 0);
+            let mut out = [F::ZERO; LANES];
+            lanes.store(&mut out);
+            *sum = out.into_iter().fold(*sum, |s, x| s + x);
         }
-        store(x, reduce(acc, &modulus));
     }
 }
 
-/// The shape checks, O(rows + nnz): spans in order and inside `col_idx`,
-/// one coefficient per index, every column's input block inside `x`, and
-/// one output row per span. The kernel indexes through checked slices
-/// anyway; this keeps it from panicking halfway through `out`.
-fn shape_holds<F>(
-    width: usize,
-    row_ptr: &[usize],
-    col_idx: &[usize],
-    values: &[F],
-    x: &[F],
-    out: &[F],
-) -> bool {
-    let (Some(rows), cols) = (row_ptr.len().checked_sub(1), x.len() / width) else {
-        return false;
-    };
-    rows.checked_mul(width) == Some(out.len())
-        && values.len() == col_idx.len()
-        && row_ptr.windows(2).all(|span| span[0] <= span[1])
-        && row_ptr[rows] <= col_idx.len()
-        && col_idx[row_ptr[0]..row_ptr[rows]].iter().all(|&c| c < cols)
+/// Eight elements of `F` as five 52-bit limb planes (lane `e` of plane `l`
+/// is limb `l` of element `e`), every lane below `bound·p`, and the 2^-4
+/// factors the planes carry beyond the value they stand for (`scale`).
+/// Bits above a plane's 52 may be set: `madd52` reads only the low 52, and
+/// what reads a plane whole masks it.
+#[derive(Clone, Copy)]
+struct Packed<F> {
+    planes: [__m512i; 5],
+    bound: u32,
+    scale: i32,
+    field: PhantomData<F>,
 }
 
-/// Per-field vector constants: `p` in 52-bit limbs, `-p⁻¹ mod 2^52`, and
-/// the limb mask, each broadcast to every lane.
-struct Modulus {
-    p: [__m512i; 5],
-    neg_inv: __m512i,
-    mask: __m512i,
-}
-
-impl Modulus {
+impl<F: LimbLayout> Packed<F> {
+    /// A block of canonical elements.
     #[inline]
     #[target_feature(enable = "avx512f,avx512ifma")]
-    fn new<F: MontLimbs>() -> Self {
+    fn load(xs: &Block<F>) -> Self {
+        let [l0, l1, l2, l3] = transpose(cast(xs), false);
+        let planes = [
+            l0,
+            _mm512_or_si512(_mm512_srli_epi64::<52>(l0), _mm512_slli_epi64::<12>(l1)),
+            _mm512_or_si512(_mm512_srli_epi64::<40>(l1), _mm512_slli_epi64::<24>(l2)),
+            _mm512_or_si512(_mm512_srli_epi64::<28>(l2), _mm512_slli_epi64::<36>(l3)),
+            _mm512_srli_epi64::<16>(l3),
+        ];
+        Self::new(planes, 1, 0)
+    }
+
+    /// Writes the eight elements, or their 256 canonical bytes, over `out`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn store<B: Bits>(self, out: &mut B) {
+        debug_assert!(self.bound == 1 && self.scale == 0, "stored off scale");
+        let t = self.planes;
+        let words = [
+            _mm512_or_si512(t[0], _mm512_slli_epi64::<52>(t[1])),
+            _mm512_or_si512(_mm512_srli_epi64::<12>(t[1]), _mm512_slli_epi64::<40>(t[2])),
+            _mm512_or_si512(_mm512_srli_epi64::<24>(t[2]), _mm512_slli_epi64::<28>(t[3])),
+            _mm512_or_si512(_mm512_srli_epi64::<36>(t[3]), _mm512_slli_epi64::<16>(t[4])),
+        ];
+        *out = cast(&transpose(words, true));
+    }
+
+    /// `a` in every lane.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn splat(a: F) -> Self {
+        Self::splat52(split52(&a.mont_limbs()), 0)
+    }
+
+    /// `a·2^4 mod p` in every lane: a coefficient at scale −1.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn prescaled(a: F) -> Self {
+        Self::splat52(prescaled(a), -1)
+    }
+
+    /// Five canonical 52-bit limbs in every lane, at `scale`.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn splat52(limbs: [u64; 5], scale: i32) -> Self {
+        Self::new(limbs.map(|l| _mm512_set1_epi64(l as i64)), 1, scale)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn new(planes: [__m512i; 5], bound: u32, scale: i32) -> Self {
+        let field = PhantomData;
         Self {
-            p: splat(&split52(&F::P)),
-            neg_inv: _mm512_set1_epi64((F::NEG_INV & MASK52) as i64),
-            mask: _mm512_set1_epi64(MASK52 as i64),
+            planes,
+            bound,
+            scale,
+            field,
         }
     }
+
+    /// `16·x`, carried into 52-bit limbs: below `16·bound·p`, at one scale
+    /// lower.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn times16(self) -> Self {
+        let mut carry = _mm512_setzero_si512();
+        let planes = self.planes.map(|l| {
+            let l = _mm512_and_si512(l, mask52());
+            let shifted = _mm512_or_si512(_mm512_slli_epi64::<4>(l), carry);
+            carry = _mm512_srli_epi64::<48>(l);
+            shifted
+        });
+        Self::new(planes, 16 * self.bound, self.scale - 1)
+    }
+
+    /// `self − lo + p` from two canonical values at one scale: a
+    /// representative of the difference below `2p`. Each limb's borrow or
+    /// carry moves up by an arithmetic shift.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn difference(self, lo: Self) -> Self {
+        debug_assert!(self.bound == 1 && lo.bound == 1 && self.scale == lo.scale);
+        let p = Self::splat52(split52(&F::P), 0).planes;
+        let mut carry = _mm512_setzero_si512();
+        let planes = core::array::from_fn(|i| {
+            let [hi, lo] = [self.planes[i], lo.planes[i]].map(|l| _mm512_and_si512(l, mask52()));
+            let d = _mm512_sub_epi64(hi, lo);
+            let s = _mm512_add_epi64(d, _mm512_add_epi64(p[i], carry));
+            carry = _mm512_srai_epi64::<52>(s);
+            _mm512_and_si512(s, mask52())
+        });
+        Self::new(planes, 2, self.scale)
+    }
+
+    /// `self` with `one`'s limbs in its zero lanes, and the mask of its
+    /// non-zero lanes. A lane is zero only if all five planes are: every
+    /// bit of the element is in one of them.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn nonzero_or(self, one: F) -> (Self, __mmask8) {
+        let any = self
+            .planes
+            .iter()
+            .fold(_mm512_setzero_si512(), |a, &l| _mm512_or_si512(a, l));
+        let nonzero = _mm512_test_epi64_mask(any, any);
+        let one = Self::splat(one).planes;
+        let planes =
+            core::array::from_fn(|i| _mm512_mask_blend_epi64(nonzero, one[i], self.planes[i]));
+        (Self { planes, ..self }, nonzero)
+    }
+
+    /// `self · b`, reduced, with `b` entered as [`Packed::times16`]: the
+    /// product of two canonical values at the sum of their scales.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn times(self, b: Self) -> Self {
+        let mut acc = Acc::new();
+        acc.mul_add(self, b.times16());
+        acc.reduce()
+    }
+}
+
+/// Ten unreduced radix-2^52 columns per lane, the `p²` budget their
+/// products spent, and the scale of those products.
+#[derive(Clone, Copy)]
+struct Acc<F> {
+    columns: [__m512i; 10],
+    budget: u32,
+    scale: i32,
+    field: PhantomData<F>,
+}
+
+impl<F: LimbLayout> Acc<F> {
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn new() -> Self {
+        let columns = [_mm512_setzero_si512(); 10];
+        let field = PhantomData;
+        Self {
+            columns,
+            budget: 0,
+            scale: 0,
+            field,
+        }
+    }
+
+    /// One value's exact 52-bit limbs as the low columns: below
+    /// `64p < 2^260 < p²`, one unit of budget.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn widen(x: Packed<F>) -> Self {
+        debug_assert!(x.bound <= 64);
+        let mut acc = Self::new();
+        for (c, l) in acc.columns.iter_mut().zip(x.planes) {
+            *c = _mm512_and_si512(l, mask52());
+        }
+        (acc.budget, acc.scale) = (1, x.scale);
+        acc
+    }
+
+    /// `self += a · b` lane by lane — 25 `madd52lo` and 25 `madd52hi` — at
+    /// `a`'s bound times `b`'s.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn mul_add(&mut self, a: Packed<F>, b: Packed<F>) {
+        let scale = a.scale + b.scale;
+        debug_assert!(self.budget == 0 || self.scale == scale);
+        (self.budget, self.scale) = (self.budget + a.bound * b.bound, scale);
+        let c = &mut self.columns;
+        for (i, &a) in a.planes.iter().enumerate() {
+            for (j, &b) in b.planes.iter().enumerate() {
+                c[i + j] = _mm512_madd52lo_epu64(c[i + j], a, b);
+                c[i + j + 1] = _mm512_madd52hi_epu64(c[i + j + 1], a, b);
+            }
+        }
+    }
+
+    /// Montgomery reduction of the columns by `2^260`, canonical: five
+    /// rounds, each cancelling the lowest column with `q·p` and carrying it
+    /// up, then one conditional subtraction.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn reduce(self) -> Packed<F> {
+        debug_assert!(self.budget < BUDGET, "p² budget overdrawn: {}", self.budget);
+        #[cfg(debug_assertions)]
+        SPENT.with_borrow_mut(|log| log.iter_mut().for_each(|log| log.push(self.budget)));
+        let p = Packed::<F>::splat52(split52(&F::P), 0).planes;
+        let neg_inv = _mm512_set1_epi64((F::NEG_INV & MASK52) as i64);
+        let (mut c, zero) = (self.columns, _mm512_setzero_si512());
+        for r in 0..5 {
+            // `madd52lo` reads the low 52 bits of `c[r]`: all `q` depends on.
+            let q = _mm512_madd52lo_epu64(zero, c[r], neg_inv);
+            for (j, &p) in p.iter().enumerate() {
+                c[r + j] = _mm512_madd52lo_epu64(c[r + j], q, p);
+                c[r + j + 1] = _mm512_madd52hi_epu64(c[r + j + 1], q, p);
+            }
+            c[r + 1] = _mm512_add_epi64(c[r + 1], _mm512_srli_epi64::<52>(c[r]));
+        }
+        // Columns 5..10 hold the result, below 2p < 2^255: carry them into
+        // 52-bit limbs, and subtract `p` where that does not borrow.
+        let (mut carry, mut borrow) = (zero, zero);
+        let t: [_; 5] = core::array::from_fn(|i| {
+            let s = _mm512_add_epi64(c[5 + i], carry);
+            carry = _mm512_srli_epi64::<52>(s);
+            _mm512_and_si512(s, mask52())
+        });
+        let d: [_; 5] = core::array::from_fn(|i| {
+            let s = _mm512_sub_epi64(_mm512_sub_epi64(t[i], p[i]), borrow);
+            borrow = _mm512_srli_epi64::<63>(s);
+            _mm512_and_si512(s, mask52())
+        });
+        let below_p = _mm512_test_epi64_mask(borrow, borrow);
+        let planes = core::array::from_fn(|i| _mm512_mask_blend_epi64(below_p, d[i], t[i]));
+        Packed::new(planes, 1, self.scale + 1)
+    }
+}
+
+#[cfg(debug_assertions)]
+std::thread_local! {
+    /// The budget of every reduction on this thread, while a test keeps
+    /// the log.
+    static SPENT: core::cell::RefCell<Option<Vec<u32>>> = const { core::cell::RefCell::new(None) };
+}
+
+/// The 52-bit limb mask in every lane.
+#[inline]
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn mask52() -> __m512i {
+    _mm512_set1_epi64(MASK52 as i64)
 }
 
 /// `a` as five 52-bit limbs.
@@ -605,11 +589,10 @@ fn split52(a: &Limbs) -> [u64; 5] {
     ]
 }
 
-/// A row coefficient as the kernel takes it: `a·2^4 mod p`, so the
-/// reduction's `2^-260` leaves the scalar body's `2^-256`. Inlined so the
-/// sparse kernel's per-row coefficient loop stays free of calls.
+/// `a·2^4 mod p` as five 52-bit limbs. Inlined so the sparse kernel's
+/// per-row coefficient loop stays free of calls.
 #[inline(always)]
-fn prescaled<F: MontLimbs>(a: F) -> [u64; 5] {
+fn prescaled<F: LimbLayout>(a: F) -> [u64; 5] {
     let mut v = a.mont_limbs();
     for _ in 0..4 {
         v = add_mod(&v, &v, &F::P);
@@ -617,222 +600,44 @@ fn prescaled<F: MontLimbs>(a: F) -> [u64; 5] {
     split52(&v)
 }
 
-#[target_feature(enable = "avx512f,avx512ifma")]
-fn sparse_kernel<F: LimbLayout>(
-    width: usize,
-    row_ptr: &[usize],
-    col_idx: &[usize],
-    values: &[F],
-    x: &[F],
-    out: &mut [F],
-) {
-    let modulus = Modulus::new::<F>();
-    let blocks = width / LANES;
-    let (x_blocks, _) = x.as_chunks::<LANES>();
-    let mut coeffs = [[0u64; 5]; MAX_DEGREE];
-    for (span, out_row) in row_ptr.windows(2).zip(out.chunks_exact_mut(width)) {
-        let cols = &col_idx[span[0]..span[1]];
-        if cols.len() > MAX_DEGREE {
-            sparse_mul_lanes_scalar(width, span, col_idx, values, x, out_row);
-            continue;
-        }
-        let coeffs = &mut coeffs[..cols.len()];
-        for (a, &v) in coeffs.iter_mut().zip(&values[span[0]..span[1]]) {
-            *a = prescaled(v);
-        }
-        let (out_blocks, _) = out_row.as_chunks_mut::<LANES>();
-        for (block, out_block) in out_blocks.iter_mut().enumerate() {
-            let mut acc = [_mm512_setzero_si512(); 10];
-            for (a, &c) in coeffs.iter().zip(cols) {
-                mul_add(&mut acc, a, &load(&x_blocks[c * blocks + block]));
-            }
-            store(out_block, reduce(acc, &modulus));
-        }
-    }
+/// [`BLOCK_BYTES`] bytes for which every bit pattern is a valid value:
+/// eight elements (any four words are a valid `F: LimbLayout`), eight
+/// elements' canonical bytes, or four vectors.
+trait Bits: Copy {}
+
+impl<F: LimbLayout> Bits for Block<F> {}
+impl Bits for [u8; BLOCK_BYTES] {}
+impl Bits for [__m512i; 4] {}
+
+/// `a`'s bytes as a `B`.
+#[inline(always)]
+fn cast<A: Bits, B: Bits>(a: &A) -> B {
+    const { assert!(size_of::<A>() == BLOCK_BYTES && size_of::<B>() == BLOCK_BYTES) };
+    // SAFETY: `A` and `B` are both `BLOCK_BYTES` long (asserted above),
+    // `transmute_copy` reads unaligned, and `B: Bits` accepts any bytes.
+    unsafe { core::mem::transmute_copy(a) }
 }
 
-/// `acc += a · b` as ten unreduced radix-2^52 columns: `a` one coefficient
-/// for every lane, `b` eight operands.
+/// Four element-major vectors (vector `j` = elements `2j`, `2j + 1`, four
+/// limbs each) to four 64-bit limb planes, or back when `back`: two stages
+/// of `permutex2var`, over the pairs `(0, 1)`, `(2, 3)` of the input, then
+/// `(0, 2)`, `(1, 3)` of the first stage's output. `interleave` picks limbs
+/// 0 and 1 (then 2 and 3) of a pair's four elements, `halves` the low (then
+/// high) 256-bit halves of a pair; the way there runs them in that order,
+/// the way back in the other.
 #[inline]
 #[target_feature(enable = "avx512f,avx512ifma")]
-fn mul_add(acc: &mut [__m512i; 10], a: &[u64; 5], b: &[__m512i; 5]) {
-    mul_add_lanes(acc, &splat(a), b);
-}
-
-/// Five limbs broadcast to every lane.
-#[inline]
-#[target_feature(enable = "avx512f,avx512ifma")]
-fn splat(a: &[u64; 5]) -> [__m512i; 5] {
-    a.map(|a| _mm512_set1_epi64(a as i64))
-}
-
-/// `[a·b]`, canonical, from `[a]` and `16·[b]` ([`times16`]): the product
-/// is below `16p²`, which [`reduce`] takes below `1.25p`.
-#[inline]
-#[target_feature(enable = "avx512f,avx512ifma")]
-fn product(a: &[__m512i; 5], b16: &[__m512i; 5], modulus: &Modulus) -> [__m512i; 5] {
-    let mut c = [_mm512_setzero_si512(); 10];
-    mul_add_lanes(&mut c, a, b16);
-    reduce(c, modulus)
-}
-
-/// `16·x` as five 52-bit limbs, from limb planes of `x < p` (bits above 52
-/// ignored, as [`load`] leaves them). The value stays below `2^258`: no
-/// carry out of the top limb. Bits shifted above a limb's 52 are left in,
-/// and carried up too; `madd52` reads only the low 52.
-#[inline]
-#[target_feature(enable = "avx512f,avx512ifma")]
-fn times16(x: &[__m512i; 5]) -> [__m512i; 5] {
-    let mask = _mm512_set1_epi64(MASK52 as i64);
-    let mut carry = _mm512_setzero_si512();
-    x.map(|l| {
-        let l = _mm512_and_si512(l, mask);
-        let shifted = _mm512_or_si512(_mm512_slli_epi64::<4>(l), carry);
-        carry = _mm512_srli_epi64::<48>(l);
-        shifted
-    })
-}
-
-/// `acc += a · b` lane by lane as ten unreduced radix-2^52 columns: 25
-/// `madd52lo` and 25 `madd52hi`.
-#[inline]
-#[target_feature(enable = "avx512f,avx512ifma")]
-fn mul_add_lanes(acc: &mut [__m512i; 10], a: &[__m512i; 5], b: &[__m512i; 5]) {
-    for (i, &a) in a.iter().enumerate() {
-        for (j, &b) in b.iter().enumerate() {
-            acc[i + j] = _mm512_madd52lo_epu64(acc[i + j], a, b);
-            acc[i + j + 1] = _mm512_madd52hi_epu64(acc[i + j + 1], a, b);
-        }
-    }
-}
-
-/// Montgomery reduction of the columns by `2^260`, canonical: five rounds,
-/// each cancelling the lowest column with `m·p` and carrying it up, then
-/// one conditional subtraction. Returns five 52-bit limb planes, as [`load`]
-/// does.
-#[inline]
-#[target_feature(enable = "avx512f,avx512ifma")]
-fn reduce(mut c: [__m512i; 10], modulus: &Modulus) -> [__m512i; 5] {
-    let zero = _mm512_setzero_si512();
-    for r in 0..5 {
-        // `madd52lo` reads the low 52 bits of `c[r]`: all `m` depends on.
-        let m = _mm512_madd52lo_epu64(zero, c[r], modulus.neg_inv);
-        for (j, &p) in modulus.p.iter().enumerate() {
-            c[r + j] = _mm512_madd52lo_epu64(c[r + j], m, p);
-            c[r + j + 1] = _mm512_madd52hi_epu64(c[r + j + 1], m, p);
-        }
-        c[r + 1] = _mm512_add_epi64(c[r + 1], _mm512_srli_epi64::<52>(c[r]));
-    }
-    // Columns 5..10 hold the result, below 2p < 2^255: carry them into
-    // 52-bit limbs.
-    let mut t = [zero; 5];
-    let mut carry = zero;
-    for (t, &c) in t.iter_mut().zip(&c[5..]) {
-        let s = _mm512_add_epi64(c, carry);
-        *t = _mm512_and_si512(s, modulus.mask);
-        carry = _mm512_srli_epi64::<52>(s);
-    }
-    // `t - p`, kept where it does not borrow.
-    let mut d = [zero; 5];
-    let mut borrow = zero;
-    for ((d, &t), &p) in d.iter_mut().zip(&t).zip(&modulus.p) {
-        let s = _mm512_sub_epi64(_mm512_sub_epi64(t, p), borrow);
-        *d = _mm512_and_si512(s, modulus.mask);
-        borrow = _mm512_srli_epi64::<63>(s);
-    }
-    let below_p = _mm512_test_epi64_mask(borrow, borrow);
-    [0, 1, 2, 3, 4].map(|i| _mm512_mask_blend_epi64(below_p, d[i], t[i]))
-}
-
-/// Eight elements as five 52-bit limb planes (lane `e` of plane `l` is
-/// limb `l` of element `e`). Bits above 52 are left in: `madd52` reads
-/// only the low 52.
-#[inline]
-#[target_feature(enable = "avx512f,avx512ifma")]
-fn load<F: LimbLayout>(xs: &[F; LANES]) -> [__m512i; 5] {
-    let p = xs.as_ptr().cast::<__m512i>();
-    // SAFETY: `F: LimbLayout` is four `u64`s, so `xs` is 256 initialised
-    // bytes — the four unaligned 64-byte reads below.
-    let z = unsafe {
-        [
-            _mm512_loadu_si512(p),
-            _mm512_loadu_si512(p.add(1)),
-            _mm512_loadu_si512(p.add(2)),
-            _mm512_loadu_si512(p.add(3)),
-        ]
-    };
-    let [l0, l1, l2, l3] = transpose(z, interleave(), halves());
-    [
-        l0,
-        _mm512_or_si512(_mm512_srli_epi64::<52>(l0), _mm512_slli_epi64::<12>(l1)),
-        _mm512_or_si512(_mm512_srli_epi64::<40>(l1), _mm512_slli_epi64::<24>(l2)),
-        _mm512_or_si512(_mm512_srli_epi64::<28>(l2), _mm512_slli_epi64::<36>(l3)),
-        _mm512_srli_epi64::<16>(l3),
-    ]
-}
-
-/// A destination [`store`] overwrites whole: [`BLOCK_BYTES`] bytes for
-/// which any bit pattern is a valid value — eight elements (any four words
-/// are a valid `F: LimbLayout`, and `reduce` makes them canonical) or eight
-/// elements' canonical bytes.
-trait Block {}
-
-impl<F: LimbLayout> Block for [F; LANES] {}
-impl Block for [u8; BLOCK_BYTES] {}
-
-/// Writes five 52-bit limb planes (each below 2^52) back as eight
-/// elements' 64-bit limbs, element `e`'s at words `4e..4e + 4`.
-#[inline]
-#[target_feature(enable = "avx512f,avx512ifma")]
-fn store<B: Block>(out: &mut B, t: [__m512i; 5]) {
-    const { assert!(size_of::<B>() == BLOCK_BYTES) };
-    let planes = [
-        _mm512_or_si512(t[0], _mm512_slli_epi64::<52>(t[1])),
-        _mm512_or_si512(_mm512_srli_epi64::<12>(t[1]), _mm512_slli_epi64::<40>(t[2])),
-        _mm512_or_si512(_mm512_srli_epi64::<24>(t[2]), _mm512_slli_epi64::<28>(t[3])),
-        _mm512_or_si512(_mm512_srli_epi64::<36>(t[3]), _mm512_slli_epi64::<16>(t[4])),
-    ];
-    let z = transpose(planes, halves(), interleave());
-    let p = (out as *mut B).cast::<__m512i>();
-    // SAFETY: `out` is `BLOCK_BYTES` = 256 writable bytes (asserted above)
-    // — the four unaligned 64-byte writes below — and `B: Block` accepts
-    // any bytes.
-    unsafe {
-        _mm512_storeu_si512(p, z[0]);
-        _mm512_storeu_si512(p.add(1), z[1]);
-        _mm512_storeu_si512(p.add(2), z[2]);
-        _mm512_storeu_si512(p.add(3), z[3]);
-    }
-}
-
-/// Within a pair `(a, b)` of element-major vectors: limbs 0 and 1 (then 2
-/// and 3) of the pair's four elements.
-#[inline]
-#[target_feature(enable = "avx512f,avx512ifma")]
-fn interleave() -> [__m512i; 2] {
-    [
+fn transpose(z: [__m512i; 4], back: bool) -> [__m512i; 4] {
+    let interleave = [
         _mm512_set_epi64(13, 9, 5, 1, 12, 8, 4, 0),
         _mm512_set_epi64(15, 11, 7, 3, 14, 10, 6, 2),
-    ]
-}
-
-/// The low (then high) 256-bit halves of `a` and `b`.
-#[inline]
-#[target_feature(enable = "avx512f,avx512ifma")]
-fn halves() -> [__m512i; 2] {
-    [
+    ];
+    let halves = [
         _mm512_set_epi64(11, 10, 9, 8, 3, 2, 1, 0),
         _mm512_set_epi64(15, 14, 13, 12, 7, 6, 5, 4),
-    ]
-}
-
-/// Two stages of `permutex2var` over the pairs `(0, 1)`, `(2, 3)`, then
-/// `(0, 2)`, `(1, 3)` of their outputs. With [`interleave`] then [`halves`]
-/// it turns element-major vectors (vector `j` = elements `2j`, `2j + 1`,
-/// four limbs each) into limb planes; with the two swapped, back.
-#[inline]
-#[target_feature(enable = "avx512f,avx512ifma")]
-fn transpose(z: [__m512i; 4], first: [__m512i; 2], second: [__m512i; 2]) -> [__m512i; 4] {
+    ];
+    let stages = [interleave, halves];
+    let (first, second) = (stages[back as usize], stages[!back as usize]);
     let s = [
         _mm512_permutex2var_epi64(z[0], first[0], z[1]),
         _mm512_permutex2var_epi64(z[0], first[1], z[1]),
@@ -845,4 +650,90 @@ fn transpose(z: [__m512i; 4], first: [__m512i; 2], second: [__m512i; 2]) -> [__m
         _mm512_permutex2var_epi64(s[1], second[0], s[3]),
         _mm512_permutex2var_epi64(s[1], second[1], s[3]),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Field, Fq, Fr};
+
+    /// The budget each reduction `f` ran on this thread spent, in order.
+    #[cfg(debug_assertions)]
+    fn spent(f: impl FnOnce()) -> Vec<u32> {
+        SPENT.set(Some(Vec::new()));
+        f();
+        SPENT.take().expect("the log was kept")
+    }
+
+    /// Every kernel's reductions spend what DESIGN.md §16's budget table
+    /// says, in `p²`: per block, and at the reduction cadence of the dot
+    /// and the round sums.
+    #[cfg(debug_assertions)]
+    fn spends_the_budget_table<F: LimbLayout>() {
+        let x = vec![F::from(3u64); 63 * LANES];
+        let b = &x[..LANES];
+        let (mut y, mut bytes) = (b.to_vec(), [0u8; 32 * LANES]);
+        assert_eq!(spent(|| F::fold_halves(&mut y, b, F::ONE)), [2]);
+        assert_eq!(spent(|| F::scale(&mut y, F::ONE)), [1]);
+        assert_eq!(spent(|| F::write_canonical(b, &mut bytes)), [1]);
+        let cols: Vec<usize> = (0..63).collect();
+        let row = |y: &mut [F]| F::sparse_mul_lanes(8, &[0, 63], &cols, &x[..63], &x, y);
+        assert_eq!(spent(|| row(&mut y)), [63]);
+        let dot = |n: usize| spent(|| _ = F::dot(&x[..n], &x[..n]));
+        assert_eq!(dot(63 * LANES), [63]);
+        assert_eq!(dot(8 * LANES), [8]);
+        // Unweighted, `x·y − z` spends 2 and `Δx·Δy` 4 a block, so 15
+        // blocks go to a reduction; weighted, each term is reduced alone
+        // and `w·term` spends 1.
+        let t = &x[..16 * LANES];
+        let sums = |w| spent(|| _ = F::product_round_sums([t; 2], [t; 2], Some([t; 2]), w, true));
+        assert_eq!(sums(None), [30, 30, 60, 2, 2, 4]);
+        let w = Some(b);
+        let sums = spent(|| _ = F::product_round_sums([b; 2], [b; 2], Some([b; 2]), w, true));
+        assert_eq!(sums, [2, 2, 4, 1, 1, 1]);
+        // `[a]·16[b]`: 16 per chain product, four chains a row, each way.
+        let mut row = x[..32].to_vec();
+        assert_eq!(spent(|| F::batch_invert(&mut row)), [16; 12]);
+        // λ, then x₃ = λ·16λ − [−1]·p_x − [−1]·q_x, then
+        // y₃ = 16λ·(p_x − x₃ + p) − [−1]·p_y.
+        let (mut px, mut py) = (b.to_vec(), b.to_vec());
+        let chords = || F::affine_chords(b, b, b, [&mut px, &mut py]);
+        assert_eq!(spent(chords), [16, 18, 33]);
+    }
+
+    #[test]
+    fn kernels_spend_the_budget_table() {
+        if !cfg!(debug_assertions) || !detected() {
+            return println!("no debug assertions or no avx512ifma: nothing to measure");
+        }
+        #[cfg(debug_assertions)]
+        {
+            spends_the_budget_table::<Fr>();
+            spends_the_budget_table::<Fq>();
+        }
+    }
+
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn reduce_after(products: usize) {
+        let one = Packed::splat(Fr::ONE);
+        let mut acc = Acc::new();
+        for _ in 0..products {
+            acc.mul_add(one, one);
+        }
+        acc.reduce();
+    }
+
+    #[test]
+    fn sixty_four_canonical_products_overdraw_the_budget() {
+        if !cfg!(debug_assertions) || !detected() {
+            return println!("no debug assertions or no avx512ifma: nothing to overdraw");
+        }
+        let reduces = |products| {
+            // SAFETY: `detected` has just seen, on this CPU, both target
+            // features `reduce_after` is compiled with.
+            std::panic::catch_unwind(|| unsafe { reduce_after(products) }).is_ok()
+        };
+        assert!(reduces(63));
+        assert!(!reduces(64), "64p² must not reach `reduce`");
+    }
 }

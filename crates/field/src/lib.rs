@@ -23,8 +23,11 @@
 //! [`write_canonical_scalar`], [`product_round_sums_scalar`],
 //! [`batch_invert_scalar`], [`affine_chords_scalar`]) elsewhere;
 //! nothing configures them, and [`lane_kernel`] reports which.
-//! The kernels' module holds the crate's only `unsafe` — the calls into it
-//! and its vector loads and stores — which is why the crate root denies
+//! Each kernel is one safe loop over a packed type of eight elements whose
+//! `p²` budget debug builds check; the hooks reach them through one seam.
+//! The kernels' module holds the crate's only `unsafe` — that one call into
+//! the kernels, and the one reinterpretation of a 256-byte block behind
+//! every vector load and store — which is why the crate root denies
 //! `unsafe_code` rather than forbidding it.
 //!
 //! # Examples
@@ -57,12 +60,15 @@ mod fr;
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod ifma;
+mod lanes;
 pub mod lut;
 pub mod ntt;
 
 pub use batch::batch_invert_scalar;
 pub use fq::Fq;
 pub use fr::Fr;
+#[doc(hidden)]
+pub use lanes::with_portable_bodies;
 pub use ntt::NttDomain;
 pub use rng::{RngCore, SplitMix64};
 pub use traits::{
@@ -79,13 +85,15 @@ pub use traits::{
 /// [`Field::batch_invert`] runs every whole row of 32 elements on the
 /// kernel and the tail on the scalar body under the same inversion, and
 /// [`Field::sparse_mul_lanes`] runs the kernel at widths that are a
-/// multiple of eight and the scalar body at every other width.
+/// multiple of eight and the scalar body at every other width. It reads
+/// `"scalar"` on a CPU without IFMA, off x86_64, and inside the test seam
+/// that turns the kernels off.
 pub fn lane_kernel() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    if ifma::available() {
-        return "avx512ifma";
+    if lanes::kernels_on() {
+        "avx512ifma"
+    } else {
+        "scalar"
     }
-    "scalar"
 }
 
 #[cfg(test)]

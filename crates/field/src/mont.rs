@@ -29,9 +29,11 @@ macro_rules! declare_field {
         generator = $generator:expr,
         two_adicity = $two_adicity:expr,
     ) => {
+        use $crate::lanes::{blocks, blocks_mut, head, run, Call, LANES};
+
         $(#[$attr])*
-        // Transparent, so the IFMA kernel can load and store a slice of
-        // elements as 64-bit words (`ifma.rs`).
+        // Transparent, so a lane kernel can load and store a block of
+        // elements as 64-bit words (`lanes::LimbLayout`).
         #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
         #[repr(transparent)]
         pub struct $name($crate::limb::Limbs);
@@ -307,6 +309,8 @@ macro_rules! declare_field {
                 ))
             }
 
+            // The hooks: whole blocks of eight through the kernels' seam
+            // (`lanes.rs`), the rest on the scalar bodies.
             fn sparse_mul_lanes(
                 width: usize,
                 row_ptr: &[usize],
@@ -315,46 +319,40 @@ macro_rules! declare_field {
                 x: &[Self],
                 out: &mut [Self],
             ) {
-                #[cfg(target_arch = "x86_64")]
-                if $crate::ifma::sparse_mul_lanes(width, row_ptr, col_idx, values, x, out) {
-                    return;
+                // Whole or nothing; a malformed matrix panics in the kernel's
+                // checked indexing as it does in the scalar body.
+                let rows = row_ptr.len().saturating_sub(1);
+                let whole = width > 0 && width.is_multiple_of(LANES);
+                let whole = whole && rows.checked_mul(width) == Some(out.len());
+                let (xs, outs) = (x.as_chunks().0, out.as_chunks_mut().0);
+                if !(whole && run(Call::Sparse(width, [row_ptr, col_idx], values, xs, outs))) {
+                    $crate::sparse_mul_lanes_scalar(width, row_ptr, col_idx, values, x, out);
                 }
-                $crate::sparse_mul_lanes_scalar(width, row_ptr, col_idx, values, x, out);
             }
 
-            // The kernel takes the whole 8-element blocks it can and
-            // reports how many leading elements it wrote; the default body
-            // runs the rest (everything, off x86_64 or without IFMA).
+            // `(1 − r)·lo + r·hi` on the kernel: the residue of `lo + r·(hi − lo)`.
             fn fold_halves(lo: &mut [Self], hi: &[Self], r: Self) {
-                #[cfg(target_arch = "x86_64")]
-                let done = $crate::ifma::fold_halves(lo, hi, r);
-                #[cfg(not(target_arch = "x86_64"))]
-                let done = 0;
+                let done = head(lo.len() == hi.len(), lo.len(), |n| {
+                    Call::Combine(blocks_mut(lo, n), Self::ONE - r, Some((blocks(hi, n), r)))
+                });
                 $crate::fold_halves_scalar(&mut lo[done..], &hi[done..], r);
             }
 
             fn scale(xs: &mut [Self], c: Self) {
-                #[cfg(target_arch = "x86_64")]
-                let done = $crate::ifma::scale(xs, c);
-                #[cfg(not(target_arch = "x86_64"))]
-                let done = 0;
+                let done = head(true, xs.len(), |n| Call::Combine(blocks_mut(xs, n), c, None));
                 $crate::scale_scalar(&mut xs[done..], c);
             }
 
             fn dot(a: &[Self], b: &[Self]) -> Self {
-                let n = a.len().min(b.len());
-                #[cfg(target_arch = "x86_64")]
-                let (head, done) = $crate::ifma::dot(&a[..n], &b[..n]);
-                #[cfg(not(target_arch = "x86_64"))]
-                let (head, done) = (Self::ZERO, 0);
-                head + Self::dot_pairs(a[done..n].iter().copied().zip(b[done..n].iter().copied()))
+                let (n, mut sum) = (a.len().min(b.len()), Self::ZERO);
+                let done = head(true, n, |n| Call::Dot(blocks(a, n), blocks(b, n), &mut sum));
+                sum + Self::dot_pairs(a[done..n].iter().copied().zip(b[done..n].iter().copied()))
             }
 
             fn write_canonical(xs: &[Self], out: &mut [u8]) {
-                #[cfg(target_arch = "x86_64")]
-                let done = $crate::ifma::write_canonical(xs, out);
-                #[cfg(not(target_arch = "x86_64"))]
-                let done = 0;
+                let done = head(out.len() == 32 * xs.len(), xs.len(), |n| {
+                    Call::Canonical(blocks(xs, n), out[..32 * n].as_chunks_mut().0)
+                });
                 $crate::write_canonical_scalar(&xs[done..], &mut out[32 * done..]);
             }
 
@@ -365,45 +363,33 @@ macro_rules! declare_field {
                 w: Option<&[Self]>,
                 direct: bool,
             ) -> [Self; 3] {
-                #[cfg(target_arch = "x86_64")]
-                let (head, done) = $crate::ifma::product_round_sums(x, y, z, w, direct);
-                #[cfg(not(target_arch = "x86_64"))]
-                let (head, done) = ([<Self as $crate::Field>::ZERO; 3], 0);
-                let tail = $crate::product_round_sums_scalar(
-                    x.map(|h| &h[done..]),
-                    y.map(|h| &h[done..]),
-                    z.map(|z| z.map(|h| &h[done..])),
-                    w.map(|h| &h[done..]),
-                    direct,
-                );
-                [head[0] + tail[0], head[1] + tail[1], head[2] + tail[2]]
+                let mut sums = [Self::ZERO; 3];
+                let shape_ok = $crate::traits::round_sum_lengths_match(x, y, z, w);
+                let done = head(shape_ok, x[0].len(), |n| {
+                    let [x, y] = [x, y].map(|h| h.map(|h| blocks(h, n)));
+                    let (z, w) = (z.map(|z| z.map(|h| blocks(h, n))), w.map(|w| blocks(w, n)));
+                    Call::RoundSums([x, y], z, w, direct, &mut sums)
+                });
+                let [x, y] = [x, y].map(|h| h.map(|h| &h[done..]));
+                let (z, w) = (z.map(|z| z.map(|h| &h[done..])), w.map(|w| &w[done..]));
+                let rest = $crate::product_round_sums_scalar(x, y, z, w, direct);
+                [0, 1, 2].map(|i| sums[i] + rest[i])
             }
 
             fn batch_invert(values: &mut [Self]) {
-                #[cfg(target_arch = "x86_64")]
-                if $crate::ifma::batch_invert(values) {
-                    return;
+                if !run(Call::Invert(values)) {
+                    $crate::batch_invert_scalar(values);
                 }
-                $crate::batch_invert_scalar(values);
             }
 
-            fn affine_chords(
-                num: &[Self],
-                inv: &[Self],
-                qx: &[Self],
-                p: [&mut [Self]; 2],
-            ) {
-                let [px, py] = p;
-                #[cfg(target_arch = "x86_64")]
-                let done = $crate::ifma::affine_chords(num, inv, qx, [&mut *px, &mut *py]);
-                #[cfg(not(target_arch = "x86_64"))]
-                let done = 0;
-                $crate::affine_chords_scalar(
-                    &num[done..],
-                    &inv[done..],
-                    &qx[done..],
-                    [&mut px[done..], &mut py[done..]],
-                );
+            fn affine_chords(num: &[Self], inv: &[Self], qx: &[Self], [px, py]: [&mut [Self]; 2]) {
+                let shape_ok = $crate::traits::chord_lengths_match(num, inv, qx, [&*px, &*py]);
+                let done = head(shape_ok, num.len(), |n| {
+                    let operands = [num, inv, qx].map(|s| blocks(s, n));
+                    Call::Chords(operands, [blocks_mut(px, n), blocks_mut(py, n)])
+                });
+                let [num, inv, qx] = [num, inv, qx].map(|s| &s[done..]);
+                $crate::affine_chords_scalar(num, inv, qx, [&mut px[done..], &mut py[done..]]);
             }
         }
 

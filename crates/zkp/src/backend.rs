@@ -597,6 +597,44 @@ mod tests {
         }
     }
 
+    /// Hooks off ≡ hooks on: with every lane hook of the field on its
+    /// scalar body, on every pool thread, the pipelined single-device run
+    /// proves the bytes the dispatched hooks prove, and those verify.
+    fn portable_bodies_agree<B>(backend: &B, batch: Vec<B::Instance>)
+    where
+        B: ProverBackend,
+        B::Instance: Clone,
+        B::Statement: PartialEq + Debug,
+        B::Proof: PartialEq + Debug,
+    {
+        let prove = || {
+            let mut gpu = Gpu::new(DeviceProfile::a100());
+            let run = prove_batch_with(&mut gpu, backend, batch.clone(), 4096, true);
+            run.expect("fits").proofs
+        };
+        let dispatched = batchzk_par::with_threads(2, prove);
+        let portable = batchzk_field::with_portable_bodies(|| {
+            assert_eq!(batchzk_field::lane_kernel(), "scalar");
+            batchzk_par::with_threads(2, prove)
+        });
+        assert_eq!(portable, dispatched);
+        for (statement, proof) in &portable {
+            assert!(backend.verify(statement, proof));
+        }
+    }
+
+    #[test]
+    fn portable_bodies_prove_the_dispatched_bytes() {
+        let (spartan, instance) = spartan();
+        portable_bodies_agree(&spartan, vec![instance; 2]);
+        let groth = GrothBackend::new(8);
+        portable_bodies_agree(&groth, (0..2).map(|s| groth.circuit().witness(s)).collect());
+        let orion = OrionBackend::<Fr>::new(12, params());
+        portable_bodies_agree(&orion, (0..2).map(|s| orion.instance(s)).collect());
+        let (mixed, batch) = mixed();
+        portable_bodies_agree(&mixed, batch);
+    }
+
     #[test]
     fn spartan_schedules_agree() {
         let (backend, instance) = spartan();
