@@ -67,13 +67,12 @@
 //! `TIMELINE.trace.json` (the device's Chrome trace with the recorder
 //! merged in as counter tracks, for `chrome://tracing` or Perfetto).
 //!
-//! `profile` is also explicit-only: it self-times every hot-path kernel
-//! (strict/deferred-reduction Montgomery multiply, LUT vs naive binary
-//! inner products, SHA-256 compression, NTT butterflies) at the scale's
-//! `wall_log` size,
-//! attributes one instrumented single-thread prove to named pipeline
+//! `profile` is also explicit-only: it attributes one instrumented
+//! single-thread prove at the scale's `wall_log` size to named pipeline
 //! phases, prints the markdown report, and writes `PROFILE.json` to the
-//! current directory.
+//! current directory. The per-kernel costs (Montgomery multiply, dot,
+//! SHA-256 block, NTT butterfly) are `benchmark/`'s `field.*` and
+//! `hash.*` rows.
 //!
 //! `bench-json` is also explicit-only: it runs the standard module and
 //! system pipelines on the A100 profile and writes the machine-readable
@@ -140,7 +139,7 @@ const EXPERIMENTS: &[(&str, bool, &str)] = &[
     (
         "profile",
         false,
-        "hot-path kernel self-timing + prover phase attribution; writes PROFILE.json (explicit-only)",
+        "prover phase attribution; writes PROFILE.json (explicit-only)",
     ),
     (
         "bench-json",

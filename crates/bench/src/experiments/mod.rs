@@ -18,7 +18,7 @@
 //! * `backends` — `backends` and the BENCH.json `backends` section.
 //! * `timeline` — the flight-recorder report and `TIMELINE.json`.
 //! * `bench_json` — the BENCH.json artifact assembled from the above.
-//! * `profile` — host self-timing of the hot-path kernels.
+//! * `profile` — phase attribution of one single-thread host prove.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -40,9 +40,7 @@ pub use backends::{backends, backends_json, mixed_plan, validate_trace_backends,
 pub use bench_json::{bench_json, bench_json_with_wall_clock};
 pub use modules::{fig4, fig9, table3, table4, table5, table6, trace};
 pub use pool::{faults, profile_by_name, scaling};
-pub use profile::{
-    profile, profile_json, profile_study, KernelProfile, PhaseProfile, ProfileStudy,
-};
+pub use profile::{profile, profile_json, profile_study, PhaseProfile, ProfileStudy};
 pub use service::{reference_plan, serve, service_json, REFERENCE_TRACE};
 pub use system::{ablation, table10, table11, table7, table8, table9};
 pub use timeline::{timeline, TimelineArtifacts};

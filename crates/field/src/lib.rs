@@ -61,7 +61,6 @@ mod fr;
 #[allow(unsafe_code)]
 mod ifma;
 mod lanes;
-pub mod lut;
 pub mod ntt;
 
 pub use batch::batch_invert_scalar;

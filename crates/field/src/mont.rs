@@ -50,20 +50,6 @@ macro_rules! declare_field {
             /// `-p^{-1} mod 2^64`.
             pub const INV: u64 = $crate::limb::mont_inv64(Self::MODULUS[0]);
 
-            /// Builds an element from its Montgomery representation.
-            /// Internal: callers must guarantee `limbs < p`.
-            #[allow(dead_code)]
-            #[inline]
-            pub(crate) const fn from_mont_limbs(limbs: $crate::limb::Limbs) -> Self {
-                Self(limbs)
-            }
-
-            /// Exposes the raw Montgomery representation.
-            #[inline]
-            pub const fn to_mont_limbs(self) -> $crate::limb::Limbs {
-                self.0
-            }
-
             /// Builds an element from canonical (non-Montgomery) limbs.
             ///
             /// # Panics

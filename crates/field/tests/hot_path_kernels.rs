@@ -2,15 +2,13 @@
 //! kernel against the multiply-then-add fold and the schoolbook-division
 //! oracle, at the carry and term-count edges, the dispatched lane hooks
 //! (sparse product, fold, scale, dot, canonical bytes, round sums, batch
-//! inversion, affine chords) against their scalar bodies, and LUT-vs-naive
-//! equivalence.
+//! inversion, affine chords) against their scalar bodies.
 //!
 //! These are the guarantees that let the rest of the workspace adopt the
 //! fast paths without re-auditing: every kernel is bit-identical to the
 //! schoolbook definition.
 
 use batchzk_field::limb::{acc_mul_add, acc_reduce, mont_reduce, naive_mul_mod, sub_wide, WideAcc};
-use batchzk_field::lut::{naive_select_sum, SubsetSumLUT};
 use batchzk_field::{
     affine_chords_scalar, batch_invert_scalar, fold_halves_scalar, lane_kernel,
     product_round_sums_scalar, scale_scalar, sparse_mul_lanes_scalar, write_canonical_scalar,
@@ -72,7 +70,7 @@ fn acc_reduce_is_canonical_at_the_accumulator_ceiling() {
     let got = Fr::from_mont_limbs_unchecked(acc_reduce(&acc, &Fr::P, Fr::NEG_INV, &Fr::R2));
     assert_eq!(Fr::from_bytes(&got.to_bytes()), Some(got), "canonical");
     // As field elements: a Montgomery-form x stands for x·2^-256, so
-    // from_mont_limbs(acc·2^-256) = Σ limbᵢ·2^(64i)·2^-512 in value.
+    // from_mont_limbs_unchecked(acc·2^-256) = Σ limbᵢ·2^(64i)·2^-512 in value.
     let two64 = Fr::from(u64::MAX) + Fr::ONE;
     let mut value = Fr::ZERO;
     for limb in acc.iter().rev() {
@@ -487,18 +485,4 @@ fn fq_chords_are_bit_identical_to_the_scalar_body() {
 fn chords_reject_slices_of_different_lengths() {
     let (a, mut x, mut y) = ([Fr::ONE; 16], [Fr::ONE; 16], [Fr::ONE; 17]);
     Fr::affine_chords(&a, &a, &a, [&mut x, &mut y]);
-}
-
-#[test]
-fn lut_matches_naive_inner_product_for_every_width() {
-    let mut rng = SplitMix64::seed_from_u64(0xB05);
-    for n in [1usize, 9, 31, 64] {
-        let w: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
-        let bits: Vec<bool> = (0..n).map(|_| rng.next_u64() & 1 == 1).collect();
-        let expect = naive_select_sum(&w, &bits);
-        for k in 1..=16 {
-            let lut = SubsetSumLUT::new(&w, k);
-            assert_eq!(lut.select_sum_bits(&bits), expect, "n={n} k={k}");
-        }
-    }
 }

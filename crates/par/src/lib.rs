@@ -226,15 +226,6 @@ where
         .collect()
 }
 
-/// [`par_map_indexed_with`] at the [`current_threads`] count.
-pub fn par_map_indexed<R, F>(n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    par_map_indexed_with(current_threads(), n, f)
-}
-
 /// Maps `f` over a slice on up to `threads` workers, results in input
 /// order.
 pub fn par_map_with<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>

@@ -438,11 +438,6 @@ impl<'g, T: Send> PipelineExecutor<'g, T> {
         self.pending.len() + self.in_flight
     }
 
-    /// Completed tasks held for the next [`drain`](Self::drain).
-    pub fn completed_len(&self) -> usize {
-        self.outputs.len()
-    }
-
     /// True when no work is pending, resident, or awaiting harvest.
     pub fn is_idle(&self) -> bool {
         self.in_flight == 0 && self.pending.is_empty()

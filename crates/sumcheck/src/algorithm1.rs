@@ -8,7 +8,6 @@
 //! the random numbers `r_1, ..., r_n` are explicit inputs, exactly as in the
 //! paper's pseudocode.
 
-use batchzk_field::lut::SubsetSumLUT;
 use batchzk_field::Field;
 
 /// A sum-check proof in the paper's format: one pair
@@ -53,111 +52,6 @@ pub fn prove<F: Field>(a: &mut Vec<F>, rs: &[F]) -> PairProof<F> {
         a.truncate(half);
     }
     proof
-}
-
-/// Like [`prove`], additionally returning the final folded table entry
-/// `p(r_n, ..., r_1)` — the value the verifier's final oracle check needs.
-pub fn prove_with_final<F: Field>(a: &mut Vec<F>, rs: &[F]) -> (PairProof<F>, F) {
-    let proof = prove(a, rs);
-    (proof, a[0])
-}
-
-/// How many leading rounds of [`prove_binary`] run multiplication-free.
-/// After `L` rounds each table entry selects from a `2^L`-weight tensor, so
-/// the per-entry selector masks need `2^L` bits and the materialization
-/// table `2^{2^L}` entries — `L = 3` (8-bit masks, 256-entry table) is the
-/// sweet spot.
-pub const BINARY_LUT_ROUNDS: usize = 3;
-
-/// [`prove_with_final`] specialized to a 0/1 table, e.g. a bit-decomposed
-/// witness column. Byte-identical output, but the first
-/// [`BINARY_LUT_ROUNDS`] rounds run **without a single per-entry field
-/// multiplication**.
-///
-/// The trick (the subset-sum-LUT idiom from Orion's encoder, applied to
-/// sum-check): after `j` folds, every table entry is
-/// `Σ_m sel_m · W_j[m]` where `W_j[m] = Π_k (m_k ? r_k : 1-r_k)` is the
-/// `eq` weight tensor of the challenges so far and the selectors `sel_m`
-/// are original table bits. So the whole fold state is a `2^j`-bit mask
-/// per entry — updated with one shift-or — and both the round sums and
-/// the final materialization are histogram lookups into a
-/// [`SubsetSumLUT`] over the (tiny) weight tensor. The expensive early
-/// rounds, which touch the most entries, thus cost integer ops only;
-/// per-round field work is `O(2^{2^j})`, independent of the table size.
-/// The remaining rounds delegate to [`prove`] on the materialized table.
-///
-/// # Panics
-///
-/// Panics if `bits.len() != 2^{rs.len()}`.
-///
-/// # Examples
-///
-/// ```
-/// use batchzk_sumcheck::algorithm1;
-/// use batchzk_field::{Field, Fr};
-///
-/// let bits = [true, false, false, true, true, true, false, true];
-/// let rs = [Fr::from(5u64), Fr::from(6u64), Fr::from(7u64)];
-/// let table: Vec<Fr> = bits.iter().map(|&b| Fr::from(b as u64)).collect();
-/// let fast = algorithm1::prove_binary(&bits, &rs);
-/// assert_eq!(fast, algorithm1::prove_with_final(&mut table.clone(), &rs));
-/// ```
-pub fn prove_binary<F: Field>(bits: &[bool], rs: &[F]) -> (PairProof<F>, F) {
-    let n = rs.len();
-    assert_eq!(bits.len(), 1usize << n, "table length must be 2^n");
-    let lut_rounds = n.min(BINARY_LUT_ROUNDS);
-    let mut proof = Vec::with_capacity(n);
-
-    // masks[b]: which weight-tensor entries the original bits select.
-    let mut masks: Vec<u8> = bits.iter().map(|&b| b as u8).collect();
-    // weights[m] = Π_k (bit k of m ? r_{k+1} : 1 - r_{k+1}); starts as the
-    // empty product.
-    let mut weights: Vec<F> = vec![F::ONE];
-
-    for (j, &r) in rs[..lut_rounds].iter().enumerate() {
-        let half = 1usize << (n - j - 1);
-        let width = 1usize << j; // selector bits per mask before this fold
-        let lut = SubsetSumLUT::new(&weights, width);
-        // Round sums as histograms: Σ_b T[mask_b] = Σ_m count_m · T[m],
-        // so the field work is 2^width muls, not `half` of them.
-        let mut counts = vec![[0u64; 2]; 1 << width];
-        for (b, &m) in masks.iter().enumerate() {
-            counts[m as usize][(b >= half) as usize] += 1;
-        }
-        let mut pi1 = F::ZERO;
-        let mut pi2 = F::ZERO;
-        for (m, c) in counts.iter().enumerate() {
-            let t = lut.lookup(0, m);
-            if c[0] > 0 {
-                pi1 += F::from(c[0]) * t;
-            }
-            if c[1] > 0 {
-                pi2 += F::from(c[1]) * t;
-            }
-        }
-        proof.push((pi1, pi2));
-
-        // The fold itself: integer shift-or per entry, zero field ops.
-        for b in 0..half {
-            masks[b] |= masks[b + half] << width;
-        }
-        masks.truncate(half);
-
-        // Grow the weight tensor: low block × (1-r), high block × r.
-        let one_minus_r = F::ONE - r;
-        let mut next = Vec::with_capacity(weights.len() * 2);
-        next.extend(weights.iter().map(|&w| w * one_minus_r));
-        next.extend(weights.iter().map(|&w| w * r));
-        weights = next;
-    }
-
-    // Materialize the folded table from the final LUT and delegate the
-    // remaining rounds to the general prover.
-    let lut = SubsetSumLUT::new(&weights, 1 << lut_rounds);
-    let mut a: Vec<F> = masks.iter().map(|&m| lut.lookup(0, m as usize)).collect();
-    let (tail, final_val) = prove_with_final(&mut a, &rs[lut_rounds..]);
-    proof.extend(tail);
-    (proof, final_val)
 }
 
 /// Verifies a pair-format proof against the claimed hypercube sum `h`.
@@ -268,10 +162,11 @@ mod tests {
     fn final_value_is_polynomial_evaluation() {
         let table = rand_table(7, 9);
         let rs = rand_point(7, 10);
-        let (_, final_val) = prove_with_final(&mut table.clone(), &rs);
+        let mut folded = table.clone();
+        prove(&mut folded, &rs);
         let point: Vec<Fr> = rs.iter().rev().copied().collect();
         let poly = crate::MultilinearPoly::new(table);
-        assert_eq!(final_val, poly.evaluate(&point));
+        assert_eq!(folded[0], poly.evaluate(&point));
     }
 
     #[test]
@@ -295,53 +190,5 @@ mod tests {
     #[should_panic(expected = "2^n")]
     fn mismatched_lengths_panic() {
         let _ = prove(&mut vec![Fr::ONE; 8], &[Fr::ONE, Fr::ONE]);
-    }
-
-    fn rand_bits(n: usize, seed: u64) -> Vec<bool> {
-        let mut rng = Prg::seed_from_u64(seed);
-        (0..1usize << n)
-            .map(|_| Fr::random(&mut rng).to_bytes()[0] & 1 == 1)
-            .collect()
-    }
-
-    #[test]
-    fn prove_binary_is_byte_identical_to_general_prover() {
-        // Covers n below, at, and above the LUT-round cutoff.
-        for n in 0..=9 {
-            let bits = rand_bits(n, 77 + n as u64);
-            let rs = rand_point(n, 200 + n as u64);
-            let table: Vec<Fr> = bits.iter().map(|&b| Fr::from(b as u64)).collect();
-            let slow = prove_with_final(&mut table.clone(), &rs);
-            let fast = prove_binary(&bits, &rs);
-            assert_eq!(fast, slow, "n={n}");
-        }
-    }
-
-    #[test]
-    fn prove_binary_extreme_tables() {
-        for n in [1usize, 4, 6] {
-            let rs = rand_point(n, 300 + n as u64);
-            for bits in [vec![false; 1 << n], vec![true; 1 << n]] {
-                let table: Vec<Fr> = bits.iter().map(|&b| Fr::from(b as u64)).collect();
-                let slow = prove_with_final(&mut table.clone(), &rs);
-                assert_eq!(prove_binary(&bits, &rs), slow, "n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn prove_binary_verifies() {
-        let bits = rand_bits(8, 13);
-        let rs = rand_point(8, 14);
-        let table: Vec<Fr> = bits.iter().map(|&b| Fr::from(b as u64)).collect();
-        let h: Fr = table.iter().copied().sum();
-        let (proof, _) = prove_binary(&bits, &rs);
-        assert!(verify_with_oracle(h, &proof, &rs, &table));
-    }
-
-    #[test]
-    #[should_panic(expected = "2^n")]
-    fn prove_binary_mismatched_lengths_panic() {
-        let _ = prove_binary::<Fr>(&[true; 8], &[Fr::ONE, Fr::ONE]);
     }
 }

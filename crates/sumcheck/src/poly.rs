@@ -67,11 +67,6 @@ impl<F: Field> MultilinearPoly<F> {
         &self.evals
     }
 
-    /// Consumes the polynomial, returning its evaluation table.
-    pub fn into_evals(self) -> Vec<F> {
-        self.evals
-    }
-
     /// Sum of all hypercube evaluations — the `H` of the sum-check claim.
     pub fn hypercube_sum(&self) -> F {
         self.evals.iter().copied().sum()
