@@ -67,12 +67,12 @@
 //! `TIMELINE.trace.json` (the device's Chrome trace with the recorder
 //! merged in as counter tracks, for `chrome://tracing` or Perfetto).
 //!
-//! `profile` is also explicit-only: it attributes one instrumented
-//! single-thread prove at the scale's `wall_log` size to named pipeline
-//! phases, prints the markdown report, and writes `PROFILE.json` to the
-//! current directory. The per-kernel costs (Montgomery multiply, dot,
-//! SHA-256 block, NTT butterfly) are `benchmark/`'s `field.*` and
-//! `hash.*` rows.
+//! `profile` is also explicit-only: after one warm-up prove it attributes
+//! the fastest of five instrumented single-thread proves at the scale's
+//! `wall_log` size to named pipeline phases, prints the markdown report,
+//! and writes `PROFILE.json` to the current directory. The per-kernel
+//! costs (Montgomery multiply, dot, SHA-256 block, NTT butterfly) are
+//! `benchmark/`'s `field.*` and `hash.*` rows.
 //!
 //! `bench-json` is also explicit-only: it runs the standard module and
 //! system pipelines on the A100 profile and writes the machine-readable

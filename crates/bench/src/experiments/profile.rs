@@ -1,8 +1,7 @@
 //! The `profile` experiment: a phase-attributed single-thread prove
-//! (`PROFILE.json`).
+//! (`PROFILE.json`), the fastest of five after a warm-up.
 
 use batchzk_metrics::registry::{format_f64, join_json};
-use batchzk_sumcheck::{prove_quadratic, MultilinearPoly};
 use batchzk_zkp::{pcs, spartan};
 
 use super::{pcs_params, timed_ms, Circuit};
@@ -34,7 +33,8 @@ pub struct ProfileStudy {
 
 /// Proves the circuit's instance once on the host, timing each named
 /// pipeline phase; returns the phases in order and the wall milliseconds
-/// of the whole prove (phases plus glue).
+/// of the whole prove (phases plus glue). The phases are the calls the
+/// pipelined prover makes, `z` held as its live windows throughout.
 pub(super) fn timed_prove(circuit: &Circuit) -> (Vec<PhaseProfile>, f64) {
     let r1cs = circuit.backend.r1cs();
     let (inputs, witness) = &circuit.instance;
@@ -44,27 +44,25 @@ pub(super) fn timed_prove(circuit: &Circuit) -> (Vec<PhaseProfile>, f64) {
     timed_ms(|| {
         let mut phases = Vec::new();
         let mut phase = |name, ms| phases.push(PhaseProfile { name, ms });
-        let z = r1cs.assemble_z(inputs, witness);
+        let io = r1cs.io(inputs);
+        let z = r1cs.live(&io, witness);
 
         let (mut transcript, ms) = timed_ms(|| spartan::statement_transcript(r1cs, inputs));
         phase("transcript", ms);
-        let (encoded, ms) = timed_ms(|| key.commit_encode(&z[r1cs.half_len()..]));
+        let (encoded, ms) = timed_ms(|| key.commit_encode(witness));
         phase("encode", ms);
         let ((commitment, data), ms) = timed_ms(|| pcs::commit_merkle(encoded));
         phase("merkle", ms);
         transcript.absorb_digest(b"w-commitment", &commitment.root);
 
         // `spartan::run_sumchecks`, phase by phase.
-        let (products, ms) = timed_ms(|| r1cs.products(&z));
+        let (products, ms) = timed_ms(|| r1cs.products(z));
         phase("spmv", ms);
         let (sc1, ms) = timed_ms(|| spartan::prove_outer(r1cs, products, &mut transcript));
         phase("sc1", ms);
         let (m_combo, ms) = timed_ms(|| spartan::bind_matrices(r1cs, &sc1, &mut transcript));
         phase("matrix-bind", ms);
-        let (sc2, ms) = timed_ms(|| {
-            let z_poly = MultilinearPoly::new(z.clone());
-            prove_quadratic(MultilinearPoly::new(m_combo), z_poly, &mut transcript)
-        });
+        let (sc2, ms) = timed_ms(|| spartan::prove_inner(r1cs, &m_combo, z, &mut transcript));
         phase("sc2", ms);
 
         let point_y = sc2.point();
@@ -75,16 +73,21 @@ pub(super) fn timed_prove(circuit: &Circuit) -> (Vec<PhaseProfile>, f64) {
     })
 }
 
-/// Runs the `profile` measurement: one instrumented single-thread prove
-/// whose wall time is attributed to named pipeline phases. Everything
+/// Runs the `profile` measurement: one warm-up prove, then the fastest of
+/// [`PROFILE_REPS`] instrumented single-thread proves, whose wall time is
+/// attributed to named pipeline phases. The phases and the total come from
+/// that one run, so coverage is attributed/total within it. Everything
 /// except the timings is deterministic at a given scale.
 pub fn profile_study(scale: &Scale) -> ProfileStudy {
     let log = scale.wall_log;
-    // One real single-thread prove at the wall size, with the pipeline
-    // phases timed inside a single total-time envelope — coverage is
-    // attributed/total within one run, not a cross-run ratio.
     let circuit = Circuit::synthetic(log);
-    let (phases, total_ms) = batchzk_par::with_threads(1, || timed_prove(&circuit));
+    let (phases, total_ms) = batchzk_par::with_threads(1, || {
+        timed_prove(&circuit);
+        (0..PROFILE_REPS)
+            .map(|_| timed_prove(&circuit))
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .expect("at least one rep")
+    });
     let attributed: f64 = phases.iter().map(|p| p.ms).sum();
     let coverage = if total_ms > 0.0 {
         attributed / total_ms
@@ -98,6 +101,9 @@ pub fn profile_study(scale: &Scale) -> ProfileStudy {
         coverage,
     }
 }
+
+/// Timed proves the profile keeps the fastest of, after its warm-up.
+const PROFILE_REPS: usize = 5;
 
 /// The `profile` experiment as a markdown report: the phase attribution
 /// of the single-thread prove.

@@ -221,28 +221,35 @@ impl<F: Field> PcsKey<F> {
     /// the interleaved buffer, then encode all rows at once
     /// ([`Encoder::encode_batch`] at width `n_rows`).
     ///
+    /// `evals` may be a prefix of the `2^num_vars` evaluations, the rest
+    /// zero — a Spartan witness half without its padding: the zeros are
+    /// the buffer's own, never copied in.
+    ///
     /// # Panics
     ///
-    /// Panics if `evals.len() != 2^num_vars`.
+    /// Panics if `evals.len() > 2^num_vars`.
     pub fn commit_encode(&self, evals: &[F]) -> EncodedRows<F> {
-        assert_eq!(
-            evals.len(),
-            1usize << self.num_vars,
-            "evaluation table must match the key's shape"
+        assert!(
+            evals.len() <= 1usize << self.num_vars,
+            "evaluation table must fit the key's shape"
         );
         let (n_rows, n_cols) = (self.n_rows, self.n_cols());
         let mut codewords = vec![F::ZERO; self.codeword_len() * n_rows];
         // Tiled, so both the row-major reads and the column-major writes
-        // stay within a few cache lines per tile.
+        // stay within a few cache lines per tile; then the one partial row.
         const TILE: usize = 8;
+        let full_rows = evals.len() / n_cols;
         for j0 in (0..n_cols).step_by(TILE) {
-            for i0 in (0..n_rows).step_by(TILE) {
+            for i0 in (0..full_rows).step_by(TILE) {
                 for j in j0..(j0 + TILE).min(n_cols) {
-                    for i in i0..(i0 + TILE).min(n_rows) {
+                    for i in i0..(i0 + TILE).min(full_rows) {
                         codewords[j * n_rows + i] = evals[i * n_cols + j];
                     }
                 }
             }
+        }
+        for (j, &v) in evals[full_rows * n_cols..].iter().enumerate() {
+            codewords[j * n_rows + full_rows] = v;
         }
         self.encoder.encode_batch(n_rows, &mut codewords);
         EncodedRows {
@@ -255,11 +262,12 @@ impl<F: Field> PcsKey<F> {
     }
 
     /// Commits to a multilinear polynomial given by its `2^num_vars`
-    /// evaluations (both phases in one call).
+    /// evaluations, or a prefix of them with the rest zero (both phases in
+    /// one call).
     ///
     /// # Panics
     ///
-    /// Panics if `evals.len() != 2^num_vars`.
+    /// Panics if `evals.len() > 2^num_vars`.
     pub fn commit(&self, evals: &[F]) -> (PcsCommitment, PcsProverData<F>) {
         commit_merkle(self.commit_encode(evals))
     }
@@ -769,6 +777,30 @@ mod tests {
             }
             assert_eq!(data.tree.open(j).leaf(), sha256(&message), "leaf {j}");
         }
+    }
+
+    #[test]
+    fn a_live_prefix_commits_as_its_zero_padded_table() {
+        let mut rng = Prg::seed_from_u64(110);
+        for k in [1usize, 6, 9] {
+            let key = PcsKey::<Fr>::new(params(), k);
+            let n = 1usize << k;
+            let cols = key.n_cols();
+            let lens = [0, 1, cols - 1, cols, cols + 1, n / 2 + 1, n - 1, n];
+            for len in lens.into_iter().filter(|&len| len <= n) {
+                let live: Vec<Fr> = (0..len).map(|_| Fr::random(&mut rng)).collect();
+                let mut padded = live.clone();
+                padded.resize(n, Fr::ZERO);
+                let want = key.commit_encode(&padded).codewords;
+                assert_eq!(key.commit_encode(&live).codewords, want, "k={k} len={len}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must fit the key's shape")]
+    fn a_table_past_the_key_panics() {
+        let _ = PcsKey::<Fr>::new(params(), 3).commit_encode(&[Fr::ONE; 9]);
     }
 
     #[test]

@@ -49,14 +49,6 @@ impl<F: Field> MultilinearPoly<F> {
         }
     }
 
-    /// Builds a multilinear extension of a vector, zero-padding to the next
-    /// power of two.
-    pub fn from_vec_padded(mut values: Vec<F>) -> Self {
-        let n = values.len().next_power_of_two().max(1);
-        values.resize(n, F::ZERO);
-        Self::new(values)
-    }
-
     /// Number of variables `n`.
     pub fn num_vars(&self) -> usize {
         self.num_vars
@@ -128,11 +120,52 @@ fn eq_double<F: Field>(table: &mut Vec<F>, start: usize, t: F) {
 /// central to the Spartan-style sum-checks. One allocation, filled level by
 /// level in place.
 pub fn eq_table<F: Field>(tau: &[F]) -> Vec<F> {
-    let mut table = Vec::with_capacity(1 << tau.len());
-    table.push(F::ONE);
-    for &t in tau {
+    eq_table_prefix(tau, 1 << tau.len(), F::ONE)
+}
+
+/// `c · eq_table(tau)[..len]` in `O(2^⌈log₂ len⌉)` work, where the full
+/// table costs `2^n`: the entries below `len` have every variable from
+/// `k = ⌈log₂ len⌉` on at zero, so their factor `Π_{i ≥ k} (1 − tau_i)`
+/// joins `c` as the table's first entry, the variables below `k − 1`
+/// double it in full, and the last doubling writes only the
+/// `len − 2^(k−1)` entries of its upper half that the prefix holds.
+///
+/// This is how a verifier builds `eq` over just the rows or columns a
+/// sparse matrix reads, with the table's constant (such as `1 − y_top` for
+/// one half of a split point) folded in for free.
+///
+/// # Panics
+///
+/// Panics if `len > 2^tau.len()`.
+pub fn eq_table_prefix<F: Field>(tau: &[F], len: usize, c: F) -> Vec<F> {
+    assert!(
+        len <= 1usize.checked_shl(tau.len() as u32).unwrap_or(usize::MAX),
+        "eq prefix longer than its table"
+    );
+    if len == 0 {
+        return Vec::new();
+    }
+    let k = (len - 1).checked_ilog2().map_or(0, |b| b as usize + 1);
+    let high: F = tau[k..].iter().map(|&t| F::ONE - t).product();
+    let mut table = Vec::with_capacity(len);
+    table.push(c * high);
+    let Some((&last, low)) = tau[..k].split_last() else {
+        return table;
+    };
+    for &t in low {
         eq_double(&mut table, 0, t);
     }
+    // The partial doubling by `last`: the upper half's first `extra`
+    // entries are `v·t`, the lower half becomes `v − v·t` where it has
+    // such a partner and `v·(1 − t)` past it.
+    let (level, extra) = (table.len(), len - table.len());
+    table.extend_from_within(..extra);
+    let (lo, hi) = table.split_at_mut(level);
+    F::scale(hi, last);
+    for (lo, &hi) in lo.iter_mut().zip(&*hi) {
+        *lo -= hi;
+    }
+    F::scale(&mut lo[extra..], F::ONE - last);
     table
 }
 
@@ -257,6 +290,25 @@ mod tests {
     }
 
     #[test]
+    fn eq_table_prefix_is_a_scaled_slice_of_eq_table() {
+        let mut rng = Prg::seed_from_u64(10);
+        for n in 0..=6usize {
+            let tau: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
+            let (full, c) = (eq_table(&tau), Fr::random(&mut rng));
+            for len in 0..=1usize << n {
+                let want: Vec<Fr> = full[..len].iter().map(|&v| c * v).collect();
+                assert_eq!(eq_table_prefix(&tau, len, c), want, "n={n} len={len}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "longer than its table")]
+    fn eq_table_prefix_past_the_table_panics() {
+        let _ = eq_table_prefix(&[Fr::ONE, Fr::ZERO], 5, Fr::ONE);
+    }
+
+    #[test]
     fn eq_table_sums_to_one() {
         let mut rng = Prg::seed_from_u64(7);
         let tau: Vec<Fr> = (0..6).map(|_| Fr::random(&mut rng)).collect();
@@ -271,14 +323,6 @@ mod tests {
         let x: Vec<Fr> = (0..4).map(|_| Fr::random(&mut rng)).collect();
         let p = MultilinearPoly::new(eq_table(&tau));
         assert_eq!(p.evaluate(&x), eq_eval(&tau, &x));
-    }
-
-    #[test]
-    fn from_vec_padded_pads_with_zero() {
-        let p = MultilinearPoly::from_vec_padded(vec![Fr::ONE, Fr::ONE, Fr::ONE]);
-        assert_eq!(p.num_vars(), 2);
-        assert_eq!(p.evals()[3], Fr::ZERO);
-        assert_eq!(p.hypercube_sum(), Fr::from(3u64));
     }
 
     #[test]

@@ -49,9 +49,14 @@ impl<F: Field> ProverOutput<F> {
 /// `g(k) = L(k)·s(k)`. Every step is exact arithmetic on canonical
 /// elements, so the rounds are the bytes a per-`X` evaluation of the full
 /// product gives, whatever the tables sum to.
+///
+/// `claim` is `s_prev(r)` of a round already sent, when the caller sent the
+/// first round itself ([`prove_quadratic_halves`]); `None` sums round 1's
+/// `s(1)` directly.
 fn prove_rounds<F: Field, const T: usize>(
     eq: Option<&[F]>,
     mut tables: [MultilinearPoly<F>; T],
+    mut claim: Option<F>,
     transcript: &mut Transcript,
 ) -> ProverOutput<F> {
     let n = tables[0].num_vars();
@@ -68,8 +73,8 @@ fn prove_rounds<F: Field, const T: usize>(
     let degree = T.min(2) + usize::from(eq.is_some());
     let mut rounds = Vec::with_capacity(n);
     let mut rs = Vec::with_capacity(n);
-    // `s_prev(r)`, and the `eq` factor of the variables bound so far.
-    let (mut claim, mut bound) = (None, F::ONE);
+    // The `eq` factor of the variables bound so far.
+    let mut bound = F::ONE;
     for var in (0..n).rev() {
         let half = 1usize << var;
         let (l0, l1, l1_inv, weights) = match &eq {
@@ -108,7 +113,7 @@ fn prove_rounds<F: Field, const T: usize>(
             l += step;
         }
         let r = prover_round_challenge(&round, transcript);
-        claim = Some(s0 + r * (s1 - s0 + top * (r - F::ONE)));
+        claim = Some(next_claim([s0, s1, top], r));
         bound *= l0 + r * (l1 - l0);
         for t in &mut tables {
             t.fix_top_variable(r);
@@ -123,13 +128,18 @@ fn prove_rounds<F: Field, const T: usize>(
     }
 }
 
+/// `s(r)` from `[s(0), s(1), s(∞)]`: the claim the next round's sums meet.
+fn next_claim<F: Field>([s0, s1, top]: [F; 3], r: F) -> F {
+    s0 + r * (s1 - s0 + top * (r - F::ONE))
+}
+
 /// Proves `H = Σ_b p(b)` for a single multilinear polynomial (degree-1
 /// rounds). Equivalent to Algorithm 1 with transcript-derived randomness.
 pub fn prove_linear<F: Field>(
     poly: MultilinearPoly<F>,
     transcript: &mut Transcript,
 ) -> ProverOutput<F> {
-    prove_rounds(None, [poly], transcript)
+    prove_rounds(None, [poly], None, transcript)
 }
 
 /// Proves `H = Σ_b f(b)·g(b)` (degree-2 rounds, evaluations at X ∈ {0,1,2}).
@@ -142,7 +152,75 @@ pub fn prove_quadratic<F: Field>(
     g: MultilinearPoly<F>,
     transcript: &mut Transcript,
 ) -> ProverOutput<F> {
-    prove_rounds(None, [f, g], transcript)
+    prove_rounds(None, [f, g], None, transcript)
+}
+
+/// [`prove_quadratic`] over `f` and `g` on `num_vars` variables, each given
+/// as the live prefixes `[lo, hi]` of its two halves on the top variable
+/// `x_n`: every entry past a prefix is zero, and `f`'s prefixes are as long
+/// as `g`'s. The output is byte for byte [`prove_quadratic`]'s over the
+/// zero-padded tables.
+///
+/// Round 1 sums and folds only the pairs `b < max(|lo|, |hi|)`, read
+/// straight from the prefixes: where both halves are live through
+/// [`Field::product_round_sums`], where one is through a [`Field::dot`]
+/// (with the other half zero, `s(∞)` is that side's product sum) and a
+/// [`Field::scale`] fold. Pairs past both prefixes add zero to every sum
+/// and fold to zero, so the later rounds run on the folded `2^(n−1)` tables
+/// as [`prove_quadratic`] would.
+///
+/// # Panics
+///
+/// Panics if `num_vars` is zero, the prefixes of `f` and `g` differ in
+/// length, or one is longer than `2^(num_vars − 1)`.
+pub fn prove_quadratic_halves<F: Field>(
+    num_vars: usize,
+    f: [&[F]; 2],
+    g: [&[F]; 2],
+    transcript: &mut Transcript,
+) -> ProverOutput<F> {
+    assert!(num_vars > 0, "no variable to bind");
+    let half = 1usize << (num_vars - 1);
+    let [lo, hi] = f.map(<[F]>::len);
+    assert!(
+        g.map(<[F]>::len) == [lo, hi] && lo.max(hi) <= half,
+        "halves' live prefixes disagree or overflow"
+    );
+    let both = lo.min(hi);
+    let [mut s0, mut s1, mut top] = F::product_round_sums(
+        f.map(|h| &h[..both]),
+        g.map(|h| &h[..both]),
+        None,
+        None,
+        true,
+    );
+    let long = usize::from(hi > lo);
+    let tail = F::dot(&f[long][both..], &g[long][both..]);
+    if long == 0 {
+        s0 += tail;
+    } else {
+        s1 += tail;
+    }
+    top += tail;
+    // Degree 2 with no `eq` factor: `g(0), g(1)` and `g(2) = 2·s(1) − s(0) + 2·s(∞)`.
+    let round = vec![s0, s1, s1 + (s1 - s0) + top.double()];
+    let r = prover_round_challenge(&round, transcript);
+
+    let fold = |[lo, hi]: [&[F]; 2]| {
+        let mut t = Vec::with_capacity(half);
+        t.extend_from_slice(lo);
+        F::fold_halves(&mut t[..both], &hi[..both], r);
+        F::scale(&mut t[both..], F::ONE - r);
+        t.extend_from_slice(&hi[both..]);
+        F::scale(&mut t[lo.len()..], r);
+        t.resize(half, F::ZERO);
+        MultilinearPoly::new(t)
+    };
+    let claim = next_claim([s0, s1, top], r);
+    let mut out = prove_rounds(None, [fold(f), fold(g)], Some(claim), transcript);
+    out.proof.rounds.insert(0, round);
+    out.rs.insert(0, r);
+    out
 }
 
 /// Proves `H = Σ_b eq(τ, b)·(a(b)·c(b) - d(b))` — the Spartan outer
@@ -161,7 +239,7 @@ pub fn prove_cubic<F: Field>(
     d: MultilinearPoly<F>,
     transcript: &mut Transcript,
 ) -> ProverOutput<F> {
-    prove_rounds(Some(tau), [a, c, d], transcript)
+    prove_rounds(Some(tau), [a, c, d], None, transcript)
 }
 
 #[cfg(test)]
@@ -305,6 +383,47 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn live_halves_prove_the_padded_bytes() {
+        use batchzk_field::RngCore;
+        let mut rng = Prg::seed_from_u64(0x36);
+        for n in 1..=8usize {
+            let half = 1usize << (n - 1);
+            let ends = [0, 1, half / 2 + 1, half];
+            let random = (0..4).map(|_| rng.next_u64() as usize % (half + 1));
+            let lens: Vec<usize> = ends.into_iter().chain(random).collect();
+            for (i, &lo) in lens.iter().enumerate() {
+                let hi = lens[(i * 3 + 1) % lens.len()];
+                let [f, g] = [(); 2].map(|()| {
+                    let mut table = vec![Fr::ZERO; 2 * half];
+                    for b in (0..lo).chain(half..half + hi) {
+                        table[b] = Fr::random(&mut rng);
+                    }
+                    table
+                });
+                let [fh, gh] = [&f, &g].map(|t| [&t[..lo], &t[half..half + hi]]);
+                assert_same(
+                    |t| prove_quadratic_halves(n, fh, gh, t),
+                    |t| {
+                        prove_quadratic(
+                            MultilinearPoly::new(f.clone()),
+                            MultilinearPoly::new(g.clone()),
+                            t,
+                        )
+                    },
+                    &format!("n={n} lo={lo} hi={hi}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "disagree or overflow")]
+    fn live_halves_of_unequal_length_panic() {
+        let t = [Fr::ONE; 2];
+        let _ = prove_quadratic_halves(2, [&t, &t[..1]], [&t, &t], &mut Transcript::new(b"x"));
     }
 
     /// The portable bodies end to end. `Counted` is not a `declare_field!`

@@ -62,17 +62,15 @@ pub struct BatchTask<F: Field> {
 enum TaskState<F: Field> {
     /// Submitted, or salvaged for a replay.
     Fresh,
-    /// After the encoder: the assignment and the witness half's codewords.
+    /// After the encoder: the witness half's codewords.
     Encoded {
-        z: Vec<F>,
         encoded: EncodedRows<F>,
     },
     /// After the Merkle stage: the codewords moved under the tree.
     Committed {
-        z: Vec<F>,
         commit: Commit<F>,
     },
-    /// After the sum-checks, which consumed `z`.
+    /// After the sum-checks, which read `z` as the task's own windows.
     Sumchecked {
         commit: Commit<F>,
         transcript: Transcript,
@@ -141,12 +139,12 @@ impl<F: Field> PipeStage<BatchTask<F>> for Stage<F> {
     fn process(&self, task: &mut BatchTask<F>) -> StageWork {
         use TaskState::*;
         let (next, work) = match (self.k, std::mem::replace(&mut task.state, Fresh)) {
-            (0, _) => self.encode(&task.inputs, &task.witness),
-            (1, Encoded { z, encoded }) => {
+            (0, _) => self.encode(&task.witness),
+            (1, Encoded { encoded }) => {
                 let (commit, work) = commit::merkle(&self.cost, encoded, encoded_bytes(&self.key));
-                (Committed { z, commit }, work)
+                (Committed { commit }, work)
             }
-            (2, Committed { z, commit }) => self.sumcheck(&task.inputs, z, commit),
+            (2, Committed { commit }) => self.sumcheck(&task.inputs, &task.witness, commit),
             (
                 3,
                 Sumchecked {
@@ -173,28 +171,34 @@ impl<F: Field> PipeStage<BatchTask<F>> for Stage<F> {
 }
 
 impl<F: Field> Stage<F> {
-    fn encode(&self, inputs: &[F], witness: &[F]) -> (TaskState<F>, StageWork) {
-        let z = self.r1cs.assemble_z(inputs, witness);
+    fn encode(&self, witness: &[F]) -> (TaskState<F>, StageWork) {
+        // The witness is the live prefix of z's witness half.
         let (encoded, work) = commit::encode(
             &self.key,
             &self.cost,
-            &z[self.r1cs.half_len()..],
+            witness,
             (witness.len() * 32) as u64,
             encoded_bytes(&self.key),
         );
-        (TaskState::Encoded { z, encoded }, work)
+        (TaskState::Encoded { encoded }, work)
     }
 
     fn pair_cost(&self) -> u64 {
         self.cost.sumcheck_pair() + self.cost.shared_access
     }
 
-    fn sumcheck(&self, inputs: &[F], z: Vec<F>, commit: Commit<F>) -> (TaskState<F>, StageWork) {
+    fn sumcheck(
+        &self,
+        inputs: &[F],
+        witness: &[F],
+        commit: Commit<F>,
+    ) -> (TaskState<F>, StageWork) {
         // Randomness seeded by the final Merkle root via the transcript.
         let mut transcript = spartan::statement_transcript(&self.r1cs, inputs);
         transcript.absorb_digest(b"w-commitment", &commit.commitment.root);
-        let products = self.r1cs.products(&z);
-        // `z` moves into sum-check #2, its last reader.
+        let io = self.r1cs.io(inputs);
+        let z = self.r1cs.live(&io, witness);
+        let products = self.r1cs.products(z);
         let part = spartan::sumchecks_over(&self.r1cs, z, products, &mut transcript);
 
         let m = self.r1cs.padded_constraints() as u64;

@@ -7,9 +7,30 @@
 //! the committed witness. The multilinear extension then splits on the top
 //! variable: `z̃(y, y_top) = (1-y_top)·ĩo(y) + y_top·w̃(y)`, which lets the
 //! verifier evaluate the public half itself while the PCS opens only `w̃`.
+//!
+//! Only two windows of that layout are live: `io = (1, x)` at columns
+//! `[0, 1 + num_inputs)` and `w` at `[half_len, half_len + num_witness)`.
+//! [`R1cs::new`] checks that every matrix entry lies in them, so every vector
+//! over the columns that the prover or the verifier builds — `z` itself, the
+//! row-bound matrix polynomial of sum-check #2, the `eq(ry, ·)` table — is
+//! held as its two windows ([`Windows`]) and never filled out to `2·half_len`
+//! entries: each skipped entry is an exact zero.
 
 use batchzk_field::Field;
+use batchzk_sumcheck::eq_table_prefix;
+#[cfg(test)]
 use batchzk_sumcheck::MultilinearPoly;
+
+/// A vector over the columns of the `z` layout, held as its two windows:
+/// `io` at columns `[0, io.len())`, `w` at `[half_len, half_len + w.len())`,
+/// and zero everywhere else.
+#[derive(Debug, Clone, Copy)]
+pub struct Windows<'a, F> {
+    /// The prefix of the public half.
+    pub io: &'a [F],
+    /// The prefix of the witness half.
+    pub w: &'a [F],
+}
 
 /// A sparse matrix stored as `(row, col, value)` triplets.
 #[derive(Debug, Clone)]
@@ -70,55 +91,60 @@ impl<F: Field> SparseTriplets<F> {
         &self.entries
     }
 
-    /// Computes `M · z`.
+    /// Computes `M · z` for `z` given as its [`Windows`] over halves of
+    /// `half_len` columns: one pass over the triplets, in row order for a
+    /// built matrix, with a multiply only where the coefficient is not ±1.
     ///
     /// # Panics
     ///
-    /// Panics if `z.len() != self.cols()`.
-    pub fn mul_vec(&self, z: &[F]) -> Vec<F> {
-        assert_eq!(z.len(), self.cols, "assignment length mismatch");
+    /// Panics if a triplet's column lies past its window.
+    fn mul_windows(&self, half_len: usize, z: Windows<'_, F>) -> Vec<F> {
         let mut out = vec![F::ZERO; self.rows];
         for &(r, c, v) in &self.entries {
-            out[r] += scale(v, z[c]);
+            let x = if c < half_len {
+                z.io[c]
+            } else {
+                z.w[c - half_len]
+            };
+            out[r] += scale(v, x);
         }
         out
     }
 
-    /// Computes the row-bound combination `m(y) = Σ_x eq_x[x] · M(x, y)` as
-    /// a dense vector over columns (the polynomial of Spartan's second
-    /// sum-check).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `eq_x.len() < self.rows()`.
-    pub fn bind_rows(&self, eq_x: &[F]) -> Vec<F> {
-        let mut out = vec![F::ZERO; self.cols];
-        self.bind_rows_into(eq_x, &mut out);
-        out
-    }
-
-    /// Adds [`Self::bind_rows`] of `eq_x` onto `out`: one multiply per
+    /// Adds the row-bound combination `Σ_x eq_x[x] · M(x, ·)` onto the two
+    /// windows `[io, w]` of a vector over the columns: one multiply per
     /// non-zero that is not ±1 and no allocation.
     ///
     /// # Panics
     ///
-    /// Panics if `eq_x.len() < self.rows()` or `out.len() != self.cols()`.
-    pub fn bind_rows_into(&self, eq_x: &[F], out: &mut [F]) {
-        assert!(eq_x.len() >= self.rows, "eq table too small");
-        assert_eq!(out.len(), self.cols, "output length mismatch");
+    /// Panics if `eq_x` is shorter than the rows a triplet names or a
+    /// triplet's column lies past its window.
+    fn bind_rows_into(&self, half_len: usize, eq_x: &[F], [io, w]: [&mut [F]; 2]) {
         for &(r, c, v) in &self.entries {
-            out[c] += scale(v, eq_x[r]);
+            let slot = if c < half_len {
+                &mut io[c]
+            } else {
+                &mut w[c - half_len]
+            };
+            *slot += scale(v, eq_x[r]);
         }
     }
 
-    /// Evaluates the matrix MLE `M̃(rx, ry)` in `O(nnz)` given precomputed
-    /// eq tables for the two points.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tables are smaller than the matrix dimensions.
-    pub fn mle_eval(&self, eq_rx: &[F], eq_ry: &[F]) -> F {
-        assert!(eq_rx.len() >= self.rows && eq_ry.len() >= self.cols);
+    /// The padded row binding, `m(y) = Σ_x eq_x[x] · M(x, y)` over all
+    /// columns: the oracle of the windowed binding.
+    #[cfg(test)]
+    pub(crate) fn bind_rows(&self, eq_x: &[F]) -> Vec<F> {
+        let mut out = vec![F::ZERO; self.cols];
+        for &(r, c, v) in &self.entries {
+            out[c] += v * eq_x[r];
+        }
+        out
+    }
+
+    /// The padded matrix MLE `M̃(rx, ry)` against full `eq` tables: the
+    /// oracle of [`R1cs::matrix_evals`].
+    #[cfg(test)]
+    pub(crate) fn mle_eval(&self, eq_rx: &[F], eq_ry: &[F]) -> F {
         let terms = self.entries.iter();
         F::dot_pairs(terms.map(|&(r, c, v)| (scale(v, eq_rx[r]), eq_ry[c])))
     }
@@ -151,7 +177,10 @@ impl<F: Field> R1cs<F> {
     ///
     /// # Panics
     ///
-    /// Panics on inconsistent dimensions.
+    /// Panics on inconsistent dimensions, or if a matrix entry's column lies
+    /// outside the io window `[0, 1 + num_inputs)` and the witness window
+    /// `[half_len, half_len + num_witness)`: the windowed prover and verifier
+    /// read nothing else, so they are exact only under this condition.
     pub fn new(
         a: SparseTriplets<F>,
         b: SparseTriplets<F>,
@@ -178,6 +207,15 @@ impl<F: Field> R1cs<F> {
                 && c.rows() == num_constraints,
             "matrix row mismatch"
         );
+        let witness = half_len..half_len + num_witness;
+        for m in [&a, &b, &c] {
+            for &(_, col, _) in m.entries() {
+                assert!(
+                    col <= num_inputs || witness.contains(&col),
+                    "triplet column {col} outside the io and witness windows"
+                );
+            }
+        }
         Self {
             a,
             b,
@@ -239,36 +277,97 @@ impl<F: Field> R1cs<F> {
         z
     }
 
-    /// The public half of z as a multilinear polynomial (verifier-side).
-    pub fn io_poly(&self, inputs: &[F]) -> MultilinearPoly<F> {
-        assert_eq!(inputs.len(), self.num_inputs, "wrong public input count");
-        let mut io = vec![F::ZERO; self.half_len];
-        io[0] = F::ONE;
-        io[1..1 + inputs.len()].copy_from_slice(inputs);
-        MultilinearPoly::new(io)
-    }
-
-    /// The public half's share of `z̃` at the point whose [`eq_table`] is
-    /// `eq_y`: `(1 − y_top)·ĩo(y')`, summed over the `1 + num_inputs`
-    /// non-zero entries of `io` ([`Self::io_poly`] folds all `half_len`).
-    ///
-    /// [`eq_table`]: batchzk_sumcheck::eq_table
+    /// The io window `(1, x)` of the assignment.
     ///
     /// # Panics
     ///
-    /// Panics if `inputs` has the wrong length or `eq_y` is shorter than it.
-    pub fn io_eval(&self, inputs: &[F], eq_y: &[F]) -> F {
+    /// Panics if `inputs` has the wrong length.
+    pub fn io(&self, inputs: &[F]) -> Vec<F> {
         assert_eq!(inputs.len(), self.num_inputs, "wrong public input count");
-        eq_y[0] + F::dot(inputs, &eq_y[1..=inputs.len()])
+        [&[F::ONE], inputs].concat()
+    }
+
+    /// The live [`Windows`] of an assignment: its io window (from
+    /// [`Self::io`]) and its witness.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either has the wrong length.
+    pub fn live<'a>(&self, io: &'a [F], witness: &'a [F]) -> Windows<'a, F> {
+        assert_eq!(io.len(), 1 + self.num_inputs, "wrong public input count");
+        assert_eq!(witness.len(), self.num_witness, "wrong witness count");
+        Windows { io, w: witness }
+    }
+
+    /// The live [`Windows`] of an assembled `z` ([`Self::assemble_z`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `z.len() != self.z_len()`.
+    pub fn windows<'a>(&self, z: &'a [F]) -> Windows<'a, F> {
+        assert_eq!(z.len(), self.z_len(), "assignment length mismatch");
+        let w = &z[self.half_len..self.half_len + self.num_witness];
+        self.live(&z[..1 + self.num_inputs], w)
+    }
+
+    /// The public half of z as a multilinear polynomial: the oracle of
+    /// [`Self::io_eval`].
+    #[cfg(test)]
+    pub(crate) fn io_poly(&self, inputs: &[F]) -> MultilinearPoly<F> {
+        let mut io = self.io(inputs);
+        io.resize(self.half_len, F::ZERO);
+        MultilinearPoly::new(io)
+    }
+
+    /// The public half's share of `z̃` at `ry`, `(1 − y_top)·ĩo(y')`, from the
+    /// io window of `ry`'s `eq` table ([`Self::eq_windows`]), summed over the
+    /// `1 + num_inputs` entries of `io`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs` has the wrong length or `eq_io` is shorter than it.
+    pub fn io_eval(&self, inputs: &[F], eq_io: &[F]) -> F {
+        assert_eq!(inputs.len(), self.num_inputs, "wrong public input count");
+        eq_io[0] + F::dot(inputs, &eq_io[1..=inputs.len()])
+    }
+
+    /// The two windows `[io, w]` of `eq(ry, ·)` over the columns, for
+    /// `ry = (y', y_top)`: `(1 − y_top)·eq(y', ·)` over the first
+    /// `1 + num_inputs` columns and `y_top·eq(y', ·)` over the first
+    /// `num_witness` of the witness half, each built in `O(window)`
+    /// ([`eq_table_prefix`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `point_y` does not have `log₂ z_len` coordinates.
+    pub fn eq_windows(&self, point_y: &[F]) -> [Vec<F>; 2] {
+        assert_eq!(1 << point_y.len(), self.z_len(), "point dimension mismatch");
+        let (&y_top, y) = point_y.split_last().expect("z has a top variable");
+        [
+            eq_table_prefix(y, 1 + self.num_inputs, F::ONE - y_top),
+            eq_table_prefix(y, self.num_witness, y_top),
+        ]
+    }
+
+    /// The three matrix MLEs `[Ã, B̃, C̃](rx, ry)` as `⟨eq_rx, M · eq_y⟩`:
+    /// per matrix one row-wise pass over the non-zeros against the windows
+    /// of `eq(ry, ·)` ([`Self::eq_windows`]), then one [`Field::dot`] with
+    /// `eq_rx` over the constraint rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `eq_y`'s windows are shorter than the live windows.
+    pub fn matrix_evals(&self, eq_rx: &[F], eq_y: Windows<'_, F>) -> [F; 3] {
+        [&self.a, &self.b, &self.c].map(|m| F::dot(eq_rx, &m.mul_windows(self.half_len, eq_y)))
     }
 
     /// The three products `[A·z, B·z, C·z]`, one entry per constraint.
     ///
     /// # Panics
     ///
-    /// Panics if `z.len() != self.z_len()`.
-    pub fn products(&self, z: &[F]) -> [Vec<F>; 3] {
-        [self.a.mul_vec(z), self.b.mul_vec(z), self.c.mul_vec(z)]
+    /// Panics if `z`'s windows are shorter than the live windows.
+    pub fn products(&self, z: Windows<'_, F>) -> [Vec<F>; 3] {
+        [&self.a, &self.b, &self.c].map(|m| m.mul_windows(self.half_len, z))
     }
 
     /// Whether [`Self::products`] of an assignment satisfy every
@@ -279,33 +378,35 @@ impl<F: Field> R1cs<F> {
 
     /// Checks satisfaction of every constraint.
     pub fn is_satisfied(&self, z: &[F]) -> bool {
-        z.len() == self.z_len() && Self::products_satisfy(&self.products(z))
+        z.len() == self.z_len() && Self::products_satisfy(&self.products(self.windows(z)))
     }
 
     /// The γ-combined row-bound matrix polynomial of Spartan's second
     /// sum-check, `Σ_k γ_k · Σ_x eq_x[x] · M_k(x, ·)` for `M = (A, B, C)`,
-    /// as a dense vector over columns.
+    /// as its two live windows `[io, w]` (of `1 + num_inputs` and
+    /// `num_witness` entries): the columns outside them are zero.
     ///
-    /// All three matrices accumulate into one buffer against `γ_k · eq_x`,
-    /// which costs `3·rows` multiplies plus one per non-zero that is not ±1,
-    /// where binding each matrix and then scaling its dense result costs
-    /// `nnz + 3·z_len`.
+    /// All three matrices accumulate into one pair of windows against
+    /// `γ_k · eq_x`, which costs `3·rows` multiplies plus one per non-zero
+    /// that is not ±1, where binding each matrix and then scaling its dense
+    /// result costs `nnz + 3·z_len`.
     ///
     /// # Panics
     ///
     /// Panics if `eq_x` is shorter than the constraint count or `gamma`
     /// does not hold three elements.
-    pub fn bind_rows_combined(&self, eq_x: &[F], gamma: &[F]) -> Vec<F> {
+    pub fn bind_rows_combined(&self, eq_x: &[F], gamma: &[F]) -> [Vec<F>; 2] {
         assert_eq!(gamma.len(), 3, "one γ per matrix");
         let eq_x = &eq_x[..self.num_constraints];
-        let mut out = vec![F::ZERO; self.z_len()];
+        let mut io = vec![F::ZERO; 1 + self.num_inputs];
+        let mut w = vec![F::ZERO; self.num_witness];
         let mut scaled = vec![F::ZERO; eq_x.len()];
         for (&g, m) in gamma.iter().zip([&self.a, &self.b, &self.c]) {
             scaled.copy_from_slice(eq_x);
             F::scale(&mut scaled, g);
-            m.bind_rows_into(&scaled, &mut out);
+            m.bind_rows_into(self.half_len, &scaled, [&mut io, &mut w]);
         }
-        out
+        [io, w]
     }
 }
 
@@ -589,7 +690,23 @@ mod tests {
                 *slot += *g * v;
             }
         }
-        assert_eq!(r1cs.bind_rows_combined(&eq_rx, &gamma), want);
+        assert_eq!(
+            r1cs.bind_rows_combined(&eq_rx, &gamma),
+            padded_windows(&r1cs, &want)
+        );
+    }
+
+    /// The two live windows of a padded column vector, after checking that
+    /// it is zero everywhere else.
+    fn padded_windows(r1cs: &R1cs<Fr>, padded: &[Fr]) -> [Vec<Fr>; 2] {
+        let Windows { io, w } = r1cs.windows(padded);
+        let live = (0..io.len()).chain(r1cs.half_len()..r1cs.half_len() + w.len());
+        let mut rest = padded.to_vec();
+        for c in live {
+            rest[c] = Fr::ZERO;
+        }
+        assert!(rest.iter().all(|v| v.is_zero()), "padding is not zero");
+        [io.to_vec(), w.to_vec()]
     }
 
     /// A matrix mixing the coefficient classes the kernels tell apart —
@@ -622,20 +739,30 @@ mod tests {
             let mut random =
                 |n: usize| -> Vec<Fr> { (0..n).map(|_| Fr::random(&mut rng)).collect() };
             let (z, eq_x, eq_y, gamma) = (random(cols), random(rows), random(cols), random(3));
-            let r1cs = R1cs::new(a, b, c, rows, 0, cols / 2, cols / 2);
+            // Every column live: the io window fills its half.
+            let half = cols / 2;
+            let r1cs = R1cs::new(a, b, c, rows, half - 1, half, half);
+            let [z_w, eq_w] = [&z, &eq_y].map(|v| Windows {
+                io: &v[..half],
+                w: &v[half..],
+            });
 
             let mut combined = vec![Fr::ZERO; cols];
-            for (g, m) in gamma.iter().zip([&r1cs.a, &r1cs.b, &r1cs.c]) {
+            let products = r1cs.products(z_w);
+            let evals = r1cs.matrix_evals(&eq_x, eq_w);
+            for (k, (g, m)) in gamma.iter().zip([&r1cs.a, &r1cs.b, &r1cs.c]).enumerate() {
                 let (mut mz, mut eval) = (vec![Fr::ZERO; rows], Fr::ZERO);
                 for &(r, c, v) in m.entries() {
                     mz[r] += v * z[c];
                     combined[c] += *g * eq_x[r] * v;
                     eval += v * eq_x[r] * eq_y[c];
                 }
-                assert_eq!(m.mul_vec(&z), mz, "mul_vec {rows}x{cols}");
+                assert_eq!(products[k], mz, "products {rows}x{cols}");
+                assert_eq!(evals[k], eval, "matrix_evals {rows}x{cols}");
                 assert_eq!(m.mle_eval(&eq_x, &eq_y), eval, "mle_eval {rows}x{cols}");
             }
-            assert_eq!(r1cs.bind_rows_combined(&eq_x, &gamma), combined);
+            let [io, w] = r1cs.bind_rows_combined(&eq_x, &gamma);
+            assert_eq!([io, w].concat(), combined);
         }
     }
 
@@ -647,7 +774,8 @@ mod tests {
             // in the products at all. Then B in three classes — 1, −1, 2.
             let (mut r1cs, inputs, witness) = synthetic_r1cs::<Counted>(s, 8);
             let z = r1cs.assemble_z(&inputs, &witness);
-            let (_, muls) = count_muls(|| r1cs.products(&z));
+            let z = r1cs.windows(&z);
+            let (_, muls) = count_muls(|| r1cs.products(z));
             assert_eq!((muls.full, muls.deferred), (0, 0), "s={s}: all-ones");
 
             let two = Counted::ONE + Counted::ONE;
@@ -655,7 +783,7 @@ mod tests {
                 entry.2 = [Counted::ONE, -Counted::ONE, two][i % 3];
             }
             let (nnz, general) = (r1cs.b.nnz() as u64, (r1cs.b.nnz() / 3) as u64);
-            let (_, muls) = count_muls(|| r1cs.products(&z));
+            let (_, muls) = count_muls(|| r1cs.products(z));
             assert_eq!((muls.full, muls.deferred), (general, 0), "s={s}: products");
 
             let eq_rx = vec![Counted::ONE; r1cs.padded_constraints()];
@@ -665,13 +793,20 @@ mod tests {
             let bound = 3 * r1cs.num_constraints() as u64 + general;
             assert_eq!((muls.full, muls.deferred), (bound, 0), "s={s}: binding");
 
+            // The row-wise MLE: a multiply per general non-zero, then one
+            // deferred product per row and matrix (the padded formula
+            // defers one per non-zero).
             let eq_ry = vec![Counted::ONE; r1cs.z_len()];
-            let (_, muls) = count_muls(|| r1cs.b.mle_eval(&eq_rx, &eq_ry));
+            let eq_y = r1cs.windows(&eq_ry);
+            let (_, muls) = count_muls(|| r1cs.matrix_evals(&eq_rx, eq_y));
+            let rows = r1cs.num_constraints() as u64;
             assert_eq!(
                 (muls.full, muls.deferred),
-                (general, nnz),
-                "s={s}: mle_eval"
+                (general, 3 * rows),
+                "s={s}: matrix_evals"
             );
+            let (_, muls) = count_muls(|| r1cs.b.mle_eval(&eq_rx, &eq_ry));
+            assert_eq!((muls.full, muls.deferred), (general, nnz), "s={s}: padded");
         }
     }
 
@@ -697,8 +832,10 @@ mod tests {
             let y: Vec<Fr> = (0..4).map(|_| Fr::random(&mut rng)).collect();
             let (y_top, y_prime) = y.split_last().unwrap();
             let folded = r1cs.io_poly(&inputs).evaluate(y_prime);
+            let [eq_io, _] = r1cs.eq_windows(&y);
+            assert_eq!(eq_io, eq_table(&y)[..1 + num_inputs]);
             assert_eq!(
-                r1cs.io_eval(&inputs, &eq_table(&y)),
+                r1cs.io_eval(&inputs, &eq_io),
                 (Fr::ONE - *y_top) * folded,
                 "{num_inputs} inputs"
             );
@@ -724,6 +861,16 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn empty_builder_panics() {
         let _ = R1csBuilder::<Fr>::new().build();
+    }
+
+    #[test]
+    #[should_panic(expected = "triplet column 6 outside the io and witness windows")]
+    fn triplet_in_the_padding_panics_at_construction() {
+        // One input and two witnesses in halves of 4: columns 2, 3, 6 and
+        // 7 are padding.
+        let m = |col| SparseTriplets::new(1, 8, vec![(0, col, Fr::ONE)]);
+        let _ = R1cs::new(m(0), m(4), m(5), 1, 1, 2, 4);
+        let _ = R1cs::new(m(1), m(4), m(6), 1, 1, 2, 4);
     }
 
     #[test]

@@ -12,18 +12,22 @@
 //! * **PCS opening**: `z̃` splits on its top variable into the public `ĩo`
 //!   and the committed `w̃`; the PCS opens `w̃` at the bound point.
 //!
-//! The verifier evaluates the sparse-matrix MLEs directly in `O(nnz)`
-//! (Spartan's SPARK preprocessing is out of scope — documented in
-//! `DESIGN.md`; prover cost, the paper's measured quantity, is unaffected).
+//! Both sides hold `z` and every vector over its columns as the two live
+//! windows of its layout ([`crate::r1cs`]), so no `2·half_len`-entry table is
+//! filled: sum-check #2's first round reads the windows, and the verifier
+//! builds `eq` only over the rows and columns the matrices read and
+//! evaluates the sparse-matrix MLEs directly in `O(nnz)` (Spartan's SPARK
+//! preprocessing is out of scope — documented in `DESIGN.md`; prover cost,
+//! the paper's measured quantity, is unaffected).
 
 use crate::pcs::{self, PcsCommitment, PcsKey, PcsOpening, PcsParams};
-use crate::r1cs::R1cs;
+use crate::r1cs::{R1cs, Windows};
 
 use batchzk_field::Field;
 use batchzk_hash::Transcript;
 use batchzk_sumcheck::{
-    eq_eval, eq_table, prove_cubic, prove_quadratic, verify_rounds, MultilinearPoly, ProverOutput,
-    SumcheckProof,
+    eq_eval, eq_table_prefix, prove_cubic, prove_quadratic_halves, verify_rounds, MultilinearPoly,
+    ProverOutput, SumcheckProof,
 };
 
 /// Domain label binding every proof to this protocol version.
@@ -73,9 +77,10 @@ pub fn prove<F: Field>(
     inputs: &[F],
     witness: &[F],
 ) -> Proof<F> {
-    let z = r1cs.assemble_z(inputs, witness);
+    let io = r1cs.io(inputs);
+    let z = r1cs.live(&io, witness);
     // The sum-check below reuses the products the satisfaction check needs.
-    let products = r1cs.products(&z);
+    let products = r1cs.products(z);
     assert!(
         R1cs::products_satisfy(&products),
         "assignment does not satisfy the R1CS"
@@ -85,10 +90,10 @@ pub fn prove<F: Field>(
     absorb_statement(&mut transcript, r1cs, inputs);
 
     // Module 1+2 (encoder + Merkle): commit the witness half of z.
-    let (commitment, pcs_data) = pcs::commit(params, &z[r1cs.half_len()..]);
+    let (commitment, pcs_data) = witness_key(*params, r1cs).commit(witness);
     transcript.absorb_digest(b"w-commitment", &commitment.root);
 
-    // Module 3 (sum-check), the last reader of z.
+    // Module 3 (sum-check).
     let part = sumchecks_over(r1cs, z, products, &mut transcript);
 
     // Open w̃ at the bound point (all but the top variable of ry).
@@ -135,8 +140,9 @@ pub struct SumcheckPart<F> {
     pub point_y: Vec<F>,
 }
 
-/// Runs both prover sum-checks over an assembled assignment. The transcript
-/// must already hold the statement and witness commitment.
+/// Runs both prover sum-checks over an assembled assignment, which they read
+/// only in its live windows ([`R1cs::windows`]). The transcript must already
+/// hold the statement and witness commitment.
 ///
 /// # Panics
 ///
@@ -146,23 +152,22 @@ pub fn run_sumchecks<F: Field>(
     z: &[F],
     transcript: &mut Transcript,
 ) -> SumcheckPart<F> {
-    assert_eq!(z.len(), r1cs.z_len(), "assignment length mismatch");
-    sumchecks_over(r1cs, z.to_vec(), r1cs.products(z), transcript)
+    let z = r1cs.windows(z);
+    sumchecks_over(r1cs, z, r1cs.products(z), transcript)
 }
 
-/// [`run_sumchecks`] over already computed [`R1cs::products`] of `z`, which
-/// sum-check #2 folds in place: every table of the phase is moved into its
-/// prover, none copied.
+/// [`run_sumchecks`] over the live windows of `z` and their already
+/// computed [`R1cs::products`], which sum-check #1 folds in place: the
+/// product tables are moved into its prover, none copied.
 pub(crate) fn sumchecks_over<F: Field>(
     r1cs: &R1cs<F>,
-    z: Vec<F>,
+    z: Windows<'_, F>,
     products: [Vec<F>; 3],
     transcript: &mut Transcript,
 ) -> SumcheckPart<F> {
     let sc1 = prove_outer(r1cs, products, transcript);
     let m_combo = bind_matrices(r1cs, &sc1, transcript);
-    let [m_combo, z] = [m_combo, z].map(MultilinearPoly::new);
-    let sc2 = prove_quadratic(m_combo, z, transcript);
+    let sc2 = prove_inner(r1cs, &m_combo, z, transcript);
     SumcheckPart {
         sc1: sc1.proof,
         va: sc1.final_evals[0],
@@ -194,14 +199,31 @@ pub fn prove_outer<F: Field>(
 }
 
 /// Draws `γ` and builds the matrix polynomial of the batched
-/// matrix-opening sum-check (#2) at the point sum-check #1 bound.
+/// matrix-opening sum-check (#2) at the point sum-check #1 bound, as its two
+/// live windows ([`R1cs::bind_rows_combined`]) over an `eq` table of the
+/// constraint rows alone.
 pub fn bind_matrices<F: Field>(
     r1cs: &R1cs<F>,
     sc1: &ProverOutput<F>,
     transcript: &mut Transcript,
-) -> Vec<F> {
+) -> [Vec<F>; 2] {
     let gamma: Vec<F> = transcript.challenge_fields(b"gamma", 3);
-    r1cs.bind_rows_combined(&eq_table(&sc1.point()), &gamma)
+    let eq_rx = eq_table_prefix(&sc1.point(), r1cs.num_constraints(), F::ONE);
+    r1cs.bind_rows_combined(&eq_rx, &gamma)
+}
+
+/// The matrix-opening sum-check (#2) of [`bind_matrices`]' windows against
+/// `z`'s: `Σ_y m(y)·z̃(y)` over the `z_len` columns, whose first round binds
+/// the top variable, io against witness half, and sums only the live pairs
+/// ([`prove_quadratic_halves`]).
+pub fn prove_inner<F: Field>(
+    r1cs: &R1cs<F>,
+    [m_io, m_w]: &[Vec<F>; 2],
+    z: Windows<'_, F>,
+    transcript: &mut Transcript,
+) -> ProverOutput<F> {
+    let num_vars = r1cs.z_len().trailing_zeros() as usize;
+    prove_quadratic_halves(num_vars, [m_io, m_w], [z.io, z.w], transcript)
 }
 
 /// The commitment key for the witness half of `r1cs`'s assignment — what a
@@ -266,18 +288,23 @@ pub fn verify_with<F: Field>(
     };
     let point_y: Vec<F> = ry_rs.iter().rev().copied().collect();
 
-    // Direct O(nnz) matrix-MLE evaluation (documented simplification).
-    let eq_rx = eq_table(&point_x);
-    let eq_ry = eq_table(&point_y);
-    let m_eval: F = gamma
-        .iter()
-        .zip([&r1cs.a, &r1cs.b, &r1cs.c])
-        .map(|(g, m)| *g * m.mle_eval(&eq_rx, &eq_ry))
-        .sum();
+    // Direct O(nnz) matrix-MLE evaluation (documented simplification),
+    // with `eq` built only over the rows and column windows the matrices
+    // read.
+    let eq_rx = eq_table_prefix(&point_x, r1cs.num_constraints(), F::ONE);
+    let [eq_io, eq_w] = r1cs.eq_windows(&point_y);
+    let evals = r1cs.matrix_evals(
+        &eq_rx,
+        Windows {
+            io: &eq_io,
+            w: &eq_w,
+        },
+    );
+    let m_eval: F = gamma.iter().zip(evals).map(|(g, e)| *g * e).sum();
 
     // z̃(ry) from the public io half and the committed w half.
     let (y_top, y_prime) = point_y.split_last().expect("z has a top variable");
-    let z_eval = r1cs.io_eval(inputs, &eq_ry) + *y_top * proof.w_eval;
+    let z_eval = r1cs.io_eval(inputs, &eq_io) + *y_top * proof.w_eval;
     if final2 != m_eval * z_eval {
         return false;
     }
