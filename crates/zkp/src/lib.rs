@@ -183,8 +183,10 @@ mod randomized_tests {
 
             // Sum-check #2 over the windows against the padded tables.
             let mut padded = vec![Fr::ZERO; r1cs.z_len()];
-            for (g, m) in gamma.iter().zip([&r1cs.a, &r1cs.b, &r1cs.c]) {
-                for (slot, v) in padded.iter_mut().zip(m.bind_rows(&eq_rows)) {
+            let matrices = r1cs::tests::triplets(&r1cs);
+            for (g, m) in gamma.iter().zip(&matrices) {
+                let bound = r1cs::tests::bind_rows(m, r1cs.z_len(), &eq_rows);
+                for (slot, v) in padded.iter_mut().zip(bound) {
                     *slot += *g * v;
                 }
             }
@@ -212,8 +214,9 @@ mod randomized_tests {
                     w: &eq_w,
                 },
             );
-            for (k, m) in [&r1cs.a, &r1cs.b, &r1cs.c].into_iter().enumerate() {
-                assert_eq!(evals[k], m.mle_eval(&eq_rx, &eq_ry), "{case}: matrix {k}");
+            for (k, m) in matrices.iter().enumerate() {
+                let want = r1cs::tests::mle_eval(m, &eq_rx, &eq_ry);
+                assert_eq!(evals[k], want, "{case}: matrix {k}");
             }
             let (y_top, y_prime) = ry.split_last().unwrap();
             let w_eval = MultilinearPoly::new(z[half..].to_vec()).evaluate(y_prime);

@@ -14,7 +14,10 @@
 //! over the columns that the prover or the verifier builds — `z` itself, the
 //! row-bound matrix polynomial of sum-check #2, the `eq(ry, ·)` table — is
 //! held as its two windows ([`Windows`]) and never filled out to `2·half_len`
-//! entries: each skipped entry is an exact zero.
+//! entries: each skipped entry is an exact zero. The matrices themselves
+//! index only the live columns `io ‖ w`, as `u32`s.
+
+use core::ops::Range;
 
 use batchzk_field::Field;
 use batchzk_sumcheck::eq_table_prefix;
@@ -32,133 +35,169 @@ pub struct Windows<'a, F> {
     pub w: &'a [F],
 }
 
-/// A sparse matrix stored as `(row, col, value)` triplets.
+/// The top bit of a ±1 entry's `u32` column in [`Csr`]: set for −1.
+const NEG: u32 = 1 << 31;
+
+/// A sparse matrix in compressed rows over `u32` columns. Most of an R1CS
+/// matrix is 1 or −1 (all of [`synthetic_r1cs`], 87 % of the VGG-16/64
+/// circuit): such an entry is only its column, with the sign in [`NEG`],
+/// and costs an addition or a subtraction; every other entry keeps its
+/// value beside its column and costs a product.
 #[derive(Debug, Clone)]
-pub struct SparseTriplets<F> {
-    entries: Vec<(usize, usize, F)>,
-    rows: usize,
-    cols: usize,
+struct Csr<F> {
+    /// Row `r`'s entries are `units[ends[r][0]..ends[r + 1][0]]` and
+    /// `general[ends[r][1]..ends[r + 1][1]]`.
+    ends: Vec<[u32; 2]>,
+    /// The ±1 entries' signed columns.
+    units: Vec<u32>,
+    /// Every other entry as `(column, value)`.
+    general: Vec<(u32, F)>,
 }
 
-/// `v·x` for a matrix coefficient `v`: most of an R1CS matrix is 1 or −1
-/// (all of [`synthetic_r1cs`], 87 % of the VGG-16/64 circuit), which is a copy
-/// or a negation; only the rest multiply.
-#[inline]
-fn scale<F: Field>(v: F, x: F) -> F {
-    if v == F::ONE {
-        x
-    } else if v == -F::ONE {
-        -x
-    } else {
-        v * x
-    }
-}
-
-impl<F: Field> SparseTriplets<F> {
-    /// Creates a triplet matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range.
-    pub fn new(rows: usize, cols: usize, entries: Vec<(usize, usize, F)>) -> Self {
-        for &(r, c, _) in &entries {
-            assert!(r < rows && c < cols, "triplet ({r},{c}) out of range");
-        }
+impl<F: Field> Csr<F> {
+    fn new() -> Self {
         Self {
-            entries,
-            rows,
-            cols,
+            ends: vec![[0, 0]],
+            units: Vec::new(),
+            general: Vec::new(),
         }
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Number of non-zero entries.
-    pub fn nnz(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// The triplets.
-    pub fn entries(&self) -> &[(usize, usize, F)] {
-        &self.entries
-    }
-
-    /// Computes `M · z` for `z` given as its [`Windows`] over halves of
-    /// `half_len` columns: one pass over the triplets, in row order for a
-    /// built matrix, with a multiply only where the coefficient is not ±1.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a triplet's column lies past its window.
-    fn mul_windows(&self, half_len: usize, z: Windows<'_, F>) -> Vec<F> {
-        let mut out = vec![F::ZERO; self.rows];
-        for &(r, c, v) in &self.entries {
-            let x = if c < half_len {
-                z.io[c]
+    /// Appends a row of `(column, coefficient)` entries.
+    fn push_row(&mut self, entries: impl IntoIterator<Item = (u32, F)>) {
+        for (c, v) in entries {
+            if v == F::ONE {
+                self.units.push(c);
+            } else if v == -F::ONE {
+                self.units.push(c | NEG);
             } else {
-                z.w[c - half_len]
-            };
-            out[r] += scale(v, x);
+                self.general.push((c, v));
+            }
         }
-        out
+        let ends = [self.units.len(), self.general.len()];
+        self.ends.push(ends.map(|e| e as u32));
     }
 
-    /// Adds the row-bound combination `Σ_x eq_x[x] · M(x, ·)` onto the two
-    /// windows `[io, w]` of a vector over the columns: one multiply per
-    /// non-zero that is not ±1 and no allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `eq_x` is shorter than the rows a triplet names or a
-    /// triplet's column lies past its window.
-    fn bind_rows_into(&self, half_len: usize, eq_x: &[F], [io, w]: [&mut [F]; 2]) {
-        for &(r, c, v) in &self.entries {
-            let slot = if c < half_len {
-                &mut io[c]
+    fn rows(&self) -> usize {
+        self.ends.len() - 1
+    }
+
+    fn nnz(&self) -> usize {
+        self.units.len() + self.general.len()
+    }
+
+    /// Each row's ±1 and general entries.
+    fn row_entries(&self) -> impl ExactSizeIterator<Item = (&[u32], &[(u32, F)])> {
+        let (mut u, mut g) = (0, 0);
+        self.ends[1..].iter().map(move |&[u_end, g_end]| {
+            let row = (
+                &self.units[u..u_end as usize],
+                &self.general[g..g_end as usize],
+            );
+            (u, g) = (u_end as usize, g_end as usize);
+            row
+        })
+    }
+
+    /// Hands `put` the row sums `(M · x)[r]` of `rows`, in order, for
+    /// `x = (io ‖ w)` given as its two windows. A row's first ±1 entry
+    /// starts its sum, so a row of one costs no addition, and a row's
+    /// general entries share one deferred reduction ([`Field::dot_pairs`])
+    /// when there are two or more. The loop lives here, not in an iterator
+    /// adapter, so each caller's copy keeps the row body inlined.
+    fn row_sums(&self, x: Windows<'_, F>, rows: Range<usize>, mut put: impl FnMut(F)) {
+        let Windows { io, w } = x;
+        let x = |c: u32| {
+            let c = c as usize;
+            if c < io.len() {
+                io[c]
             } else {
-                &mut w[c - half_len]
+                w[c - io.len()]
+            }
+        };
+        let signed = |u: u32| {
+            let v = x(u & !NEG);
+            if u & NEG == 0 {
+                v
+            } else {
+                -v
+            }
+        };
+        let ends = &self.ends[rows.start..=rows.end];
+        let [mut u, mut g] = ends[0].map(|i| i as usize);
+        for &[u_end, g_end] in &ends[1..] {
+            let units = &self.units[u..u_end as usize];
+            let general = &self.general[g..g_end as usize];
+            (u, g) = (u_end as usize, g_end as usize);
+            let sum = match units {
+                [] => F::ZERO,
+                [first, rest @ ..] => rest.iter().fold(signed(*first), |s, &u| s + signed(u)),
             };
-            *slot += scale(v, eq_x[r]);
+            put(match general {
+                [] => sum,
+                [(c, v)] => sum + *v * x(*c),
+                _ => sum + F::dot_pairs(general.iter().map(|&(c, v)| (v, x(c)))),
+            });
         }
     }
 
-    /// The padded row binding, `m(y) = Σ_x eq_x[x] · M(x, y)` over all
-    /// columns: the oracle of the windowed binding.
-    #[cfg(test)]
-    pub(crate) fn bind_rows(&self, eq_x: &[F]) -> Vec<F> {
-        let mut out = vec![F::ZERO; self.cols];
-        for &(r, c, v) in &self.entries {
-            out[c] += v * eq_x[r];
+    /// The transpose of `[A; B; C]` stacked over `3·rows`: row `c` holds
+    /// column `c`'s entries of A, B, then C at rows `k·rows + r`. A counting
+    /// sort — count per column, prefix sums, fill — so each row lists its
+    /// entries in stacked-row order.
+    fn stacked_transpose(matrices: &[Self; 3], cols: usize) -> Self {
+        let mut ends = vec![[0u32; 2]; cols + 1];
+        for m in matrices {
+            for &u in &m.units {
+                ends[(u & !NEG) as usize + 1][0] += 1;
+            }
+            for &(c, _) in &m.general {
+                ends[c as usize + 1][1] += 1;
+            }
         }
-        out
-    }
-
-    /// The padded matrix MLE `M̃(rx, ry)` against full `eq` tables: the
-    /// oracle of [`R1cs::matrix_evals`].
-    #[cfg(test)]
-    pub(crate) fn mle_eval(&self, eq_rx: &[F], eq_ry: &[F]) -> F {
-        let terms = self.entries.iter();
-        F::dot_pairs(terms.map(|&(r, c, v)| (scale(v, eq_rx[r]), eq_ry[c])))
+        for c in 0..cols {
+            let [u, g] = ends[c];
+            ends[c + 1][0] += u;
+            ends[c + 1][1] += g;
+        }
+        let mut next = ends.clone();
+        let [units, general] = ends[cols].map(|n| n as usize);
+        let mut t = Self {
+            ends,
+            units: vec![0; units],
+            general: vec![(0, F::ZERO); general],
+        };
+        let rows = matrices[0].rows();
+        for (k, m) in matrices.iter().enumerate() {
+            for (r, (units, general)) in m.row_entries().enumerate() {
+                let row = (k * rows + r) as u32;
+                for &u in units {
+                    let slot = &mut next[(u & !NEG) as usize][0];
+                    t.units[*slot as usize] = row | (u & NEG);
+                    *slot += 1;
+                }
+                for &(c, v) in general {
+                    let slot = &mut next[c as usize][1];
+                    t.general[*slot as usize] = (row, v);
+                    *slot += 1;
+                }
+            }
+        }
+        t
     }
 }
 
 /// An R1CS instance: `(A·z) ∘ (B·z) = C·z` for `z = (io ‖ w)`.
+///
+/// A, B and C are held over the live columns `io ‖ w` only, as compressed
+/// rows ([`Csr`]), beside one transpose of the three stacked.
 #[derive(Debug, Clone)]
 pub struct R1cs<F> {
-    /// Left matrix.
-    pub a: SparseTriplets<F>,
-    /// Right matrix.
-    pub b: SparseTriplets<F>,
-    /// Output matrix.
-    pub c: SparseTriplets<F>,
+    /// A, B and C.
+    matrices: [Csr<F>; 3],
+    /// `[A; B; C]ᵀ`: one row per live column, over the `3·rows` stacked
+    /// rows (matrix-bind's gather).
+    transpose: Csr<F>,
     /// Number of constraints (unpadded).
     num_constraints: usize,
     /// Public input count (excluding the leading constant one).
@@ -170,22 +209,21 @@ pub struct R1cs<F> {
 }
 
 impl<F: Field> R1cs<F> {
-    /// Assembles an instance from its matrices and variable counts.
-    ///
-    /// The column space of the matrices must be `2 * half_len`, where
-    /// `half_len` is the padded size of each half.
+    /// Assembles an instance from its constraints in order, each as its
+    /// three rows `[a, b, c]` of `(column, coefficient)` entries over the
+    /// `2 * half_len` columns of `z`, where `half_len` is the padded size of
+    /// each half.
     ///
     /// # Panics
     ///
-    /// Panics on inconsistent dimensions, or if a matrix entry's column lies
-    /// outside the io window `[0, 1 + num_inputs)` and the witness window
-    /// `[half_len, half_len + num_witness)`: the windowed prover and verifier
-    /// read nothing else, so they are exact only under this condition.
-    pub fn new(
-        a: SparseTriplets<F>,
-        b: SparseTriplets<F>,
-        c: SparseTriplets<F>,
-        num_constraints: usize,
+    /// Panics on inconsistent dimensions or no constraints; if an entry's
+    /// column lies outside the io window `[0, 1 + num_inputs)` and the
+    /// witness window `[half_len, half_len + num_witness)` (the windowed
+    /// prover and verifier read nothing else, so they are exact only under
+    /// this condition); or if the live columns, `3·rows` or the non-zeros do
+    /// not fit a `u32` with its top bit reserved for the sign.
+    pub fn new<E: IntoIterator<Item = (usize, F)>>(
+        constraints: impl IntoIterator<Item = [E; 3]>,
         num_inputs: usize,
         num_witness: usize,
         half_len: usize,
@@ -196,30 +234,38 @@ impl<F: Field> R1cs<F> {
         );
         assert!(num_inputs < half_len, "io half overflow");
         assert!(num_witness <= half_len, "witness half overflow");
-        let cols = 2 * half_len;
-        assert!(
-            a.cols() == cols && b.cols() == cols && c.cols() == cols,
-            "matrix column mismatch"
-        );
-        assert!(
-            a.rows() == num_constraints
-                && b.rows() == num_constraints
-                && c.rows() == num_constraints,
-            "matrix row mismatch"
-        );
+        let io_len = 1 + num_inputs;
         let witness = half_len..half_len + num_witness;
-        for m in [&a, &b, &c] {
-            for &(_, col, _) in m.entries() {
-                assert!(
-                    col <= num_inputs || witness.contains(&col),
-                    "triplet column {col} outside the io and witness windows"
-                );
+        let live_col = |col: usize| {
+            let live = if col < io_len {
+                col
+            } else if witness.contains(&col) {
+                io_len + col - half_len
+            } else {
+                panic!("matrix column {col} outside the io and witness windows")
+            };
+            live as u32
+        };
+        let mut matrices = [(); 3].map(|()| Csr::new());
+        for row in constraints {
+            for (m, entries) in matrices.iter_mut().zip(row) {
+                m.push_row(entries.into_iter().map(|(c, v)| (live_col(c), v)));
             }
         }
+        let num_constraints = matrices[0].rows();
+        assert!(num_constraints > 0, "empty constraint system");
+        let nnz: usize = matrices.iter().map(Csr::nnz).sum();
+        let live = io_len + num_witness;
+        assert!(
+            [live, 3 * num_constraints, nnz]
+                .iter()
+                .all(|&n| n < NEG as usize),
+            "live columns, 3·rows and non-zeros must fit a u32 with the sign bit reserved"
+        );
+        let transpose = Csr::stacked_transpose(&matrices, live);
         Self {
-            a,
-            b,
-            c,
+            matrices,
+            transpose,
             num_constraints,
             num_inputs,
             num_witness,
@@ -259,7 +305,7 @@ impl<F: Field> R1cs<F> {
 
     /// Total non-zeros across the three matrices.
     pub fn total_nnz(&self) -> usize {
-        self.a.nnz() + self.b.nnz() + self.c.nnz()
+        self.matrices.iter().map(Csr::nnz).sum()
     }
 
     /// Builds the full assignment `z = (1, x, 0.. ‖ w, 0..)`.
@@ -349,25 +395,54 @@ impl<F: Field> R1cs<F> {
         ]
     }
 
-    /// The three matrix MLEs `[Ã, B̃, C̃](rx, ry)` as `⟨eq_rx, M · eq_y⟩`:
-    /// per matrix one row-wise pass over the non-zeros against the windows
-    /// of `eq(ry, ·)` ([`Self::eq_windows`]), then one [`Field::dot`] with
-    /// `eq_rx` over the constraint rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `eq_y`'s windows are shorter than the live windows.
-    pub fn matrix_evals(&self, eq_rx: &[F], eq_y: Windows<'_, F>) -> [F; 3] {
-        [&self.a, &self.b, &self.c].map(|m| F::dot(eq_rx, &m.mul_windows(self.half_len, eq_y)))
+    /// Checks that a vector's [`Windows`] are exactly the live windows.
+    fn check_live(&self, v: Windows<'_, F>) {
+        assert_eq!(
+            [v.io.len(), v.w.len()],
+            [1 + self.num_inputs, self.num_witness],
+            "window lengths"
+        );
     }
 
-    /// The three products `[A·z, B·z, C·z]`, one entry per constraint.
+    /// The three matrix MLEs `[Ã, B̃, C̃](rx, ry)` as `⟨eq_rx, M · eq_y⟩`:
+    /// per matrix the row sums against the windows of `eq(ry, ·)`
+    /// ([`Self::eq_windows`]), dotted ([`Field::dot`]) with `eq_rx` a block
+    /// of rows at a time, so no row vector is allocated.
     ///
     /// # Panics
     ///
-    /// Panics if `z`'s windows are shorter than the live windows.
+    /// Panics if `eq_rx` is shorter than the constraint count or `eq_y`'s
+    /// windows are not the live windows' lengths.
+    pub fn matrix_evals(&self, eq_rx: &[F], eq_y: Windows<'_, F>) -> [F; 3] {
+        self.check_live(eq_y);
+        let eq_rx = &eq_rx[..self.num_constraints];
+        self.matrices.each_ref().map(|m| {
+            let mut block = [F::ZERO; 512];
+            let blocks = eq_rx.chunks(block.len()).enumerate().map(|(i, eq)| {
+                let first = i * block.len();
+                let mut slots = block.iter_mut();
+                m.row_sums(eq_y, first..first + eq.len(), |sum| {
+                    *slots.next().expect("a slot per row") = sum;
+                });
+                F::dot(eq, &block)
+            });
+            blocks.sum()
+        })
+    }
+
+    /// The three products `[A·z, B·z, C·z]`, one entry per constraint, each
+    /// with room for the padded length sum-check #1 extends it to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `z`'s windows are not the live windows' lengths.
     pub fn products(&self, z: Windows<'_, F>) -> [Vec<F>; 3] {
-        [&self.a, &self.b, &self.c].map(|m| m.mul_windows(self.half_len, z))
+        self.check_live(z);
+        self.matrices.each_ref().map(|m| {
+            let mut out = Vec::with_capacity(self.padded_constraints());
+            m.row_sums(z, 0..self.num_constraints, |sum| out.push(sum));
+            out
+        })
     }
 
     /// Whether [`Self::products`] of an assignment satisfy every
@@ -386,10 +461,10 @@ impl<F: Field> R1cs<F> {
     /// as its two live windows `[io, w]` (of `1 + num_inputs` and
     /// `num_witness` entries): the columns outside them are zero.
     ///
-    /// All three matrices accumulate into one pair of windows against
-    /// `γ_k · eq_x`, which costs `3·rows` multiplies plus one per non-zero
-    /// that is not ±1, where binding each matrix and then scaling its dense
-    /// result costs `nnz + 3·z_len`.
+    /// It is one gather per live column over the stacked transpose against
+    /// `[γ_A·eq_x ‖ γ_B·eq_x ‖ γ_C·eq_x]`: `3·rows` multiplies plus one per
+    /// non-zero that is not ±1, and one sum per column where a scatter over
+    /// the rows would update a column once per non-zero.
     ///
     /// # Panics
     ///
@@ -398,15 +473,22 @@ impl<F: Field> R1cs<F> {
     pub fn bind_rows_combined(&self, eq_x: &[F], gamma: &[F]) -> [Vec<F>; 2] {
         assert_eq!(gamma.len(), 3, "one γ per matrix");
         let eq_x = &eq_x[..self.num_constraints];
-        let mut io = vec![F::ZERO; 1 + self.num_inputs];
-        let mut w = vec![F::ZERO; self.num_witness];
-        let mut scaled = vec![F::ZERO; eq_x.len()];
-        for (&g, m) in gamma.iter().zip([&self.a, &self.b, &self.c]) {
-            scaled.copy_from_slice(eq_x);
-            F::scale(&mut scaled, g);
-            m.bind_rows_into(self.half_len, &scaled, [&mut io, &mut w]);
+        let mut scaled = eq_x.repeat(3);
+        for (part, &g) in scaled.chunks_exact_mut(eq_x.len()).zip(gamma) {
+            F::scale(part, g);
         }
-        [io, w]
+        let scaled = Windows {
+            io: &scaled,
+            w: &[],
+        };
+        let io_len = 1 + self.num_inputs;
+        let windows = [0..io_len, io_len..io_len + self.num_witness];
+        windows.map(|columns| {
+            let mut out = Vec::with_capacity(columns.len());
+            self.transpose
+                .row_sums(scaled, columns, |sum| out.push(sum));
+            out
+        })
     }
 }
 
@@ -496,7 +578,6 @@ impl<F: Field> R1csBuilder<F> {
     ///
     /// Panics if no constraints were added.
     pub fn build(self) -> R1cs<F> {
-        assert!(!self.constraints.is_empty(), "empty constraint system");
         let half_len = (1 + self.num_inputs)
             .max(self.num_witness)
             .next_power_of_two()
@@ -512,31 +593,11 @@ impl<F: Field> R1csBuilder<F> {
                 half_len + i
             }
         };
-        let rows = self.constraints.len();
-        let cols = 2 * half_len;
-        let mut ta = Vec::new();
-        let mut tb = Vec::new();
-        let mut tc = Vec::new();
-        for (r, (a, b, c)) in self.constraints.into_iter().enumerate() {
-            for (v, coeff) in a {
-                ta.push((r, col(v), coeff));
-            }
-            for (v, coeff) in b {
-                tb.push((r, col(v), coeff));
-            }
-            for (v, coeff) in c {
-                tc.push((r, col(v), coeff));
-            }
-        }
-        R1cs::new(
-            SparseTriplets::new(rows, cols, ta),
-            SparseTriplets::new(rows, cols, tb),
-            SparseTriplets::new(rows, cols, tc),
-            rows,
-            self.num_inputs,
-            self.num_witness,
-            half_len,
-        )
+        let rows = self
+            .constraints
+            .iter()
+            .map(|(a, b, c)| [a, b, c].map(|lc| lc.iter().map(|&(v, coeff)| (col(v), coeff))));
+        R1cs::new(rows, self.num_inputs, self.num_witness, half_len)
     }
 }
 
@@ -582,11 +643,81 @@ pub fn synthetic_r1cs<F: Field>(s: usize, seed: u64) -> (R1cs<F>, Vec<F>, Vec<F>
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use batchzk_field::Fr;
+    use batchzk_field::{Fr, RngCore, SplitMix64};
     use batchzk_hash::Prg;
     use batchzk_sumcheck::eq_table;
+
+    /// A matrix as `(row, column of z, value)` triplets.
+    pub(crate) type Triplets<F> = Vec<(usize, usize, F)>;
+
+    /// The padded row binding `m(y) = Σ_x eq_x[x] · M(x, y)` over all `cols`
+    /// columns: the plain triplet loop the gather is tested against.
+    pub(crate) fn bind_rows<F: Field>(m: &[(usize, usize, F)], cols: usize, eq_x: &[F]) -> Vec<F> {
+        let mut out = vec![F::ZERO; cols];
+        for &(r, c, v) in m {
+            out[c] += v * eq_x[r];
+        }
+        out
+    }
+
+    /// The padded matrix MLE `M̃(rx, ry)` against full `eq` tables: the
+    /// plain triplet loop [`R1cs::matrix_evals`] is tested against.
+    pub(crate) fn mle_eval<F: Field>(m: &[(usize, usize, F)], eq_rx: &[F], eq_ry: &[F]) -> F {
+        m.iter().map(|&(r, c, v)| v * eq_rx[r] * eq_ry[c]).sum()
+    }
+
+    /// The column of `z` that live column `c` stands for.
+    fn z_col<F>(r1cs: &R1cs<F>, c: usize) -> usize {
+        if c <= r1cs.num_inputs {
+            c
+        } else {
+            r1cs.half_len + c - 1 - r1cs.num_inputs
+        }
+    }
+
+    /// A matrix's entries as `(row, column, value)`, in row order.
+    fn entries<F: Field>(m: &Csr<F>) -> Triplets<F> {
+        let mut out = Vec::new();
+        for (r, (units, general)) in m.row_entries().enumerate() {
+            for &u in units {
+                let v = if u & NEG == 0 { F::ONE } else { -F::ONE };
+                out.push((r, (u & !NEG) as usize, v));
+            }
+            out.extend(general.iter().map(|&(c, v)| (r, c as usize, v)));
+        }
+        out
+    }
+
+    /// A, B and C as triplets over the columns of `z`, read back from their
+    /// rows.
+    pub(crate) fn triplets<F: Field>(r1cs: &R1cs<F>) -> [Triplets<F>; 3] {
+        r1cs.matrices.each_ref().map(|m| {
+            let entries = entries(m).into_iter();
+            entries.map(|(r, c, v)| (r, z_col(r1cs, c), v)).collect()
+        })
+    }
+
+    /// The same, read back from the stacked transpose.
+    fn transpose_triplets<F: Field>(r1cs: &R1cs<F>) -> [Triplets<F>; 3] {
+        let rows = r1cs.num_constraints;
+        let mut out = [(); 3].map(|()| Vec::new());
+        for (c, s, v) in entries(&r1cs.transpose) {
+            out[s / rows].push((s % rows, z_col(r1cs, c), v));
+        }
+        out
+    }
+
+    /// Triplets in a canonical order, so that equal multisets compare equal.
+    fn sorted(m: Triplets<Fr>) -> Vec<(usize, usize, [u8; 32])> {
+        let mut keyed: Vec<_> = m
+            .into_iter()
+            .map(|(r, c, v)| (r, c, v.to_bytes()))
+            .collect();
+        keyed.sort_unstable();
+        keyed
+    }
 
     fn square_instance() -> (R1cs<Fr>, Vec<Fr>, Vec<Fr>) {
         // w*w = x
@@ -634,28 +765,30 @@ mod tests {
 
     #[test]
     fn bind_rows_matches_direct_computation() {
+        // γ = (1, 0, 0) binds A alone.
         let (r1cs, _, _) = synthetic_r1cs::<Fr>(20, 2);
         let mut rng = Prg::seed_from_u64(3);
         let log_m = r1cs.padded_constraints().trailing_zeros() as usize;
         let rx: Vec<Fr> = (0..log_m).map(|_| Fr::random(&mut rng)).collect();
         let eq_rx = eq_table(&rx);
-        let bound = r1cs.a.bind_rows(&eq_rx);
-        // Check one random column against the triplet sum.
-        for col in [0usize, 1, r1cs.z_len() - 1] {
-            let direct: Fr = r1cs
-                .a
-                .entries()
+        let [io, w] = r1cs.bind_rows_combined(&eq_rx, &[Fr::ONE, Fr::ZERO, Fr::ZERO]);
+        let [a, _, _] = triplets(&r1cs);
+        // Check the ends of both windows against the triplet sum.
+        let (half, last) = (r1cs.half_len(), w.len() - 1);
+        for (col, bound) in [(0, io[0]), (1, io[1]), (half, w[0]), (half + last, w[last])] {
+            let direct: Fr = a
                 .iter()
                 .filter(|&&(_, c, _)| c == col)
                 .map(|&(r, _, v)| v * eq_rx[r])
                 .sum();
-            assert_eq!(bound[col], direct);
+            assert_eq!(bound, direct, "column {col}");
         }
     }
 
     #[test]
     fn mle_eval_consistent_with_bind_rows() {
-        // M̃(rx, ry) must equal ⟨bind_rows(eq_rx), eq_ry⟩.
+        // M̃(rx, ry) must equal ⟨bind_rows(eq_rx), eq_ry⟩, and the row-wise
+        // evaluation both.
         let (r1cs, _, _) = synthetic_r1cs::<Fr>(10, 4);
         let mut rng = Prg::seed_from_u64(5);
         let log_m = r1cs.padded_constraints().trailing_zeros() as usize;
@@ -664,14 +797,15 @@ mod tests {
         let ry: Vec<Fr> = (0..log_n).map(|_| Fr::random(&mut rng)).collect();
         let eq_rx = eq_table(&rx);
         let eq_ry = eq_table(&ry);
-        for m in [&r1cs.a, &r1cs.b, &r1cs.c] {
-            let via_bind: Fr = m
-                .bind_rows(&eq_rx)
+        let evals = r1cs.matrix_evals(&eq_rx, r1cs.windows(&eq_ry));
+        for (m, eval) in triplets(&r1cs).iter().zip(evals) {
+            let via_bind: Fr = bind_rows(m, r1cs.z_len(), &eq_rx)
                 .iter()
                 .zip(&eq_ry)
                 .map(|(a, b)| *a * *b)
                 .sum();
-            assert_eq!(m.mle_eval(&eq_rx, &eq_ry), via_bind);
+            assert_eq!(mle_eval(m, &eq_rx, &eq_ry), via_bind);
+            assert_eq!(eval, via_bind);
         }
     }
 
@@ -685,8 +819,8 @@ mod tests {
             .collect();
         let gamma: Vec<Fr> = (0..3).map(|_| Fr::random(&mut rng)).collect();
         let mut want = vec![Fr::ZERO; r1cs.z_len()];
-        for (g, m) in gamma.iter().zip([&r1cs.a, &r1cs.b, &r1cs.c]) {
-            for (slot, v) in want.iter_mut().zip(m.bind_rows(&eq_rx)) {
+        for (g, m) in gamma.iter().zip(triplets(&r1cs)) {
+            for (slot, v) in want.iter_mut().zip(bind_rows(&m, r1cs.z_len(), &eq_rx)) {
                 *slot += *g * v;
             }
         }
@@ -709,60 +843,117 @@ mod tests {
         [io.to_vec(), w.to_vec()]
     }
 
-    /// A matrix mixing the coefficient classes the kernels tell apart —
-    /// 1, −1, 0, random — with duplicate `(r, c)` positions among them.
-    fn mixed_matrix(rows: usize, cols: usize, nnz: usize, rng: &mut Prg) -> SparseTriplets<Fr> {
-        use batchzk_field::RngCore;
-        let mut entries: Vec<(usize, usize, Fr)> = Vec::with_capacity(nnz);
-        for i in 0..nnz {
-            let v = match rng.next_u64() % 4 {
-                0 => Fr::ONE,
-                1 => -Fr::ONE,
-                2 => Fr::ZERO,
-                _ => Fr::random(rng),
-            };
-            let (r, c) = match entries.get(i / 2) {
-                Some(&(r, c, _)) if i % 3 == 0 => (r, c),
-                _ => (rng.gen_range(0..rows), rng.gen_range(0..cols)),
-            };
-            entries.push((r, c, v));
-        }
-        SparseTriplets::new(rows, cols, entries)
+    /// A random instance's constraints, each as three rows of `(column of
+    /// z, coefficient)`: rows that are empty, rows of general coefficients
+    /// only, and mixed rows of 1, −1, 0 and random coefficients with
+    /// repeated columns; on every third instance the last live column is
+    /// never referenced.
+    fn random_rows(
+        rng: &mut SplitMix64,
+        live: &[usize],
+        rows: usize,
+        skip_last: bool,
+    ) -> Vec<[Vec<(usize, Fr)>; 3]> {
+        let cols = &live[..live.len() - usize::from(skip_last)];
+        let row = |rng: &mut SplitMix64| {
+            let kind = rng.gen_range(0..5);
+            let len = if kind == 0 { 0 } else { rng.gen_range(1..7) };
+            let mut entries: Vec<(usize, Fr)> = Vec::with_capacity(len);
+            for _ in 0..len {
+                let v = match if kind == 1 { 3 } else { rng.next_u64() % 4 } {
+                    0 => Fr::ONE,
+                    1 => -Fr::ONE,
+                    2 => Fr::ZERO,
+                    _ => Fr::random(rng),
+                };
+                let c = match entries.last() {
+                    Some(&(c, _)) if rng.gen_range(0..3) == 0 => c,
+                    _ => cols[rng.gen_range(0..cols.len())],
+                };
+                entries.push((c, v));
+            }
+            entries
+        };
+        (0..rows).map(|_| [(); 3].map(|()| row(rng))).collect()
     }
 
     #[test]
     fn sparse_kernels_match_the_plain_triplet_loop() {
-        let mut rng = Prg::seed_from_u64(0x5A);
-        for (log_rows, log_cols, nnz) in [(1, 2, 3), (3, 4, 40), (5, 6, 300)] {
-            let (rows, cols) = (1usize << log_rows, 2usize << log_cols);
-            let [a, b, c] = [(); 3].map(|()| mixed_matrix(rows, cols, nnz, &mut rng));
-            let mut random =
-                |n: usize| -> Vec<Fr> { (0..n).map(|_| Fr::random(&mut rng)).collect() };
-            let (z, eq_x, eq_y, gamma) = (random(cols), random(rows), random(cols), random(3));
-            // Every column live: the io window fills its half.
-            let half = cols / 2;
-            let r1cs = R1cs::new(a, b, c, rows, half - 1, half, half);
-            let [z_w, eq_w] = [&z, &eq_y].map(|v| Windows {
-                io: &v[..half],
-                w: &v[half..],
+        let mut rng = SplitMix64::seed_from_u64(0x37);
+        let random = |rng: &mut SplitMix64, n: usize| -> Vec<Fr> {
+            (0..n).map(|_| Fr::random(rng)).collect()
+        };
+        for rep in 0..48 {
+            let half = 2usize << rng.gen_range(0..5);
+            let num_inputs = if rep % 4 == 0 {
+                0
+            } else {
+                rng.gen_range(0..half)
+            };
+            let num_witness = rng.gen_range(1..half + 1);
+            // Now and then more rows than one block of `matrix_evals`.
+            let rows = if rep % 8 == 7 {
+                rng.gen_range(513..1100)
+            } else {
+                rng.gen_range(1..40)
+            };
+            let live: Vec<usize> = (0..=num_inputs).chain(half..half + num_witness).collect();
+            let constraints = random_rows(&mut rng, &live, rows, rep % 3 == 0);
+            let want: [Triplets<Fr>; 3] = std::array::from_fn(|k| {
+                let rows = constraints.iter().enumerate();
+                rows.flat_map(|(r, row)| row[k].iter().map(move |&(c, v)| (r, c, v)))
+                    .collect()
             });
+            let r1cs = R1cs::new(constraints, num_inputs, num_witness, half);
+            let case =
+                format!("rep {rep}: {rows} rows, {num_inputs} inputs, {num_witness} witnesses");
+            for (k, (csr, t)) in triplets(&r1cs)
+                .into_iter()
+                .zip(transpose_triplets(&r1cs))
+                .enumerate()
+            {
+                assert_eq!(sorted(csr), sorted(want[k].clone()), "{case}: rows of {k}");
+                assert_eq!(
+                    sorted(t),
+                    sorted(want[k].clone()),
+                    "{case}: transpose of {k}"
+                );
+            }
 
+            let cols = r1cs.z_len();
+            let (z, eq_x, eq_y, gamma) = (
+                random(&mut rng, cols),
+                random(&mut rng, rows),
+                random(&mut rng, cols),
+                random(&mut rng, 3),
+            );
+            let products = r1cs.products(r1cs.windows(&z));
+            let evals = r1cs.matrix_evals(&eq_x, r1cs.windows(&eq_y));
             let mut combined = vec![Fr::ZERO; cols];
-            let products = r1cs.products(z_w);
-            let evals = r1cs.matrix_evals(&eq_x, eq_w);
-            for (k, (g, m)) in gamma.iter().zip([&r1cs.a, &r1cs.b, &r1cs.c]).enumerate() {
+            for (k, (g, m)) in gamma.iter().zip(&want).enumerate() {
                 let (mut mz, mut eval) = (vec![Fr::ZERO; rows], Fr::ZERO);
-                for &(r, c, v) in m.entries() {
+                for &(r, c, v) in m {
                     mz[r] += v * z[c];
                     combined[c] += *g * eq_x[r] * v;
                     eval += v * eq_x[r] * eq_y[c];
                 }
-                assert_eq!(products[k], mz, "products {rows}x{cols}");
-                assert_eq!(evals[k], eval, "matrix_evals {rows}x{cols}");
-                assert_eq!(m.mle_eval(&eq_x, &eq_y), eval, "mle_eval {rows}x{cols}");
+                assert_eq!(products[k], mz, "{case}: products {k}");
+                assert_eq!(evals[k], eval, "{case}: matrix_evals {k}");
+                assert_eq!(mle_eval(m, &eq_x, &eq_y), eval, "{case}: mle_eval {k}");
+                let bound = bind_rows(m, cols, &eq_x);
+                let direct = (0..cols).map(|c| {
+                    m.iter()
+                        .filter(|t| t.1 == c)
+                        .map(|&(r, _, v)| v * eq_x[r])
+                        .sum()
+                });
+                assert!(bound.iter().copied().eq(direct), "{case}: bind_rows {k}");
             }
-            let [io, w] = r1cs.bind_rows_combined(&eq_x, &gamma);
-            assert_eq!([io, w].concat(), combined);
+            assert_eq!(
+                r1cs.bind_rows_combined(&eq_x, &gamma),
+                padded_windows(&r1cs, &combined),
+                "{case}: binding"
+            );
         }
     }
 
@@ -771,18 +962,21 @@ mod tests {
         use crate::counting::{count_muls, Counted};
         for s in [50usize, 400] {
             // Every coefficient of the synthetic instance is 1: no multiply
-            // in the products at all. Then B in three classes — 1, −1, 2.
-            let (mut r1cs, inputs, witness) = synthetic_r1cs::<Counted>(s, 8);
+            // in the products at all.
+            let (r1cs, inputs, witness) = synthetic_r1cs::<Counted>(s, 8);
             let z = r1cs.assemble_z(&inputs, &witness);
-            let z = r1cs.windows(&z);
-            let (_, muls) = count_muls(|| r1cs.products(z));
+            let (_, muls) = count_muls(|| r1cs.products(r1cs.windows(&z)));
             assert_eq!((muls.full, muls.deferred), (0, 0), "s={s}: all-ones");
 
+            // The same shape of chain with B in three classes — 1, −1, 2 —
+            // one B entry a row.
             let two = Counted::ONE + Counted::ONE;
-            for (i, entry) in r1cs.b.entries.iter_mut().enumerate() {
-                entry.2 = [Counted::ONE, -Counted::ONE, two][i % 3];
-            }
-            let (nnz, general) = (r1cs.b.nnz() as u64, (r1cs.b.nnz() / 3) as u64);
+            let r1cs = chain(s, |w, i| {
+                vec![(w[i * 7 % s], [Counted::ONE, -Counted::ONE, two][i % 3])]
+            });
+            let z = r1cs.assemble_z(&inputs, &witness);
+            let z = r1cs.windows(&z);
+            let general = (s / 3) as u64;
             let (_, muls) = count_muls(|| r1cs.products(z));
             assert_eq!((muls.full, muls.deferred), (general, 0), "s={s}: products");
 
@@ -794,8 +988,7 @@ mod tests {
             assert_eq!((muls.full, muls.deferred), (bound, 0), "s={s}: binding");
 
             // The row-wise MLE: a multiply per general non-zero, then one
-            // deferred product per row and matrix (the padded formula
-            // defers one per non-zero).
+            // deferred product per row and matrix.
             let eq_ry = vec![Counted::ONE; r1cs.z_len()];
             let eq_y = r1cs.windows(&eq_ry);
             let (_, muls) = count_muls(|| r1cs.matrix_evals(&eq_rx, eq_y));
@@ -805,8 +998,40 @@ mod tests {
                 (general, 3 * rows),
                 "s={s}: matrix_evals"
             );
-            let (_, muls) = count_muls(|| r1cs.b.mle_eval(&eq_rx, &eq_ry));
-            assert_eq!((muls.full, muls.deferred), (general, nnz), "s={s}: padded");
+
+            // Two general entries in a row share one deferred reduction:
+            // none of B's products is a full multiply.
+            let r1cs = chain(s, |w, i| vec![(w[i], two), (w[(i + 1) % s], two)]);
+            let z = r1cs.assemble_z(&inputs, &witness);
+            let (_, muls) = count_muls(|| r1cs.products(r1cs.windows(&z)));
+            assert_eq!((muls.full, muls.deferred), (0, 2 * rows), "s={s}: pairs");
+            let eq_y = r1cs.windows(&eq_ry);
+            let (_, muls) = count_muls(|| r1cs.matrix_evals(&eq_rx, eq_y));
+            let deferred = 2 * rows + 3 * rows;
+            assert_eq!(
+                (muls.full, muls.deferred),
+                (0, deferred),
+                "s={s}: pairs' MLE"
+            );
+        }
+
+        /// `s` constraints `w_i · ⟨b_row(w, i), z⟩ = w_{i+1 mod s}` over one
+        /// input and `s` witnesses.
+        fn chain(s: usize, b_row: impl Fn(&[Var], usize) -> Lc<Counted>) -> R1cs<Counted> {
+            let mut builder = R1csBuilder::<Counted>::new();
+            builder.new_input();
+            let w: Vec<Var> = (0..s)
+                .map(|_| Var::Witness(builder.new_witness()))
+                .collect();
+            for i in 0..s {
+                let (a, c) = (w[i], w[(i + 1) % s]);
+                builder.enforce(
+                    vec![(a, Counted::ONE)],
+                    b_row(&w, i),
+                    vec![(c, Counted::ONE)],
+                );
+            }
+            builder.build()
         }
     }
 
@@ -864,18 +1089,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "triplet column 6 outside the io and witness windows")]
+    #[should_panic(expected = "matrix column 6 outside the io and witness windows")]
     fn triplet_in_the_padding_panics_at_construction() {
         // One input and two witnesses in halves of 4: columns 2, 3, 6 and
         // 7 are padding.
-        let m = |col| SparseTriplets::new(1, 8, vec![(0, col, Fr::ONE)]);
-        let _ = R1cs::new(m(0), m(4), m(5), 1, 1, 2, 4);
-        let _ = R1cs::new(m(1), m(4), m(6), 1, 1, 2, 4);
+        let row = |cols: [usize; 3]| [cols.map(|c| [(c, Fr::ONE)])];
+        let _ = R1cs::new(row([0, 4, 5]), 1, 2, 4);
+        let _ = R1cs::new(row([1, 4, 6]), 1, 2, 4);
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
+    #[should_panic(expected = "fit a u32 with the sign bit reserved")]
     fn triplet_bounds_checked() {
-        let _ = SparseTriplets::new(2, 2, vec![(2, 0, Fr::ONE)]);
+        // 2^31 witnesses: one live column past the signed `u32` range.
+        let half = 1usize << 31;
+        let _ = R1cs::new([[[(0, Fr::ONE)]; 3]], 0, half, half);
     }
 }
