@@ -1,6 +1,7 @@
 //! The `profile` experiment: a phase-attributed single-thread prove
 //! (`PROFILE.json`), the fastest of five after a warm-up.
 
+use batchzk_field::Field;
 use batchzk_metrics::registry::{format_f64, join_json};
 use batchzk_zkp::{pcs, spartan};
 
@@ -41,6 +42,8 @@ pub(super) fn timed_prove(circuit: &Circuit) -> (Vec<PhaseProfile>, f64) {
     let params = pcs_params();
     // Built once per backend, so outside the per-proof time.
     let key = spartan::witness_key(params, r1cs);
+    let mut arena = vec![Field::ZERO; spartan::arena_len(r1cs)];
+    let arena = &mut arena[..];
     timed_ms(|| {
         let mut phases = Vec::new();
         let mut phase = |name, ms| phases.push(PhaseProfile { name, ms });
@@ -55,14 +58,14 @@ pub(super) fn timed_prove(circuit: &Circuit) -> (Vec<PhaseProfile>, f64) {
         phase("merkle", ms);
         transcript.absorb_digest(b"w-commitment", &commitment.root);
 
-        // `spartan::run_sumchecks`, phase by phase.
-        let (products, ms) = timed_ms(|| r1cs.products(z));
+        // `spartan::run_sumchecks`, phase by phase, in the one arena.
+        let ((), ms) = timed_ms(|| r1cs.products(z, arena));
         phase("spmv", ms);
-        let (sc1, ms) = timed_ms(|| spartan::prove_outer(r1cs, products, &mut transcript));
+        let (sc1, ms) = timed_ms(|| spartan::prove_outer(r1cs, arena, &mut transcript));
         phase("sc1", ms);
-        let (m_combo, ms) = timed_ms(|| spartan::bind_matrices(r1cs, &sc1, &mut transcript));
+        let ((), ms) = timed_ms(|| spartan::bind_matrices(r1cs, &sc1, arena, &mut transcript));
         phase("matrix-bind", ms);
-        let (sc2, ms) = timed_ms(|| spartan::prove_inner(r1cs, &m_combo, z, &mut transcript));
+        let (sc2, ms) = timed_ms(|| spartan::prove_inner(r1cs, z, arena, &mut transcript));
         phase("sc2", ms);
 
         let point_y = sc2.point();

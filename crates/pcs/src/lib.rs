@@ -216,29 +216,43 @@ impl<F: Field> PcsKey<F> {
         column_tests(&self.params, self.codeword_len())
     }
 
-    /// Phase 1 of a commitment: transpose the evaluations, viewed as the
-    /// row-major `n_rows × n_cols` matrix, into the systematic prefix of
-    /// the interleaved buffer, then encode all rows at once
-    /// ([`Encoder::encode_batch`] at width `n_rows`).
-    ///
-    /// `evals` may be a prefix of the `2^num_vars` evaluations, the rest
-    /// zero — a Spartan witness half without its padding: the zeros are
-    /// the buffer's own, never copied in.
+    /// Phase 1 of a commitment into a new buffer ([`Self::commit_encode_into`]).
     ///
     /// # Panics
     ///
     /// Panics if `evals.len() > 2^num_vars`.
     pub fn commit_encode(&self, evals: &[F]) -> EncodedRows<F> {
+        self.commit_encode_into(evals, Vec::new())
+    }
+
+    /// Phase 1 of a commitment: transpose the evaluations, viewed as the
+    /// row-major `n_rows × n_cols` matrix, into the systematic prefix of
+    /// the interleaved buffer `codewords`, then encode all rows at once
+    /// ([`Encoder::encode_batch`] at width `n_rows`). `codewords` is empty
+    /// or a buffer a commitment of this key gave back
+    /// ([`PcsProverData::into_codewords`]); nothing it held is read.
+    ///
+    /// `evals` may be a prefix of the `2^num_vars` evaluations, the rest
+    /// zero — a Spartan witness half without its padding.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `evals.len() > 2^num_vars`.
+    pub fn commit_encode_into(&self, evals: &[F], mut codewords: Vec<F>) -> EncodedRows<F> {
         assert!(
             evals.len() <= 1usize << self.num_vars,
             "evaluation table must fit the key's shape"
         );
         let (n_rows, n_cols) = (self.n_rows, self.n_cols());
-        let mut codewords = vec![F::ZERO; self.codeword_len() * n_rows];
+        codewords.resize(self.codeword_len() * n_rows, F::ZERO);
+        // Zero rows past `evals`; the encoder writes every later column.
+        let full_rows = evals.len() / n_cols;
+        for column in codewords[..n_cols * n_rows].chunks_exact_mut(n_rows) {
+            column[full_rows..].fill(F::ZERO);
+        }
         // Tiled, so both the row-major reads and the column-major writes
         // stay within a few cache lines per tile; then the one partial row.
         const TILE: usize = 8;
-        let full_rows = evals.len() / n_cols;
         for j0 in (0..n_cols).step_by(TILE) {
             for i0 in (0..full_rows).step_by(TILE) {
                 for j in j0..(j0 + TILE).min(n_cols) {
@@ -392,6 +406,12 @@ impl<F: Field> PcsProverData<F> {
     /// Number of rows.
     pub fn n_rows(&self) -> usize {
         self.encoded.n_rows
+    }
+
+    /// The codeword buffer, for the next [`PcsKey::commit_encode_into`] of
+    /// the same key once this commitment has been opened.
+    pub fn into_codewords(self) -> Vec<F> {
+        self.encoded.codewords
     }
 }
 
@@ -793,6 +813,28 @@ mod tests {
                 padded.resize(n, Fr::ZERO);
                 let want = key.commit_encode(&padded).codewords;
                 assert_eq!(key.commit_encode(&live).codewords, want, "k={k} len={len}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_reused_buffer_encodes_the_fresh_bytes() {
+        // Every entry a buffer held is overwritten: a codeword buffer given
+        // back and filled with a non-zero pattern encodes as a new one does,
+        // for full tables and for live prefixes with zero rows past them.
+        let mut rng = Prg::seed_from_u64(0x38);
+        for k in [4, 11, 12] {
+            let key = PcsKey::<Fr>::new(params(), k);
+            let (n_rows, n_cols) = matrix_shape(k);
+            for len in [1 << k, (n_rows / 2) * n_cols + 3, n_cols - 1] {
+                let evals: Vec<Fr> = (0..len).map(|_| Fr::random(&mut rng)).collect();
+                let fresh = key.commit(&evals);
+                let mut buffer = key.commit(&evals).1.into_codewords();
+                buffer.fill(-Fr::ONE);
+                let encoded = key.commit_encode_into(&evals, buffer);
+                let case = format!("k={k} len={len}");
+                assert_eq!(encoded.codewords, fresh.1.encoded.codewords, "{case}");
+                assert_eq!(commit_merkle(encoded).0, fresh.0, "{case}");
             }
         }
     }

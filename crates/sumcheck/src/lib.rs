@@ -34,7 +34,7 @@ mod poly;
 mod prove;
 mod rounds;
 
-pub use poly::{eq_eval, eq_table, eq_table_prefix, MultilinearPoly};
+pub use poly::{eq_eval, eq_table, eq_table_prefix, eq_table_prefix_into, MultilinearPoly};
 pub use prove::{prove_cubic, prove_linear, prove_quadratic, prove_quadratic_halves, ProverOutput};
 pub use rounds::{
     interpolate_at, prover_round_challenge, verify_rounds, LagrangeDenoms, SumcheckProof,

@@ -59,6 +59,11 @@ impl<F: Field> MultilinearPoly<F> {
         &self.evals
     }
 
+    /// The evaluation table, given up for a prover to fold in place.
+    pub fn into_evals(self) -> Vec<F> {
+        self.evals
+    }
+
     /// Sum of all hypercube evaluations — the `H` of the sum-check claim.
     pub fn hypercube_sum(&self) -> F {
         self.evals.iter().copied().sum()
@@ -72,7 +77,7 @@ impl<F: Field> MultilinearPoly<F> {
     pub fn evaluate(&self, point: &[F]) -> F {
         assert_eq!(point.len(), self.num_vars, "point dimension mismatch");
         let mut table = self.evals.clone();
-        // Fold variables from the top (x_n) down, matching fix_top_variable.
+        // Fold variables from the top (x_n) down, as the provers bind them.
         for &r in point.iter().rev() {
             let half = table.len() / 2;
             let (lo, hi) = table.split_at_mut(half);
@@ -81,37 +86,19 @@ impl<F: Field> MultilinearPoly<F> {
         }
         table[0]
     }
-
-    /// Fixes the most-significant variable `x_n` to `r`, halving the table —
-    /// one round of Algorithm 1's update
-    /// `A[b] = (1 - r)·A[b] + r·A[b + 2^{n-1}]`, through
-    /// [`Field::fold_halves`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the polynomial has no variables left.
-    pub fn fix_top_variable(&mut self, r: F) {
-        assert!(self.num_vars > 0, "no variable left to fix");
-        let half = self.evals.len() / 2;
-        let (lo, hi) = self.evals.split_at_mut(half);
-        F::fold_halves(lo, hi, r);
-        self.evals.truncate(half);
-        self.num_vars -= 1;
-    }
 }
 
-/// Doubles the `eq` level stored at `table[start..]` by one more variable
-/// with coordinate `t`: a copy `v·t` is appended ([`Field::scale`]) and
-/// each `v` becomes `v − v·t` in place — one multiply per entry, no second
-/// buffer.
-fn eq_double<F: Field>(table: &mut Vec<F>, start: usize, t: F) {
-    let level = table.len() - start;
-    table.extend_from_within(start..);
-    let (lo, hi) = table[start..].split_at_mut(level);
+/// Doubles an `eq` level by one more variable with coordinate `t`, `hi`
+/// holding a copy of `lo`'s first entries: each becomes `v·t`
+/// ([`Field::scale`]), each `v` of `lo` with such a partner `v − v·t`, and
+/// each past them `v·(1 − t)` — one multiply per entry.
+fn eq_double<F: Field>(lo: &mut [F], hi: &mut [F], t: F) {
     F::scale(hi, t);
-    for (lo, &hi) in lo.iter_mut().zip(&*hi) {
+    let (paired, unpaired) = lo.split_at_mut(hi.len());
+    for (lo, &hi) in paired.iter_mut().zip(&*hi) {
         *lo -= hi;
     }
+    F::scale(unpaired, F::ONE - t);
 }
 
 /// Builds the `eq(tau, ·)` table: `out[b] = Π_i (tau_i b_i + (1-tau_i)(1-b_i))`.
@@ -123,12 +110,25 @@ pub fn eq_table<F: Field>(tau: &[F]) -> Vec<F> {
     eq_table_prefix(tau, 1 << tau.len(), F::ONE)
 }
 
+/// The variables `tau[..k]`, `k = ⌈log₂ len⌉`, that double a prefix of
+/// `len > 0` entries of `c · eq_table(tau)`, and its first entry: below
+/// `len` every later variable is zero, so `Π_{i ≥ k} (1 − tau_i)` joins `c`.
+fn eq_start<F: Field>(tau: &[F], len: usize, c: F) -> (&[F], F) {
+    assert!(
+        len <= 1usize.checked_shl(tau.len() as u32).unwrap_or(usize::MAX),
+        "eq prefix longer than its table"
+    );
+    let k = (len - 1).checked_ilog2().map_or(0, |b| b as usize + 1);
+    (
+        &tau[..k],
+        c * tau[k..].iter().map(|&t| F::ONE - t).product::<F>(),
+    )
+}
+
 /// `c · eq_table(tau)[..len]` in `O(2^⌈log₂ len⌉)` work, where the full
-/// table costs `2^n`: the entries below `len` have every variable from
-/// `k = ⌈log₂ len⌉` on at zero, so their factor `Π_{i ≥ k} (1 − tau_i)`
-/// joins `c` as the table's first entry, the variables below `k − 1`
-/// double it in full, and the last doubling writes only the
-/// `len − 2^(k−1)` entries of its upper half that the prefix holds.
+/// table costs `2^n`: from its first entry ([`eq_start`]) each variable
+/// doubles the table by a copy of its lower entries, the last one only
+/// the `len − 2^(k−1)` upper entries the prefix holds.
 ///
 /// This is how a verifier builds `eq` over just the rows or columns a
 /// sparse matrix reads, with the table's constant (such as `1 − y_top` for
@@ -138,51 +138,64 @@ pub fn eq_table<F: Field>(tau: &[F]) -> Vec<F> {
 ///
 /// Panics if `len > 2^tau.len()`.
 pub fn eq_table_prefix<F: Field>(tau: &[F], len: usize, c: F) -> Vec<F> {
-    assert!(
-        len <= 1usize.checked_shl(tau.len() as u32).unwrap_or(usize::MAX),
-        "eq prefix longer than its table"
-    );
-    if len == 0 {
-        return Vec::new();
-    }
-    let k = (len - 1).checked_ilog2().map_or(0, |b| b as usize + 1);
-    let high: F = tau[k..].iter().map(|&t| F::ONE - t).product();
     let mut table = Vec::with_capacity(len);
-    table.push(c * high);
-    let Some((&last, low)) = tau[..k].split_last() else {
-        return table;
-    };
-    for &t in low {
-        eq_double(&mut table, 0, t);
+    if len > 0 {
+        let (doubling, first) = eq_start(tau, len, c);
+        table.push(first);
+        for &t in doubling {
+            let level = table.len();
+            table.extend_from_within(..(len - level).min(level));
+            let (lo, hi) = table.split_at_mut(level);
+            eq_double(lo, hi, t);
+        }
     }
-    // The partial doubling by `last`: the upper half's first `extra`
-    // entries are `v·t`, the lower half becomes `v − v·t` where it has
-    // such a partner and `v·(1 − t)` past it.
-    let (level, extra) = (table.len(), len - table.len());
-    table.extend_from_within(..extra);
-    let (lo, hi) = table.split_at_mut(level);
-    F::scale(hi, last);
-    for (lo, &hi) in lo.iter_mut().zip(&*hi) {
-        *lo -= hi;
-    }
-    F::scale(&mut lo[extra..], F::ONE - last);
     table
 }
 
-/// The `eq` tables of every proper prefix of `tau` in one allocation of
-/// `2^n` entries: `out[2^k..2^(k+1)]` is `eq_table(&tau[..k])` for
-/// `k < n` (slot 0 is unused). Round `j` of a sum-check with an `eq(tau, ·)`
-/// factor weighs its `2^(n-j)` pairs by level `n − j`, so the levels are
-/// built once — `2^(n-1)` multiplies in all — and never folded.
-pub(crate) fn eq_prefix_tables<F: Field>(tau: &[F]) -> Vec<F> {
-    let mut levels = Vec::with_capacity(1 << tau.len());
-    levels.extend([F::ZERO, F::ONE]);
-    for &t in &tau[..tau.len().saturating_sub(1)] {
-        let start = levels.len();
-        levels.extend_from_within(start / 2..);
-        eq_double(&mut levels, start, t);
+/// [`eq_table_prefix`] of `out.len()` entries, written into `out`: how the
+/// prover builds `eq(rx, ·)` over the rows in its reused storage. Nothing
+/// `out` held is read.
+///
+/// # Panics
+///
+/// Panics if `out.len() > 2^tau.len()`.
+pub fn eq_table_prefix_into<F: Field>(tau: &[F], c: F, out: &mut [F]) {
+    let len = out.len();
+    if len > 0 {
+        let (doubling, first) = eq_start(tau, len, c);
+        out[0] = first;
+        let mut level = 1;
+        for &t in doubling {
+            let (lo, hi) = out.split_at_mut(level);
+            let hi = &mut hi[..(len - level).min(level)];
+            hi.copy_from_slice(&lo[..hi.len()]);
+            eq_double(lo, hi, t);
+            level += hi.len();
+        }
     }
-    levels
+}
+
+/// Writes the `eq` tables of every proper prefix of `tau` into `levels`
+/// (`max(2, 2^n)` entries): `levels[2^k..2^(k+1)]` is `eq_table(&tau[..k])`
+/// for `k < n` (slot 0 is zero). Round `j` of a sum-check with an
+/// `eq(tau, ·)` factor weighs its `2^(n-j)` pairs by level `n − j`, so the
+/// levels are built once — `2^(n-1)` multiplies in all — and never folded.
+///
+/// # Panics
+///
+/// Panics if `levels` does not hold `max(2, 2^n)` entries.
+pub(crate) fn eq_prefix_tables<F: Field>(tau: &[F], levels: &mut [F]) {
+    assert_eq!(levels.len(), (1 << tau.len()).max(2), "eq levels' length");
+    levels[..2].copy_from_slice(&[F::ZERO, F::ONE]);
+    let mut start = 2;
+    for &t in &tau[..tau.len().saturating_sub(1)] {
+        let (built, next) = levels.split_at_mut(start);
+        let (lo, hi) = next[..start].split_at_mut(start / 2);
+        lo.copy_from_slice(&built[start / 2..]);
+        hi.copy_from_slice(lo);
+        eq_double(lo, hi, t);
+        start *= 2;
+    }
 }
 
 /// Evaluates `eq(x, y)` for two arbitrary points of equal dimension.
@@ -238,21 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn fix_top_variable_matches_evaluate() {
-        let mut p = rand_poly(5, 4);
-        let full = p.clone();
-        let mut rng = Prg::seed_from_u64(5);
-        let rs: Vec<Fr> = (0..5).map(|_| Fr::random(&mut rng)).collect();
-        // Fix x5, x4, ..., x1 with rs[0..5]; final value equals
-        // full.evaluate(x1..x5 = rs[4], rs[3], ..., rs[0]).
-        for &r in &rs {
-            p.fix_top_variable(r);
-        }
-        let point: Vec<Fr> = rs.iter().rev().copied().collect();
-        assert_eq!(p.evals()[0], full.evaluate(&point));
-    }
-
-    #[test]
     fn eq_table_is_delta_on_hypercube() {
         let tau = [Fr::ONE, Fr::ZERO, Fr::ONE]; // point (1, 0, 1) -> index 0b101 = 5
         let table = eq_table(&tau);
@@ -281,8 +279,10 @@ mod tests {
         let mut rng = Prg::seed_from_u64(9);
         for n in 0..=6usize {
             let tau: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
-            let levels = eq_prefix_tables(&tau);
-            assert_eq!(levels.len(), (1usize << n).max(2), "n={n}");
+            // Whatever the slice held is overwritten.
+            let mut levels = vec![-Fr::ONE; (1usize << n).max(2)];
+            eq_prefix_tables(&tau, &mut levels);
+            assert_eq!(levels[0], Fr::ZERO, "n={n}");
             for k in 0..n.max(1) {
                 assert_eq!(levels[1 << k..2 << k], eq_table(&tau[..k]), "n={n} k={k}");
             }
@@ -298,6 +298,9 @@ mod tests {
             for len in 0..=1usize << n {
                 let want: Vec<Fr> = full[..len].iter().map(|&v| c * v).collect();
                 assert_eq!(eq_table_prefix(&tau, len, c), want, "n={n} len={len}");
+                let mut reused = vec![-Fr::ONE; len];
+                eq_table_prefix_into(&tau, c, &mut reused);
+                assert_eq!(reused, want, "reused slice: n={n} len={len}");
             }
         }
     }

@@ -30,12 +30,14 @@ impl<F: Field> ProverOutput<F> {
     }
 }
 
-/// The round loop behind every prover below.
+/// The round loop behind [`prove_linear`] and [`prove_cubic`], folding each
+/// of its `T` tables (`2^n` entries each) in place.
 ///
-/// It sums `Σ_b w(b)·p(t_1(b), …, t_T(b))` over `T` tables: `p = t_1` for
-/// one table (degree 1), else `p = x·y` or `x·y − z` (degree 2), the shape
+/// It sums `Σ_b w(b)·p(t_1(b), …, t_T(b))`: `p = t_1` for one table (degree
+/// 1), `p = x·y − z` for three (degree 2), the shape
 /// [`Field::product_round_sums`] sums; the weight `w = eq(τ, ·)` when `eq`
-/// holds `τ`, else 1.
+/// holds `τ` (with the `max(2, 2^n)` entries its prefix levels are built
+/// into), else 1.
 ///
 /// A round's polynomial is `g(X) = L(X)·s(X)`: `s(X) = Σ_b w(b)·p(X, b)`
 /// sums the pairs under the `eq` weights of the variables still free, and
@@ -49,30 +51,29 @@ impl<F: Field> ProverOutput<F> {
 /// `g(k) = L(k)·s(k)`. Every step is exact arithmetic on canonical
 /// elements, so the rounds are the bytes a per-`X` evaluation of the full
 /// product gives, whatever the tables sum to.
-///
-/// `claim` is `s_prev(r)` of a round already sent, when the caller sent the
-/// first round itself ([`prove_quadratic_halves`]); `None` sums round 1's
-/// `s(1)` directly.
 fn prove_rounds<F: Field, const T: usize>(
-    eq: Option<&[F]>,
-    mut tables: [MultilinearPoly<F>; T],
-    mut claim: Option<F>,
+    eq: Option<(&[F], &mut [F])>,
+    mut tables: [&mut [F]; T],
     transcript: &mut Transcript,
 ) -> ProverOutput<F> {
-    let n = tables[0].num_vars();
-    let same_vars = tables.iter().all(|t| t.num_vars() == n);
+    let len = tables[0].len();
+    let same_vars = len.is_power_of_two() && tables.iter().all(|t| t.len() == len);
     assert!(same_vars, "variable count mismatch");
+    let n = len.trailing_zeros() as usize;
     // With an `eq` factor: 1/τ_j (zero where τ_j is) and the weight tables.
-    let eq = eq.map(|tau| {
+    let eq = eq.map(|(tau, levels)| {
         assert_eq!(tau.len(), n, "variable count mismatch");
         let mut inverses = tau.to_vec();
         F::batch_invert(&mut inverses);
-        (tau, inverses, eq_prefix_tables(tau))
+        eq_prefix_tables(tau, levels);
+        (tau, inverses, &*levels)
     });
     // `p` is of degree 1 in one table's values, 2 in a product's.
     let degree = T.min(2) + usize::from(eq.is_some());
     let mut rounds = Vec::with_capacity(n);
     let mut rs = Vec::with_capacity(n);
+    // `s_prev(r)`, once a round has been sent.
+    let mut claim = None;
     // The `eq` factor of the variables bound so far.
     let mut bound = F::ONE;
     for var in (0..n).rev() {
@@ -87,7 +88,7 @@ fn prove_rounds<F: Field, const T: usize>(
         let known = claim.filter(|_| !l1_inv.is_zero());
         let direct = known.is_none();
         let halves = tables.each_ref().map(|t| {
-            let (lo, hi) = t.evals().split_at(half);
+            let (lo, hi) = t[..2 * half].split_at(half);
             [lo, hi]
         });
         let [s0, summed, top] = match halves.as_slice() {
@@ -95,9 +96,8 @@ fn prove_rounds<F: Field, const T: usize>(
                 let sum = |h: &[F]| h.iter().copied().sum();
                 [sum(lo), if direct { sum(hi) } else { F::ZERO }, F::ZERO]
             }
-            [x, y] => F::product_round_sums(*x, *y, None, weights, direct),
             [x, y, z] => F::product_round_sums(*x, *y, Some(*z), weights, direct),
-            _ => unreachable!("the provers pass one, two or three tables"),
+            _ => unreachable!("the provers pass one or three tables"),
         };
         let s1 = known.map_or(summed, |claim| (claim - l0 * s0) * l1_inv);
 
@@ -116,7 +116,8 @@ fn prove_rounds<F: Field, const T: usize>(
         claim = Some(next_claim([s0, s1, top], r));
         bound *= l0 + r * (l1 - l0);
         for t in &mut tables {
-            t.fix_top_variable(r);
+            let (lo, hi) = t[..2 * half].split_at_mut(half);
+            F::fold_halves(lo, hi, r);
         }
         rounds.push(round);
         rs.push(r);
@@ -124,7 +125,7 @@ fn prove_rounds<F: Field, const T: usize>(
     ProverOutput {
         proof: SumcheckProof { rounds },
         rs,
-        final_evals: tables.iter().map(|t| t.evals()[0]).collect(),
+        final_evals: tables.iter().map(|t| t[0]).collect(),
     }
 }
 
@@ -139,20 +140,25 @@ pub fn prove_linear<F: Field>(
     poly: MultilinearPoly<F>,
     transcript: &mut Transcript,
 ) -> ProverOutput<F> {
-    prove_rounds(None, [poly], None, transcript)
+    prove_rounds(None, [&mut poly.into_evals()], transcript)
 }
 
-/// Proves `H = Σ_b f(b)·g(b)` (degree-2 rounds, evaluations at X ∈ {0,1,2}).
+/// Proves `H = Σ_b f(b)·g(b)` (degree-2 rounds, evaluations at X ∈ {0,1,2}),
+/// as [`prove_quadratic_halves`] over the tables' halves.
 ///
 /// # Panics
 ///
-/// Panics if the polynomials have different variable counts.
+/// Panics if the polynomials have different variable counts or none.
 pub fn prove_quadratic<F: Field>(
     f: MultilinearPoly<F>,
     g: MultilinearPoly<F>,
     transcript: &mut Transcript,
 ) -> ProverOutput<F> {
-    prove_rounds(None, [f, g], None, transcript)
+    let num_vars = f.num_vars();
+    let [mut f, mut g] = [f, g].map(MultilinearPoly::into_evals);
+    let half = f.len() / 2;
+    let [f, g] = [&mut f, &mut g].map(|t| t.split_at_mut(half).into());
+    prove_quadratic_halves(num_vars, f, g, transcript)
 }
 
 /// [`prove_quadratic`] over `f` and `g` on `num_vars` variables, each given
@@ -161,13 +167,15 @@ pub fn prove_quadratic<F: Field>(
 /// as `g`'s. The output is byte for byte [`prove_quadratic`]'s over the
 /// zero-padded tables.
 ///
-/// Round 1 sums and folds only the pairs `b < max(|lo|, |hi|)`, read
-/// straight from the prefixes: where both halves are live through
-/// [`Field::product_round_sums`], where one is through a [`Field::dot`]
-/// (with the other half zero, `s(∞)` is that side's product sum) and a
-/// [`Field::scale`] fold. Pairs past both prefixes add zero to every sum
-/// and fold to zero, so the later rounds run on the folded `2^(n−1)` tables
-/// as [`prove_quadratic`] would.
+/// Each round sums and folds only the live pairs: where both halves are
+/// live through [`Field::product_round_sums`], where one is through a
+/// [`Field::dot`] (with the other half zero, `s(∞)` is that side's product
+/// sum) and a [`Field::scale`] fold. Each table folds in place into its
+/// longer half, whose `max(|lo|, |hi|)` entries are then the live prefix of
+/// the next round's table, split at that round's half. So a prefix longer
+/// than the lower half keeps the two-part shape for one more round (the
+/// witness window of Spartan's sum-check #2 just past a quarter of `z`), and
+/// from the round whose lower half it fills on, every pair is live.
 ///
 /// # Panics
 ///
@@ -175,71 +183,83 @@ pub fn prove_quadratic<F: Field>(
 /// length, or one is longer than `2^(num_vars − 1)`.
 pub fn prove_quadratic_halves<F: Field>(
     num_vars: usize,
-    f: [&[F]; 2],
-    g: [&[F]; 2],
+    f: [&mut [F]; 2],
+    g: [&mut [F]; 2],
     transcript: &mut Transcript,
 ) -> ProverOutput<F> {
     assert!(num_vars > 0, "no variable to bind");
-    let half = 1usize << (num_vars - 1);
-    let [lo, hi] = f.map(<[F]>::len);
+    let lens = f.each_ref().map(|h| h.len());
     assert!(
-        g.map(<[F]>::len) == [lo, hi] && lo.max(hi) <= half,
+        g.each_ref().map(|h| h.len()) == lens && lens[0].max(lens[1]) <= 1 << (num_vars - 1),
         "halves' live prefixes disagree or overflow"
     );
-    let both = lo.min(hi);
-    let [mut s0, mut s1, mut top] = F::product_round_sums(
-        f.map(|h| &h[..both]),
-        g.map(|h| &h[..both]),
-        None,
-        None,
-        true,
-    );
-    let long = usize::from(hi > lo);
-    let tail = F::dot(&f[long][both..], &g[long][both..]);
-    if long == 0 {
-        s0 += tail;
-    } else {
-        s1 += tail;
+    let (mut f, mut g) = (f, g);
+    let mut rounds = Vec::with_capacity(num_vars);
+    let mut rs = Vec::with_capacity(num_vars);
+    let mut claim = None;
+    for var in (0..num_vars).rev() {
+        let [lo, hi] = f.each_ref().map(|h| h.len());
+        let (both, long) = (lo.min(hi), usize::from(hi > lo));
+        let [mut s0, mut s1, mut top] = F::product_round_sums(
+            f.each_ref().map(|h| &h[..both]),
+            g.each_ref().map(|h| &h[..both]),
+            None,
+            None,
+            claim.is_none(),
+        );
+        // Past the shorter half, the longer one's products: `s(0)` or `s(1)`.
+        let tail = F::dot(&f[long][both..], &g[long][both..]);
+        *[&mut s0, &mut s1][long] += tail;
+        top += tail;
+        // Degree 2 with no `eq` factor: `s(1) = claim − s(0)` after round 1,
+        // `g(2) = 2·s(1) − s(0) + 2·s(∞)`.
+        s1 = claim.map_or(s1, |claim| claim - s0);
+        let round = vec![s0, s1, s1 + (s1 - s0) + top.double()];
+        let r = prover_round_challenge(&round, transcript);
+        claim = Some(next_claim([s0, s1, top], r));
+        rounds.push(round);
+        rs.push(r);
+        // `(1 − r)·lo + r·hi`, written over the longer half; past the
+        // shorter one, the longer half's entries times its weight.
+        let folded = [f, g].map(|[lo, hi]| {
+            let (into, from, [w, tail_w]) = match long {
+                0 => (lo, hi, [r, F::ONE - r]),
+                _ => (hi, lo, [F::ONE - r, r]),
+            };
+            F::fold_halves(&mut into[..both], &from[..both], w);
+            F::scale(&mut into[both..], tail_w);
+            into
+        });
+        // The next round's halves; after the last round, `[[], table]`.
+        [f, g] = folded.map(|t| t.split_at_mut(t.len().min((1 << var) / 2)).into());
     }
-    top += tail;
-    // Degree 2 with no `eq` factor: `g(0), g(1)` and `g(2) = 2·s(1) − s(0) + 2·s(∞)`.
-    let round = vec![s0, s1, s1 + (s1 - s0) + top.double()];
-    let r = prover_round_challenge(&round, transcript);
-
-    let fold = |[lo, hi]: [&[F]; 2]| {
-        let mut t = Vec::with_capacity(half);
-        t.extend_from_slice(lo);
-        F::fold_halves(&mut t[..both], &hi[..both], r);
-        F::scale(&mut t[both..], F::ONE - r);
-        t.extend_from_slice(&hi[both..]);
-        F::scale(&mut t[lo.len()..], r);
-        t.resize(half, F::ZERO);
-        MultilinearPoly::new(t)
-    };
-    let claim = next_claim([s0, s1, top], r);
-    let mut out = prove_rounds(None, [fold(f), fold(g)], Some(claim), transcript);
-    out.proof.rounds.insert(0, round);
-    out.rs.insert(0, r);
-    out
+    let final_evals = [f, g].map(|[_, t]| t.first().copied().unwrap_or(F::ZERO));
+    ProverOutput {
+        proof: SumcheckProof { rounds },
+        rs,
+        final_evals: final_evals.to_vec(),
+    }
 }
 
 /// Proves `H = Σ_b eq(τ, b)·(a(b)·c(b) - d(b))` — the Spartan outer
 /// sum-check (degree-3 rounds, evaluations at X ∈ {0,1,2,3}) — from `τ`
-/// itself: no `eq` table is passed, folded or ever built in full.
+/// itself: no `eq` table is folded or ever built in full. The tables
+/// `[a, c, d]` are folded in place, and `levels` (`max(2, 2^n)` entries,
+/// their prior contents unread) receives the `eq` weights of every round.
 ///
 /// The `final_evals` are `[a, c, d]` at the bound point.
 ///
 /// # Panics
 ///
-/// Panics if the polynomials' variable counts differ from `tau.len()`.
+/// Panics if the tables' lengths are not `2^tau.len()` or `levels` is not
+/// `max(2, 2^tau.len())` entries.
 pub fn prove_cubic<F: Field>(
     tau: &[F],
-    a: MultilinearPoly<F>,
-    c: MultilinearPoly<F>,
-    d: MultilinearPoly<F>,
+    tables: [&mut [F]; 3],
+    levels: &mut [F],
     transcript: &mut Transcript,
 ) -> ProverOutput<F> {
-    prove_rounds(Some(tau), [a, c, d], None, transcript)
+    prove_rounds(Some((tau, levels)), tables, transcript)
 }
 
 #[cfg(test)]
@@ -261,6 +281,22 @@ mod tests {
         core::array::from_fn(|_| {
             MultilinearPoly::new((0..1usize << n).map(|_| F::random(rng)).collect())
         })
+    }
+
+    /// [`prove_cubic`] over copies of the tables.
+    fn cubic<F: Field>(
+        tau: &[F],
+        tables: [&MultilinearPoly<F>; 3],
+        transcript: &mut Transcript,
+    ) -> ProverOutput<F> {
+        let mut tables = tables.map(|t| t.evals().to_vec());
+        let mut levels = vec![F::ZERO; tables[0].len().max(2)];
+        prove_cubic(
+            tau,
+            tables.each_mut().map(|t| &mut t[..]),
+            &mut levels,
+            transcript,
+        )
     }
 
     /// The round loop these provers had before the additions-only rewrite,
@@ -375,7 +411,7 @@ mod tests {
                 ] {
                     for (claim, d) in [("non-zero", &d), ("zero", &ac)] {
                         assert_same(
-                            |t| prove_cubic(&tau, a.clone(), c.clone(), d.clone(), t),
+                            |t| cubic(&tau, [&a, &c, d], t),
                             |t| cubic_oracle(&tau, [&a, &c, d], t),
                             &format!("cubic τ {shape}, {claim} claim, {case}"),
                         );
@@ -403,7 +439,9 @@ mod tests {
                     }
                     table
                 });
-                let [fh, gh] = [&f, &g].map(|t| [&t[..lo], &t[half..half + hi]]);
+                let [mut fh, mut gh] =
+                    [&f, &g].map(|t| [&t[..lo], &t[half..half + hi]].map(<[Fr]>::to_vec));
+                let [fh, gh] = [&mut fh, &mut gh].map(|h| h.each_mut().map(|h| &mut h[..]));
                 assert_same(
                     |t| prove_quadratic_halves(n, fh, gh, t),
                     |t| {
@@ -422,8 +460,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "disagree or overflow")]
     fn live_halves_of_unequal_length_panic() {
-        let t = [Fr::ONE; 2];
-        let _ = prove_quadratic_halves(2, [&t, &t[..1]], [&t, &t], &mut Transcript::new(b"x"));
+        let (mut f, mut g) = ([Fr::ONE; 4], [Fr::ONE; 4]);
+        let (f_lo, f_hi) = f.split_at_mut(2);
+        let (g_lo, g_hi) = g.split_at_mut(2);
+        let f = [f_lo, &mut f_hi[..1]];
+        let _ = prove_quadratic_halves(2, f, [g_lo, g_hi], &mut Transcript::new(b"x"));
     }
 
     /// The portable bodies end to end. `Counted` is not a `declare_field!`
@@ -498,8 +539,8 @@ mod tests {
                 let tau_counted = wrap(&tau);
                 same(
                     [a.clone(), c.clone(), d.clone()],
-                    |t, [a, c, d]| prove_cubic(&tau, a, c, d, t),
-                    |t, [a, c, d]| prove_cubic(&tau_counted, a, c, d, t),
+                    |t, [a, c, d]| cubic(&tau, [&a, &c, &d], t),
+                    |t, [a, c, d]| cubic(&tau_counted, [&a, &c, &d], t),
                     &format!("cubic τ {shape} n={n}"),
                 );
                 let case = format!("τ {shape} n={n}");
@@ -535,8 +576,8 @@ mod tests {
                 );
                 same(
                     [t.clone(), t.clone(), t],
-                    |tr, [a, c, d]| prove_cubic(&tau, a, c, d, tr),
-                    |tr, [a, c, d]| prove_cubic(&tau_counted, a, c, d, tr),
+                    |tr, [a, c, d]| cubic(&tau, [&a, &c, &d], tr),
+                    |tr, [a, c, d]| cubic(&tau_counted, [&a, &c, &d], tr),
                     &format!("cubic {shape}, τ zero at {} n={n}", n / 2),
                 );
             }
@@ -574,7 +615,7 @@ mod tests {
         assert!(muls.deferred <= 2 * pairs + first, "quadratic {muls:?}");
 
         let (_, invert) = count_muls(|| Counted::batch_invert(&mut tau.clone()));
-        let (_, muls) = count_muls(|| prove_cubic(&tau, a, c, d, &mut t));
+        let (_, muls) = count_muls(|| cubic(&tau, [&a, &c, &d], &mut t));
         let in_loops = muls.full - n * (ROUND + 4) - invert.full;
         assert!(in_loops <= 5 * pairs + first + first, "cubic {muls:?}");
         assert!(muls.deferred <= 2 * pairs + first, "cubic {muls:?}");
@@ -627,7 +668,7 @@ mod tests {
             .map(|b| eq.evals()[b] * (a.evals()[b] * c.evals()[b] - d.evals()[b]))
             .sum();
         let mut pt = Transcript::new(b"cubic");
-        let out = prove_cubic(&tau, a.clone(), c.clone(), d.clone(), &mut pt);
+        let out = cubic(&tau, [&a, &c, &d], &mut pt);
         let mut vt = Transcript::new(b"cubic");
         let (fc, _) = verify_rounds(h, &out.proof, 3, &mut vt).expect("verifies");
         let [av, cv, dv]: [Fr; 3] = out.final_evals.clone().try_into().unwrap();
@@ -652,7 +693,7 @@ mod tests {
                 .collect(),
         );
         let mut pt = Transcript::new(b"sat");
-        let out = prove_cubic(&tau, a.clone(), c.clone(), d.clone(), &mut pt);
+        let out = cubic(&tau, [&a, &c, &d], &mut pt);
         let mut vt = Transcript::new(b"sat");
         assert!(verify_rounds(Fr::ZERO, &out.proof, 3, &mut vt).is_some());
     }

@@ -66,11 +66,14 @@ struct Compiler<F: Field> {
 }
 
 impl<F: Field> Compiler<F> {
-    fn new(options: CompileOptions, record: bool) -> Self {
+    /// Records constraints without `counts`; with them, reserves the
+    /// assignment of a circuit of that many inputs and witnesses.
+    fn new(options: CompileOptions, counts: Option<[usize; 2]>) -> Self {
+        let [inputs, witness] = counts.unwrap_or_default().map(Vec::with_capacity);
         Self {
-            builder: record.then(R1csBuilder::new),
-            inputs: Vec::new(),
-            witness: Vec::new(),
+            builder: counts.is_none().then(R1csBuilder::new),
+            inputs,
+            witness,
             options,
         }
     }
@@ -245,7 +248,7 @@ pub fn compile_inference_with_options<F: Field>(
     trace: &Trace,
     options: CompileOptions,
 ) -> CompiledInference<F> {
-    let c = synthesize::<F>(network, input, trace, options, true);
+    let c = synthesize::<F>(network, input, trace, options, None);
     CompiledInference {
         r1cs: c.builder.expect("constraints recorded").build(),
         inputs: c.inputs,
@@ -255,7 +258,8 @@ pub fn compile_inference_with_options<F: Field>(
 
 /// The `(inputs, witness)` of [`compile_inference`], byte for byte, without
 /// recording the constraints: the per-request half of compilation, for a
-/// network whose circuit was compiled once up front.
+/// network whose circuit was compiled once up front. The circuit's input
+/// and witness counts size the two vectors, so each is allocated once.
 ///
 /// # Panics
 ///
@@ -264,26 +268,29 @@ pub fn compile_witness<F: Field>(
     network: &Network,
     input: &crate::tensor::Tensor,
     trace: &Trace,
+    circuit: &R1cs<F>,
 ) -> (Vec<F>, Vec<F>) {
-    let c = synthesize::<F>(network, input, trace, CompileOptions::default(), false);
+    let counts = Some([circuit.num_inputs(), circuit.num_witness()]);
+    let c = synthesize(network, input, trace, CompileOptions::default(), counts);
     (c.inputs, c.witness)
 }
 
-/// Runs every gadget over the inference, recording the constraints only
-/// when `record` is set; the assignment is the same either way.
+/// Runs every gadget over the inference, recording the constraints unless
+/// given the circuit's `[input, witness]` counts to reserve; the assignment
+/// is the same either way.
 fn synthesize<F: Field>(
     network: &Network,
     input: &crate::tensor::Tensor,
     trace: &Trace,
     options: CompileOptions,
-    record: bool,
+    counts: Option<[usize; 2]>,
 ) -> Compiler<F> {
     assert_eq!(
         trace.activations.len(),
         network.layers.len(),
         "trace does not match the network"
     );
-    let mut c = Compiler::<F>::new(options, record);
+    let mut c = Compiler::<F>::new(options, counts);
 
     // Public image pixels.
     let mut current: Vec<Wire> = input.data().iter().map(|&v| c.public(v)).collect();
@@ -488,12 +495,12 @@ mod tests {
         let input = synthetic_image(seed, &net.input_shape);
         let trace = net.forward(&input);
         let full = compile_inference_with_options::<Fr>(net, &input, &trace, options);
-        let lean = synthesize::<Fr>(net, &input, &trace, options, false);
+        let lean = synthesize::<Fr>(net, &input, &trace, options, Some([0, 0]));
         assert!(lean.builder.is_none());
         assert_eq!(lean.inputs, full.inputs, "inputs of image {seed}");
         assert_eq!(lean.witness, full.witness, "witness of image {seed}");
         if options == CompileOptions::default() {
-            let public = compile_witness::<Fr>(net, &input, &trace);
+            let public = compile_witness::<Fr>(net, &input, &trace, shared);
             assert_eq!(public, (lean.inputs.clone(), lean.witness.clone()));
         }
         assert!(shared.is_satisfied(&shared.assemble_z(&lean.inputs, &lean.witness)));
@@ -540,7 +547,7 @@ mod tests {
         let options = CompileOptions {
             range_check_bits: Some(2),
         };
-        let _ = synthesize::<Fr>(&net, &input, &trace, options, false);
+        let _ = synthesize::<Fr>(&net, &input, &trace, options, Some([0, 0]));
     }
 
     #[test]
@@ -549,8 +556,9 @@ mod tests {
         let net = tiny_cnn();
         let input = synthetic_image(35, &net.input_shape);
         let mut trace = net.forward(&input);
+        let circuit = compile_inference::<Fr>(&net, &input, &trace).r1cs;
         trace.activations.pop();
-        let _ = compile_witness::<Fr>(&net, &input, &trace);
+        let _ = compile_witness::<Fr>(&net, &input, &trace, &circuit);
     }
 }
 

@@ -381,14 +381,14 @@ impl MlService {
         // Each request's forward pass + witness generation is independent,
         // so fan out across the host pool; `par_map` returns results in
         // input order, keeping predictions aligned with arrival order.
+        let r1cs = self.r1cs();
         let (logits, instances): (Vec<_>, Vec<_>) = batchzk_par::par_map(images, |image| {
             let trace = self.network.forward(image);
             let logits = trace.output().data().to_vec();
-            (logits, compile_witness::<Fr>(&self.network, image, &trace))
+            (logits, compile_witness(&self.network, image, &trace, r1cs))
         })
         .into_iter()
         .unzip();
-        let r1cs = self.r1cs();
         for (inputs, witness) in &instances {
             assert!(
                 inputs.len() == r1cs.num_inputs() && witness.len() == r1cs.num_witness(),

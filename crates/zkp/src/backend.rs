@@ -39,7 +39,7 @@ use batchzk_gpu_sim::Gpu;
 use batchzk_pipeline::groth::{self, GrothCircuit, GrothProof, GrothTask};
 use batchzk_pipeline::{BoxedStage, PipeStage, StageWork};
 
-use crate::batch::{build_stages, module_weights, task_footprint_bytes, BatchTask};
+use crate::batch::{build_stages, module_weights, task_footprint_bytes, BatchTask, Buffers};
 use crate::orion::{OrionBackend, OrionProof, OrionTask};
 use crate::pcs::{PcsKey, PcsParams};
 use crate::r1cs::R1cs;
@@ -108,10 +108,12 @@ pub(crate) fn check_len(backend: &str, what: &str, found: usize, expected: usize
 }
 
 /// The paper's sumcheck system as a [`ProverBackend`]: encoder → Merkle →
-/// sum-check → assemble over one shared R1CS.
+/// sum-check → assemble over one shared R1CS. Its clones share the storage
+/// the stages reuse from proof to proof.
 pub struct SpartanBackend<F: Field> {
     r1cs: Arc<R1cs<F>>,
     key: Arc<PcsKey<F>>,
+    buffers: Arc<Buffers<F>>,
 }
 
 impl<F: Field> Clone for SpartanBackend<F> {
@@ -119,6 +121,7 @@ impl<F: Field> Clone for SpartanBackend<F> {
         Self {
             r1cs: Arc::clone(&self.r1cs),
             key: Arc::clone(&self.key),
+            buffers: Arc::clone(&self.buffers),
         }
     }
 }
@@ -129,7 +132,18 @@ impl<F: Field> SpartanBackend<F> {
     /// verification shares.
     pub fn new(r1cs: Arc<R1cs<F>>, params: PcsParams) -> Self {
         let key = Arc::new(spartan::witness_key(params, &r1cs));
-        Self { r1cs, key }
+        let buffers = Arc::default();
+        Self { r1cs, key, buffers }
+    }
+
+    /// The capacities of the sum-check arenas its stages gave back.
+    pub fn arena_capacities(&self) -> Vec<usize> {
+        let arenas = self.buffers.arenas.lock();
+        arenas
+            .expect("no stage panics holding it")
+            .iter()
+            .map(Vec::capacity)
+            .collect()
     }
 
     /// The shared circuit.
@@ -165,7 +179,7 @@ impl<F: Field> ProverBackend for SpartanBackend<F> {
     }
 
     fn stages(&self, gpu: &Gpu, total_threads: u32) -> Vec<BoxedStage<Self::Task>> {
-        build_stages(gpu, &self.r1cs, &self.key, total_threads)
+        build_stages(gpu, &self.r1cs, &self.key, &self.buffers, total_threads)
     }
 
     fn task_footprint_bytes(&self) -> u64 {

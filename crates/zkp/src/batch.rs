@@ -29,7 +29,7 @@
 //! entry points below, which are generic over [`ProverBackend`] and are the
 //! only way to run a batch, a sharded batch, or a service for any protocol.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use batchzk_field::Field;
 use batchzk_gpu_sim::{CostModel, DevicePool, Gpu, Work};
@@ -107,6 +107,32 @@ fn encoded_bytes<F: Field>(key: &PcsKey<F>) -> u64 {
     (key.n_rows() * key.codeword_len() * 32) as u64
 }
 
+/// The storage the Spartan stages reuse across the proofs of one backend
+/// (DESIGN.md §16, "The sum-check arena"): each stack holds as many buffers
+/// as were ever in use at once — a [`spartan::arena_len`] arena per device
+/// in its sum-check stage, a codeword buffer per task in flight.
+#[derive(Default)]
+pub(crate) struct Buffers<F> {
+    pub(crate) arenas: Mutex<Vec<Vec<F>>>,
+    codewords: Mutex<Vec<Vec<F>>>,
+}
+
+/// A buffer from `stack`, or an empty one to grow.
+fn take<F>(stack: &Mutex<Vec<Vec<F>>>) -> Vec<F> {
+    let mut stack = stack.lock().unwrap_or_else(PoisonError::into_inner);
+    stack.pop().unwrap_or_default()
+}
+
+/// Gives a buffer back. Debug builds fill it with a non-zero pattern first,
+/// so a kernel reading reused storage before writing it fails the digests.
+fn give<F: Field>(stack: &Mutex<Vec<Vec<F>>>, mut buffer: Vec<F>) {
+    if cfg!(debug_assertions) {
+        buffer.fill(-F::ONE);
+    }
+    let mut stack = stack.lock().unwrap_or_else(PoisonError::into_inner);
+    stack.push(buffer);
+}
+
 /// The four stages' kernel names, in pipeline order.
 const STAGE_NAMES: [&str; 4] = [
     "system-encoder",
@@ -121,6 +147,7 @@ struct Stage<F: Field> {
     threads: u32,
     r1cs: Arc<R1cs<F>>,
     key: Arc<PcsKey<F>>,
+    buffers: Arc<Buffers<F>>,
     cost: CostModel,
 }
 
@@ -177,6 +204,7 @@ impl<F: Field> Stage<F> {
             &self.key,
             &self.cost,
             witness,
+            take(&self.buffers.codewords),
             (witness.len() * 32) as u64,
             encoded_bytes(&self.key),
         );
@@ -198,8 +226,11 @@ impl<F: Field> Stage<F> {
         transcript.absorb_digest(b"w-commitment", &commit.commitment.root);
         let io = self.r1cs.io(inputs);
         let z = self.r1cs.live(&io, witness);
-        let products = self.r1cs.products(z);
-        let part = spartan::sumchecks_over(&self.r1cs, z, products, &mut transcript);
+        let mut arena = take(&self.buffers.arenas);
+        arena.resize(spartan::arena_len(&self.r1cs), F::ZERO);
+        self.r1cs.products(z, &mut arena);
+        let part = spartan::sumchecks_over(&self.r1cs, z, &mut arena, &mut transcript);
+        give(&self.buffers.arenas, arena);
 
         let m = self.r1cs.padded_constraints() as u64;
         let n = self.r1cs.z_len() as u64;
@@ -256,6 +287,7 @@ impl<F: Field> Stage<F> {
             opening,
         };
         let units = (2 * data.n_rows() as u64) * (proof.opening.combined_row.len() as u64);
+        give(&self.buffers.codewords, data.into_codewords());
         let work = StageWork {
             work: Work::Uniform {
                 units: units.max(1),
@@ -540,6 +572,7 @@ pub(crate) fn build_stages<F: Field>(
     gpu: &Gpu,
     r1cs: &Arc<R1cs<F>>,
     key: &Arc<PcsKey<F>>,
+    buffers: &Arc<Buffers<F>>,
     total_threads: u32,
 ) -> Vec<BoxedStage<BatchTask<F>>> {
     let threads = allocate_threads(total_threads, &module_weights(gpu, r1cs, key));
@@ -548,6 +581,7 @@ pub(crate) fn build_stages<F: Field>(
         threads: threads[k],
         r1cs: Arc::clone(r1cs),
         key: Arc::clone(key),
+        buffers: Arc::clone(buffers),
         cost: *gpu.cost(),
     };
     (0..STAGE_NAMES.len())
@@ -772,6 +806,10 @@ mod tests {
             })
             .collect();
         let (base_single, base_pooled) = &runs[0];
+        // Every run reused the backend's buffers, which debug builds fill
+        // with a non-zero pattern: the proofs are still the one-shot bytes.
+        let reference = spartan::prove(&test_params(), &r1cs, &batch[0].0, &batch[0].1);
+        assert!(base_pooled.proofs.iter().all(|(_, p)| *p == reference));
         for (i, (single, pooled)) in runs.iter().enumerate().skip(1) {
             let t = [1, 2, 4][i];
             assert_eq!(single.proofs, base_single.proofs, "threads={t}: proofs");
@@ -933,6 +971,9 @@ mod tests {
         };
         let run = faulty(1);
         assert_eq!(run.proofs, clean.proofs, "recovery must be invisible");
+        // The two devices shared the backend's reused buffers throughout.
+        let reference = spartan::prove(&params, &r1cs, &batch[0].0, &batch[0].1);
+        assert!(run.proofs.iter().all(|(_, p)| *p == reference));
         for (io, proof) in &run.proofs {
             assert!(verify(&params, &r1cs, io, proof));
         }
@@ -944,7 +985,7 @@ mod tests {
             "recovery costs wall time"
         );
         // Same fault plan, more host threads: byte-identical everything.
-        let run2 = faulty(2);
+        let run2 = faulty(4);
         assert_eq!(run2.proofs, run.proofs);
         assert_eq!(run2.recovery, run.recovery);
         assert_eq!(run2.device_ms, run.device_ms);

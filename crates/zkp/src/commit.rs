@@ -39,17 +39,19 @@ pub(crate) fn module_weights<F: Field>(gpu: &Gpu, key: &PcsKey<F>) -> [u64; 2] {
 }
 
 /// The encoder stage: arranges `evals` as the coefficient matrix and
-/// encodes every row. `h2d_bytes` is this proof's prover input, which
-/// arrives now (dynamic loading); `resident` is what the task keeps on the
-/// device from here until its proof leaves.
+/// encodes every row, into `codewords` ([`PcsKey::commit_encode_into`]).
+/// `h2d_bytes` is this proof's prover input, which arrives now (dynamic
+/// loading); `resident` is what the task keeps on the device from here
+/// until its proof leaves.
 pub(crate) fn encode<F: Field>(
     key: &PcsKey<F>,
     cost: &CostModel,
     evals: &[F],
+    codewords: Vec<F>,
     h2d_bytes: u64,
     resident: u64,
 ) -> (EncodedRows<F>, StageWork) {
-    let encoded = key.commit_encode(evals);
+    let encoded = key.commit_encode_into(evals, codewords);
     let work = StageWork {
         work: Work::Uniform {
             units: (encoded.encode_nnz() as u64).max(1),

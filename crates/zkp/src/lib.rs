@@ -190,14 +190,17 @@ mod randomized_tests {
                     *slot += *g * v;
                 }
             }
-            let m_combo = r1cs.bind_rows_combined(&eq_rows, &gamma);
+            let m_combo = r1cs::tests::bind(&r1cs, &eq_rows, &gamma).concat();
             assert_eq!(
-                m_combo.concat(),
+                m_combo,
                 [&padded[..1 + num_inputs], &padded[half..half + num_witness]].concat(),
                 "{case}: bind"
             );
+            // In an arena holding no zeros, as reused storage does.
+            let mut arena = vec![-Fr::ONE; spartan::arena_len(&r1cs)];
+            arena[..m_combo.len()].copy_from_slice(&m_combo);
             let (mut wt, mut pt) = (Transcript::new(b"sc2"), Transcript::new(b"sc2"));
-            let windowed = spartan::prove_inner(&r1cs, &m_combo, r1cs.windows(&z), &mut wt);
+            let windowed = spartan::prove_inner(&r1cs, r1cs.windows(&z), &mut arena, &mut wt);
             let [m_poly, z_poly] = [padded, z.clone()].map(MultilinearPoly::new);
             let full = prove_quadratic(m_poly, z_poly.clone(), &mut pt);
             assert_eq!(windowed.proof, full.proof, "{case}: sc2 rounds");

@@ -135,9 +135,9 @@ impl<F: Field> PipeStage<OrionTask<F>> for Stage<F> {
             (0, _) => {
                 // Stage 1: transpose the coefficient matrix and encode
                 // every row.
-                let h2d_bytes = (task.evals.len() * 32) as u64;
+                let h2d = (task.evals.len() * 32) as u64;
                 let (encoded, work) =
-                    commit::encode(p, &self.cost, &task.evals, h2d_bytes, resident_bytes(p));
+                    commit::encode(p, &self.cost, &task.evals, vec![], h2d, resident_bytes(p));
                 (Encoded(encoded), work)
             }
             (1, Encoded(encoded)) => {

@@ -17,8 +17,6 @@
 //! entries: each skipped entry is an exact zero. The matrices themselves
 //! index only the live columns `io ‖ w`, as `u32`s.
 
-use core::ops::Range;
-
 use batchzk_field::Field;
 use batchzk_sumcheck::eq_table_prefix;
 #[cfg(test)]
@@ -99,13 +97,13 @@ impl<F: Field> Csr<F> {
         })
     }
 
-    /// Hands `put` the row sums `(M · x)[r]` of `rows`, in order, for
-    /// `x = (io ‖ w)` given as its two windows. A row's first ±1 entry
-    /// starts its sum, so a row of one costs no addition, and a row's
-    /// general entries share one deferred reduction ([`Field::dot_pairs`])
-    /// when there are two or more. The loop lives here, not in an iterator
-    /// adapter, so each caller's copy keeps the row body inlined.
-    fn row_sums(&self, x: Windows<'_, F>, rows: Range<usize>, mut put: impl FnMut(F)) {
+    /// Writes the row sums `(M · x)[r]` of the rows from `first` on into
+    /// `out`, one a slot, for `x = (io ‖ w)` given as its two windows. A
+    /// row's first ±1 entry starts its sum, so a row of one costs no
+    /// addition, and a row's general entries share one deferred reduction
+    /// ([`Field::dot_pairs`]) when there are two or more. The loop lives
+    /// here, not in an iterator adapter, so the row body stays inlined.
+    fn row_sums(&self, x: Windows<'_, F>, first: usize, out: &mut [F]) {
         let Windows { io, w } = x;
         let x = |c: u32| {
             let c = c as usize;
@@ -123,9 +121,9 @@ impl<F: Field> Csr<F> {
                 -v
             }
         };
-        let ends = &self.ends[rows.start..=rows.end];
+        let ends = &self.ends[first..=first + out.len()];
         let [mut u, mut g] = ends[0].map(|i| i as usize);
-        for &[u_end, g_end] in &ends[1..] {
+        for (slot, &[u_end, g_end]) in out.iter_mut().zip(&ends[1..]) {
             let units = &self.units[u..u_end as usize];
             let general = &self.general[g..g_end as usize];
             (u, g) = (u_end as usize, g_end as usize);
@@ -133,11 +131,11 @@ impl<F: Field> Csr<F> {
                 [] => F::ZERO,
                 [first, rest @ ..] => rest.iter().fold(signed(*first), |s, &u| s + signed(u)),
             };
-            put(match general {
+            *slot = match general {
                 [] => sum,
                 [(c, v)] => sum + *v * x(*c),
                 _ => sum + F::dot_pairs(general.iter().map(|&(c, v)| (v, x(c)))),
-            });
+            };
         }
     }
 
@@ -419,76 +417,85 @@ impl<F: Field> R1cs<F> {
         self.matrices.each_ref().map(|m| {
             let mut block = [F::ZERO; 512];
             let blocks = eq_rx.chunks(block.len()).enumerate().map(|(i, eq)| {
-                let first = i * block.len();
-                let mut slots = block.iter_mut();
-                m.row_sums(eq_y, first..first + eq.len(), |sum| {
-                    *slots.next().expect("a slot per row") = sum;
-                });
+                m.row_sums(eq_y, i * block.len(), &mut block[..eq.len()]);
                 F::dot(eq, &block)
             });
             blocks.sum()
         })
     }
 
-    /// The three products `[A·z, B·z, C·z]`, one entry per constraint, each
-    /// with room for the padded length sum-check #1 extends it to.
+    /// Writes the three products `[A·z, B·z, C·z]`, one entry per
+    /// constraint, into the three blocks of `padded_constraints` entries at
+    /// the front of `out`, each zero past the constraint count: the tables
+    /// sum-check #1 folds. Nothing `out` held is read.
     ///
     /// # Panics
     ///
-    /// Panics if `z`'s windows are not the live windows' lengths.
-    pub fn products(&self, z: Windows<'_, F>) -> [Vec<F>; 3] {
+    /// Panics if `z`'s windows are not the live windows' lengths or `out`
+    /// is shorter than `3 · padded_constraints`.
+    pub fn products(&self, z: Windows<'_, F>, out: &mut [F]) {
         self.check_live(z);
-        self.matrices.each_ref().map(|m| {
-            let mut out = Vec::with_capacity(self.padded_constraints());
-            m.row_sums(z, 0..self.num_constraints, |sum| out.push(sum));
-            out
-        })
+        let m = self.padded_constraints();
+        for (matrix, table) in self.matrices.iter().zip(out[..3 * m].chunks_exact_mut(m)) {
+            let (sums, padding) = table.split_at_mut(self.num_constraints);
+            matrix.row_sums(z, 0, sums);
+            padding.fill(F::ZERO);
+        }
     }
 
     /// Whether [`Self::products`] of an assignment satisfy every
     /// constraint: `(A·z) ∘ (B·z) = C·z`.
-    pub fn products_satisfy([az, bz, cz]: &[Vec<F>; 3]) -> bool {
+    pub fn products_satisfy(&self, products: &[F]) -> bool {
+        let m = self.padded_constraints();
+        let [az, bz, cz] = [0, 1, 2].map(|k| &products[k * m..k * m + self.num_constraints]);
         az.iter().zip(bz).zip(cz).all(|((a, b), c)| *a * *b == *c)
     }
 
     /// Checks satisfaction of every constraint.
     pub fn is_satisfied(&self, z: &[F]) -> bool {
-        z.len() == self.z_len() && Self::products_satisfy(&self.products(self.windows(z)))
+        let mut products = vec![F::ZERO; 3 * self.padded_constraints()];
+        z.len() == self.z_len() && {
+            self.products(self.windows(z), &mut products);
+            self.products_satisfy(&products)
+        }
     }
 
-    /// The γ-combined row-bound matrix polynomial of Spartan's second
-    /// sum-check, `Σ_k γ_k · Σ_x eq_x[x] · M_k(x, ·)` for `M = (A, B, C)`,
-    /// as its two live windows `[io, w]` (of `1 + num_inputs` and
-    /// `num_witness` entries): the columns outside them are zero.
+    /// Writes the γ-combined row-bound matrix polynomial of Spartan's
+    /// second sum-check, `Σ_k γ_k · Σ_x eq_x[x] · M_k(x, ·)` for
+    /// `M = (A, B, C)`, into `out` as its two live windows `io ‖ w` (of
+    /// `1 + num_inputs` and `num_witness` entries): the columns outside
+    /// them are zero. `stacked` holds `eq_x` over the constraint rows in
+    /// its first `num_constraints` entries and becomes
+    /// `[γ_A·eq_x ‖ γ_B·eq_x ‖ γ_C·eq_x]`.
     ///
     /// It is one gather per live column over the stacked transpose against
-    /// `[γ_A·eq_x ‖ γ_B·eq_x ‖ γ_C·eq_x]`: `3·rows` multiplies plus one per
-    /// non-zero that is not ±1, and one sum per column where a scatter over
-    /// the rows would update a column once per non-zero.
+    /// that vector: `3·rows` multiplies plus one per non-zero that is not
+    /// ±1, and one sum per column where a scatter over the rows would
+    /// update a column once per non-zero.
     ///
     /// # Panics
     ///
-    /// Panics if `eq_x` is shorter than the constraint count or `gamma`
-    /// does not hold three elements.
-    pub fn bind_rows_combined(&self, eq_x: &[F], gamma: &[F]) -> [Vec<F>; 2] {
+    /// Panics if `stacked` is not `3 · num_constraints` entries, `gamma`
+    /// does not hold three elements, or `out` is not the live windows'
+    /// length.
+    pub fn bind_rows_combined(&self, stacked: &mut [F], gamma: &[F], out: &mut [F]) {
         assert_eq!(gamma.len(), 3, "one γ per matrix");
-        let eq_x = &eq_x[..self.num_constraints];
-        let mut scaled = eq_x.repeat(3);
-        for (part, &g) in scaled.chunks_exact_mut(eq_x.len()).zip(gamma) {
+        let rows = self.num_constraints;
+        assert_eq!(stacked.len(), 3 * rows, "one eq block per matrix");
+        let (eq_x, copies) = stacked.split_at_mut(rows);
+        for copy in copies.chunks_exact_mut(rows) {
+            copy.copy_from_slice(eq_x);
+        }
+        for (part, &g) in stacked.chunks_exact_mut(rows).zip(gamma) {
             F::scale(part, g);
         }
+        let live = 1 + self.num_inputs + self.num_witness;
+        assert_eq!(out.len(), live, "window lengths");
         let scaled = Windows {
-            io: &scaled,
+            io: &*stacked,
             w: &[],
         };
-        let io_len = 1 + self.num_inputs;
-        let windows = [0..io_len, io_len..io_len + self.num_witness];
-        windows.map(|columns| {
-            let mut out = Vec::with_capacity(columns.len());
-            self.transpose
-                .row_sums(scaled, columns, |sum| out.push(sum));
-            out
-        })
+        self.transpose.row_sums(scaled, 0, out);
     }
 }
 
@@ -662,6 +669,29 @@ pub(crate) mod tests {
         out
     }
 
+    /// [`R1cs::products`] into a new buffer holding no zeros, checked zero
+    /// past the constraint count, as the three constraint-length vectors.
+    pub(crate) fn products<F: Field>(r1cs: &R1cs<F>, z: Windows<'_, F>) -> [Vec<F>; 3] {
+        let (m, rows) = (r1cs.padded_constraints(), r1cs.num_constraints());
+        let mut out = vec![-F::ONE; 3 * m];
+        r1cs.products(z, &mut out);
+        let mut padding = out.chunks(m).flat_map(|t| &t[rows..]);
+        assert!(padding.all(F::is_zero), "products' padding");
+        [0, 1, 2].map(|k| out[k * m..k * m + rows].to_vec())
+    }
+
+    /// [`R1cs::bind_rows_combined`] over `eq_x`'s first rows, in new buffers
+    /// holding no zeros, as its two windows.
+    pub(crate) fn bind<F: Field>(r1cs: &R1cs<F>, eq_x: &[F], gamma: &[F]) -> [Vec<F>; 2] {
+        let (rows, io) = (r1cs.num_constraints(), 1 + r1cs.num_inputs());
+        let mut stacked = vec![-F::ONE; 3 * rows];
+        stacked[..rows].copy_from_slice(&eq_x[..rows]);
+        let mut out = vec![-F::ONE; io + r1cs.num_witness()];
+        r1cs.bind_rows_combined(&mut stacked, gamma, &mut out);
+        let (io, w) = out.split_at(io);
+        [io.to_vec(), w.to_vec()]
+    }
+
     /// The padded matrix MLE `M̃(rx, ry)` against full `eq` tables: the
     /// plain triplet loop [`R1cs::matrix_evals`] is tested against.
     pub(crate) fn mle_eval<F: Field>(m: &[(usize, usize, F)], eq_rx: &[F], eq_ry: &[F]) -> F {
@@ -771,7 +801,7 @@ pub(crate) mod tests {
         let log_m = r1cs.padded_constraints().trailing_zeros() as usize;
         let rx: Vec<Fr> = (0..log_m).map(|_| Fr::random(&mut rng)).collect();
         let eq_rx = eq_table(&rx);
-        let [io, w] = r1cs.bind_rows_combined(&eq_rx, &[Fr::ONE, Fr::ZERO, Fr::ZERO]);
+        let [io, w] = bind(&r1cs, &eq_rx, &[Fr::ONE, Fr::ZERO, Fr::ZERO]);
         let [a, _, _] = triplets(&r1cs);
         // Check the ends of both windows against the triplet sum.
         let (half, last) = (r1cs.half_len(), w.len() - 1);
@@ -824,10 +854,7 @@ pub(crate) mod tests {
                 *slot += *g * v;
             }
         }
-        assert_eq!(
-            r1cs.bind_rows_combined(&eq_rx, &gamma),
-            padded_windows(&r1cs, &want)
-        );
+        assert_eq!(bind(&r1cs, &eq_rx, &gamma), padded_windows(&r1cs, &want));
     }
 
     /// The two live windows of a padded column vector, after checking that
@@ -927,7 +954,7 @@ pub(crate) mod tests {
                 random(&mut rng, cols),
                 random(&mut rng, 3),
             );
-            let products = r1cs.products(r1cs.windows(&z));
+            let products = products(&r1cs, r1cs.windows(&z));
             let evals = r1cs.matrix_evals(&eq_x, r1cs.windows(&eq_y));
             let mut combined = vec![Fr::ZERO; cols];
             for (k, (g, m)) in gamma.iter().zip(&want).enumerate() {
@@ -950,7 +977,7 @@ pub(crate) mod tests {
                 assert!(bound.iter().copied().eq(direct), "{case}: bind_rows {k}");
             }
             assert_eq!(
-                r1cs.bind_rows_combined(&eq_x, &gamma),
+                bind(&r1cs, &eq_x, &gamma),
                 padded_windows(&r1cs, &combined),
                 "{case}: binding"
             );
@@ -965,7 +992,7 @@ pub(crate) mod tests {
             // in the products at all.
             let (r1cs, inputs, witness) = synthetic_r1cs::<Counted>(s, 8);
             let z = r1cs.assemble_z(&inputs, &witness);
-            let (_, muls) = count_muls(|| r1cs.products(r1cs.windows(&z)));
+            let (_, muls) = count_muls(|| products(&r1cs, r1cs.windows(&z)));
             assert_eq!((muls.full, muls.deferred), (0, 0), "s={s}: all-ones");
 
             // The same shape of chain with B in three classes — 1, −1, 2 —
@@ -977,12 +1004,12 @@ pub(crate) mod tests {
             let z = r1cs.assemble_z(&inputs, &witness);
             let z = r1cs.windows(&z);
             let general = (s / 3) as u64;
-            let (_, muls) = count_muls(|| r1cs.products(z));
+            let (_, muls) = count_muls(|| products(&r1cs, z));
             assert_eq!((muls.full, muls.deferred), (general, 0), "s={s}: products");
 
             let eq_rx = vec![Counted::ONE; r1cs.padded_constraints()];
             let gamma = [Counted::ONE; 3];
-            let (_, muls) = count_muls(|| r1cs.bind_rows_combined(&eq_rx, &gamma));
+            let (_, muls) = count_muls(|| bind(&r1cs, &eq_rx, &gamma));
             // No z_len term: nothing passes over the dense column vector.
             let bound = 3 * r1cs.num_constraints() as u64 + general;
             assert_eq!((muls.full, muls.deferred), (bound, 0), "s={s}: binding");
@@ -1003,7 +1030,7 @@ pub(crate) mod tests {
             // none of B's products is a full multiply.
             let r1cs = chain(s, |w, i| vec![(w[i], two), (w[(i + 1) % s], two)]);
             let z = r1cs.assemble_z(&inputs, &witness);
-            let (_, muls) = count_muls(|| r1cs.products(r1cs.windows(&z)));
+            let (_, muls) = count_muls(|| products(&r1cs, r1cs.windows(&z)));
             assert_eq!((muls.full, muls.deferred), (0, 2 * rows), "s={s}: pairs");
             let eq_y = r1cs.windows(&eq_ry);
             let (_, muls) = count_muls(|| r1cs.matrix_evals(&eq_rx, eq_y));

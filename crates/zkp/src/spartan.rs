@@ -26,8 +26,8 @@ use crate::r1cs::{R1cs, Windows};
 use batchzk_field::Field;
 use batchzk_hash::Transcript;
 use batchzk_sumcheck::{
-    eq_eval, eq_table_prefix, prove_cubic, prove_quadratic_halves, verify_rounds, MultilinearPoly,
-    ProverOutput, SumcheckProof,
+    eq_eval, eq_table_prefix, eq_table_prefix_into, prove_cubic, prove_quadratic_halves,
+    verify_rounds, ProverOutput, SumcheckProof,
 };
 
 /// Domain label binding every proof to this protocol version.
@@ -80,9 +80,10 @@ pub fn prove<F: Field>(
     let io = r1cs.io(inputs);
     let z = r1cs.live(&io, witness);
     // The sum-check below reuses the products the satisfaction check needs.
-    let products = r1cs.products(z);
+    let mut arena = vec![F::ZERO; arena_len(r1cs)];
+    r1cs.products(z, &mut arena);
     assert!(
-        R1cs::products_satisfy(&products),
+        r1cs.products_satisfy(&arena),
         "assignment does not satisfy the R1CS"
     );
 
@@ -94,7 +95,7 @@ pub fn prove<F: Field>(
     transcript.absorb_digest(b"w-commitment", &commitment.root);
 
     // Module 3 (sum-check).
-    let part = sumchecks_over(r1cs, z, products, &mut transcript);
+    let part = sumchecks_over(r1cs, z, &mut arena, &mut transcript);
 
     // Open w̃ at the bound point (all but the top variable of ry).
     let y_prime = &part.point_y[..part.point_y.len() - 1];
@@ -140,9 +141,23 @@ pub struct SumcheckPart<F> {
     pub point_y: Vec<F>,
 }
 
+/// Elements of the one buffer the prover's sum-check phase works in (its
+/// arena, DESIGN.md §16), reused phase after phase and proof after proof:
+///
+/// * spmv and sum-check #1: `[Az | Bz | Cz | eq levels]`, `m =
+///   padded_constraints` entries each, the products folded in place;
+/// * matrix-bind: `[m_io | m_w | γ_A·eq_rx ‖ γ_B·eq_rx ‖ γ_C·eq_rx]` over
+///   the live columns and the constraint rows;
+/// * sum-check #2: `[m_io | m_w | z_io | z_w]`, each table folded in place.
+pub fn arena_len<F: Field>(r1cs: &R1cs<F>) -> usize {
+    let live = 1 + r1cs.num_inputs() + r1cs.num_witness();
+    let bind = live + 3 * r1cs.num_constraints();
+    (4 * r1cs.padded_constraints()).max(bind).max(2 * live)
+}
+
 /// Runs both prover sum-checks over an assembled assignment, which they read
-/// only in its live windows ([`R1cs::windows`]). The transcript must already
-/// hold the statement and witness commitment.
+/// only in its live windows ([`R1cs::windows`]), in an arena of their own.
+/// The transcript must already hold the statement and witness commitment.
 ///
 /// # Panics
 ///
@@ -153,21 +168,24 @@ pub fn run_sumchecks<F: Field>(
     transcript: &mut Transcript,
 ) -> SumcheckPart<F> {
     let z = r1cs.windows(z);
-    sumchecks_over(r1cs, z, r1cs.products(z), transcript)
+    let mut arena = vec![F::ZERO; arena_len(r1cs)];
+    r1cs.products(z, &mut arena);
+    sumchecks_over(r1cs, z, &mut arena, transcript)
 }
 
-/// [`run_sumchecks`] over the live windows of `z` and their already
-/// computed [`R1cs::products`], which sum-check #1 folds in place: the
-/// product tables are moved into its prover, none copied.
+/// [`run_sumchecks`] over the live windows of `z` in `arena` (at least
+/// [`arena_len`] entries), whose front holds the already computed
+/// [`R1cs::products`]: each phase works in the arena in turn, and nothing
+/// it held before is read but the products.
 pub(crate) fn sumchecks_over<F: Field>(
     r1cs: &R1cs<F>,
     z: Windows<'_, F>,
-    products: [Vec<F>; 3],
+    arena: &mut [F],
     transcript: &mut Transcript,
 ) -> SumcheckPart<F> {
-    let sc1 = prove_outer(r1cs, products, transcript);
-    let m_combo = bind_matrices(r1cs, &sc1, transcript);
-    let sc2 = prove_inner(r1cs, &m_combo, z, transcript);
+    let sc1 = prove_outer(r1cs, arena, transcript);
+    bind_matrices(r1cs, &sc1, arena, transcript);
+    let sc2 = prove_inner(r1cs, z, arena, transcript);
     SumcheckPart {
         sc1: sc1.proof,
         va: sc1.final_evals[0],
@@ -178,52 +196,64 @@ pub(crate) fn sumchecks_over<F: Field>(
     }
 }
 
-/// The outer constraint sum-check (#1) over [`R1cs::products`] of the
-/// assignment: draws `τ` and absorbs the three claims the rounds end on
-/// (`final_evals`). Public, like [`bind_matrices`], so a profiler can time
-/// the phases of [`run_sumchecks`] one by one.
+/// The outer constraint sum-check (#1) over the [`R1cs::products`] of the
+/// assignment at the front of `arena` ([`arena_len`]'s first phase), which
+/// it folds in place: draws `τ` and absorbs the three claims the rounds end
+/// on (`final_evals`). Public, like [`bind_matrices`], so a profiler can
+/// time the phases of [`run_sumchecks`] one by one.
 pub fn prove_outer<F: Field>(
     r1cs: &R1cs<F>,
-    products: [Vec<F>; 3],
+    arena: &mut [F],
     transcript: &mut Transcript,
 ) -> ProverOutput<F> {
     let m = r1cs.padded_constraints();
     let tau: Vec<F> = transcript.challenge_fields(b"tau", m.trailing_zeros() as usize);
-    let [az, bz, cz] = products.map(|mut v| {
-        v.resize(m, F::ZERO);
-        MultilinearPoly::new(v)
-    });
-    let sc1 = prove_cubic(&tau, az, bz, cz, transcript);
+    let (az, rest) = arena.split_at_mut(m);
+    let (bz, rest) = rest.split_at_mut(m);
+    let (cz, rest) = rest.split_at_mut(m);
+    let sc1 = prove_cubic(&tau, [az, bz, cz], &mut rest[..m], transcript);
     transcript.absorb_fields(b"sc1-claims", &sc1.final_evals);
     sc1
 }
 
-/// Draws `γ` and builds the matrix polynomial of the batched
-/// matrix-opening sum-check (#2) at the point sum-check #1 bound, as its two
-/// live windows ([`R1cs::bind_rows_combined`]) over an `eq` table of the
-/// constraint rows alone.
+/// Draws `γ` and writes the matrix polynomial of the batched
+/// matrix-opening sum-check (#2) at the point sum-check #1 bound to the
+/// front of `arena`, as its two live windows `m_io ‖ m_w`
+/// ([`R1cs::bind_rows_combined`]), over an `eq` table of the constraint
+/// rows built in the arena behind them.
 pub fn bind_matrices<F: Field>(
     r1cs: &R1cs<F>,
     sc1: &ProverOutput<F>,
+    arena: &mut [F],
     transcript: &mut Transcript,
-) -> [Vec<F>; 2] {
+) {
     let gamma: Vec<F> = transcript.challenge_fields(b"gamma", 3);
-    let eq_rx = eq_table_prefix(&sc1.point(), r1cs.num_constraints(), F::ONE);
-    r1cs.bind_rows_combined(&eq_rx, &gamma)
+    let rows = r1cs.num_constraints();
+    let live = 1 + r1cs.num_inputs() + r1cs.num_witness();
+    let (m_combo, stacked) = arena.split_at_mut(live);
+    let stacked = &mut stacked[..3 * rows];
+    eq_table_prefix_into(&sc1.point(), F::ONE, &mut stacked[..rows]);
+    r1cs.bind_rows_combined(stacked, &gamma, m_combo);
 }
 
-/// The matrix-opening sum-check (#2) of [`bind_matrices`]' windows against
-/// `z`'s: `Σ_y m(y)·z̃(y)` over the `z_len` columns, whose first round binds
-/// the top variable, io against witness half, and sums only the live pairs
-/// ([`prove_quadratic_halves`]).
+/// The matrix-opening sum-check (#2) of [`bind_matrices`]' windows at the
+/// front of `arena` against `z`'s, copied in behind them: `Σ_y m(y)·z̃(y)`
+/// over the `z_len` columns, whose rounds sum and fold only the live pairs
+/// ([`prove_quadratic_halves`]), each table in place.
 pub fn prove_inner<F: Field>(
     r1cs: &R1cs<F>,
-    [m_io, m_w]: &[Vec<F>; 2],
     z: Windows<'_, F>,
+    arena: &mut [F],
     transcript: &mut Transcript,
 ) -> ProverOutput<F> {
     let num_vars = r1cs.z_len().trailing_zeros() as usize;
-    prove_quadratic_halves(num_vars, [m_io, m_w], [z.io, z.w], transcript)
+    let io = 1 + r1cs.num_inputs();
+    let live = io + r1cs.num_witness();
+    let (m, z_copy) = arena[..2 * live].split_at_mut(live);
+    let [m, [z_io, z_w]] = [m, z_copy].map(|t| <[&mut [F]; 2]>::from(t.split_at_mut(io)));
+    z_io.copy_from_slice(z.io);
+    z_w.copy_from_slice(z.w);
+    prove_quadratic_halves(num_vars, m, [z_io, z_w], transcript)
 }
 
 /// The commitment key for the witness half of `r1cs`'s assignment — what a
@@ -341,7 +371,10 @@ pub(crate) fn absorb_statement<F: Field>(
 mod tests {
     use super::*;
     use crate::r1cs::{synthetic_r1cs, R1csBuilder, Var};
+    use crate::{prove_batch_with, SpartanBackend};
     use batchzk_field::Fr;
+    use batchzk_gpu_sim::{DeviceProfile, Gpu};
+    use std::sync::Arc;
 
     fn test_params() -> PcsParams {
         PcsParams {
@@ -410,6 +443,15 @@ mod tests {
             let (r1cs, inputs, mut witness) = synthetic_r1cs::<Fr>(s, seed);
             let proof = prove(&test_params(), &r1cs, &inputs, &witness);
             assert_eq!(debug_digest(&proof), proof_digest, "proof s={s}");
+            // Pipelined: from the second proof on in a reused arena, from the
+            // fifth (past the four stages in flight) on reused codewords.
+            let backend = SpartanBackend::new(Arc::new(r1cs.clone()), test_params());
+            let batch = vec![(inputs.clone(), witness.clone()); 5];
+            let mut gpu = Gpu::new(DeviceProfile::a100());
+            let run = prove_batch_with(&mut gpu, &backend, batch, 2048, true).expect("fits");
+            for (_, proof) in &run.proofs {
+                assert_eq!(debug_digest(proof), proof_digest, "pipelined s={s}");
+            }
 
             let middle = witness.len() / 2;
             witness[middle] += Fr::ONE;

@@ -13,7 +13,11 @@ the bodies this checkout's `field::lane_kernel()` and
 `sha_blocks` examples). They record the CPU's capability, not what either
 binary ran: a build that predates a hook runs its own portable loop
 whatever they read (a parent without the `fold_halves` / `scale` hooks,
-such as 38b81f83, folds and scales on the scalar loops).
+such as 38b81f83, folds and scales on the scalar loops). Each line also
+carries what the run cost the operating system: `host_minflt`, its minor
+page faults, and `host_sys_s`, its system CPU seconds (the
+`getrusage(RUSAGE_CHILDREN)` deltas around the run) — the allocator's share
+of a host clock, which a prover that frees and re-faults its tables pays.
 
 `summary` prints, per workload, seed and trace flag, each role's median
 [quartiles] of one metric, the pairs the change won (in the metric's
@@ -21,7 +25,8 @@ such as 38b81f83, folds and scales on the scalar loops).
 (`sim_*`, `proof_bytes_mean`, `verified_share`) were equal in every run,
 and every `end_to_end` metric whose change median is worse than its parent
 median by more than the metric's `bound` (a fraction of the parent median),
-or that all are within bound.
+or that all are within bound. Where the runs carry `host_minflt` and
+`host_sys_s`, a third line gives each role's median of both.
 
 `trajectory` reads every committed `BENCH_<n>.json` at the repo root in
 order of `<n>` and prints, per file, workload, seed and trace flag, the
@@ -49,6 +54,7 @@ not parse exits non-zero.
 import argparse
 import json
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -71,12 +77,17 @@ def example_line(package, example, pattern):
 
 
 def run_once(binary, workload, seed, seconds, trace):
+    """The run's last stdout line, and its minor faults and system CPU."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     out = subprocess.run(
         [binary, "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
         check=True, capture_output=True, text=True,
     ).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    usage = {"host_minflt": after.ru_minflt - before.ru_minflt,
+             "host_sys_s": round(after.ru_stime - before.ru_stime, 3)}
+    return json.loads(out.strip().splitlines()[-1]), usage
 
 
 def record(args):
@@ -96,14 +107,17 @@ def record(args):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for role in order:
                     binary, commit = sides[role]
-                    result = run_once(binary, args.workload, seed, SPEC["run_seconds"], args.trace)
+                    result, usage = run_once(binary, args.workload, seed, SPEC["run_seconds"],
+                                             args.trace)
                     line = {"commit": commit, "role": role, "workload": args.workload,
-                            "seed": seed, "trace": args.trace, "pair": pair, **host, **result}
+                            "seed": seed, "trace": args.trace, "pair": pair, **host, **usage,
+                            **result}
                     out.write(json.dumps(line, sort_keys=True) + "\n")
                     out.flush()
                     value = result["metrics"].get("host_proofs_per_s", {}).get("value")
                     print(f"{args.workload} seed {seed} pair {pair} {role}: "
-                          f"host_proofs_per_s {value}", flush=True)
+                          f"host_proofs_per_s {value}, host_minflt {usage['host_minflt']}",
+                          flush=True)
 
 
 def exact(name):
@@ -149,6 +163,14 @@ def summary(args):
               f"{'yes' if len(exact_sets) == 1 else 'NO'}; failed ops {failed}")
         worse = worse_end_to_end(runs)
         print(f"  {'; '.join(worse) if worse else 'all end-to-end metrics within bound'}")
+        usage = []
+        for name in ("host_minflt", "host_sys_s"):
+            medians = [(role, statistics.median(v)) for role in ("parent", "change")
+                       if (v := [run[name] for run in runs if run["role"] == role and name in run])]
+            if medians:
+                usage.append(f"{name} median " + ", ".join(f"{r} {m:.10g}" for r, m in medians))
+        if usage:
+            print(f"  {'; '.join(usage)}")
 
 
 def worse_end_to_end(runs):
