@@ -451,11 +451,14 @@ pub trait MontLimbs: Field {
 }
 
 /// Convenience: converts a possibly-negative i64 into a field element.
+/// 0 and 1, most of a quantized network's witness, are the constants, not
+/// a conversion into Montgomery form each.
 pub fn field_from_i64<F: Field>(v: i64) -> F {
-    if v >= 0 {
-        F::from(v as u64)
-    } else {
-        -F::from(v.unsigned_abs())
+    match v {
+        0 => F::ZERO,
+        1 => F::ONE,
+        2.. => F::from(v as u64),
+        _ => -F::from(v.unsigned_abs()),
     }
 }
 
@@ -469,6 +472,24 @@ mod tests {
         assert_eq!(field_from_i64::<Fr>(-1) + Fr::ONE, Fr::ZERO);
         assert_eq!(field_from_i64::<Fr>(5), Fr::from(5u64));
         assert_eq!(field_from_i64::<Fr>(-5) + Fr::from(5u64), Fr::ZERO);
+        // The constants 0 and 1 and the extremes, byte for byte against
+        // the conversion of the magnitude and its negation.
+        for (v, magnitude, negative) in [
+            (0, 0u64, false),
+            (1, 1, false),
+            (-1, 1, true),
+            (i64::MAX, i64::MAX as u64, false),
+            (i64::MIN, 1 << 63, true),
+        ] {
+            let want = if negative {
+                -Fr::from(magnitude)
+            } else {
+                Fr::from(magnitude)
+            };
+            let got = field_from_i64::<Fr>(v);
+            assert_eq!(got.to_bytes(), want.to_bytes(), "{v}");
+            assert_eq!(got, want, "{v}");
+        }
     }
 
     #[test]

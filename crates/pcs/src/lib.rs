@@ -14,11 +14,14 @@
 //! row-combination protocol complete.
 //!
 //! Memory layout = hashed layout. The encoded matrix lives in one flat
-//! *interleaved* buffer, `codeword_len × n_rows`, codeword column `j` (the
-//! `n_rows` symbols `row_0[j] … row_{n_rows-1}[j]` one Merkle leaf hashes)
-//! contiguous. The encode stage produces it — its first `n_cols` columns
-//! are `Mᵀ`, the rest the redundancy — and every later stage reads
-//! contiguous columns of it; no second copy of the matrix exists.
+//! *interleaved* buffer, `codeword_len × live`, codeword column `j` (the
+//! symbols `row_0[j] … row_{live-1}[j]` of the `n_rows` one Merkle leaf
+//! hashes, the rest zero) contiguous. `live` is `n_rows` unless the
+//! committed table is a prefix with whole zero rows past it
+//! ([`PcsKey::commit_encode_into`]). The encode stage produces it — its
+//! first `n_cols` columns are `Mᵀ`, the rest the redundancy — and every
+//! later stage reads contiguous columns of it; no second copy of the
+//! matrix exists.
 //!
 //! The prover API is phase-split along the pipeline seams of the Figure 7
 //! schedule, one function per module stage:
@@ -141,9 +144,13 @@ impl ColumnHasher {
         Self { message }
     }
 
-    /// The leaf digest of one column of the length given to [`Self::new`].
+    /// The leaf digest of a column of the length given to [`Self::new`],
+    /// given as its first `column.len()` symbols with the rest zero. Every
+    /// column one hasher sees has the same live length, so the zero bytes
+    /// past it are never overwritten.
     fn leaf<F: Field>(&mut self, column: &[F]) -> Digest {
-        F::write_canonical(column, &mut self.message[COLUMN_PREFIX.len()..]);
+        let start = COLUMN_PREFIX.len();
+        F::write_canonical(column, &mut self.message[start..start + 32 * column.len()]);
         sha256(&self.message)
     }
 }
@@ -228,12 +235,17 @@ impl<F: Field> PcsKey<F> {
     /// Phase 1 of a commitment: transpose the evaluations, viewed as the
     /// row-major `n_rows × n_cols` matrix, into the systematic prefix of
     /// the interleaved buffer `codewords`, then encode all rows at once
-    /// ([`Encoder::encode_batch`] at width `n_rows`). `codewords` is empty
-    /// or a buffer a commitment of this key gave back
-    /// ([`PcsProverData::into_codewords`]); nothing it held is read.
+    /// ([`Encoder::encode_batch`]). `codewords` is empty or a buffer a
+    /// commitment of this key gave back ([`PcsProverData::into_codewords`]);
+    /// nothing it held is read.
     ///
     /// `evals` may be a prefix of the `2^num_vars` evaluations, the rest
-    /// zero — a Spartan witness half without its padding.
+    /// zero — a Spartan witness half without its padding. Only the *live*
+    /// rows, those `evals` reaches rounded up to a whole block of eight
+    /// lanes (the encoder's IFMA body takes widths that are a multiple of
+    /// eight), are held and encoded: a zero row encodes to a zero codeword,
+    /// so every later phase reads the rows past them as zero and the
+    /// commitment and openings are those of the zero-padded table.
     ///
     /// # Panics
     ///
@@ -244,10 +256,15 @@ impl<F: Field> PcsKey<F> {
             "evaluation table must fit the key's shape"
         );
         let (n_rows, n_cols) = (self.n_rows, self.n_cols());
-        codewords.resize(self.codeword_len() * n_rows, F::ZERO);
-        // Zero rows past `evals`; the encoder writes every later column.
+        let live = evals
+            .len()
+            .div_ceil(n_cols)
+            .next_multiple_of(8)
+            .clamp(1, n_rows);
+        codewords.resize(self.codeword_len() * live, F::ZERO);
+        // Zero live rows past `evals`; the encoder writes every later column.
         let full_rows = evals.len() / n_cols;
-        for column in codewords[..n_cols * n_rows].chunks_exact_mut(n_rows) {
+        for column in codewords[..n_cols * live].chunks_exact_mut(live) {
             column[full_rows..].fill(F::ZERO);
         }
         // Tiled, so both the row-major reads and the column-major writes
@@ -257,18 +274,19 @@ impl<F: Field> PcsKey<F> {
             for i0 in (0..full_rows).step_by(TILE) {
                 for j in j0..(j0 + TILE).min(n_cols) {
                     for i in i0..(i0 + TILE).min(full_rows) {
-                        codewords[j * n_rows + i] = evals[i * n_cols + j];
+                        codewords[j * live + i] = evals[i * n_cols + j];
                     }
                 }
             }
         }
         for (j, &v) in evals[full_rows * n_cols..].iter().enumerate() {
-            codewords[j * n_rows + full_rows] = v;
+            codewords[j * live + full_rows] = v;
         }
-        self.encoder.encode_batch(n_rows, &mut codewords);
+        self.encoder.encode_batch(live, &mut codewords);
         EncodedRows {
             codewords,
             n_rows,
+            live,
             n_cols,
             codeword_len: self.codeword_len(),
             row_nnz: self.row_nnz(),
@@ -357,11 +375,13 @@ impl<F: Field> PcsKey<F> {
 /// pipeline: the interleaved codeword buffer and its shape.
 #[derive(Debug)]
 pub struct EncodedRows<F> {
-    /// `codeword_len × n_rows`, codeword column `j` at
-    /// `[j · n_rows, (j + 1) · n_rows)`; the first `n_cols` columns are the
-    /// coefficient matrix, transposed.
+    /// `codeword_len × live`, codeword column `j` at
+    /// `[j · live, (j + 1) · live)`; the first `n_cols` columns are the
+    /// coefficient matrix, transposed. Rows `live..n_rows` are zero and not
+    /// held.
     codewords: Vec<F>,
     n_rows: usize,
+    live: usize,
     n_cols: usize,
     codeword_len: usize,
     row_nnz: usize,
@@ -378,14 +398,16 @@ impl<F: Field> EncodedRows<F> {
         self.n_rows
     }
 
-    /// Encoding work in sparse-matrix non-zero terms (GPU cost model).
+    /// Encoding work in sparse-matrix non-zero terms (GPU cost model): every
+    /// row is charged, live or not.
     pub fn encode_nnz(&self) -> usize {
         self.row_nnz * self.n_rows
     }
 
-    /// Codeword column `j`: symbol `j` of every encoded row.
+    /// The live part of codeword column `j`: symbol `j` of each of the
+    /// first `live` encoded rows (the others are zero).
     fn column(&self, j: usize) -> &[F] {
-        &self.codewords[j * self.n_rows..(j + 1) * self.n_rows]
+        &self.codewords[j * self.live..(j + 1) * self.live]
     }
 }
 
@@ -490,7 +512,8 @@ impl<F: Field> CombinedRows<F> {
 /// Phase 1 of an opening: derive the proximity challenge γ from the
 /// transcript and compute the two combination rows `γᵀ · M` and
 /// `eq_row(r_hi)ᵀ · M` — entry `j` of each is one field dot product with
-/// matrix column `j`, contiguous in the systematic prefix of the buffer —
+/// matrix column `j`, contiguous in the systematic prefix of the buffer,
+/// over its live rows only (the dot stops at the shorter slice) —
 /// absorbing both into the transcript. The caller must have absorbed the
 /// commitment into the transcript (prover and verifier symmetrically).
 ///
@@ -540,10 +563,14 @@ pub fn open_queries<F: Field>(
     );
     let columns: Vec<ColumnOpening<F>> = indices
         .into_iter()
-        .map(|index| ColumnOpening {
-            index,
-            values: data.encoded.column(index).to_vec(),
-            path: data.tree.open(index),
+        .map(|index| {
+            let mut values = data.encoded.column(index).to_vec();
+            values.resize(data.n_rows(), F::ZERO);
+            ColumnOpening {
+                index,
+                values,
+                path: data.tree.open(index),
+            }
         })
         .collect();
 
@@ -801,35 +828,68 @@ mod tests {
 
     #[test]
     fn a_live_prefix_commits_as_its_zero_padded_table() {
+        // Only the live rows are encoded, hashed and combined; the root,
+        // the opening and what the verifier accepts are those of the table
+        // padded with zeros, at live row counts from none to every row.
         let mut rng = Prg::seed_from_u64(110);
-        for k in [1usize, 6, 9] {
+        for k in [1usize, 6, 9, 11, 12] {
             let key = PcsKey::<Fr>::new(params(), k);
-            let n = 1usize << k;
-            let cols = key.n_cols();
-            let lens = [0, 1, cols - 1, cols, cols + 1, n / 2 + 1, n - 1, n];
+            let (n, cols) = (1usize << k, key.n_cols());
+            let lens = [
+                0,
+                1,
+                cols - 1,
+                cols,
+                cols + 1,
+                8 * cols - 1,
+                8 * cols + 1,
+                n,
+            ];
             for len in lens.into_iter().filter(|&len| len <= n) {
                 let live: Vec<Fr> = (0..len).map(|_| Fr::random(&mut rng)).collect();
+                let point: Vec<Fr> = (0..k).map(|_| Fr::random(&mut rng)).collect();
                 let mut padded = live.clone();
                 padded.resize(n, Fr::ZERO);
-                let want = key.commit_encode(&padded).codewords;
-                assert_eq!(key.commit_encode(&live).codewords, want, "k={k} len={len}");
+                let case = format!("k={k} len={len}");
+                let (want, padded_data) = key.commit(&padded);
+                let (commitment, data) = key.commit(&live);
+                assert_eq!(commitment, want, "{case}: commitment");
+                let mut t = transcript(&commitment);
+                let (value, opening) = open(key.pcs(), &data, &point, &mut t);
+                let (want_value, want_opening) =
+                    open(key.pcs(), &padded_data, &point, &mut transcript(&want));
+                assert_eq!((value, &opening), (want_value, &want_opening), "{case}");
+                let evaluation = MultilinearPoly::new(padded).evaluate(&point);
+                assert_eq!(value, evaluation, "{case}: value");
+                let mut v = transcript(&commitment);
+                assert!(
+                    key.verify(&commitment, &point, value, &opening, &mut v),
+                    "{case}: verify"
+                );
+                assert_eq!(
+                    v.challenge_bytes(b"after"),
+                    t.challenge_bytes(b"after"),
+                    "{case}: transcript state"
+                );
             }
         }
     }
 
     #[test]
     fn a_reused_buffer_encodes_the_fresh_bytes() {
-        // Every entry a buffer held is overwritten: a codeword buffer given
-        // back and filled with a non-zero pattern encodes as a new one does,
-        // for full tables and for live prefixes with zero rows past them.
+        // Every entry a buffer held is overwritten: the buffer a full table
+        // gave back, filled with a non-zero pattern, encodes a full table
+        // or a live prefix (fewer live rows than it was sized for) as a new
+        // one does.
         let mut rng = Prg::seed_from_u64(0x38);
         for k in [4, 11, 12] {
             let key = PcsKey::<Fr>::new(params(), k);
             let (n_rows, n_cols) = matrix_shape(k);
+            let full: Vec<Fr> = (0..1 << k).map(|_| Fr::random(&mut rng)).collect();
             for len in [1 << k, (n_rows / 2) * n_cols + 3, n_cols - 1] {
                 let evals: Vec<Fr> = (0..len).map(|_| Fr::random(&mut rng)).collect();
                 let fresh = key.commit(&evals);
-                let mut buffer = key.commit(&evals).1.into_codewords();
+                let mut buffer = key.commit(&full).1.into_codewords();
                 buffer.fill(-Fr::ONE);
                 let encoded = key.commit_encode_into(&evals, buffer);
                 let case = format!("k={k} len={len}");
@@ -837,6 +897,27 @@ mod tests {
                 assert_eq!(commit_merkle(encoded).0, fresh.0, "{case}");
             }
         }
+    }
+
+    #[test]
+    fn the_live_width_is_whole_lane_blocks_of_the_rows_reached() {
+        let key = PcsKey::<Fr>::new(params(), 12);
+        let cols = key.n_cols();
+        for (len, live) in [
+            (0, 1),
+            (1, 8),
+            (8 * cols, 8),
+            (8 * cols + 1, 16),
+            (63 * cols, 64),
+            (64 * cols, 64),
+        ] {
+            let encoded = key.commit_encode(&vec![Fr::ONE; len]);
+            assert_eq!(encoded.live, live, "len={len}");
+            assert_eq!(encoded.codewords.len(), key.codeword_len() * live);
+            assert_eq!(encoded.encode_nnz(), key.row_nnz() * key.n_rows());
+        }
+        let small = PcsKey::<Fr>::new(params(), 4);
+        assert_eq!(small.commit_encode(&[Fr::ONE]).live, small.n_rows());
     }
 
     #[test]

@@ -61,14 +61,15 @@ impl<F: Field> Csr<F> {
         }
     }
 
-    /// Appends a row of `(column, coefficient)` entries.
+    /// Appends a row of `(column, coefficient)` entries, leaving out those
+    /// whose coefficient is zero.
     fn push_row(&mut self, entries: impl IntoIterator<Item = (u32, F)>) {
         for (c, v) in entries {
             if v == F::ONE {
                 self.units.push(c);
             } else if v == -F::ONE {
                 self.units.push(c | NEG);
-            } else {
+            } else if v != F::ZERO {
                 self.general.push((c, v));
             }
         }
@@ -301,7 +302,8 @@ impl<F: Field> R1cs<F> {
         2 * self.half_len
     }
 
-    /// Total non-zeros across the three matrices.
+    /// Total non-zeros across the three matrices: the entries they store,
+    /// none of which has a zero coefficient.
     pub fn total_nnz(&self) -> usize {
         self.matrices.iter().map(Csr::nnz).sum()
     }
@@ -882,12 +884,19 @@ pub(crate) mod tests {
         skip_last: bool,
     ) -> Vec<[Vec<(usize, Fr)>; 3]> {
         let cols = &live[..live.len() - usize::from(skip_last)];
+        // A row is empty, all general coefficients, all zero coefficients,
+        // or a mix of ±1, zero and general ones.
         let row = |rng: &mut SplitMix64| {
-            let kind = rng.gen_range(0..5);
+            let kind = rng.gen_range(0..6);
             let len = if kind == 0 { 0 } else { rng.gen_range(1..7) };
             let mut entries: Vec<(usize, Fr)> = Vec::with_capacity(len);
             for _ in 0..len {
-                let v = match if kind == 1 { 3 } else { rng.next_u64() % 4 } {
+                let pick = match kind {
+                    1 => 3,
+                    2 => 2,
+                    _ => rng.next_u64() % 4,
+                };
+                let v = match pick {
                     0 => Fr::ONE,
                     1 => -Fr::ONE,
                     2 => Fr::ZERO,
@@ -934,17 +943,20 @@ pub(crate) mod tests {
             let r1cs = R1cs::new(constraints, num_inputs, num_witness, half);
             let case =
                 format!("rep {rep}: {rows} rows, {num_inputs} inputs, {num_witness} witnesses");
+            // The matrices store exactly the entries with a non-zero
+            // coefficient.
+            let stored = want
+                .clone()
+                .map(|m| sorted(m.into_iter().filter(|t| t.2 != Fr::ZERO).collect()));
+            let nnz: usize = stored.iter().map(Vec::len).sum();
+            assert_eq!(r1cs.total_nnz(), nnz, "{case}: non-zeros");
             for (k, (csr, t)) in triplets(&r1cs)
                 .into_iter()
                 .zip(transpose_triplets(&r1cs))
                 .enumerate()
             {
-                assert_eq!(sorted(csr), sorted(want[k].clone()), "{case}: rows of {k}");
-                assert_eq!(
-                    sorted(t),
-                    sorted(want[k].clone()),
-                    "{case}: transpose of {k}"
-                );
+                assert_eq!(sorted(csr), stored[k], "{case}: rows of {k}");
+                assert_eq!(sorted(t), stored[k], "{case}: transpose of {k}");
             }
 
             let cols = r1cs.z_len();
