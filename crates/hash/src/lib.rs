@@ -6,14 +6,19 @@
 //!
 //! The block function runs on the CPU's SHA extensions where they are
 //! detected at run time and on a portable body elsewhere
-//! ([`compress_blocks`] chooses; nothing configures it). Calling the
-//! `#[target_feature]` kernel from the detected branch is this crate's —
-//! and the kernel crates' — one `unsafe` block, which is why the crate
-//! root denies `unsafe_code` where its siblings forbid it.
+//! ([`compress_blocks`]); sixteen equal-length messages at once
+//! ([`sha256_each`], [`hash_blocks`]) run one per lane of a 16-lane AVX-512
+//! kernel where `avx512f` and `avx512bw` are detected, and one at a time
+//! elsewhere. Nothing configures either choice. Both kernels are reached
+//! through one dispatch, and calling the `#[target_feature]` kernel from
+//! its detected branch is this crate's one `unsafe` block, which is why
+//! the crate root denies `unsafe_code` where its siblings forbid it.
 
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
 
+#[cfg(target_arch = "x86_64")]
+mod avx512;
 mod prg;
 mod sha256;
 #[cfg(target_arch = "x86_64")]
@@ -24,8 +29,8 @@ pub use prg::Prg;
 #[doc(hidden)]
 pub use sha256::compress_portable;
 pub use sha256::{
-    compress, compress_blocks, compress_kernel, hash_block, hash_blocks, hash_pair, sha256, Digest,
-    Sha256, H0,
+    compress, compress_blocks, compress_kernel, hash_block, hash_blocks, hash_pair, lanes_kernel,
+    sha256, sha256_each, Digest, Sha256, H0,
 };
 pub use transcript::Transcript;
 

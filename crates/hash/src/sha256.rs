@@ -7,12 +7,17 @@
 //! mirrors that structure — a `[u32; 8]` state and a `[u32; 16]` schedule
 //! window — and is what the GPU cost model charges per hash.
 //!
-//! [`compress_blocks`] is the one entry to the block function and the one
-//! place that chooses its body: the CPU's SHA extensions where they are
-//! detected at run time (`x86_64` with `sha`, `sse4.1` and `ssse3`), the
-//! portable body everywhere else. There is no option that selects; the
-//! portable body stays as the fallback and as the oracle the tests hold the
-//! hardware one to.
+//! Every block goes through one dispatch, `run`, which picks a kernel for
+//! each `Call` where its instructions are detected at run time: one
+//! message's blocks ([`compress_blocks`]) on the CPU's SHA extensions
+//! (`x86_64` with `sha`, `sse4.1` and `ssse3`), and sixteen equal-length
+//! messages at once ([`sha256_each`], [`hash_blocks`]) on the 16-lane
+//! AVX-512 kernel (`avx512f` and `avx512bw`), one message per 32-bit lane
+//! as the paper's kernel runs one per GPU thread. Where a kernel is absent
+//! the portable body runs one block, and [`sha256`] one message, at a
+//! time. There is no option that selects; the portable body and the
+//! per-message path stay as the fallbacks and as the oracles the tests
+//! hold the kernels to.
 
 /// The SHA-256 initial hash value (FIPS 180-4 §5.3.3).
 pub const H0: [u32; 8] = [
@@ -40,6 +45,51 @@ pub fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     compress_blocks(state, block);
 }
 
+/// Messages per call of the lane kernel: one per 32-bit vector lane.
+pub(crate) const LANES: usize = 16;
+
+/// One request to a kernel.
+enum Call<'a> {
+    /// One state and a message's whole blocks ([`compress_blocks`]).
+    Blocks(&'a mut [u32; 8], &'a [u8]),
+    /// Sixteen digests, each lane hashing from [`H0`] its whole blocks of
+    /// the first part and then of the second (a message and its padded
+    /// tail).
+    Lanes(&'a mut [Digest; LANES], &'a [[&'a [u8]; LANES]; 2]),
+}
+
+/// The dispatch: runs `call` on its kernel and returns `true`, or returns
+/// `false` having written nothing where this CPU lacks the instructions.
+#[cfg(target_arch = "x86_64")]
+fn run(call: Call<'_>) -> bool {
+    let detected = match call {
+        Call::Blocks(..) => crate::sha_ni::available(),
+        Call::Lanes(..) => crate::avx512::available(),
+    };
+    if !detected {
+        return false;
+    }
+    #[allow(unsafe_code)]
+    // SAFETY: `detected` has just seen, on this CPU, every target feature
+    // the kernel this call's variant goes to is compiled with.
+    unsafe {
+        match call {
+            Call::Blocks(state, blocks) => crate::sha_ni::compress_blocks(state, blocks),
+            Call::Lanes(digests, parts) => crate::avx512::compress_lanes(digests, parts),
+        }
+    }
+    true
+}
+
+/// No kernel is built off `x86_64`: every call takes its fallback.
+#[cfg(not(target_arch = "x86_64"))]
+fn run(call: Call<'_>) -> bool {
+    match call {
+        Call::Blocks(_state, _blocks) => false,
+        Call::Lanes(_digests, _parts) => false,
+    }
+}
+
 /// Applies the compression function to each 64-byte block of `blocks` in
 /// order — a whole message pays the kernel dispatch, and the hardware
 /// kernel its state pack / unpack, once.
@@ -52,14 +102,7 @@ pub fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
         blocks.len().is_multiple_of(64),
         "compress_blocks takes whole blocks"
     );
-    #[cfg(target_arch = "x86_64")]
-    if crate::sha_ni::available() {
-        #[allow(unsafe_code)]
-        // SAFETY: `available` has just seen, on this CPU, every target
-        // feature `sha_ni::compress_blocks` is compiled with.
-        unsafe {
-            crate::sha_ni::compress_blocks(state, blocks)
-        }
+    if run(Call::Blocks(state, blocks)) {
         return;
     }
     for block in blocks.chunks_exact(64) {
@@ -75,6 +118,65 @@ pub fn compress_kernel() -> &'static str {
         return "sha-ni";
     }
     "portable"
+}
+
+/// The body [`sha256_each`] and [`hash_blocks`] run each group of sixteen
+/// messages on, on this host: `"avx512-x16"` or `"per-message"`.
+pub fn lanes_kernel() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if crate::avx512::available() {
+        return "avx512-x16";
+    }
+    "per-message"
+}
+
+/// Hashes sixteen messages of one length into `digests` on the lane
+/// kernel: their whole blocks from [`H0`], then, when `padded`, the one or
+/// two blocks of each message's tail, its `0x80` and its bit length (without
+/// `padded` each message must be whole blocks: raw compressions). Returns
+/// `false`, having written nothing, where this CPU lacks the kernel.
+fn hash_lanes(digests: &mut [Digest; LANES], messages: [&[u8]; LANES], padded: bool) -> bool {
+    let len = messages[0].len();
+    let (whole, rest) = (len - len % 64, len % 64);
+    let tails: [[u8; 128]; LANES];
+    let tail_parts = if padded {
+        let tail_len = if rest < 56 { 64 } else { 128 };
+        tails = messages.map(|message| {
+            let mut tail = [0u8; 128];
+            tail[..rest].copy_from_slice(&message[whole..]);
+            tail[rest] = 0x80;
+            tail[tail_len - 8..tail_len].copy_from_slice(&(len as u64 * 8).to_be_bytes());
+            tail
+        });
+        tails.each_ref().map(|tail| &tail[..tail_len])
+    } else {
+        [&[][..]; LANES]
+    };
+    let parts = [messages.map(|message| &message[..whole]), tail_parts];
+    run(Call::Lanes(digests, &parts))
+}
+
+/// One digest per message: every whole group of sixteen on the lane kernel
+/// ([`hash_lanes`], `padded` as there) where this CPU has it, the rest one
+/// at a time through `each`.
+fn digests_of<M: AsRef<[u8]>>(
+    messages: &[M],
+    padded: bool,
+    each: impl Fn(&M) -> Digest,
+) -> Vec<Digest> {
+    let mut digests = vec![[0u8; 32]; messages.len()];
+    for (out, group) in digests.chunks_mut(LANES).zip(messages.chunks(LANES)) {
+        let on_lanes = match (out.try_into(), <&[M; LANES]>::try_from(group)) {
+            (Ok(out), Ok(group)) => hash_lanes(out, group.each_ref().map(M::as_ref), padded),
+            _ => false,
+        };
+        if !on_lanes {
+            for (digest, message) in out.iter_mut().zip(group) {
+                *digest = each(message);
+            }
+        }
+    }
+    digests
 }
 
 /// The portable compression function: the fallback where the SHA extensions
@@ -282,14 +384,43 @@ pub fn hash_pair(left: &Digest, right: &Digest) -> Digest {
 }
 
 /// Batch [`hash_block`]: the leaf layer of a Merkle tree over 64-byte
-/// blocks.
+/// blocks, or a tree level as its contiguous `left ‖ right` blocks —
+/// sixteen at a time on the lane kernel where this CPU has it, the rest
+/// one at a time.
 pub fn hash_blocks(blocks: &[[u8; 64]]) -> Vec<Digest> {
-    blocks.iter().map(hash_block).collect()
+    digests_of(blocks, false, hash_block)
+}
+
+/// [`sha256`] of each message, for messages of one length: sixteen at a
+/// time on the lane kernel where this CPU has it (their whole blocks and
+/// their shared padded tail), the rest one at a time.
+///
+/// # Examples
+///
+/// ```
+/// use batchzk_hash::{sha256, sha256_each};
+///
+/// let columns: Vec<Vec<u8>> = (0..20u8).map(|i| vec![i; 100]).collect();
+/// let messages: Vec<&[u8]> = columns.iter().map(|c| &c[..]).collect();
+/// let digests = sha256_each(&messages);
+/// assert!(digests.iter().zip(&messages).all(|(d, m)| *d == sha256(m)));
+/// ```
+///
+/// # Panics
+/// Panics if the messages differ in length.
+pub fn sha256_each(messages: &[&[u8]]) -> Vec<Digest> {
+    let len = messages.first().map_or(0, |m| m.len());
+    assert!(
+        messages.iter().all(|m| m.len() == len),
+        "sha256_each takes messages of one length"
+    );
+    digests_of(messages, true, |message| sha256(message))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use batchzk_field::{RngCore, SplitMix64};
 
     fn hex(d: &Digest) -> String {
         d.iter().map(|b| format!("{b:02x}")).collect()
@@ -444,6 +575,87 @@ mod tests {
                 .wrapping_add((i as u8).wrapping_mul(13));
         }
         block
+    }
+
+    /// `count` seeded messages of `len` bytes, different in every lane.
+    fn messages(count: usize, len: usize, seed: u64) -> Vec<Vec<u8>> {
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        (0..count)
+            .map(|_| {
+                let mut message = vec![0u8; len];
+                rng.fill_bytes(&mut message);
+                message
+            })
+            .collect()
+    }
+
+    fn lanes_or_note() {
+        if lanes_kernel() == "per-message" {
+            println!("avx512 absent: per-message only");
+        }
+    }
+
+    #[test]
+    fn sha256_each_is_sha256_of_each() {
+        // Counts around and between groups of sixteen, at lengths with a
+        // one-block tail (0, 1, 55, 64, 119, and 1042 / 4114 / 8210 /
+        // 16 402: the workloads' column messages) and a two-block one (56,
+        // 63, 120).
+        lanes_or_note();
+        let lens = [0, 1, 55, 56, 63, 64, 119, 120, 1042, 4114, 8210, 16_402];
+        for (seed, len) in lens.into_iter().enumerate() {
+            for count in [0, 1, 15, 16, 17, 33, 64] {
+                let owned = messages(count, len, seed as u64);
+                let messages: Vec<&[u8]> = owned.iter().map(|m| &m[..]).collect();
+                let expect: Vec<Digest> = messages.iter().map(|m| sha256(m)).collect();
+                assert_eq!(sha256_each(&messages), expect, "count={count} len={len}");
+            }
+        }
+    }
+
+    #[test]
+    fn sha256_each_runs_the_fips_vectors_in_every_lane() {
+        lanes_or_note();
+        for (message, expect) in [
+            (
+                &b""[..],
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+        ] {
+            for count in [16, 32] {
+                let digests = sha256_each(&vec![message; count]);
+                for (lane, digest) in digests.iter().enumerate() {
+                    assert_eq!(hex(digest), expect, "lane {lane} of {count}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "messages of one length")]
+    fn sha256_each_rejects_unequal_lengths() {
+        let mut messages = vec![&[0u8; 64][..]; 16];
+        messages[9] = &[0u8; 63];
+        sha256_each(&messages);
+    }
+
+    #[test]
+    fn hash_blocks_is_hash_block_of_each() {
+        lanes_or_note();
+        let owned = messages(40, 64, 0x40);
+        let blocks: Vec<[u8; 64]> = owned.iter().map(|b| b[..].try_into().unwrap()).collect();
+        for n in 1..=40 {
+            let expect: Vec<Digest> = blocks[..n].iter().map(hash_block).collect();
+            assert_eq!(hash_blocks(&blocks[..n]), expect, "n={n}");
+        }
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! load) and byte-swapped in the vector, so every intrinsic is a safe call
 //! inside the `#[target_feature]` function. The one thing the compiler
 //! cannot check is that the CPU has the instructions; [`available`] is
-//! that check and [`crate::sha256::compress_blocks`] makes it before the
-//! call.
+//! that check and `sha256::run` makes it before the call.
 
 use core::arch::x86_64::{
     __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_set_epi32, _mm_set_epi64x,

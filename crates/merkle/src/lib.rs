@@ -92,12 +92,9 @@ impl MerkleTree {
 
         let mut layers = vec![leaves];
         while layers.last().expect("non-empty").len() > 1 {
+            // The level as its contiguous `left ‖ right` blocks.
             let prev = layers.last().expect("non-empty");
-            let next = prev
-                .chunks(2)
-                .map(|pair| hash_pair(&pair[0], &pair[1]))
-                .collect();
-            layers.push(next);
+            layers.push(hash_blocks(prev.as_flattened().as_chunks().0));
         }
         Self { layers, leaf_count }
     }

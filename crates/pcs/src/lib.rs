@@ -52,7 +52,7 @@
 
 use batchzk_encoder::{Encoder, EncoderParams};
 use batchzk_field::Field;
-use batchzk_hash::{sha256, Digest, Transcript};
+use batchzk_hash::{sha256_each, Digest, Transcript};
 use batchzk_merkle::{MerklePath, MerkleTree};
 use batchzk_sumcheck::eq_table;
 
@@ -129,30 +129,39 @@ impl<F: Field> PcsOpening<F> {
 /// Domain-separation prefix of every column leaf hash.
 const COLUMN_PREFIX: &[u8] = b"batchzk-pcs-column";
 
-/// Hashes codeword columns into Merkle leaf digests: the leaf is
-/// `SHA-256(COLUMN_PREFIX ‖ canonical bytes of the column)`, assembled in
-/// one buffer reused across columns so each leaf is a single contiguous
-/// hash.
-struct ColumnHasher {
-    message: Vec<u8>,
-}
+/// Columns hashed per [`sha256_each`] call: one per lane of its kernel.
+const COLUMNS_PER_CALL: usize = 16;
 
-impl ColumnHasher {
-    fn new(n_rows: usize) -> Self {
-        let mut message = COLUMN_PREFIX.to_vec();
-        message.resize(COLUMN_PREFIX.len() + n_rows * 32, 0);
-        Self { message }
+/// The Merkle leaf digests of `count` codeword columns, column `j` given
+/// as `column(j)`: the leaf is `SHA-256(COLUMN_PREFIX ‖ canonical bytes of
+/// the column's n_rows symbols)`. Every column has the same length, at most
+/// `n_rows`, and stands for itself followed by zeros. Sixteen columns are
+/// written into sixteen prefix-headed messages and hashed in one
+/// [`sha256_each`] call; the bytes past a column's length are zeroed once
+/// and never written, so every message of a call has the same length.
+fn column_leaves<'a, F: Field + 'a>(
+    n_rows: usize,
+    count: usize,
+    column: impl Fn(usize) -> &'a [F],
+) -> Vec<Digest> {
+    let message_len = COLUMN_PREFIX.len() + 32 * n_rows;
+    let mut scratch = vec![0u8; COLUMNS_PER_CALL * message_len];
+    for message in scratch.chunks_exact_mut(message_len) {
+        message[..COLUMN_PREFIX.len()].copy_from_slice(COLUMN_PREFIX);
     }
-
-    /// The leaf digest of a column of the length given to [`Self::new`],
-    /// given as its first `column.len()` symbols with the rest zero. Every
-    /// column one hasher sees has the same live length, so the zero bytes
-    /// past it are never overwritten.
-    fn leaf<F: Field>(&mut self, column: &[F]) -> Digest {
-        let start = COLUMN_PREFIX.len();
-        F::write_canonical(column, &mut self.message[start..start + 32 * column.len()]);
-        sha256(&self.message)
+    let mut leaves = Vec::with_capacity(count);
+    for start in (0..count).step_by(COLUMNS_PER_CALL) {
+        let columns = start..count.min(start + COLUMNS_PER_CALL);
+        let mut messages = Vec::with_capacity(COLUMNS_PER_CALL);
+        for (j, message) in columns.zip(scratch.chunks_exact_mut(message_len)) {
+            let symbols = column(j);
+            let bytes = &mut message[COLUMN_PREFIX.len()..][..32 * symbols.len()];
+            F::write_canonical(symbols, bytes);
+            messages.push(&*message);
+        }
+        leaves.extend(sha256_each(&messages));
     }
+    leaves
 }
 
 /// Picks the matrix shape for a `k`-variable polynomial: columns get
@@ -343,14 +352,22 @@ impl<F: Field> PcsKey<F> {
         let enc_proximity = self.encoder.encode(&opening.proximity_row);
         let enc_combined = self.encoder.encode(&opening.combined_row);
 
-        let mut hasher = ColumnHasher::new(n_rows);
-        for (expected_index, col) in indices.iter().zip(&opening.columns) {
-            if col.index != *expected_index || col.values.len() != n_rows {
-                return false;
-            }
+        // Every opened column is checked for its index and length before
+        // any is hashed, so a mis-sized column is rejected, not hashed.
+        if indices
+            .iter()
+            .zip(&opening.columns)
+            .any(|(&index, col)| col.index != index || col.values.len() != n_rows)
+        {
+            return false;
+        }
+        let leaves = column_leaves(n_rows, opening.columns.len(), |j| {
+            &opening.columns[j].values[..]
+        });
+        for (col, leaf) in opening.columns.iter().zip(leaves) {
             // Merkle membership of the exact column bytes.
             if col.path.index() != col.index
-                || col.path.leaf() != hasher.leaf(&col.values)
+                || col.path.leaf() != leaf
                 || !col.path.verify(&commitment.root)
             {
                 return false;
@@ -454,10 +471,7 @@ pub fn commit_encode<F: Field>(params: &PcsParams, evals: &[F]) -> EncodedRows<F
 /// Phase 2 of a commitment: hash codeword columns and build the Merkle
 /// tree over them.
 pub fn commit_merkle<F: Field>(encoded: EncodedRows<F>) -> (PcsCommitment, PcsProverData<F>) {
-    let mut hasher = ColumnHasher::new(encoded.n_rows);
-    let leaves = (0..encoded.codeword_len)
-        .map(|j| hasher.leaf(encoded.column(j)))
-        .collect();
+    let leaves = column_leaves(encoded.n_rows, encoded.codeword_len, |j| encoded.column(j));
     let tree = MerkleTree::from_leaves(leaves);
     let commitment = PcsCommitment {
         root: tree.root(),
@@ -647,7 +661,7 @@ mod tests {
     use super::*;
     use crate::counting::{count_muls, Counted};
     use batchzk_field::Fr;
-    use batchzk_hash::Prg;
+    use batchzk_hash::{sha256, Prg};
     use batchzk_sumcheck::MultilinearPoly;
 
     fn params() -> PcsParams {
@@ -873,6 +887,60 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn column_leaves_are_the_one_column_hashes() {
+        // `commit_merkle` hashes sixteen columns per call: at codeword
+        // lengths around one call (15, 16, 17), with a partial last call
+        // (55) and at a long codeword (881), every leaf is the hash of the
+        // prefix and its own column alone, zero-extended to `n_rows` — for
+        // a full table and for a live prefix of the rows.
+        let mut rng = Prg::seed_from_u64(0x40);
+        let n_rows = 16;
+        for codeword_len in [15, 16, 17, 55, 881] {
+            for live in [n_rows, 8] {
+                let codewords: Vec<Fr> = (0..codeword_len * live)
+                    .map(|_| Fr::random(&mut rng))
+                    .collect();
+                let encoded = EncodedRows {
+                    codewords,
+                    n_rows,
+                    live,
+                    n_cols: 8,
+                    codeword_len,
+                    row_nnz: 0,
+                };
+                let oracle: Vec<Digest> = (0..codeword_len)
+                    .map(|j| {
+                        let mut message = COLUMN_PREFIX.to_vec();
+                        for v in encoded.column(j) {
+                            message.extend_from_slice(&v.to_bytes());
+                        }
+                        message.resize(COLUMN_PREFIX.len() + 32 * n_rows, 0);
+                        sha256(&message)
+                    })
+                    .collect();
+                let (_, data) = commit_merkle(encoded);
+                for (j, leaf) in oracle.iter().enumerate() {
+                    let case = format!("codeword_len={codeword_len} live={live} leaf {j}");
+                    assert_eq!(data.tree.leaf(j), *leaf, "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_mis_sized_column_is_rejected_without_panic() {
+        // Columns are length-checked before any is hashed: a column one
+        // element short, or one too long, is rejected, not hashed at a
+        // length the others do not have.
+        let mut short = opened(8, 111);
+        short.opening.columns[1].values.pop();
+        assert!(!accepts(&short, short.value));
+        let mut long = opened(8, 111);
+        long.opening.columns[1].values.push(Fr::ZERO);
+        assert!(!accepts(&long, long.value));
     }
 
     #[test]

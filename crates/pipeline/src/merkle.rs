@@ -10,7 +10,7 @@
 //! batch size.
 
 use batchzk_gpu_sim::{Gpu, Work};
-use batchzk_hash::{hash_block, hash_pair, Digest};
+use batchzk_hash::{hash_blocks, Digest};
 
 use crate::engine::{
     allocate_threads, BoxedStage, PipeStage, Pipeline, PipelineError, PipelineRun, StageWork,
@@ -63,7 +63,7 @@ impl PipeStage<MerkleTask> for LeafStage {
         self.threads
     }
     fn process(&self, task: &mut MerkleTask) -> StageWork {
-        task.layer = task.blocks.iter().map(hash_block).collect();
+        task.layer = hash_blocks(&task.blocks);
         let blocks = std::mem::take(&mut task.blocks);
         StageWork {
             work: Work::Uniform {
@@ -96,11 +96,8 @@ impl PipeStage<MerkleTask> for LayerStage {
         self.threads
     }
     fn process(&self, task: &mut MerkleTask) -> StageWork {
-        let next: Vec<Digest> = task
-            .layer
-            .chunks(2)
-            .map(|pair| hash_pair(&pair[0], &pair[1]))
-            .collect();
+        // The layer as its contiguous `left ‖ right` blocks.
+        let next = hash_blocks(task.layer.as_flattened().as_chunks().0);
         let units = next.len() as u64;
         task.layer = next;
         if task.layer.len() == 1 {

@@ -7,10 +7,11 @@ in each commit's own checkout with `cargo build --release --offline
 first, each for `BENCHMARK.json`'s `run_seconds`. It appends each run's last
 stdout line (the benchmark's `{correct, attempted, failed, metrics}` object)
 to `--out` with the run's commit, role, workload, seed, trace flag and pair
-index, and two host facts: `host_lane_kernel` and `host_compress_kernel`,
-the bodies this checkout's `field::lane_kernel()` and
-`hash::compress_kernel()` pick on this host (read once from its `lanes` and
-`sha_blocks` examples). They record the CPU's capability, not what either
+index, and three host facts: `host_lane_kernel`, `host_compress_kernel` and
+`host_hash_lanes_kernel`, the bodies this checkout's `field::lane_kernel()`,
+`hash::compress_kernel()` and `hash::lanes_kernel()` (sixteen messages at a
+time) pick on this host (read once from its `lanes` and `sha_blocks`
+examples). They record the CPU's capability, not what either
 binary ran: a build that predates a hook runs its own portable loop
 whatever they read (a parent without the `fold_halves` / `scale` hooks,
 such as 38b81f83, folds and scales on the scalar loops). Each line also
@@ -100,6 +101,8 @@ def record(args):
     host = {
         "host_lane_kernel": example_line("batchzk-field", "lanes", r"dispatch to: (\S+)"),
         "host_compress_kernel": example_line("batchzk-hash", "sha_blocks", r"dispatches to: (\S+)"),
+        "host_hash_lanes_kernel": example_line(
+            "batchzk-hash", "sha_blocks", r"16 messages at a time dispatch to: (\S+)"),
     }
     with open(args.out, "a", encoding="utf-8") as out:
         for seed in args.seeds:
