@@ -77,7 +77,7 @@ pub(super) fn timed_prove(circuit: &Circuit) -> (Vec<PhaseProfile>, f64) {
 }
 
 /// Runs the `profile` measurement: one warm-up prove, then the fastest of
-/// [`PROFILE_REPS`] instrumented single-thread proves, whose wall time is
+/// `PROFILE_REPS` (5) instrumented single-thread proves, whose wall time is
 /// attributed to named pipeline phases. The phases and the total come from
 /// that one run, so coverage is attributed/total within it. Everything
 /// except the timings is deterministic at a given scale.

@@ -117,7 +117,6 @@ pub struct Encoder<F> {
     levels: Vec<Level<F>>,
     message_len: usize,
     codeword_len: usize,
-    base_n: usize,
 }
 
 impl<F: Field> Encoder<F> {
@@ -173,7 +172,6 @@ impl<F: Field> Encoder<F> {
             levels,
             message_len,
             codeword_len,
-            base_n: n,
         }
     }
 
@@ -200,11 +198,6 @@ impl<F: Field> Encoder<F> {
     /// The recursion levels, outermost first.
     pub fn levels(&self) -> &[Level<F>] {
         &self.levels
-    }
-
-    /// Length of the identity-coded core at the bottom of the recursion.
-    pub fn base_len(&self) -> usize {
-        self.base_n
     }
 
     /// The configured parameters.
@@ -278,8 +271,10 @@ impl<F: Field> Encoder<F> {
 
     /// Phase 1 (Figure 6, first pipeline): the chain of `A`-multiplications.
     /// Returns the intermediate vectors `y_1, ..., y_L` (`y_{i+1} = A_i·y_i`,
-    /// with `y_0` the message itself, not included).
-    pub fn forward_pass(&self, message: &[F]) -> Vec<Vec<F>> {
+    /// with `y_0` the message itself, not included). The stage-split
+    /// reference the batch kernel is tested against.
+    #[cfg(test)]
+    fn forward_pass(&self, message: &[F]) -> Vec<Vec<F>> {
         let mut ys: Vec<Vec<F>> = Vec::with_capacity(self.levels.len());
         let mut current = message;
         for level in &self.levels {
@@ -296,8 +291,9 @@ impl<F: Field> Encoder<F> {
     ///
     /// # Panics
     ///
-    /// Panics if `ys` does not match [`Self::forward_pass`]'s shape.
-    pub fn backward_pass(&self, message: &[F], ys: &[Vec<F>]) -> Vec<F> {
+    /// Panics if `ys` does not match `forward_pass`'s shape.
+    #[cfg(test)]
+    fn backward_pass(&self, message: &[F], ys: &[Vec<F>]) -> Vec<F> {
         assert_eq!(ys.len(), self.levels.len(), "phase-1 output shape mismatch");
         // Deepest codeword: identity on the last intermediate vector (or the
         // message itself when there are no levels).
@@ -475,7 +471,6 @@ mod tests {
             expect_n = level.a.rows();
         }
         assert!(expect_n <= enc.params().base_len);
-        assert_eq!(expect_n, enc.base_len());
         // Outermost level's out_len equals the codeword length.
         assert_eq!(enc.levels()[0].out_len(), enc.codeword_len());
     }

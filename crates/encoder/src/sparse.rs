@@ -29,7 +29,7 @@ impl<F: Field> SparseMatrix<F> {
     /// # Panics
     ///
     /// Panics if any column index is out of range or `entries.len() != rows`.
-    pub fn from_rows(rows: usize, cols: usize, entries: Vec<Vec<(usize, F)>>) -> Self {
+    fn from_rows(rows: usize, cols: usize, entries: Vec<Vec<(usize, F)>>) -> Self {
         assert_eq!(entries.len(), rows, "one entry list per row required");
         let mut row_ptr = Vec::with_capacity(rows + 1);
         let mut col_idx = Vec::new();
@@ -54,19 +54,9 @@ impl<F: Field> SparseMatrix<F> {
 
     /// Samples a random expander-style matrix: every row draws `degree`
     /// distinct columns (capped at `cols`) with uniformly random non-zero
-    /// coefficients. Deterministic given the RNG state.
-    pub fn random_regular<R: RngCore>(
-        rows: usize,
-        cols: usize,
-        degree: usize,
-        rng: &mut R,
-    ) -> Self {
-        Self::random_jittered(rows, cols, degree, 0, rng)
-    }
-
-    /// Like [`Self::random_regular`] but with per-row degree jitter: each
-    /// row's degree is drawn uniformly from `[degree - jitter, degree +
-    /// jitter]` (clamped to `[1, cols]`). Spielman-style constructions
+    /// coefficients, deterministic given the RNG state. With a non-zero
+    /// `jitter` each row's degree is drawn uniformly from `[degree - jitter,
+    /// degree + jitter]` (clamped to `[1, cols]`). Spielman-style constructions
     /// distribute edges with varying vertex degrees; the resulting
     /// intra-matrix imbalance is what the paper's bucket-sorted warp
     /// schedule (§3.3) exists to absorb.
@@ -262,7 +252,7 @@ mod tests {
     #[test]
     fn mul_vec_is_linear() {
         let mut rng = Prg::seed_from_u64(1);
-        let m = SparseMatrix::<Fr>::random_regular(40, 100, 7, &mut rng);
+        let m = SparseMatrix::<Fr>::random_jittered(40, 100, 7, 0, &mut rng);
         let x: Vec<Fr> = (0..100).map(|_| Fr::random(&mut rng)).collect();
         let y: Vec<Fr> = (0..100).map(|_| Fr::random(&mut rng)).collect();
         let c = Fr::random(&mut rng);
@@ -278,7 +268,7 @@ mod tests {
     #[test]
     fn random_regular_has_requested_degree() {
         let mut rng = Prg::seed_from_u64(2);
-        let m = SparseMatrix::<Fr>::random_regular(50, 200, 7, &mut rng);
+        let m = SparseMatrix::<Fr>::random_jittered(50, 200, 7, 0, &mut rng);
         for i in 0..50 {
             assert_eq!(m.row_degree(i), 7);
             // Columns are distinct and sorted.
@@ -293,7 +283,7 @@ mod tests {
     #[test]
     fn random_regular_caps_degree_at_cols() {
         let mut rng = Prg::seed_from_u64(3);
-        let m = SparseMatrix::<Fr>::random_regular(10, 4, 9, &mut rng);
+        let m = SparseMatrix::<Fr>::random_jittered(10, 4, 9, 0, &mut rng);
         for i in 0..10 {
             assert_eq!(m.row_degree(i), 4);
         }
@@ -302,7 +292,7 @@ mod tests {
     #[test]
     fn warp_schedule_covers_all_rows_once() {
         let mut rng = Prg::seed_from_u64(4);
-        let m = SparseMatrix::<Fr>::random_regular(100, 300, 5, &mut rng);
+        let m = SparseMatrix::<Fr>::random_jittered(100, 300, 5, 0, &mut rng);
         let sched = m.warp_schedule();
         let mut seen: Vec<usize> = sched.iter().flatten().copied().collect();
         seen.sort_unstable();

@@ -14,7 +14,7 @@ pub type Limbs = [u64; NLIMBS];
 
 /// Computes `a + b + carry`, returning the low 64 bits and the new carry.
 #[inline(always)]
-pub const fn adc(a: u64, b: u64, carry: u64) -> (u64, u64) {
+const fn adc(a: u64, b: u64, carry: u64) -> (u64, u64) {
     let t = (a as u128) + (b as u128) + (carry as u128);
     (t as u64, (t >> 64) as u64)
 }
@@ -22,7 +22,7 @@ pub const fn adc(a: u64, b: u64, carry: u64) -> (u64, u64) {
 /// Computes `a - b - borrow`, returning the low 64 bits and the new borrow
 /// (0 or 1).
 #[inline(always)]
-pub const fn sbb(a: u64, b: u64, borrow: u64) -> (u64, u64) {
+const fn sbb(a: u64, b: u64, borrow: u64) -> (u64, u64) {
     let t = (a as u128)
         .wrapping_sub(b as u128)
         .wrapping_sub(borrow as u128);
@@ -31,7 +31,7 @@ pub const fn sbb(a: u64, b: u64, borrow: u64) -> (u64, u64) {
 
 /// Computes `a + b * c + carry`, returning the low 64 bits and the new carry.
 #[inline(always)]
-pub const fn mac(a: u64, b: u64, c: u64, carry: u64) -> (u64, u64) {
+const fn mac(a: u64, b: u64, c: u64, carry: u64) -> (u64, u64) {
     let t = (a as u128) + (b as u128) * (c as u128) + (carry as u128);
     (t as u64, (t >> 64) as u64)
 }
@@ -188,7 +188,7 @@ pub type WideAcc = [u64; ACC_LIMBS];
 
 /// Schoolbook 256×256 → 512-bit product, no reduction.
 #[inline(always)]
-pub const fn mul_wide(a: &Limbs, b: &Limbs) -> [u64; 2 * NLIMBS] {
+const fn mul_wide(a: &Limbs, b: &Limbs) -> [u64; 2 * NLIMBS] {
     let mut t = [0u64; 2 * NLIMBS];
     let mut i = 0;
     while i < NLIMBS {
@@ -229,7 +229,7 @@ pub const fn acc_mul_add(acc: &mut WideAcc, a: &Limbs, b: &Limbs) {
 /// `p < 2^255`: the four reduction steps then leave `(t + m·p) / 2^256 <
 /// 2p`, which one conditional subtraction canonicalizes. 16 word multiplies
 /// (plus 4 for the `m`s); [`mont_mul`] is this fused with the 16 of
-/// [`mul_wide`].
+/// `mul_wide`.
 #[inline]
 pub const fn mont_reduce(t: &[u64; 2 * NLIMBS], p: &Limbs, inv: u64) -> Limbs {
     let mut t = *t;
@@ -306,7 +306,7 @@ pub const fn acc_reduce(acc: &WideAcc, p: &Limbs, inv: u64, r2: &Limbs) -> Limbs
 
 /// Maps `[0, 2p)` onto `[0, p)` with one conditional subtraction.
 #[inline]
-pub const fn reduce_once(a: &Limbs, p: &Limbs) -> Limbs {
+const fn reduce_once(a: &Limbs, p: &Limbs) -> Limbs {
     if geq(a, p) {
         sub_wide(a, p).0
     } else {
@@ -316,7 +316,7 @@ pub const fn reduce_once(a: &Limbs, p: &Limbs) -> Limbs {
 
 /// Returns `2a`, valid while it fits 256 bits (`a < 2^255`).
 #[inline]
-pub const fn double_wide(p: &Limbs) -> Limbs {
+const fn double_wide(p: &Limbs) -> Limbs {
     add_wide(p, p).0
 }
 

@@ -185,7 +185,7 @@ impl<F: Field> NttDomain<F> {
 }
 
 /// Reorders a slice into bit-reversed index order.
-pub fn bit_reverse_permute<T>(values: &mut [T]) {
+fn bit_reverse_permute<T>(values: &mut [T]) {
     let n = values.len();
     debug_assert!(n.is_power_of_two());
     let bits = n.trailing_zeros();

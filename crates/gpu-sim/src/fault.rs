@@ -158,7 +158,8 @@ impl FaultPlan {
     }
 
     /// The entries targeting device `d`, in insertion order.
-    pub fn for_device(&self, d: usize) -> Vec<FaultEntry> {
+    #[cfg(test)]
+    fn for_device(&self, d: usize) -> Vec<FaultEntry> {
         self.entries
             .iter()
             .copied()

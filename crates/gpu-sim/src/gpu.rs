@@ -51,7 +51,7 @@ pub enum Work {
 
 impl Work {
     /// Total useful cycles in this work, ignoring scheduling.
-    pub fn useful_cycles(&self) -> u64 {
+    fn useful_cycles(&self) -> u64 {
         match self {
             Work::Uniform {
                 units,
@@ -215,15 +215,10 @@ pub struct Gpu {
 impl Gpu {
     /// Creates a device with the default cost model.
     pub fn new(profile: DeviceProfile) -> Self {
-        Self::with_cost(profile, CostModel::default())
-    }
-
-    /// Creates a device with an explicit cost model.
-    pub fn with_cost(profile: DeviceProfile, cost: CostModel) -> Self {
         let memory = DeviceMemory::new(profile.device_mem_bytes);
         Self {
             profile,
-            cost,
+            cost: CostModel::default(),
             memory,
             clock: 0,
             trace_level: TraceLevel::default(),
@@ -353,7 +348,8 @@ impl Gpu {
 
     /// Current clock dilation in integer percent (100 = nominal; 250 means
     /// every compute span takes 2.5× as long).
-    pub fn clock_dilation_percent(&self) -> u32 {
+    #[cfg(test)]
+    fn clock_dilation_percent(&self) -> u32 {
         self.degraded_percent
     }
 
@@ -659,14 +655,9 @@ impl Gpu {
     }
 
     /// The current trace recording level.
-    pub fn trace_level(&self) -> TraceLevel {
+    #[cfg(test)]
+    fn trace_level(&self) -> TraceLevel {
         self.trace_level
-    }
-
-    /// Sets the trace recording level for subsequent steps. Already-recorded
-    /// events are kept.
-    pub fn set_trace_level(&mut self, level: TraceLevel) {
-        self.trace_level = level;
     }
 
     /// Per-kernel events recorded at [`TraceLevel::Full`].
@@ -725,7 +716,8 @@ impl Gpu {
     /// any not-yet-armed fault script persist (a throttled or dead card
     /// does not heal on a counter reset); un-armed trigger cycles are
     /// interpreted on the post-reset clock.
-    pub fn reset_clock(&mut self) {
+    #[cfg(test)]
+    fn reset_clock(&mut self) {
         self.clock = 0;
         self.trace.clear();
         self.kernel_stats.clear();

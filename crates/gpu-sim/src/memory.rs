@@ -114,12 +114,14 @@ impl DeviceMemory {
     }
 
     /// Number of live allocations.
-    pub fn live_count(&self) -> usize {
+    #[cfg(test)]
+    fn live_count(&self) -> usize {
         self.live.len()
     }
 
     /// Sum of live allocation sizes whose label contains `needle`.
-    pub fn in_use_labelled(&self, needle: &str) -> u64 {
+    #[cfg(test)]
+    fn in_use_labelled(&self, needle: &str) -> u64 {
         self.live
             .values()
             .filter(|(_, l)| l.contains(needle))

@@ -132,7 +132,7 @@ impl DevicePool {
     /// The shared virtual clock: the farthest per-device clock, in cycles
     /// of each device's own time base converted to seconds (heterogeneous
     /// pools tick at different rates, so *now* is in wall seconds).
-    pub fn virtual_now_seconds(&self) -> f64 {
+    fn virtual_now_seconds(&self) -> f64 {
         self.devices
             .iter()
             .map(Gpu::elapsed_seconds)
@@ -147,7 +147,8 @@ impl DevicePool {
     /// Index of the least-advanced device in wall time (ties break to the
     /// lowest index). A scheduler that always feeds this device emulates
     /// event-driven dispatch across the pool.
-    pub fn earliest_device(&self) -> usize {
+    #[cfg(test)]
+    fn earliest_device(&self) -> usize {
         let mut best = 0usize;
         let mut best_t = f64::INFINITY;
         for (i, g) in self.devices.iter().enumerate() {
@@ -265,7 +266,8 @@ impl DevicePool {
     }
 
     /// Dissolves the pool back into its devices.
-    pub fn into_devices(self) -> Vec<Gpu> {
+    #[cfg(test)]
+    fn into_devices(self) -> Vec<Gpu> {
         self.devices
     }
 }

@@ -20,7 +20,7 @@ pub enum Interconnect {
 
 impl Interconnect {
     /// Effective unidirectional bandwidth in bytes per second.
-    pub fn bytes_per_second(&self) -> f64 {
+    fn bytes_per_second(&self) -> f64 {
         match self {
             Interconnect::Pcie3x16 => 13.9e9,
             Interconnect::Pcie4x16 => 30.6e9,

@@ -105,7 +105,8 @@ impl MerkleTree {
     }
 
     /// Number of real (unpadded) leaves.
-    pub fn leaf_count(&self) -> usize {
+    #[cfg(test)]
+    fn leaf_count(&self) -> usize {
         self.leaf_count
     }
 

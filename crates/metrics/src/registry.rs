@@ -38,7 +38,7 @@ impl MetricId {
     }
 
     /// Renders the `{k="v",...}` label suffix (empty string if unlabeled).
-    pub fn label_suffix(&self) -> String {
+    fn label_suffix(&self) -> String {
         if self.labels.is_empty() {
             return String::new();
         }

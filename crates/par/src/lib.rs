@@ -176,7 +176,7 @@ fn seed_ranges(n: usize, workers: usize) -> Vec<Range> {
 ///
 /// `threads <= 1` (and `n <= 1`) short-circuits to a fully inline serial
 /// loop: no threads are spawned, no atomics touched.
-pub fn par_map_indexed_with<R, F>(threads: usize, n: usize, f: F) -> Vec<R>
+fn par_map_indexed_with<R, F>(threads: usize, n: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
@@ -226,25 +226,15 @@ where
         .collect()
 }
 
-/// Maps `f` over a slice on up to `threads` workers, results in input
-/// order.
-pub fn par_map_with<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_indexed_with(threads, items.len(), |i| f(&items[i]))
-}
-
-/// [`par_map_with`] at the [`current_threads`] count.
+/// Maps `f` over a slice on up to [`current_threads`] workers, results in
+/// input order.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map_with(current_threads(), items, f)
+    par_map_indexed_with(current_threads(), items.len(), |i| f(&items[i]))
 }
 
 /// Applies `f` to every element of `items` by `&mut`, returning the
@@ -351,7 +341,7 @@ mod tests {
     #[test]
     fn par_map_borrows_items() {
         let items: Vec<String> = (0..50).map(|i| format!("item-{i}")).collect();
-        let lens = par_map_with(4, &items, |s| s.len());
+        let lens = with_threads(4, || par_map(&items, |s| s.len()));
         let serial: Vec<usize> = items.iter().map(|s| s.len()).collect();
         assert_eq!(lens, serial);
     }

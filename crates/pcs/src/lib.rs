@@ -487,7 +487,8 @@ pub fn commit_merkle<F: Field>(encoded: EncodedRows<F>) -> (PcsCommitment, PcsPr
 /// # Panics
 ///
 /// Panics if `evals` is empty or not a power of two.
-pub fn commit<F: Field>(params: &PcsParams, evals: &[F]) -> (PcsCommitment, PcsProverData<F>) {
+#[cfg(test)]
+fn commit<F: Field>(params: &PcsParams, evals: &[F]) -> (PcsCommitment, PcsProverData<F>) {
     commit_merkle(commit_encode(params, evals))
 }
 

@@ -382,11 +382,6 @@ impl<'g, T: Send> PipelineExecutor<'g, T> {
         }
     }
 
-    /// Number of stages.
-    pub fn num_stages(&self) -> usize {
-        self.stages.len()
-    }
-
     /// Sets how many host threads the per-slot payload computation may fan
     /// out across (min 1; default 1 — fully inline serial processing).
     /// Each occupied slot holds a distinct in-flight task, so the payloads
@@ -818,11 +813,6 @@ impl<'g, T: Send> Pipeline<'g, T> {
             stages,
             multi_stream,
         }
-    }
-
-    /// Number of stages.
-    pub fn num_stages(&self) -> usize {
-        self.stages.len()
     }
 
     /// Streams `tasks` through the pipeline: one task enters per cycle, all

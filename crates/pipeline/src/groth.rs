@@ -34,7 +34,7 @@
 //! the cost model is re-derived from counted operations (ROADMAP item 5,
 //! "One operation count, two clocks"): re-tuning the modelled ladder for
 //! the host would silently move every `sim_*` number. The table's
-//! residency ([`GrothCircuit::fixed_base_table_bytes`]) is likewise not
+//! residency ([`MsmBases::table_bytes_for`] the circuit's size) is likewise not
 //! yet part of `mem_after`.
 //!
 //! Between stages a task owns one `TaskState` variant — exactly what the
@@ -73,7 +73,7 @@ pub const NTT_COUNT: u64 = 7;
 /// Modeled device bytes per constraint for a resident Groth16 proving run
 /// (witness + bases + FFT buffers + proving key), calibrated against the
 /// paper's Table 10 (1.38 GB at `S = 2^20` ⇒ ~1.4 KB per constraint). The
-/// host's fixed-base table ([`GrothCircuit::fixed_base_table_bytes`]:
+/// host's fixed-base table ([`MsmBases::table_bytes_for`] the circuit size:
 /// 2 304 bytes per constraint at `2^8`, 1 584 at `2^12`, shared by the
 /// whole batch) is not in it.
 pub const BYTES_PER_CONSTRAINT: u64 = 1400;
@@ -132,8 +132,9 @@ impl GrothCircuit {
     /// Bytes of the fixed-base table the commitments run over. On a device
     /// it would be resident next to [`BYTES_PER_CONSTRAINT`] per
     /// constraint for as long as the circuit is served; the simulator does
-    /// **not** charge it yet (ROADMAP item 5).
-    pub fn fixed_base_table_bytes(&self) -> usize {
+    /// **not** charge it yet (ROADMAP item 5), so only the tests read it.
+    #[cfg(test)]
+    fn fixed_base_table_bytes(&self) -> usize {
         MsmBases::table_bytes_for(self.size())
     }
 

@@ -90,8 +90,8 @@ use batchzk_metrics::{AlertKind, AlertRule, Registry, StageObservation, Timeline
 
 /// Folds a completed run's statistics into `registry` under `module`.
 ///
-/// Counters accumulate across runs (a `StreamingProver`-style service
-/// calls this once per chunk); gauges reflect the most recent run.
+/// Counters accumulate across runs (a service calls this once per
+/// round); gauges reflect the most recent run.
 pub fn record_run(registry: &mut Registry, module: &str, stats: &RunStats) {
     let m = [("module", module)];
     registry.counter_add("batchzk_runs_total", &m, 1);
@@ -822,6 +822,10 @@ mod tests {
                 );
             }
             assert!(reg.gauge("batchzk_service_slo_attainment", &c).is_some());
+            assert_eq!(
+                reg.counter("batchzk_service_completed_total", &c),
+                outcome.reports[class.index()].completed
+            );
         }
         assert_eq!(requests_total, 12);
         assert_eq!(requests_total, accepted_total + rejected_total);

@@ -143,7 +143,7 @@ impl ServiceConfig {
     /// The flight-recorder window width this config resolves to:
     /// [`Self::timeline_window_cycles`] when set, else a quarter of the
     /// tightest class SLO (at least 1 cycle).
-    pub fn resolved_timeline_window(&self) -> u64 {
+    fn resolved_timeline_window(&self) -> u64 {
         if self.timeline_window_cycles > 0 {
             self.timeline_window_cycles
         } else {
@@ -349,8 +349,9 @@ pub struct ServiceOutcome<T> {
     /// The flight recorder: windowed per-class admission/completion
     /// counters, queue-depth peaks, per-device busy cycles and in-flight
     /// peaks, and per-window p99 lifecycle latency, sampled from inside
-    /// the event loop (window width from
-    /// [`ServiceConfig::resolved_timeline_window`], retention bound
+    /// the event loop (window width
+    /// [`ServiceConfig::timeline_window_cycles`], or a quarter of the
+    /// tightest class SLO when that is 0; retention bound
     /// [`TIMELINE_MAX_WINDOWS`]). Feed it to [`batchzk_metrics::evaluate`]
     /// for the alerting pass.
     pub timeline: Timeline,
@@ -1070,7 +1071,14 @@ mod tests {
         let mut cfg = config();
         // An SLO of 1 cycle is unmeetable: every completion is a miss.
         cfg.classes[PriorityClass::Standard.index()].slo_cycles = 1;
+        // A bulk request submitted first but arriving last meets its SLO
+        // and takes the last request id: ids follow arrival order.
         let requests = vec![
+            ServiceRequest {
+                class: PriorityClass::Bulk,
+                arrival_cycle: 20,
+                task: 2,
+            },
             ServiceRequest {
                 class: PriorityClass::Standard,
                 arrival_cycle: 0,
@@ -1090,5 +1098,14 @@ mod tests {
         assert!(report.latency_p50_cycles <= report.latency_p95_cycles);
         assert!(report.latency_p95_cycles <= report.latency_p99_cycles);
         assert!(report.latency_p99_cycles <= report.latency_max_cycles);
+        let bulk = &outcome.reports[PriorityClass::Bulk.index()];
+        assert_eq!((bulk.completed, bulk.within_slo), (1, 1));
+        assert!(outcome.goodput_per_mcycle() > 0.0);
+        let c = outcome
+            .completions
+            .iter()
+            .find(|c| c.class == PriorityClass::Bulk)
+            .expect("bulk completes");
+        assert_eq!((c.request, c.arrival_cycle, c.task), (2, 20, 2 + 3));
     }
 }

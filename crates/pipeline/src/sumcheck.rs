@@ -79,7 +79,7 @@ impl<F: Field> SumcheckTask<F> {
     /// # Panics
     ///
     /// Panics if rounds are executed out of order.
-    pub fn run_round(&mut self, round: usize) -> usize {
+    fn run_round(&mut self, round: usize) -> usize {
         assert_eq!(self.proof.len(), round, "rounds must run in order");
         let half = self.table.len() / 2;
         let (lo, hi) = self.table.split_at_mut(half);

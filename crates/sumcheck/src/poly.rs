@@ -126,7 +126,7 @@ fn eq_start<F: Field>(tau: &[F], len: usize, c: F) -> (&[F], F) {
 }
 
 /// `c · eq_table(tau)[..len]` in `O(2^⌈log₂ len⌉)` work, where the full
-/// table costs `2^n`: from its first entry ([`eq_start`]) each variable
+/// table costs `2^n`: from its first entry (`eq_start`) each variable
 /// doubles the table by a copy of its lower entries, the last one only
 /// the `len − 2^(k−1)` upper entries the prefix holds.
 ///

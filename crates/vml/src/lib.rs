@@ -33,8 +33,5 @@ pub use compile::{
     CompiledInference,
 };
 pub use network::{tiny_cnn, vgg16, Layer, Network, Trace};
-pub use service::{
-    MlService, OnlinePrediction, OnlineRequest, OnlineServiceRun, PoolServiceRun, ServiceRun,
-    VerifiedPrediction,
-};
+pub use service::{MlService, PoolServiceRun, ServiceRun, VerifiedPrediction};
 pub use tensor::Tensor;

@@ -48,7 +48,7 @@ pub enum Layer {
 
 impl Layer {
     /// Number of secret parameters in this layer.
-    pub fn num_params(&self) -> usize {
+    fn num_params(&self) -> usize {
         match self {
             Layer::Conv3x3 { weights, bias, .. } | Layer::Dense { weights, bias, .. } => {
                 weights.len() + bias.len()
@@ -74,7 +74,7 @@ impl Layer {
 
 /// Floor division by `2^k` (arithmetic shift, exact for negatives too).
 #[inline]
-pub fn floor_shift(x: i64, k: u32) -> i64 {
+fn floor_shift(x: i64, k: u32) -> i64 {
     x >> k
 }
 

@@ -15,14 +15,11 @@ use batchzk_gpu_sim::{DevicePool, Gpu};
 use batchzk_hash::Digest;
 use batchzk_merkle::MerkleTree;
 use batchzk_metrics::Registry;
-use batchzk_pipeline::{
-    observe, ClassReport, PipelineError, PriorityClass, RecoveryReport, RejectedRequest, RunStats,
-    ServiceConfig, ServiceError, ShardPolicy,
-};
+use batchzk_pipeline::{observe, PipelineError, RecoveryReport, RunStats, ShardPolicy};
 use batchzk_zkp::r1cs::R1cs;
 use batchzk_zkp::{
-    prove_batch_pool_with, prove_batch_with, prove_service_with, record_pool_outcome, PcsParams,
-    Proof, ProverBackend, SpartanBackend,
+    prove_batch_pool_with, prove_batch_with, record_pool_outcome, PcsParams, Proof, ProverBackend,
+    SpartanBackend,
 };
 
 use crate::compile::{compile_inference, compile_witness};
@@ -72,55 +69,6 @@ pub struct PoolServiceRun {
     /// recovery the predictions above carry proofs byte-identical to a
     /// fault-free round.
     pub recovery: Option<RecoveryReport>,
-}
-
-/// One customer request entering the online service front: a priority
-/// class, an arrival cycle in virtual device time, and the image to
-/// classify-and-prove.
-pub type OnlineRequest = (PriorityClass, u64, Tensor);
-
-/// One answered online request: the prediction plus its service telemetry.
-#[derive(Debug)]
-pub struct OnlinePrediction {
-    /// Index of the request in the submitted stream (arrival order).
-    pub request: usize,
-    /// Priority class the request was admitted under.
-    pub class: PriorityClass,
-    /// Virtual cycle the request arrived at.
-    pub arrival_cycle: u64,
-    /// Virtual cycle the proof left the pipeline.
-    pub completed_cycle: u64,
-    /// Device that proved the request.
-    pub device: usize,
-    /// The prediction and its proof, verifiable with
-    /// [`MlService::verify_prediction`].
-    pub prediction: VerifiedPrediction,
-}
-
-impl OnlinePrediction {
-    /// End-to-end latency in virtual cycles (arrival → completion).
-    pub fn latency_cycles(&self) -> u64 {
-        self.completed_cycle.saturating_sub(self.arrival_cycle)
-    }
-}
-
-/// Outcome of an online serving round: answered requests, shed load, and
-/// the per-class SLO accounting.
-pub struct OnlineServiceRun {
-    /// Answered requests, sorted by (completion cycle, request index).
-    pub predictions: Vec<OnlinePrediction>,
-    /// Requests admission control turned away (never predicted or proved).
-    pub rejected: Vec<RejectedRequest>,
-    /// Per-class SLO accounting, indexed by [`PriorityClass::index`].
-    pub reports: [ClassReport; 3],
-    /// Per-device pipeline statistics, in pool order.
-    pub device_stats: Vec<RunStats>,
-    /// Within-SLO completions per million cycles of served span.
-    pub goodput_per_mcycle: f64,
-    /// The flight recorder of the round: windowed admission, completion,
-    /// queue-depth, and device-utilization series (see
-    /// [`batchzk_metrics::Timeline`]).
-    pub timeline: batchzk_metrics::Timeline,
 }
 
 impl MlService {
@@ -272,104 +220,6 @@ impl MlService {
         })
     }
 
-    /// Answers an open-loop stream of customer requests through the online
-    /// service front: requests arrive at scripted virtual cycles (e.g. from
-    /// a [`batchzk_gpu_sim::ArrivalPlan`] expansion), pass per-class
-    /// admission control, and are proved on per-device pipelines fed
-    /// continuously. Unlike [`serve_batch_pool`], requests the admission
-    /// controller sheds are *not* proved (inference and witness generation
-    /// run up front for every request, but shed work is discarded) — they
-    /// come back in [`OnlineServiceRun::rejected`] with a reason, and the
-    /// per-class [`ClassReport`]s judge latency against each class's SLO.
-    ///
-    /// The round's service metric families (`batchzk_service_*`) land in
-    /// [`metrics`](MlService::metrics) under the `vml` module.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError::InvalidInput`] for a zero-capacity config,
-    /// an empty pool, or a mixed-clock pool, and [`ServiceError::Pipeline`]
-    /// for device-side failures (the service front does not reshard around
-    /// scripted faults; see [`serve_batch_pool`] for that).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any image has the wrong shape.
-    ///
-    /// [`serve_batch_pool`]: MlService::serve_batch_pool
-    pub fn serve_online(
-        &mut self,
-        pool: &mut DevicePool,
-        requests: Vec<OnlineRequest>,
-        config: &ServiceConfig,
-        total_threads: u32,
-    ) -> Result<OnlineServiceRun, ServiceError> {
-        // Stable-sort by arrival cycle up front: the service front assigns
-        // request ids in submitted order after the same stable sort, so
-        // sorting here keeps `logits_list[request]` aligned with the ids
-        // that come back on completions and rejections.
-        let mut requests = requests;
-        requests.sort_by_key(|&(_, at, _)| at);
-        let (classes, arrivals, images): (Vec<_>, Vec<_>, Vec<_>) = requests.into_iter().fold(
-            (Vec::new(), Vec::new(), Vec::new()),
-            |(mut cs, mut ats, mut imgs), (class, at, image)| {
-                cs.push(class);
-                ats.push(at);
-                imgs.push(image);
-                (cs, ats, imgs)
-            },
-        );
-        let (logits_list, instances) = self.prepare_requests(&images);
-        let proof_requests = classes
-            .into_iter()
-            .zip(arrivals)
-            .zip(instances)
-            .map(|((class, at), instance)| (class, at, instance))
-            .collect();
-        let run = prove_service_with(
-            pool,
-            &self.backend,
-            config,
-            proof_requests,
-            total_threads,
-            true,
-        )
-        .inspect_err(|e| {
-            if let ServiceError::Pipeline(pe) = e {
-                observe::record_error(&mut self.metrics, VML_MODULE, pe);
-            }
-        })?;
-        observe::record_service(&mut self.metrics, VML_MODULE, &run);
-        let goodput_per_mcycle = run.goodput_per_mcycle();
-        let predictions = run
-            .completions
-            .into_iter()
-            .map(|c| {
-                let (public_inputs, proof) = self.backend.finish(c.task);
-                OnlinePrediction {
-                    request: c.request,
-                    class: c.class,
-                    arrival_cycle: c.arrival_cycle,
-                    completed_cycle: c.completed_cycle,
-                    device: c.device,
-                    prediction: VerifiedPrediction {
-                        logits: logits_list[c.request].clone(),
-                        public_inputs,
-                        proof,
-                    },
-                }
-            })
-            .collect();
-        Ok(OnlineServiceRun {
-            predictions,
-            rejected: run.rejected,
-            reports: run.reports,
-            device_stats: run.device_stats,
-            goodput_per_mcycle,
-            timeline: run.timeline,
-        })
-    }
-
     /// Runs inference on every request and generates its assignment for
     /// the circuit compiled in [`MlService::new`].
     ///
@@ -501,6 +351,11 @@ mod tests {
             .metrics()
             .counter("batchzk_tasks_total", &[("module", "vml"), ("device", "1")]);
         assert_eq!(d0 + d1, 4);
+        assert!(d0 > 0 && d1 > 0, "both devices proved work");
+        // Module-level counters accumulate across the two rounds.
+        let m = [("module", "vml")];
+        assert_eq!(svc.metrics().counter("batchzk_runs_total", &m), 2);
+        assert_eq!(svc.metrics().counter("batchzk_tasks_total", &m), 8);
     }
 
     #[test]
@@ -520,6 +375,11 @@ mod tests {
             )
             .expect("fits");
         assert!(clean.recovery.is_none());
+        let device_tasks = |svc: &MlService, d: &str| {
+            svc.metrics()
+                .counter("batchzk_tasks_total", &[("module", "vml"), ("device", d)])
+        };
+        let carried = device_tasks(&svc, "0");
 
         let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 2);
         pool.apply_fault_plan(&FaultPlan::new().fail_stop(1, 0));
@@ -545,115 +405,16 @@ mod tests {
             svc.metrics().gauge("batchzk_pool_failed_devices", &m),
             Some(1.0)
         );
-    }
-
-    #[test]
-    fn online_round_verifies_and_accounts_per_class() {
-        use batchzk_pipeline::ClassPolicy;
-        let mut svc = service();
-        let classes = PriorityClass::ALL;
-        // Six requests, two per class, paced far enough apart that nothing
-        // is shed; scrambled submission order exercises the arrival sort.
-        let requests: Vec<OnlineRequest> = (0..6)
-            .rev()
-            .map(|i| {
-                (
-                    classes[i % 3],
-                    20_000 * i as u64,
-                    synthetic_image(70 + i as u64, &svc.network().input_shape),
-                )
-            })
-            .collect();
-        let config = ServiceConfig {
-            classes: [ClassPolicy {
-                queue_cap: 4,
-                slo_cycles: 200_000_000,
-            }; 3],
-            max_outstanding: 16,
-            device_queue_cap: 4,
-            max_in_flight: 0,
-            timeline_window_cycles: 0,
-        };
-        let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 2);
-        let run = svc
-            .serve_online(&mut pool, requests, &config, 4096)
-            .expect("valid config");
-        assert_eq!(run.predictions.len(), 6);
-        assert!(run.rejected.is_empty());
-        for p in &run.predictions {
-            assert!(svc.verify_prediction(&p.prediction));
-            // The logits riding the completion match a fresh forward pass
-            // of the same image (requests are id'd in arrival order).
-            let image = synthetic_image(70 + p.request as u64, &svc.network().input_shape);
-            assert_eq!(p.prediction.logits, svc.predict(&image));
-            assert!(p.completed_cycle >= p.arrival_cycle);
-            assert_eq!(p.latency_cycles(), p.completed_cycle - p.arrival_cycle);
-        }
-        for report in &run.reports {
-            assert_eq!(report.submitted, 2);
-            assert_eq!(report.completed, 2);
-            assert_eq!(report.within_slo, 2, "generous SLO holds");
-        }
-        assert!(run.goodput_per_mcycle > 0.0);
-        // Service metric families recorded under the vml module.
-        let m = [("module", "vml"), ("class", "interactive")];
         assert_eq!(
-            svc.metrics().counter("batchzk_service_requests_total", &m),
-            2
+            svc.metrics().gauge("batchzk_pool_degraded_devices", &m),
+            Some(0.0)
         );
         assert_eq!(
-            svc.metrics().counter("batchzk_service_completed_total", &m),
-            2
+            svc.metrics().counter("batchzk_tasks_replayed_total", &m),
+            rec.replayed_tasks as u64
         );
-    }
-
-    #[test]
-    fn online_round_sheds_load_with_reasons() {
-        use batchzk_pipeline::ClassPolicy;
-        let mut svc = service();
-        // A same-cycle burst against a tiny queue cap forces rejections.
-        let requests: Vec<OnlineRequest> = (0..5)
-            .map(|i| {
-                (
-                    PriorityClass::Bulk,
-                    0,
-                    synthetic_image(90 + i, &svc.network().input_shape),
-                )
-            })
-            .collect();
-        let config = ServiceConfig {
-            classes: [ClassPolicy {
-                queue_cap: 1,
-                slo_cycles: 200_000_000,
-            }; 3],
-            max_outstanding: 2,
-            device_queue_cap: 1,
-            max_in_flight: 0,
-            timeline_window_cycles: 0,
-        };
-        let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 1);
-        let run = svc
-            .serve_online(&mut pool, requests, &config, 2048)
-            .expect("valid config");
-        // The shed load is visible in the flight recorder too: windowed
-        // rejects sum to the report's total.
-        let timeline_rejected: u64 = run.timeline.windows().iter().map(|w| w.rejected()).sum();
-        let bulk = &run.reports[PriorityClass::Bulk.index()];
-        assert_eq!(
-            timeline_rejected,
-            bulk.rejected_queue_full + bulk.rejected_saturated
-        );
-        assert_eq!(bulk.submitted, 5);
-        assert_eq!(
-            bulk.accepted + bulk.rejected_queue_full + bulk.rejected_saturated,
-            5,
-            "conservation per class"
-        );
-        assert!(!run.rejected.is_empty(), "tiny caps shed load");
-        assert_eq!(run.predictions.len() + run.rejected.len(), 5);
-        for p in &run.predictions {
-            assert!(svc.verify_prediction(&p.prediction));
-        }
+        // The healthy device carried every request of the faulty round.
+        assert_eq!(device_tasks(&svc, "0"), carried + 4);
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //! common seam.
 //!
 //! The batch layer ([`prove_batch_with`](crate::prove_batch_with),
-//! [`prove_batch_pool_with`](crate::prove_batch_pool_with),
-//! [`prove_service_with`](crate::prove_service_with),
-//! [`StreamingProver`](crate::StreamingProver)) is generic over this trait,
+//! [`prove_batch_pool_with`](crate::prove_batch_pool_with) and
+//! [`prove_service_with`](crate::prove_service_with)) is generic over this trait,
 //! so the same pipeline engine, shard policies, admission control, and
 //! metrics serve *any* protocol that can express its prover as a fixed
 //! sequence of [`PipeStage`]s:

@@ -1005,263 +1005,22 @@ mod tests {
             .stats;
         assert!(fast.throughput_per_ms > slow.throughput_per_ms);
     }
-}
-
-/// Continuous batch proving (§4, "the execution of our system at full
-/// workload"): proof tasks flow in as they arrive, one pipeline stays
-/// resident per pool device, and the simulation clocks accumulate across
-/// chunks — the MLaaS/zkBridge deployment shape where "customer inputs come
-/// in like a flowing stream".
-pub struct StreamingProver<B: ProverBackend> {
-    pool: DevicePool,
-    policy: ShardPolicy,
-    backend: B,
-    total_threads: u32,
-    proofs_emitted: usize,
-    metrics: Registry,
-}
-
-impl<B: ProverBackend> StreamingProver<B> {
-    /// Creates a resident prover for any backend on one device; metrics
-    /// are labelled with the backend's name.
-    pub fn with_backend(gpu: Gpu, backend: B, total_threads: u32) -> Self {
-        Self::over_pool_with_backend(
-            DevicePool::new(vec![gpu]),
-            ShardPolicy::RoundRobin,
-            backend,
-            total_threads,
-        )
-    }
-
-    /// Creates a resident prover for any backend over a multi-device
-    /// pool; metrics are labelled with the backend's name.
-    pub fn over_pool_with_backend(
-        pool: DevicePool,
-        policy: ShardPolicy,
-        backend: B,
-        total_threads: u32,
-    ) -> Self {
-        Self {
-            pool,
-            policy,
-            backend,
-            total_threads,
-            proofs_emitted: 0,
-            metrics: Registry::new(),
-        }
-    }
-
-    /// Proves one arriving chunk of instances, returning the finished
-    /// proofs in input order. Device time accumulates across calls; an
-    /// empty chunk is a no-op.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::OutOfDeviceMemory`] if the chunk's working
-    /// set does not fit in device memory; the devices are left clean, so
-    /// the caller may retry with a smaller chunk (or the memory-aware
-    /// policy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any assignment is unsatisfying.
-    pub fn prove_chunk(
-        &mut self,
-        instances: Vec<B::Instance>,
-    ) -> Result<BackendProofs<B>, PipelineError> {
-        let outcome = prove_batch_pool_with(
-            &mut self.pool,
-            &self.backend,
-            instances,
-            self.total_threads,
-            true,
-            self.policy,
-        );
-        record_pool_outcome(&mut self.metrics, self.backend.name(), &self.pool, &outcome);
-        let run = outcome?;
-        self.proofs_emitted += run.proofs.len();
-        Ok(run.proofs)
-    }
-
-    /// Service metrics accumulated across all chunks (runs, proof counts,
-    /// lifecycle latency histograms, OOM pressure, per-device series)
-    /// under the module label [`ProverBackend::name`].
-    pub fn metrics(&self) -> &Registry {
-        &self.metrics
-    }
-
-    /// Total proofs emitted since construction.
-    pub fn proofs_emitted(&self) -> usize {
-        self.proofs_emitted
-    }
-
-    /// Lifetime throughput in proofs per second of simulated wall time
-    /// (the pool's virtual now — the farthest device clock).
-    pub fn lifetime_throughput_per_sec(&self) -> f64 {
-        let secs = self.pool.virtual_now_seconds();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.proofs_emitted as f64 / secs
-        }
-    }
-
-    /// Borrow of the first device (stats, traces, memory accounting) —
-    /// the whole story for a single-device prover.
-    pub fn gpu(&self) -> &Gpu {
-        self.pool.device(0)
-    }
-
-    /// Borrow of the device pool.
-    pub fn pool(&self) -> &DevicePool {
-        &self.pool
-    }
-
-    /// Shuts the prover down, returning the first device (drops the rest —
-    /// use [`into_pool`](Self::into_pool) for multi-device provers).
-    pub fn into_gpu(self) -> Gpu {
-        self.pool
-            .into_devices()
-            .into_iter()
-            .next()
-            .expect("pool is never empty")
-    }
-
-    /// Shuts the prover down, returning the pool.
-    pub fn into_pool(self) -> DevicePool {
-        self.pool
-    }
-}
-
-#[cfg(test)]
-mod streaming_tests {
-    use super::*;
-    use crate::backend::SpartanBackend;
-    use crate::pcs::PcsParams;
-    use crate::r1cs::synthetic_r1cs;
-    use crate::spartan::verify;
-    use batchzk_field::Fr;
-    use batchzk_gpu_sim::DeviceProfile;
-
-    #[test]
-    fn stream_of_chunks_accumulates() {
-        let (r1cs, inputs, witness) = synthetic_r1cs::<Fr>(16, 42);
-        let r1cs = Arc::new(r1cs);
-        let params = PcsParams {
-            num_col_tests: 8,
-            ..PcsParams::default()
-        };
-        let mut prover = StreamingProver::with_backend(
-            Gpu::new(DeviceProfile::gh200()),
-            SpartanBackend::new(Arc::clone(&r1cs), params),
-            2048,
-        );
-        for chunk in 0..3 {
-            let proofs = prover
-                .prove_chunk(vec![(inputs.clone(), witness.clone()); 2 + chunk])
-                .expect("fits");
-            for (io, proof) in &proofs {
-                assert!(verify(&params, &r1cs, io, proof));
-            }
-        }
-        assert_eq!(prover.proofs_emitted(), 2 + 3 + 4);
-        assert!(prover.lifetime_throughput_per_sec() > 0.0);
-        // Service metrics accumulated across the three chunks.
-        let m = [("module", "sumcheck")];
-        assert_eq!(prover.metrics().counter("batchzk_runs_total", &m), 3);
-        assert_eq!(prover.metrics().counter("batchzk_tasks_total", &m), 9);
-        let h = prover
-            .metrics()
-            .histogram("batchzk_lifecycle_cycles", &m)
-            .expect("lifecycle histogram recorded");
-        assert_eq!(h.count(), 9, "one lifecycle sample per proof");
-        assert!(h.quantile(0.99) >= h.quantile(0.5));
-        for stage in ["system-encoder", "system-merkle", "system-sumcheck"] {
-            assert!(
-                prover
-                    .metrics()
-                    .gauge(
-                        "batchzk_stage_occupancy",
-                        &[("module", "sumcheck"), ("stage", stage)]
-                    )
-                    .is_some(),
-                "occupancy gauge for {stage}"
-            );
-        }
-        // Device memory fully released between chunks.
-        assert_eq!(prover.gpu().memory_ref().in_use(), 0);
-        let gpu = prover.into_gpu();
-        assert!(gpu.elapsed_cycles() > 0);
-    }
-
-    /// A fail-stop during a streamed chunk surfaces in the service
-    /// metrics: failure counters, replay counters, and the pool-health
-    /// gauges a dashboard would alert on.
-    #[test]
-    fn streaming_prover_records_fault_metrics() {
-        use batchzk_gpu_sim::FaultPlan;
-        let (r1cs, inputs, witness) = synthetic_r1cs::<Fr>(16, 42);
-        let r1cs = Arc::new(r1cs);
-        let params = PcsParams {
-            num_col_tests: 8,
-            ..PcsParams::default()
-        };
-        let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 2);
-        pool.apply_fault_plan(&FaultPlan::new().fail_stop(1, 0));
-        let mut prover = StreamingProver::over_pool_with_backend(
-            pool,
-            ShardPolicy::LeastOutstanding,
-            SpartanBackend::new(Arc::clone(&r1cs), params),
-            2048,
-        );
-        let proofs = prover
-            .prove_chunk(vec![(inputs.clone(), witness.clone()); 4])
-            .expect("survivor proves the chunk");
-        assert_eq!(proofs.len(), 4);
-        for (io, proof) in &proofs {
-            assert!(verify(&params, &r1cs, io, proof));
-        }
-        let m = [("module", "sumcheck")];
-        assert_eq!(
-            prover
-                .metrics()
-                .counter("batchzk_device_failures_total", &m),
-            1
-        );
-        assert!(prover.metrics().counter("batchzk_tasks_replayed_total", &m) > 0);
-        assert_eq!(
-            prover.metrics().gauge("batchzk_pool_failed_devices", &m),
-            Some(1.0)
-        );
-        assert_eq!(
-            prover.metrics().gauge("batchzk_pool_degraded_devices", &m),
-            Some(0.0)
-        );
-        // The healthy device carried every proof.
-        assert_eq!(
-            prover.metrics().counter(
-                "batchzk_tasks_total",
-                &[("module", "sumcheck"), ("device", "0")]
-            ),
-            4
-        );
-    }
-
     /// Under fault recovery the batch's makespan is the sum of the rounds'
     /// maxima, which no single device's elapsed time need reach: here the
     /// device that dies is round 0's laggard and the other one replays.
-    /// The pool gauges must report the run's makespan, not the slowest
-    /// device's time.
+    /// `record_pool_outcome` must report the run's makespan, not the
+    /// slowest device's time, beside the fault families and pool health.
     #[test]
     fn pool_gauges_use_the_runs_makespan_under_recovery() {
         use batchzk_gpu_sim::FaultPlan;
-        let (r1cs, inputs, witness) = synthetic_r1cs::<Fr>(16, 42);
-        let params = PcsParams {
-            num_col_tests: 8,
-            ..PcsParams::default()
-        };
-        let backend = SpartanBackend::new(Arc::new(r1cs), params);
-        let batch = vec![(inputs, witness); 5];
+        let (r1cs, batch) = instances(16, 5);
+        let backend = SpartanBackend::new(
+            r1cs,
+            PcsParams {
+                num_col_tests: 8,
+                ..PcsParams::default()
+            },
+        );
         let pool_failing_at = |cycle: Option<u64>| {
             let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 2);
             if let Some(cycle) = cycle {
@@ -1269,84 +1028,39 @@ mod streaming_tests {
             }
             pool
         };
-        let prove = |mut pool: DevicePool| {
+        let prove = |pool: &mut DevicePool| {
             let policy = ShardPolicy::RoundRobin;
-            prove_batch_pool_with(&mut pool, &backend, batch.clone(), 2048, true, policy)
-                .expect("a device survives")
+            prove_batch_pool_with(pool, &backend, batch.clone(), 2048, true, policy)
         };
-        let clean = prove(pool_failing_at(None));
+        let clean = prove(&mut pool_failing_at(None)).expect("fault-free");
         let busy = clean.device_stats[0].total_cycles;
         let idle = clean.device_stats[1].total_cycles;
         assert!(busy > idle, "round-robin gives device 0 the odd task");
         // Device 0 dies after device 1 has drained its own shard.
-        let late = Some((busy + idle) / 2);
-        let run = prove(pool_failing_at(late));
+        let mut pool = pool_failing_at(Some((busy + idle) / 2));
+        let outcome = prove(&mut pool);
+        let mut registry = Registry::new();
+        record_pool_outcome(&mut registry, backend.name(), &pool, &outcome);
+        let run = outcome.expect("a device survives");
         let slowest = run.device_ms.iter().copied().fold(0.0, f64::max);
         assert!(run.makespan_ms > slowest, "the replay round comes on top");
 
-        let mut prover = StreamingProver::over_pool_with_backend(
-            pool_failing_at(late),
-            ShardPolicy::RoundRobin,
-            backend.clone(),
-            2048,
-        );
-        prover
-            .prove_chunk(batch.clone())
-            .expect("a device survives");
-        let gauge = |name| prover.metrics().gauge(name, &[("module", "sumcheck")]);
+        let m = [("module", "sumcheck")];
+        let gauge = |name| registry.gauge(name, &m);
         assert_eq!(gauge("batchzk_pool_makespan_ms"), Some(run.makespan_ms));
         assert_eq!(
             gauge("batchzk_throughput_tasks_per_ms"),
             Some(run.throughput_per_ms())
         );
         assert_eq!(gauge("batchzk_pool_imbalance"), Some(run.imbalance()));
-    }
-
-    #[test]
-    fn pooled_streaming_prover_shards_and_labels_devices() {
-        let (r1cs, inputs, witness) = synthetic_r1cs::<Fr>(16, 42);
-        let r1cs = Arc::new(r1cs);
-        let params = PcsParams {
-            num_col_tests: 8,
-            ..PcsParams::default()
-        };
-        let mut prover = StreamingProver::over_pool_with_backend(
-            DevicePool::homogeneous(DeviceProfile::a100(), 2),
-            ShardPolicy::LeastOutstanding,
-            SpartanBackend::new(Arc::clone(&r1cs), params),
-            2048,
-        );
-        let proofs = prover
-            .prove_chunk(vec![(inputs.clone(), witness.clone()); 6])
-            .expect("fits");
-        assert_eq!(proofs.len(), 6);
-        for (io, proof) in &proofs {
-            assert!(verify(&params, &r1cs, io, proof));
-        }
-        // Aggregate series unchanged, per-device dimension added.
-        let m = [("module", "sumcheck")];
-        assert_eq!(prover.metrics().counter("batchzk_tasks_total", &m), 6);
-        let d0 = prover.metrics().counter(
-            "batchzk_tasks_total",
-            &[("module", "sumcheck"), ("device", "0")],
-        );
-        let d1 = prover.metrics().counter(
-            "batchzk_tasks_total",
-            &[("module", "sumcheck"), ("device", "1")],
-        );
-        assert_eq!(d0 + d1, 6, "device shards cover the chunk");
-        assert!(d0 > 0 && d1 > 0, "both devices proved work");
+        let recovery = run.recovery.as_ref().expect("the fail-stop fired");
+        assert_eq!(registry.counter("batchzk_device_failures_total", &m), 1);
         assert_eq!(
-            prover.metrics().gauge("batchzk_pool_devices", &m),
-            Some(2.0)
+            registry.counter("batchzk_tasks_replayed_total", &m),
+            recovery.replayed_tasks as u64
         );
-        assert!(prover.lifetime_throughput_per_sec() > 0.0);
-        let pool = prover.into_pool();
-        assert_eq!(pool.len(), 2);
-        for d in 0..2 {
-            assert!(pool.device(d).elapsed_cycles() > 0);
-            assert_eq!(pool.device(d).memory_ref().in_use(), 0);
-        }
+        assert_eq!(gauge("batchzk_pool_failed_devices"), Some(1.0));
+        assert_eq!(gauge("batchzk_pool_degraded_devices"), Some(0.0));
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub use backend::{
 pub use batch::{
     prove_batch_naive_with, prove_batch_pool_with, prove_batch_with, prove_service_with,
     record_pool_outcome, task_footprint_bytes, BackendBatchRun, BackendPoolRun,
-    BackendProofRequest, StreamingProver,
+    BackendProofRequest,
 };
 pub use orion::{OrionBackend, OrionProof, OrionTask};
 pub use pcs::{PcsCommitment, PcsOpening, PcsParams};

@@ -189,7 +189,7 @@ impl<F: Field> Csr<F> {
 /// An R1CS instance: `(A·z) ∘ (B·z) = C·z` for `z = (io ‖ w)`.
 ///
 /// A, B and C are held over the live columns `io ‖ w` only, as compressed
-/// rows ([`Csr`]), beside one transpose of the three stacked.
+/// rows (`Csr`), beside one transpose of the three stacked.
 #[derive(Debug, Clone)]
 pub struct R1cs<F> {
     /// A, B and C.

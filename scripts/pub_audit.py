@@ -1,0 +1,112 @@
+#!/usr/bin/env python3
+"""Fail on a public function that no other file calls.
+
+Every `pub fn` under `crates/*/src`, outside `#[cfg(test)]` items, must have
+its name, as a whole word, in at least one other `.rs` file under `crates/`,
+`benchmark/src`, `src/`, `examples/` or `tests/`. A function only its own
+file names is either dead, a helper that should be private or folded into
+its caller, or a test helper that belongs under `#[cfg(test)]`.
+
+The names below are kept on purpose, each with its reason. An entry is
+stale, and fails the audit too, when its function is gone or another file
+now names it: the list holds only the exceptions that still need it.
+
+    python3 scripts/pub_audit.py
+"""
+
+import re
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+ALLOWED = {
+    # Test oracles: the fast paths are checked against them.
+    "naive_dft": "field::ntt's O(n²) reference for the NTT tests",
+    "prove_cpu": "orion's sequential prover, the oracle the pipelined Orion stages match byte for byte",
+    # `NttDomain`'s threaded transforms: deleting them drops `batchzk-field`'s
+    # dependency on `batchzk-par`, which rewrites `benchmark/Cargo.lock`; they
+    # go with the benchmark's own change.
+    "forward_par": "NttDomain's threaded forward transform, deleted with the next benchmark change",
+    "inverse_par": "NttDomain's threaded inverse transform, deleted with the next benchmark change",
+}
+
+PUB_FN = re.compile(r"^\s*pub\s+(?:const\s+|async\s+|unsafe\s+)*fn\s+([A-Za-z_][A-Za-z0-9_]*)")
+CFG_TEST = re.compile(r"^\s*#\[cfg\(test\)\]")
+# Strings, char literals and comments, so that braces inside them do not
+# count towards an item's extent.
+NOISE = re.compile(r'"(?:\\.|[^"\\])*"|\'(?:\\.|[^\'\\])\'|//.*')
+
+
+def braces(line):
+    code = NOISE.sub("", line)
+    return code.count("{") - code.count("}")
+
+
+def public_fns(path):
+    """(line, name) of every `pub fn` in `path` outside `#[cfg(test)]` items."""
+    found = []
+    lines = path.read_text().splitlines()
+    skip_depth = None  # brace depth at which a `#[cfg(test)]` item closes
+    pending_test = False
+    depth = 0
+    for number, line in enumerate(lines, 1):
+        if skip_depth is None:
+            if CFG_TEST.match(line):
+                pending_test = True
+            elif pending_test and line.strip() and not line.lstrip().startswith(("#", "//")):
+                pending_test = False
+                # A `#[cfg(test)]` item ends at its `;` or its closing brace.
+                if "{" in NOISE.sub("", line):
+                    skip_depth = depth
+            else:
+                match = PUB_FN.match(line)
+                if match:
+                    found.append((number, match.group(1)))
+        depth += braces(line)
+        if skip_depth is not None and depth <= skip_depth:
+            skip_depth = None
+    return found
+
+
+def main():
+    sources = sorted(ROOT.glob("crates/*/src/**/*.rs"))
+    searched = sorted(
+        set(ROOT.glob("crates/**/*.rs"))
+        | set(ROOT.glob("benchmark/src/**/*.rs"))
+        | set(ROOT.glob("src/**/*.rs"))
+        | set(ROOT.glob("examples/**/*.rs"))
+        | set(ROOT.glob("tests/**/*.rs"))
+    )
+    texts = {path: path.read_text() for path in searched}
+
+    def named_elsewhere(name, home):
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        return any(word.search(text) for path, text in texts.items() if path != home)
+
+    failures = []
+    defined = set()
+    for path in sources:
+        for number, name in public_fns(path):
+            defined.add(name)
+            if name in ALLOWED:
+                if named_elsewhere(name, path):
+                    failures.append(f"stale allow-list entry: `{name}` is now named outside {path.relative_to(ROOT)}")
+                continue
+            if not named_elsewhere(name, path):
+                failures.append(f"{path.relative_to(ROOT)}:{number}: `pub fn {name}` is named in no other file")
+    for name in sorted(set(ALLOWED) - defined):
+        failures.append(f"stale allow-list entry: no `pub fn {name}` left")
+
+    for failure in failures:
+        print(failure)
+    if failures:
+        print(f"{len(failures)} finding(s): delete the function, make it private, "
+              "move it under #[cfg(test)], or allow it above with a reason")
+        return 1
+    print(f"every pub fn is named in another file ({len(ALLOWED)} allowed on purpose)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
