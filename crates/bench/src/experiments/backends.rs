@@ -97,8 +97,7 @@ pub(super) fn completed_by_backend(
 fn record_mixed(registry: &mut Registry, study: &ServiceStudy<MixedTask>) {
     for p in &study.points {
         let module = format!("mixed-d{}", p.devices);
-        observe::record_service(registry, &module, &p.outcome);
-        observe::record_service_backends(registry, &module, &p.outcome, |t| t.backend_name());
+        observe::record_service(registry, &module, &p.outcome, Some(|t| t.backend_name()));
     }
 }
 

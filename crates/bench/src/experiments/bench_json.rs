@@ -192,11 +192,8 @@ pub fn bench_json(scale: &Scale) -> String {
     )
     .expect("committed reference trace serves");
     for p in &service.points {
-        observe::record_service(
-            &mut registry,
-            &format!("service-d{}", p.devices),
-            &p.outcome,
-        );
+        let module = format!("service-d{}", p.devices);
+        observe::record_service(&mut registry, &module, &p.outcome, None);
     }
 
     // Backend comparison: each ProverBackend proved through the pipelined

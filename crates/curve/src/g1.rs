@@ -122,7 +122,7 @@ impl G1Projective {
     }
 
     /// Returns `true` for the identity element.
-    pub fn is_identity(&self) -> bool {
+    pub(crate) fn is_identity(&self) -> bool {
         self.z.is_zero()
     }
 
@@ -240,7 +240,8 @@ impl G1Projective {
     }
 
     /// Converts to affine coordinates (one field inversion).
-    pub fn to_affine(&self) -> G1Affine {
+    #[cfg(test)]
+    pub(crate) fn to_affine(self) -> G1Affine {
         if self.is_identity() {
             return G1Affine::identity();
         }

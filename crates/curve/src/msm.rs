@@ -991,7 +991,8 @@ mod tests {
         for bit in (0..252 / c * c).filter(|bit| window >> (bit % c) & 1 == 1) {
             limbs[bit / 64] |= 1 << (bit % 64);
         }
-        Fr::from_canonical_limbs(limbs)
+        let bytes: Vec<u8> = limbs.iter().flat_map(|l| l.to_le_bytes()).collect();
+        Fr::from_bytes(&bytes.try_into().expect("32 bytes")).expect("below the modulus")
     }
 
     #[test]

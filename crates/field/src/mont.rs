@@ -55,7 +55,7 @@ macro_rules! declare_field {
             /// # Panics
             ///
             /// Panics if the value is not reduced below the modulus.
-            pub fn from_canonical_limbs(limbs: $crate::limb::Limbs) -> Self {
+            pub(crate) fn from_canonical_limbs(limbs: $crate::limb::Limbs) -> Self {
                 assert!(
                     $crate::limb::geq(&Self::MODULUS, &limbs) && limbs != Self::MODULUS,
                     "value not reduced below the modulus"

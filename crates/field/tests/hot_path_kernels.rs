@@ -76,7 +76,8 @@ fn acc_reduce_is_canonical_at_the_accumulator_ceiling() {
     for limb in acc.iter().rev() {
         value = value * two64 + Fr::from(*limb);
     }
-    let r_inv = Fr::from_canonical_limbs(Fr::R)
+    // R's canonical limbs are 2^256 mod p.
+    let r_inv = (two64 * two64 * two64 * two64)
         .inverse()
         .expect("R is a unit");
     assert_eq!(got, value * r_inv * r_inv);
@@ -116,7 +117,11 @@ fn to_bytes_is_the_reduction_of_the_stored_limbs() {
             mont_reduce(&[m[0], m[1], m[2], m[3], 0, 0, 0, 0], &Fr::P, Fr::NEG_INV)
         );
         assert_eq!(naive_mul_mod(&canonical, &Fr::R, &Fr::P), m);
-        assert_eq!(Fr::from_canonical_limbs(canonical), x);
+        let bytes: Vec<u8> = canonical.iter().flat_map(|l| l.to_le_bytes()).collect();
+        assert_eq!(
+            Fr::from_bytes(&bytes.try_into().expect("32 bytes")),
+            Some(x)
+        );
     }
 }
 

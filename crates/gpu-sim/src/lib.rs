@@ -48,7 +48,7 @@ pub use gpu::{
     Dir, Gpu, KernelStats, KernelStep, StepOutcome, Transfer, UtilSample, Work, WARP_SIZE,
 };
 pub use memory::{DeviceMemory, MemHandle, OutOfDeviceMemory};
-pub use pool::{DevicePool, DeviceSnapshot, PoolSnapshot};
+pub use pool::DevicePool;
 pub use profile::{DeviceProfile, Interconnect};
 pub use trace::{CounterTrack, KernelEvent, StepEvent, TraceLevel, TransferEvent};
 
@@ -154,10 +154,7 @@ mod randomized_tests {
             let sizes: Vec<u64> = (0..n).map(|_| rng.range(1, 1000)).collect();
             let total: u64 = sizes.iter().sum();
             let mut mem = DeviceMemory::new(total);
-            let handles: Vec<_> = sizes
-                .iter()
-                .map(|&b| mem.alloc(b, "x").expect("fits"))
-                .collect();
+            let handles: Vec<_> = sizes.iter().map(|&b| mem.alloc(b).expect("fits")).collect();
             assert_eq!(mem.in_use(), total);
             assert_eq!(mem.peak(), total);
             for h in handles {

@@ -32,15 +32,15 @@ impl std::error::Error for OutOfDeviceMemory {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemHandle(u64);
 
-/// A capacity-checked bump allocator with labelled live allocations and
-/// peak-usage tracking.
+/// A capacity-checked bump allocator with live-allocation and peak-usage
+/// tracking.
 #[derive(Debug)]
 pub struct DeviceMemory {
     capacity: u64,
     in_use: u64,
     peak: u64,
     next_id: u64,
-    live: HashMap<MemHandle, (u64, String)>,
+    live: HashMap<MemHandle, u64>,
 }
 
 impl DeviceMemory {
@@ -55,14 +55,14 @@ impl DeviceMemory {
         }
     }
 
-    /// Allocates `bytes`, tagged with a human-readable label.
+    /// Allocates `bytes`.
     ///
     /// # Errors
     ///
     /// Returns [`OutOfDeviceMemory`] if the allocation would exceed
     /// capacity — the failure mode the paper's dynamic loading strategy is
     /// designed to avoid.
-    pub fn alloc(&mut self, bytes: u64, label: &str) -> Result<MemHandle, OutOfDeviceMemory> {
+    pub fn alloc(&mut self, bytes: u64) -> Result<MemHandle, OutOfDeviceMemory> {
         if self.in_use + bytes > self.capacity {
             return Err(OutOfDeviceMemory {
                 requested: bytes,
@@ -74,7 +74,7 @@ impl DeviceMemory {
         self.peak = self.peak.max(self.in_use);
         let handle = MemHandle(self.next_id);
         self.next_id += 1;
-        self.live.insert(handle, (bytes, label.to_string()));
+        self.live.insert(handle, bytes);
         Ok(handle)
     }
 
@@ -85,7 +85,7 @@ impl DeviceMemory {
     /// Panics on a double free or unknown handle (a simulation bug, not a
     /// recoverable condition).
     pub fn free(&mut self, handle: MemHandle) -> u64 {
-        let (bytes, _) = self
+        let bytes = self
             .live
             .remove(&handle)
             .expect("free of unknown or already-freed device allocation");
@@ -118,16 +118,6 @@ impl DeviceMemory {
     fn live_count(&self) -> usize {
         self.live.len()
     }
-
-    /// Sum of live allocation sizes whose label contains `needle`.
-    #[cfg(test)]
-    fn in_use_labelled(&self, needle: &str) -> u64 {
-        self.live
-            .values()
-            .filter(|(_, l)| l.contains(needle))
-            .map(|(b, _)| *b)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -137,8 +127,8 @@ mod tests {
     #[test]
     fn alloc_free_accounting() {
         let mut mem = DeviceMemory::new(1000);
-        let a = mem.alloc(400, "a").unwrap();
-        let b = mem.alloc(500, "b").unwrap();
+        let a = mem.alloc(400).unwrap();
+        let b = mem.alloc(500).unwrap();
         assert_eq!(mem.in_use(), 900);
         assert_eq!(mem.peak(), 900);
         assert_eq!(mem.free(a), 400);
@@ -152,39 +142,28 @@ mod tests {
     #[test]
     fn capacity_enforced() {
         let mut mem = DeviceMemory::new(100);
-        let _a = mem.alloc(60, "a").unwrap();
-        let err = mem.alloc(50, "b").unwrap_err();
+        let _a = mem.alloc(60).unwrap();
+        let err = mem.alloc(50).unwrap_err();
         assert_eq!(err.requested, 50);
         assert_eq!(err.in_use, 60);
         assert_eq!(err.capacity, 100);
         // Exact fit is fine.
-        assert!(mem.alloc(40, "c").is_ok());
+        assert!(mem.alloc(40).is_ok());
     }
 
     #[test]
     #[should_panic(expected = "already-freed")]
     fn double_free_panics() {
         let mut mem = DeviceMemory::new(100);
-        let a = mem.alloc(10, "a").unwrap();
+        let a = mem.alloc(10).unwrap();
         mem.free(a);
         mem.free(a);
-    }
-
-    #[test]
-    fn labelled_usage() {
-        let mut mem = DeviceMemory::new(1000);
-        let _a = mem.alloc(100, "merkle-layer-0").unwrap();
-        let _b = mem.alloc(200, "merkle-layer-1").unwrap();
-        let _c = mem.alloc(300, "sumcheck-buf").unwrap();
-        assert_eq!(mem.in_use_labelled("merkle"), 300);
-        assert_eq!(mem.in_use_labelled("sumcheck"), 300);
-        assert_eq!(mem.in_use_labelled("nothing"), 0);
     }
 
     #[test]
     fn reset_peak() {
         let mut mem = DeviceMemory::new(1000);
-        let a = mem.alloc(800, "a").unwrap();
+        let a = mem.alloc(800).unwrap();
         mem.free(a);
         assert_eq!(mem.peak(), 800);
         mem.reset_peak();

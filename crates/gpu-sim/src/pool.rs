@@ -18,44 +18,10 @@
 //! per-device elapsed time, exactly as it would be on real hardware where
 //! the batch is done when the last card finishes.
 
-use crate::fault::{DeviceHealth, FaultPlan};
+use crate::fault::FaultPlan;
 use crate::gpu::Gpu;
 use crate::profile::DeviceProfile;
 use crate::trace::TraceLevel;
-
-/// Point-in-time view of one pool member.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeviceSnapshot {
-    /// Index of the device in the pool.
-    pub index: usize,
-    /// Profile name ("A100", ...).
-    pub name: &'static str,
-    /// Device cycles elapsed on this device's clock.
-    pub elapsed_cycles: u64,
-    /// Elapsed wall time in milliseconds at this device's clock rate.
-    pub elapsed_ms: f64,
-    /// Time-weighted mean core utilization so far (0..=1).
-    pub mean_utilization: f64,
-    /// Bytes of device memory currently allocated.
-    pub mem_in_use_bytes: u64,
-    /// Device memory capacity in bytes.
-    pub mem_capacity_bytes: u64,
-    /// Device health as of the snapshot (armed faults only; a scripted
-    /// fault whose trigger cycle has not been reached reads as healthy).
-    pub health: DeviceHealth,
-}
-
-/// Point-in-time view of the whole pool.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PoolSnapshot {
-    /// One snapshot per device, in pool order.
-    pub devices: Vec<DeviceSnapshot>,
-    /// The pool's makespan: the maximum per-device elapsed milliseconds.
-    pub makespan_ms: f64,
-    /// Max over mean of per-device elapsed milliseconds (1.0 = perfectly
-    /// balanced; grows as one device straggles). 0 when nothing ran.
-    pub imbalance: f64,
-}
 
 /// A pool of N simulated devices sharing a virtual time base.
 #[derive(Debug)]
@@ -92,11 +58,6 @@ impl DevicePool {
         )
     }
 
-    /// A mixed pool, one device per profile (heterogeneous deployments).
-    pub fn from_profiles(profiles: Vec<DeviceProfile>) -> Self {
-        Self::new(profiles.into_iter().map(Gpu::new).collect())
-    }
-
     /// Number of devices.
     pub fn len(&self) -> usize {
         self.devices.len()
@@ -111,11 +72,6 @@ impl DevicePool {
     /// Shared borrow of device `i`.
     pub fn device(&self, i: usize) -> &Gpu {
         &self.devices[i]
-    }
-
-    /// Exclusive borrow of device `i`.
-    pub fn device_mut(&mut self, i: usize) -> &mut Gpu {
-        &mut self.devices[i]
     }
 
     /// All devices, in pool order.
@@ -173,8 +129,8 @@ impl DevicePool {
     /// elapsed virtual time, expressed on the same scale as
     /// [`compute_weight`](Self::compute_weight) (mean utilization × cores
     /// × clock, i.e. busy core-cycles per virtual second ÷ 1e9 — exactly
-    /// what a [`DeviceSnapshot`]'s `mean_utilization` and elapsed fields
-    /// encode). `None` until the device has run anything; schedulers then
+    /// what the device's mean utilization and elapsed clock encode).
+    /// `None` until the device has run anything; schedulers then
     /// fall back to the nameplate, an optimistic prior that measurement
     /// discounts toward what the device actually delivers.
     pub fn measured_weight(&self, i: usize) -> Option<f64> {
@@ -198,38 +154,6 @@ impl DevicePool {
         now
     }
 
-    /// A deterministic snapshot of per-device progress and balance.
-    pub fn snapshot(&self) -> PoolSnapshot {
-        let devices: Vec<DeviceSnapshot> = self
-            .devices
-            .iter()
-            .enumerate()
-            .map(|(index, g)| DeviceSnapshot {
-                index,
-                name: g.profile().name,
-                elapsed_cycles: g.elapsed_cycles(),
-                elapsed_ms: g.elapsed_ms(),
-                mean_utilization: g.mean_utilization(),
-                mem_in_use_bytes: g.memory_ref().in_use(),
-                mem_capacity_bytes: g.memory_ref().capacity(),
-                health: g.health(),
-            })
-            .collect();
-        let makespan_ms = devices.iter().map(|d| d.elapsed_ms).fold(0.0, f64::max);
-        let mean_ms =
-            devices.iter().map(|d| d.elapsed_ms).sum::<f64>() / devices.len().max(1) as f64;
-        let imbalance = if mean_ms > 0.0 {
-            makespan_ms / mean_ms
-        } else {
-            0.0
-        };
-        PoolSnapshot {
-            devices,
-            makespan_ms,
-            imbalance,
-        }
-    }
-
     /// Distributes a [`FaultPlan`]'s entries onto the pool's devices and
     /// returns how many entries were applied. Entries naming a device
     /// index outside the pool are skipped (a plan scripted for a larger
@@ -243,13 +167,6 @@ impl DevicePool {
             }
         }
         applied
-    }
-
-    /// Indices of devices that have not fail-stopped, in pool order.
-    pub fn healthy_devices(&self) -> Vec<usize> {
-        (0..self.devices.len())
-            .filter(|&i| !self.devices[i].is_failed())
-            .collect()
     }
 
     /// Number of fail-stopped devices.
@@ -275,6 +192,7 @@ impl DevicePool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::DeviceHealth;
     use crate::gpu::{KernelStep, Work};
 
     fn burn(gpu: &mut Gpu, units: u64) {
@@ -296,11 +214,11 @@ mod tests {
     fn homogeneous_pool_has_independent_devices() {
         let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 4);
         assert_eq!(pool.len(), 4);
-        burn(pool.device_mut(1), 1 << 16);
+        burn(&mut pool.devices_mut()[1], 1 << 16);
         assert_eq!(pool.device(0).elapsed_cycles(), 0);
         assert!(pool.device(1).elapsed_cycles() > 0);
         // Memory arenas are private per device.
-        pool.device_mut(2).memory().alloc(64, "x").unwrap();
+        pool.devices_mut()[2].memory().alloc(64).unwrap();
         assert_eq!(pool.device(0).memory_ref().in_use(), 0);
         assert_eq!(pool.device(2).memory_ref().in_use(), 64);
     }
@@ -309,18 +227,18 @@ mod tests {
     fn earliest_device_tracks_clocks() {
         let mut pool = DevicePool::homogeneous(DeviceProfile::v100(), 3);
         assert_eq!(pool.earliest_device(), 0, "tie breaks to lowest index");
-        burn(pool.device_mut(0), 1 << 12);
+        burn(&mut pool.devices_mut()[0], 1 << 12);
         assert_eq!(pool.earliest_device(), 1);
-        burn(pool.device_mut(1), 1 << 16);
-        burn(pool.device_mut(2), 1 << 14);
+        burn(&mut pool.devices_mut()[1], 1 << 16);
+        burn(&mut pool.devices_mut()[2], 1 << 14);
         assert_eq!(pool.earliest_device(), 0);
     }
 
     #[test]
     fn sync_aligns_wall_time() {
-        let mut pool =
-            DevicePool::from_profiles(vec![DeviceProfile::v100(), DeviceProfile::h100()]);
-        burn(pool.device_mut(0), 1 << 16);
+        let profiles = [DeviceProfile::v100(), DeviceProfile::h100()];
+        let mut pool = DevicePool::new(profiles.map(Gpu::new).into());
+        burn(&mut pool.devices_mut()[0], 1 << 16);
         let now = pool.sync();
         assert!(now > 0.0);
         for g in pool.devices() {
@@ -333,24 +251,9 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_reports_imbalance() {
-        let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 2);
-        let idle = pool.snapshot();
-        assert_eq!(idle.imbalance, 0.0);
-        assert_eq!(idle.makespan_ms, 0.0);
-        burn(pool.device_mut(0), 1 << 16);
-        let snap = pool.snapshot();
-        assert_eq!(snap.devices.len(), 2);
-        assert!(snap.makespan_ms > 0.0);
-        // All work on one of two devices: max/mean = 2.
-        assert!((snap.imbalance - 2.0).abs() < 1e-9, "{}", snap.imbalance);
-        burn(pool.device_mut(1), 1 << 16);
-        assert!(pool.snapshot().imbalance < 1.5);
-    }
-
-    #[test]
     fn compute_weight_orders_heterogeneous_pool() {
-        let pool = DevicePool::from_profiles(vec![DeviceProfile::v100(), DeviceProfile::h100()]);
+        let profiles = [DeviceProfile::v100(), DeviceProfile::h100()];
+        let pool = DevicePool::new(profiles.map(Gpu::new).into());
         assert!(pool.compute_weight(1) > pool.compute_weight(0));
     }
 
@@ -361,7 +264,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_distributes_to_devices_and_snapshot_sees_health() {
+    fn fault_plan_distributes_to_devices_and_sets_health() {
         let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 3);
         let plan = FaultPlan::new()
             .fail_stop(1, 0)
@@ -369,24 +272,27 @@ mod tests {
             .fail_stop(9, 0); // out of range: skipped
         assert_eq!(pool.apply_fault_plan(&plan), 2);
         for d in 0..3 {
-            burn(pool.device_mut(d), 1 << 12);
+            burn(&mut pool.devices_mut()[d], 1 << 12);
         }
-        assert_eq!(pool.healthy_devices(), vec![0, 2]);
+        let healthy: Vec<usize> = (0..3).filter(|&d| !pool.device(d).is_failed()).collect();
+        assert_eq!(healthy, [0, 2]);
         assert_eq!(pool.failed_count(), 1);
         assert_eq!(pool.degraded_count(), 1);
-        let snap = pool.snapshot();
-        assert_eq!(snap.devices[0].health, DeviceHealth::Healthy);
-        assert_eq!(snap.devices[1].health, DeviceHealth::Failed { at_cycle: 0 });
+        assert_eq!(pool.device(0).health(), DeviceHealth::Healthy);
         assert_eq!(
-            snap.devices[2].health,
+            pool.device(1).health(),
+            DeviceHealth::Failed { at_cycle: 0 }
+        );
+        assert_eq!(
+            pool.device(2).health(),
             DeviceHealth::Degraded {
                 factor_percent: 250
             }
         );
         // The dead device executed nothing.
-        assert_eq!(snap.devices[1].elapsed_cycles, 0);
+        assert_eq!(pool.device(1).elapsed_cycles(), 0);
         // The degraded device is slower than the healthy one.
-        assert!(snap.devices[2].elapsed_cycles > snap.devices[0].elapsed_cycles);
+        assert!(pool.device(2).elapsed_cycles() > pool.device(0).elapsed_cycles());
     }
 
     #[test]

@@ -18,8 +18,8 @@ use crate::sha256::{Digest, Sha256};
 /// use batchzk_hash::Prg;
 /// use batchzk_field::RngCore;
 ///
-/// let mut a = Prg::from_seed([7u8; 32]);
-/// let mut b = Prg::from_seed([7u8; 32]);
+/// let mut a = Prg::from_bytes(b"seed");
+/// let mut b = Prg::from_bytes(b"seed");
 /// assert_eq!(a.next_u64(), b.next_u64());
 /// ```
 #[derive(Debug, Clone)]
@@ -32,7 +32,7 @@ pub struct Prg {
 
 impl Prg {
     /// Creates a generator from a 32-byte seed (e.g. a Merkle root).
-    pub fn from_seed(seed: Digest) -> Self {
+    pub(crate) fn from_seed(seed: Digest) -> Self {
         Self {
             seed,
             counter: 0,

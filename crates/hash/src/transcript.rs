@@ -77,7 +77,7 @@ impl Transcript {
 
     /// Squeezes 32 labelled bytes. Repeated squeezes without intervening
     /// absorbs produce a counter-mode stream (distinct outputs).
-    pub fn challenge_bytes(&mut self, label: &[u8]) -> Digest {
+    pub(crate) fn challenge_bytes(&mut self, label: &[u8]) -> Digest {
         let mut h = Sha256::new();
         h.update(&self.state);
         h.update(b"challenge");

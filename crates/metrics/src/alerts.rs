@@ -113,7 +113,8 @@ impl AlertLog {
     }
 
     /// Fire/resolve events of one rule, in order.
-    pub fn events_for(&self, rule: &str) -> Vec<&AlertEvent> {
+    #[cfg(test)]
+    fn events_for(&self, rule: &str) -> Vec<&AlertEvent> {
         self.events.iter().filter(|e| e.rule == rule).collect()
     }
 

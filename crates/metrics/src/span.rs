@@ -90,11 +90,6 @@ impl Span {
         self.completed_cycle = Some(cycle);
     }
 
-    /// True once the proof has been emitted.
-    pub fn is_complete(&self) -> bool {
-        self.completed_cycle.is_some()
-    }
-
     /// End-to-end latency in cycles (admission → emission); 0 while in
     /// flight.
     pub fn total_cycles(&self) -> u64 {
@@ -105,7 +100,8 @@ impl Span {
 
     /// Cycles spent resident in stages named `stage` (summed, in case a
     /// pipeline revisits a stage name).
-    pub fn stage_cycles(&self, stage: &str) -> u64 {
+    #[cfg(test)]
+    fn stage_cycles(&self, stage: &str) -> u64 {
         self.stages
             .iter()
             .filter(|s| s.stage == stage)
@@ -139,7 +135,7 @@ mod tests {
         span.exit_stage(210);
         span.complete(210);
 
-        assert!(span.is_complete());
+        assert!(span.completed_cycle.is_some());
         assert_eq!(span.total_cycles(), 110);
         assert_eq!(span.stage_cycles("leaf"), 50);
         assert_eq!(span.stage_cycles("layer"), 60);
@@ -155,7 +151,7 @@ mod tests {
     fn incomplete_span_reports_zero_latency() {
         let mut span = Span::new(0, 5);
         span.enter_stage("a", 5);
-        assert!(!span.is_complete());
+        assert!(span.completed_cycle.is_none());
         assert_eq!(span.total_cycles(), 0);
         // Open stage has zero width until exited.
         assert_eq!(span.stage_cycles("a"), 0);

@@ -215,7 +215,7 @@ impl Timeline {
     }
 
     /// Cycle window 0 starts at (0 before any event is recorded).
-    pub fn origin_cycle(&self) -> u64 {
+    fn origin_cycle(&self) -> u64 {
         self.origin_cycle.unwrap_or(0)
     }
 

@@ -39,7 +39,7 @@
 //! A [`PcsKey`] holds what depends only on the parameters and the
 //! polynomial size — the matrix shape and the expander-code [`Encoder`] —
 //! and is built once per prover or verifier. The free functions taking
-//! `&PcsParams` ([`commit_encode`], [`commit`], [`verify`]) are one-shot
+//! `&PcsParams` ([`commit_encode`], [`verify`]) are one-shot
 //! compositions that build a key for the call. The pipelined four-stage
 //! prover built on these phases lives in `batchzk-zkp`'s `orion` module.
 //!
@@ -882,8 +882,8 @@ mod tests {
                     "{case}: verify"
                 );
                 assert_eq!(
-                    v.challenge_bytes(b"after"),
-                    t.challenge_bytes(b"after"),
+                    v.challenge_field::<Fr>(b"after"),
+                    t.challenge_field::<Fr>(b"after"),
                     "{case}: transcript state"
                 );
             }
@@ -1156,8 +1156,8 @@ mod tests {
             ));
             for (mut portable, mut dispatched) in [(portable_t, t), (portable_v, v)] {
                 assert_eq!(
-                    portable.challenge_bytes(b"after"),
-                    dispatched.challenge_bytes(b"after"),
+                    portable.challenge_field::<Fr>(b"after"),
+                    dispatched.challenge_field::<Fr>(b"after"),
                     "k={k}: transcript state"
                 );
             }

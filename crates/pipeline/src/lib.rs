@@ -52,11 +52,7 @@ pub use engine::{
     allocate_threads, BoxedStage, PipeStage, Pipeline, PipelineError, PipelineExecutor,
     PipelineRun, RunStats, StageStats, StageWork,
 };
-pub use observe::{
-    default_service_rules, record_error, record_pool_health, record_pool_run, record_recovery,
-    record_run, record_run_with_backend, record_service, record_service_backends,
-    stage_observations, timeline_counter_tracks,
-};
+pub use observe::{default_service_rules, timeline_counter_tracks};
 pub use sched::{
     device_weight, plan_shards, run_sharded, RecoveryReport, ShardPlan, ShardPolicy, ShardedRun,
 };

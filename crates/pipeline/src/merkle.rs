@@ -318,11 +318,10 @@ mod tests {
         let run = run_pipelined(&mut gpu, trees(12, 64), 1024, true).expect("fits");
         assert_eq!(run.stats.lifecycles.len(), 12);
         for s in &run.stats.stage_stats {
-            let from_spans: u64 = run
-                .stats
-                .lifecycles
-                .iter()
-                .map(|span| span.stage_cycles(&s.name))
+            let spans = run.stats.lifecycles.iter().flat_map(|span| &span.stages);
+            let from_spans: u64 = spans
+                .filter(|st| st.stage == s.name)
+                .map(|st| st.cycles())
                 .sum();
             assert_eq!(from_spans, s.occupied_cycles, "stage {}", s.name);
             assert_eq!(

@@ -68,7 +68,7 @@ pub fn run_stages_naive<T: Send>(
     let epoch = Epoch::open(gpu);
     let input_mem = gpu
         .memory()
-        .alloc(preload_bytes, &format!("naive-{kernel_prefix}-inputs"))
+        .alloc(preload_bytes)
         .expect("naive pre-load must fit for this experiment");
 
     let mut outputs = Vec::with_capacity(tasks.len());

@@ -16,7 +16,7 @@
 //! * [`ShardPolicy::LeastOutstanding`] — greedy: each task goes to the
 //!   device with the least outstanding work normalized by its weight —
 //!   *measured* throughput (completed work per elapsed virtual second,
-//!   from the pool's device snapshots) once a device has history, the
+//!   from each device's utilization and clock) once it has history, the
 //!   cores × clock nameplate before — which load-balances heterogeneous
 //!   pools;
 //! * [`ShardPolicy::MemoryAware`] — least-outstanding placement among
@@ -223,7 +223,7 @@ pub fn plan_shards(
 
 /// The weight the least-outstanding policy divides a device's load by:
 /// the device's *measured* throughput (useful work completed per elapsed
-/// virtual second, as reported by the pool's snapshots) once it has run
+/// virtual second, from the device's utilization and clock) once it has run
 /// anything, and the cores × clock nameplate before — an optimistic
 /// prior that measurement then discounts toward what the device actually
 /// delivers (memory stalls, transfer backpressure and all).
@@ -678,7 +678,7 @@ pub fn run_sharded<T: Send>(
 mod tests {
     use super::*;
     use crate::engine::{PipeStage, StageWork};
-    use batchzk_gpu_sim::{DeviceProfile, Work};
+    use batchzk_gpu_sim::{DeviceHealth, DeviceProfile, Work};
 
     struct AddStage {
         amount: u64,
@@ -739,7 +739,8 @@ mod tests {
     fn least_outstanding_respects_compute_weight() {
         // An H100 next to a V100: the stronger device should take more
         // than half of a uniform batch.
-        let pool = DevicePool::from_profiles(vec![DeviceProfile::v100(), DeviceProfile::h100()]);
+        let profiles = [DeviceProfile::v100(), DeviceProfile::h100()];
+        let pool = DevicePool::new(profiles.map(Gpu::new).into());
         let plan = plan_shards(&pool, ShardPolicy::LeastOutstanding, &[64; 12], 4);
         assert!(
             plan.assignments[1].len() > plan.assignments[0].len(),
@@ -891,8 +892,8 @@ mod tests {
     /// tasks.
     #[test]
     fn measured_throughput_steers_heterogeneous_sharding() {
-        let mut pool =
-            DevicePool::from_profiles(vec![DeviceProfile::v100(), DeviceProfile::h100()]);
+        let profiles = [DeviceProfile::v100(), DeviceProfile::h100()];
+        let mut pool = DevicePool::new(profiles.map(Gpu::new).into());
         // Fresh pool: nameplate weights only.
         assert!(pool.measured_weight(0).is_none());
         let _ = run_sharded(
@@ -926,12 +927,12 @@ mod tests {
     /// time) outweighs a stronger nameplate.
     #[test]
     fn measured_weight_discounts_idle_devices() {
-        let mut pool =
-            DevicePool::from_profiles(vec![DeviceProfile::v100(), DeviceProfile::h100()]);
+        let profiles = [DeviceProfile::v100(), DeviceProfile::h100()];
+        let mut pool = DevicePool::new(profiles.map(Gpu::new).into());
         // Both devices execute the same work, but the H100 then idles for
         // 100x the span, tanking its delivered throughput.
         for d in 0..2 {
-            let gpu = pool.device_mut(d);
+            let gpu = &mut pool.devices_mut()[d];
             gpu.execute_step(
                 &[batchzk_gpu_sim::KernelStep::new(
                     "prime",
@@ -946,7 +947,7 @@ mod tests {
             );
         }
         let h100_clock = pool.device(1).elapsed_cycles();
-        pool.device_mut(1).idle_until(h100_clock * 100);
+        pool.devices_mut()[1].idle_until(h100_clock * 100);
         assert!(
             pool.measured_weight(1).expect("ran") < pool.measured_weight(0).expect("ran"),
             "idle h100 must measure below busy v100"
@@ -959,9 +960,19 @@ mod tests {
         );
     }
 
-    /// Device snapshots — clocks, utilization, memory — are a function of
+    /// Each device's clock, utilization, memory and health, which must be
+    /// a function of the submitted work only.
+    fn device_states(pool: &DevicePool) -> Vec<(u64, f64, u64, DeviceHealth)> {
+        let state = |g: &Gpu| {
+            let memory = g.memory_ref().in_use();
+            (g.elapsed_cycles(), g.mean_utilization(), memory, g.health())
+        };
+        pool.devices().iter().map(state).collect()
+    }
+
+    /// Device states — clocks, utilization, memory — are a function of
     /// the submitted work only, not of how host workers interleave: any
-    /// thread count produces the identical `PoolSnapshot`.
+    /// thread count produces identical states.
     #[test]
     fn pool_snapshots_independent_of_worker_interleaving() {
         let run_at = |threads: usize| {
@@ -977,13 +988,13 @@ mod tests {
                     true,
                 )
                 .expect("fits");
-                (pool.snapshot(), run.outputs, run.device_ms)
+                (device_states(&pool), run.outputs, run.device_ms)
             })
         };
         let (snap1, out1, ms1) = run_at(1);
         for threads in [2, 4] {
             let (snap, out, ms) = run_at(threads);
-            assert_eq!(snap, snap1, "snapshot differs at {threads} threads");
+            assert_eq!(snap, snap1, "device states differ at {threads} threads");
             assert_eq!(out, out1, "outputs differ at {threads} threads");
             assert_eq!(ms, ms1, "device times differ at {threads} threads");
         }
@@ -1185,7 +1196,7 @@ mod tests {
                     true,
                 )
                 .expect("recovers");
-                (run, pool.snapshot())
+                (run, device_states(&pool))
             })
         };
         let (base, snap1) = run_at(1);
@@ -1280,7 +1291,7 @@ mod tests {
                         "case {case} plan {plan}: unexpected error {e}"
                     );
                     assert_eq!(
-                        pool.healthy_devices().len(),
+                        pool.len() - pool.failed_count(),
                         0,
                         "case {case} plan {plan}: errored with survivors"
                     );

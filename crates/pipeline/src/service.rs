@@ -280,6 +280,13 @@ impl<T> ServiceCompletion<T> {
     }
 }
 
+/// Whether a completion `latency_cycles` long met an SLO of `slo_cycles`:
+/// the one rule the class reports, the flight recorder and the metrics
+/// share.
+pub(crate) fn meets_slo(latency_cycles: u64, slo_cycles: u64) -> bool {
+    latency_cycles <= slo_cycles
+}
+
 /// Per-class accounting for one service run. Conservation law:
 /// `submitted == accepted + rejected_queue_full + rejected_saturated`,
 /// and (absent faults) `completed == accepted`.
@@ -631,7 +638,7 @@ pub fn run_service<T: Send>(
             c.completed_cycle,
             ci,
             c.latency_cycles(),
-            c.latency_cycles() <= config.classes[ci].slo_cycles,
+            meets_slo(c.latency_cycles(), config.classes[ci].slo_cycles),
         );
     }
     timeline.finalize(last_completion_cycle);
@@ -662,7 +669,7 @@ pub fn run_service<T: Send>(
         report.completed = latencies.len() as u64;
         report.within_slo = latencies
             .iter()
-            .filter(|&&l| l <= report.slo_cycles)
+            .filter(|&&l| meets_slo(l, report.slo_cycles))
             .count() as u64;
         report.latency_p50_cycles = nearest_rank(&latencies, 0.50);
         report.latency_p95_cycles = nearest_rank(&latencies, 0.95);
@@ -924,8 +931,8 @@ mod tests {
         cfg.classes[2].slo_cycles = 0;
         assert!(cfg.validate().is_err());
 
-        let mut hetero =
-            DevicePool::from_profiles(vec![DeviceProfile::v100(), DeviceProfile::gh200()]);
+        let profiles = [DeviceProfile::v100(), DeviceProfile::gh200()];
+        let mut hetero = DevicePool::new(profiles.map(Gpu::new).into());
         let err = run_service(&mut hetero, &config(), burst_requests(3), stages, true).unwrap_err();
         assert!(err.to_string().contains("homogeneous"), "{err}");
     }
@@ -1028,7 +1035,7 @@ mod tests {
         assert!(!t.is_empty());
         assert_eq!(t.devices(), 1);
         assert_eq!(t.window_cycles(), config().resolved_timeline_window());
-        assert_eq!(t.origin_cycle(), outcome.first_arrival_cycle);
+        assert_eq!(t.windows()[0].start_cycle, outcome.first_arrival_cycle);
         // A same-cycle burst of 12 against queue caps 2/4/8 pins at least
         // one class queue at its cap before dispatch drains it.
         let peak: u64 = t
@@ -1046,7 +1053,7 @@ mod tests {
         // Windowed completions carry latencies: some window has a p99.
         assert!(t.p99_series().iter().any(|&p| p > 0));
         // The last completion falls inside the covered window range.
-        let covered_end = t.origin_cycle() + t.windows().len() as u64 * t.window_cycles();
+        let covered_end = t.windows()[0].start_cycle + t.windows().len() as u64 * t.window_cycles();
         assert!(outcome.last_completion_cycle <= covered_end);
     }
 

@@ -213,17 +213,11 @@ pub fn run_pipelined<F: Field>(
             in_use_bytes: oom.in_use,
             capacity_bytes: oom.capacity,
         };
-    let buf_lo = match gpu
-        .memory()
-        .alloc(lower_elems * ELEM_BYTES, "sumcheck-buffer-lower")
-    {
+    let buf_lo = match gpu.memory().alloc(lower_elems * ELEM_BYTES) {
         Ok(handle) => handle,
         Err(oom) => return Err(oom_err("sumcheck-buffer-lower", oom)),
     };
-    let buf_hi = match gpu
-        .memory()
-        .alloc(upper_elems.max(1) * ELEM_BYTES, "sumcheck-buffer-upper")
-    {
+    let buf_hi = match gpu.memory().alloc(upper_elems.max(1) * ELEM_BYTES) {
         Ok(handle) => handle,
         Err(oom) => {
             gpu.memory().free(buf_lo);

@@ -75,11 +75,16 @@ pub fn verify<F: Field>(h: F, proof: &PairProof<F>, rs: &[F]) -> Option<F> {
 }
 
 /// Verifies the proof end-to-end, including the final oracle evaluation
-/// against the original polynomial table.
-///
-/// Used in tests and by the batch system's self-checks; a succinct verifier
-/// would instead query a polynomial commitment at the final point.
-pub fn verify_with_oracle<F: Field>(h: F, proof: &PairProof<F>, rs: &[F], table: &[F]) -> bool {
+/// against the original polynomial table: the tests' check, where a
+/// succinct verifier would instead query a polynomial commitment at the
+/// final point.
+#[cfg(test)]
+pub(crate) fn verify_with_oracle<F: Field>(
+    h: F,
+    proof: &PairProof<F>,
+    rs: &[F],
+    table: &[F],
+) -> bool {
     let Some(final_claim) = verify(h, proof, rs) else {
         return false;
     };

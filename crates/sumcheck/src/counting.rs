@@ -32,7 +32,7 @@ pub struct Muls {
 
 /// Runs `f`, returning its result and the multiplications it performed on
 /// [`Counted`] values.
-pub fn count_muls<R>(f: impl FnOnce() -> R) -> (R, Muls) {
+pub(crate) fn count_muls<R>(f: impl FnOnce() -> R) -> (R, Muls) {
     let (full, deferred) = (FULL.get(), DEFERRED.get());
     let out = f();
     let muls = Muls {

@@ -144,7 +144,7 @@ impl MlService {
     ) -> Result<ServiceRun, PipelineError> {
         let (logits_list, instances) = self.prepare_requests(images);
         let run = prove_batch_with(gpu, &self.backend, instances, total_threads, true)
-            .inspect_err(|e| observe::record_error(&mut self.metrics, VML_MODULE, e))?;
+            .inspect_err(|e| observe::record_pool(&mut self.metrics, VML_MODULE, Err(e)))?;
         observe::record_run(&mut self.metrics, VML_MODULE, &run.stats);
         let predictions = run
             .proofs

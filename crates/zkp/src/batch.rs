@@ -426,22 +426,14 @@ pub fn record_pool_outcome<B: ProverBackend>(
     pool: &DevicePool,
     outcome: &Result<BackendPoolRun<B>, PipelineError>,
 ) {
-    match outcome {
-        Err(e) => observe::record_error(registry, module, e),
-        Ok(run) => {
-            observe::record_pool_run(
-                registry,
-                module,
-                &run.device_stats,
-                &run.device_ms,
-                run.makespan_ms,
-            );
-            if let Some(recovery) = &run.recovery {
-                observe::record_recovery(registry, module, recovery);
-            }
-            observe::record_pool_health(registry, module, pool);
-        }
-    }
+    let outcome = outcome.as_ref().map(|run| observe::PoolRun {
+        device_stats: &run.device_stats,
+        device_ms: &run.device_ms,
+        makespan_ms: run.makespan_ms,
+        recovery: run.recovery.as_ref(),
+        pool,
+    });
+    observe::record_pool(registry, module, outcome);
 }
 
 /// Proves a batch of backend instances across a [`DevicePool`], sharded
@@ -905,8 +897,8 @@ mod tests {
     fn heterogeneous_pool_leans_on_the_stronger_device() {
         let (r1cs, batch) = instances(16, 12);
         let params = test_params();
-        let mut pool =
-            DevicePool::from_profiles(vec![DeviceProfile::v100(), DeviceProfile::h100()]);
+        let profiles = [DeviceProfile::v100(), DeviceProfile::h100()];
+        let mut pool = DevicePool::new(profiles.map(Gpu::new).into());
         let run = prove_batch_pool_with(
             &mut pool,
             &backend(&r1cs),
