@@ -22,7 +22,7 @@ use crate::scale::Scale;
 pub const MIXED_TRACE: &str = include_str!("../../../../traces/mixed.trace");
 
 /// Parses the committed mixed-backend trace.
-pub fn mixed_plan() -> ArrivalPlan {
+pub(super) fn mixed_plan() -> ArrivalPlan {
     ArrivalPlan::parse(MIXED_TRACE).expect("committed mixed trace parses")
 }
 
@@ -368,17 +368,17 @@ pub(super) fn backends_section(scale: &Scale, study: &BackendsStudy) -> String {
     )
 }
 
-/// The BENCH.json `backends` section on its own (canonical JSON,
-/// byte-deterministic at any host thread count). Records nothing into a
-/// shared registry — [`super::bench_json`] threads its own.
-pub fn backends_json(scale: &Scale) -> String {
-    backends_section(scale, &backends_study(scale, &mut Registry::new(), None))
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::tiny_scale;
     use super::*;
+
+    /// The BENCH.json `backends` section on its own (canonical JSON,
+    /// byte-deterministic at any host thread count). Records nothing into
+    /// a shared registry — `bench_json` threads its own.
+    fn backends_json(scale: &Scale) -> String {
+        backends_section(scale, &backends_study(scale, &mut Registry::new(), None))
+    }
 
     #[test]
     fn backends_report_and_json_render_with_identical_proofs() {

@@ -134,8 +134,8 @@ pub fn bench_json(scale: &Scale) -> String {
         &stats,
     ));
 
-    // Multi-device scaling sweep: the same batch round-robined over pools
-    // of 1/2/4/8 identical devices; cycle-derived, so byte-stable too.
+    // Multi-device scaling sweep: the same batch over pools of 1/2/4/8
+    // identical devices; cycle-derived, so byte-stable too.
     let scaling_runs = scaling_sweep(scale, &[1, 2, 4, 8], &profile)
         .into_iter()
         .map(|(d, p)| {
@@ -147,7 +147,7 @@ pub fn bench_json(scale: &Scale) -> String {
             )
         });
     let scaling = format!(
-        "{{\"log_n\":{},\"batch\":{},\"policy\":\"round-robin\",\"runs\":[{}]}}",
+        "{{\"log_n\":{},\"batch\":{},\"runs\":[{}]}}",
         scale.scaling_log,
         scale.scaling_batch,
         join_json(scaling_runs),
@@ -169,7 +169,7 @@ pub fn bench_json(scale: &Scale) -> String {
     });
     let recovery = format!(
         "{{\"log_n\":{},\"batch\":{},\"devices\":{},\
-         \"policy\":\"least-outstanding\",\"fault_free_ms\":{},\"scenarios\":[{}]}}",
+         \"fault_free_ms\":{},\"scenarios\":[{}]}}",
         scale.scaling_log,
         scale.scaling_batch,
         RECOVERY_DEVICES,

@@ -36,12 +36,12 @@ mod service;
 mod system;
 mod timeline;
 
-pub use backends::{backends, backends_json, mixed_plan, validate_trace_backends, MIXED_TRACE};
+pub use backends::{backends, validate_trace_backends, MIXED_TRACE};
 pub use bench_json::{bench_json, bench_json_with_wall_clock};
 pub use modules::{fig4, fig9, table3, table4, table5, table6, trace};
 pub use pool::{faults, profile_by_name, scaling};
-pub use profile::{profile, profile_json, profile_study, PhaseProfile, ProfileStudy};
-pub use service::{reference_plan, serve, service_json, REFERENCE_TRACE};
+pub use profile::{profile, profile_json, PhaseProfile, ProfileStudy};
+pub use service::{reference_plan, serve, REFERENCE_TRACE};
 pub use system::{ablation, table10, table11, table7, table8, table9};
 pub use timeline::{timeline, TimelineArtifacts};
 

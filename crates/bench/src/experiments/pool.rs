@@ -30,7 +30,6 @@ fn prove_across(
     pool: &mut DevicePool,
     circuit: &Circuit,
     batch: usize,
-    policy: ShardPolicy,
 ) -> Result<BackendPoolRun<SpartanBackend<Fr>>, PipelineError> {
     prove_batch_pool_with(
         pool,
@@ -38,7 +37,7 @@ fn prove_across(
         circuit.instances(batch),
         MODULE_THREADS,
         true,
-        policy,
+        ShardPolicy::MemoryAware,
     )
 }
 
@@ -49,8 +48,8 @@ pub(super) struct ScalingPoint {
     pub analysis: PoolAnalysis,
 }
 
-/// Proves the batch across `devices` identical GPUs under round-robin
-/// sharding and runs the pool analyzer against `baseline_ms` (the
+/// Proves the batch across `devices` identical GPUs (a fresh pool of
+/// identical devices places task *i* on device *i mod N*) and runs the pool analyzer against `baseline_ms` (the
 /// single-device makespan; `None` makes this run its own baseline, i.e.
 /// speedup 1.0).
 pub(super) fn scaling_point(
@@ -61,7 +60,7 @@ pub(super) fn scaling_point(
     baseline_ms: Option<f64>,
 ) -> ScalingPoint {
     let mut pool = DevicePool::homogeneous(profile.clone(), devices);
-    let run = prove_across(&mut pool, circuit, batch, ShardPolicy::RoundRobin).expect("fits");
+    let run = prove_across(&mut pool, circuit, batch).expect("fits");
     let obs: Vec<DeviceObservation> = run
         .device_stats
         .iter()
@@ -106,7 +105,7 @@ pub(super) fn scaling_sweep(
 /// baseline — pass counts starting at 1 for "vs single device" numbers.
 pub fn scaling(scale: &Scale, device_counts: &[usize], profile: &DeviceProfile) -> String {
     let mut out = format!(
-        "## Scaling — {} proofs of S = 2^{} across a pool of {} devices (round-robin)\n\n\
+        "## Scaling — {} proofs of S = 2^{} across a pool of {} devices\n\n\
          | Devices | Makespan (ms) | Throughput (proofs/ms) | Speedup | Scaling efficiency | Imbalance |\n\
          |---|---|---|---|---|---|\n",
         scale.scaling_batch, scale.scaling_log, profile.name
@@ -167,12 +166,7 @@ pub(super) fn recovery_study(
         if let Some(p) = plan {
             pool.apply_fault_plan(p);
         }
-        prove_across(
-            &mut pool,
-            &circuit,
-            scale.scaling_batch,
-            ShardPolicy::LeastOutstanding,
-        )
+        prove_across(&mut pool, &circuit, scale.scaling_batch)
     };
     let clean = run_pool(None).expect("fits");
     let outcome = |name, plan: &FaultPlan, run: BackendPoolRun<SpartanBackend<Fr>>| {
@@ -232,7 +226,7 @@ pub(super) fn recovery_study(
 pub fn faults(scale: &Scale, extra: Option<&FaultPlan>) -> Result<String, String> {
     let study = recovery_study(scale, extra)?;
     let mut out = format!(
-        "## Faults — recovery overhead, {} proofs of S = 2^{} on {} A100s (least-outstanding)\n\n\
+        "## Faults — recovery overhead, {} proofs of S = 2^{} on {} A100s\n\n\
          Fault-free makespan: {:.3} ms\n\n\
          | Scenario | Plan | Makespan (ms) | Overhead | Failed | Replayed | Rounds | Proofs identical |\n\
          |---|---|---|---|---|---|---|---|\n",

@@ -81,7 +81,7 @@ pub(super) fn timed_prove(circuit: &Circuit) -> (Vec<PhaseProfile>, f64) {
 /// attributed to named pipeline phases. The phases and the total come from
 /// that one run, so coverage is attributed/total within it. Everything
 /// except the timings is deterministic at a given scale.
-pub fn profile_study(scale: &Scale) -> ProfileStudy {
+fn profile_study(scale: &Scale) -> ProfileStudy {
     let log = scale.wall_log;
     let circuit = Circuit::synthetic(log);
     let (phases, total_ms) = batchzk_par::with_threads(1, || {

@@ -377,25 +377,21 @@ pub(super) fn service_section(scale: &Scale, study: &ServiceStudy<BatchTask<Fr>>
     )
 }
 
-/// The BENCH.json `service` section on its own: the replay of `plan` at
-/// pool sizes 1 and 4, rendered as canonical JSON. Byte-deterministic for
-/// a given scale and plan at any host thread count — this is what the CI
-/// determinism gate compares.
-///
-/// # Errors
-///
-/// Same conditions as [`serve`].
-pub fn service_json(scale: &Scale, plan: &ArrivalPlan) -> Result<String, String> {
-    let study = sumcheck_study(scale, plan, &SERVICE_DEVICES, TraceLevel::default())?;
-    Ok(service_section(scale, &study))
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::backends::mixed_plan;
     use super::super::tiny_scale;
     use super::*;
     use std::time::{Duration, Instant};
+
+    /// The BENCH.json `service` section on its own: the replay of `plan`
+    /// at pool sizes 1 and 4, rendered as canonical JSON. Byte-deterministic
+    /// for a given scale and plan at any host thread count — what the
+    /// determinism tests below compare. Errs as `serve` does.
+    fn service_json(scale: &Scale, plan: &ArrivalPlan) -> Result<String, String> {
+        let study = sumcheck_study(scale, plan, &SERVICE_DEVICES, TraceLevel::default())?;
+        Ok(service_section(scale, &study))
+    }
 
     #[test]
     fn serve_report_renders_with_slo_accounting() {

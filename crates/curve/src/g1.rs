@@ -4,7 +4,7 @@
 //! generator `(1, 2)`. Formulas follow the standard a=0 Jacobian
 //! addition/doubling from the Explicit-Formulas Database.
 
-use batchzk_field::{Field, Fq, Fr};
+use batchzk_field::{Field, Fq};
 
 /// A point in affine coordinates (or the point at infinity).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -224,8 +224,10 @@ impl G1Projective {
         }
     }
 
-    /// Scalar multiplication by an `Fr` scalar (double-and-add, MSB first).
-    pub fn mul_scalar(&self, scalar: &Fr) -> Self {
+    /// Scalar multiplication by an `Fr` scalar (double-and-add, MSB first):
+    /// the tests' oracle for the MSM.
+    #[cfg(test)]
+    pub(crate) fn mul_scalar(&self, scalar: &batchzk_field::Fr) -> Self {
         let limbs = scalar.to_canonical_limbs();
         let mut acc = Self::identity();
         for &limb in limbs.iter().rev() {
@@ -280,6 +282,7 @@ impl G1Projective {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use batchzk_field::Fr;
 
     #[test]
     fn generator_on_curve() {

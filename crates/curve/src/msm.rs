@@ -12,12 +12,13 @@ use batchzk_field::{Field, Fq, Fr};
 use crate::g1::{G1Affine, G1Projective};
 
 /// Naive MSM: `Σ scalar_i · point_i` via per-term double-and-add. Reference
-/// oracle for [`msm`].
+/// oracle for [`msm`] in the tests below.
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-pub fn msm_naive(points: &[G1Affine], scalars: &[Fr]) -> G1Projective {
+#[cfg(test)]
+fn msm_naive(points: &[G1Affine], scalars: &[Fr]) -> G1Projective {
     assert_eq!(
         points.len(),
         scalars.len(),

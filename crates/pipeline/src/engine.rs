@@ -428,7 +428,7 @@ impl<'g, T: Send> PipelineExecutor<'g, T> {
     }
 
     /// Pending plus in-flight — the executor's outstanding work, the
-    /// quantity the least-outstanding-work shard policy balances.
+    /// quantity the scheduler's least-outstanding-work placement balances.
     pub fn outstanding(&self) -> usize {
         self.pending.len() + self.in_flight
     }

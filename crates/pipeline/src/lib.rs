@@ -25,10 +25,11 @@
 //! * [`naive`] — the generic kernel-per-task runner (Figure 4a, modelled
 //!   once): each module's `run_naive` hands it the module's own stages to
 //!   stand in for Simon, Icicle, and "Ours-np";
-//! * [`sched`] — shard policies (round-robin, least-outstanding-work,
-//!   memory-aware admission) that spread one task stream over a
-//!   multi-device pool, one persistent executor per device, with
-//!   survivor resharding when a device carries a scripted fault;
+//! * [`sched`] — one placement routine (least-outstanding work over the
+//!   healthy devices a task fits on, with memory-aware admission caps)
+//!   that spreads one task stream over a multi-device pool, one persistent
+//!   executor per device, and places the salvaged tasks again on the
+//!   survivors when a device carries a scripted fault;
 //! * [`service`] — the online proving front: open-loop arrival replay in
 //!   virtual time, priority classes with per-class latency SLOs, and
 //!   admission control that sheds load with a reject reason when the
@@ -53,9 +54,7 @@ pub use engine::{
     PipelineRun, RunStats, StageStats, StageWork,
 };
 pub use observe::{default_service_rules, timeline_counter_tracks};
-pub use sched::{
-    device_weight, plan_shards, run_sharded, RecoveryReport, ShardPlan, ShardPolicy, ShardedRun,
-};
+pub use sched::{run_sharded, RecoveryReport, ShardPolicy, ShardedRun};
 pub use service::{
     run_service, ClassPolicy, ClassReport, PriorityClass, RejectReason, RejectedRequest,
     ServiceCompletion, ServiceConfig, ServiceError, ServiceOutcome, ServiceRequest,

@@ -523,7 +523,7 @@ pub fn stage_observations(stage_stats: &[StageStats]) -> Vec<StageObservation> {
 mod tests {
     use super::*;
     use crate::merkle;
-    use crate::sched::{run_sharded, ShardPolicy, ShardedRun};
+    use crate::sched::{run_sharded, ShardedRun};
     use crate::service::ServiceCompletion;
     use batchzk_gpu_sim::{DeviceProfile, Gpu};
 
@@ -652,9 +652,8 @@ mod tests {
     #[test]
     fn one_device_pool_records_the_module_series_of_record_run() {
         let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 1);
-        let policy = ShardPolicy::RoundRobin;
-        let sharded = run_sharded(&mut pool, policy, (0..6).collect(), |_| 64, or_stages, true)
-            .expect("fits");
+        let sharded =
+            run_sharded(&mut pool, (0..6).collect(), |_| 64, or_stages, true).expect("fits");
         let mut single = Registry::new();
         record_run(&mut single, "or", &sharded.device_stats[0]);
         let mut pooled = Registry::new();
@@ -1001,16 +1000,8 @@ mod tests {
         let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 2);
         let faults = FaultPlan::new().fail_stop(1, 1).drop_kernel(0, 0, 2);
         pool.apply_fault_plan(&faults.degraded_clock(0, 0, 200));
-        let policy = ShardPolicy::LeastOutstanding;
-        let sharded = run_sharded(
-            &mut pool,
-            policy,
-            (0..16).collect(),
-            |_| 64,
-            or_stages,
-            true,
-        )
-        .expect("device 0 survives");
+        let sharded = run_sharded(&mut pool, (0..16).collect(), |_| 64, or_stages, true)
+            .expect("device 0 survives");
         let recovery = sharded.recovery.as_ref().expect("both faults fired");
         assert_eq!(
             (&recovery.failed_devices[..], recovery.dropped_kernels),

@@ -1,46 +1,43 @@
-//! Multi-device scheduling: shard policies over a [`DevicePool`].
+//! Multi-device scheduling: one placement routine over a [`DevicePool`].
 //!
 //! The paper pins one pipeline to one device; a production deployment
 //! (§1, "serves millions of users") spreads one proof stream over many.
 //! This module is the thin scheduling layer between the two: it decides
-//! *which device gets which task* ([`plan_shards`]) and then drives one
+//! *which device gets which task* and then drives one
 //! [`PipelineExecutor`] per device to completion ([`run_sharded`]),
 //! reassembling outputs in input order so sharding is invisible to the
 //! caller — a sharded run emits byte-identical results to a
 //! single-device run.
 //!
-//! Three policies are provided:
+//! **Placement.** One routine places every round, the first and each
+//! replay: each task, in input order, goes to the healthy device it fits
+//! on (one footprint plus the alloc-before-free overlap) with the least
+//! outstanding work normalized by the device's weight — *measured*
+//! throughput (completed work per elapsed virtual second, from each
+//! device's utilization and clock) once it has history, the cores × clock
+//! nameplate before. Each device then runs under an in-flight admission
+//! cap sized from its memory, so a batch whose full pipeline residency
+//! would OOM one device is *split in time* (fewer tasks resident at once)
+//! and across devices instead of erroring; only a single task that
+//! exceeds every device's capacity still fails, with the usual
+//! [`OutOfDeviceMemory`](crate::PipelineError::OutOfDeviceMemory)
+//! diagnostics. Where memory does not bind this is least-outstanding-work
+//! placement, and on a fresh pool of identical devices with equal
+//! footprints it is round-robin: task *i* to device *i mod N*.
 //!
-//! * [`ShardPolicy::RoundRobin`] — task *i* to device *i mod N*; the
-//!   baseline, optimal for homogeneous pools and uniform tasks;
-//! * [`ShardPolicy::LeastOutstanding`] — greedy: each task goes to the
-//!   device with the least outstanding work normalized by its weight —
-//!   *measured* throughput (completed work per elapsed virtual second,
-//!   from each device's utilization and clock) once it has history, the
-//!   cores × clock nameplate before — which load-balances heterogeneous
-//!   pools;
-//! * [`ShardPolicy::MemoryAware`] — least-outstanding placement among
-//!   devices the task *fits* on, plus a per-device in-flight admission
-//!   cap sized from the device's memory capacity. A batch whose full
-//!   pipeline residency would OOM one device is thereby *split in time*
-//!   (fewer tasks resident at once) and across devices instead of
-//!   erroring; only a single task that exceeds every device's capacity
-//!   still fails, with the usual
-//!   [`OutOfDeviceMemory`](crate::PipelineError::OutOfDeviceMemory)
-//!   diagnostics.
-//!
-//! All policies are deterministic: identical inputs produce identical
-//! plans, and since tasks are independent (each proof's transcript
-//! depends only on its own inputs), identical outputs.
+//! Placement is deterministic: identical inputs produce identical plans,
+//! and since tasks are independent (each proof's transcript depends only
+//! on its own inputs), identical outputs.
 //!
 //! **Fault tolerance.** When a device carries a scripted fault (see
 //! [`batchzk_gpu_sim::FaultPlan`]), [`run_sharded`] absorbs the
 //! recoverable errors ([`PipelineError::DeviceFailed`] /
 //! [`PipelineError::KernelDropped`]): completed outputs are kept, the
-//! salvaged remainder is resharded over surviving devices with the same
-//! measured-weight greedy policy, and the replay repeats until every task
-//! completes (or every device is dead, which surfaces a clean error). The
-//! recovered outputs are byte-identical to a fault-free run, and a
+//! salvaged remainder is placed again over the surviving devices by the
+//! same routine, and the replay repeats until every task completes (or
+//! every device is dead, which surfaces a clean error). A device that
+//! fail-stopped in an earlier batch is skipped from the first round on.
+//! The recovered outputs are byte-identical to a fault-free run, and a
 //! [`RecoveryReport`] on the result describes what it cost
 //! (`DESIGN.md` §12).
 //!
@@ -48,9 +45,7 @@
 //!
 //! ```
 //! use batchzk_gpu_sim::{DevicePool, DeviceProfile, Gpu, Work};
-//! use batchzk_pipeline::{
-//!     run_sharded, BoxedStage, PipeStage, ShardPolicy, StageWork,
-//! };
+//! use batchzk_pipeline::{run_sharded, BoxedStage, PipeStage, StageWork};
 //!
 //! struct Double;
 //! impl PipeStage<u64> for Double {
@@ -74,7 +69,6 @@
 //! let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 2);
 //! let run = run_sharded(
 //!     &mut pool,
-//!     ShardPolicy::LeastOutstanding,
 //!     (0..8u64).collect(),
 //!     |_| 0,
 //!     |_gpu: &Gpu| vec![Box::new(Double) as BoxedStage<u64>],
@@ -82,189 +76,115 @@
 //! )
 //! .unwrap();
 //! assert_eq!(run.outputs, (0..8u64).map(|t| t * 2).collect::<Vec<_>>());
+//! assert_eq!(run.assignments, vec![vec![0, 2, 4, 6], vec![1, 3, 5, 7]]);
 //! assert!(run.recovery.is_none(), "no faults scripted");
 //! ```
 
-use batchzk_gpu_sim::{DevicePool, Gpu};
+use batchzk_gpu_sim::{DeviceHealth, DevicePool, Gpu};
 
 use crate::engine::{BoxedStage, PipelineError, PipelineExecutor, PipelineRun, RunStats};
 
-/// How tasks are distributed across the devices of a pool.
+/// How tasks are placed across the devices of a pool: one policy, the
+/// memory-aware placement the module doc describes, which
+/// [`run_sharded`] always applies.
+///
+/// The type and the `policy` parameters that take it
+/// (`batchzk_zkp::prove_batch_pool_with`, `batchzk_vml`'s
+/// `MlService::serve_batch_pool`) stay only because the frozen
+/// `benchmark/` crate passes `ShardPolicy::MemoryAware`; they are deleted
+/// with the next change to `benchmark/`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardPolicy {
-    /// Task `i` goes to device `i % N`.
-    RoundRobin,
-    /// Each task goes to the device with the least outstanding work,
-    /// normalized by compute weight (ties break to the lowest index).
-    LeastOutstanding,
-    /// Least-outstanding placement restricted to devices with capacity
+    /// Least-outstanding placement among healthy devices with capacity
     /// for the task, plus per-device in-flight caps that keep pipeline
-    /// residency within device memory (splitting the batch in time
-    /// rather than erroring).
+    /// residency within device memory.
     MemoryAware,
 }
 
-impl ShardPolicy {
-    /// Every policy, in a stable order (tests iterate this).
-    pub const ALL: [ShardPolicy; 3] = [
-        ShardPolicy::RoundRobin,
-        ShardPolicy::LeastOutstanding,
-        ShardPolicy::MemoryAware,
-    ];
-
-    /// Stable kebab-case name (CLI flag value, metric label).
-    pub fn name(&self) -> &'static str {
-        match self {
-            ShardPolicy::RoundRobin => "round-robin",
-            ShardPolicy::LeastOutstanding => "least-outstanding",
-            ShardPolicy::MemoryAware => "memory-aware",
-        }
-    }
-
-    /// Parses a policy from its [`name`](Self::name).
-    pub fn parse(s: &str) -> Option<ShardPolicy> {
-        Self::ALL.into_iter().find(|p| p.name() == s)
-    }
-}
-
-impl std::fmt::Display for ShardPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// The output of [`plan_shards`]: who runs what, and how much of it at
-/// once.
+/// One round's placement: who runs what, and how much of it at once.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardPlan {
-    /// Per device, the original task indices assigned to it, in input
-    /// order.
-    pub assignments: Vec<Vec<usize>>,
-    /// Per device, the in-flight admission cap the executor should run
-    /// under (equals the pipeline depth when memory imposes no limit).
-    pub max_in_flight: Vec<usize>,
+struct ShardPlan {
+    /// Per device, the positions (into the placed footprints) assigned to
+    /// it, ascending.
+    assignments: Vec<Vec<usize>>,
+    /// Per device, the in-flight admission cap its executor runs under
+    /// (the pipeline depth when memory imposes no limit).
+    max_in_flight: Vec<usize>,
 }
 
-/// Assigns `footprints.len()` tasks to the pool's devices under `policy`.
+/// Places `footprints.len()` tasks on the pool's healthy devices.
 ///
-/// `footprints[i]` is the estimated peak device-memory footprint of task
-/// `i` in bytes (0 when unknown — the memory-aware policy then degrades
-/// to least-outstanding). `pipeline_depth` is the stage count: the
-/// natural in-flight maximum.
-pub fn plan_shards(
-    pool: &DevicePool,
-    policy: ShardPolicy,
-    footprints: &[u64],
-    pipeline_depth: usize,
-) -> ShardPlan {
+/// `footprints[p]` is the estimated peak device-memory footprint of the
+/// task at position `p` in bytes (0 when unknown: the task then fits
+/// everywhere and caps stay at the depth). Each task, in order, goes to the
+/// healthy device it fits on — one footprint plus the transient
+/// alloc-before-free overlap — with the smallest outstanding work (its
+/// footprint, at least 1) over [`device_weight`]; ties break to the lowest
+/// index. A task that fits no device goes to the biggest healthy one, so
+/// the executor surfaces the precise OOM diagnostics. Each device's cap is
+/// `min(depth, capacity / worst − 1)`, at least 1: each resident task holds
+/// up to one footprint, and a stage transition briefly holds the old and
+/// new allocation of one task at once.
+///
+/// Returns `None` when there is a task to place and no healthy device.
+fn plan_shards(pool: &DevicePool, footprints: &[u64], pipeline_depth: usize) -> Option<ShardPlan> {
     let n = pool.len();
-    let mut assignments: Vec<Vec<usize>> = vec![Vec::new(); n];
     let depth = pipeline_depth.max(1);
-    let mut max_in_flight = vec![depth; n];
-    match policy {
-        ShardPolicy::RoundRobin => {
-            for i in 0..footprints.len() {
-                assignments[i % n].push(i);
+    let healthy: Vec<bool> = (0..n).map(|d| !pool.device(d).is_failed()).collect();
+    let capacities: Vec<u64> = (0..n)
+        .map(|d| pool.device(d).memory_ref().capacity())
+        .collect();
+    let weights: Vec<f64> = (0..n).map(|d| device_weight(pool, d)).collect();
+    let mut assignments: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut outstanding = vec![0.0f64; n];
+    let mut unplaced = Vec::new();
+    for (p, &fp) in footprints.iter().enumerate() {
+        let work = fp.max(1) as f64;
+        let load = |d: usize| (outstanding[d] + work) / weights[d];
+        let best = (0..n)
+            .filter(|&d| healthy[d] && fp.saturating_mul(2) <= capacities[d])
+            .reduce(|b, d| if load(d) < load(b) { d } else { b });
+        match best {
+            Some(d) => {
+                outstanding[d] += work;
+                assignments[d].push(p);
             }
-        }
-        ShardPolicy::LeastOutstanding => {
-            greedy_assign(pool, footprints, &mut assignments, |_, _| true);
-        }
-        ShardPolicy::MemoryAware => {
-            let capacities: Vec<u64> = (0..n)
-                .map(|d| pool.device(d).memory_ref().capacity())
-                .collect();
-            greedy_assign(pool, footprints, &mut assignments, |d, fp| {
-                // A device qualifies if one task plus the transient
-                // alloc-before-free overlap fits; if nobody qualifies the
-                // caller falls back below.
-                fp.saturating_mul(2) <= capacities[d]
-            });
-            // Any task too large for every device: place it on the
-            // biggest device anyway so the executor surfaces the precise
-            // OutOfDeviceMemory diagnostics.
-            for (i, &fp) in footprints.iter().enumerate() {
-                if fp.saturating_mul(2) > *capacities.iter().max().expect("non-empty pool")
-                    && !assignments.iter().any(|a| a.contains(&i))
-                {
-                    let biggest = capacities
-                        .iter()
-                        .enumerate()
-                        .max_by_key(|(_, &c)| c)
-                        .map(|(d, _)| d)
-                        .expect("non-empty pool");
-                    assignments[biggest].push(i);
-                }
-            }
-            for a in &mut assignments {
-                a.sort_unstable();
-            }
-            // Cap residency so (cap + 1) footprints fit: each resident
-            // task holds up to one footprint, and a stage transition
-            // briefly holds the old and new allocation of one task at
-            // once.
-            for d in 0..n {
-                let worst = assignments[d]
-                    .iter()
-                    .map(|&i| footprints[i])
-                    .max()
-                    .unwrap_or(0);
-                if let Some(fit) = capacities[d].checked_div(worst) {
-                    max_in_flight[d] = (fit.saturating_sub(1).max(1) as usize).min(depth);
-                }
-            }
+            None => unplaced.push(p),
         }
     }
-    ShardPlan {
+    if !unplaced.is_empty() {
+        let biggest = (0..n)
+            .filter(|&d| healthy[d])
+            .max_by_key(|&d| capacities[d])?;
+        assignments[biggest].extend(unplaced);
+        assignments[biggest].sort_unstable();
+    }
+    let max_in_flight = assignments
+        .iter()
+        .zip(&capacities)
+        .map(|(placed, &capacity)| {
+            let worst = placed.iter().map(|&p| footprints[p]).max().unwrap_or(0);
+            capacity.checked_div(worst).map_or(depth, |fit| {
+                (fit.saturating_sub(1).max(1) as usize).min(depth)
+            })
+        })
+        .collect();
+    Some(ShardPlan {
         assignments,
         max_in_flight,
-    }
+    })
 }
 
-/// The weight the least-outstanding policy divides a device's load by:
-/// the device's *measured* throughput (useful work completed per elapsed
-/// virtual second, from the device's utilization and clock) once it has run
-/// anything, and the cores × clock nameplate before — an optimistic
-/// prior that measurement then discounts toward what the device actually
+/// The weight placement divides a device's load by: the device's
+/// *measured* throughput (useful work completed per elapsed virtual
+/// second, from the device's utilization and clock) once it has run
+/// anything, and the cores × clock nameplate before — an optimistic prior
+/// that measurement then discounts toward what the device actually
 /// delivers (memory stalls, transfer backpressure and all).
-pub fn device_weight(pool: &DevicePool, d: usize) -> f64 {
+fn device_weight(pool: &DevicePool, d: usize) -> f64 {
     pool.measured_weight(d)
         .unwrap_or_else(|| pool.compute_weight(d))
         .max(1.0)
-}
-
-/// Greedy least-outstanding-work assignment: each task (in input order)
-/// goes to the eligible device with the smallest assigned-work-to-weight
-/// ratio ([`device_weight`]); ties break to the lowest device index.
-fn greedy_assign(
-    pool: &DevicePool,
-    footprints: &[u64],
-    assignments: &mut [Vec<usize>],
-    eligible: impl Fn(usize, u64) -> bool,
-) {
-    let n = assignments.len();
-    let weights: Vec<f64> = (0..n).map(|d| device_weight(pool, d)).collect();
-    // Outstanding work per device, in footprint-bytes as the work proxy
-    // (every task contributes at least one unit so zero-footprint tasks
-    // still spread out).
-    let mut outstanding = vec![0.0f64; n];
-    for (i, &fp) in footprints.iter().enumerate() {
-        let work = fp.max(1) as f64;
-        let mut best: Option<usize> = None;
-        for d in 0..n {
-            if !eligible(d, fp) {
-                continue;
-            }
-            let load = (outstanding[d] + work) / weights[d];
-            if best.is_none_or(|b| load < (outstanding[b] + work) / weights[b]) {
-                best = Some(d);
-            }
-        }
-        if let Some(d) = best {
-            outstanding[d] += work;
-            assignments[d].push(i);
-        }
-    }
 }
 
 /// What it cost a sharded run to survive scripted device faults: which
@@ -301,10 +221,9 @@ pub struct ShardedRun<T> {
     /// tasks report zeroed stats). Under fault recovery a device's stats
     /// accumulate over its replay rounds.
     pub device_stats: Vec<RunStats>,
-    /// The plan that produced this run.
-    pub plan: ShardPlan,
-    /// The policy that produced the plan.
-    pub policy: ShardPolicy,
+    /// Per device, the input indices the first round placed on it,
+    /// ascending (a replay round may move some of them elsewhere).
+    pub assignments: Vec<Vec<usize>>,
     /// Wall time of the whole run: the maximum per-device elapsed time
     /// (the batch is done when the last device finishes), in ms. Replay
     /// rounds after a fault are sequential with the initial round, so
@@ -412,14 +331,14 @@ fn merge_stats(into: &mut Option<RunStats>, add: RunStats) {
     base.lifecycles.extend(add.lifecycles);
 }
 
-/// Shards `tasks` over the pool under `policy` and runs every shard to
-/// completion, one [`PipelineExecutor`] per device.
+/// Places `tasks` over the pool and runs every shard to completion, one
+/// [`PipelineExecutor`] per device.
 ///
 /// `footprint` estimates a task's peak device-memory footprint in bytes
-/// (used by the memory-aware policy; return 0 if unknown). `stages`
-/// builds a fresh stage vector for a device — stages may depend on the
-/// device's cost model, so the factory receives the device (it must be
-/// `Sync`: device workers build their stage sets concurrently).
+/// (placement and the admission caps size from it; return 0 if unknown).
+/// `stages` builds a fresh stage vector for a device — stages may depend
+/// on the device's cost model, so the factory receives the device (it must
+/// be `Sync`: device workers build their stage sets concurrently).
 ///
 /// Devices share nothing, so each shard runs on its own host worker
 /// (`batchzk-par`; thread count from `--threads` / `BATCHZK_THREADS`),
@@ -432,14 +351,13 @@ fn merge_stats(into: &mut Option<RunStats>, add: RunStats) {
 /// **Fault recovery.** A device that hits a scripted recoverable fault
 /// ([`PipelineError::DeviceFailed`] / [`PipelineError::KernelDropped`])
 /// does not fail the run: its completed outputs are kept, the salvaged
-/// remainder (in admission order) is resharded over the surviving
-/// devices with the same measured-weight greedy assignment, and the
-/// replay loops until every task completes. Stages must therefore be
-/// *replay-safe*: a salvaged task restarts from stage 0, which is
-/// correct for stages that overwrite their task state (as all the proof
-/// modules do) but not for blind accumulation. Recovered outputs are
-/// byte-identical to a fault-free run; [`ShardedRun::recovery`] reports
-/// the cost.
+/// remainder (in input order) is placed again over the surviving devices
+/// by the same routine as the first round, and the replay loops until
+/// every task completes. Stages must therefore be *replay-safe*: a
+/// salvaged task restarts from stage 0, which is correct for stages that
+/// overwrite their task state (as all the proof modules do) but not for
+/// blind accumulation. Recovered outputs are byte-identical to a
+/// fault-free run; [`ShardedRun::recovery`] reports the cost.
 ///
 /// # Errors
 ///
@@ -449,10 +367,9 @@ fn merge_stats(into: &mut Option<RunStats>, add: RunStats) {
 /// before returning. OOM is *not* recovered — it is a planning defect,
 /// not a device fault. Returns [`PipelineError::DeviceFailed`] only when
 /// every device in the pool has fail-stopped, leaving no survivor to
-/// replay on.
+/// run on.
 pub fn run_sharded<T: Send>(
     pool: &mut DevicePool,
-    policy: ShardPolicy,
     tasks: Vec<T>,
     footprint: impl Fn(&T) -> u64,
     stages: impl Fn(&Gpu) -> Vec<BoxedStage<T>> + Sync,
@@ -461,31 +378,36 @@ pub fn run_sharded<T: Send>(
     let n = pool.len();
     let footprints: Vec<u64> = tasks.iter().map(&footprint).collect();
     let depth = stages(pool.device(0)).len();
-    let plan = plan_shards(pool, policy, &footprints, depth);
-
-    // Tear the batch into per-device shards, remembering original slots.
-    let mut shards: Vec<Vec<(usize, T)>> = (0..n).map(|_| Vec::new()).collect();
-    let mut owner = vec![0usize; tasks.len()];
-    for (d, assigned) in plan.assignments.iter().enumerate() {
-        for &i in assigned {
-            owner[i] = d;
-        }
-    }
-    for (i, task) in tasks.into_iter().enumerate() {
-        shards[owner[i]].push((i, task));
-    }
-
-    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None)
-        .take(shards.iter().map(Vec::len).sum())
-        .collect();
-
+    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(tasks.len()).collect();
     let mut device_stats: Vec<Option<RunStats>> = (0..n).map(|_| None).collect();
     let mut device_ms = vec![0.0f64; n];
     let mut makespan_ms = 0.0f64;
     let mut recovery: Option<RecoveryReport> = None;
-    let mut caps = plan.max_in_flight.clone();
+    let mut assignments: Vec<Vec<usize>> = Vec::new();
+    // The tasks this round places, with their input indices, in input
+    // order: the whole batch, then what each round's faults salvaged.
+    let mut pending: Vec<(usize, T)> = tasks.into_iter().enumerate().collect();
 
     loop {
+        let pending_fp: Vec<u64> = pending.iter().map(|&(i, _)| footprints[i]).collect();
+        let Some(plan) = plan_shards(pool, &pending_fp, depth) else {
+            return Err(no_survivor(pool, recovery.as_ref()));
+        };
+        let mut owner = vec![0usize; pending.len()];
+        for (d, placed) in plan.assignments.iter().enumerate() {
+            for &p in placed {
+                owner[p] = d;
+            }
+        }
+        let mut shards: Vec<Vec<(usize, T)>> = (0..n).map(|_| Vec::new()).collect();
+        for (p, task) in pending.into_iter().enumerate() {
+            shards[owner[p]].push(task);
+        }
+        if assignments.is_empty() {
+            // First round: positions are input indices.
+            assignments = plan.assignments;
+        }
+
         // One round: every device drains its current shard concurrently.
         // Coarse beats fine: with several active devices and host threads
         // to spare, each device gets its own worker and the per-slot
@@ -510,10 +432,9 @@ pub fn run_sharded<T: Send>(
         );
         let device_runs: Vec<DeviceRun<T>> = {
             let stages = &stages;
-            let caps = &caps;
-            let round_shards = std::mem::replace(&mut shards, (0..n).map(|_| Vec::new()).collect());
+            let caps = &plan.max_in_flight;
             let mut items: Vec<(&mut Gpu, Vec<(usize, T)>)> =
-                pool.devices_mut().iter_mut().zip(round_shards).collect();
+                pool.devices_mut().iter_mut().zip(shards).collect();
             batchzk_par::par_map_mut_with(host_threads, &mut items, |d, (gpu, shard)| {
                 let shard = std::mem::take(shard);
                 let device_stages = stages(gpu);
@@ -586,73 +507,12 @@ pub fn run_sharded<T: Send>(
         if lost.is_empty() {
             break;
         }
-
-        // Reshard the lost slice over the survivors and go again.
-        let rec = recovery.as_mut().expect("lost tasks imply a fault");
-        rec.replay_rounds += 1;
+        recovery
+            .as_mut()
+            .expect("lost tasks imply a fault")
+            .replay_rounds += 1;
         lost.sort_by_key(|&(i, _)| i);
-        let failed: Vec<bool> = (0..n).map(|d| pool.device(d).is_failed()).collect();
-        if failed.iter().all(|&f| f) {
-            // Nobody left to replay on: surface the first fail-stop.
-            return Err(rec
-                .faults
-                .iter()
-                .find(|e| matches!(e, PipelineError::DeviceFailed { .. }))
-                .cloned()
-                .expect("an all-failed pool saw at least one fail-stop"));
-        }
-        let capacities: Vec<u64> = (0..n)
-            .map(|d| pool.device(d).memory_ref().capacity())
-            .collect();
-        let lost_fp: Vec<u64> = lost.iter().map(|&(i, _)| footprints[i]).collect();
-        let mut assignments: Vec<Vec<usize>> = vec![Vec::new(); n];
-        greedy_assign(pool, &lost_fp, &mut assignments, |d, fp| {
-            !failed[d]
-                && (policy != ShardPolicy::MemoryAware || fp.saturating_mul(2) <= capacities[d])
-        });
-        // A task that fits no surviving device goes to the biggest healthy
-        // one so the executor surfaces precise OOM diagnostics.
-        let mut assigned = vec![false; lost.len()];
-        for a in &assignments {
-            for &p in a {
-                assigned[p] = true;
-            }
-        }
-        if assigned.iter().any(|&a| !a) {
-            let biggest = (0..n)
-                .filter(|&d| !failed[d])
-                .max_by_key(|&d| capacities[d])
-                .expect("a healthy device exists");
-            for (p, was) in assigned.iter().enumerate() {
-                if !was {
-                    assignments[biggest].push(p);
-                }
-            }
-            assignments[biggest].sort_unstable();
-        }
-        let mut lost_owner = vec![0usize; lost.len()];
-        for (d, a) in assignments.iter().enumerate() {
-            for &p in a {
-                lost_owner[p] = d;
-            }
-        }
-        for (p, (i, task)) in lost.into_iter().enumerate() {
-            shards[lost_owner[p]].push((i, task));
-        }
-        // Re-derive memory-aware admission caps for the replay shards —
-        // a survivor may inherit bigger tasks than its original shard.
-        if policy == ShardPolicy::MemoryAware {
-            for d in 0..n {
-                let worst = shards[d]
-                    .iter()
-                    .map(|&(i, _)| footprints[i])
-                    .max()
-                    .unwrap_or(0);
-                if let Some(fit) = capacities[d].checked_div(worst) {
-                    caps[d] = (fit.saturating_sub(1).max(1) as usize).min(depth.max(1));
-                }
-            }
-        }
+        pending = lost;
     }
 
     let outputs: Vec<T> = slots
@@ -666,12 +526,36 @@ pub fn run_sharded<T: Send>(
     Ok(ShardedRun {
         outputs,
         device_stats,
-        plan,
-        policy,
+        assignments,
         makespan_ms,
         device_ms,
         recovery,
     })
+}
+
+/// The error of a run left with tasks and no healthy device: the run's
+/// first fail-stop, or — when every device died in an earlier batch — the
+/// lowest-indexed dead device's, with nothing salvaged.
+fn no_survivor(pool: &DevicePool, recovery: Option<&RecoveryReport>) -> PipelineError {
+    let this_run = recovery
+        .into_iter()
+        .flat_map(|rec| &rec.faults)
+        .find(|e| matches!(e, PipelineError::DeviceFailed { .. }));
+    if let Some(first) = this_run {
+        return first.clone();
+    }
+    let at_cycle = pool
+        .devices()
+        .iter()
+        .find_map(|gpu| match gpu.health() {
+            DeviceHealth::Failed { at_cycle } => Some(at_cycle),
+            _ => None,
+        })
+        .expect("no healthy device means a failed one");
+    PipelineError::DeviceFailed {
+        at_cycle,
+        salvaged: 0,
+    }
 }
 
 #[cfg(test)]
@@ -716,19 +600,16 @@ mod tests {
         }
     }
 
-    #[test]
-    fn policy_names_round_trip() {
-        for p in ShardPolicy::ALL {
-            assert_eq!(ShardPolicy::parse(p.name()), Some(p));
-            assert_eq!(p.to_string(), p.name());
-        }
-        assert_eq!(ShardPolicy::parse("nope"), None);
+    fn plan(pool: &DevicePool, footprints: &[u64], depth: usize) -> ShardPlan {
+        plan_shards(pool, footprints, depth).expect("a healthy device")
     }
 
+    /// On a fresh pool of identical devices with equal footprints the one
+    /// placement routine is round-robin: task `i` to device `i mod N`.
     #[test]
     fn round_robin_interleaves() {
         let pool = DevicePool::homogeneous(DeviceProfile::a100(), 3);
-        let plan = plan_shards(&pool, ShardPolicy::RoundRobin, &[64; 7], 4);
+        let plan = plan(&pool, &[64; 7], 4);
         assert_eq!(plan.assignments[0], vec![0, 3, 6]);
         assert_eq!(plan.assignments[1], vec![1, 4]);
         assert_eq!(plan.assignments[2], vec![2, 5]);
@@ -741,7 +622,7 @@ mod tests {
         // than half of a uniform batch.
         let profiles = [DeviceProfile::v100(), DeviceProfile::h100()];
         let pool = DevicePool::new(profiles.map(Gpu::new).into());
-        let plan = plan_shards(&pool, ShardPolicy::LeastOutstanding, &[64; 12], 4);
+        let plan = plan(&pool, &[64; 12], 4);
         assert!(
             plan.assignments[1].len() > plan.assignments[0].len(),
             "h100 shard {} <= v100 shard {}",
@@ -760,7 +641,7 @@ mod tests {
         };
         let pool = DevicePool::homogeneous(small, 2);
         // Footprint 100: capacity/footprint - 1 = 2 resident tasks max.
-        let plan = plan_shards(&pool, ShardPolicy::MemoryAware, &[100; 8], 4);
+        let plan = plan(&pool, &[100; 8], 4);
         assert_eq!(plan.max_in_flight, vec![2, 2]);
         let total: usize = plan.assignments.iter().map(Vec::len).sum();
         assert_eq!(total, 8);
@@ -768,53 +649,30 @@ mod tests {
 
     #[test]
     fn sharded_outputs_preserve_input_order() {
-        for policy in ShardPolicy::ALL {
-            let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 4);
-            let tasks: Vec<u64> = (0..13).map(|i| i * 1000).collect();
-            let run = run_sharded(&mut pool, policy, tasks.clone(), |_| 64, factory(64), true)
-                .expect("fits");
-            let expect: Vec<u64> = tasks.iter().map(|t| t + 111).collect();
-            assert_eq!(run.outputs, expect, "policy {policy}");
-            assert_eq!(run.tasks(), 13);
-            assert!(run.makespan_ms > 0.0);
-            assert!(run.imbalance() >= 1.0);
-            assert_eq!(run.device_stats.len(), 4);
-        }
+        let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 4);
+        let tasks: Vec<u64> = (0..13).map(|i| i * 1000).collect();
+        let run = run_sharded(&mut pool, tasks.clone(), |_| 64, factory(64), true).expect("fits");
+        let expect: Vec<u64> = tasks.iter().map(|t| t + 111).collect();
+        assert_eq!(run.outputs, expect);
+        assert_eq!(run.tasks(), 13);
+        assert!(run.makespan_ms > 0.0);
+        assert!(run.imbalance() >= 1.0);
+        assert_eq!(run.device_stats.len(), 4);
     }
 
     #[test]
-    fn memory_aware_completes_where_unrestricted_ooms() {
+    fn admission_cap_splits_the_batch_in_time() {
         // 300 bytes of device memory, 120-byte tasks, 3 stages: full
-        // residency needs 3 footprints (360 bytes) => OOM.
+        // residency would need 3 footprints (360 bytes); the cap of one
+        // resident task splits the batch in time and completes.
         let tiny = DeviceProfile {
             device_mem_bytes: 300,
             ..DeviceProfile::a100()
         };
-        let mut pool = DevicePool::homogeneous(tiny.clone(), 2);
-        let err = run_sharded(
-            &mut pool,
-            ShardPolicy::RoundRobin,
-            (0..6u64).collect(),
-            |_| 120,
-            factory(120),
-            true,
-        )
-        .expect_err("full residency cannot fit");
-        assert!(matches!(err, PipelineError::OutOfDeviceMemory { .. }));
-        for d in 0..2 {
-            assert_eq!(pool.device(d).memory_ref().in_use(), 0, "clean on error");
-        }
-        // The memory-aware policy splits the batch in time and completes.
         let mut pool = DevicePool::homogeneous(tiny, 2);
-        let run = run_sharded(
-            &mut pool,
-            ShardPolicy::MemoryAware,
-            (0..6u64).collect(),
-            |_| 120,
-            factory(120),
-            true,
-        )
-        .expect("admission cap keeps residency within memory");
+        assert_eq!(plan(&pool, &[120; 6], 3).max_in_flight, vec![1, 1]);
+        let run = run_sharded(&mut pool, (0..6u64).collect(), |_| 120, factory(120), true)
+            .expect("admission cap keeps residency within memory");
         assert_eq!(run.outputs, (0..6).map(|t| t + 111).collect::<Vec<_>>());
     }
 
@@ -825,30 +683,19 @@ mod tests {
             ..DeviceProfile::a100()
         };
         let mut pool = DevicePool::homogeneous(tiny, 2);
-        let err = run_sharded(
-            &mut pool,
-            ShardPolicy::MemoryAware,
-            vec![1u64],
-            |_| 400,
-            factory(400),
-            true,
-        )
-        .expect_err("a single over-capacity task cannot be split");
+        let err = run_sharded(&mut pool, vec![1u64], |_| 400, factory(400), true)
+            .expect_err("a single over-capacity task cannot be split");
         assert!(matches!(err, PipelineError::OutOfDeviceMemory { .. }));
+        for d in 0..2 {
+            assert_eq!(pool.device(d).memory_ref().in_use(), 0, "clean on error");
+        }
     }
 
     #[test]
     fn empty_task_list_is_fine() {
         let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 2);
-        let run = run_sharded(
-            &mut pool,
-            ShardPolicy::LeastOutstanding,
-            Vec::<u64>::new(),
-            |_| 64,
-            factory(64),
-            true,
-        )
-        .expect("nothing to do");
+        let run = run_sharded(&mut pool, Vec::<u64>::new(), |_| 64, factory(64), true)
+            .expect("nothing to do");
         assert!(run.outputs.is_empty());
         assert_eq!(run.makespan_ms, 0.0);
         assert_eq!(run.imbalance(), 0.0);
@@ -858,25 +705,9 @@ mod tests {
     fn two_devices_are_faster_than_one() {
         let tasks: Vec<u64> = (0..24).collect();
         let mut one = DevicePool::homogeneous(DeviceProfile::a100(), 1);
-        let single = run_sharded(
-            &mut one,
-            ShardPolicy::RoundRobin,
-            tasks.clone(),
-            |_| 64,
-            factory(64),
-            true,
-        )
-        .expect("fits");
+        let single = run_sharded(&mut one, tasks.clone(), |_| 64, factory(64), true).expect("fits");
         let mut two = DevicePool::homogeneous(DeviceProfile::a100(), 2);
-        let dual = run_sharded(
-            &mut two,
-            ShardPolicy::RoundRobin,
-            tasks,
-            |_| 64,
-            factory(64),
-            true,
-        )
-        .expect("fits");
+        let dual = run_sharded(&mut two, tasks, |_| 64, factory(64), true).expect("fits");
         assert_eq!(single.outputs, dual.outputs, "identical results");
         assert!(
             dual.makespan_ms < single.makespan_ms / 1.5,
@@ -896,22 +727,15 @@ mod tests {
         let mut pool = DevicePool::new(profiles.map(Gpu::new).into());
         // Fresh pool: nameplate weights only.
         assert!(pool.measured_weight(0).is_none());
-        let _ = run_sharded(
-            &mut pool,
-            ShardPolicy::RoundRobin,
-            (0..8u64).collect(),
-            |_| 64,
-            factory(64),
-            true,
-        )
-        .expect("priming run fits");
+        let _ = run_sharded(&mut pool, (0..8u64).collect(), |_| 64, factory(64), true)
+            .expect("priming run fits");
         // Warmed pool: both devices report measured throughput, and the
         // H100 delivered more work per virtual second on the identical
         // priming shard.
         let w_v100 = pool.measured_weight(0).expect("ran");
         let w_h100 = pool.measured_weight(1).expect("ran");
         assert!(w_h100 > w_v100, "h100 {w_h100} <= v100 {w_v100}");
-        let plan = plan_shards(&pool, ShardPolicy::LeastOutstanding, &[64; 24], 3);
+        let plan = plan(&pool, &[64; 24], 3);
         let (v100, h100) = (plan.assignments[0].len(), plan.assignments[1].len());
         assert_eq!(v100 + h100, 24);
         assert!(h100 > v100, "h100 shard {h100} <= v100 shard {v100}");
@@ -952,7 +776,7 @@ mod tests {
             pool.measured_weight(1).expect("ran") < pool.measured_weight(0).expect("ran"),
             "idle h100 must measure below busy v100"
         );
-        let plan = plan_shards(&pool, ShardPolicy::LeastOutstanding, &[64; 12], 3);
+        let plan = plan(&pool, &[64; 12], 3);
         assert!(
             plan.assignments[0].len() > plan.assignments[1].len(),
             "measured weights should favor the busy v100: {:?}",
@@ -979,15 +803,7 @@ mod tests {
             batchzk_par::with_threads(threads, || {
                 let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 4);
                 let tasks: Vec<u64> = (0..21).map(|i| i * 3).collect();
-                let run = run_sharded(
-                    &mut pool,
-                    ShardPolicy::LeastOutstanding,
-                    tasks,
-                    |_| 64,
-                    factory(64),
-                    true,
-                )
-                .expect("fits");
+                let run = run_sharded(&mut pool, tasks, |_| 64, factory(64), true).expect("fits");
                 (device_states(&pool), run.outputs, run.device_ms)
             })
         };
@@ -1046,30 +862,16 @@ mod tests {
         use batchzk_gpu_sim::FaultPlan;
         let tasks: Vec<u64> = (0..16).collect();
         let mut clean_pool = DevicePool::homogeneous(DeviceProfile::a100(), 2);
-        let clean = run_sharded(
-            &mut clean_pool,
-            ShardPolicy::LeastOutstanding,
-            tasks.clone(),
-            |_| 64,
-            or_factory(),
-            true,
-        )
-        .expect("fault-free run completes");
+        let clean = run_sharded(&mut clean_pool, tasks.clone(), |_| 64, or_factory(), true)
+            .expect("fault-free run completes");
         assert!(clean.recovery.is_none());
 
         let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 2);
         // Cycle 1: device 1 fail-stops at its second step boundary, with
         // tasks in flight and most of its shard still pending.
         pool.apply_fault_plan(&FaultPlan::new().fail_stop(1, 1));
-        let run = run_sharded(
-            &mut pool,
-            ShardPolicy::LeastOutstanding,
-            tasks,
-            |_| 64,
-            or_factory(),
-            true,
-        )
-        .expect("survivor absorbs the dead device's shard");
+        let run = run_sharded(&mut pool, tasks, |_| 64, or_factory(), true)
+            .expect("survivor absorbs the dead device's shard");
         assert_eq!(run.outputs, clean.outputs, "recovery must be invisible");
         let rec = run.recovery.as_ref().expect("a fault fired");
         assert_eq!(rec.failed_devices, vec![1]);
@@ -1096,16 +898,48 @@ mod tests {
         use batchzk_gpu_sim::FaultPlan;
         let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 2);
         pool.apply_fault_plan(&FaultPlan::new().fail_stop(0, 0).fail_stop(1, 0));
-        let err = run_sharded(
-            &mut pool,
-            ShardPolicy::RoundRobin,
-            (0..8u64).collect(),
-            |_| 64,
-            or_factory(),
-            true,
-        )
-        .expect_err("no survivors");
+        let err = run_sharded(&mut pool, (0..8u64).collect(), |_| 64, or_factory(), true)
+            .expect_err("no survivors");
         assert!(matches!(err, PipelineError::DeviceFailed { .. }));
+        // The next batch on the dead pool has nowhere to go either.
+        let err = run_sharded(&mut pool, (0..8u64).collect(), |_| 64, or_factory(), true)
+            .expect_err("still no survivors");
+        assert_eq!(
+            err,
+            PipelineError::DeviceFailed {
+                at_cycle: 0,
+                salvaged: 0
+            }
+        );
+    }
+
+    /// A device that fail-stopped in an earlier batch takes no task in the
+    /// next one: the survivor runs the whole batch in one round, with no
+    /// fault to recover from, and no slower than a fresh one-device pool.
+    #[test]
+    fn dead_device_from_an_earlier_batch_gets_no_tasks() {
+        use batchzk_gpu_sim::FaultPlan;
+        let tasks: Vec<u64> = (0..16).collect();
+        let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 2);
+        pool.apply_fault_plan(&FaultPlan::new().fail_stop(1, 1));
+        let first = run_sharded(&mut pool, tasks.clone(), |_| 64, or_factory(), true)
+            .expect("survivor absorbs the dead device's shard");
+        assert!(first.recovery.is_some());
+        assert!(pool.device(1).is_failed());
+
+        let second = run_sharded(&mut pool, tasks.clone(), |_| 64, or_factory(), true)
+            .expect("survivor runs the batch");
+        assert_eq!(second.assignments, vec![(0..16).collect(), vec![]]);
+        assert_eq!(second.recovery, None, "no fault fired in this batch");
+        let mut one = DevicePool::homogeneous(DeviceProfile::a100(), 1);
+        let fresh = run_sharded(&mut one, tasks, |_| 64, or_factory(), true).expect("fits");
+        assert_eq!(second.outputs, fresh.outputs);
+        assert!(
+            second.makespan_ms <= fresh.makespan_ms,
+            "survivor {} ms vs fresh device {} ms",
+            second.makespan_ms,
+            fresh.makespan_ms
+        );
     }
 
     /// A kernel-drop fault leaves the device healthy, so the replay goes
@@ -1115,26 +949,12 @@ mod tests {
         use batchzk_gpu_sim::FaultPlan;
         let tasks: Vec<u64> = (0..6).collect();
         let mut clean_pool = DevicePool::homogeneous(DeviceProfile::a100(), 1);
-        let clean = run_sharded(
-            &mut clean_pool,
-            ShardPolicy::RoundRobin,
-            tasks.clone(),
-            |_| 64,
-            or_factory(),
-            true,
-        )
-        .expect("fault-free");
+        let clean = run_sharded(&mut clean_pool, tasks.clone(), |_| 64, or_factory(), true)
+            .expect("fault-free");
         let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 1);
         pool.apply_fault_plan(&FaultPlan::new().drop_kernel(0, 0, 2));
-        let run = run_sharded(
-            &mut pool,
-            ShardPolicy::RoundRobin,
-            tasks,
-            |_| 64,
-            or_factory(),
-            true,
-        )
-        .expect("drop is absorbed by replay");
+        let run = run_sharded(&mut pool, tasks, |_| 64, or_factory(), true)
+            .expect("drop is absorbed by replay");
         assert_eq!(run.outputs, clean.outputs);
         let rec = run.recovery.as_ref().expect("a fault fired");
         assert!(rec.failed_devices.is_empty(), "device stayed healthy");
@@ -1154,15 +974,8 @@ mod tests {
         use batchzk_gpu_sim::FaultPlan;
         let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 2);
         pool.apply_fault_plan(&FaultPlan::new().degraded_clock(1, 0, 300));
-        let run = run_sharded(
-            &mut pool,
-            ShardPolicy::RoundRobin,
-            (0..8u64).collect(),
-            |_| 64,
-            or_factory(),
-            true,
-        )
-        .expect("degradation is not failure");
+        let run = run_sharded(&mut pool, (0..8u64).collect(), |_| 64, or_factory(), true)
+            .expect("degradation is not failure");
         assert!(run.recovery.is_none());
         assert_eq!(
             run.outputs,
@@ -1187,15 +1000,8 @@ mod tests {
             batchzk_par::with_threads(threads, || {
                 let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 3);
                 pool.apply_fault_plan(&FaultPlan::new().fail_stop(1, 2_000).drop_kernel(2, 0, 3));
-                let run = run_sharded(
-                    &mut pool,
-                    ShardPolicy::LeastOutstanding,
-                    (0..21u64).collect(),
-                    |_| 64,
-                    or_factory(),
-                    true,
-                )
-                .expect("recovers");
+                let run = run_sharded(&mut pool, (0..21u64).collect(), |_| 64, or_factory(), true)
+                    .expect("recovers");
                 (run, device_states(&pool))
             })
         };
@@ -1239,15 +1045,8 @@ mod tests {
         let devices = 3usize;
         let tasks: Vec<u64> = (0..18).collect();
         let mut clean_pool = DevicePool::homogeneous(DeviceProfile::a100(), devices);
-        let clean = run_sharded(
-            &mut clean_pool,
-            ShardPolicy::LeastOutstanding,
-            tasks.clone(),
-            |_| 64,
-            or_factory(),
-            true,
-        )
-        .expect("baseline");
+        let clean = run_sharded(&mut clean_pool, tasks.clone(), |_| 64, or_factory(), true)
+            .expect("baseline");
 
         let mut rng = Rng(0xBA7C);
         for case in 0..12 {
@@ -1273,14 +1072,7 @@ mod tests {
             }
             let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), devices);
             pool.apply_fault_plan(&plan);
-            match run_sharded(
-                &mut pool,
-                ShardPolicy::LeastOutstanding,
-                tasks.clone(),
-                |_| 64,
-                or_factory(),
-                true,
-            ) {
+            match run_sharded(&mut pool, tasks.clone(), |_| 64, or_factory(), true) {
                 Ok(run) => assert_eq!(
                     run.outputs, clean.outputs,
                     "case {case} plan {plan} corrupted outputs"
@@ -1307,15 +1099,8 @@ mod tests {
         let run_at = |threads: usize| {
             batchzk_par::with_threads(threads, || {
                 let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 3);
-                run_sharded(
-                    &mut pool,
-                    ShardPolicy::RoundRobin,
-                    (0..10u64).collect(),
-                    |_| 64,
-                    factory(64),
-                    true,
-                )
-                .expect("fits")
+                run_sharded(&mut pool, (0..10u64).collect(), |_| 64, factory(64), true)
+                    .expect("fits")
             })
         };
         let base = run_at(1);

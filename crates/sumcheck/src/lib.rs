@@ -35,14 +35,13 @@ mod prove;
 mod rounds;
 
 pub use poly::{eq_eval, eq_table, eq_table_prefix, eq_table_prefix_into, MultilinearPoly};
-pub use prove::{prove_cubic, prove_linear, prove_quadratic, prove_quadratic_halves, ProverOutput};
-pub use rounds::{
-    interpolate_at, prover_round_challenge, verify_rounds, LagrangeDenoms, SumcheckProof,
-};
+pub use prove::{prove_cubic, prove_linear, prove_quadratic_halves, ProverOutput};
+pub use rounds::{prover_round_challenge, verify_rounds, SumcheckProof};
 
 #[cfg(test)]
 mod randomized_tests {
     use super::*;
+    use crate::prove::prove_quadratic;
     use batchzk_field::{Field, Fr, SplitMix64};
     use batchzk_hash::Transcript;
 

@@ -144,12 +144,14 @@ pub fn prove_linear<F: Field>(
 }
 
 /// Proves `H = Σ_b f(b)·g(b)` (degree-2 rounds, evaluations at X ∈ {0,1,2}),
-/// as [`prove_quadratic_halves`] over the tables' halves.
+/// as [`prove_quadratic_halves`] over the tables' halves: the full-table
+/// form the tests check the live-prefix prover against.
 ///
 /// # Panics
 ///
 /// Panics if the polynomials have different variable counts or none.
-pub fn prove_quadratic<F: Field>(
+#[cfg(test)]
+pub(crate) fn prove_quadratic<F: Field>(
     f: MultilinearPoly<F>,
     g: MultilinearPoly<F>,
     transcript: &mut Transcript,
@@ -161,11 +163,12 @@ pub fn prove_quadratic<F: Field>(
     prove_quadratic_halves(num_vars, f, g, transcript)
 }
 
-/// [`prove_quadratic`] over `f` and `g` on `num_vars` variables, each given
-/// as the live prefixes `[lo, hi]` of its two halves on the top variable
-/// `x_n`: every entry past a prefix is zero, and `f`'s prefixes are as long
-/// as `g`'s. The output is byte for byte [`prove_quadratic`]'s over the
-/// zero-padded tables.
+/// Proves `H = Σ_b f(b)·g(b)` (degree-2 rounds, evaluations at
+/// X ∈ {0,1,2}) over `f` and `g` on `num_vars` variables, each given as the
+/// live prefixes `[lo, hi]` of its two halves on the top variable `x_n`:
+/// every entry past a prefix is zero, and `f`'s prefixes are as long as
+/// `g`'s. The output is byte for byte the full-table prover's over the
+/// zero-padded tables (the tests check it against that prover).
 ///
 /// Each round sums and folds only the live pairs: where both halves are
 /// live through [`Field::product_round_sums`], where one is through a

@@ -27,7 +27,7 @@ impl<F: Field> SumcheckProof<F> {
 /// of the same degree builds this once — one `batch_invert` for the whole
 /// sum-check instead of one per round.
 #[derive(Debug, Clone)]
-pub struct LagrangeDenoms<F> {
+struct LagrangeDenoms<F> {
     /// The nodes `0, 1, ..., d` as field elements.
     nodes: Vec<F>,
     /// `inv_denoms[j] = 1 / (j!·(d−j)!·(−1)^{d−j})`.
@@ -36,7 +36,7 @@ pub struct LagrangeDenoms<F> {
 
 impl<F: Field> LagrangeDenoms<F> {
     /// Precomputes the nodes and inverted denominators for degree `degree`.
-    pub fn new(degree: usize) -> Self {
+    fn new(degree: usize) -> Self {
         let nodes: Vec<F> = (0..=degree as u64).map(F::from).collect();
         // Π_{k≠j} (j − k) = j!·(d−j)!·(−1)^{d−j}
         let mut denoms: Vec<F> = (0..=degree)
@@ -53,20 +53,21 @@ impl<F: Field> LagrangeDenoms<F> {
     }
 
     /// The degree these denominators were built for.
-    pub fn degree(&self) -> usize {
+    #[cfg(test)]
+    fn degree(&self) -> usize {
         self.inv_denoms.len() - 1
     }
 
     /// Evaluates the degree-`d` polynomial through `(0, ys[0]), ...,
     /// (d, ys[d])` at `r` — `Σ_j ys[j]·Π_{k≠j}(r−k) / Π_{k≠j}(j−k)` — with no
-    /// inversion, integer conversion or allocation: the sum-check prover
-    /// calls this once per round. At a node `r = k` every term but `ys[k]`
-    /// holds a zero factor, so nodes need no special case.
+    /// inversion, integer conversion or allocation: [`verify_rounds`] calls
+    /// this once per round. At a node `r = k` every term but `ys[k]` holds a
+    /// zero factor, so nodes need no special case.
     ///
     /// # Panics
     ///
-    /// Panics if `ys.len() != self.degree() + 1`.
-    pub fn interpolate_at(&self, ys: &[F], r: F) -> F {
+    /// Panics if `ys` is not one value per node.
+    fn interpolate_at(&self, ys: &[F], r: F) -> F {
         assert_eq!(
             ys.len(),
             self.inv_denoms.len(),
@@ -85,14 +86,15 @@ impl<F: Field> LagrangeDenoms<F> {
 /// `(0, ys[0]), ..., (d, ys[d])` at `r` (Lagrange on consecutive integer
 /// nodes).
 ///
-/// One-shot convenience over [`LagrangeDenoms`]; callers interpolating many
-/// round polynomials of the same degree should precompute the denominators
-/// instead, as [`verify_rounds`] does.
+/// One-shot form of [`LagrangeDenoms`], the tests' oracle: a caller
+/// interpolating many round polynomials of the same degree precomputes the
+/// denominators instead, as [`verify_rounds`] does.
 ///
 /// # Panics
 ///
 /// Panics if `ys` is empty.
-pub fn interpolate_at<F: Field>(ys: &[F], r: F) -> F {
+#[cfg(test)]
+fn interpolate_at<F: Field>(ys: &[F], r: F) -> F {
     assert!(!ys.is_empty(), "need at least one interpolation node");
     LagrangeDenoms::new(ys.len() - 1).interpolate_at(ys, r)
 }

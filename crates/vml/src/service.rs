@@ -164,9 +164,11 @@ impl MlService {
 
     /// Answers a stream of customer images across a device pool: predicts
     /// each and generates the proofs through one pipeline per pool device,
-    /// sharded under `policy`. Predictions come back in arrival order with
-    /// proofs byte-identical to a single-device [`serve_batch`]; metrics
-    /// gain the per-device label dimension.
+    /// placed by the scheduler's memory-aware routine (`policy` names it
+    /// and is kept only for the frozen `benchmark/` crate's call; it goes
+    /// with the next change to `benchmark/`). Predictions come back in
+    /// arrival order with proofs byte-identical to a single-device
+    /// [`serve_batch`]; metrics gain the per-device label dimension.
     ///
     /// If a pool device carries a scripted fault
     /// ([`batchzk_gpu_sim::FaultPlan`]), the round rides the scheduler's
@@ -328,7 +330,7 @@ mod tests {
         let single = svc.serve_batch(&mut gpu, &images, 4096).expect("fits");
         let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 2);
         let pooled = svc
-            .serve_batch_pool(&mut pool, &images, 4096, ShardPolicy::LeastOutstanding)
+            .serve_batch_pool(&mut pool, &images, 4096, ShardPolicy::MemoryAware)
             .expect("fits");
         assert_eq!(pooled.predictions.len(), 4);
         for (p, s) in pooled.predictions.iter().zip(&single.predictions) {
@@ -367,12 +369,7 @@ mod tests {
             .collect();
         let mut clean_pool = DevicePool::homogeneous(DeviceProfile::a100(), 2);
         let clean = svc
-            .serve_batch_pool(
-                &mut clean_pool,
-                &images,
-                4096,
-                ShardPolicy::LeastOutstanding,
-            )
+            .serve_batch_pool(&mut clean_pool, &images, 4096, ShardPolicy::MemoryAware)
             .expect("fits");
         assert!(clean.recovery.is_none());
         let device_tasks = |svc: &MlService, d: &str| {
@@ -384,7 +381,7 @@ mod tests {
         let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 2);
         pool.apply_fault_plan(&FaultPlan::new().fail_stop(1, 0));
         let run = svc
-            .serve_batch_pool(&mut pool, &images, 4096, ShardPolicy::LeastOutstanding)
+            .serve_batch_pool(&mut pool, &images, 4096, ShardPolicy::MemoryAware)
             .expect("survivor carries the round");
         assert_eq!(run.predictions.len(), 4);
         for (p, c) in run.predictions.iter().zip(&clean.predictions) {

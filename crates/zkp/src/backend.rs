@@ -512,7 +512,7 @@ mod tests {
     }
 
     /// One batch through every schedule the batch layer offers — pipelined,
-    /// kernel-per-task, pooled under each shard policy, recovered from a
+    /// kernel-per-task, pooled, recovered from a
     /// mid-batch fail-stop, recovered from a dropped kernel, and served
     /// online — each returning its proofs in input order.
     fn all_schedules<B>(backend: &B, batch: &[B::Instance]) -> Vec<(String, BackendProofs<B>)>
@@ -520,7 +520,8 @@ mod tests {
         B: ProverBackend,
         B::Instance: Clone,
     {
-        let pooled = |pool: &mut DevicePool, policy| {
+        let pooled = |pool: &mut DevicePool| {
+            let policy = ShardPolicy::MemoryAware;
             prove_batch_pool_with(pool, backend, batch.to_vec(), 4096, true, policy)
                 .expect("the pool completes the batch")
         };
@@ -530,20 +531,18 @@ mod tests {
         let mut gpu = Gpu::new(DeviceProfile::a100());
         let naive = prove_batch_naive_with(&mut gpu, backend, batch.to_vec(), 4096, 2);
         runs.push(("naive".into(), naive.proofs));
-        for policy in ShardPolicy::ALL {
-            let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 3);
-            runs.push((format!("pooled {policy}"), pooled(&mut pool, policy).proofs));
-        }
+        let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 3);
+        runs.push(("pooled".into(), pooled(&mut pool).proofs));
 
         // Fail device 1 halfway through its fault-free shard: proofs
         // completed, proofs in flight, and a survivor to replay them.
         let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 2);
-        let clean = pooled(&mut pool, ShardPolicy::LeastOutstanding);
+        let clean = pooled(&mut pool);
         assert!(clean.recovery.is_none());
         let mid = clean.device_stats[1].total_cycles / 2;
         let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 2);
         pool.apply_fault_plan(&FaultPlan::new().fail_stop(1, mid));
-        let run = pooled(&mut pool, ShardPolicy::LeastOutstanding);
+        let run = pooled(&mut pool);
         let recovery = run.recovery.expect("the fail-stop fired");
         assert_eq!(recovery.failed_devices, vec![1]);
         assert!(recovery.replayed_tasks > 0);
@@ -551,7 +550,7 @@ mod tests {
 
         let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 1);
         pool.apply_fault_plan(&FaultPlan::new().drop_kernel(0, 0, 2));
-        let run = pooled(&mut pool, ShardPolicy::RoundRobin);
+        let run = pooled(&mut pool);
         let recovery = run.recovery.expect("the kernel drop fired");
         assert_eq!(recovery.dropped_kernels, 1);
         assert!(recovery.replayed_tasks > 0);

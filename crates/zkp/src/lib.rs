@@ -138,7 +138,9 @@ mod randomized_tests {
     #[test]
     fn windowed_spartan_matches_the_padded_formulas() {
         use batchzk_hash::Transcript;
-        use batchzk_sumcheck::{eq_table, eq_table_prefix, prove_quadratic, MultilinearPoly};
+        use batchzk_sumcheck::{
+            eq_table, eq_table_prefix, prove_quadratic_halves, MultilinearPoly,
+        };
         let mut rng = SplitMix64::seed_from_u64(0x36);
         let random = |rng: &mut SplitMix64, n: usize| -> Vec<Fr> {
             (0..n).map(|_| Fr::random(rng)).collect()
@@ -201,8 +203,15 @@ mod randomized_tests {
             arena[..m_combo.len()].copy_from_slice(&m_combo);
             let (mut wt, mut pt) = (Transcript::new(b"sc2"), Transcript::new(b"sc2"));
             let windowed = spartan::prove_inner(&r1cs, r1cs.windows(&z), &mut arena, &mut wt);
-            let [m_poly, z_poly] = [padded, z.clone()].map(MultilinearPoly::new);
-            let full = prove_quadratic(m_poly, z_poly.clone(), &mut pt);
+            // The full-table prover: both tables zero-padded, split at
+            // their top variable.
+            let (mut m_full, mut z_full) = (padded, z.clone());
+            let full = prove_quadratic_halves(
+                log_n,
+                m_full.split_at_mut(half).into(),
+                z_full.split_at_mut(half).into(),
+                &mut pt,
+            );
             assert_eq!(windowed.proof, full.proof, "{case}: sc2 rounds");
             assert_eq!(windowed.rs, full.rs, "{case}: sc2 challenges");
             assert_eq!(windowed.final_evals, full.final_evals, "{case}: sc2 final");
@@ -224,6 +233,7 @@ mod randomized_tests {
             let (y_top, y_prime) = ry.split_last().unwrap();
             let w_eval = MultilinearPoly::new(z[half..].to_vec()).evaluate(y_prime);
             let z_eval = r1cs.io_eval(&inputs, &eq_io) + *y_top * w_eval;
+            let z_poly = MultilinearPoly::new(z.clone());
             assert_eq!(z_eval, z_poly.evaluate(&ry), "{case}: z_eval");
 
             // Honest proofs verify; a tampered claim or sc2 round does not.

@@ -573,7 +573,7 @@ mod tests {
             batch.clone(),
             4096,
             true,
-            ShardPolicy::LeastOutstanding,
+            ShardPolicy::MemoryAware,
         )
         .expect("fault-free baseline");
         assert!(clean.recovery.is_none());
@@ -589,7 +589,7 @@ mod tests {
                     batch.clone(),
                     4096,
                     true,
-                    ShardPolicy::LeastOutstanding,
+                    ShardPolicy::MemoryAware,
                 )
                 .expect("survivor completes the batch")
             })

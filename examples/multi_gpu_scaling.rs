@@ -1,5 +1,7 @@
-//! Throughput vs device count: the same proof batch round-robined over
-//! pools of 1, 2, 4, and 8 simulated A100s. Each device runs its own
+//! Throughput vs device count: the same proof batch placed over pools of
+//! 1, 2, 4, and 8 simulated A100s (on a fresh pool of identical devices
+//! the scheduler's one placement routine puts proof *i* on device
+//! *i mod N*). Each device runs its own
 //! four-stage pipeline; the pool's makespan is the slowest device's
 //! clock, so the table shows how close the shard gets to linear scaling.
 //!
@@ -49,7 +51,7 @@ fn main() {
             instances,
             10_240,
             true,
-            ShardPolicy::RoundRobin,
+            ShardPolicy::MemoryAware,
         )
         .expect("fits");
         // Sharding is invisible to the verifier: proofs come back in
