@@ -90,7 +90,16 @@
 
 use batchzk_bench::experiments;
 use batchzk_bench::scale::Scale;
+use std::io::Write;
 use std::process::ExitCode;
+
+/// `println!` into the report writer through [`emit`], returning early
+/// from the enclosing `Result<_, ExitCode>` function when that fails.
+macro_rules! say {
+    ($out:expr, $($arg:tt)*) => {
+        emit($out, format_args!("{}\n", format_args!($($arg)*)))?
+    };
+}
 
 /// `(name, in-all, description)` for every experiment the binary can run.
 const EXPERIMENTS: &[(&str, bool, &str)] = &[
@@ -229,11 +238,33 @@ fn usage_error(msg: impl std::fmt::Display) -> ExitCode {
     ExitCode::FAILURE
 }
 
+/// Writes `text` to the report. A reader that closed it early (`tables …
+/// | head`) ends the run quietly, with success; any other write error is
+/// a one-line error and failure.
+fn emit(out: &mut dyn Write, text: std::fmt::Arguments<'_>) -> Result<(), ExitCode> {
+    out.write_fmt(text).map_err(report_closed)
+}
+
+/// Flushes the report, as [`emit`] writes it.
+fn emit_flush(out: &mut dyn Write) -> Result<(), ExitCode> {
+    out.flush().map_err(report_closed)
+}
+
+/// The exit code of a failed write to the report (see [`emit`]).
+fn report_closed(e: std::io::Error) -> ExitCode {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("tables: failed to write the report: {e}");
+        ExitCode::FAILURE
+    }
+}
+
 /// Writes one artifact to the current directory and reports its size.
-fn write_artifact(path: &str, content: &str) -> Result<(), ExitCode> {
+fn write_artifact(out: &mut dyn Write, path: &str, content: &str) -> Result<(), ExitCode> {
     match std::fs::write(path, content) {
         Ok(()) => {
-            println!("wrote {path} ({} bytes)", content.len());
+            say!(out, "wrote {path} ({} bytes)", content.len());
             Ok(())
         }
         Err(e) => {
@@ -262,15 +293,15 @@ const SCALE_ONLY: &[(&str, TableFn)] = &[
 ];
 
 fn main() -> ExitCode {
-    match run() {
+    let mut stdout = std::io::stdout().lock();
+    match run(std::env::args().skip(1).collect(), &mut stdout) {
         Ok(()) => ExitCode::SUCCESS,
         Err(code) => code,
     }
 }
 
-fn run() -> Result<(), ExitCode> {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-
+/// Runs the experiments `raw` names, the report written to `out`.
+fn run(raw: Vec<String>, out: &mut dyn Write) -> Result<(), ExitCode> {
     // Peel off the value-taking flags first, then validate the rest.
     let mut max_devices = 8usize;
     let mut profile = experiments::profile_by_name("a100").expect("a100 profile exists");
@@ -354,8 +385,8 @@ fn run() -> Result<(), ExitCode> {
     }
 
     if args.iter().any(|a| a == "help") {
-        print!("{}", usage());
-        return Ok(());
+        emit(out, format_args!("{}", usage()))?;
+        return emit_flush(out);
     }
 
     let scale = if args.iter().any(|a| a == "--paper") {
@@ -375,8 +406,8 @@ fn run() -> Result<(), ExitCode> {
         .collect();
     let which = if which.is_empty() { vec!["all"] } else { which };
 
-    println!("# BatchZK reproduction — experiment harness");
-    println!("scale: {}\n", scale.tag);
+    say!(out, "# BatchZK reproduction — experiment harness");
+    say!(out, "scale: {}\n", scale.tag);
 
     let all = which.contains(&"all");
     let want = |name: &str| all || which.contains(&name);
@@ -388,48 +419,47 @@ fn run() -> Result<(), ExitCode> {
 
     for (name, experiment) in SCALE_ONLY {
         if want(name) {
-            println!("{}", experiment(&scale));
+            say!(out, "{}", experiment(&scale));
         }
     }
     if want("scaling") {
-        println!(
-            "{}",
-            experiments::scaling(&scale, &device_ladder(max_devices), &profile)
-        );
+        let report = experiments::scaling(&scale, &device_ladder(max_devices), &profile);
+        say!(out, "{report}");
     }
     if want("faults") {
         let report = experiments::faults(&scale, fault_plan.as_ref());
-        println!("{}", report.map_err(|e| failed("faults", e))?);
+        say!(out, "{}", report.map_err(|e| failed("faults", e))?);
     }
     if want("serve") {
         let report = experiments::serve(&scale, &arrival_plan);
-        println!("{}", report.map_err(|e| failed("serve", e))?);
+        say!(out, "{}", report.map_err(|e| failed("serve", e))?);
     }
     if want("backends") {
-        println!(
-            "{}",
-            experiments::backends(&scale, backend_filter.as_deref())
-        );
+        let report = experiments::backends(&scale, backend_filter.as_deref());
+        say!(out, "{report}");
     }
     // `trace` is explicit-only: its JSON payload would drown `all` output.
     if which.contains(&"trace") {
         let (report, json) = experiments::trace(&scale);
-        println!("{report}");
-        println!("Chrome trace JSON (load in chrome://tracing or Perfetto):\n");
-        println!("{json}");
+        say!(out, "{report}");
+        say!(
+            out,
+            "Chrome trace JSON (load in chrome://tracing or Perfetto):\n"
+        );
+        say!(out, "{json}");
     }
     // `timeline` is explicit-only: it writes artifacts, like `bench-json`.
     if which.contains(&"timeline") {
         let artifacts =
             experiments::timeline(&scale, &arrival_plan).map_err(|e| failed("timeline", e))?;
-        println!("{}", artifacts.report);
-        write_artifact("TIMELINE.json", &artifacts.json)?;
-        write_artifact("TIMELINE.trace.json", &artifacts.chrome_trace)?;
+        say!(out, "{}", artifacts.report);
+        write_artifact(out, "TIMELINE.json", &artifacts.json)?;
+        write_artifact(out, "TIMELINE.trace.json", &artifacts.chrome_trace)?;
     }
     // `profile` is explicit-only: it writes an artifact, like `bench-json`.
     if which.contains(&"profile") {
-        println!("{}", experiments::profile(&scale));
-        write_artifact("PROFILE.json", &experiments::profile_json(&scale))?;
+        say!(out, "{}", experiments::profile(&scale));
+        write_artifact(out, "PROFILE.json", &experiments::profile_json(&scale))?;
     }
     // `bench-json` is explicit-only: it writes an artifact, not a table.
     if which.contains(&"bench-json") {
@@ -438,7 +468,38 @@ fn run() -> Result<(), ExitCode> {
         } else {
             experiments::bench_json_with_wall_clock(&scale, &[1, 2, 4])
         };
-        write_artifact("BENCH.json", &json)?;
+        write_artifact(out, "BENCH.json", &json)?;
     }
-    Ok(())
+    emit_flush(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A reader that has gone away: every write and flush fails with `kind`.
+    struct Closed(std::io::ErrorKind);
+
+    impl Write for Closed {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(self.0.into())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Err(self.0.into())
+        }
+    }
+
+    #[test]
+    fn a_closed_stdout_ends_the_run_quietly() {
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        for list in [&["help"][..], &["table8"]] {
+            let broken = run(args(list), &mut Closed(std::io::ErrorKind::BrokenPipe));
+            assert_eq!(broken, Err(ExitCode::SUCCESS), "{list:?}");
+            let failed = run(args(list), &mut Closed(std::io::ErrorKind::Other));
+            assert_eq!(failed, Err(ExitCode::FAILURE), "{list:?}");
+        }
+        let mut report = Vec::new();
+        assert_eq!(run(args(&["help"]), &mut report), Ok(()));
+        assert_eq!(String::from_utf8(report).expect("utf-8"), usage());
+    }
 }

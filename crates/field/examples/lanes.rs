@@ -1,11 +1,14 @@
 //! Prints which body the lane hooks dispatch to on this host and the host
-//! cost of seven of them, through the scalar bodies and through the
+//! cost of nine of them, through the scalar bodies and through the
 //! dispatched hooks:
 //!
 //! - [`Field::fold_halves`] (one sum-check fold of a table's halves) and
-//!   [`Field::scale`] (an `eq` level or a matrix row weight scaled in
-//!   place), in ns per entry written, on tables of 2^10, 2^14 and 2^20
-//!   entries: the `service-mixed`, `spartan-batch` and `vml-vgg16` shapes;
+//!   [`Field::scale`] (a table scaled in place), in ns per entry written,
+//!   on tables of 2^10, 2^14 and 2^20 entries: the `service-mixed`,
+//!   `spartan-batch` and `vml-vgg16` shapes;
+//! - [`Field::combine`] over two terms (matrix-bind's γ-combination) and
+//!   [`Field::eq_double`] (one `eq` level doubled), in ns per entry
+//!   written, on the same tables;
 //! - [`Field::write_canonical`] (a Merkle leaf's column or a transcript
 //!   message), in ns per element, on the same tables;
 //! - [`Field::dot`] (a PCS row combination or column test), in ns per
@@ -23,7 +26,7 @@
 //! of `target/release/examples` and alternate the two; a shared host has
 //! slow phases lasting minutes).
 //!
-//! With `--check` it first runs both bodies of all seven hooks on the same
+//! With `--check` it first runs both bodies of all nine hooks on the same
 //! random tables and exits non-zero if any output differs.
 //!
 //! ```text
@@ -35,8 +38,9 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use batchzk_field::{
-    affine_chords_scalar, batch_invert_scalar, fold_halves_scalar, lane_kernel,
-    product_round_sums_scalar, scale_scalar, write_canonical_scalar, Field, Fq, Fr, SplitMix64,
+    affine_chords_scalar, batch_invert_scalar, combine_scalar, eq_double_scalar,
+    fold_halves_scalar, lane_kernel, product_round_sums_scalar, scale_scalar,
+    write_canonical_scalar, Field, Fq, Fr, SplitMix64,
 };
 
 const LOG_SIZES: [u32; 3] = [10, 14, 20];
@@ -148,10 +152,22 @@ fn agree(table: &[Fr], r: Fr) -> bool {
     Fr::scale(&mut hook, r);
     scale_scalar(&mut scalar, r);
     let scale = hook == scalar;
+    let terms = [(&rotated[0][..], r), (&rotated[1][..], -r)];
+    let (mut hook, mut scalar) = (table.to_vec(), table.to_vec());
+    Fr::combine(&mut hook, r.square(), terms);
+    combine_scalar(&mut scalar, r.square(), terms);
+    let combine = hook == scalar;
+    let (mut hook, mut scalar) = (table.to_vec(), table.to_vec());
+    let (mut hook_hi, mut scalar_hi) = (lo.to_vec(), hi.to_vec());
+    Fr::eq_double(&mut hook, &mut hook_hi, r);
+    eq_double_scalar(&mut scalar, &mut scalar_hi, r);
+    let eq_double = (hook, hook_hi) == (scalar, scalar_hi);
     let (mut hook, mut scalar) = (vec![0; table.len() * 32], vec![1; table.len() * 32]);
     Fr::write_canonical(table, &mut hook);
     write_canonical_scalar(table, &mut scalar);
     fold && scale
+        && combine
+        && eq_double
         && round_sums
         && hook == scalar
         && Fr::dot(lo, hi) == dot_scalar(lo, hi)
@@ -172,9 +188,9 @@ fn main() -> ExitCode {
         .collect();
 
     println!(
-        "`fold_halves` / `scale` / `write_canonical` / `dot` / `product_round_sums` / \
-         `batch_invert` / `affine_chords` dispatch to: {} (whole blocks of 8, rows of 32 for \
-         `batch_invert`; the tail runs the scalar body)",
+        "`fold_halves` / `scale` / `combine` / `eq_double` / `write_canonical` / `dot` / \
+         `product_round_sums` / `batch_invert` / `affine_chords` dispatch to: {} (whole blocks \
+         of 8, rows of 32 for `batch_invert`; the tail runs the scalar body)",
         lane_kernel()
     );
     if check {
@@ -223,6 +239,30 @@ fn main() -> ExitCode {
             per(scale_hook, xs.len()),
             per(bytes_scalar, table.len()),
             per(bytes_hook, table.len()),
+        );
+    }
+    println!();
+    println!(
+        "| table | combine scalar ns | combine hook ns | eq_double scalar ns | eq_double hook ns |"
+    );
+    println!("|---|---|---|---|---|");
+    for (&k, table) in LOG_SIZES.iter().zip(&tables) {
+        let runs = runs(k);
+        let rotated = rotations(table);
+        let terms = [(&rotated[0][..], r), (&rotated[1][..], -r)];
+        let mut xs = table.clone();
+        let combine_scalar_ns = fastest(runs, || combine_scalar(black_box(&mut xs), r, terms));
+        let combine_hook = fastest(runs, || Fr::combine(black_box(&mut xs), r, terms));
+        let half = table.len() / 2;
+        let (lo, hi) = xs.split_at_mut(half);
+        let eq_scalar = fastest(runs, || eq_double_scalar(black_box(&mut *lo), &mut *hi, r));
+        let eq_hook = fastest(runs, || Fr::eq_double(black_box(&mut *lo), &mut *hi, r));
+        println!(
+            "| 2^{k} | {:.2} | {:.2} | {:.2} | {:.2} |",
+            per(combine_scalar_ns, table.len()),
+            per(combine_hook, table.len()),
+            per(eq_scalar, table.len()),
+            per(eq_hook, table.len()),
         );
     }
     println!();

@@ -5,7 +5,8 @@
 //! radix 2^52 on two types. A [`Packed`] is eight elements as five 52-bit
 //! limb planes: loaded from and stored to a block of elements (or of
 //! canonical bytes), broadcast from one element, shifted left by four bits
-//! ([`Packed::times16`]), subtracted ([`Packed::difference`]) and masked
+//! ([`Packed::times16`]), subtracted ([`Packed::difference`]), brought
+//! from below `2p` to canonical ([`Packed::canonical`]) and masked
 //! ([`Packed::nonzero_or`]). An [`Acc`] is ten *unreduced* 64-bit columns:
 //! [`Acc::mul_add`] adds eight products lane by lane, and [`Acc::reduce`]
 //! pays one 5-round Montgomery reduction (a division by 2^260) and one
@@ -123,16 +124,23 @@ fn kernel<F: LimbLayout>(call: Call<'_, F>) {
                 }
             }
         }
-        Call::Combine(xs, a, y) => {
-            let a = Packed::prescaled(a);
-            let y = y.map(|(ys, b)| (ys, Packed::prescaled(b)));
-            for (i, x) in xs.iter_mut().enumerate() {
+        Call::Combine(xs, a, terms) => match *terms {
+            [] => combine(xs, a, []),
+            [y] => combine(xs, a, [y]),
+            [y, z] => combine(xs, a, [y, z]),
+            _ => unreachable!("`lanes::combine_head` sends at most two terms"),
+        },
+        // `hi = t·lo` reduced, then `lo − hi` as a difference below `2p`
+        // made canonical by one conditional subtraction.
+        Call::EqDouble(lo, hi, t) => {
+            let t = Packed::prescaled(t);
+            for (lo, hi) in lo.iter_mut().zip(hi) {
+                let v = Packed::load(lo);
                 let mut acc = Acc::new();
-                acc.mul_add(a, Packed::load(x));
-                if let Some((ys, b)) = y {
-                    acc.mul_add(b, Packed::load(&ys[i]));
-                }
-                acc.reduce().store(x);
+                acc.mul_add(t, v);
+                let tv = acc.reduce();
+                tv.store(hi);
+                v.difference(tv).canonical().store(lo);
             }
         }
         Call::Dot(a, b, sum) => {
@@ -168,6 +176,24 @@ fn kernel<F: LimbLayout>(call: Call<'_, F>) {
                 x3.store(px);
             }
         }
+    }
+}
+
+/// `x ← a·x + Σⱼ bⱼ·yⱼ`, the coefficients pre-scaled: `N + 1` products and
+/// one reduction a block. One loop for every term count, so each count's
+/// inner loop unrolls.
+#[inline]
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn combine<F: LimbLayout, const N: usize>(xs: &mut [Block<F>], a: F, terms: [(&[Block<F>], F); N]) {
+    let a = Packed::prescaled(a);
+    let terms = terms.map(|(ys, b)| (ys, Packed::prescaled(b)));
+    for (i, x) in xs.iter_mut().enumerate() {
+        let mut acc = Acc::new();
+        acc.mul_add(a, Packed::load(x));
+        for &(ys, b) in &terms {
+            acc.mul_add(b, Packed::load(&ys[i]));
+        }
+        acc.reduce().store(x);
     }
 }
 
@@ -443,6 +469,26 @@ impl<F: LimbLayout> Packed<F> {
         Self::new(planes, 2, self.scale)
     }
 
+    /// The canonical representative of a value below `2p` in 52-bit limbs
+    /// (a reduction's result, or a [`Packed::difference`]): `p` subtracted
+    /// where that does not borrow.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn canonical(self) -> Self {
+        debug_assert!(self.bound <= 2);
+        let p = Self::splat52(split52(&F::P), 0).planes;
+        let mut borrow = _mm512_setzero_si512();
+        let d: [_; 5] = core::array::from_fn(|i| {
+            let s = _mm512_sub_epi64(_mm512_sub_epi64(self.planes[i], p[i]), borrow);
+            borrow = _mm512_srli_epi64::<63>(s);
+            _mm512_and_si512(s, mask52())
+        });
+        let below_p = _mm512_test_epi64_mask(borrow, borrow);
+        let planes =
+            core::array::from_fn(|i| _mm512_mask_blend_epi64(below_p, d[i], self.planes[i]));
+        Self::new(planes, 1, self.scale)
+    }
+
     /// `self` with `one`'s limbs in its zero lanes, and the mask of its
     /// non-zero lanes. A lane is zero only if all five planes are: every
     /// bit of the element is in one of them.
@@ -546,21 +592,14 @@ impl<F: LimbLayout> Acc<F> {
             c[r + 1] = _mm512_add_epi64(c[r + 1], _mm512_srli_epi64::<52>(c[r]));
         }
         // Columns 5..10 hold the result, below 2p < 2^255: carry them into
-        // 52-bit limbs, and subtract `p` where that does not borrow.
-        let (mut carry, mut borrow) = (zero, zero);
+        // 52-bit limbs, and make that canonical.
+        let mut carry = zero;
         let t: [_; 5] = core::array::from_fn(|i| {
             let s = _mm512_add_epi64(c[5 + i], carry);
             carry = _mm512_srli_epi64::<52>(s);
             _mm512_and_si512(s, mask52())
         });
-        let d: [_; 5] = core::array::from_fn(|i| {
-            let s = _mm512_sub_epi64(_mm512_sub_epi64(t[i], p[i]), borrow);
-            borrow = _mm512_srli_epi64::<63>(s);
-            _mm512_and_si512(s, mask52())
-        });
-        let below_p = _mm512_test_epi64_mask(borrow, borrow);
-        let planes = core::array::from_fn(|i| _mm512_mask_blend_epi64(below_p, d[i], t[i]));
-        Packed::new(planes, 1, self.scale + 1)
+        Packed::new(t, 2, self.scale + 1).canonical()
     }
 }
 
@@ -675,6 +714,13 @@ mod tests {
         let (mut y, mut bytes) = (b.to_vec(), [0u8; 32 * LANES]);
         assert_eq!(spent(|| F::fold_halves(&mut y, b, F::ONE)), [2]);
         assert_eq!(spent(|| F::scale(&mut y, F::ONE)), [1]);
+        assert_eq!(
+            spent(|| F::combine(&mut y, F::ONE, [(b, F::ONE), (b, F::ONE)])),
+            [3]
+        );
+        // One product a block; `lo − hi` is a difference, not a reduction.
+        let mut hi = b.to_vec();
+        assert_eq!(spent(|| F::eq_double(&mut y, &mut hi, F::ONE)), [1]);
         assert_eq!(spent(|| F::write_canonical(b, &mut bytes)), [1]);
         let cols: Vec<usize> = (0..63).collect();
         let row = |y: &mut [F]| F::sparse_mul_lanes(8, &[0, 63], &cols, &x[..63], &x, y);

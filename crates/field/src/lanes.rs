@@ -47,8 +47,11 @@ pub(crate) enum Call<'a, F> {
         Blocks<'a, F>,
         &'a mut [Block<F>],
     ),
-    /// `x ← a·x + b·y`, or `x ← a·x` without `y`: the fold and the scale.
-    Combine(&'a mut [Block<F>], F, Option<(Blocks<'a, F>, F)>),
+    /// `x ← a·x + Σⱼ bⱼ·yⱼ` over at most two terms `(yⱼ, bⱼ)`: the scale
+    /// (none), the fold (one) and [`crate::Field::combine`].
+    Combine(&'a mut [Block<F>], F, &'a [(Blocks<'a, F>, F)]),
+    /// [`crate::Field::eq_double`] on its paired entries: `lo`, `hi`, `t`.
+    EqDouble(&'a mut [Block<F>], &'a mut [Block<F>], F),
     /// `Σ aᵢ·bᵢ`.
     Dot(Blocks<'a, F>, Blocks<'a, F>, &'a mut F),
     /// [`crate::Field::write_canonical`].
@@ -117,6 +120,24 @@ pub(crate) fn head<'a, F: LimbLayout + 'a>(
     } else {
         0
     }
+}
+
+/// How many leading entries of `x` a kernel set to `a·x + Σⱼ bⱼ·yⱼ` (none
+/// unless every `yⱼ` is as long as `x` and there are at most two terms):
+/// the head of [`crate::Field::fold_halves`], [`crate::Field::scale`] and
+/// [`crate::Field::combine`], whose scalar bodies run from the returned
+/// index on.
+pub(crate) fn combine_head<F: LimbLayout, const N: usize>(
+    x: &mut [F],
+    a: F,
+    terms: [(&[F], F); N],
+) -> usize {
+    let shape_ok = N <= 2 && terms.iter().all(|(y, _)| y.len() == x.len());
+    let whole = if shape_ok { x.len() / LANES * LANES } else { 0 };
+    let ys = terms.map(|(y, b)| (blocks(y, whole), b));
+    head(shape_ok, x.len(), |n| {
+        Call::Combine(blocks_mut(x, n), a, &ys)
+    })
 }
 
 /// The first `n` elements of `xs`, `n` a multiple of eight, as blocks.

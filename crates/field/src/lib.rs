@@ -9,17 +9,20 @@
 //! per-field constants are derived from the modulus at compile time — see
 //! [`mod@limb`] — and cross-checked against schoolbook arithmetic in tests.
 //!
-//! Eight lane-shaped hooks — the batch encoder's sparse product
+//! Ten lane-shaped hooks — the batch encoder's sparse product
 //! ([`Field::sparse_mul_lanes`]), the sum-check fold
 //! ([`Field::fold_halves`]), the in-place scale ([`Field::scale`]), the
-//! slice inner product ([`Field::dot`]), the bulk canonical serializer
+//! linear combination of up to three slices ([`Field::combine`]), the
+//! `eq` level doubling ([`Field::eq_double`]), the slice inner product
+//! ([`Field::dot`]), the bulk canonical serializer
 //! ([`Field::write_canonical`]), a sum-check round's sums
 //! ([`Field::product_round_sums`]), batch inversion
 //! ([`Field::batch_invert`]) and the MSM's affine chord additions
 //! ([`Field::affine_chords`]) — run on the CPU's 52-bit vector
 //! multiplier (AVX-512 IFMA) where that is detected at run time and on
 //! their portable bodies ([`sparse_mul_lanes_scalar`],
-//! [`fold_halves_scalar`], [`scale_scalar`], [`Field::dot_pairs`],
+//! [`fold_halves_scalar`], [`scale_scalar`], [`combine_scalar`],
+//! [`eq_double_scalar`], [`Field::dot_pairs`],
 //! [`write_canonical_scalar`], [`product_round_sums_scalar`],
 //! [`batch_invert_scalar`], [`affine_chords_scalar`]) elsewhere;
 //! nothing configures them, and [`lane_kernel`] reports which.
@@ -71,13 +74,15 @@ pub use lanes::with_portable_bodies;
 pub use ntt::NttDomain;
 pub use rng::{RngCore, SplitMix64};
 pub use traits::{
-    affine_chords_scalar, field_from_i64, fold_halves_scalar, product_round_sums_scalar,
-    scale_scalar, sparse_mul_lanes_scalar, write_canonical_scalar, Field, MontLimbs,
+    affine_chords_scalar, combine_scalar, eq_double_scalar, field_from_i64, fold_halves_scalar,
+    product_round_sums_scalar, scale_scalar, sparse_mul_lanes_scalar, write_canonical_scalar,
+    Field, MontLimbs,
 };
 
 /// The body the lane hooks run on this host for `Fr` and `Fq`:
 /// `"avx512ifma"` or `"scalar"`. Under `"avx512ifma"`,
-/// [`Field::fold_halves`], [`Field::scale`], [`Field::dot`],
+/// [`Field::fold_halves`], [`Field::scale`], [`Field::combine`] (of at most
+/// two terms), [`Field::eq_double`] (its paired entries), [`Field::dot`],
 /// [`Field::write_canonical`], [`Field::product_round_sums`] and
 /// [`Field::affine_chords`] (per block of eight pairs) run every whole block
 /// of eight on the kernel and the `len % 8` tail on the scalar body,

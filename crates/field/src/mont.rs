@@ -29,7 +29,7 @@ macro_rules! declare_field {
         generator = $generator:expr,
         two_adicity = $two_adicity:expr,
     ) => {
-        use $crate::lanes::{blocks, blocks_mut, head, run, Call, LANES};
+        use $crate::lanes::{blocks, blocks_mut, combine_head, head, run, Call, LANES};
 
         $(#[$attr])*
         // Transparent, so a lane kernel can load and store a block of
@@ -318,15 +318,32 @@ macro_rules! declare_field {
 
             // `(1 − r)·lo + r·hi` on the kernel: the residue of `lo + r·(hi − lo)`.
             fn fold_halves(lo: &mut [Self], hi: &[Self], r: Self) {
-                let done = head(lo.len() == hi.len(), lo.len(), |n| {
-                    Call::Combine(blocks_mut(lo, n), Self::ONE - r, Some((blocks(hi, n), r)))
-                });
+                let done = combine_head(lo, Self::ONE - r, [(hi, r)]);
                 $crate::fold_halves_scalar(&mut lo[done..], &hi[done..], r);
             }
 
             fn scale(xs: &mut [Self], c: Self) {
-                let done = head(true, xs.len(), |n| Call::Combine(blocks_mut(xs, n), c, None));
+                let done = combine_head(xs, c, []);
                 $crate::scale_scalar(&mut xs[done..], c);
+            }
+
+            fn combine<const N: usize>(x: &mut [Self], a: Self, terms: [(&[Self], Self); N]) {
+                let done = combine_head(x, a, terms);
+                let rest = terms.map(|(y, b)| (&y[done..], b));
+                $crate::combine_scalar(&mut x[done..], a, rest);
+            }
+
+            // A too-long `hi` goes to the scalar body whole, which panics.
+            fn eq_double(lo: &mut [Self], hi: &mut [Self], t: Self) {
+                if hi.len() > lo.len() {
+                    return $crate::eq_double_scalar(lo, hi, t);
+                }
+                let (paired, unpaired) = lo.split_at_mut(hi.len());
+                let done = head(true, hi.len(), |n| {
+                    Call::EqDouble(blocks_mut(paired, n), blocks_mut(hi, n), t)
+                });
+                $crate::eq_double_scalar(&mut paired[done..], &mut hi[done..], t);
+                Self::scale(unpaired, Self::ONE - t);
             }
 
             fn dot(a: &[Self], b: &[Self]) -> Self {

@@ -199,13 +199,49 @@ pub trait Field:
         fold_halves_scalar(lo, hi, r);
     }
 
-    /// `xs[i] ← c·xs[i]`: an `eq` table level or a matrix row weight
+    /// `xs[i] ← c·xs[i]`: the unpaired entries of an `eq` level
+    /// ([`Self::eq_double`]) or a sum-check tail whose weight is zero,
     /// scaled in place.
     ///
     /// The default is [`scale_scalar`]; `declare_field!` fields override it
     /// as they do [`Self::fold_halves`].
     fn scale(xs: &mut [Self], c: Self) {
         scale_scalar(xs, c);
+    }
+
+    /// `x[i] ← a·x[i] + Σⱼ bⱼ·yⱼ[i]` for the terms `(yⱼ, bⱼ)`: matrix-bind's
+    /// γ-combination of its three per-matrix column sums (two terms), and
+    /// the fold of sum-check #2 at coefficients divided by a deferred
+    /// factor (one term).
+    ///
+    /// The default is [`combine_scalar`]. `declare_field!` fields run whole
+    /// blocks of eight on CPUs with AVX-512 IFMA (at most two terms) and
+    /// the tail on the default body; the output is bit-identical either
+    /// way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a term's `y` is not as long as `x`.
+    fn combine<const N: usize>(x: &mut [Self], a: Self, terms: [(&[Self], Self); N]) {
+        combine_scalar(x, a, terms);
+    }
+
+    /// Doubles an `eq` table level by one more variable with coordinate
+    /// `t`: each `v` of `lo` with a partner slot in `hi` splits into
+    /// `hi[i] ← t·v` and `lo[i] ← v − t·v`, and each `v` past them becomes
+    /// `(1 − t)·v`. `lo` is read once and nothing `hi` held is read.
+    ///
+    /// The default is [`eq_double_scalar`]. `declare_field!` fields run the
+    /// paired entries' whole blocks of eight on CPUs with AVX-512 IFMA (one
+    /// product, a lane difference and one conditional subtraction) and the
+    /// rest on the default body and [`Self::scale`]; the output is
+    /// bit-identical either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hi` is longer than `lo`.
+    fn eq_double(lo: &mut [Self], hi: &mut [Self], t: Self) {
+        eq_double_scalar(lo, hi, t);
     }
 
     /// Writes [`Self::to_bytes`] of each element into its 32 bytes of
@@ -390,6 +426,43 @@ pub fn scale_scalar<F: Field>(xs: &mut [F], c: F) {
     for x in xs {
         *x *= c;
     }
+}
+
+/// The portable body of [`Field::combine`], and its oracle: per entry,
+/// `N + 1` deferred products ([`Field::dot_acc_add`]) and one reduction.
+///
+/// # Panics
+///
+/// As [`Field::combine`].
+pub fn combine_scalar<F: Field, const N: usize>(x: &mut [F], a: F, terms: [(&[F], F); N]) {
+    assert!(
+        terms.iter().all(|(y, _)| y.len() == x.len()),
+        "combined slices differ in length"
+    );
+    for (i, x) in x.iter_mut().enumerate() {
+        let mut acc = F::DotAcc::default();
+        F::dot_acc_add(&mut acc, a, *x);
+        for &(y, b) in &terms {
+            F::dot_acc_add(&mut acc, b, y[i]);
+        }
+        *x = F::dot_acc_reduce(&acc);
+    }
+}
+
+/// The portable body of [`Field::eq_double`], and its oracle: one multiply
+/// per entry.
+///
+/// # Panics
+///
+/// As [`Field::eq_double`].
+pub fn eq_double_scalar<F: Field>(lo: &mut [F], hi: &mut [F], t: F) {
+    assert!(hi.len() <= lo.len(), "eq level's upper part outgrows it");
+    let (paired, unpaired) = lo.split_at_mut(hi.len());
+    for (lo, hi) in paired.iter_mut().zip(hi) {
+        *hi = t * *lo;
+        *lo -= *hi;
+    }
+    scale_scalar(unpaired, F::ONE - t);
 }
 
 /// The portable body of [`Field::sparse_mul_lanes`], and the oracle every

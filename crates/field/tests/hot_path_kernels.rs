@@ -1,8 +1,9 @@
 //! Property tests for the hot-path kernels: the deferred-reduction dot
 //! kernel against the multiply-then-add fold and the schoolbook-division
 //! oracle, at the carry and term-count edges, the dispatched lane hooks
-//! (sparse product, fold, scale, dot, canonical bytes, round sums, batch
-//! inversion, affine chords) against their scalar bodies.
+//! (sparse product, fold, scale, combination, `eq` doubling, dot, canonical
+//! bytes, round sums, batch inversion, affine chords) against their scalar
+//! bodies.
 //!
 //! These are the guarantees that let the rest of the workspace adopt the
 //! fast paths without re-auditing: every kernel is bit-identical to the
@@ -10,9 +11,9 @@
 
 use batchzk_field::limb::{acc_mul_add, acc_reduce, mont_reduce, naive_mul_mod, sub_wide, WideAcc};
 use batchzk_field::{
-    affine_chords_scalar, batch_invert_scalar, fold_halves_scalar, lane_kernel,
-    product_round_sums_scalar, scale_scalar, sparse_mul_lanes_scalar, write_canonical_scalar,
-    Field, Fq, Fr, MontLimbs, RngCore, SplitMix64,
+    affine_chords_scalar, batch_invert_scalar, combine_scalar, eq_double_scalar,
+    fold_halves_scalar, lane_kernel, product_round_sums_scalar, scale_scalar,
+    sparse_mul_lanes_scalar, write_canonical_scalar, Field, Fq, Fr, MontLimbs, RngCore, SplitMix64,
 };
 
 /// The documented reference for `dot_pairs`: multiply, then add, from zero.
@@ -230,6 +231,123 @@ fn fq_fold_and_scale_are_bit_identical_to_the_scalar_bodies() {
 #[should_panic(expected = "differ in length")]
 fn fold_rejects_halves_of_different_lengths() {
     Fr::fold_halves(&mut [Fr::ONE; 16], &[Fr::ONE; 17], Fr::ONE);
+}
+
+/// Every length from 0 to 40 (five whole blocks and each tail around
+/// them) and three random lengths up to 2 000.
+fn lengths(rng: &mut SplitMix64) -> Vec<usize> {
+    (0..=40)
+        .chain((0..3).map(|_| rng.gen_range(41..2_000)))
+        .collect()
+}
+
+/// `Field::combine` ≡ `combine_scalar` at every length of [`lengths`] with
+/// no, one, two (the largest term count the kernel takes) and three terms
+/// (always the scalar body), operands random, all Montgomery limbs `p − 1`
+/// and zero, and coefficients 0, 1, −1, limbs `p − 1` and random.
+fn combine_matches_scalar<F: MontLimbs>(seed: u64) {
+    if lane_kernel() == "scalar" {
+        println!("avx512ifma absent: scalar only");
+    }
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let top = F::from_mont_limbs_unchecked(sub_wide(&F::P, &[1, 0, 0, 0]).0);
+    for len in lengths(&mut rng) {
+        let random = |rng: &mut SplitMix64| (0..len).map(|_| F::random(rng)).collect::<Vec<F>>();
+        let operands = [random(&mut rng), vec![top; len], vec![F::ZERO; len]];
+        let coeffs = [F::ZERO, F::ONE, -F::ONE, top, F::random(&mut rng)];
+        for (i, x) in operands.iter().enumerate() {
+            let [y, z, w] = [1, 2, 0].map(|k| &operands[(i + k) % 3][..]);
+            for (k, &a) in coeffs.iter().enumerate() {
+                let [b, c, d] = [1, 3, 4].map(|j| coeffs[(k + j) % coeffs.len()]);
+                let case = format!("len {len}, x {i}, coefficient {k}");
+                macro_rules! same {
+                    ($terms:expr, $what:literal) => {
+                        let (mut got, mut expect) = (x.clone(), x.clone());
+                        F::combine(&mut got, a, $terms);
+                        combine_scalar(&mut expect, a, $terms);
+                        assert_eq!(got, expect, "{}: {case}", $what);
+                    };
+                }
+                same!([], "no term");
+                same!([(y, b)], "one term");
+                same!([(y, b), (z, c)], "two terms");
+                same!([(y, b), (z, c), (w, d)], "three terms");
+            }
+        }
+    }
+}
+
+#[test]
+fn fr_combine_is_bit_identical_to_the_scalar_body() {
+    combine_matches_scalar::<Fr>(0xB12);
+}
+
+#[test]
+fn fq_combine_is_bit_identical_to_the_scalar_body() {
+    combine_matches_scalar::<Fq>(0xB13);
+}
+
+#[test]
+#[should_panic(expected = "combined slices differ in length")]
+fn combine_rejects_slices_of_different_lengths() {
+    Fr::combine(
+        &mut [Fr::ONE; 16],
+        Fr::ONE,
+        [(&[Fr::ONE; 16][..], Fr::ONE), (&[Fr::ONE; 17], Fr::ONE)],
+    );
+}
+
+/// `Field::eq_double` ≡ `eq_double_scalar` at every length of [`lengths`],
+/// with `hi` as long as `lo`, one entry, half and a block shorter, and
+/// empty (the unpaired entries take the scale), `lo` random, all Montgomery
+/// limbs `p − 1` and zero, `t` 0, 1, −1, limbs `p − 1` and random, and
+/// whatever `hi` held unread.
+fn eq_double_matches_scalar<F: MontLimbs>(seed: u64) {
+    if lane_kernel() == "scalar" {
+        println!("avx512ifma absent: scalar only");
+    }
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let top = F::from_mont_limbs_unchecked(sub_wide(&F::P, &[1, 0, 0, 0]).0);
+    for len in lengths(&mut rng) {
+        let random = |rng: &mut SplitMix64| (0..len).map(|_| F::random(rng)).collect::<Vec<F>>();
+        let operands = [random(&mut rng), vec![top; len], vec![F::ZERO; len]];
+        let coeffs = [F::ZERO, F::ONE, -F::ONE, top, F::random(&mut rng)];
+        let paired = [
+            len,
+            len.saturating_sub(1),
+            len / 2,
+            len.saturating_sub(8),
+            0,
+        ];
+        for (i, lo) in operands.iter().enumerate() {
+            for (k, &t) in coeffs.iter().enumerate() {
+                for n in paired {
+                    let case = format!("len {len}, paired {n}, lo {i}, t {k}");
+                    let (mut got, mut expect) = (lo.clone(), lo.clone());
+                    let (mut got_hi, mut expect_hi) = (vec![-F::ONE; n], vec![F::ONE; n]);
+                    F::eq_double(&mut got, &mut got_hi, t);
+                    eq_double_scalar(&mut expect, &mut expect_hi, t);
+                    assert_eq!((got, got_hi), (expect, expect_hi), "{case}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn fr_eq_double_is_bit_identical_to_the_scalar_body() {
+    eq_double_matches_scalar::<Fr>(0xB14);
+}
+
+#[test]
+fn fq_eq_double_is_bit_identical_to_the_scalar_body() {
+    eq_double_matches_scalar::<Fq>(0xB15);
+}
+
+#[test]
+#[should_panic(expected = "upper part outgrows it")]
+fn eq_double_rejects_a_longer_upper_part() {
+    Fr::eq_double(&mut [Fr::ONE; 16], &mut [Fr::ONE; 17], Fr::ONE);
 }
 
 /// `Field::dot` and `Field::write_canonical` ≡ their default bodies

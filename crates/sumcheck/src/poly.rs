@@ -88,19 +88,6 @@ impl<F: Field> MultilinearPoly<F> {
     }
 }
 
-/// Doubles an `eq` level by one more variable with coordinate `t`, `hi`
-/// holding a copy of `lo`'s first entries: each becomes `v·t`
-/// ([`Field::scale`]), each `v` of `lo` with such a partner `v − v·t`, and
-/// each past them `v·(1 − t)` — one multiply per entry.
-fn eq_double<F: Field>(lo: &mut [F], hi: &mut [F], t: F) {
-    F::scale(hi, t);
-    let (paired, unpaired) = lo.split_at_mut(hi.len());
-    for (lo, &hi) in paired.iter_mut().zip(&*hi) {
-        *lo -= hi;
-    }
-    F::scale(unpaired, F::ONE - t);
-}
-
 /// Builds the `eq(tau, ·)` table: `out[b] = Π_i (tau_i b_i + (1-tau_i)(1-b_i))`.
 ///
 /// This is the multilinear extension of the Kronecker delta at `tau`,
@@ -127,8 +114,8 @@ fn eq_start<F: Field>(tau: &[F], len: usize, c: F) -> (&[F], F) {
 
 /// `c · eq_table(tau)[..len]` in `O(2^⌈log₂ len⌉)` work, where the full
 /// table costs `2^n`: from its first entry (`eq_start`) each variable
-/// doubles the table by a copy of its lower entries, the last one only
-/// the `len − 2^(k−1)` upper entries the prefix holds.
+/// doubles the table ([`Field::eq_double`]), the last one only into the
+/// `len − 2^(k−1)` upper entries the prefix holds.
 ///
 /// This is how a verifier builds `eq` over just the rows or columns a
 /// sparse matrix reads, with the table's constant (such as `1 − y_top` for
@@ -138,17 +125,8 @@ fn eq_start<F: Field>(tau: &[F], len: usize, c: F) -> (&[F], F) {
 ///
 /// Panics if `len > 2^tau.len()`.
 pub fn eq_table_prefix<F: Field>(tau: &[F], len: usize, c: F) -> Vec<F> {
-    let mut table = Vec::with_capacity(len);
-    if len > 0 {
-        let (doubling, first) = eq_start(tau, len, c);
-        table.push(first);
-        for &t in doubling {
-            let level = table.len();
-            table.extend_from_within(..(len - level).min(level));
-            let (lo, hi) = table.split_at_mut(level);
-            eq_double(lo, hi, t);
-        }
-    }
+    let mut table = vec![F::ZERO; len];
+    eq_table_prefix_into(tau, c, &mut table);
     table
 }
 
@@ -168,8 +146,7 @@ pub fn eq_table_prefix_into<F: Field>(tau: &[F], c: F, out: &mut [F]) {
         for &t in doubling {
             let (lo, hi) = out.split_at_mut(level);
             let hi = &mut hi[..(len - level).min(level)];
-            hi.copy_from_slice(&lo[..hi.len()]);
-            eq_double(lo, hi, t);
+            F::eq_double(lo, hi, t);
             level += hi.len();
         }
     }
@@ -192,8 +169,7 @@ pub(crate) fn eq_prefix_tables<F: Field>(tau: &[F], levels: &mut [F]) {
         let (built, next) = levels.split_at_mut(start);
         let (lo, hi) = next[..start].split_at_mut(start / 2);
         lo.copy_from_slice(&built[start / 2..]);
-        hi.copy_from_slice(lo);
-        eq_double(lo, hi, t);
+        F::eq_double(lo, hi, t);
         start *= 2;
     }
 }

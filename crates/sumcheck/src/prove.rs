@@ -173,12 +173,21 @@ pub(crate) fn prove_quadratic<F: Field>(
 /// Each round sums and folds only the live pairs: where both halves are
 /// live through [`Field::product_round_sums`], where one is through a
 /// [`Field::dot`] (with the other half zero, `s(∞)` is that side's product
-/// sum) and a [`Field::scale`] fold. Each table folds in place into its
-/// longer half, whose `max(|lo|, |hi|)` entries are then the live prefix of
-/// the next round's table, split at that round's half. So a prefix longer
-/// than the lower half keeps the two-part shape for one more round (the
-/// witness window of Spartan's sum-check #2 just past a quarter of `z`), and
-/// from the round whose lower half it fills on, every pair is live.
+/// sum). Each table folds in place into its longer half, whose
+/// `max(|lo|, |hi|)` entries are then the live prefix of the next round's
+/// table, split at that round's half. So a prefix longer than the lower
+/// half keeps the two-part shape for one more round (the witness window of
+/// Spartan's sum-check #2 just past a quarter of `z`), and from the round
+/// whose lower half it fills on, every pair is live.
+///
+/// Past the shorter half, the longer one's entries only take its weight
+/// (`1 − r` or `r`). That scaling is deferred (`fold_round`): both
+/// tables are held as one scalar factor times what is stored, such a round
+/// multiplies the factor by the weight and leaves the tail as it is, and
+/// its live pairs fold at coefficients divided by the weight. The sums a
+/// round reads off the stored tables are multiplied by the factor squared
+/// (one for each table), and the final evaluations by the factor. A zero
+/// weight has no inverse: that round folds and scales eagerly.
 ///
 /// # Panics
 ///
@@ -196,14 +205,17 @@ pub fn prove_quadratic_halves<F: Field>(
         g.each_ref().map(|h| h.len()) == lens && lens[0].max(lens[1]) <= 1 << (num_vars - 1),
         "halves' live prefixes disagree or overflow"
     );
-    let (mut f, mut g) = (f, g);
+    let mut tables = [f, g];
     let mut rounds = Vec::with_capacity(num_vars);
     let mut rs = Vec::with_capacity(num_vars);
     let mut claim = None;
+    // Each table is `factor ×` its stored entries; `None` while that is 1.
+    let mut factor = None;
     for var in (0..num_vars).rev() {
+        let [f, g] = &tables;
         let [lo, hi] = f.each_ref().map(|h| h.len());
         let (both, long) = (lo.min(hi), usize::from(hi > lo));
-        let [mut s0, mut s1, mut top] = F::product_round_sums(
+        let mut sums = F::product_round_sums(
             f.each_ref().map(|h| &h[..both]),
             g.each_ref().map(|h| &h[..both]),
             None,
@@ -212,36 +224,81 @@ pub fn prove_quadratic_halves<F: Field>(
         );
         // Past the shorter half, the longer one's products: `s(0)` or `s(1)`.
         let tail = F::dot(&f[long][both..], &g[long][both..]);
-        *[&mut s0, &mut s1][long] += tail;
-        top += tail;
+        sums[long] += tail;
+        sums[2] += tail;
+        if let Some(c) = factor {
+            let c2 = c * c;
+            sums = sums.map(|s| s * c2);
+        }
+        let [s0, s1, top] = sums;
         // Degree 2 with no `eq` factor: `s(1) = claim − s(0)` after round 1,
         // `g(2) = 2·s(1) − s(0) + 2·s(∞)`.
-        s1 = claim.map_or(s1, |claim| claim - s0);
+        let s1 = claim.map_or(s1, |claim| claim - s0);
         let round = vec![s0, s1, s1 + (s1 - s0) + top.double()];
         let r = prover_round_challenge(&round, transcript);
         claim = Some(next_claim([s0, s1, top], r));
         rounds.push(round);
         rs.push(r);
-        // `(1 − r)·lo + r·hi`, written over the longer half; past the
-        // shorter one, the longer half's entries times its weight.
-        let folded = [f, g].map(|[lo, hi]| {
-            let (into, from, [w, tail_w]) = match long {
-                0 => (lo, hi, [r, F::ONE - r]),
-                _ => (hi, lo, [F::ONE - r, r]),
-            };
-            F::fold_halves(&mut into[..both], &from[..both], w);
-            F::scale(&mut into[both..], tail_w);
-            into
-        });
+        let folded = fold_round(tables, r, &mut factor);
         // The next round's halves; after the last round, `[[], table]`.
-        [f, g] = folded.map(|t| t.split_at_mut(t.len().min((1 << var) / 2)).into());
+        tables = folded.map(|t| t.split_at_mut(t.len().min((1 << var) / 2)).into());
     }
-    let final_evals = [f, g].map(|[_, t]| t.first().copied().unwrap_or(F::ZERO));
+    let final_evals = tables.map(|[_, t]| {
+        let v = t.first().copied().unwrap_or(F::ZERO);
+        factor.map_or(v, |c| c * v)
+    });
     ProverOutput {
         proof: SumcheckProof { rounds },
         rs,
         final_evals: final_evals.to_vec(),
     }
+}
+
+/// One round's fold at `r` of the two tables of [`prove_quadratic_halves`],
+/// given as their live halves, each into its longer half, which is
+/// returned: `(1 − r)·lo + r·hi` over the pairs, and past the shorter
+/// half, the longer half's entries times their weight `w` (`1 − r` for
+/// `lo`, `r` for `hi`).
+///
+/// Both tables stand for `factor ×` their entries (`None` for 1). Where the
+/// longer half has entries past the shorter one and `w` is not zero, they
+/// are left as they are and `factor` takes `w`; the pairs fold at their
+/// coefficients divided by `w`, the longer half's `1` and the other's
+/// `(1 − w)/w` ([`Field::combine`]). Otherwise the pairs fold
+/// ([`Field::fold_halves`]) and the entries past them are scaled by `w`.
+fn fold_round<'a, F: Field>(
+    tables: [[&'a mut [F]; 2]; 2],
+    r: F,
+    factor: &mut Option<F>,
+) -> [&'a mut [F]; 2] {
+    let [lo, hi] = tables[0].each_ref().map(|h| h.len());
+    let (both, long) = (lo.min(hi), usize::from(hi > lo));
+    let [w_lo, w_hi] = [F::ONE - r, r];
+    let (w, other) = if long == 0 {
+        (w_lo, w_hi)
+    } else {
+        (w_hi, w_lo)
+    };
+    // A zero weight has no inverse, and folds eagerly.
+    let divided = if lo == hi {
+        None
+    } else {
+        w.inverse().map(|inv| other * inv)
+    };
+    if divided.is_some() {
+        *factor = Some(factor.map_or(w, |c| c * w));
+    }
+    tables.map(|[lo, hi]| {
+        let (into, from) = if long == 0 { (lo, hi) } else { (hi, lo) };
+        match divided {
+            Some(c) => F::combine(&mut into[..both], F::ONE, [(&from[..both], c)]),
+            None => {
+                F::fold_halves(&mut into[..both], &from[..both], other);
+                F::scale(&mut into[both..], w);
+            }
+        }
+        into
+    })
 }
 
 /// Proves `H = Σ_b eq(τ, b)·(a(b)·c(b) - d(b))` — the Spartan outer
@@ -433,8 +490,12 @@ mod tests {
             let ends = [0, 1, half / 2 + 1, half];
             let random = (0..4).map(|_| rng.next_u64() as usize % (half + 1));
             let lens: Vec<usize> = ends.into_iter().chain(random).collect();
-            for (i, &lo) in lens.iter().enumerate() {
-                let hi = lens[(i * 3 + 1) % lens.len()];
+            let paired = (0..lens.len()).map(|i| (lens[i], lens[(i * 3 + 1) % lens.len()]));
+            // Spartan's VGG shape: a short lower prefix (the io window) and an
+            // upper one just past a quarter of the table (the witness), so
+            // the first two rounds both have a tail whose scaling is deferred.
+            let vgg = (1..=3).map(|k| (k.min(half / 4), (half / 2 + k).min(half)));
+            for (lo, hi) in paired.chain(vgg) {
                 let [f, g] = [(); 2].map(|()| {
                     let mut table = vec![Fr::ZERO; 2 * half];
                     for b in (0..lo).chain(half..half + hi) {
@@ -456,6 +517,42 @@ mod tests {
                     },
                     &format!("n={n} lo={lo} hi={hi}"),
                 );
+            }
+        }
+    }
+
+    /// Where a tail's weight is zero (`r = 0` for a longer upper half,
+    /// `r = 1` for a longer lower one) [`fold_round`] folds and scales
+    /// eagerly and keeps the factor; at any other weight it defers. Either
+    /// way the tables it stands for are the eager fold of the zero-padded
+    /// tables the factor times its input stands for.
+    #[test]
+    fn zero_tail_weights_fold_eagerly() {
+        let mut rng = Prg::seed_from_u64(0x45);
+        let random = |rng: &mut Prg, n: usize| (0..n).map(|_| Fr::random(rng)).collect::<Vec<_>>();
+        for (lo, hi) in [(5usize, 11usize), (11, 5), (0, 4), (4, 0), (3, 3)] {
+            for (name, r) in [
+                ("0", Fr::ZERO),
+                ("1", Fr::ONE),
+                ("random", Fr::random(&mut rng)),
+            ] {
+                let case = format!("lo {lo}, hi {hi}, r {name}");
+                let c = Fr::random(&mut rng);
+                let mut tables = [(); 2].map(|()| [random(&mut rng, lo), random(&mut rng, hi)]);
+                let want = tables.each_ref().map(|[l, h]| {
+                    let at = |t: &[Fr], i: usize| c * t.get(i).copied().unwrap_or(Fr::ZERO);
+                    let fold = |i| (Fr::ONE - r) * at(l, i) + r * at(h, i);
+                    (0..lo.max(hi)).map(fold).collect::<Vec<_>>()
+                });
+                let mut factor = Some(c);
+                let halves = tables.each_mut().map(|t| t.each_mut().map(|h| &mut h[..]));
+                let got = fold_round(halves, r, &mut factor);
+                let scale = factor.expect("a factor");
+                let got = got.map(|t| t.iter().map(|&v| scale * v).collect::<Vec<_>>());
+                assert_eq!(got, want, "{case}");
+                let w = if hi > lo { r } else { Fr::ONE - r };
+                let deferred = lo != hi && !w.is_zero();
+                assert_eq!(scale, if deferred { c * w } else { c }, "{case}: factor");
             }
         }
     }

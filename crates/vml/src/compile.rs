@@ -97,10 +97,11 @@ impl<F: Field> Compiler<F> {
         }
     }
 
-    /// Appends `coeff · var` to `lc` when constraints are recorded.
-    fn term(&self, lc: &mut Lc<F>, var: Var, coeff: F) {
+    /// Appends `coeff() · var` to `lc` when constraints are recorded;
+    /// `coeff` (a Montgomery conversion for a power of two) runs only then.
+    fn term(&self, lc: &mut Lc<F>, var: Var, coeff: impl FnOnce() -> F) {
         if self.builder.is_some() {
-            lc.push((var, coeff));
+            lc.push((var, coeff()));
         }
     }
 
@@ -131,7 +132,7 @@ impl<F: Field> Compiler<F> {
         for i in 0..bits {
             let bit = self.secret((wire.value >> i) & 1);
             self.enforce_boolean(bit);
-            self.term(&mut lc, bit.var, F::from(1u64 << i));
+            self.term(&mut lc, bit.var, || F::from(1u64 << i));
         }
         self.enforce_lc_equals(lc, wire);
     }
@@ -174,7 +175,7 @@ impl<F: Field> Compiler<F> {
 
     /// Constrains `lc == wire` (linear consistency).
     fn enforce_lc_equals(&mut self, mut lc: Lc<F>, wire: Wire) {
-        self.term(&mut lc, wire.var, -F::ONE);
+        self.term(&mut lc, wire.var, || -F::ONE);
         self.enforce_zero(lc);
     }
 
@@ -186,11 +187,11 @@ impl<F: Field> Compiler<F> {
         debug_assert!((0..(1i64 << k)).contains(&r));
         // acc - q*2^k - Σ b_i 2^i == 0, with boolean bits.
         let mut lc = acc_lc;
-        self.term(&mut lc, q.var, -F::from(1u64 << k));
+        self.term(&mut lc, q.var, || -F::from(1u64 << k));
         for i in 0..k {
             let bit = self.secret((r >> i) & 1);
             self.enforce_boolean(bit);
-            self.term(&mut lc, bit.var, -F::from(1u64 << i));
+            self.term(&mut lc, bit.var, || -F::from(1u64 << i));
         }
         self.enforce_zero(lc);
         q
@@ -325,7 +326,7 @@ fn synthesize<F: Field>(
                                         let wv =
                                             weight_wires[((oc * in_ch + ic) * 3 + ky) * 3 + kx];
                                         let p = c.mul(wv, a);
-                                        c.term(&mut lc, p.var, F::ONE);
+                                        c.term(&mut lc, p.var, || F::ONE);
                                         acc += p.value;
                                     }
                                 }
@@ -375,7 +376,7 @@ fn synthesize<F: Field>(
                     let mut acc = bias_wires[o].value;
                     for i in 0..*in_dim {
                         let p = c.mul(weight_wires[o * in_dim + i], current[i]);
-                        c.term(&mut lc, p.var, F::ONE);
+                        c.term(&mut lc, p.var, || F::ONE);
                         acc += p.value;
                     }
                     out.push(c.requant(lc, acc, REQUANT_SHIFT));

@@ -140,6 +140,41 @@ impl<F: Field> Csr<F> {
         }
     }
 
+    /// Of the stacked transpose ([`Self::stacked_transpose`]) against `x`
+    /// over the `rows = x.len()` rows of each matrix: writes each of its
+    /// rows' (a live column's) three sums, of A's, B's and C's entries
+    /// times `x` at their row, into `out[0]`, `out[1]` and `out[2]` at the
+    /// column. The matrix of stacked row `s` is `k = s / rows`, at row
+    /// `s − k·rows`; two comparisons find `k`, and each entry adds into its
+    /// matrix's sum (a multiply for a general one).
+    fn split_row_sums(&self, x: &[F], [a, b, c]: [&mut [F]; 3]) {
+        let rows = x.len();
+        // The matrix of stacked row `s` and the entry of `x` at its row.
+        let at = |s: u32| {
+            let s = s as usize;
+            let k = usize::from(s >= rows) + usize::from(s >= 2 * rows);
+            (k, x[s - k * rows])
+        };
+        let [mut u, mut g] = self.ends[0].map(|i| i as usize);
+        for (col, &[u_end, g_end]) in self.ends[1..].iter().enumerate() {
+            let mut sums = [F::ZERO; 3];
+            for &unit in &self.units[u..u_end as usize] {
+                let (k, v) = at(unit & !NEG);
+                if unit & NEG == 0 {
+                    sums[k] += v;
+                } else {
+                    sums[k] -= v;
+                }
+            }
+            for &(s, v) in &self.general[g..g_end as usize] {
+                let (k, x) = at(s);
+                sums[k] += v * x;
+            }
+            (u, g) = (u_end as usize, g_end as usize);
+            [a[col], b[col], c[col]] = sums;
+        }
+    }
+
     /// The transpose of `[A; B; C]` stacked over `3·rows`: row `c` holds
     /// column `c`'s entries of A, B, then C at rows `k·rows + r`. A counting
     /// sort — count per column, prefix sums, fill — so each row lists its
@@ -466,38 +501,39 @@ impl<F: Field> R1cs<F> {
     /// second sum-check, `Σ_k γ_k · Σ_x eq_x[x] · M_k(x, ·)` for
     /// `M = (A, B, C)`, into `out` as its two live windows `io ‖ w` (of
     /// `1 + num_inputs` and `num_witness` entries): the columns outside
-    /// them are zero. `stacked` holds `eq_x` over the constraint rows in
-    /// its first `num_constraints` entries and becomes
-    /// `[γ_A·eq_x ‖ γ_B·eq_x ‖ γ_C·eq_x]`.
+    /// them are zero. `eq_x` is `eq` over the constraint rows; `s_b` and
+    /// `s_c`, as long as `out`, are worked in and their contents unread.
     ///
-    /// It is one gather per live column over the stacked transpose against
-    /// that vector: `3·rows` multiplies plus one per non-zero that is not
-    /// ±1, and one sum per column where a scatter over the rows would
-    /// update a column once per non-zero.
+    /// It gathers each live column's three per-matrix sums
+    /// `Σ_x eq_x[x] · M_k(x, c)` from the stacked transpose into `out`,
+    /// `s_b` and `s_c` — one pass over the non-zeros, a multiply for each
+    /// that is not ±1, and no copy or scale of `eq_x` — then applies γ
+    /// once per column, `out ← γ_A·out + γ_B·s_b + γ_C·s_c`
+    /// ([`Field::combine`]): three products and one reduction a column.
     ///
     /// # Panics
     ///
-    /// Panics if `stacked` is not `3 · num_constraints` entries, `gamma`
-    /// does not hold three elements, or `out` is not the live windows'
-    /// length.
-    pub fn bind_rows_combined(&self, stacked: &mut [F], gamma: &[F], out: &mut [F]) {
-        assert_eq!(gamma.len(), 3, "one γ per matrix");
-        let rows = self.num_constraints;
-        assert_eq!(stacked.len(), 3 * rows, "one eq block per matrix");
-        let (eq_x, copies) = stacked.split_at_mut(rows);
-        for copy in copies.chunks_exact_mut(rows) {
-            copy.copy_from_slice(eq_x);
-        }
-        for (part, &g) in stacked.chunks_exact_mut(rows).zip(gamma) {
-            F::scale(part, g);
-        }
-        let live = 1 + self.num_inputs + self.num_witness;
-        assert_eq!(out.len(), live, "window lengths");
-        let scaled = Windows {
-            io: &*stacked,
-            w: &[],
+    /// Panics if `eq_x` is not `num_constraints` entries, `gamma` does not
+    /// hold three elements, or `out`, `s_b` or `s_c` is not the live
+    /// windows' length.
+    pub fn bind_rows_combined(
+        &self,
+        eq_x: &[F],
+        gamma: &[F],
+        out: &mut [F],
+        [s_b, s_c]: [&mut [F]; 2],
+    ) {
+        let &[g_a, g_b, g_c] = gamma else {
+            panic!("one γ per matrix")
         };
-        self.transpose.row_sums(scaled, 0, out);
+        assert_eq!(eq_x.len(), self.num_constraints, "one eq entry per row");
+        let live = 1 + self.num_inputs + self.num_witness;
+        assert!(
+            [out.len(), s_b.len(), s_c.len()] == [live; 3],
+            "window lengths"
+        );
+        self.transpose.split_row_sums(eq_x, [out, s_b, s_c]);
+        F::combine(out, g_a, [(s_b, g_b), (s_c, g_c)]);
     }
 }
 
@@ -686,10 +722,8 @@ pub(crate) mod tests {
     /// holding no zeros, as its two windows.
     pub(crate) fn bind<F: Field>(r1cs: &R1cs<F>, eq_x: &[F], gamma: &[F]) -> [Vec<F>; 2] {
         let (rows, io) = (r1cs.num_constraints(), 1 + r1cs.num_inputs());
-        let mut stacked = vec![-F::ONE; 3 * rows];
-        stacked[..rows].copy_from_slice(&eq_x[..rows]);
-        let mut out = vec![-F::ONE; io + r1cs.num_witness()];
-        r1cs.bind_rows_combined(&mut stacked, gamma, &mut out);
+        let [mut out, mut s_b, mut s_c] = [(); 3].map(|()| vec![-F::ONE; io + r1cs.num_witness()]);
+        r1cs.bind_rows_combined(&eq_x[..rows], gamma, &mut out, [&mut s_b, &mut s_c]);
         let (io, w) = out.split_at(io);
         [io.to_vec(), w.to_vec()]
     }
@@ -1022,9 +1056,16 @@ pub(crate) mod tests {
             let eq_rx = vec![Counted::ONE; r1cs.padded_constraints()];
             let gamma = [Counted::ONE; 3];
             let (_, muls) = count_muls(|| bind(&r1cs, &eq_rx, &gamma));
-            // No z_len term: nothing passes over the dense column vector.
-            let bound = 3 * r1cs.num_constraints() as u64 + general;
-            assert_eq!((muls.full, muls.deferred), (bound, 0), "s={s}: binding");
+            // No z_len term: nothing passes over the dense column vector;
+            // and no rows term: `eq_rx` is neither copied nor scaled. A
+            // multiply per general non-zero, then γ once per live column:
+            // three deferred products.
+            let live = (1 + r1cs.num_inputs() + r1cs.num_witness()) as u64;
+            assert_eq!(
+                (muls.full, muls.deferred),
+                (general, 3 * live),
+                "s={s}: binding"
+            );
 
             // The row-wise MLE: a multiply per general non-zero, then one
             // deferred product per row and matrix.

@@ -146,13 +146,15 @@ pub struct SumcheckPart<F> {
 ///
 /// * spmv and sum-check #1: `[Az | Bz | Cz | eq levels]`, `m =
 ///   padded_constraints` entries each, the products folded in place;
-/// * matrix-bind: `[m_io | m_w | γ_A·eq_rx ‖ γ_B·eq_rx ‖ γ_C·eq_rx]` over
-///   the live columns and the constraint rows;
+/// * matrix-bind: `[m_io | m_w | eq_rx | S_B | S_C]`: `eq` over the
+///   constraint rows between three vectors over the live columns, the
+///   per-matrix sums that `m = γ_A·S_A + γ_B·S_B + γ_C·S_C` combines, with
+///   `S_A` gathered into `m`'s place;
 /// * sum-check #2: `[m_io | m_w | z_io | z_w]`, each table folded in place.
 pub fn arena_len<F: Field>(r1cs: &R1cs<F>) -> usize {
     let live = 1 + r1cs.num_inputs() + r1cs.num_witness();
-    let bind = live + 3 * r1cs.num_constraints();
-    (4 * r1cs.padded_constraints()).max(bind).max(2 * live)
+    let bind = r1cs.num_constraints() + 3 * live;
+    (4 * r1cs.padded_constraints()).max(bind)
 }
 
 /// Runs both prover sum-checks over an assembled assignment, which they read
@@ -219,8 +221,8 @@ pub fn prove_outer<F: Field>(
 /// Draws `γ` and writes the matrix polynomial of the batched
 /// matrix-opening sum-check (#2) at the point sum-check #1 bound to the
 /// front of `arena`, as its two live windows `m_io ‖ m_w`
-/// ([`R1cs::bind_rows_combined`]), over an `eq` table of the constraint
-/// rows built in the arena behind them.
+/// ([`R1cs::bind_rows_combined`]), from an `eq` table of the constraint
+/// rows built in the arena behind them and two per-matrix sums behind that.
 pub fn bind_matrices<F: Field>(
     r1cs: &R1cs<F>,
     sc1: &ProverOutput<F>,
@@ -230,10 +232,11 @@ pub fn bind_matrices<F: Field>(
     let gamma: Vec<F> = transcript.challenge_fields(b"gamma", 3);
     let rows = r1cs.num_constraints();
     let live = 1 + r1cs.num_inputs() + r1cs.num_witness();
-    let (m_combo, stacked) = arena.split_at_mut(live);
-    let stacked = &mut stacked[..3 * rows];
-    eq_table_prefix_into(&sc1.point(), F::ONE, &mut stacked[..rows]);
-    r1cs.bind_rows_combined(stacked, &gamma, m_combo);
+    let (m_combo, rest) = arena.split_at_mut(live);
+    let (eq_rx, rest) = rest.split_at_mut(rows);
+    let (s_b, rest) = rest.split_at_mut(live);
+    eq_table_prefix_into(&sc1.point(), F::ONE, eq_rx);
+    r1cs.bind_rows_combined(eq_rx, &gamma, m_combo, [s_b, &mut rest[..live]]);
 }
 
 /// The matrix-opening sum-check (#2) of [`bind_matrices`]' windows at the

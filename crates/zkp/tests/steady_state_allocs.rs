@@ -48,7 +48,7 @@ fn a_second_batch_allocates_no_table() {
     assert!(table_bytes >= 64 << 10);
     let live = 1 + r1cs.num_inputs() + r1cs.num_witness();
     // DESIGN.md §16: sum-check #1, matrix-bind and sum-check #2 in turn.
-    let arena_bound = (4 * m).max(live + 3 * r1cs.num_constraints()).max(2 * live);
+    let arena_bound = (4 * m).max(r1cs.num_constraints() + 3 * live);
 
     let params = PcsParams {
         num_col_tests: 12,

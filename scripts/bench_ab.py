@@ -24,10 +24,15 @@ of a host clock, which a prover that frees and re-faults its tables pays.
 [quartiles] of one metric, the pairs the change won (in the metric's
 `better` direction from `BENCHMARK.json`), whether the exact metrics
 (`sim_*`, `proof_bytes_mean`, `verified_share`) were equal in every run,
-and every `end_to_end` metric whose change median is worse than its parent
-median by more than the metric's `bound` (a fraction of the parent median),
-or that all are within bound. Where the runs carry `host_minflt` and
-`host_sys_s`, a third line gives each role's median of both.
+the parent's quartile spread (third quartile minus first), and a verdict:
+`resolved` when the change won at least 9 of every 10 pairs (and there are
+at least 10) and its median beats the parent's by more than that spread,
+else `unresolved` with the test it missed: the rule a claimed gain must
+pass. A second line lists every `end_to_end`
+metric whose change median is worse than its parent median by more than
+the metric's `bound` (a fraction of the parent median), or says that all
+are within bound. Where the runs carry `host_minflt` and `host_sys_s`, a
+third line gives each role's median of both.
 
 `trajectory` reads every committed `BENCH_<n>.json` at the repo root in
 order of `<n>` and prints, per file, workload, seed and trace flag, the
@@ -150,11 +155,12 @@ def summary(args):
         pairs = sorted(set(values["parent"]) & set(values["change"]))
         sign = 1 if better.get(args.metric, "higher") == "higher" else -1
         won = sum(sign * (values["change"][p] - values["parent"][p]) > 0 for p in pairs)
-        cells = []
+        cells, quartiles = [], {}
         for role in ("parent", "change"):
             v = sorted(values[role].values())
             if len(v) >= 2:
-                q1, med, q3 = statistics.quantiles(v, n=4, method="inclusive")
+                quartiles[role] = statistics.quantiles(v, n=4, method="inclusive")
+                q1, med, q3 = quartiles[role]
                 cells.append(f"{role} {med:.4g} [{q1:.4g}, {q3:.4g}]")
             elif v:
                 cells.append(f"{role} {v[0]:.4g}")
@@ -163,7 +169,8 @@ def summary(args):
         failed = sum(run["failed"] for run in runs)
         print(f"{workload} seed {seed} trace {trace}: {args.metric}: {'; '.join(cells)}; "
               f"change won {won} / {len(pairs)} pairs; exact metrics equal: "
-              f"{'yes' if len(exact_sets) == 1 else 'NO'}; failed ops {failed}")
+              f"{'yes' if len(exact_sets) == 1 else 'NO'}; failed ops {failed}; "
+              f"{verdict(quartiles, sign, won, len(pairs))}")
         worse = worse_end_to_end(runs)
         print(f"  {'; '.join(worse) if worse else 'all end-to-end metrics within bound'}")
         usage = []
@@ -174,6 +181,23 @@ def summary(args):
                 usage.append(f"{name} median " + ", ".join(f"{r} {m:.10g}" for r, m in medians))
         if usage:
             print(f"  {'; '.join(usage)}")
+
+
+def verdict(quartiles, sign, won, pairs):
+    """`resolved` when the change won at least 9 / 10 of at least 10 pairs
+    and its median beats the parent's by more than the parent's quartile
+    spread; else `unresolved` and the test it missed."""
+    if "parent" not in quartiles or "change" not in quartiles:
+        return "unresolved: fewer than two runs a side"
+    q1, parent, q3 = quartiles["parent"]
+    gain = sign * (quartiles["change"][1] - parent)
+    spread = f"parent quartile spread {q3 - q1:.4g}, median gain {gain:.4g}"
+    missed = [test for test, failed in [
+        ("fewer than 10 pairs", pairs < 10),
+        (f"won {won} / {pairs} pairs, under 9 / 10", won * 10 < 9 * pairs),
+        ("median gain not past the spread", gain <= q3 - q1),
+    ] if failed]
+    return f"{spread}; " + (f"unresolved: {', '.join(missed)}" if missed else "resolved")
 
 
 def worse_end_to_end(runs):
