@@ -4,7 +4,7 @@
 use batchzk_gpu_sim::{DeviceProfile, Gpu, TraceLevel};
 use batchzk_metrics::registry::{escape_json, format_f64, join_json};
 use batchzk_metrics::{nearest_rank, Registry};
-use batchzk_pipeline::{observe, RunStats};
+use batchzk_pipeline::{analysis, observe, RunStats};
 use batchzk_zkp::prove_batch_with;
 
 use super::backends::{backends_section, backends_study};
@@ -25,12 +25,7 @@ fn bench_section(
     stats: &RunStats,
 ) -> String {
     observe::record_run(registry, module, stats);
-    let analysis = batchzk_metrics::analyze(
-        gpu.step_events(),
-        gpu.kernel_events(),
-        &observe::stage_observations(&stats.stage_stats),
-        MODULE_THREADS,
-    );
+    let analysis = analysis::analyze(gpu, stats, MODULE_THREADS);
     // Exact nearest-rank quantiles over the integer per-proof latencies —
     // not the histogram's bucketed estimate — since the raw spans are in
     // hand here.

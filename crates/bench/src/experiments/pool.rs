@@ -4,9 +4,7 @@
 
 use batchzk_field::Fr;
 use batchzk_gpu_sim::{DevicePool, DeviceProfile, FaultPlan};
-use batchzk_metrics::{
-    analyze_pool, analyze_recovery, DeviceObservation, PoolAnalysis, RecoveryAnalysis,
-};
+use batchzk_pipeline::analysis::{analyze_pool, analyze_recovery, PoolAnalysis, RecoveryAnalysis};
 use batchzk_pipeline::{PipelineError, ShardPolicy};
 use batchzk_zkp::{prove_batch_pool_with, BackendPoolRun, SpartanBackend};
 
@@ -61,18 +59,8 @@ pub(super) fn scaling_point(
 ) -> ScalingPoint {
     let mut pool = DevicePool::homogeneous(profile.clone(), devices);
     let run = prove_across(&mut pool, circuit, batch).expect("fits");
-    let obs: Vec<DeviceObservation> = run
-        .device_stats
-        .iter()
-        .enumerate()
-        .map(|(i, s)| DeviceObservation {
-            name: format!("{} #{i}", profile.name),
-            tasks: s.tasks as u64,
-            elapsed_ms: run.device_ms[i],
-            mean_utilization: s.mean_utilization,
-        })
-        .collect();
-    let analysis = analyze_pool(&obs, Some(baseline_ms.unwrap_or(run.makespan_ms)));
+    let baseline_ms = baseline_ms.unwrap_or(run.makespan_ms);
+    let analysis = analyze_pool(&run.pool_run(&pool), Some(baseline_ms));
     ScalingPoint {
         makespan_ms: run.makespan_ms,
         throughput_per_ms: run.throughput_per_ms(),
@@ -169,25 +157,13 @@ pub(super) fn recovery_study(
         prove_across(&mut pool, &circuit, scale.scaling_batch)
     };
     let clean = run_pool(None).expect("fits");
-    let outcome = |name, plan: &FaultPlan, run: BackendPoolRun<SpartanBackend<Fr>>| {
-        let (failed, replayed, rounds) = run
-            .recovery
-            .as_ref()
-            .map(|r| (r.failed_devices.len(), r.replayed_tasks, r.replay_rounds))
-            .unwrap_or((0, 0, 0));
-        RecoveryOutcome {
+    let outcome =
+        |name, plan: &FaultPlan, run: BackendPoolRun<SpartanBackend<Fr>>| RecoveryOutcome {
             name,
             spec: plan.spec(),
-            analysis: analyze_recovery(
-                clean.makespan_ms,
-                run.makespan_ms,
-                failed,
-                replayed,
-                rounds,
-            ),
+            analysis: analyze_recovery(clean.makespan_ms, run.makespan_ms, run.recovery.as_ref()),
             proofs_identical: run.proofs == clean.proofs,
-        }
-    };
+        };
     // Strike device 1 halfway through its fault-free share: the canonical
     // mid-batch fail-stop.
     let mid = clean.device_stats[1].total_cycles / 2;

@@ -7,7 +7,7 @@
 use batchzk_field::Fr;
 use batchzk_gpu_sim::{Arrival, ArrivalPlan, DevicePool, DeviceProfile, Gpu, TraceLevel};
 use batchzk_metrics::registry::{escape_json, format_f64, join_json};
-use batchzk_metrics::{analyze_service, ServiceClassObservation};
+use batchzk_pipeline::analysis::analyze_service;
 use batchzk_pipeline::{ClassPolicy, ClassReport, PriorityClass, ServiceConfig, ServiceOutcome};
 use batchzk_zkp::batch::BatchTask;
 use batchzk_zkp::{prove_batch_with, prove_service_with, ProverBackend, BACKEND_NAMES};
@@ -194,24 +194,6 @@ pub(super) fn sumcheck_study(
     )
 }
 
-/// Folds one replay outcome's per-class reports into the analyzer's
-/// observation shape.
-fn service_observations<T>(o: &ServiceOutcome<T>) -> Vec<ServiceClassObservation> {
-    o.reports
-        .iter()
-        .map(|r| ServiceClassObservation {
-            class: r.class.name().into(),
-            slo_cycles: r.slo_cycles,
-            submitted: r.submitted,
-            accepted: r.accepted,
-            rejected: r.rejected_queue_full + r.rejected_saturated,
-            completed: r.completed,
-            within_slo: r.within_slo,
-            latency_p99_cycles: r.latency_p99_cycles,
-        })
-        .collect()
-}
-
 /// One pool size's `### N devices` heading and per-class SLO table.
 fn class_table<T>(p: &ServicePoint<T>) -> String {
     let mut out = format!(
@@ -330,7 +312,7 @@ pub fn serve(scale: &Scale, plan: &ArrivalPlan) -> Result<String, String> {
         SLO_INTERVALS[2],
     );
     for p in &study.points {
-        let analysis = analyze_service(&service_observations(&p.outcome));
+        let analysis = analyze_service(&p.outcome.reports);
         out.push_str(&class_table(p));
         out.push_str(&format!(
             "\nGoodput {:.3} within-SLO proofs/Mcycle; overall rejection rate {:.1}%.\n\n```\n{}```\n",
@@ -354,7 +336,7 @@ pub(super) fn service_section(scale: &Scale, study: &ServiceStudy<BatchTask<Fr>>
                 &format!(",\"rejection_rate\":{}", format_f64(r.rejection_rate())),
             )
         });
-        let analysis = analyze_service(&service_observations(o));
+        let analysis = analyze_service(&o.reports);
         format!(
             "{{\"devices\":{},\"classes\":[{}],\"goodput_per_mcycle\":{},\
              \"rejection_rate\":{},\"analysis\":{}}}",

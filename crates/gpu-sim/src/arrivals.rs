@@ -156,61 +156,6 @@ impl ArrivalPlan {
         self
     }
 
-    /// Adds a seeded Poisson segment: `count` arrivals of `class` from
-    /// `start_cycle` with mean inter-arrival gap `mean_gap` cycles. As in
-    /// the spec grammar, `class` may carry a `/<backend>` suffix.
-    pub fn poisson(
-        mut self,
-        class: &str,
-        start_cycle: u64,
-        mean_gap: u64,
-        count: u32,
-        seed: u64,
-    ) -> Self {
-        let (class, backend) = split_token(class);
-        self.segments.push(ArrivalSegment {
-            class,
-            backend,
-            start_cycle,
-            kind: ArrivalKind::Poisson {
-                mean_gap,
-                count,
-                seed,
-            },
-        });
-        self
-    }
-
-    /// Adds a bursty on/off segment: Poisson arrivals of `class` gated by
-    /// `on`-cycle active windows separated by `off`-cycle silences. As in
-    /// the spec grammar, `class` may carry a `/<backend>` suffix.
-    #[allow(clippy::too_many_arguments)]
-    pub fn onoff(
-        mut self,
-        class: &str,
-        start_cycle: u64,
-        mean_gap: u64,
-        count: u32,
-        seed: u64,
-        on: u64,
-        off: u64,
-    ) -> Self {
-        let (class, backend) = split_token(class);
-        self.segments.push(ArrivalSegment {
-            class,
-            backend,
-            start_cycle,
-            kind: ArrivalKind::OnOff {
-                mean_gap,
-                count,
-                seed,
-                on,
-                off,
-            },
-        });
-        self
-    }
-
     /// The segments, in insertion order.
     pub fn segments(&self) -> &[ArrivalSegment] {
         &self.segments
@@ -475,7 +420,7 @@ mod tests {
 
     #[test]
     fn poisson_mean_gap_is_close() {
-        let plan = ArrivalPlan::new().poisson("standard", 0, 10_000, 4000, 42);
+        let plan = ArrivalPlan::parse("standard@0:poisson:10000:4000:42").unwrap();
         let arrivals = plan.expand();
         assert_eq!(arrivals.len(), 4000);
         let last = arrivals.last().unwrap().at_cycle;
@@ -489,7 +434,7 @@ mod tests {
     #[test]
     fn onoff_arrivals_respect_duty_cycle() {
         let (on, off) = (5_000u64, 20_000u64);
-        let plan = ArrivalPlan::new().onoff("bulk", 1_000, 500, 64, 3, on, off);
+        let plan = ArrivalPlan::parse(&format!("bulk@1000:onoff:500:64:3:{on}:{off}")).unwrap();
         for a in plan.expand() {
             let phase = (a.at_cycle - 1_000) % (on + off);
             assert!(phase <= on, "arrival at phase {phase} inside off window");
@@ -498,16 +443,16 @@ mod tests {
 
     #[test]
     fn spec_round_trips() {
-        let plan = ArrivalPlan::new()
-            .one("interactive", 17)
-            .poisson("standard", 0, 9_000, 32, 11)
-            .onoff("bulk", 250_000, 2_000, 64, 12, 40_000, 80_000);
+        let plan = ArrivalPlan::parse(
+            "interactive@17:one, standard@0:poisson:9000:32:11, \
+             bulk@250000:onoff:2000:64:12:40000:80000",
+        )
+        .unwrap();
         let spec = plan.spec();
         assert_eq!(
             spec,
             "interactive@17:one,standard@0:poisson:9000:32:11,\
              bulk@250000:onoff:2000:64:12:40000:80000"
-                .replace(" ", "")
         );
         let reparsed = ArrivalPlan::parse(&spec).unwrap();
         assert_eq!(reparsed, plan);

@@ -172,11 +172,6 @@ impl MerklePath {
         self.index
     }
 
-    /// The sibling digests, leaf layer first.
-    pub fn siblings(&self) -> &[Digest] {
-        &self.siblings
-    }
-
     /// Recomputes the root from the leaf and siblings and compares.
     pub fn verify(&self, root: &Digest) -> bool {
         let mut acc = self.leaf;
@@ -420,7 +415,7 @@ mod tests {
         let tree = MerkleTree::from_blocks(&blocks(1));
         assert_eq!(tree.depth(), 1);
         let path = tree.open(0);
-        assert!(path.siblings().is_empty());
+        assert!(path.siblings.is_empty());
         assert!(path.verify(&tree.root()));
         assert_eq!(tree.root(), tree.leaf(0));
     }

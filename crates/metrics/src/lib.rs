@@ -3,13 +3,14 @@
 //! Service-level observability for the BatchZK reproduction: a
 //! deterministic, dependency-free metrics [`Registry`] (counters, gauges,
 //! log₂-bucketed histograms with p50/p95/p99), per-proof lifecycle
-//! [`Span`]s in simulated device cycles, a trace-driven bottleneck
-//! [`analysis`] that names the throughput-limiting stage of a pipelined
-//! run and suggests a work-proportional thread reallocation, a windowed
-//! flight-recorder [`timeline`] (fixed-width cycle windows with bounded
-//! 2:1 downsampling), and a deterministic [`alerts`] engine that
-//! evaluates declarative SLO rules window-by-window into an ordered
-//! fire/resolve log.
+//! [`Span`]s in simulated device cycles, a windowed flight-recorder
+//! [`timeline`] (fixed-width cycle windows with bounded 2:1
+//! downsampling), and a deterministic [`alerts`] engine that evaluates
+//! declarative SLO rules window-by-window into an ordered fire/resolve
+//! log. The analyzers that judge a finished run (its limiting stage and
+//! thread advice, a pool's balance, a recovery's overhead, a service's
+//! SLO health) live next to the run types, in `batchzk-pipeline`'s
+//! `analysis` module.
 //!
 //! The PR 1 trace layer (`batchzk-gpu-sim`'s `TraceLevel` recorder)
 //! answers *where cycles go inside one run*; this crate answers what the
@@ -42,17 +43,11 @@
 #![deny(missing_docs)]
 
 pub mod alerts;
-pub mod analysis;
 pub mod registry;
 pub mod span;
 pub mod timeline;
 
 pub use alerts::{evaluate, AlertEvent, AlertKind, AlertLog, AlertRule};
-pub use analysis::{
-    analyze, analyze_pool, analyze_recovery, analyze_service, BoundShare, DeviceObservation,
-    DeviceVerdict, PoolAnalysis, RecoveryAnalysis, RunAnalysis, ServiceAnalysis,
-    ServiceClassObservation, ServiceClassVerdict, StageAdvice, StageObservation,
-};
 pub use registry::{Histogram, MetricId, Registry, HISTOGRAM_BUCKETS};
 pub use span::{Span, StageSpan};
 pub use timeline::{nearest_rank, ClassWindow, DeviceWindow, Timeline, TimelineConfig, Window};

@@ -155,7 +155,7 @@ impl std::error::Error for PipelineError {}
 /// * `busy + imbalance_stall + memory_stall == occupied_cycles`
 /// * `occupied_cycles + fill_cycles + idle_cycles + drain_cycles ==`
 ///   the run's `total_cycles`
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StageStats {
     /// Kernel/stage name.
     pub name: String,
@@ -188,7 +188,7 @@ pub struct StageStats {
 }
 
 /// Aggregate results of a pipeline run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunStats {
     /// Total device cycles from first load to last drain.
     pub total_cycles: u64,

@@ -35,10 +35,14 @@
 //!   admission control that sheds load with a reject reason when the
 //!   pool saturates;
 //! * [`observe`] — folds finished runs (and OOM/fault failures) into a
-//!   `batchzk-metrics` registry under a stable metric schema.
+//!   `batchzk-metrics` registry under a stable metric schema;
+//! * [`analysis`] — judges finished runs: the stage that bounds a run and
+//!   a work-proportional thread reallocation (§4), a pool run's balance
+//!   and scaling, a recovered run's overhead, a service run's SLO health.
 
 #![deny(missing_docs)]
 
+pub mod analysis;
 pub mod encoder;
 pub mod engine;
 pub mod groth;

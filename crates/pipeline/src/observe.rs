@@ -50,11 +50,11 @@
 //! | `batchzk_service_rejection_rate` | gauge | `module` | | |
 //! | `batchzk_service_goodput_per_mcycle` | gauge | `module` | | |
 
-use crate::engine::{PipelineError, RunStats, StageStats};
+use crate::engine::{PipelineError, RunStats};
 use crate::sched::{self, RecoveryReport};
 use crate::service::{meets_slo, PriorityClass, RejectReason, ServiceConfig, ServiceOutcome};
 use batchzk_gpu_sim::{CounterTrack, DevicePool};
-use batchzk_metrics::{AlertKind, AlertRule, Registry, StageObservation, Timeline};
+use batchzk_metrics::{AlertKind, AlertRule, Registry, Timeline};
 use RunValue::*;
 
 /// The figure of a run that a run family records.
@@ -503,20 +503,6 @@ pub fn timeline_counter_tracks(timeline: &Timeline) -> Vec<CounterTrack> {
             &starts,
         ),
     ]
-}
-
-/// Converts per-stage run statistics into the analyzer's input form.
-pub fn stage_observations(stage_stats: &[StageStats]) -> Vec<StageObservation> {
-    stage_stats
-        .iter()
-        .map(|s| StageObservation {
-            name: s.name.clone(),
-            threads: s.threads,
-            tasks: s.tasks,
-            busy_cycles: s.busy_cycles,
-            occupied_cycles: s.occupied_cycles,
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -1162,19 +1148,5 @@ mod tests {
             }
         }
         assert_eq!(recorded, stated);
-    }
-
-    #[test]
-    fn stage_observations_mirror_stage_stats() {
-        let mut gpu = Gpu::new(DeviceProfile::v100());
-        let run = merkle::run_pipelined(&mut gpu, trees(4, 16), 512, true).expect("fits");
-        let obs = stage_observations(&run.stats.stage_stats);
-        assert_eq!(obs.len(), run.stats.stage_stats.len());
-        for (o, s) in obs.iter().zip(&run.stats.stage_stats) {
-            assert_eq!(o.name, s.name);
-            assert_eq!(o.threads, s.threads);
-            assert_eq!(o.busy_cycles, s.busy_cycles);
-            assert_eq!(o.occupied_cycles, s.occupied_cycles);
-        }
     }
 }

@@ -158,7 +158,7 @@ impl ServiceConfig {
     ///
     /// Returns a human-readable message naming the zero field — callers
     /// surface this instead of panicking on zero-capacity inputs.
-    pub fn validate(&self) -> Result<(), String> {
+    fn validate(&self) -> Result<(), String> {
         for (class, policy) in PriorityClass::ALL.iter().zip(&self.classes) {
             if policy.queue_cap == 0 {
                 return Err(format!("class `{class}` has zero queue capacity"));
@@ -453,8 +453,8 @@ fn sample_timeline<T: Send>(
 ///
 /// # Errors
 ///
-/// [`ServiceError::InvalidInput`] when the config fails
-/// [`ServiceConfig::validate`], the pool is empty, the pool mixes device
+/// [`ServiceError::InvalidInput`] when a capacity or SLO of the config is
+/// zero, the pool is empty, the pool mixes device
 /// clock rates (the virtual time base would be incoherent), or a request
 /// arrives after [`MAX_ARRIVAL_CYCLE`].
 /// [`ServiceError::Pipeline`] propagates the first device-side failure;

@@ -3,25 +3,33 @@
 //! The sum-check protocol (§2.3 of the paper): multilinear polynomials over
 //! the Boolean hypercube, the paper's Algorithm 1 prover with explicit
 //! randomness (the oracle for the pipelined GPU module), and Fiat–Shamir
-//! sum-checks of degree 1–3 used by the Spartan/Brakedown-style SNARK in
+//! sum-checks of degree 2 and 3 used by the Spartan/Brakedown-style SNARK in
 //! `batchzk-zkp`.
 //!
 //! # Examples
 //!
 //! ```
-//! use batchzk_sumcheck::{MultilinearPoly, prove_linear, verify_rounds};
+//! use batchzk_sumcheck::{eq_eval, prove_cubic, verify_rounds, MultilinearPoly};
 //! use batchzk_field::{Field, Fr};
 //! use batchzk_hash::Transcript;
 //!
-//! let p = MultilinearPoly::new((0..8u64).map(Fr::from).collect());
-//! let claim = p.hypercube_sum();
+//! // d = a∘c on the hypercube, so Σ_b eq(τ, b)·(a(b)·c(b) − d(b)) = 0.
+//! let a: Vec<Fr> = (1..=8u64).map(Fr::from).collect();
+//! let c: Vec<Fr> = (11..=18u64).map(Fr::from).collect();
+//! let d: Vec<Fr> = a.iter().zip(&c).map(|(x, y)| *x * *y).collect();
+//! let tau = [Fr::from(3u64), Fr::from(5u64), Fr::from(7u64)];
 //!
+//! let [mut ta, mut tc, mut td] = [a.clone(), c, d];
+//! let mut levels = vec![Fr::ZERO; 8];
 //! let mut pt = Transcript::new(b"doc");
-//! let out = prove_linear(p.clone(), &mut pt);
+//! let out = prove_cubic(&tau, [&mut ta, &mut tc, &mut td], &mut levels, &mut pt);
 //!
 //! let mut vt = Transcript::new(b"doc");
-//! let (final_claim, _rs) = verify_rounds(claim, &out.proof, 1, &mut vt).unwrap();
-//! assert_eq!(p.evaluate(&out.point()), final_claim);
+//! let (final_claim, _rs) = verify_rounds(Fr::ZERO, &out.proof, 3, &mut vt).unwrap();
+//! let [av, cv, dv] = [out.final_evals[0], out.final_evals[1], out.final_evals[2]];
+//! let point = out.point();
+//! assert_eq!(final_claim, eq_eval(&tau, &point) * (av * cv - dv));
+//! assert_eq!(MultilinearPoly::new(a).evaluate(&point), av);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -35,7 +43,7 @@ mod prove;
 mod rounds;
 
 pub use poly::{eq_eval, eq_table, eq_table_prefix, eq_table_prefix_into, MultilinearPoly};
-pub use prove::{prove_cubic, prove_linear, prove_quadratic_halves, ProverOutput};
+pub use prove::{prove_cubic, prove_quadratic_halves, ProverOutput};
 pub use rounds::{prover_round_challenge, verify_rounds, SumcheckProof};
 
 #[cfg(test)]
@@ -78,19 +86,6 @@ mod randomized_tests {
             let h: Fr = table.iter().copied().sum();
             let proof = algorithm1::prove(&mut table, &rs);
             assert!(algorithm1::verify(h + delta, &proof, &rs).is_none());
-        }
-    }
-
-    #[test]
-    fn fs_linear_complete() {
-        let mut rng = SplitMix64::seed_from_u64(0xD2);
-        for _ in 0..24 {
-            let p = MultilinearPoly::new(table(&mut rng, 5));
-            let mut pt = Transcript::new(b"prop");
-            let out = prove_linear(p.clone(), &mut pt);
-            let mut vt = Transcript::new(b"prop");
-            let (fc, _) = verify_rounds(p.hypercube_sum(), &out.proof, 1, &mut vt).unwrap();
-            assert_eq!(p.evaluate(&out.point()), fc);
         }
     }
 

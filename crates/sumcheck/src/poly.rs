@@ -64,11 +64,6 @@ impl<F: Field> MultilinearPoly<F> {
         self.evals
     }
 
-    /// Sum of all hypercube evaluations — the `H` of the sum-check claim.
-    pub fn hypercube_sum(&self) -> F {
-        self.evals.iter().copied().sum()
-    }
-
     /// Evaluates at an arbitrary point `(x_1, ..., x_n)`.
     ///
     /// # Panics
@@ -307,7 +302,7 @@ mod tests {
     #[test]
     fn zero_poly() {
         let p = MultilinearPoly::<Fr>::zero(3);
-        assert_eq!(p.hypercube_sum(), Fr::ZERO);
+        assert!(p.evals().iter().all(|e| e.is_zero()));
         assert_eq!(p.evaluate(&[Fr::from(9u64); 3]), Fr::ZERO);
     }
 

@@ -1,12 +1,14 @@
 //! Fiat–Shamir sum-check provers for the polynomial shapes the SNARK needs:
-//! plain multilinear (degree 1), products of two multilinears (degree 2),
-//! and the Spartan core `eq·(a·b - c)` (degree 3) — each its tables and an
-//! optional `eq` point handed to the one round loop, [`prove_rounds`].
+//! products of two multilinears over the live prefixes of their halves
+//! (degree 2, [`prove_quadratic_halves`]) and the Spartan core
+//! `eq·(a·b - c)` from the point `τ` itself (degree 3, [`prove_cubic`]).
 
 use batchzk_field::Field;
 use batchzk_hash::Transcript;
 
-use crate::poly::{eq_prefix_tables, MultilinearPoly};
+use crate::poly::eq_prefix_tables;
+#[cfg(test)]
+use crate::poly::MultilinearPoly;
 use crate::rounds::{prover_round_challenge, SumcheckProof};
 
 /// Output of a prover run: the proof, the challenge vector in round order,
@@ -30,117 +32,9 @@ impl<F: Field> ProverOutput<F> {
     }
 }
 
-/// The round loop behind [`prove_linear`] and [`prove_cubic`], folding each
-/// of its `T` tables (`2^n` entries each) in place.
-///
-/// It sums `Σ_b w(b)·p(t_1(b), …, t_T(b))`: `p = t_1` for one table (degree
-/// 1), `p = x·y − z` for three (degree 2), the shape
-/// [`Field::product_round_sums`] sums; the weight `w = eq(τ, ·)` when `eq`
-/// holds `τ` (with the `max(2, 2^n)` entries its prefix levels are built
-/// into), else 1.
-///
-/// A round's polynomial is `g(X) = L(X)·s(X)`: `s(X) = Σ_b w(b)·p(X, b)`
-/// sums the pairs under the `eq` weights of the variables still free, and
-/// the linear `L` is the `eq` factor `l` of the variable being bound times
-/// that of the variables already bound (`L ≡ 1` without an `eq`). The loop
-/// sums only `s(0)` and the leading coefficient `s(∞)`. `s(1)` follows from
-/// the previous round: `s_prev(r) = l(0)·s(0) + l(1)·s(1)` as polynomials,
-/// both sides summing the same partially bound tables — except in round 1
-/// and where `l(1) = τ_j` is zero, which sum `s(1)` directly. `s(2), s(3)`
-/// extend by differences (the second difference is `2·s(∞)`) and
-/// `g(k) = L(k)·s(k)`. Every step is exact arithmetic on canonical
-/// elements, so the rounds are the bytes a per-`X` evaluation of the full
-/// product gives, whatever the tables sum to.
-fn prove_rounds<F: Field, const T: usize>(
-    eq: Option<(&[F], &mut [F])>,
-    mut tables: [&mut [F]; T],
-    transcript: &mut Transcript,
-) -> ProverOutput<F> {
-    let len = tables[0].len();
-    let same_vars = len.is_power_of_two() && tables.iter().all(|t| t.len() == len);
-    assert!(same_vars, "variable count mismatch");
-    let n = len.trailing_zeros() as usize;
-    // With an `eq` factor: 1/τ_j (zero where τ_j is) and the weight tables.
-    let eq = eq.map(|(tau, levels)| {
-        assert_eq!(tau.len(), n, "variable count mismatch");
-        let mut inverses = tau.to_vec();
-        F::batch_invert(&mut inverses);
-        eq_prefix_tables(tau, levels);
-        (tau, inverses, &*levels)
-    });
-    // `p` is of degree 1 in one table's values, 2 in a product's.
-    let degree = T.min(2) + usize::from(eq.is_some());
-    let mut rounds = Vec::with_capacity(n);
-    let mut rs = Vec::with_capacity(n);
-    // `s_prev(r)`, once a round has been sent.
-    let mut claim = None;
-    // The `eq` factor of the variables bound so far.
-    let mut bound = F::ONE;
-    for var in (0..n).rev() {
-        let half = 1usize << var;
-        let (l0, l1, l1_inv, weights) = match &eq {
-            Some((tau, inv, levels)) => {
-                let weights = &levels[half..2 * half];
-                (F::ONE - tau[var], tau[var], inv[var], Some(weights))
-            }
-            None => (F::ONE, F::ONE, F::ONE, None),
-        };
-        let known = claim.filter(|_| !l1_inv.is_zero());
-        let direct = known.is_none();
-        let halves = tables.each_ref().map(|t| {
-            let (lo, hi) = t[..2 * half].split_at(half);
-            [lo, hi]
-        });
-        let [s0, summed, top] = match halves.as_slice() {
-            [[lo, hi]] => {
-                let sum = |h: &[F]| h.iter().copied().sum();
-                [sum(lo), if direct { sum(hi) } else { F::ZERO }, F::ZERO]
-            }
-            [x, y, z] => F::product_round_sums(*x, *y, Some(*z), weights, direct),
-            _ => unreachable!("the provers pass one or three tables"),
-        };
-        let s1 = known.map_or(summed, |claim| (claim - l0 * s0) * l1_inv);
-
-        let mut round = vec![s0, s1];
-        let (mut diff, second) = (s1 - s0, top.double());
-        for k in 2..=degree {
-            diff += second;
-            round.push(round[k - 1] + diff);
-        }
-        let (mut l, step) = (bound * l0, bound * (l1 - l0));
-        for g in &mut round {
-            *g *= l;
-            l += step;
-        }
-        let r = prover_round_challenge(&round, transcript);
-        claim = Some(next_claim([s0, s1, top], r));
-        bound *= l0 + r * (l1 - l0);
-        for t in &mut tables {
-            let (lo, hi) = t[..2 * half].split_at_mut(half);
-            F::fold_halves(lo, hi, r);
-        }
-        rounds.push(round);
-        rs.push(r);
-    }
-    ProverOutput {
-        proof: SumcheckProof { rounds },
-        rs,
-        final_evals: tables.iter().map(|t| t[0]).collect(),
-    }
-}
-
 /// `s(r)` from `[s(0), s(1), s(∞)]`: the claim the next round's sums meet.
 fn next_claim<F: Field>([s0, s1, top]: [F; 3], r: F) -> F {
     s0 + r * (s1 - s0 + top * (r - F::ONE))
-}
-
-/// Proves `H = Σ_b p(b)` for a single multilinear polynomial (degree-1
-/// rounds). Equivalent to Algorithm 1 with transcript-derived randomness.
-pub fn prove_linear<F: Field>(
-    poly: MultilinearPoly<F>,
-    transcript: &mut Transcript,
-) -> ProverOutput<F> {
-    prove_rounds(None, [&mut poly.into_evals()], transcript)
 }
 
 /// Proves `H = Σ_b f(b)·g(b)` (degree-2 rounds, evaluations at X ∈ {0,1,2}),
@@ -309,17 +203,84 @@ fn fold_round<'a, F: Field>(
 ///
 /// The `final_evals` are `[a, c, d]` at the bound point.
 ///
+/// A round's polynomial is `g(X) = L(X)·s(X)`: `s(X) = Σ_b w(b)·(x·y −
+/// z)(X, b)`, the shape [`Field::product_round_sums`] sums, weighs the
+/// pairs with the `eq` weights `w` of the variables still free, and the
+/// linear `L` is the `eq` factor `l` of the variable being bound times
+/// that of the variables already bound. The loop sums only `s(0)` and the
+/// leading coefficient `s(∞)`. `s(1)` follows from the previous round:
+/// `s_prev(r) = l(0)·s(0) + l(1)·s(1)` as polynomials, both sides summing
+/// the same partially bound tables — except in round 1 and where
+/// `l(1) = τ_j` is zero, which sum `s(1)` directly. `s(2), s(3)` extend by
+/// differences (the second difference is `2·s(∞)`) and `g(k) = L(k)·s(k)`.
+/// Every step is exact arithmetic on canonical elements, so the rounds are
+/// the bytes a per-`X` evaluation of the full product gives, whatever the
+/// tables sum to.
+///
 /// # Panics
 ///
 /// Panics if the tables' lengths are not `2^tau.len()` or `levels` is not
 /// `max(2, 2^tau.len())` entries.
 pub fn prove_cubic<F: Field>(
     tau: &[F],
-    tables: [&mut [F]; 3],
+    mut tables: [&mut [F]; 3],
     levels: &mut [F],
     transcript: &mut Transcript,
 ) -> ProverOutput<F> {
-    prove_rounds(Some((tau, levels)), tables, transcript)
+    let len = tables[0].len();
+    let same_vars = len.is_power_of_two() && tables.iter().all(|t| t.len() == len);
+    assert!(same_vars, "variable count mismatch");
+    let n = len.trailing_zeros() as usize;
+    assert_eq!(tau.len(), n, "variable count mismatch");
+    // 1/τ_j (zero where τ_j is) and the weight tables.
+    let mut inverses = tau.to_vec();
+    F::batch_invert(&mut inverses);
+    eq_prefix_tables(tau, levels);
+    let mut rounds = Vec::with_capacity(n);
+    let mut rs = Vec::with_capacity(n);
+    // `s_prev(r)`, once a round has been sent.
+    let mut claim = None;
+    // The `eq` factor of the variables bound so far.
+    let mut bound = F::ONE;
+    for var in (0..n).rev() {
+        let half = 1usize << var;
+        let (l0, l1) = (F::ONE - tau[var], tau[var]);
+        let weights = &levels[half..2 * half];
+        let known = claim.filter(|_| !inverses[var].is_zero());
+        let direct = known.is_none();
+        let [x, y, z] = tables.each_ref().map(|t| {
+            let (lo, hi) = t[..2 * half].split_at(half);
+            [lo, hi]
+        });
+        let [s0, summed, top] = F::product_round_sums(x, y, Some(z), Some(weights), direct);
+        let s1 = known.map_or(summed, |claim| (claim - l0 * s0) * inverses[var]);
+
+        let mut round = vec![s0, s1];
+        let (mut diff, second) = (s1 - s0, top.double());
+        for k in 2..=3 {
+            diff += second;
+            round.push(round[k - 1] + diff);
+        }
+        let (mut l, step) = (bound * l0, bound * (l1 - l0));
+        for g in &mut round {
+            *g *= l;
+            l += step;
+        }
+        let r = prover_round_challenge(&round, transcript);
+        claim = Some(next_claim([s0, s1, top], r));
+        bound *= l0 + r * (l1 - l0);
+        for t in &mut tables {
+            let (lo, hi) = t[..2 * half].split_at_mut(half);
+            F::fold_halves(lo, hi, r);
+        }
+        rounds.push(round);
+        rs.push(r);
+    }
+    ProverOutput {
+        proof: SumcheckProof { rounds },
+        rs,
+        final_evals: tables.iter().map(|t| t[0]).collect(),
+    }
 }
 
 #[cfg(test)]
@@ -438,11 +399,6 @@ mod tests {
                 let case = format!("n={n} rep={rep}");
                 // Random tables: the round-1 claim is a random non-zero sum.
                 let [a, c, d] = rand_tables::<Fr, 3>(n, &mut rng);
-                assert_same(
-                    |t| prove_linear(a.clone(), t),
-                    |t| oracle([a.clone()], 1, t, |[p]| p),
-                    &format!("linear {case}"),
-                );
                 assert_same(
                     |t| prove_quadratic(a.clone(), c.clone(), t),
                     |t| oracle([a.clone(), c.clone()], 2, t, |[f, g]| f * g),
@@ -614,12 +570,6 @@ mod tests {
         for n in 1..=12 {
             let [a, c, d] = rand_tables::<Fr, 3>(n, &mut rng);
             same(
-                [a.clone()],
-                |t, [p]| prove_linear(p, t),
-                |t, [p]| prove_linear(p, t),
-                &format!("linear n={n}"),
-            );
-            same(
                 [a.clone(), c.clone()],
                 |t, [f, g]| prove_quadratic(f, g, t),
                 |t, [f, g]| prove_quadratic(f, g, t),
@@ -689,8 +639,8 @@ mod tests {
         // The regression gate for hosts where wall-clock cannot fire. Per
         // pair and round, full multiplies / deferred products: sum-check #1
         // spends 2 / 2 on s(0), s(∞) and 3 / 0 on the fold; sum-check #2
-        // 0 / 2 and 2 / 0; the linear prover (which adds) 0 / 0 and 1 / 0.
-        // Round 1 sums s(1) directly: 1 / 1 (resp. 0 / 1) more per pair
+        // 0 / 2 and 2 / 0. Round 1 sums s(1) directly: 1 / 1 (resp. 0 / 1)
+        // more per pair
         // (`product_round_sums_scalar`, which `Counted` runs). Outside the pair
         // loops a round costs `ROUND` multiplies plus one per evaluation it
         // sends, and the `eq` factor one `batch_invert` of τ plus its prefix
@@ -702,10 +652,6 @@ mod tests {
         let [a, c, d] = rand_tables::<Counted, 3>(n as usize, &mut rng);
         let tau: Vec<Counted> = (0..n).map(|_| Counted::random(&mut rng)).collect();
         let mut t = Transcript::new(b"count");
-
-        let (_, muls) = count_muls(|| prove_linear(a.clone(), &mut t));
-        assert!(muls.full - n * (ROUND + 2) <= pairs, "linear {muls:?}");
-        assert!(muls.deferred <= pairs + first, "linear {muls:?}");
 
         let (_, muls) = count_muls(|| prove_quadratic(a.clone(), c.clone(), &mut t));
         assert!(
@@ -719,22 +665,6 @@ mod tests {
         let in_loops = muls.full - n * (ROUND + 4) - invert.full;
         assert!(in_loops <= 5 * pairs + first + first, "cubic {muls:?}");
         assert!(muls.deferred <= 2 * pairs + first, "cubic {muls:?}");
-    }
-
-    #[test]
-    fn linear_roundtrip() {
-        let mut rng = Prg::seed_from_u64(1);
-        for n in 1..=8 {
-            let p = rand_poly(n, &mut rng);
-            let h = p.hypercube_sum();
-            let mut pt = Transcript::new(b"lin");
-            let out = prove_linear(p.clone(), &mut pt);
-            let mut vt = Transcript::new(b"lin");
-            let (fc, rs) = verify_rounds(h, &out.proof, 1, &mut vt).expect("verifies");
-            assert_eq!(rs, out.rs);
-            assert_eq!(fc, out.final_evals[0]);
-            assert_eq!(p.evaluate(&out.point()), fc, "n={n}");
-        }
     }
 
     #[test]
@@ -815,14 +745,15 @@ mod tests {
         // Verifying under a different domain must fail the final oracle
         // check (challenges diverge).
         let mut rng = Prg::seed_from_u64(6);
-        let p = rand_poly(5, &mut rng);
-        let h = p.hypercube_sum();
+        let f = rand_poly(5, &mut rng);
+        let g = rand_poly(5, &mut rng);
+        let h: Fr = f.evals().iter().zip(g.evals()).map(|(a, b)| *a * *b).sum();
         let mut pt = Transcript::new(b"domain-a");
-        let out = prove_linear(p.clone(), &mut pt);
+        let out = prove_quadratic(f.clone(), g.clone(), &mut pt);
         let mut vt = Transcript::new(b"domain-b");
-        if let Some((fc, rs)) = verify_rounds(h, &out.proof, 1, &mut vt) {
+        if let Some((fc, rs)) = verify_rounds(h, &out.proof, 2, &mut vt) {
             let point: Vec<Fr> = rs.iter().rev().copied().collect();
-            assert_ne!(p.evaluate(&point), fc);
+            assert_ne!(f.evaluate(&point) * g.evaluate(&point), fc);
         }
     }
 }

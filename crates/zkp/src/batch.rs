@@ -413,6 +413,18 @@ impl<B: ProverBackend> BackendPoolRun<B> {
     pub fn imbalance(&self) -> f64 {
         sched::imbalance(self.makespan_ms, &self.device_ms)
     }
+
+    /// The run as the metrics recorder and the pool analyzer read it,
+    /// beside `pool`, the pool it ran on.
+    pub fn pool_run<'a>(&'a self, pool: &'a DevicePool) -> observe::PoolRun<'a> {
+        observe::PoolRun {
+            device_stats: &self.device_stats,
+            device_ms: &self.device_ms,
+            makespan_ms: self.makespan_ms,
+            recovery: self.recovery.as_ref(),
+            pool,
+        }
+    }
 }
 
 /// Folds the outcome of one [`prove_batch_pool_with`] call into `registry`
@@ -425,14 +437,11 @@ pub fn record_pool_outcome<B: ProverBackend>(
     pool: &DevicePool,
     outcome: &Result<BackendPoolRun<B>, PipelineError>,
 ) {
-    let outcome = outcome.as_ref().map(|run| observe::PoolRun {
-        device_stats: &run.device_stats,
-        device_ms: &run.device_ms,
-        makespan_ms: run.makespan_ms,
-        recovery: run.recovery.as_ref(),
-        pool,
-    });
-    observe::record_pool(registry, module, outcome);
+    observe::record_pool(
+        registry,
+        module,
+        outcome.as_ref().map(|run| run.pool_run(pool)),
+    );
 }
 
 /// Proves a batch of backend instances across a [`DevicePool`], placed by
@@ -605,6 +614,7 @@ mod tests {
     use crate::spartan::verify;
     use batchzk_field::Fr;
     use batchzk_gpu_sim::DeviceProfile;
+    use batchzk_pipeline::analysis::analyze_pool;
 
     fn test_params() -> PcsParams {
         PcsParams {
@@ -986,7 +996,8 @@ mod tests {
     /// maxima, which no single device's elapsed time need reach: here the
     /// device that dies is round 0's laggard and the other one replays.
     /// `record_pool_outcome` must report the run's makespan, not the
-    /// slowest device's time, beside the fault families and pool health.
+    /// slowest device's time, beside the fault families and pool health,
+    /// and the pool analyzer must judge the run by that makespan too.
     #[test]
     fn pool_gauges_use_the_runs_makespan_under_recovery() {
         use batchzk_gpu_sim::FaultPlan;
@@ -1038,6 +1049,10 @@ mod tests {
         );
         assert_eq!(gauge("batchzk_pool_failed_devices"), Some(1.0));
         assert_eq!(gauge("batchzk_pool_degraded_devices"), Some(0.0));
+
+        let analysis = analyze_pool(&run.pool_run(&pool), None);
+        assert_eq!(analysis.makespan_ms, run.makespan_ms);
+        assert_eq!(analysis.imbalance, run.imbalance());
     }
 
     /// A device that fail-stopped in one batch is not placed on in the

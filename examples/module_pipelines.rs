@@ -15,7 +15,8 @@ use batchzk::encoder::{Encoder, EncoderParams};
 use batchzk::field::{Field, Fr};
 use batchzk::gpu_sim::{DeviceProfile, Gpu, TraceLevel};
 use batchzk::hash::Prg;
-use batchzk::metrics::{analyze, Registry};
+use batchzk::metrics::Registry;
+use batchzk::pipeline::analysis::analyze;
 use batchzk::pipeline::{encoder as penc, merkle as pmerkle, observe, sumcheck as psum};
 
 fn main() {
@@ -78,12 +79,7 @@ fn main() {
             .unwrap_or(0),
         pp.lifecycles.len(),
     );
-    let analysis = analyze(
-        gpu.step_events(),
-        gpu.kernel_events(),
-        &observe::stage_observations(&pp.stage_stats),
-        threads,
-    );
+    let analysis = analyze(&gpu, pp, threads);
     for line in analysis.render_text().lines() {
         println!("  {line}");
     }

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use batchzk::field::Fr;
 use batchzk::gpu_sim::{DevicePool, DeviceProfile};
-use batchzk::metrics::{analyze_pool, DeviceObservation};
+use batchzk::pipeline::analysis::analyze_pool;
 use batchzk::pipeline::ShardPolicy;
 use batchzk::zkp::r1cs::synthetic_r1cs;
 use batchzk::zkp::{prove_batch_pool_with, verify, PcsParams, SpartanBackend};
@@ -60,18 +60,8 @@ fn main() {
             assert!(verify(&params, &r1cs, io, proof));
         }
 
-        let obs: Vec<DeviceObservation> = run
-            .device_stats
-            .iter()
-            .enumerate()
-            .map(|(i, s)| DeviceObservation {
-                name: format!("{} #{i}", profile.name),
-                tasks: s.tasks as u64,
-                elapsed_ms: run.device_ms[i],
-                mean_utilization: s.mean_utilization,
-            })
-            .collect();
-        let analysis = analyze_pool(&obs, Some(baseline_ms.unwrap_or(run.makespan_ms)));
+        let baseline = baseline_ms.unwrap_or(run.makespan_ms);
+        let analysis = analyze_pool(&run.pool_run(&pool), Some(baseline));
         if baseline_ms.is_none() {
             baseline_ms = Some(run.makespan_ms);
         }

@@ -10,8 +10,9 @@ to `--out` with the run's commit, role, workload, seed, trace flag and pair
 index, and three host facts: `host_lane_kernel`, `host_compress_kernel` and
 `host_hash_lanes_kernel`, the bodies this checkout's `field::lane_kernel()`,
 `hash::compress_kernel()` and `hash::lanes_kernel()` (sixteen messages at a
-time) pick on this host (read once from its `lanes` and `sha_blocks`
-examples). They record the CPU's capability, not what either
+time) pick on this host (read from the dispatch lines its `lanes` and
+`sha_blocks` examples print first; each example runs once, and is stopped as
+soon as those lines are read). They record the CPU's capability, not what either
 binary ran: a build that predates a hook runs its own portable loop
 whatever they read (a parent without the `fold_halves` / `scale` hooks,
 such as 38b81f83, folds and scales on the scalar loops). Each line also
@@ -30,8 +31,11 @@ at least 10) and its median beats the parent's by more than that spread,
 else `unresolved` with the test it missed: the rule a claimed gain must
 pass. A second line lists every `end_to_end`
 metric whose change median is worse than its parent median by more than
-the metric's `bound` (a fraction of the parent median), or says that all
-are within bound. Where the runs carry `host_minflt` and `host_sys_s`, a
+the metric's `bound` (a fraction of the parent median), and every other one
+that is `unresolved` because the parent's quartile spread is wider than
+`bound` times the parent median (the runs cannot tell a change that small
+from noise) while some change run fails to beat some parent run; or it says
+that all are within bound. Where the runs carry `host_minflt` and `host_sys_s`, a
 third line gives each role's median of both.
 
 `trajectory` reads every committed `BENCH_<n>.json` at the repo root in
@@ -70,16 +74,26 @@ ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
-def example_line(package, example, pattern):
-    """The first match of `pattern` in a release example's stdout."""
-    out = subprocess.run(
+def example_lines(package, example, *patterns):
+    """The first match of each of `patterns` in a release example's stdout,
+    read as it streams: the example is stopped once every one has matched,
+    so the timing tables after its dispatch lines are never run."""
+    found = {}
+    with subprocess.Popen(
         ["cargo", "run", "--release", "--offline", "-q", "-p", package, "--example", example],
-        cwd=ROOT, check=True, capture_output=True, text=True,
-    ).stdout
-    match = re.search(pattern, out)
-    if not match:
-        sys.exit(f"{example}: no `{pattern}` in its output")
-    return match.group(1)
+        cwd=ROOT, stdout=subprocess.PIPE, text=True,
+    ) as proc:
+        for line in proc.stdout:
+            for pattern in patterns:
+                if pattern not in found and (match := re.search(pattern, line)):
+                    found[pattern] = match.group(1)
+            if len(found) == len(patterns):
+                proc.kill()
+                break
+    missing = [pattern for pattern in patterns if pattern not in found]
+    if missing:
+        sys.exit(f"{example}: no `{missing[0]}` in its output (exit {proc.returncode})")
+    return [found[pattern] for pattern in patterns]
 
 
 def run_once(binary, workload, seed, seconds, trace):
@@ -103,12 +117,11 @@ def record(args):
         if not binary or not commit:
             sys.exit(f"--{role} takes <benchmark binary>@<commit>")
         sides[role] = (binary, commit)
-    host = {
-        "host_lane_kernel": example_line("batchzk-field", "lanes", r"dispatch to: (\S+)"),
-        "host_compress_kernel": example_line("batchzk-hash", "sha_blocks", r"dispatches to: (\S+)"),
-        "host_hash_lanes_kernel": example_line(
-            "batchzk-hash", "sha_blocks", r"16 messages at a time dispatch to: (\S+)"),
-    }
+    [lane] = example_lines("batchzk-field", "lanes", r"dispatch to: (\S+)")
+    compress, hash_lanes = example_lines("batchzk-hash", "sha_blocks", r"dispatches to: (\S+)",
+                                         r"16 messages at a time dispatch to: (\S+)")
+    host = {"host_lane_kernel": lane, "host_compress_kernel": compress,
+            "host_hash_lanes_kernel": hash_lanes}
     with open(args.out, "a", encoding="utf-8") as out:
         for seed in args.seeds:
             for pair in range(args.pairs):
@@ -171,8 +184,8 @@ def summary(args):
               f"change won {won} / {len(pairs)} pairs; exact metrics equal: "
               f"{'yes' if len(exact_sets) == 1 else 'NO'}; failed ops {failed}; "
               f"{verdict(quartiles, sign, won, len(pairs))}")
-        worse = worse_end_to_end(runs)
-        print(f"  {'; '.join(worse) if worse else 'all end-to-end metrics within bound'}")
+        bounds = end_to_end_bounds(runs)
+        print(f"  {'; '.join(bounds) if bounds else 'all end-to-end metrics within bound'}")
         usage = []
         for name in ("host_minflt", "host_sys_s"):
             medians = [(role, statistics.median(v)) for role in ("parent", "change")
@@ -200,26 +213,39 @@ def verdict(quartiles, sign, won, pairs):
     return f"{spread}; " + (f"unresolved: {', '.join(missed)}" if missed else "resolved")
 
 
-def worse_end_to_end(runs):
+def end_to_end_bounds(runs):
     """Each `end_to_end` metric whose change median is worse than its parent
-    median by more than `bound` times the parent median."""
-    worse = []
+    median by more than `bound` times the parent median; then each other one
+    whose parent quartile spread is wider than that, unless every change run
+    beats every parent run: the no-regression rule, which calls such a
+    metric unresolved rather than within bound."""
+    worse, unresolved = [], []
     for spec in SPEC["end_to_end"]:
         name, bound = spec["name"], spec["bound"]
-        medians = {}
+        values = {}
         for role in ("parent", "change"):
             v = [run["metrics"][name]["value"] for run in runs
                  if run["role"] == role and name in run["metrics"]]
             if v:
-                medians[role] = statistics.median(v)
-        if len(medians) < 2:
+                values[role] = v
+        if len(values) < 2:
             continue
-        parent, change = medians["parent"], medians["change"]
-        loss = change - parent if spec["better"] == "lower" else parent - change
-        if loss > bound * abs(parent):
+        parent, change = (statistics.median(values[role]) for role in ("parent", "change"))
+        sign = -1 if spec["better"] == "lower" else 1
+        if sign * (parent - change) > bound * abs(parent):
             worse.append(f"{name} worse beyond its bound {bound}: "
                          f"parent {parent:.4g}, change {change:.4g}")
-    return worse
+            continue
+        spread = 0.0
+        if len(values["parent"]) >= 2:
+            q1, _, q3 = statistics.quantiles(values["parent"], n=4, method="inclusive")
+            spread = q3 - q1
+        beats_all = (min(sign * v for v in values["change"])
+                     > max(sign * v for v in values["parent"]))
+        if spread > bound * abs(parent) and not beats_all:
+            unresolved.append(f"{name} unresolved: parent quartile spread {spread:.4g} "
+                              f"wider than its bound {bound} x median {parent:.4g}")
+    return worse + unresolved
 
 
 def runs_of(path):

@@ -7,7 +7,8 @@ its name, as a whole word, in the code of at least one other `.rs` file under
 `#[cfg(test)]` items and files under a `tests/` directory are left out of the
 search. Re-exports do not count either: a `pub use` statement, one line or a
 multi-line `pub use { … };` list, only passes a name on, so it is left out
-too. A function only its own file or tests name is either dead, a helper
+too. Nor do comments (doc comments and their examples included) and string
+literals: a name mentioned there is not called. A function only its own file or tests name is either dead, a helper
 that should be private or folded into its caller, or a test helper that
 belongs under `#[cfg(test)]`.
 
@@ -33,10 +34,14 @@ ALLOWED = {
     # Cross-crate test hooks: another crate's tests call them, and such
     # callers are out of the search by design.
     "with_portable_bodies": "field's hooks-off seam; zkp's portable_bodies_prove_the_dispatched_bytes proves under it, and a CI rule keeps it in test code",
+    "gauge": "the registry's gauge reader; pipeline's observe tests, zkp's pool tests and vml's service tests read recorded gauges through it",
+    "table_bytes_for": "a fixed-base table's size without building it; curve's byte-budget test sweeps it to 2^20 and pipeline's Groth16 tests pin the table that ROADMAP item 5 is to charge",
     # Public API kept on purpose.
+    "to_prometheus": "the registry's Prometheus text exposition, one of its two formats (README's metrics section); observe's exposition_known_answer pins its bytes",
     "compile_inference_with_options": "vml's range-checked compile, the one way to set CompileOptions::range_check_bits (sound ReLU hints at ~2·bits constraints each); its callers are vml's tests",
     # Integration tests build the library without `cfg(test)`, so what they
     # probe has to be public.
+    "predict": "MlService's plain inference, the oracle tests/verifiable_ml.rs checks each proven prediction's logits against",
     "arena_capacities": "the sum-check arenas zkp's steady-state allocation test reads; it is its own binary for the counting allocator",
     # `NttDomain`'s threaded transforms: deleting them drops `batchzk-field`'s
     # dependency on `batchzk-par`, which rewrites `benchmark/Cargo.lock`; they
@@ -53,6 +58,12 @@ PUB_USE = re.compile(r"\bpub(?:\s*\([^)]*\))?\s+use\b[^;]*;")
 # Strings, char literals and comments, so that braces inside them do not
 # count towards an item's extent.
 NOISE = re.compile(r'"(?:\\.|[^"\\])*"|\'(?:\\.|[^\'\\])\'|//.*')
+
+
+# Comments, string literals (raw ones included) and char literals over a
+# whole file, so that the names inside them are not taken for callers.
+LITERALS = re.compile(
+    r'\br(#*)".*?"\1|"(?:\\.|[^"\\])*"|\'(?:\\.|[^\'\\])\'|//[^\n]*|/\*.*?\*/', re.S)
 
 
 def braces(line):
@@ -99,7 +110,8 @@ def main():
         if "tests" not in path.relative_to(ROOT).parts
     )
     texts = {
-        path: PUB_USE.sub("", "\n".join(line for _, line in code_lines(path.read_text())))
+        path: PUB_USE.sub("", LITERALS.sub(
+            " ", "\n".join(line for _, line in code_lines(path.read_text()))))
         for path in searched
     }
 
