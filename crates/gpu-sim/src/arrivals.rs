@@ -157,7 +157,8 @@ impl ArrivalPlan {
     }
 
     /// The segments, in insertion order.
-    pub fn segments(&self) -> &[ArrivalSegment] {
+    #[cfg(test)]
+    fn segments(&self) -> &[ArrivalSegment] {
         &self.segments
     }
 
@@ -167,7 +168,8 @@ impl ArrivalPlan {
     }
 
     /// The distinct class labels, in order of first appearance.
-    pub fn classes(&self) -> Vec<String> {
+    #[cfg(test)]
+    fn classes(&self) -> Vec<String> {
         let mut out: Vec<String> = Vec::new();
         for s in &self.segments {
             if !out.contains(&s.class) {

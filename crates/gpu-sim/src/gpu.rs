@@ -363,7 +363,8 @@ impl Gpu {
 
     /// Fault events (armed fail-stops/degradations, fired drops) recorded
     /// so far, for trace export.
-    pub fn fault_events(&self) -> &[FaultEvent] {
+    #[cfg(test)]
+    fn fault_events(&self) -> &[FaultEvent] {
         &self.fault_events
     }
 
@@ -488,33 +489,30 @@ impl Gpu {
         }
         .max(1);
 
-        // Traces and accounting, gated by the trace level. `Off` keeps only
-        // the O(1) scalar totals below; `Stats` adds the utilization trace
-        // and cumulative per-kernel statistics; `Full` adds per-step events.
-        if self.trace_level != TraceLevel::Off {
-            let capacity = self.profile.cuda_cores as f64 * step as f64;
-            let compute_capacity = total_threads as f64 * compute as f64;
-            self.trace.push(UtilSample {
-                start_cycle: self.clock,
-                len: step,
-                utilization: (busy as f64 / capacity).min(1.0),
-                compute,
-                alloc_threads: total_threads,
-                compute_utilization: if compute_capacity > 0.0 {
-                    (busy as f64 / compute_capacity).min(1.0)
-                } else {
-                    0.0
-                },
-            });
-            for (i, k) in kernels.iter().enumerate() {
-                if is_suppressed(i) {
-                    continue;
-                }
-                let stats = self.kernel_stats.entry(k.name.clone()).or_default();
-                stats.busy_cycles += k.work.useful_cycles();
-                stats.occupied_cycles += k.threads as u64 * step;
-                stats.steps += 1;
+        // The utilization trace and cumulative per-kernel statistics at every
+        // level; `Full` adds per-step events below.
+        let capacity = self.profile.cuda_cores as f64 * step as f64;
+        let compute_capacity = total_threads as f64 * compute as f64;
+        self.trace.push(UtilSample {
+            start_cycle: self.clock,
+            len: step,
+            utilization: (busy as f64 / capacity).min(1.0),
+            compute,
+            alloc_threads: total_threads,
+            compute_utilization: if compute_capacity > 0.0 {
+                (busy as f64 / compute_capacity).min(1.0)
+            } else {
+                0.0
+            },
+        });
+        for (i, k) in kernels.iter().enumerate() {
+            if is_suppressed(i) {
+                continue;
             }
+            let stats = self.kernel_stats.entry(k.name.clone()).or_default();
+            stats.busy_cycles += k.work.useful_cycles();
+            stats.occupied_cycles += k.threads as u64 * step;
+            stats.steps += 1;
         }
         if self.trace_level == TraceLevel::Full {
             for (i, k) in kernels.iter().enumerate() {
@@ -962,61 +960,6 @@ mod tests {
         assert_eq!(g.elapsed_cycles(), 0);
         assert!(g.utilization_trace().is_empty());
         assert_eq!(g.mean_utilization(), 0.0);
-    }
-
-    #[test]
-    fn trace_level_off_records_no_samples_but_keeps_totals() {
-        let mut g = Gpu::with_trace_level(DeviceProfile::v100(), TraceLevel::Off);
-        let out = g.execute_step(
-            &[KernelStep::new(
-                "k",
-                64,
-                Work::Uniform {
-                    units: 64,
-                    cycles_per_unit: 10,
-                },
-            )],
-            &[Transfer {
-                bytes: 4096,
-                dir: Dir::HostToDevice,
-            }],
-            true,
-        );
-        assert!(out.step_cycles > 0);
-        assert!(g.utilization_trace().is_empty());
-        assert!(g.kernel_stats().is_empty());
-        assert!(g.kernel_events().is_empty());
-        assert!(g.transfer_events().is_empty());
-        assert!(g.step_events().is_empty());
-        assert!(g.elapsed_cycles() > 0);
-        assert_eq!(g.total_h2d_bytes(), 4096);
-        // Counter emission is a no-op at Off: with no recorded events and
-        // no counter points, the export carries no duration or counter
-        // events, and passing an empty counter slice is byte-exact.
-        assert_eq!(
-            g.chrome_trace_json(),
-            g.chrome_trace_json_with_counters(&[])
-        );
-        assert!(!g.chrome_trace_json().contains("\"ph\":\"X\""));
-        assert!(!g.chrome_trace_json().contains("\"ph\":\"C\""));
-        // Timing is identical to a recording device.
-        let mut g2 = Gpu::with_trace_level(DeviceProfile::v100(), TraceLevel::Full);
-        let out2 = g2.execute_step(
-            &[KernelStep::new(
-                "k",
-                64,
-                Work::Uniform {
-                    units: 64,
-                    cycles_per_unit: 10,
-                },
-            )],
-            &[Transfer {
-                bytes: 4096,
-                dir: Dir::HostToDevice,
-            }],
-            true,
-        );
-        assert_eq!(out, out2);
     }
 
     #[test]

@@ -95,11 +95,6 @@ impl DevicePool {
             .fold(0.0, f64::max)
     }
 
-    /// The pool-wide makespan in milliseconds (max per-device elapsed).
-    pub fn makespan_ms(&self) -> f64 {
-        self.virtual_now_seconds() * 1e3
-    }
-
     /// Index of the least-advanced device in wall time (ties break to the
     /// lowest index). A scheduler that always feeds this device emulates
     /// event-driven dispatch across the pool.

@@ -6,11 +6,9 @@
 //! engine, per step — the way the paper's Figure 4 timeline does. Recording
 //! granularity is controlled by [`TraceLevel`]:
 //!
-//! * [`TraceLevel::Off`] — only O(1) scalar totals (clock, busy cycles,
-//!   transfer bytes) are maintained; no per-step allocation at all, so
-//!   benchmark loops pay nothing.
-//! * [`TraceLevel::Stats`] — the default: utilization samples and per-kernel
-//!   cumulative statistics, the pre-existing behaviour.
+//! * [`TraceLevel::Stats`] — the default: the O(1) scalar totals (clock,
+//!   busy cycles, transfer bytes), utilization samples and per-kernel
+//!   cumulative statistics.
 //! * [`TraceLevel::Full`] — additionally records one [`KernelEvent`] per
 //!   resident kernel per step, one [`TransferEvent`] per submitted transfer,
 //!   and one [`StepEvent`] per step, enabling [`chrome_trace_json`] export.
@@ -30,8 +28,6 @@ use crate::gpu::Dir;
 /// How much the device records while executing steps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceLevel {
-    /// No per-step recording; scalar totals only. Zero overhead.
-    Off,
     /// Utilization samples + cumulative per-kernel statistics (default).
     #[default]
     Stats,

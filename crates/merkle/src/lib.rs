@@ -111,7 +111,8 @@ impl MerkleTree {
     }
 
     /// Number of layers including the leaf layer and the root.
-    pub fn depth(&self) -> usize {
+    #[cfg(test)]
+    fn depth(&self) -> usize {
         self.layers.len()
     }
 

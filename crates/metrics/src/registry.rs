@@ -142,7 +142,8 @@ impl Histogram {
     }
 
     /// Mean sample value (0 if empty).
-    pub fn mean(&self) -> f64 {
+    #[cfg(test)]
+    fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -183,7 +184,7 @@ impl Histogram {
 
     /// Non-empty buckets as `(inclusive upper bound, count)` pairs in
     /// ascending bound order.
-    pub fn buckets(&self) -> Vec<(u64, u64)> {
+    fn buckets(&self) -> Vec<(u64, u64)> {
         self.counts
             .iter()
             .enumerate()

@@ -145,13 +145,8 @@ impl Window {
     /// Exact nearest-rank p99 of the latencies that completed in this
     /// window (0 when nothing completed). Valid after
     /// [`Timeline::finalize`].
-    pub fn latency_p99_cycles(&self) -> u64 {
+    fn latency_p99_cycles(&self) -> u64 {
         nearest_rank(&self.latencies, 0.99)
-    }
-
-    /// Latencies recorded in this window (ascending after finalize).
-    pub fn latencies(&self) -> &[u64] {
-        &self.latencies
     }
 }
 

@@ -285,7 +285,6 @@ impl Epoch {
 
 struct Slot<T> {
     task: T,
-    entry_cycle: u64,
     mem: Option<MemHandle>,
     mem_bytes: u64,
     span: Span,
@@ -343,7 +342,6 @@ pub struct PipelineExecutor<'g, T> {
     pending: VecDeque<T>,
     slots: Vec<Option<Slot<T>>>,
     outputs: Vec<T>,
-    latencies: Vec<u64>,
     lifecycles: Vec<Span>,
     accs: Vec<StageAcc>,
     in_flight: usize,
@@ -373,7 +371,6 @@ impl<'g, T: Send> PipelineExecutor<'g, T> {
             pending: VecDeque::new(),
             slots: (0..num_stages).map(|_| None).collect(),
             outputs: Vec::new(),
-            latencies: Vec::new(),
             lifecycles: Vec::new(),
             accs: (0..num_stages).map(|_| StageAcc::default()).collect(),
             in_flight: 0,
@@ -391,11 +388,6 @@ impl<'g, T: Send> PipelineExecutor<'g, T> {
         self.host_threads = threads.max(1);
     }
 
-    /// Host threads available to the per-slot fan-out.
-    pub fn host_threads(&self) -> usize {
-        self.host_threads
-    }
-
     /// Sets the pending-queue bound (min 1).
     pub fn set_queue_capacity(&mut self, capacity: usize) {
         self.queue_capacity = capacity.max(1);
@@ -410,11 +402,6 @@ impl<'g, T: Send> PipelineExecutor<'g, T> {
     /// `1..=num_stages`) — the memory-aware admission lever.
     pub fn set_max_in_flight(&mut self, max: usize) {
         self.max_in_flight = max.clamp(1, self.stages.len());
-    }
-
-    /// The in-flight admission cap.
-    pub fn max_in_flight(&self) -> usize {
-        self.max_in_flight
     }
 
     /// Tasks waiting in the pending queue.
@@ -504,7 +491,6 @@ impl<'g, T: Send> PipelineExecutor<'g, T> {
                 span.enter_stage(&self.stages[0].name(), entry_cycle);
                 self.slots[0] = Some(Slot {
                     task,
-                    entry_cycle,
                     mem: None,
                     mem_bytes: 0,
                     span,
@@ -675,7 +661,6 @@ impl<'g, T: Send> PipelineExecutor<'g, T> {
             }
             slot.span.exit_stage(now);
             slot.span.complete(now);
-            self.latencies.push(now - slot.entry_cycle);
             self.lifecycles.push(slot.span);
             self.outputs.push(slot.task);
             self.in_flight -= 1;
@@ -749,7 +734,6 @@ impl<'g, T: Send> PipelineExecutor<'g, T> {
     /// the next epoch (drain first for a clean cut).
     pub fn harvest(&mut self) -> PipelineRun<T> {
         let total_cycles = self.gpu.elapsed_cycles() - self.epoch.start_cycles;
-        let latencies = std::mem::take(&mut self.latencies);
         let accs = std::mem::replace(
             &mut self.accs,
             (0..self.stages.len())
@@ -782,6 +766,7 @@ impl<'g, T: Send> PipelineExecutor<'g, T> {
             })
             .collect();
         let lifecycles = std::mem::take(&mut self.lifecycles);
+        let latencies: Vec<u64> = lifecycles.iter().map(Span::total_cycles).collect();
         let stats = self
             .epoch
             .close(self.gpu, &latencies, stage_stats, lifecycles);

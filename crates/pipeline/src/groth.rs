@@ -63,6 +63,7 @@ use batchzk_field::{Field, Fr, NttDomain, SplitMix64};
 use batchzk_gpu_sim::{CostModel, Gpu, Work};
 use batchzk_hash::Transcript;
 
+use crate::backend::{check_len, ProverBackend};
 use crate::engine::{allocate_threads, BoxedStage, PipeStage, StageWork};
 
 /// G1-equivalent MSMs in one Groth16 proof (three in G1, one in G2 ≈ two
@@ -96,8 +97,8 @@ pub struct GrothCircuit {
     domain: NttDomain<Fr>,
     ext_domain: NttDomain<Fr>,
     /// The commitment key as a fixed-base table, built by the first proof:
-    /// callers after the shape alone ([`module_weights`],
-    /// [`task_footprint_bytes`]) never pay for it.
+    /// callers after the shape alone (the backend's module weights and
+    /// footprint) never pay for it.
     key: OnceLock<MsmBases>,
 }
 
@@ -174,7 +175,8 @@ impl GrothCircuit {
 /// A Groth16-style proof-in-progress moving through the four stages: the
 /// instance, which the witness-ntt stage reads (again, when a
 /// fault-recovery replay restarts the task there), and the state the last
-/// stage left. [`begin`] and [`finish`] are the way in and out.
+/// stage left. [`GrothBackend`]'s `begin` and `finish` are the way in and
+/// out.
 pub struct GrothTask {
     witness: Vec<Fr>,
     statement: Vec<Fr>,
@@ -206,41 +208,6 @@ enum TaskState {
         commitments: [G1Projective; 4],
     },
     Done(GrothProof),
-}
-
-/// Wraps one witness vector as a fresh task; the first `min(4, n)`
-/// witness values become the public statement.
-///
-/// # Panics
-///
-/// Panics, on the submitting thread, if the witness is not one scalar per
-/// gate of `circuit`.
-pub fn begin(circuit: &GrothCircuit, witness: Vec<Fr>) -> GrothTask {
-    assert_eq!(
-        witness.len(),
-        circuit.size(),
-        "groth16 instance: witness has length {}, the backend's shape takes {}",
-        witness.len(),
-        circuit.size()
-    );
-    let statement = witness[..PUBLIC_LEN.min(witness.len())].to_vec();
-    GrothTask {
-        witness,
-        statement,
-        state: TaskState::Fresh,
-    }
-}
-
-/// Splits a completed task into its public statement and proof.
-///
-/// # Panics
-///
-/// Panics if the task has not completed the pipeline.
-pub fn finish(task: GrothTask) -> (Vec<Fr>, GrothProof) {
-    match task.state {
-        TaskState::Done(proof) => (task.statement, proof),
-        _ => panic!("task has not completed the pipeline"),
-    }
 }
 
 /// A finished Groth16-style proof: commitments to the gate polynomials
@@ -279,7 +246,7 @@ fn absorb_point(transcript: &mut Transcript, label: &[u8], p: &G1Affine) {
 }
 
 /// Derives the evaluation challenge `r` from the statement and
-/// commitments — shared between prover stage 4 and [`verify`].
+/// commitments — shared between prover stage 4 and the verifier.
 fn challenge_point(statement: &[Fr], proof_points: [&G1Affine; 4]) -> Fr {
     let mut transcript = Transcript::new(DOMAIN);
     transcript.absorb_fields(b"statement", statement);
@@ -577,22 +544,6 @@ impl GrothStage {
     }
 }
 
-/// Computes the four module work weights (witness-ntt, quotient,
-/// msm-bucket, msm-reduce) in cycles under `gpu`'s cost model, for the
-/// measured-ratio thread allocation.
-pub fn module_weights(gpu: &Gpu, circuit: &GrothCircuit) -> [u64; 4] {
-    let cost = gpu.cost();
-    let n = circuit.size();
-    let butterfly = cost.ntt_butterfly();
-    let w1 = circuit.stage1_butterflies() * butterfly;
-    let w2 = quotient_units(cost, circuit) * butterfly;
-    let w3 = msm_group_op_count(n) * MSM_COUNT * cost.group_add;
-    let c = window_size(n);
-    let windows = 254_usize.div_ceil(c) as u64;
-    let w4 = windows * MSM_COUNT * (2u64 << c) * cost.group_add + 4 * n as u64 * cost.field_mul;
-    [w1.max(1), w2.max(1), w3.max(1), w4.max(1)]
-}
-
 /// Stage-2 work in butterfly-equivalent units: the remainder of the
 /// baseline's [`NTT_COUNT`]-transform budget after stage 1's real
 /// butterflies, plus the `2n` pointwise products.
@@ -605,43 +556,116 @@ fn quotient_units(cost: &CostModel, circuit: &GrothCircuit) -> u64 {
     ntt_rest + mul_equiv
 }
 
-/// Builds the four Groth16-style stages for one device: thread allocation
-/// follows the measured-ratio rule under that device's cost model.
-pub fn build_stages(
-    gpu: &Gpu,
-    circuit: &Arc<GrothCircuit>,
-    total_threads: u32,
-) -> Vec<BoxedStage<GrothTask>> {
-    let threads = allocate_threads(total_threads, &module_weights(gpu, circuit));
-    let stage = |k| GrothStage {
-        k,
-        threads: threads[k],
-        circuit: Arc::clone(circuit),
-        cost: *gpu.cost(),
-    };
-    (0..STAGE_NAMES.len())
-        .map(|k| Box::new(stage(k)) as BoxedStage<GrothTask>)
-        .collect()
+/// The Groth16-style NTT+MSM stack as a [`ProverBackend`]: witness NTTs →
+/// quotient → MSM buckets → MSM reduce/assemble over one shared circuit,
+/// running the real [`batchzk_field::NttDomain`] and
+/// [`batchzk_curve::MsmBases`] kernels under the gpu-sim cost model.
+#[derive(Clone)]
+pub struct GrothBackend {
+    circuit: Arc<GrothCircuit>,
 }
 
-/// Analytic per-task peak device-memory footprint in bytes — the maximum
-/// of the per-stage `mem_after` values, which the MSM residency dominates.
-pub fn task_footprint_bytes(circuit: &GrothCircuit) -> u64 {
-    circuit.size() as u64 * BYTES_PER_CONSTRAINT
-}
-
-/// Verifies a Groth16-style proof against its statement: commitments on
-/// curve, challenge recomputed from the transcript, and the divisibility
-/// identity `A(r)·B(r) − C(r) = h(r)·(r^n − 1)` checked at `r`. As noted
-/// in the module docs this is a structural (pairing-free) check.
-pub fn verify(circuit: &GrothCircuit, statement: &[Fr], proof: &GrothProof) -> bool {
-    let points = [&proof.com_a, &proof.com_b, &proof.com_c, &proof.com_h];
-    if points.iter().any(|p| !p.is_on_curve()) {
-        return false;
+impl GrothBackend {
+    /// Creates the backend over one shared circuit of `2^log_size` gates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `log_size` exceeds what the field's two-adicity admits
+    /// (the quotient works on a domain of size `2^(log_size + 1)`).
+    pub fn new(log_size: u32) -> Self {
+        Self {
+            circuit: Arc::new(GrothCircuit::new(log_size)),
+        }
     }
-    let r = challenge_point(statement, points);
-    let z_r = r.pow(&[circuit.size() as u64]) - Fr::ONE;
-    proof.eval_a * proof.eval_b - proof.eval_c == proof.eval_h * z_r
+
+    /// The shared circuit.
+    pub fn circuit(&self) -> &Arc<GrothCircuit> {
+        &self.circuit
+    }
+}
+
+impl ProverBackend for GrothBackend {
+    type Instance = Vec<Fr>;
+    type Task = GrothTask;
+    type Statement = Vec<Fr>;
+    type Proof = GrothProof;
+
+    fn name(&self) -> &'static str {
+        "groth16"
+    }
+
+    /// Wraps one witness vector as a fresh task; the first `min(4, n)`
+    /// witness values become the public statement.
+    ///
+    /// # Panics
+    ///
+    /// Panics, on the submitting thread, if the witness is not one scalar
+    /// per gate of the circuit.
+    fn begin(&self, witness: Self::Instance) -> Self::Task {
+        check_len(self.name(), "witness", witness.len(), self.circuit.size());
+        let statement = witness[..PUBLIC_LEN.min(witness.len())].to_vec();
+        GrothTask {
+            witness,
+            statement,
+            state: TaskState::Fresh,
+        }
+    }
+
+    /// The four module work weights (witness-ntt, quotient, msm-bucket,
+    /// msm-reduce) in cycles under `gpu`'s cost model.
+    fn module_weights(&self, gpu: &Gpu) -> Vec<u64> {
+        let circuit = &self.circuit;
+        let cost = gpu.cost();
+        let n = circuit.size();
+        let butterfly = cost.ntt_butterfly();
+        let w1 = circuit.stage1_butterflies() * butterfly;
+        let w2 = quotient_units(cost, circuit) * butterfly;
+        let w3 = msm_group_op_count(n) * MSM_COUNT * cost.group_add;
+        let c = window_size(n);
+        let windows = 254_usize.div_ceil(c) as u64;
+        let w4 = windows * MSM_COUNT * (2u64 << c) * cost.group_add + 4 * n as u64 * cost.field_mul;
+        vec![w1.max(1), w2.max(1), w3.max(1), w4.max(1)]
+    }
+
+    fn stages(&self, gpu: &Gpu, total_threads: u32) -> Vec<BoxedStage<Self::Task>> {
+        let threads = allocate_threads(total_threads, &self.module_weights(gpu));
+        let stage = |k| GrothStage {
+            k,
+            threads: threads[k],
+            circuit: Arc::clone(&self.circuit),
+            cost: *gpu.cost(),
+        };
+        (0..STAGE_NAMES.len())
+            .map(|k| Box::new(stage(k)) as BoxedStage<GrothTask>)
+            .collect()
+    }
+
+    /// The maximum of the per-stage `mem_after` values, which the MSM
+    /// residency dominates.
+    fn task_footprint_bytes(&self) -> u64 {
+        self.circuit.size() as u64 * BYTES_PER_CONSTRAINT
+    }
+
+    fn finish(&self, task: Self::Task) -> (Self::Statement, Self::Proof) {
+        match task.state {
+            TaskState::Done(proof) => (task.statement, proof),
+            _ => panic!("task has not completed the pipeline"),
+        }
+    }
+
+    /// Commitments on curve, challenge recomputed from the transcript, and
+    /// the divisibility identity `A(r)·B(r) − C(r) = h(r)·(r^n − 1)` checked
+    /// at `r`. As noted in the module docs this is a structural
+    /// (pairing-free) check.
+    fn verify(&self, statement: &Self::Statement, proof: &Self::Proof) -> bool {
+        let points = [&proof.com_a, &proof.com_b, &proof.com_c, &proof.com_h];
+        if points.iter().any(|p| !p.is_on_curve()) {
+            return false;
+        }
+        let r = challenge_point(statement, points);
+        let z_r = r.pow(&[self.circuit.size() as u64]) - Fr::ONE;
+        proof.eval_a * proof.eval_b - proof.eval_c == proof.eval_h * z_r
+    }
 }
 
 #[cfg(test)]
@@ -651,43 +675,44 @@ mod tests {
     use crate::naive::run_stages_naive;
     use batchzk_gpu_sim::DeviceProfile;
 
-    fn tasks(circuit: &GrothCircuit, witnesses: Vec<Vec<Fr>>) -> Vec<GrothTask> {
-        witnesses.into_iter().map(|w| begin(circuit, w)).collect()
+    fn tasks(backend: &GrothBackend, witnesses: Vec<Vec<Fr>>) -> Vec<GrothTask> {
+        witnesses.into_iter().map(|w| backend.begin(w)).collect()
     }
 
     fn prove_pipelined(
         gpu: &mut Gpu,
-        circuit: &Arc<GrothCircuit>,
+        backend: &GrothBackend,
         witnesses: Vec<Vec<Fr>>,
         threads: u32,
     ) -> Vec<(Vec<Fr>, GrothProof)> {
-        let stages = build_stages(gpu, circuit, threads);
-        let run = Pipeline::new(gpu, stages, true).run(tasks(circuit, witnesses));
-        run.expect("fits").outputs.into_iter().map(finish).collect()
+        let stages = backend.stages(gpu, threads);
+        let run = Pipeline::new(gpu, stages, true).run(tasks(backend, witnesses));
+        let outputs = run.expect("fits").outputs.into_iter();
+        outputs.map(|t| backend.finish(t)).collect()
     }
 
     fn prove_naive(
         gpu: &mut Gpu,
-        circuit: &Arc<GrothCircuit>,
+        backend: &GrothBackend,
         witnesses: Vec<Vec<Fr>>,
         threads: u32,
         concurrent: usize,
     ) -> PipelineRun<GrothTask> {
-        let stages = build_stages(gpu, circuit, threads);
-        let preload = task_footprint_bytes(circuit) * witnesses.len() as u64;
-        let tasks = tasks(circuit, witnesses);
+        let stages = backend.stages(gpu, threads);
+        let preload = backend.task_footprint_bytes() * witnesses.len() as u64;
+        let tasks = tasks(backend, witnesses);
         run_stages_naive(gpu, stages, tasks, "groth", preload, threads, concurrent)
     }
 
     #[test]
     fn pipelined_proofs_verify() {
-        let circuit = Arc::new(GrothCircuit::new(6));
-        let witnesses: Vec<Vec<Fr>> = (0..4).map(|s| circuit.witness(s)).collect();
+        let backend = GrothBackend::new(6);
+        let witnesses: Vec<Vec<Fr>> = (0..4).map(|s| backend.circuit().witness(s)).collect();
         let mut gpu = Gpu::new(DeviceProfile::a100());
-        let done = prove_pipelined(&mut gpu, &circuit, witnesses, 2048);
+        let done = prove_pipelined(&mut gpu, &backend, witnesses, 2048);
         assert_eq!(done.len(), 4);
         for (statement, proof) in done {
-            assert!(verify(&circuit, &statement, &proof));
+            assert!(backend.verify(&statement, &proof));
             assert_eq!(proof.size_bytes(), 384);
         }
         assert_eq!(gpu.memory_ref().in_use(), 0);
@@ -695,13 +720,14 @@ mod tests {
 
     #[test]
     fn tampered_proof_rejected() {
-        let circuit = Arc::new(GrothCircuit::new(5));
+        let backend = GrothBackend::new(5);
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let done = prove_pipelined(&mut gpu, &circuit, vec![circuit.witness(9)], 1024);
+        let witness = backend.circuit().witness(9);
+        let done = prove_pipelined(&mut gpu, &backend, vec![witness], 1024);
         let (statement, mut proof) = done.into_iter().next().unwrap();
-        assert!(verify(&circuit, &statement, &proof));
+        assert!(backend.verify(&statement, &proof));
         proof.eval_c += Fr::ONE;
-        assert!(!verify(&circuit, &statement, &proof));
+        assert!(!backend.verify(&statement, &proof));
         // And a statement swap changes the challenge.
         let proof = {
             let mut p = proof;
@@ -710,36 +736,36 @@ mod tests {
         };
         let mut other = statement.clone();
         other[0] += Fr::ONE;
-        assert!(!verify(&circuit, &other, &proof));
+        assert!(!backend.verify(&other, &proof));
     }
 
     #[test]
     fn naive_proofs_byte_identical_to_pipelined() {
-        let circuit = Arc::new(GrothCircuit::new(5));
-        let witnesses: Vec<Vec<Fr>> = (0..6).map(|s| circuit.witness(100 + s)).collect();
+        let backend = GrothBackend::new(5);
+        let witnesses: Vec<Vec<Fr>> = (0..6).map(|s| backend.circuit().witness(100 + s)).collect();
         let mut gpu = Gpu::new(DeviceProfile::a100());
-        let piped = prove_pipelined(&mut gpu, &circuit, witnesses.clone(), 2048);
+        let piped = prove_pipelined(&mut gpu, &backend, witnesses.clone(), 2048);
         let mut gpu = Gpu::new(DeviceProfile::a100());
-        let naive = prove_naive(&mut gpu, &circuit, witnesses, 2048, 2);
+        let naive = prove_naive(&mut gpu, &backend, witnesses, 2048, 2);
         assert_eq!(naive.outputs.len(), piped.len());
         for (n, p) in naive.outputs.into_iter().zip(piped) {
-            assert_eq!(finish(n), p);
+            assert_eq!(backend.finish(n), p);
         }
         assert_eq!(gpu.memory_ref().in_use(), 0);
     }
 
     #[test]
     fn pipelined_beats_naive_throughput() {
-        let circuit = Arc::new(GrothCircuit::new(6));
-        let witnesses: Vec<Vec<Fr>> = (0..12).map(|s| circuit.witness(s)).collect();
+        let backend = GrothBackend::new(6);
+        let witnesses: Vec<Vec<Fr>> = (0..12).map(|s| backend.circuit().witness(s)).collect();
         let mut gpu = Gpu::new(DeviceProfile::a100());
-        let stages = build_stages(&gpu, &circuit, 4096);
+        let stages = backend.stages(&gpu, 4096);
         let piped = Pipeline::new(&mut gpu, stages, true)
-            .run(tasks(&circuit, witnesses.clone()))
+            .run(tasks(&backend, witnesses.clone()))
             .expect("fits")
             .stats;
         let mut gpu = Gpu::new(DeviceProfile::a100());
-        let naive = prove_naive(&mut gpu, &circuit, witnesses, 4096, 4).stats;
+        let naive = prove_naive(&mut gpu, &backend, witnesses, 4096, 4).stats;
         assert!(
             piped.throughput_per_ms > naive.throughput_per_ms,
             "pipelined {} <= naive {}",
@@ -751,26 +777,29 @@ mod tests {
     #[test]
     fn module_weights_positive_and_msm_heavy() {
         // The paper's Table 7: MSM dominates Groth16-style provers.
-        let circuit = GrothCircuit::new(10);
+        let backend = GrothBackend::new(10);
         let gpu = Gpu::new(DeviceProfile::v100());
-        let w = module_weights(&gpu, &circuit);
+        let w = backend.module_weights(&gpu);
         assert!(w.iter().all(|&x| x > 0));
         assert!(w[2] > w[0] && w[2] > w[1]);
     }
 
     #[test]
     fn footprint_matches_baseline_model() {
-        let circuit = GrothCircuit::new(8);
-        assert_eq!(task_footprint_bytes(&circuit), 256 * BYTES_PER_CONSTRAINT);
+        let backend = GrothBackend::new(8);
+        assert_eq!(backend.task_footprint_bytes(), 256 * BYTES_PER_CONSTRAINT);
     }
 
     #[test]
     fn fixed_base_table_is_sized_without_being_built() {
         // The figures DESIGN.md §16 records for the re-baseline: not yet
-        // part of `task_footprint_bytes`.
-        let circuit = GrothCircuit::new(8);
+        // part of the backend's task footprint.
+        let backend = GrothBackend::new(8);
+        let circuit = backend.circuit();
         assert_eq!(circuit.fixed_base_table_bytes(), 256 * 2304);
         assert_eq!(GrothCircuit::new(12).fixed_base_table_bytes(), 4096 * 1584);
+        backend.module_weights(&Gpu::new(DeviceProfile::v100()));
+        backend.task_footprint_bytes();
         assert!(circuit.key.get().is_none(), "shape queries build no table");
         assert_eq!(
             circuit.key().table_bytes(),

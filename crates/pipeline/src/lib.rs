@@ -13,15 +13,20 @@
 //!
 //! * [`engine`] — the generic systolic pipeline executor and the
 //!   proportional thread allocator (§4's resource-allocation rule);
+//! * [`backend`] — the [`ProverBackend`] trait beside [`PipeStage`]: a
+//!   protocol is one struct and one impl of it (its stages, their work
+//!   weights, its footprint and its verifier), and every batch, pool and
+//!   service entry point of `batchzk-zkp` is generic over it;
 //! * [`merkle`] — one kernel per tree layer, dynamic load/store, ~2N-block
 //!   device footprint (§3.1);
 //! * [`sumcheck`] — one kernel per round, two recyclable double buffers with
 //!   odd/even alternation (§3.2, Figure 5b);
 //! * [`encoder`] — two interconnected pipelines (forward `A`-phase, backward
 //!   `B`-phase) with bucket-sorted warp scheduling (§3.3, Figure 6);
-//! * [`groth`] — the pipelined Groth16-style backend: witness NTTs,
-//!   exact quotient, and real Pippenger MSM commitments, charged with the
-//!   baseline per-proof operation counts;
+//! * [`groth`] — the pipelined Groth16-style backend
+//!   ([`groth::GrothBackend`]): witness NTTs, exact quotient, and real
+//!   Pippenger MSM commitments, charged with the baseline per-proof
+//!   operation counts;
 //! * [`naive`] — the generic kernel-per-task runner (Figure 4a, modelled
 //!   once): each module's `run_naive` hands it the module's own stages to
 //!   stand in for Simon, Icicle, and "Ours-np";
@@ -43,6 +48,7 @@
 #![deny(missing_docs)]
 
 pub mod analysis;
+pub mod backend;
 pub mod encoder;
 pub mod engine;
 pub mod groth;
@@ -53,6 +59,7 @@ pub mod sched;
 pub mod service;
 pub mod sumcheck;
 
+pub use backend::ProverBackend;
 pub use engine::{
     allocate_threads, BoxedStage, PipeStage, Pipeline, PipelineError, PipelineExecutor,
     PipelineRun, RunStats, StageStats, StageWork,

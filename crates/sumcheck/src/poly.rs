@@ -42,7 +42,8 @@ impl<F: Field> MultilinearPoly<F> {
     }
 
     /// The constant-zero polynomial on `n` variables.
-    pub fn zero(num_vars: usize) -> Self {
+    #[cfg(test)]
+    fn zero(num_vars: usize) -> Self {
         Self {
             evals: vec![F::ZERO; 1 << num_vars],
             num_vars,

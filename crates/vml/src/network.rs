@@ -58,7 +58,7 @@ impl Layer {
     }
 
     /// Number of multiply–accumulate operations for a given input shape.
-    pub fn macs(&self, input_shape: &[usize]) -> usize {
+    fn macs(&self, input_shape: &[usize]) -> usize {
         match self {
             Layer::Conv3x3 { out_ch, in_ch, .. } => {
                 let (h, w) = (input_shape[1], input_shape[2]);

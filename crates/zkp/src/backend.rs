@@ -1,262 +1,34 @@
-//! The [`ProverBackend`] trait: one pipelined proving protocol behind a
-//! common seam.
+//! The built-in backends' names and their task-level union.
 //!
-//! The batch layer ([`prove_batch_with`](crate::prove_batch_with),
-//! [`prove_batch_pool_with`](crate::prove_batch_pool_with) and
-//! [`prove_service_with`](crate::prove_service_with)) is generic over this trait,
-//! so the same pipeline engine, shard policies, admission control, and
-//! metrics serve *any* protocol that can express its prover as a fixed
-//! sequence of [`PipeStage`]s:
+//! Each protocol is one struct and one impl of [`ProverBackend`], the trait
+//! that lives beside `PipeStage` in `batchzk-pipeline` and is re-exported
+//! here and at the crate root:
 //!
 //! * [`SpartanBackend`] — the paper's sumcheck system (encoder → Merkle →
-//!   sum-check → assemble);
+//!   sum-check → assemble, in [`crate::batch`]);
 //! * [`GrothBackend`] — the Groth16-style NTT+MSM stack built from the real
-//!   [`batchzk_field::NttDomain`] and `batchzk_curve::msm` kernels (see
+//!   [`batchzk_field::NttDomain`] and `batchzk_curve::msm` kernels (in
 //!   [`batchzk_pipeline::groth`]);
 //! * [`OrionBackend`] — the standalone Orion-style PCS-opening pipeline
-//!   (encode → merkle → combine → open, see [`crate::orion`]);
+//!   (encode → merkle → combine → open, in [`crate::orion`]);
 //! * [`MixedBackend`] — a task-level union of the three, so one
 //!   [`run_service`](batchzk_pipeline::run_service) instance serves a mixed
 //!   trace under the existing SLO classes.
-//!
-//! [`ProverBackend::begin`] and [`ProverBackend::finish`] are the only way
-//! into and out of a task. In between, a task is its instance plus one
-//! state enum with a variant per stage boundary; stage 0 reads the
-//! instance only, which is what lets fault recovery restart a salvaged
-//! task there (DESIGN.md §15, "Task state").
-//!
-//! A further protocol plugs in by implementing the trait: a task type of
-//! that shape, stages that advance it while reporting simulated
-//! [`StageWork`], an analytic footprint for the memory-aware scheduler,
-//! and a verification hook. Every layer above — sharding, fault recovery,
-//! the online service, BENCH.json — comes for free.
 
-use std::sync::Arc;
-
-use batchzk_field::{Field, Fr};
+use batchzk_field::Fr;
 use batchzk_gpu_sim::Gpu;
-use batchzk_pipeline::groth::{self, GrothCircuit, GrothProof, GrothTask};
+pub use batchzk_pipeline::backend::ProverBackend;
+use batchzk_pipeline::groth::{GrothBackend, GrothProof, GrothTask};
 use batchzk_pipeline::{BoxedStage, PipeStage, StageWork};
 
-use crate::batch::{build_stages, module_weights, task_footprint_bytes, BatchTask, Buffers};
+use crate::batch::{BatchTask, SpartanBackend};
 use crate::orion::{OrionBackend, OrionProof, OrionTask};
-use crate::pcs::{PcsKey, PcsParams};
-use crate::r1cs::R1cs;
-use crate::spartan::{self, Proof};
+use crate::spartan::Proof;
 
 /// Stable names of every built-in backend, in CLI/report order. The
 /// `tables` harness validates `--backend` flags and mixed-trace specs
 /// against this list.
 pub const BACKEND_NAMES: [&str; 3] = ["sumcheck", "groth16", "orion"];
-
-/// One pipelined proving protocol: how to turn submitted instances into
-/// in-pipeline tasks, which stages advance them, what they cost, and how
-/// the finished proof is extracted and verified.
-///
-/// Implementations are cheap handles (`Arc`-backed) cloned into per-device
-/// stage factories, so the trait requires `Clone + Send + Sync`.
-pub trait ProverBackend: Clone + Send + Sync + 'static {
-    /// What callers submit: the per-proof input (e.g. `(inputs, witness)`).
-    type Instance: Send;
-    /// The task state a proof-in-progress carries through the pipeline.
-    type Task: Send;
-    /// The public statement paired with each finished proof.
-    type Statement: Send;
-    /// The finished proof.
-    type Proof: Send;
-
-    /// Stable kebab-case protocol name (CLI flag value, metric label).
-    fn name(&self) -> &'static str;
-
-    /// Wraps one submitted instance into a fresh pipeline task.
-    fn begin(&self, instance: Self::Instance) -> Self::Task;
-
-    /// Per-module work weights in cycles under `gpu`'s cost model — the
-    /// measured-ratio rule input that sizes per-stage thread allocation.
-    fn module_weights(&self, gpu: &Gpu) -> Vec<u64>;
-
-    /// Builds the protocol's stage set for one device, allocating
-    /// `total_threads` across modules by [`module_weights`].
-    ///
-    /// [`module_weights`]: ProverBackend::module_weights
-    fn stages(&self, gpu: &Gpu, total_threads: u32) -> Vec<BoxedStage<Self::Task>>;
-
-    /// Analytic per-task peak device-memory footprint in bytes. The
-    /// memory-aware shard policy sizes per-device admission caps from this.
-    fn task_footprint_bytes(&self) -> u64;
-
-    /// Splits a completed task into its statement and proof.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the task has not completed the pipeline.
-    fn finish(&self, task: Self::Task) -> (Self::Statement, Self::Proof);
-
-    /// Verifies a finished proof against its statement.
-    fn verify(&self, statement: &Self::Statement, proof: &Self::Proof) -> bool;
-}
-
-/// The shape check every built-in [`ProverBackend::begin`] makes: a
-/// mis-sized instance panics here, on the submitting thread and naming the
-/// backend, before a pipeline worker ever sees it.
-pub(crate) fn check_len(backend: &str, what: &str, found: usize, expected: usize) {
-    assert_eq!(
-        found, expected,
-        "{backend} instance: {what} has length {found}, the backend's shape takes {expected}"
-    );
-}
-
-/// The paper's sumcheck system as a [`ProverBackend`]: encoder → Merkle →
-/// sum-check → assemble over one shared R1CS. Its clones share the storage
-/// the stages reuse from proof to proof.
-pub struct SpartanBackend<F: Field> {
-    r1cs: Arc<R1cs<F>>,
-    key: Arc<PcsKey<F>>,
-    buffers: Arc<Buffers<F>>,
-}
-
-impl<F: Field> Clone for SpartanBackend<F> {
-    fn clone(&self) -> Self {
-        Self {
-            r1cs: Arc::clone(&self.r1cs),
-            key: Arc::clone(&self.key),
-            buffers: Arc::clone(&self.buffers),
-        }
-    }
-}
-
-impl<F: Field> SpartanBackend<F> {
-    /// Creates the backend over one shared circuit and PCS parameter set,
-    /// building the witness commitment key every proof and every
-    /// verification shares.
-    pub fn new(r1cs: Arc<R1cs<F>>, params: PcsParams) -> Self {
-        let key = Arc::new(spartan::witness_key(params, &r1cs));
-        let buffers = Arc::default();
-        Self { r1cs, key, buffers }
-    }
-
-    /// The capacities of the sum-check arenas its stages gave back.
-    pub fn arena_capacities(&self) -> Vec<usize> {
-        let arenas = self.buffers.arenas.lock();
-        arenas
-            .expect("no stage panics holding it")
-            .iter()
-            .map(Vec::capacity)
-            .collect()
-    }
-
-    /// The shared circuit.
-    pub fn r1cs(&self) -> &Arc<R1cs<F>> {
-        &self.r1cs
-    }
-
-    /// The PCS parameters.
-    pub fn params(&self) -> &PcsParams {
-        self.key.pcs()
-    }
-}
-
-impl<F: Field> ProverBackend for SpartanBackend<F> {
-    type Instance = (Vec<F>, Vec<F>);
-    type Task = BatchTask<F>;
-    type Statement = Vec<F>;
-    type Proof = Proof<F>;
-
-    fn name(&self) -> &'static str {
-        "sumcheck"
-    }
-
-    fn begin(&self, (inputs, witness): Self::Instance) -> Self::Task {
-        let r1cs = &self.r1cs;
-        check_len(self.name(), "inputs", inputs.len(), r1cs.num_inputs());
-        check_len(self.name(), "witness", witness.len(), r1cs.num_witness());
-        BatchTask::new(inputs, witness)
-    }
-
-    fn module_weights(&self, gpu: &Gpu) -> Vec<u64> {
-        module_weights(gpu, &self.r1cs, &self.key).to_vec()
-    }
-
-    fn stages(&self, gpu: &Gpu, total_threads: u32) -> Vec<BoxedStage<Self::Task>> {
-        build_stages(gpu, &self.r1cs, &self.key, &self.buffers, total_threads)
-    }
-
-    fn task_footprint_bytes(&self) -> u64 {
-        task_footprint_bytes(&self.r1cs, &self.key)
-    }
-
-    fn finish(&self, task: Self::Task) -> (Self::Statement, Self::Proof) {
-        task.finish()
-    }
-
-    fn verify(&self, statement: &Self::Statement, proof: &Self::Proof) -> bool {
-        spartan::verify_with(&self.key, &self.r1cs, statement, proof)
-    }
-}
-
-/// The Groth16-style NTT+MSM stack as a [`ProverBackend`], wrapping the
-/// pipelined implementation in [`batchzk_pipeline::groth`]: witness NTTs →
-/// quotient → MSM buckets → MSM reduce/assemble, running the real
-/// [`batchzk_field::NttDomain`] and `batchzk_curve::msm` kernels under
-/// the gpu-sim cost model.
-#[derive(Clone)]
-pub struct GrothBackend {
-    circuit: Arc<GrothCircuit>,
-}
-
-impl GrothBackend {
-    /// Creates the backend over one shared circuit of `2^log_size` gates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `log_size` exceeds what the field's two-adicity admits
-    /// (the quotient works on a domain of size `2^(log_size + 1)`).
-    pub fn new(log_size: u32) -> Self {
-        Self {
-            circuit: Arc::new(GrothCircuit::new(log_size)),
-        }
-    }
-
-    /// The shared circuit.
-    pub fn circuit(&self) -> &Arc<GrothCircuit> {
-        &self.circuit
-    }
-}
-
-impl ProverBackend for GrothBackend {
-    type Instance = Vec<Fr>;
-    type Task = GrothTask;
-    type Statement = Vec<Fr>;
-    type Proof = GrothProof;
-
-    fn name(&self) -> &'static str {
-        "groth16"
-    }
-
-    fn begin(&self, witness: Self::Instance) -> Self::Task {
-        groth::begin(&self.circuit, witness)
-    }
-
-    fn module_weights(&self, gpu: &Gpu) -> Vec<u64> {
-        groth::module_weights(gpu, &self.circuit).to_vec()
-    }
-
-    fn stages(&self, gpu: &Gpu, total_threads: u32) -> Vec<BoxedStage<Self::Task>> {
-        groth::build_stages(gpu, &self.circuit, total_threads)
-    }
-
-    fn task_footprint_bytes(&self) -> u64 {
-        groth::task_footprint_bytes(&self.circuit)
-    }
-
-    fn finish(&self, task: Self::Task) -> (Self::Statement, Self::Proof) {
-        groth::finish(task)
-    }
-
-    fn verify(&self, statement: &Self::Statement, proof: &Self::Proof) -> bool {
-        groth::verify(&self.circuit, statement, proof)
-    }
-}
 
 /// One value per protocol of the mixed service: an instance, a task, a
 /// statement or a proof, by what the three parameters are (the four
@@ -470,7 +242,9 @@ impl ProverBackend for MixedBackend {
 mod tests {
     use std::fmt::Debug;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::Arc;
 
+    use batchzk_field::Field;
     use batchzk_gpu_sim::{DevicePool, DeviceProfile, FaultPlan};
     use batchzk_pipeline::{ClassPolicy, PriorityClass, ServiceConfig, ShardPolicy};
 
@@ -479,6 +253,7 @@ mod tests {
         prove_batch_naive_with, prove_batch_pool_with, prove_batch_with, prove_service_with,
         BackendProofs,
     };
+    use crate::pcs::PcsParams;
     use crate::r1cs::synthetic_r1cs;
 
     fn params() -> PcsParams {

@@ -24,10 +24,9 @@
 //! "Task state"). The encoder and Merkle stages are the PCS commit prefix
 //! shared with the Orion backend (`commit.rs`).
 //!
-//! These four stages are what
-//! [`SpartanBackend`](crate::backend::SpartanBackend) plugs into the batch
-//! entry points below, which are generic over [`ProverBackend`] and are the
-//! only way to run a batch, a sharded batch, or a service for any protocol.
+//! [`SpartanBackend`] is these four stages as a [`ProverBackend`]; the batch
+//! entry points below are generic over that trait and are the only way to
+//! run a batch, a sharded batch, or a service for any protocol.
 
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -35,15 +34,15 @@ use batchzk_field::Field;
 use batchzk_gpu_sim::{CostModel, DevicePool, Gpu, Work};
 use batchzk_hash::Transcript;
 use batchzk_metrics::Registry;
+use batchzk_pipeline::backend::{check_len, ProverBackend};
 use batchzk_pipeline::{
     allocate_threads, observe, run_service, run_sharded, sched, BoxedStage, PipeStage, Pipeline,
     PipelineError, PriorityClass, RecoveryReport, RunStats, ServiceConfig, ServiceError,
     ServiceOutcome, ServiceRequest, ShardPolicy, StageWork,
 };
 
-use crate::backend::ProverBackend;
 use crate::commit::{self, Commit};
-use crate::pcs::{self, EncodedRows, PcsKey};
+use crate::pcs::{self, EncodedRows, PcsKey, PcsParams};
 use crate::r1cs::R1cs;
 use crate::spartan::{self, Proof, SumcheckPart};
 
@@ -79,28 +78,6 @@ enum TaskState<F: Field> {
     Done(Proof<F>),
 }
 
-impl<F: Field> BatchTask<F> {
-    pub(crate) fn new(inputs: Vec<F>, witness: Vec<F>) -> Self {
-        Self {
-            inputs,
-            witness,
-            state: TaskState::Fresh,
-        }
-    }
-
-    /// The public inputs and the finished proof.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the task has not completed the pipeline.
-    pub(crate) fn finish(self) -> (Vec<F>, Proof<F>) {
-        match self.state {
-            TaskState::Done(proof) => (self.inputs, proof),
-            _ => panic!("task has not completed the pipeline"),
-        }
-    }
-}
-
 /// Device bytes a task keeps resident from the encoder stage on: its
 /// encoded witness rows only (the witness is read once, by the encoder).
 fn encoded_bytes<F: Field>(key: &PcsKey<F>) -> u64 {
@@ -112,8 +89,8 @@ fn encoded_bytes<F: Field>(key: &PcsKey<F>) -> u64 {
 /// as were ever in use at once — a [`spartan::arena_len`] arena per device
 /// in its sum-check stage, a codeword buffer per task in flight.
 #[derive(Default)]
-pub(crate) struct Buffers<F> {
-    pub(crate) arenas: Mutex<Vec<Vec<F>>>,
+struct Buffers<F> {
+    arenas: Mutex<Vec<Vec<F>>>,
     codewords: Mutex<Vec<Vec<F>>>,
 }
 
@@ -299,6 +276,136 @@ impl<F: Field> Stage<F> {
             mem_after: 0,
         };
         (TaskState::Done(proof), work)
+    }
+}
+
+/// The paper's sumcheck system as a [`ProverBackend`]: encoder → Merkle →
+/// sum-check → assemble over one shared R1CS. Its clones share the storage
+/// the stages reuse from proof to proof.
+pub struct SpartanBackend<F: Field> {
+    r1cs: Arc<R1cs<F>>,
+    key: Arc<PcsKey<F>>,
+    buffers: Arc<Buffers<F>>,
+}
+
+impl<F: Field> Clone for SpartanBackend<F> {
+    fn clone(&self) -> Self {
+        Self {
+            r1cs: Arc::clone(&self.r1cs),
+            key: Arc::clone(&self.key),
+            buffers: Arc::clone(&self.buffers),
+        }
+    }
+}
+
+impl<F: Field> SpartanBackend<F> {
+    /// Creates the backend over one shared circuit and PCS parameter set,
+    /// building the witness commitment key every proof and every
+    /// verification shares.
+    pub fn new(r1cs: Arc<R1cs<F>>, params: PcsParams) -> Self {
+        let key = Arc::new(spartan::witness_key(params, &r1cs));
+        let buffers = Arc::default();
+        Self { r1cs, key, buffers }
+    }
+
+    /// The capacities of the sum-check arenas its stages gave back.
+    pub fn arena_capacities(&self) -> Vec<usize> {
+        let arenas = self.buffers.arenas.lock();
+        arenas
+            .expect("no stage panics holding it")
+            .iter()
+            .map(Vec::capacity)
+            .collect()
+    }
+
+    /// The shared circuit.
+    pub fn r1cs(&self) -> &Arc<R1cs<F>> {
+        &self.r1cs
+    }
+
+    /// The PCS parameters.
+    pub fn params(&self) -> &PcsParams {
+        self.key.pcs()
+    }
+}
+
+impl<F: Field> ProverBackend for SpartanBackend<F> {
+    type Instance = (Vec<F>, Vec<F>);
+    type Task = BatchTask<F>;
+    type Statement = Vec<F>;
+    type Proof = Proof<F>;
+
+    fn name(&self) -> &'static str {
+        "sumcheck"
+    }
+
+    fn begin(&self, (inputs, witness): Self::Instance) -> Self::Task {
+        let r1cs = &self.r1cs;
+        check_len(self.name(), "inputs", inputs.len(), r1cs.num_inputs());
+        check_len(self.name(), "witness", witness.len(), r1cs.num_witness());
+        BatchTask {
+            inputs,
+            witness,
+            state: TaskState::Fresh,
+        }
+    }
+
+    /// The analogue of the paper's measured 35 : 12 : 113 amortized-time
+    /// ratio, derived from the cost model so the allocation tracks the
+    /// simulated device.
+    fn module_weights(&self, gpu: &Gpu) -> Vec<u64> {
+        let (r1cs, key) = (&self.r1cs, &self.key);
+        let cost = gpu.cost();
+        let [w_encode, w_merkle] = commit::module_weights(gpu, key);
+        let m = r1cs.padded_constraints() as u64;
+        let n = r1cs.z_len() as u64;
+        let w_sumcheck = (8 * m + 4 * n) * (cost.sumcheck_pair() + cost.shared_access);
+        let w_open =
+            2 * key.n_rows() as u64 * key.n_cols() as u64 * (cost.field_mul + cost.global_access);
+        vec![w_encode, w_merkle, w_sumcheck.max(1), w_open.max(1)]
+    }
+
+    /// Thread allocation follows the measured-ratio rule under that
+    /// device's cost model, so heterogeneous pool members each get their
+    /// own stage set.
+    fn stages(&self, gpu: &Gpu, total_threads: u32) -> Vec<BoxedStage<Self::Task>> {
+        let threads = allocate_threads(total_threads, &self.module_weights(gpu));
+        let stage = |k| Stage {
+            k,
+            threads: threads[k],
+            r1cs: Arc::clone(&self.r1cs),
+            key: Arc::clone(&self.key),
+            buffers: Arc::clone(&self.buffers),
+            cost: *gpu.cost(),
+        };
+        (0..STAGE_NAMES.len())
+            .map(|k| Box::new(stage(k)) as BoxedStage<BatchTask<F>>)
+            .collect()
+    }
+
+    /// The maximum of the per-stage `mem_after` values the stages report,
+    /// so a batch that would OOM at full pipeline residency is split in
+    /// time instead of erroring.
+    fn task_footprint_bytes(&self) -> u64 {
+        let encoded_bytes = encoded_bytes(&self.key);
+        let m = self.r1cs.padded_constraints() as u64;
+        let n = self.r1cs.z_len() as u64;
+        // Stage footprints: encoder holds the codeword matrix; merkle adds the
+        // tree layers; sum-check swaps the tree for its folding tables.
+        let merkle = encoded_bytes + self.key.codeword_len() as u64 * 64;
+        let sumcheck = encoded_bytes + 2 * (3 * m + n) * 32 / 3;
+        encoded_bytes.max(merkle).max(sumcheck)
+    }
+
+    fn finish(&self, task: Self::Task) -> (Self::Statement, Self::Proof) {
+        match task.state {
+            TaskState::Done(proof) => (task.inputs, proof),
+            _ => panic!("task has not completed the pipeline"),
+        }
+    }
+
+    fn verify(&self, statement: &Self::Statement, proof: &Self::Proof) -> bool {
+        spartan::verify_with(&self.key, &self.r1cs, statement, proof)
     }
 }
 
@@ -512,7 +619,7 @@ pub type BackendProofRequest<B> = (PriorityClass, u64, <B as ProverBackend>::Ins
 /// or any other virtual-time source. Unlike [`prove_batch_pool_with`],
 /// requests the admission controller rejects are *not* proved — the
 /// outcome reports them per class with a reject reason. With a
-/// [`MixedBackend`](crate::backend::MixedBackend) the one service
+/// [`MixedBackend`](crate::MixedBackend) the one service
 /// instance interleaves every protocol's tasks through the same pipelines
 /// under the existing SLO classes.
 ///
@@ -551,65 +658,9 @@ pub fn prove_service_with<B: ProverBackend>(
     )
 }
 
-/// Computes the module work weights for thread allocation — the analogue of
-/// the paper's measured 35 : 12 : 113 amortized-time ratio, derived here
-/// from the cost model so the allocation tracks the simulated device.
-pub fn module_weights<F: Field>(gpu: &Gpu, r1cs: &R1cs<F>, key: &PcsKey<F>) -> [u64; 4] {
-    let cost = gpu.cost();
-    let [w_encode, w_merkle] = commit::module_weights(gpu, key);
-    let m = r1cs.padded_constraints() as u64;
-    let n = r1cs.z_len() as u64;
-    let w_sumcheck = (8 * m + 4 * n) * (cost.sumcheck_pair() + cost.shared_access);
-    let w_open =
-        2 * key.n_rows() as u64 * key.n_cols() as u64 * (cost.field_mul + cost.global_access);
-    [w_encode, w_merkle, w_sumcheck.max(1), w_open.max(1)]
-}
-
-/// Builds the four Figure-7 stages for one device: thread allocation
-/// follows the measured-ratio rule under that device's cost model, so
-/// heterogeneous pool members each get their own stage set.
-pub(crate) fn build_stages<F: Field>(
-    gpu: &Gpu,
-    r1cs: &Arc<R1cs<F>>,
-    key: &Arc<PcsKey<F>>,
-    buffers: &Arc<Buffers<F>>,
-    total_threads: u32,
-) -> Vec<BoxedStage<BatchTask<F>>> {
-    let threads = allocate_threads(total_threads, &module_weights(gpu, r1cs, key));
-    let stage = |k| Stage {
-        k,
-        threads: threads[k],
-        r1cs: Arc::clone(r1cs),
-        key: Arc::clone(key),
-        buffers: Arc::clone(buffers),
-        cost: *gpu.cost(),
-    };
-    (0..STAGE_NAMES.len())
-        .map(|k| Box::new(stage(k)) as BoxedStage<BatchTask<F>>)
-        .collect()
-}
-
-/// Analytic estimate of one proof task's peak device-memory footprint in
-/// bytes — the maximum of the per-stage `mem_after` values the pipeline
-/// stages will report. The memory-aware shard policy sizes per-device
-/// admission from this, so a batch that would OOM at full pipeline
-/// residency is split in time instead of erroring.
-pub fn task_footprint_bytes<F: Field>(r1cs: &R1cs<F>, key: &PcsKey<F>) -> u64 {
-    let encoded_bytes = encoded_bytes(key);
-    let m = r1cs.padded_constraints() as u64;
-    let n = r1cs.z_len() as u64;
-    // Stage footprints: encoder holds the codeword matrix; merkle adds the
-    // tree layers; sum-check swaps the tree for its folding tables.
-    let merkle = encoded_bytes + key.codeword_len() as u64 * 64;
-    let sumcheck = encoded_bytes + 2 * (3 * m + n) * 32 / 3;
-    encoded_bytes.max(merkle).max(sumcheck)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::SpartanBackend;
-    use crate::pcs::PcsParams;
     use crate::r1cs::synthetic_r1cs;
     use crate::spartan::verify;
     use batchzk_field::Fr;
@@ -648,7 +699,7 @@ mod tests {
         // and evaluations), recorded at the commit before `curve::msm`
         // became signed-digit and batch-affine: the commitments are the
         // same group elements, so the proofs are the same bytes.
-        use crate::backend::GrothBackend;
+        use batchzk_pipeline::groth::GrothBackend;
         let backend = GrothBackend::new(8);
         let witnesses: Vec<Vec<Fr>> = [7, 7_061_979]
             .map(|seed| backend.circuit().witness(seed))
@@ -738,7 +789,7 @@ mod tests {
     fn module_weights_are_positive_and_sumcheck_heavy() {
         let (r1cs, _) = instances(64, 1);
         let gpu = Gpu::new(DeviceProfile::v100());
-        let w = module_weights(&gpu, &r1cs, &spartan::witness_key(test_params(), &r1cs));
+        let w = backend(&r1cs).module_weights(&gpu);
         assert!(w.iter().all(|&x| x > 0));
     }
 
@@ -864,7 +915,7 @@ mod tests {
         let (r1cs, batch) = instances(16, 6);
         let params = test_params();
         let backend = backend(&r1cs);
-        let cap = ProverBackend::task_footprint_bytes(&backend) * 3 / 2;
+        let cap = backend.task_footprint_bytes() * 3 / 2;
         let small = DeviceProfile {
             device_mem_bytes: cap,
             ..DeviceProfile::a100()

@@ -4,8 +4,16 @@
 //! R1CS circuits, the Brakedown/Orion linear-code polynomial commitment
 //! (encoder + Merkle tree, in [`batchzk_pcs`] and re-exported as [`pcs`]),
 //! the Spartan-style two-sum-check SNARK, the fully pipelined batch prover
-//! of the paper's Figure 7, and the pipelined standalone PCS-opening
-//! prover ([`orion`]).
+//! of the paper's Figure 7 ([`SpartanBackend`], in [`batch`]), and the
+//! pipelined standalone PCS-opening prover ([`OrionBackend`], in
+//! [`orion`]).
+//!
+//! Every protocol is one struct and one impl of [`ProverBackend`], the
+//! trait that lives beside `PipeStage` in `batchzk-pipeline` and is
+//! re-exported here with that crate's [`GrothBackend`]. The batch, pool and
+//! service entry points ([`prove_batch_with`], [`prove_batch_pool_with`],
+//! [`prove_service_with`]) are generic over it, and [`backend`] holds the
+//! backend names and the [`MixedBackend`] union of the three.
 //!
 //! # Examples
 //!
@@ -36,14 +44,14 @@ pub mod spartan;
 pub use batchzk_pcs as pcs;
 
 pub use backend::{
-    GrothBackend, Mixed, MixedBackend, MixedInstance, MixedProof, MixedStatement, MixedTask,
-    ProverBackend, SpartanBackend, BACKEND_NAMES,
+    Mixed, MixedBackend, MixedInstance, MixedProof, MixedStatement, MixedTask, ProverBackend,
+    BACKEND_NAMES,
 };
 pub use batch::{
     prove_batch_naive_with, prove_batch_pool_with, prove_batch_with, prove_service_with,
-    record_pool_outcome, task_footprint_bytes, BackendBatchRun, BackendPoolRun,
-    BackendProofRequest,
+    record_pool_outcome, BackendBatchRun, BackendPoolRun, BackendProofRequest, SpartanBackend,
 };
+pub use batchzk_pipeline::groth::GrothBackend;
 pub use orion::{OrionBackend, OrionProof, OrionTask};
 pub use pcs::{PcsCommitment, PcsOpening, PcsParams};
 pub use r1cs::{R1cs, R1csBuilder, Var};

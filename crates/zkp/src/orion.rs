@@ -40,9 +40,9 @@ use std::sync::Arc;
 use batchzk_field::{Field, SplitMix64};
 use batchzk_gpu_sim::{CostModel, Gpu, Work};
 use batchzk_hash::Transcript;
+use batchzk_pipeline::backend::{check_len, ProverBackend};
 use batchzk_pipeline::{allocate_threads, BoxedStage, PipeStage, StageWork};
 
-use crate::backend::{check_len, ProverBackend};
 use crate::commit::{self, Commit};
 use crate::pcs::{self, CombinedRows, EncodedRows, PcsCommitment, PcsKey, PcsOpening, PcsParams};
 
@@ -270,47 +270,6 @@ impl<F: Field> Stage<F> {
     }
 }
 
-/// Computes the four module work weights (encode, merkle, combine, open)
-/// in cycles under `gpu`'s cost model, for the measured-ratio thread
-/// allocation. The ratios are heavily front-loaded — encoding and column
-/// hashing dominate, the query phase is nearly free — unlike either the
-/// sumcheck system or the Groth16-style stack.
-pub fn module_weights<F: Field>(gpu: &Gpu, key: &PcsKey<F>) -> [u64; 4] {
-    let cost = gpu.cost();
-    let (n_rows, n_cols) = (key.n_rows(), key.n_cols());
-    let [w_encode, w_merkle] = commit::module_weights(gpu, key);
-    let term = cost.field_mul + cost.global_access;
-    let w_combine = (2 * n_rows * n_cols) as u64 * term;
-    let w_open = (key.column_tests() * n_rows + 2 * n_cols) as u64 * term;
-    [w_encode, w_merkle, w_combine.max(1), w_open.max(1)]
-}
-
-/// Builds the four Orion stages for one device: thread allocation follows
-/// the measured-ratio rule under that device's cost model.
-pub fn build_stages<F: Field>(
-    gpu: &Gpu,
-    key: &Arc<PcsKey<F>>,
-    total_threads: u32,
-) -> Vec<BoxedStage<OrionTask<F>>> {
-    let threads = allocate_threads(total_threads, &module_weights(gpu, key));
-    let stage = |k| Stage {
-        k,
-        threads: threads[k],
-        key: Arc::clone(key),
-        cost: *gpu.cost(),
-    };
-    (0..STAGE_NAMES.len())
-        .map(|k| Box::new(stage(k)) as BoxedStage<OrionTask<F>>)
-        .collect()
-}
-
-/// Analytic per-task peak device-memory footprint in bytes — the maximum
-/// of the per-stage `mem_after` values (the Merkle stage's tree residency
-/// on top of the encoded matrix).
-pub fn task_footprint_bytes<F: Field>(key: &PcsKey<F>) -> u64 {
-    resident_bytes(key) + key.codeword_len() as u64 * 64
-}
-
 /// The transcript every opening starts from: the statement point, then
 /// the commitment root.
 fn statement_transcript<F: Field>(point: &[F], commitment: &PcsCommitment) -> Transcript {
@@ -318,20 +277,6 @@ fn statement_transcript<F: Field>(point: &[F], commitment: &PcsCommitment) -> Tr
     transcript.absorb_fields(b"point", point);
     transcript.absorb_digest(b"root", &commitment.root);
     transcript
-}
-
-/// Verifies a finished PCS-opening proof against its statement point:
-/// commitment shape, transcript replay, re-encoded combination rows, and
-/// the Merkle column queries (see [`PcsKey::verify`]).
-pub fn verify<F: Field>(key: &PcsKey<F>, point: &[F], proof: &OrionProof<F>) -> bool {
-    let mut transcript = statement_transcript(point, &proof.commitment);
-    key.verify(
-        &proof.commitment,
-        point,
-        proof.value,
-        &proof.opening,
-        &mut transcript,
-    )
 }
 
 /// The Orion-style interleaved-codeword PCS as a [`ProverBackend`]:
@@ -417,16 +362,39 @@ impl<F: Field> ProverBackend for OrionBackend<F> {
         }
     }
 
+    /// The four module work weights (encode, merkle, combine, open) in
+    /// cycles under `gpu`'s cost model. The ratios are heavily
+    /// front-loaded — encoding and column hashing dominate, the query
+    /// phase is nearly free — unlike either the sumcheck system or the
+    /// Groth16-style stack.
     fn module_weights(&self, gpu: &Gpu) -> Vec<u64> {
-        module_weights(gpu, &self.key).to_vec()
+        let key = &self.key;
+        let cost = gpu.cost();
+        let (n_rows, n_cols) = (key.n_rows(), key.n_cols());
+        let [w_encode, w_merkle] = commit::module_weights(gpu, key);
+        let term = cost.field_mul + cost.global_access;
+        let w_combine = (2 * n_rows * n_cols) as u64 * term;
+        let w_open = (key.column_tests() * n_rows + 2 * n_cols) as u64 * term;
+        vec![w_encode, w_merkle, w_combine.max(1), w_open.max(1)]
     }
 
     fn stages(&self, gpu: &Gpu, total_threads: u32) -> Vec<BoxedStage<Self::Task>> {
-        build_stages(gpu, &self.key, total_threads)
+        let threads = allocate_threads(total_threads, &self.module_weights(gpu));
+        let stage = |k| Stage {
+            k,
+            threads: threads[k],
+            key: Arc::clone(&self.key),
+            cost: *gpu.cost(),
+        };
+        (0..STAGE_NAMES.len())
+            .map(|k| Box::new(stage(k)) as BoxedStage<OrionTask<F>>)
+            .collect()
     }
 
+    /// The maximum of the per-stage `mem_after` values: the Merkle stage's
+    /// tree residency on top of the encoded matrix.
     fn task_footprint_bytes(&self) -> u64 {
-        task_footprint_bytes(&self.key)
+        resident_bytes(&self.key) + self.key.codeword_len() as u64 * 64
     }
 
     fn finish(&self, task: Self::Task) -> (Self::Statement, Self::Proof) {
@@ -436,8 +404,17 @@ impl<F: Field> ProverBackend for OrionBackend<F> {
         }
     }
 
-    fn verify(&self, statement: &Self::Statement, proof: &Self::Proof) -> bool {
-        verify(&self.key, statement, proof)
+    /// Commitment shape, transcript replay, re-encoded combination rows,
+    /// and the Merkle column queries (see [`PcsKey::verify`]).
+    fn verify(&self, point: &Self::Statement, proof: &Self::Proof) -> bool {
+        let mut transcript = statement_transcript(point, &proof.commitment);
+        self.key.verify(
+            &proof.commitment,
+            point,
+            proof.value,
+            &proof.opening,
+            &mut transcript,
+        )
     }
 }
 
@@ -631,7 +608,7 @@ mod tests {
         // free — the work-ratio stress case of DESIGN.md §17.
         let b = backend(12);
         let gpu = Gpu::new(DeviceProfile::a100());
-        let w = module_weights(&gpu, b.shared());
+        let w = b.module_weights(&gpu);
         assert!(w.iter().all(|&x| x > 0));
         assert!(w[0] + w[1] > w[2] + w[3]);
         assert!(w[3] < w[1]);
@@ -642,9 +619,9 @@ mod tests {
         let b = backend(10);
         let shared = b.shared();
         assert_eq!(
-            task_footprint_bytes(shared),
+            b.task_footprint_bytes(),
             resident_bytes(shared) + shared.codeword_len() as u64 * 64
         );
-        assert!(task_footprint_bytes(shared) > 0);
+        assert!(b.task_footprint_bytes() > 0);
     }
 }

@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
 """Fail on a public function that no other file calls.
 
-Every `pub fn` under `crates/*/src`, outside `#[cfg(test)]` items, must have
-its name, as a whole word, in the code of at least one other `.rs` file under
-`crates/`, `benchmark/src`, `src/` or `examples/`. Test code does not count:
+Every `pub fn` under `crates/*/src`, outside `#[cfg(test)]` items, must be
+called from the code of at least one other `.rs` file under `crates/`,
+`benchmark/src`, `src/` or `examples/`. A call is the name in call or path
+form: `name(` (so `.name(` too), `name::<` or `::name`. A bare word is not a
+call: a field, a local variable or a same-named item elsewhere does not keep
+a function alive, nor does a function passed by a bare imported name, which
+the allow-list below names. Test code does not count:
 `#[cfg(test)]` items and files under a `tests/` directory are left out of the
 search. Re-exports do not count either: a `pub use` statement, one line or a
 multi-line `pub use { … };` list, only passes a name on, so it is left out
@@ -35,6 +39,16 @@ ALLOWED = {
     # callers are out of the search by design.
     "with_portable_bodies": "field's hooks-off seam; zkp's portable_bodies_prove_the_dispatched_bytes proves under it, and a CI rule keeps it in test code",
     "gauge": "the registry's gauge reader; pipeline's observe tests, zkp's pool tests and vml's service tests read recorded gauges through it",
+    "counter": "the registry's counter reader; pipeline's observe tests and zkp's pool tests read recorded counters through it",
+    "in_use": "device memory still allocated; the pipeline, zkp and tests/pipeline_system.rs schedules assert through it that a run frees all it took",
+    "one": "ArrivalPlan's single-arrival builder; gpu-sim's spec tests and bench's service tests build plans with it",
+    "h2d_bytes": "a span's host-to-device total; pipeline's merkle tests check the spans against the run's transfer counters",
+    "d2h_bytes": "a span's device-to-host total; pipeline's merkle tests check the spans against the run's transfer counters",
+    "evals": "a multilinear polynomial's evaluation table; sumcheck's prover tests and zkp's r1cs tests read tables through it",
+    "completed": "a timeline window's completions; zkp's service test checks through it that the windows conserve the run's total",
+    # Passed by a bare imported name, which is not a call in path form.
+    "compress": "the dispatched single-block SHA-256; hash's sha_blocks example times it, passed as a function value",
+    "compress_portable": "the portable SHA-256 body; hash's sha_blocks example times it, passed as a function value",
     "table_bytes_for": "a fixed-base table's size without building it; curve's byte-budget test sweeps it to 2^20 and pipeline's Groth16 tests pin the table that ROADMAP item 5 is to charge",
     # Public API kept on purpose.
     "to_prometheus": "the registry's Prometheus text exposition, one of its two formats (README's metrics section); observe's exposition_known_answer pins its bytes",
@@ -43,6 +57,7 @@ ALLOWED = {
     # probe has to be public.
     "predict": "MlService's plain inference, the oracle tests/verifiable_ml.rs checks each proven prediction's logits against",
     "arena_capacities": "the sum-check arenas zkp's steady-state allocation test reads; it is its own binary for the counting allocator",
+    "claim": "a pipelined sum-check task's claimed sum; tests/pipeline_system.rs verifies each proof against it",
     # `NttDomain`'s threaded transforms: deleting them drops `batchzk-field`'s
     # dependency on `batchzk-par`, which rewrites `benchmark/Cargo.lock`; they
     # go with the benchmark's own change.
@@ -99,15 +114,16 @@ def public_fns(text):
             if (match := PUB_FN.match(line))]
 
 
-def main():
-    sources = sorted(ROOT.glob("crates/*/src/**/*.rs"))
+def audit(root, allowed):
+    """The findings over the tree at `root`, one line each."""
+    sources = sorted(root.glob("crates/*/src/**/*.rs"))
     searched = sorted(
         path
-        for path in set(ROOT.glob("crates/**/*.rs"))
-        | set(ROOT.glob("benchmark/src/**/*.rs"))
-        | set(ROOT.glob("src/**/*.rs"))
-        | set(ROOT.glob("examples/**/*.rs"))
-        if "tests" not in path.relative_to(ROOT).parts
+        for path in set(root.glob("crates/**/*.rs"))
+        | set(root.glob("benchmark/src/**/*.rs"))
+        | set(root.glob("src/**/*.rs"))
+        | set(root.glob("examples/**/*.rs"))
+        if "tests" not in path.relative_to(root).parts
     )
     texts = {
         path: PUB_USE.sub("", LITERALS.sub(
@@ -115,31 +131,35 @@ def main():
         for path in searched
     }
 
-    def named_elsewhere(name, home):
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        return any(word.search(text) for path, text in texts.items() if path != home)
+    def called_elsewhere(name, home):
+        call = re.compile(rf"\b{re.escape(name)}\s*(?:\(|::\s*<)|::\s*{re.escape(name)}\b")
+        return any(call.search(text) for path, text in texts.items() if path != home)
 
     failures = []
     defined = set()
     for path in sources:
         for number, name in public_fns(path.read_text()):
             defined.add(name)
-            if name in ALLOWED:
-                if named_elsewhere(name, path):
-                    failures.append(f"stale allow-list entry: `{name}` is now named outside {path.relative_to(ROOT)}")
+            if name in allowed:
+                if called_elsewhere(name, path):
+                    failures.append(f"stale allow-list entry: `{name}` is now called outside {path.relative_to(root)}")
                 continue
-            if not named_elsewhere(name, path):
-                failures.append(f"{path.relative_to(ROOT)}:{number}: `pub fn {name}` is named in no other file")
-    for name in sorted(set(ALLOWED) - defined):
+            if not called_elsewhere(name, path):
+                failures.append(f"{path.relative_to(root)}:{number}: `pub fn {name}` is called from no other file")
+    for name in sorted(set(allowed) - defined):
         failures.append(f"stale allow-list entry: no `pub fn {name}` left")
+    return failures
 
+
+def main():
+    failures = audit(ROOT, ALLOWED)
     for failure in failures:
         print(failure)
     if failures:
         print(f"{len(failures)} finding(s): delete the function, make it private, "
               "move it under #[cfg(test)], or allow it above with a reason")
         return 1
-    print(f"every pub fn is named in another file ({len(ALLOWED)} allowed on purpose)")
+    print(f"every pub fn is called from another file ({len(ALLOWED)} allowed on purpose)")
     return 0
 
 

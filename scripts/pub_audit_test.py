@@ -1,0 +1,68 @@
+#!/usr/bin/env python3
+"""Self-test of scripts/pub_audit.py's call-site rule over a small fixture tree.
+
+A `pub fn` that another file names only as a variable or a field is flagged;
+one that another file reaches as `Type::name`, `.name(` or `name::<` passes,
+and so does one on the allow-list. Exits 1 on the first wrong verdict.
+
+    python3 scripts/pub_audit_test.py
+"""
+
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import pub_audit  # noqa: E402
+
+FIXTURE = {
+    "crates/tree/src/lib.rs": """
+pub struct Tree { depth: usize }
+
+impl Tree {
+    pub fn depth(&self) -> usize { self.depth }
+    pub fn leaves(&self) -> usize { 1 << self.depth }
+    pub fn height(&self) -> usize { self.depth }
+    pub fn hook(&self) {}
+}
+
+pub fn build<T>(depth: usize) -> Tree { Tree { depth } }
+
+pub fn unused_but_commented() {}
+""",
+    "crates/user/src/lib.rs": """
+use tree::*;
+
+fn run() -> usize {
+    // unused_but_commented() is only mentioned here.
+    let depth = 3;
+    let tree = build::<u8>(depth);
+    let total = tree.depth + tree.leaves();
+    let label = "unused_but_commented()";
+    let h = Tree::height;
+    total + h(&tree) + label.len()
+}
+""",
+}
+
+
+def main():
+    with tempfile.TemporaryDirectory() as root:
+        root = Path(root)
+        for path, text in FIXTURE.items():
+            (root / path).parent.mkdir(parents=True, exist_ok=True)
+            (root / path).write_text(text)
+        findings = pub_audit.audit(root, {"hook": "kept on purpose"})
+    flagged = {line.split("`pub fn ")[1].split("`")[0] for line in findings if "`pub fn " in line}
+    expected = {"depth", "unused_but_commented"}
+    if flagged != expected or len(findings) != len(expected):
+        print(f"expected exactly {sorted(expected)} flagged, got:")
+        print("\n".join(findings) or "(no findings)")
+        return 1
+    print("pub_audit flags names used only as variables, fields, comments or "
+          "strings, and passes `Type::name`, `.name(`, `name::<` and the allow-list")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
