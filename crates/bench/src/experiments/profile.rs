@@ -61,11 +61,11 @@ pub(super) fn timed_prove(circuit: &Circuit) -> (Vec<PhaseProfile>, f64) {
         // `spartan::run_sumchecks`, phase by phase, in the one arena.
         let ((), ms) = timed_ms(|| r1cs.products(z, arena));
         phase("spmv", ms);
-        let (sc1, ms) = timed_ms(|| spartan::prove_outer(r1cs, arena, &mut transcript));
+        let (sc1, ms) = timed_ms(|| spartan::prove_outer(r1cs, None, arena, &mut transcript));
         phase("sc1", ms);
         let ((), ms) = timed_ms(|| spartan::bind_matrices(r1cs, &sc1, arena, &mut transcript));
         phase("matrix-bind", ms);
-        let (sc2, ms) = timed_ms(|| spartan::prove_inner(r1cs, z, arena, &mut transcript));
+        let (sc2, ms) = timed_ms(|| spartan::prove_inner(r1cs, z, None, arena, &mut transcript));
         phase("sc2", ms);
 
         let point_y = sc2.point();

@@ -1,5 +1,5 @@
 //! Prints which body the lane hooks dispatch to on this host and the host
-//! cost of nine of them, through the scalar bodies and through the
+//! cost of thirteen of them, through the scalar bodies and through the
 //! dispatched hooks:
 //!
 //! - [`Field::fold_halves`] (one sum-check fold of a table's halves) and
@@ -17,6 +17,11 @@
 //!   its first), in ns per pair, on the same tables: weighted with a third
 //!   table (sum-check #1's `eq·(a·c − d)`) and unweighted (sum-check #2's
 //!   `f·g`);
+//! - [`Field::eq_split`] (an `eq` level split from the one before),
+//!   [`Field::narrow_into`] (narrow integers recovered from elements that
+//!   are their images), [`Field::dot_small`] (a dot against integers) and
+//!   [`Field::fold_small`] (a fold of integer halves), in ns per entry, on
+//!   the same tables, the integers as a quantized assignment holds them;
 //! - [`Field::batch_invert`] in ns per element and [`Field::affine_chords`]
 //!   in ns per pair, over `Fq` at 2^7, 2^10 and 2^13: the sizes of an MSM's
 //!   batch-affine rounds (`curve::msm`).
@@ -26,8 +31,8 @@
 //! of `target/release/examples` and alternate the two; a shared host has
 //! slow phases lasting minutes).
 //!
-//! With `--check` it first runs both bodies of all nine hooks on the same
-//! random tables and exits non-zero if any output differs.
+//! With `--check` it first runs both bodies of all thirteen hooks on the
+//! same random tables and exits non-zero if any output differs.
 //!
 //! ```text
 //! cargo run --release --offline -p batchzk-field --example lanes [-- --check]
@@ -38,9 +43,10 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use batchzk_field::{
-    affine_chords_scalar, batch_invert_scalar, combine_scalar, eq_double_scalar,
-    fold_halves_scalar, lane_kernel, product_round_sums_scalar, scale_scalar,
-    write_canonical_scalar, Field, Fq, Fr, SplitMix64,
+    affine_chords_scalar, batch_invert_scalar, combine_scalar, dot_small_scalar, eq_double_scalar,
+    eq_split_scalar, field_from_i64, fold_halves_scalar, fold_small_scalar, lane_kernel,
+    narrow_into_scalar, product_round_sums_scalar, scale_scalar, write_canonical_scalar, Field, Fq,
+    Fr, SplitMix64,
 };
 
 const LOG_SIZES: [u32; 3] = [10, 14, 20];
@@ -133,6 +139,46 @@ fn rounds_agree<F: Field>(table: &[F]) -> bool {
             == chords(affine_chords_scalar, table, &rotated)
 }
 
+/// Integers as a quantized assignment holds them, one per entry of
+/// `table`: most 0 or 1, the rest below 2^10 either side of zero.
+fn integers(table: &[Fr]) -> Vec<i32> {
+    let byte = |x: &Fr| i32::from(x.to_bytes()[0]);
+    table
+        .iter()
+        .map(|x| match byte(x) % 4 {
+            0 | 1 => byte(x) % 2,
+            _ => (byte(x) - 128) * 7,
+        })
+        .collect()
+}
+
+/// Whether the field × integer hooks, the narrow recovery and `eq_split`
+/// agree with their scalar bodies on one random table.
+fn small_hooks_agree(table: &[Fr], r: Fr) -> bool {
+    let ints = integers(table);
+    let wide: Vec<i64> = ints.iter().map(|&k| i64::from(k) << 20).collect();
+    let images: Vec<Fr> = ints.iter().map(|&k| field_from_i64(k.into())).collect();
+    let (mut hook, mut scalar) = (vec![0; ints.len()], vec![1; ints.len()]);
+    let narrow = Fr::narrow_into(&images, &mut hook)
+        && narrow_into_scalar(&images, &mut scalar)
+        && hook == ints
+        && scalar == ints
+        && !Fr::narrow_into(table, &mut hook);
+    let half = table.len() / 2;
+    let (lo, hi) = ints.split_at(half);
+    let (mut hook, mut scalar) = (table[..half].to_vec(), table[half..].to_vec());
+    Fr::fold_small(&mut hook, lo, hi, r);
+    fold_small_scalar(&mut scalar, lo, hi, r);
+    let (src, mut split) = (&table[half..], [(); 4].map(|()| table[..half].to_vec()));
+    let [hook_lo, hook_hi, scalar_lo, scalar_hi] = &mut split;
+    Fr::eq_split(src, hook_lo, hook_hi, r);
+    eq_split_scalar(src, scalar_lo, scalar_hi, r);
+    narrow
+        && hook == scalar
+        && (hook_lo, hook_hi) == (scalar_lo, scalar_hi)
+        && Fr::dot_small(table, &wide) == dot_small_scalar(table, &wide)
+}
+
 /// Whether the hooks and the scalar bodies agree on one random table.
 fn agree(table: &[Fr], r: Fr) -> bool {
     let rotated = rotations(table);
@@ -172,6 +218,7 @@ fn agree(table: &[Fr], r: Fr) -> bool {
         && hook == scalar
         && Fr::dot(lo, hi) == dot_scalar(lo, hi)
         && rounds_agree(table)
+        && small_hooks_agree(table, r)
 }
 
 fn main() -> ExitCode {
@@ -188,9 +235,10 @@ fn main() -> ExitCode {
         .collect();
 
     println!(
-        "`fold_halves` / `scale` / `combine` / `eq_double` / `write_canonical` / `dot` / \
-         `product_round_sums` / `batch_invert` / `affine_chords` dispatch to: {} (whole blocks \
-         of 8, rows of 32 for `batch_invert`; the tail runs the scalar body)",
+        "`fold_halves` / `scale` / `combine` / `eq_double` / `eq_split` / `write_canonical` / \
+         `dot` / `product_round_sums` / `batch_invert` / `affine_chords` / `narrow_into` / \
+         `dot_small` / `fold_small` dispatch to: {} (whole blocks of 8, rows of 32 for \
+         `batch_invert`; the tail runs the scalar body)",
         lane_kernel()
     );
     if check {
@@ -264,6 +312,52 @@ fn main() -> ExitCode {
             per(eq_scalar, table.len()),
             per(eq_hook, table.len()),
         );
+    }
+    println!();
+    println!(
+        "| table | eq_split scalar ns | eq_split hook ns | narrow_into scalar ns \
+         | narrow_into hook ns | dot_small scalar ns | dot_small hook ns \
+         | fold_small scalar ns | fold_small hook ns |"
+    );
+    println!("|---|---|---|---|---|---|---|---|---|");
+    for (&k, table) in LOG_SIZES.iter().zip(&tables) {
+        let runs = runs(k);
+        let ints = integers(table);
+        let wide: Vec<i64> = ints.iter().map(|&k| k.into()).collect();
+        let images: Vec<Fr> = ints.iter().map(|&k| field_from_i64(k.into())).collect();
+        let half = table.len() / 2;
+        let (src, mut xs) = (&table[..half], table[half..].to_vec());
+        let mut out = vec![0; table.len()];
+        let (mut lo, mut hi) = (src.to_vec(), src.to_vec());
+        let times = [
+            fastest(runs, || {
+                eq_split_scalar(src, black_box(&mut lo), &mut hi, r)
+            }),
+            fastest(runs, || Fr::eq_split(src, black_box(&mut lo), &mut hi, r)),
+            fastest(runs, || {
+                _ = narrow_into_scalar(black_box(&images), &mut out)
+            }),
+            fastest(runs, || _ = Fr::narrow_into(black_box(&images), &mut out)),
+            fastest(runs, || {
+                _ = black_box(dot_small_scalar(black_box(table), &wide))
+            }),
+            fastest(runs, || {
+                _ = black_box(Fr::dot_small(black_box(table), &wide))
+            }),
+            fastest(runs, || {
+                fold_small_scalar(black_box(&mut xs), &ints[..half], &ints[half..], r)
+            }),
+            fastest(runs, || {
+                Fr::fold_small(black_box(&mut xs), &ints[..half], &ints[half..], r)
+            }),
+        ];
+        let entries = [table.len(), table.len(), table.len(), half];
+        let cells: Vec<String> = times
+            .iter()
+            .enumerate()
+            .map(|(i, &d)| format!("{:.2}", per(d, entries[i / 2])))
+            .collect();
+        println!("| 2^{k} | {} |", cells.join(" | "));
     }
     println!();
     println!("| dot terms | dot scalar ns | dot hook ns |");

@@ -35,27 +35,50 @@
 //! corrected by 2^4 once per reduction a term went through. Under
 //! `debug_assertions` a store asserts scale 0 and a canonical value.
 //!
+//! **Integer operands.** [`Acc::mul_add_small`] multiplies a field lane by an
+//! `i64` lane: five products a 52-bit plane of the magnitude, against
+//! twenty-five for two field elements, with the field operand's negation in
+//! the negative lanes. The integer is not in Montgomery form, so such a
+//! product sits [`INTEGER_SCALE`] scales above a field product: a constant
+//! coefficient enters at scale −65 ([`Packed::integer_scaled`]), and a sum
+//! over loaded elements is corrected by [`lane_sums`] like any other. What
+//! binds an accumulator of them is its columns' room, not `p²`
+//! ([`SMALL_BUDGET`]).
+//!
 //! **The seam.** [`run`] is the one entry from code without the target
 //! features: it checks [`detected`] and calls [`kernel`], which matches a
 //! [`Call`] to its loop. The only other `unsafe` is [`cast`], which
-//! reinterprets a whole 256-byte block.
+//! reinterprets a whole block of eight elements or eight integers.
 
 use core::arch::x86_64::{
-    __m512i, __mmask8, _mm512_add_epi64, _mm512_and_si512, _mm512_madd52hi_epu64,
-    _mm512_madd52lo_epu64, _mm512_mask_blend_epi64, _mm512_maskz_mov_epi64, _mm512_or_si512,
+    __m256i, __m512i, __mmask8, _mm512_abs_epi64, _mm512_add_epi64, _mm512_and_si512,
+    _mm512_cmpeq_epi64_mask, _mm512_cmplt_epi64_mask, _mm512_cmplt_epu64_mask,
+    _mm512_cvtepi32_epi64, _mm512_cvtepi64_epi32, _mm512_madd52hi_epu64, _mm512_madd52lo_epu64,
+    _mm512_mask_blend_epi64, _mm512_mask_sub_epi64, _mm512_maskz_mov_epi64, _mm512_or_si512,
     _mm512_permutex2var_epi64, _mm512_set1_epi64, _mm512_set_epi64, _mm512_setzero_si512,
     _mm512_slli_epi64, _mm512_srai_epi64, _mm512_srli_epi64, _mm512_sub_epi64,
-    _mm512_test_epi64_mask,
+    _mm512_test_epi64_mask, _mm512_testn_epi64_mask,
 };
 use core::marker::PhantomData;
 
 use crate::lanes::{Block, Call, Halves, LimbLayout, LANES};
 use crate::limb::{add_mod, Limbs};
-use crate::{batch_invert_scalar, sparse_mul_lanes_scalar};
+use crate::{batch_invert_scalar, sparse_mul_lanes_scalar, NARROW_BOUND};
 
 /// Reductions stay canonical while an accumulator's budget, in units of
 /// `p²`, is below this.
 const BUDGET: u32 = 64;
+
+/// Columns stay within their 64 bits while an accumulator holds fewer
+/// field × integer products ([`Acc::mul_add_small`]) than this: each adds
+/// at most four 52-bit halves to a column, the reduction ten more, and
+/// `4·999 + 10 < 2^12`.
+const SMALL_BUDGET: u32 = 1000;
+
+/// The scales a field × integer product sits above a field × field one:
+/// the integer is not in Montgomery form, so the product lacks one factor
+/// `R = 2^256 = (2^4)^64`.
+const INTEGER_SCALE: i32 = 64;
 
 /// Vectors of interleaved prefix-product chains the batch inversion runs
 /// side by side, so that many independent products are in flight while
@@ -130,12 +153,16 @@ fn kernel<F: LimbLayout>(call: Call<'_, F>) {
             [y, z] => combine(xs, a, [y, z]),
             _ => unreachable!("`lanes::combine_head` sends at most two terms"),
         },
-        // `hi = t·lo` reduced, then `lo − hi` as a difference below `2p`
-        // made canonical by one conditional subtraction.
-        Call::EqDouble(lo, hi, t) => {
+        // `hi = t·v` reduced, then `v − hi` as a difference below `2p`
+        // made canonical by one conditional subtraction; `v` is the
+        // source's entry, or `lo`'s.
+        Call::EqDouble(src, lo, hi, t) => {
             let t = Packed::prescaled(t);
-            for (lo, hi) in lo.iter_mut().zip(hi) {
-                let v = Packed::load(lo);
+            for (i, (lo, hi)) in lo.iter_mut().zip(hi).enumerate() {
+                let v = match src {
+                    Some(src) => Packed::load(&src[i]),
+                    None => Packed::load(lo),
+                };
                 let mut acc = Acc::new();
                 acc.mul_add(t, v);
                 let tv = acc.reduce();
@@ -147,6 +174,54 @@ fn kernel<F: LimbLayout>(call: Call<'_, F>) {
             [*sum] = lane_sums(a.len(), |[acc], i| {
                 acc.mul_add(Packed::load(&a[i]), Packed::load(&b[i]));
             });
+        }
+        // One plane of each integer a block (two where one is 2^52 or
+        // more), up to `SMALL_BUDGET − 1` blocks a reduction.
+        Call::DotSmall(a, b, sum) => {
+            [*sum] = lane_sums(a.len(), |[acc], i| {
+                let a = Packed::load(&a[i]);
+                acc.mul_add_small([a, a.negated()], Small::new(cast(&b[i])));
+            });
+        }
+        // A block of zeros and ones (half of a quantized assignment's) by
+        // comparison; any other by the canonical value as for `Canonical`
+        // and its negation: a lane is narrow when one of the two is below
+        // the bound in its lowest plane and zero above it.
+        Call::Narrow(xs, out, narrow) => {
+            let bound = _mm512_set1_epi64(NARROW_BOUND.into());
+            let one = F::ONE.mont_limbs().map(|l| _mm512_set1_epi64(l as i64));
+            for (x, out) in xs.iter().zip(out) {
+                *narrow += 1;
+                if let Some(ones) = bits(x, one) {
+                    let k = _mm512_maskz_mov_epi64(ones, _mm512_set1_epi64(1));
+                    *out = cast(&_mm512_cvtepi64_epi32(k));
+                    continue;
+                }
+                let v = Acc::widen(Packed::load(x).times16()).reduce();
+                let neg = v.negated();
+                let [positive, negative] = [v, neg].map(|v| v.narrow_lanes(bound));
+                if positive | negative != u8::MAX {
+                    *narrow -= 1;
+                    break;
+                }
+                let zero = _mm512_setzero_si512();
+                let k =
+                    _mm512_mask_sub_epi64(v.planes[0], negative & !positive, zero, neg.planes[0]);
+                *out = cast(&_mm512_cvtepi64_epi32(k));
+            }
+        }
+        // `1·lo + r·(hi − lo)`, both coefficients entered at scale −65 so
+        // that the products of integers reduce to scale 0.
+        Call::FoldSmall(out, [lo, hi], r) => {
+            let one = [F::ONE, -F::ONE].map(|c| Packed::integer_scaled(c));
+            let r = [r, -r].map(|c| Packed::integer_scaled(c));
+            for (i, out) in out.iter_mut().enumerate() {
+                let [lo, hi] = [&lo[i], &hi[i]].map(|x| _mm512_cvtepi32_epi64(cast(x)));
+                let mut acc = Acc::new();
+                acc.mul_add_small(one, Small::new(lo));
+                acc.mul_add_small(r, Small::new(_mm512_sub_epi64(hi, lo)));
+                acc.reduce().store(out);
+            }
         }
         // The stored limbs times 2^4, reduced: `16·x·2^256 / 2^260 = x`.
         Call::Canonical(xs, out) => {
@@ -243,6 +318,21 @@ fn round_sums<F: LimbLayout>(
     })
 }
 
+/// The lanes of a block that are one, when every lane is zero or one
+/// (`one` is the Montgomery limbs of one, a limb a vector): four limb
+/// comparisons, no reduction.
+#[inline]
+#[target_feature(enable = "avx512f,avx512ifma")]
+fn bits<F: LimbLayout>(x: &Block<F>, one: [__m512i; 4]) -> Option<__mmask8> {
+    let limbs = transpose(cast(x), false);
+    let (mut ones, mut zeros) = (u8::MAX, u8::MAX);
+    for (l, one) in limbs.into_iter().zip(one) {
+        ones &= _mm512_cmpeq_epi64_mask(l, one);
+        zeros &= _mm512_testn_epi64_mask(l, l);
+    }
+    (ones | zeros == u8::MAX).then_some(ones)
+}
+
 /// Block `b` of an optional operand. (`Option::map` would take a closure
 /// that inherits the target features, which a function without them
 /// cannot inline.)
@@ -331,8 +421,8 @@ fn lane_sums<F: LimbLayout, const N: usize>(
         for b in start..blocks {
             add(&mut acc, b);
             if b == start {
-                let step = acc.iter().fold(0, |s, a| s.max(a.budget));
-                end = blocks.min(start + ((BUDGET - 1) / step) as usize);
+                let fit = acc.iter().map(Acc::repeats).min().unwrap_or(usize::MAX);
+                end = blocks.min(start.saturating_add(fit));
             }
             if b + 1 == end {
                 break;
@@ -350,7 +440,7 @@ fn lane_sums<F: LimbLayout, const N: usize>(
 #[target_feature(enable = "avx512f,avx512ifma")]
 fn fold_lanes<F: LimbLayout, const N: usize>(acc: [Acc<F>; N], sums: &mut [(F, i32); N]) {
     for (acc, (sum, scale)) in acc.into_iter().zip(sums) {
-        if acc.budget > 0 {
+        if acc.budget > 0 || acc.small > 0 {
             let mut lanes = acc.reduce();
             debug_assert!(*scale == 0 || *scale == lanes.scale);
             (*scale, lanes.scale) = (lanes.scale, 0);
@@ -417,6 +507,16 @@ impl<F: LimbLayout> Packed<F> {
         Self::splat52(prescaled(a), -1)
     }
 
+    /// `a·2^260 mod p` in every lane: a coefficient of integers at scale
+    /// −65, whose products with them ([`Acc::mul_add_small`]) reduce to
+    /// scale 0.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn integer_scaled(a: F) -> Self {
+        let two64 = F::from(u64::MAX) + F::ONE;
+        let shift = two64.square().square() * F::from(16);
+        Self::splat52(split52(&(a * shift).mont_limbs()), -1 - INTEGER_SCALE)
+    }
+
     /// Five canonical 52-bit limbs in every lane, at `scale`.
     #[target_feature(enable = "avx512f,avx512ifma")]
     fn splat52(limbs: [u64; 5], scale: i32) -> Self {
@@ -469,6 +569,26 @@ impl<F: LimbLayout> Packed<F> {
         Self::new(planes, 2, self.scale)
     }
 
+    /// `p − self` from a canonical value: a representative of the negation
+    /// below `2p` (`p` itself for zero).
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn negated(self) -> Self {
+        Self::splat52([0; 5], self.scale).difference(self)
+    }
+
+    /// The lanes of a value with its limbs masked to 52 bits that are
+    /// below `bound` (at most 2^52): zero above the lowest plane.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn narrow_lanes(self, bound: __m512i) -> __mmask8 {
+        let [low, rest @ ..] = self.planes;
+        let high = rest
+            .into_iter()
+            .fold(_mm512_setzero_si512(), |a, l| _mm512_or_si512(a, l));
+        _mm512_testn_epi64_mask(high, high) & _mm512_cmplt_epu64_mask(low, bound)
+    }
+
     /// The canonical representative of a value below `2p` in 52-bit limbs
     /// (a reduction's result, or a [`Packed::difference`]): `p` subtracted
     /// where that does not borrow.
@@ -517,11 +637,13 @@ impl<F: LimbLayout> Packed<F> {
 }
 
 /// Ten unreduced radix-2^52 columns per lane, the `p²` budget their
-/// products spent, and the scale of those products.
+/// products spent, the field × integer products among them, and the scale
+/// of those products.
 #[derive(Clone, Copy)]
 struct Acc<F> {
     columns: [__m512i; 10],
     budget: u32,
+    small: u32,
     scale: i32,
     field: PhantomData<F>,
 }
@@ -535,9 +657,22 @@ impl<F: LimbLayout> Acc<F> {
         Self {
             columns,
             budget: 0,
+            small: 0,
             scale: 0,
             field,
         }
+    }
+
+    /// How many blocks, each adding what this accumulator holds, fit in
+    /// one reduction: within both the `p²` budget and the integer one.
+    #[inline]
+    fn repeats(&self) -> usize {
+        let full = (BUDGET - 1).checked_div(self.budget);
+        let small = (SMALL_BUDGET - 1).checked_div(self.small);
+        full.into_iter()
+            .chain(small)
+            .min()
+            .map_or(usize::MAX, |n| n as usize)
     }
 
     /// One value's exact 52-bit limbs as the low columns: below
@@ -570,6 +705,35 @@ impl<F: LimbLayout> Acc<F> {
         }
     }
 
+    /// `self += a·k` lane by lane for integers `k`, `a` given with its
+    /// negation (`[a, −a]`, for the lanes where `k` is negative): five
+    /// `madd52lo` and five `madd52hi` a 52-bit plane of `|k|`, one plane or,
+    /// where some `|k|` reaches 2^52, two. The value stays far below `p²`;
+    /// what binds is the columns' room, [`SMALL_BUDGET`].
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn mul_add_small(&mut self, [a, neg]: [Packed<F>; 2], k: Small) {
+        let scale = a.scale + INTEGER_SCALE;
+        debug_assert!(self.budget == 0 && (self.small == 0 || self.scale == scale));
+        debug_assert!(a.scale == neg.scale);
+        (self.small, self.scale) = (self.small + 1, scale);
+        let planes: [_; 5] = core::array::from_fn(|i| {
+            _mm512_mask_blend_epi64(k.negative, a.planes[i], neg.planes[i])
+        });
+        let c = &mut self.columns;
+        let [low, high] = k.planes;
+        for (i, &a) in planes.iter().enumerate() {
+            c[i] = _mm512_madd52lo_epu64(c[i], a, low);
+            c[i + 1] = _mm512_madd52hi_epu64(c[i + 1], a, low);
+        }
+        if k.wide {
+            for (i, &a) in planes.iter().enumerate() {
+                c[i + 1] = _mm512_madd52lo_epu64(c[i + 1], a, high);
+                c[i + 2] = _mm512_madd52hi_epu64(c[i + 2], a, high);
+            }
+        }
+    }
+
     /// Montgomery reduction of the columns by `2^260`, canonical: five
     /// rounds, each cancelling the lowest column with `q·p` and carrying it
     /// up, then one conditional subtraction.
@@ -577,8 +741,16 @@ impl<F: LimbLayout> Acc<F> {
     #[target_feature(enable = "avx512f,avx512ifma")]
     fn reduce(self) -> Packed<F> {
         debug_assert!(self.budget < BUDGET, "p² budget overdrawn: {}", self.budget);
+        debug_assert!(
+            self.small < SMALL_BUDGET,
+            "integer products: {}",
+            self.small
+        );
         #[cfg(debug_assertions)]
-        SPENT.with_borrow_mut(|log| log.iter_mut().for_each(|log| log.push(self.budget)));
+        SPENT.with_borrow_mut(|log| {
+            let spent = [self.budget, self.small];
+            log.iter_mut().for_each(|log| log.push(spent));
+        });
         let p = Packed::<F>::splat52(split52(&F::P), 0).planes;
         let neg_inv = _mm512_set1_epi64((F::NEG_INV & MASK52) as i64);
         let (mut c, zero) = (self.columns, _mm512_setzero_si512());
@@ -603,11 +775,38 @@ impl<F: LimbLayout> Acc<F> {
     }
 }
 
+/// Eight integers as the 52-bit planes of their magnitudes, low and high,
+/// whether any lane needs the high one, and the mask of negative lanes.
+#[derive(Clone, Copy)]
+struct Small {
+    planes: [__m512i; 2],
+    wide: bool,
+    negative: __mmask8,
+}
+
+impl Small {
+    /// Eight `i64` lanes.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn new(k: __m512i) -> Self {
+        let negative = _mm512_cmplt_epi64_mask(k, _mm512_setzero_si512());
+        // `|i64::MIN|` is 2^63 read unsigned, as `abs` leaves it.
+        let magnitude = _mm512_abs_epi64(k);
+        let high = _mm512_srli_epi64::<52>(magnitude);
+        Self {
+            planes: [magnitude, high],
+            wide: _mm512_test_epi64_mask(high, high) != 0,
+            negative,
+        }
+    }
+}
+
 #[cfg(debug_assertions)]
 std::thread_local! {
-    /// The budget of every reduction on this thread, while a test keeps
-    /// the log.
-    static SPENT: core::cell::RefCell<Option<Vec<u32>>> = const { core::cell::RefCell::new(None) };
+    /// The `p²` budget and the integer products of every reduction on this
+    /// thread, while a test keeps the log.
+    static SPENT: core::cell::RefCell<Option<Vec<[u32; 2]>>> =
+        const { core::cell::RefCell::new(None) };
 }
 
 /// The 52-bit limb mask in every lane.
@@ -639,20 +838,25 @@ fn prescaled<F: LimbLayout>(a: F) -> [u64; 5] {
     split52(&v)
 }
 
-/// [`BLOCK_BYTES`] bytes for which every bit pattern is a valid value:
+/// Bytes for which every bit pattern is a valid value: [`BLOCK_BYTES`] of
 /// eight elements (any four words are a valid `F: LimbLayout`), eight
-/// elements' canonical bytes, or four vectors.
+/// elements' canonical bytes, or four vectors; eight `i64`s or one vector;
+/// eight `i32`s or one half vector.
 trait Bits: Copy {}
 
 impl<F: LimbLayout> Bits for Block<F> {}
 impl Bits for [u8; BLOCK_BYTES] {}
 impl Bits for [__m512i; 4] {}
+impl Bits for Block<i64> {}
+impl Bits for __m512i {}
+impl Bits for Block<i32> {}
+impl Bits for __m256i {}
 
-/// `a`'s bytes as a `B`.
+/// `a`'s bytes as a `B` of the same size.
 #[inline(always)]
 fn cast<A: Bits, B: Bits>(a: &A) -> B {
-    const { assert!(size_of::<A>() == BLOCK_BYTES && size_of::<B>() == BLOCK_BYTES) };
-    // SAFETY: `A` and `B` are both `BLOCK_BYTES` long (asserted above),
+    const { assert!(size_of::<A>() == size_of::<B>()) };
+    // SAFETY: `A` and `B` are the same size (asserted above),
     // `transmute_copy` reads unaligned, and `B: Bits` accepts any bytes.
     unsafe { core::mem::transmute_copy(a) }
 }
@@ -696,12 +900,22 @@ mod tests {
     use super::*;
     use crate::{Field, Fq, Fr};
 
-    /// The budget each reduction `f` ran on this thread spent, in order.
+    /// The `p²` budget and the integer products of each reduction `f` ran
+    /// on this thread, in order.
     #[cfg(debug_assertions)]
-    fn spent(f: impl FnOnce()) -> Vec<u32> {
+    fn spent_both(f: impl FnOnce()) -> Vec<[u32; 2]> {
         SPENT.set(Some(Vec::new()));
         f();
         SPENT.take().expect("the log was kept")
+    }
+
+    /// The budget each reduction `f` ran on this thread spent, in order.
+    #[cfg(debug_assertions)]
+    fn spent(f: impl FnOnce()) -> Vec<u32> {
+        spent_both(f)
+            .into_iter()
+            .map(|[budget, _]| budget)
+            .collect()
     }
 
     /// Every kernel's reductions spend what DESIGN.md §16's budget table
@@ -722,6 +936,18 @@ mod tests {
         let mut hi = b.to_vec();
         assert_eq!(spent(|| F::eq_double(&mut y, &mut hi, F::ONE)), [1]);
         assert_eq!(spent(|| F::write_canonical(b, &mut bytes)), [1]);
+        assert_eq!(spent(|| _ = F::narrow_into(b, &mut [0; LANES])), [1]);
+        let bits = [
+            F::ONE,
+            F::ZERO,
+            F::ONE,
+            F::ONE,
+            F::ZERO,
+            F::ZERO,
+            F::ONE,
+            F::ZERO,
+        ];
+        assert_eq!(spent(|| _ = F::narrow_into(&bits, &mut [0; LANES])), []);
         let cols: Vec<usize> = (0..63).collect();
         let row = |y: &mut [F]| F::sparse_mul_lanes(8, &[0, 63], &cols, &x[..63], &x, y);
         assert_eq!(spent(|| row(&mut y)), [63]);
@@ -745,6 +971,19 @@ mod tests {
         let (mut px, mut py) = (b.to_vec(), b.to_vec());
         let chords = || F::affine_chords(b, b, b, [&mut px, &mut py]);
         assert_eq!(spent(chords), [16, 18, 33]);
+        // Field × integer: no `p²` budget; one product a block of the dot,
+        // 999 blocks a reduction; two products a block of the fold.
+        let ks = vec![3i64; 2000 * LANES];
+        let xs = vec![F::from(3u64); 2000 * LANES];
+        let dot = spent_both(|| _ = F::dot_small(&xs, &ks));
+        assert_eq!(dot, [[0, 999], [0, 999], [0, 2]]);
+        let lo = [1i32; LANES];
+        assert_eq!(
+            spent_both(|| F::fold_small(&mut y, &lo, &lo, F::ONE)),
+            [[0, 2]]
+        );
+        // `eq_split` is `eq_double` reading its source.
+        assert_eq!(spent(|| F::eq_split(b, &mut y, &mut hi, F::ONE)), [1]);
     }
 
     #[test]

@@ -50,10 +50,23 @@ pub(crate) enum Call<'a, F> {
     /// `x ← a·x + Σⱼ bⱼ·yⱼ` over at most two terms `(yⱼ, bⱼ)`: the scale
     /// (none), the fold (one) and [`crate::Field::combine`].
     Combine(&'a mut [Block<F>], F, &'a [(Blocks<'a, F>, F)]),
-    /// [`crate::Field::eq_double`] on its paired entries: `lo`, `hi`, `t`.
-    EqDouble(&'a mut [Block<F>], &'a mut [Block<F>], F),
+    /// [`crate::Field::eq_double`] on its paired entries (no source: `lo`
+    /// is read) or [`crate::Field::eq_split`]: the source, `lo`, `hi`, `t`.
+    EqDouble(
+        Option<Blocks<'a, F>>,
+        &'a mut [Block<F>],
+        &'a mut [Block<F>],
+        F,
+    ),
     /// `Σ aᵢ·bᵢ`.
     Dot(Blocks<'a, F>, Blocks<'a, F>, &'a mut F),
+    /// [`crate::Field::dot_small`]: `Σ aᵢ·bᵢ` for integers `b`.
+    DotSmall(Blocks<'a, F>, Blocks<'a, i64>, &'a mut F),
+    /// [`crate::Field::narrow_into`]: the elements, their integers, and
+    /// the count of leading blocks that were all narrow.
+    Narrow(Blocks<'a, F>, &'a mut [Block<i32>], &'a mut usize),
+    /// [`crate::Field::fold_small`]: `out`, the narrow `[lo, hi]`, `r`.
+    FoldSmall(&'a mut [Block<F>], [Blocks<'a, i32>; 2], F),
     /// [`crate::Field::write_canonical`].
     Canonical(Blocks<'a, F>, &'a mut [[u8; 32 * LANES]]),
     /// [`crate::Field::product_round_sums`]: `[x, y]`, `z`, `w`, `direct`.

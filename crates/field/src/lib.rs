@@ -9,23 +9,26 @@
 //! per-field constants are derived from the modulus at compile time — see
 //! [`mod@limb`] — and cross-checked against schoolbook arithmetic in tests.
 //!
-//! Ten lane-shaped hooks — the batch encoder's sparse product
+//! Fourteen lane-shaped hooks — the batch encoder's sparse product
 //! ([`Field::sparse_mul_lanes`]), the sum-check fold
 //! ([`Field::fold_halves`]), the in-place scale ([`Field::scale`]), the
 //! linear combination of up to three slices ([`Field::combine`]), the
-//! `eq` level doubling ([`Field::eq_double`]), the slice inner product
-//! ([`Field::dot`]), the bulk canonical serializer
-//! ([`Field::write_canonical`]), a sum-check round's sums
-//! ([`Field::product_round_sums`]), batch inversion
-//! ([`Field::batch_invert`]) and the MSM's affine chord additions
-//! ([`Field::affine_chords`]) — run on the CPU's 52-bit vector
-//! multiplier (AVX-512 IFMA) where that is detected at run time and on
-//! their portable bodies ([`sparse_mul_lanes_scalar`],
-//! [`fold_halves_scalar`], [`scale_scalar`], [`combine_scalar`],
-//! [`eq_double_scalar`], [`Field::dot_pairs`],
-//! [`write_canonical_scalar`], [`product_round_sums_scalar`],
-//! [`batch_invert_scalar`], [`affine_chords_scalar`]) elsewhere;
-//! nothing configures them, and [`lane_kernel`] reports which.
+//! `eq` level doubling and splitting ([`Field::eq_double`],
+//! [`Field::eq_split`]), the slice inner product ([`Field::dot`]), the
+//! bulk canonical serializer ([`Field::write_canonical`]), a sum-check
+//! round's sums ([`Field::product_round_sums`]), batch inversion
+//! ([`Field::batch_invert`]), the MSM's affine chord additions
+//! ([`Field::affine_chords`]), and on narrow integers the recovery
+//! ([`Field::narrow_into`]), the dot ([`Field::dot_small`]) and the fold
+//! ([`Field::fold_small`]) — run on the CPU's 52-bit vector multiplier
+//! (AVX-512 IFMA) where that is detected at run time and on their
+//! portable bodies ([`sparse_mul_lanes_scalar`], [`fold_halves_scalar`],
+//! [`scale_scalar`], [`combine_scalar`], [`eq_double_scalar`],
+//! [`eq_split_scalar`], [`Field::dot_pairs`], [`write_canonical_scalar`],
+//! [`product_round_sums_scalar`], [`batch_invert_scalar`],
+//! [`affine_chords_scalar`], [`narrow_into_scalar`], [`dot_small_scalar`],
+//! [`fold_small_scalar`]) elsewhere; nothing configures them, and
+//! [`lane_kernel`] reports which.
 //! Each kernel is one safe loop over a packed type of eight elements whose
 //! `p²` budget debug builds check; the hooks reach them through one seam.
 //! The kernels' module holds the crate's only `unsafe` — that one call into
@@ -74,18 +77,21 @@ pub use lanes::with_portable_bodies;
 pub use ntt::NttDomain;
 pub use rng::{RngCore, SplitMix64};
 pub use traits::{
-    affine_chords_scalar, combine_scalar, eq_double_scalar, field_from_i64, fold_halves_scalar,
+    affine_chords_scalar, combine_scalar, dot_small_scalar, eq_double_scalar, eq_split_scalar,
+    field_from_i64, fold_halves_scalar, fold_small_scalar, narrow_into_scalar,
     product_round_sums_scalar, scale_scalar, sparse_mul_lanes_scalar, write_canonical_scalar,
-    Field, MontLimbs,
+    Field, MontLimbs, NARROW_BOUND,
 };
 
 /// The body the lane hooks run on this host for `Fr` and `Fq`:
 /// `"avx512ifma"` or `"scalar"`. Under `"avx512ifma"`,
 /// [`Field::fold_halves`], [`Field::scale`], [`Field::combine`] (of at most
-/// two terms), [`Field::eq_double`] (its paired entries), [`Field::dot`],
-/// [`Field::write_canonical`], [`Field::product_round_sums`] and
-/// [`Field::affine_chords`] (per block of eight pairs) run every whole block
-/// of eight on the kernel and the `len % 8` tail on the scalar body,
+/// two terms), [`Field::eq_double`] (its paired entries),
+/// [`Field::eq_split`], [`Field::dot`], [`Field::write_canonical`],
+/// [`Field::product_round_sums`], [`Field::affine_chords`] (per block of
+/// eight pairs), [`Field::narrow_into`], [`Field::dot_small`] and
+/// [`Field::fold_small`] run every whole block of eight on the kernel and
+/// the `len % 8` tail on the scalar body,
 /// [`Field::batch_invert`] runs every whole row of 32 elements on the
 /// kernel and the tail on the scalar body under the same inversion, and
 /// [`Field::sparse_mul_lanes`] runs the kernel at widths that are a

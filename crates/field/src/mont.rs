@@ -340,10 +340,41 @@ macro_rules! declare_field {
                 }
                 let (paired, unpaired) = lo.split_at_mut(hi.len());
                 let done = head(true, hi.len(), |n| {
-                    Call::EqDouble(blocks_mut(paired, n), blocks_mut(hi, n), t)
+                    Call::EqDouble(None, blocks_mut(paired, n), blocks_mut(hi, n), t)
                 });
                 $crate::eq_double_scalar(&mut paired[done..], &mut hi[done..], t);
                 Self::scale(unpaired, Self::ONE - t);
+            }
+
+            fn eq_split(src: &[Self], lo: &mut [Self], hi: &mut [Self], t: Self) {
+                let shape_ok = lo.len() == src.len() && hi.len() == src.len();
+                let done = head(shape_ok, src.len(), |n| {
+                    Call::EqDouble(Some(blocks(src, n)), blocks_mut(lo, n), blocks_mut(hi, n), t)
+                });
+                $crate::eq_split_scalar(&src[done..], &mut lo[done..], &mut hi[done..], t);
+            }
+
+            // The kernel stops at its first block that is not all narrow.
+            fn narrow_into(xs: &[Self], out: &mut [i32]) -> bool {
+                let mut narrow = 0;
+                let done = head(xs.len() == out.len(), xs.len(), |n| {
+                    Call::Narrow(blocks(xs, n), blocks_mut(out, n), &mut narrow)
+                });
+                narrow * LANES == done && $crate::narrow_into_scalar(&xs[done..], &mut out[done..])
+            }
+
+            fn dot_small(a: &[Self], b: &[i64]) -> Self {
+                let (n, mut sum) = (a.len().min(b.len()), Self::ZERO);
+                let done = head(true, n, |n| Call::DotSmall(blocks(a, n), blocks(b, n), &mut sum));
+                sum + $crate::dot_small_scalar(&a[done..n], &b[done..n])
+            }
+
+            fn fold_small(out: &mut [Self], lo: &[i32], hi: &[i32], r: Self) {
+                let shape_ok = lo.len() == out.len() && hi.len() == out.len();
+                let done = head(shape_ok, out.len(), |n| {
+                    Call::FoldSmall(blocks_mut(out, n), [blocks(lo, n), blocks(hi, n)], r)
+                });
+                $crate::fold_small_scalar(&mut out[done..], &lo[done..], &hi[done..], r);
             }
 
             fn dot(a: &[Self], b: &[Self]) -> Self {

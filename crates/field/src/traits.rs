@@ -244,6 +244,69 @@ pub trait Field:
         eq_double_scalar(lo, hi, t);
     }
 
+    /// Splits an `eq` table level `src` by one more variable with
+    /// coordinate `t` into the next level's two halves: `hi[i] ← t·src[i]`
+    /// and `lo[i] ← src[i] − t·src[i]`. [`Self::eq_double`] with its source
+    /// kept where it is: sum-check #1's weight levels, each built from the
+    /// one before without a copy of it.
+    ///
+    /// The default is [`eq_split_scalar`]; `declare_field!` fields run it
+    /// on the [`Self::eq_double`] kernel, reading the source.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo` or `hi` is not as long as `src`.
+    fn eq_split(src: &[Self], lo: &mut [Self], hi: &mut [Self], t: Self) {
+        eq_split_scalar(src, lo, hi, t);
+    }
+
+    /// Writes into `out` the integer `k` with `|k| <` [`NARROW_BOUND`]
+    /// whose image ([`field_from_i64`]) each element of `xs` is, and
+    /// whether every one is such an image. It stops at the first that is
+    /// not (on the lane kernel, at the first block of eight holding one),
+    /// having written a part of `out`, so a random vector costs a block.
+    /// How the prover recovers a quantized network's assignment as narrow
+    /// integers.
+    ///
+    /// The default is [`narrow_into_scalar`]. `declare_field!` fields run
+    /// whole blocks of eight on CPUs with AVX-512 IFMA (one reduction out
+    /// of Montgomery form a block, and the sign from the negation) and the
+    /// tail on the default body; the output is bit-identical either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not as long as `xs`.
+    fn narrow_into(xs: &[Self], out: &mut [i32]) -> bool {
+        narrow_into_scalar(xs, out)
+    }
+
+    /// `Σ aᵢ·bᵢ` over the common prefix of `a` and the integers `b`: a
+    /// sum whose one operand is small, such as a round sum over narrow
+    /// tables or a dot against the untouched narrow tail of `z`.
+    ///
+    /// The default is [`dot_small_scalar`]. `declare_field!` fields run
+    /// whole blocks of eight on CPUs with AVX-512 IFMA, where a magnitude
+    /// below 2^52 is one 52-bit plane (five products, not twenty-five),
+    /// and the tail on the default body; the sum is bit-identical either
+    /// way.
+    fn dot_small(a: &[Self], b: &[i64]) -> Self {
+        dot_small_scalar(a, b)
+    }
+
+    /// `out[i] ← lo[i] + r·(hi[i] − lo[i])` for a table whose halves `lo`
+    /// and `hi` are narrow integers: [`Self::fold_halves`] of the first
+    /// round over narrow tables, written into field storage.
+    ///
+    /// The default is [`fold_small_scalar`]; `declare_field!` fields
+    /// override it as they do [`Self::dot_small`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo` or `hi` is not as long as `out`.
+    fn fold_small(out: &mut [Self], lo: &[i32], hi: &[i32], r: Self) {
+        fold_small_scalar(out, lo, hi, r);
+    }
+
     /// Writes [`Self::to_bytes`] of each element into its 32 bytes of
     /// `out`: a Merkle leaf's column or a transcript message in bulk.
     ///
@@ -465,6 +528,73 @@ pub fn eq_double_scalar<F: Field>(lo: &mut [F], hi: &mut [F], t: F) {
     scale_scalar(unpaired, F::ONE - t);
 }
 
+/// The portable body of [`Field::eq_split`], and its oracle: one multiply
+/// per entry, as [`eq_double_scalar`] pairs them.
+///
+/// # Panics
+///
+/// As [`Field::eq_split`].
+pub fn eq_split_scalar<F: Field>(src: &[F], lo: &mut [F], hi: &mut [F], t: F) {
+    assert!(
+        lo.len() == src.len() && hi.len() == src.len(),
+        "eq level halves differ from their source in length"
+    );
+    for ((&v, lo), hi) in src.iter().zip(lo).zip(hi) {
+        *hi = t * v;
+        *lo = v - *hi;
+    }
+}
+
+/// Narrow integers lie strictly between `−NARROW_BOUND` and
+/// `NARROW_BOUND` (2^30): a difference of two fits an `i32` and one
+/// 52-bit plane, and a product of two differences an `i64`.
+pub const NARROW_BOUND: i32 = 1 << 30;
+
+/// The portable body of [`Field::narrow_into`], and its oracle: per
+/// element the canonical bytes, then those of its negation.
+///
+/// # Panics
+///
+/// As [`Field::narrow_into`].
+pub fn narrow_into_scalar<F: Field>(xs: &[F], out: &mut [i32]) -> bool {
+    assert_eq!(xs.len(), out.len(), "one integer per element");
+    let narrow = |x: F| {
+        let bytes = x.to_bytes();
+        let (low, high) = bytes.split_first_chunk::<4>().expect("32 bytes");
+        let k = u32::from_le_bytes(*low);
+        (high.iter().all(|&b| b == 0) && k < NARROW_BOUND as u32).then_some(k as i32)
+    };
+    let mut entries = xs.iter().zip(out);
+    entries.all(|(&x, out)| {
+        let k = narrow(x).or_else(|| narrow(-x).map(|k| -k));
+        k.map(|k| *out = k).is_some()
+    })
+}
+
+/// The portable body of [`Field::dot_small`], and its oracle: each integer
+/// entered through [`field_from_i64`], then [`Field::dot_pairs`].
+pub fn dot_small_scalar<F: Field>(a: &[F], b: &[i64]) -> F {
+    F::dot_pairs(a.iter().zip(b).map(|(&a, &b)| (a, field_from_i64(b))))
+}
+
+/// The portable body of [`Field::fold_small`], and its oracle: `lo` and
+/// `hi − lo` entered through [`field_from_i64`], then one multiply per
+/// entry.
+///
+/// # Panics
+///
+/// As [`Field::fold_small`].
+pub fn fold_small_scalar<F: Field>(out: &mut [F], lo: &[i32], hi: &[i32], r: F) {
+    assert!(
+        lo.len() == out.len() && hi.len() == out.len(),
+        "fold halves differ in length"
+    );
+    for ((out, &lo), &hi) in out.iter_mut().zip(lo).zip(hi) {
+        let (lo, hi) = (i64::from(lo), i64::from(hi));
+        *out = field_from_i64::<F>(lo) + r * field_from_i64(hi - lo);
+    }
+}
+
 /// The portable body of [`Field::sparse_mul_lanes`], and the oracle every
 /// override is tested against: each row keeps `width` deferred-reduction
 /// accumulators ([`Field::DotAcc`]) and streams the contiguous input block
@@ -562,6 +692,25 @@ mod tests {
             let got = field_from_i64::<Fr>(v);
             assert_eq!(got.to_bytes(), want.to_bytes(), "{v}");
             assert_eq!(got, want, "{v}");
+        }
+    }
+
+    #[test]
+    fn narrow_values_round_trip_and_wide_ones_do_not() {
+        let b = i64::from(NARROW_BOUND);
+        let narrow = [0, 1, -1, 2, -2, 800, -800, b - 1, 1 - b];
+        let xs: Vec<Fr> = narrow.iter().map(|&k| field_from_i64(k)).collect();
+        let mut out = [7; 9];
+        assert!(narrow_into_scalar(&xs, &mut out));
+        assert!(out.iter().zip(narrow).all(|(&o, k)| i64::from(o) == k));
+        let half = Fr::from(2u64).inverse().expect("2 is not zero");
+        for k in [b, -b, i64::MAX, i64::MIN, 1 << 32] {
+            for wide in [field_from_i64::<Fr>(k), half] {
+                let mut out = [7; 3];
+                let xs = [Fr::ONE, wide, Fr::ONE];
+                assert!(!narrow_into_scalar(&xs, &mut out), "{k}");
+                assert_eq!(out, [1, 7, 7], "{k}: stops at the first wide entry");
+            }
         }
     }
 

@@ -1,9 +1,10 @@
 //! Property tests for the hot-path kernels: the deferred-reduction dot
 //! kernel against the multiply-then-add fold and the schoolbook-division
 //! oracle, at the carry and term-count edges, the dispatched lane hooks
-//! (sparse product, fold, scale, combination, `eq` doubling, dot, canonical
-//! bytes, round sums, batch inversion, affine chords) against their scalar
-//! bodies.
+//! (sparse product, fold, scale, combination, `eq` doubling and splitting,
+//! dot, canonical bytes, round sums, batch inversion, affine chords, the
+//! narrow-integer recovery, and the field × integer dot and fold) against
+//! their scalar bodies.
 //!
 //! These are the guarantees that let the rest of the workspace adopt the
 //! fast paths without re-auditing: every kernel is bit-identical to the
@@ -11,9 +12,10 @@
 
 use batchzk_field::limb::{acc_mul_add, acc_reduce, mont_reduce, naive_mul_mod, sub_wide, WideAcc};
 use batchzk_field::{
-    affine_chords_scalar, batch_invert_scalar, combine_scalar, eq_double_scalar,
-    fold_halves_scalar, lane_kernel, product_round_sums_scalar, scale_scalar,
-    sparse_mul_lanes_scalar, write_canonical_scalar, Field, Fq, Fr, MontLimbs, RngCore, SplitMix64,
+    affine_chords_scalar, batch_invert_scalar, combine_scalar, dot_small_scalar, eq_double_scalar,
+    eq_split_scalar, field_from_i64, fold_halves_scalar, fold_small_scalar, lane_kernel,
+    narrow_into_scalar, product_round_sums_scalar, scale_scalar, sparse_mul_lanes_scalar,
+    write_canonical_scalar, Field, Fq, Fr, MontLimbs, RngCore, SplitMix64, NARROW_BOUND,
 };
 
 /// The documented reference for `dot_pairs`: multiply, then add, from zero.
@@ -348,6 +350,190 @@ fn fq_eq_double_is_bit_identical_to_the_scalar_body() {
 #[should_panic(expected = "upper part outgrows it")]
 fn eq_double_rejects_a_longer_upper_part() {
     Fr::eq_double(&mut [Fr::ONE; 16], &mut [Fr::ONE; 17], Fr::ONE);
+}
+
+/// `Field::eq_split` ≡ `eq_split_scalar` at every length of [`lengths`],
+/// the source random, all Montgomery limbs `p − 1` and zero, `t` as for
+/// [`eq_double_matches_scalar`], and whatever the halves held unread.
+fn eq_split_matches_scalar<F: MontLimbs>(seed: u64) {
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let top = F::from_mont_limbs_unchecked(sub_wide(&F::P, &[1, 0, 0, 0]).0);
+    for len in lengths(&mut rng) {
+        let random = (0..len).map(|_| F::random(&mut rng)).collect::<Vec<F>>();
+        let coeffs = [F::ZERO, F::ONE, -F::ONE, top, F::random(&mut rng)];
+        for (i, src) in [random, vec![top; len], vec![F::ZERO; len]]
+            .iter()
+            .enumerate()
+        {
+            for (k, &t) in coeffs.iter().enumerate() {
+                let [mut got_lo, mut got_hi] = [(); 2].map(|()| vec![-F::ONE; len]);
+                let [mut lo, mut hi] = [(); 2].map(|()| vec![F::ONE; len]);
+                F::eq_split(src, &mut got_lo, &mut got_hi, t);
+                eq_split_scalar(src, &mut lo, &mut hi, t);
+                assert_eq!((got_lo, got_hi), (lo, hi), "len {len}, src {i}, t {k}");
+            }
+        }
+    }
+}
+
+#[test]
+fn fr_eq_split_is_bit_identical_to_the_scalar_body() {
+    eq_split_matches_scalar::<Fr>(0xB1A);
+}
+
+#[test]
+fn fq_eq_split_is_bit_identical_to_the_scalar_body() {
+    eq_split_matches_scalar::<Fq>(0xB1B);
+}
+
+#[test]
+#[should_panic(expected = "differ from their source")]
+fn eq_split_rejects_halves_of_another_length() {
+    Fr::eq_split(
+        &[Fr::ONE; 16],
+        &mut [Fr::ONE; 16],
+        &mut [Fr::ONE; 17],
+        Fr::ONE,
+    );
+}
+
+/// Integers of one kind: 0 / ±1 (most of a quantized assignment), below
+/// 2^10, narrow (below [`NARROW_BOUND`]), or any `i64` (a product of two
+/// narrow differences reaches 2^62; `i64::MIN` and `i64::MAX` mixed in).
+fn integers(rng: &mut SplitMix64, kind: usize, len: usize) -> Vec<i64> {
+    let bound = [2, 1 << 10, i64::from(NARROW_BOUND)];
+    (0..len)
+        .map(|i| match (kind, i % 97) {
+            (3, 0) => i64::MIN,
+            (3, 1) => i64::MAX,
+            (3, n) if n % 3 == 2 => 7 - n as i64,
+            (3, _) => rng.next_u64() as i64,
+            _ => rng.gen_range(0..2 * bound[kind] as usize - 1) as i64 - (bound[kind] - 1),
+        })
+        .collect()
+}
+
+/// `Field::dot_small` and `Field::fold_small` ≡ their scalar bodies at the
+/// lengths of [`lengths`] and around the dot's 999-block reduction cadence
+/// (7 992 = 999 · 8), field operands random, all Montgomery limbs `p − 1`
+/// and zero, integers of every kind of [`integers`] (narrow ones for the
+/// fold, whose halves are `i32`), and `r` 0, 1, −1, limbs `p − 1` and
+/// random.
+fn small_operands_match_scalar<F: MontLimbs>(seed: u64) {
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let top = F::from_mont_limbs_unchecked(sub_wide(&F::P, &[1, 0, 0, 0]).0);
+    let mut lens = lengths(&mut rng);
+    lens.extend([7_984, 7_992, 8_000, 8_003, 16_000]);
+    for len in lens {
+        let random = (0..len).map(|_| F::random(&mut rng)).collect::<Vec<F>>();
+        let operands = [random, vec![top; len], vec![F::ZERO; len]];
+        for kind in 0..4 {
+            let ints = integers(&mut rng, kind, len);
+            for (i, a) in operands.iter().enumerate() {
+                let case = format!("len {len}, operand {i}, integers {kind}");
+                assert_eq!(F::dot_small(a, &ints), dot_small_scalar(a, &ints), "{case}");
+                // A longer integer slice: the common prefix.
+                let longer = [&ints[..], &[5, -5]].concat();
+                assert_eq!(
+                    F::dot_small(a, &longer),
+                    dot_small_scalar(a, &ints),
+                    "{case}"
+                );
+            }
+            if kind == 3 {
+                continue;
+            }
+            let narrow: Vec<i32> = ints.iter().map(|&k| k as i32).collect();
+            let other: Vec<i32> = integers(&mut rng, kind, len)
+                .iter()
+                .map(|&k| k as i32)
+                .collect();
+            for (k, r) in [F::ZERO, F::ONE, -F::ONE, top, F::random(&mut rng)]
+                .into_iter()
+                .enumerate()
+            {
+                let (mut got, mut expect) = (vec![-F::ONE; len], vec![F::ONE; len]);
+                F::fold_small(&mut got, &narrow, &other, r);
+                fold_small_scalar(&mut expect, &narrow, &other, r);
+                assert_eq!(got, expect, "len {len}, integers {kind}, r {k}");
+            }
+        }
+    }
+}
+
+#[test]
+fn fr_small_operands_are_bit_identical_to_the_scalar_bodies() {
+    small_operands_match_scalar::<Fr>(0xB1C);
+}
+
+#[test]
+fn fq_small_operands_are_bit_identical_to_the_scalar_bodies() {
+    small_operands_match_scalar::<Fq>(0xB1D);
+}
+
+/// `Field::narrow_into` ≡ `narrow_into_scalar` at the lengths of
+/// [`lengths`] on narrow vectors of every kind of [`integers`] below the
+/// bound (the bound's edges mixed in) and of zeros and ones only (the
+/// kernel's blocks of bits), and with one entry moved past it —
+/// the bound itself, its negation, a random element — at the first, a
+/// middle and the last place: the same answer, and on narrow vectors the
+/// same integers.
+fn narrow_into_matches_scalar<F: MontLimbs>(seed: u64) {
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let edge = i64::from(NARROW_BOUND) - 1;
+    for len in lengths(&mut rng) {
+        for kind in 0..4 {
+            let mut ints = integers(&mut rng, kind.min(2), len);
+            for (i, k) in ints.iter_mut().enumerate() {
+                if kind == 3 {
+                    *k = k.abs();
+                } else if i % 29 == 3 {
+                    *k = if i % 2 == 0 { edge } else { -edge };
+                }
+            }
+            let xs: Vec<F> = ints.iter().map(|&k| field_from_i64(k)).collect();
+            let (mut got, mut expect) = (vec![7; len], vec![-7; len]);
+            assert!(F::narrow_into(&xs, &mut got), "len {len}, kind {kind}");
+            assert!(
+                narrow_into_scalar(&xs, &mut expect),
+                "len {len}, kind {kind}"
+            );
+            assert!(got.iter().zip(&ints).all(|(&g, &k)| i64::from(g) == k));
+            assert_eq!(got, expect, "len {len}, kind {kind}");
+            let wide = [edge + 1, -edge - 1]
+                .map(field_from_i64)
+                .into_iter()
+                .chain([F::random(&mut rng)]);
+            for (w, value) in wide.enumerate() {
+                for at in [0, len / 2, len.saturating_sub(1)]
+                    .into_iter()
+                    .filter(|&at| at < len)
+                {
+                    let mut xs = xs.clone();
+                    xs[at] = value;
+                    let case = format!("len {len}, kind {kind}, wide {w} at {at}");
+                    assert!(!F::narrow_into(&xs, &mut got), "{case}");
+                    assert!(!narrow_into_scalar(&xs, &mut expect), "{case}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn fr_narrow_into_is_bit_identical_to_the_scalar_body() {
+    narrow_into_matches_scalar::<Fr>(0xB1E);
+}
+
+#[test]
+fn fq_narrow_into_is_bit_identical_to_the_scalar_body() {
+    narrow_into_matches_scalar::<Fq>(0xB1F);
+}
+
+#[test]
+#[should_panic(expected = "fold halves differ in length")]
+fn fold_small_rejects_halves_of_another_length() {
+    Fr::fold_small(&mut [Fr::ONE; 16], &[1; 16], &[1; 17], Fr::ONE);
 }
 
 /// `Field::dot` and `Field::write_canonical` ≡ their default bodies

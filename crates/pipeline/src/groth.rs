@@ -145,7 +145,7 @@ impl GrothCircuit {
     }
 
     /// log2 of the gate count.
-    pub fn log_size(&self) -> u32 {
+    fn log_size(&self) -> u32 {
         self.log_size
     }
 
@@ -788,6 +788,22 @@ mod tests {
     fn footprint_matches_baseline_model() {
         let backend = GrothBackend::new(8);
         assert_eq!(backend.task_footprint_bytes(), 256 * BYTES_PER_CONSTRAINT);
+        // Against a task: no stage reports more than it resident, and a
+        // run's peak is at most two stages' residency at once (the engine
+        // allocates a stage's footprint before it frees the last one's).
+        let mut gpu = Gpu::new(DeviceProfile::a100());
+        let witness = backend.circuit().witness(7);
+        let mut task = backend.begin(witness.clone());
+        let stages = backend.stages(&gpu, 2048).into_iter();
+        let resident = stages.map(|s| s.process(&mut task).mem_after).max();
+        assert!(backend.task_footprint_bytes() >= resident.expect("four stages"));
+        let stages = backend.stages(&gpu, 2048);
+        let run = Pipeline::new(&mut gpu, stages, true).run(tasks(&backend, vec![witness]));
+        let peak = run.expect("fits").stats.peak_mem_bytes;
+        assert!(
+            peak > 0 && 2 * backend.task_footprint_bytes() >= peak,
+            "peak {peak}"
+        );
     }
 
     #[test]

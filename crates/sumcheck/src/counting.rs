@@ -2,15 +2,18 @@
 //! can hold a prover loop to its operation-count bound on a host where
 //! wall-clock cannot. `batchzk-zkp` includes this file by `#[path]` for its
 //! sparse-matrix gates, and `batchzk-pcs` for its portable-body test (not a
-//! `declare_field!` type, `Counted` runs every `Field` hook's default body).
+//! `declare_field!` type, `Counted` runs every `Field` hook's default body;
+//! the two field × integer hooks run that body's arithmetic, counted).
 //!
-//! Two counters: *full* multiplies (`Mul`, one Montgomery reduction each)
-//! and *deferred* products (`dot_acc_add`, reduced once per sum — about half
-//! the cost). A conversion `From<u64>` counts as a full multiply: it is one
-//! (into Montgomery form), and a hot loop must hold none. Additions and
-//! inversions are free.
+//! Three counters: *full* multiplies (`Mul`, one Montgomery reduction each),
+//! *deferred* products (`dot_acc_add`, reduced once per sum — about half
+//! the cost) and *small* ones, a field element times an integer
+//! (`dot_small`, `fold_small`: one 52-bit plane of the integer, a fifth of
+//! a full product on the lane kernels). A conversion `From<u64>` counts as
+//! a full multiply: it is one (into Montgomery form), and a hot loop must
+//! hold none. Additions and inversions are free.
 
-use batchzk_field::{Field, Fr, RngCore};
+use batchzk_field::{field_from_i64, Field, Fr, RngCore};
 use core::iter::{Product, Sum};
 use core::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 use std::cell::Cell;
@@ -19,6 +22,7 @@ thread_local! {
     // Per thread, and the test harness runs each test on its own thread.
     static FULL: Cell<u64> = const { Cell::new(0) };
     static DEFERRED: Cell<u64> = const { Cell::new(0) };
+    static SMALL: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Multiplications performed on [`Counted`] values.
@@ -28,16 +32,19 @@ pub struct Muls {
     pub full: u64,
     /// Products added into a [`Field::DotAcc`].
     pub deferred: u64,
+    /// Field × integer products.
+    pub small: u64,
 }
 
 /// Runs `f`, returning its result and the multiplications it performed on
 /// [`Counted`] values.
 pub(crate) fn count_muls<R>(f: impl FnOnce() -> R) -> (R, Muls) {
-    let (full, deferred) = (FULL.get(), DEFERRED.get());
+    let (full, deferred, small) = (FULL.get(), DEFERRED.get(), SMALL.get());
     let out = f();
     let muls = Muls {
         full: FULL.get() - full,
         deferred: DEFERRED.get() - deferred,
+        small: SMALL.get() - small,
     };
     (out, muls)
 }
@@ -50,6 +57,10 @@ impl Counted {
     fn counting(v: Fr) -> Self {
         FULL.set(FULL.get() + 1);
         Self(v)
+    }
+
+    fn small(n: usize) {
+        SMALL.set(SMALL.get() + n as u64);
     }
 }
 
@@ -137,6 +148,24 @@ impl Field for Counted {
     }
     fn dot_acc_reduce(acc: &Self) -> Self {
         *acc
+    }
+
+    // The default bodies' arithmetic, each product counted as small.
+    fn dot_small(a: &[Self], b: &[i64]) -> Self {
+        Self::small(a.len().min(b.len()));
+        let terms = a.iter().zip(b).map(|(x, &k)| x.0 * field_from_i64::<Fr>(k));
+        Self(terms.sum())
+    }
+    fn fold_small(out: &mut [Self], lo: &[i32], hi: &[i32], r: Self) {
+        assert!(
+            lo.len() == out.len() && hi.len() == out.len(),
+            "fold halves differ in length"
+        );
+        Self::small(out.len());
+        for ((out, &lo), &hi) in out.iter_mut().zip(lo).zip(hi) {
+            let (lo, hi) = (i64::from(lo), i64::from(hi));
+            *out = Self(field_from_i64::<Fr>(lo) + r.0 * field_from_i64::<Fr>(hi - lo));
+        }
     }
 
     fn inverse(&self) -> Option<Self> {

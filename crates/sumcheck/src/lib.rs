@@ -22,7 +22,7 @@
 //! let [mut ta, mut tc, mut td] = [a.clone(), c, d];
 //! let mut levels = vec![Fr::ZERO; 8];
 //! let mut pt = Transcript::new(b"doc");
-//! let out = prove_cubic(&tau, [&mut ta, &mut tc, &mut td], &mut levels, &mut pt);
+//! let out = prove_cubic(&tau, [&mut ta, &mut tc, &mut td], None, &mut levels, &mut pt);
 //!
 //! let mut vt = Transcript::new(b"doc");
 //! let (final_claim, _rs) = verify_rounds(Fr::ZERO, &out.proof, 3, &mut vt).unwrap();

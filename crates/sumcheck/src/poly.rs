@@ -153,6 +153,8 @@ pub fn eq_table_prefix_into<F: Field>(tau: &[F], c: F, out: &mut [F]) {
 /// for `k < n` (slot 0 is zero). Round `j` of a sum-check with an
 /// `eq(tau, ·)` factor weighs its `2^(n-j)` pairs by level `n − j`, so the
 /// levels are built once — `2^(n-1)` multiplies in all — and never folded.
+/// Each level is split from the one before it where that one lies
+/// ([`Field::eq_split`]), so no level is copied.
 ///
 /// # Panics
 ///
@@ -164,8 +166,7 @@ pub(crate) fn eq_prefix_tables<F: Field>(tau: &[F], levels: &mut [F]) {
     for &t in &tau[..tau.len().saturating_sub(1)] {
         let (built, next) = levels.split_at_mut(start);
         let (lo, hi) = next[..start].split_at_mut(start / 2);
-        lo.copy_from_slice(&built[start / 2..]);
-        F::eq_double(lo, hi, t);
+        F::eq_split(&built[start / 2..], lo, hi, t);
         start *= 2;
     }
 }

@@ -3,7 +3,7 @@
 //! (degree 2, [`prove_quadratic_halves`]) and the Spartan core
 //! `eq·(a·b - c)` from the point `τ` itself (degree 3, [`prove_cubic`]).
 
-use batchzk_field::Field;
+use batchzk_field::{Field, NARROW_BOUND};
 use batchzk_hash::Transcript;
 
 use crate::poly::eq_prefix_tables;
@@ -54,7 +54,7 @@ pub(crate) fn prove_quadratic<F: Field>(
     let [mut f, mut g] = [f, g].map(MultilinearPoly::into_evals);
     let half = f.len() / 2;
     let [f, g] = [&mut f, &mut g].map(|t| t.split_at_mut(half).into());
-    prove_quadratic_halves(num_vars, f, g, transcript)
+    prove_quadratic_halves(num_vars, f, g, None, transcript)
 }
 
 /// Proves `H = Σ_b f(b)·g(b)` (degree-2 rounds, evaluations at
@@ -83,22 +83,36 @@ pub(crate) fn prove_quadratic<F: Field>(
 /// (one for each table), and the final evaluations by the factor. A zero
 /// weight has no inverse: that round folds and scales eagerly.
 ///
+/// `g_narrow`, when given, is `g`'s prefixes as integers (each `g` entry
+/// is [`field_from_i64`](batchzk_field::field_from_i64) of its integer):
+/// while a tail is still untouched storage, the round reads it there, as
+/// field × integer products ([`Field::dot_small`]). So the first rounds of
+/// Spartan's sum-check #2, whose tail is most of the witness, read the
+/// narrow `z`.
+///
 /// # Panics
 ///
-/// Panics if `num_vars` is zero, the prefixes of `f` and `g` differ in
-/// length, or one is longer than `2^(num_vars − 1)`.
+/// Panics if `num_vars` is zero, the prefixes of `f` and `g` (and
+/// `g_narrow`) differ in length, or one is longer than `2^(num_vars − 1)`.
 pub fn prove_quadratic_halves<F: Field>(
     num_vars: usize,
     f: [&mut [F]; 2],
     g: [&mut [F]; 2],
+    g_narrow: Option<[&[i32]; 2]>,
     transcript: &mut Transcript,
 ) -> ProverOutput<F> {
     assert!(num_vars > 0, "no variable to bind");
     let lens = f.each_ref().map(|h| h.len());
+    let narrow_lens = g_narrow.map_or(lens, |n| n.map(<[i32]>::len));
     assert!(
-        g.each_ref().map(|h| h.len()) == lens && lens[0].max(lens[1]) <= 1 << (num_vars - 1),
+        g.each_ref().map(|h| h.len()) == lens
+            && narrow_lens == lens
+            && lens[0].max(lens[1]) <= 1 << (num_vars - 1),
         "halves' live prefixes disagree or overflow"
     );
+    // `g`'s halves as integers, each standing for the stored entries from
+    // its index in `fresh` on (before it, a fold has written).
+    let mut narrow = g_narrow.map(|halves| (halves, [0; 2]));
     let mut tables = [f, g];
     let mut rounds = Vec::with_capacity(num_vars);
     let mut rs = Vec::with_capacity(num_vars);
@@ -117,7 +131,13 @@ pub fn prove_quadratic_halves<F: Field>(
             claim.is_none(),
         );
         // Past the shorter half, the longer one's products: `s(0)` or `s(1)`.
-        let tail = F::dot(&f[long][both..], &g[long][both..]);
+        let tail = match narrow {
+            Some((ints, fresh)) if fresh[long] <= both => {
+                let ints = &ints[long][both..];
+                dot_integers(&f[long][both..], |i| ints[i].into())
+            }
+            _ => F::dot(&f[long][both..], &g[long][both..]),
+        };
         sums[long] += tail;
         sums[2] += tail;
         if let Some(c) = factor {
@@ -133,9 +153,18 @@ pub fn prove_quadratic_halves<F: Field>(
         claim = Some(next_claim([s0, s1, top], r));
         rounds.push(round);
         rs.push(r);
-        let folded = fold_round(tables, r, &mut factor);
+        let (folded, tail_kept) = fold_round(tables, r, &mut factor);
         // The next round's halves; after the last round, `[[], table]`.
-        tables = folded.map(|t| t.split_at_mut(t.len().min((1 << var) / 2)).into());
+        let split = |len: usize| len.min((1 << var) / 2);
+        narrow = narrow.filter(|_| tail_kept).map(|(ints, fresh)| {
+            let written = fresh[long].max(both);
+            let (lo, hi) = ints[long].split_at(split(ints[long].len()));
+            (
+                [lo, hi],
+                [written.min(lo.len()), written.saturating_sub(lo.len())],
+            )
+        });
+        tables = folded.map(|t| t.split_at_mut(split(t.len())).into());
     }
     let final_evals = tables.map(|[_, t]| {
         let v = t.first().copied().unwrap_or(F::ZERO);
@@ -150,9 +179,10 @@ pub fn prove_quadratic_halves<F: Field>(
 
 /// One round's fold at `r` of the two tables of [`prove_quadratic_halves`],
 /// given as their live halves, each into its longer half, which is
-/// returned: `(1 − r)·lo + r·hi` over the pairs, and past the shorter
-/// half, the longer half's entries times their weight `w` (`1 − r` for
-/// `lo`, `r` for `hi`).
+/// returned, beside whether the entries past the pairs were left as they
+/// were: `(1 − r)·lo + r·hi` over the pairs, and past the shorter half, the
+/// longer half's entries times their weight `w` (`1 − r` for `lo`, `r` for
+/// `hi`).
 ///
 /// Both tables stand for `factor ×` their entries (`None` for 1). Where the
 /// longer half has entries past the shorter one and `w` is not zero, they
@@ -164,7 +194,7 @@ fn fold_round<'a, F: Field>(
     tables: [[&'a mut [F]; 2]; 2],
     r: F,
     factor: &mut Option<F>,
-) -> [&'a mut [F]; 2] {
+) -> ([&'a mut [F]; 2], bool) {
     let [lo, hi] = tables[0].each_ref().map(|h| h.len());
     let (both, long) = (lo.min(hi), usize::from(hi > lo));
     let [w_lo, w_hi] = [F::ONE - r, r];
@@ -182,7 +212,7 @@ fn fold_round<'a, F: Field>(
     if divided.is_some() {
         *factor = Some(factor.map_or(w, |c| c * w));
     }
-    tables.map(|[lo, hi]| {
+    let folded = tables.map(|[lo, hi]| {
         let (into, from) = if long == 0 { (lo, hi) } else { (hi, lo) };
         match divided {
             Some(c) => F::combine(&mut into[..both], F::ONE, [(&from[..both], c)]),
@@ -192,7 +222,24 @@ fn fold_round<'a, F: Field>(
             }
         }
         into
-    })
+    });
+    (folded, divided.is_some())
+}
+
+/// `Σ a[i]·k(i)` for integers `k(i)`: the integers are written a chunk at
+/// a time into one buffer on the stack and summed against `a` by
+/// [`Field::dot_small`].
+fn dot_integers<F: Field>(a: &[F], k: impl Fn(usize) -> i64) -> F {
+    const CHUNK: usize = 8192;
+    let mut ints = [0i64; CHUNK];
+    let chunks = a.chunks(CHUNK).enumerate().map(|(c, a)| {
+        let ints = &mut ints[..a.len()];
+        for (i, slot) in ints.iter_mut().enumerate() {
+            *slot = k(c * CHUNK + i);
+        }
+        F::dot_small(a, ints)
+    });
+    chunks.sum()
 }
 
 /// Proves `H = Σ_b eq(τ, b)·(a(b)·c(b) - d(b))` — the Spartan outer
@@ -202,6 +249,15 @@ fn fold_round<'a, F: Field>(
 /// their prior contents unread) receives the `eq` weights of every round.
 ///
 /// The `final_evals` are `[a, c, d]` at the bound point.
+///
+/// `narrow`, when given, is the tables as integers below
+/// [`NARROW_BOUND`] in magnitude with `a·c = d` at every entry (a
+/// satisfying assignment's products); `tables` are then not read, and
+/// round 1 runs on the integers. There `s(0) = s(1) = 0` exactly, so
+/// nothing is summed for them; `s(∞) = Σ w·Δa·Δc` is one field × integer
+/// product a pair ([`Field::dot_small`]); and the fold writes each table's
+/// lower half at field × integer cost ([`Field::fold_small`]). The rounds
+/// are the bytes the field tables would give.
 ///
 /// A round's polynomial is `g(X) = L(X)·s(X)`: `s(X) = Σ_b w(b)·(x·y −
 /// z)(X, b)`, the shape [`Field::product_round_sums`] sums, weighs the
@@ -219,17 +275,25 @@ fn fold_round<'a, F: Field>(
 ///
 /// # Panics
 ///
-/// Panics if the tables' lengths are not `2^tau.len()` or `levels` is not
-/// `max(2, 2^tau.len())` entries.
+/// Panics if the tables' lengths (and `narrow`'s) are not `2^tau.len()`
+/// or `levels` is not `max(2, 2^tau.len())` entries.
 pub fn prove_cubic<F: Field>(
     tau: &[F],
     mut tables: [&mut [F]; 3],
+    mut narrow: Option<[&[i32]; 3]>,
     levels: &mut [F],
     transcript: &mut Transcript,
 ) -> ProverOutput<F> {
     let len = tables[0].len();
-    let same_vars = len.is_power_of_two() && tables.iter().all(|t| t.len() == len);
+    let narrow_lens = narrow.is_none_or(|n| n.iter().all(|t| t.len() == len));
+    let same_vars = len.is_power_of_two() && narrow_lens && tables.iter().all(|t| t.len() == len);
     assert!(same_vars, "variable count mismatch");
+    debug_assert!(narrow.is_none_or(|[a, c, d]| (0..len).all(|b| {
+        let bounded = [a[b], c[b], d[b]]
+            .iter()
+            .all(|v| v.unsigned_abs() < NARROW_BOUND as u32);
+        bounded && i64::from(a[b]) * i64::from(c[b]) == i64::from(d[b])
+    })));
     let n = len.trailing_zeros() as usize;
     assert_eq!(tau.len(), n, "variable count mismatch");
     // 1/τ_j (zero where τ_j is) and the weight tables.
@@ -248,11 +312,24 @@ pub fn prove_cubic<F: Field>(
         let weights = &levels[half..2 * half];
         let known = claim.filter(|_| !inverses[var].is_zero());
         let direct = known.is_none();
-        let [x, y, z] = tables.each_ref().map(|t| {
-            let (lo, hi) = t[..2 * half].split_at(half);
-            [lo, hi]
-        });
-        let [s0, summed, top] = F::product_round_sums(x, y, Some(z), Some(weights), direct);
+        let [s0, summed, top] = match narrow {
+            // Round 1 only: every term of s(0) and s(1) is zero.
+            Some([a, c, _]) => {
+                let at = |t: &[i32], b: usize| i64::from(t[b + half]) - i64::from(t[b]);
+                [
+                    F::ZERO,
+                    F::ZERO,
+                    dot_integers(weights, |b| at(a, b) * at(c, b)),
+                ]
+            }
+            None => {
+                let [x, y, z] = tables.each_ref().map(|t| {
+                    let (lo, hi) = t[..2 * half].split_at(half);
+                    [lo, hi]
+                });
+                F::product_round_sums(x, y, Some(z), Some(weights), direct)
+            }
+        };
         let s1 = known.map_or(summed, |claim| (claim - l0 * s0) * inverses[var]);
 
         let mut round = vec![s0, s1];
@@ -269,10 +346,14 @@ pub fn prove_cubic<F: Field>(
         let r = prover_round_challenge(&round, transcript);
         claim = Some(next_claim([s0, s1, top], r));
         bound *= l0 + r * (l1 - l0);
-        for t in &mut tables {
+        for (k, t) in tables.iter_mut().enumerate() {
             let (lo, hi) = t[..2 * half].split_at_mut(half);
-            F::fold_halves(lo, hi, r);
+            match narrow {
+                Some(ints) => F::fold_small(lo, &ints[k][..half], &ints[k][half..], r),
+                None => F::fold_halves(lo, hi, r),
+            }
         }
+        narrow = None;
         rounds.push(round);
         rs.push(r);
     }
@@ -315,6 +396,7 @@ mod tests {
         prove_cubic(
             tau,
             tables.each_mut().map(|t| &mut t[..]),
+            None,
             &mut levels,
             transcript,
         )
@@ -463,7 +545,7 @@ mod tests {
                     [&f, &g].map(|t| [&t[..lo], &t[half..half + hi]].map(<[Fr]>::to_vec));
                 let [fh, gh] = [&mut fh, &mut gh].map(|h| h.each_mut().map(|h| &mut h[..]));
                 assert_same(
-                    |t| prove_quadratic_halves(n, fh, gh, t),
+                    |t| prove_quadratic_halves(n, fh, gh, None, t),
                     |t| {
                         prove_quadratic(
                             MultilinearPoly::new(f.clone()),
@@ -502,15 +584,144 @@ mod tests {
                 });
                 let mut factor = Some(c);
                 let halves = tables.each_mut().map(|t| t.each_mut().map(|h| &mut h[..]));
-                let got = fold_round(halves, r, &mut factor);
+                let (got, tail_kept) = fold_round(halves, r, &mut factor);
                 let scale = factor.expect("a factor");
                 let got = got.map(|t| t.iter().map(|&v| scale * v).collect::<Vec<_>>());
                 assert_eq!(got, want, "{case}");
                 let w = if hi > lo { r } else { Fr::ONE - r };
                 let deferred = lo != hi && !w.is_zero();
                 assert_eq!(scale, if deferred { c * w } else { c }, "{case}: factor");
+                assert_eq!(tail_kept, deferred, "{case}: tail kept");
             }
         }
+    }
+
+    /// Random narrow integers: mostly 0 and ±1, some up to 2^10 and some
+    /// near the narrow bound.
+    fn narrow_ints(rng: &mut Prg, len: usize, big: i64) -> Vec<i32> {
+        use batchzk_field::RngCore;
+        let mut draw = || rng.next_u64();
+        (0..len)
+            .map(|_| {
+                let (kind, v) = (draw() % 8, draw() as i64);
+                let bound = match kind {
+                    0..=3 => 2,
+                    4..=6 => 1 << 10,
+                    _ => big,
+                };
+                (v.rem_euclid(2 * bound - 1) - (bound - 1)) as i32
+            })
+            .collect()
+    }
+
+    fn lift(ints: &[i32]) -> Vec<Fr> {
+        ints.iter()
+            .map(|&k| batchzk_field::field_from_i64(k.into()))
+            .collect()
+    }
+
+    #[test]
+    fn narrow_round_one_proves_the_field_bytes() {
+        // Satisfying integer tables `d = a·c` (|a|, |c| < 2^15 so that
+        // `d` is narrow), proved from the integers and from their field
+        // images: the same rounds, challenges, claims and transcript.
+        let mut rng = Prg::seed_from_u64(0x48);
+        for n in 1..=9 {
+            for rep in 0..3 {
+                let len = 1usize << n;
+                let a = narrow_ints(&mut rng, len, 1 << 15);
+                let c = narrow_ints(&mut rng, len, 1 << 15);
+                let d: Vec<i32> = a.iter().zip(&c).map(|(x, y)| x * y).collect();
+                let random: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
+                let mixed = random
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &t)| match (i + rep) % 3 {
+                        0 => Fr::ZERO,
+                        1 => Fr::ONE,
+                        _ => t,
+                    });
+                for (shape, tau) in [("random", random.clone()), ("mixed", mixed.collect())] {
+                    let case = format!("n={n} rep={rep} τ {shape}");
+                    let tables = [&a, &c, &d].map(|t| MultilinearPoly::new(lift(t)));
+                    assert_same(
+                        |t| {
+                            // Storage whose contents the narrow round must not read.
+                            let mut stored = [(); 3].map(|()| vec![-Fr::ONE; len]);
+                            let mut levels = vec![Fr::ZERO; len.max(2)];
+                            let tables = stored.each_mut().map(|t| &mut t[..]);
+                            let ints = [&a[..], &c[..], &d[..]];
+                            prove_cubic(&tau, tables, Some(ints), &mut levels, t)
+                        },
+                        |t| cubic(&tau, tables.each_ref(), t),
+                        &case,
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn narrow_tails_prove_the_field_bytes() {
+        // `g` given with its integers: at the shapes of the live-prefix
+        // test and Spartan's (a short lower prefix, an upper one past a
+        // quarter), the bytes of the field prover without them.
+        let mut rng = Prg::seed_from_u64(0x49);
+        for n in 1..=9usize {
+            let half = 1usize << (n - 1);
+            let shapes = [(0, half), (half, 0), (1, half), (half / 2 + 1, half / 4)]
+                .into_iter()
+                .chain((1..=3).map(|k| (k.min(half / 4), (half / 2 + k).min(half))));
+            for (lo, hi) in shapes {
+                let f = [lo, hi].map(|l| (0..l).map(|_| Fr::random(&mut rng)).collect::<Vec<_>>());
+                let g = [lo, hi].map(|l| narrow_ints(&mut rng, l, 1 << 29));
+                let case = format!("n={n} lo={lo} hi={hi}");
+                let prove = |ints: Option<[&[i32]; 2]>, t: &mut Transcript| {
+                    let mut fh = f.clone();
+                    let mut gh = g.each_ref().map(|h| lift(h));
+                    let [fh, gh] = [&mut fh, &mut gh].map(|h| h.each_mut().map(|h| &mut h[..]));
+                    prove_quadratic_halves(n, fh, gh, ints, t)
+                };
+                assert_same(
+                    |t| prove(Some(g.each_ref().map(|h| &h[..])), t),
+                    |t| prove(None, t),
+                    &case,
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn narrow_round_one_makes_no_full_product_per_pair() {
+        // Against the field tables, round 1 spends per pair three full
+        // multiplies and three deferred products on its sums (s(1) summed
+        // directly) and three full multiplies on the fold; on the integers
+        // none of those, and a small product per pair for s(∞) and per
+        // entry folded.
+        let mut rng = Prg::seed_from_u64(0x4A);
+        let n = 9;
+        let (len, half) = (1usize << n, 1u64 << (n - 1));
+        let a = narrow_ints(&mut rng, len, 1 << 15);
+        let c = narrow_ints(&mut rng, len, 1 << 15);
+        let d: Vec<i32> = a.iter().zip(&c).map(|(x, y)| x * y).collect();
+        let wrap = |t: &[i32]| lift(t).into_iter().map(Counted).collect::<Vec<_>>();
+        let tau: Vec<Counted> = (0..n).map(|_| Counted::random(&mut rng)).collect();
+        let run = |narrow: bool| {
+            let mut tables = [&a, &c, &d].map(|t| wrap(t));
+            let mut levels = vec![Counted::ZERO; len];
+            let ints = [&a[..], &c[..], &d[..]];
+            let mut t = Transcript::new(b"count");
+            count_muls(|| {
+                let tables = tables.each_mut().map(|t| &mut t[..]);
+                prove_cubic(&tau, tables, narrow.then_some(ints), &mut levels, &mut t)
+            })
+        };
+        let ((field, by_field), (narrow, by_narrow)) = (run(false), run(true));
+        assert_eq!(narrow.proof, field.proof);
+        assert_eq!(by_field.small, 0);
+        assert_eq!(by_narrow.full, by_field.full - 6 * half, "{by_narrow:?}");
+        assert_eq!(by_narrow.deferred, by_field.deferred - 3 * half);
+        assert_eq!(by_narrow.small, half + 3 * half);
     }
 
     #[test]
@@ -520,7 +731,7 @@ mod tests {
         let (f_lo, f_hi) = f.split_at_mut(2);
         let (g_lo, g_hi) = g.split_at_mut(2);
         let f = [f_lo, &mut f_hi[..1]];
-        let _ = prove_quadratic_halves(2, f, [g_lo, g_hi], &mut Transcript::new(b"x"));
+        let _ = prove_quadratic_halves(2, f, [g_lo, g_hi], None, &mut Transcript::new(b"x"));
     }
 
     /// The portable bodies end to end. `Counted` is not a `declare_field!`

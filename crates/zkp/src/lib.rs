@@ -210,7 +210,7 @@ mod randomized_tests {
             let mut arena = vec![-Fr::ONE; spartan::arena_len(&r1cs)];
             arena[..m_combo.len()].copy_from_slice(&m_combo);
             let (mut wt, mut pt) = (Transcript::new(b"sc2"), Transcript::new(b"sc2"));
-            let windowed = spartan::prove_inner(&r1cs, r1cs.windows(&z), &mut arena, &mut wt);
+            let windowed = spartan::prove_inner(&r1cs, r1cs.windows(&z), None, &mut arena, &mut wt);
             // The full-table prover: both tables zero-padded, split at
             // their top variable.
             let (mut m_full, mut z_full) = (padded, z.clone());
@@ -218,6 +218,7 @@ mod randomized_tests {
                 log_n,
                 m_full.split_at_mut(half).into(),
                 z_full.split_at_mut(half).into(),
+                None,
                 &mut pt,
             );
             assert_eq!(windowed.proof, full.proof, "{case}: sc2 rounds");

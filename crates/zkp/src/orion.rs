@@ -391,10 +391,13 @@ impl<F: Field> ProverBackend for OrionBackend<F> {
             .collect()
     }
 
-    /// The maximum of the per-stage `mem_after` values: the Merkle stage's
-    /// tree residency on top of the encoded matrix.
+    /// The maximum of the per-stage `mem_after` values on top of the
+    /// encoded matrix: the Merkle stage's tree, or the combine stage's three
+    /// rows where those are larger (short codewords, small instances).
     fn task_footprint_bytes(&self) -> u64 {
-        resident_bytes(&self.key) + self.key.codeword_len() as u64 * 64
+        let key = &self.key;
+        let (tree, rows) = (key.codeword_len() * 64, 3 * key.n_cols() * 32);
+        resident_bytes(key) + tree.max(rows) as u64
     }
 
     fn finish(&self, task: Self::Task) -> (Self::Statement, Self::Proof) {
@@ -618,10 +621,26 @@ mod tests {
     fn footprint_covers_stage_residency() {
         let b = backend(10);
         let shared = b.shared();
+        let (tree, rows) = (shared.codeword_len() * 64, 3 * shared.n_cols() * 32);
         assert_eq!(
             b.task_footprint_bytes(),
-            resident_bytes(shared) + shared.codeword_len() as u64 * 64
+            resident_bytes(shared) + tree.max(rows) as u64
         );
         assert!(b.task_footprint_bytes() > 0);
+        // Against a task: no stage reports more than it resident, and a
+        // run's peak is at most two stages' residency at once (the engine
+        // allocates a stage's footprint before it frees the last one's).
+        let gpu = Gpu::new(DeviceProfile::a100());
+        let mut task = b.begin(b.instance(500));
+        let stages = b.stages(&gpu, 2048).into_iter();
+        let resident = stages.map(|s| s.process(&mut task).mem_after).max();
+        assert!(b.task_footprint_bytes() >= resident.expect("four stages"));
+        let mut gpu = Gpu::new(DeviceProfile::a100());
+        let run = prove_batch_with(&mut gpu, &b, instances(&b, 1), 2048, true).expect("fits");
+        let peak = run.stats.peak_mem_bytes;
+        assert!(
+            peak > 0 && 2 * b.task_footprint_bytes() >= peak,
+            "peak {peak}"
+        );
     }
 }

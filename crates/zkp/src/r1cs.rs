@@ -17,7 +17,7 @@
 //! entries: each skipped entry is an exact zero. The matrices themselves
 //! index only the live columns `io ‖ w`, as `u32`s.
 
-use batchzk_field::Field;
+use batchzk_field::{field_from_i64, Field, NARROW_BOUND};
 use batchzk_sumcheck::eq_table_prefix;
 #[cfg(test)]
 use batchzk_sumcheck::MultilinearPoly;
@@ -175,6 +175,34 @@ impl<F: Field> Csr<F> {
         }
     }
 
+    /// Writes the row sums `(M · z)[r]` of every row into `out` in
+    /// integers, for `z = (io ‖ w)` as narrow integers and `coeffs` the
+    /// general entries' coefficients as integers ([`SmallCoeffs`]): a ±1
+    /// entry adds or subtracts, a general one is an integer multiply. The
+    /// caller bounds `Σ|coefficient|·max|z|` below 2^62, so no partial sum
+    /// overflows. Returns whether every sum is narrow (`out` holds a wide
+    /// one truncated).
+    fn narrow_row_sums(&self, coeffs: &[i32], z: &[i32], out: &mut [i32]) -> bool {
+        // Each row takes its counts of entries off one pass over all of them.
+        let mut units = self.units.iter();
+        let mut general = self.general.iter().zip(coeffs);
+        let mut wide = false;
+        for (slot, ends) in out.iter_mut().zip(self.ends.windows(2)) {
+            let mut sum = 0i64;
+            for &unit in units.by_ref().take((ends[1][0] - ends[0][0]) as usize) {
+                // `v` or, with the sign bit set, `(v ^ −1) + 1 = −v`.
+                let negative = i64::from(unit >> 31);
+                sum += (i64::from(z[(unit & !NEG) as usize]) ^ -negative) + negative;
+            }
+            for (&(c, _), &k) in general.by_ref().take((ends[1][1] - ends[0][1]) as usize) {
+                sum += i64::from(k) * i64::from(z[c as usize]);
+            }
+            wide |= sum.unsigned_abs() >= NARROW_BOUND as u64;
+            *slot = sum as i32;
+        }
+        !wide
+    }
+
     /// The transpose of `[A; B; C]` stacked over `3·rows`: row `c` holds
     /// column `c`'s entries of A, B, then C at rows `k·rows + r`. A counting
     /// sort — count per column, prefix sums, fill — so each row lists its
@@ -221,14 +249,71 @@ impl<F: Field> Csr<F> {
     }
 }
 
+/// A, B and C's coefficients as integers, classified once per circuit: the
+/// integer spmv ([`R1cs::narrow_products`]) reads them.
+#[derive(Debug, Clone)]
+struct SmallCoeffs {
+    /// Per matrix, the coefficient of each general entry (every entry that
+    /// is not ±1), in the order the rows store them.
+    general: [Vec<i32>; 3],
+    /// Per matrix, the largest `Σ|coefficient|` of a row.
+    row_abs: [u64; 3],
+}
+
+impl SmallCoeffs {
+    /// The classes of `matrices`' coefficients, or `None` when one is not
+    /// a narrow integer ([`Field::narrow_into`]): that disables the integer
+    /// path for the circuit.
+    fn classify<F: Field>(matrices: &[Csr<F>; 3]) -> Option<Self> {
+        let [a, b, c] = matrices.each_ref().map(|m| {
+            let values: Vec<F> = m.general.iter().map(|&(_, v)| v).collect();
+            let mut coeffs = vec![0; values.len()];
+            F::narrow_into(&values, &mut coeffs).then_some(coeffs)
+        });
+        let general = [a?, b?, c?];
+        let row_abs = std::array::from_fn(|k| {
+            let (m, coeffs) = (&matrices[k], &general[k]);
+            let rows = m.ends.windows(2).map(|e| {
+                let units = u64::from(e[1][0] - e[0][0]);
+                let general = &coeffs[e[0][1] as usize..e[1][1] as usize];
+                units
+                    + general
+                        .iter()
+                        .map(|k| u64::from(k.unsigned_abs()))
+                        .sum::<u64>()
+            });
+            rows.max().unwrap_or(0)
+        });
+        Some(Self { general, row_abs })
+    }
+}
+
+/// `[A·z | B·z | C·z]` of an assignment that satisfies its circuit, as
+/// narrow integers in three blocks of `padded_constraints`, zero past the
+/// constraint count: only [`R1cs::narrow_products`] makes one, after the
+/// integer satisfaction check. Round 1 of sum-check #1 runs on it.
+#[derive(Debug, Clone, Copy)]
+pub struct SatisfiedProducts<'a>(&'a [i32]);
+
+impl<'a> SatisfiedProducts<'a> {
+    /// The three tables `[A·z, B·z, C·z]`.
+    pub fn tables(self) -> [&'a [i32]; 3] {
+        let m = self.0.len() / 3;
+        [0, 1, 2].map(|k| &self.0[k * m..(k + 1) * m])
+    }
+}
+
 /// An R1CS instance: `(A·z) ∘ (B·z) = C·z` for `z = (io ‖ w)`.
 ///
 /// A, B and C are held over the live columns `io ‖ w` only, as compressed
-/// rows (`Csr`), beside one transpose of the three stacked.
+/// rows (`Csr`), beside one transpose of the three stacked and, when every
+/// coefficient is a narrow integer, their integer classes.
 #[derive(Debug, Clone)]
 pub struct R1cs<F> {
     /// A, B and C.
     matrices: [Csr<F>; 3],
+    /// A, B and C's coefficients as integers, if they all are.
+    small: Option<SmallCoeffs>,
     /// `[A; B; C]ᵀ`: one row per live column, over the `3·rows` stacked
     /// rows (matrix-bind's gather).
     transpose: Csr<F>,
@@ -297,8 +382,10 @@ impl<F: Field> R1cs<F> {
             "live columns, 3·rows and non-zeros must fit a u32 with the sign bit reserved"
         );
         let transpose = Csr::stacked_transpose(&matrices, live);
+        let small = SmallCoeffs::classify(&matrices);
         Self {
             matrices,
+            small,
             transpose,
             num_constraints,
             num_inputs,
@@ -486,6 +573,75 @@ impl<F: Field> R1cs<F> {
         let m = self.padded_constraints();
         let [az, bz, cz] = [0, 1, 2].map(|k| &products[k * m..k * m + self.num_constraints]);
         az.iter().zip(bz).zip(cz).all(|((a, b), c)| *a * *b == *c)
+    }
+
+    /// Recovers `z`'s live windows `io ‖ w` as narrow integers
+    /// ([`Field::narrow_into`]) into `out`, and whether they all are: it
+    /// stops at the first block that is not, so a random assignment pays
+    /// for one. `out`'s storage is kept from call to call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `z`'s windows are not the live windows' lengths.
+    pub fn narrow_z(&self, z: Windows<'_, F>, out: &mut Vec<i32>) -> bool {
+        self.check_live(z);
+        out.resize(z.io.len() + z.w.len(), 0);
+        let (io, w) = out.split_at_mut(z.io.len());
+        F::narrow_into(z.io, io) && F::narrow_into(z.w, w)
+    }
+
+    /// [`Self::products`] in integers from the narrow `z` of
+    /// [`Self::narrow_z`], written into `out` (resized to
+    /// `3 · padded_constraints`), when they can be and satisfy the
+    /// circuit: every coefficient is a narrow integer, `Σ|coefficient| ·
+    /// max|z|` of every row is below 2^62, every row sum is narrow, and
+    /// `(A·z)·(B·z) = C·z` holds in integers. Those integers are exact
+    /// images of the field values, so they then stand for the field
+    /// products, and `None` leaves the field path to decide.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `z` is not the live windows' length.
+    pub fn narrow_products<'a>(
+        &self,
+        z: &[i32],
+        out: &'a mut Vec<i32>,
+    ) -> Option<SatisfiedProducts<'a>> {
+        assert_eq!(
+            z.len(),
+            1 + self.num_inputs + self.num_witness,
+            "live length"
+        );
+        let small = self.small.as_ref()?;
+        let max_z = z
+            .iter()
+            .map(|v| u64::from(v.unsigned_abs()))
+            .max()
+            .unwrap_or(0);
+        let bounded = small
+            .row_abs
+            .iter()
+            .all(|&r| u128::from(r) * u128::from(max_z) < 1 << 62);
+        let m = self.padded_constraints();
+        out.resize(3 * m, 0);
+        let tables = self
+            .matrices
+            .iter()
+            .zip(&small.general)
+            .zip(out.chunks_exact_mut(m));
+        let mut narrow = bounded;
+        for ((matrix, coeffs), table) in tables {
+            let (sums, padding) = table.split_at_mut(self.num_constraints);
+            narrow = narrow && matrix.narrow_row_sums(coeffs, z, sums);
+            padding.fill(0);
+        }
+        let [a, b, c] = [0, 1, 2].map(|k| &out[k * m..k * m + self.num_constraints]);
+        let satisfied = narrow
+            && a.iter()
+                .zip(b)
+                .zip(c)
+                .all(|((&a, &b), &c)| i64::from(a) * i64::from(b) == i64::from(c));
+        satisfied.then_some(SatisfiedProducts(out))
     }
 
     /// Checks satisfaction of every constraint.
@@ -685,6 +841,95 @@ pub fn synthetic_r1cs<F: Field>(s: usize, seed: u64) -> (R1cs<F>, Vec<F>, Vec<F>
     let inputs = vec![w_vals[last]];
     let r1cs = builder.build();
     (r1cs, inputs, w_vals)
+}
+
+/// Generates a satisfiable instance of `s` constraints over small integers,
+/// the shape of a quantized network's circuit: each constraint multiplies a
+/// combination of earlier values — coefficients ±1, ±2^i and other small
+/// integers — by a small value or the constant one, and defines a new
+/// witness as that product plus an earlier value; every fifth instead
+/// checks that a combination less itself is zero, and the last exposes the
+/// final value as the public input. Every value, product and row sum is a
+/// narrow integer ([`NARROW_BOUND`]), so the prover runs on the integers
+/// until the first challenge (DESIGN.md §16).
+///
+/// # Panics
+///
+/// Panics if `s < 2`.
+pub fn small_r1cs<F: Field>(s: usize, seed: u64) -> (R1cs<F>, Vec<F>, Vec<F>) {
+    let (builder, inputs, witness) = small_builder(s, seed);
+    let lift = |values: Vec<i64>| values.into_iter().map(field_from_i64).collect();
+    (builder.build(), lift(inputs), lift(witness))
+}
+
+/// [`small_r1cs`] before it is built: the builder, and the integers its
+/// inputs and witnesses hold.
+pub(crate) fn small_builder<F: Field>(s: usize, seed: u64) -> (R1csBuilder<F>, Vec<i64>, Vec<i64>) {
+    use batchzk_field::{RngCore, SplitMix64};
+    assert!(s >= 2, "need at least two constraints");
+    /// A witness's index at random, or the one holding 0 or 1 when the
+    /// value drawn exceeds `bound`.
+    fn pick(rng: &mut SplitMix64, w: &[i64], bound: i64) -> usize {
+        let j = rng.gen_range(0..w.len());
+        if w[j].abs() <= bound {
+            j
+        } else {
+            1
+        }
+    }
+    fn coeff(rng: &mut SplitMix64) -> i64 {
+        let magnitude = match rng.gen_range(0..3) {
+            0 => 1,
+            1 => 1 << rng.gen_range(1..12),
+            _ => rng.gen_range(3..100) as i64,
+        };
+        if rng.next_u64() & 1 == 0 {
+            magnitude
+        } else {
+            -magnitude
+        }
+    }
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let mut b = R1csBuilder::<F>::new();
+    let x = b.new_input();
+    let mut w = vec![rng.gen_range(0..17) as i64 - 8, rng.gen_range(0..2) as i64];
+    for _ in 0..2 {
+        b.new_witness();
+    }
+    let one_term = || vec![(Var::One, F::ONE)];
+    for i in 1..s {
+        // Combinations of values up to 2^12, times at most 16: below 2^29.
+        let terms: Vec<(usize, i64)> = (0..rng.gen_range(1..4))
+            .map(|_| (pick(&mut rng, &w, 1 << 12), coeff(&mut rng)))
+            .collect();
+        let lc = |sign: i64| {
+            let terms = terms.iter();
+            terms.map(move |&(j, c)| (Var::Witness(j), field_from_i64::<F>(sign * c)))
+        };
+        if i % 5 == 0 {
+            b.enforce(lc(1).chain(lc(-1)).collect(), one_term(), vec![]);
+            continue;
+        }
+        let a: i64 = terms.iter().map(|&(j, c)| c * w[j]).sum();
+        let (b_lc, b_value) = if rng.next_u64() & 1 == 0 {
+            (one_term(), 1)
+        } else {
+            let j = pick(&mut rng, &w, 16);
+            (vec![(Var::Witness(j), F::ONE)], w[j])
+        };
+        let k = pick(&mut rng, &w, 1 << 12);
+        let v = Var::Witness(b.new_witness());
+        w.push(a * b_value + w[k]);
+        let c = vec![(v, F::ONE), (Var::Witness(k), -F::ONE)];
+        b.enforce(lc(1).collect(), b_lc, c);
+    }
+    let last = Var::Witness(w.len() - 1);
+    b.enforce(
+        vec![(last, F::ONE)],
+        one_term(),
+        vec![(Var::Input(x), F::ONE)],
+    );
+    (b, vec![w[w.len() - 1]], w)
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@
 //! the paper's measured quantity, is unaffected).
 
 use crate::pcs::{self, PcsCommitment, PcsKey, PcsOpening, PcsParams};
-use crate::r1cs::{R1cs, Windows};
+use crate::r1cs::{R1cs, SatisfiedProducts, Windows};
 
 use batchzk_field::Field;
 use batchzk_hash::Transcript;
@@ -80,10 +80,10 @@ pub fn prove<F: Field>(
     let io = r1cs.io(inputs);
     let z = r1cs.live(&io, witness);
     // The sum-check below reuses the products the satisfaction check needs.
-    let mut arena = vec![F::ZERO; arena_len(r1cs)];
-    r1cs.products(z, &mut arena);
+    let mut arena = Arena::default();
+    let (narrow, arena) = arena.spmv(r1cs, z);
     assert!(
-        r1cs.products_satisfy(&arena),
+        narrow.products.is_some() || r1cs.products_satisfy(arena),
         "assignment does not satisfy the R1CS"
     );
 
@@ -95,7 +95,7 @@ pub fn prove<F: Field>(
     transcript.absorb_digest(b"w-commitment", &commitment.root);
 
     // Module 3 (sum-check).
-    let part = sumchecks_over(r1cs, z, &mut arena, &mut transcript);
+    let part = sumchecks_over(r1cs, z, narrow, arena, &mut transcript);
 
     // Open w̃ at the bound point (all but the top variable of ry).
     let y_prime = &part.point_y[..part.point_y.len() - 1];
@@ -141,8 +141,66 @@ pub struct SumcheckPart<F> {
     pub point_y: Vec<F>,
 }
 
-/// Elements of the one buffer the prover's sum-check phase works in (its
-/// arena, DESIGN.md §16), reused phase after phase and proof after proof:
+/// The storage the prover's sum-check phase works in (its arena, DESIGN.md
+/// §16), reused phase after phase and proof after proof: [`arena_len`]
+/// field elements, beside the assignment's live windows and its products
+/// as narrow integers ("Small integers until the first challenge").
+#[derive(Debug, Default)]
+pub(crate) struct Arena<F> {
+    field: Vec<F>,
+    z: Vec<i32>,
+    products: Vec<i32>,
+}
+
+/// What the prover holds as narrow integers beside the arena's field
+/// elements: `z`'s live windows `io ‖ w` when they all are, and the
+/// products when those are narrow and satisfy the circuit.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Narrow<'a> {
+    pub(crate) z: Option<&'a [i32]>,
+    pub(crate) products: Option<SatisfiedProducts<'a>>,
+}
+
+impl<F: Field> Arena<F> {
+    /// spmv: sizes the arena for `r1cs` and writes what sum-check #1
+    /// starts from. `z` is recovered as narrow integers
+    /// ([`R1cs::narrow_z`]); when its products are narrow and satisfy the
+    /// circuit ([`R1cs::narrow_products`]) they stay integers, and
+    /// otherwise the field products go to the front of the returned
+    /// elements ([`R1cs::products`]).
+    pub(crate) fn spmv(&mut self, r1cs: &R1cs<F>, z: Windows<'_, F>) -> (Narrow<'_>, &mut [F]) {
+        self.field.resize(arena_len(r1cs), F::ZERO);
+        let narrow_z = r1cs.narrow_z(z, &mut self.z);
+        let products = narrow_z
+            .then(|| r1cs.narrow_products(&self.z, &mut self.products))
+            .flatten();
+        if products.is_none() {
+            r1cs.products(z, &mut self.field);
+        }
+        let narrow = Narrow {
+            z: narrow_z.then_some(&self.z),
+            products,
+        };
+        (narrow, &mut self.field)
+    }
+
+    /// The capacity of the field storage.
+    pub(crate) fn capacity(&self) -> usize {
+        self.field.capacity()
+    }
+
+    /// Debug builds fill every buffer with a pattern no proof holds, so a
+    /// kernel reading reused storage before writing it fails the digests.
+    pub(crate) fn poison(&mut self) {
+        if cfg!(debug_assertions) {
+            self.field.fill(-F::ONE);
+            self.z.fill(i32::MIN);
+            self.products.fill(i32::MIN);
+        }
+    }
+}
+
+/// Elements of the field buffer of the prover's [`Arena`]:
 ///
 /// * spmv and sum-check #1: `[Az | Bz | Cz | eq levels]`, `m =
 ///   padded_constraints` entries each, the products folded in place;
@@ -170,24 +228,26 @@ pub fn run_sumchecks<F: Field>(
     transcript: &mut Transcript,
 ) -> SumcheckPart<F> {
     let z = r1cs.windows(z);
-    let mut arena = vec![F::ZERO; arena_len(r1cs)];
-    r1cs.products(z, &mut arena);
-    sumchecks_over(r1cs, z, &mut arena, transcript)
+    let mut arena = Arena::default();
+    let (narrow, arena) = arena.spmv(r1cs, z);
+    sumchecks_over(r1cs, z, narrow, arena, transcript)
 }
 
 /// [`run_sumchecks`] over the live windows of `z` in `arena` (at least
-/// [`arena_len`] entries), whose front holds the already computed
-/// [`R1cs::products`]: each phase works in the arena in turn, and nothing
-/// it held before is read but the products.
+/// [`arena_len`] entries) after spmv ([`Arena::spmv`]): the narrow
+/// products, or the field products at the front of `arena`. Each phase
+/// works in the arena in turn, and nothing it held before is read but the
+/// field products.
 pub(crate) fn sumchecks_over<F: Field>(
     r1cs: &R1cs<F>,
     z: Windows<'_, F>,
+    narrow: Narrow<'_>,
     arena: &mut [F],
     transcript: &mut Transcript,
 ) -> SumcheckPart<F> {
-    let sc1 = prove_outer(r1cs, arena, transcript);
+    let sc1 = prove_outer(r1cs, narrow.products, arena, transcript);
     bind_matrices(r1cs, &sc1, arena, transcript);
-    let sc2 = prove_inner(r1cs, z, arena, transcript);
+    let sc2 = prove_inner(r1cs, z, narrow.z, arena, transcript);
     SumcheckPart {
         sc1: sc1.proof,
         va: sc1.final_evals[0],
@@ -198,13 +258,16 @@ pub(crate) fn sumchecks_over<F: Field>(
     }
 }
 
-/// The outer constraint sum-check (#1) over the [`R1cs::products`] of the
-/// assignment at the front of `arena` ([`arena_len`]'s first phase), which
-/// it folds in place: draws `τ` and absorbs the three claims the rounds end
-/// on (`final_evals`). Public, like [`bind_matrices`], so a profiler can
-/// time the phases of [`run_sumchecks`] one by one.
+/// The outer constraint sum-check (#1) over the products of the
+/// assignment — `narrow`, or else the [`R1cs::products`] at the front of
+/// `arena` ([`arena_len`]'s first phase) — folded in place at the front of
+/// `arena` (from the integers, round 1 writes the field tables' lower
+/// halves): draws `τ` and absorbs the three claims the rounds end on
+/// (`final_evals`). Public, like [`bind_matrices`], so a profiler can time
+/// the phases of [`run_sumchecks`] one by one.
 pub fn prove_outer<F: Field>(
     r1cs: &R1cs<F>,
+    narrow: Option<SatisfiedProducts<'_>>,
     arena: &mut [F],
     transcript: &mut Transcript,
 ) -> ProverOutput<F> {
@@ -213,7 +276,8 @@ pub fn prove_outer<F: Field>(
     let (az, rest) = arena.split_at_mut(m);
     let (bz, rest) = rest.split_at_mut(m);
     let (cz, rest) = rest.split_at_mut(m);
-    let sc1 = prove_cubic(&tau, [az, bz, cz], &mut rest[..m], transcript);
+    let narrow = narrow.map(SatisfiedProducts::tables);
+    let sc1 = prove_cubic(&tau, [az, bz, cz], narrow, &mut rest[..m], transcript);
     transcript.absorb_fields(b"sc1-claims", &sc1.final_evals);
     sc1
 }
@@ -242,10 +306,17 @@ pub fn bind_matrices<F: Field>(
 /// The matrix-opening sum-check (#2) of [`bind_matrices`]' windows at the
 /// front of `arena` against `z`'s, copied in behind them: `Σ_y m(y)·z̃(y)`
 /// over the `z_len` columns, whose rounds sum and fold only the live pairs
-/// ([`prove_quadratic_halves`]), each table in place.
+/// ([`prove_quadratic_halves`]), each table in place. With `z_narrow`, `z`'s
+/// windows `io ‖ w` as narrow integers, the rounds whose tail of `z` is
+/// still untouched read it there.
+///
+/// # Panics
+///
+/// Panics if `z_narrow` is not the live windows' length.
 pub fn prove_inner<F: Field>(
     r1cs: &R1cs<F>,
     z: Windows<'_, F>,
+    z_narrow: Option<&[i32]>,
     arena: &mut [F],
     transcript: &mut Transcript,
 ) -> ProverOutput<F> {
@@ -256,7 +327,8 @@ pub fn prove_inner<F: Field>(
     let [m, [z_io, z_w]] = [m, z_copy].map(|t| <[&mut [F]; 2]>::from(t.split_at_mut(io)));
     z_io.copy_from_slice(z.io);
     z_w.copy_from_slice(z.w);
-    prove_quadratic_halves(num_vars, m, [z_io, z_w], transcript)
+    let z_narrow = z_narrow.map(|z| <[&[i32]; 2]>::from(z.split_at(io)));
+    prove_quadratic_halves(num_vars, m, [z_io, z_w], z_narrow, transcript)
 }
 
 /// The commitment key for the witness half of `r1cs`'s assignment — what a
@@ -373,9 +445,9 @@ pub(crate) fn absorb_statement<F: Field>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::r1cs::{synthetic_r1cs, R1csBuilder, Var};
+    use crate::r1cs::{small_builder, small_r1cs, synthetic_r1cs, R1csBuilder, Var};
     use crate::{prove_batch_with, SpartanBackend};
-    use batchzk_field::Fr;
+    use batchzk_field::{field_from_i64, Fr};
     use batchzk_gpu_sim::{DeviceProfile, Gpu};
     use std::sync::Arc;
 
@@ -464,6 +536,107 @@ mod tests {
             let part = run_sumchecks(&r1cs, &z, &mut transcript);
             assert_eq!(debug_digest(&part), altered_digest, "altered s={s}");
         }
+    }
+
+    /// The sum-check phase from wherever [`Arena::spmv`] leaves the
+    /// assignment, and on the field path alone (the field products in a
+    /// buffer holding no zeros, no narrow `z`), digested, beside whether
+    /// `z` and the products were narrow.
+    fn both_paths(r1cs: &R1cs<Fr>, inputs: &[Fr], witness: &[Fr]) -> ([String; 2], [bool; 2]) {
+        let io = r1cs.io(inputs);
+        let z = r1cs.live(&io, witness);
+        let transcript = statement_transcript(r1cs, inputs);
+        let mut arena = Arena::default();
+        let (narrow, field) = arena.spmv(r1cs, z);
+        let used = [narrow.z.is_some(), narrow.products.is_some()];
+        let auto = sumchecks_over(r1cs, z, narrow, field, &mut transcript.clone());
+        let mut plain = vec![-Fr::ONE; arena_len(r1cs)];
+        r1cs.products(z, &mut plain);
+        let field = sumchecks_over(
+            r1cs,
+            z,
+            Narrow::default(),
+            &mut plain,
+            &mut transcript.clone(),
+        );
+        ([auto, field].map(|part| debug_digest(&part)), used)
+    }
+
+    #[test]
+    fn integer_path_proves_the_field_bytes() {
+        // Random small-valued satisfying instances take the integer path;
+        // the same altered to leave it — an unsatisfied assignment, a row
+        // whose `Σ|coefficient|·max|z|` reaches 2^62, a coefficient that is
+        // not narrow — and a random witness take the field path. Either
+        // way the sum-checks are the field path's bytes.
+        let params = test_params();
+        for seed in 0..10u64 {
+            let s = [2, 3, 17, 100, 700][seed as usize % 5];
+            let case = format!("s={s} seed={seed}");
+            let (r1cs, inputs, witness) = small_r1cs::<Fr>(s, seed);
+            let ([auto, field], used) = both_paths(&r1cs, &inputs, &witness);
+            assert_eq!(used, [true, true], "{case}: satisfied");
+            assert_eq!(auto, field, "{case}: satisfied");
+            let proof = prove(&params, &r1cs, &inputs, &witness);
+            assert!(verify(&params, &r1cs, &inputs, &proof), "{case}");
+
+            let mut altered = witness.clone();
+            altered[witness.len() / 2] += Fr::ONE;
+            let ([auto, field], used) = both_paths(&r1cs, &inputs, &altered);
+            assert_eq!(used, [true, false], "{case}: unsatisfied");
+            assert_eq!(auto, field, "{case}: unsatisfied");
+
+            let lift = |v: &[i64]| v.iter().map(|&k| field_from_i64(k)).collect::<Vec<Fr>>();
+            let one = || vec![(Var::One, Fr::ONE)];
+            for (extra, coefficient) in [("bound", 1i64 << 29), ("coefficient", 1 << 40)] {
+                let (mut b, inputs, mut w) = small_builder::<Fr>(s, seed);
+                // A value at 2^29, and a zero taken sixteen times at the
+                // coefficient: 2^33 · 2^29 = 2^62 for the bound.
+                let [big, zero] = [1 << 29, 0].map(|v| {
+                    w.push(v);
+                    Var::Witness(b.new_witness())
+                });
+                b.enforce(vec![(big, Fr::ONE)], one(), vec![(big, Fr::ONE)]);
+                let row = vec![(zero, field_from_i64(coefficient)); 16];
+                b.enforce(row, one(), vec![]);
+                let (r1cs, inputs, w) = (b.build(), lift(&inputs), lift(&w));
+                let ([auto, field], used) = both_paths(&r1cs, &inputs, &w);
+                assert_eq!(used, [true, false], "{case}: {extra}");
+                assert_eq!(auto, field, "{case}: {extra}");
+            }
+        }
+        let (r1cs, inputs, witness) = synthetic_r1cs::<Fr>(64, 5);
+        let ([auto, field], used) = both_paths(&r1cs, &inputs, &witness);
+        assert_eq!(used, [false, false], "random witness");
+        assert_eq!(auto, field, "random witness");
+    }
+
+    #[test]
+    fn integer_spmv_and_round_one_make_no_full_product() {
+        // spmv on the integers multiplies nothing in the field; round 1 of
+        // sum-check #1 spends on them none of the six full multiplies and
+        // three deferred products a pair the field tables cost it (sums
+        // and fold, `narrow_round_one_makes_no_full_product_per_pair`).
+        use crate::counting::{count_muls, Counted};
+        let (r1cs, inputs, witness) = small_r1cs::<Counted>(300, 9);
+        let io = r1cs.io(&inputs);
+        let z = r1cs.live(&io, &witness);
+        let mut arena = Arena::default();
+        let (narrow, muls) = count_muls(|| arena.spmv(&r1cs, z).0.products.is_some());
+        assert!(narrow);
+        assert_eq!((muls.full, muls.deferred, muls.small), (0, 0, 0), "spmv");
+        let transcript = statement_transcript(&r1cs, &inputs);
+        let (narrow, field) = arena.spmv(&r1cs, z);
+        let (by_narrow, muls) =
+            count_muls(|| prove_outer(&r1cs, narrow.products, field, &mut transcript.clone()));
+        let mut plain = vec![Counted::ZERO; arena_len(&r1cs)];
+        r1cs.products(z, &mut plain);
+        let (by_field, field_muls) =
+            count_muls(|| prove_outer(&r1cs, None, &mut plain, &mut transcript.clone()));
+        assert_eq!(by_narrow.proof, by_field.proof);
+        let half = r1cs.padded_constraints() as u64 / 2;
+        assert_eq!(muls.full, field_muls.full - 6 * half, "{muls:?}");
+        assert_eq!(muls.deferred, field_muls.deferred - 3 * half, "{muls:?}");
     }
 
     #[test]

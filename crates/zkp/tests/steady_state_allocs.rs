@@ -7,12 +7,12 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use batchzk_field::Fr;
 use batchzk_gpu_sim::{DeviceProfile, Gpu};
-use batchzk_zkp::r1cs::synthetic_r1cs;
-use batchzk_zkp::{prove_batch_with, PcsParams, SpartanBackend};
+use batchzk_zkp::r1cs::{small_r1cs, synthetic_r1cs};
+use batchzk_zkp::{prove_batch_with, PcsParams, R1cs, SpartanBackend};
 
 /// The system allocator, noting the largest block asked for while armed.
 struct Counting;
@@ -39,10 +39,30 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// One test at a time: the allocator's record is process-wide.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 #[test]
 fn a_second_batch_allocates_no_table() {
     // 2^11 constraints: each sum-check table is 64 KiB.
     let (r1cs, inputs, witness) = synthetic_r1cs::<Fr>(2048, 38);
+    second_batch_allocates_no_table(r1cs, inputs, witness);
+}
+
+#[test]
+fn a_second_small_valued_batch_allocates_no_table() {
+    // The same on narrow integers, which spmv and round 1 of sum-check #1
+    // run on: the arena's integer buffers are reused too.
+    let (r1cs, inputs, witness) = small_r1cs::<Fr>(2048, 38);
+    let io = r1cs.io(&inputs);
+    let (mut z, mut products) = (Vec::new(), Vec::new());
+    assert!(r1cs.narrow_z(r1cs.live(&io, &witness), &mut z));
+    assert!(r1cs.narrow_products(&z, &mut products).is_some());
+    second_batch_allocates_no_table(r1cs, inputs, witness);
+}
+
+fn second_batch_allocates_no_table(r1cs: R1cs<Fr>, inputs: Vec<Fr>, witness: Vec<Fr>) {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let m = r1cs.padded_constraints();
     let table_bytes = m * std::mem::size_of::<Fr>();
     assert!(table_bytes >= 64 << 10);
@@ -60,6 +80,7 @@ fn a_second_batch_allocates_no_table() {
     let (first, second) = batchzk_par::with_threads(1, || {
         let first = prove_batch_with(&mut gpu, &backend, batch.clone(), 4096, true);
         let instances = batch.clone();
+        LARGEST.store(0, Ordering::Relaxed);
         ARMED.store(true, Ordering::Relaxed);
         let second = prove_batch_with(&mut gpu, &backend, instances, 4096, true);
         ARMED.store(false, Ordering::Relaxed);

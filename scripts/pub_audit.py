@@ -4,10 +4,10 @@
 Every `pub fn` under `crates/*/src`, outside `#[cfg(test)]` items, must be
 called from the code of at least one other `.rs` file under `crates/`,
 `benchmark/src`, `src/` or `examples/`. A call is the name in call or path
-form: `name(` (so `.name(` too), `name::<` or `::name`. A bare word is not a
-call: a field, a local variable or a same-named item elsewhere does not keep
-a function alive, nor does a function passed by a bare imported name, which
-the allow-list below names. Test code does not count:
+form: `name(` (so `.name(` too), `name::<` or `::name`. A definition
+(`fn name(`) is not a call, nor is a bare word: a field, a local variable or
+a same-named item elsewhere does not keep a function alive, nor does a
+function passed by a bare imported name, which the allow-list below names. Test code does not count:
 `#[cfg(test)]` items and files under a `tests/` directory are left out of the
 search. Re-exports do not count either: a `pub use` statement, one line or a
 multi-line `pub use { … };` list, only passes a name on, so it is left out
@@ -16,9 +16,11 @@ literals: a name mentioned there is not called. A function only its own file or 
 that should be private or folded into its caller, or a test helper that
 belongs under `#[cfg(test)]`.
 
-The names below are kept on purpose, each with its reason. An entry is
-stale, and fails the audit too, when its function is gone or another file
-now names it: the list holds only the exceptions that still need it.
+The functions below are kept on purpose, each keyed by its file and name
+with its reason, so that an entry exempts that one function and not a
+same-named one in another file. An entry is stale, and fails the audit too,
+when its function is gone from its file or another file now names it: the
+list holds only the exceptions that still need it.
 
     python3 scripts/pub_audit.py
 """
@@ -31,38 +33,40 @@ ROOT = Path(__file__).resolve().parent.parent
 
 ALLOWED = {
     # Test oracles: the fast paths are checked against them.
-    "naive_dft": "field::ntt's O(n²) reference for the NTT tests",
-    "prove_cpu": "orion's sequential prover, the oracle the pipelined Orion stages match byte for byte",
-    "naive_mul_mod": "limb's schoolbook oracle, which field's integration tests check the Montgomery kernels against",
-    "is_satisfied": "the R1CS oracle vml's compiler tests and tests/verifiable_ml.rs check circuits against",
+    ("crates/field/src/ntt.rs", "naive_dft"): "field::ntt's O(n²) reference for the NTT tests",
+    ("crates/zkp/src/orion.rs", "prove_cpu"): "orion's sequential prover, the oracle the pipelined Orion stages match byte for byte",
+    ("crates/field/src/limb.rs", "naive_mul_mod"): "limb's schoolbook oracle, which field's integration tests check the Montgomery kernels against",
+    ("crates/zkp/src/r1cs.rs", "is_satisfied"): "the R1CS oracle vml's compiler tests and tests/verifiable_ml.rs check circuits against",
     # Cross-crate test hooks: another crate's tests call them, and such
     # callers are out of the search by design.
-    "with_portable_bodies": "field's hooks-off seam; zkp's portable_bodies_prove_the_dispatched_bytes proves under it, and a CI rule keeps it in test code",
-    "gauge": "the registry's gauge reader; pipeline's observe tests, zkp's pool tests and vml's service tests read recorded gauges through it",
-    "counter": "the registry's counter reader; pipeline's observe tests and zkp's pool tests read recorded counters through it",
-    "in_use": "device memory still allocated; the pipeline, zkp and tests/pipeline_system.rs schedules assert through it that a run frees all it took",
-    "one": "ArrivalPlan's single-arrival builder; gpu-sim's spec tests and bench's service tests build plans with it",
-    "h2d_bytes": "a span's host-to-device total; pipeline's merkle tests check the spans against the run's transfer counters",
-    "d2h_bytes": "a span's device-to-host total; pipeline's merkle tests check the spans against the run's transfer counters",
-    "evals": "a multilinear polynomial's evaluation table; sumcheck's prover tests and zkp's r1cs tests read tables through it",
-    "completed": "a timeline window's completions; zkp's service test checks through it that the windows conserve the run's total",
+    ("crates/field/src/lanes.rs", "with_portable_bodies"): "field's hooks-off seam; zkp's portable_bodies_prove_the_dispatched_bytes proves under it, and a CI rule keeps it in test code",
+    ("crates/metrics/src/registry.rs", "gauge"): "the registry's gauge reader; pipeline's observe tests, zkp's pool tests and vml's service tests read recorded gauges through it",
+    ("crates/metrics/src/registry.rs", "counter"): "the registry's counter reader; pipeline's observe tests and zkp's pool tests read recorded counters through it",
+    ("crates/gpu-sim/src/memory.rs", "in_use"): "device memory still allocated; the pipeline, zkp and tests/pipeline_system.rs schedules assert through it that a run frees all it took",
+    ("crates/gpu-sim/src/arrivals.rs", "one"): "ArrivalPlan's single-arrival builder; gpu-sim's spec tests and bench's service tests build plans with it",
+    ("crates/metrics/src/span.rs", "h2d_bytes"): "a span's host-to-device total; pipeline's merkle tests check the spans against the run's transfer counters",
+    ("crates/metrics/src/span.rs", "d2h_bytes"): "a span's device-to-host total; pipeline's merkle tests check the spans against the run's transfer counters",
+    ("crates/sumcheck/src/poly.rs", "evals"): "a multilinear polynomial's evaluation table; sumcheck's prover tests and zkp's r1cs tests read tables through it",
+    ("crates/metrics/src/timeline.rs", "completed"): "a timeline window's completions; zkp's service test checks through it that the windows conserve the run's total",
     # Passed by a bare imported name, which is not a call in path form.
-    "compress": "the dispatched single-block SHA-256; hash's sha_blocks example times it, passed as a function value",
-    "compress_portable": "the portable SHA-256 body; hash's sha_blocks example times it, passed as a function value",
-    "table_bytes_for": "a fixed-base table's size without building it; curve's byte-budget test sweeps it to 2^20 and pipeline's Groth16 tests pin the table that ROADMAP item 5 is to charge",
+    ("crates/hash/src/sha256.rs", "compress"): "the dispatched single-block SHA-256; hash's sha_blocks example times it, passed as a function value",
+    ("crates/hash/src/sha256.rs", "compress_blocks"): "SHA-256 over a message's whole blocks; hash's sha_blocks example times it, passed as a function value",
+    ("crates/hash/src/sha256.rs", "compress_portable"): "the portable SHA-256 body; hash's sha_blocks example times it, passed as a function value",
+    ("crates/curve/src/msm.rs", "table_bytes_for"): "a fixed-base table's size without building it; curve's byte-budget test sweeps it to 2^20 and pipeline's Groth16 tests pin the table that ROADMAP item 5 is to charge",
     # Public API kept on purpose.
-    "to_prometheus": "the registry's Prometheus text exposition, one of its two formats (README's metrics section); observe's exposition_known_answer pins its bytes",
-    "compile_inference_with_options": "vml's range-checked compile, the one way to set CompileOptions::range_check_bits (sound ReLU hints at ~2·bits constraints each); its callers are vml's tests",
+    ("crates/metrics/src/registry.rs", "to_prometheus"): "the registry's Prometheus text exposition, one of its two formats (README's metrics section); observe's exposition_known_answer pins its bytes",
+    ("crates/vml/src/compile.rs", "compile_inference_with_options"): "vml's range-checked compile, the one way to set CompileOptions::range_check_bits (sound ReLU hints at ~2·bits constraints each); its callers are vml's tests",
     # Integration tests build the library without `cfg(test)`, so what they
     # probe has to be public.
-    "predict": "MlService's plain inference, the oracle tests/verifiable_ml.rs checks each proven prediction's logits against",
-    "arena_capacities": "the sum-check arenas zkp's steady-state allocation test reads; it is its own binary for the counting allocator",
-    "claim": "a pipelined sum-check task's claimed sum; tests/pipeline_system.rs verifies each proof against it",
+    ("crates/vml/src/service.rs", "predict"): "MlService's plain inference, the oracle tests/verifiable_ml.rs checks each proven prediction's logits against",
+    ("crates/zkp/src/batch.rs", "arena_capacities"): "the sum-check arenas zkp's steady-state allocation test reads; it is its own binary for the counting allocator",
+    ("crates/zkp/src/r1cs.rs", "small_r1cs"): "the small-integer instance generator; zkp's steady-state allocation test (its own binary) proves one on the integer path",
+    ("crates/pipeline/src/sumcheck.rs", "claim"): "a pipelined sum-check task's claimed sum; tests/pipeline_system.rs verifies each proof against it",
     # `NttDomain`'s threaded transforms: deleting them drops `batchzk-field`'s
     # dependency on `batchzk-par`, which rewrites `benchmark/Cargo.lock`; they
     # go with the benchmark's own change.
-    "forward_par": "NttDomain's threaded forward transform, deleted with the next benchmark change",
-    "inverse_par": "NttDomain's threaded inverse transform, deleted with the next benchmark change",
+    ("crates/field/src/ntt.rs", "forward_par"): "NttDomain's threaded forward transform, deleted with the next benchmark change",
+    ("crates/field/src/ntt.rs", "inverse_par"): "NttDomain's threaded inverse transform, deleted with the next benchmark change",
 }
 
 PUB_FN = re.compile(r"^\s*pub\s+(?:const\s+|async\s+|unsafe\s+)*fn\s+([A-Za-z_][A-Za-z0-9_]*)")
@@ -132,22 +136,24 @@ def audit(root, allowed):
     }
 
     def called_elsewhere(name, home):
-        call = re.compile(rf"\b{re.escape(name)}\s*(?:\(|::\s*<)|::\s*{re.escape(name)}\b")
+        # A definition of a same-named function (`fn name(`) is not a call.
+        call = re.compile(rf"(?<!fn )\b{re.escape(name)}\s*(?:\(|::\s*<)|::\s*{re.escape(name)}\b")
         return any(call.search(text) for path, text in texts.items() if path != home)
 
     failures = []
     defined = set()
     for path in sources:
+        home = path.relative_to(root).as_posix()
         for number, name in public_fns(path.read_text()):
-            defined.add(name)
-            if name in allowed:
+            defined.add((home, name))
+            if (home, name) in allowed:
                 if called_elsewhere(name, path):
-                    failures.append(f"stale allow-list entry: `{name}` is now called outside {path.relative_to(root)}")
+                    failures.append(f"stale allow-list entry: `{name}` is now called outside {home}")
                 continue
             if not called_elsewhere(name, path):
-                failures.append(f"{path.relative_to(root)}:{number}: `pub fn {name}` is called from no other file")
-    for name in sorted(set(allowed) - defined):
-        failures.append(f"stale allow-list entry: no `pub fn {name}` left")
+                failures.append(f"{home}:{number}: `pub fn {name}` is called from no other file")
+    for home, name in sorted(set(allowed) - defined):
+        failures.append(f"stale allow-list entry: no `pub fn {name}` left in {home}")
     return failures
 
 

@@ -3,7 +3,9 @@
 
 A `pub fn` that another file names only as a variable or a field is flagged;
 one that another file reaches as `Type::name`, `.name(` or `name::<` passes,
-and so does one on the allow-list. Exits 1 on the first wrong verdict.
+and so does one on the allow-list, which names a file and a function: an
+uncalled function of an allowed name in another file is still flagged.
+Exits 1 on the first wrong verdict.
 
     python3 scripts/pub_audit_test.py
 """
@@ -24,11 +26,15 @@ impl Tree {
     pub fn leaves(&self) -> usize { 1 << self.depth }
     pub fn height(&self) -> usize { self.depth }
     pub fn hook(&self) {}
+    pub fn claim(&self) {}
 }
 
 pub fn build<T>(depth: usize) -> Tree { Tree { depth } }
 
 pub fn unused_but_commented() {}
+""",
+    "crates/other/src/lib.rs": """
+pub fn claim() {}
 """,
     "crates/user/src/lib.rs": """
 use tree::*;
@@ -52,15 +58,22 @@ def main():
         for path, text in FIXTURE.items():
             (root / path).parent.mkdir(parents=True, exist_ok=True)
             (root / path).write_text(text)
-        findings = pub_audit.audit(root, {"hook": "kept on purpose"})
-    flagged = {line.split("`pub fn ")[1].split("`")[0] for line in findings if "`pub fn " in line}
-    expected = {"depth", "unused_but_commented"}
+        allowed = {("crates/tree/src/lib.rs", name): "kept on purpose" for name in ("hook", "claim")}
+        findings = pub_audit.audit(root, allowed)
+    flagged = {
+        (line.split(":")[0], line.split("`pub fn ")[1].split("`")[0])
+        for line in findings
+        if "`pub fn " in line
+    }
+    tree = "crates/tree/src/lib.rs"
+    expected = {(tree, "depth"), (tree, "unused_but_commented"), ("crates/other/src/lib.rs", "claim")}
     if flagged != expected or len(findings) != len(expected):
         print(f"expected exactly {sorted(expected)} flagged, got:")
         print("\n".join(findings) or "(no findings)")
         return 1
     print("pub_audit flags names used only as variables, fields, comments or "
-          "strings, and passes `Type::name`, `.name(`, `name::<` and the allow-list")
+          "strings, and passes `Type::name`, `.name(`, `name::<` and the allow-list, "
+          "which exempts its own file's function only")
     return 0
 
 
