@@ -1,9 +1,8 @@
 //! Regenerates the paper's tables and figures.
 //!
-//! Usage: `tables <experiment|all|help> [--quick|--medium|--paper|--wall]
+//! Usage: `tables <experiment|all|help> [--quick|--medium|--paper]
 //! [--devices N] [--profile <name>] [--threads N] [--fault-plan <spec>]
-//! [--trace <spec>] [--trace-file <path>] [--backend <name>]
-//! [--no-wall-clock]`
+//! [--trace <spec>] [--trace-file <path>] [--backend <name>]`
 //! where experiment is one of `table3..table11`, `fig4`, `fig9`,
 //! `ablation`, `scaling`, `faults`, `serve`, `backends`, `trace`,
 //! `timeline`, `profile`, `bench-json`.
@@ -69,7 +68,7 @@
 //!
 //! `profile` is also explicit-only: after one warm-up prove it attributes
 //! the fastest of five instrumented single-thread proves at the scale's
-//! `wall_log` size to named pipeline phases, prints the markdown report,
+//! smallest system size to named pipeline phases, prints the markdown report,
 //! and writes `PROFILE.json` to the current directory. The per-kernel
 //! costs (Montgomery multiply, dot, SHA-256 block, NTT butterfly) are
 //! `benchmark/`'s `field.*` and `hash.*` rows.
@@ -78,13 +77,9 @@
 //! system pipelines on the A100 profile and writes the machine-readable
 //! `BENCH.json` artifact (throughput, lifecycle latency quantiles,
 //! per-stage occupancy, limiting-stage analysis) to the current directory
-//! for cross-commit regression tracking. The file is byte-deterministic at
-//! a given scale except for the `wall_clock` section, which records the
-//! *measured* host wall time of the multi-device run at the scale's
-//! `wall_log`/`wall_batch` sizes at 1, 2, and 4 host threads — the
-//! `--wall` preset runs it full-size for the CI speedup gate. Pass
-//! `--no-wall-clock` to omit the measured section entirely and write the
-//! fully byte-deterministic artifact for regression comparison.
+//! for cross-commit regression tracking. Every figure in it derives from
+//! simulated cycles, so the file is byte-identical at a given scale on any
+//! host and at any thread count.
 //!
 //! Unrecognized experiments or flags print usage and exit non-zero.
 
@@ -153,17 +148,11 @@ const EXPERIMENTS: &[(&str, bool, &str)] = &[
     (
         "bench-json",
         false,
-        "write machine-readable BENCH.json (explicit-only, --no-wall-clock)",
+        "write machine-readable BENCH.json (explicit-only)",
     ),
 ];
 
-const FLAGS: &[&str] = &[
-    "--quick",
-    "--medium",
-    "--paper",
-    "--wall",
-    "--no-wall-clock",
-];
+const FLAGS: &[&str] = &["--quick", "--medium", "--paper"];
 
 fn usage() -> String {
     let mut out = String::from(
@@ -180,21 +169,14 @@ fn usage() -> String {
         let desc = desc.replace("{backends}", &backend_names);
         out.push_str(&format!("  {name:<12} {desc}{marker}\n"));
     }
-    out.push_str(
-        "\nscale flags: --quick (default), --medium, --paper, --wall (quick\n\
-         \x20            shapes with the full-size wall-clock workload — the\n\
-         \x20            CI speedup-gate preset)\n",
-    );
+    out.push_str("\nscale flags: --quick (default), --medium, --paper\n");
     out.push_str(
         "scaling flags: --devices N (largest pool, swept 1,2,4..N; default 8)\n\
          \x20              --profile <v100|a100|rtx3090ti|h100|gh200> (default a100)\n",
     );
     out.push_str(
         "host flags:    --threads N (host worker pool; default BATCHZK_THREADS\n\
-         \x20              or available parallelism; results identical at any N)\n\
-         bench flags:   --no-wall-clock (omit the measured wall_clock section\n\
-         \x20              from BENCH.json; the artifact becomes fully\n\
-         \x20              byte-deterministic for regression comparison)\n",
+         \x20              or available parallelism; results identical at any N)\n",
     );
     out.push_str(
         "fault flags:   --fault-plan <spec> (extra `faults` scenario; spec is\n\
@@ -393,12 +375,9 @@ fn run(raw: Vec<String>, out: &mut dyn Write) -> Result<(), ExitCode> {
         Scale::paper()
     } else if args.iter().any(|a| a == "--medium") {
         Scale::medium()
-    } else if args.iter().any(|a| a == "--wall") {
-        Scale::wall()
     } else {
         Scale::quick()
     };
-    let no_wall_clock = args.iter().any(|a| a == "--no-wall-clock");
     let which: Vec<&str> = args
         .iter()
         .filter(|a| !a.starts_with("--"))
@@ -463,12 +442,7 @@ fn run(raw: Vec<String>, out: &mut dyn Write) -> Result<(), ExitCode> {
     }
     // `bench-json` is explicit-only: it writes an artifact, not a table.
     if which.contains(&"bench-json") {
-        let json = if no_wall_clock {
-            experiments::bench_json(&scale)
-        } else {
-            experiments::bench_json_with_wall_clock(&scale, &[1, 2, 4])
-        };
-        write_artifact(out, "BENCH.json", &json)?;
+        write_artifact(out, "BENCH.json", &experiments::bench_json(&scale))?;
     }
     emit_flush(out)
 }

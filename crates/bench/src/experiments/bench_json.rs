@@ -9,10 +9,10 @@ use batchzk_zkp::prove_batch_with;
 
 use super::backends::{backends_section, backends_study};
 use super::modules::{Workload, MODULES};
-use super::pool::{recovery_study, scaling_point, scaling_sweep, RECOVERY_DEVICES};
+use super::pool::{recovery_study, scaling_sweep, RECOVERY_DEVICES};
 use super::service::{reference_plan, service_section, sumcheck_study, SERVICE_DEVICES};
 use super::timeline::timeline_section;
-use super::{timed_ms, Circuit, MODULE_THREADS};
+use super::{Circuit, MODULE_THREADS};
 use crate::scale::Scale;
 
 /// Renders one pipelined run's benchmark section (`"<module>":{...}`),
@@ -213,53 +213,6 @@ pub fn bench_json(scale: &Scale) -> String {
     )
 }
 
-/// [`bench_json`] plus a `wall_clock` section: the multi-device system run
-/// at the scale's `wall_log`/`wall_batch` sizes re-executed at each of
-/// `thread_counts` host threads, timed with real wall-clock. Everything
-/// else in the artifact is simulated and byte-deterministic; this section
-/// is the one *measured* quantity, so it is emitted as a single flat
-/// object (no nested braces) and regression tooling compares artifacts
-/// with `tables bench-json --no-wall-clock` instead of stripping it
-/// textually. Speedups are relative to the first entry of `thread_counts`
-/// and are bounded by `min(threads, host_cores, devices)` — `host_cores`
-/// and the `saturated` flag are recorded so readers can tell a saturated
-/// host from a scaling failure.
-pub fn bench_json_with_wall_clock(scale: &Scale, thread_counts: &[usize]) -> String {
-    assert!(!thread_counts.is_empty(), "need at least one thread count");
-    const DEVICES: usize = 4;
-    let profile = DeviceProfile::a100();
-    let circuit = Circuit::synthetic(scale.wall_log);
-    let wall_ms: Vec<f64> = thread_counts
-        .iter()
-        .map(|&t| {
-            let run = || scaling_point(&profile, DEVICES, &circuit, scale.wall_batch, None);
-            timed_ms(|| batchzk_par::with_threads(t, run)).1
-        })
-        .collect();
-
-    let host_cores = batchzk_par::host_cores();
-    let saturated = thread_counts.iter().copied().max().unwrap_or(1) > host_cores;
-    let section = format!(
-        "{{\"devices\":{DEVICES},\"log_n\":{},\"batch\":{},\"host_cores\":{host_cores},\
-         \"saturated\":{saturated},\"threads\":[{}],\"wall_ms\":[{}],\"speedup\":[{}]}}",
-        scale.wall_log,
-        scale.wall_batch,
-        join_json(thread_counts.iter().map(usize::to_string)),
-        join_json(wall_ms.iter().map(|ms| format_f64(*ms))),
-        join_json(
-            wall_ms
-                .iter()
-                .map(|ms| format_f64(wall_ms[0] / ms.max(1e-9)))
-        ),
-    );
-
-    // Splice before the artifact's closing `}\n`.
-    let mut out = bench_json(scale);
-    let tail = out.split_off(out.len() - 2);
-    debug_assert_eq!(tail, "}\n");
-    out + &format!(",\"wall_clock\":{section}") + &tail
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::tiny_scale;
@@ -334,41 +287,5 @@ mod tests {
             let json = batchzk_par::with_threads(t, || bench_json(&s));
             assert_eq!(json, base, "bench-json differs at threads={t}");
         }
-    }
-
-    #[test]
-    fn wall_clock_section_is_flat_and_strippable() {
-        let s = tiny_scale();
-        let json = bench_json_with_wall_clock(&s, &[1, 2]);
-        for field in [
-            "\"wall_clock\":{",
-            "\"host_cores\":",
-            "\"saturated\":",
-            "\"log_n\":8",
-            "\"batch\":48",
-            "\"threads\":[1,2]",
-            "\"wall_ms\":[",
-            "\"speedup\":[1.0,",
-        ] {
-            assert!(json.contains(field), "missing field {field}");
-        }
-        // The saturated flag reflects the real host: probing 2 threads
-        // saturates exactly when the host has fewer than 2 cores.
-        let expect = format!("\"saturated\":{}", batchzk_par::host_cores() < 2);
-        assert!(json.contains(&expect), "missing {expect}");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        // The one measured section stays a single flat object (no nested
-        // braces), and removing it recovers the deterministic artifact
-        // byte-for-byte — which is exactly what the `--no-wall-clock`
-        // flag of `tables bench-json` emits for regression comparisons.
-        let start = json.find(",\"wall_clock\":{").expect("section present");
-        let open = start + ",\"wall_clock\":".len();
-        let end = open + json[open..].find('}').expect("closes") + 1;
-        assert!(
-            !json[open + 1..end - 1].contains('{'),
-            "wall_clock must stay a flat object"
-        );
-        let stripped = format!("{}{}", &json[..start], &json[end..]);
-        assert_eq!(stripped, bench_json(&s));
     }
 }

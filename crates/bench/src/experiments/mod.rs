@@ -37,7 +37,7 @@ mod system;
 mod timeline;
 
 pub use backends::{backends, validate_trace_backends, MIXED_TRACE};
-pub use bench_json::{bench_json, bench_json_with_wall_clock};
+pub use bench_json::bench_json;
 pub use modules::{fig4, fig9, table3, table4, table5, table6, trace};
 pub use pool::{faults, profile_by_name, scaling};
 pub use profile::{profile, profile_json, PhaseProfile, ProfileStudy};
@@ -123,8 +123,6 @@ fn tiny_scale() -> crate::scale::Scale {
         service_probe_batch: 8,
         backends_log: 8,
         backends_batch: 3,
-        wall_log: 8,
-        wall_batch: 48,
         tag: "test",
     }
 }

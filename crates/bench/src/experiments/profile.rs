@@ -22,7 +22,7 @@ pub struct PhaseProfile {
 /// single-thread prover run.
 #[derive(Debug)]
 pub struct ProfileStudy {
-    /// log2 of the workload size (the scale's `wall_log`).
+    /// log2 of the workload size (the scale's smallest system size).
     pub log_n: u32,
     /// Named phases of the instrumented prove, in pipeline order.
     pub phases: Vec<PhaseProfile>,
@@ -82,7 +82,7 @@ pub(super) fn timed_prove(circuit: &Circuit) -> (Vec<PhaseProfile>, f64) {
 /// that one run, so coverage is attributed/total within it. Everything
 /// except the timings is deterministic at a given scale.
 fn profile_study(scale: &Scale) -> ProfileStudy {
-    let log = scale.wall_log;
+    let log = *scale.system_logs.last().expect("system sizes configured");
     let circuit = Circuit::synthetic(log);
     let (phases, total_ms) = batchzk_par::with_threads(1, || {
         timed_prove(&circuit);

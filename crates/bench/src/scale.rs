@@ -47,14 +47,6 @@ pub struct Scale {
     pub backends_log: u32,
     /// Throughput-scenario batch size for the backend comparison.
     pub backends_batch: usize,
-    /// log2 circuit size for the wall-clock thread-scaling measurement
-    /// (the BENCH.json `wall_clock` section). Must be big enough that real
-    /// per-proof arithmetic dominates thread-pool overhead — the CI gate
-    /// asserts real speedup, not simulated-cycle ratios.
-    pub wall_log: u32,
-    /// Batch size for the wall-clock measurement; large against the thread
-    /// counts probed so work division stays even.
-    pub wall_batch: usize,
     /// Human-readable tag recorded in outputs.
     pub tag: &'static str,
 }
@@ -77,8 +69,6 @@ impl Scale {
             service_probe_batch: 8,
             backends_log: 10,
             backends_batch: 6,
-            wall_log: 12,
-            wall_batch: 48,
             tag: "quick (sizes /16 of paper)",
         }
     }
@@ -98,22 +88,7 @@ impl Scale {
             service_probe_batch: 8,
             backends_log: 12,
             backends_batch: 12,
-            wall_log: 18,
-            wall_batch: 128,
             tag: "paper scale",
-        }
-    }
-
-    /// Wall-clock-focused preset: the quick shapes for everything except
-    /// the `wall_clock` measurement, which runs big enough (`2^14` tables,
-    /// batch 128) that per-proof field/hash arithmetic dominates thread-pool
-    /// overhead. This is the preset behind the CI >3x-at-4-threads gate.
-    pub fn wall() -> Self {
-        Self {
-            wall_log: 14,
-            wall_batch: 128,
-            tag: "wall (quick shapes, full-size wall-clock)",
-            ..Self::quick()
         }
     }
 
@@ -132,8 +107,6 @@ impl Scale {
             service_probe_batch: 8,
             backends_log: 11,
             backends_batch: 8,
-            wall_log: 13,
-            wall_batch: 64,
             tag: "medium (sizes /16..64 of paper)",
         }
     }
@@ -145,12 +118,7 @@ mod tests {
 
     #[test]
     fn scales_are_descending() {
-        for s in [
-            Scale::quick(),
-            Scale::paper(),
-            Scale::medium(),
-            Scale::wall(),
-        ] {
+        for s in [Scale::quick(), Scale::paper(), Scale::medium()] {
             assert!(s.module_logs.windows(2).all(|w| w[0] > w[1]));
             assert!(s.system_logs.windows(2).all(|w| w[0] > w[1]));
             assert!(s.module_batch >= 2 && s.system_batch >= 2);
@@ -164,12 +132,6 @@ mod tests {
             // The backend comparison needs a throughput batch past the
             // 4-stage depth and a size that exercises real MSM windows.
             assert!(s.backends_batch >= 4 && s.backends_log >= 8);
-            // The wall-clock measurement must be large enough that real
-            // arithmetic dominates threading overhead.
-            assert!(s.wall_log >= 12 && s.wall_batch >= 32);
         }
-        // The CI-gated preset runs the full-size wall-clock workload.
-        let w = Scale::wall();
-        assert!(w.wall_log >= 14 && w.wall_batch >= 128);
     }
 }

@@ -603,15 +603,15 @@ impl Gpu {
 
     /// Advances the clock to `cycle` without executing work — the device
     /// sits idle (no busy cycles accrue, utilization drops accordingly).
-    /// Used by [`DevicePool::sync`](crate::DevicePool::sync) to realign a
-    /// pool of devices on a shared virtual clock. A `cycle` in the past is
+    /// The online service idles a device with it, through the device's
+    /// executor, until the next request arrives. A `cycle` in the past is
     /// a no-op: the simulated clock never moves backwards.
     pub fn idle_until(&mut self, cycle: u64) {
         self.clock = self.clock.max(cycle);
     }
 
     /// Total elapsed time in seconds.
-    pub fn elapsed_seconds(&self) -> f64 {
+    pub(crate) fn elapsed_seconds(&self) -> f64 {
         self.profile.cycles_to_seconds(self.clock)
     }
 

@@ -85,16 +85,6 @@ impl DevicePool {
         &mut self.devices
     }
 
-    /// The shared virtual clock: the farthest per-device clock, in cycles
-    /// of each device's own time base converted to seconds (heterogeneous
-    /// pools tick at different rates, so *now* is in wall seconds).
-    fn virtual_now_seconds(&self) -> f64 {
-        self.devices
-            .iter()
-            .map(Gpu::elapsed_seconds)
-            .fold(0.0, f64::max)
-    }
-
     /// Index of the least-advanced device in wall time (ties break to the
     /// lowest index). A scheduler that always feeds this device emulates
     /// event-driven dispatch across the pool.
@@ -137,11 +127,18 @@ impl DevicePool {
         Some(g.mean_utilization() * p.cuda_cores as f64 * p.clock_ghz)
     }
 
-    /// Barrier: idles every device forward to the shared virtual now, and
-    /// returns that now in seconds. After a `sync` all clocks agree in
-    /// wall time (cycle counts still differ across heterogeneous clocks).
+    /// Barrier: idles every device forward to the shared virtual now (the
+    /// farthest per-device clock, in seconds: heterogeneous pools tick at
+    /// different rates), and returns that now. After a `sync` all clocks
+    /// agree in wall time (cycle counts still differ across heterogeneous
+    /// clocks). Only the pool's own tests call it.
+    #[cfg(test)]
     pub fn sync(&mut self) -> f64 {
-        let now = self.virtual_now_seconds();
+        let now = self
+            .devices
+            .iter()
+            .map(Gpu::elapsed_seconds)
+            .fold(0.0, f64::max);
         for g in &mut self.devices {
             let cycles = (now * g.profile().clock_ghz * 1e9).ceil() as u64;
             g.idle_until(cycles);

@@ -83,8 +83,9 @@ pub fn host_cores() -> usize {
 }
 
 /// Runs `f` with the thread count forced to `n`, restoring the previous
-/// override afterwards. Intended for single-threaded drivers (the bench
-/// binary's wall-clock sweep and determinism tests); the override is
+/// override afterwards. Intended for single-threaded drivers (`tables
+/// profile`'s one-thread prove, the benchmark's one- and two-thread runs,
+/// and the threads-N ≡ threads-1 determinism tests); the override is
 /// process-wide, so concurrent callers will observe it — harmless for
 /// correctness (any thread count produces identical bytes) but it can
 /// perturb concurrent wall-clock measurements.

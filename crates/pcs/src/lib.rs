@@ -620,8 +620,8 @@ pub fn open<F: Field>(
 
 /// Number of column tests an opening at this codeword length performs
 /// (capped at the codeword length — opening more columns than exist adds
-/// nothing). Public so work models can charge the query phase exactly.
-pub fn column_tests(params: &PcsParams, codeword_len: usize) -> usize {
+/// nothing). Work models read it through [`PcsKey::column_tests`].
+fn column_tests(params: &PcsParams, codeword_len: usize) -> usize {
     params.num_col_tests.min(codeword_len)
 }
 

@@ -59,8 +59,13 @@ pub trait ProverBackend: Clone + Send + Sync + 'static {
     /// [`module_weights`]: ProverBackend::module_weights
     fn stages(&self, gpu: &Gpu, total_threads: u32) -> Vec<BoxedStage<Self::Task>>;
 
-    /// Analytic per-task peak device-memory footprint in bytes. The
-    /// memory-aware scheduler sizes per-device admission caps from this.
+    /// Analytic device-memory footprint of one task in bytes: the largest
+    /// residency a task holds between two stages (the maximum `mem_after`
+    /// its stages report). It is not the task's transient peak: the engine
+    /// allocates a stage's new `mem_after` before it frees the old one, so
+    /// during a transition one task holds up to two stages' residency. The
+    /// scheduler reserves one footprint for that transition: each device
+    /// admits `capacity / footprint − 1` tasks at once, at least 1.
     fn task_footprint_bytes(&self) -> u64;
 
     /// Splits a completed task into its statement and proof.

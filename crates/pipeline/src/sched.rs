@@ -237,20 +237,9 @@ pub struct ShardedRun<T> {
 }
 
 impl<T> ShardedRun<T> {
-    /// Total tasks completed.
-    pub fn tasks(&self) -> usize {
-        self.outputs.len()
-    }
-
     /// Throughput against the makespan, in tasks per millisecond.
     pub fn throughput_per_ms(&self) -> f64 {
         throughput_per_ms(self.outputs.len(), self.makespan_ms)
-    }
-
-    /// Max-over-mean of per-device elapsed time across devices that ran
-    /// work (1.0 = perfectly balanced; 0 when nothing ran).
-    pub fn imbalance(&self) -> f64 {
-        imbalance(self.makespan_ms, &self.device_ms)
     }
 }
 
@@ -654,9 +643,9 @@ mod tests {
         let run = run_sharded(&mut pool, tasks.clone(), |_| 64, factory(64), true).expect("fits");
         let expect: Vec<u64> = tasks.iter().map(|t| t + 111).collect();
         assert_eq!(run.outputs, expect);
-        assert_eq!(run.tasks(), 13);
+        assert_eq!(run.outputs.len(), 13);
         assert!(run.makespan_ms > 0.0);
-        assert!(run.imbalance() >= 1.0);
+        assert!(imbalance(run.makespan_ms, &run.device_ms) >= 1.0);
         assert_eq!(run.device_stats.len(), 4);
     }
 
@@ -698,7 +687,7 @@ mod tests {
             .expect("nothing to do");
         assert!(run.outputs.is_empty());
         assert_eq!(run.makespan_ms, 0.0);
-        assert_eq!(run.imbalance(), 0.0);
+        assert_eq!(imbalance(run.makespan_ms, &run.device_ms), 0.0);
     }
 
     #[test]

@@ -200,7 +200,7 @@ impl<F: Field> Arena<F> {
     }
 }
 
-/// Elements of the field buffer of the prover's [`Arena`]:
+/// Elements of the field buffer of the prover's `Arena`:
 ///
 /// * spmv and sum-check #1: `[Az | Bz | Cz | eq levels]`, `m =
 ///   padded_constraints` entries each, the products folded in place;

@@ -3,18 +3,24 @@
 
 Every `pub fn` under `crates/*/src`, outside `#[cfg(test)]` items, must be
 called from the code of at least one other `.rs` file under `crates/`,
-`benchmark/src`, `src/` or `examples/`. A call is the name in call or path
-form: `name(` (so `.name(` too), `name::<` or `::name`. A definition
-(`fn name(`) is not a call, nor is a bare word: a field, a local variable or
-a same-named item elsewhere does not keep a function alive, nor does a
-function passed by a bare imported name, which the allow-list below names. Test code does not count:
-`#[cfg(test)]` items and files under a `tests/` directory are left out of the
-search. Re-exports do not count either: a `pub use` statement, one line or a
-multi-line `pub use { … };` list, only passes a name on, so it is left out
-too. Nor do comments (doc comments and their examples included) and string
-literals: a name mentioned there is not called. A function only its own file or tests name is either dead, a helper
-that should be private or folded into its caller, or a test helper that
-belongs under `#[cfg(test)]`.
+`benchmark/src`, `src/` or `examples/`. What counts as a call depends on
+where the function is defined. A free function (one outside any `impl` or
+`trait` block) is called as `name(` or `name::<` with no `.` or `::` before
+it, or through a module path, `lowercase_path::name`. A method is called as
+`.name(` (or `.name::<`), `Self::name` or `Type::name`. So a method call
+`k.seal()` or a path `a::Key::commit` does not keep a free `seal` or
+`commit` alive, and a bare `build(` does not keep a method `build` alive. A
+definition (`fn name(`) is not a call, nor is a bare word: a field, a local
+variable or a same-named item elsewhere does not keep a function alive, nor
+does a function passed by a bare imported name, which the allow-list below
+names. Test code does not count: `#[cfg(test)]` items and files under a
+`tests/` directory are left out of the search. Re-exports do not count
+either: a `pub use` statement, one line or a multi-line `pub use { … };`
+list, only passes a name on, so it is left out too. Nor do comments (doc
+comments and their examples included) and string literals: a name mentioned
+there is not called. A function only its own file or tests name is either
+dead, a helper that should be private or folded into its caller, or a test
+helper that belongs under `#[cfg(test)]`.
 
 The functions below are kept on purpose, each keyed by its file and name
 with its reason, so that an entry exempts that one function and not a
@@ -56,6 +62,8 @@ ALLOWED = {
     # Public API kept on purpose.
     ("crates/metrics/src/registry.rs", "to_prometheus"): "the registry's Prometheus text exposition, one of its two formats (README's metrics section); observe's exposition_known_answer pins its bytes",
     ("crates/vml/src/compile.rs", "compile_inference_with_options"): "vml's range-checked compile, the one way to set CompileOptions::range_check_bits (sound ReLU hints at ~2·bits constraints each); its callers are vml's tests",
+    ("crates/vml/src/service.rs", "metrics"): "MlService's accumulated registry, the one way to read what its serve rounds record (DESIGN.md §9); vml's service tests read it",
+    ("crates/zkp/src/batch.rs", "imbalance"): "a pool run's max-over-mean device time, which README's pool example prints; zkp's pool tests check the gauge and the pool analyzer against it",
     # Integration tests build the library without `cfg(test)`, so what they
     # probe has to be public.
     ("crates/vml/src/service.rs", "predict"): "MlService's plain inference, the oracle tests/verifiable_ml.rs checks each proven prediction's logits against",
@@ -70,28 +78,32 @@ ALLOWED = {
 }
 
 PUB_FN = re.compile(r"^\s*pub\s+(?:const\s+|async\s+|unsafe\s+)*fn\s+([A-Za-z_][A-Za-z0-9_]*)")
+# The header of an `impl` or `trait` block, whose functions are methods.
+IMPL_OR_TRAIT = re.compile(r"^\s*(?:pub(?:\s*\([^)]*\))?\s+)?(?:unsafe\s+)?(?:impl|trait)\b")
 CFG_TEST = re.compile(r"^\s*#\[cfg\(test\)\]")
 # A re-export (`pub use`, `pub(crate) use`, one line or a braced list over
 # several), which names a function without calling it.
 PUB_USE = re.compile(r"\bpub(?:\s*\([^)]*\))?\s+use\b[^;]*;")
-# Strings, char literals and comments, so that braces inside them do not
-# count towards an item's extent.
-NOISE = re.compile(r'"(?:\\.|[^"\\])*"|\'(?:\\.|[^\'\\])\'|//.*')
-
-
 # Comments, string literals (raw ones included) and char literals over a
-# whole file, so that the names inside them are not taken for callers.
+# whole file, so that the names inside them are not taken for callers and
+# the braces inside them do not count towards an item's extent.
 LITERALS = re.compile(
     r'\br(#*)".*?"\1|"(?:\\.|[^"\\])*"|\'(?:\\.|[^\'\\])\'|//[^\n]*|/\*.*?\*/', re.S)
 
 
+def blank_literals(text):
+    """`text` with its comments and literals blanked, its line breaks kept."""
+    return LITERALS.sub(lambda match: " " + "\n" * match.group().count("\n"), text)
+
+
 def braces(line):
-    code = NOISE.sub("", line)
-    return code.count("{") - code.count("}")
+    return line.count("{") - line.count("}")
 
 
 def code_lines(text):
-    """(line number, line) of every line of `text` outside `#[cfg(test)]` items."""
+    """(line number, line) of every line of `text` outside `#[cfg(test)]`
+    items, its comments and literals blanked."""
+    text = blank_literals(text)
     skip_depth = None  # brace depth at which a `#[cfg(test)]` item closes
     pending_test = False
     depth = 0
@@ -99,10 +111,10 @@ def code_lines(text):
         if skip_depth is None:
             if CFG_TEST.match(line):
                 pending_test = True
-            elif pending_test and line.strip() and not line.lstrip().startswith(("#", "//")):
+            elif pending_test and line.strip() and not line.lstrip().startswith("#"):
                 pending_test = False
                 # A `#[cfg(test)]` item ends at its `;` or its closing brace.
-                if "{" in NOISE.sub("", line):
+                if "{" in line:
                     skip_depth = depth
             else:
                 yield number, line
@@ -112,10 +124,35 @@ def code_lines(text):
 
 
 def public_fns(text):
-    """(line, name) of every `pub fn` in `text` outside `#[cfg(test)]` items."""
-    return [(number, match.group(1))
-            for number, line in code_lines(text)
-            if (match := PUB_FN.match(line))]
+    """(line, name, is_method) of every `pub fn` in `text` outside
+    `#[cfg(test)]` items; `is_method` when it sits in an `impl` or `trait`
+    block."""
+    found = []
+    depth = 0
+    blocks = []  # brace depth outside each open `impl` / `trait` block
+    header = False  # an `impl` / `trait` header whose `{` is still to come
+    for number, line in code_lines(text):
+        header = header or bool(IMPL_OR_TRAIT.match(line))
+        if match := PUB_FN.match(line):
+            found.append((number, match.group(1), bool(blocks)))
+        if header and "{" in line:
+            blocks.append(depth)
+            header = False
+        depth += braces(line)
+        while blocks and depth <= blocks[-1]:
+            blocks.pop()
+    return found
+
+
+def call_pattern(name, is_method):
+    """The forms in which another file calls a function `name`."""
+    name = re.escape(name)
+    if is_method:
+        # `.name(`, `.name::<`, `Self::name`, `Type::name`, `Type::<T>::name`.
+        return re.compile(rf"\.\s*{name}\s*(?:\(|::\s*<)|(?:\b[A-Z]\w*|>)\s*::\s*{name}\b")
+    # `name(` or `name::<` after no `.` or `::` (a definition, `fn name(`,
+    # is not a call), or `lowercase_path::name`.
+    return re.compile(rf"(?<![\w.:])(?<!fn ){name}\s*(?:\(|::\s*<)|\b[a-z_][a-z0-9_]*\s*::\s*{name}\b")
 
 
 def audit(root, allowed):
@@ -130,27 +167,25 @@ def audit(root, allowed):
         if "tests" not in path.relative_to(root).parts
     )
     texts = {
-        path: PUB_USE.sub("", LITERALS.sub(
-            " ", "\n".join(line for _, line in code_lines(path.read_text()))))
+        path: PUB_USE.sub("", "\n".join(line for _, line in code_lines(path.read_text())))
         for path in searched
     }
 
-    def called_elsewhere(name, home):
-        # A definition of a same-named function (`fn name(`) is not a call.
-        call = re.compile(rf"(?<!fn )\b{re.escape(name)}\s*(?:\(|::\s*<)|::\s*{re.escape(name)}\b")
+    def called_elsewhere(name, is_method, home):
+        call = call_pattern(name, is_method)
         return any(call.search(text) for path, text in texts.items() if path != home)
 
     failures = []
     defined = set()
     for path in sources:
         home = path.relative_to(root).as_posix()
-        for number, name in public_fns(path.read_text()):
+        for number, name, is_method in public_fns(path.read_text()):
             defined.add((home, name))
             if (home, name) in allowed:
-                if called_elsewhere(name, path):
+                if called_elsewhere(name, is_method, path):
                     failures.append(f"stale allow-list entry: `{name}` is now called outside {home}")
                 continue
-            if not called_elsewhere(name, path):
+            if not called_elsewhere(name, is_method, path):
                 failures.append(f"{home}:{number}: `pub fn {name}` is called from no other file")
     for home, name in sorted(set(allowed) - defined):
         failures.append(f"stale allow-list entry: no `pub fn {name}` left in {home}")

@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Self-test of scripts/pub_audit.py's call-site rule over a small fixture tree.
 
-A `pub fn` that another file names only as a variable or a field is flagged;
-one that another file reaches as `Type::name`, `.name(` or `name::<` passes,
-and so does one on the allow-list, which names a file and a function: an
-uncalled function of an allowed name in another file is still flagged.
+A `pub fn` that another file names only as a variable or a field is flagged.
+A method passes when another file reaches it as `Type::name` or `.name(`, and
+a free function when another file calls it as `name::<`, `name(` or
+`path::name`; a method call or a `Type::` path does not keep a free function
+alive, nor a bare call a method. A function on the allow-list, which names a
+file and a function, passes: an uncalled function of an allowed name in
+another file is still flagged.
 Exits 1 on the first wrong verdict.
 
     python3 scripts/pub_audit_test.py
@@ -27,9 +30,16 @@ impl Tree {
     pub fn height(&self) -> usize { self.depth }
     pub fn hook(&self) {}
     pub fn claim(&self) {}
+    pub fn prune(&self) {}
 }
 
 pub fn build<T>(depth: usize) -> Tree { Tree { depth } }
+
+pub fn grow(depth: usize) -> Tree { Tree { depth } }
+
+pub fn commit(tree: &Tree) {}
+
+pub fn seal(tree: &Tree) {}
 
 pub fn unused_but_commented() {}
 """,
@@ -46,7 +56,11 @@ fn run() -> usize {
     let total = tree.depth + tree.leaves();
     let label = "unused_but_commented()";
     let h = Tree::height;
-    total + h(&tree) + label.len()
+    a::Key::commit(&tree);
+    tree.seal();
+    let prune = |n: usize| n;
+    let grown = tree::grow(depth);
+    prune(total) + h(&grown) + label.len()
 }
 """,
 }
@@ -66,14 +80,23 @@ def main():
         if "`pub fn " in line
     }
     tree = "crates/tree/src/lib.rs"
-    expected = {(tree, "depth"), (tree, "unused_but_commented"), ("crates/other/src/lib.rs", "claim")}
+    expected = {
+        (tree, "depth"),
+        (tree, "unused_but_commented"),
+        (tree, "commit"),
+        (tree, "seal"),
+        (tree, "prune"),
+        ("crates/other/src/lib.rs", "claim"),
+    }
     if flagged != expected or len(findings) != len(expected):
         print(f"expected exactly {sorted(expected)} flagged, got:")
         print("\n".join(findings) or "(no findings)")
         return 1
     print("pub_audit flags names used only as variables, fields, comments or "
-          "strings, and passes `Type::name`, `.name(`, `name::<` and the allow-list, "
-          "which exempts its own file's function only")
+          "strings, free functions reached only as methods or `Type::` paths, and "
+          "methods reached only by bare calls; it passes `Type::name` and `.name(` "
+          "for methods, `name::<` and `path::name` for free functions, and the "
+          "allow-list, which exempts its own file's function only")
     return 0
 
 
