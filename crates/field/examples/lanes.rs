@@ -177,6 +177,7 @@ fn small_hooks_agree(table: &[Fr], r: Fr) -> bool {
         && hook == scalar
         && (hook_lo, hook_hi) == (scalar_lo, scalar_hi)
         && Fr::dot_small(table, &wide) == dot_small_scalar(table, &wide)
+        && Fr::dot_small(table, &ints) == dot_small_scalar(table, &ints)
 }
 
 /// Whether the hooks and the scalar bodies agree on one random table.

@@ -61,7 +61,7 @@ use core::arch::x86_64::{
 };
 use core::marker::PhantomData;
 
-use crate::lanes::{Block, Call, Halves, LimbLayout, LANES};
+use crate::lanes::{Block, Call, Halves, IntBlocks, LimbLayout, LANES};
 use crate::limb::{add_mod, Limbs};
 use crate::{batch_invert_scalar, sparse_mul_lanes_scalar, NARROW_BOUND};
 
@@ -180,7 +180,11 @@ fn kernel<F: LimbLayout>(call: Call<'_, F>) {
         Call::DotSmall(a, b, sum) => {
             [*sum] = lane_sums(a.len(), |[acc], i| {
                 let a = Packed::load(&a[i]);
-                acc.mul_add_small([a, a.negated()], Small::new(cast(&b[i])));
+                let b = match b {
+                    IntBlocks::Wide(b) => cast(&b[i]),
+                    IntBlocks::Narrow(b) => _mm512_cvtepi32_epi64(cast(&b[i])),
+                };
+                acc.mul_add_small([a, a.negated()], Small::new(b));
             });
         }
         // A block of zeros and ones (half of a quantized assignment's) by

@@ -35,6 +35,33 @@ impl LimbLayout for Fq {}
 
 const _: () = assert!(size_of::<Fr>() == 32 && size_of::<Fq>() == 32);
 
+/// Whole blocks of the integers of [`crate::Field::dot_small`].
+pub enum IntBlocks<'a> {
+    /// Products of two narrow integers.
+    Wide(Blocks<'a, i64>),
+    /// Narrow integers.
+    Narrow(Blocks<'a, i32>),
+}
+
+/// How a [`crate::SmallInt`] slice reaches a kernel: sealed, so only
+/// `i64` and `i32` are integers of [`crate::Field::dot_small`].
+pub trait SmallInts: Sized {
+    /// The first `n` whole blocks of `xs`.
+    fn int_blocks(xs: &[Self], n: usize) -> IntBlocks<'_>;
+}
+
+impl SmallInts for i64 {
+    fn int_blocks(xs: &[Self], n: usize) -> IntBlocks<'_> {
+        IntBlocks::Wide(blocks(xs, n))
+    }
+}
+
+impl SmallInts for i32 {
+    fn int_blocks(xs: &[Self], n: usize) -> IntBlocks<'_> {
+        IntBlocks::Narrow(blocks(xs, n))
+    }
+}
+
 /// One request to a kernel: a hook's operands on whole blocks, its output
 /// written through the last field.
 pub(crate) enum Call<'a, F> {
@@ -61,7 +88,7 @@ pub(crate) enum Call<'a, F> {
     /// `Σ aᵢ·bᵢ`.
     Dot(Blocks<'a, F>, Blocks<'a, F>, &'a mut F),
     /// [`crate::Field::dot_small`]: `Σ aᵢ·bᵢ` for integers `b`.
-    DotSmall(Blocks<'a, F>, Blocks<'a, i64>, &'a mut F),
+    DotSmall(Blocks<'a, F>, IntBlocks<'a>, &'a mut F),
     /// [`crate::Field::narrow_into`]: the elements, their integers, and
     /// the count of leading blocks that were all narrow.
     Narrow(Blocks<'a, F>, &'a mut [Block<i32>], &'a mut usize),

@@ -28,7 +28,10 @@
 //! [`product_round_sums_scalar`], [`batch_invert_scalar`],
 //! [`affine_chords_scalar`], [`narrow_into_scalar`], [`dot_small_scalar`],
 //! [`fold_small_scalar`]) elsewhere; nothing configures them, and
-//! [`lane_kernel`] reports which.
+//! [`lane_kernel`] reports which. One more hook runs on the limbs
+//! themselves: [`Field::signed_sum`], a sparse column's group of ±1 and
+//! small-integer entries, sums each sign unreduced and reduces once
+//! ([`limb::reduce_sum`]; portable body [`signed_sum_scalar`]).
 //! Each kernel is one safe loop over a packed type of eight elements whose
 //! `p²` budget debug builds check; the hooks reach them through one seam.
 //! The kernels' module holds the crate's only `unsafe` — that one call into
@@ -79,8 +82,8 @@ pub use rng::{RngCore, SplitMix64};
 pub use traits::{
     affine_chords_scalar, combine_scalar, dot_small_scalar, eq_double_scalar, eq_split_scalar,
     field_from_i64, fold_halves_scalar, fold_small_scalar, narrow_into_scalar,
-    product_round_sums_scalar, scale_scalar, sparse_mul_lanes_scalar, write_canonical_scalar,
-    Field, MontLimbs, NARROW_BOUND,
+    product_round_sums_scalar, scale_scalar, signed_sum_scalar, sparse_mul_lanes_scalar,
+    write_canonical_scalar, Field, MontLimbs, SmallInt, NARROW_BOUND,
 };
 
 /// The body the lane hooks run on this host for `Fr` and `Fq`:

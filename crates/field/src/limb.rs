@@ -304,6 +304,116 @@ pub const fn acc_reduce(acc: &WideAcc, p: &Limbs, inv: u64, r2: &Limbs) -> Limbs
     )
 }
 
+/// Accumulator of an *unreduced sum*: the plain integer sum of values
+/// below `p`, and of such values times integers, five little-endian limbs.
+///
+/// Adding a value is five word additions ([`sum_acc_add`]) and a value
+/// times an integer four word multiplies more ([`sum_acc_mul_add`]), with
+/// no comparison against `p`; [`reduce_sum`] maps the total into `[0, p)`
+/// once. The total must stay below `2^317`, that is `2^63` values of a
+/// 254-bit modulus.
+pub type SumAcc = [u64; NLIMBS + 1];
+
+/// `acc += a` as integers.
+#[inline(always)]
+pub const fn sum_acc_add(acc: &mut SumAcc, a: &Limbs) {
+    let (s0, c) = adc(acc[0], a[0], 0);
+    let (s1, c) = adc(acc[1], a[1], c);
+    let (s2, c) = adc(acc[2], a[2], c);
+    let (s3, c) = adc(acc[3], a[3], c);
+    *acc = [s0, s1, s2, s3, acc[4] + c];
+}
+
+/// `a · k` as a five-limb integer: four word multiplies.
+#[inline(always)]
+pub const fn mul_small(a: &Limbs, k: u64) -> SumAcc {
+    let (t0, c) = mac(0, a[0], k, 0);
+    let (t1, c) = mac(0, a[1], k, c);
+    let (t2, c) = mac(0, a[2], k, c);
+    let (t3, c) = mac(0, a[3], k, c);
+    [t0, t1, t2, t3, c]
+}
+
+/// `acc += a · k` as integers.
+#[inline(always)]
+pub const fn sum_acc_mul_add(acc: &mut SumAcc, a: &Limbs, k: u64) {
+    let t = mul_small(a, k);
+    let (s0, c) = adc(acc[0], t[0], 0);
+    let (s1, c) = adc(acc[1], t[1], c);
+    let (s2, c) = adc(acc[2], t[2], c);
+    let (s3, c) = adc(acc[3], t[3], c);
+    *acc = [s0, s1, s2, s3, acc[4] + t[4] + c];
+}
+
+/// `⌊2^317 / p⌋` for a 254-bit modulus (`2^253 < p < 2^254`): the Barrett
+/// constant of [`reduce_sum`], below `2^64`. Bit-by-bit long division,
+/// for compile-time use.
+pub const fn barrett_mu(p: &Limbs) -> u64 {
+    // `rem = 2^253 mod p` is `2^253` itself; each step doubles it (below
+    // `2p < 2^255`) and takes out `p` where it fits, one quotient bit.
+    let mut rem: Limbs = [0, 0, 0, 1 << 61];
+    let mut mu = 0u64;
+    let mut i = 0;
+    while i < 64 {
+        rem = double_wide(&rem);
+        mu <<= 1;
+        if geq(&rem, p) {
+            rem = sub_wide(&rem, p).0;
+            mu |= 1;
+        }
+        i += 1;
+    }
+    mu
+}
+
+/// `t mod p` for `t < 2^317` and a 254-bit modulus, `mu` its
+/// [`barrett_mu`]: one word multiply estimates the quotient `q` from the
+/// top 64 bits of `t` (`⌊t / 2^253⌋`), four more form `q·p`, and at most
+/// two conditional subtractions finish.
+///
+/// Why two: with `top = ⌊t / 2^253⌋` and `q = ⌊top·mu / 2^64⌋`, `q ≤ t / p`
+/// (as `mu ≤ 2^317 / p`) and `q > top·2^253 / p − 2 > t / p − 3` (as
+/// `mu > 2^317 / p − 1`, `top < 2^64` and `t − top·2^253 < 2^253 < p`).
+/// So `t − q·p` lies in `[0, 3p)`, below `2^256`.
+#[inline]
+pub const fn reduce_sum(t: &SumAcc, p: &Limbs, mu: u64) -> Limbs {
+    debug_assert!(t[4] >> 61 == 0, "unreduced sum past 2^317");
+    let top = (t[4] << 3) | (t[3] >> 61);
+    let q = ((top as u128 * mu as u128) >> 64) as u64;
+    let qp = mul_small(p, q);
+    let (r0, b) = sbb(t[0], qp[0], 0);
+    let (r1, b) = sbb(t[1], qp[1], b);
+    let (r2, b) = sbb(t[2], qp[2], b);
+    let (r3, _) = sbb(t[3], qp[3], b);
+    reduce_once(&reduce_once(&[r0, r1, r2, r3], p), p)
+}
+
+/// `(pos − neg) mod p` of two [`SumAcc`] totals, each below `2^317`: one
+/// subtraction of the integers, one [`reduce_sum`] of the magnitude and,
+/// when `neg` is larger, one negation mod `p`.
+#[inline]
+pub const fn reduce_difference(pos: &SumAcc, neg: &SumAcc, p: &Limbs, mu: u64) -> Limbs {
+    let (d0, b) = sbb(pos[0], neg[0], 0);
+    let (d1, b) = sbb(pos[1], neg[1], b);
+    let (d2, b) = sbb(pos[2], neg[2], b);
+    let (d3, b) = sbb(pos[3], neg[3], b);
+    let (d4, b) = sbb(pos[4], neg[4], b);
+    if b == 0 {
+        return reduce_sum(&[d0, d1, d2, d3, d4], p, mu);
+    }
+    // `neg − pos`: the two's complement of the wrapped difference.
+    let (m0, c) = adc(!d0, 1, 0);
+    let (m1, c) = adc(!d1, 0, c);
+    let (m2, c) = adc(!d2, 0, c);
+    let (m3, c) = adc(!d3, 0, c);
+    let r = reduce_sum(&[m0, m1, m2, m3, !d4 + c], p, mu);
+    if is_zero(&r) {
+        r
+    } else {
+        sub_wide(p, &r).0
+    }
+}
+
 /// Maps `[0, 2p)` onto `[0, p)` with one conditional subtraction.
 #[inline]
 const fn reduce_once(a: &Limbs, p: &Limbs) -> Limbs {
@@ -479,6 +589,108 @@ mod tests {
                 mont_reduce(&mul_wide(&a, &b), &P, inv),
                 mont_mul(&a, &b, &P, inv)
             );
+        }
+    }
+
+    /// A five-limb integer compared with `2^317` and with `t`.
+    fn below(a: &SumAcc, b: &SumAcc) -> bool {
+        (0..=NLIMBS)
+            .rev()
+            .find(|&i| a[i] != b[i])
+            .is_some_and(|i| a[i] < b[i])
+    }
+
+    /// `t mod p` by the oracle: `t = lo + hi·2^256 ≡ lo + hi·(2^256 mod p)`.
+    fn naive_reduce(t: &SumAcc, p: &Limbs) -> Limbs {
+        let lo = naive_mul_mod(&[t[0], t[1], t[2], t[3]], &[1, 0, 0, 0], p);
+        let hi = naive_mul_mod(&[t[4], 0, 0, 0], &pow2_mod(256, p), p);
+        add_mod(&lo, &hi, p)
+    }
+
+    /// An odd 254-bit modulus near `1.9·2^253`, where the quotient
+    /// estimate of [`reduce_sum`] falls two short (BN254's, near
+    /// `1.51·2^253`, never does): `TWO_SHORT` is such a total.
+    const NEAR_TOP: Limbs = [1, 0, 0, 0x3ccc_cccc_cccc_cc00];
+    const TWO_SHORT: SumAcc = [
+        u64::MAX,
+        u64::MAX,
+        u64::MAX,
+        u64::MAX >> 1,
+        0x1bf0_614d_460d_929c,
+    ];
+
+    #[test]
+    fn barrett_constant_is_the_floor_of_the_quotient() {
+        for p in [P, NEAR_TOP] {
+            let mu = barrett_mu(&p);
+            let two317 = [0, 0, 0, 0, 1 << 61];
+            let (at, next) = (mul_small(&p, mu), mul_small(&p, mu + 1));
+            assert!(!below(&two317, &at) && below(&two317, &next));
+        }
+    }
+
+    #[test]
+    fn reduce_sum_takes_its_second_subtraction() {
+        let mu = barrett_mu(&NEAR_TOP);
+        let top = (TWO_SHORT[4] << 3) | (TWO_SHORT[3] >> 61);
+        let q = ((top as u128 * mu as u128) >> 64) as u64;
+        let r = sub_wide(
+            &TWO_SHORT[..4].try_into().unwrap(),
+            &mul_small(&NEAR_TOP, q)[..4].try_into().unwrap(),
+        )
+        .0;
+        let twice = double_wide(&NEAR_TOP);
+        assert!(geq(&r, &twice), "the estimate is two short");
+        assert_eq!(
+            reduce_sum(&TWO_SHORT, &NEAR_TOP, mu),
+            naive_reduce(&TWO_SHORT, &NEAR_TOP)
+        );
+    }
+
+    #[test]
+    fn unreduced_sums_reduce_to_the_modular_fold() {
+        let mu = barrett_mu(&P);
+        let mut st = 23u64;
+        let (mut pos, mut neg) = ([0; NLIMBS + 1], [0; NLIMBS + 1]);
+        let mut expect = [0u64; NLIMBS];
+        assert_eq!(reduce_difference(&pos, &neg, &P, mu), expect);
+        for i in 0..400u64 {
+            let a = rand_below(&P, &mut st);
+            // Plain values, and multiples up to 2^31 times `a`.
+            let k = match i % 4 {
+                0 | 1 => 1,
+                2 => splitmix(&mut st) >> 33,
+                _ => 1 << 31,
+            };
+            let term = naive_mul_mod(&a, &[k, 0, 0, 0], &P);
+            if i % 3 == 0 {
+                sum_acc_mul_add(&mut neg, &a, k);
+                expect = sub_mod(&expect, &term, &P);
+            } else {
+                sum_acc_mul_add(&mut pos, &a, k);
+                expect = add_mod(&expect, &term, &P);
+            }
+            if k == 1 {
+                let mut plain = [0; NLIMBS + 1];
+                sum_acc_add(&mut plain, &a);
+                assert_eq!(plain, mul_small(&a, 1));
+            }
+            assert_eq!(reduce_difference(&pos, &neg, &P, mu), expect, "term {i}");
+            assert_eq!(
+                reduce_difference(&neg, &pos, &P, mu),
+                sub_mod(&[0; 4], &expect, &P)
+            );
+            assert_eq!(reduce_sum(&pos, &P, mu), naive_reduce(&pos, &P));
+        }
+        // Equal sums, and the accumulator's ceiling: below 2^317, largest
+        // quotient estimate, and just past multiples of `p`.
+        assert_eq!(reduce_difference(&pos, &pos, &P, mu), [0; 4]);
+        let ceiling = [u64::MAX, u64::MAX, u64::MAX, u64::MAX, (1 << 61) - 1];
+        let p_minus_1 = sub_wide(&P, &[1, 0, 0, 0]).0;
+        let multiples = [1, 2, 3, 5, 1 << 40, (1 << 63) - 1].map(|k| mul_small(&P, k));
+        let tops = [mul_small(&p_minus_1, (1 << 63) - 1), ceiling];
+        for t in multiples.into_iter().chain(tops) {
+            assert_eq!(reduce_sum(&t, &P, mu), naive_reduce(&t, &P), "{t:x?}");
         }
     }
 

@@ -282,15 +282,33 @@ pub trait Field:
 
     /// `Σ aᵢ·bᵢ` over the common prefix of `a` and the integers `b`: a
     /// sum whose one operand is small, such as a round sum over narrow
-    /// tables or a dot against the untouched narrow tail of `z`.
+    /// tables (`i64` products) or a dot against the untouched narrow tail
+    /// of `z` (its `i32`s, read in place).
     ///
     /// The default is [`dot_small_scalar`]. `declare_field!` fields run
     /// whole blocks of eight on CPUs with AVX-512 IFMA, where a magnitude
     /// below 2^52 is one 52-bit plane (five products, not twenty-five),
     /// and the tail on the default body; the sum is bit-identical either
     /// way.
-    fn dot_small(a: &[Self], b: &[i64]) -> Self {
+    fn dot_small<K: SmallInt>(a: &[Self], b: &[K]) -> Self {
         dot_small_scalar(a, b)
+    }
+
+    /// `Σ x[i] over plus − Σ x[i] over minus + Σ k·x[i] over (i, k) in
+    /// scaled`: one group of a sparse column whose coefficients are ±1 and
+    /// small integers, as matrix-bind gathers them.
+    ///
+    /// The default is [`signed_sum_scalar`], a modular fold.
+    /// `declare_field!` fields add each sign into an unreduced integer sum
+    /// ([`crate::limb::SumAcc`]: no comparison against `p` per entry, four
+    /// word multiplies per scaled one) and reduce their difference once;
+    /// the sum is bit-identical either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index lies outside `x`.
+    fn signed_sum(x: &[Self], plus: &[u32], minus: &[u32], scaled: &[(u32, i32)]) -> Self {
+        signed_sum_scalar(x, plus, minus, scaled)
     }
 
     /// `out[i] ← lo[i] + r·(hi[i] − lo[i])` for a table whose halves `lo`
@@ -571,10 +589,42 @@ pub fn narrow_into_scalar<F: Field>(xs: &[F], out: &mut [i32]) -> bool {
     })
 }
 
+/// The integers [`Field::dot_small`] sums against: `i64` and `i32`.
+pub trait SmallInt: Copy + Into<i64> + crate::lanes::SmallInts {}
+
+impl SmallInt for i64 {}
+impl SmallInt for i32 {}
+
 /// The portable body of [`Field::dot_small`], and its oracle: each integer
 /// entered through [`field_from_i64`], then [`Field::dot_pairs`].
-pub fn dot_small_scalar<F: Field>(a: &[F], b: &[i64]) -> F {
-    F::dot_pairs(a.iter().zip(b).map(|(&a, &b)| (a, field_from_i64(b))))
+pub fn dot_small_scalar<F: Field, K: SmallInt>(a: &[F], b: &[K]) -> F {
+    F::dot_pairs(
+        a.iter()
+            .zip(b)
+            .map(|(&a, &b)| (a, field_from_i64(b.into()))),
+    )
+}
+
+/// The portable body of [`Field::signed_sum`], and its oracle: a fold of
+/// modular additions and subtractions, each scaled entry entered through
+/// [`field_from_i64`] and multiplied.
+///
+/// # Panics
+///
+/// As [`Field::signed_sum`].
+pub fn signed_sum_scalar<F: Field>(
+    x: &[F],
+    plus: &[u32],
+    minus: &[u32],
+    scaled: &[(u32, i32)],
+) -> F {
+    let at = |i: u32| x[i as usize];
+    let sum = plus.iter().fold(F::ZERO, |s, &i| s + at(i));
+    let sum = minus.iter().fold(sum, |s, &i| s - at(i));
+    let scaled = scaled
+        .iter()
+        .map(|&(i, k)| field_from_i64::<F>(k.into()) * at(i));
+    scaled.fold(sum, |s, t| s + t)
 }
 
 /// The portable body of [`Field::fold_small`], and its oracle: `lo` and
@@ -693,6 +743,37 @@ mod tests {
             assert_eq!(got.to_bytes(), want.to_bytes(), "{v}");
             assert_eq!(got, want, "{v}");
         }
+    }
+
+    /// `field_from_i64` ≡ the Montgomery multiply by `R²` of the
+    /// magnitude (`oracle`, run per value, where `From<u64>` reads its
+    /// table or takes its one-limb product), negated for a negative value:
+    /// every value in `[−2^16, 2^16]`, the edges of the table and of the
+    /// one-limb path, and the extremes.
+    fn from_i64_matches_the_montgomery_multiply<F: Field>(oracle: impl Fn(u64) -> F) {
+        let edges = [
+            255,
+            256,
+            (1 << 32) - 1,
+            1 << 32,
+            (1 << 62) + 1,
+            i64::MAX - 1,
+        ];
+        let values = (-(1 << 16)..=1 << 16).chain(edges.iter().flat_map(|&v| [v, -v]));
+        for v in values.chain([i64::MIN, i64::MAX]) {
+            let magnitude = oracle(v.unsigned_abs());
+            let want = if v < 0 { -magnitude } else { magnitude };
+            assert_eq!(field_from_i64::<F>(v).to_bytes(), want.to_bytes(), "{v}");
+        }
+        for v in [1 << 63, (1 << 63) + 1, u64::MAX] {
+            assert_eq!(F::from(v).to_bytes(), oracle(v).to_bytes(), "{v}");
+        }
+    }
+
+    #[test]
+    fn from_i64_is_bit_identical_to_the_montgomery_multiply() {
+        from_i64_matches_the_montgomery_multiply(|m| Fr::from_canonical_limbs([m, 0, 0, 0]));
+        from_i64_matches_the_montgomery_multiply(|m| crate::Fq::from_canonical_limbs([m, 0, 0, 0]));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! oracle, at the carry and term-count edges, the dispatched lane hooks
 //! (sparse product, fold, scale, combination, `eq` doubling and splitting,
 //! dot, canonical bytes, round sums, batch inversion, affine chords, the
-//! narrow-integer recovery, and the field × integer dot and fold) against
-//! their scalar bodies.
+//! narrow-integer recovery, the field × integer dot and fold, and the
+//! signed sum of a sparse column's group) against their scalar bodies.
 //!
 //! These are the guarantees that let the rest of the workspace adopt the
 //! fast paths without re-auditing: every kernel is bit-identical to the
@@ -14,8 +14,9 @@ use batchzk_field::limb::{acc_mul_add, acc_reduce, mont_reduce, naive_mul_mod, s
 use batchzk_field::{
     affine_chords_scalar, batch_invert_scalar, combine_scalar, dot_small_scalar, eq_double_scalar,
     eq_split_scalar, field_from_i64, fold_halves_scalar, fold_small_scalar, lane_kernel,
-    narrow_into_scalar, product_round_sums_scalar, scale_scalar, sparse_mul_lanes_scalar,
-    write_canonical_scalar, Field, Fq, Fr, MontLimbs, RngCore, SplitMix64, NARROW_BOUND,
+    narrow_into_scalar, product_round_sums_scalar, scale_scalar, signed_sum_scalar,
+    sparse_mul_lanes_scalar, write_canonical_scalar, Field, Fq, Fr, MontLimbs, RngCore, SplitMix64,
+    NARROW_BOUND,
 };
 
 /// The documented reference for `dot_pairs`: multiply, then add, from zero.
@@ -416,9 +417,9 @@ fn integers(rng: &mut SplitMix64, kind: usize, len: usize) -> Vec<i64> {
 /// `Field::dot_small` and `Field::fold_small` ≡ their scalar bodies at the
 /// lengths of [`lengths`] and around the dot's 999-block reduction cadence
 /// (7 992 = 999 · 8), field operands random, all Montgomery limbs `p − 1`
-/// and zero, integers of every kind of [`integers`] (narrow ones for the
-/// fold, whose halves are `i32`), and `r` 0, 1, −1, limbs `p − 1` and
-/// random.
+/// and zero, integers of every kind of [`integers`] (narrow ones also as
+/// `i32`s for the dot, and for the fold, whose halves are `i32`), and `r`
+/// 0, 1, −1, limbs `p − 1` and random.
 fn small_operands_match_scalar<F: MontLimbs>(seed: u64) {
     let mut rng = SplitMix64::seed_from_u64(seed);
     let top = F::from_mont_limbs_unchecked(sub_wide(&F::P, &[1, 0, 0, 0]).0);
@@ -444,6 +445,14 @@ fn small_operands_match_scalar<F: MontLimbs>(seed: u64) {
                 continue;
             }
             let narrow: Vec<i32> = ints.iter().map(|&k| k as i32).collect();
+            for (i, a) in operands.iter().enumerate() {
+                let case = format!("len {len}, operand {i}, narrow integers {kind}");
+                assert_eq!(
+                    F::dot_small(a, &narrow),
+                    dot_small_scalar(a, &ints),
+                    "{case}"
+                );
+            }
             let other: Vec<i32> = integers(&mut rng, kind, len)
                 .iter()
                 .map(|&k| k as i32)
@@ -794,4 +803,58 @@ fn fq_chords_are_bit_identical_to_the_scalar_body() {
 fn chords_reject_slices_of_different_lengths() {
     let (a, mut x, mut y) = ([Fr::ONE; 16], [Fr::ONE; 16], [Fr::ONE; 17]);
     Fr::affine_chords(&a, &a, &a, [&mut x, &mut y]);
+}
+
+/// `Field::signed_sum` ≡ `signed_sum_scalar` on groups of every shape the
+/// gather hands it — empty, one entry, ±1 entries of one sign or both,
+/// scaled entries of both signs, with repeated indices — up to 70 000
+/// entries of `p − 1` (the unreduced sums' largest), with coefficients at
+/// `±(2^31 − 1)` and `i32::MIN`, and differences of either sign and zero.
+fn signed_sum_matches_scalar<F: MontLimbs>(seed: u64) {
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let top = F::from_mont_limbs_unchecked(sub_wide(&F::P, &[1, 0, 0, 0]).0);
+    let n = 4096;
+    let random: Vec<F> = (0..n).map(|_| F::random(&mut rng)).collect();
+    for x in [random, vec![top; n], vec![F::ZERO; n]] {
+        for len in [0, 1, 2, 3, 9, 64, 1_000, 70_000] {
+            let index = |rng: &mut SplitMix64| rng.gen_range(0..n) as u32;
+            let coefficient = |rng: &mut SplitMix64| match rng.gen_range(0..6) {
+                0 => i32::MIN,
+                1 => i32::MAX,
+                2 => -i32::MAX,
+                _ => rng.gen_range(0..1 << 20) as i32 - (1 << 19),
+            };
+            let [plus, minus]: [Vec<u32>; 2] =
+                [(); 2].map(|()| (0..len).map(|_| index(&mut rng)).collect());
+            let scaled: Vec<(u32, i32)> = (0..len.min(2_000))
+                .map(|_| (index(&mut rng), coefficient(&mut rng)))
+                .collect();
+            let cases = [
+                (&plus[..], &[][..], &[][..]),
+                (&[], &minus[..], &[]),
+                (&plus, &minus, &[]),
+                (&plus, &plus, &[]),
+                (&[], &[], &scaled[..]),
+                (&plus, &minus, &scaled),
+                (&minus[..len / 2], &plus, &scaled[..scaled.len() / 2]),
+            ];
+            for (c, (plus, minus, scaled)) in cases.into_iter().enumerate() {
+                assert_eq!(
+                    F::signed_sum(&x, plus, minus, scaled),
+                    signed_sum_scalar(&x, plus, minus, scaled),
+                    "len {len}, case {c}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn fr_signed_sum_is_bit_identical_to_the_scalar_body() {
+    signed_sum_matches_scalar::<Fr>(0x5165);
+}
+
+#[test]
+fn fq_signed_sum_is_bit_identical_to_the_scalar_body() {
+    signed_sum_matches_scalar::<Fq>(0x5166);
 }

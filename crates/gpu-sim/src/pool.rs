@@ -85,23 +85,6 @@ impl DevicePool {
         &mut self.devices
     }
 
-    /// Index of the least-advanced device in wall time (ties break to the
-    /// lowest index). A scheduler that always feeds this device emulates
-    /// event-driven dispatch across the pool.
-    #[cfg(test)]
-    fn earliest_device(&self) -> usize {
-        let mut best = 0usize;
-        let mut best_t = f64::INFINITY;
-        for (i, g) in self.devices.iter().enumerate() {
-            let t = g.elapsed_seconds();
-            if t < best_t {
-                best = i;
-                best_t = t;
-            }
-        }
-        best
-    }
-
     /// Relative compute capacity of device `i` (cores × clock) — the
     /// *nameplate* weight heterogeneous shard policies fall back to before
     /// a device has any execution history.
@@ -125,25 +108,6 @@ impl DevicePool {
         }
         let p = g.profile();
         Some(g.mean_utilization() * p.cuda_cores as f64 * p.clock_ghz)
-    }
-
-    /// Barrier: idles every device forward to the shared virtual now (the
-    /// farthest per-device clock, in seconds: heterogeneous pools tick at
-    /// different rates), and returns that now. After a `sync` all clocks
-    /// agree in wall time (cycle counts still differ across heterogeneous
-    /// clocks). Only the pool's own tests call it.
-    #[cfg(test)]
-    pub fn sync(&mut self) -> f64 {
-        let now = self
-            .devices
-            .iter()
-            .map(Gpu::elapsed_seconds)
-            .fold(0.0, f64::max);
-        for g in &mut self.devices {
-            let cycles = (now * g.profile().clock_ghz * 1e9).ceil() as u64;
-            g.idle_until(cycles);
-        }
-        now
     }
 
     /// Distributes a [`FaultPlan`]'s entries onto the pool's devices and
@@ -213,33 +177,6 @@ mod tests {
         pool.devices_mut()[2].memory().alloc(64).unwrap();
         assert_eq!(pool.device(0).memory_ref().in_use(), 0);
         assert_eq!(pool.device(2).memory_ref().in_use(), 64);
-    }
-
-    #[test]
-    fn earliest_device_tracks_clocks() {
-        let mut pool = DevicePool::homogeneous(DeviceProfile::v100(), 3);
-        assert_eq!(pool.earliest_device(), 0, "tie breaks to lowest index");
-        burn(&mut pool.devices_mut()[0], 1 << 12);
-        assert_eq!(pool.earliest_device(), 1);
-        burn(&mut pool.devices_mut()[1], 1 << 16);
-        burn(&mut pool.devices_mut()[2], 1 << 14);
-        assert_eq!(pool.earliest_device(), 0);
-    }
-
-    #[test]
-    fn sync_aligns_wall_time() {
-        let profiles = [DeviceProfile::v100(), DeviceProfile::h100()];
-        let mut pool = DevicePool::new(profiles.map(Gpu::new).into());
-        burn(&mut pool.devices_mut()[0], 1 << 16);
-        let now = pool.sync();
-        assert!(now > 0.0);
-        for g in pool.devices() {
-            assert!((g.elapsed_seconds() - now).abs() * 1e9 < 2.0, "aligned");
-        }
-        // Sync never rewinds a clock.
-        let before = pool.device(0).elapsed_cycles();
-        pool.sync();
-        assert!(pool.device(0).elapsed_cycles() >= before);
     }
 
     #[test]

@@ -509,7 +509,7 @@ pub fn timeline_counter_tracks(timeline: &Timeline) -> Vec<CounterTrack> {
 mod tests {
     use super::*;
     use crate::merkle;
-    use crate::sched::{run_sharded, ShardedRun};
+    use crate::sched::run_sharded;
     use crate::service::ServiceCompletion;
     use batchzk_gpu_sim::{DeviceProfile, Gpu};
 
@@ -643,7 +643,7 @@ mod tests {
         let mut single = Registry::new();
         record_run(&mut single, "or", &sharded.device_stats[0]);
         let mut pooled = Registry::new();
-        record_pool(&mut pooled, "or", Ok(pool_run(&sharded, &pool)));
+        record_pool(&mut pooled, "or", Ok(sharded.pool_run(&pool)));
         let (pooled, single) = (pooled.to_prometheus(), single.to_prometheus());
         assert!(single.lines().count() > 20, "{single}");
         let missing = single.lines().filter(|l| !pooled.lines().any(|p| p == *l));
@@ -961,16 +961,6 @@ mod tests {
         }
     }
 
-    fn pool_run<'a>(sharded: &'a ShardedRun<u64>, pool: &'a DevicePool) -> PoolRun<'a> {
-        PoolRun {
-            device_stats: &sharded.device_stats,
-            device_ms: &sharded.device_ms,
-            makespan_ms: sharded.makespan_ms,
-            recovery: sharded.recovery.as_ref(),
-            pool,
-        }
-    }
-
     /// One deterministic scenario that reaches every metric family: a
     /// plain and a backend-labelled single-device run, a two-device pool
     /// run through a fail-stop, a dropped kernel and a degraded clock, one
@@ -993,7 +983,7 @@ mod tests {
             (&recovery.failed_devices[..], recovery.dropped_kernels),
             (&[1][..], 1)
         );
-        record_pool(&mut reg, "pool", Ok(pool_run(&sharded, &pool)));
+        record_pool(&mut reg, "pool", Ok(sharded.pool_run(&pool)));
 
         for error in [
             PipelineError::OutOfDeviceMemory {

@@ -241,6 +241,19 @@ impl<T> ShardedRun<T> {
     pub fn throughput_per_ms(&self) -> f64 {
         throughput_per_ms(self.outputs.len(), self.makespan_ms)
     }
+
+    /// The run as the metrics recorder and the pool analyzer read it,
+    /// beside `pool`, the pool it ran on.
+    #[cfg(test)]
+    pub(crate) fn pool_run<'a>(&'a self, pool: &'a DevicePool) -> crate::observe::PoolRun<'a> {
+        crate::observe::PoolRun {
+            device_stats: &self.device_stats,
+            device_ms: &self.device_ms,
+            makespan_ms: self.makespan_ms,
+            recovery: self.recovery.as_ref(),
+            pool,
+        }
+    }
 }
 
 /// Throughput of `tasks` finished tasks against a run's makespan, in tasks

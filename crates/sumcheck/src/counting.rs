@@ -3,17 +3,18 @@
 //! wall-clock cannot. `batchzk-zkp` includes this file by `#[path]` for its
 //! sparse-matrix gates, and `batchzk-pcs` for its portable-body test (not a
 //! `declare_field!` type, `Counted` runs every `Field` hook's default body;
-//! the two field × integer hooks run that body's arithmetic, counted).
+//! the three field × integer hooks run that body's arithmetic, counted).
 //!
 //! Three counters: *full* multiplies (`Mul`, one Montgomery reduction each),
 //! *deferred* products (`dot_acc_add`, reduced once per sum — about half
 //! the cost) and *small* ones, a field element times an integer
-//! (`dot_small`, `fold_small`: one 52-bit plane of the integer, a fifth of
-//! a full product on the lane kernels). A conversion `From<u64>` counts as
-//! a full multiply: it is one (into Montgomery form), and a hot loop must
-//! hold none. Additions and inversions are free.
+//! (`dot_small`, `fold_small`, the scaled entries of `signed_sum`: one
+//! 52-bit plane of the integer on the lane kernels, four word multiplies
+//! in an unreduced sum). A conversion `From<u64>` counts as a full
+//! multiply, and a hot loop must hold none. Additions and inversions are
+//! free.
 
-use batchzk_field::{field_from_i64, Field, Fr, RngCore};
+use batchzk_field::{field_from_i64, signed_sum_scalar, Field, Fr, RngCore, SmallInt};
 use core::iter::{Product, Sum};
 use core::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 use std::cell::Cell;
@@ -151,10 +152,21 @@ impl Field for Counted {
     }
 
     // The default bodies' arithmetic, each product counted as small.
-    fn dot_small(a: &[Self], b: &[i64]) -> Self {
+    fn dot_small<K: SmallInt>(a: &[Self], b: &[K]) -> Self {
         Self::small(a.len().min(b.len()));
-        let terms = a.iter().zip(b).map(|(x, &k)| x.0 * field_from_i64::<Fr>(k));
+        let terms = a
+            .iter()
+            .zip(b)
+            .map(|(x, &k)| x.0 * field_from_i64::<Fr>(k.into()));
         Self(terms.sum())
+    }
+    fn signed_sum(x: &[Self], plus: &[u32], minus: &[u32], scaled: &[(u32, i32)]) -> Self {
+        Self::small(scaled.len());
+        let units = signed_sum_scalar(x, plus, minus, &[]);
+        let scaled = scaled
+            .iter()
+            .map(|&(i, k)| x[i as usize].0 * field_from_i64::<Fr>(k.into()));
+        Self(units.0 + scaled.sum::<Fr>())
     }
     fn fold_small(out: &mut [Self], lo: &[i32], hi: &[i32], r: Self) {
         assert!(

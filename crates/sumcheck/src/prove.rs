@@ -133,8 +133,7 @@ pub fn prove_quadratic_halves<F: Field>(
         // Past the shorter half, the longer one's products: `s(0)` or `s(1)`.
         let tail = match narrow {
             Some((ints, fresh)) if fresh[long] <= both => {
-                let ints = &ints[long][both..];
-                dot_integers(&f[long][both..], |i| ints[i].into())
+                F::dot_small(&f[long][both..], &ints[long][both..])
             }
             _ => F::dot(&f[long][both..], &g[long][both..]),
         };
