@@ -58,8 +58,16 @@ pub(super) fn timed_prove(circuit: &Circuit) -> (Vec<PhaseProfile>, f64) {
         phase("merkle", ms);
         transcript.absorb_digest(b"w-commitment", &commitment.root);
 
-        // `spartan::run_sumchecks`, phase by phase, in the one arena.
-        let ((), ms) = timed_ms(|| r1cs.products(z, arena));
+        // `spartan::run_sumchecks`, phase by phase, in the one arena; spmv
+        // reads `z`'s live vector `io ‖ w`, copied in behind the products.
+        let ((), ms) = timed_ms(|| {
+            let (products, rest) = arena.split_at_mut(3 * r1cs.padded_constraints());
+            let live = &mut rest[..z.io.len() + z.w.len()];
+            let (io, w) = live.split_at_mut(z.io.len());
+            io.copy_from_slice(z.io);
+            w.copy_from_slice(z.w);
+            r1cs.products(live, products);
+        });
         phase("spmv", ms);
         let (sc1, ms) = timed_ms(|| spartan::prove_outer(r1cs, None, arena, &mut transcript));
         phase("sc1", ms);

@@ -29,7 +29,7 @@
 //! [`affine_chords_scalar`], [`narrow_into_scalar`], [`dot_small_scalar`],
 //! [`fold_small_scalar`]) elsewhere; nothing configures them, and
 //! [`lane_kernel`] reports which. One more hook runs on the limbs
-//! themselves: [`Field::signed_sum`], a sparse column's group of ±1 and
+//! themselves: [`Field::signed_sum`], a sparse line's group of ±1 and
 //! small-integer entries, sums each sign unreduced and reduces once
 //! ([`limb::reduce_sum`]; portable body [`signed_sum_scalar`]).
 //! Each kernel is one safe loop over a packed type of eight elements whose

@@ -124,7 +124,7 @@ pub trait Field:
     /// from [`Self::ZERO`].
     ///
     /// Exposed so a caller computing many inner products over one pass of
-    /// its operands can keep an accumulator per sum: a sparse matrix row
+    /// its operands can keep an accumulator per sum: an encoder matrix row
     /// against `w` interleaved messages, or the `s(0)`, `s(1)`, `s(∞)` of a
     /// sum-check round over the same table pairs.
     type DotAcc: Copy + Default + Send + Sync;
@@ -135,11 +135,12 @@ pub trait Field:
     /// The accumulated sum as a canonical field element.
     fn dot_acc_reduce(acc: &Self::DotAcc) -> Self;
 
-    /// Inner product `Σ aᵢ·bᵢ` over an iterator of pairs — the hot loop of
-    /// sparse-matrix rows, row combinations and matrix-MLE evaluation —
-    /// through one [`Self::DotAcc`]. A loop that keeps several sums at once
-    /// (the batch encoder, the sum-check round sums) calls the two steps
-    /// itself.
+    /// Inner product `Σ aᵢ·bᵢ` over an iterator of pairs — the encoder's
+    /// sparse rows and the tail of [`Self::dot`] — through one
+    /// [`Self::DotAcc`]. (R1CS rows and the matrix-MLE evaluation sum their
+    /// groups by [`Self::signed_sum`] instead.) A loop that keeps several
+    /// sums at once (the batch encoder, the sum-check round sums) calls the
+    /// two steps itself.
     fn dot_pairs(pairs: impl Iterator<Item = (Self, Self)>) -> Self {
         let mut acc = Self::DotAcc::default();
         for (a, b) in pairs {
@@ -295,8 +296,9 @@ pub trait Field:
     }
 
     /// `Σ x[i] over plus − Σ x[i] over minus + Σ k·x[i] over (i, k) in
-    /// scaled`: one group of a sparse column whose coefficients are ±1 and
-    /// small integers, as matrix-bind gathers them.
+    /// scaled`: a group of a sparse line (an R1CS row or column, one
+    /// matrix's entries in it) whose coefficients are ±1 and small
+    /// integers.
     ///
     /// The default is [`signed_sum_scalar`], a modular fold.
     /// `declare_field!` fields add each sign into an unreduced integer sum

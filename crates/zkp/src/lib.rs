@@ -187,9 +187,10 @@ mod randomized_tests {
             let rows = r1cs.num_constraints();
             let eq_rows = eq_table_prefix(&rx, rows, Fr::ONE);
             assert_eq!(eq_rows, eq_rx[..rows], "{case}: eq rows");
-            let [eq_io, eq_w] = r1cs.eq_windows(&ry);
-            assert_eq!(eq_io, eq_ry[..1 + num_inputs], "{case}: eq io");
-            assert_eq!(eq_w, eq_ry[half..half + num_witness], "{case}: eq w");
+            let eq_y = r1cs.eq_windows(&ry);
+            let (eq_io, eq_w) = eq_y.split_at(1 + num_inputs);
+            assert_eq!(eq_io, &eq_ry[..1 + num_inputs], "{case}: eq io");
+            assert_eq!(eq_w, &eq_ry[half..half + num_witness], "{case}: eq w");
 
             // Sum-check #2 over the windows against the padded tables.
             let mut padded = vec![Fr::ZERO; r1cs.z_len()];
@@ -200,7 +201,7 @@ mod randomized_tests {
                     *slot += *g * v;
                 }
             }
-            let m_combo = r1cs::tests::bind(&r1cs, &eq_rows, &gamma).concat();
+            let m_combo = r1cs::tests::bind(&r1cs, &eq_rows, &gamma);
             assert_eq!(
                 m_combo,
                 [&padded[..1 + num_inputs], &padded[half..half + num_witness]].concat(),
@@ -228,20 +229,14 @@ mod randomized_tests {
             assert_eq!(after_w, after_p, "{case}: transcript state");
 
             // The verifier's m_eval and z_eval against the padded formulas.
-            let evals = r1cs.matrix_evals(
-                &eq_rows,
-                r1cs::Windows {
-                    io: &eq_io,
-                    w: &eq_w,
-                },
-            );
+            let evals = r1cs.matrix_evals(&eq_rows, &eq_y);
             for (k, m) in matrices.iter().enumerate() {
                 let want = r1cs::tests::mle_eval(m, &eq_rx, &eq_ry);
                 assert_eq!(evals[k], want, "{case}: matrix {k}");
             }
             let (y_top, y_prime) = ry.split_last().unwrap();
             let w_eval = MultilinearPoly::new(z[half..].to_vec()).evaluate(y_prime);
-            let z_eval = r1cs.io_eval(&inputs, &eq_io) + *y_top * w_eval;
+            let z_eval = r1cs.io_eval(&inputs, &eq_y) + *y_top * w_eval;
             let z_poly = MultilinearPoly::new(z.clone());
             assert_eq!(z_eval, z_poly.evaluate(&ry), "{case}: z_eval");
 

@@ -167,7 +167,8 @@ impl<F: Field> Arena<F> {
     /// ([`R1cs::narrow_z`]); when its products are narrow and satisfy the
     /// circuit ([`R1cs::narrow_products`]) they stay integers, and
     /// otherwise the field products go to the front of the returned
-    /// elements ([`R1cs::products`]).
+    /// elements ([`R1cs::products`]), from `z`'s live vector `io ‖ w`
+    /// copied in behind them.
     pub(crate) fn spmv(&mut self, r1cs: &R1cs<F>, z: Windows<'_, F>) -> (Narrow<'_>, &mut [F]) {
         self.field.resize(arena_len(r1cs), F::ZERO);
         let narrow_z = r1cs.narrow_z(z, &mut self.z);
@@ -175,7 +176,12 @@ impl<F: Field> Arena<F> {
             .then(|| r1cs.narrow_products(&self.z, &mut self.products))
             .flatten();
         if products.is_none() {
-            r1cs.products(z, &mut self.field);
+            let (out, rest) = self.field.split_at_mut(3 * r1cs.padded_constraints());
+            let live = &mut rest[..z.io.len() + z.w.len()];
+            let (io, w) = live.split_at_mut(z.io.len());
+            io.copy_from_slice(z.io);
+            w.copy_from_slice(z.w);
+            r1cs.products(live, out);
         }
         let narrow = Narrow {
             z: narrow_z.then_some(&self.z),
@@ -202,8 +208,11 @@ impl<F: Field> Arena<F> {
 
 /// Elements of the field buffer of the prover's `Arena`:
 ///
-/// * spmv and sum-check #1: `[Az | Bz | Cz | eq levels]`, `m =
-///   padded_constraints` entries each, the products folded in place;
+/// * spmv: `[Az | Bz | Cz | z_io ‖ z_w]`, `m = padded_constraints`
+///   entries each, the field products read from the copy of `z`'s live
+///   windows behind them;
+/// * sum-check #1: `[Az | Bz | Cz | eq levels]`, the products folded in
+///   place;
 /// * matrix-bind: `[m_io | m_w | eq_rx | S_B | S_C]`: `eq` over the
 ///   constraint rows between three vectors over the live columns, the
 ///   per-matrix sums that `m = γ_A·S_A + γ_B·S_B + γ_C·S_C` combines, with
@@ -211,8 +220,8 @@ impl<F: Field> Arena<F> {
 /// * sum-check #2: `[m_io | m_w | z_io | z_w]`, each table folded in place.
 pub fn arena_len<F: Field>(r1cs: &R1cs<F>) -> usize {
     let live = 1 + r1cs.num_inputs() + r1cs.num_witness();
-    let bind = r1cs.num_constraints() + 3 * live;
-    (4 * r1cs.padded_constraints()).max(bind)
+    let (m, bind) = (r1cs.padded_constraints(), r1cs.num_constraints() + 3 * live);
+    (4 * m).max(bind).max(3 * m + live)
 }
 
 /// Runs both prover sum-checks over an assembled assignment, which they read
@@ -397,19 +406,13 @@ pub fn verify_with<F: Field>(
     // with `eq` built only over the rows and column windows the matrices
     // read.
     let eq_rx = eq_table_prefix(&point_x, r1cs.num_constraints(), F::ONE);
-    let [eq_io, eq_w] = r1cs.eq_windows(&point_y);
-    let evals = r1cs.matrix_evals(
-        &eq_rx,
-        Windows {
-            io: &eq_io,
-            w: &eq_w,
-        },
-    );
+    let eq_y = r1cs.eq_windows(&point_y);
+    let evals = r1cs.matrix_evals(&eq_rx, &eq_y);
     let m_eval: F = gamma.iter().zip(evals).map(|(g, e)| *g * e).sum();
 
     // z̃(ry) from the public io half and the committed w half.
     let (y_top, y_prime) = point_y.split_last().expect("z has a top variable");
-    let z_eval = r1cs.io_eval(inputs, &eq_io) + *y_top * proof.w_eval;
+    let z_eval = r1cs.io_eval(inputs, &eq_y) + *y_top * proof.w_eval;
     if final2 != m_eval * z_eval {
         return false;
     }
@@ -551,7 +554,7 @@ mod tests {
         let used = [narrow.z.is_some(), narrow.products.is_some()];
         let auto = sumchecks_over(r1cs, z, narrow, field, &mut transcript.clone());
         let mut plain = vec![-Fr::ONE; arena_len(r1cs)];
-        r1cs.products(z, &mut plain);
+        r1cs.products(&[z.io, z.w].concat(), &mut plain);
         let field = sumchecks_over(
             r1cs,
             z,
@@ -630,7 +633,7 @@ mod tests {
         let (by_narrow, muls) =
             count_muls(|| prove_outer(&r1cs, narrow.products, field, &mut transcript.clone()));
         let mut plain = vec![Counted::ZERO; arena_len(&r1cs)];
-        r1cs.products(z, &mut plain);
+        r1cs.products(&[z.io, z.w].concat(), &mut plain);
         let (by_field, field_muls) =
             count_muls(|| prove_outer(&r1cs, None, &mut plain, &mut transcript.clone()));
         assert_eq!(by_narrow.proof, by_field.proof);

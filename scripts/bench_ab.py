@@ -29,8 +29,9 @@ the parent's quartile spread (third quartile minus first), and a verdict:
 `resolved` when the change won at least 9 of every 10 pairs (and there are
 at least 10) and its median beats the parent's by more than that spread,
 else `unresolved` with the test it missed: the rule a claimed gain must
-pass. A second line lists every `end_to_end`
-metric whose change median is worse than its parent median by more than
+pass. A second line starts with the per-pair ratio change / parent of
+that metric, its median [quartiles] (informational), then lists every
+`end_to_end` metric whose change median is worse than its parent median by more than
 the metric's `bound` (a fraction of the parent median), and every other one
 that is `unresolved` because the parent's quartile spread is wider than
 `bound` times the parent median (the runs cannot tell a change that small
@@ -184,8 +185,15 @@ def summary(args):
               f"change won {won} / {len(pairs)} pairs; exact metrics equal: "
               f"{'yes' if len(exact_sets) == 1 else 'NO'}; failed ops {failed}; "
               f"{verdict(quartiles, sign, won, len(pairs))}")
-        bounds = end_to_end_bounds(runs)
-        print(f"  {'; '.join(bounds) if bounds else 'all end-to-end metrics within bound'}")
+        bounds = end_to_end_bounds(runs) or ["all end-to-end metrics within bound"]
+        ratios = [values["change"][p] / values["parent"][p] for p in pairs
+                  if values["parent"][p]]
+        if len(ratios) >= 2:
+            # Informational: the spread of the pairs' ratios, on the
+            # default (exclusive) quartiles.
+            q1, med, q3 = statistics.quantiles(ratios, n=4)
+            bounds.insert(0, f"per-pair change / parent {med:.4g} [{q1:.4g}, {q3:.4g}]")
+        print(f"  {'; '.join(bounds)}")
         usage = []
         for name in ("host_minflt", "host_sys_s"):
             medians = [(role, statistics.median(v)) for role in ("parent", "change")
