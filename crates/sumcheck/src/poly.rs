@@ -87,15 +87,15 @@ impl<F: Field> MultilinearPoly<F> {
 /// Builds the `eq(tau, ·)` table: `out[b] = Π_i (tau_i b_i + (1-tau_i)(1-b_i))`.
 ///
 /// This is the multilinear extension of the Kronecker delta at `tau`,
-/// central to the Spartan-style sum-checks. One allocation, filled level by
-/// level in place.
+/// central to the Spartan-style sum-checks. One allocation, filled in place
+/// ([`eq_table_prefix_into`]).
 pub fn eq_table<F: Field>(tau: &[F]) -> Vec<F> {
     eq_table_prefix(tau, 1 << tau.len(), F::ONE)
 }
 
-/// The variables `tau[..k]`, `k = ⌈log₂ len⌉`, that double a prefix of
-/// `len > 0` entries of `c · eq_table(tau)`, and its first entry: below
-/// `len` every later variable is zero, so `Π_{i ≥ k} (1 − tau_i)` joins `c`.
+/// The variables `tau[..k]`, `k = ⌈log₂ len⌉`, that a prefix of `len > 0`
+/// entries of `c · eq_table(tau)` spans, and its first entry: below `len`
+/// every later variable is zero, so `Π_{i ≥ k} (1 − tau_i)` joins `c`.
 fn eq_start<F: Field>(tau: &[F], len: usize, c: F) -> (&[F], F) {
     assert!(
         len <= 1usize.checked_shl(tau.len() as u32).unwrap_or(usize::MAX),
@@ -108,10 +108,8 @@ fn eq_start<F: Field>(tau: &[F], len: usize, c: F) -> (&[F], F) {
     )
 }
 
-/// `c · eq_table(tau)[..len]` in `O(2^⌈log₂ len⌉)` work, where the full
-/// table costs `2^n`: from its first entry (`eq_start`) each variable
-/// doubles the table ([`Field::eq_double`]), the last one only into the
-/// `len − 2^(k−1)` upper entries the prefix holds.
+/// `c · eq_table(tau)[..len]` in `O(len)` work, where the full table
+/// costs `2^n` ([`eq_table_prefix_into`]).
 ///
 /// This is how a verifier builds `eq` over just the rows or columns a
 /// sparse matrix reads, with the table's constant (such as `1 − y_top` for
@@ -127,24 +125,63 @@ pub fn eq_table_prefix<F: Field>(tau: &[F], len: usize, c: F) -> Vec<F> {
 }
 
 /// [`eq_table_prefix`] of `out.len()` entries, written into `out`: how the
-/// prover builds `eq(rx, ·)` over the rows in its reused storage. Nothing
-/// `out` held is read.
+/// prover builds `eq(rx, ·)` over the rows in its arena, and the verifier
+/// `eq(ry, ·)` over the live columns in reused storage. Nothing `out` held
+/// is read, and nothing is allocated.
+///
+/// The table is a tensor product. Of the `k = ⌈log₂ len⌉` variables the
+/// prefix spans, the low `max(⌈k/2⌉, k − 9)` give the first chunk, built
+/// from its first entry (`eq_start`) by doubling ([`Field::eq_double`]);
+/// chunk `j` is that chunk times `eq(τ_hi, j)` over the high variables, at
+/// most nine: a copy and a [`Field::scale`], chunk 0 last. The weights
+/// `eq(τ_hi, ·)` are doubled into a stack block of 512. That is one
+/// pass of one multiply per entry over a table that may not fit in cache,
+/// where doubling all the way makes `k` passes over it. A prefix of at
+/// most one chunk (`k ≤ 1`) is doubled alone. Every entry is the same
+/// field value either way.
 ///
 /// # Panics
 ///
 /// Panics if `out.len() > 2^tau.len()`.
 pub fn eq_table_prefix_into<F: Field>(tau: &[F], c: F, out: &mut [F]) {
     let len = out.len();
-    if len > 0 {
-        let (doubling, first) = eq_start(tau, len, c);
-        out[0] = first;
-        let mut level = 1;
-        for &t in doubling {
-            let (lo, hi) = out.split_at_mut(level);
-            let hi = &mut hi[..(len - level).min(level)];
-            F::eq_double(lo, hi, t);
-            level += hi.len();
-        }
+    if len == 0 {
+        return;
+    }
+    let (vars, first) = eq_start(tau, len, c);
+    let high = (vars.len() / 2).min(CHUNKS.trailing_zeros() as usize);
+    let (low, high) = vars.split_at(vars.len() - high);
+    let (head, rest) = out.split_at_mut(len.min(1 << low.len()));
+    eq_double_from(low, first, head);
+    if rest.is_empty() {
+        return;
+    }
+    let mut weights = [F::ZERO; CHUNKS];
+    let weights = &mut weights[..len.div_ceil(head.len())];
+    eq_double_from(high, F::ONE, weights);
+    for (chunk, &w) in rest.chunks_mut(head.len()).zip(&weights[1..]) {
+        chunk.copy_from_slice(&head[..chunk.len()]);
+        F::scale(chunk, w);
+    }
+    F::scale(head, weights[0]);
+}
+
+/// The most chunks [`eq_table_prefix_into`] cuts a table into: the size of
+/// the stack block its chunk weights are doubled in.
+const CHUNKS: usize = 512;
+
+/// Writes `first · eq(vars, ·)` over `out` (at most `2^vars.len()`
+/// entries) by doubling from `out[0] = first`: each variable in turn
+/// ([`Field::eq_double`]), the last one only into the entries `out` holds.
+fn eq_double_from<F: Field>(vars: &[F], first: F, out: &mut [F]) {
+    let len = out.len();
+    out[0] = first;
+    let mut level = 1;
+    for &t in vars {
+        let (lo, hi) = out.split_at_mut(level);
+        let hi = &mut hi[..(len - level).min(level)];
+        F::eq_double(lo, hi, t);
+        level += hi.len();
     }
 }
 
@@ -275,6 +312,47 @@ mod tests {
                 eq_table_prefix_into(&tau, c, &mut reused);
                 assert_eq!(reused, want, "reused slice: n={n} len={len}");
             }
+        }
+    }
+
+    #[test]
+    fn eq_table_prefix_matches_the_per_entry_oracle() {
+        // Every entry of the tensor build against `c · eq_eval(tau, b)`, on
+        // prefixes of one entry, of the full table's first chunk and one
+        // past it, of a length that is no power of two, and of the full
+        // table, over reused storage holding no zeros.
+        let mut rng = Prg::seed_from_u64(11);
+        for n in 0..=13usize {
+            let tau: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
+            let c = Fr::random(&mut rng);
+            let full = 1usize << n;
+            let oracle: Vec<Fr> = (0..full)
+                .map(|b| {
+                    let point: Vec<Fr> = (0..n).map(|i| Fr::from((b >> i & 1) as u64)).collect();
+                    c * eq_eval(&tau, &point)
+                })
+                .collect();
+            let chunk = 1usize << n.div_ceil(2);
+            let uneven = (full / 2 + full / 8).max(1) + 1;
+            for len in [1, chunk, chunk + 1, uneven, full] {
+                if len > full {
+                    continue;
+                }
+                let mut out = vec![-Fr::ONE; len];
+                eq_table_prefix_into(&tau, c, &mut out);
+                assert_eq!(out, oracle[..len], "n={n} len={len}");
+            }
+        }
+        // Past nine high variables (k = 20): the first chunk grows instead.
+        // Entries sampled across the chunks, and each chunk's ends.
+        let tau: Vec<Fr> = (0..21).map(|_| Fr::random(&mut rng)).collect();
+        let (len, chunk) = ((1 << 19) + 3, 1 << 11);
+        let mut out = vec![-Fr::ONE; len];
+        eq_table_prefix_into(&tau, Fr::ONE, &mut out);
+        let ends = (0..len).step_by(chunk).flat_map(|b| [b, b + chunk - 1]);
+        for b in (0..len).step_by(4099).chain(ends).filter(|&b| b < len) {
+            let point: Vec<Fr> = (0..21).map(|i| Fr::from((b >> i & 1) as u64)).collect();
+            assert_eq!(out[b], eq_eval(&tau, &point), "k=20, entry {b}");
         }
     }
 

@@ -87,7 +87,7 @@ fn encoded_bytes<F: Field>(key: &PcsKey<F>) -> u64 {
 /// The storage the Spartan stages reuse across the proofs of one backend
 /// (DESIGN.md §16, "The sum-check arena"): each stack holds as many buffers
 /// as were ever in use at once — an [`Arena`] per device in its sum-check
-/// stage, a codeword buffer per task in flight.
+/// stage or per verification, a codeword buffer per task in flight.
 #[derive(Default)]
 struct Buffers<F> {
     arenas: Mutex<Vec<Arena<F>>>,
@@ -406,8 +406,14 @@ impl<F: Field> ProverBackend for SpartanBackend<F> {
         }
     }
 
+    /// [`spartan::verify_with`], its `eq(ry, ·)` vector in a sum-check
+    /// arena the stages left idle.
     fn verify(&self, statement: &Self::Statement, proof: &Self::Proof) -> bool {
-        spartan::verify_with(&self.key, &self.r1cs, statement, proof)
+        let mut arena = take(&self.buffers.arenas);
+        let ok = spartan::verify_in(&self.key, &self.r1cs, statement, proof, &mut arena);
+        arena.poison();
+        give(&self.buffers.arenas, arena);
+        ok
     }
 }
 

@@ -187,7 +187,8 @@ mod randomized_tests {
             let rows = r1cs.num_constraints();
             let eq_rows = eq_table_prefix(&rx, rows, Fr::ONE);
             assert_eq!(eq_rows, eq_rx[..rows], "{case}: eq rows");
-            let eq_y = r1cs.eq_windows(&ry);
+            let mut eq_y = vec![-Fr::ONE; 1 + num_inputs + num_witness];
+            r1cs.eq_windows(&ry, &mut eq_y);
             let (eq_io, eq_w) = eq_y.split_at(1 + num_inputs);
             assert_eq!(eq_io, &eq_ry[..1 + num_inputs], "{case}: eq io");
             assert_eq!(eq_w, &eq_ry[half..half + num_witness], "{case}: eq w");
@@ -229,7 +230,7 @@ mod randomized_tests {
             assert_eq!(after_w, after_p, "{case}: transcript state");
 
             // The verifier's m_eval and z_eval against the padded formulas.
-            let evals = r1cs.matrix_evals(&eq_rows, &eq_y);
+            let evals = r1cs.matrix_evals(&rx, &eq_y);
             for (k, m) in matrices.iter().enumerate() {
                 let want = r1cs::tests::mle_eval(m, &eq_rx, &eq_ry);
                 assert_eq!(evals[k], want, "{case}: matrix {k}");

@@ -19,9 +19,9 @@
 //! (`z` for the field products, `eq(ry, ·)`) are one live vector `io ‖ w`.
 
 use batchzk_field::{field_from_i64, Field, NARROW_BOUND};
-use batchzk_sumcheck::eq_table_prefix_into;
 #[cfg(test)]
 use batchzk_sumcheck::MultilinearPoly;
+use batchzk_sumcheck::{eq_table_prefix, eq_table_prefix_into};
 
 /// A vector over the columns of the `z` layout, held as its two windows:
 /// `io` at columns `[0, io.len())`, `w` at `[half_len, half_len + w.len())`,
@@ -286,13 +286,15 @@ impl<F: Field> Grouped<F> {
     }
 }
 
-/// `evals[k] += ⟨eq, blocks[k]⟩` for each matrix `k`. Out of line: inlined
-/// into the group closure that fills the blocks, it made the whole walk
-/// slower (DESIGN.md §16, "R1CS matrices").
+/// `evals[k] += weight · ⟨eq, blocks[k]⟩` for each matrix `k`. Out of
+/// line: inlined into the group closure that fills the blocks, the dot
+/// made the whole walk slower, and so did the scale by `weight` (DESIGN.md
+/// §16, "R1CS matrices" and "The verifier's `eq` tables as tensor
+/// products").
 #[inline(never)]
-fn dot_blocks<F: Field>(evals: &mut [F; 3], eq: &[F], blocks: &[[F; 512]; 3]) {
+fn dot_blocks<F: Field>(evals: &mut [F; 3], eq: &[F], weight: F, blocks: &[[F; 512]; 3]) {
     for (eval, block) in evals.iter_mut().zip(blocks) {
-        *eval += F::dot(eq, block);
+        *eval += weight * F::dot(eq, block);
     }
 }
 
@@ -523,44 +525,60 @@ impl<F: Field> R1cs<F> {
         eq_y[0] + F::dot(inputs, &eq_y[1..=inputs.len()])
     }
 
-    /// `eq(ry, ·)` over the live columns `io ‖ w`, for `ry = (y', y_top)`,
-    /// as one vector: `(1 − y_top)·eq(y', ·)` over the first
-    /// `1 + num_inputs` columns, then `y_top·eq(y', ·)` over the first
-    /// `num_witness` of the witness half, each built in `O(window)`
-    /// ([`eq_table_prefix_into`]).
+    /// Writes `eq(ry, ·)` over the live columns `io ‖ w`, for
+    /// `ry = (y', y_top)`, into `eq` as one vector: `(1 − y_top)·eq(y', ·)`
+    /// over the first `1 + num_inputs` columns, then `y_top·eq(y', ·)` over
+    /// the first `num_witness` of the witness half, each built in
+    /// `O(window)` ([`eq_table_prefix_into`]). Nothing `eq` held is read,
+    /// so it may be storage kept from call to call.
     ///
     /// # Panics
     ///
-    /// Panics if `point_y` does not have `log₂ z_len` coordinates.
-    pub fn eq_windows(&self, point_y: &[F]) -> Vec<F> {
+    /// Panics if `point_y` does not have `log₂ z_len` coordinates or `eq` is
+    /// not the live columns' length.
+    pub fn eq_windows(&self, point_y: &[F], eq: &mut [F]) {
         assert_eq!(1 << point_y.len(), self.z_len(), "point dimension mismatch");
+        assert_eq!(eq.len(), self.live_len(), "live length");
         let (&y_top, y) = point_y.split_last().expect("z has a top variable");
-        let mut eq = vec![F::ZERO; self.live_len()];
         let (io, w) = eq.split_at_mut(1 + self.num_inputs);
         eq_table_prefix_into(y, F::ONE - y_top, io);
         eq_table_prefix_into(y, y_top, w);
-        eq
     }
 
-    /// The three matrix MLEs `[Ã, B̃, C̃](rx, ry)` as `⟨eq_rx, M · eq_y⟩`:
-    /// the row sums against the live `eq(ry, ·)` ([`Self::eq_windows`]),
-    /// dotted ([`Field::dot`]) with `eq_rx` a block of rows at a time, so no
-    /// row vector is allocated.
+    /// The three matrix MLEs `[Ã, B̃, C̃](rx, ry)` at the row point
+    /// `point_x = rx` as `⟨eq(rx, ·), M · eq_y⟩`: the row sums against the
+    /// live `eq(ry, ·)` ([`Self::eq_windows`]), a block of 512 rows at a
+    /// time, weighted by `eq(rx, ·)` with no table of it over the rows. The
+    /// low `min(9, log₂ m)` row variables index a row within its block and
+    /// the rest the block, so `eq(rx, r) = eq_lo[r mod 512] ·
+    /// eq_hi[r / 512]`: each block's sums are dotted ([`Field::dot`]) with
+    /// `eq_lo` and scaled by their block's `eq_hi` weight, two tables of at
+    /// most 512 and `⌈rows / 512⌉` entries.
     ///
     /// # Panics
     ///
-    /// Panics if `eq_rx` is shorter than the constraint count or `eq_y` is
-    /// not the live columns' length.
-    pub fn matrix_evals(&self, eq_rx: &[F], eq_y: &[F]) -> [F; 3] {
+    /// Panics if `point_x` does not have `log₂ padded_constraints`
+    /// coordinates or `eq_y` is not the live columns' length.
+    pub fn matrix_evals(&self, point_x: &[F], eq_y: &[F]) -> [F; 3] {
+        assert_eq!(
+            1 << point_x.len(),
+            self.padded_constraints(),
+            "row point dimension mismatch"
+        );
         assert_eq!(eq_y.len(), self.live_len(), "live length");
-        let eq_rx = &eq_rx[..self.num_constraints];
+        let rows = self.num_constraints;
+        let (low, high) = point_x.split_at(point_x.len().min(9));
+        let mut eq_lo = [F::ZERO; 512];
+        let eq_lo = &mut eq_lo[..rows.min(512)];
+        eq_table_prefix_into(low, F::ONE, eq_lo);
+        let eq_hi = eq_table_prefix(high, rows.div_ceil(512), F::ONE);
         let mut block = [[F::ZERO; 512]; 3];
         let mut evals = [F::ZERO; 3];
         self.rows.sums(eq_y, |r, k, sum| {
             let i = r % 512;
             block[k][i] = sum;
-            if k == 2 && (i == 511 || r + 1 == eq_rx.len()) {
-                dot_blocks(&mut evals, &eq_rx[r - i..=r], &block);
+            if k == 2 && (i == 511 || r + 1 == rows) {
+                dot_blocks(&mut evals, &eq_lo[..=i], eq_hi[r / 512], &block);
             }
         });
         evals
@@ -965,7 +983,7 @@ pub(crate) mod tests {
     use super::*;
     use batchzk_field::{Fr, RngCore, SplitMix64};
     use batchzk_hash::Prg;
-    use batchzk_sumcheck::eq_table;
+    use batchzk_sumcheck::{eq_eval, eq_table};
 
     /// A matrix as `(row, column of z, value)` triplets.
     pub(crate) type Triplets<F> = Vec<(usize, usize, F)>;
@@ -1156,7 +1174,7 @@ pub(crate) mod tests {
         let ry: Vec<Fr> = (0..log_n).map(|_| Fr::random(&mut rng)).collect();
         let eq_rx = eq_table(&rx);
         let eq_ry = eq_table(&ry);
-        let evals = r1cs.matrix_evals(&eq_rx, &live_of(&r1cs, &eq_ry));
+        let evals = r1cs.matrix_evals(&rx, &live_of(&r1cs, &eq_ry));
         for (m, eval) in triplets(&r1cs).iter().zip(evals) {
             let via_bind = Fr::dot(&bind_rows(m, r1cs.z_len(), &eq_rx), &eq_ry);
             assert_eq!(mle_eval(m, &eq_rx, &eq_ry), via_bind);
@@ -1263,9 +1281,10 @@ pub(crate) mod tests {
     }
 
     /// Every reader of `r1cs` against the plain triplet loop over `want`,
-    /// its matrices: the entries both layouts store, and at random vectors
-    /// `products`, `matrix_evals`, `mle_eval`, `bind_rows` and the combined
-    /// binding.
+    /// its matrices: the entries both layouts store, at random vectors
+    /// `products`, `mle_eval`, `bind_rows` and the combined binding, and
+    /// `matrix_evals` at a random row point, whose `eq` weight per row is
+    /// [`eq_eval`] at the row's bits.
     fn check_readers(r1cs: &R1cs<Fr>, want: &[Triplets<Fr>; 3], rng: &mut SplitMix64, case: &str) {
         // The layouts store exactly the entries with a non-zero
         // coefficient.
@@ -1290,18 +1309,27 @@ pub(crate) mod tests {
             random(rng, cols),
             random(rng, 3),
         );
+        let log_m = r1cs.padded_constraints().trailing_zeros() as usize;
+        let rx = random(rng, log_m);
+        let eq_rx: Vec<Fr> = (0..rows)
+            .map(|r| {
+                let bits: Vec<Fr> = (0..log_m).map(|i| Fr::from((r >> i & 1) as u64)).collect();
+                eq_eval(&rx, &bits)
+            })
+            .collect();
         let products = products(r1cs, &live_of(r1cs, &z));
-        let evals = r1cs.matrix_evals(&eq_x, &live_of(r1cs, &eq_y));
+        let evals = r1cs.matrix_evals(&rx, &live_of(r1cs, &eq_y));
         let mut combined = vec![Fr::ZERO; cols];
         for (k, (g, m)) in gamma.iter().zip(want).enumerate() {
-            let (mut mz, mut eval) = (vec![Fr::ZERO; rows], Fr::ZERO);
+            let (mut mz, mut eval, mut at_rx) = (vec![Fr::ZERO; rows], Fr::ZERO, Fr::ZERO);
             for &(r, c, v) in m {
                 mz[r] += v * z[c];
                 combined[c] += *g * eq_x[r] * v;
                 eval += v * eq_x[r] * eq_y[c];
+                at_rx += v * eq_rx[r] * eq_y[c];
             }
             assert_eq!(products[k], mz, "{case}: products {k}");
-            assert_eq!(evals[k], eval, "{case}: matrix_evals {k}");
+            assert_eq!(evals[k], at_rx, "{case}: matrix_evals {k}");
             assert_eq!(mle_eval(m, &eq_x, &eq_y), eval, "{case}: mle_eval {k}");
             let bound = bind_rows(m, cols, &eq_x);
             assert_eq!(Fr::dot(&bound, &eq_y), eval, "{case}: bound MLE {k}");
@@ -1375,6 +1403,23 @@ pub(crate) mod tests {
                 format!("rep {rep}: {rows} rows, {num_inputs} inputs, {num_witness} witnesses");
             check_readers(&r1cs, &want, &mut rng, &case);
             check_narrow(&r1cs, &want, &z, &case);
+        }
+        // At the edges of `matrix_evals`' 512-row blocks — 1, 511, 512 and
+        // 513 rows, and more than two blocks with a partial last one — on
+        // narrow and wide circuits.
+        let (num_inputs, num_witness, half) = (5, 40, 64);
+        let live: Vec<usize> = (0..=num_inputs).chain(half..half + num_witness).collect();
+        for rows in [1, 511, 512, 513, 1300] {
+            for narrow in [true, false] {
+                let mut constraints = random_rows(&mut rng, &live, rows, false, narrow);
+                let z = small_z(&mut rng, &live, 2 * half);
+                satisfy(&mut constraints, &z);
+                let want = matrices(&constraints);
+                let r1cs = R1cs::new(constraints, num_inputs, num_witness, half);
+                let case = format!("{rows} rows, narrow {narrow}");
+                check_readers(&r1cs, &want, &mut rng, &case);
+                check_narrow(&r1cs, &want, &z, &case);
+            }
         }
     }
 
@@ -1458,7 +1503,8 @@ pub(crate) mod tests {
     #[test]
     fn combined_binding_multiplies_are_linear_in_nnz_and_rows() {
         use crate::counting::{count_muls, Counted};
-        for s in [50usize, 400] {
+        // One block of `matrix_evals`' rows, and three.
+        for s in [50usize, 400, 1300] {
             // Every coefficient of the synthetic instance is 1: no multiply
             // in the products at all.
             let (r1cs, inputs, witness) = synthetic_r1cs::<Counted>(s, 8);
@@ -1498,15 +1544,28 @@ pub(crate) mod tests {
                 "s={s}: binding"
             );
 
-            // The row-wise MLE: the same field × small product per general
-            // non-zero, then one deferred product per row and matrix.
+            // The row-wise MLE at a row point: the same field × small
+            // product per general non-zero, one deferred product per row
+            // and matrix, and full products only in `eq` over the rows as a
+            // tensor product — at most two an entry of its two tables (512
+            // rows, one weight a block), one a row variable for their
+            // constants — and one a block and matrix, to weigh its dot.
             let eq_y = vec![Counted::ONE; live as usize];
-            let (_, muls) = count_muls(|| r1cs.matrix_evals(&eq_rx, &eq_y));
+            let log_m = r1cs.padded_constraints().trailing_zeros() as u64;
+            let rx = vec![two; log_m as usize];
+            let (_, muls) = count_muls(|| r1cs.matrix_evals(&rx, &eq_y));
             let rows = r1cs.num_constraints() as u64;
+            let blocks = rows.div_ceil(512);
+            let weights = 2 * (rows.min(512) + blocks) + log_m + 3 * blocks;
             assert_eq!(
-                (muls.full, muls.deferred, muls.small),
-                (0, 3 * rows, general),
+                (muls.deferred, muls.small),
+                (3 * rows, general),
                 "s={s}: matrix_evals"
+            );
+            assert!(
+                muls.full <= weights,
+                "s={s}: matrix_evals' {} full",
+                muls.full
             );
 
             // Two general entries in a row: two field × small products.
@@ -1519,11 +1578,16 @@ pub(crate) mod tests {
                 pairs,
                 "s={s}: pairs"
             );
-            let (_, muls) = count_muls(|| r1cs.matrix_evals(&eq_rx, &eq_y));
+            let (_, muls) = count_muls(|| r1cs.matrix_evals(&rx, &eq_y));
             assert_eq!(
-                (muls.full, muls.deferred, muls.small),
-                (0, 3 * rows, 2 * rows),
+                (muls.deferred, muls.small),
+                (3 * rows, 2 * rows),
                 "s={s}: pairs' MLE"
+            );
+            assert!(
+                muls.full <= weights,
+                "s={s}: pairs' MLE, {} full",
+                muls.full
             );
         }
 
@@ -1569,7 +1633,9 @@ pub(crate) mod tests {
             let y: Vec<Fr> = (0..4).map(|_| Fr::random(&mut rng)).collect();
             let (y_top, y_prime) = y.split_last().unwrap();
             let folded = r1cs.io_poly(&inputs).evaluate(y_prime);
-            let eq_y = r1cs.eq_windows(&y);
+            // In storage holding no zeros, as reused storage does.
+            let mut eq_y = vec![-Fr::ONE; r1cs.live_len()];
+            r1cs.eq_windows(&y, &mut eq_y);
             assert_eq!(eq_y, live_of(&r1cs, &eq_table(&y)));
             assert_eq!(
                 r1cs.io_eval(&inputs, &eq_y),

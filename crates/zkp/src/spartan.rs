@@ -15,8 +15,9 @@
 //! Both sides hold `z` and every vector over its columns as the two live
 //! windows of its layout ([`crate::r1cs`]), so no `2·half_len`-entry table is
 //! filled: sum-check #2's first round reads the windows, and the verifier
-//! builds `eq` only over the rows and columns the matrices read and
-//! evaluates the sparse-matrix MLEs directly in `O(nnz)` (Spartan's SPARK
+//! builds `eq` only over the columns the matrices read — over the rows it
+//! is a tensor product of two small tables — and evaluates the
+//! sparse-matrix MLEs directly in `O(nnz)` (Spartan's SPARK
 //! preprocessing is out of scope — documented in `DESIGN.md`; prover cost,
 //! the paper's measured quantity, is unaffected).
 
@@ -26,8 +27,8 @@ use crate::r1cs::{R1cs, SatisfiedProducts, Windows};
 use batchzk_field::Field;
 use batchzk_hash::Transcript;
 use batchzk_sumcheck::{
-    eq_eval, eq_table_prefix, eq_table_prefix_into, prove_cubic, prove_quadratic_halves,
-    verify_rounds, ProverOutput, SumcheckProof,
+    eq_eval, eq_table_prefix_into, prove_cubic, prove_quadratic_halves, verify_rounds,
+    ProverOutput, SumcheckProof,
 };
 
 /// Domain label binding every proof to this protocol version.
@@ -190,6 +191,17 @@ impl<F: Field> Arena<F> {
         (narrow, &mut self.field)
     }
 
+    /// The front of the field storage, grown to `r1cs`'s live columns
+    /// `io ‖ w` if it is shorter: where the verifier builds `eq(ry, ·)`.
+    /// Nothing it held is cleared.
+    pub(crate) fn live(&mut self, r1cs: &R1cs<F>) -> &mut [F] {
+        let live = 1 + r1cs.num_inputs() + r1cs.num_witness();
+        if self.field.len() < live {
+            self.field.resize(live, F::ZERO);
+        }
+        &mut self.field[..live]
+    }
+
     /// The capacity of the field storage.
     pub(crate) fn capacity(&self) -> usize {
         self.field.capacity()
@@ -217,7 +229,9 @@ impl<F: Field> Arena<F> {
 ///   constraint rows between three vectors over the live columns, the
 ///   per-matrix sums that `m = γ_A·S_A + γ_B·S_B + γ_C·S_C` combines, with
 ///   `S_A` gathered into `m`'s place;
-/// * sum-check #2: `[m_io | m_w | z_io | z_w]`, each table folded in place.
+/// * sum-check #2: `[m_io | m_w | z_io | z_w]`, each table folded in place;
+/// * verification, in an idle arena: `[eq_y]`, `eq(ry, ·)` over the live
+///   columns.
 pub fn arena_len<F: Field>(r1cs: &R1cs<F>) -> usize {
     let live = 1 + r1cs.num_inputs() + r1cs.num_witness();
     let (m, bind) = (r1cs.padded_constraints(), r1cs.num_constraints() + 3 * live);
@@ -367,6 +381,20 @@ pub fn verify_with<F: Field>(
     inputs: &[F],
     proof: &Proof<F>,
 ) -> bool {
+    verify_in(key, r1cs, inputs, proof, &mut Arena::default())
+}
+
+/// [`verify_with`] with the live `eq(ry, ·)` vector built at the front of
+/// `arena`'s field storage ([`Arena::live`]): a backend verifies in the
+/// arena its idle prover keeps, so a verification allocates nothing
+/// table-sized and keeps nothing beside what proving keeps.
+pub(crate) fn verify_in<F: Field>(
+    key: &PcsKey<F>,
+    r1cs: &R1cs<F>,
+    inputs: &[F],
+    proof: &Proof<F>,
+    arena: &mut Arena<F>,
+) -> bool {
     if inputs.len() != r1cs.num_inputs() {
         return false;
     }
@@ -403,16 +431,16 @@ pub fn verify_with<F: Field>(
     let point_y: Vec<F> = ry_rs.iter().rev().copied().collect();
 
     // Direct O(nnz) matrix-MLE evaluation (documented simplification),
-    // with `eq` built only over the rows and column windows the matrices
-    // read.
-    let eq_rx = eq_table_prefix(&point_x, r1cs.num_constraints(), F::ONE);
-    let eq_y = r1cs.eq_windows(&point_y);
-    let evals = r1cs.matrix_evals(&eq_rx, &eq_y);
+    // with `eq` built only over the column windows the matrices read, and
+    // over the rows as a tensor product, never as a table.
+    let eq_y = arena.live(r1cs);
+    r1cs.eq_windows(&point_y, eq_y);
+    let evals = r1cs.matrix_evals(&point_x, eq_y);
     let m_eval: F = gamma.iter().zip(evals).map(|(g, e)| *g * e).sum();
 
     // z̃(ry) from the public io half and the committed w half.
     let (y_top, y_prime) = point_y.split_last().expect("z has a top variable");
-    let z_eval = r1cs.io_eval(inputs, &eq_y) + *y_top * proof.w_eval;
+    let z_eval = r1cs.io_eval(inputs, eq_y) + *y_top * proof.w_eval;
     if final2 != m_eval * z_eval {
         return false;
     }

@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use batchzk_field::Fr;
 use batchzk_gpu_sim::{DeviceProfile, Gpu};
 use batchzk_zkp::r1cs::{small_r1cs, synthetic_r1cs};
-use batchzk_zkp::{prove_batch_with, PcsParams, R1cs, SpartanBackend};
+use batchzk_zkp::{prove_batch_with, PcsParams, ProverBackend, R1cs, SpartanBackend};
 
 /// The system allocator, noting the largest block asked for while armed.
 struct Counting;
@@ -98,5 +98,43 @@ fn second_batch_allocates_no_table(r1cs: R1cs<Fr>, inputs: Vec<Fr>, witness: Vec
     assert!(
         arenas.iter().all(|&n| n <= arena_bound),
         "arenas {arenas:?} past the layout's {arena_bound} elements"
+    );
+}
+
+#[test]
+fn a_second_verify_allocates_no_table() {
+    // The verifier of a backend builds `eq` over the live columns in
+    // storage the backend keeps, and over the rows as a tensor product of
+    // two small tables: once every proof has been verified, verifying
+    // them again asks for nothing table-sized.
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let (r1cs, inputs, witness) = synthetic_r1cs::<Fr>(2048, 52);
+    let table_bytes = r1cs.padded_constraints() * std::mem::size_of::<Fr>();
+    assert!(table_bytes >= 64 << 10);
+    let params = PcsParams {
+        num_col_tests: 12,
+        ..PcsParams::default()
+    };
+    let backend = SpartanBackend::new(Arc::new(r1cs), params);
+    let mut gpu = Gpu::new(DeviceProfile::a100());
+    let run = prove_batch_with(&mut gpu, &backend, vec![(inputs, witness); 3], 4096, true);
+    let proofs = run.expect("fits").proofs;
+    let verify_all = || {
+        batchzk_par::with_threads(1, || {
+            proofs
+                .iter()
+                .all(|(statement, proof)| backend.verify(statement, proof))
+        })
+    };
+    assert!(verify_all(), "honest proofs verify");
+    LARGEST.store(0, Ordering::Relaxed);
+    ARMED.store(true, Ordering::Relaxed);
+    let again = verify_all();
+    ARMED.store(false, Ordering::Relaxed);
+    assert!(again, "honest proofs verify again");
+    let largest = LARGEST.load(Ordering::Relaxed);
+    assert!(
+        largest < table_bytes,
+        "verifying again allocated {largest} bytes at once; a table is {table_bytes}"
     );
 }

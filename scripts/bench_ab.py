@@ -37,7 +37,10 @@ that is `unresolved` because the parent's quartile spread is wider than
 `bound` times the parent median (the runs cannot tell a change that small
 from noise) while some change run fails to beat some parent run; or it says
 that all are within bound. Where the runs carry `host_minflt` and `host_sys_s`, a
-third line gives each role's median of both.
+third line gives each role's median of both. A last line gives the paired
+verdict, for information only: the pairs won, whether the per-pair ratio's
+quartile nearer 1 lies on the metric's better side of 1, and `resolved` when
+both the 9 / 10 rule and that hold.
 
 `trajectory` reads every committed `BENCH_<n>.json` at the repo root in
 order of `<n>` and prints, per file, workload, seed and trace flag, the
@@ -202,6 +205,8 @@ def summary(args):
                 usage.append(f"{name} median " + ", ".join(f"{r} {m:.10g}" for r, m in medians))
         if usage:
             print(f"  {'; '.join(usage)}")
+        if len(ratios) >= 2:
+            print(f"  {paired_verdict(ratios, sign, won, len(pairs))}")
 
 
 def verdict(quartiles, sign, won, pairs):
@@ -219,6 +224,28 @@ def verdict(quartiles, sign, won, pairs):
         ("median gain not past the spread", gain <= q3 - q1),
     ] if failed]
     return f"{spread}; " + (f"unresolved: {', '.join(missed)}" if missed else "resolved")
+
+
+def paired_verdict(ratios, sign, won, pairs):
+    """The pairs' own verdict, for information only: `resolved` when the
+    change won at least 9 / 10 of at least 10 pairs and the quartile of the
+    per-pair ratio change / parent nearer 1 -- the upper one for a
+    lower-is-better metric, the lower one otherwise -- lies on the better
+    side of 1; else `unresolved` and the test it missed. A drift of the
+    host that moves both sides of a pair alike leaves it unmoved, where it
+    widens the parent's quartile spread that `verdict` compares with."""
+    q1, _, q3 = statistics.quantiles(ratios, n=4)
+    nearer = q1 if sign > 0 else q3
+    past = sign * (nearer - 1) > 0
+    missed = [test for test, failed in [
+        ("fewer than 10 pairs", pairs < 10),
+        (f"won {won} / {pairs} pairs, under 9 / 10", won * 10 < 9 * pairs),
+        ("ratio quartile not past 1", not past),
+    ] if failed]
+    return (f"paired verdict (information only): change won {won} / {pairs} pairs; "
+            f"per-pair ratio quartile nearer 1 {nearer:.4g} "
+            f"({'on' if past else 'not on'} the better side of 1); "
+            + (f"unresolved: {', '.join(missed)}" if missed else "resolved"))
 
 
 def end_to_end_bounds(runs):

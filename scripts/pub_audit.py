@@ -63,6 +63,7 @@ ALLOWED = {
     ("crates/metrics/src/registry.rs", "to_prometheus"): "the registry's Prometheus text exposition, one of its two formats (README's metrics section); observe's exposition_known_answer pins its bytes",
     ("crates/vml/src/compile.rs", "compile_inference_with_options"): "vml's range-checked compile, the one way to set CompileOptions::range_check_bits (sound ReLU hints at ~2·bits constraints each); its callers are vml's tests",
     ("crates/vml/src/service.rs", "metrics"): "MlService's accumulated registry, the one way to read what its serve rounds record (DESIGN.md §9); vml's service tests read it",
+    ("crates/zkp/src/spartan.rs", "verify_with"): "the free Spartan verifier under a prebuilt witness key, the body SpartanBackend::verify runs in its idle arena; zkp's tests verify through it",
     ("crates/zkp/src/batch.rs", "imbalance"): "a pool run's max-over-mean device time, which README's pool example prints; zkp's pool tests check the gauge and the pool analyzer against it",
     # Integration tests build the library without `cfg(test)`, so what they
     # probe has to be public.
