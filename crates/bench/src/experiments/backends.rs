@@ -5,7 +5,7 @@
 
 use batchzk_field::Fr;
 use batchzk_gpu_sim::{ArrivalPlan, DeviceProfile, Gpu, TraceLevel};
-use batchzk_metrics::registry::{escape_json, format_f64, join_json};
+use batchzk_metrics::json::{Array, Object};
 use batchzk_metrics::Registry;
 use batchzk_pipeline::{observe, RunStats, ServiceOutcome};
 use batchzk_zkp::{
@@ -13,7 +13,7 @@ use batchzk_zkp::{
     OrionBackend, ProverBackend, BACKEND_NAMES,
 };
 
-use super::service::{class_json, service_study, ServiceStudy, SERVICE_DEVICES};
+use super::service::{classes_json, service_study, ServiceStudy, SERVICE_DEVICES};
 use super::{pcs_params, Circuit, MODULE_THREADS, NAIVE_CONCURRENCY};
 use crate::scale::Scale;
 
@@ -242,7 +242,11 @@ pub(super) fn backends_study(
 /// `only` (the `--backend` flag) restricts the sweep to one backend and
 /// skips the mixed replay.
 pub fn backends(scale: &Scale, only: Option<&str>) -> String {
-    let study = backends_study(scale, &mut Registry::new(), only);
+    backends_report(scale, &backends_study(scale, &mut Registry::new(), only))
+}
+
+/// Renders one study as the `tables backends` report.
+fn backends_report(scale: &Scale, study: &BackendsStudy) -> String {
     let mut out = format!(
         "## Backends — pipelined vs kernel-per-task naive, S = 2^{} on A100\n\n\
          | Backend | Scenario | Tasks | Naive (proofs/ms) | Pipelined (proofs/ms) | Speedup | Proofs identical | Verified |\n\
@@ -306,84 +310,86 @@ pub fn backends(scale: &Scale, only: Option<&str>) -> String {
 
 /// Renders one unfiltered study as the BENCH.json `backends` section
 /// (canonical JSON, byte-deterministic).
-pub(super) fn backends_section(scale: &Scale, study: &BackendsStudy) -> String {
+pub(super) fn backends_section(scale: &Scale, study: &BackendsStudy) -> Object {
+    let schedule = |r: &RunStats| {
+        Object::new()
+            .field("total_cycles", r.total_cycles)
+            .field("throughput_per_ms", r.throughput_per_ms)
+    };
     let runs = study.points.iter().map(|p| {
         let scenarios = p.scenarios.iter().map(|s| {
-            format!(
-                "{{\"scenario\":\"{}\",\"tasks\":{},\
-                 \"pipelined\":{{\"total_cycles\":{},\"throughput_per_ms\":{}}},\
-                 \"naive\":{{\"total_cycles\":{},\"throughput_per_ms\":{}}},\
-                 \"speedup\":{},\"proofs_identical\":{},\"verified\":{}}}",
-                s.scenario,
-                s.tasks,
-                s.pipelined.total_cycles,
-                format_f64(s.pipelined.throughput_per_ms),
-                s.naive.total_cycles,
-                format_f64(s.naive.throughput_per_ms),
-                format_f64(s.pipelined.throughput_per_ms / s.naive.throughput_per_ms),
-                s.proofs_identical,
-                s.verified,
-            )
+            Object::new()
+                .field("scenario", s.scenario)
+                .field("tasks", s.tasks)
+                .field("pipelined", schedule(&s.pipelined))
+                .field("naive", schedule(&s.naive))
+                .field(
+                    "speedup",
+                    s.pipelined.throughput_per_ms / s.naive.throughput_per_ms,
+                )
+                .field("proofs_identical", s.proofs_identical)
+                .field("verified", s.verified)
         });
-        format!(
-            "{{\"backend\":\"{}\",\"scenarios\":[{}]}}",
-            p.backend,
-            join_json(scenarios)
-        )
+        Object::new()
+            .field("backend", p.backend)
+            .field("scenarios", scenarios.collect::<Array>())
     });
     let m = study
         .mixed
         .as_ref()
         .expect("unfiltered study carries mixed");
     let mixed_runs = m.points.iter().map(|p| {
-        let completed = BACKEND_NAMES
+        let completed: Object = BACKEND_NAMES
             .iter()
             .zip(completed_by_backend(&p.outcome))
-            .map(|(name, count)| format!("\"{name}\":{count}"));
-        format!(
-            "{{\"devices\":{},\"completed_by_backend\":{{{}}},\"classes\":[{}],\
-             \"goodput_per_mcycle\":{}}}",
-            p.devices,
-            join_json(completed),
-            join_json(p.outcome.reports.iter().map(|r| class_json(r, "", ""))),
-            format_f64(p.outcome.goodput_per_mcycle()),
-        )
+            .collect();
+        Object::new()
+            .field("devices", p.devices)
+            .field("completed_by_backend", completed)
+            .field("classes", classes_json(&p.outcome.reports, false))
+            .field("goodput_per_mcycle", p.outcome.goodput_per_mcycle())
     });
-    format!(
-        "{{\"log_n\":{},\"throughput_batch\":{},\"runs\":[{}],\
-         \"mixed_service\":{{\"trace\":\"{}\",\"log_sumcheck\":{},\"log_groth16\":{},\
-         \"log_orion\":{},\"arrivals\":{},\"proof_interval_cycles\":{},\"unit_cycles\":{},\
-         \"runs\":[{}]}}}}",
-        scale.backends_log,
-        scale.backends_batch,
-        join_json(runs),
-        escape_json(&m.spec),
-        scale.service_log,
-        scale.backends_log,
-        scale.backends_log,
-        m.arrivals,
-        m.proof_interval_cycles,
-        m.unit_cycles,
-        join_json(mixed_runs),
-    )
+    let mixed_service = Object::new()
+        .field("trace", &m.spec)
+        .field("log_sumcheck", scale.service_log)
+        .field("log_groth16", scale.backends_log)
+        .field("log_orion", scale.backends_log)
+        .field("arrivals", m.arrivals)
+        .field("proof_interval_cycles", m.proof_interval_cycles)
+        .field("unit_cycles", m.unit_cycles)
+        .field("runs", mixed_runs.collect::<Array>());
+    Object::new()
+        .field("log_n", scale.backends_log)
+        .field("throughput_batch", scale.backends_batch)
+        .field("runs", runs.collect::<Array>())
+        .field("mixed_service", mixed_service)
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::tiny_scale;
     use super::*;
+    use batchzk_metrics::ToJson;
+    use std::sync::OnceLock;
 
-    /// The BENCH.json `backends` section on its own (canonical JSON,
-    /// byte-deterministic at any host thread count). Records nothing into
-    /// a shared registry — `bench_json` threads its own.
-    fn backends_json(scale: &Scale) -> String {
-        backends_section(scale, &backends_study(scale, &mut Registry::new(), None))
+    /// The unfiltered study at host threads `threads` (1, 2 or 4), run once
+    /// per test process: a study is most of a debug test's time, and the
+    /// tests below share theirs. Each records into a registry of its own —
+    /// `bench_json` threads its own.
+    fn study(threads: usize) -> &'static BackendsStudy {
+        static STUDIES: [OnceLock<BackendsStudy>; 3] =
+            [OnceLock::new(), OnceLock::new(), OnceLock::new()];
+        STUDIES[threads.trailing_zeros() as usize].get_or_init(|| {
+            batchzk_par::with_threads(threads, || {
+                backends_study(&tiny_scale(), &mut Registry::new(), None)
+            })
+        })
     }
 
     #[test]
     fn backends_report_and_json_render_with_identical_proofs() {
         let s = tiny_scale();
-        let report = backends(&s, None);
+        let report = backends_report(&s, study(1));
         for needle in [
             "| sumcheck |",
             "| groth16 |",
@@ -398,7 +404,7 @@ mod tests {
             !report.contains("| NO |"),
             "a schedule diverged or a proof failed verification:\n{report}"
         );
-        let json = backends_json(&s);
+        let json = backends_section(&s, study(1)).to_json();
         assert!(!json.contains("\"proofs_identical\":false"), "{json}");
         assert!(!json.contains("\"verified\":false"), "{json}");
         for field in [
@@ -435,11 +441,10 @@ mod tests {
 
     #[test]
     fn mixed_service_conserves_per_class_and_serves_both_backends() {
-        let s = tiny_scale();
         let mut registry = Registry::new();
-        let study = mixed_study(&s, &mixed_plan()).unwrap();
-        record_mixed(&mut registry, &study);
-        for p in &study.points {
+        let mixed = study(1).mixed.as_ref().expect("unfiltered study");
+        record_mixed(&mut registry, mixed);
+        for p in &mixed.points {
             let completed_by_backend = completed_by_backend(&p.outcome);
             let mut completed_total = 0u64;
             for r in &p.outcome.reports {
@@ -454,7 +459,7 @@ mod tests {
                 completed_total += r.completed;
             }
             let submitted: u64 = p.outcome.reports.iter().map(|r| r.submitted).sum();
-            assert_eq!(submitted, study.arrivals as u64);
+            assert_eq!(submitted, mixed.arrivals as u64);
             // The per-backend split partitions the completions exactly.
             assert_eq!(
                 completed_by_backend.iter().sum::<u64>(),
@@ -465,7 +470,7 @@ mod tests {
         }
         // The committed mixed trace genuinely interleaves: the 4-device
         // pool completes proofs of every protocol.
-        let wide = completed_by_backend(&study.points.last().unwrap().outcome);
+        let wide = completed_by_backend(&mixed.points.last().unwrap().outcome);
         assert!(
             wide.iter().all(|&c| c > 0),
             "every backend must complete work: {wide:?}"
@@ -488,9 +493,9 @@ mod tests {
     #[test]
     fn backends_section_byte_identical_across_host_thread_counts() {
         let s = tiny_scale();
-        let base = batchzk_par::with_threads(1, || backends_json(&s));
+        let base = backends_section(&s, study(1)).to_json();
         for t in [2usize, 4] {
-            let json = batchzk_par::with_threads(t, || backends_json(&s));
+            let json = backends_section(&s, study(t)).to_json();
             assert_eq!(json, base, "backends section differs at threads={t}");
         }
     }

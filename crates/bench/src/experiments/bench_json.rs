@@ -2,7 +2,7 @@
 //! assembled from the other families' studies.
 
 use batchzk_gpu_sim::{DeviceProfile, Gpu, TraceLevel};
-use batchzk_metrics::registry::{escape_json, format_f64, join_json};
+use batchzk_metrics::json::{Array, Object, ToJson};
 use batchzk_metrics::{nearest_rank, Registry};
 use batchzk_pipeline::{analysis, observe, RunStats};
 use batchzk_zkp::prove_batch_with;
@@ -15,15 +15,15 @@ use super::timeline::timeline_section;
 use super::{Circuit, MODULE_THREADS};
 use crate::scale::Scale;
 
-/// Renders one pipelined run's benchmark section (`"<module>":{...}`),
-/// folding the run into `registry` as a side effect.
+/// Renders one pipelined run's benchmark section (the value under its
+/// module's name), folding the run into `registry` as a side effect.
 fn bench_section(
     registry: &mut Registry,
     module: &str,
     log: u32,
     gpu: &Gpu,
     stats: &RunStats,
-) -> String {
+) -> Object {
     observe::record_run(registry, module, stats);
     let analysis = analysis::analyze(gpu, stats, MODULE_THREADS);
     // Exact nearest-rank quantiles over the integer per-proof latencies —
@@ -32,41 +32,31 @@ fn bench_section(
     let mut latencies: Vec<u64> = stats.lifecycles.iter().map(|s| s.total_cycles()).collect();
     latencies.sort_unstable();
     let secs = gpu.profile().cycles_to_seconds(stats.total_cycles);
-    let tasks_per_sec = if secs > 0.0 {
-        stats.tasks as f64 / secs
-    } else {
-        0.0
-    };
     let stages = stats.stage_stats.iter().map(|s| {
-        format!(
-            "{{\"name\":\"{}\",\"threads\":{},\"occupancy\":{},\
-             \"busy_cycles\":{},\"occupied_cycles\":{}}}",
-            escape_json(&s.name),
-            s.threads,
-            format_f64(s.occupancy),
-            s.busy_cycles,
-            s.occupied_cycles,
-        )
+        Object::new()
+            .field("name", &s.name)
+            .field("threads", s.threads)
+            .field("occupancy", s.occupancy)
+            .field("busy_cycles", s.busy_cycles)
+            .field("occupied_cycles", s.occupied_cycles)
     });
-    format!(
-        "\"{module}\":{{\"log_n\":{log},\"tasks\":{},\"total_cycles\":{},\
-         \"tasks_per_sec\":{},\"throughput_per_ms\":{},\
-         \"limiting_stage\":\"{}\",\"latency_cycles\":{{\
-         \"p50\":{},\"p95\":{},\"p99\":{},\"min\":{},\"max\":{}}},\"stages\":[{}],\
-         \"analysis\":{}}}",
-        stats.tasks,
-        stats.total_cycles,
-        format_f64(tasks_per_sec),
-        format_f64(stats.throughput_per_ms),
-        escape_json(&analysis.limiting_stage),
-        nearest_rank(&latencies, 0.50),
-        nearest_rank(&latencies, 0.95),
-        nearest_rank(&latencies, 0.99),
-        latencies.first().copied().unwrap_or(0),
-        latencies.last().copied().unwrap_or(0),
-        join_json(stages),
-        analysis.to_json(),
-    )
+    let latency = Object::new()
+        .field("p50", nearest_rank(&latencies, 0.50))
+        .field("p95", nearest_rank(&latencies, 0.95))
+        .field("p99", nearest_rank(&latencies, 0.99))
+        .field("min", latencies.first().copied().unwrap_or(0))
+        .field("max", latencies.last().copied().unwrap_or(0));
+    Object::new()
+        .field("log_n", log)
+        .field("tasks", stats.tasks)
+        .field("total_cycles", stats.total_cycles)
+        // A run of no cycles divides by zero, which renders as 0.0.
+        .field("tasks_per_sec", stats.tasks as f64 / secs)
+        .field("throughput_per_ms", stats.throughput_per_ms)
+        .field("limiting_stage", &analysis.limiting_stage)
+        .field("latency_cycles", latency)
+        .field("stages", stages.collect::<Array>())
+        .field("analysis", &analysis)
 }
 
 /// The machine-readable benchmark artifact behind `tables bench-json`.
@@ -95,7 +85,7 @@ pub fn bench_json(scale: &Scale) -> String {
 
     // The three module pipelines at the largest module size.
     let log = scale.module_logs[0];
-    let mut modules: Vec<String> = MODULES
+    let modules: Object = MODULES
         .iter()
         .enumerate()
         .map(|(i, module)| {
@@ -103,7 +93,8 @@ pub fn bench_json(scale: &Scale) -> String {
                 Workload::new(log, scale.module_batch, 400 + 100 * i as u64 + log as u64);
             let mut gpu = Gpu::with_trace_level(profile.clone(), TraceLevel::Full);
             let stats = (module.pipelined)(&mut gpu, workload, MODULE_THREADS).stats;
-            bench_section(&mut registry, module.name, log, &gpu, &stats)
+            let section = bench_section(&mut registry, module.name, log, &gpu, &stats);
+            (module.name, section)
         })
         .collect();
 
@@ -121,32 +112,26 @@ pub fn bench_json(scale: &Scale) -> String {
     )
     .expect("fits")
     .stats;
-    modules.push(bench_section(
-        &mut registry,
+    let modules = modules.field(
         "system",
-        sys_log,
-        &gpu,
-        &stats,
-    ));
+        bench_section(&mut registry, "system", sys_log, &gpu, &stats),
+    );
 
     // Multi-device scaling sweep: the same batch over pools of 1/2/4/8
     // identical devices; cycle-derived, so byte-stable too.
     let scaling_runs = scaling_sweep(scale, &[1, 2, 4, 8], &profile)
         .into_iter()
         .map(|(d, p)| {
-            format!(
-                "{{\"devices\":{d},\"makespan_ms\":{},\"throughput_per_ms\":{},\"analysis\":{}}}",
-                format_f64(p.makespan_ms),
-                format_f64(p.throughput_per_ms),
-                p.analysis.to_json(),
-            )
+            Object::new()
+                .field("devices", d)
+                .field("makespan_ms", p.makespan_ms)
+                .field("throughput_per_ms", p.throughput_per_ms)
+                .field("analysis", &p.analysis)
         });
-    let scaling = format!(
-        "{{\"log_n\":{},\"batch\":{},\"runs\":[{}]}}",
-        scale.scaling_log,
-        scale.scaling_batch,
-        join_json(scaling_runs),
-    );
+    let scaling = Object::new()
+        .field("log_n", scale.scaling_log)
+        .field("batch", scale.scaling_batch)
+        .field("runs", scaling_runs.collect::<Array>());
 
     // Recovery-overhead study: the same batch on a two-device pool under
     // each scripted-fault scenario; recovered proofs must stay
@@ -154,23 +139,18 @@ pub fn bench_json(scale: &Scale) -> String {
     // below are what CI greps for).
     let study = recovery_study(scale, None).expect("committed scenarios recover");
     let scenarios = study.outcomes.iter().map(|o| {
-        format!(
-            "{{\"name\":\"{}\",\"plan\":\"{}\",\"proofs_identical\":{},\"analysis\":{}}}",
-            escape_json(o.name),
-            escape_json(&o.spec),
-            o.proofs_identical,
-            o.analysis.to_json(),
-        )
+        Object::new()
+            .field("name", o.name)
+            .field("plan", &o.spec)
+            .field("proofs_identical", o.proofs_identical)
+            .field("analysis", &o.analysis)
     });
-    let recovery = format!(
-        "{{\"log_n\":{},\"batch\":{},\"devices\":{},\
-         \"fault_free_ms\":{},\"scenarios\":[{}]}}",
-        scale.scaling_log,
-        scale.scaling_batch,
-        RECOVERY_DEVICES,
-        format_f64(study.fault_free_ms),
-        join_json(scenarios),
-    );
+    let recovery = Object::new()
+        .field("log_n", scale.scaling_log)
+        .field("batch", scale.scaling_batch)
+        .field("devices", RECOVERY_DEVICES)
+        .field("fault_free_ms", study.fault_free_ms)
+        .field("scenarios", scenarios.collect::<Array>());
 
     // Online-service replay of the committed reference trace at pool sizes
     // 1 and 4: per-class latency quantiles vs SLO, goodput, rejection
@@ -199,29 +179,40 @@ pub fn bench_json(scale: &Scale) -> String {
     // `backend`-labelled metric families.
     let backends = backends_study(scale, &mut registry, None);
 
-    format!(
-        "{{\"schema\":\"batchzk-bench-v1\",\"device\":\"a100\",\"scale\":\"{}\",\
-         \"thread_budget\":{MODULE_THREADS},\"modules\":{{{}}},\"scaling\":{scaling},\
-         \"recovery\":{recovery},\"service\":{},\"timeline\":{},\"backends\":{},\
-         \"metrics\":{}}}\n",
-        escape_json(scale.tag),
-        join_json(modules),
-        service_section(scale, &service),
-        timeline_section(scale, &service),
-        backends_section(scale, &backends),
-        registry.to_json(),
-    )
+    Object::new()
+        .field("schema", "batchzk-bench-v1")
+        .field("device", "a100")
+        .field("scale", scale.tag)
+        .field("thread_budget", MODULE_THREADS)
+        .field("modules", modules)
+        .field("scaling", scaling)
+        .field("recovery", recovery)
+        .field("service", service_section(scale, &service))
+        .field("timeline", timeline_section(scale, &service))
+        .field("backends", backends_section(scale, &backends))
+        .field("metrics", &registry)
+        .to_json()
+        + "\n"
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::tiny_scale;
     use super::*;
+    use std::sync::OnceLock;
+
+    /// BENCH.json at the tiny scale rendered at host threads `threads`
+    /// (1, 2 or 4), once per test process: a render is most of a debug
+    /// test's time, and the two tests below share theirs.
+    fn render(threads: usize) -> &'static String {
+        static RENDERS: [OnceLock<String>; 3] = [OnceLock::new(), OnceLock::new(), OnceLock::new()];
+        RENDERS[threads.trailing_zeros() as usize]
+            .get_or_init(|| batchzk_par::with_threads(threads, || bench_json(&tiny_scale())))
+    }
 
     #[test]
     fn bench_json_is_complete_and_deterministic() {
-        let s = tiny_scale();
-        let json = bench_json(&s);
+        let json = render(1);
         // All four sections present, each with the acceptance-criteria
         // fields: throughput, lifecycle quantiles, occupancy, limiting
         // stage.
@@ -273,7 +264,7 @@ mod tests {
         // Well-formedness (balanced braces/brackets) and determinism.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert_eq!(bench_json(&s), json, "bench-json must be byte-stable");
+        assert_eq!(render(2), json, "bench-json must be byte-stable");
     }
 
     #[test]
@@ -281,11 +272,9 @@ mod tests {
         // Host parallelism must be invisible in the artifact: the same
         // scale renders the same bytes whether the engines fan out across
         // 1, 2, or 4 host workers.
-        let s = tiny_scale();
-        let base = batchzk_par::with_threads(1, || bench_json(&s));
+        let base = render(1);
         for t in [2usize, 4] {
-            let json = batchzk_par::with_threads(t, || bench_json(&s));
-            assert_eq!(json, base, "bench-json differs at threads={t}");
+            assert_eq!(render(t), base, "bench-json differs at threads={t}");
         }
     }
 }

@@ -2,7 +2,7 @@
 //! (`PROFILE.json`), the fastest of five after a warm-up.
 
 use batchzk_field::Field;
-use batchzk_metrics::registry::{format_f64, join_json};
+use batchzk_metrics::json::{Array, Object, ToJson};
 use batchzk_zkp::{pcs, spartan};
 
 use super::{pcs_params, timed_ms, Circuit};
@@ -147,21 +147,17 @@ pub fn profile(scale: &Scale) -> String {
 pub fn profile_json(scale: &Scale) -> String {
     let study = profile_study(scale);
     let phases = study.phases.iter().map(|p| {
-        format!(
-            "{{\"name\":\"{}\",\"ms\":{},\"share\":{}}}",
-            p.name,
-            format_f64(p.ms),
-            format_f64(p.ms / study.total_ms.max(1e-9))
-        )
+        Object::new()
+            .field("name", p.name)
+            .field("ms", p.ms)
+            .field("share", p.ms / study.total_ms.max(1e-9))
     });
-    format!(
-        "{{\"profile\":{{\"log_n\":{},\"phases\":[{}],\
-         \"total_ms\":{},\"coverage\":{}}}}}\n",
-        study.log_n,
-        join_json(phases),
-        format_f64(study.total_ms),
-        format_f64(study.coverage)
-    )
+    let profile = Object::new()
+        .field("log_n", study.log_n)
+        .field("phases", phases.collect::<Array>())
+        .field("total_ms", study.total_ms)
+        .field("coverage", study.coverage);
+    Object::new().field("profile", profile).to_json() + "\n"
 }
 
 #[cfg(test)]

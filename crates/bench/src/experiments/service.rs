@@ -6,7 +6,7 @@
 
 use batchzk_field::Fr;
 use batchzk_gpu_sim::{Arrival, ArrivalPlan, DevicePool, DeviceProfile, Gpu, TraceLevel};
-use batchzk_metrics::registry::{escape_json, format_f64, join_json};
+use batchzk_metrics::json::{Array, Object};
 use batchzk_pipeline::analysis::analyze_service;
 use batchzk_pipeline::{ClassPolicy, ClassReport, PriorityClass, ServiceConfig, ServiceOutcome};
 use batchzk_zkp::batch::BatchTask;
@@ -223,29 +223,36 @@ fn class_table<T>(p: &ServicePoint<T>) -> String {
     out
 }
 
-/// One class report as a JSON object. `latency_extra` is appended inside
-/// the `latency_cycles` object and `extra` after `slo_attainment` — the
-/// `service` section adds `max` and `rejection_rate` there, the
-/// `mixed_service` section nothing.
-pub(super) fn class_json(r: &ClassReport, latency_extra: &str, extra: &str) -> String {
-    format!(
-        "{{\"class\":\"{}\",\"slo_cycles\":{},\"submitted\":{},\"accepted\":{},\
-         \"rejected_queue_full\":{},\"rejected_saturated\":{},\"completed\":{},\
-         \"within_slo\":{},\"latency_cycles\":{{\"p50\":{},\"p95\":{},\"p99\":{}{latency_extra}}},\
-         \"slo_attainment\":{}{extra}}}",
-        r.class.name(),
-        r.slo_cycles,
-        r.submitted,
-        r.accepted,
-        r.rejected_queue_full,
-        r.rejected_saturated,
-        r.completed,
-        r.within_slo,
-        r.latency_p50_cycles,
-        r.latency_p95_cycles,
-        r.latency_p99_cycles,
-        format_f64(r.slo_attainment()),
-    )
+/// A run's class reports as a JSON array. The `service` section's classes
+/// are `detailed`: they add `max` to `latency_cycles` and a trailing
+/// `rejection_rate`; the `mixed_service` section's are not.
+pub(super) fn classes_json(reports: &[ClassReport], detailed: bool) -> Array {
+    let report_json = |r: &ClassReport| {
+        let mut latency = Object::new()
+            .field("p50", r.latency_p50_cycles)
+            .field("p95", r.latency_p95_cycles)
+            .field("p99", r.latency_p99_cycles);
+        if detailed {
+            latency = latency.field("max", r.latency_max_cycles);
+        }
+        let class = Object::new()
+            .field("class", r.class.name())
+            .field("slo_cycles", r.slo_cycles)
+            .field("submitted", r.submitted)
+            .field("accepted", r.accepted)
+            .field("rejected_queue_full", r.rejected_queue_full)
+            .field("rejected_saturated", r.rejected_saturated)
+            .field("completed", r.completed)
+            .field("within_slo", r.within_slo)
+            .field("latency_cycles", latency)
+            .field("slo_attainment", r.slo_attainment());
+        if detailed {
+            class.field("rejection_rate", r.rejection_rate())
+        } else {
+            class
+        }
+    };
+    reports.iter().map(report_json).collect()
 }
 
 /// The `tables serve` report: replays `plan` (default: the committed
@@ -326,37 +333,24 @@ pub fn serve(scale: &Scale, plan: &ArrivalPlan) -> Result<String, String> {
 
 /// Renders one sumcheck study as the BENCH.json `service` section
 /// (canonical JSON, byte-deterministic).
-pub(super) fn service_section(scale: &Scale, study: &ServiceStudy<BatchTask<Fr>>) -> String {
+pub(super) fn service_section(scale: &Scale, study: &ServiceStudy<BatchTask<Fr>>) -> Object {
     let runs = study.points.iter().map(|p| {
         let o = &p.outcome;
-        let classes = o.reports.iter().map(|r| {
-            class_json(
-                r,
-                &format!(",\"max\":{}", r.latency_max_cycles),
-                &format!(",\"rejection_rate\":{}", format_f64(r.rejection_rate())),
-            )
-        });
         let analysis = analyze_service(&o.reports);
-        format!(
-            "{{\"devices\":{},\"classes\":[{}],\"goodput_per_mcycle\":{},\
-             \"rejection_rate\":{},\"analysis\":{}}}",
-            p.devices,
-            join_json(classes),
-            format_f64(o.goodput_per_mcycle()),
-            format_f64(analysis.rejection_rate),
-            analysis.to_json(),
-        )
+        Object::new()
+            .field("devices", p.devices)
+            .field("classes", classes_json(&o.reports, true))
+            .field("goodput_per_mcycle", o.goodput_per_mcycle())
+            .field("rejection_rate", analysis.rejection_rate)
+            .field("analysis", &analysis)
     });
-    format!(
-        "{{\"log_n\":{},\"trace\":\"{}\",\"arrivals\":{},\
-         \"proof_interval_cycles\":{},\"unit_cycles\":{},\"runs\":[{}]}}",
-        scale.service_log,
-        escape_json(&study.spec),
-        study.arrivals,
-        study.proof_interval_cycles,
-        study.unit_cycles,
-        join_json(runs),
-    )
+    Object::new()
+        .field("log_n", scale.service_log)
+        .field("trace", &study.spec)
+        .field("arrivals", study.arrivals)
+        .field("proof_interval_cycles", study.proof_interval_cycles)
+        .field("unit_cycles", study.unit_cycles)
+        .field("runs", runs.collect::<Array>())
 }
 
 #[cfg(test)]
@@ -364,6 +358,7 @@ mod tests {
     use super::super::backends::mixed_plan;
     use super::super::tiny_scale;
     use super::*;
+    use batchzk_metrics::ToJson;
     use std::time::{Duration, Instant};
 
     /// The BENCH.json `service` section on its own: the replay of `plan`
@@ -372,7 +367,7 @@ mod tests {
     /// determinism tests below compare. Errs as `serve` does.
     fn service_json(scale: &Scale, plan: &ArrivalPlan) -> Result<String, String> {
         let study = sumcheck_study(scale, plan, &SERVICE_DEVICES, TraceLevel::default())?;
-        Ok(service_section(scale, &study))
+        Ok(service_section(scale, &study).to_json())
     }
 
     #[test]

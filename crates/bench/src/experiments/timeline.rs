@@ -5,7 +5,7 @@
 
 use batchzk_field::Fr;
 use batchzk_gpu_sim::{ArrivalPlan, TraceLevel};
-use batchzk_metrics::registry::{escape_json, join_json};
+use batchzk_metrics::json::{Array, Object, ToJson};
 use batchzk_metrics::{evaluate, AlertLog, AlertRule, Timeline};
 use batchzk_pipeline::{default_service_rules, timeline_counter_tracks};
 use batchzk_zkp::batch::BatchTask;
@@ -55,33 +55,28 @@ fn evaluate_single_device(study: &ServiceStudy<BatchTask<Fr>>) -> Evaluated<'_> 
 /// Canonical JSON of one flight-recorder evaluation: the replay's
 /// calibration envelope, the rule set, the recorder itself, and the
 /// ordered alert log. Integers and strings only — byte-deterministic.
-fn render_json(scale: &Scale, study: &ServiceStudy<BatchTask<Fr>>, e: &Evaluated<'_>) -> String {
+fn render_json(scale: &Scale, study: &ServiceStudy<BatchTask<Fr>>, e: &Evaluated<'_>) -> Object {
     let rules = e.rules.iter().map(|r| {
-        format!(
-            "{{\"name\":\"{}\",\"threshold_ppm\":{},\"for_windows\":{},\"runbook\":\"{}\"}}",
-            escape_json(&r.name),
-            r.threshold_ppm,
-            r.for_windows,
-            escape_json(&r.runbook),
-        )
+        Object::new()
+            .field("name", &r.name)
+            .field("threshold_ppm", r.threshold_ppm)
+            .field("for_windows", r.for_windows)
+            .field("runbook", &r.runbook)
     });
-    format!(
-        "{{\"log_n\":{},\"trace\":\"{}\",\"devices\":1,\
-         \"proof_interval_cycles\":{},\"unit_cycles\":{},\"rules\":[{}],\
-         \"recorder\":{},\"alerts\":{}}}",
-        scale.service_log,
-        escape_json(&study.spec),
-        study.proof_interval_cycles,
-        study.unit_cycles,
-        join_json(rules),
-        e.point.outcome.timeline.to_json(),
-        e.log.to_json()
-    )
+    Object::new()
+        .field("log_n", scale.service_log)
+        .field("trace", &study.spec)
+        .field("devices", 1u32)
+        .field("proof_interval_cycles", study.proof_interval_cycles)
+        .field("unit_cycles", study.unit_cycles)
+        .field("rules", rules.collect::<Array>())
+        .field("recorder", &e.point.outcome.timeline)
+        .field("alerts", &e.log)
 }
 
 /// The BENCH.json `timeline` section, derived from an already-run service
 /// study's single-device point — no extra proving.
-pub(super) fn timeline_section(scale: &Scale, study: &ServiceStudy<BatchTask<Fr>>) -> String {
+pub(super) fn timeline_section(scale: &Scale, study: &ServiceStudy<BatchTask<Fr>>) -> Object {
     render_json(scale, study, &evaluate_single_device(study))
 }
 
@@ -144,7 +139,7 @@ pub fn timeline(scale: &Scale, plan: &ArrivalPlan) -> Result<TimelineArtifacts, 
     );
     Ok(TimelineArtifacts {
         report,
-        json: render_json(scale, &study, &e),
+        json: render_json(scale, &study, &e).to_json(),
         chrome_trace,
     })
 }

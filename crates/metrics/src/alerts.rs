@@ -15,7 +15,7 @@
 //! replay produces byte-identical alert logs at any host thread count, and
 //! the fire/resolve *window indexes* are regression-testable facts.
 
-use crate::registry::escape_json;
+use crate::json::{Array, Object, ToJson};
 use crate::timeline::{Timeline, Window};
 use std::fmt::Write as _;
 
@@ -118,37 +118,6 @@ impl AlertLog {
         self.events.iter().filter(|e| e.rule == rule).collect()
     }
 
-    /// Canonical JSON exposition (integers and strings only, fixed field
-    /// order — byte-deterministic).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"events\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"rule\":\"{}\",\"state\":\"{}\",\"window\":{},\"cycle\":{},\
-                 \"value_ppm\":{},\"runbook\":\"{}\"}}",
-                escape_json(&e.rule),
-                if e.fired { "fire" } else { "resolve" },
-                e.window,
-                e.cycle,
-                e.value_ppm,
-                escape_json(&e.runbook),
-            );
-        }
-        out.push_str("],\"still_firing\":[");
-        for (i, name) in self.still_firing.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\"", escape_json(name));
-        }
-        out.push_str("]}");
-        out
-    }
-
     /// Human-readable log, one line per transition.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
@@ -171,6 +140,26 @@ impl AlertLog {
             out.push_str("(no alerts)\n");
         }
         out
+    }
+}
+
+/// Canonical JSON exposition (integers and strings only, fixed field
+/// order — byte-deterministic).
+impl ToJson for AlertLog {
+    fn write_json(&self, out: &mut String) {
+        let events = self.events.iter().map(|e| {
+            Object::new()
+                .field("rule", &e.rule)
+                .field("state", if e.fired { "fire" } else { "resolve" })
+                .field("window", e.window)
+                .field("cycle", e.cycle)
+                .field("value_ppm", e.value_ppm)
+                .field("runbook", &e.runbook)
+        });
+        Object::new()
+            .field("events", events.collect::<Array>())
+            .field("still_firing", self.still_firing.iter().collect::<Array>())
+            .write_json(out);
     }
 }
 

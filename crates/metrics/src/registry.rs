@@ -8,6 +8,7 @@
 //! byte-identical output, the property the cross-PR `BENCH.json`
 //! trajectory and the determinism tests rely on.
 
+use crate::json::{Object, ToJson};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -45,7 +46,7 @@ impl MetricId {
         let inner: Vec<String> = self
             .labels
             .iter()
-            .map(|(k, v)| format!("{k}=\"{}\"", escape_json(v)))
+            .map(|(k, v)| format!("{k}={}", v.to_json()))
             .collect();
         format!("{{{}}}", inner.join(","))
     }
@@ -194,43 +195,6 @@ impl Histogram {
     }
 }
 
-/// Escapes a string for inclusion in a JSON (or Prometheus label) string
-/// literal.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats an `f64` for deterministic JSON output: finite values use Rust's
-/// shortest round-trip representation (always containing a `.` or exponent),
-/// non-finite values render as `0.0`.
-pub fn format_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "0.0".to_string()
-    }
-}
-
-/// Joins already-rendered JSON values (array elements, or `"key":value`
-/// object members) with commas. Callers wrap the result in `[]` or `{}`.
-pub fn join_json(items: impl IntoIterator<Item = String>) -> String {
-    items.into_iter().collect::<Vec<_>>().join(",")
-}
-
 /// A deterministic, dependency-free metrics registry.
 ///
 /// Counters are monotone `u64`s, gauges are last-write-wins `f64`s, and
@@ -315,25 +279,19 @@ impl Registry {
         }
         for (id, v) in &self.gauges {
             type_line(&mut out, &id.name, "gauge");
-            let _ = writeln!(out, "{} {}", id.render(), format_f64(*v));
+            let _ = writeln!(out, "{} {}", id.render(), v.to_json());
         }
         for (id, h) in &self.histograms {
             type_line(&mut out, &id.name, "histogram");
             let mut cumulative = 0u64;
             for (upper, count) in h.buckets() {
                 cumulative += count;
+                // `le` follows the sorted labels, as Prometheus writes it.
                 let mut labels = id.labels.clone();
                 labels.push(("le".to_string(), upper.to_string()));
-                let rendered: Vec<String> = labels
-                    .iter()
-                    .map(|(k, v)| format!("{k}=\"{}\"", escape_json(v)))
-                    .collect();
-                let _ = writeln!(
-                    out,
-                    "{}_bucket{{{}}} {cumulative}",
-                    id.name,
-                    rendered.join(",")
-                );
+                let name = format!("{}_bucket", id.name);
+                let bucket = MetricId { name, labels };
+                let _ = writeln!(out, "{} {cumulative}", bucket.render());
             }
             let suffix = id.label_suffix();
             let _ = writeln!(out, "{}_sum{suffix} {}", id.name, h.sum());
@@ -341,68 +299,49 @@ impl Registry {
         }
         out
     }
+}
 
-    /// Renders the registry as canonical JSON: three objects (`counters`,
-    /// `gauges`, `histograms`) keyed by the rendered metric id in id order,
-    /// no insignificant whitespace. Deterministic: same recordings → same
-    /// bytes.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        let mut first = true;
-        for (id, v) in &self.counters {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\"{}\":{v}", escape_json(&id.render()));
+/// Canonical JSON: three objects (`counters`, `gauges`, `histograms`)
+/// keyed by the rendered metric id in id order. Deterministic: same
+/// recordings → same bytes.
+impl ToJson for Registry {
+    fn write_json(&self, out: &mut String) {
+        fn by_id<V: ToJson>(family: &BTreeMap<MetricId, V>) -> Object {
+            family.iter().map(|(id, v)| (id.render(), v)).collect()
         }
-        out.push_str("},\"gauges\":{");
-        let mut first = true;
-        for (id, v) in &self.gauges {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\"{}\":{}", escape_json(&id.render()), format_f64(*v));
-        }
-        out.push_str("},\"histograms\":{");
-        let mut first = true;
-        for (id, h) in &self.histograms {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "\"{}\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\
-                 \"p50\":{},\"p95\":{},\"p99\":{},\"buckets\":{{",
-                escape_json(&id.render()),
-                h.count(),
-                h.sum(),
-                h.min(),
-                h.max(),
-                h.quantile(0.50),
-                h.quantile(0.95),
-                h.quantile(0.99),
-            );
-            let mut bfirst = true;
-            for (upper, count) in h.buckets() {
-                if !bfirst {
-                    out.push(',');
-                }
-                bfirst = false;
-                let _ = write!(out, "\"{upper}\":{count}");
-            }
-            out.push_str("}}");
-        }
-        out.push_str("}}");
-        out
+        Object::new()
+            .field("counters", by_id(&self.counters))
+            .field("gauges", by_id(&self.gauges))
+            .field("histograms", by_id(&self.histograms))
+            .write_json(out);
+    }
+}
+
+/// Exact `count`, `sum`, `min` and `max`, the p50 / p95 / p99 estimates,
+/// and the non-empty buckets keyed by their inclusive upper bound.
+impl ToJson for Histogram {
+    fn write_json(&self, out: &mut String) {
+        let buckets = self
+            .buckets()
+            .into_iter()
+            .map(|(upper, count)| (upper.to_string(), count));
+        Object::new()
+            .field("count", self.count())
+            .field("sum", self.sum())
+            .field("min", self.min())
+            .field("max", self.max())
+            .field("p50", self.quantile(0.50))
+            .field("p95", self.quantile(0.95))
+            .field("p99", self.quantile(0.99))
+            .field("buckets", buckets.collect::<Object>())
+            .write_json(out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Array;
 
     /// SplitMix64; duplicated privately because this crate has no deps.
     struct TestRng(u64);
@@ -588,18 +527,25 @@ mod tests {
 
     #[test]
     fn join_json_puts_commas_between_items_only() {
-        let join = |items: &[&str]| join_json(items.iter().map(|s| s.to_string()));
-        assert_eq!(join(&[]), "");
-        assert_eq!(join(&["1"]), "1");
-        assert_eq!(join(&["\"a\":1", "\"b\":[2,3]"]), "\"a\":1,\"b\":[2,3]");
+        // The writer's composites place every comma; none leads or trails.
+        let join = |items: &[u64]| items.iter().collect::<Array>();
+        assert_eq!(join(&[]).to_json(), "[]");
+        assert_eq!(join(&[1]).to_json(), "[1]");
+        assert_eq!(
+            Object::new()
+                .field("a", 1u64)
+                .field("b", join(&[2, 3]))
+                .to_json(),
+            "{\"a\":1,\"b\":[2,3]}"
+        );
     }
 
     #[test]
     fn format_f64_is_parseable_json() {
-        assert_eq!(format_f64(0.5), "0.5");
-        assert_eq!(format_f64(2.0), "2.0");
-        assert_eq!(format_f64(f64::NAN), "0.0");
-        assert_eq!(format_f64(f64::INFINITY), "0.0");
+        assert_eq!(0.5.to_json(), "0.5");
+        assert_eq!(2.0.to_json(), "2.0");
+        assert_eq!(f64::NAN.to_json(), "0.0");
+        assert_eq!(f64::INFINITY.to_json(), "0.0");
     }
 
     #[test]
@@ -645,10 +591,11 @@ mod tests {
 
     #[test]
     fn non_finite_values_render_stably_in_both_expositions() {
-        // format_f64 itself: every non-finite input collapses to the same
-        // stable token — no `inf` / `-inf` / `NaN` / `Infinity` drift.
+        // The writer's f64 format itself: every non-finite input collapses
+        // to the same stable token — no `inf` / `-inf` / `NaN` / `Infinity`
+        // drift.
         for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -f64::NAN] {
-            assert_eq!(format_f64(v), "0.0", "non-finite {v} must render as 0.0");
+            assert_eq!(v.to_json(), "0.0", "non-finite {v} must render as 0.0");
         }
 
         // Through the registry: a gauge poisoned with each non-finite value

@@ -26,8 +26,7 @@
 //! `timeline` section act as a regression artifact and lets
 //! [`crate::alerts`] promise reproducible fire/resolve window indexes.
 
-use crate::registry::escape_json;
-use std::fmt::Write as _;
+use crate::json::{Array, Object, ToJson};
 
 /// Shape of one [`Timeline`]: window width, retention bound, and the class
 /// and device lanes it tracks.
@@ -422,61 +421,42 @@ impl Timeline {
             .map(Window::latency_p99_cycles)
             .collect()
     }
+}
 
-    /// Canonical JSON exposition: integers only, fields in a fixed order,
-    /// byte-deterministic for identical recordings.
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"window_cycles\":{},\"origin_cycle\":{},\"downsamples\":{},\"classes\":[",
-            self.window_cycles,
-            self.origin_cycle(),
-            self.downsamples,
-        );
-        for (i, name) in self.class_names.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\"", escape_json(name));
-        }
-        let _ = write!(out, "],\"devices\":{},\"windows\":[", self.device_lanes);
-        for (i, w) in self.windows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"start_cycle\":{},\"classes\":[", w.start_cycle);
-            for (j, c) in w.classes.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"accepted\":{},\"rejected_queue_full\":{},\"rejected_saturated\":{},\
-                     \"completed\":{},\"slo_miss\":{},\"queue_depth_peak\":{}}}",
-                    c.accepted,
-                    c.rejected_queue_full,
-                    c.rejected_saturated,
-                    c.completed,
-                    c.slo_miss,
-                    c.queue_depth_peak,
-                );
-            }
-            out.push_str("],\"devices\":[");
-            for (j, d) in w.devices.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"busy_cycles\":{},\"utilization_ppm\":{},\"in_flight_peak\":{}}}",
-                    d.busy_cycles,
-                    d.utilization_ppm(self.window_cycles),
-                    d.in_flight_peak,
-                );
-            }
-            let _ = write!(out, "],\"latency_p99_cycles\":{}}}", w.latency_p99_cycles());
-        }
-        out.push_str("]}");
-        out
+/// Canonical JSON exposition: integers only, fields in a fixed order,
+/// byte-deterministic for identical recordings.
+impl ToJson for Timeline {
+    fn write_json(&self, out: &mut String) {
+        let windows = self.windows.iter().map(|w| {
+            let classes = w.classes.iter().map(|c| {
+                Object::new()
+                    .field("accepted", c.accepted)
+                    .field("rejected_queue_full", c.rejected_queue_full)
+                    .field("rejected_saturated", c.rejected_saturated)
+                    .field("completed", c.completed)
+                    .field("slo_miss", c.slo_miss)
+                    .field("queue_depth_peak", c.queue_depth_peak)
+            });
+            let devices = w.devices.iter().map(|d| {
+                Object::new()
+                    .field("busy_cycles", d.busy_cycles)
+                    .field("utilization_ppm", d.utilization_ppm(self.window_cycles))
+                    .field("in_flight_peak", d.in_flight_peak)
+            });
+            Object::new()
+                .field("start_cycle", w.start_cycle)
+                .field("classes", classes.collect::<Array>())
+                .field("devices", devices.collect::<Array>())
+                .field("latency_p99_cycles", w.latency_p99_cycles())
+        });
+        Object::new()
+            .field("window_cycles", self.window_cycles)
+            .field("origin_cycle", self.origin_cycle())
+            .field("downsamples", self.downsamples)
+            .field("classes", self.class_names.iter().collect::<Array>())
+            .field("devices", self.device_lanes)
+            .field("windows", windows.collect::<Array>())
+            .write_json(out);
     }
 }
 

@@ -31,7 +31,7 @@ use crate::observe::PoolRun;
 use crate::sched::{self, RecoveryReport};
 use crate::service::ClassReport;
 use batchzk_gpu_sim::{Gpu, KernelEvent, StepEvent};
-use batchzk_metrics::registry::{escape_json, format_f64};
+use batchzk_metrics::json::{Array, Object, ToJson};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -119,47 +119,32 @@ impl RunAnalysis {
         }
         out
     }
+}
 
-    /// Renders the analysis as canonical JSON (sorted, deterministic).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"limiting_stage\":\"{}\",\"limiting_share\":{},\"total_cycles\":{},\"bound\":[",
-            escape_json(&self.limiting_stage),
-            format_f64(self.limiting_share),
-            self.total_cycles
-        );
-        for (i, b) in self.bound.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"resource\":\"{}\",\"cycles\":{},\"steps\":{}}}",
-                escape_json(&b.resource),
-                b.cycles,
-                b.steps
-            );
-        }
-        out.push_str("],\"advice\":[");
-        for (i, a) in self.advice.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"stage\":\"{}\",\"threads\":{},\"suggested_threads\":{},\
-                 \"work_share\":{},\"allocation_ratio\":{}}}",
-                escape_json(&a.name),
-                a.threads,
-                a.suggested_threads,
-                format_f64(a.work_share),
-                format_f64(a.allocation_ratio)
-            );
-        }
-        out.push_str("]}");
-        out
+/// Canonical JSON, fields in a fixed order (deterministic).
+impl ToJson for RunAnalysis {
+    fn write_json(&self, out: &mut String) {
+        let bound = self.bound.iter().map(|b| {
+            Object::new()
+                .field("resource", &b.resource)
+                .field("cycles", b.cycles)
+                .field("steps", b.steps)
+        });
+        let advice = self.advice.iter().map(|a| {
+            Object::new()
+                .field("stage", &a.name)
+                .field("threads", a.threads)
+                .field("suggested_threads", a.suggested_threads)
+                .field("work_share", a.work_share)
+                .field("allocation_ratio", a.allocation_ratio)
+        });
+        Object::new()
+            .field("limiting_stage", &self.limiting_stage)
+            .field("limiting_share", self.limiting_share)
+            .field("total_cycles", self.total_cycles)
+            .field("bound", bound.collect::<Array>())
+            .field("advice", advice.collect::<Array>())
+            .write_json(out);
     }
 }
 
@@ -233,36 +218,26 @@ impl PoolAnalysis {
         }
         out
     }
+}
 
-    /// Renders the analysis as canonical JSON (sorted, deterministic).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"makespan_ms\":{},\"imbalance\":{},\"speedup\":{},\
-             \"scaling_efficiency\":{},\"devices\":[",
-            format_f64(self.makespan_ms),
-            format_f64(self.imbalance),
-            format_f64(self.speedup),
-            format_f64(self.scaling_efficiency)
-        );
-        for (i, d) in self.devices.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"tasks\":{},\"elapsed_ms\":{},\
-                 \"mean_utilization\":{},\"time_share\":{}}}",
-                escape_json(&d.name),
-                d.tasks,
-                format_f64(d.elapsed_ms),
-                format_f64(d.mean_utilization),
-                format_f64(d.time_share)
-            );
-        }
-        out.push_str("]}");
-        out
+/// Canonical JSON, fields in a fixed order (deterministic).
+impl ToJson for PoolAnalysis {
+    fn write_json(&self, out: &mut String) {
+        let devices = self.devices.iter().map(|d| {
+            Object::new()
+                .field("name", &d.name)
+                .field("tasks", d.tasks)
+                .field("elapsed_ms", d.elapsed_ms)
+                .field("mean_utilization", d.mean_utilization)
+                .field("time_share", d.time_share)
+        });
+        Object::new()
+            .field("makespan_ms", self.makespan_ms)
+            .field("imbalance", self.imbalance)
+            .field("speedup", self.speedup)
+            .field("scaling_efficiency", self.scaling_efficiency)
+            .field("devices", devices.collect::<Array>())
+            .write_json(out);
     }
 }
 
@@ -346,19 +321,19 @@ impl RecoveryAnalysis {
         );
         out
     }
+}
 
-    /// Renders the analysis as canonical JSON (sorted, deterministic).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"fault_free_ms\":{},\"faulty_ms\":{},\"overhead_ratio\":{},\
-             \"failed_devices\":{},\"replayed_tasks\":{},\"replay_rounds\":{}}}",
-            format_f64(self.fault_free_ms),
-            format_f64(self.faulty_ms),
-            format_f64(self.overhead_ratio),
-            self.failed_devices,
-            self.replayed_tasks,
-            self.replay_rounds
-        )
+/// Canonical JSON, fields in a fixed order (deterministic).
+impl ToJson for RecoveryAnalysis {
+    fn write_json(&self, out: &mut String) {
+        Object::new()
+            .field("fault_free_ms", self.fault_free_ms)
+            .field("faulty_ms", self.faulty_ms)
+            .field("overhead_ratio", self.overhead_ratio)
+            .field("failed_devices", self.failed_devices)
+            .field("replayed_tasks", self.replayed_tasks)
+            .field("replay_rounds", self.replay_rounds)
+            .write_json(out);
     }
 }
 
@@ -435,29 +410,23 @@ impl ServiceAnalysis {
         }
         out
     }
+}
 
-    /// Renders the analysis as canonical JSON (sorted, deterministic).
-    pub fn to_json(&self) -> String {
-        let classes = self
-            .classes
-            .iter()
-            .map(|v| {
-                format!(
-                    "{{\"class\":\"{}\",\"slo_attainment\":{},\"rejection_rate\":{},\
-                     \"p99_burn\":{},\"advice\":\"{}\"}}",
-                    escape_json(&v.class),
-                    format_f64(v.slo_attainment),
-                    format_f64(v.rejection_rate),
-                    format_f64(v.p99_burn),
-                    escape_json(&v.advice)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"classes\":[{classes}],\"rejection_rate\":{}}}",
-            format_f64(self.rejection_rate)
-        )
+/// Canonical JSON, fields in a fixed order (deterministic).
+impl ToJson for ServiceAnalysis {
+    fn write_json(&self, out: &mut String) {
+        let classes = self.classes.iter().map(|v| {
+            Object::new()
+                .field("class", &v.class)
+                .field("slo_attainment", v.slo_attainment)
+                .field("rejection_rate", v.rejection_rate)
+                .field("p99_burn", v.p99_burn)
+                .field("advice", &v.advice)
+        });
+        Object::new()
+            .field("classes", classes.collect::<Array>())
+            .field("rejection_rate", self.rejection_rate)
+            .write_json(out);
     }
 }
 

@@ -512,6 +512,7 @@ mod tests {
     use crate::sched::run_sharded;
     use crate::service::ServiceCompletion;
     use batchzk_gpu_sim::{DeviceProfile, Gpu};
+    use batchzk_metrics::ToJson;
 
     fn trees(count: usize, n: usize) -> Vec<Vec<[u8; 64]>> {
         (0..count)

@@ -698,6 +698,7 @@ mod tests {
     use super::*;
     use crate::engine::{PipeStage, StageWork};
     use batchzk_gpu_sim::{DeviceProfile, Work};
+    use batchzk_metrics::ToJson;
 
     struct WorkStage {
         name: &'static str,

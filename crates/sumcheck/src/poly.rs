@@ -137,8 +137,9 @@ pub fn eq_table_prefix<F: Field>(tau: &[F], len: usize, c: F) -> Vec<F> {
 /// `eq(τ_hi, ·)` are doubled into a stack block of 512. That is one
 /// pass of one multiply per entry over a table that may not fit in cache,
 /// where doubling all the way makes `k` passes over it. A prefix of at
-/// most one chunk (`k ≤ 1`) is doubled alone. Every entry is the same
-/// field value either way.
+/// most 256 entries (`k ≤ 8`) is doubled alone: cut up, its chunks would
+/// hold 2 to 16 entries, one `scale` call each, and cost up to twice the
+/// doubling. Every entry is the same field value either way.
 ///
 /// # Panics
 ///
@@ -149,13 +150,13 @@ pub fn eq_table_prefix_into<F: Field>(tau: &[F], c: F, out: &mut [F]) {
         return;
     }
     let (vars, first) = eq_start(tau, len, c);
+    if len <= 256 {
+        return eq_double_from(vars, first, out);
+    }
     let high = (vars.len() / 2).min(CHUNKS.trailing_zeros() as usize);
     let (low, high) = vars.split_at(vars.len() - high);
-    let (head, rest) = out.split_at_mut(len.min(1 << low.len()));
+    let (head, rest) = out.split_at_mut(1 << low.len());
     eq_double_from(low, first, head);
-    if rest.is_empty() {
-        return;
-    }
     let mut weights = [F::ZERO; CHUNKS];
     let weights = &mut weights[..len.div_ceil(head.len())];
     eq_double_from(high, F::ONE, weights);
@@ -318,9 +319,10 @@ mod tests {
     #[test]
     fn eq_table_prefix_matches_the_per_entry_oracle() {
         // Every entry of the tensor build against `c · eq_eval(tau, b)`, on
-        // prefixes of one entry, of the full table's first chunk and one
-        // past it, of a length that is no power of two, and of the full
-        // table, over reused storage holding no zeros.
+        // prefixes of one entry, of `2^⌈n/2⌉` entries and one past it, of a
+        // length that is no power of two, of the full table, and of the
+        // largest prefix doubled alone (256 entries) and one past it, over
+        // reused storage holding no zeros.
         let mut rng = Prg::seed_from_u64(11);
         for n in 0..=13usize {
             let tau: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
@@ -334,7 +336,7 @@ mod tests {
                 .collect();
             let chunk = 1usize << n.div_ceil(2);
             let uneven = (full / 2 + full / 8).max(1) + 1;
-            for len in [1, chunk, chunk + 1, uneven, full] {
+            for len in [1, chunk, chunk + 1, uneven, full, 256, 257] {
                 if len > full {
                     continue;
                 }
