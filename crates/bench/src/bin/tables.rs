@@ -69,7 +69,8 @@
 //! `profile` is also explicit-only: after one warm-up prove it attributes
 //! the fastest of five instrumented single-thread proves at the scale's
 //! smallest system size to named pipeline phases, prints the markdown report,
-//! and writes `PROFILE.json` to the current directory. The per-kernel
+//! and writes `PROFILE.json` to the current directory, both from that one
+//! measurement. The per-kernel
 //! costs (Montgomery multiply, dot, SHA-256 block, NTT butterfly) are
 //! `benchmark/`'s `field.*` and `hash.*` rows.
 //!
@@ -437,8 +438,9 @@ fn run(raw: Vec<String>, out: &mut dyn Write) -> Result<(), ExitCode> {
     }
     // `profile` is explicit-only: it writes an artifact, like `bench-json`.
     if which.contains(&"profile") {
-        say!(out, "{}", experiments::profile(&scale));
-        write_artifact(out, "PROFILE.json", &experiments::profile_json(&scale))?;
+        let (report, json) = experiments::profile(&scale);
+        say!(out, "{report}");
+        write_artifact(out, "PROFILE.json", &json)?;
     }
     // `bench-json` is explicit-only: it writes an artifact, not a table.
     if which.contains(&"bench-json") {

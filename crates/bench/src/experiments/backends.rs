@@ -60,7 +60,6 @@ pub(super) fn mixed_study(
         OrionBackend::new(scale.backends_log as usize, pcs_params()),
     );
     service_study(
-        scale,
         plan,
         &sumcheck,
         &backend,
@@ -126,7 +125,7 @@ pub(super) struct BackendsStudy {
     points: Vec<BackendStudyPoint>,
     /// The committed mixed trace through one service instance; skipped
     /// when the study is filtered to a single backend.
-    mixed: Option<ServiceStudy<MixedTask>>,
+    pub(super) mixed: Option<ServiceStudy<MixedTask>>,
 }
 
 /// Runs one backend through the latency (batch 1) and throughput
@@ -366,7 +365,7 @@ pub(super) fn backends_section(scale: &Scale, study: &BackendsStudy) -> Object {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::super::tiny_scale;
     use super::*;
     use batchzk_metrics::ToJson;
@@ -376,7 +375,7 @@ mod tests {
     /// per test process: a study is most of a debug test's time, and the
     /// tests below share theirs. Each records into a registry of its own —
     /// `bench_json` threads its own.
-    fn study(threads: usize) -> &'static BackendsStudy {
+    pub(in super::super) fn study(threads: usize) -> &'static BackendsStudy {
         static STUDIES: [OnceLock<BackendsStudy>; 3] =
             [OnceLock::new(), OnceLock::new(), OnceLock::new()];
         STUDIES[threads.trailing_zeros() as usize].get_or_init(|| {

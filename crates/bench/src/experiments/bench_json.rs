@@ -13,7 +13,7 @@ use super::pool::{recovery_study, scaling_sweep, RECOVERY_DEVICES};
 use super::service::{reference_plan, service_section, sumcheck_study, SERVICE_DEVICES};
 use super::timeline::timeline_section;
 use super::{Circuit, MODULE_THREADS};
-use crate::scale::Scale;
+use crate::scale::{Scale, SCALING_BATCH};
 
 /// Renders one pipelined run's benchmark section (the value under its
 /// module's name), folding the run into `registry` as a side effect.
@@ -130,7 +130,7 @@ pub fn bench_json(scale: &Scale) -> String {
         });
     let scaling = Object::new()
         .field("log_n", scale.scaling_log)
-        .field("batch", scale.scaling_batch)
+        .field("batch", SCALING_BATCH)
         .field("runs", scaling_runs.collect::<Array>());
 
     // Recovery-overhead study: the same batch on a two-device pool under
@@ -147,7 +147,7 @@ pub fn bench_json(scale: &Scale) -> String {
     });
     let recovery = Object::new()
         .field("log_n", scale.scaling_log)
-        .field("batch", scale.scaling_batch)
+        .field("batch", SCALING_BATCH)
         .field("devices", RECOVERY_DEVICES)
         .field("fault_free_ms", study.fault_free_ms)
         .field("scenarios", scenarios.collect::<Array>());

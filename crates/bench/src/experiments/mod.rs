@@ -40,7 +40,7 @@ pub use backends::{backends, validate_trace_backends, MIXED_TRACE};
 pub use bench_json::bench_json;
 pub use modules::{fig4, fig9, table3, table4, table5, table6, trace};
 pub use pool::{faults, profile_by_name, scaling};
-pub use profile::{profile, profile_json, PhaseProfile, ProfileStudy};
+pub use profile::{profile, PhaseProfile, ProfileStudy};
 pub use service::{reference_plan, serve, REFERENCE_TRACE};
 pub use system::{ablation, table10, table11, table7, table8, table9};
 pub use timeline::{timeline, TimelineArtifacts};
@@ -118,9 +118,7 @@ fn tiny_scale() -> crate::scale::Scale {
         vgg_divisor: 64,
         vgg_batch: 2,
         scaling_log: 8,
-        scaling_batch: 48,
         service_log: 8,
-        service_probe_batch: 8,
         backends_log: 8,
         backends_batch: 3,
         tag: "test",

@@ -135,7 +135,7 @@ pub(super) static MODULES: [Module; 3] = [
             ModuleRun::new(run, root)
         },
         pipelined: |gpu, w, threads| {
-            let run = pmerkle::run_pipelined(gpu, tree_batch(w), threads, true).expect("fits");
+            let run = pmerkle::run_pipelined(gpu, tree_batch(w), threads).expect("fits");
             ModuleRun::new(run, root)
         },
     },
@@ -156,7 +156,7 @@ pub(super) static MODULES: [Module; 3] = [
             ModuleRun::new(run, rounds)
         },
         pipelined: |gpu, w, threads| {
-            let run = psum::run_pipelined(gpu, sumcheck_batch(w), threads, true).expect("fits");
+            let run = psum::run_pipelined(gpu, sumcheck_batch(w), threads).expect("fits");
             ModuleRun::new(run, rounds)
         },
     },
@@ -178,8 +178,7 @@ pub(super) static MODULES: [Module; 3] = [
         },
         pipelined: |gpu, w, threads| {
             let (encoder, messages) = (encoder_for(w.log), message_batch(w));
-            let run =
-                penc::run_pipelined(gpu, encoder, messages, threads, true, true).expect("fits");
+            let run = penc::run_pipelined(gpu, encoder, messages, threads, true).expect("fits");
             ModuleRun::new(run, codeword)
         },
     },

@@ -9,7 +9,7 @@ use batchzk_pipeline::{PipelineError, ShardPolicy};
 use batchzk_zkp::{prove_batch_pool_with, BackendPoolRun, SpartanBackend};
 
 use super::{Circuit, MODULE_THREADS};
-use crate::scale::Scale;
+use crate::scale::{Scale, SCALING_BATCH};
 
 /// Looks up a simulated device profile by its CLI name.
 pub fn profile_by_name(name: &str) -> Option<DeviceProfile> {
@@ -81,7 +81,7 @@ pub(super) fn scaling_sweep(
     device_counts
         .iter()
         .map(|&d| {
-            let p = scaling_point(profile, d, &circuit, scale.scaling_batch, baseline_ms);
+            let p = scaling_point(profile, d, &circuit, SCALING_BATCH, baseline_ms);
             baseline_ms.get_or_insert(p.makespan_ms);
             (d, p)
         })
@@ -96,7 +96,7 @@ pub fn scaling(scale: &Scale, device_counts: &[usize], profile: &DeviceProfile) 
         "## Scaling — {} proofs of S = 2^{} across a pool of {} devices\n\n\
          | Devices | Makespan (ms) | Throughput (proofs/ms) | Speedup | Scaling efficiency | Imbalance |\n\
          |---|---|---|---|---|---|\n",
-        scale.scaling_batch, scale.scaling_log, profile.name
+        SCALING_BATCH, scale.scaling_log, profile.name
     );
     let mut reports = String::new();
     for (d, p) in scaling_sweep(scale, device_counts, profile) {
@@ -154,7 +154,7 @@ pub(super) fn recovery_study(
         if let Some(p) = plan {
             pool.apply_fault_plan(p);
         }
-        prove_across(&mut pool, &circuit, scale.scaling_batch)
+        prove_across(&mut pool, &circuit, SCALING_BATCH)
     };
     let clean = run_pool(None).expect("fits");
     let outcome =
@@ -206,7 +206,7 @@ pub fn faults(scale: &Scale, extra: Option<&FaultPlan>) -> Result<String, String
          Fault-free makespan: {:.3} ms\n\n\
          | Scenario | Plan | Makespan (ms) | Overhead | Failed | Replayed | Rounds | Proofs identical |\n\
          |---|---|---|---|---|---|---|---|\n",
-        scale.scaling_batch, scale.scaling_log, RECOVERY_DEVICES, study.fault_free_ms
+        SCALING_BATCH, scale.scaling_log, RECOVERY_DEVICES, study.fault_free_ms
     );
     let mut reports = String::new();
     for o in &study.outcomes {
@@ -275,16 +275,10 @@ mod tests {
         let s = tiny_scale();
         let profile = DeviceProfile::a100();
         let circuit = Circuit::synthetic(s.scaling_log);
-        let one = scaling_point(&profile, 1, &circuit, s.scaling_batch, None);
+        let one = scaling_point(&profile, 1, &circuit, SCALING_BATCH, None);
         assert!((one.analysis.speedup - 1.0).abs() < 1e-9);
         for (d, floor) in [(2usize, 1.8f64), (4, 3.0)] {
-            let p = scaling_point(
-                &profile,
-                d,
-                &circuit,
-                s.scaling_batch,
-                Some(one.makespan_ms),
-            );
+            let p = scaling_point(&profile, d, &circuit, SCALING_BATCH, Some(one.makespan_ms));
             assert!(
                 p.analysis.speedup >= floor,
                 "{d} devices: speedup {:.3} < {floor}",

@@ -116,48 +116,46 @@ fn profile_study(scale: &Scale) -> ProfileStudy {
 /// Timed proves the profile keeps the fastest of, after its warm-up.
 const PROFILE_REPS: usize = 5;
 
-/// The `profile` experiment as a markdown report: the phase attribution
-/// of the single-thread prove.
-pub fn profile(scale: &Scale) -> String {
+/// The `profile` experiment: runs [`ProfileStudy`]'s measurement once and
+/// renders from it the markdown report (first element) and `PROFILE.json`
+/// (second element), so the two agree. Structure, names and sizes are
+/// byte-deterministic at a given scale; only the timing values vary.
+pub fn profile(scale: &Scale) -> (String, String) {
     let study = profile_study(scale);
-    let mut out = format!(
+    let share = |p: &PhaseProfile| p.ms / study.total_ms.max(1e-9);
+    let mut report = format!(
         "## Profile — phase attribution (single thread, size 2^{})\n\n\
          | Phase | ms | share |\n|---|---|---|\n",
         study.log_n
     );
     for p in &study.phases {
-        out.push_str(&format!(
+        report.push_str(&format!(
             "| {} | {:.3} | {:.1}% |\n",
             p.name,
             p.ms,
-            100.0 * p.ms / study.total_ms.max(1e-9)
+            100.0 * share(p)
         ));
     }
-    out.push_str(&format!(
+    report.push_str(&format!(
         "\nNamed phases cover {:.1}% of the {:.3} ms single-thread prove.\n",
         100.0 * study.coverage,
         study.total_ms
     ));
-    out
-}
-
-/// The `profile` experiment as a machine-readable JSON artifact
-/// (`PROFILE.json`). Structure, names and sizes are byte-deterministic at
-/// a given scale; only the timing values vary.
-pub fn profile_json(scale: &Scale) -> String {
-    let study = profile_study(scale);
     let phases = study.phases.iter().map(|p| {
         Object::new()
             .field("name", p.name)
             .field("ms", p.ms)
-            .field("share", p.ms / study.total_ms.max(1e-9))
+            .field("share", share(p))
     });
-    let profile = Object::new()
-        .field("log_n", study.log_n)
-        .field("phases", phases.collect::<Array>())
-        .field("total_ms", study.total_ms)
-        .field("coverage", study.coverage);
-    Object::new().field("profile", profile).to_json() + "\n"
+    let json = Object::new().field(
+        "profile",
+        Object::new()
+            .field("log_n", study.log_n)
+            .field("phases", phases.collect::<Array>())
+            .field("total_ms", study.total_ms)
+            .field("coverage", study.coverage),
+    );
+    (report, json.to_json() + "\n")
 }
 
 #[cfg(test)]
@@ -197,10 +195,9 @@ mod tests {
     #[test]
     fn profile_report_and_json_render() {
         let s = tiny_scale();
-        let md = profile(&s);
+        let (md, json) = profile(&s);
         assert!(md.contains("| encode |"), "{md}");
         assert!(md.contains("| matrix-bind |"), "{md}");
-        let json = profile_json(&s);
         for field in [
             "\"profile\":{",
             "\"log_n\":8",

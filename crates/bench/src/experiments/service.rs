@@ -10,11 +10,11 @@ use batchzk_metrics::json::{Array, Object};
 use batchzk_pipeline::analysis::analyze_service;
 use batchzk_pipeline::{ClassPolicy, ClassReport, PriorityClass, ServiceConfig, ServiceOutcome};
 use batchzk_zkp::batch::BatchTask;
-use batchzk_zkp::{prove_batch_with, prove_service_with, ProverBackend, BACKEND_NAMES};
+use batchzk_zkp::{prove_batch_with, prove_service_with, MixedTask, ProverBackend, BACKEND_NAMES};
 
 use super::backends::{completed_by_backend, mixed_study};
 use super::{Circuit, MODULE_THREADS};
-use crate::scale::Scale;
+use crate::scale::{Scale, SERVICE_PROBE_BATCH};
 
 /// The committed reference arrival trace (`traces/reference.trace`),
 /// embedded so `tables serve` and the BENCH.json `service` section replay
@@ -93,7 +93,6 @@ pub(super) struct ServiceStudy<T> {
 /// an arrival too far in the future to place on the device clock, or a
 /// service-side failure.
 pub(super) fn service_study<B: ProverBackend>(
-    scale: &Scale,
     plan: &ArrivalPlan,
     sumcheck: &Circuit,
     backend: &B,
@@ -120,7 +119,7 @@ pub(super) fn service_study<B: ProverBackend>(
     let probe = prove_batch_with(
         &mut gpu,
         &sumcheck.backend,
-        sumcheck.instances(scale.service_probe_batch),
+        sumcheck.instances(SERVICE_PROBE_BATCH),
         MODULE_THREADS,
         true,
     )
@@ -184,7 +183,6 @@ pub(super) fn sumcheck_study(
 ) -> Result<ServiceStudy<BatchTask<Fr>>, String> {
     let circuit = Circuit::synthetic(scale.service_log);
     service_study(
-        scale,
         plan,
         &circuit,
         &circuit.backend,
@@ -275,33 +273,7 @@ pub(super) fn classes_json(reports: &[ClassReport], detailed: bool) -> Array {
 /// service-side failure.
 pub fn serve(scale: &Scale, plan: &ArrivalPlan) -> Result<String, String> {
     if !plan.backends().is_empty() {
-        let study = mixed_study(scale, plan)?;
-        let mut out = format!(
-            "## Serve (mixed backends) — sumcheck 2^{} + groth16 2^{} + orion 2^{} on A100 pools of 1 and 4 ({} arrivals)\n\n\
-             Trace: `{}`\n\n\
-             Calibration: proof interval {} cycles, so 1 trace unit = {} device cycles.\n",
-            scale.service_log,
-            scale.backends_log,
-            scale.backends_log,
-            study.arrivals,
-            study.spec,
-            study.proof_interval_cycles,
-            study.unit_cycles,
-        );
-        for p in &study.points {
-            let split: Vec<String> = BACKEND_NAMES
-                .iter()
-                .zip(completed_by_backend(&p.outcome))
-                .map(|(name, count)| format!("{count} [{name}]"))
-                .collect();
-            out.push_str(&class_table(p));
-            out.push_str(&format!(
-                "\nCompleted by backend: {}; goodput {:.3} within-SLO proofs/Mcycle.\n",
-                split.join(", "),
-                p.outcome.goodput_per_mcycle(),
-            ));
-        }
-        return Ok(out);
+        return Ok(mixed_serve_report(scale, &mixed_study(scale, plan)?));
     }
     let study = sumcheck_study(scale, plan, &SERVICE_DEVICES, TraceLevel::default())?;
     let mut out = format!(
@@ -331,6 +303,37 @@ pub fn serve(scale: &Scale, plan: &ArrivalPlan) -> Result<String, String> {
     Ok(out)
 }
 
+/// The `tables serve` report of a mixed trace: per pool size the class
+/// table and the per-backend completion split.
+fn mixed_serve_report(scale: &Scale, study: &ServiceStudy<MixedTask>) -> String {
+    let mut out = format!(
+        "## Serve (mixed backends) — sumcheck 2^{} + groth16 2^{} + orion 2^{} on A100 pools of 1 and 4 ({} arrivals)\n\n\
+         Trace: `{}`\n\n\
+         Calibration: proof interval {} cycles, so 1 trace unit = {} device cycles.\n",
+        scale.service_log,
+        scale.backends_log,
+        scale.backends_log,
+        study.arrivals,
+        study.spec,
+        study.proof_interval_cycles,
+        study.unit_cycles,
+    );
+    for p in &study.points {
+        let split: Vec<String> = BACKEND_NAMES
+            .iter()
+            .zip(completed_by_backend(&p.outcome))
+            .map(|(name, count)| format!("{count} [{name}]"))
+            .collect();
+        out.push_str(&class_table(p));
+        out.push_str(&format!(
+            "\nCompleted by backend: {}; goodput {:.3} within-SLO proofs/Mcycle.\n",
+            split.join(", "),
+            p.outcome.goodput_per_mcycle(),
+        ));
+    }
+    out
+}
+
 /// Renders one sumcheck study as the BENCH.json `service` section
 /// (canonical JSON, byte-deterministic).
 pub(super) fn service_section(scale: &Scale, study: &ServiceStudy<BatchTask<Fr>>) -> Object {
@@ -355,7 +358,7 @@ pub(super) fn service_section(scale: &Scale, study: &ServiceStudy<BatchTask<Fr>>
 
 #[cfg(test)]
 mod tests {
-    use super::super::backends::mixed_plan;
+    use super::super::backends::tests as backends_tests;
     use super::super::tiny_scale;
     use super::*;
     use batchzk_metrics::ToJson;
@@ -491,8 +494,14 @@ mod tests {
 
     #[test]
     fn mixed_serve_report_renders_backend_split() {
+        // `serve(&s, &mixed_plan())` renders the mixed study that the
+        // backends tests already hold; render this one from it.
         let s = tiny_scale();
-        let report = serve(&s, &mixed_plan()).expect("committed mixed trace serves");
+        let mixed = backends_tests::study(1)
+            .mixed
+            .as_ref()
+            .expect("unfiltered study");
+        let report = mixed_serve_report(&s, mixed);
         for needle in [
             "mixed backends",
             "Completed by backend",

@@ -280,7 +280,6 @@ pub fn ablation(scale: &Scale) -> String {
         encoder_for(log),
         message_batch(workload),
         encoder_threads,
-        true,
         false,
     )
     .expect("fits")

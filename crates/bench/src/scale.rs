@@ -6,6 +6,21 @@
 //! (who wins, by what factor, where the crossovers fall). Pass `--paper`
 //! to run the full-size sweep.
 
+/// Batch size for the scaling sweep, at every scale. Must be large against
+/// the pipeline depth (4 stages): a batch of `m` takes `m + depth - 1`
+/// pipeline slots on one device but `m/d + depth - 1` on each of `d`, so
+/// small batches understate the pool's steady-state speedup.
+pub(crate) const SCALING_BATCH: usize = 48;
+
+/// Probe batch for the service-time calibration, at every scale: the
+/// replay first proves this many instances in batch mode to measure the
+/// steady-state per-proof interval that defines the trace time unit. It
+/// must clear the same 4-stage depth so that interval reflects the steady
+/// state.
+pub(crate) const SERVICE_PROBE_BATCH: usize = 8;
+
+const _: () = assert!(SCALING_BATCH >= 8 * 4 && SERVICE_PROBE_BATCH >= 2 * 4);
+
 /// Workload sizes for one harness run.
 #[derive(Debug, Clone)]
 pub struct Scale {
@@ -25,21 +40,12 @@ pub struct Scale {
     /// the system sizes: the sweep repeats the whole batch at every device
     /// count, and the scaling shape is size-independent.
     pub scaling_log: u32,
-    /// Batch size for the scaling sweep. Must be large against the
-    /// pipeline depth (4 stages): a batch of `m` takes `m + depth - 1`
-    /// pipeline slots on one device but `m/d + depth - 1` on each of `d`,
-    /// so small batches understate the pool's steady-state speedup.
-    pub scaling_batch: usize,
     /// log2 circuit size for the online-service replay (`tables serve` and
     /// the BENCH.json `service` section). Kept small like `scaling_log`:
     /// the replay proves every admitted arrival of the trace at two pool
     /// sizes, and the admission/SLO shape is size-independent because
     /// trace time is calibrated to the measured proof interval.
     pub service_log: u32,
-    /// Probe batch for the service-time calibration: the replay first
-    /// proves this many instances in batch mode to measure the
-    /// steady-state per-proof interval that defines the trace time unit.
-    pub service_probe_batch: usize,
     /// log2 circuit size for the backend comparison (`tables backends` and
     /// the BENCH.json `backends` section). Both backends run at this size;
     /// kept modest because the Groth16-style prover performs real Pippenger
@@ -64,9 +70,7 @@ impl Scale {
             vgg_divisor: 32,
             vgg_batch: 4,
             scaling_log: 10,
-            scaling_batch: 48,
             service_log: 10,
-            service_probe_batch: 8,
             backends_log: 10,
             backends_batch: 6,
             tag: "quick (sizes /16 of paper)",
@@ -83,9 +87,7 @@ impl Scale {
             vgg_divisor: 1,
             vgg_batch: 4,
             scaling_log: 18,
-            scaling_batch: 48,
             service_log: 18,
-            service_probe_batch: 8,
             backends_log: 12,
             backends_batch: 12,
             tag: "paper scale",
@@ -102,9 +104,7 @@ impl Scale {
             vgg_divisor: 16,
             vgg_batch: 4,
             scaling_log: 12,
-            scaling_batch: 48,
             service_log: 12,
-            service_probe_batch: 8,
             backends_log: 11,
             backends_batch: 8,
             tag: "medium (sizes /16..64 of paper)",
@@ -122,12 +122,6 @@ mod tests {
             assert!(s.module_logs.windows(2).all(|w| w[0] > w[1]));
             assert!(s.system_logs.windows(2).all(|w| w[0] > w[1]));
             assert!(s.module_batch >= 2 && s.system_batch >= 2);
-            // The scaling sweep needs a batch large against the 4-stage
-            // pipeline depth to expose steady-state speedup.
-            assert!(s.scaling_batch >= 8 * 4);
-            // The service calibration probe must clear the same depth so
-            // its per-proof interval reflects the steady state.
-            assert!(s.service_probe_batch >= 2 * 4);
             assert!(s.service_log >= 8);
             // The backend comparison needs a throughput batch past the
             // 4-stage depth and a size that exercises real MSM windows.

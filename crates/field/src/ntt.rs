@@ -87,79 +87,6 @@ impl<F: Field> NttDomain<F> {
         (self.size() as u64 / 2) * self.log_size as u64
     }
 
-    /// In-place forward NTT through the `batchzk-par` butterfly path:
-    /// within each of the `log n` levels every butterfly is independent,
-    /// so the level's butterfly pairs are dealt to worker threads with
-    /// [`batchzk_par::par_map_mut`]. Field arithmetic is exact and no
-    /// cross-butterfly reduction exists, so the output is byte-identical
-    /// to [`forward`](Self::forward) at any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() != self.size()`.
-    pub fn forward_par(&self, values: &mut [F])
-    where
-        F: Send + Sync,
-    {
-        self.transform_par(values, &self.twiddles);
-    }
-
-    /// In-place inverse NTT through the parallel butterfly path —
-    /// byte-identical to [`inverse`](Self::inverse) at any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() != self.size()`.
-    pub fn inverse_par(&self, values: &mut [F])
-    where
-        F: Send + Sync,
-    {
-        self.transform_par(values, &self.inv_twiddles);
-        for v in values.iter_mut() {
-            *v *= self.size_inv;
-        }
-    }
-
-    fn transform_par(&self, values: &mut [F], twiddles: &[F])
-    where
-        F: Send + Sync,
-    {
-        let n = values.len();
-        assert_eq!(n, self.size(), "input length must equal the domain size");
-        if n <= 1 {
-            return;
-        }
-        bit_reverse_permute(values);
-        let threads = batchzk_par::current_threads().max(1);
-        let mut half = 1usize;
-        while half < n {
-            let step = n / (2 * half);
-            // Each block's lo/hi halves are chunked so the late levels
-            // (few, wide blocks) still spread across workers. Chunking
-            // only partitions disjoint writes — it never changes the
-            // arithmetic, so any (threads, sub) choice gives identical
-            // bytes.
-            let sub = half.div_ceil(threads).max(1);
-            let mut items: Vec<(usize, &mut [F], &mut [F])> = Vec::new();
-            for block in values.chunks_mut(2 * half) {
-                let (lo, hi) = block.split_at_mut(half);
-                for (ci, (lc, hc)) in lo.chunks_mut(sub).zip(hi.chunks_mut(sub)).enumerate() {
-                    items.push((ci * sub, lc, hc));
-                }
-            }
-            batchzk_par::par_map_mut(&mut items, |_, (k0, lo, hi)| {
-                for j in 0..lo.len() {
-                    let w = twiddles[(*k0 + j) * step];
-                    let l = lo[j];
-                    let h = hi[j] * w;
-                    lo[j] = l + h;
-                    hi[j] = l - h;
-                }
-            });
-            half *= 2;
-        }
-    }
-
     fn transform(&self, values: &mut [F], twiddles: &[F]) {
         let n = values.len();
         assert_eq!(n, self.size(), "input length must equal the domain size");
@@ -245,42 +172,6 @@ mod tests {
             domain.forward(&mut v);
             domain.inverse(&mut v);
             assert_eq!(v, coeffs, "log={log}");
-        }
-    }
-
-    #[test]
-    fn par_forward_inverse_roundtrip() {
-        let mut rng = SplitMix64::seed_from_u64(23);
-        for log in [0u32, 1, 4, 8] {
-            let domain = NttDomain::<Fr>::new(log);
-            let coeffs: Vec<Fr> = (0..domain.size()).map(|_| Fr::random(&mut rng)).collect();
-            let mut v = coeffs.clone();
-            domain.forward_par(&mut v);
-            domain.inverse_par(&mut v);
-            assert_eq!(v, coeffs, "log={log}");
-        }
-    }
-
-    #[test]
-    fn par_butterfly_path_is_byte_identical_at_1_2_4_threads() {
-        let mut rng = SplitMix64::seed_from_u64(24);
-        for log in [0u32, 3, 6, 9] {
-            let domain = NttDomain::<Fr>::new(log);
-            let coeffs: Vec<Fr> = (0..domain.size()).map(|_| Fr::random(&mut rng)).collect();
-            let mut serial_fwd = coeffs.clone();
-            domain.forward(&mut serial_fwd);
-            let mut serial_inv = coeffs.clone();
-            domain.inverse(&mut serial_inv);
-            for threads in [1usize, 2, 4] {
-                batchzk_par::with_threads(threads, || {
-                    let mut fwd = coeffs.clone();
-                    domain.forward_par(&mut fwd);
-                    assert_eq!(fwd, serial_fwd, "forward log={log} threads={threads}");
-                    let mut inv = coeffs.clone();
-                    domain.inverse_par(&mut inv);
-                    assert_eq!(inv, serial_inv, "inverse log={log} threads={threads}");
-                });
-            }
         }
     }
 

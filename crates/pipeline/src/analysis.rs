@@ -699,7 +699,7 @@ mod tests {
         let trees: Vec<Vec<[u8; 64]>> = (0..4u8).map(|t| vec![[t; 64]; 16]).collect();
         for level in [TraceLevel::Full, TraceLevel::Stats] {
             let mut gpu = Gpu::with_trace_level(DeviceProfile::v100(), level);
-            let run = crate::merkle::run_pipelined(&mut gpu, trees.clone(), 512, true);
+            let run = crate::merkle::run_pipelined(&mut gpu, trees.clone(), 512);
             let stats = run.expect("fits").stats;
             let a = analyze(&gpu, &stats, 512);
             let advised: Vec<(&str, u32)> = a

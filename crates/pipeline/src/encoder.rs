@@ -262,12 +262,11 @@ pub fn run_pipelined<F: Field>(
     encoder: Arc<Encoder<F>>,
     messages: Vec<Vec<F>>,
     module_threads: u32,
-    multi_stream: bool,
     warp_sorted: bool,
 ) -> Result<EncodeRun<F>, PipelineError> {
     let stages = build_stages(gpu, &encoder, &messages, module_threads, warp_sorted);
     let tasks: Vec<EncodeTask<F>> = messages.into_iter().map(EncodeTask::new).collect();
-    Pipeline::new(gpu, stages, multi_stream).run(tasks)
+    Pipeline::new(gpu, stages, true).run(tasks)
 }
 
 /// Runs the same stages kernel-per-task ("Ours-np", Figure 4a):
@@ -321,8 +320,7 @@ mod tests {
         let enc = Arc::new(Encoder::<Fr>::new(200, EncoderParams::default(), 5));
         let msgs = messages(4, 200, 1);
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let run =
-            run_pipelined(&mut gpu, Arc::clone(&enc), msgs.clone(), 512, true, true).expect("fits");
+        let run = run_pipelined(&mut gpu, Arc::clone(&enc), msgs.clone(), 512, true).expect("fits");
         for (task, msg) in run.outputs.iter().zip(&msgs) {
             assert_eq!(task.codeword(), &enc.encode(msg)[..]);
         }
@@ -333,12 +331,12 @@ mod tests {
         let enc = Arc::new(Encoder::<Fr>::new(400, EncoderParams::default(), 6));
         let msgs = messages(8, 400, 2);
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let sorted = run_pipelined(&mut gpu, Arc::clone(&enc), msgs.clone(), 512, true, true)
+        let sorted = run_pipelined(&mut gpu, Arc::clone(&enc), msgs.clone(), 512, true)
             .expect("fits")
             .stats
             .total_cycles;
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let unsorted = run_pipelined(&mut gpu, enc, msgs, 512, true, false)
+        let unsorted = run_pipelined(&mut gpu, enc, msgs, 512, false)
             .expect("fits")
             .stats
             .total_cycles;
@@ -351,7 +349,7 @@ mod tests {
         assert!(enc.levels().is_empty(), "fixture must be the identity code");
         let msgs = messages(3, 16, 3);
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let piped = run_pipelined(&mut gpu, Arc::clone(&enc), msgs.clone(), 64, true, true);
+        let piped = run_pipelined(&mut gpu, Arc::clone(&enc), msgs.clone(), 64, true);
         let mut gpu = Gpu::new(DeviceProfile::v100());
         let naive = run_naive(&mut gpu, enc, msgs.clone(), 64, 2);
         for run in [piped.expect("fits"), naive] {
@@ -366,7 +364,7 @@ mod tests {
     fn device_memory_released_after_run() {
         let enc = Arc::new(Encoder::<Fr>::new(128, EncoderParams::default(), 8));
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let _ = run_pipelined(&mut gpu, enc, messages(5, 128, 4), 256, true, true);
+        let _ = run_pipelined(&mut gpu, enc, messages(5, 128, 4), 256, true);
         assert_eq!(gpu.memory_ref().in_use(), 0);
     }
 
@@ -374,18 +372,11 @@ mod tests {
     fn throughput_grows_with_batch() {
         let enc = Arc::new(Encoder::<Fr>::new(128, EncoderParams::default(), 9));
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let one = run_pipelined(
-            &mut gpu,
-            Arc::clone(&enc),
-            messages(1, 128, 5),
-            512,
-            true,
-            true,
-        )
-        .expect("fits")
-        .stats;
+        let one = run_pipelined(&mut gpu, Arc::clone(&enc), messages(1, 128, 5), 512, true)
+            .expect("fits")
+            .stats;
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let many = run_pipelined(&mut gpu, enc, messages(24, 128, 6), 512, true, true)
+        let many = run_pipelined(&mut gpu, enc, messages(24, 128, 6), 512, true)
             .expect("fits")
             .stats;
         assert!(many.throughput_per_ms > 1.5 * one.throughput_per_ms);
@@ -396,6 +387,6 @@ mod tests {
     fn wrong_message_length_rejected() {
         let enc = Arc::new(Encoder::<Fr>::new(100, EncoderParams::default(), 10));
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let _ = run_pipelined(&mut gpu, enc, messages(1, 99, 7), 64, true, true);
+        let _ = run_pipelined(&mut gpu, enc, messages(1, 99, 7), 64, true);
     }
 }

@@ -137,9 +137,8 @@ mod randomized_tests {
             let root = |task: &pmerkle::MerkleTask| task.root();
             let naive = |gpu: &mut Gpu| pmerkle::run_naive(gpu, trees.clone(), threads, concurrent);
             check_schedule(&roots, bytes, naive, root);
-            let piped = |gpu: &mut Gpu| {
-                pmerkle::run_pipelined(gpu, trees.clone(), threads, true).expect("fits")
-            };
+            let piped =
+                |gpu: &mut Gpu| pmerkle::run_pipelined(gpu, trees.clone(), threads).expect("fits");
             check_schedule(&roots, bytes, piped, root);
         }
     }
@@ -171,8 +170,7 @@ mod randomized_tests {
             let pairs = |task: &psum::SumcheckTask<Fr>| task.proof().to_vec();
             let naive = |gpu: &mut Gpu| psum::run_naive(gpu, tasks(), threads, concurrent);
             check_schedule(&proofs, bytes, naive, pairs);
-            let piped =
-                |gpu: &mut Gpu| psum::run_pipelined(gpu, tasks(), threads, true).expect("fits");
+            let piped = |gpu: &mut Gpu| psum::run_pipelined(gpu, tasks(), threads).expect("fits");
             check_schedule(&proofs, bytes, piped, pairs);
         }
     }
@@ -203,7 +201,7 @@ mod randomized_tests {
             check_schedule(&codes, bytes, naive, codeword);
             let piped = |gpu: &mut Gpu| {
                 let enc = Arc::clone(&enc);
-                penc::run_pipelined(gpu, enc, msgs.clone(), threads, true, true).expect("fits")
+                penc::run_pipelined(gpu, enc, msgs.clone(), threads, true).expect("fits")
             };
             check_schedule(&codes, bytes, piped, codeword);
         }

@@ -184,11 +184,10 @@ pub fn run_pipelined(
     gpu: &mut Gpu,
     trees: Vec<Vec<[u8; 64]>>,
     module_threads: u32,
-    multi_stream: bool,
 ) -> Result<MerkleRun, PipelineError> {
     let stages = build_stages(gpu, &trees, module_threads);
     let tasks: Vec<MerkleTask> = trees.into_iter().map(MerkleTask::new).collect();
-    Pipeline::new(gpu, stages, multi_stream).run(tasks)
+    Pipeline::new(gpu, stages, true).run(tasks)
 }
 
 /// Runs the same stages kernel-per-task (the Simon model, Figure 4a):
@@ -244,7 +243,7 @@ mod tests {
     fn roots_match_cpu_reference() {
         let batch = trees(5, 16);
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let run = run_pipelined(&mut gpu, batch.clone(), 768, true).expect("fits");
+        let run = run_pipelined(&mut gpu, batch.clone(), 768).expect("fits");
         assert_eq!(run.outputs.len(), 5);
         for (task, blocks) in run.outputs.iter().zip(&batch) {
             assert_eq!(task.root(), MerkleTree::from_blocks(blocks).root());
@@ -258,12 +257,12 @@ mod tests {
         // the peak is taken in the fully-occupied steady state.
         let n = 64usize;
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let small = run_pipelined(&mut gpu, trees(16, n), 256, true)
+        let small = run_pipelined(&mut gpu, trees(16, n), 256)
             .expect("fits")
             .stats
             .peak_mem_bytes;
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let large = run_pipelined(&mut gpu, trees(48, n), 256, true)
+        let large = run_pipelined(&mut gpu, trees(48, n), 256)
             .expect("fits")
             .stats
             .peak_mem_bytes;
@@ -278,12 +277,12 @@ mod tests {
     fn steady_state_utilization_beats_short_batch() {
         let n = 64usize;
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let short = run_pipelined(&mut gpu, trees(2, n), 512, true)
+        let short = run_pipelined(&mut gpu, trees(2, n), 512)
             .expect("fits")
             .stats
             .mean_utilization;
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let long = run_pipelined(&mut gpu, trees(64, n), 512, true)
+        let long = run_pipelined(&mut gpu, trees(64, n), 512)
             .expect("fits")
             .stats
             .mean_utilization;
@@ -297,11 +296,11 @@ mod tests {
     fn throughput_improves_with_batch_size() {
         let n = 32usize;
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let one = run_pipelined(&mut gpu, trees(1, n), 512, true)
+        let one = run_pipelined(&mut gpu, trees(1, n), 512)
             .expect("fits")
             .stats;
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let many = run_pipelined(&mut gpu, trees(40, n), 512, true)
+        let many = run_pipelined(&mut gpu, trees(40, n), 512)
             .expect("fits")
             .stats;
         assert!(many.throughput_per_ms > 2.0 * one.throughput_per_ms);
@@ -315,7 +314,7 @@ mod tests {
         // exactly — which in turn decomposes into busy + stall cycles by the
         // engine's own conservation law.
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let run = run_pipelined(&mut gpu, trees(12, 64), 1024, true).expect("fits");
+        let run = run_pipelined(&mut gpu, trees(12, 64), 1024).expect("fits");
         assert_eq!(run.stats.lifecycles.len(), 12);
         for s in &run.stats.stage_stats {
             let spans = run.stats.lifecycles.iter().flat_map(|span| &span.stages);
@@ -372,7 +371,7 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_rejected() {
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let _ = run_pipelined(&mut gpu, trees(1, 12), 64, true);
+        let _ = run_pipelined(&mut gpu, trees(1, 12), 64);
     }
 
     #[test]
@@ -381,6 +380,6 @@ mod tests {
         let mut gpu = Gpu::new(DeviceProfile::v100());
         let mut batch = trees(2, 16);
         batch[1].truncate(8);
-        let _ = run_pipelined(&mut gpu, batch, 64, true);
+        let _ = run_pipelined(&mut gpu, batch, 64);
     }
 }

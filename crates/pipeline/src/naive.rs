@@ -192,7 +192,7 @@ mod tests {
         let mut gpu = Gpu::new(DeviceProfile::v100());
         let naive = merkle::run_naive(&mut gpu, batch.clone(), 1024, 8).stats;
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let piped = merkle::run_pipelined(&mut gpu, batch, 1024, true)
+        let piped = merkle::run_pipelined(&mut gpu, batch, 1024)
             .expect("fits")
             .stats;
         assert!(
@@ -216,7 +216,7 @@ mod tests {
         let mut gpu = Gpu::new(DeviceProfile::v100());
         let naive = merkle::run_naive(&mut gpu, batch.clone(), 256, 1).stats;
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let piped = merkle::run_pipelined(&mut gpu, batch, 256, true)
+        let piped = merkle::run_pipelined(&mut gpu, batch, 256)
             .expect("fits")
             .stats;
         assert!(
@@ -270,7 +270,7 @@ mod tests {
         let mut gpu = Gpu::new(DeviceProfile::v100());
         let naive = merkle::run_naive(&mut gpu, batch.clone(), 2048, 4).stats;
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let piped = merkle::run_pipelined(&mut gpu, batch, 2048, true)
+        let piped = merkle::run_pipelined(&mut gpu, batch, 2048)
             .expect("fits")
             .stats;
         assert!(

@@ -531,7 +531,7 @@ mod tests {
     #[test]
     fn record_run_populates_all_metric_families() {
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let run = merkle::run_pipelined(&mut gpu, trees(6, 16), 512, true).expect("fits");
+        let run = merkle::run_pipelined(&mut gpu, trees(6, 16), 512).expect("fits");
         let mut reg = Registry::new();
         record_run(&mut reg, "merkle", &run.stats);
         let m = [("module", "merkle")];
@@ -573,7 +573,7 @@ mod tests {
         };
         let mut gpu = Gpu::new(small);
         let mut reg = Registry::new();
-        let err = merkle::run_pipelined(&mut gpu, trees(4, 8), 256, true)
+        let err = merkle::run_pipelined(&mut gpu, trees(4, 8), 256)
             .expect_err("must exceed 100 bytes of device memory");
         record_pool(&mut reg, "merkle", Err(&err));
         let PipelineError::OutOfDeviceMemory { stage, .. } = &err else {
@@ -594,7 +594,7 @@ mod tests {
         let mut pool = DevicePool::homogeneous(DeviceProfile::v100(), 2);
         let shard = |pool: &mut DevicePool, d, count| {
             let gpu = &mut pool.devices_mut()[d];
-            merkle::run_pipelined(gpu, trees(count, 16), 512, true).expect("fits")
+            merkle::run_pipelined(gpu, trees(count, 16), 512).expect("fits")
         };
         let stats = [shard(&mut pool, 0, 4).stats, shard(&mut pool, 1, 2).stats];
         let ms = [pool.device(0).elapsed_ms(), pool.device(1).elapsed_ms()];
@@ -639,8 +639,7 @@ mod tests {
     #[test]
     fn one_device_pool_records_the_module_series_of_record_run() {
         let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 1);
-        let sharded =
-            run_sharded(&mut pool, (0..6).collect(), |_| 64, or_stages, true).expect("fits");
+        let sharded = run_sharded(&mut pool, (0..6).collect(), 64, or_stages, true).expect("fits");
         let mut single = Registry::new();
         record_run(&mut single, "or", &sharded.device_stats[0]);
         let mut pooled = Registry::new();
@@ -837,7 +836,7 @@ mod tests {
     #[test]
     fn backend_label_is_additive_over_unlabelled_families() {
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let run = merkle::run_pipelined(&mut gpu, trees(6, 16), 512, true).expect("fits");
+        let run = merkle::run_pipelined(&mut gpu, trees(6, 16), 512).expect("fits");
 
         // The backend-aware entry point records the plain module families
         // byte-for-byte...
@@ -970,14 +969,14 @@ mod tests {
         use batchzk_gpu_sim::FaultPlan;
         let mut reg = Registry::new();
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let run = merkle::run_pipelined(&mut gpu, trees(6, 16), 512, true).expect("fits");
+        let run = merkle::run_pipelined(&mut gpu, trees(6, 16), 512).expect("fits");
         record_run(&mut reg, "merkle", &run.stats);
         record_run_with_backend(&mut reg, "backends-merkle", "sumcheck", &run.stats);
 
         let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 2);
         let faults = FaultPlan::new().fail_stop(1, 1).drop_kernel(0, 0, 2);
         pool.apply_fault_plan(&faults.degraded_clock(0, 0, 200));
-        let sharded = run_sharded(&mut pool, (0..16).collect(), |_| 64, or_stages, true)
+        let sharded = run_sharded(&mut pool, (0..16).collect(), 64, or_stages, true)
             .expect("device 0 survives");
         let recovery = sharded.recovery.as_ref().expect("both faults fired");
         assert_eq!(

@@ -70,7 +70,7 @@
 //! let run = run_sharded(
 //!     &mut pool,
 //!     (0..8u64).collect(),
-//!     |_| 0,
+//!     0,
 //!     |_gpu: &Gpu| vec![Box::new(Double) as BoxedStage<u64>],
 //!     true,
 //! )
@@ -112,22 +112,28 @@ struct ShardPlan {
     max_in_flight: Vec<usize>,
 }
 
-/// Places `footprints.len()` tasks on the pool's healthy devices.
+/// Places `tasks` tasks of one `footprint` each on the pool's healthy
+/// devices.
 ///
-/// `footprints[p]` is the estimated peak device-memory footprint of the
-/// task at position `p` in bytes (0 when unknown: the task then fits
-/// everywhere and caps stay at the depth). Each task, in order, goes to the
-/// healthy device it fits on — one footprint plus the transient
-/// alloc-before-free overlap — with the smallest outstanding work (its
-/// footprint, at least 1) over [`device_weight`]; ties break to the lowest
-/// index. A task that fits no device goes to the biggest healthy one, so
-/// the executor surfaces the precise OOM diagnostics. Each device's cap is
-/// `min(depth, capacity / worst − 1)`, at least 1: each resident task holds
-/// up to one footprint, and a stage transition briefly holds the old and
-/// new allocation of one task at once.
+/// `footprint` is the estimated peak device-memory footprint of a task in
+/// bytes (0 when unknown: tasks then fit everywhere and caps stay at the
+/// depth). Each task, in order, goes to the healthy device it fits on —
+/// one footprint plus the transient alloc-before-free overlap — with the
+/// smallest outstanding work (its footprint, at least 1) over
+/// [`device_weight`]; ties break to the lowest index. When the footprint
+/// fits no device every task goes to the biggest healthy one, so the
+/// executor surfaces the precise OOM diagnostics. Each device given work
+/// is capped at `min(depth, capacity / footprint − 1)`, at least 1: each
+/// resident task holds up to one footprint, and a stage transition briefly
+/// holds the old and new allocation of one task at once.
 ///
 /// Returns `None` when there is a task to place and no healthy device.
-fn plan_shards(pool: &DevicePool, footprints: &[u64], pipeline_depth: usize) -> Option<ShardPlan> {
+fn plan_shards(
+    pool: &DevicePool,
+    tasks: usize,
+    footprint: u64,
+    pipeline_depth: usize,
+) -> Option<ShardPlan> {
     let n = pool.len();
     let depth = pipeline_depth.max(1);
     let healthy: Vec<bool> = (0..n).map(|d| !pool.device(d).is_failed()).collect();
@@ -137,33 +143,28 @@ fn plan_shards(pool: &DevicePool, footprints: &[u64], pipeline_depth: usize) -> 
     let weights: Vec<f64> = (0..n).map(|d| device_weight(pool, d)).collect();
     let mut assignments: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut outstanding = vec![0.0f64; n];
-    let mut unplaced = Vec::new();
-    for (p, &fp) in footprints.iter().enumerate() {
-        let work = fp.max(1) as f64;
+    let work = footprint.max(1) as f64;
+    for p in 0..tasks {
         let load = |d: usize| (outstanding[d] + work) / weights[d];
         let best = (0..n)
-            .filter(|&d| healthy[d] && fp.saturating_mul(2) <= capacities[d])
+            .filter(|&d| healthy[d] && footprint.saturating_mul(2) <= capacities[d])
             .reduce(|b, d| if load(d) < load(b) { d } else { b });
-        match best {
-            Some(d) => {
-                outstanding[d] += work;
-                assignments[d].push(p);
-            }
-            None => unplaced.push(p),
-        }
-    }
-    if !unplaced.is_empty() {
-        let biggest = (0..n)
-            .filter(|&d| healthy[d])
-            .max_by_key(|&d| capacities[d])?;
-        assignments[biggest].extend(unplaced);
-        assignments[biggest].sort_unstable();
+        let Some(d) = best else {
+            // Fitting no device now, the footprint never will.
+            let biggest = (0..n)
+                .filter(|&d| healthy[d])
+                .max_by_key(|&d| capacities[d])?;
+            assignments[biggest].extend(p..tasks);
+            break;
+        };
+        outstanding[d] += work;
+        assignments[d].push(p);
     }
     let max_in_flight = assignments
         .iter()
         .zip(&capacities)
         .map(|(placed, &capacity)| {
-            let worst = placed.iter().map(|&p| footprints[p]).max().unwrap_or(0);
+            let worst = if placed.is_empty() { 0 } else { footprint };
             capacity.checked_div(worst).map_or(depth, |fit| {
                 (fit.saturating_sub(1).max(1) as usize).min(depth)
             })
@@ -336,8 +337,9 @@ fn merge_stats(into: &mut Option<RunStats>, add: RunStats) {
 /// Places `tasks` over the pool and runs every shard to completion, one
 /// [`PipelineExecutor`] per device.
 ///
-/// `footprint` estimates a task's peak device-memory footprint in bytes
-/// (placement and the admission caps size from it; return 0 if unknown).
+/// `footprint` estimates each task's peak device-memory footprint in
+/// bytes (a run holds tasks of one kind; placement and the admission caps
+/// size from it; 0 if unknown).
 /// `stages` builds a fresh stage vector for a device — stages may depend
 /// on the device's cost model, so the factory receives the device (it must
 /// be `Sync`: device workers build their stage sets concurrently).
@@ -373,12 +375,11 @@ fn merge_stats(into: &mut Option<RunStats>, add: RunStats) {
 pub fn run_sharded<T: Send>(
     pool: &mut DevicePool,
     tasks: Vec<T>,
-    footprint: impl Fn(&T) -> u64,
+    footprint: u64,
     stages: impl Fn(&Gpu) -> Vec<BoxedStage<T>> + Sync,
     multi_stream: bool,
 ) -> Result<ShardedRun<T>, PipelineError> {
     let n = pool.len();
-    let footprints: Vec<u64> = tasks.iter().map(&footprint).collect();
     let depth = stages(pool.device(0)).len();
     let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(tasks.len()).collect();
     let mut device_stats: Vec<Option<RunStats>> = (0..n).map(|_| None).collect();
@@ -391,8 +392,7 @@ pub fn run_sharded<T: Send>(
     let mut pending: Vec<(usize, T)> = tasks.into_iter().enumerate().collect();
 
     loop {
-        let pending_fp: Vec<u64> = pending.iter().map(|&(i, _)| footprints[i]).collect();
-        let Some(plan) = plan_shards(pool, &pending_fp, depth) else {
+        let Some(plan) = plan_shards(pool, pending.len(), footprint, depth) else {
             return Err(no_survivor(pool, recovery.as_ref()));
         };
         let mut owner = vec![0usize; pending.len()];
@@ -602,8 +602,8 @@ mod tests {
         }
     }
 
-    fn plan(pool: &DevicePool, footprints: &[u64], depth: usize) -> ShardPlan {
-        plan_shards(pool, footprints, depth).expect("a healthy device")
+    fn plan(pool: &DevicePool, tasks: usize, footprint: u64, depth: usize) -> ShardPlan {
+        plan_shards(pool, tasks, footprint, depth).expect("a healthy device")
     }
 
     /// On a fresh pool of identical devices with equal footprints the one
@@ -611,7 +611,7 @@ mod tests {
     #[test]
     fn round_robin_interleaves() {
         let pool = DevicePool::homogeneous(DeviceProfile::a100(), 3);
-        let plan = plan(&pool, &[64; 7], 4);
+        let plan = plan(&pool, 7, 64, 4);
         assert_eq!(plan.assignments[0], vec![0, 3, 6]);
         assert_eq!(plan.assignments[1], vec![1, 4]);
         assert_eq!(plan.assignments[2], vec![2, 5]);
@@ -624,7 +624,7 @@ mod tests {
         // than half of a uniform batch.
         let profiles = [DeviceProfile::v100(), DeviceProfile::h100()];
         let pool = DevicePool::new(profiles.map(Gpu::new).into());
-        let plan = plan(&pool, &[64; 12], 4);
+        let plan = plan(&pool, 12, 64, 4);
         assert!(
             plan.assignments[1].len() > plan.assignments[0].len(),
             "h100 shard {} <= v100 shard {}",
@@ -643,7 +643,7 @@ mod tests {
         };
         let pool = DevicePool::homogeneous(small, 2);
         // Footprint 100: capacity/footprint - 1 = 2 resident tasks max.
-        let plan = plan(&pool, &[100; 8], 4);
+        let plan = plan(&pool, 8, 100, 4);
         assert_eq!(plan.max_in_flight, vec![2, 2]);
         let total: usize = plan.assignments.iter().map(Vec::len).sum();
         assert_eq!(total, 8);
@@ -653,7 +653,7 @@ mod tests {
     fn sharded_outputs_preserve_input_order() {
         let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 4);
         let tasks: Vec<u64> = (0..13).map(|i| i * 1000).collect();
-        let run = run_sharded(&mut pool, tasks.clone(), |_| 64, factory(64), true).expect("fits");
+        let run = run_sharded(&mut pool, tasks.clone(), 64, factory(64), true).expect("fits");
         let expect: Vec<u64> = tasks.iter().map(|t| t + 111).collect();
         assert_eq!(run.outputs, expect);
         assert_eq!(run.outputs.len(), 13);
@@ -672,8 +672,8 @@ mod tests {
             ..DeviceProfile::a100()
         };
         let mut pool = DevicePool::homogeneous(tiny, 2);
-        assert_eq!(plan(&pool, &[120; 6], 3).max_in_flight, vec![1, 1]);
-        let run = run_sharded(&mut pool, (0..6u64).collect(), |_| 120, factory(120), true)
+        assert_eq!(plan(&pool, 6, 120, 3).max_in_flight, vec![1, 1]);
+        let run = run_sharded(&mut pool, (0..6u64).collect(), 120, factory(120), true)
             .expect("admission cap keeps residency within memory");
         assert_eq!(run.outputs, (0..6).map(|t| t + 111).collect::<Vec<_>>());
     }
@@ -685,7 +685,7 @@ mod tests {
             ..DeviceProfile::a100()
         };
         let mut pool = DevicePool::homogeneous(tiny, 2);
-        let err = run_sharded(&mut pool, vec![1u64], |_| 400, factory(400), true)
+        let err = run_sharded(&mut pool, vec![1u64], 400, factory(400), true)
             .expect_err("a single over-capacity task cannot be split");
         assert!(matches!(err, PipelineError::OutOfDeviceMemory { .. }));
         for d in 0..2 {
@@ -696,7 +696,7 @@ mod tests {
     #[test]
     fn empty_task_list_is_fine() {
         let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 2);
-        let run = run_sharded(&mut pool, Vec::<u64>::new(), |_| 64, factory(64), true)
+        let run = run_sharded(&mut pool, Vec::<u64>::new(), 64, factory(64), true)
             .expect("nothing to do");
         assert!(run.outputs.is_empty());
         assert_eq!(run.makespan_ms, 0.0);
@@ -707,9 +707,9 @@ mod tests {
     fn two_devices_are_faster_than_one() {
         let tasks: Vec<u64> = (0..24).collect();
         let mut one = DevicePool::homogeneous(DeviceProfile::a100(), 1);
-        let single = run_sharded(&mut one, tasks.clone(), |_| 64, factory(64), true).expect("fits");
+        let single = run_sharded(&mut one, tasks.clone(), 64, factory(64), true).expect("fits");
         let mut two = DevicePool::homogeneous(DeviceProfile::a100(), 2);
-        let dual = run_sharded(&mut two, tasks, |_| 64, factory(64), true).expect("fits");
+        let dual = run_sharded(&mut two, tasks, 64, factory(64), true).expect("fits");
         assert_eq!(single.outputs, dual.outputs, "identical results");
         assert!(
             dual.makespan_ms < single.makespan_ms / 1.5,
@@ -729,7 +729,7 @@ mod tests {
         let mut pool = DevicePool::new(profiles.map(Gpu::new).into());
         // Fresh pool: nameplate weights only.
         assert!(pool.measured_weight(0).is_none());
-        let _ = run_sharded(&mut pool, (0..8u64).collect(), |_| 64, factory(64), true)
+        let _ = run_sharded(&mut pool, (0..8u64).collect(), 64, factory(64), true)
             .expect("priming run fits");
         // Warmed pool: both devices report measured throughput, and the
         // H100 delivered more work per virtual second on the identical
@@ -737,7 +737,7 @@ mod tests {
         let w_v100 = pool.measured_weight(0).expect("ran");
         let w_h100 = pool.measured_weight(1).expect("ran");
         assert!(w_h100 > w_v100, "h100 {w_h100} <= v100 {w_v100}");
-        let plan = plan(&pool, &[64; 24], 3);
+        let plan = plan(&pool, 24, 64, 3);
         let (v100, h100) = (plan.assignments[0].len(), plan.assignments[1].len());
         assert_eq!(v100 + h100, 24);
         assert!(h100 > v100, "h100 shard {h100} <= v100 shard {v100}");
@@ -778,7 +778,7 @@ mod tests {
             pool.measured_weight(1).expect("ran") < pool.measured_weight(0).expect("ran"),
             "idle h100 must measure below busy v100"
         );
-        let plan = plan(&pool, &[64; 12], 3);
+        let plan = plan(&pool, 12, 64, 3);
         assert!(
             plan.assignments[0].len() > plan.assignments[1].len(),
             "measured weights should favor the busy v100: {:?}",
@@ -805,7 +805,7 @@ mod tests {
             batchzk_par::with_threads(threads, || {
                 let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 4);
                 let tasks: Vec<u64> = (0..21).map(|i| i * 3).collect();
-                let run = run_sharded(&mut pool, tasks, |_| 64, factory(64), true).expect("fits");
+                let run = run_sharded(&mut pool, tasks, 64, factory(64), true).expect("fits");
                 (device_states(&pool), run.outputs, run.device_ms)
             })
         };
@@ -864,7 +864,7 @@ mod tests {
         use batchzk_gpu_sim::FaultPlan;
         let tasks: Vec<u64> = (0..16).collect();
         let mut clean_pool = DevicePool::homogeneous(DeviceProfile::a100(), 2);
-        let clean = run_sharded(&mut clean_pool, tasks.clone(), |_| 64, or_factory(), true)
+        let clean = run_sharded(&mut clean_pool, tasks.clone(), 64, or_factory(), true)
             .expect("fault-free run completes");
         assert!(clean.recovery.is_none());
 
@@ -872,7 +872,7 @@ mod tests {
         // Cycle 1: device 1 fail-stops at its second step boundary, with
         // tasks in flight and most of its shard still pending.
         pool.apply_fault_plan(&FaultPlan::new().fail_stop(1, 1));
-        let run = run_sharded(&mut pool, tasks, |_| 64, or_factory(), true)
+        let run = run_sharded(&mut pool, tasks, 64, or_factory(), true)
             .expect("survivor absorbs the dead device's shard");
         assert_eq!(run.outputs, clean.outputs, "recovery must be invisible");
         let rec = run.recovery.as_ref().expect("a fault fired");
@@ -900,11 +900,11 @@ mod tests {
         use batchzk_gpu_sim::FaultPlan;
         let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 2);
         pool.apply_fault_plan(&FaultPlan::new().fail_stop(0, 0).fail_stop(1, 0));
-        let err = run_sharded(&mut pool, (0..8u64).collect(), |_| 64, or_factory(), true)
+        let err = run_sharded(&mut pool, (0..8u64).collect(), 64, or_factory(), true)
             .expect_err("no survivors");
         assert!(matches!(err, PipelineError::DeviceFailed { .. }));
         // The next batch on the dead pool has nowhere to go either.
-        let err = run_sharded(&mut pool, (0..8u64).collect(), |_| 64, or_factory(), true)
+        let err = run_sharded(&mut pool, (0..8u64).collect(), 64, or_factory(), true)
             .expect_err("still no survivors");
         assert_eq!(
             err,
@@ -924,17 +924,17 @@ mod tests {
         let tasks: Vec<u64> = (0..16).collect();
         let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 2);
         pool.apply_fault_plan(&FaultPlan::new().fail_stop(1, 1));
-        let first = run_sharded(&mut pool, tasks.clone(), |_| 64, or_factory(), true)
+        let first = run_sharded(&mut pool, tasks.clone(), 64, or_factory(), true)
             .expect("survivor absorbs the dead device's shard");
         assert!(first.recovery.is_some());
         assert!(pool.device(1).is_failed());
 
-        let second = run_sharded(&mut pool, tasks.clone(), |_| 64, or_factory(), true)
+        let second = run_sharded(&mut pool, tasks.clone(), 64, or_factory(), true)
             .expect("survivor runs the batch");
         assert_eq!(second.assignments, vec![(0..16).collect(), vec![]]);
         assert_eq!(second.recovery, None, "no fault fired in this batch");
         let mut one = DevicePool::homogeneous(DeviceProfile::a100(), 1);
-        let fresh = run_sharded(&mut one, tasks, |_| 64, or_factory(), true).expect("fits");
+        let fresh = run_sharded(&mut one, tasks, 64, or_factory(), true).expect("fits");
         assert_eq!(second.outputs, fresh.outputs);
         assert!(
             second.makespan_ms <= fresh.makespan_ms,
@@ -951,11 +951,11 @@ mod tests {
         use batchzk_gpu_sim::FaultPlan;
         let tasks: Vec<u64> = (0..6).collect();
         let mut clean_pool = DevicePool::homogeneous(DeviceProfile::a100(), 1);
-        let clean = run_sharded(&mut clean_pool, tasks.clone(), |_| 64, or_factory(), true)
+        let clean = run_sharded(&mut clean_pool, tasks.clone(), 64, or_factory(), true)
             .expect("fault-free");
         let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 1);
         pool.apply_fault_plan(&FaultPlan::new().drop_kernel(0, 0, 2));
-        let run = run_sharded(&mut pool, tasks, |_| 64, or_factory(), true)
+        let run = run_sharded(&mut pool, tasks, 64, or_factory(), true)
             .expect("drop is absorbed by replay");
         assert_eq!(run.outputs, clean.outputs);
         let rec = run.recovery.as_ref().expect("a fault fired");
@@ -976,7 +976,7 @@ mod tests {
         use batchzk_gpu_sim::FaultPlan;
         let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 2);
         pool.apply_fault_plan(&FaultPlan::new().degraded_clock(1, 0, 300));
-        let run = run_sharded(&mut pool, (0..8u64).collect(), |_| 64, or_factory(), true)
+        let run = run_sharded(&mut pool, (0..8u64).collect(), 64, or_factory(), true)
             .expect("degradation is not failure");
         assert!(run.recovery.is_none());
         assert_eq!(
@@ -1002,7 +1002,7 @@ mod tests {
             batchzk_par::with_threads(threads, || {
                 let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 3);
                 pool.apply_fault_plan(&FaultPlan::new().fail_stop(1, 2_000).drop_kernel(2, 0, 3));
-                let run = run_sharded(&mut pool, (0..21u64).collect(), |_| 64, or_factory(), true)
+                let run = run_sharded(&mut pool, (0..21u64).collect(), 64, or_factory(), true)
                     .expect("recovers");
                 (run, device_states(&pool))
             })
@@ -1047,8 +1047,8 @@ mod tests {
         let devices = 3usize;
         let tasks: Vec<u64> = (0..18).collect();
         let mut clean_pool = DevicePool::homogeneous(DeviceProfile::a100(), devices);
-        let clean = run_sharded(&mut clean_pool, tasks.clone(), |_| 64, or_factory(), true)
-            .expect("baseline");
+        let clean =
+            run_sharded(&mut clean_pool, tasks.clone(), 64, or_factory(), true).expect("baseline");
 
         let mut rng = Rng(0xBA7C);
         for case in 0..12 {
@@ -1074,7 +1074,7 @@ mod tests {
             }
             let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), devices);
             pool.apply_fault_plan(&plan);
-            match run_sharded(&mut pool, tasks.clone(), |_| 64, or_factory(), true) {
+            match run_sharded(&mut pool, tasks.clone(), 64, or_factory(), true) {
                 Ok(run) => assert_eq!(
                     run.outputs, clean.outputs,
                     "case {case} plan {plan} corrupted outputs"
@@ -1101,8 +1101,7 @@ mod tests {
         let run_at = |threads: usize| {
             batchzk_par::with_threads(threads, || {
                 let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 3);
-                run_sharded(&mut pool, (0..10u64).collect(), |_| 64, factory(64), true)
-                    .expect("fits")
+                run_sharded(&mut pool, (0..10u64).collect(), 64, factory(64), true).expect("fits")
             })
         };
         let base = run_at(1);

@@ -194,7 +194,6 @@ pub fn run_pipelined<F: Field>(
     gpu: &mut Gpu,
     tasks: Vec<SumcheckTask<F>>,
     module_threads: u32,
-    multi_stream: bool,
 ) -> Result<SumcheckRun<F>, PipelineError> {
     let stages = build_stages(gpu, &tasks, module_threads);
     let n = stages.len();
@@ -227,7 +226,7 @@ pub fn run_pipelined<F: Field>(
 
     // Free the shared buffers on both the success and the error path: the
     // engine has already released its own allocations if it failed.
-    let run = Pipeline::new(gpu, stages, multi_stream).run(tasks);
+    let run = Pipeline::new(gpu, stages, true).run(tasks);
     gpu.memory().free(buf_lo);
     gpu.memory().free(buf_hi);
     run
@@ -288,7 +287,7 @@ mod tests {
             .map(|t| algorithm1::prove(&mut t.table.clone(), &t.rs))
             .collect();
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let run = run_pipelined(&mut gpu, tasks, 512, true).expect("fits");
+        let run = run_pipelined(&mut gpu, tasks, 512).expect("fits");
         for (task, expect) in run.outputs.iter().zip(&reference) {
             assert_eq!(task.proof(), &expect[..]);
         }
@@ -298,7 +297,7 @@ mod tests {
     fn proofs_verify() {
         let tasks = fixture(4, 7, 2);
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let run = run_pipelined(&mut gpu, tasks, 512, true).expect("fits");
+        let run = run_pipelined(&mut gpu, tasks, 512).expect("fits");
         for task in &run.outputs {
             let proof: Vec<(Fr, Fr)> = task.proof().to_vec();
             assert!(algorithm1::verify(task.claim(), &proof, task.randomness()).is_some());
@@ -308,12 +307,12 @@ mod tests {
     #[test]
     fn buffer_memory_is_batch_size_independent() {
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let small = run_pipelined(&mut gpu, fixture(2, 8, 3), 256, true)
+        let small = run_pipelined(&mut gpu, fixture(2, 8, 3), 256)
             .expect("fits")
             .stats
             .peak_mem_bytes;
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let large = run_pipelined(&mut gpu, fixture(40, 8, 4), 256, true)
+        let large = run_pipelined(&mut gpu, fixture(40, 8, 4), 256)
             .expect("fits")
             .stats
             .peak_mem_bytes;
@@ -325,18 +324,18 @@ mod tests {
     #[test]
     fn all_buffers_freed_after_run() {
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let _ = run_pipelined(&mut gpu, fixture(3, 5, 5), 128, true);
+        let _ = run_pipelined(&mut gpu, fixture(3, 5, 5), 128);
         assert_eq!(gpu.memory_ref().in_use(), 0);
     }
 
     #[test]
     fn throughput_grows_with_batch() {
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let one = run_pipelined(&mut gpu, fixture(1, 8, 6), 512, true)
+        let one = run_pipelined(&mut gpu, fixture(1, 8, 6), 512)
             .expect("fits")
             .stats;
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let many = run_pipelined(&mut gpu, fixture(32, 8, 7), 512, true)
+        let many = run_pipelined(&mut gpu, fixture(32, 8, 7), 512)
             .expect("fits")
             .stats;
         assert!(many.throughput_per_ms > 2.0 * one.throughput_per_ms);
@@ -348,6 +347,6 @@ mod tests {
         let mut tasks = fixture(2, 5, 8);
         tasks.push(fixture(1, 4, 9).pop().unwrap());
         let mut gpu = Gpu::new(DeviceProfile::v100());
-        let _ = run_pipelined(&mut gpu, tasks, 64, true);
+        let _ = run_pipelined(&mut gpu, tasks, 64);
     }
 }

@@ -440,7 +440,10 @@ pub struct BackendBatchRun<B: ProverBackend> {
 ///
 /// # Panics
 ///
-/// Panics if a backend stage panics (e.g. an unsatisfying assignment).
+/// Panics if a backend stage panics. No built-in stage checks that an
+/// instance satisfies its relation: an unsatisfying Spartan assignment is
+/// proved into a proof that `verify` rejects, every Groth16 witness
+/// satisfies the cyclic relation, and Orion has no relation.
 pub fn prove_batch_with<B: ProverBackend>(
     gpu: &mut Gpu,
     backend: &B,
@@ -584,7 +587,8 @@ pub fn record_pool_outcome<B: ProverBackend>(
 ///
 /// # Panics
 ///
-/// Panics if a backend stage panics (e.g. an unsatisfying assignment).
+/// Panics if a backend stage panics; an unsatisfying instance does not
+/// panic (see [`prove_batch_with`]).
 pub fn prove_batch_pool_with<B: ProverBackend>(
     pool: &mut DevicePool,
     backend: &B,
@@ -593,13 +597,12 @@ pub fn prove_batch_pool_with<B: ProverBackend>(
     multi_stream: bool,
     _policy: ShardPolicy,
 ) -> Result<BackendPoolRun<B>, PipelineError> {
-    let footprint = backend.task_footprint_bytes();
     let tasks: Vec<B::Task> = instances.into_iter().map(|i| backend.begin(i)).collect();
     let stage_backend = backend.clone();
     let run = run_sharded(
         pool,
         tasks,
-        |_| footprint,
+        backend.task_footprint_bytes(),
         move |gpu| stage_backend.stages(gpu, total_threads),
         multi_stream,
     )?;
@@ -639,7 +642,8 @@ pub type BackendProofRequest<B> = (PriorityClass, u64, <B as ProverBackend>::Ins
 ///
 /// # Panics
 ///
-/// Panics if a backend stage panics (e.g. an unsatisfying assignment).
+/// Panics if a backend stage panics; an unsatisfying instance does not
+/// panic (see [`prove_batch_with`]).
 pub fn prove_service_with<B: ProverBackend>(
     pool: &mut DevicePool,
     backend: &B,
@@ -752,6 +756,35 @@ mod tests {
         let run = prove_batch_with(&mut gpu, &backend(&r1cs), batch, 2048, true).expect("fits");
         assert_eq!(run.proofs[0].1, reference);
         assert_eq!(run.proofs[1].1, reference);
+    }
+
+    #[test]
+    fn unsatisfying_assignments_prove_into_proofs_verify_rejects() {
+        // The synthetic witness with its middle entry altered, as
+        // `spartan`'s known-answer test alters it: no stage checks
+        // satisfaction, so the batch and pool paths finish without a panic
+        // and every proof they return fails to verify.
+        let (r1cs, inputs, mut witness) = synthetic_r1cs::<Fr>(16, 42);
+        let middle = witness.len() / 2;
+        witness[middle] += Fr::ONE;
+        let r1cs = Arc::new(r1cs);
+        assert!(!r1cs.is_satisfied(&r1cs.assemble_z(&inputs, &witness)));
+        let backend = backend(&r1cs);
+        let batch = vec![(inputs, witness); 5];
+        let mut gpu = Gpu::new(DeviceProfile::a100());
+        let single = prove_batch_with(&mut gpu, &backend, batch.clone(), 2048, true)
+            .expect("fits")
+            .proofs;
+        let mut pool = DevicePool::homogeneous(DeviceProfile::a100(), 2);
+        let policy = ShardPolicy::MemoryAware;
+        let pooled = prove_batch_pool_with(&mut pool, &backend, batch, 2048, true, policy)
+            .expect("fits")
+            .proofs;
+        assert_eq!(single.len(), 5);
+        assert_eq!(pooled.len(), 5);
+        for (inputs, proof) in single.iter().chain(&pooled) {
+            assert!(!backend.verify(inputs, proof));
+        }
     }
 
     #[test]

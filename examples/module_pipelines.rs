@@ -41,7 +41,7 @@ fn main() {
     let nv = pmerkle::run_naive(&mut gpu, trees.clone(), threads, 4).stats;
     let nv_util = gpu.mean_compute_utilization();
     let mut gpu = Gpu::with_trace_level(profile.clone(), TraceLevel::Full);
-    let run = pmerkle::run_pipelined(&mut gpu, trees, threads, true).expect("fits");
+    let run = pmerkle::run_pipelined(&mut gpu, trees, threads).expect("fits");
     let pp = &run.stats;
     let pp_util = gpu.mean_compute_utilization();
     println!(
@@ -99,7 +99,7 @@ fn main() {
     let nv = psum::run_naive(&mut gpu, tasks(&mut rng), threads, 4).stats;
     let nv_util = gpu.mean_compute_utilization();
     let mut gpu = Gpu::new(profile.clone());
-    let pp = psum::run_pipelined(&mut gpu, tasks(&mut rng), threads, true)
+    let pp = psum::run_pipelined(&mut gpu, tasks(&mut rng), threads)
         .expect("fits")
         .stats;
     let pp_util = gpu.mean_compute_utilization();
@@ -122,7 +122,7 @@ fn main() {
     let nv = penc::run_naive(&mut gpu, Arc::clone(&enc), msgs(&mut rng), threads, 4).stats;
     let nv_util = gpu.mean_compute_utilization();
     let mut gpu = Gpu::new(profile);
-    let pp = penc::run_pipelined(&mut gpu, enc, msgs(&mut rng), threads, true, true)
+    let pp = penc::run_pipelined(&mut gpu, enc, msgs(&mut rng), threads, true)
         .expect("fits")
         .stats;
     let pp_util = gpu.mean_compute_utilization();

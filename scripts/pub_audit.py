@@ -71,11 +71,6 @@ ALLOWED = {
     ("crates/zkp/src/batch.rs", "arena_capacities"): "the sum-check arenas zkp's steady-state allocation test reads; it is its own binary for the counting allocator",
     ("crates/zkp/src/r1cs.rs", "small_r1cs"): "the small-integer instance generator; zkp's steady-state allocation test (its own binary) proves one on the integer path",
     ("crates/pipeline/src/sumcheck.rs", "claim"): "a pipelined sum-check task's claimed sum; tests/pipeline_system.rs verifies each proof against it",
-    # `NttDomain`'s threaded transforms: deleting them drops `batchzk-field`'s
-    # dependency on `batchzk-par`, which rewrites `benchmark/Cargo.lock`; they
-    # go with the benchmark's own change.
-    ("crates/field/src/ntt.rs", "forward_par"): "NttDomain's threaded forward transform, deleted with the next benchmark change",
-    ("crates/field/src/ntt.rs", "inverse_par"): "NttDomain's threaded inverse transform, deleted with the next benchmark change",
 }
 
 PUB_FN = re.compile(r"^\s*pub\s+(?:const\s+|async\s+|unsafe\s+)*fn\s+([A-Za-z_][A-Za-z0-9_]*)")

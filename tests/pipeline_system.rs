@@ -9,7 +9,7 @@ use batchzk::field::{Field, Fr};
 use batchzk::gpu_sim::{DeviceProfile, Gpu};
 use batchzk::hash::Prg;
 use batchzk::merkle::MerkleTree;
-use batchzk::pipeline::{encoder as penc, merkle as pmerkle, sumcheck as psum};
+use batchzk::pipeline::{encoder as penc, merkle as pmerkle, sumcheck as psum, Pipeline};
 use batchzk::sumcheck::algorithm1;
 
 fn tree_batch(count: usize, n: usize) -> Vec<Vec<[u8; 64]>> {
@@ -31,7 +31,7 @@ fn all_three_pipelines_match_cpu_references() {
     // Merkle.
     let trees = tree_batch(12, 64);
     let mut gpu = Gpu::new(DeviceProfile::gh200());
-    let run = pmerkle::run_pipelined(&mut gpu, trees.clone(), 1024, true).expect("fits");
+    let run = pmerkle::run_pipelined(&mut gpu, trees.clone(), 1024).expect("fits");
     for (task, blocks) in run.outputs.iter().zip(&trees) {
         assert_eq!(task.root(), MerkleTree::from_blocks(blocks).root());
     }
@@ -50,7 +50,7 @@ fn all_three_pipelines_match_cpu_references() {
         .map(|t| algorithm1::prove(&mut t.table_snapshot(), t.randomness()))
         .collect();
     let mut gpu = Gpu::new(DeviceProfile::gh200());
-    let run = psum::run_pipelined(&mut gpu, tasks, 1024, true).expect("fits");
+    let run = psum::run_pipelined(&mut gpu, tasks, 1024).expect("fits");
     for (task, expect) in run.outputs.iter().zip(&reference) {
         assert_eq!(task.proof(), &expect[..]);
         assert!(algorithm1::verify(task.claim(), &expect.to_vec(), task.randomness()).is_some());
@@ -62,8 +62,8 @@ fn all_three_pipelines_match_cpu_references() {
         .map(|_| (0..160).map(|_| Fr::random(&mut rng)).collect())
         .collect();
     let mut gpu = Gpu::new(DeviceProfile::gh200());
-    let run = penc::run_pipelined(&mut gpu, Arc::clone(&enc), msgs.clone(), 1024, true, true)
-        .expect("fits");
+    let run =
+        penc::run_pipelined(&mut gpu, Arc::clone(&enc), msgs.clone(), 1024, true).expect("fits");
     for (task, msg) in run.outputs.iter().zip(&msgs) {
         assert_eq!(task.codeword(), &enc.encode(msg)[..]);
     }
@@ -80,7 +80,7 @@ fn headline_claims_hold_at_steady_state() {
     let mut gpu = Gpu::new(DeviceProfile::gh200());
     let naive_stats = pmerkle::run_naive(&mut gpu, trees.clone(), 1024, 4).stats;
     let mut gpu = Gpu::new(DeviceProfile::gh200());
-    let piped_stats = pmerkle::run_pipelined(&mut gpu, trees, 1024, true)
+    let piped_stats = pmerkle::run_pipelined(&mut gpu, trees, 1024)
         .expect("fits")
         .stats;
 
@@ -103,7 +103,7 @@ fn throughput_scales_across_device_generations() {
             let trees = tree_batch(24, 2048);
             let threads = profile.cuda_cores;
             let mut gpu = Gpu::new(profile.clone());
-            let stats = pmerkle::run_pipelined(&mut gpu, trees, threads, true)
+            let stats = pmerkle::run_pipelined(&mut gpu, trees, threads)
                 .expect("fits")
                 .stats;
             (profile.name.to_string(), stats.throughput_per_ms)
@@ -127,11 +127,16 @@ fn throughput_scales_across_device_generations() {
 fn multi_stream_never_hurts() {
     let trees = tree_batch(24, 128);
     let mut gpu = Gpu::new(DeviceProfile::v100());
-    let with = pmerkle::run_pipelined(&mut gpu, trees.clone(), 2048, true)
+    let with = pmerkle::run_pipelined(&mut gpu, trees.clone(), 2048)
         .expect("fits")
         .stats;
+    // The module entry point always overlaps transfers; the single-stream
+    // schedule is the engine's switch.
     let mut gpu = Gpu::new(DeviceProfile::v100());
-    let without = pmerkle::run_pipelined(&mut gpu, trees, 2048, false)
+    let stages = pmerkle::build_stages(&gpu, &trees, 2048);
+    let tasks = trees.into_iter().map(pmerkle::MerkleTask::new).collect();
+    let without = Pipeline::new(&mut gpu, stages, false)
+        .run(tasks)
         .expect("fits")
         .stats;
     assert!(with.total_cycles <= without.total_cycles);
@@ -141,7 +146,7 @@ fn multi_stream_never_hurts() {
 fn simulator_memory_is_conserved_across_module_runs() {
     let mut gpu = Gpu::new(DeviceProfile::gh200());
     let trees = tree_batch(8, 64);
-    pmerkle::run_pipelined(&mut gpu, trees, 1024, true).expect("fits");
+    pmerkle::run_pipelined(&mut gpu, trees, 1024).expect("fits");
     assert_eq!(gpu.memory_ref().in_use(), 0);
 
     let mut rng = Prg::seed_from_u64(5);
@@ -152,6 +157,6 @@ fn simulator_memory_is_conserved_across_module_runs() {
             psum::SumcheckTask::new(table, rs)
         })
         .collect();
-    psum::run_pipelined(&mut gpu, tasks, 512, true).expect("fits");
+    psum::run_pipelined(&mut gpu, tasks, 512).expect("fits");
     assert_eq!(gpu.memory_ref().in_use(), 0);
 }
